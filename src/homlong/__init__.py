@@ -9,7 +9,7 @@ from .linalg import (Matrix, Tensor3, Vector, scalar, kron, kron_all,
                      perm_matrix, flip_matrix, apply3, solve_exact,
                      DimensionMismatch, SingularMatrix)
 from .report import AxiomReport, Check
-from .homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra, HomHopfAlgebra,
+from .homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra,
                         QuasiTriangularStructure, CoQuasiTriangularStructure,
                         NotAutomorphism, validate_hom_algebra,
                         validate_hom_coalgebra, validate_hom_bialgebra,

@@ -8,13 +8,13 @@ lexicographic bases, with the constraint matrices of the monoidal structure
 spelled out explicitly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .linalg import Matrix, Tensor3, DimensionMismatch, kron, permute_output_legs, ZERO
-from .homstruct import (HomHopfAlgebra, bialgebra_of, tensor_hopf, element_col,
-                        validate_quasitriangular, validate_coquasitriangular)
+from .homstruct import (tensor_hopf, element_col, validate_quasitriangular,
+                        validate_coquasitriangular)
 from .repmod import YetterDrinfeldModule, yd_prebraiding
-from .longdimod import (HomLongDimodule, MismatchedBase, associator,
+from .longdimod import (HomLongDimodule, MismatchedBase, associator, base_parts,
                         tensor_dimodule, dimodule_morphism_report)
 from .report import AxiomReport, matrices_equal_report
 
@@ -45,7 +45,7 @@ class BraidingContext:
     form on B; validation is cached and consulted by every braiding call."""
 
     def __init__(self, h, r, b, form):
-        if not isinstance(h, HomHopfAlgebra) or not isinstance(b, HomHopfAlgebra):
+        if h.antipode is None or b.antipode is None:
             raise InvalidContext("context needs Hopf structures on both sides")
         self.H = h
         self.R = r
@@ -91,8 +91,7 @@ class BraidingContext:
             raise InvalidContext("context axioms fail: %s" % ", ".join(bad))
 
     def require_dimodule(self, m):
-        if (bialgebra_of(m.H) != self.H.bialgebra
-                or bialgebra_of(m.B) != self.B.bialgebra):
+        if base_parts(m) != base_parts(self):
             raise MismatchedBase("dimodule lives over a different algebra pair")
 
 
@@ -269,7 +268,7 @@ def hb_yd_structure(ctx, m):
                         s += rr * bc * x * p_id.data[j][iq * d + o]
         return s
 
-    return YetterDrinfeldModule(t.bialgebra, d,
+    return YetterDrinfeldModule(replace(t, antipode=None), d,
                                 Tensor3.from_function(nh * nb, d, d, act),
                                 Tensor3.from_function(d, nh * nb, d, coact),
                                 m.mu, m.basis)
@@ -287,17 +286,15 @@ def check_braiding_compatibility(ctx, m, n):
 
 def module_as_dimodule(h, m, b):
     """A module becomes a dimodule under the unit coaction rho(x) = 1_B (x) nu(x)."""
-    bb = bialgebra_of(b)
-    coact = Tensor3.from_function(m.dim, bb.dim, m.dim,
-                                  lambda i, a, j: bb.unit[a] * m.nu.data[j][i])
+    coact = Tensor3.from_function(m.dim, b.dim, m.dim,
+                                  lambda i, a, j: b.unit[a] * m.nu.data[j][i])
     return HomLongDimodule(h, b, m.dim, m.action, coact, m.nu, m.basis)
 
 
 def comodule_as_dimodule(b, m, h):
     """A comodule becomes a dimodule under the counit action h.x = eps(h) mu(x)."""
-    hb = bialgebra_of(h)
-    act = Tensor3.from_function(hb.dim, m.dim, m.dim,
-                                lambda a, i, j: hb.counit[a] * m.mu.data[j][i])
+    act = Tensor3.from_function(h.dim, m.dim, m.dim,
+                                lambda a, i, j: h.counit[a] * m.mu.data[j][i])
     return HomLongDimodule(h, b, m.dim, act, m.coaction, m.mu, m.basis)
 
 

@@ -10,14 +10,13 @@ import argparse
 import json
 import sys
 
-from .linalg import DimensionMismatch, SingularMatrix, scalar
+from .linalg import DimensionMismatch, SingularMatrix
 from .report import AxiomReport
 from . import io as hio
 from .io import FileFormatError
-from .homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra, HomHopfAlgebra,
-                        NotAutomorphism, validate_hom_algebra, validate_hom_coalgebra,
-                        validate_all, validate_quasitriangular,
-                        validate_coquasitriangular, yau_twist)
+from .homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra, NotAutomorphism,
+                        validate_hom_algebra, validate_hom_coalgebra, validate_all,
+                        validate_quasitriangular, validate_coquasitriangular, yau_twist)
 from .repmod import (HomModule, HomComodule, YetterDrinfeldModule,
                      validate_hom_module, validate_hom_comodule, check_yd)
 from .longdimod import (HomLongDimodule, MismatchedBase, AntipodeNotInvertible,
@@ -34,14 +33,12 @@ from .braidcat import (InvalidContext, NotAMorphism, long_braiding,
 
 
 class RunReport:
-    def __init__(self, command, inputs, seed=None):
+    def __init__(self, command, inputs):
         self.command = command
         self.inputs = list(inputs)
         self.checks = []
         self.flags = {}
         self.notes = []
-        if seed is not None:
-            self.flags["seed"] = seed
 
     def absorb(self, axiom_report, prefix=""):
         for c in axiom_report.checks:
@@ -93,19 +90,21 @@ def _json_witness(w):
     return str(w)
 
 
-def _load_kind(path, expect=None):
+def _load_kind(path, expect):
     s = hio.load_structure(path)
-    if expect is not None and not isinstance(s, expect):
-        raise FileFormatError("expected %s" %
-                              " or ".join(t.__name__ for t in (
-                                  expect if isinstance(expect, tuple) else (expect,))),
-                              path)
+    if not isinstance(s, expect):
+        raise FileFormatError("expected %s" % expect.__name__, path)
     return s
+
+
+def _check_operator(op, report):
+    report.absorb(AxiomReport().add("mu-invertible", op.structure_map.det() != 0))
+    return report.absorb(check_long_equation(op))
 
 
 def cmd_validate(args, report):
     s = hio.load_structure(args.file)
-    if args.kind and isinstance(s, (HomBialgebra, HomHopfAlgebra)):
+    if args.kind and isinstance(s, HomBialgebra):
         if args.kind == "hom-algebra":
             s = s.algebra
         elif args.kind == "hom-coalgebra":
@@ -114,13 +113,13 @@ def cmd_validate(args, report):
         report.absorb(validate_hom_algebra(s))
     elif isinstance(s, HomCoalgebra):
         report.absorb(validate_hom_coalgebra(s))
-    elif isinstance(s, (HomBialgebra, HomHopfAlgebra)):
+    elif isinstance(s, HomBialgebra):
         report.absorb(validate_all(s))
         raw = hio._read(args.file)
-        if isinstance(s, HomHopfAlgebra) and "R" in raw:
+        if s.antipode is not None and "R" in raw:
             report.absorb(validate_quasitriangular(
                 s, hio.load_matrix(raw["R"], args.file + ".R")), "R:")
-        if isinstance(s, HomHopfAlgebra) and "form" in raw:
+        if s.antipode is not None and "form" in raw:
             report.absorb(validate_coquasitriangular(
                 s, hio.load_matrix(raw["form"], args.file + ".form")), "form:")
     elif isinstance(s, HomModule):
@@ -137,7 +136,7 @@ def cmd_validate(args, report):
     elif isinstance(s, HAlphaLongDimodule):
         report.absorb(validate_halpha_dimodule(s))
     elif isinstance(s, OperatorOnTensorSquare):
-        report.absorb(check_long_equation(s))
+        _check_operator(s, report)
     else:
         raise FileFormatError("nothing to validate", args.file)
     return report
@@ -146,10 +145,9 @@ def cmd_validate(args, report):
 def cmd_check(args, report):
     subject = args.subject
     if subject == "longeq":
-        op = _load_kind(args.operator, OperatorOnTensorSquare)
-        return report.absorb(check_long_equation(op))
+        return _check_operator(_load_kind(args.operator, OperatorOnTensorSquare), report)
     if subject == "yd":
-        yd = _load_kind(args.module or args.m, YetterDrinfeldModule)
+        yd = _load_kind(args.m, YetterDrinfeldModule)
         report.absorb(validate_hom_module(yd.over.algebra, yd.module_part()), "module:")
         report.absorb(validate_hom_comodule(yd.over.coalgebra, yd.comodule_part()),
                       "comodule:")
@@ -231,7 +229,7 @@ def cmd_build(args, report):
         report.absorb(validate_long_dimodule(t))
         built = hio.structure_to_json(t)
     elif what == "twist":
-        base = _load_kind(args.base, (HomBialgebra, HomHopfAlgebra))
+        base = _load_kind(args.base, HomBialgebra)
         raw = hio._read(args.phi)
         phi = hio.load_matrix(raw["matrix"] if isinstance(raw, dict) else raw,
                               args.phi)
@@ -244,7 +242,7 @@ def cmd_build(args, report):
         report.absorb(check_long_equation(op))
         built = hio.structure_to_json(op)
     elif what == "extension":
-        base = _load_kind(args.base, (HomBialgebra, HomHopfAlgebra))
+        base = _load_kind(args.base, HomBialgebra)
         mod = hio.load_structure(args.m)
         variant = args.variant
         if variant is None:
@@ -274,7 +272,7 @@ def cmd_search(args, report):
     raw = hio._read(args.mu)
     mu = hio.load_matrix(raw["mu"] if isinstance(raw, dict) and "mu" in raw
                          else raw, args.mu)
-    values = [scalar(s) for s in args.set.split(",") if s.strip() != ""]
+    values = [hio.load_scalar(s, "--set") for s in args.set.split(",") if s.strip() != ""]
     sols = search_solutions(mu, values, args.shape)
     rep = AxiomReport()
     rep.add("exhaustive-search", True)
@@ -293,6 +291,33 @@ def cmd_search(args, report):
     return report
 
 
+class UsageError(Exception):
+    """A check subject or build target was run without an option it needs."""
+
+
+# The file options each check subject and build target cannot run without,
+# and the attribute the parser stores each option in.
+REQUIRED = {
+    "check ybe": ("--ctx", "-U", "-V", "-W"),
+    "check hexagon": ("--ctx", "-U", "-V", "-W"),
+    "check symmetry": ("--ctx", "-M", "-N"),
+    "check longeq": ("-R",),
+    "check yd": ("-M",),
+    "check snake": ("-D",),
+    "check roundtrip": ("-D",),
+    "check coherence": ("-U", "-V", "-W"),
+    "build braid": ("--ctx", "-M", "-N"),
+    "build dual": ("-D",),
+    "build tensor": ("-M", "-N"),
+    "build twist": ("--base", "--phi"),
+    "build dimodule-solution": ("-D",),
+    "build extension": ("--base", "-M"),
+    "build smash": ("-D",),
+}
+OPTION_DEST = {"--ctx": "ctx", "-U": "u", "-V": "v", "-W": "w", "-M": "m", "-N": "n",
+               "-R": "operator", "-D": "dimodule", "--base": "base", "--phi": "phi"}
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="homlong",
                                 description="Exact checks for Hom-Hopf structures, "
@@ -300,7 +325,6 @@ def build_parser():
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--diagnose", action="store_true", default=False)
-    p.add_argument("--seed", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="validate a definition file")
@@ -319,7 +343,6 @@ def build_parser():
     c.add_argument("-N", dest="n")
     c.add_argument("-R", dest="operator")
     c.add_argument("-D", dest="dimodule")
-    c.add_argument("--module", dest="module")
     c.add_argument("--side", choices=("left", "right"), default="left")
     c.add_argument("--diagnose", action="store_true", default=argparse.SUPPRESS)
 
@@ -351,15 +374,18 @@ def main(argv=None):
                           getattr(args, "w", None), getattr(args, "x", None),
                           getattr(args, "m", None), getattr(args, "n", None),
                           getattr(args, "operator", None),
-                          getattr(args, "dimodule", None),
-                          getattr(args, "module", None), getattr(args, "base", None),
+                          getattr(args, "dimodule", None), getattr(args, "base", None),
                           getattr(args, "phi", None), getattr(args, "mu", None))
               if x]
     name = args.command if args.command != "check" else "check %s" % args.subject
     if args.command == "build":
         name = "build %s" % args.what
-    report = RunReport(name, inputs, seed=args.seed)
+    report = RunReport(name, inputs)
     try:
+        missing = [flag for flag in REQUIRED.get(name, ())
+                   if getattr(args, OPTION_DEST[flag]) is None]
+        if missing:
+            raise UsageError("%s needs %s" % (name, ", ".join(missing)))
         if args.command == "validate":
             cmd_validate(args, report)
         elif args.command == "check":
@@ -373,7 +399,8 @@ def main(argv=None):
         return 2
     except (FileFormatError, DimensionMismatch, SingularMatrix, MismatchedBase,
             AntipodeNotInvertible, InvalidContext, NotAMorphism, NotAutomorphism,
-            ZeroDiagonal, SearchSpaceTooLarge, KeyError, ValueError, OSError) as exc:
+            UsageError, ZeroDiagonal, SearchSpaceTooLarge, KeyError, ValueError,
+            OSError) as exc:
         msg = "error: %s" % exc
         if args.format == "json":
             print(json.dumps({"command": name, "inputs": inputs, "error": str(exc),

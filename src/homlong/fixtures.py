@@ -9,8 +9,7 @@ the little zoo of dimodules used throughout.
 from fractions import Fraction
 
 from .linalg import Matrix, Tensor3, Vector
-from .homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra, HomHopfAlgebra,
-                        yau_twist)
+from .homstruct import HomAlgebra, HomCoalgebra, HomBialgebra, yau_twist
 from .repmod import HomModule, HomComodule
 from .longdimod import (HomLongDimodule, canonical_dimodule, trivial_dimodule,
                         unit_dimodule)
@@ -29,7 +28,7 @@ def group_hopf(m, names=None):
     eye = Matrix.identity(m)
     alg = HomAlgebra(m, mult, unit, eye, names)
     coa = HomCoalgebra(m, comult, counit, eye, names)
-    return HomHopfAlgebra(HomBialgebra(alg, coa), s)
+    return HomBialgebra(alg, coa, s)
 
 
 def field_hopf():
@@ -70,7 +69,7 @@ def klein_hopf():
     names = ("1", "b", "a", "ab")
     alg = HomAlgebra(4, k.mult, k.unit, k.gamma, names)
     coa = HomCoalgebra(4, k.comult, k.counit, k.gamma, names)
-    return HomHopfAlgebra(HomBialgebra(alg, coa), k.antipode)
+    return HomBialgebra(alg, coa, k.antipode)
 
 
 def klein_rmatrix():
@@ -110,7 +109,7 @@ def sweedler_hopf():
     eye = Matrix.identity(n)
     alg = HomAlgebra(n, mult, unit, eye, names)
     coa = HomCoalgebra(n, comult, counit, eye, names)
-    return HomHopfAlgebra(HomBialgebra(alg, coa), s)
+    return HomBialgebra(alg, coa, s)
 
 
 def sweedler_twist_map():

@@ -83,8 +83,10 @@ class HomCoalgebra:
 
 @dataclass(frozen=True)
 class HomBialgebra:
+    """A Hom-bialgebra; with an antipode set it is a Hom-Hopf algebra."""
     algebra: HomAlgebra
     coalgebra: HomCoalgebra
+    antipode: Matrix = None
 
     def __post_init__(self):
         if self.algebra.dim != self.coalgebra.dim:
@@ -94,6 +96,13 @@ class HomBialgebra:
             raise DimensionMismatch("algebra and coalgebra parts carry different twists")
         if self.algebra.basis != self.coalgebra.basis:
             raise DimensionMismatch("algebra and coalgebra basis names differ")
+        s, n = self.antipode, self.algebra.dim
+        if s is not None and (s.rows != n or s.cols != n):
+            raise DimensionMismatch("antipode is %dx%d for dim %d" % (s.rows, s.cols, n))
+
+    @property
+    def kind(self):
+        return "hom-bialgebra" if self.antipode is None else "hom-hopf"
 
     @property
     def dim(self):
@@ -141,76 +150,8 @@ class HomBialgebra:
 
 
 @dataclass(frozen=True)
-class HomHopfAlgebra:
-    bialgebra: HomBialgebra
-    antipode: Matrix
-
-    def __post_init__(self):
-        n = self.bialgebra.dim
-        if self.antipode.rows != n or self.antipode.cols != n:
-            raise DimensionMismatch("antipode is %dx%d for dim %d"
-                                    % (self.antipode.rows, self.antipode.cols, n))
-
-    @property
-    def dim(self):
-        return self.bialgebra.dim
-
-    @property
-    def basis(self):
-        return self.bialgebra.basis
-
-    @property
-    def algebra(self):
-        return self.bialgebra.algebra
-
-    @property
-    def coalgebra(self):
-        return self.bialgebra.coalgebra
-
-    @property
-    def gamma(self):
-        return self.bialgebra.gamma
-
-    @property
-    def mult(self):
-        return self.bialgebra.mult
-
-    @property
-    def comult(self):
-        return self.bialgebra.comult
-
-    @property
-    def unit(self):
-        return self.bialgebra.unit
-
-    @property
-    def counit(self):
-        return self.bialgebra.counit
-
-    @property
-    def mult_map(self):
-        return self.bialgebra.mult_map
-
-    @property
-    def comult_map(self):
-        return self.bialgebra.comult_map
-
-    @property
-    def unit_col(self):
-        return self.bialgebra.unit_col
-
-    @property
-    def counit_row(self):
-        return self.bialgebra.counit_row
-
-
-def bialgebra_of(h):
-    return h.bialgebra if isinstance(h, HomHopfAlgebra) else h
-
-
-@dataclass(frozen=True)
 class QuasiTriangularStructure:
-    owner: HomHopfAlgebra
+    owner: HomBialgebra
     R: Matrix              # R[i][j] = coeff of e_i (x) e_j
     triangular: bool
     report: AxiomReport = field(compare=False)
@@ -218,7 +159,7 @@ class QuasiTriangularStructure:
 
 @dataclass(frozen=True)
 class CoQuasiTriangularStructure:
-    owner: HomHopfAlgebra
+    owner: HomBialgebra
     form: Matrix           # form[i][j] = <e_i | e_j>
     cotriangular: bool
     report: AxiomReport = field(compare=False)
@@ -290,7 +231,6 @@ def validate_hom_coalgebra(c):
 
 def validate_hom_bialgebra(h):
     """Check that the comultiplication and counit are Hom-algebra morphisms."""
-    h = bialgebra_of(h)
     n = h.dim
     rep = AxiomReport()
     mm, cm = h.mult_map, h.comult_map
@@ -329,11 +269,10 @@ def validate_hom_hopf(h):
 def validate_all(h):
     """Full tower report for a bialgebra or Hopf algebra."""
     rep = AxiomReport()
-    hb = bialgebra_of(h)
-    rep.extend(validate_hom_algebra(hb.algebra), "algebra:")
-    rep.extend(validate_hom_coalgebra(hb.coalgebra), "coalgebra:")
-    rep.extend(validate_hom_bialgebra(hb), "bialgebra:")
-    if isinstance(h, HomHopfAlgebra):
+    rep.extend(validate_hom_algebra(h.algebra), "algebra:")
+    rep.extend(validate_hom_coalgebra(h.coalgebra), "coalgebra:")
+    rep.extend(validate_hom_bialgebra(h), "bialgebra:")
+    if h.antipode is not None:
         rep.extend(validate_hom_hopf(h), "hopf:")
     return rep
 
@@ -345,31 +284,27 @@ def yau_twist(h, phi):
     """Twist a classical bialgebra/Hopf algebra (identity structure map) by a
     (bi/Hopf) automorphism phi: new product phi o mult, new coproduct
     comult o phi, new twist phi, antipode unchanged."""
-    hb = bialgebra_of(h)
-    n = hb.dim
-    if not hb.gamma.is_identity():
+    n = h.dim
+    if not h.gamma.is_identity():
         raise NotAutomorphism("twist base must carry the identity structure map")
     if phi.rows != n or phi.cols != n:
         raise DimensionMismatch("phi is %dx%d for dim %d" % (phi.rows, phi.cols, n))
     if phi.det() == 0:
         raise NotAutomorphism("phi is not invertible")
-    mm, cm = hb.mult_map, hb.comult_map
+    mm, cm = h.mult_map, h.comult_map
     if phi * mm != mm * kron(phi, phi):
         raise NotAutomorphism("phi o mult != mult o (phi x phi)")
     if kron(phi, phi) * cm != cm * phi:
         raise NotAutomorphism("(phi x phi) o comult != comult o phi")
-    if hb.counit_row * phi != hb.counit_row:
+    if h.counit_row * phi != h.counit_row:
         raise NotAutomorphism("counit o phi != counit")
-    if phi * hb.unit_col != hb.unit_col:
+    if phi * h.unit_col != h.unit_col:
         raise NotAutomorphism("phi does not fix the unit")
-    mult2 = apply3(hb.mult, 2, phi)
-    comult2 = apply3(hb.comult, 0, phi.transpose())
-    alg = HomAlgebra(n, mult2, hb.unit, phi, hb.basis)
-    coa = HomCoalgebra(n, comult2, hb.counit, phi, hb.basis)
-    twisted = HomBialgebra(alg, coa)
-    if isinstance(h, HomHopfAlgebra):
-        return HomHopfAlgebra(twisted, h.antipode)
-    return twisted
+    mult2 = apply3(h.mult, 2, phi)
+    comult2 = apply3(h.comult, 0, phi.transpose())
+    alg = HomAlgebra(n, mult2, h.unit, phi, h.basis)
+    coa = HomCoalgebra(n, comult2, h.counit, phi, h.basis)
+    return HomBialgebra(alg, coa, h.antipode)
 
 
 def dual_hopf(b):
@@ -408,7 +343,7 @@ def dual_hopf(b):
     names = tuple(x + "*" for x in b.basis)
     alg = HomAlgebra(n, mult_d, unit_d, b1i.transpose(), names)
     coa = HomCoalgebra(n, comult_d, counit_d, b1i.transpose(), names)
-    return HomHopfAlgebra(HomBialgebra(alg, coa), b.antipode.transpose())
+    return HomBialgebra(alg, coa, b.antipode.transpose())
 
 
 def tensor_hopf(h, b):
@@ -435,7 +370,7 @@ def tensor_hopf(h, b):
                      h.unit.kron(b.unit), kron(h.gamma, b.gamma), names)
     coa = HomCoalgebra(n, Tensor3.from_function(n, n, n, comult_entry),
                        h.counit.kron(b.counit), kron(h.gamma, b.gamma), names)
-    return HomHopfAlgebra(HomBialgebra(alg, coa), kron(h.antipode, b.antipode))
+    return HomBialgebra(alg, coa, kron(h.antipode, b.antipode))
 
 
 def opposite_algebra(a):

@@ -6,12 +6,12 @@ under a module, the pair under a dimodule) may be inline objects or paths
 relative to the referencing file.
 """
 
+import dataclasses
 import json
 import os
 
 from .linalg import Matrix, Tensor3, Vector, scalar, scalar_to_json
-from .homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra, HomHopfAlgebra,
-                        bialgebra_of)
+from .homstruct import HomAlgebra, HomCoalgebra, HomBialgebra
 from .repmod import HomModule, HomComodule, YetterDrinfeldModule
 from .longdimod import HomLongDimodule
 from .longeq import HAlphaLongDimodule, OperatorOnTensorSquare
@@ -135,7 +135,8 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
             return bi
         if "antipode" not in obj:
             raise FileFormatError(_ctx(where, "hom-hopf needs 'antipode'"))
-        return HomHopfAlgebra(bi, load_matrix(obj["antipode"], where + ".antipode"))
+        return dataclasses.replace(bi, antipode=load_matrix(obj["antipode"],
+                                                           where + ".antipode"))
     except FileFormatError:
         raise
     except Exception as exc:
@@ -154,13 +155,11 @@ def algebra_to_json(h):
                    comult=tensor3_json(h.comult), counit=vector_json(h.counit),
                    gamma=matrix_json(h.beta))
         return out
-    hb = bialgebra_of(h)
-    out.update(kind="hom-bialgebra", dim=hb.dim, basis=list(hb.basis),
-               mult=tensor3_json(hb.mult), unit=vector_json(hb.unit),
-               comult=tensor3_json(hb.comult), counit=vector_json(hb.counit),
-               gamma=matrix_json(hb.gamma))
-    if isinstance(h, HomHopfAlgebra):
-        out["kind"] = "hom-hopf"
+    out.update(kind=h.kind, dim=h.dim, basis=list(h.basis),
+               mult=tensor3_json(h.mult), unit=vector_json(h.unit),
+               comult=tensor3_json(h.comult), counit=vector_json(h.counit),
+               gamma=matrix_json(h.gamma))
+    if h.antipode is not None:
         out["antipode"] = matrix_json(h.antipode)
     return out
 
@@ -170,7 +169,7 @@ def _load_algebra_field(obj, key, base_dir, where, expect_hopf=False):
         raise FileFormatError(_ctx(where, "missing '%s'" % key))
     sub, sub_dir, sub_where = _resolve(obj[key], base_dir, where + "." + key)
     alg = algebra_from_json(sub, sub_dir, sub_where)
-    if expect_hopf and not isinstance(alg, HomHopfAlgebra):
+    if expect_hopf and not (isinstance(alg, HomBialgebra) and alg.antipode is not None):
         raise FileFormatError(_ctx(sub_where, "expected a hom-hopf structure"))
     return alg, sub
 
@@ -205,12 +204,10 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
                            tuple(obj.get("basis") or ()) or None)
     if kind == "yd-module":
         over, _ = _load_algebra_field(obj, "over", base_dir, where)
-        if not isinstance(over, (HomBialgebra, HomHopfAlgebra)):
+        if not isinstance(over, HomBialgebra):
             raise FileFormatError(_ctx(where, "yd-module 'over' must be a bialgebra"))
-        hb = over   # keep the Hopf structure when present: enables the
-                    # reformulation cross-check
         dim = int(obj["dim"])
-        return YetterDrinfeldModule(hb, dim,
+        return YetterDrinfeldModule(over, dim,
                                     load_tensor3(obj["action"], where + ".action"),
                                     load_tensor3(obj["coaction"], where + ".coaction"),
                                     load_matrix(obj["structure_map"], where + ".structure_map"),
@@ -269,7 +266,7 @@ def load_context(path):
 
 
 def structure_to_json(s):
-    if isinstance(s, (HomAlgebra, HomCoalgebra, HomBialgebra, HomHopfAlgebra)):
+    if isinstance(s, (HomAlgebra, HomCoalgebra, HomBialgebra)):
         return algebra_to_json(s)
     if isinstance(s, HomModule):
         return {"kind": "hom-module", "over": algebra_to_json(s.over),

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from .linalg import (Matrix, Tensor3, DimensionMismatch, kron, kron_all,
                      permute_output_legs, ZERO, ONE)
-from .homstruct import (HomAlgebra, HomHopfAlgebra, bialgebra_of, dual_hopf,
-                        opposite_algebra)
+from .homstruct import HomAlgebra, HomBialgebra, dual_hopf, opposite_algebra
 from .repmod import HomModule, HomComodule, validate_hom_module, validate_hom_comodule
 from .report import AxiomReport, matrices_equal_report
 
@@ -28,8 +27,8 @@ class AntipodeNotInvertible(Exception):
 
 @dataclass(frozen=True)
 class HomLongDimodule:
-    H: object              # HomBialgebra or HomHopfAlgebra
-    B: object
+    H: HomBialgebra
+    B: HomBialgebra
     dim: int
     action: Tensor3        # over H: action[h][i][j]
     coaction: Tensor3      # over B: coaction[i][a][j]
@@ -37,8 +36,8 @@ class HomLongDimodule:
     basis: tuple = None
 
     def __post_init__(self):
-        nh = bialgebra_of(self.H).dim
-        nb = bialgebra_of(self.B).dim
+        nh = self.H.dim
+        nb = self.B.dim
         if self.action.dims != (nh, self.dim, self.dim):
             raise DimensionMismatch("action dims %r for H dim %d, carrier dim %d"
                                     % (self.action.dims, nh, self.dim))
@@ -53,11 +52,11 @@ class HomLongDimodule:
                                tuple("m%d" % i for i in range(self.dim)))
 
     def module_part(self):
-        return HomModule(bialgebra_of(self.H).algebra, self.dim, self.action,
+        return HomModule(self.H.algebra, self.dim, self.action,
                          self.mu, self.basis)
 
     def comodule_part(self):
-        return HomComodule(bialgebra_of(self.B).coalgebra, self.dim, self.coaction,
+        return HomComodule(self.B.coalgebra, self.dim, self.coaction,
                            self.mu, self.basis)
 
     @property
@@ -80,30 +79,29 @@ class DualityData:
 def validate_long_dimodule(d):
     """Module axioms over H, comodule axioms over B, and the compatibility
     rho(h.m) = b(m_-1) (x) a(h).m_0."""
-    hb, bb = bialgebra_of(d.H), bialgebra_of(d.B)
+    h, b = d.H, d.B
     rep = AxiomReport()
-    rep.extend(validate_hom_module(hb.algebra, d.module_part()), "module:")
-    rep.extend(validate_hom_comodule(bb.coalgebra, d.comodule_part()), "comodule:")
+    rep.extend(validate_hom_module(h.algebra, d.module_part()), "module:")
+    rep.extend(validate_hom_comodule(b.coalgebra, d.comodule_part()), "comodule:")
     am, co = d.action_map, d.coaction_map
     lhs = co * am
-    rhs = (kron(bb.gamma, am * kron(hb.gamma, Matrix.identity(d.dim)))
-           * permute_output_legs(kron(Matrix.identity(hb.dim), co),
-                                 [hb.dim, bb.dim, d.dim], [1, 0, 2]))
-    matrices_equal_report(rep, "compat-2.1", lhs, rhs, (hb.dim, d.dim),
-                          (hb.basis, d.basis))
+    rhs = (kron(b.gamma, am * kron(h.gamma, Matrix.identity(d.dim)))
+           * permute_output_legs(kron(Matrix.identity(h.dim), co),
+                                 [h.dim, b.dim, d.dim], [1, 0, 2]))
+    matrices_equal_report(rep, "compat-2.1", lhs, rhs, (h.dim, d.dim),
+                          (h.basis, d.basis))
     return rep
 
 
 def canonical_dimodule(h, b):
     """The carrier H (x) B with h.(g (x) x) = hg (x) b(x) and
     rho(g (x) x) = x1 (x) (a(g) (x) x2)."""
-    hb, bb = bialgebra_of(h), bialgebra_of(b)
-    nh, nb = hb.dim, bb.dim
+    nh, nb = h.dim, b.dim
     d = nh * nb
-    mh = hb.mult
-    cb = bb.comult
-    beta = bb.gamma
-    alpha = hb.gamma
+    mh = h.mult
+    cb = b.comult
+    beta = b.gamma
+    alpha = h.gamma
 
     def act(hh, i, j):
         g, x = divmod(i, nb)
@@ -115,27 +113,34 @@ def canonical_dimodule(h, b):
         a, y = divmod(j, nb)
         return cb.data[x][c][y] * alpha.data[a][g]
 
-    names = tuple("%s⊗%s" % (x, y) for x in hb.basis for y in bb.basis)
+    names = tuple("%s⊗%s" % (x, y) for x in h.basis for y in b.basis)
     return HomLongDimodule(h, b, d,
                            Tensor3.from_function(nh, d, d, act),
                            Tensor3.from_function(d, nb, d, coact),
                            kron(alpha, beta), names)
 
 
+def base_parts(d):
+    """The algebra and coalgebra parts of the pair (H, B) of a dimodule or a
+    braiding context.  Antipodes are left out: they do not decide which
+    dimodules combine."""
+    return d.H.algebra, d.H.coalgebra, d.B.algebra, d.B.coalgebra
+
+
 def tensor_dimodule(m, n):
     """Tensor product with h.(m (x) n) = h1.m (x) h2.n and
     rho(m (x) n) = b^-2(m_-1 n_-1) (x) m_0 (x) n_0."""
-    if bialgebra_of(m.H) != bialgebra_of(n.H) or bialgebra_of(m.B) != bialgebra_of(n.B):
+    if base_parts(m) != base_parts(n):
         raise MismatchedBase("tensor of dimodules over different algebra pairs")
-    hb, bb = bialgebra_of(m.H), bialgebra_of(n.B)
-    nh, nb = hb.dim, bb.dim
+    h, b = m.H, n.B
+    nh, nb = h.dim, b.dim
     d = m.dim * n.dim
     eye = Matrix.identity(d)
     act_mat = (kron(m.action_map, n.action_map)
-               * permute_output_legs(kron(hb.comult_map, eye),
+               * permute_output_legs(kron(h.comult_map, eye),
                                      [nh, nh, m.dim, n.dim], [0, 2, 1, 3]))
-    b2i = (bb.gamma * bb.gamma).inv()
-    co_mat = (kron(b2i * bb.mult_map, eye)
+    b2i = (b.gamma * b.gamma).inv()
+    co_mat = (kron(b2i * b.mult_map, eye)
               * permute_output_legs(kron(m.coaction_map, n.coaction_map),
                                     [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
     names = tuple("%s⊗%s" % (x, y) for x in m.basis for y in n.basis)
@@ -147,23 +152,21 @@ def tensor_dimodule(m, n):
 
 def unit_dimodule(h, b):
     """The monoidal unit: the ground field with identity structure map."""
-    hb, bb = bialgebra_of(h), bialgebra_of(b)
-    act = Tensor3.from_function(hb.dim, 1, 1, lambda i, _j, _k: hb.counit[i])
-    coact = Tensor3.from_function(1, bb.dim, 1, lambda _i, a, _k: bb.unit[a])
+    act = Tensor3.from_function(h.dim, 1, 1, lambda i, _j, _k: h.counit[i])
+    coact = Tensor3.from_function(1, b.dim, 1, lambda _i, a, _k: b.unit[a])
     return HomLongDimodule(h, b, 1, act, coact, Matrix.identity(1), ("1",))
 
 
 def trivial_dimodule(h, b, mu=None):
     """Any invertible structure map with the counit action h.m = eps(h) mu(m)
     and the unit coaction rho(m) = 1_B (x) mu(m)."""
-    hb, bb = bialgebra_of(h), bialgebra_of(b)
     if mu is None:
         mu = Matrix.identity(1)
     d = mu.rows
-    act = Tensor3.from_function(hb.dim, d, d,
-                                lambda i, j, k: hb.counit[i] * mu.data[k][j])
-    coact = Tensor3.from_function(d, bb.dim, d,
-                                  lambda j, a, k: bb.unit[a] * mu.data[k][j])
+    act = Tensor3.from_function(h.dim, d, d,
+                                lambda i, j, k: h.counit[i] * mu.data[k][j])
+    coact = Tensor3.from_function(d, b.dim, d,
+                                  lambda j, a, k: b.unit[a] * mu.data[k][j])
     return HomLongDimodule(h, b, d, act, coact, mu)
 
 
@@ -181,12 +184,12 @@ def monoidal_constraints(u, v, w):
 def dimodule_morphism_report(m, n, f):
     """H-linearity, B-colinearity and structure-map commutation of f: m -> n."""
     rep = AxiomReport()
-    hb, bb = bialgebra_of(m.H), bialgebra_of(m.B)
+    h, b = m.H, m.B
     matrices_equal_report(rep, "H-linear", f * m.action_map,
-                          n.action_map * kron(Matrix.identity(hb.dim), f),
-                          (hb.dim, m.dim), (hb.basis, m.basis))
+                          n.action_map * kron(Matrix.identity(h.dim), f),
+                          (h.dim, m.dim), (h.basis, m.basis))
     matrices_equal_report(rep, "B-colinear", n.coaction_map * f,
-                          kron(Matrix.identity(bb.dim), f) * m.coaction_map,
+                          kron(Matrix.identity(b.dim), f) * m.coaction_map,
                           (m.dim,), (m.basis,))
     matrices_equal_report(rep, "structure-commute", n.mu * f, f * m.mu,
                           (m.dim,), (m.basis,))
@@ -261,7 +264,7 @@ def check_coherence(u, v, w, x=None, morphisms=None):
 
 def _require_hopf_pair(m):
     h, b = m.H, m.B
-    if not isinstance(h, HomHopfAlgebra) or not isinstance(b, HomHopfAlgebra):
+    if h.antipode is None or b.antipode is None:
         raise AntipodeNotInvertible("duality needs Hopf structures on both sides")
     return h, b
 
@@ -355,7 +358,7 @@ def check_snake(m, duality):
 def smash_product_algebra(b, h):
     """The Hom-algebra B*op (x) H (only the algebra structure is needed)."""
     dual_alg = opposite_algebra(dual_hopf(b).algebra)
-    halg = bialgebra_of(h).algebra
+    halg = h.algebra
     nd, nh = dual_alg.dim, halg.dim
     n = nd * nh
 
@@ -374,7 +377,7 @@ def smash_product_algebra(b, h):
 def to_smash_module(m):
     """(p (x) h) . x = p(x_-1) h . mu^-1(x_0) as a module over B*op (x) H."""
     h, b = m.H, m.B
-    nh, nb, d = bialgebra_of(h).dim, bialgebra_of(b).dim, m.dim
+    nh, nb, d = h.dim, b.dim, m.dim
     alg = smash_product_algebra(b, h)
     p = m.action_map * kron(Matrix.identity(nh), m.mu.inv())
     rho = m.coaction
@@ -394,13 +397,12 @@ def to_smash_module(m):
 def from_smash_module(n, h, b):
     """Recover the dimodule: h.m = (eps_B (x) h) . m and
     m_-1 (x) m_0 = sum_i b_i (x) (f^i (x) 1_H) . m."""
-    hb, bb = bialgebra_of(h), bialgebra_of(b)
-    nh, nb, d = hb.dim, bb.dim, n.dim
+    nh, nb, d = h.dim, b.dim, n.dim
     if n.over.dim != nh * nb:
         raise DimensionMismatch("module is over a dim-%d algebra, expected %d"
                                 % (n.over.dim, nh * nb))
-    eps = bb.counit
-    u = hb.unit
+    eps = b.counit
+    u = h.unit
     actn = n.action
 
     def act(hh, i, j):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, SingularMatrix,
                      kron, perm_matrix, flip_matrix, scalar, ZERO)
-from .homstruct import bialgebra_of
 from .longdimod import HomLongDimodule, validate_long_dimodule
 from .report import AxiomReport, matrices_equal_report
 
@@ -257,11 +256,10 @@ def module_extension(h, m):
     The action does not touch x with mu first: the unit must act as the
     structure map a (x) mu, which forces h.(g (x) x) = a(g) (x) h.x.
     """
-    hb = bialgebra_of(h)
-    nh, dm = hb.dim, m.dim
+    nh, dm = h.dim, m.dim
     d = nh * dm
     p = m.action.flatten_in2_out1()
-    al, cm, mu = hb.gamma, hb.comult, m.nu
+    al, cm, mu = h.gamma, h.comult, m.nu
 
     def act(hh, i, j):
         g, x = divmod(i, dm)
@@ -273,7 +271,7 @@ def module_extension(h, m):
         a, jj = divmod(j, dm)
         return cm.data[g][c][a] * mu.data[jj][x]
 
-    names = tuple("%s⊗%s" % (a, b) for a in hb.basis for b in m.basis)
+    names = tuple("%s⊗%s" % (a, b) for a in h.basis for b in m.basis)
     return HAlphaLongDimodule(h, d,
                               Tensor3.from_function(nh, d, d, act),
                               Tensor3.from_function(d, nh, d, coact),
@@ -283,10 +281,9 @@ def module_extension(h, m):
 def comodule_extension(h, m):
     """H (x) M with h.(g (x) x) = hg (x) mu(x) and
     rho(g (x) x) = x_-1 (x) (a(g) (x) x_0)."""
-    hb = bialgebra_of(h)
-    nh, dm = hb.dim, m.dim
+    nh, dm = h.dim, m.dim
     d = nh * dm
-    al, mt, mu = hb.gamma, hb.mult, m.mu
+    al, mt, mu = h.gamma, h.mult, m.mu
     rho = m.coaction
 
     def act(hh, i, j):
@@ -299,7 +296,7 @@ def comodule_extension(h, m):
         a, jj = divmod(j, dm)
         return rho.data[x][c][jj] * al.data[a][g]
 
-    names = tuple("%s⊗%s" % (a, b) for a in hb.basis for b in m.basis)
+    names = tuple("%s⊗%s" % (a, b) for a in h.basis for b in m.basis)
     return HAlphaLongDimodule(h, d,
                               Tensor3.from_function(nh, d, d, act),
                               Tensor3.from_function(d, nh, d, coact),
@@ -310,7 +307,7 @@ def dimodule_solution(d):
     """The induced operator R(m (x) n) = n_-1 . m (x) n_0."""
     n = d.dim
     act, rho = d.action, d.coaction
-    nh = bialgebra_of(d.H).dim
+    nh = d.H.dim
 
     def entry(r, c):
         ii, jj = divmod(r, n)

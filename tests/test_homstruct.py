@@ -3,7 +3,7 @@ import pytest
 from homlong import fixtures as fx
 from homlong.linalg import Matrix, Tensor3, Vector
 from homlong.homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra,
-                               HomHopfAlgebra, NotAutomorphism,
+                               NotAutomorphism,
                                opposite_algebra, dual_hopf, tensor_hopf,
                                validate_all, validate_coquasitriangular,
                                validate_hom_algebra, validate_hom_bialgebra,
@@ -59,7 +59,7 @@ def test_grouplike_to_skew_mutation(kz2):
 
 
 def test_hopf_mutation_witness(kz2):
-    bad = HomHopfAlgebra(kz2.bialgebra, Matrix.zeros(2, 2))
+    bad = HomBialgebra(kz2.algebra, kz2.coalgebra, Matrix.zeros(2, 2))
     rep = validate_hom_hopf(bad)
     assert not rep.passed("antipode-left")
     assert rep.check("antipode-left").witness == ("1",)

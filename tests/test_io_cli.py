@@ -1,10 +1,12 @@
 import json
+import os
+import pathlib
 
 import pytest
 
 from homlong import fixtures as fx
 from homlong import io as hio
-from homlong.cli import main
+from homlong.cli import REQUIRED, main
 from homlong.io import FileFormatError
 from homlong.linalg import Matrix, flip_matrix
 from homlong.longdimod import canonical_dimodule
@@ -301,3 +303,45 @@ def test_deterministic_output(files, capsys):
     main(["validate", p(files, "kz2.json")])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["check", "symmetry", "--ctx", "ctx.json"], ["-M", "-N"]),
+    (["check", "ybe", "-U", "sign.json", "-V", "sign.json", "-W", "sign.json"], ["--ctx"]),
+    (["build", "twist", "--base", "kz4.json"], ["--phi"]),
+] + [(name.split(), list(flags)) for name, flags in sorted(REQUIRED.items())])
+def test_missing_options_exit_2(files, monkeypatch, capsys, argv, missing):
+    monkeypatch.chdir(files)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in missing)
+    assert main(["--format", "json"] + argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_code"] == 2
+    assert all(flag in report["error"] for flag in missing)
+
+
+def test_search_set_zero_denominator(files, capsys):
+    assert main(["search", "--mu", p(files, "id2.json"), "--set", "0,1/0"]) == 2
+    assert "--set" in capsys.readouterr().err
+
+
+def test_singular_mu_fails_operator_checks(tmp_path, capsys):
+    path = str(tmp_path / "singular.json")
+    hio.dump_json({"kind": "operator", "n": 1, "matrix": [[1]], "mu": [[0]]}, path)
+    for argv in (["validate", path], ["check", "longeq", "-R", path]):
+        assert main(["--format", "json"] + argv) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks == [["mu-invertible", "fail", None], ["hom-long-eq", "pass", None]]
+
+
+def test_demo_files_validate_reports_match_snapshot(monkeypatch, capsys):
+    here = pathlib.Path(__file__).resolve().parent
+    expected = json.loads((here / "data" / "demo_validate.json").read_text())
+    monkeypatch.chdir(here.parent / "demos" / "demo_files")
+    names = sorted(os.listdir("."))
+    assert names == sorted(expected)
+    for name in names:
+        code = main(["--format", "json", "validate", name])
+        assert json.loads(capsys.readouterr().out) == expected[name]
+        assert code == expected[name]["exit_code"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from homlong import fixtures as fx
@@ -8,7 +10,7 @@ from homlong.repmod import (HomModule, HomComodule, YetterDrinfeldModule,
 
 
 def sign_yd(kz2):
-    return YetterDrinfeldModule(kz2.bialgebra, 1, Tensor3([[[1]], [[-1]]]),
+    return YetterDrinfeldModule(replace(kz2, antipode=None), 1, Tensor3([[[1]], [[-1]]]),
                                 Tensor3([[[0], [1]]]), Matrix.identity(1), ("v",))
 
 
@@ -71,14 +73,14 @@ def test_yd_trivial(kz2):
     mu = Matrix.diagonal([1, 2])
     act = Tensor3.from_function(2, 2, 2, lambda h, i, j: kz2.counit[h] * mu.data[j][i])
     coact = Tensor3.from_function(2, 2, 2, lambda i, a, j: kz2.unit[a] * mu.data[j][i])
-    yd = YetterDrinfeldModule(kz2.bialgebra, 2, act, coact, mu)
+    yd = YetterDrinfeldModule(replace(kz2, antipode=None), 2, act, coact, mu)
     rep = check_yd(kz2, yd)
     assert rep.passed("HYD") and rep.passed("HYD-prime")
 
 
 def test_yd_regular_fails_with_witness(sweedler):
-    yd = YetterDrinfeldModule(sweedler.bialgebra, 4, sweedler.mult, sweedler.comult,
-                              Matrix.identity(4), sweedler.basis)
+    yd = YetterDrinfeldModule(replace(sweedler, antipode=None), 4, sweedler.mult,
+                              sweedler.comult, Matrix.identity(4), sweedler.basis)
     rep = check_yd(sweedler, yd)
     assert not rep.passed("HYD")
     assert rep.flags["hyd-consistent"]     # the reformulation fails too
@@ -99,7 +101,7 @@ def test_yd_over_twisted(kz4t):
     mu = Matrix.diagonal([1, 2])
     act = Tensor3.from_function(4, 2, 2, lambda h, i, j: kz4t.counit[h] * mu.data[j][i])
     coact = Tensor3.from_function(2, 4, 2, lambda i, a, j: kz4t.unit[a] * mu.data[j][i])
-    yd = YetterDrinfeldModule(kz4t.bialgebra, 2, act, coact, mu)
+    yd = YetterDrinfeldModule(replace(kz4t, antipode=None), 2, act, coact, mu)
     rep = check_yd(kz4t, yd)
     assert rep.ok and rep.flags["hyd-consistent"]
 
@@ -108,7 +110,7 @@ def test_prebraiding_trivial_coaction_is_flip(kz2):
     mu = Matrix.diagonal([1, 2])
     act = Tensor3.from_function(2, 2, 2, lambda h, i, j: kz2.counit[h] * mu.data[j][i])
     coact = Tensor3.from_function(2, 2, 2, lambda i, a, j: kz2.unit[a] * mu.data[j][i])
-    m = YetterDrinfeldModule(kz2.bialgebra, 2, act, coact, mu)
+    m = YetterDrinfeldModule(replace(kz2, antipode=None), 2, act, coact, mu)
     n = sign_yd(kz2)
     assert yd_prebraiding(m, n) == flip_matrix(2, 1)
 
@@ -120,7 +122,7 @@ def test_prebraiding_sign(kz2):
 
 def test_prebraiding_zero_dim(kz2):
     yd = sign_yd(kz2)
-    empty = YetterDrinfeldModule(kz2.bialgebra, 0, Tensor3.zeros(2, 0, 0),
+    empty = YetterDrinfeldModule(replace(kz2, antipode=None), 0, Tensor3.zeros(2, 0, 0),
                                  Tensor3.zeros(0, 2, 0), Matrix([], rows=0, cols=0))
     c = yd_prebraiding(yd, empty)
     assert (c.rows, c.cols) == (0, 0)
