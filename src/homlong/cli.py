@@ -292,7 +292,35 @@ def cmd_search(args, report):
 
 
 class UsageError(Exception):
-    """A check subject or build target was run without an option it needs."""
+    """A command line the parser rejects, or a check subject or build target
+    run without an option it needs."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit, so that
+    main reports it like any other input error; --help still exits 0."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _requested_format(argv):
+    """The --format of a command line the parser rejected ("text" if none)."""
+    p = _Parser(add_help=False)
+    p.add_argument("--format", default="text")
+    try:
+        return p.parse_known_args(argv)[0].format
+    except UsageError:
+        return "text"
+
+
+def _print_error(fmt, command, inputs, exc):
+    if fmt == "json":
+        print(json.dumps({"command": command, "inputs": inputs, "error": str(exc),
+                          "exit_code": 2}, indent=2, sort_keys=True))
+    else:
+        print("error: %s" % exc, file=sys.stderr)
+    return 2
 
 
 # The file options each check subject and build target cannot run without,
@@ -319,9 +347,9 @@ OPTION_DEST = {"--ctx": "ctx", "-U": "u", "-V": "v", "-W": "w", "-M": "m", "-N":
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="homlong",
-                                description="Exact checks for Hom-Hopf structures, "
-                                            "Hom-Long dimodules and braidings.")
+    p = _Parser(prog="homlong",
+                description="Exact checks for Hom-Hopf structures, "
+                            "Hom-Long dimodules and braidings.")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--diagnose", action="store_true", default=False)
@@ -368,7 +396,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        return _print_error(_requested_format(argv), None, [], exc)
     inputs = [x for x in (getattr(args, "file", None), getattr(args, "ctx", None),
                           getattr(args, "u", None), getattr(args, "v", None),
                           getattr(args, "w", None), getattr(args, "x", None),
@@ -401,13 +433,7 @@ def main(argv=None):
             AntipodeNotInvertible, InvalidContext, NotAMorphism, NotAutomorphism,
             UsageError, ZeroDiagonal, SearchSpaceTooLarge, KeyError, ValueError,
             OSError) as exc:
-        msg = "error: %s" % exc
-        if args.format == "json":
-            print(json.dumps({"command": name, "inputs": inputs, "error": str(exc),
-                              "exit_code": 2}, indent=2, sort_keys=True))
-        else:
-            print(msg, file=sys.stderr)
-        return 2
+        return _print_error(args.format, name, inputs, exc)
     print(report.render(args.format, args.verbose))
     return report.exit_code
 

@@ -153,6 +153,14 @@ class Matrix:
         self.data = data
 
     @staticmethod
+    def trusted(data, rows, cols):
+        """A Matrix over row tuples of Fractions that the library computed
+        itself: no coercion and no shape check."""
+        m = Matrix.__new__(Matrix)
+        m.rows, m.cols, m.data = rows, cols, tuple(data)
+        return m
+
+    @staticmethod
     def identity(n):
         return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)],
                       rows=n, cols=n)
@@ -239,9 +247,7 @@ class Matrix:
                         if b:
                             row[j] = row[j] + a * b
             out.append(tuple(row))
-        m = Matrix.__new__(Matrix)
-        m.rows, m.cols, m.data = self.rows, nc, tuple(out)
-        return m
+        return Matrix.trusted(out, self.rows, nc)
 
     def apply(self, v):
         if self.cols != v.dim:
@@ -404,9 +410,7 @@ def permute_output_legs(m, dims, perm):
         idx = unflat_index(src, dims)
         dst = flat_index([idx[p] for p in perm], out_dims)
         rows[dst] = m.data[src]
-    out = Matrix.__new__(Matrix)
-    out.rows, out.cols, out.data = m.rows, m.cols, tuple(rows)
-    return out
+    return Matrix.trusted(rows, m.rows, m.cols)
 
 
 def permute_input_legs(m, dims, perm):
@@ -425,10 +429,8 @@ def permute_input_legs(m, dims, perm):
     for src in range(total):
         idx = unflat_index(src, dims)
         colmap[src] = flat_index([idx[p] for p in perm], out_dims)
-    out = Matrix.__new__(Matrix)
-    out.rows, out.cols = m.rows, m.cols
-    out.data = tuple(tuple(row[colmap[c]] for c in range(total)) for row in m.data)
-    return out
+    return Matrix.trusted((tuple(row[colmap[c]] for c in range(total)) for row in m.data),
+                          m.rows, m.cols)
 
 
 def solve_exact(a, b):

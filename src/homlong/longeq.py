@@ -9,12 +9,13 @@ constructions on H (x) M, and an exhaustive grid search.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, SingularMatrix,
                      kron, perm_matrix, flip_matrix, scalar, ZERO)
 from .longdimod import HomLongDimodule, validate_long_dimodule
-from .report import AxiomReport, matrices_equal_report
+from .report import AxiomReport
 
 
 class ZeroDiagonal(Exception):
@@ -69,12 +70,79 @@ def cycle3(n):
 
 def check_long_equation(op):
     """(R x mu)(mu x R) = (mu x R)(R x mu), with a witness basis triple."""
-    n = op.carrier_dim
-    r12 = leg12(op.matrix, op.structure_map)
-    r23 = leg23(op.matrix, op.structure_map)
-    rep = AxiomReport()
-    matrices_equal_report(rep, "hom-long-eq", r12 * r23, r23 * r12, (n, n, n))
-    return rep
+    r = _sparse_columns(op.matrix)
+    witness = _first_failing_column(r, r, _sparse_columns(op.structure_map), op.carrier_dim)
+    return AxiomReport().add("hom-long-eq", witness is None, witness)
+
+
+def _to_ints(values):
+    """The Fractions in values times their common denominator, as ints.
+
+    A Hom-Long side is linear in each of its two operators and quadratic in
+    mu, so scaling an operand scales both sides by the same nonzero factor
+    and leaves every column's verdict unchanged; the kernel then computes on
+    ints.
+    """
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values]
+
+
+def _sparse_columns(m):
+    """m's columns, int-scaled, as lists of (row, value) pairs with nonzero value."""
+    cols = [[] for _ in range(m.cols)]
+    for i, x in enumerate(_to_ints([x for row in m.data for x in row])):
+        if x:
+            r, c = divmod(i, m.cols)
+            cols[c].append((r, x))
+    return cols
+
+
+def _first_failing_column(a_cols, b_cols, mu_cols, n):
+    """The first input basis triple (u, v, w), in lexicographic order, on
+    which (A (x) mu)(mu (x) B) and (mu (x) B)(A (x) mu) differ; None when
+    they are equal.
+
+    A and B act on M (x) M and mu on M (dim n); each is given by its sparse
+    columns (lists of (row, value) pairs with nonzero value).  Both sides
+    are applied to e_u (x) e_v (x) e_w without forming a Kronecker product,
+    so the work per column is the product of the nonzero counts involved.
+    """
+    n2 = n * n
+    for u in range(n):
+        mu_u = mu_cols[u]
+        for v in range(n):
+            a_uv = a_cols[u * n + v]
+            for w in range(n):
+                # (A (x) mu)(mu (x) B): e_t (x) B e_vw, then A on (t, j), mu on k
+                lhs = {}
+                for jk, b in b_cols[v * n + w]:
+                    j, k = divmod(jk, n)
+                    mu_k = mu_cols[k]
+                    for t, m in mu_u:
+                        mb = m * b
+                        for pq, a in a_cols[t * n + j]:
+                            amb = a * mb
+                            base = pq * n
+                            for r, z in mu_k:
+                                key = base + r
+                                lhs[key] = lhs.get(key, 0) + z * amb
+                # (mu (x) B)(A (x) mu): A e_uv (x) mu e_w, then mu on i, B on (j, s)
+                rhs = {}
+                mu_w = mu_cols[w]
+                for ij, a in a_uv:
+                    i, j = divmod(ij, n)
+                    mu_i = mu_cols[i]
+                    for s, m in mu_w:
+                        am = a * m
+                        for qr, b in b_cols[j * n + s]:
+                            bam = b * am
+                            for p, z in mu_i:
+                                key = p * n2 + qr
+                                rhs[key] = rhs.get(key, 0) + z * bam
+                if lhs != rhs and ({key: x for key, x in lhs.items() if x}
+                                   != {key: x for key, x in rhs.items() if x}):
+                    return (u, v, w)
+    return None
 
 
 def check_invertible_iff(op):
@@ -165,9 +233,9 @@ def coordinate_criterion(x, y, z):
 
     r_op = coords_to_operator(x, z)
     s_op = coords_to_operator(y, z)
-    s12 = leg12(s_op.matrix, z)
-    r23 = leg23(r_op.matrix, z)
-    matrices_equal_report(rep, "operator-identity", s12 * r23, r23 * s12, (n, n, n))
+    witness = _first_failing_column(_sparse_columns(s_op.matrix), _sparse_columns(r_op.matrix),
+                                    _sparse_columns(z), n)
+    rep.add("operator-identity", witness is None, witness)
 
     rep.set_flag("agreement", idx_ok == rep.passed("operator-identity"))
     rep.set_flag("self-case", x == y)
@@ -307,14 +375,17 @@ def dimodule_solution(d):
     """The induced operator R(m (x) n) = n_-1 . m (x) n_0."""
     n = d.dim
     act, rho = d.action, d.coaction
-    nh = d.H.dim
-
-    def entry(r, c):
-        ii, jj = divmod(r, n)
-        i, j = divmod(c, n)
-        return sum((rho.data[j][a][jj] * act.data[a][i][ii] for a in range(nh)), ZERO)
-
-    return OperatorOnTensorSquare(n, Matrix.from_function(n * n, n * n, entry), d.mu)
+    # act_nz[a]: the nonzero (i, ii, coefficient of m_ii in h_a . m_i)
+    act_nz = [[(i, ii, x) for i, row in enumerate(plane) for ii, x in enumerate(row) if x]
+              for plane in act.data]
+    out = [[ZERO] * (n * n) for _ in range(n * n)]
+    for j, planes in enumerate(rho.data):
+        for a, row in enumerate(planes):
+            for jj, y in enumerate(row):
+                if y:
+                    for i, ii, x in act_nz[a]:
+                        out[ii * n + jj][i * n + j] += y * x
+    return OperatorOnTensorSquare(n, Matrix.trusted(map(tuple, out), n * n, n * n), d.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -350,69 +421,22 @@ def search_solutions(mu, coefficient_set, shape):
     if not values:
         return []
 
-    z = [list(row) for row in mu.data]
+    # the grid is enumerated on int-scaled values and each solution is
+    # mapped back to the given ones
+    scaled = _to_ints(values)
+    given = dict(zip(scaled, values))
+    mu_cols = _sparse_columns(mu)
     n2 = n * n
     out = []
-    if shape == "diagonal":
-        for combo in itertools.product(values, repeat=slots):
-            rows = [[combo[r] if r == c else ZERO for c in range(n2)] for r in range(n2)]
-            if _grid_passes(rows, z, n):
-                out.append(OperatorOnTensorSquare(n, Matrix(rows), mu))
-    else:
-        for combo in itertools.product(values, repeat=slots):
-            rows = [list(combo[r * n2:(r + 1) * n2]) for r in range(n2)]
-            if _grid_passes(rows, z, n):
-                out.append(OperatorOnTensorSquare(n, Matrix(rows), mu))
+    for combo in itertools.product(scaled, repeat=slots):
+        if shape == "diagonal":
+            cols = [[(c, x)] if x else [] for c, x in enumerate(combo)]
+        else:
+            cols = [[(r, x) for r, x in enumerate(combo[c::n2]) if x] for c in range(n2)]
+        if _first_failing_column(cols, cols, mu_cols, n) is None:
+            rows = [[ZERO] * n2 for _ in range(n2)]
+            for c, col in enumerate(cols):
+                for r, x in col:
+                    rows[r][c] = given[x]
+            out.append(OperatorOnTensorSquare(n, Matrix.trusted(map(tuple, rows), n2, n2), mu))
     return out
-
-
-def _grid_passes(rm, z, n):
-    """Column-wise Hom-Long check with early exit; rm is an n^2 x n^2 grid."""
-    n2 = n * n
-    n3 = n2 * n
-    rng = range(n)
-    for u in rng:
-        zu = [(t, z[t][u]) for t in rng if z[t][u]]
-        for v in rng:
-            for w in rng:
-                lhs = [ZERO] * n3
-                cvw = v * n + w
-                for t, zt in zu:
-                    for jk in range(n2):
-                        c1 = rm[jk][cvw]
-                        if not c1:
-                            continue
-                        c1 = zt * c1
-                        j, k = divmod(jk, n)
-                        ctj = t * n + j
-                        for pq in range(n2):
-                            rv = rm[pq][ctj]
-                            if rv:
-                                base = pq * n
-                                for r in rng:
-                                    zr = z[r][k]
-                                    if zr:
-                                        lhs[base + r] += rv * zr * c1
-                rhs = [ZERO] * n3
-                cuv = u * n + v
-                for ij in range(n2):
-                    c1 = rm[ij][cuv]
-                    if not c1:
-                        continue
-                    i, j = divmod(ij, n)
-                    for s in rng:
-                        zs = z[s][w]
-                        if not zs:
-                            continue
-                        c2 = c1 * zs
-                        cjs = j * n + s
-                        for qr in range(n2):
-                            rv = rm[qr][cjs]
-                            if rv:
-                                for p in rng:
-                                    zp = z[p][i]
-                                    if zp:
-                                        rhs[p * n2 + qr] += zp * rv * c2
-                if lhs != rhs:
-                    return False
-    return True

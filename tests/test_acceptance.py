@@ -28,13 +28,13 @@ from homlong.braidcat import (BraidingContext, DimoduleMorphism,
                               check_symmetry, comodule_as_dimodule,
                               hb_yd_structure, long_braiding,
                               long_braiding_inverse, module_as_dimodule)
-from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
-                            check_long_equation, comodule_extension,
-                            coordinate_criterion, coords_to_operator,
+from homlong.longeq import (HAlphaLongDimodule, check_long_equation,
+                            comodule_extension, coordinate_criterion, coords_to_operator,
                             diagonal_solution, dimodule_solution,
                             module_extension, operator_to_coords,
                             search_solutions, tau_transforms,
                             validate_halpha_dimodule)
+from test_oracles import longeq_first_failing_column
 
 RESULTS = []
 
@@ -248,14 +248,13 @@ def test_criterion_9_hom_long_toolkit():
 def test_criterion_10_search_cross_check():
     mu = Matrix.diagonal([1, 2])
     found = search_solutions(mu, [0, 1], "full")
-    # independent oracle: filter the full grid with the one-operator checker
-    vals = [Fraction(0), Fraction(1)]
+    # independent oracle: filter the full grid with the elementwise evaluator,
+    # which shares no code with the search
     oracle = []
-    for combo in itertools.product(vals, repeat=16):
+    for combo in itertools.product((0, 1), repeat=16):
         rows = [list(combo[r * 4:(r + 1) * 4]) for r in range(4)]
-        op = OperatorOnTensorSquare(2, Matrix(rows), mu)
-        if check_long_equation(op).ok:
-            oracle.append(op.matrix)
+        if longeq_first_failing_column(rows, rows, mu.to_lists()) is None:
+            oracle.append(Matrix(rows))
     ok = sorted(m.data for m in oracle) == sorted(s.matrix.data for s in found)
     for s in found:
         x = operator_to_coords(s)
