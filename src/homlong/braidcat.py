@@ -3,20 +3,23 @@ pair, its inverse, naturality, hexagons, the Yang-Baxter composite, the
 embedding into Yetter-Drinfeld modules over the tensor product algebra, and
 the symmetry criterion for triangular / cotriangular data.
 
-Every categorical identity is realized as an exact matrix identity on
-lexicographic bases, with the constraint matrices of the monoidal structure
-spelled out explicitly.
+Every categorical identity is realized as an exact identity on
+lexicographic bases, with the constraint maps of the monoidal structure
+spelled out explicitly.  The braiding is a matrix; the identities composed
+from it (naturality, hexagons, Yang-Baxter, symmetry) are checked column by
+column, each factor applied to its own tensor legs.
 """
 
 from dataclasses import dataclass, replace
 
-from .linalg import Matrix, Tensor3, DimensionMismatch, kron, permute_output_legs, ZERO
+from .linalg import (Matrix, Tensor3, DimensionMismatch, kron, permute_output_legs,
+                     sparse_columns, ZERO)
 from .homstruct import (tensor_hopf, element_col, validate_quasitriangular,
                         validate_coquasitriangular)
 from .repmod import YetterDrinfeldModule, yd_prebraiding
-from .longdimod import (HomLongDimodule, MismatchedBase, associator, base_parts,
+from .longdimod import (HomLongDimodule, MismatchedBase, associator_legs, base_parts,
                         tensor_dimodule, dimodule_morphism_report)
-from .report import AxiomReport, matrices_equal_report
+from .report import AxiomReport, composites_equal_report, matrices_equal_report
 
 
 class InvalidContext(Exception):
@@ -101,19 +104,22 @@ def long_braiding(ctx, m, n):
     ctx.require_valid()
     ctx.require_dimodule(m)
     ctx.require_dimodule(n)
+    return BraidOperator((m, n), _braiding(ctx, m, n, (m.mu * m.mu).inv(),
+                                           (n.mu * n.mu).inv()))
+
+
+def _braiding(ctx, m, n, mu2i, nu2i):
+    """The matrix of long_braiding, given the inverses of mu^2 and nu^2."""
     nh, nb = ctx.H.dim, ctx.B.dim
     dm, dn = m.dim, n.dim
     frow = element_col(ctx.form).transpose()
     rc = element_col(ctx.R)
-    mu2i = (m.mu * m.mu).inv()
-    nu2i = (n.mu * n.mu).inv()
     paired = (kron(frow, kron(mu2i, nu2i))
               * permute_output_legs(kron(m.coaction_map, n.coaction_map),
                                     [nb, dm, nb, dn], [0, 2, 1, 3]))
     with_r = kron(rc, Matrix.identity(dm * dn)) * paired
-    mat = (kron(n.action_map, m.action_map)
-           * permute_output_legs(with_r, [nh, nh, dm, dn], [1, 3, 0, 2]))
-    return BraidOperator((m, n), mat)
+    return (kron(n.action_map, m.action_map)
+            * permute_output_legs(with_r, [nh, nh, dm, dn], [1, 3, 0, 2]))
 
 
 def long_braiding_inverse(ctx, m, n):
@@ -155,69 +161,76 @@ def check_braid_morphism(ctx, m, n):
     return rep
 
 
+def _braidings(ctx, *pairs):
+    """long_braiding of each pair, as sparse columns."""
+    return [sparse_columns(long_braiding(ctx, m, n).matrix) for m, n in pairs]
+
+
 def check_naturality(ctx, f, g):
     """(g (x) f) o C_{M,N} = C_{M',N'} o (f (x) g) for morphisms f, g."""
     for name, mor in (("f", f), ("g", g)):
         rep = dimodule_morphism_report(mor.source, mor.target, mor.matrix)
         if not rep.ok:
             raise NotAMorphism("%s violates %s" % (name, rep.failed()[0].axiom))
-    c_src = long_braiding(ctx, f.source, g.source).matrix
-    c_tgt = long_braiding(ctx, f.target, g.target).matrix
-    lhs = kron(g.matrix, f.matrix) * c_src
-    rhs = c_tgt * kron(f.matrix, g.matrix)
+    c_src, c_tgt = _braidings(ctx, (f.source, g.source), (f.target, g.target))
+    fc, gc = sparse_columns(f.matrix), sparse_columns(g.matrix)
+    df, dg = (f.target.dim,), (g.target.dim,)
+    lhs = [(c_src, (0, 1), (g.source.dim, f.source.dim)), (gc, (0,), dg), (fc, (1,), df)]
+    rhs = [(fc, (0,), df), (gc, (1,), dg), (c_tgt, (0, 1), dg + df)]
     rep = AxiomReport()
-    matrices_equal_report(rep, "naturality", lhs, rhs,
-                          (f.source.dim, g.source.dim),
-                          (f.source.basis, g.source.basis))
+    composites_equal_report(rep, "naturality", lhs, rhs,
+                            (f.source.dim, g.source.dim),
+                            (f.source.basis, g.source.basis))
     return rep
 
 
 def check_hexagons(ctx, u, v, w):
-    """Both hexagon identities with the explicit associators."""
+    """Both hexagon identities with the explicit associators, column by
+    column on the legs (u, v, w).  C_{U,V (x) W} and C_{U (x) V,W} are built
+    as matrices; the inverse of the square of a tensor product's structure
+    map is the Kronecker product of its factors' inverses."""
     rep = AxiomReport()
-    uv = tensor_dimodule(u, v)
-    vw = tensor_dimodule(v, w)
-    c_uv = long_braiding(ctx, u, v).matrix
-    c_uw = long_braiding(ctx, u, w).matrix
-    c_vw = long_braiding(ctx, v, w).matrix
-    eye_u, eye_v, eye_w = (Matrix.identity(t.dim) for t in (u, v, w))
+    du, dv, dw = u.dim, v.dim, w.dim
+    c_uv, c_uw, c_vw = _braidings(ctx, (u, v), (u, w), (v, w))
+    i2u, i2v, i2w = ((t.mu * t.mu).inv() for t in (u, v, w))
+    c_u_vw = sparse_columns(_braiding(ctx, u, tensor_dimodule(v, w), i2u, kron(i2v, i2w)))
+    c_uv_w = sparse_columns(_braiding(ctx, tensor_dimodule(u, v), w, kron(i2u, i2v), i2w))
+    a = associator_legs
+    names = (u.basis, v.basis, w.basis)
 
-    lhs1 = associator(v, w, u) * long_braiding(ctx, u, vw).matrix * associator(u, v, w)
-    rhs1 = kron(eye_v, c_uw) * associator(v, u, w) * kron(c_uv, eye_w)
-    matrices_equal_report(rep, "H1", lhs1, rhs1, (u.dim, v.dim, w.dim),
-                          (u.basis, v.basis, w.basis))
+    # associator(v, w, u) C_{U,V(x)W} associator(u, v, w)
+    lhs1 = a(u, w) + [(c_u_vw, (0, 1, 2), (dv, dw, du))] + a(v, u)
+    # (id (x) c_uw) associator(v, u, w) (c_uv (x) id)
+    rhs1 = [(c_uv, (0, 1), (dv, du))] + a(v, w) + [(c_uw, (1, 2), (dw, du))]
+    composites_equal_report(rep, "H1", lhs1, rhs1, (du, dv, dw), names)
 
-    lhs2 = (associator(w, u, v).inv()
-            * long_braiding(ctx, uv, w).matrix
-            * associator(u, v, w).inv())
-    rhs2 = kron(c_uw, eye_v) * associator(u, w, v).inv() * kron(eye_u, c_vw)
-    matrices_equal_report(rep, "H2", lhs2, rhs2, (u.dim, v.dim, w.dim),
-                          (u.basis, v.basis, w.basis))
+    # associator(w, u, v)^-1 C_{U(x)V,W} associator(u, v, w)^-1
+    lhs2 = (a(u, w, inverse=True) + [(c_uv_w, (0, 1, 2), (dw, du, dv))]
+            + a(w, v, inverse=True))
+    # (c_uw (x) id) associator(u, w, v)^-1 (id (x) c_vw)
+    rhs2 = ([(c_vw, (1, 2), (dw, dv))] + a(u, v, inverse=True)
+            + [(c_uw, (0, 1), (dw, du))])
+    composites_equal_report(rep, "H2", lhs2, rhs2, (du, dv, dw), names)
     return rep
 
 
 def check_qybe(ctx, u, v, w):
     """The categorical Yang-Baxter composite (U (x) V) (x) W -> W (x) (V (x) U),
-    associators included, as one exact matrix identity."""
+    associators included, checked column by column on the legs (u, v, w)."""
     rep = AxiomReport()
-    c_uv = long_braiding(ctx, u, v).matrix
-    c_uw = long_braiding(ctx, u, w).matrix
-    c_vw = long_braiding(ctx, v, w).matrix
-    eye_u, eye_v, eye_w = (Matrix.identity(t.dim) for t in (u, v, w))
-    lhs = (kron(eye_w, c_uv)
-           * associator(w, u, v)
-           * kron(c_uw, eye_v)
-           * associator(u, w, v).inv()
-           * kron(eye_u, c_vw)
-           * associator(u, v, w))
-    rhs = (associator(w, v, u)
-           * kron(c_vw, eye_u)
-           * associator(v, w, u).inv()
-           * kron(eye_v, c_uw)
-           * associator(v, u, w)
-           * kron(c_uv, eye_w))
-    matrices_equal_report(rep, "QYBE", lhs, rhs, (u.dim, v.dim, w.dim),
-                          (u.basis, v.basis, w.basis))
+    du, dv, dw = u.dim, v.dim, w.dim
+    c_uv, c_uw, c_vw = _braidings(ctx, (u, v), (u, w), (v, w))
+    a = associator_legs
+    # (id (x) c_uv) a(w, u, v) (c_uw (x) id) a(u, w, v)^-1 (id (x) c_vw) a(u, v, w)
+    lhs = (a(u, w) + [(c_vw, (1, 2), (dw, dv))]
+           + a(u, v, inverse=True) + [(c_uw, (0, 1), (dw, du))]
+           + a(w, v) + [(c_uv, (1, 2), (dv, du))])
+    # a(w, v, u) (c_vw (x) id) a(v, w, u)^-1 (id (x) c_uw) a(v, u, w) (c_uv (x) id)
+    rhs = ([(c_uv, (0, 1), (dv, du))] + a(v, w)
+           + [(c_uw, (1, 2), (dw, du))] + a(v, u, inverse=True)
+           + [(c_vw, (0, 1), (dw, dv))] + a(w, u))
+    composites_equal_report(rep, "QYBE", lhs, rhs, (du, dv, dw),
+                            (u.basis, v.basis, w.basis))
     return rep
 
 
@@ -329,11 +342,10 @@ def check_symmetry(ctx, m, n, diagnose=False):
     hypothesis = ctx.triangular and ctx.cotriangular
     if not hypothesis and not diagnose:
         raise InvalidContext("symmetry needs verified triangular and cotriangular flags")
-    back = long_braiding(ctx, n, m).matrix
-    forth = long_braiding(ctx, m, n).matrix
+    forth, back = _braidings(ctx, (m, n), (n, m))
     rep = AxiomReport()
     rep.set_flag("hypothesis-met", hypothesis)
-    matrices_equal_report(rep, "symmetry", back * forth,
-                          Matrix.identity(m.dim * n.dim),
-                          (m.dim, n.dim), (m.basis, n.basis))
+    composites_equal_report(rep, "symmetry",
+                            [(forth, (0, 1), (n.dim, m.dim)), (back, (0, 1), (m.dim, n.dim))],
+                            [], (m.dim, n.dim), (m.basis, n.basis))
     return rep

@@ -304,14 +304,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _requested_format(argv):
-    """The --format of a command line the parser rejected ("text" if none)."""
+def _root_options(argv):
+    """The --format of a command line the parser rejected ("text" if none),
+    and the unrecognized options given before the command."""
     p = _Parser(add_help=False)
     p.add_argument("--format", default="text")
+    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--diagnose", action="store_true")
+    p.add_argument("command", nargs=argparse.REMAINDER)
     try:
-        return p.parse_known_args(argv)[0].format
+        args, unknown = p.parse_known_args(argv)
     except UsageError:
-        return "text"
+        return "text", []
+    return args.format, [opt.split("=", 1)[0] for opt in unknown]
 
 
 def _print_error(fmt, command, inputs, exc):
@@ -400,7 +405,12 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
-        return _print_error(_requested_format(argv), None, [], exc)
+        fmt, unknown = _root_options(argv)
+        if unknown and unknown[0] not in str(exc):
+            # argparse takes the unknown option's value for the command
+            exc = UsageError("unrecognized option %s before the command (%s)"
+                             % (unknown[0], exc))
+        return _print_error(fmt, None, [], exc)
     inputs = [x for x in (getattr(args, "file", None), getattr(args, "ctx", None),
                           getattr(args, "u", None), getattr(args, "v", None),
                           getattr(args, "w", None), getattr(args, "x", None),

@@ -6,8 +6,15 @@ basis vector in the image of the j-th input basis vector, so composition is
 matrix multiplication and matrices act on coordinate columns.  Tensor-product
 bases are ordered lexicographically, first factor major:
 (i, j) -> i * dim_second + j.
+
+Identities between composites of maps on tensor legs are decided without
+forming the composites: apply_on_legs applies one small map, given by its
+sparse int-scaled columns, to some legs of a sparse vector (a dict from flat
+index to coefficient), and first_differing_column runs both sides on one
+basis vector at a time.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -431,6 +438,87 @@ def permute_input_legs(m, dims, perm):
         colmap[src] = flat_index([idx[p] for p in perm], out_dims)
     return Matrix.trusted((tuple(row[colmap[c]] for c in range(total)) for row in m.data),
                           m.rows, m.cols)
+
+
+def int_columns(columns):
+    """Dense columns of rationals as (cols, scale): the map is cols / scale,
+    where cols[j] lists the (row, value) pairs of column j with value != 0
+    and every value is an int."""
+    cols = [[(r, x) for r, x in enumerate(c) if x] for c in columns]
+    scale = math.lcm(*(x.denominator for c in cols for _, x in c))
+    return [[(r, x.numerator * (scale // x.denominator)) for r, x in c] for c in cols], scale
+
+
+def sparse_columns(m):
+    """The columns of the Matrix m as int_columns gives them."""
+    return int_columns(zip(*m.data))
+
+
+def apply_on_legs(map_cols, legs, dims, vec, out_dims=None):
+    """Apply a map to the consecutive tensor legs `legs` of a sparse vector.
+
+    vec maps flat indices on the legs dims to coefficients.  map_cols[k]
+    lists the (row, value) pairs of the map's column k, where k is the flat
+    index on the input legs and row the flat index on the output legs
+    out_dims (by default the input legs' dims; a map may also change the
+    number of legs).  Returns the image on the legs
+    dims[:legs[0]] + out_dims + dims[legs[-1] + 1:], with zero values
+    dropped.
+    """
+    first, stop = legs[0], legs[-1] + 1
+    if tuple(legs) != tuple(range(first, stop)) or stop > len(dims):
+        raise DimensionMismatch("legs %r of %r are not consecutive legs" % (legs, dims))
+    blk_in = math.prod(dims[first:stop])
+    if len(map_cols) != blk_in:
+        raise DimensionMismatch("map with %d columns on legs of dim %d"
+                                % (len(map_cols), blk_in))
+    blk_out = blk_in if out_dims is None else math.prod(out_dims)
+    suf = math.prod(dims[stop:])
+    out = {}
+    for idx, x in vec.items():
+        p, rest = divmod(idx, blk_in * suf)
+        k, s = divmod(rest, suf)
+        base = p * blk_out
+        for r, y in map_cols[k]:
+            key = (base + r) * suf + s
+            out[key] = out.get(key, 0) + x * y
+    return {key: x for key, x in out.items() if x}
+
+
+def first_differing_column(lhs, rhs, dims):
+    """The first basis tuple of the tensor legs dims, in lexicographic
+    order, on which two composites differ; None when they are equal.
+
+    A composite is a sequence of steps (map, legs, out_dims), applied in
+    order, so its rightmost factor comes first; map is (cols, scale) as
+    sparse_columns gives it, and each step is one apply_on_legs call.  The
+    two sides are evaluated on one basis vector at a time, never as
+    matrices.  A side computed on int columns is its true value times the
+    product of its scales, so each side starts from the other side's
+    product and the two are compared as they are.
+    """
+    plans = []
+    for steps in (lhs, rhs):
+        plan, d = [], tuple(dims)
+        for (cols, _), legs, out in steps:
+            plan.append((cols, legs, d, out))
+            if out is not None:
+                d = d[:legs[0]] + tuple(out) + d[legs[-1] + 1:]
+        plans.append((plan, math.prod(d)))
+    if plans[0][1] != plans[1][1]:
+        raise DimensionMismatch("composites land in dims %d and %d"
+                                % (plans[0][1], plans[1][1]))
+    starts = (math.prod(m[1] for m, _, _ in rhs), math.prod(m[1] for m, _, _ in lhs))
+    for j in range(math.prod(dims)):
+        sides = []
+        for (plan, _), start in zip(plans, starts):
+            vec = {j: start}
+            for cols, legs, d, out in plan:
+                vec = apply_on_legs(cols, legs, d, vec, out)
+            sides.append(vec)
+        if sides[0] != sides[1]:
+            return unflat_index(j, dims)
+    return None
 
 
 def solve_exact(a, b):

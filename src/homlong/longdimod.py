@@ -10,11 +10,11 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, kron, kron_all,
-                     permute_output_legs, ZERO, ONE)
+from .linalg import (Matrix, Tensor3, DimensionMismatch, kron, kron_all, int_columns,
+                     permute_output_legs, sparse_columns, ZERO, ONE)
 from .homstruct import HomAlgebra, HomBialgebra, dual_hopf, opposite_algebra
 from .repmod import HomModule, HomComodule, validate_hom_module, validate_hom_comodule
-from .report import AxiomReport, matrices_equal_report
+from .report import AxiomReport, composites_equal_report, matrices_equal_report
 
 
 class MismatchedBase(Exception):
@@ -176,23 +176,51 @@ def associator(u, v, w):
     return kron_all(u.mu.inv(), Matrix.identity(v.dim), w.mu)
 
 
+def associator_legs(u, w, inverse=False):
+    """associator(u, v, w) as steps for first_differing_column on the legs
+    (u, v, w): mu_u^-1 on leg 0 and omega_w on leg 2.  The inverse is mu_u
+    on leg 0 and omega_w^-1 on leg 2, so no triple product is inverted."""
+    first, last = (u.mu, w.mu.inv()) if inverse else (u.mu.inv(), w.mu)
+    return [(sparse_columns(first), (0,), None), (sparse_columns(last), (2,), None)]
+
+
 def monoidal_constraints(u, v, w):
     """The associator for (u, v, w) and the unit constraints of v."""
     return {"assoc": associator(u, v, w), "left_unit": v.mu, "right_unit": v.mu}
 
 
+def _action_columns(m):
+    """The columns (h, i) -> h . m_i of the action map, as int_columns."""
+    return int_columns(row for plane in m.action.data for row in plane)
+
+
+def _coaction_columns(m):
+    """The columns i -> rho(m_i) of the coaction map, as int_columns."""
+    return int_columns([x for row in plane for x in row] for plane in m.coaction.data)
+
+
 def dimodule_morphism_report(m, n, f):
-    """H-linearity, B-colinearity and structure-map commutation of f: m -> n."""
+    """H-linearity, B-colinearity and structure-map commutation of f: m -> n,
+    each checked column by column."""
+    if f.rows != n.dim or f.cols != m.dim:
+        raise DimensionMismatch("a %dx%d map from dim %d to dim %d"
+                                % (f.rows, f.cols, m.dim, n.dim))
     rep = AxiomReport()
     h, b = m.H, m.B
-    matrices_equal_report(rep, "H-linear", f * m.action_map,
-                          n.action_map * kron(Matrix.identity(h.dim), f),
-                          (h.dim, m.dim), (h.basis, m.basis))
-    matrices_equal_report(rep, "B-colinear", n.coaction_map * f,
-                          kron(Matrix.identity(b.dim), f) * m.coaction_map,
-                          (m.dim,), (m.basis,))
-    matrices_equal_report(rep, "structure-commute", n.mu * f, f * m.mu,
-                          (m.dim,), (m.basis,))
+    fc = sparse_columns(f)
+    to_n = (n.dim,)
+    composites_equal_report(rep, "H-linear",
+                            [(_action_columns(m), (0, 1), (m.dim,)), (fc, (0,), to_n)],
+                            [(fc, (1,), to_n), (_action_columns(n), (0, 1), to_n)],
+                            (h.dim, m.dim), (h.basis, m.basis))
+    composites_equal_report(rep, "B-colinear",
+                            [(fc, (0,), to_n), (_coaction_columns(n), (0,), (b.dim, n.dim))],
+                            [(_coaction_columns(m), (0,), (b.dim, m.dim)), (fc, (1,), to_n)],
+                            (m.dim,), (m.basis,))
+    composites_equal_report(rep, "structure-commute",
+                            [(fc, (0,), to_n), (sparse_columns(n.mu), (0,), None)],
+                            [(sparse_columns(m.mu), (0,), None), (fc, (0,), to_n)],
+                            (m.dim,), (m.basis,))
     return rep
 
 
@@ -207,7 +235,10 @@ def check_coherence(u, v, w, x=None, morphisms=None):
     those are morphisms, else identities), the pentagon on (u, v, w, x) with
     x defaulting to w, the triangle for (u, v), and H-linearity/B-colinearity
     of the associator and both unit constraints.  Failures are findings, not
-    errors: the report records them with witnesses.
+    errors: the report records them with witnesses.  The naturality,
+    pentagon and triangle identities are checked column by column on the
+    tensor legs; the structure map of a tensor product is the Kronecker
+    product of its factors' maps, so each associator is a map on two legs.
     """
     if x is None:
         x = w
@@ -222,32 +253,34 @@ def check_coherence(u, v, w, x=None, morphisms=None):
             morphisms = (Matrix.identity(u.dim), Matrix.identity(v.dim),
                          Matrix.identity(w.dim))
             rep.set_flag("naturality-morphisms", "identity")
-    f, g, h = morphisms
-    a_uvw = associator(u, v, w)
-    fgh = kron_all(f, g, h)
-    matrices_equal_report(rep, "naturality-a", a_uvw * fgh, fgh * a_uvw,
-                          (u.dim, v.dim, w.dim), (u.basis, v.basis, w.basis))
+    if any(m.rows != t.dim or m.cols != t.dim for m, t in zip(morphisms, (u, v, w))):
+        raise DimensionMismatch("naturality morphisms must be endomorphisms of u, v, w")
+    mu = {id(t): sparse_columns(t.mu) for t in (u, v, w, x)}
+    mui = {id(t): sparse_columns(t.mu.inv()) for t in (u, v)}
+    fgh = [(sparse_columns(m), (leg,), None) for leg, m in enumerate(morphisms)]
+    a_uvw = associator_legs(u, w)
+    composites_equal_report(rep, "naturality-a", fgh + a_uvw, a_uvw + fgh,
+                            (u.dim, v.dim, w.dim), (u.basis, v.basis, w.basis))
 
-    uv = tensor_dimodule(u, v)
-    vw = tensor_dimodule(v, w)
-    wx = tensor_dimodule(w, x)
-    path1 = associator(u, v, wx) * associator(uv, w, x)
-    path2 = (kron(Matrix.identity(u.dim), associator(v, w, x))
-             * associator(u, vw, x)
-             * kron(a_uvw, Matrix.identity(x.dim)))
-    matrices_equal_report(rep, "pentagon", path1, path2,
-                          (u.dim, v.dim, w.dim, x.dim),
-                          (u.basis, v.basis, w.basis, x.basis))
+    # pentagon on the legs (u, v, w, x): associator(uv, w, x) is
+    # mu_u^-1 (x) mu_v^-1 (x) id (x) omega_x, and so on
+    path1 = [(mui[id(u)], (0,), None), (mui[id(v)], (1,), None), (mu[id(x)], (3,), None),
+             (mui[id(u)], (0,), None), (mu[id(w)], (2,), None), (mu[id(x)], (3,), None)]
+    path2 = [(mui[id(u)], (0,), None), (mu[id(w)], (2,), None),
+             (mui[id(u)], (0,), None), (mu[id(x)], (3,), None),
+             (mui[id(v)], (1,), None), (mu[id(x)], (3,), None)]
+    composites_equal_report(rep, "pentagon", path1, path2,
+                            (u.dim, v.dim, w.dim, x.dim),
+                            (u.basis, v.basis, w.basis, x.basis))
 
-    lhs = kron(Matrix.identity(u.dim), v.mu) * kron(u.mu.inv(), v.mu)
-    rhs = kron(u.mu, Matrix.identity(v.dim))
-    matrices_equal_report(rep, "triangle", lhs, rhs,
-                          (u.dim, v.dim), (u.basis, v.basis))
+    lhs = [(mui[id(u)], (0,), None), (mu[id(v)], (1,), None), (mu[id(v)], (1,), None)]
+    composites_equal_report(rep, "triangle", lhs, [(mu[id(u)], (0,), None)],
+                            (u.dim, v.dim), (u.basis, v.basis))
 
     unit = unit_dimodule(u.H, u.B)
-    uvw_l = tensor_dimodule(uv, w)
-    uvw_r = tensor_dimodule(u, vw)
-    arep = dimodule_morphism_report(uvw_l, uvw_r, a_uvw)
+    uvw_l = tensor_dimodule(tensor_dimodule(u, v), w)
+    uvw_r = tensor_dimodule(u, tensor_dimodule(v, w))
+    arep = dimodule_morphism_report(uvw_l, uvw_r, associator(u, v, w))
     rep.add("assoc-H-linear", arep.passed("H-linear"), arep.check("H-linear").witness)
     rep.add("assoc-B-colinear", arep.passed("B-colinear"), arep.check("B-colinear").witness)
     lv = dimodule_morphism_report(tensor_dimodule(unit, v), v, v.mu)
@@ -321,34 +354,33 @@ def _dual(m, h_twist, b_twist, side):
 
 
 def check_snake(m, duality):
-    """Both zig-zag composites built from the monoidal constraint matrices;
-    each must be the identity of its carrier."""
+    """Both zig-zag composites of the monoidal constraints, checked column by
+    column; each must be the identity of its carrier.
+
+    For the left dual the object composite is
+    r (id (x) ev) a (coev (x) id) l^-1 on M, with the unit constraints
+    l = r = mu (k (x) M = M = M (x) k) and the associator
+    mu^-1 (x) id (x) omega; the dual composite and the right side swap the
+    roles of M and M*.
+    """
     d = m.dim
     star = duality.dual
-    eye = Matrix.identity(d)
+    ev, coev = sparse_columns(duality.ev), sparse_columns(duality.coev)
     rep = AxiomReport()
-    if duality.side == "left":
-        zig = (m.mu * kron(eye, duality.ev)
-               * kron_all(m.mu.inv(), eye, m.mu)
-               * kron(duality.coev, eye)
-               * m.mu.inv())
-        matrices_equal_report(rep, "snake-object", zig, eye, (d,), (m.basis,))
-        zag = (star.mu * kron(duality.ev, eye)
-               * kron_all(star.mu, eye, star.mu.inv())
-               * kron(eye, duality.coev)
-               * star.mu.inv())
-        matrices_equal_report(rep, "snake-dual", zag, eye, (d,), (star.basis,))
-    else:
-        zig = (m.mu * kron(duality.ev, eye)
-               * kron_all(m.mu, eye, m.mu.inv())
-               * kron(eye, duality.coev)
-               * m.mu.inv())
-        matrices_equal_report(rep, "snake-object", zig, eye, (d,), (m.basis,))
-        zag = (star.mu * kron(eye, duality.ev)
-               * kron_all(star.mu.inv(), eye, star.mu)
-               * kron(duality.coev, eye)
-               * star.mu.inv())
-        matrices_equal_report(rep, "snake-dual", zag, eye, (d,), (star.basis,))
+    for axiom, t in (("snake-object", m), ("snake-dual", star)):
+        mu, mui = sparse_columns(t.mu), sparse_columns(t.mu.inv())
+        # coev lands left of the carrier and ev pairs its last two legs, or
+        # the mirror image: the former for M with a left dual and for M*
+        # with a right dual
+        if (duality.side == "left") == (t is m):
+            zig = [(mui, (0,), (1, d)), (coev, (0,), (d, d)),
+                   (mui, (0,), None), (mu, (2,), None),
+                   (ev, (1, 2), ()), (mu, (0,), None)]
+        else:
+            zig = [(mui, (0,), (d, 1)), (coev, (1,), (d, d)),
+                   (mu, (0,), None), (mui, (2,), None),
+                   (ev, (0, 1), ()), (mu, (0,), None)]
+        composites_equal_report(rep, axiom, zig, [], (d,), (t.basis,))
     return rep
 
 

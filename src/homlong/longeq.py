@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, SingularMatrix,
-                     kron, perm_matrix, flip_matrix, scalar, ZERO)
+                     first_differing_column, flip_matrix, kron, scalar, sparse_columns,
+                     ZERO)
 from .longdimod import HomLongDimodule, validate_long_dimodule
 from .report import AxiomReport
 
@@ -57,17 +58,6 @@ def leg23(op_matrix, mu):
     return kron(mu, op_matrix)
 
 
-def leg13(op_matrix, mu):
-    n = mu.rows
-    move = kron(Matrix.identity(n), flip_matrix(n, n))
-    return move * kron(op_matrix, mu) * move
-
-
-def cycle3(n):
-    """x (x) y (x) z -> z (x) x (x) y."""
-    return perm_matrix([n, n, n], [2, 0, 1])
-
-
 def check_long_equation(op):
     """(R x mu)(mu x R) = (mu x R)(R x mu), with a witness basis triple."""
     r = _sparse_columns(op.matrix)
@@ -88,13 +78,9 @@ def _to_ints(values):
 
 
 def _sparse_columns(m):
-    """m's columns, int-scaled, as lists of (row, value) pairs with nonzero value."""
-    cols = [[] for _ in range(m.cols)]
-    for i, x in enumerate(_to_ints([x for row in m.data for x in row])):
-        if x:
-            r, c = divmod(i, m.cols)
-            cols[c].append((r, x))
-    return cols
+    """m's columns, int-scaled (see _to_ints), as lists of (row, value) pairs
+    with nonzero value."""
+    return sparse_columns(m)[0]
 
 
 def _first_failing_column(a_cols, b_cols, mu_cols, n):
@@ -219,13 +205,21 @@ def coordinate_criterion(x, y, z):
           for l in range(n)] for k in range(n)]
     rep = AxiomReport()
 
-    idx_ok, idx_wit = True, None
+    # both sides are linear in x, y and z, so each is int-scaled once
+    zs = _to_ints([e for row in z.data for e in row])
+    xs, ys = _int_tensor4(x), _int_tensor4(y)
     rng = range(n)
+    z_col = [[(i, zs[i * n + u]) for i in rng if zs[i * n + u]] for u in rng]
+    z_row = [[(i, zs[p * n + i]) for i in rng if zs[p * n + i]] for p in rng]
+    # x_vw^jk over j for the left side, x_jw^qk over j for the right side
+    x_l = [[[[(j, xs[v][w][j][k]) for j in rng if xs[v][w][j][k]] for k in rng]
+            for w in rng] for v in rng]
+    x_r = [[[[(j, xs[j][w][q][k]) for j in rng if xs[j][w][q][k]] for k in rng]
+            for q in rng] for w in rng]
+    idx_ok, idx_wit = True, None
     for k, p, q, u, v, w in itertools.product(rng, repeat=6):
-        lhs = sum((z.data[i][u] * x[v][w][j][k] * y[i][j][p][q]
-                   for i in rng for j in rng), ZERO)
-        rhs = sum((z.data[p][i] * x[j][w][q][k] * y[u][v][i][j]
-                   for i in rng for j in rng), ZERO)
+        lhs = sum(c * a * ys[i][j][p][q] for i, c in z_col[u] for j, a in x_l[v][w][k])
+        rhs = sum(c * a * ys[u][v][i][j] for i, c in z_row[p] for j, a in x_r[w][q][k])
         if lhs != rhs:
             idx_ok, idx_wit = False, (k, p, q, u, v, w)
             break
@@ -243,6 +237,13 @@ def coordinate_criterion(x, y, z):
     rep.set_flag("mu-equivariant", r_op.matrix * conj == conj * r_op.matrix
                  and s_op.matrix * conj == conj * s_op.matrix)
     return rep
+
+
+def _int_tensor4(x):
+    """x[k][l][i][j] times the common denominator of its entries, as ints."""
+    d = math.lcm(*(e.denominator for a in x for b in a for c in b for e in c))
+    return [[[[e.numerator * (d // e.denominator) for e in c] for c in b] for b in a]
+            for a in x]
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +264,33 @@ def tau_transforms(op):
     u = t * op.matrix
     tt = op.matrix * t
     w = t * op.matrix * t
-    cyc = cycle3(n)
     rep = AxiomReport()
 
     base = check_long_equation(op).passed("hom-long-eq")
     rep.add("base-longeq", base)
 
-    u13, u23, u12 = leg13(u, mu), leg23(u, mu), leg12(u, mu)
-    rep.add("transform-U", u13 * u23 == cyc * u13 * u12)
+    # the legs of X in M (x) M (x) M as steps for first_differing_column;
+    # X13 swaps the last two legs around X12, and the cycle
+    # x (x) y (x) z -> z (x) x (x) y is a re-indexing
+    m, flip = sparse_columns(mu), sparse_columns(t)
+    n2 = n * n
+    cyc = ([[((c % n) * n2 + c // n, 1)] for c in range(n2 * n)], 1)
 
-    t12, t13, t23 = leg12(tt, mu), leg13(tt, mu), leg23(tt, mu)
-    rep.add("transform-T", t12 * t13 == t23 * t13 * cyc)
+    def x12(x):
+        return [(x, (0, 1), None), (m, (2,), None)]
+
+    def x23(x):
+        return [(m, (0,), None), (x, (1, 2), None)]
+
+    def x13(x):
+        return [(flip, (1, 2), None)] + x12(x) + [(flip, (1, 2), None)]
+
+    dims = (n, n, n)
+    us, ts = sparse_columns(u), sparse_columns(tt)
+    rep.add("transform-U", first_differing_column(
+        x23(us) + x13(us), x12(us) + x13(us) + [(cyc, (0, 1, 2), None)], dims) is None)
+    rep.add("transform-T", first_differing_column(
+        x13(ts) + x12(ts), [(cyc, (0, 1, 2), None)] + x13(ts) + x23(ts), dims) is None)
 
     w_op = OperatorOnTensorSquare(n, w, mu)
     rep.add("transform-W", check_long_equation(w_op).passed("hom-long-eq"))

@@ -85,17 +85,21 @@ def matrices_equal_report(report, axiom, lhs, rhs, dims_in, names_in=None):
         report.add(axiom, True)
         return report
     from .linalg import unflat_index
-    witness = None
     for c in range(lhs.cols):
-        for r in range(lhs.rows):
-            if lhs.data[r][c] != rhs.data[r][c]:
-                idxs = unflat_index(c, dims_in)
-                if names_in is not None:
-                    witness = tuple(names[i] for names, i in zip(names_in, idxs))
-                else:
-                    witness = idxs
-                break
-        if witness is not None:
-            break
-    report.add(axiom, False, witness)
-    return report
+        if any(lhs.data[r][c] != rhs.data[r][c] for r in range(lhs.rows)):
+            return report.add(axiom, False, _named(unflat_index(c, dims_in), names_in))
+
+
+def composites_equal_report(report, axiom, lhs, rhs, dims_in, names_in=None):
+    """Record lhs == rhs for two composites of maps on tensor legs (see
+    linalg.first_differing_column), column by column; on failure witness the
+    first differing input basis tuple, as matrices_equal_report does."""
+    from .linalg import first_differing_column
+    idxs = first_differing_column(lhs, rhs, dims_in)
+    return report.add(axiom, idxs is None, _named(idxs, names_in))
+
+
+def _named(idxs, names_in):
+    if idxs is None or names_in is None:
+        return idxs
+    return tuple(names[i] for names, i in zip(names_in, idxs))

@@ -337,6 +337,21 @@ def test_parser_errors_exit_2(files, monkeypatch, capsys, argv, message, fmt):
         assert message in captured.err
 
 
+@pytest.mark.parametrize("before, after", [([], []), (["--format", "json"], ["--verbose"])])
+def test_unknown_option_before_command_is_named(files, monkeypatch, capsys, before, after):
+    # argparse reads "1" as the command; the message names --seed instead
+    monkeypatch.chdir(files)
+    assert main(before + ["--seed", "1"] + after + ["validate", "kz2.json"]) == 2
+    captured = capsys.readouterr()
+    if before:
+        report = json.loads(captured.out)
+        assert report["exit_code"] == 2 and report["command"] is None
+        assert report["error"].startswith("unrecognized option --seed before the command")
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: unrecognized option --seed before the command")
+
+
 def test_help_exits_0(capsys):
     for argv in (["--help"], ["--format", "json", "check", "--help"]):
         with pytest.raises(SystemExit) as exc:

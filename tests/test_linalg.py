@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
-                            SingularMatrix, apply3, flat_index, unflat_index,
-                            flip_matrix, kron, perm_matrix, scalar,
-                            scalar_to_json, solve_exact)
+                            SingularMatrix, apply3, apply_on_legs, first_differing_column,
+                            flat_index, unflat_index, flip_matrix, kron, kron_all,
+                            perm_matrix, scalar, scalar_to_json, solve_exact,
+                            sparse_columns)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -168,3 +170,43 @@ def test_shape_errors():
         Matrix([[1]]) * Matrix([[1, 2], [3, 4]])
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2]]).det()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_apply_on_legs_matches_kron(data):
+    # a map on legs first..stop-1 is I (x) A (x) I on the flat tensor basis,
+    # also when it changes the number of legs or their dims
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    first = data.draw(st.integers(0, len(dims) - 1))
+    stop = data.draw(st.integers(first + 1, len(dims)))
+    out_dims = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+    blk = math.prod(dims[first:stop])
+    a = data.draw(rand_matrix(math.prod(out_dims), blk))
+    vec = data.draw(st.dictionaries(st.integers(0, math.prod(dims) - 1), rationals))
+    full = kron_all(Matrix.identity(math.prod(dims[:first])), a,
+                    Matrix.identity(math.prod(dims[stop:])))
+    expected = full * Vector([vec.get(i, 0) for i in range(full.cols)])
+    cols, scale = sparse_columns(a)
+    got = apply_on_legs(cols, tuple(range(first, stop)), dims, vec, out_dims)
+    assert got == {i: x * scale for i, x in enumerate(expected) if x}
+
+
+def test_apply_on_legs_rejects_bad_legs():
+    cols, _ = sparse_columns(Matrix.identity(2))
+    with pytest.raises(DimensionMismatch):
+        apply_on_legs(cols, (0, 2), (2, 1, 1), {0: 1})
+    with pytest.raises(DimensionMismatch):
+        apply_on_legs(cols, (0,), (3, 2), {0: 1})
+
+
+def test_first_differing_column_scales_and_witness():
+    # (2 id) (x) (1/2 id) equals the identity although the int columns differ
+    two, half = sparse_columns(Matrix.identity(2).scale(2)), sparse_columns(
+        Matrix.identity(3).scale(Fraction(1, 2)))
+    assert first_differing_column([(two, (0,), None), (half, (1,), None)], [], (2, 3)) is None
+    # the flip differs from the identity first on e_0 (x) e_1
+    flip = sparse_columns(flip_matrix(2, 2))
+    assert first_differing_column([(flip, (0, 1), None)], [], (2, 2)) == (0, 1)
+    with pytest.raises(DimensionMismatch):
+        first_differing_column([(sparse_columns(Matrix([[1, 1]])), (0,), ())], [], (2,))

@@ -1,25 +1,35 @@
-"""Independent elementwise evaluators cross-checking the matrix pipelines.
+"""Independent evaluators cross-checking the library's fast paths.
 
 The library builds every operator by composing Kronecker products and leg
-permutations; these oracles recompute the same operators by summing over
-structure constants with explicit loops, so a bookkeeping error in either
-route would make them disagree.
+permutations; the elementwise oracles recompute the same operators by
+summing over structure constants with explicit loops, so a bookkeeping error
+in either route would make them disagree.  The library checks categorical
+identities column by column on tensor legs; the dense oracles compose the
+same identities as full matrices, associators and their inverses included.
 """
 
+import functools
 import itertools
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from homlong import fixtures as fx
-from homlong.braidcat import BraidingContext, long_braiding, long_braiding_inverse
-from homlong.linalg import Matrix, ZERO
-from homlong.longdimod import canonical_dimodule, trivial_dimodule
+from homlong.braidcat import (BraidingContext, DimoduleMorphism, NotAMorphism,
+                              check_hexagons, check_naturality, check_qybe,
+                              check_symmetry, long_braiding, long_braiding_inverse)
+from homlong.linalg import Matrix, Tensor3, ZERO, flip_matrix, kron, kron_all, perm_matrix
+from homlong.longdimod import (associator, canonical_dimodule, check_coherence,
+                               check_snake, dimodule_morphism_report, left_dual,
+                               right_dual, tensor_dimodule, trivial_dimodule,
+                               unit_dimodule)
 from homlong.longeq import (OperatorOnTensorSquare, check_long_equation,
                             coordinate_criterion, dimodule_solution, module_extension,
-                            search_solutions)
+                            search_solutions, tau_transforms)
+from homlong.report import AxiomReport, Check, matrices_equal_report
 from homlong.repmod import YetterDrinfeldModule, check_yd
 
 
@@ -342,6 +352,33 @@ def test_operator_identity_matches_oracle(data):
     assert rep.check("operator-identity").witness == expected
 
 
+def index_identity_first_failure(x, y, z):
+    """The first (k, p, q, u, v, w), in that scan order, where
+    sum_ij z[i][u] x[v][w][j][k] y[i][j][p][q] differs from
+    sum_ij z[p][i] x[j][w][q][k] y[u][v][i][j]; None when none does."""
+    rng = range(len(z))
+    for k, p, q, u, v, w in itertools.product(rng, repeat=6):
+        lhs = sum(z[i][u] * x[v][w][j][k] * y[i][j][p][q] for i in rng for j in rng)
+        rhs = sum(z[p][i] * x[j][w][q][k] * y[u][v][i][j] for i in rng for j in rng)
+        if lhs != rhs:
+            return (k, p, q, u, v, w)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_index_identity_matches_oracle(data):
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    mu = data.draw(structure_maps(n))
+    x = data.draw(coordinates(n, mu))
+    y = x if data.draw(st.booleans()) else data.draw(coordinates(n, mu))
+    expected = index_identity_first_failure(x, y, mu)
+    rep = coordinate_criterion(x, y, Matrix(mu))
+    assert rep.passed("index-identity") == (expected is None)
+    assert rep.check("index-identity").witness == expected
+    assert rep.flags["agreement"] == (rep.passed("operator-identity") == (expected is None))
+
+
 @settings(max_examples=30, deadline=None)
 @given(structure_maps(2), st.lists(st.sampled_from(SMALL), min_size=1, max_size=3))
 def test_diagonal_search_matches_oracle(mu, values):
@@ -364,3 +401,291 @@ def test_longeq_witness_on_perturbed_n16_extension():
     assert expected is not None
     rep = check_long_equation(OperatorOnTensorSquare(16, Matrix(rows), op.structure_map))
     assert rep.check("hom-long-eq").witness == expected
+
+
+# ---------------------------------------------------------------------------
+# dense composites of the categorical identities
+
+def dense_morphism_report(m, n, f):
+    """H-linearity, B-colinearity and structure-map commutation of f: m -> n."""
+    rep = AxiomReport()
+    h, b = m.H, m.B
+    matrices_equal_report(rep, "H-linear", f * m.action_map,
+                          n.action_map * kron(Matrix.identity(h.dim), f),
+                          (h.dim, m.dim), (h.basis, m.basis))
+    matrices_equal_report(rep, "B-colinear", n.coaction_map * f,
+                          kron(Matrix.identity(b.dim), f) * m.coaction_map,
+                          (m.dim,), (m.basis,))
+    matrices_equal_report(rep, "structure-commute", n.mu * f, f * m.mu,
+                          (m.dim,), (m.basis,))
+    return rep
+
+
+def dense_naturality(ctx, f, g):
+    for mor in (f, g):
+        if not dense_morphism_report(mor.source, mor.target, mor.matrix).ok:
+            raise NotAMorphism("not a morphism")
+    c_src = long_braiding(ctx, f.source, g.source).matrix
+    c_tgt = long_braiding(ctx, f.target, g.target).matrix
+    lhs = kron(g.matrix, f.matrix) * c_src
+    rhs = c_tgt * kron(f.matrix, g.matrix)
+    return matrices_equal_report(AxiomReport(), "naturality", lhs, rhs,
+                                 (f.source.dim, g.source.dim),
+                                 (f.source.basis, g.source.basis))
+
+
+def dense_hexagons(ctx, u, v, w):
+    rep = AxiomReport()
+    uv = tensor_dimodule(u, v)
+    vw = tensor_dimodule(v, w)
+    c_uv = long_braiding(ctx, u, v).matrix
+    c_uw = long_braiding(ctx, u, w).matrix
+    c_vw = long_braiding(ctx, v, w).matrix
+    eye_u, eye_v, eye_w = (Matrix.identity(t.dim) for t in (u, v, w))
+    lhs1 = associator(v, w, u) * long_braiding(ctx, u, vw).matrix * associator(u, v, w)
+    rhs1 = kron(eye_v, c_uw) * associator(v, u, w) * kron(c_uv, eye_w)
+    matrices_equal_report(rep, "H1", lhs1, rhs1, (u.dim, v.dim, w.dim),
+                          (u.basis, v.basis, w.basis))
+    lhs2 = (associator(w, u, v).inv()
+            * long_braiding(ctx, uv, w).matrix
+            * associator(u, v, w).inv())
+    rhs2 = kron(c_uw, eye_v) * associator(u, w, v).inv() * kron(eye_u, c_vw)
+    matrices_equal_report(rep, "H2", lhs2, rhs2, (u.dim, v.dim, w.dim),
+                          (u.basis, v.basis, w.basis))
+    return rep
+
+
+def dense_qybe(ctx, u, v, w):
+    c_uv = long_braiding(ctx, u, v).matrix
+    c_uw = long_braiding(ctx, u, w).matrix
+    c_vw = long_braiding(ctx, v, w).matrix
+    eye_u, eye_v, eye_w = (Matrix.identity(t.dim) for t in (u, v, w))
+    lhs = (kron(eye_w, c_uv) * associator(w, u, v) * kron(c_uw, eye_v)
+           * associator(u, w, v).inv() * kron(eye_u, c_vw) * associator(u, v, w))
+    rhs = (associator(w, v, u) * kron(c_vw, eye_u) * associator(v, w, u).inv()
+           * kron(eye_v, c_uw) * associator(v, u, w) * kron(c_uv, eye_w))
+    return matrices_equal_report(AxiomReport(), "QYBE", lhs, rhs, (u.dim, v.dim, w.dim),
+                                 (u.basis, v.basis, w.basis))
+
+
+def dense_symmetry(ctx, m, n):
+    back = long_braiding(ctx, n, m).matrix
+    forth = long_braiding(ctx, m, n).matrix
+    return matrices_equal_report(AxiomReport(), "symmetry", back * forth,
+                                 Matrix.identity(m.dim * n.dim),
+                                 (m.dim, n.dim), (m.basis, n.basis))
+
+
+def dense_coherence(u, v, w, x):
+    """check_coherence's report with every identity composed densely."""
+    rep = AxiomReport()
+    if all(dense_morphism_report(t, t, t.mu).ok for t in (u, v, w)):
+        f, g, h = u.mu, v.mu, w.mu
+        rep.set_flag("naturality-morphisms", "structure-maps")
+    else:
+        f, g, h = (Matrix.identity(t.dim) for t in (u, v, w))
+        rep.set_flag("naturality-morphisms", "identity")
+    a_uvw = associator(u, v, w)
+    fgh = kron_all(f, g, h)
+    matrices_equal_report(rep, "naturality-a", a_uvw * fgh, fgh * a_uvw,
+                          (u.dim, v.dim, w.dim), (u.basis, v.basis, w.basis))
+    uv, vw, wx = tensor_dimodule(u, v), tensor_dimodule(v, w), tensor_dimodule(w, x)
+    path1 = associator(u, v, wx) * associator(uv, w, x)
+    path2 = (kron(Matrix.identity(u.dim), associator(v, w, x))
+             * associator(u, vw, x)
+             * kron(a_uvw, Matrix.identity(x.dim)))
+    matrices_equal_report(rep, "pentagon", path1, path2, (u.dim, v.dim, w.dim, x.dim),
+                          (u.basis, v.basis, w.basis, x.basis))
+    lhs = kron(Matrix.identity(u.dim), v.mu) * kron(u.mu.inv(), v.mu)
+    rhs = kron(u.mu, Matrix.identity(v.dim))
+    matrices_equal_report(rep, "triangle", lhs, rhs, (u.dim, v.dim), (u.basis, v.basis))
+    unit = unit_dimodule(u.H, u.B)
+    for prefix, src, tgt, mor in (
+            ("assoc-", tensor_dimodule(uv, w), tensor_dimodule(u, vw), a_uvw),
+            ("left-unit-", tensor_dimodule(unit, v), v, v.mu),
+            ("right-unit-", tensor_dimodule(v, unit), v, v.mu)):
+        sub = dense_morphism_report(src, tgt, mor)
+        for axiom in ("H-linear", "B-colinear"):
+            rep.add(prefix + axiom, sub.passed(axiom), sub.check(axiom).witness)
+    return rep
+
+
+def dense_snake(m, duality):
+    d = m.dim
+    star = duality.dual
+    eye = Matrix.identity(d)
+    rep = AxiomReport()
+    if duality.side == "left":
+        zig = (m.mu * kron(eye, duality.ev) * kron_all(m.mu.inv(), eye, m.mu)
+               * kron(duality.coev, eye) * m.mu.inv())
+        zag = (star.mu * kron(duality.ev, eye) * kron_all(star.mu, eye, star.mu.inv())
+               * kron(eye, duality.coev) * star.mu.inv())
+    else:
+        zig = (m.mu * kron(duality.ev, eye) * kron_all(m.mu, eye, m.mu.inv())
+               * kron(eye, duality.coev) * m.mu.inv())
+        zag = (star.mu * kron(eye, duality.ev) * kron_all(star.mu.inv(), eye, star.mu)
+               * kron(duality.coev, eye) * star.mu.inv())
+    matrices_equal_report(rep, "snake-object", zig, eye, (d,), (m.basis,))
+    matrices_equal_report(rep, "snake-dual", zag, eye, (d,), (star.basis,))
+    return rep
+
+
+def dense_tau_verdicts(op):
+    """The U- and T-equations with the legs and the cycle as n^3 x n^3 matrices."""
+    n, mu = op.carrier_dim, op.structure_map
+    t = flip_matrix(n, n)
+    move = kron(Matrix.identity(n), t)
+    cyc = perm_matrix([n, n, n], [2, 0, 1])
+
+    def legs(x):
+        return kron(x, mu), move * kron(x, mu) * move, kron(mu, x)
+
+    u12, u13, u23 = legs(t * op.matrix)
+    t12, t13, t23 = legs(op.matrix * t)
+    return u13 * u23 == cyc * u13 * u12, t12 * t13 == t23 * t13 * cyc
+
+
+def _tuples(rep):
+    return [c.as_tuple() for c in rep], rep.flags
+
+
+@functools.lru_cache(maxsize=None)
+def _context(tag):
+    """The kz2 (x) kz2 or the Sweedler-scaled (x) kz2 context with its carriers."""
+    kz2 = fx.kz2()
+    h, r = (kz2, fx.kz2_rmatrix()) if tag == "kk" else (fx.sweedler_scaled_twisted(2),
+                                                        fx.sweedler_rmatrix())
+    ctx = BraidingContext(h, r, kz2, fx.kz2_form())
+    carriers = [canonical_dimodule(h, kz2), trivial_dimodule(h, kz2, Matrix.diagonal([1, 3])),
+                trivial_dimodule(h, kz2, Matrix.diagonal([1, 2]))]
+    if tag == "kk":
+        carriers.append(fx.sign_dimodule(kz2, kz2))
+    return ctx, carriers
+
+
+NONZERO = [x for x in SMALL if x]
+
+
+def _bumped(draw, rows):
+    """rows (a list of lists) with one entry changed by a nonzero amount."""
+    rows = [list(r) for r in rows]
+    rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, len(rows[0]) - 1))] += (
+        draw(st.sampled_from(NONZERO)))
+    return rows
+
+
+@st.composite
+def perturbed(draw, d):
+    """d, or d with one entry of its action, coaction or mu changed (mu kept
+    invertible), so that the identities built on it fail."""
+    part = draw(st.sampled_from((None, "action", "coaction", "mu")))
+    if part == "action":
+        planes = [list(plane) for plane in d.action.data]
+        h = draw(st.integers(0, d.H.dim - 1))
+        planes[h] = _bumped(draw, planes[h])
+        return replace(d, action=Tensor3(planes))
+    if part == "coaction":
+        planes = [list(plane) for plane in d.coaction.data]
+        i = draw(st.integers(0, d.dim - 1))
+        planes[i] = _bumped(draw, planes[i])
+        return replace(d, coaction=Tensor3(planes))
+    if part == "mu":
+        mu = Matrix(_bumped(draw, d.mu.data))
+        assume(mu.det() != 0)
+        return replace(d, mu=mu)
+    return d
+
+
+@st.composite
+def triples(draw):
+    """A context and three carriers, one of them perturbed; the dim-8
+    canonical carrier of the Sweedler context fills at most one slot."""
+    ctx, carriers = _context(draw(st.sampled_from(("kk", "sk"))))
+    objs = [draw(st.sampled_from(carriers)) for _ in range(3)]
+    assume(sum(t.dim == 8 for t in objs) <= 1)
+    k = draw(st.integers(0, 2))
+    objs[k] = draw(perturbed(objs[k]))
+    return ctx, objs
+
+
+@settings(max_examples=40, deadline=None)
+@given(triples())
+def test_braid_identities_match_dense_oracle(case):
+    ctx, (u, v, w) = case
+    assert _tuples(check_qybe(ctx, u, v, w)) == _tuples(dense_qybe(ctx, u, v, w))
+    assert _tuples(check_hexagons(ctx, u, v, w)) == _tuples(dense_hexagons(ctx, u, v, w))
+    rep = check_symmetry(ctx, u, v, diagnose=True)
+    assert rep.check("symmetry") == dense_symmetry(ctx, u, v).check("symmetry")
+
+
+@settings(max_examples=40, deadline=None)
+@given(triples(), st.booleans())
+def test_coherence_matches_dense_oracle(case, x_is_u):
+    _, (u, v, w) = case
+    x = u if x_is_u else w
+    assert _tuples(check_coherence(u, v, w, x)) == _tuples(dense_coherence(u, v, w, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_morphism_report_and_naturality_match_dense_oracle(data):
+    ctx, carriers = _context(data.draw(st.sampled_from(("kk", "sk"))))
+    m = data.draw(perturbed(data.draw(st.sampled_from(carriers))))
+    f = data.draw(st.sampled_from((m.mu, Matrix.identity(m.dim), m.mu.scale(2))))
+    if data.draw(st.booleans()):
+        f = Matrix(_bumped(data.draw, f.data))
+    assert _tuples(dimodule_morphism_report(m, m, f)) == _tuples(dense_morphism_report(m, m, f))
+    n = data.draw(st.sampled_from(carriers))
+    pair = (DimoduleMorphism(m, m, f), DimoduleMorphism(n, n, n.mu))
+    try:
+        expected = _tuples(dense_naturality(ctx, *pair))
+    except NotAMorphism:
+        with pytest.raises(NotAMorphism):
+            check_naturality(ctx, *pair)
+    else:
+        assert _tuples(check_naturality(ctx, *pair)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_snake_matches_dense_oracle(data):
+    _, carriers = _context(data.draw(st.sampled_from(("kk", "sk"))))
+    m = data.draw(st.sampled_from(carriers))
+    duality = (left_dual if data.draw(st.booleans()) else right_dual)(m)
+    # a change to the object or to one of ev and coev breaks the zig-zags
+    m = data.draw(perturbed(m))
+    which = data.draw(st.sampled_from((None, "ev", "coev")))
+    if which:
+        pairing = Matrix(_bumped(data.draw, getattr(duality, which).data))
+        duality = replace(duality, **{which: pairing})
+    assert _tuples(check_snake(m, duality)) == _tuples(dense_snake(m, duality))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tau_transforms_match_dense_oracle(data):
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    mu = data.draw(structure_maps(n))
+    op = OperatorOnTensorSquare(n, Matrix(data.draw(operators(n, mu))), Matrix(mu))
+    transforms, rep = tau_transforms(op)
+    assert (rep.passed("transform-U"), rep.passed("transform-T")) == dense_tau_verdicts(op)
+    assert transforms["U"].matrix == flip_matrix(n, n) * op.matrix
+
+
+def test_readme_triangle_finding_matches_dense_oracle():
+    d = fx.scaled_dimodules()["trivial-diag12"]
+    rep = check_coherence(d, d, d)
+    assert rep.check("triangle").witness == ("m0", "m1")
+    assert _tuples(rep) == _tuples(dense_coherence(d, d, d, d))
+
+
+def test_qybe_witness_with_perturbed_coaction_on_sweedler_cube():
+    # a one-entry change of the middle carrier's coaction on the 512-column
+    # check; the witness is the first differing column of dense_qybe, which
+    # takes seconds here, so its value is written out
+    ctx, (can, _, _) = _context("sk")
+    t = [[list(row) for row in plane] for plane in can.coaction.data]
+    t[1][0][1] += 1
+    rep = check_qybe(ctx, can, replace(can, coaction=Tensor3(t)), can)
+    assert rep.check("QYBE") == Check("QYBE", False, ("1⊗1", "1⊗g", "1⊗1"))
+    assert check_qybe(ctx, can, can, can).ok
