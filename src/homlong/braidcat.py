@@ -5,19 +5,21 @@ the symmetry criterion for triangular / cotriangular data.
 
 Every categorical identity is realized as an exact identity on
 lexicographic bases, with the constraint maps of the monoidal structure
-spelled out explicitly.  The braiding is a matrix; the identities composed
-from it (naturality, hexagons, Yang-Baxter, symmetry) are checked column by
-column, each factor applied to its own tensor legs.
+spelled out explicitly.  The braiding is a matrix, built one basis column
+at a time from the structure constants (coactions, the form, mu^-2, R and
+the actions, each on its own tensor legs); the identities composed from it
+(naturality, hexagons, Yang-Baxter, symmetry) are checked column by column
+the same way.
 """
 
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, kron, permute_output_legs,
+from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, int_columns,
                      sparse_columns, ZERO)
-from .homstruct import (tensor_hopf, element_col, validate_quasitriangular,
-                        validate_coquasitriangular)
+from .homstruct import tensor_hopf, validate_quasitriangular, validate_coquasitriangular
 from .repmod import YetterDrinfeldModule, yd_prebraiding
 from .longdimod import (HomLongDimodule, MismatchedBase, associator_legs, base_parts,
+                        coproduct_columns, flip_columns, per_leg, product_columns,
                         tensor_dimodule, dimodule_morphism_report)
 from .report import AxiomReport, composites_equal_report, matrices_equal_report
 
@@ -104,22 +106,42 @@ def long_braiding(ctx, m, n):
     ctx.require_valid()
     ctx.require_dimodule(m)
     ctx.require_dimodule(n)
-    return BraidOperator((m, n), _braiding(ctx, m, n, (m.mu * m.mu).inv(),
-                                           (n.mu * n.mu).inv()))
+    return BraidOperator((m, n), _braiding(ctx, m, n, _mu2_inverse(m), _mu2_inverse(n)))
+
+
+def _mu2_inverse(*factors):
+    """mu^-2 of the tensor product of factors as sparse columns: each
+    factor's own mu^-2 on its leg, so no inverse spans two carriers."""
+    steps = per_leg(*((t.mu * t.mu).inv() for t in factors))
+    return sparse_columns(composite_matrix(steps, tuple(t.dim for t in factors)))
 
 
 def _braiding(ctx, m, n, mu2i, nu2i):
-    """The matrix of long_braiding, given the inverses of mu^2 and nu^2."""
-    nh, nb = ctx.H.dim, ctx.B.dim
+    """The matrix of long_braiding, given mu^-2 and nu^-2 as sparse columns."""
+    steps = (_paired(ctx.form, ctx.B.dim, m, n) + [(mu2i, (0,), None), (nu2i, (1,), None)]
+             + _acted(ctx.R, ctx.H.dim, m, n))
+    return composite_matrix(steps, (m.dim, n.dim))
+
+
+def _paired(form, nb, m, n):
+    """Steps on M (x) N: m (x) n -> form(m_-1, n_-1) m_0 (x) n_0."""
+    return [(coproduct_columns(m.coaction), (0,), (nb, m.dim)),
+            (coproduct_columns(n.coaction), (2,), (nb, n.dim)),
+            (flip_columns(m.dim, nb), (1, 2), (nb, m.dim)),
+            (int_columns([x] for row in form.data for x in row), (0, 1), ())]
+
+
+def _acted(r, nh, m, n):
+    """Steps from M (x) N to N (x) M: m (x) n -> r2 . n (x) r1 . m for the
+    element r = sum r[i][j] e_i (x) e_j of H (x) H."""
     dm, dn = m.dim, n.dim
-    frow = element_col(ctx.form).transpose()
-    rc = element_col(ctx.R)
-    paired = (kron(frow, kron(mu2i, nu2i))
-              * permute_output_legs(kron(m.coaction_map, n.coaction_map),
-                                    [nb, dm, nb, dn], [0, 2, 1, 3]))
-    with_r = kron(rc, Matrix.identity(dm * dn)) * paired
-    return (kron(n.action_map, m.action_map)
-            * permute_output_legs(with_r, [nh, nh, dm, dn], [1, 3, 0, 2]))
+    rcol, scale = int_columns([[x for row in r.data for x in row]])
+    put_r = [[(k * dm + o, x) for k, x in rcol[0]] for o in range(dm)], scale
+    return [(put_r, (0,), (nh, nh, dm)),
+            (flip_columns(nh, dm), (1, 2), (dm, nh)),
+            (product_columns(m.action), (0, 1), (dm,)),
+            (product_columns(n.action), (1, 2), (dn,)),
+            (flip_columns(dm, dn), (0, 1), (dn, dm))]
 
 
 def long_braiding_inverse(ctx, m, n):
@@ -131,20 +153,14 @@ def long_braiding_inverse(ctx, m, n):
     if ctx.B.antipode.det() == 0:
         from .longdimod import AntipodeNotInvertible
         raise AntipodeNotInvertible("the coquasitriangular side needs S^-1")
-    nh, nb = ctx.H.dim, ctx.B.dim
-    dm, dn = m.dim, n.dim
-    sbi = ctx.B.antipode.inv()
-    frow = element_col(ctx.form).transpose() * kron(sbi, Matrix.identity(nb))
-    rc = element_col(ctx.R)
-    mu2i = (m.mu * m.mu).inv()
-    nu2i = (n.mu * n.mu).inv()
-    paired = (kron(frow, kron(nu2i, mu2i))
-              * permute_output_legs(kron(n.coaction_map, m.coaction_map),
-                                    [nb, dn, nb, dm], [2, 0, 1, 3]))
-    with_r = kron(rc, Matrix.identity(dn * dm)) * paired
-    mat = (kron(m.action_map * kron(ctx.H.antipode, Matrix.identity(dm)), n.action_map)
-           * permute_output_legs(with_r, [nh, nh, dn, dm], [0, 3, 1, 2]))
-    return BraidOperator((n, m), mat)
+    # pair[b][a] = <S_B^-1(a)|b> on (n_-1, m_-1); r[j][i] is the coefficient
+    # of S_H(R1) = e_i, R2 = e_j, so that e_j acts on n and e_i on m
+    pair = ctx.form.transpose() * ctx.B.antipode.inv()
+    r = (ctx.H.antipode * ctx.R).transpose()
+    steps = (_paired(pair, ctx.B.dim, n, m)
+             + [(_mu2_inverse(n), (0,), None), (_mu2_inverse(m), (1,), None)]
+             + _acted(r, ctx.H.dim, n, m))
+    return BraidOperator((n, m), composite_matrix(steps, (n.dim, m.dim)))
 
 
 def check_braid_morphism(ctx, m, n):
@@ -187,14 +203,15 @@ def check_naturality(ctx, f, g):
 def check_hexagons(ctx, u, v, w):
     """Both hexagon identities with the explicit associators, column by
     column on the legs (u, v, w).  C_{U,V (x) W} and C_{U (x) V,W} are built
-    as matrices; the inverse of the square of a tensor product's structure
-    map is the Kronecker product of its factors' inverses."""
+    one column at a time like every braiding; mu^-2 of a tensor product is
+    its factors' own mu^-2, one leg each."""
     rep = AxiomReport()
     du, dv, dw = u.dim, v.dim, w.dim
     c_uv, c_uw, c_vw = _braidings(ctx, (u, v), (u, w), (v, w))
-    i2u, i2v, i2w = ((t.mu * t.mu).inv() for t in (u, v, w))
-    c_u_vw = sparse_columns(_braiding(ctx, u, tensor_dimodule(v, w), i2u, kron(i2v, i2w)))
-    c_uv_w = sparse_columns(_braiding(ctx, tensor_dimodule(u, v), w, kron(i2u, i2v), i2w))
+    c_u_vw = sparse_columns(_braiding(ctx, u, tensor_dimodule(v, w),
+                                      _mu2_inverse(u), _mu2_inverse(v, w)))
+    c_uv_w = sparse_columns(_braiding(ctx, tensor_dimodule(u, v), w,
+                                      _mu2_inverse(u, v), _mu2_inverse(w)))
     a = associator_legs
     names = (u.basis, v.basis, w.basis)
 
@@ -248,8 +265,10 @@ def hb_yd_structure(ctx, m):
     f = ctx.form
     r = ctx.R
     rho = m.coaction
-    p_act = m.action_map * kron(al3i, mui)        # [j][(h,o)]
-    p_id = m.action_map * kron(Matrix.identity(nh), mui)
+    # [j][(h,o)]: coefficient of m_j in a^-3(e_h) . mu^-1(m_o), and without a^-3
+    acting = [(product_columns(m.action), (0, 1), (d,))]
+    p_act = composite_matrix(per_leg(al3i, mui) + acting, (nh, d))
+    p_id = composite_matrix(per_leg(Matrix.identity(nh), mui) + acting, (nh, d))
 
     def act(hx, i, j):
         hh, x = divmod(hx, nb)
@@ -314,24 +333,17 @@ def comodule_as_dimodule(b, m, h):
 def module_family_braiding(ctx, m, n):
     """Restricted braiding on unit-coaction dimodules:
     m (x) n -> R2 . nu^-1(n) (x) R1 . mu^-1(m)."""
-    nh = ctx.H.dim
-    dm, dn = m.dim, n.dim
-    rc = element_col(ctx.R)
-    return (kron(n.action_map * kron(Matrix.identity(nh), n.mu.inv()),
-                 m.action_map * kron(Matrix.identity(nh), m.mu.inv()))
-            * permute_output_legs(kron(rc, Matrix.identity(dm * dn)),
-                                  [nh, nh, dm, dn], [1, 3, 0, 2]))
+    steps = per_leg(m.mu.inv(), n.mu.inv()) + _acted(ctx.R, ctx.H.dim, m, n)
+    return composite_matrix(steps, (m.dim, n.dim))
 
 
 def comodule_family_braiding(ctx, m, n):
     """Restricted braiding on counit-action dimodules:
     m (x) n -> <m_-1|n_-1> nu^-1(n_0) (x) mu^-1(m_0)."""
-    nb = ctx.B.dim
     dm, dn = m.dim, n.dim
-    frow = element_col(ctx.form).transpose()
-    return (kron(frow, kron(n.mu.inv(), m.mu.inv()))
-            * permute_output_legs(kron(m.coaction_map, n.coaction_map),
-                                  [nb, dm, nb, dn], [0, 2, 3, 1]))
+    steps = (_paired(ctx.form, ctx.B.dim, m, n) + per_leg(m.mu.inv(), n.mu.inv())
+             + [(flip_columns(dm, dn), (0, 1), (dn, dm))])
+    return composite_matrix(steps, (dm, dn))
 
 
 def check_symmetry(ctx, m, n, diagnose=False):

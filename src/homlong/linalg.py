@@ -11,7 +11,9 @@ Identities between composites of maps on tensor legs are decided without
 forming the composites: apply_on_legs applies one small map, given by its
 sparse int-scaled columns, to some legs of a sparse vector (a dict from flat
 index to coefficient), and first_differing_column runs both sides on one
-basis vector at a time.
+basis vector at a time.  composite_matrix runs one composite the same way
+to build its matrix, so structure maps such as a braiding are never
+assembled from Kronecker products of whole carriers.
 """
 
 import math
@@ -348,6 +350,11 @@ class Matrix:
             " ".join(scalar_str(x) for x in row) for row in self.data)
 
 
+def _columns(m):
+    """The columns of the Matrix m as tuples."""
+    return list(zip(*m.data)) if m.rows else [()] * m.cols
+
+
 def kron(a, b):
     """Kronecker product realizing f (x) g on lexicographic tensor bases."""
     rb, cb = b.rows, b.cols
@@ -365,7 +372,7 @@ def kron(a, b):
                 for q in range(cb):
                     if brow[q]:
                         orow[base + q] = x * brow[q]
-    return Matrix(out, rows=a.rows * rb, cols=a.cols * cb)
+    return Matrix.trusted(map(tuple, out), a.rows * rb, a.cols * cb)
 
 
 def kron_all(*ms):
@@ -444,7 +451,9 @@ def int_columns(columns):
     """Dense columns of rationals as (cols, scale): the map is cols / scale,
     where cols[j] lists the (row, value) pairs of column j with value != 0
     and every value is an int."""
-    cols = [[(r, x) for r, x in enumerate(c) if x] for c in columns]
+    # the shared ZERO, which fills computed matrices, is skipped by identity
+    # before the slower Fraction truth test
+    cols = [[(r, x) for r, x in enumerate(c) if x is not ZERO and x] for c in columns]
     scale = math.lcm(*(x.denominator for c in cols for _, x in c))
     return [[(r, x.numerator * (scale // x.denominator)) for r, x in c] for c in cols], scale
 
@@ -485,6 +494,25 @@ def apply_on_legs(map_cols, legs, dims, vec, out_dims=None):
     return {key: x for key, x in out.items() if x}
 
 
+def _plan(steps, dims):
+    """The apply_on_legs calls of a composite on the legs dims, each with
+    the legs it starts from, and the legs the composite lands in."""
+    plan, d = [], tuple(dims)
+    for (cols, _), legs, out in steps:
+        plan.append((cols, legs, d, out))
+        if out is not None:
+            d = d[:legs[0]] + tuple(out) + d[legs[-1] + 1:]
+    return plan, d
+
+
+def _run(plan, j, start):
+    """The image of start times the basis vector e_j under a planned composite."""
+    vec = {j: start}
+    for cols, legs, d, out in plan:
+        vec = apply_on_legs(cols, legs, d, vec, out)
+    return vec
+
+
 def first_differing_column(lhs, rhs, dims):
     """The first basis tuple of the tensor legs dims, in lexicographic
     order, on which two composites differ; None when they are equal.
@@ -497,28 +525,31 @@ def first_differing_column(lhs, rhs, dims):
     product of its scales, so each side starts from the other side's
     product and the two are compared as they are.
     """
-    plans = []
-    for steps in (lhs, rhs):
-        plan, d = [], tuple(dims)
-        for (cols, _), legs, out in steps:
-            plan.append((cols, legs, d, out))
-            if out is not None:
-                d = d[:legs[0]] + tuple(out) + d[legs[-1] + 1:]
-        plans.append((plan, math.prod(d)))
-    if plans[0][1] != plans[1][1]:
+    (lplan, ld), (rplan, rd) = _plan(lhs, dims), _plan(rhs, dims)
+    if math.prod(ld) != math.prod(rd):
         raise DimensionMismatch("composites land in dims %d and %d"
-                                % (plans[0][1], plans[1][1]))
-    starts = (math.prod(m[1] for m, _, _ in rhs), math.prod(m[1] for m, _, _ in lhs))
+                                % (math.prod(ld), math.prod(rd)))
+    lstart = math.prod(m[1] for m, _, _ in rhs)
+    rstart = math.prod(m[1] for m, _, _ in lhs)
     for j in range(math.prod(dims)):
-        sides = []
-        for (plan, _), start in zip(plans, starts):
-            vec = {j: start}
-            for cols, legs, d, out in plan:
-                vec = apply_on_legs(cols, legs, d, vec, out)
-            sides.append(vec)
-        if sides[0] != sides[1]:
+        if _run(lplan, j, lstart) != _run(rplan, j, rstart):
             return unflat_index(j, dims)
     return None
+
+
+def composite_matrix(steps, dims):
+    """The Matrix of a composite of steps (map, legs, out_dims), in the
+    format first_differing_column takes, on the tensor legs dims.  Each
+    column is computed on int columns, one basis vector at a time, and
+    divided by the product of the scales once."""
+    plan, out_dims = _plan(steps, dims)
+    scale = math.prod(m[1] for m, _, _ in steps)
+    rows, cols = math.prod(out_dims), math.prod(dims)
+    out = [[ZERO] * cols for _ in range(rows)]
+    for j in range(cols):
+        for r, x in _run(plan, j, 1).items():
+            out[r][j] = Fraction(x, scale)
+    return Matrix.trusted(map(tuple, out), rows, cols)
 
 
 def solve_exact(a, b):
@@ -632,16 +663,26 @@ class Tensor3:
         """Inverse of flatten_in2_out1 for a matrix with d0*d1 columns."""
         if m.cols != d0 * d1:
             raise DimensionMismatch("matrix has %d columns, expected %d" % (m.cols, d0 * d1))
-        return Tensor3.from_function(d0, d1, m.rows,
-                                     lambda i, j, k: m.data[k][i * d1 + j])
+        cols = _columns(m)
+        return Tensor3._of_fractions([cols[i * d1:(i + 1) * d1] for i in range(d0)],
+                                     (d0, d1, m.rows))
 
     @staticmethod
     def from_in1_out2(m, d1, d2):
         """Inverse of flatten_in1_out2 for a matrix with d1*d2 rows."""
         if m.rows != d1 * d2:
             raise DimensionMismatch("matrix has %d rows, expected %d" % (m.rows, d1 * d2))
-        return Tensor3.from_function(m.cols, d1, d2,
-                                     lambda i, j, k: m.data[j * d2 + k][i])
+        return Tensor3._of_fractions([[c[j * d2:(j + 1) * d2] for j in range(d1)]
+                                      for c in _columns(m)], (m.cols, d1, d2))
+
+    @staticmethod
+    def _of_fractions(data, dims):
+        """A Tensor3 over the entries of a Matrix, which are Fractions
+        already: no coercion."""
+        t = Tensor3.__new__(Tensor3)
+        t.data = tuple(tuple(tuple(row) for row in plane) for plane in data)
+        t.d0, t.d1, t.d2 = dims
+        return t
 
     def to_json(self):
         return [[[scalar_to_json(x) for x in row] for row in plane] for plane in self.data]

@@ -10,8 +10,8 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, kron, kron_all, int_columns,
-                     permute_output_legs, sparse_columns, ZERO, ONE)
+from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, kron, kron_all,
+                     int_columns, permute_output_legs, sparse_columns, ZERO, ONE)
 from .homstruct import HomAlgebra, HomBialgebra, dual_hopf, opposite_algebra
 from .repmod import HomModule, HomComodule, validate_hom_module, validate_hom_comodule
 from .report import AxiomReport, composites_equal_report, matrices_equal_report
@@ -129,25 +129,33 @@ def base_parts(d):
 
 def tensor_dimodule(m, n):
     """Tensor product with h.(m (x) n) = h1.m (x) h2.n and
-    rho(m (x) n) = b^-2(m_-1 n_-1) (x) m_0 (x) n_0."""
+    rho(m (x) n) = b^-2(m_-1 n_-1) (x) m_0 (x) n_0, each map built one basis
+    column at a time from the factors' structure constants."""
     if base_parts(m) != base_parts(n):
         raise MismatchedBase("tensor of dimodules over different algebra pairs")
     h, b = m.H, n.B
     nh, nb = h.dim, b.dim
-    d = m.dim * n.dim
-    eye = Matrix.identity(d)
-    act_mat = (kron(m.action_map, n.action_map)
-               * permute_output_legs(kron(h.comult_map, eye),
-                                     [nh, nh, m.dim, n.dim], [0, 2, 1, 3]))
-    b2i = (b.gamma * b.gamma).inv()
-    co_mat = (kron(b2i * b.mult_map, eye)
-              * permute_output_legs(kron(m.coaction_map, n.coaction_map),
-                                    [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
+    dm, dn = m.dim, n.dim
+    d = dm * dn
+    # (h, m, n) -> (h1, h2, m, n) -> (h1, m, h2, n) -> (h1.m, h2, n) -> (h1.m, h2.n)
+    act_mat = composite_matrix([(coproduct_columns(h.comult), (0,), (nh, nh)),
+                                (flip_columns(nh, dm), (1, 2), (dm, nh)),
+                                (product_columns(m.action), (0, 1), (dm,)),
+                                (product_columns(n.action), (1, 2), (dn,))],
+                               (nh, dm, dn))
+    # (m, n) -> (m_-1, m_0, n_-1, n_0) -> (m_-1, n_-1, m_0, n_0) -> (b^-2(m_-1 n_-1), m_0, n_0)
+    co_mat = composite_matrix([(coproduct_columns(m.coaction), (0,), (nb, dm)),
+                               (coproduct_columns(n.coaction), (2,), (nb, dn)),
+                               (flip_columns(dm, nb), (1, 2), (nb, dm)),
+                               (product_columns(b.mult), (0, 1), (nb,)),
+                               (sparse_columns((b.gamma * b.gamma).inv()), (0,), None)],
+                              (dm, dn))
+    mu = composite_matrix(per_leg(m.mu, n.mu), (dm, dn))
     names = tuple("%s⊗%s" % (x, y) for x in m.basis for y in n.basis)
     return HomLongDimodule(m.H, m.B, d,
                            Tensor3.from_in2_out1(act_mat, nh, d),
                            Tensor3.from_in1_out2(co_mat, nb, d),
-                           kron(m.mu, n.mu), names)
+                           mu, names)
 
 
 def unit_dimodule(h, b):
@@ -189,14 +197,27 @@ def monoidal_constraints(u, v, w):
     return {"assoc": associator(u, v, w), "left_unit": v.mu, "right_unit": v.mu}
 
 
-def _action_columns(m):
-    """The columns (h, i) -> h . m_i of the action map, as int_columns."""
-    return int_columns(row for plane in m.action.data for row in plane)
+def product_columns(t):
+    """The columns (i, j) -> sum_k t[i][j][k] e_k of a product-like Tensor3
+    (a multiplication or an action), as int_columns."""
+    return int_columns(row for plane in t.data for row in plane)
 
 
-def _coaction_columns(m):
-    """The columns i -> rho(m_i) of the coaction map, as int_columns."""
-    return int_columns([x for row in plane for x in row] for plane in m.coaction.data)
+def coproduct_columns(t):
+    """The columns i -> sum_jk t[i][j][k] e_j (x) e_k of a coproduct-like
+    Tensor3 (a comultiplication or a coaction), as int_columns."""
+    return int_columns([x for row in plane for x in row] for plane in t.data)
+
+
+def per_leg(*maps):
+    """Steps applying maps[k] to leg k: the tensor product of the maps."""
+    return [(sparse_columns(f), (k,), None) for k, f in enumerate(maps)]
+
+
+def flip_columns(d0, d1):
+    """The swap X (x) Y -> Y (x) X of legs of dims d0, d1, as int_columns;
+    as a step on two legs its out_dims are (d1, d0)."""
+    return [[(j * d0 + i, 1)] for i in range(d0) for j in range(d1)], 1
 
 
 def dimodule_morphism_report(m, n, f):
@@ -210,12 +231,13 @@ def dimodule_morphism_report(m, n, f):
     fc = sparse_columns(f)
     to_n = (n.dim,)
     composites_equal_report(rep, "H-linear",
-                            [(_action_columns(m), (0, 1), (m.dim,)), (fc, (0,), to_n)],
-                            [(fc, (1,), to_n), (_action_columns(n), (0, 1), to_n)],
+                            [(product_columns(m.action), (0, 1), (m.dim,)), (fc, (0,), to_n)],
+                            [(fc, (1,), to_n), (product_columns(n.action), (0, 1), to_n)],
                             (h.dim, m.dim), (h.basis, m.basis))
+    rho_m, rho_n = coproduct_columns(m.coaction), coproduct_columns(n.coaction)
     composites_equal_report(rep, "B-colinear",
-                            [(fc, (0,), to_n), (_coaction_columns(n), (0,), (b.dim, n.dim))],
-                            [(_coaction_columns(m), (0,), (b.dim, m.dim)), (fc, (1,), to_n)],
+                            [(fc, (0,), to_n), (rho_n, (0,), (b.dim, n.dim))],
+                            [(rho_m, (0,), (b.dim, m.dim)), (fc, (1,), to_n)],
                             (m.dim,), (m.basis,))
     composites_equal_report(rep, "structure-commute",
                             [(fc, (0,), to_n), (sparse_columns(n.mu), (0,), None)],

@@ -50,14 +50,6 @@ class DiagonalSolution(OperatorOnTensorSquare):
     classical: bool = False
 
 
-def leg12(op_matrix, mu):
-    return kron(op_matrix, mu)
-
-
-def leg23(op_matrix, mu):
-    return kron(mu, op_matrix)
-
-
 def check_long_equation(op):
     """(R x mu)(mu x R) = (mu x R)(R x mu), with a witness basis triple."""
     r = _sparse_columns(op.matrix)

@@ -384,3 +384,62 @@ def test_demo_files_validate_reports_match_snapshot(monkeypatch, capsys):
         code = main(["--format", "json", "validate", name])
         assert json.loads(capsys.readouterr().out) == expected[name]
         assert code == expected[name]["exit_code"]
+
+
+DEMO_FILES = pathlib.Path(__file__).resolve().parent.parent / "demos" / "demo_files"
+CARRIERS = ("sign.json", "canonical.json")
+
+
+def demo_build_cases():
+    """build braid|tensor|dual and check ybe|hexagon|symmetry|coherence on the
+    demo carriers, as argument lists relative to a copy of demos/demo_files."""
+    cases = []
+    for m in CARRIERS:
+        for n in CARRIERS:
+            cases.append(["build", "braid", "--ctx", "ctx.json", "-M", m, "-N", n,
+                          "-o", "out.json"])
+            cases.append(["build", "tensor", "-M", m, "-N", n, "-o", "out.json"])
+            cases.append(["check", "symmetry", "--ctx", "ctx.json", "-M", m, "-N", n])
+            cases.append(["check", "symmetry", "--diagnose", "--ctx", "ctx.json",
+                          "-M", m, "-N", n])
+    for d in CARRIERS:
+        for side in ("left", "right"):
+            cases.append(["build", "dual", "-D", d, "--side", side, "-o", "out.json"])
+    for u in CARRIERS:
+        for v in CARRIERS:
+            for w in CARRIERS:
+                for subject in ("ybe", "hexagon"):
+                    cases.append(["check", subject, "--ctx", "ctx.json",
+                                  "-U", u, "-V", v, "-W", w])
+                cases.append(["check", "coherence", "-U", u, "-V", v, "-W", w])
+    return cases
+
+
+def run_demo_build_cases(capsys):
+    """{argv joined by spaces: {"exit_code", "report", "written"}} for every
+    demo build case, run in the current directory on copies of the demo
+    files; "written" is the text of the file a build wrote, or None."""
+    for name in ("kz2.json", "ctx.json") + CARRIERS:
+        pathlib.Path(name).write_bytes((DEMO_FILES / name).read_bytes())
+    out = {}
+    for argv in demo_build_cases():
+        code = main(["--format", "json"] + argv)
+        written = pathlib.Path("out.json")
+        out[" ".join(argv)] = {
+            "exit_code": code,
+            "report": json.loads(capsys.readouterr().out),
+            "written": written.read_text() if written.exists() else None,
+        }
+        if written.exists():
+            written.unlink()
+    return out
+
+
+def test_demo_files_build_and_braid_reports_match_snapshot(tmp_path, monkeypatch, capsys):
+    expected = json.loads((pathlib.Path(__file__).resolve().parent / "data"
+                           / "demo_build.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    got = run_demo_build_cases(capsys)
+    assert sorted(got) == sorted(expected)
+    for key in expected:
+        assert got[key] == expected[key], key

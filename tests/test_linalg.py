@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
-                            SingularMatrix, apply3, apply_on_legs, first_differing_column,
+                            SingularMatrix, apply3, apply_on_legs, composite_matrix,
+                            first_differing_column,
                             flat_index, unflat_index, flip_matrix, kron, kron_all,
                             perm_matrix, scalar, scalar_to_json, solve_exact,
                             sparse_columns)
@@ -210,3 +211,26 @@ def test_first_differing_column_scales_and_witness():
     assert first_differing_column([(flip, (0, 1), None)], [], (2, 2)) == (0, 1)
     with pytest.raises(DimensionMismatch):
         first_differing_column([(sparse_columns(Matrix([[1, 1]])), (0,), ())], [], (2,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_composite_matrix_matches_kron_all(data):
+    # a chain of steps is the product, right to left, of I (x) A (x) I on the
+    # legs each step starts from, also when a step changes the legs
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    steps, expected, d = [], Matrix.identity(math.prod(dims)), dims
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not d:
+            break
+        first = data.draw(st.integers(0, len(d) - 1))
+        stop = data.draw(st.integers(first + 1, len(d)))
+        out = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
+        a = data.draw(rand_matrix(math.prod(out), math.prod(d[first:stop])))
+        steps.append((sparse_columns(a), tuple(range(first, stop)), out))
+        expected = kron_all(Matrix.identity(math.prod(d[:first])), a,
+                            Matrix.identity(math.prod(d[stop:]))) * expected
+        d = d[:first] + out + d[stop:]
+    got = composite_matrix(steps, dims)
+    assert (got.rows, got.cols) == (expected.rows, expected.cols)
+    assert got == expected

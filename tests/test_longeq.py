@@ -14,7 +14,8 @@ from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             coords_to_operator, diagonal_solution,
                             dimodule_solution, module_extension,
                             operator_to_coords, search_solutions, tau_transforms,
-                            validate_halpha_dimodule, leg12, leg23)
+                            validate_halpha_dimodule)
+from test_oracles import leg12, leg23
 
 nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(lambda x: x != 0)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)

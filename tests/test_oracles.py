@@ -1,11 +1,12 @@
 """Independent evaluators cross-checking the library's fast paths.
 
-The library builds every operator by composing Kronecker products and leg
-permutations; the elementwise oracles recompute the same operators by
-summing over structure constants with explicit loops, so a bookkeeping error
-in either route would make them disagree.  The library checks categorical
-identities column by column on tensor legs; the dense oracles compose the
-same identities as full matrices, associators and their inverses included.
+The elementwise oracles recompute the library's operators by summing over
+structure constants with explicit loops, so a bookkeeping error in either
+route would make them disagree.  The library builds the braidings and the
+tensor-product dimodules one basis column at a time on tensor legs, and
+checks categorical identities the same way; the dense oracles build the
+same maps from Kronecker products and leg permutations and compose the
+identities as full matrices, associators and their inverses included.
 """
 
 import functools
@@ -20,10 +21,13 @@ from hypothesis import assume, given, settings, strategies as st
 from homlong import fixtures as fx
 from homlong.braidcat import (BraidingContext, DimoduleMorphism, NotAMorphism,
                               check_hexagons, check_naturality, check_qybe,
-                              check_symmetry, long_braiding, long_braiding_inverse)
-from homlong.linalg import Matrix, Tensor3, ZERO, flip_matrix, kron, kron_all, perm_matrix
-from homlong.longdimod import (associator, canonical_dimodule, check_coherence,
-                               check_snake, dimodule_morphism_report, left_dual,
+                              check_symmetry, comodule_family_braiding, long_braiding,
+                              long_braiding_inverse, module_family_braiding)
+from homlong.homstruct import element_col
+from homlong.linalg import (Matrix, Tensor3, ZERO, flip_matrix, kron, kron_all, perm_matrix,
+                            permute_output_legs)
+from homlong.longdimod import (HomLongDimodule, associator, canonical_dimodule,
+                               check_coherence, check_snake, dimodule_morphism_report, left_dual,
                                right_dual, tensor_dimodule, trivial_dimodule,
                                unit_dimodule)
 from homlong.longeq import (OperatorOnTensorSquare, check_long_equation,
@@ -404,6 +408,83 @@ def test_longeq_witness_on_perturbed_n16_extension():
 
 
 # ---------------------------------------------------------------------------
+# dense constructions: legs, braidings and tensor-product dimodules
+
+def leg12(op_matrix, mu):
+    return kron(op_matrix, mu)
+
+
+def leg23(op_matrix, mu):
+    return kron(mu, op_matrix)
+
+
+def dense_braiding(ctx, m, n):
+    """m (x) n -> <m_-1|n_-1> R2 . nu^-2(n_0) (x) R1 . mu^-2(m_0)."""
+    nh, nb = ctx.H.dim, ctx.B.dim
+    dm, dn = m.dim, n.dim
+    frow = element_col(ctx.form).transpose()
+    rc = element_col(ctx.R)
+    paired = (kron(frow, kron((m.mu * m.mu).inv(), (n.mu * n.mu).inv()))
+              * permute_output_legs(kron(m.coaction_map, n.coaction_map),
+                                    [nb, dm, nb, dn], [0, 2, 1, 3]))
+    with_r = kron(rc, Matrix.identity(dm * dn)) * paired
+    return (kron(n.action_map, m.action_map)
+            * permute_output_legs(with_r, [nh, nh, dm, dn], [1, 3, 0, 2]))
+
+
+def dense_braiding_inverse(ctx, m, n):
+    """n (x) m -> <S_B^-1(m_-1)|n_-1> S_H(R1) . mu^-2(m_0) (x) R2 . nu^-2(n_0)."""
+    nh, nb = ctx.H.dim, ctx.B.dim
+    dm, dn = m.dim, n.dim
+    frow = (element_col(ctx.form).transpose()
+            * kron(ctx.B.antipode.inv(), Matrix.identity(nb)))
+    rc = element_col(ctx.R)
+    paired = (kron(frow, kron((n.mu * n.mu).inv(), (m.mu * m.mu).inv()))
+              * permute_output_legs(kron(n.coaction_map, m.coaction_map),
+                                    [nb, dn, nb, dm], [2, 0, 1, 3]))
+    with_r = kron(rc, Matrix.identity(dn * dm)) * paired
+    return (kron(m.action_map * kron(ctx.H.antipode, Matrix.identity(dm)), n.action_map)
+            * permute_output_legs(with_r, [nh, nh, dn, dm], [0, 3, 1, 2]))
+
+
+def dense_module_family_braiding(ctx, m, n):
+    """m (x) n -> R2 . nu^-1(n) (x) R1 . mu^-1(m)."""
+    nh = ctx.H.dim
+    rc = element_col(ctx.R)
+    return (kron(n.action_map * kron(Matrix.identity(nh), n.mu.inv()),
+                 m.action_map * kron(Matrix.identity(nh), m.mu.inv()))
+            * permute_output_legs(kron(rc, Matrix.identity(m.dim * n.dim)),
+                                  [nh, nh, m.dim, n.dim], [1, 3, 0, 2]))
+
+
+def dense_comodule_family_braiding(ctx, m, n):
+    """m (x) n -> <m_-1|n_-1> nu^-1(n_0) (x) mu^-1(m_0)."""
+    nb = ctx.B.dim
+    frow = element_col(ctx.form).transpose()
+    return (kron(frow, kron(n.mu.inv(), m.mu.inv()))
+            * permute_output_legs(kron(m.coaction_map, n.coaction_map),
+                                  [nb, m.dim, nb, n.dim], [0, 2, 3, 1]))
+
+
+def dense_tensor_dimodule(m, n):
+    """(action, coaction, mu, basis) of m (x) n, with h.(m (x) n) = h1.m (x) h2.n
+    and rho(m (x) n) = b^-2(m_-1 n_-1) (x) m_0 (x) n_0."""
+    h, b = m.H, n.B
+    nh, nb = h.dim, b.dim
+    d = m.dim * n.dim
+    eye = Matrix.identity(d)
+    act_mat = (kron(m.action_map, n.action_map)
+               * permute_output_legs(kron(h.comult_map, eye),
+                                     [nh, nh, m.dim, n.dim], [0, 2, 1, 3]))
+    co_mat = (kron((b.gamma * b.gamma).inv() * b.mult_map, eye)
+              * permute_output_legs(kron(m.coaction_map, n.coaction_map),
+                                    [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
+    names = tuple("%s⊗%s" % (x, y) for x in m.basis for y in n.basis)
+    return (Tensor3.from_in2_out1(act_mat, nh, d), Tensor3.from_in1_out2(co_mat, nb, d),
+            kron(m.mu, n.mu), names)
+
+
+# ---------------------------------------------------------------------------
 # dense composites of the categorical identities
 
 def dense_morphism_report(m, n, f):
@@ -608,6 +689,70 @@ def triples(draw):
     return ctx, objs
 
 
+@st.composite
+def pairs(draw):
+    """A context and two of its carriers, each perhaps perturbed."""
+    ctx, carriers = _context(draw(st.sampled_from(("kk", "sk"))))
+    return ctx, [draw(perturbed(draw(st.sampled_from(carriers)))) for _ in range(2)]
+
+
+def _assert_braidings_and_tensor_match_dense(ctx, m, n):
+    assert long_braiding(ctx, m, n).matrix == dense_braiding(ctx, m, n)
+    assert long_braiding_inverse(ctx, m, n).matrix == dense_braiding_inverse(ctx, m, n)
+    assert module_family_braiding(ctx, m, n) == dense_module_family_braiding(ctx, m, n)
+    assert comodule_family_braiding(ctx, m, n) == dense_comodule_family_braiding(ctx, m, n)
+    t = tensor_dimodule(m, n)
+    assert (t.action, t.coaction, t.mu, t.basis) == dense_tensor_dimodule(m, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs())
+def test_braidings_and_tensor_product_match_dense_oracle(case):
+    ctx, (m, n) = case
+    _assert_braidings_and_tensor_match_dense(ctx, m, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweedler_pair():
+    """Sweedler's algebra twisted by x -> -x on both sides, with a triangular
+    R and a cotriangular form that are nonzero on x (x) x: R is not
+    symmetric, and S_H (x) id moves R and S_B^-1 moves the form, which the
+    kz2 and group-block contexts cannot show."""
+    sw = fx.sweedler_twisted()
+    h = Fraction(1, 2)
+    r = Matrix([[h, h, 0, 0], [h, -h, 0, 0], [0, 0, h, -h], [0, 0, h, h]])
+    form = Matrix([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]])
+    ctx = BraidingContext(sw, r, sw, form)
+    assert ctx.valid
+    return ctx
+
+
+@st.composite
+def raw_carriers(draw, h, b):
+    """Dimension 1 or 2 with arbitrary small action, coaction and invertible
+    mu over (h, b): not a dimodule in general, which the constructions do
+    not need."""
+    d = draw(st.integers(1, 2))
+    entry = st.sampled_from(SMALL)
+    act = [[[draw(entry) for _ in range(d)] for _ in range(d)] for _ in range(h.dim)]
+    coact = [[[draw(entry) for _ in range(d)] for _ in range(b.dim)] for _ in range(d)]
+    return HomLongDimodule(h, b, d, Tensor3(act), Tensor3(coact),
+                           Matrix(draw(structure_maps(d))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_braidings_and_tensor_product_on_raw_carriers_match_dense_oracle(data):
+    ctx = _sweedler_pair()
+    m, n = (data.draw(raw_carriers(ctx.H, ctx.B)) for _ in range(2))
+    _assert_braidings_and_tensor_match_dense(ctx, m, n)
+    # b^-2 in the tensor coaction needs beta^2 != id: the scaled twist
+    sst = fx.sweedler_scaled_twisted(2)
+    m, n = (data.draw(raw_carriers(sst, sst)) for _ in range(2))
+    t = tensor_dimodule(m, n)
+    assert (t.action, t.coaction, t.mu, t.basis) == dense_tensor_dimodule(m, n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(triples())
 def test_braid_identities_match_dense_oracle(case):
@@ -689,3 +834,35 @@ def test_qybe_witness_with_perturbed_coaction_on_sweedler_cube():
     rep = check_qybe(ctx, can, replace(can, coaction=Tensor3(t)), can)
     assert rep.check("QYBE") == Check("QYBE", False, ("1⊗1", "1⊗g", "1⊗1"))
     assert check_qybe(ctx, can, can, can).ok
+
+
+def test_hexagons_and_coherence_on_sweedler_cube():
+    # the 512-column hexagons, with C_{U,V(x)W} and C_{U(x)V,W} as 512 x 512
+    # braidings, and the coherence report on (U(x)V)(x)W, once as given and
+    # once with a one-entry change of the last carrier's mu; the expected
+    # reports are those of dense_hexagons and dense_coherence on dense
+    # braidings and tensor products, written out because those runs take
+    # 10-50 s each here
+    ctx, (can, _, _) = _context("sk")
+    mu = [list(row) for row in can.mu.data]
+    mu[0][1] += 1
+    bumped = replace(can, mu=Matrix(mu))
+    passed = [("H1", "pass", None), ("H2", "pass", None)]
+    assert _tuples(check_hexagons(ctx, can, can, can)) == (passed, {})
+    assert _tuples(check_hexagons(ctx, can, can, bumped)) == (
+        [("H1", "pass", None), ("H2", "fail", ("1⊗1", "1⊗1", "1⊗g"))], {})
+    # the README triangle finding: mu = alpha (x) beta is not an involution
+    # (the twist scales x by 2), so the triangle fails, while the pentagon
+    # and the associator's morphism checks hold
+    expected = [("naturality-a", "pass", None), ("pentagon", "pass", None),
+                ("triangle", "fail", ("1⊗1", "x⊗1")),
+                ("assoc-H-linear", "pass", None), ("assoc-B-colinear", "pass", None),
+                ("left-unit-H-linear", "fail", ("x", "1⊗1⊗1")),
+                ("left-unit-B-colinear", "pass", None),
+                ("right-unit-H-linear", "fail", ("x", "1⊗1⊗1")),
+                ("right-unit-B-colinear", "pass", None)]
+    flags = {"naturality-morphisms": "identity"}
+    assert _tuples(check_coherence(can, can, can)) == (expected, flags)
+    expected[3:5] = [("assoc-H-linear", "fail", ("g", "1⊗1⊗1⊗1⊗1⊗g")),
+                     ("assoc-B-colinear", "fail", ("1⊗1⊗1⊗1⊗1⊗g",))]
+    assert _tuples(check_coherence(can, can, bumped)) == (expected, flags)
