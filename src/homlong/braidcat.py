@@ -14,12 +14,12 @@ the same way.
 
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, int_columns,
+from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, coproduct_columns,
+                     flip_columns, insert_columns, pair_columns, per_leg, product_columns,
                      sparse_columns, ZERO)
 from .homstruct import tensor_hopf, validate_quasitriangular, validate_coquasitriangular
 from .repmod import YetterDrinfeldModule, yd_prebraiding
 from .longdimod import (HomLongDimodule, MismatchedBase, associator_legs, base_parts,
-                        coproduct_columns, flip_columns, per_leg, product_columns,
                         tensor_dimodule, dimodule_morphism_report)
 from .report import AxiomReport, composites_equal_report, matrices_equal_report
 
@@ -128,16 +128,14 @@ def _paired(form, nb, m, n):
     return [(coproduct_columns(m.coaction), (0,), (nb, m.dim)),
             (coproduct_columns(n.coaction), (2,), (nb, n.dim)),
             (flip_columns(m.dim, nb), (1, 2), (nb, m.dim)),
-            (int_columns([x] for row in form.data for x in row), (0, 1), ())]
+            (pair_columns(x for row in form.data for x in row), (0, 1), ())]
 
 
 def _acted(r, nh, m, n):
     """Steps from M (x) N to N (x) M: m (x) n -> r2 . n (x) r1 . m for the
     element r = sum r[i][j] e_i (x) e_j of H (x) H."""
     dm, dn = m.dim, n.dim
-    rcol, scale = int_columns([[x for row in r.data for x in row]])
-    put_r = [[(k * dm + o, x) for k, x in rcol[0]] for o in range(dm)], scale
-    return [(put_r, (0,), (nh, nh, dm)),
+    return [(insert_columns([x for row in r.data for x in row], dm), (0,), (nh, nh, dm)),
             (flip_columns(nh, dm), (1, 2), (dm, nh)),
             (product_columns(m.action), (0, 1), (dm,)),
             (product_columns(n.action), (1, 2), (dn,)),

@@ -8,12 +8,13 @@ bases are ordered lexicographically, first factor major:
 (i, j) -> i * dim_second + j.
 
 Identities between composites of maps on tensor legs are decided without
-forming the composites: apply_on_legs applies one small map, given by its
-sparse int-scaled columns, to some legs of a sparse vector (a dict from flat
-index to coefficient), and first_differing_column runs both sides on one
-basis vector at a time.  composite_matrix runs one composite the same way
-to build its matrix, so structure maps such as a braiding are never
-assembled from Kronecker products of whole carriers.
+forming the composites.  A step applies a small map, as sparse int-scaled
+columns (product_columns, coproduct_columns, per_leg, flip_columns,
+insert_columns, pair_columns), to consecutive legs of a sparse vector.  A
+composite is planned once, then run one basis vector at a time:
+first_differing_column compares two composites column by column and
+composite_matrix builds the matrix of one, so no structure map is assembled
+from Kronecker products of whole carriers.
 """
 
 import math
@@ -460,57 +461,85 @@ def int_columns(columns):
 
 def sparse_columns(m):
     """The columns of the Matrix m as int_columns gives them."""
-    return int_columns(zip(*m.data))
+    return int_columns(_columns(m))
 
 
-def apply_on_legs(map_cols, legs, dims, vec, out_dims=None):
-    """Apply a map to the consecutive tensor legs `legs` of a sparse vector.
+def product_columns(t):
+    """The columns (i, j) -> sum_k t[i][j][k] e_k of a product-like Tensor3
+    (a multiplication or an action), as int_columns."""
+    return int_columns(row for plane in t.data for row in plane)
 
-    vec maps flat indices on the legs dims to coefficients.  map_cols[k]
-    lists the (row, value) pairs of the map's column k, where k is the flat
-    index on the input legs and row the flat index on the output legs
-    out_dims (by default the input legs' dims; a map may also change the
-    number of legs).  Returns the image on the legs
-    dims[:legs[0]] + out_dims + dims[legs[-1] + 1:], with zero values
-    dropped.
-    """
-    first, stop = legs[0], legs[-1] + 1
-    if tuple(legs) != tuple(range(first, stop)) or stop > len(dims):
-        raise DimensionMismatch("legs %r of %r are not consecutive legs" % (legs, dims))
-    blk_in = math.prod(dims[first:stop])
-    if len(map_cols) != blk_in:
-        raise DimensionMismatch("map with %d columns on legs of dim %d"
-                                % (len(map_cols), blk_in))
-    blk_out = blk_in if out_dims is None else math.prod(out_dims)
-    suf = math.prod(dims[stop:])
-    out = {}
-    for idx, x in vec.items():
-        p, rest = divmod(idx, blk_in * suf)
-        k, s = divmod(rest, suf)
-        base = p * blk_out
-        for r, y in map_cols[k]:
-            key = (base + r) * suf + s
-            out[key] = out.get(key, 0) + x * y
-    return {key: x for key, x in out.items() if x}
+
+def coproduct_columns(t):
+    """The columns i -> sum_jk t[i][j][k] e_j (x) e_k of a coproduct-like
+    Tensor3 (a comultiplication or a coaction), as int_columns."""
+    return int_columns([x for row in plane for x in row] for plane in t.data)
+
+
+def per_leg(*maps):
+    """Steps applying maps[k] to leg k: the tensor product of the maps."""
+    return [(sparse_columns(f), (k,), None) for k, f in enumerate(maps)]
+
+
+def flip_columns(d0, d1):
+    """The swap X (x) Y -> Y (x) X of legs of dims d0, d1; as a step its
+    out_dims are (d1, d0)."""
+    return [[(j * d0 + i, 1)] for i in range(d0) for j in range(d1)], 1
+
+
+def insert_columns(element, d):
+    """x -> element (x) x on a leg of dim d, for an element's flat coordinates
+    (a unit, or R); as a step its out_dims are the element's legs, then d."""
+    (col,), scale = int_columns([element])
+    return [[(k * d + o, x) for k, x in col] for o in range(d)], scale
+
+
+def pair_columns(covector):
+    """The pairing with a covector given by its flat coordinates (a counit,
+    or a form); as a step its out_dims are ()."""
+    return int_columns([x] for x in covector)
 
 
 def _plan(steps, dims):
-    """The apply_on_legs calls of a composite on the legs dims, each with
-    the legs it starts from, and the legs the composite lands in."""
-    plan, d = [], tuple(dims)
-    for (cols, _), legs, out in steps:
-        plan.append((cols, legs, d, out))
-        if out is not None:
-            d = d[:legs[0]] + tuple(out) + d[legs[-1] + 1:]
-    return plan, d
+    """Check a composite's legs and column counts on the legs dims once:
+    (plan, out_dims, product of the scales), a planned step being (cols,
+    blk_in * suf, suf, blk_out * suf) for its block, the legs after it and its image."""
+    plan, d, scale = [], tuple(dims), 1
+    for (cols, sc), legs, out in steps:
+        first, stop = legs[0], legs[-1] + 1
+        blk_in, suf = math.prod(d[first:stop]), math.prod(d[stop:])
+        if tuple(legs) != tuple(range(first, stop)) or stop > len(d) or len(cols) != blk_in:
+            raise DimensionMismatch("map with %d columns on legs %r of %r" % (len(cols), legs, d))
+        out = d[first:stop] if out is None else tuple(out)
+        plan.append((cols, blk_in * suf, suf, math.prod(out) * suf))
+        d, scale = d[:first] + out + d[stop:], scale * sc
+    return plan, d, scale
 
 
-def _run(plan, j, start):
-    """The image of start times the basis vector e_j under a planned composite."""
-    vec = {j: start}
-    for cols, legs, d, out in plan:
-        vec = apply_on_legs(cols, legs, d, vec, out)
+def _run(plan, vec):
+    """The image of a sparse vector under a planned composite, with zero
+    values dropped after every step."""
+    for cols, span, suf, span_out in plan:
+        out = {}
+        get = out.get
+        for idx, x in vec.items():
+            p, rest = divmod(idx, span)
+            k, s = divmod(rest, suf)
+            base = p * span_out + s
+            for r, y in cols[k]:
+                key = base + r * suf
+                out[key] = get(key, 0) + x * y
+        vec = {key: x for key, x in out.items() if x}
     return vec
+
+
+def apply_on_legs(map_cols, legs, dims, vec, out_dims=None):
+    """Apply a map, as int columns landing in the legs out_dims (by default
+    its input legs), to the consecutive legs `legs` of a sparse vector (a
+    dict from flat index on the legs dims to coefficient): the image on
+    dims[:legs[0]] + out_dims + dims[legs[-1] + 1:], zero values dropped."""
+    plan, _, _ = _plan([((map_cols, 1), legs, out_dims)], dims)
+    return _run(plan, vec)
 
 
 def first_differing_column(lhs, rhs, dims):
@@ -518,36 +547,29 @@ def first_differing_column(lhs, rhs, dims):
     order, on which two composites differ; None when they are equal.
 
     A composite is a sequence of steps (map, legs, out_dims), applied in
-    order, so its rightmost factor comes first; map is (cols, scale) as
-    sparse_columns gives it, and each step is one apply_on_legs call.  The
-    two sides are evaluated on one basis vector at a time, never as
-    matrices.  A side computed on int columns is its true value times the
-    product of its scales, so each side starts from the other side's
-    product and the two are compared as they are.
-    """
-    (lplan, ld), (rplan, rd) = _plan(lhs, dims), _plan(rhs, dims)
+    order; map is (cols, scale) as sparse_columns gives it.  Both are
+    planned, and so checked, before any column is run.  A side run on int
+    columns is its true value times its scales, so each side starts from
+    the other side's product."""
+    (lplan, ld, lscale), (rplan, rd, rscale) = _plan(lhs, dims), _plan(rhs, dims)
     if math.prod(ld) != math.prod(rd):
         raise DimensionMismatch("composites land in dims %d and %d"
                                 % (math.prod(ld), math.prod(rd)))
-    lstart = math.prod(m[1] for m, _, _ in rhs)
-    rstart = math.prod(m[1] for m, _, _ in lhs)
     for j in range(math.prod(dims)):
-        if _run(lplan, j, lstart) != _run(rplan, j, rstart):
+        if _run(lplan, {j: rscale}) != _run(rplan, {j: lscale}):
             return unflat_index(j, dims)
     return None
 
 
 def composite_matrix(steps, dims):
-    """The Matrix of a composite of steps (map, legs, out_dims), in the
-    format first_differing_column takes, on the tensor legs dims.  Each
-    column is computed on int columns, one basis vector at a time, and
+    """The Matrix on the tensor legs dims of a composite of steps, as
+    first_differing_column takes them: each column run on int columns and
     divided by the product of the scales once."""
-    plan, out_dims = _plan(steps, dims)
-    scale = math.prod(m[1] for m, _, _ in steps)
+    plan, out_dims, scale = _plan(steps, dims)
     rows, cols = math.prod(out_dims), math.prod(dims)
     out = [[ZERO] * cols for _ in range(rows)]
     for j in range(cols):
-        for r, x in _run(plan, j, 1).items():
+        for r, x in _run(plan, {j: 1}).items():
             out[r][j] = Fraction(x, scale)
     return Matrix.trusted(map(tuple, out), rows, cols)
 

@@ -10,11 +10,12 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, kron, kron_all,
-                     int_columns, permute_output_legs, sparse_columns, ZERO, ONE)
+from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, coproduct_columns,
+                     flip_columns, kron, kron_all, per_leg, product_columns, sparse_columns,
+                     ZERO, ONE)
 from .homstruct import HomAlgebra, HomBialgebra, dual_hopf, opposite_algebra
 from .repmod import HomModule, HomComodule, validate_hom_module, validate_hom_comodule
-from .report import AxiomReport, composites_equal_report, matrices_equal_report
+from .report import AxiomReport, composites_equal_report
 
 
 class MismatchedBase(Exception):
@@ -83,13 +84,14 @@ def validate_long_dimodule(d):
     rep = AxiomReport()
     rep.extend(validate_hom_module(h.algebra, d.module_part()), "module:")
     rep.extend(validate_hom_comodule(b.coalgebra, d.comodule_part()), "comodule:")
-    am, co = d.action_map, d.coaction_map
-    lhs = co * am
-    rhs = (kron(b.gamma, am * kron(h.gamma, Matrix.identity(d.dim)))
-           * permute_output_legs(kron(Matrix.identity(h.dim), co),
-                                 [h.dim, b.dim, d.dim], [1, 0, 2]))
-    matrices_equal_report(rep, "compat-2.1", lhs, rhs, (h.dim, d.dim),
-                          (h.basis, d.basis))
+    act, co = product_columns(d.action), coproduct_columns(d.coaction)
+    nh, nb, to_d, to_bd = h.dim, b.dim, (d.dim,), (b.dim, d.dim)
+    composites_equal_report(rep, "compat-2.1",
+                            [(act, (0, 1), to_d), (co, (0,), to_bd)],
+                            [(co, (1,), to_bd), (flip_columns(nh, nb), (0, 1), (nb, nh)),
+                             (sparse_columns(b.gamma), (0,), None),
+                             (sparse_columns(h.gamma), (1,), None), (act, (1, 2), to_d)],
+                            (nh, d.dim), (h.basis, d.basis))
     return rep
 
 
@@ -195,29 +197,6 @@ def associator_legs(u, w, inverse=False):
 def monoidal_constraints(u, v, w):
     """The associator for (u, v, w) and the unit constraints of v."""
     return {"assoc": associator(u, v, w), "left_unit": v.mu, "right_unit": v.mu}
-
-
-def product_columns(t):
-    """The columns (i, j) -> sum_k t[i][j][k] e_k of a product-like Tensor3
-    (a multiplication or an action), as int_columns."""
-    return int_columns(row for plane in t.data for row in plane)
-
-
-def coproduct_columns(t):
-    """The columns i -> sum_jk t[i][j][k] e_j (x) e_k of a coproduct-like
-    Tensor3 (a comultiplication or a coaction), as int_columns."""
-    return int_columns([x for row in plane for x in row] for plane in t.data)
-
-
-def per_leg(*maps):
-    """Steps applying maps[k] to leg k: the tensor product of the maps."""
-    return [(sparse_columns(f), (k,), None) for k, f in enumerate(maps)]
-
-
-def flip_columns(d0, d1):
-    """The swap X (x) Y -> Y (x) X of legs of dims d0, d1, as int_columns;
-    as a step on two legs its out_dims are (d1, d0)."""
-    return [[(j * d0 + i, 1)] for i in range(d0) for j in range(d1)], 1
 
 
 def dimodule_morphism_report(m, n, f):

@@ -4,13 +4,17 @@ Carriers are described by structure constants: action[h][i][j] is the
 coefficient of m_j in e_h . m_i, coaction[i][a][j] the coefficient of
 b_a (x) m_j in rho(m_i).  The compatibility condition and its Hopf-case
 reformulation are both checked; the reformulation is a cross-check only.
+Every identity is a pair of composites of leg steps (see linalg, where the
+step helpers live), compared one basis column at a time.
 """
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Tensor3, DimensionMismatch, kron, permute_output_legs
+from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, coproduct_columns,
+                     flip_columns, insert_columns, pair_columns, product_columns,
+                     sparse_columns)
 from .homstruct import HomAlgebra, HomCoalgebra, HomBialgebra
-from .report import AxiomReport, matrices_equal_report
+from .report import AxiomReport, composites_equal_report
 
 
 @dataclass(frozen=True)
@@ -89,100 +93,97 @@ class YetterDrinfeldModule:
 
 def validate_hom_module(a, m):
     """Check nu-invertible, HM1 (nu(h.m) = alpha(h).nu(m)) and HM2
-    (twisted associativity and the unit acting as nu)."""
+    (twisted associativity and the unit acting as nu), column by column."""
     if m.action.dims != (a.dim, m.dim, m.dim):
         raise DimensionMismatch("module over dim-%d algebra has action dims %r"
                                 % (a.dim, m.action.dims))
     rep = AxiomReport()
     rep.add("nu-invertible", m.nu.det() != 0)
-    am, nu, al, mm = m.action_map, m.nu, a.alpha, a.mult_map
-    eye_m = Matrix.identity(m.dim)
-    hn, mn = a.basis, m.basis
-    matrices_equal_report(rep, "HM1", nu * am, am * kron(al, nu),
-                          (a.dim, m.dim), (hn, mn))
-    matrices_equal_report(rep, "HM2-assoc",
-                          am * kron(al, am), am * kron(mm, nu),
-                          (a.dim, a.dim, m.dim), (hn, hn, mn))
-    matrices_equal_report(rep, "HM2-unit", am * kron(a.unit_col, eye_m), nu,
-                          (m.dim,), (mn,))
+    act, nu, al = product_columns(m.action), sparse_columns(m.nu), sparse_columns(a.alpha)
+    to_m, hn, mn = (m.dim,), a.basis, m.basis
+    composites_equal_report(rep, "HM1", [(act, (0, 1), to_m), (nu, (0,), None)],
+                            [(al, (0,), None), (nu, (1,), None), (act, (0, 1), to_m)],
+                            (a.dim, m.dim), (hn, mn))
+    composites_equal_report(rep, "HM2-assoc",
+                            [(act, (1, 2), to_m), (al, (0,), None), (act, (0, 1), to_m)],
+                            [(product_columns(a.mult), (0, 1), (a.dim,)), (nu, (1,), None),
+                             (act, (0, 1), to_m)],
+                            (a.dim, a.dim, m.dim), (hn, hn, mn))
+    composites_equal_report(rep, "HM2-unit",
+                            [(insert_columns(a.unit, m.dim), (0,), (a.dim, m.dim)),
+                             (act, (0, 1), to_m)],
+                            [(nu, (0,), None)], to_m, (mn,))
     return rep
 
 
 def validate_hom_comodule(c, m):
     """Check mu-invertible, HCM1 (mu-compatibility and counit law) and HCM2
-    (twisted coassociativity of the coaction)."""
+    (twisted coassociativity of the coaction), column by column."""
     if m.coaction.dims != (m.dim, c.dim, m.dim):
         raise DimensionMismatch("comodule over dim-%d coalgebra has coaction dims %r"
                                 % (c.dim, m.coaction.dims))
     rep = AxiomReport()
     rep.add("mu-invertible", m.mu.det() != 0)
-    co, mu, be, cm = m.coaction_map, m.mu, c.beta, c.comult_map
-    eye_m = Matrix.identity(m.dim)
-    mn = m.basis
-    matrices_equal_report(rep, "HCM1-a", co * mu, kron(be, mu) * co,
-                          (m.dim,), (mn,))
-    matrices_equal_report(rep, "HCM1-b", kron(c.counit_row, eye_m) * co, mu,
-                          (m.dim,), (mn,))
-    matrices_equal_report(rep, "HCM2",
-                          kron(be, co) * co, kron(cm, mu) * co,
-                          (m.dim,), (mn,))
+    co, mu, be = coproduct_columns(m.coaction), sparse_columns(m.mu), sparse_columns(c.beta)
+    to_cm, names = (c.dim, m.dim), (m.basis,)
+    composites_equal_report(rep, "HCM1-a", [(mu, (0,), None), (co, (0,), to_cm)],
+                            [(co, (0,), to_cm), (be, (0,), None), (mu, (1,), None)],
+                            (m.dim,), names)
+    composites_equal_report(rep, "HCM1-b",
+                            [(co, (0,), to_cm), (pair_columns(c.counit), (0,), ())],
+                            [(mu, (0,), None)], (m.dim,), names)
+    composites_equal_report(rep, "HCM2",
+                            [(co, (0,), to_cm), (be, (0,), None), (co, (1,), to_cm)],
+                            [(co, (0,), to_cm),
+                             (coproduct_columns(c.comult), (0,), (c.dim, c.dim)),
+                             (mu, (2,), None)],
+                            (m.dim,), names)
     return rep
 
 
 def check_yd(h, m):
-    """Compatibility of action and coaction over one Hom-bialgebra.
+    """Compatibility of action and coaction over one Hom-bialgebra, column
+    by column: (HYD); with an antipode also the reformulation (HYD)' and a
+    flag recording that both verdicts agree."""
+    n, d, be, rep = h.dim, m.dim, h.gamma, AxiomReport()
+    act, co = product_columns(m.action), coproduct_columns(m.coaction)
+    mult, comult = product_columns(h.mult), coproduct_columns(h.comult)
+    b1, b2, b3 = (sparse_columns(be ** k) for k in (1, 2, 3))
+    to_h, to_m, to_hh, to_hm = (n,), (d,), (n, n), (n, d)
 
-    Checks (HYD); with an antipode available also the reformulation (HYD)'
-    and a consistency flag recording that both verdicts agree.
-    """
-    n = h.dim
-    d = m.dim
-    am = m.action.flatten_in2_out1()
-    co = m.coaction.flatten_in1_out2()
-    nu = m.structure_map
-    be = h.gamma
-    mm, cm = h.mult_map, h.comult_map
-    eye_h, eye_m = Matrix.identity(n), Matrix.identity(d)
-    rep = AxiomReport()
-
-    be2 = be * be
-    be3 = be2 * be
-
-    # h1 b(m-1) (x) b^3(h2) . m0
-    lhs = (kron(mm * kron(eye_h, be), am * kron(be3, eye_m))
-           * permute_output_legs(kron(cm, co), [n, n, n, d], [0, 2, 1, 3]))
+    # h1 b(m-1) (x) b^3(h2) . m0: split h and m, bring m-1 next to h1
+    lhs = [(comult, (0,), to_hh), (co, (2,), to_hm), (flip_columns(n, n), (1, 2), None),
+           (b1, (1,), None), (mult, (0, 1), to_h), (b3, (1,), None), (act, (1, 2), to_m)]
     # w = b^2(h1) . m ; w-1 h2 (x) w0
-    act_b2 = am * kron(be2, eye_m)
-    step = kron(act_b2, eye_h) * permute_output_legs(kron(cm, eye_m), [n, n, d], [0, 2, 1])
-    rhs = (kron(mm, eye_m)
-           * permute_output_legs(kron(co, eye_h) * step, [n, d, n], [0, 2, 1]))
-    matrices_equal_report(rep, "HYD", lhs, rhs, (n, d), (h.basis, m.basis))
+    rhs = [(comult, (0,), to_hh), (flip_columns(n, d), (1, 2), (d, n)), (b2, (0,), None),
+           (act, (0, 1), to_m), (co, (0,), to_hm), (flip_columns(d, n), (1, 2), (n, d)),
+           (mult, (0, 1), to_h)]
+    composites_equal_report(rep, "HYD", lhs, rhs, (n, d), (h.basis, m.basis))
 
     if h.antipode is not None:
-        s = h.antipode
-        be4 = be3 * be
-        b2i = (be * be).inv()
-        lhs2 = co * am * kron(be4, eye_m)
-        split = kron(kron(cm, eye_h) * cm, co)       # [h11, h12, h2, m-1, m0]
-        g1 = mm * kron(b2i * mm * kron(eye_h, be), s)  # [h11, m-1, h2] -> H
-        g2 = am * kron(be3, eye_m)                     # [h12, m0] -> M
-        rhs2 = kron(g1, g2) * permute_output_legs(split, [n, n, n, n, d], [0, 3, 2, 1, 4])
-        matrices_equal_report(rep, "HYD-prime", lhs2, rhs2, (n, d), (h.basis, m.basis))
+        # co(b^4(h) . m) against (b^-2(h11 b(m-1)) S(h2)) (x) b^3(h12) . m0
+        lhs2 = [(sparse_columns(be ** 4), (0,), None), (act, (0, 1), to_m), (co, (0,), to_hm)]
+        rhs2 = [(comult, (0,), to_hh), (flip_columns(n, d), (1, 2), (d, n)),
+                (co, (1,), to_hm), (comult, (0,), to_hh), (flip_columns(n, n), (1, 2), None),
+                (b3, (2,), None), (act, (2, 3), to_m), (flip_columns(d, n), (2, 3), (n, d)),
+                (b1, (1,), None), (mult, (0, 1), to_h),
+                (sparse_columns((be * be).inv()), (0,), None),
+                (sparse_columns(h.antipode), (1,), None), (mult, (0, 1), to_h)]
+        composites_equal_report(rep, "HYD-prime", lhs2, rhs2, (n, d), (h.basis, m.basis))
         rep.set_flag("hyd-consistent", rep.passed("HYD") == rep.passed("HYD-prime"))
     return rep
 
 
 def yd_prebraiding(m, n):
     """Matrix of the pre-braiding M (x) N -> N (x) M,
-    m (x) n -> b^2(m-1) . nu^-1(n) (x) mu^-1(m0), on lexicographic bases."""
+    m (x) n -> b^2(m-1) . nu^-1(n) (x) mu^-1(m0), one column at a time."""
     if m.over != n.over:
         raise DimensionMismatch("pre-braiding of modules over different bialgebras")
-    hb = m.over
-    nh = hb.dim
-    be2 = hb.gamma * hb.gamma
-    act_n = n.action.flatten_in2_out1()
-    g = act_n * kron(be2, n.structure_map.inv())
-    return (kron(g, m.structure_map.inv())
-            * permute_output_legs(kron(m.coaction.flatten_in1_out2(),
-                                       Matrix.identity(n.dim)),
-                                  [nh, m.dim, n.dim], [0, 2, 1]))
+    nh = m.over.dim
+    steps = [(coproduct_columns(m.coaction), (0,), (nh, m.dim)),
+             (flip_columns(m.dim, n.dim), (1, 2), (n.dim, m.dim)),
+             (sparse_columns(m.over.gamma ** 2), (0,), None),
+             (sparse_columns(n.structure_map.inv()), (1,), None),
+             (product_columns(n.action), (0, 1), (n.dim,)),
+             (sparse_columns(m.structure_map.inv()), (1,), None)]
+    return composite_matrix(steps, (m.dim, n.dim))

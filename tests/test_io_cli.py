@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from homlong import fixtures as fx
 from homlong import io as hio
 from homlong.cli import REQUIRED, main
 from homlong.io import FileFormatError
-from homlong.linalg import Matrix, flip_matrix
+from homlong.linalg import Matrix, flip_matrix, scalar, scalar_to_json
 from homlong.longdimod import canonical_dimodule
 from homlong.longeq import HAlphaLongDimodule, OperatorOnTensorSquare
 
@@ -443,3 +444,37 @@ def test_demo_files_build_and_braid_reports_match_snapshot(tmp_path, monkeypatch
     assert sorted(got) == sorted(expected)
     for key in expected:
         assert got[key] == expected[key], key
+
+
+PERTURBED_FILES = ("canonical.json", "sign.json", "halpha.json")
+
+
+def perturbed_validate_reports(capsys):
+    """{"<file> <part> <seed>": {"exit_code", "report"}} of validate, run in the
+    current directory on copies of the demo carriers with one entry of the
+    action, coaction or mu changed by a nonzero amount, for seeds 0-3."""
+    out = {}
+    for name in PERTURBED_FILES:
+        for part in ("action", "coaction", "mu"):
+            for seed in range(4):
+                rng = random.Random(seed)
+                obj = json.loads((DEMO_FILES / name).read_text())
+                entry, key = obj, part
+                while isinstance(entry[key], list):
+                    entry, key = entry[key], rng.randrange(len(entry[key]))
+                entry[key] = scalar_to_json(scalar(entry[key]) + rng.choice((-2, -1, 1, 2)))
+                path = "%s-%s-%d.json" % (name[:-5], part, seed)
+                hio.dump_json(obj, path)
+                code = main(["--format", "json", "validate", path])
+                out["%s %s %d" % (name, part, seed)] = {
+                    "exit_code": code, "report": json.loads(capsys.readouterr().out)}
+    return out
+
+
+def test_perturbed_demo_carriers_validate_reports_match_snapshot(tmp_path, monkeypatch,
+                                                                 capsys):
+    expected = (pathlib.Path(__file__).resolve().parent / "data"
+                / "demo_validate_perturbed.json").read_text()
+    monkeypatch.chdir(tmp_path)
+    got = perturbed_validate_reports(capsys)
+    assert json.dumps(got, indent=2, sort_keys=True) + "\n" == expected

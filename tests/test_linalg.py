@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
                             SingularMatrix, apply3, apply_on_legs, composite_matrix,
                             first_differing_column,
-                            flat_index, unflat_index, flip_matrix, kron, kron_all,
-                            perm_matrix, scalar, scalar_to_json, solve_exact,
-                            sparse_columns)
+                            flat_index, unflat_index, flip_matrix, insert_columns, kron,
+                            kron_all, pair_columns, perm_matrix, scalar, scalar_to_json,
+                            solve_exact, sparse_columns)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -234,3 +234,41 @@ def test_composite_matrix_matches_kron_all(data):
     got = composite_matrix(steps, dims)
     assert (got.rows, got.cols) == (expected.rows, expected.cols)
     assert got == expected
+
+
+class _Unread(list):
+    """Columns whose every read fails the test."""
+
+    def __getitem__(self, k):
+        raise AssertionError("column %r read before the composite was checked" % (k,))
+
+
+@pytest.mark.parametrize("bad", [
+    (sparse_columns(Matrix.identity(2)), (0, 2), None),     # legs not consecutive
+    (sparse_columns(Matrix.identity(2)), (1,), None),       # 2 columns on a dim-3 leg
+])
+def test_composites_are_checked_before_any_column_runs(bad):
+    # the first step is valid but may not be read: a bad later step must be
+    # refused while the composite is planned, not when a column reaches it
+    cols, scale = sparse_columns(Matrix.identity(2))
+    good = ((_Unread(cols), scale), (0,), None)
+    dims = (2, 3, 1)
+    with pytest.raises(DimensionMismatch):
+        first_differing_column([good, bad], [], dims)
+    with pytest.raises(DimensionMismatch):
+        first_differing_column([], [good, bad], dims)
+    with pytest.raises(DimensionMismatch):
+        composite_matrix([good, bad], dims)
+
+
+def test_insert_and_pair_columns_match_kron():
+    u = Vector([1, Fraction(1, 2), 0])
+    assert (composite_matrix([(insert_columns(u, 2), (0,), (3, 2))], (2,))
+            == kron(u.as_column(), Matrix.identity(2)))
+    f = Vector([2, 0, Fraction(-1, 3)])
+    assert (composite_matrix([(pair_columns(f), (1,), ())], (2, 3))
+            == kron(Matrix.identity(2), f.as_row()))
+
+
+def test_sparse_columns_of_a_matrix_without_rows():
+    assert sparse_columns(Matrix([], rows=0, cols=3)) == ([[], [], []], 1)

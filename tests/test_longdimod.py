@@ -280,3 +280,12 @@ def test_round_trip_preserves_morphisms(kz2, dimodules):
     lhs = f * n.action_map
     rhs = n.action_map * Matrix.identity(n.over.dim).kron(f)
     assert lhs == rhs
+
+
+def test_zero_dimensional_dimodule_validates_and_snakes(kz2):
+    # coev of the zero carrier is a 0 x 1 matrix: one column, no entries
+    z = HomLongDimodule(kz2, kz2, 0, Tensor3.zeros(2, 0, 0), Tensor3.zeros(0, 2, 0),
+                        Matrix([], rows=0, cols=0))
+    assert validate_long_dimodule(z).ok
+    for dual in (left_dual(z), right_dual(z)):
+        assert check_snake(z, dual).ok

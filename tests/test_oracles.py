@@ -4,9 +4,10 @@ The elementwise oracles recompute the library's operators by summing over
 structure constants with explicit loops, so a bookkeeping error in either
 route would make them disagree.  The library builds the braidings and the
 tensor-product dimodules one basis column at a time on tensor legs, and
-checks categorical identities the same way; the dense oracles build the
-same maps from Kronecker products and leg permutations and compose the
-identities as full matrices, associators and their inverses included.
+checks categorical identities and the module, comodule, Yetter-Drinfeld
+and dimodule axioms the same way; the dense oracles build the same maps
+from Kronecker products and leg permutations and compose the identities as
+full matrices, associators and their inverses included.
 """
 
 import functools
@@ -21,20 +22,21 @@ from hypothesis import assume, given, settings, strategies as st
 from homlong import fixtures as fx
 from homlong.braidcat import (BraidingContext, DimoduleMorphism, NotAMorphism,
                               check_hexagons, check_naturality, check_qybe,
-                              check_symmetry, comodule_family_braiding, long_braiding,
-                              long_braiding_inverse, module_family_braiding)
-from homlong.homstruct import element_col
+                              check_symmetry, comodule_family_braiding, hb_yd_structure,
+                              long_braiding, long_braiding_inverse, module_family_braiding)
+from homlong.homstruct import element_col, tensor_hopf
 from homlong.linalg import (Matrix, Tensor3, ZERO, flip_matrix, kron, kron_all, perm_matrix,
                             permute_output_legs)
 from homlong.longdimod import (HomLongDimodule, associator, canonical_dimodule,
                                check_coherence, check_snake, dimodule_morphism_report, left_dual,
                                right_dual, tensor_dimodule, trivial_dimodule,
-                               unit_dimodule)
+                               unit_dimodule, validate_long_dimodule)
 from homlong.longeq import (OperatorOnTensorSquare, check_long_equation,
                             coordinate_criterion, dimodule_solution, module_extension,
                             search_solutions, tau_transforms)
 from homlong.report import AxiomReport, Check, matrices_equal_report
-from homlong.repmod import YetterDrinfeldModule, check_yd
+from homlong.repmod import (YetterDrinfeldModule, check_yd, validate_hom_comodule,
+                            validate_hom_module, yd_prebraiding)
 
 
 def braiding_elementwise(ctx, m, n):
@@ -502,12 +504,17 @@ def dense_morphism_report(m, n, f):
     return rep
 
 
+def dense_tensor(m, n):
+    """dense_tensor_dimodule(m, n) as a dimodule."""
+    return HomLongDimodule(m.H, m.B, m.dim * n.dim, *dense_tensor_dimodule(m, n))
+
+
 def dense_naturality(ctx, f, g):
     for mor in (f, g):
         if not dense_morphism_report(mor.source, mor.target, mor.matrix).ok:
             raise NotAMorphism("not a morphism")
-    c_src = long_braiding(ctx, f.source, g.source).matrix
-    c_tgt = long_braiding(ctx, f.target, g.target).matrix
+    c_src = dense_braiding(ctx, f.source, g.source)
+    c_tgt = dense_braiding(ctx, f.target, g.target)
     lhs = kron(g.matrix, f.matrix) * c_src
     rhs = c_tgt * kron(f.matrix, g.matrix)
     return matrices_equal_report(AxiomReport(), "naturality", lhs, rhs,
@@ -517,18 +524,18 @@ def dense_naturality(ctx, f, g):
 
 def dense_hexagons(ctx, u, v, w):
     rep = AxiomReport()
-    uv = tensor_dimodule(u, v)
-    vw = tensor_dimodule(v, w)
-    c_uv = long_braiding(ctx, u, v).matrix
-    c_uw = long_braiding(ctx, u, w).matrix
-    c_vw = long_braiding(ctx, v, w).matrix
+    uv = dense_tensor(u, v)
+    vw = dense_tensor(v, w)
+    c_uv = dense_braiding(ctx, u, v)
+    c_uw = dense_braiding(ctx, u, w)
+    c_vw = dense_braiding(ctx, v, w)
     eye_u, eye_v, eye_w = (Matrix.identity(t.dim) for t in (u, v, w))
-    lhs1 = associator(v, w, u) * long_braiding(ctx, u, vw).matrix * associator(u, v, w)
+    lhs1 = associator(v, w, u) * dense_braiding(ctx, u, vw) * associator(u, v, w)
     rhs1 = kron(eye_v, c_uw) * associator(v, u, w) * kron(c_uv, eye_w)
     matrices_equal_report(rep, "H1", lhs1, rhs1, (u.dim, v.dim, w.dim),
                           (u.basis, v.basis, w.basis))
     lhs2 = (associator(w, u, v).inv()
-            * long_braiding(ctx, uv, w).matrix
+            * dense_braiding(ctx, uv, w)
             * associator(u, v, w).inv())
     rhs2 = kron(c_uw, eye_v) * associator(u, w, v).inv() * kron(eye_u, c_vw)
     matrices_equal_report(rep, "H2", lhs2, rhs2, (u.dim, v.dim, w.dim),
@@ -537,9 +544,9 @@ def dense_hexagons(ctx, u, v, w):
 
 
 def dense_qybe(ctx, u, v, w):
-    c_uv = long_braiding(ctx, u, v).matrix
-    c_uw = long_braiding(ctx, u, w).matrix
-    c_vw = long_braiding(ctx, v, w).matrix
+    c_uv = dense_braiding(ctx, u, v)
+    c_uw = dense_braiding(ctx, u, w)
+    c_vw = dense_braiding(ctx, v, w)
     eye_u, eye_v, eye_w = (Matrix.identity(t.dim) for t in (u, v, w))
     lhs = (kron(eye_w, c_uv) * associator(w, u, v) * kron(c_uw, eye_v)
            * associator(u, w, v).inv() * kron(eye_u, c_vw) * associator(u, v, w))
@@ -550,8 +557,8 @@ def dense_qybe(ctx, u, v, w):
 
 
 def dense_symmetry(ctx, m, n):
-    back = long_braiding(ctx, n, m).matrix
-    forth = long_braiding(ctx, m, n).matrix
+    back = dense_braiding(ctx, n, m)
+    forth = dense_braiding(ctx, m, n)
     return matrices_equal_report(AxiomReport(), "symmetry", back * forth,
                                  Matrix.identity(m.dim * n.dim),
                                  (m.dim, n.dim), (m.basis, n.basis))
@@ -570,7 +577,7 @@ def dense_coherence(u, v, w, x):
     fgh = kron_all(f, g, h)
     matrices_equal_report(rep, "naturality-a", a_uvw * fgh, fgh * a_uvw,
                           (u.dim, v.dim, w.dim), (u.basis, v.basis, w.basis))
-    uv, vw, wx = tensor_dimodule(u, v), tensor_dimodule(v, w), tensor_dimodule(w, x)
+    uv, vw, wx = dense_tensor(u, v), dense_tensor(v, w), dense_tensor(w, x)
     path1 = associator(u, v, wx) * associator(uv, w, x)
     path2 = (kron(Matrix.identity(u.dim), associator(v, w, x))
              * associator(u, vw, x)
@@ -582,9 +589,9 @@ def dense_coherence(u, v, w, x):
     matrices_equal_report(rep, "triangle", lhs, rhs, (u.dim, v.dim), (u.basis, v.basis))
     unit = unit_dimodule(u.H, u.B)
     for prefix, src, tgt, mor in (
-            ("assoc-", tensor_dimodule(uv, w), tensor_dimodule(u, vw), a_uvw),
-            ("left-unit-", tensor_dimodule(unit, v), v, v.mu),
-            ("right-unit-", tensor_dimodule(v, unit), v, v.mu)):
+            ("assoc-", dense_tensor(uv, w), dense_tensor(u, vw), a_uvw),
+            ("left-unit-", dense_tensor(unit, v), v, v.mu),
+            ("right-unit-", dense_tensor(v, unit), v, v.mu)):
         sub = dense_morphism_report(src, tgt, mor)
         for axiom in ("H-linear", "B-colinear"):
             rep.add(prefix + axiom, sub.passed(axiom), sub.check(axiom).witness)
@@ -624,6 +631,111 @@ def dense_tau_verdicts(op):
     u12, u13, u23 = legs(t * op.matrix)
     t12, t13, t23 = legs(op.matrix * t)
     return u13 * u23 == cyc * u13 * u12, t12 * t13 == t23 * t13 * cyc
+
+
+# ---------------------------------------------------------------------------
+# dense validators: modules, comodules, Yetter-Drinfeld modules, dimodules
+
+def dense_validate_hom_module(a, m):
+    """nu-invertible, HM1 and HM2 with every composite a full matrix."""
+    rep = AxiomReport()
+    rep.add("nu-invertible", m.nu.det() != 0)
+    am, nu, al, mm = m.action_map, m.nu, a.alpha, a.mult_map
+    eye_m = Matrix.identity(m.dim)
+    hn, mn = a.basis, m.basis
+    matrices_equal_report(rep, "HM1", nu * am, am * kron(al, nu),
+                          (a.dim, m.dim), (hn, mn))
+    matrices_equal_report(rep, "HM2-assoc",
+                          am * kron(al, am), am * kron(mm, nu),
+                          (a.dim, a.dim, m.dim), (hn, hn, mn))
+    matrices_equal_report(rep, "HM2-unit", am * kron(a.unit_col, eye_m), nu,
+                          (m.dim,), (mn,))
+    return rep
+
+
+def dense_validate_hom_comodule(c, m):
+    """mu-invertible, HCM1 and HCM2 with every composite a full matrix."""
+    rep = AxiomReport()
+    rep.add("mu-invertible", m.mu.det() != 0)
+    co, mu, be, cm = m.coaction_map, m.mu, c.beta, c.comult_map
+    eye_m = Matrix.identity(m.dim)
+    mn = m.basis
+    matrices_equal_report(rep, "HCM1-a", co * mu, kron(be, mu) * co,
+                          (m.dim,), (mn,))
+    matrices_equal_report(rep, "HCM1-b", kron(c.counit_row, eye_m) * co, mu,
+                          (m.dim,), (mn,))
+    matrices_equal_report(rep, "HCM2",
+                          kron(be, co) * co, kron(cm, mu) * co,
+                          (m.dim,), (mn,))
+    return rep
+
+
+def dense_validate_long_dimodule(d):
+    """Both parts and rho(h.m) = b(m_-1) (x) a(h).m_0 as full matrices."""
+    h, b = d.H, d.B
+    rep = AxiomReport()
+    rep.extend(dense_validate_hom_module(h.algebra, d.module_part()), "module:")
+    rep.extend(dense_validate_hom_comodule(b.coalgebra, d.comodule_part()), "comodule:")
+    am, co = d.action_map, d.coaction_map
+    lhs = co * am
+    rhs = (kron(b.gamma, am * kron(h.gamma, Matrix.identity(d.dim)))
+           * permute_output_legs(kron(Matrix.identity(h.dim), co),
+                                 [h.dim, b.dim, d.dim], [1, 0, 2]))
+    matrices_equal_report(rep, "compat-2.1", lhs, rhs, (h.dim, d.dim),
+                          (h.basis, d.basis))
+    return rep
+
+
+def dense_check_yd(h, m):
+    """(HYD), and with an antipode (HYD)' and the consistency flag, as full
+    matrices."""
+    n = h.dim
+    d = m.dim
+    am = m.action.flatten_in2_out1()
+    co = m.coaction.flatten_in1_out2()
+    be = h.gamma
+    mm, cm = h.mult_map, h.comult_map
+    eye_h, eye_m = Matrix.identity(n), Matrix.identity(d)
+    rep = AxiomReport()
+
+    be2 = be * be
+    be3 = be2 * be
+
+    # h1 b(m-1) (x) b^3(h2) . m0
+    lhs = (kron(mm * kron(eye_h, be), am * kron(be3, eye_m))
+           * permute_output_legs(kron(cm, co), [n, n, n, d], [0, 2, 1, 3]))
+    # w = b^2(h1) . m ; w-1 h2 (x) w0
+    act_b2 = am * kron(be2, eye_m)
+    step = kron(act_b2, eye_h) * permute_output_legs(kron(cm, eye_m), [n, n, d], [0, 2, 1])
+    rhs = (kron(mm, eye_m)
+           * permute_output_legs(kron(co, eye_h) * step, [n, d, n], [0, 2, 1]))
+    matrices_equal_report(rep, "HYD", lhs, rhs, (n, d), (h.basis, m.basis))
+
+    if h.antipode is not None:
+        s = h.antipode
+        be4 = be3 * be
+        b2i = (be * be).inv()
+        lhs2 = co * am * kron(be4, eye_m)
+        split = kron(kron(cm, eye_h) * cm, co)       # [h11, h12, h2, m-1, m0]
+        g1 = mm * kron(b2i * mm * kron(eye_h, be), s)  # [h11, m-1, h2] -> H
+        g2 = am * kron(be3, eye_m)                     # [h12, m0] -> M
+        rhs2 = kron(g1, g2) * permute_output_legs(split, [n, n, n, n, d], [0, 3, 2, 1, 4])
+        matrices_equal_report(rep, "HYD-prime", lhs2, rhs2, (n, d), (h.basis, m.basis))
+        rep.set_flag("hyd-consistent", rep.passed("HYD") == rep.passed("HYD-prime"))
+    return rep
+
+
+def dense_yd_prebraiding(m, n):
+    """m (x) n -> b^2(m-1) . nu^-1(n) (x) mu^-1(m0) as a product of full matrices."""
+    hb = m.over
+    nh = hb.dim
+    be2 = hb.gamma * hb.gamma
+    act_n = n.action.flatten_in2_out1()
+    g = act_n * kron(be2, n.structure_map.inv())
+    return (kron(g, m.structure_map.inv())
+            * permute_output_legs(kron(m.coaction.flatten_in1_out2(),
+                                       Matrix.identity(n.dim)),
+                                  [nh, m.dim, n.dim], [0, 2, 1]))
 
 
 def _tuples(rep):
@@ -866,3 +978,139 @@ def test_hexagons_and_coherence_on_sweedler_cube():
     expected[3:5] = [("assoc-H-linear", "fail", ("g", "1⊗1⊗1⊗1⊗1⊗g")),
                      ("assoc-B-colinear", "fail", ("1⊗1⊗1⊗1⊗1⊗g",))]
     assert _tuples(check_coherence(can, can, bumped)) == (expected, flags)
+
+
+# ---------------------------------------------------------------------------
+# module, comodule, Yetter-Drinfeld and dimodule validation against the
+# dense validators
+
+@functools.lru_cache(maxsize=None)
+def _validation_carriers():
+    """Dimodules over kz2, kz4-twisted and Sweedler-scaled, with
+    Sweedler-scaled as B where it fits: its comultiplication is not
+    cocommutative, so a swapped leg in HCM2 or compat-2.1 shows there."""
+    kz2, kz4t, sst = fx.kz2(), fx.kz4_twisted(), fx.sweedler_scaled_twisted(2)
+    ext = module_extension(kz4t, fx.trivial_module(kz4t, Matrix.diagonal([1, 2])))
+    return (canonical_dimodule(kz2, kz2), canonical_dimodule(kz4t, kz2),
+            canonical_dimodule(kz2, sst), canonical_dimodule(sst, sst),
+            trivial_dimodule(kz4t, sst, Matrix.diagonal([1, 2])),
+            fx.sign_dimodule(kz2, kz2), ext.as_long_dimodule())
+
+
+def _bumped_tensor(draw, t):
+    """The Tensor3 t with one entry changed by a nonzero amount."""
+    planes = [list(plane) for plane in t.data]
+    i = draw(st.integers(0, len(planes) - 1))
+    planes[i] = _bumped(draw, planes[i])
+    return Tensor3(planes)
+
+
+@st.composite
+def perturbed_bialgebra(draw, h):
+    """h, or h with one entry of its mult, comult or twist changed (the twist
+    kept invertible, and shared by the algebra and coalgebra parts)."""
+    part = draw(st.sampled_from((None, "mult", "comult", "twist")))
+    if part == "mult":
+        return replace(h, algebra=replace(h.algebra, mult=_bumped_tensor(draw, h.mult)))
+    if part == "comult":
+        return replace(h, coalgebra=replace(h.coalgebra,
+                                            comult=_bumped_tensor(draw, h.comult)))
+    if part == "twist":
+        g = Matrix(_bumped(draw, h.gamma.data))
+        assume(g.det() != 0)
+        return replace(h, algebra=replace(h.algebra, alpha=g),
+                       coalgebra=replace(h.coalgebra, beta=g))
+    return h
+
+
+@st.composite
+def perturbed_dimodules(draw):
+    """A validation carrier with one of its action, coaction, mu or a part
+    of H or of B changed, or as it is."""
+    d = draw(st.sampled_from(_validation_carriers()))
+    part = draw(st.sampled_from(("carrier", "H", "B")))
+    if part == "carrier":
+        return draw(perturbed(d))
+    return replace(d, **{part: draw(perturbed_bialgebra(getattr(d, part)))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbed_dimodules())
+def test_module_comodule_and_dimodule_reports_match_dense_oracle(d):
+    assert _tuples(validate_long_dimodule(d)) == _tuples(dense_validate_long_dimodule(d))
+    alg, coalg = d.H.algebra, d.B.coalgebra
+    assert (_tuples(validate_hom_module(alg, d.module_part()))
+            == _tuples(dense_validate_hom_module(alg, d.module_part())))
+    assert (_tuples(validate_hom_comodule(coalg, d.comodule_part()))
+            == _tuples(dense_validate_hom_comodule(coalg, d.comodule_part())))
+
+
+def test_perturbed_validation_carriers_fail_with_the_dense_witness():
+    # every carrier passes as given; a one-entry change of its action,
+    # coaction or mu fails with the dense validator's report
+    for d in _validation_carriers():
+        assert validate_long_dimodule(d).ok, d.basis
+        for part in ("action", "coaction"):
+            t = [[list(row) for row in plane] for plane in getattr(d, part).data]
+            t[-1][-1][-1] += 1
+            bad = replace(d, **{part: Tensor3(t)})
+            rep = validate_long_dimodule(bad)
+            assert not rep.ok
+            assert _tuples(rep) == _tuples(dense_validate_long_dimodule(bad))
+
+
+def _trivial_yd(h, mu):
+    """h . m = eps(h) mu(m) and rho(m) = 1 (x) mu(m) over h without its antipode."""
+    d = mu.rows
+    return YetterDrinfeldModule(
+        replace(h, antipode=None), d,
+        Tensor3.from_function(h.dim, d, d, lambda i, j, k: h.counit[i] * mu.data[k][j]),
+        Tensor3.from_function(d, h.dim, d, lambda j, a, k: h.unit[a] * mu.data[k][j]), mu)
+
+
+@functools.lru_cache(maxsize=None)
+def _yd_cases():
+    """(Hom-Hopf algebra, Yetter-Drinfeld modules over it): trivial ones over
+    kz2, kz4-twisted and Sweedler-scaled, the sign module over kz2, the
+    regular non-example over Sweedler, and the structures a kz2 (x) kz2
+    context induces on its carriers."""
+    kz2, kz4t, sst, sw = (fx.kz2(), fx.kz4_twisted(), fx.sweedler_scaled_twisted(2),
+                          fx.sweedler_hopf())
+    diag = Matrix.diagonal([1, 2])
+    sign = YetterDrinfeldModule(replace(kz2, antipode=None), 1, Tensor3([[[1]], [[-1]]]),
+                                Tensor3([[[0], [1]]]), Matrix.identity(1), ("v",))
+    regular = YetterDrinfeldModule(replace(sw, antipode=None), 4, sw.mult, sw.comult,
+                                   Matrix.identity(4), sw.basis)
+    ctx, carriers = _context("kk")
+    induced = [hb_yd_structure(ctx, m) for m in carriers if m.dim <= 2]
+    return ((kz2, (_trivial_yd(kz2, diag), sign)), (kz4t, (_trivial_yd(kz4t, diag),)),
+            (sst, (_trivial_yd(sst, diag), _trivial_yd(sst, Matrix.identity(1)))),
+            (sw, (regular,)), (tensor_hopf(ctx.H, ctx.B), tuple(induced)))
+
+
+@st.composite
+def perturbed_yd(draw, m):
+    """m, or m with one entry of its action, coaction or structure map
+    changed (kept invertible)."""
+    part = draw(st.sampled_from((None, "action", "coaction", "structure_map")))
+    if part == "structure_map":
+        mu = Matrix(_bumped(draw, m.structure_map.data))
+        assume(mu.det() != 0)
+        return replace(m, structure_map=mu)
+    if part:
+        return replace(m, **{part: _bumped_tensor(draw, getattr(m, part))})
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_yd_reports_and_prebraiding_match_dense_oracle(data):
+    h, mods = data.draw(st.sampled_from(_yd_cases()))
+    h = data.draw(perturbed_bialgebra(h))
+    m = data.draw(perturbed_yd(data.draw(st.sampled_from(mods))))
+    assert _tuples(check_yd(h, m)) == _tuples(dense_check_yd(h, m))
+    # the pre-braiding reads the twist of the modules' common bialgebra
+    over = replace(h, antipode=None)
+    m, n = replace(m, over=over), replace(data.draw(st.sampled_from(mods)), over=over)
+    n = data.draw(perturbed_yd(n))
+    assert yd_prebraiding(m, n) == dense_yd_prebraiding(m, n)
