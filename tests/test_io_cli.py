@@ -449,6 +449,20 @@ def test_demo_files_build_and_braid_reports_match_snapshot(tmp_path, monkeypatch
 PERTURBED_FILES = ("canonical.json", "sign.json", "halpha.json")
 
 
+def _perturbed_copy(name, part, seed):
+    """The demo file name with one entry of part changed by a nonzero amount,
+    written to the current directory; returns its path."""
+    rng = random.Random(seed)
+    obj = json.loads((DEMO_FILES / name).read_text())
+    entry, key = obj, part
+    while isinstance(entry[key], list):
+        entry, key = entry[key], rng.randrange(len(entry[key]))
+    entry[key] = scalar_to_json(scalar(entry[key]) + rng.choice((-2, -1, 1, 2)))
+    path = "%s-%s-%d.json" % (name[:-5], part, seed)
+    hio.dump_json(obj, path)
+    return path
+
+
 def perturbed_validate_reports(capsys):
     """{"<file> <part> <seed>": {"exit_code", "report"}} of validate, run in the
     current directory on copies of the demo carriers with one entry of the
@@ -457,15 +471,7 @@ def perturbed_validate_reports(capsys):
     for name in PERTURBED_FILES:
         for part in ("action", "coaction", "mu"):
             for seed in range(4):
-                rng = random.Random(seed)
-                obj = json.loads((DEMO_FILES / name).read_text())
-                entry, key = obj, part
-                while isinstance(entry[key], list):
-                    entry, key = entry[key], rng.randrange(len(entry[key]))
-                entry[key] = scalar_to_json(scalar(entry[key]) + rng.choice((-2, -1, 1, 2)))
-                path = "%s-%s-%d.json" % (name[:-5], part, seed)
-                hio.dump_json(obj, path)
-                code = main(["--format", "json", "validate", path])
+                code = main(["--format", "json", "validate", _perturbed_copy(name, part, seed)])
                 out["%s %s %d" % (name, part, seed)] = {
                     "exit_code": code, "report": json.loads(capsys.readouterr().out)}
     return out
@@ -477,4 +483,50 @@ def test_perturbed_demo_carriers_validate_reports_match_snapshot(tmp_path, monke
                 / "demo_validate_perturbed.json").read_text()
     monkeypatch.chdir(tmp_path)
     got = perturbed_validate_reports(capsys)
+    assert json.dumps(got, indent=2, sort_keys=True) + "\n" == expected
+
+
+HOMSTRUCT_PARTS = (("kz2.json", ("mult", "comult", "unit", "counit", "gamma", "antipode",
+                                 "R", "form")),
+                   ("kz4_twisted.json", ("mult", "comult", "gamma", "antipode")))
+TWIST_PARTS = (("phi.json", "matrix"), ("kz4.json", "mult"), ("kz4.json", "comult"),
+               ("kz4.json", "unit"), ("kz4.json", "counit"))
+
+
+def perturbed_homstruct_reports(capsys):
+    """{"<file> <part> <seed>": {"exit_code", "report"[, "written"]}} of
+    validate on the demo Hom-Hopf algebras, and of build twist --base kz4.json
+    --phi phi.json, with one entry of a structure map, R, the form, phi or the
+    base changed by a nonzero amount, for seeds 0-3, run in the current
+    directory."""
+    out = {}
+    for name, parts in HOMSTRUCT_PARTS:
+        for part in parts:
+            for seed in range(4):
+                code = main(["--format", "json", "validate", _perturbed_copy(name, part, seed)])
+                out["%s %s %d" % (name, part, seed)] = {
+                    "exit_code": code, "report": json.loads(capsys.readouterr().out)}
+    for name, part in (("kz4.json", None),) + TWIST_PARTS:
+        for seed in range(1 if part is None else 4):
+            files = {}
+            for f in ("kz4.json", "phi.json"):
+                pathlib.Path(f).write_bytes((DEMO_FILES / f).read_bytes())
+                files[f] = _perturbed_copy(f, part, seed) if f == name and part else f
+            code = main(["--format", "json", "build", "twist", "--base", files["kz4.json"],
+                         "--phi", files["phi.json"], "-o", "out.json"])
+            written = pathlib.Path("out.json")
+            out["%s %s %d" % (name, part, seed)] = {
+                "exit_code": code, "report": json.loads(capsys.readouterr().out),
+                "written": written.read_text() if written.exists() else None}
+            if written.exists():
+                written.unlink()
+    return out
+
+
+def test_perturbed_demo_algebras_validate_and_twist_reports_match_snapshot(tmp_path,
+                                                                            monkeypatch, capsys):
+    expected = (pathlib.Path(__file__).resolve().parent / "data"
+                / "demo_validate_homstruct_perturbed.json").read_text()
+    monkeypatch.chdir(tmp_path)
+    got = perturbed_homstruct_reports(capsys)
     assert json.dumps(got, indent=2, sort_keys=True) + "\n" == expected
