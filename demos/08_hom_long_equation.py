@@ -7,7 +7,7 @@ and small grids can be searched exhaustively.
 """
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, flip_matrix
+from homlong.linalg import Matrix
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             check_invertible_iff, check_long_equation,
                             comodule_extension, coordinate_criterion,
@@ -22,8 +22,10 @@ print("diagonal operator solves?", check_long_equation(op).ok,
       "| classical?", op.classical)
 print("its inverse too?", check_invertible_iff(op).flags["iff-consistent"])
 
-# the flip against mu = diag(1,2) fails, with a counterexample triple
-bad = OperatorOnTensorSquare(2, flip_matrix(2, 2), Matrix.diagonal([1, 2]))
+# the flip m_i (x) m_j -> m_j (x) m_i against mu = diag(1,2) fails, with a
+# counterexample triple
+flip = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+bad = OperatorOnTensorSquare(2, flip, Matrix.diagonal([1, 2]))
 rep = check_long_equation(bad)
 print("\nflip fails at basis triple:", rep.check("hom-long-eq").witness)
 

@@ -9,7 +9,7 @@ import os
 from homlong import fixtures as fx
 from homlong import io as hio
 from homlong.cli import main
-from homlong.linalg import Matrix, flip_matrix
+from homlong.linalg import Matrix
 from homlong.longdimod import canonical_dimodule
 from homlong.longeq import HAlphaLongDimodule, OperatorOnTensorSquare
 
@@ -31,8 +31,9 @@ hio.save_structure(fx.sign_dimodule(), path("sign.json"))
 hio.save_structure(canonical_dimodule(kz2, kz2), path("canonical.json"))
 hio.save_structure(fx.kz4(), path("kz4.json"))
 hio.dump_json({"matrix": hio.matrix_json(fx.kz4_twist_map())}, path("phi.json"))
-hio.save_structure(OperatorOnTensorSquare(2, flip_matrix(2, 2),
-                                          Matrix.diagonal([1, 2])), path("flip.json"))
+# the flip m_i (x) m_j -> m_j (x) m_i on k^2 (x) k^2 against mu = diag(1, 2)
+flip = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+hio.save_structure(OperatorOnTensorSquare(2, flip, Matrix.diagonal([1, 2])), path("flip.json"))
 hio.dump_json({"mu": hio.matrix_json(Matrix.identity(2))}, path("id2.json"))
 sd = fx.sign_dimodule()
 hio.save_structure(HAlphaLongDimodule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis),

@@ -5,8 +5,7 @@ All arithmetic is exact rational; every identity check is an exact matrix
 identity on lexicographic tensor bases and reports counterexample witnesses.
 """
 
-from .linalg import (Matrix, Tensor3, Vector, scalar, kron, kron_all,
-                     perm_matrix, flip_matrix, apply3, solve_exact,
+from .linalg import (Matrix, Tensor3, Vector, scalar, kron, solve_exact,
                      DimensionMismatch, SingularMatrix)
 from .report import AxiomReport, Check
 from .homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra,

@@ -5,16 +5,19 @@ duals, opposites and tensor products, the twist construction that turns a
 classical (bi/Hopf) algebra plus an automorphism into a Hom-structure, and
 (co)quasitriangular data with triangularity decided by exact linear solve.
 
-Axiom identities are verified as exact matrix identities on flattened
-tensor-product bases; failing checks carry the first offending basis tuple.
+Each axiom is a pair of composites of leg steps (see linalg), compared one
+basis column at a time; R enters as an element inserted on new legs and a
+form as a covector pairing two legs away.  Failing checks carry the first
+offending basis tuple: an input tuple for an identity between maps, an
+output coordinate for an identity between elements.
 """
 
 from dataclasses import dataclass, field
 
-from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, apply3, kron,
-                     kron_all, permute_input_legs, permute_output_legs,
-                     flip_matrix, solve_exact, ZERO)
-from .report import AxiomReport, matrices_equal_report
+from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_matrix,
+                     coproduct_columns, first_differing_column, flip_columns, insert_columns,
+                     kron, pair_columns, product_columns, solve_exact, sparse_columns, ZERO)
+from .report import AxiomReport, composites_equal_report, matrices_equal_report
 
 
 class NotAutomorphism(Exception):
@@ -44,14 +47,6 @@ class HomAlgebra:
         elif len(self.basis) != n:
             raise DimensionMismatch("%d basis names for dim %d" % (len(self.basis), n))
 
-    @property
-    def mult_map(self):
-        return self.mult.flatten_in2_out1()
-
-    @property
-    def unit_col(self):
-        return self.unit.as_column()
-
 
 @dataclass(frozen=True)
 class HomCoalgebra:
@@ -71,14 +66,6 @@ class HomCoalgebra:
             object.__setattr__(self, "basis", default_basis(n))
         elif len(self.basis) != n:
             raise DimensionMismatch("%d basis names for dim %d" % (len(self.basis), n))
-
-    @property
-    def comult_map(self):
-        return self.comult.flatten_in1_out2()
-
-    @property
-    def counit_row(self):
-        return self.counit.as_row()
 
 
 @dataclass(frozen=True)
@@ -132,22 +119,6 @@ class HomBialgebra:
     def counit(self):
         return self.coalgebra.counit
 
-    @property
-    def mult_map(self):
-        return self.algebra.mult_map
-
-    @property
-    def comult_map(self):
-        return self.coalgebra.comult_map
-
-    @property
-    def unit_col(self):
-        return self.algebra.unit_col
-
-    @property
-    def counit_row(self):
-        return self.coalgebra.counit_row
-
 
 @dataclass(frozen=True)
 class QuasiTriangularStructure:
@@ -168,99 +139,110 @@ class CoQuasiTriangularStructure:
 # ---------------------------------------------------------------------------
 # validators
 
+def _element(steps):
+    """The coordinates of the element that a composite of steps makes on
+    the one-dimensional leg (1,), its first step inserting an element, as a
+    row whose columns are the output basis tuples, so matrices_equal_report
+    witnesses an output coordinate."""
+    return composite_matrix(steps, (1,)).transpose()
+
+
+def _first_side(rep, axiom, sides, dims, names):
+    """Record that the two composites of every (label, lhs, rhs) in sides
+    agree on the legs dims; on failure witness the label of the first pair
+    that differs, with the name of its first differing basis vector."""
+    for label, lhs, rhs in sides:
+        idxs = first_differing_column(lhs, rhs, dims)
+        if idxs is not None:
+            return rep.add(axiom, False, (label, names[idxs[0]]))
+    return rep.add(axiom, True)
+
+
 def validate_hom_algebra(a):
     """Check alpha-invertible, HA1 (twist is multiplicative, fixes the unit)
-    and HA2 (Hom-associativity and the twisted unit law)."""
-    n = a.dim
+    and HA2 (Hom-associativity and the twisted unit law), column by column."""
+    n, names = a.dim, a.basis
     rep = AxiomReport()
     rep.add("alpha-invertible", a.alpha.det() != 0)
-    mm, al, u = a.mult_map, a.alpha, a.unit_col
-    eye = Matrix.identity(n)
-    names = a.basis
-    matrices_equal_report(rep, "HA1-mult", al * mm, mm * kron(al, al),
-                          (n, n), (names, names))
-    rep.add("HA1-unit", al * u == u, None if al * u == u else (names,))
-    matrices_equal_report(rep, "HA2-assoc",
-                          mm * kron(al, mm), mm * kron(mm, al),
-                          (n, n, n), (names, names, names))
-    left = mm * kron(u, eye)
-    right = mm * kron(eye, u)
-    if left == al and right == al:
-        rep.add("HA2-unit", True)
-    else:
-        side = "1*a" if left != al else "a*1"
-        bad = left if left != al else right
-        w = next((names[j] for j in range(n) if bad.column(j) != al.column(j)), None)
-        rep.add("HA2-unit", False, (side, w))
-    return rep
+    mult, al, put_u = product_columns(a.mult), sparse_columns(a.alpha), insert_columns(a.unit, n)
+    to_h = (n,)
+    composites_equal_report(rep, "HA1-mult", [(mult, (0, 1), to_h), (al, (0,), None)],
+                            [(al, (0,), None), (al, (1,), None), (mult, (0, 1), to_h)],
+                            (n, n), (names, names))
+    fixed = a.alpha * a.unit == a.unit
+    rep.add("HA1-unit", fixed, None if fixed else (names,))
+    composites_equal_report(rep, "HA2-assoc",
+                            [(mult, (1, 2), to_h), (al, (0,), None), (mult, (0, 1), to_h)],
+                            [(mult, (0, 1), to_h), (al, (1,), None), (mult, (0, 1), to_h)],
+                            (n, n, n), (names, names, names))
+    # 1 a and a 1, each against alpha(a)
+    left = [(put_u, (0,), (n, n)), (mult, (0, 1), to_h)]
+    right = [(put_u, (0,), (n, n)), (flip_columns(n, n), (0, 1), None), (mult, (0, 1), to_h)]
+    twist = [(al, (0,), None)]
+    return _first_side(rep, "HA2-unit", (("1*a", left, twist), ("a*1", right, twist)),
+                       to_h, names)
 
 
 def validate_hom_coalgebra(c):
     """Check beta-invertible, HC1 (twist is comultiplicative, preserves the
-    counit) and HC2 (Hom-coassociativity and the twisted counit law)."""
-    n = c.dim
+    counit) and HC2 (Hom-coassociativity and the twisted counit law), column
+    by column."""
+    n, names = c.dim, c.basis
     rep = AxiomReport()
     rep.add("beta-invertible", c.beta.det() != 0)
-    cm, be, eps = c.comult_map, c.beta, c.counit_row
-    eye = Matrix.identity(n)
-    names = c.basis
-    lhs, rhs = cm * be, kron(be, be) * cm
-    if lhs == rhs and eps * be == eps:
-        rep.add("HC1", True)
-    else:
-        if lhs != rhs:
-            w = next((("delta", names[j]) for j in range(n)
-                      if lhs.column(j) != rhs.column(j)), None)
-        else:
-            w = ("counit", next(names[j] for j in range(n)
-                                if (eps * be).data[0][j] != eps.data[0][j]))
-        rep.add("HC1", False, w)
-    matrices_equal_report(rep, "HC2-coassoc",
-                          kron(be, cm) * cm, kron(cm, be) * cm, (n,), (names,))
-    left = kron(eps, eye) * cm
-    right = kron(eye, eps) * cm
-    if left == be and right == be:
-        rep.add("HC2-counit", True)
-    else:
-        side = "eps(c1)c2" if left != be else "c1 eps(c2)"
-        bad = left if left != be else right
-        w = next((names[j] for j in range(n) if bad.column(j) != be.column(j)), None)
-        rep.add("HC2-counit", False, (side, w))
-    return rep
+    co, be, eps = coproduct_columns(c.comult), sparse_columns(c.beta), pair_columns(c.counit)
+    to_hh, twist = (n, n), [(be, (0,), None)]
+    _first_side(rep, "HC1", (
+        ("delta", twist + [(co, (0,), to_hh)],
+         [(co, (0,), to_hh), (be, (0,), None), (be, (1,), None)]),
+        ("counit", twist + [(eps, (0,), ())], [(eps, (0,), ())])), (n,), names)
+    composites_equal_report(rep, "HC2-coassoc",
+                            [(co, (0,), to_hh), (co, (1,), to_hh), (be, (0,), None)],
+                            [(co, (0,), to_hh), (co, (0,), to_hh), (be, (2,), None)],
+                            (n,), (names,))
+    left = [(co, (0,), to_hh), (eps, (0,), ())]
+    right = [(co, (0,), to_hh), (eps, (1,), ())]
+    return _first_side(rep, "HC2-counit", (("eps(c1)c2", left, twist),
+                                           ("c1 eps(c2)", right, twist)), (n,), names)
 
 
 def validate_hom_bialgebra(h):
-    """Check that the comultiplication and counit are Hom-algebra morphisms."""
-    n = h.dim
+    """Check that the comultiplication and counit are Hom-algebra morphisms,
+    column by column."""
+    n, names = h.dim, h.basis
     rep = AxiomReport()
-    mm, cm = h.mult_map, h.comult_map
-    u, eps = h.unit_col, h.counit_row
-    names = h.basis
-    m2 = tensor_square_mult_map(h.algebra)
-    matrices_equal_report(rep, "delta-mult", cm * mm, m2 * kron(cm, cm),
-                          (n, n), (names, names))
-    rep.add("delta-unit", cm * u == kron(u, u))
-    matrices_equal_report(rep, "counit-mult", eps * mm, kron(eps, eps),
-                          (n, n), (names, names))
-    rep.add("counit-unit", (eps * u).data[0][0] == 1)
+    mult, co, eps = product_columns(h.mult), coproduct_columns(h.comult), pair_columns(h.counit)
+    put_u = insert_columns(h.unit, 1)
+    to_h, to_hh = (n,), (n, n)
+    # (ab)1 (x) (ab)2 against a1 b1 (x) a2 b2
+    composites_equal_report(rep, "delta-mult", [(mult, (0, 1), to_h), (co, (0,), to_hh)],
+                            [(co, (1,), to_hh), (co, (0,), to_hh),
+                             (flip_columns(n, n), (1, 2), None),
+                             (mult, (0, 1), to_h), (mult, (1, 2), to_h)],
+                            (n, n), (names, names))
+    rep.add("delta-unit", _element([(put_u, (0,), (n, 1)), (co, (0,), to_hh)])
+            == _element([(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))]))
+    composites_equal_report(rep, "counit-mult", [(mult, (0, 1), to_h), (eps, (0,), ())],
+                            [(eps, (0,), ()), (eps, (0,), ())], (n, n), (names, names))
+    rep.add("counit-unit", sum(e * u for e, u in zip(h.counit, h.unit)) == 1)
     return rep
 
 
 def validate_hom_hopf(h):
-    """Check the antipode identities, S-twist commutation and invertibility."""
-    n = h.dim
+    """Check the antipode identities, S-twist commutation and invertibility,
+    column by column."""
+    n, names = h.dim, (h.basis,)
     rep = AxiomReport()
-    mm, cm, s = h.mult_map, h.comult_map, h.antipode
-    names = h.basis
-    eye = Matrix.identity(n)
-    target = h.unit_col * h.counit_row
-    matrices_equal_report(rep, "antipode-left", mm * kron(s, eye) * cm, target,
-                          (n,), (names,))
-    matrices_equal_report(rep, "antipode-right", mm * kron(eye, s) * cm, target,
-                          (n,), (names,))
-    matrices_equal_report(rep, "S-gamma-commute", s * h.gamma, h.gamma * s,
-                          (n,), (names,))
-    s_inv = s.det() != 0
+    mult, co, s = product_columns(h.mult), coproduct_columns(h.comult), sparse_columns(h.antipode)
+    ga, to_h = sparse_columns(h.gamma), (n,)
+    # eps(a) 1
+    target = [(insert_columns(h.unit, n), (0,), (n, n)), (pair_columns(h.counit), (1,), ())]
+    for axiom, leg in (("antipode-left", 0), ("antipode-right", 1)):
+        composites_equal_report(rep, axiom, [(co, (0,), (n, n)), (s, (leg,), None),
+                                             (mult, (0, 1), to_h)], target, to_h, names)
+    composites_equal_report(rep, "S-gamma-commute", [(ga, (0,), None), (s, (0,), None)],
+                            [(s, (0,), None), (ga, (0,), None)], to_h, names)
+    s_inv = h.antipode.det() != 0
     rep.add("S-invertible", s_inv)
     rep.set_flag("antipode-invertible", s_inv)
     return rep
@@ -291,17 +273,23 @@ def yau_twist(h, phi):
         raise DimensionMismatch("phi is %dx%d for dim %d" % (phi.rows, phi.cols, n))
     if phi.det() == 0:
         raise NotAutomorphism("phi is not invertible")
-    mm, cm = h.mult_map, h.comult_map
-    if phi * mm != mm * kron(phi, phi):
+    mult, co, ph = product_columns(h.mult), coproduct_columns(h.comult), sparse_columns(phi)
+    phi_mult = [(mult, (0, 1), (n,)), (ph, (0,), None)]
+    comult_phi = [(ph, (0,), None), (co, (0,), (n, n))]
+    if first_differing_column(phi_mult, [(ph, (0,), None), (ph, (1,), None),
+                                         (mult, (0, 1), (n,))], (n, n)) is not None:
         raise NotAutomorphism("phi o mult != mult o (phi x phi)")
-    if kron(phi, phi) * cm != cm * phi:
+    if first_differing_column([(co, (0,), (n, n)), (ph, (0,), None), (ph, (1,), None)],
+                              comult_phi, (n,)) is not None:
         raise NotAutomorphism("(phi x phi) o comult != comult o phi")
-    if h.counit_row * phi != h.counit_row:
+    eps = pair_columns(h.counit)
+    if first_differing_column([(ph, (0,), None), (eps, (0,), ())], [(eps, (0,), ())],
+                              (n,)) is not None:
         raise NotAutomorphism("counit o phi != counit")
-    if phi * h.unit_col != h.unit_col:
+    if phi * h.unit != h.unit:
         raise NotAutomorphism("phi does not fix the unit")
-    mult2 = apply3(h.mult, 2, phi)
-    comult2 = apply3(h.comult, 0, phi.transpose())
+    mult2 = Tensor3.from_in2_out1(composite_matrix(phi_mult, (n, n)), n, n)
+    comult2 = Tensor3.from_in1_out2(composite_matrix(comult_phi, (n,)), n, n)
     alg = HomAlgebra(n, mult2, h.unit, phi, h.basis)
     coa = HomCoalgebra(n, comult2, h.counit, phi, h.basis)
     return HomBialgebra(alg, coa, h.antipode)
@@ -343,7 +331,8 @@ def dual_hopf(b):
     names = tuple(x + "*" for x in b.basis)
     alg = HomAlgebra(n, mult_d, unit_d, b1i.transpose(), names)
     coa = HomCoalgebra(n, comult_d, counit_d, b1i.transpose(), names)
-    return HomBialgebra(alg, coa, b.antipode.transpose())
+    s = b.antipode
+    return HomBialgebra(alg, coa, None if s is None else s.transpose())
 
 
 def tensor_hopf(h, b):
@@ -370,7 +359,9 @@ def tensor_hopf(h, b):
                      h.unit.kron(b.unit), kron(h.gamma, b.gamma), names)
     coa = HomCoalgebra(n, Tensor3.from_function(n, n, n, comult_entry),
                        h.counit.kron(b.counit), kron(h.gamma, b.gamma), names)
-    return HomBialgebra(alg, coa, kron(h.antipode, b.antipode))
+    s = (None if h.antipode is None or b.antipode is None
+         else kron(h.antipode, b.antipode))
+    return HomBialgebra(alg, coa, s)
 
 
 def opposite_algebra(a):
@@ -380,28 +371,11 @@ def opposite_algebra(a):
     return HomAlgebra(a.dim, mult_op, a.unit, a.alpha, a.basis)
 
 
-def tensor_square_mult_map(a):
-    """Multiplication of A (x) A as a map (A(x)A)(x)(A(x)A) -> A(x)A:
-    (a(x)b)(c(x)d) = ac (x) bd."""
-    n = a.dim
-    mm = a.mult_map
-    return permute_input_legs(kron(mm, mm), [n, n, n, n], [0, 2, 1, 3])
-
-
-def element_col(r):
-    """An element of X (x) Y given by the matrix r[i][j] as a flat column."""
-    return Matrix([[x] for row in r.data for x in row], rows=r.rows * r.cols, cols=1)
-
-
-def col_to_matrix(col, d0, d1):
-    return Matrix.from_function(d0, d1, lambda i, j: col.data[i * d1 + j][0])
-
-
 # ---------------------------------------------------------------------------
 # quasitriangular / coquasitriangular
 
 def validate_quasitriangular(h, r):
-    """QHA1-QHA5 plus the triangularity test.
+    """QHA1-QHA5 plus the triangularity test, column by column.
 
     The triangular flag holds when the flip of R is a two-sided inverse of R
     in the tensor-square algebra; invertibility of R there is decided by an
@@ -412,99 +386,100 @@ def validate_quasitriangular(h, r):
         raise DimensionMismatch("R is %dx%d on a dim-%d algebra" % (r.rows, r.cols, n))
     rep = AxiomReport()
     names = h.basis
-    eye = Matrix.identity(n)
-    mm, cm, be = h.mult_map, h.comult_map, h.gamma
-    eps, u = h.counit_row, h.unit_col
-    rc = element_col(r)
+    mult, co, be = product_columns(h.mult), coproduct_columns(h.comult), sparse_columns(h.gamma)
+    eps, flip = pair_columns(h.counit), flip_columns(n, n)
+    rc = [x for row in r.data for x in row]
+    to_h, to_hh = (n,), (n, n)
 
-    left = kron(eps, eye) * rc
-    right = kron(eye, eps) * rc
-    rep.add("QHA1", left == u and right == u,
-            None if (left == u and right == u) else ("eps(R1)R2" if left != u else "R1eps(R2)",))
+    def put_r(leg, d=1):
+        """x -> R (x) x on the leg `leg` of dim d."""
+        return (insert_columns(rc, d), (leg,), (n, n, d))
 
-    dims3 = (n, n, n)
-    rr = kron(rc, rc)
-    lhs2 = kron(cm, be) * rc
-    rhs2 = kron_all(be, be, mm) * permute_output_legs(rr, [n, n, n, n], [0, 2, 1, 3])
-    matrices_equal_report(rep, "QHA2", lhs2.transpose(), rhs2.transpose(), dims3,
-                          (names, names, names))
+    unit = _element([(insert_columns(h.unit, 1), (0,), (n, 1))])
+    sides = [_element([put_r(0), (eps, (leg,), ())]) for leg in (0, 1)]
+    rep.add("QHA1", sides == [unit, unit],
+            None if sides == [unit, unit] else
+            ("eps(R1)R2" if sides[0] != unit else "R1eps(R2)",))
 
-    lhs3 = kron(be, cm) * rc
-    rhs3 = kron_all(mm, be, be) * permute_output_legs(rr, [n, n, n, n], [0, 2, 3, 1])
-    matrices_equal_report(rep, "QHA3", lhs3.transpose(), rhs3.transpose(), dims3,
-                          (names, names, names))
+    names3 = (names, names, names)
+    # (Delta (x) b)(R) against b(R1) (x) b(R'1) (x) R2 R'2
+    matrices_equal_report(rep, "QHA2",
+                          _element([put_r(0), (co, (0,), to_hh), (be, (2,), None)]),
+                          _element([put_r(0), put_r(2), (flip, (1, 2), None), (be, (0,), None),
+                                    (be, (1,), None), (mult, (2, 3), to_h)]),
+                          (n, n, n), names3)
+    # (b (x) Delta)(R) against R1 R'1 (x) b(R'2) (x) b(R2)
+    matrices_equal_report(rep, "QHA3",
+                          _element([put_r(0), (co, (1,), to_hh), (be, (0,), None)]),
+                          _element([put_r(0), put_r(2), (flip, (1, 2), None),
+                                    (flip, (2, 3), None), (mult, (0, 1), to_h),
+                                    (be, (1,), None), (be, (2,), None)]),
+                          (n, n, n), names3)
+    # h2 R1 (x) h1 R2 against R1 h1 (x) R2 h2
+    twice = [(mult, (0, 1), to_h), (mult, (1, 2), to_h)]
+    composites_equal_report(rep, "QHA4",
+                            [(co, (0,), to_hh), (flip, (0, 1), None), put_r(1, n),
+                             (flip, (2, 3), None)] + twice,
+                            [(co, (0,), to_hh), put_r(0, n), (flip, (1, 2), None)] + twice,
+                            to_h, (names,))
+    rep.add("QHA5", _element([put_r(0), (be, (0,), None), (be, (1,), None)])
+            == _element([put_r(0)]))
 
-    m2 = tensor_square_mult_map(h.algebra)
-    flip = flip_matrix(n, n)
-    ok4, wit4 = True, None
-    for hh in range(n):
-        dh = cm.column(hh).as_column()
-        dcop = flip * dh
-        lhs = m2 * kron(dcop, rc)
-        rhs = m2 * kron(rc, dh)
-        if lhs != rhs:
-            ok4, wit4 = False, (names[hh],)
-            break
-    rep.add("QHA4", ok4, wit4)
-
-    rep.add("QHA5", kron(be, be) * rc == rc)
-
-    unit2 = kron(u, u)
-    lmul = m2 * kron(rc, Matrix.identity(n * n))
-    rmul = m2 * kron(Matrix.identity(n * n), rc)
+    # x -> R x and x -> x R on H (x) H, and the flip of R
+    lmul = composite_matrix([put_r(0, n), (flip, (1, 2), None)] + twice, to_hh)
+    rmul = composite_matrix([put_r(1, n), (flip, (2, 3), None)] + twice, to_hh)
+    unit2 = composite_matrix([(insert_columns(h.unit, 1), (0,), (n, 1)),
+                              (insert_columns(h.unit, 1), (1,), (n, 1))], (1,))
+    r21 = composite_matrix([put_r(0), (flip, (0, 1), None)], (1,))
     stacked = Matrix(list(lmul.data) + list(rmul.data), rows=2 * n * n, cols=n * n)
-    target = Vector(list(unit2.column(0)) + list(unit2.column(0)))
-    x = solve_exact(stacked, target)
+    x = solve_exact(stacked, Vector(list(unit2.column(0)) * 2))
     rep.set_flag("convolution-invertible", x is not None)
-    flip_r = flip * rc
-    triangular = (x is not None
-                  and m2 * kron(rc, flip_r) == unit2
-                  and m2 * kron(flip_r, rc) == unit2)
-    rep.set_flag("triangular", triangular)
+    rep.set_flag("triangular", x is not None and lmul * r21 == unit2 and rmul * r21 == unit2)
     return rep
 
 
 def validate_coquasitriangular(b, form):
-    """CHA1-CHA5 plus the cotriangularity test on a bilinear form."""
+    """CHA1-CHA5 plus the cotriangularity test on a bilinear form, column by
+    column."""
     n = b.dim
     if form.rows != n or form.cols != n:
         raise DimensionMismatch("form is %dx%d on a dim-%d algebra" % (form.rows, form.cols, n))
     rep = AxiomReport()
     names = b.basis
-    eye = Matrix.identity(n)
-    mm, cm, be = b.mult_map, b.comult_map, b.gamma
-    eps, u = b.counit_row, b.unit_col
-    frow = element_col(form).transpose()
-    dims3 = (n, n, n)
+    mult, co, be = product_columns(b.mult), coproduct_columns(b.comult), sparse_columns(b.gamma)
+    eps, flip = pair_columns(b.counit), flip_columns(n, n)
+    pair = (pair_columns([x for row in form.data for x in row]), (0, 1), ())
+    to_h, to_hh = (n,), (n, n)
+    names3 = (names, names, names)
 
     # CHA1: input (h,g,l); split l, twist h and g, pair as <bh|l2><bg|l1>.
-    lhs = frow * kron(mm, be)
-    split_l = kron_all(be, be, eye, eye) * kron_all(eye, eye, cm)
-    rhs = kron(frow, frow) * permute_output_legs(split_l, [n, n, n, n], [0, 3, 1, 2])
-    matrices_equal_report(rep, "CHA1", lhs, rhs, dims3, (names, names, names))
-
+    composites_equal_report(rep, "CHA1", [(mult, (0, 1), to_h), (be, (1,), None), pair],
+                            [(co, (2,), to_hh), (be, (0,), None), (be, (1,), None),
+                             (pair[0], (1, 2), ()), pair], (n, n, n), names3)
     # CHA2: split h, twist g and l, pair as <h1|bg><h2|bl>.
-    lhs = frow * kron(be, mm)
-    split_h = kron_all(eye, eye, be, be) * kron_all(cm, eye, eye)
-    rhs = kron(frow, frow) * permute_output_legs(split_h, [n, n, n, n], [0, 2, 1, 3])
-    matrices_equal_report(rep, "CHA2", lhs, rhs, dims3, (names, names, names))
+    composites_equal_report(rep, "CHA2", [(mult, (1, 2), to_h), (be, (0,), None), pair],
+                            [(co, (0,), to_hh), (be, (2,), None), (be, (3,), None),
+                             (flip, (1, 2), None), pair, pair], (n, n, n), names3)
+    # CHA3: <h1|g1> g2 h2 against h1 g1 <h2|g2>
+    expand = [(co, (1,), to_hh), (co, (0,), to_hh), (flip, (1, 2), None)]
+    composites_equal_report(rep, "CHA3",
+                            expand + [pair, (flip, (0, 1), None), (mult, (0, 1), to_h)],
+                            expand + [(pair[0], (2, 3), ()), (mult, (0, 1), to_h)],
+                            to_hh, (names, names))
+    # <1|h> and <h|1>, each against eps(h)
+    put_u = (insert_columns(b.unit, n), (0,), to_hh)
+    sides = [first_differing_column(side, [(eps, (0,), ())], to_h) is None
+             for side in ([put_u, pair], [put_u, (flip, (0, 1), None), pair])]
+    rep.add("CHA4", all(sides), None if all(sides) else
+            ("<1|h>" if not sides[0] else "<h|1>",))
 
-    dims2 = (n, n)
-    expand = kron(cm, cm)  # (h,g) -> (h1,h2,g1,g2)
-    lhs = kron(frow, mm) * permute_output_legs(expand, [n, n, n, n], [0, 2, 3, 1])
-    rhs = kron(mm, frow) * permute_output_legs(expand, [n, n, n, n], [0, 2, 1, 3])
-    matrices_equal_report(rep, "CHA3", lhs, rhs, dims2, (names, names))
+    rep.add("CHA5", first_differing_column([(be, (0,), None), (be, (1,), None), pair],
+                                           [pair], to_hh) is None)
 
-    left = frow * kron(u, eye)
-    right = frow * kron(eye, u)
-    rep.add("CHA4", left == eps and right == eps,
-            None if (left == eps and right == eps) else
-            ("<1|h>" if left != eps else "<h|1>",))
-
-    rep.add("CHA5", be.transpose() * form * be == form)
-
-    cot = kron(frow, frow) * permute_output_legs(expand, [n, n, n, n], [0, 2, 3, 1])
-    rep.set_flag("cotriangular", cot == kron(eps, eps))
+    # <h1|g1><g2|h2> against eps(h) eps(g)
+    rep.set_flag("cotriangular", first_differing_column(
+        expand + [pair, (flip, (0, 1), None), pair], [(eps, (0,), ()), (eps, (0,), ())],
+        to_hh) is None)
     return rep
 
 

@@ -1,4 +1,4 @@
-"""Exact dense linear and tensor algebra over the rationals.
+"""Exact linear algebra over the rationals, and maps applied to tensor legs.
 
 Everything is a Fraction; there is no floating point anywhere.  Linear maps
 are stored column-convention: M[i][j] is the coefficient of the i-th output
@@ -57,16 +57,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def flat_index(idxs, dims):
-    """Lexicographic index of a tuple in the tensor basis with the given dims."""
-    i = 0
-    for idx, d in zip(idxs, dims):
-        i = i * d + idx
-    return i
-
-
 def unflat_index(i, dims):
-    """Inverse of flat_index."""
+    """The basis tuple of the lexicographic index i in the tensor basis with
+    the given dims."""
     out = []
     for d in reversed(dims):
         out.append(i % d)
@@ -376,78 +369,6 @@ def kron(a, b):
     return Matrix.trusted(map(tuple, out), a.rows * rb, a.cols * cb)
 
 
-def kron_all(*ms):
-    out = ms[0]
-    for m in ms[1:]:
-        out = kron(out, m)
-    return out
-
-
-def perm_matrix(dims, perm):
-    """Permutation of tensor legs.
-
-    dims are the input leg dimensions; output slot t receives input leg
-    perm[t], i.e. e_{(i_0,...,i_{k-1})} maps to e_{(i_{perm[0]},...,i_{perm[k-1]})}.
-    """
-    if sorted(perm) != list(range(len(dims))):
-        raise DimensionMismatch("perm %r is not a permutation of %d legs" % (perm, len(dims)))
-    n = 1
-    for d in dims:
-        n *= d
-    out_dims = [dims[p] for p in perm]
-    m = [[ZERO] * n for _ in range(n)]
-    for src in range(n):
-        idxs = unflat_index(src, dims)
-        dst = flat_index([idxs[p] for p in perm], out_dims)
-        m[dst][src] = ONE
-    return Matrix(m, rows=n, cols=n)
-
-
-def flip_matrix(d0, d1):
-    """The swap X (x) Y -> Y (x) X on lexicographic bases."""
-    return perm_matrix([d0, d1], [1, 0])
-
-
-def permute_output_legs(m, dims, perm):
-    """perm_matrix(dims, perm) * m without materializing the permutation.
-
-    m's rows are indexed by the tensor basis with the given dims; the result
-    moves input leg perm[t] into output slot t (a pure row reordering).
-    """
-    total = 1
-    for d in dims:
-        total *= d
-    if m.rows != total:
-        raise DimensionMismatch("matrix has %d rows for legs %r" % (m.rows, dims))
-    out_dims = [dims[p] for p in perm]
-    rows = [None] * total
-    for src in range(total):
-        idx = unflat_index(src, dims)
-        dst = flat_index([idx[p] for p in perm], out_dims)
-        rows[dst] = m.data[src]
-    return Matrix.trusted(rows, m.rows, m.cols)
-
-
-def permute_input_legs(m, dims, perm):
-    """m * perm_matrix(dims, perm) without materializing the permutation.
-
-    m's columns are indexed by the permuted tensor basis; the result reads
-    input slot t of the permutation's source ordering (a column reordering).
-    """
-    total = 1
-    for d in dims:
-        total *= d
-    if m.cols != total:
-        raise DimensionMismatch("matrix has %d cols for legs %r" % (m.cols, dims))
-    out_dims = [dims[p] for p in perm]
-    colmap = [0] * total
-    for src in range(total):
-        idx = unflat_index(src, dims)
-        colmap[src] = flat_index([idx[p] for p in perm], out_dims)
-    return Matrix.trusted((tuple(row[colmap[c]] for c in range(total)) for row in m.data),
-                          m.rows, m.cols)
-
-
 def int_columns(columns):
     """Dense columns of rationals as (cols, scale): the map is cols / scale,
     where cols[j] lists the (row, value) pairs of column j with value != 0
@@ -711,32 +632,3 @@ class Tensor3:
 
     def __repr__(self):
         return "Tensor3(%dx%dx%d)" % self.dims
-
-
-def apply3(t, mode, m):
-    """Contract a matrix into one leg of a Tensor3.
-
-    The leg indexed by `mode` is transformed as an output coordinate:
-    result[.., a, ..] = sum_p m[a][p] * t[.., p, ..].  To pre-compose an
-    input leg with a map f, pass f's transpose.
-    """
-    if mode not in (0, 1, 2):
-        raise DimensionMismatch("mode must be 0, 1 or 2")
-    d = t.dims[mode]
-    if m.cols != d:
-        raise DimensionMismatch("matrix with %d columns against leg of dim %d" % (m.cols, d))
-    dims = list(t.dims)
-    dims[mode] = m.rows
-
-    def entry(i, j, k):
-        idx = [i, j, k]
-        a = idx[mode]
-        s = ZERO
-        for p in range(d):
-            c = m.data[a][p]
-            if c:
-                idx[mode] = p
-                s += c * t.data[idx[0]][idx[1]][idx[2]]
-        return s
-
-    return Tensor3.from_function(dims[0], dims[1], dims[2], entry)

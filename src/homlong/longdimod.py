@@ -11,7 +11,7 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 from dataclasses import dataclass
 
 from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, coproduct_columns,
-                     flip_columns, kron, kron_all, per_leg, product_columns, sparse_columns,
+                     flip_columns, kron, per_leg, product_columns, sparse_columns,
                      ZERO, ONE)
 from .homstruct import HomAlgebra, HomBialgebra, dual_hopf, opposite_algebra
 from .repmod import HomModule, HomComodule, validate_hom_module, validate_hom_comodule
@@ -183,7 +183,7 @@ def trivial_dimodule(h, b, mu=None):
 def associator(u, v, w):
     """Matrix of (u (x) v) (x) w -> u (x) (v (x) w),
     (u (x) v) (x) w -> mu^-1(u) (x) (v (x) omega(w))."""
-    return kron_all(u.mu.inv(), Matrix.identity(v.dim), w.mu)
+    return composite_matrix(associator_legs(u, w), (u.dim, v.dim, w.dim))
 
 
 def associator_legs(u, w, inverse=False):

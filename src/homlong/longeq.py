@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, SingularMatrix,
-                     first_differing_column, flip_matrix, kron, scalar, sparse_columns,
-                     ZERO)
+                     composite_matrix, first_differing_column, flip_columns, kron, scalar,
+                     sparse_columns, ZERO)
 from .longdimod import HomLongDimodule, validate_long_dimodule
 from .report import AxiomReport
 
@@ -252,10 +252,11 @@ def tau_transforms(op):
     """
     n = op.carrier_dim
     mu = op.structure_map
-    t = flip_matrix(n, n)
-    u = t * op.matrix
-    tt = op.matrix * t
-    w = t * op.matrix * t
+    flip, r = flip_columns(n, n), sparse_columns(op.matrix)
+    u, tt, w = (composite_matrix(steps, (n, n)) for steps in (
+        [(r, (0, 1), None), (flip, (0, 1), None)],
+        [(flip, (0, 1), None), (r, (0, 1), None)],
+        [(flip, (0, 1), None), (r, (0, 1), None), (flip, (0, 1), None)]))
     rep = AxiomReport()
 
     base = check_long_equation(op).passed("hom-long-eq")
@@ -264,7 +265,7 @@ def tau_transforms(op):
     # the legs of X in M (x) M (x) M as steps for first_differing_column;
     # X13 swaps the last two legs around X12, and the cycle
     # x (x) y (x) z -> z (x) x (x) y is a re-indexing
-    m, flip = sparse_columns(mu), sparse_columns(t)
+    m = sparse_columns(mu)
     n2 = n * n
     cyc = ([[((c % n) * n2 + c // n, 1)] for c in range(n2 * n)], 1)
 

@@ -1,7 +1,7 @@
 import pytest
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, flip_matrix
+from homlong.linalg import Matrix
 from homlong.homstruct import tensor_hopf
 from homlong.repmod import check_yd, validate_hom_comodule, validate_hom_module
 from homlong.longdimod import (canonical_dimodule, trivial_dimodule,
@@ -14,6 +14,7 @@ from homlong.braidcat import (BraidingContext, DimoduleMorphism, InvalidContext,
                               hb_yd_structure, long_braiding,
                               long_braiding_inverse, module_as_dimodule,
                               module_family_braiding)
+from test_oracles import flip_matrix
 
 
 @pytest.fixture(scope="module")

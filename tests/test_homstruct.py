@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from homlong import fixtures as fx
@@ -163,6 +165,18 @@ def test_tensor_hopf(kz2, kz4t):
     assert tw.gamma == fx.kz4_twist_map().kron(Matrix.identity(2))
 
 
+def test_dual_and_tensor_of_bialgebras_without_antipode(kz2, kz4t):
+    # the antipode is passed through only when every factor has one
+    bi2, bi4 = replace(kz2, antipode=None), replace(kz4t, antipode=None)
+    d = dual_hopf(bi4)
+    assert d.antipode is None and d.kind == "hom-bialgebra" and validate_all(d).ok
+    assert d.mult == dual_hopf(kz4t).mult and d.comult == dual_hopf(kz4t).comult
+    for h, b in ((bi2, kz4t), (kz2, bi4), (bi2, bi4)):
+        t = tensor_hopf(h, b)
+        assert t.antipode is None and validate_all(t).ok
+        assert t.mult == tensor_hopf(kz2, kz4t).mult
+
+
 def test_tensor_with_field_is_isomorphic(kz2):
     t = tensor_hopf(fx.field_hopf(), kz2)
     assert t.dim == kz2.dim
@@ -200,8 +214,7 @@ def test_quasitriangular_counterexample(kz2):
 
 def test_flip_invertibility_symmetry(kz2):
     # flip(R) is convolution-invertible iff R is, on the fixture set
-    from homlong.linalg import flip_matrix
-    from homlong.homstruct import element_col, col_to_matrix
+    from test_oracles import col_to_matrix, element_col, flip_matrix
     for r in (fx.kz2_rmatrix(), fx.trivial_rmatrix(kz2), Matrix([[0, 1], [0, 0]])):
         flipped = col_to_matrix(flip_matrix(2, 2) * element_col(r), 2, 2)
         a = validate_quasitriangular(kz2, r).flags["convolution-invertible"]

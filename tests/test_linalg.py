@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
-                            SingularMatrix, apply3, apply_on_legs, composite_matrix,
-                            first_differing_column,
-                            flat_index, unflat_index, flip_matrix, insert_columns, kron,
-                            kron_all, pair_columns, perm_matrix, scalar, scalar_to_json,
-                            solve_exact, sparse_columns)
+                            SingularMatrix, apply_on_legs, composite_matrix,
+                            first_differing_column, unflat_index, insert_columns, kron,
+                            pair_columns, scalar, scalar_to_json, solve_exact, sparse_columns)
+from test_oracles import (apply3, flat_index, flip_matrix, kron_all, perm_matrix,
+                          permute_input_legs, permute_output_legs)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -113,7 +113,6 @@ def test_perm_matrix_and_flat_index():
 
 
 def test_lazy_leg_permutations_match_matrices():
-    from homlong.linalg import permute_input_legs, permute_output_legs
     dims = [2, 3, 2]
     perm = [2, 0, 1]
     p = perm_matrix(dims, perm)

@@ -123,7 +123,8 @@ def test_tensor_coaction_power_is_the_right_one():
     # only k = -2 makes the associator B-colinear once the twist has infinite
     # order; the alternative power 1 is a valid object outside the monoidal
     # structure
-    from homlong.linalg import kron, permute_output_legs
+    from homlong.linalg import kron
+    from test_oracles import permute_output_legs
     kz2 = fx.kz2()
     swt = fx.sweedler_scaled_twisted(2)
 
@@ -132,7 +133,7 @@ def test_tensor_coaction_power_is_the_right_one():
         nb = bb.dim
         d = m.dim * n.dim
         base = tensor_dimodule(m, n)
-        co_mat = (kron((bb.gamma ** power) * bb.mult_map, Matrix.identity(d))
+        co_mat = (kron((bb.gamma ** power) * bb.mult.flatten_in2_out1(), Matrix.identity(d))
                   * permute_output_legs(kron(m.coaction_map, n.coaction_map),
                                         [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
         return HomLongDimodule(m.H, m.B, d, base.action,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, Tensor3, SingularMatrix, flip_matrix
+from homlong.linalg import Matrix, Tensor3, SingularMatrix
 from homlong.longdimod import canonical_dimodule
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             SearchSpaceTooLarge, ZeroDiagonal,
@@ -15,7 +15,7 @@ from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             dimodule_solution, module_extension,
                             operator_to_coords, search_solutions, tau_transforms,
                             validate_halpha_dimodule)
-from test_oracles import leg12, leg23
+from test_oracles import flip_matrix, leg12, leg23
 
 nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(lambda x: x != 0)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)

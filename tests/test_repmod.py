@@ -3,10 +3,11 @@ from dataclasses import replace
 import pytest
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, Tensor3, flip_matrix, DimensionMismatch
+from homlong.linalg import Matrix, Tensor3, DimensionMismatch
 from homlong.repmod import (HomModule, HomComodule, YetterDrinfeldModule,
                             check_yd, validate_hom_comodule, validate_hom_module,
                             yd_prebraiding)
+from test_oracles import flip_matrix
 
 
 def sign_yd(kz2):
