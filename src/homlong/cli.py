@@ -116,10 +116,10 @@ def cmd_validate(args, report):
     elif isinstance(s, HomBialgebra):
         report.absorb(validate_all(s))
         raw = hio._read(args.file)
-        if s.antipode is not None and "R" in raw:
+        if "R" in raw:
             report.absorb(validate_quasitriangular(
                 s, hio.load_matrix(raw["R"], args.file + ".R")), "R:")
-        if s.antipode is not None and "form" in raw:
+        if "form" in raw:
             report.absorb(validate_coquasitriangular(
                 s, hio.load_matrix(raw["form"], args.file + ".form")), "form:")
     elif isinstance(s, HomModule):
@@ -392,7 +392,7 @@ def build_parser():
     b.add_argument("--side", choices=("left", "right"), default="left")
     b.add_argument("-o", dest="out")
 
-    s = sub.add_parser("search", help="exhaustive grid search for solutions")
+    s = sub.add_parser("search", help="exact search for solutions on a coefficient grid")
     s.add_argument("--mu", required=True)
     s.add_argument("--set", required=True)
     s.add_argument("--shape", choices=("diagonal", "full"), default="diagonal")

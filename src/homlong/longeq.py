@@ -81,46 +81,56 @@ def _first_failing_column(a_cols, b_cols, mu_cols, n):
     they are equal.
 
     A and B act on M (x) M and mu on M (dim n); each is given by its sparse
-    columns (lists of (row, value) pairs with nonzero value).  Both sides
-    are applied to e_u (x) e_v (x) e_w without forming a Kronecker product,
-    so the work per column is the product of the nonzero counts involved.
+    columns (lists of (row, value) pairs with nonzero value).
     """
-    n2 = n * n
     for u in range(n):
-        mu_u = mu_cols[u]
         for v in range(n):
-            a_uv = a_cols[u * n + v]
             for w in range(n):
-                # (A (x) mu)(mu (x) B): e_t (x) B e_vw, then A on (t, j), mu on k
-                lhs = {}
-                for jk, b in b_cols[v * n + w]:
-                    j, k = divmod(jk, n)
-                    mu_k = mu_cols[k]
-                    for t, m in mu_u:
-                        mb = m * b
-                        for pq, a in a_cols[t * n + j]:
-                            amb = a * mb
-                            base = pq * n
-                            for r, z in mu_k:
-                                key = base + r
-                                lhs[key] = lhs.get(key, 0) + z * amb
-                # (mu (x) B)(A (x) mu): A e_uv (x) mu e_w, then mu on i, B on (j, s)
-                rhs = {}
-                mu_w = mu_cols[w]
-                for ij, a in a_uv:
-                    i, j = divmod(ij, n)
-                    mu_i = mu_cols[i]
-                    for s, m in mu_w:
-                        am = a * m
-                        for qr, b in b_cols[j * n + s]:
-                            bam = b * am
-                            for p, z in mu_i:
-                                key = p * n2 + qr
-                                rhs[key] = rhs.get(key, 0) + z * bam
+                lhs, rhs = _column_sides(a_cols, b_cols, mu_cols, n, u, v, w)
                 if lhs != rhs and ({key: x for key, x in lhs.items() if x}
                                    != {key: x for key, x in rhs.items() if x}):
                     return (u, v, w)
     return None
+
+
+def _column_sides(a_cols, b_cols, mu_cols, n, u, v, w):
+    """(A (x) mu)(mu (x) B) and (mu (x) B)(A (x) mu) applied to
+    e_u (x) e_v (x) e_w, each as a dict from output index to coefficient
+    (an entry may be 0 where terms cancel).
+
+    Both sides are applied without forming a Kronecker product, so the work
+    is the product of the nonzero counts involved; each side is bilinear in
+    (A, B).
+    """
+    n2 = n * n
+    mu_u = mu_cols[u]
+    # (A (x) mu)(mu (x) B): e_t (x) B e_vw, then A on (t, j), mu on k
+    lhs = {}
+    for jk, b in b_cols[v * n + w]:
+        j, k = divmod(jk, n)
+        mu_k = mu_cols[k]
+        for t, m in mu_u:
+            mb = m * b
+            for pq, a in a_cols[t * n + j]:
+                amb = a * mb
+                base = pq * n
+                for r, z in mu_k:
+                    key = base + r
+                    lhs[key] = lhs.get(key, 0) + z * amb
+    # (mu (x) B)(A (x) mu): A e_uv (x) mu e_w, then mu on i, B on (j, s)
+    rhs = {}
+    mu_w = mu_cols[w]
+    for ij, a in a_cols[u * n + v]:
+        i, j = divmod(ij, n)
+        mu_i = mu_cols[i]
+        for s, m in mu_w:
+            am = a * m
+            for qr, b in b_cols[j * n + s]:
+                bam = b * am
+                for p, z in mu_i:
+                    key = p * n2 + qr
+                    rhs[key] = rhs.get(key, 0) + z * bam
+    return lhs, rhs
 
 
 def check_invertible_iff(op):
@@ -399,18 +409,26 @@ def dimodule_solution(d):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive search
+# exact search
 
 SEARCH_CAP = 1 << 20
 
 
 def search_solutions(mu, coefficient_set, shape):
     """Every operator on the coefficient grid that solves the Hom-Long
-    equation for the given structure map; exhaustive, deterministic order.
+    equation for the given structure map, in the grid's lexicographic order
+    (row-major entries, values in the given order); exact and complete.
 
-    shape "diagonal" scans R(m_i (x) m_j) = b_ij m_i (x) m_j (|set|^(n^2)
-    candidates, any n); shape "full" scans all n^2 x n^2 matrices
-    (|set|^(n^4) candidates, capped at n = 2).
+    shape "diagonal" searches R(m_i (x) m_j) = b_ij m_i (x) m_j (n^2
+    unknowns, any n); shape "full" searches all n^2 x n^2 matrices (n^4
+    unknowns, refused for n > 2).  The search assigns one entry at a time
+    and tests each quadratic constraint of the equation as soon as its last
+    entry is set; every solution is checked again by the column kernel.  A
+    grid of at most SEARCH_CAP candidates is searched to the end.  A larger
+    one is refused with SearchSpaceTooLarge once the work passes SEARCH_CAP:
+    the n^3 kernel evaluations per pair of unknowns that derive the
+    constraints, counted before they start, plus the partial assignments
+    visited.
     """
     n = mu.rows
     if mu.det() == 0:
@@ -422,31 +440,158 @@ def search_solutions(mu, coefficient_set, shape):
             values.append(s)
     if shape not in ("diagonal", "full"):
         raise ValueError("shape must be 'diagonal' or 'full'")
-    slots = n * n if shape == "diagonal" else n ** 4
-    cardinality = len(values) ** slots
+    n2 = n * n
+    if shape == "diagonal":
+        positions = [(c, c) for c in range(n2)]
+    else:
+        positions = [(r, c) for r in range(n2) for c in range(n2)]
+    count = len(positions)
+    cardinality = len(values) ** count
     if shape == "full" and n > 2:
-        raise SearchSpaceTooLarge(cardinality)
-    if cardinality > SEARCH_CAP:
         raise SearchSpaceTooLarge(cardinality)
     if not values:
         return []
 
-    # the grid is enumerated on int-scaled values and each solution is
-    # mapped back to the given ones
+    # the search runs on int-scaled values (the equation is homogeneous in
+    # R) and each solution is mapped back to the given ones
     scaled = _to_ints(values)
     given = dict(zip(scaled, values))
+    rank = {x: i for i, x in enumerate(scaled)}
     mu_cols = _sparse_columns(mu)
-    n2 = n * n
+    # with a single value there is nothing to prune, so nothing is derived
+    budget = SEARCH_CAP if cardinality > SEARCH_CAP else math.inf
+    derivation = n ** 3 * count * count if len(values) > 1 else 0
+    if derivation > budget:
+        raise SearchSpaceTooLarge(cardinality)
+    forms = _long_constraints(positions, mu_cols, n) if derivation else []
+    found = _solve(forms, count, scaled, budget - derivation)
+    if found is None:
+        raise SearchSpaceTooLarge(cardinality)
+    found.sort(key=lambda xs: [rank[x] for x in xs])
     out = []
-    for combo in itertools.product(scaled, repeat=slots):
-        if shape == "diagonal":
-            cols = [[(c, x)] if x else [] for c, x in enumerate(combo)]
-        else:
-            cols = [[(r, x) for r, x in enumerate(combo[c::n2]) if x] for c in range(n2)]
+    for xs in found:
+        cols = [[] for _ in range(n2)]
+        for (r, c), x in zip(positions, xs):
+            if x:
+                cols[c].append((r, x))
         if _first_failing_column(cols, cols, mu_cols, n) is None:
             rows = [[ZERO] * n2 for _ in range(n2)]
-            for c, col in enumerate(cols):
-                for r, x in col:
-                    rows[r][c] = given[x]
+            for (r, c), x in zip(positions, xs):
+                rows[r][c] = given[x]
             out.append(OperatorOnTensorSquare(n, Matrix.trusted(map(tuple, rows), n2, n2), mu))
     return out
+
+
+def _long_constraints(positions, mu_cols, n):
+    """The Hom-Long equation for R = sum_a x_a E_a, where E_a has a single 1
+    at (row, col) = positions[a]: one quadratic form in the x_a per output
+    coordinate of each basis triple, each as a tuple of ((a, b), coefficient)
+    with a <= b, that must vanish.  Forms that vanish identically are
+    dropped, and proportional ones kept once.
+
+    Both sides of the equation are bilinear in (A, B), so the coefficient of
+    x_a x_b is read off the kernel's sides at A = E_a, B = E_b plus those at
+    A = E_b, B = E_a (polarisation).
+    """
+    n2 = n * n
+    units = []
+    for r, c in positions:
+        cols = [[] for _ in range(n2)]
+        cols[c] = [(r, 1)]
+        units.append(cols)
+    forms = set()
+    for u, v, w in itertools.product(range(n), repeat=3):
+        coords = {}
+        for a, ea in enumerate(units):
+            for b, eb in enumerate(units):
+                lhs, rhs = _column_sides(ea, eb, mu_cols, n, u, v, w)
+                ab = (a, b) if a <= b else (b, a)
+                for key, x in lhs.items():
+                    form = coords.setdefault(key, {})
+                    form[ab] = form.get(ab, 0) + x
+                for key, x in rhs.items():
+                    form = coords.setdefault(key, {})
+                    form[ab] = form.get(ab, 0) - x
+        for form in coords.values():
+            terms = sorted((ab, x) for ab, x in form.items() if x)
+            if terms:
+                g = math.gcd(*(x for _, x in terms))
+                if terms[0][1] < 0:
+                    g = -g
+                forms.add(tuple((ab, x // g) for ab, x in terms))
+    return sorted(forms)
+
+
+def _solve(forms, count, values, budget):
+    """Every assignment of values to x_0 .. x_{count-1} on which all the
+    forms vanish, as tuples; None once more than budget partial assignments
+    have been visited.
+
+    A depth-first search: the next variable is the one that completes the
+    most forms given those already set (ties to the lower index), each form
+    is tested when its last variable is set, and the values of a variable
+    are tried in the given order.
+    """
+    order = _variable_order(forms, count)
+    depth = {a: d for d, a in enumerate(order)}
+    # tests[d]: the forms completed at depth d, as the coefficient of x_d^2,
+    # the terms linear in x_d and the terms free of it, by depth
+    tests = [[] for _ in range(count)]
+    for form in forms:
+        terms = [(min(depth[a], depth[b]), max(depth[a], depth[b]), x)
+                 for (a, b), x in form]
+        last = max(q for _, q, _ in terms)
+        square = sum(x for p, q, x in terms if p == last)
+        linear = [(x, p) for p, q, x in terms if q == last and p < last]
+        free = [(x, p, q) for p, q, x in terms if q < last]
+        tests[last].append((square, linear, free))
+    x = [0] * count
+    candidates = [None] * count
+    tried = [0] * count
+    found = []
+    nodes = 0
+    d = 0
+    while d >= 0:
+        if candidates[d] is None:
+            # the values of x_d on which the forms completed here vanish
+            ys = values
+            for square, linear, free in tests[d]:
+                b = sum(c * x[p] for c, p in linear)
+                k = sum(c * x[p] * x[q] for c, p, q in free)
+                ys = [y for y in ys if (square * y + b) * y + k == 0]
+                if not ys:
+                    break
+            candidates[d], tried[d] = ys, 0
+        if tried[d] == len(candidates[d]):
+            candidates[d] = None
+            d -= 1
+            continue
+        x[d] = candidates[d][tried[d]]
+        tried[d] += 1
+        nodes += 1
+        if nodes > budget:
+            return None
+        if d + 1 == count:
+            found.append(tuple(x))
+        else:
+            d += 1
+    return [tuple(xs[depth[a]] for a in range(count)) for xs in found]
+
+
+def _variable_order(forms, count):
+    """Most constrained first: each next variable completes the most forms
+    given the variables before it; ties go to the lower index."""
+    pending = [{a for ab, _ in form for a in ab} for form in forms]
+    order = []
+    left = set(range(count))
+    while left:
+        completes = [0] * count
+        for unset in pending:
+            if len(unset) == 1:
+                completes[next(iter(unset))] += 1
+        best = max(sorted(left), key=lambda a: completes[a])
+        order.append(best)
+        left.remove(best)
+        for unset in pending:
+            unset.discard(best)
+    return order

@@ -5,7 +5,6 @@ Every check is an exact rational identity; there are no tolerances.  Run
 `python tests/test_acceptance.py` to run the suite standalone.
 """
 
-import itertools
 import random
 import sys
 from fractions import Fraction
@@ -34,7 +33,7 @@ from homlong.longeq import (HAlphaLongDimodule, check_long_equation,
                             module_extension, operator_to_coords,
                             search_solutions, tau_transforms,
                             validate_halpha_dimodule)
-from test_oracles import longeq_first_failing_column
+from test_oracles import grid_search_oracle
 
 RESULTS = []
 
@@ -249,13 +248,9 @@ def test_criterion_10_search_cross_check():
     mu = Matrix.diagonal([1, 2])
     found = search_solutions(mu, [0, 1], "full")
     # independent oracle: filter the full grid with the elementwise evaluator,
-    # which shares no code with the search
-    oracle = []
-    for combo in itertools.product((0, 1), repeat=16):
-        rows = [list(combo[r * 4:(r + 1) * 4]) for r in range(4)]
-        if longeq_first_failing_column(rows, rows, mu.to_lists()) is None:
-            oracle.append(Matrix(rows))
-    ok = sorted(m.data for m in oracle) == sorted(s.matrix.data for s in found)
+    # which shares no code with the search; the same list in the same order
+    oracle = grid_search_oracle(mu.to_lists(), [0, 1], "full")
+    ok = oracle == [s.matrix.to_lists() for s in found]
     for s in found:
         x = operator_to_coords(s)
         rep = coordinate_criterion(x, x, mu)

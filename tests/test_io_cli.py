@@ -114,6 +114,21 @@ def test_validate_exit_codes(files, capsys):
     assert main(["validate", p(files, "nosuch.json")]) == 2
 
 
+def test_validate_bialgebra_checks_r_and_form(files, capsys):
+    # QHA1-5 and CHA1-5 read no antipode, so a hom-bialgebra file's R and
+    # form are validated too
+    obj = json.load(open(files / "kz2.json"))
+    obj.pop("antipode")
+    obj["kind"] = "hom-bialgebra"
+    obj["R"] = [[0, 1], [0, 0]]
+    obj["form"] = [[5, 0], [0, 0]]
+    hio.dump_json(obj, files / "kz2b.json")
+    assert main(["--format", "json", "validate", p(files, "kz2b.json")]) == 1
+    checks = {a: v for a, v, _ in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["R:QHA1"] == "fail"
+    assert any(a.startswith("form:") for a in checks)
+
+
 def test_check_commands(files, capsys):
     base = ["check", "ybe", "--ctx", p(files, "ctx.json"),
             "-U", p(files, "sign.json"), "-V", p(files, "trivial.json"),
@@ -206,6 +221,15 @@ def test_search_command(files, capsys):
     mu3 = files / "id3.json"
     hio.dump_json({"mu": hio.matrix_json(Matrix.identity(3))}, mu3)
     assert main(["search", "--mu", str(mu3), "--set", "0,1", "--shape", "full"]) == 2
+
+
+def test_search_command_over_signs(files, capsys):
+    # 3^16 candidates, above the cap, searched within the node budget;
+    # "--set=" because argparse reads a bare -1,0,1 as an option
+    assert main(["--format", "json", "search", "--mu", p(files, "id2.json"),
+                 "--set=-1,0,1", "--shape", "full", "-o", str(files / "sols.json")]) == 0
+    assert "665 solutions" in json.loads(capsys.readouterr().out)["notes"]
+    assert len(json.load(open(files / "sols.json"))["solutions"]) == 665
 
 
 def test_symmetry_diagnose_exit(files, tmp_path, capsys):

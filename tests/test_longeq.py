@@ -15,7 +15,7 @@ from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             dimodule_solution, module_extension,
                             operator_to_coords, search_solutions, tau_transforms,
                             validate_halpha_dimodule)
-from test_oracles import flip_matrix, leg12, leg23
+from test_oracles import flip_matrix, leg12, leg23, longeq_first_failing_column
 
 nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(lambda x: x != 0)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -238,3 +238,27 @@ def test_search_full_small_grid():
     sols = search_solutions(Matrix.identity(2), [0], "full")
     assert len(sols) == 1          # the zero operator solves trivially
     assert sols[0].matrix.is_zero()
+
+
+@pytest.mark.parametrize("mu, count", [([[1, 0], [0, 1]], 665), ([[1, 0], [0, 2]], 109),
+                                       ([[1, 1], [0, 1]], 111)])
+def test_search_full_over_signs(mu, count):
+    # 3^16 candidates, above SEARCH_CAP, so the search runs on the node budget
+    full = [s.matrix.to_lists() for s in search_solutions(Matrix(mu), [-1, 0, 1], "full")]
+    assert len(full) == count
+    assert full == sorted(full)    # grid order: -1, 0, 1 is ascending
+    for rows in full:
+        assert longeq_first_failing_column(rows, rows, mu) is None
+    diagonal = search_solutions(Matrix(mu), [-1, 0, 1], "diagonal")
+    assert diagonal and all(s.matrix.to_lists() in full for s in diagonal)
+
+
+def test_search_budget_covers_derivation():
+    # deriving the constraints for 64 unknowns at n = 8 takes 2^21 kernel
+    # evaluations, over the budget: refused before it starts
+    with pytest.raises(SearchSpaceTooLarge) as exc:
+        search_solutions(Matrix.identity(8), [0, 1], "diagonal")
+    assert exc.value.cardinality == 2 ** 64
+    # one value: a single candidate, decided by the kernel alone
+    sols = search_solutions(Matrix.identity(16), ["3/3"], "diagonal")
+    assert len(sols) == 1 and sols[0].matrix == Matrix.identity(256)

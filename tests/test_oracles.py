@@ -13,6 +13,7 @@ and their inverses included.
 
 import functools
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -525,16 +526,77 @@ def test_index_identity_matches_oracle(data):
     assert rep.flags["agreement"] == (rep.passed("operator-identity") == (expected is None))
 
 
-@settings(max_examples=30, deadline=None)
-@given(structure_maps(2), st.lists(st.sampled_from(SMALL), min_size=1, max_size=3))
-def test_diagonal_search_matches_oracle(mu, values):
-    expected = []
-    for combo in itertools.product(dict.fromkeys(values), repeat=4):
-        rows = [[combo[r] if r == c else 0 for c in range(4)] for r in range(4)]
-        if longeq_first_failing_column(rows, rows, mu) is None:
-            expected.append(rows)
-    found = search_solutions(Matrix(mu), values, "diagonal")
+def grid_search_oracle(mu, values, shape):
+    """Every operator on the grid that solves the Hom-Long equation, in grid
+    order: the unknowns (the n^2 diagonal entries, or all n^4 entries) in
+    row-major order run over the distinct values in the given order, as
+    itertools.product runs, and each candidate is decided by the elementwise
+    evaluator.  The evaluator runs on integers: the equation is homogeneous
+    in R and in mu, so clearing the denominators of the values and of mu
+    keeps every verdict.  Returns lists of rows holding the given values.
+    """
+    n = len(mu)
+    n2 = n * n
+    distinct = list(dict.fromkeys(Fraction(v) for v in values))
+    d = math.lcm(*(v.denominator for v in distinct))
+    e = math.lcm(*(Fraction(x).denominator for row in mu for x in row))
+    ints = [int(v * d) for v in distinct]
+    mu_int = [[int(Fraction(x) * e) for x in row] for row in mu]
+    if shape == "diagonal":
+        positions = [(c, c) for c in range(n2)]
+    else:
+        positions = [(r, c) for r in range(n2) for c in range(n2)]
+    out = []
+    for combo in itertools.product(ints, repeat=len(positions)):
+        rows = [[0] * n2 for _ in range(n2)]
+        for (r, c), x in zip(positions, combo):
+            rows[r][c] = x
+        if longeq_first_failing_column(rows, rows, mu_int) is None:
+            out.append([[Fraction(x, d) for x in row] for row in rows])
+    return out
+
+
+# coefficient values: SMALL plus duplicates written another way
+VALUES = SMALL + ["2/2", "-4/2", 1, "0"]
+
+
+@st.composite
+def value_lists(draw, most):
+    """A list of coefficient values, duplicates included, with at most
+    `most` distinct ones."""
+    values = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=most + 2))
+    distinct = list(dict.fromkeys(Fraction(v) for v in values))
+    assume(len(distinct) <= most)
+    return values
+
+
+def _assert_search_matches_grid(mu, values, shape):
+    expected = grid_search_oracle(mu, values, shape)
+    found = search_solutions(Matrix(mu), values, shape)
     assert [s.matrix.to_lists() for s in found] == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_diagonal_search_matches_oracle(data):
+    # at most 2 distinct values for n = 3 keeps the oracle fast; three are
+    # pinned below
+    n = data.draw(st.sampled_from((2, 3)))
+    values = data.draw(value_lists(4 if n == 2 else 2))
+    _assert_search_matches_grid(data.draw(structure_maps(n)), values, "diagonal")
+
+
+def test_diagonal_search_n3_three_values_matches_oracle():
+    # 3^9 candidates, values out of ascending order and one duplicate
+    _assert_search_matches_grid([[1, 1, 0], [0, 1, 2], [0, 0, 1]], [2, 0, 1, "2/2"],
+                                "diagonal")
+
+
+@settings(max_examples=6, deadline=None)
+@given(structure_maps(2), value_lists(2))
+def test_full_search_matches_oracle(mu, values):
+    # two distinct values are the most the cap admits (3^16 > 2^20)
+    _assert_search_matches_grid(mu, values, "full")
 
 
 def test_longeq_witness_on_perturbed_n16_extension():
