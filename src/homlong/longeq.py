@@ -5,7 +5,9 @@ solution when (R (x) mu)(mu (x) R) = (mu (x) R)(R (x) mu).  This module
 provides the checker, the diagonal solution family, the coordinate criterion
 with its operator-level oracle, the flip-transform equivalences, the single-
 algebra Long dimodules with their induced solutions, the two extension
-constructions on H (x) M, and an exhaustive grid search.
+constructions on H (x) M, and an exact search over a coefficient grid that
+prunes on the equation's quadratic constraints, read off the checker's
+kernel.
 """
 
 import itertools
@@ -487,7 +489,7 @@ def _long_constraints(positions, mu_cols, n):
     at (row, col) = positions[a]: one quadratic form in the x_a per output
     coordinate of each basis triple, each as a tuple of ((a, b), coefficient)
     with a <= b, that must vanish.  Forms that vanish identically are
-    dropped, and proportional ones kept once.
+    dropped, and repeated ones kept once.
 
     Both sides of the equation are bilinear in (A, B), so the coefficient of
     x_a x_b is read off the kernel's sides at A = E_a, B = E_b plus those at
@@ -515,10 +517,7 @@ def _long_constraints(positions, mu_cols, n):
         for form in coords.values():
             terms = sorted((ab, x) for ab, x in form.items() if x)
             if terms:
-                g = math.gcd(*(x for _, x in terms))
-                if terms[0][1] < 0:
-                    g = -g
-                forms.add(tuple((ab, x // g) for ab, x in terms))
+                forms.add(tuple(terms))
     return sorted(forms)
 
 
@@ -534,40 +533,26 @@ def _solve(forms, count, values, budget):
     """
     order = _variable_order(forms, count)
     depth = {a: d for d, a in enumerate(order)}
-    # tests[d]: the forms completed at depth d, as the coefficient of x_d^2,
-    # the terms linear in x_d and the terms free of it, by depth
+    # tests[d]: the forms whose last variable is set at depth d, their
+    # terms indexed by depth
     tests = [[] for _ in range(count)]
     for form in forms:
-        terms = [(min(depth[a], depth[b]), max(depth[a], depth[b]), x)
-                 for (a, b), x in form]
-        last = max(q for _, q, _ in terms)
-        square = sum(x for p, q, x in terms if p == last)
-        linear = [(x, p) for p, q, x in terms if q == last and p < last]
-        free = [(x, p, q) for p, q, x in terms if q < last]
-        tests[last].append((square, linear, free))
+        terms = [(x, depth[a], depth[b]) for (a, b), x in form]
+        tests[max(max(p, q) for _, p, q in terms)].append(terms)
     x = [0] * count
-    candidates = [None] * count
     tried = [0] * count
     found = []
     nodes = 0
     d = 0
     while d >= 0:
-        if candidates[d] is None:
-            # the values of x_d on which the forms completed here vanish
-            ys = values
-            for square, linear, free in tests[d]:
-                b = sum(c * x[p] for c, p in linear)
-                k = sum(c * x[p] * x[q] for c, p, q in free)
-                ys = [y for y in ys if (square * y + b) * y + k == 0]
-                if not ys:
-                    break
-            candidates[d], tried[d] = ys, 0
-        if tried[d] == len(candidates[d]):
-            candidates[d] = None
+        if tried[d] == len(values):
+            tried[d] = 0
             d -= 1
             continue
-        x[d] = candidates[d][tried[d]]
+        x[d] = values[tried[d]]
         tried[d] += 1
+        if any(sum(c * x[p] * x[q] for c, p, q in terms) for terms in tests[d]):
+            continue
         nodes += 1
         if nodes > budget:
             return None
@@ -589,7 +574,7 @@ def _variable_order(forms, count):
         for unset in pending:
             if len(unset) == 1:
                 completes[next(iter(unset))] += 1
-        best = max(sorted(left), key=lambda a: completes[a])
+        best = min(left, key=lambda a: (-completes[a], a))
         order.append(best)
         left.remove(best)
         for unset in pending:
