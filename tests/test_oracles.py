@@ -562,12 +562,12 @@ VALUES = SMALL + ["2/2", "-4/2", 1, "0"]
 
 @st.composite
 def value_lists(draw, most):
-    """A list of coefficient values, duplicates included, with at most
-    `most` distinct ones."""
-    values = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=most + 2))
-    distinct = list(dict.fromkeys(Fraction(v) for v in values))
-    assume(len(distinct) <= most)
-    return values
+    """A list of coefficient values with at most `most` distinct ones, some
+    repeated as "p/q" strings, in any order."""
+    distinct = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=most,
+                             unique_by=Fraction))
+    repeats = [str(Fraction(v)) for v in draw(st.lists(st.sampled_from(distinct), max_size=2))]
+    return draw(st.permutations(distinct + repeats))
 
 
 def _assert_search_matches_grid(mu, values, shape):
