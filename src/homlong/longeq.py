@@ -443,16 +443,16 @@ def search_solutions(mu, coefficient_set, shape):
     if shape not in ("diagonal", "full"):
         raise ValueError("shape must be 'diagonal' or 'full'")
     n2 = n * n
-    if shape == "diagonal":
-        positions = [(c, c) for c in range(n2)]
-    else:
-        positions = [(r, c) for r in range(n2) for c in range(n2)]
-    count = len(positions)
+    count = n2 if shape == "diagonal" else n2 * n2
     cardinality = len(values) ** count
     if shape == "full" and n > 2:
         raise SearchSpaceTooLarge(cardinality)
     if not values:
         return []
+    if shape == "diagonal":
+        positions = [(c, c) for c in range(n2)]
+    else:
+        positions = [(r, c) for r in range(n2) for c in range(n2)]
 
     # the search runs on int-scaled values (the equation is homogeneous in
     # R) and each solution is mapped back to the given ones
