@@ -14,9 +14,9 @@ the same way.
 
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, coproduct_columns,
-                     flip_columns, insert_columns, pair_columns, per_leg, product_columns,
-                     sparse_columns, ZERO)
+from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_columns, composite_matrix,
+                     coproduct_columns, flip_columns, insert_columns, pair_columns, per_leg,
+                     product_columns, sparse_columns, ZERO)
 from .homstruct import tensor_hopf, validate_quasitriangular, validate_coquasitriangular
 from .repmod import YetterDrinfeldModule, yd_prebraiding
 from .longdimod import (HomLongDimodule, MismatchedBase, associator_legs, base_parts,
@@ -106,21 +106,22 @@ def long_braiding(ctx, m, n):
     ctx.require_valid()
     ctx.require_dimodule(m)
     ctx.require_dimodule(n)
-    return BraidOperator((m, n), _braiding(ctx, m, n, _mu2_inverse(m), _mu2_inverse(n)))
+    return BraidOperator((m, n), composite_matrix(
+        _braiding(ctx, m, n, _mu2_inverse(m), _mu2_inverse(n)), (m.dim, n.dim)))
 
 
 def _mu2_inverse(*factors):
-    """mu^-2 of the tensor product of factors as sparse columns: each
-    factor's own mu^-2 on its leg, so no inverse spans two carriers."""
+    """mu^-2 of the tensor product of factors as int columns: each factor's
+    own mu^-2 on its leg, so no inverse spans two carriers."""
     steps = per_leg(*((t.mu * t.mu).inv() for t in factors))
-    return sparse_columns(composite_matrix(steps, tuple(t.dim for t in factors)))
+    return composite_columns(steps, tuple(t.dim for t in factors))
 
 
 def _braiding(ctx, m, n, mu2i, nu2i):
-    """The matrix of long_braiding, given mu^-2 and nu^-2 as sparse columns."""
-    steps = (_paired(ctx.form, ctx.B.dim, m, n) + [(mu2i, (0,), None), (nu2i, (1,), None)]
-             + _acted(ctx.R, ctx.H.dim, m, n))
-    return composite_matrix(steps, (m.dim, n.dim))
+    """The steps of long_braiding on M (x) N, given mu^-2 and nu^-2 as int
+    columns."""
+    return (_paired(ctx.form, ctx.B.dim, m, n) + [(mu2i, (0,), None), (nu2i, (1,), None)]
+            + _acted(ctx.R, ctx.H.dim, m, n))
 
 
 def _paired(form, nb, m, n):
@@ -176,8 +177,13 @@ def check_braid_morphism(ctx, m, n):
 
 
 def _braidings(ctx, *pairs):
-    """long_braiding of each pair, as sparse columns."""
-    return [sparse_columns(long_braiding(ctx, m, n).matrix) for m, n in pairs]
+    """long_braiding of each pair, as int columns."""
+    ctx.require_valid()
+    for m, n in pairs:
+        ctx.require_dimodule(m)
+        ctx.require_dimodule(n)
+    return [composite_columns(_braiding(ctx, m, n, _mu2_inverse(m), _mu2_inverse(n)),
+                              (m.dim, n.dim)) for m, n in pairs]
 
 
 def check_naturality(ctx, f, g):
@@ -206,10 +212,10 @@ def check_hexagons(ctx, u, v, w):
     rep = AxiomReport()
     du, dv, dw = u.dim, v.dim, w.dim
     c_uv, c_uw, c_vw = _braidings(ctx, (u, v), (u, w), (v, w))
-    c_u_vw = sparse_columns(_braiding(ctx, u, tensor_dimodule(v, w),
-                                      _mu2_inverse(u), _mu2_inverse(v, w)))
-    c_uv_w = sparse_columns(_braiding(ctx, tensor_dimodule(u, v), w,
-                                      _mu2_inverse(u, v), _mu2_inverse(w)))
+    c_u_vw = composite_columns(_braiding(ctx, u, tensor_dimodule(v, w), _mu2_inverse(u),
+                                         _mu2_inverse(v, w)), (du, dv * dw))
+    c_uv_w = composite_columns(_braiding(ctx, tensor_dimodule(u, v), w, _mu2_inverse(u, v),
+                                         _mu2_inverse(w)), (du * dv, dw))
     a = associator_legs
     names = (u.basis, v.basis, w.basis)
 

@@ -169,8 +169,10 @@ def validate_hom_algebra(a):
     composites_equal_report(rep, "HA1-mult", [(mult, (0, 1), to_h), (al, (0,), None)],
                             [(al, (0,), None), (al, (1,), None), (mult, (0, 1), to_h)],
                             (n, n), (names, names))
-    fixed = a.alpha * a.unit == a.unit
-    rep.add("HA1-unit", fixed, None if fixed else (names,))
+    twisted = a.alpha * a.unit
+    fixed = twisted == a.unit
+    rep.add("HA1-unit", fixed, None if fixed else
+            (next(nm for nm, x, y in zip(names, twisted, a.unit) if x != y),))
     composites_equal_report(rep, "HA2-assoc",
                             [(mult, (1, 2), to_h), (al, (0,), None), (mult, (0, 1), to_h)],
                             [(mult, (0, 1), to_h), (al, (1,), None), (mult, (0, 1), to_h)],
@@ -220,11 +222,13 @@ def validate_hom_bialgebra(h):
                              (flip_columns(n, n), (1, 2), None),
                              (mult, (0, 1), to_h), (mult, (1, 2), to_h)],
                             (n, n), (names, names))
-    rep.add("delta-unit", _element([(put_u, (0,), (n, 1)), (co, (0,), to_hh)])
-            == _element([(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))]))
+    matrices_equal_report(rep, "delta-unit", _element([(put_u, (0,), (n, 1)), (co, (0,), to_hh)]),
+                          _element([(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))]),
+                          to_hh, (names, names))
     composites_equal_report(rep, "counit-mult", [(mult, (0, 1), to_h), (eps, (0,), ())],
                             [(eps, (0,), ()), (eps, (0,), ())], (n, n), (names, names))
-    rep.add("counit-unit", sum(e * u for e, u in zip(h.counit, h.unit)) == 1)
+    counital = sum(e * u for e, u in zip(h.counit, h.unit)) == 1
+    rep.add("counit-unit", counital, None if counital else ("eps(1)",))
     return rep
 
 
@@ -422,8 +426,8 @@ def validate_quasitriangular(h, r):
                              (flip, (2, 3), None)] + twice,
                             [(co, (0,), to_hh), put_r(0, n), (flip, (1, 2), None)] + twice,
                             to_h, (names,))
-    rep.add("QHA5", _element([put_r(0), (be, (0,), None), (be, (1,), None)])
-            == _element([put_r(0)]))
+    matrices_equal_report(rep, "QHA5", _element([put_r(0), (be, (0,), None), (be, (1,), None)]),
+                          _element([put_r(0)]), to_hh, (names, names))
 
     # x -> R x and x -> x R on H (x) H, and the flip of R
     lmul = composite_matrix([put_r(0, n), (flip, (1, 2), None)] + twice, to_hh)
@@ -473,8 +477,8 @@ def validate_coquasitriangular(b, form):
     rep.add("CHA4", all(sides), None if all(sides) else
             ("<1|h>" if not sides[0] else "<h|1>",))
 
-    rep.add("CHA5", first_differing_column([(be, (0,), None), (be, (1,), None), pair],
-                                           [pair], to_hh) is None)
+    composites_equal_report(rep, "CHA5", [(be, (0,), None), (be, (1,), None), pair], [pair],
+                            to_hh, (names, names))
 
     # <h1|g1><g2|h2> against eps(h) eps(g)
     rep.set_flag("cotriangular", first_differing_column(

@@ -12,8 +12,9 @@ forming the composites.  A step applies a small map, as sparse int-scaled
 columns (product_columns, coproduct_columns, per_leg, flip_columns,
 insert_columns, pair_columns), to consecutive legs of a sparse vector.  A
 composite is planned once, then run one basis vector at a time:
-first_differing_column compares two composites column by column and
-composite_matrix builds the matrix of one, so no structure map is assembled
+first_differing_column compares two composites column by column,
+composite_columns gives one as int columns, a step for a further composite,
+and composite_matrix builds its matrix, so no structure map is assembled
 from Kronecker products of whole carriers.
 """
 
@@ -480,6 +481,15 @@ def first_differing_column(lhs, rhs, dims):
         if _run(lplan, {j: rscale}) != _run(rplan, {j: lscale}):
             return unflat_index(j, dims)
     return None
+
+
+def composite_columns(steps, dims):
+    """A composite of steps on the tensor legs dims, as first_differing_column
+    takes them, as (cols, scale) in the form sparse_columns gives, the scale
+    being the product of the steps' scales: a step for a further composite,
+    with no Fraction on the way."""
+    plan, _, scale = _plan(steps, dims)
+    return [list(_run(plan, {j: 1}).items()) for j in range(math.prod(dims))], scale
 
 
 def composite_matrix(steps, dims):

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, SingularMatrix,
-                     composite_matrix, first_differing_column, flip_columns, kron, scalar,
-                     sparse_columns, ZERO)
+                     composite_columns, composite_matrix, first_differing_column, flip_columns,
+                     kron, per_leg, scalar, sparse_columns, ZERO)
 from .longdimod import HomLongDimodule, validate_long_dimodule
 from .report import AxiomReport
 
@@ -172,16 +172,27 @@ def diagonal_solution(a, b):
 def coords_to_operator(x, z):
     """The operator m_k (x) m_l -> sum x[k][l][i][j] m_i (x) mu^-1(m_j)."""
     n = z.rows
-    if z.det() == 0:
-        raise SingularMatrix("structure map is singular")
-    zi = z.inv()
+    steps = _coords_steps(*_int_tensor4(x), _conj(z))
+    return OperatorOnTensorSquare(n, composite_matrix(steps, (n, n)), z)
 
-    def entry(r, c):
-        i, t = divmod(r, n)
-        k, l = divmod(c, n)
-        return sum((x[k][l][i][j] * zi.data[t][j] for j in range(n)), ZERO)
 
-    return OperatorOnTensorSquare(n, Matrix.from_function(n * n, n * n, entry), z)
+def _conj(z):
+    """mu (x) mu^-1 as steps on M (x) M (per_leg), for an invertible mu."""
+    try:
+        return per_leg(z, z.inv())
+    except SingularMatrix:
+        raise SingularMatrix("structure map is singular") from None
+
+
+def _coords_steps(xs, scale, conj):
+    """The operator of the int-scaled coordinates xs / scale as two steps
+    on M (x) M: X's columns m_k (x) m_l -> sum xs[k][l][i][j] m_i (x) m_j,
+    then mu^-1 on the second leg (the second step of conj)."""
+    n = len(xs)
+    rng = range(n)
+    cols = [[(i * n + j, xs[k][l][i][j]) for i in rng for j in rng if xs[k][l][i][j]]
+            for k in rng for l in rng]
+    return [((cols, scale), (0, 1), None), conj[1]]
 
 
 def operator_to_coords(op):
@@ -201,20 +212,22 @@ def coordinate_criterion(x, y, z):
     verdict being the oracle.  The mu-equivariance of R and S (commutation
     with mu (x) mu^-1) is recorded as an observation."""
     n = z.rows
-    if z.det() == 0:
-        raise SingularMatrix("structure map is singular")
+    conj = _conj(z)
     x = [[[[scalar(x[k][l][i][j]) for j in range(n)] for i in range(n)]
           for l in range(n)] for k in range(n)]
     y = [[[[scalar(y[k][l][i][j]) for j in range(n)] for i in range(n)]
           for l in range(n)] for k in range(n)]
     rep = AxiomReport()
 
-    # both sides are linear in x, y and z, so each is int-scaled once
-    zs = _to_ints([e for row in z.data for e in row])
-    xs, ys = _int_tensor4(x), _int_tensor4(y)
+    # both sides are linear in x, y and z, so each is int-scaled once; z's
+    # int columns are those of conj's first step
+    (xs, x_scale), (ys, y_scale) = _int_tensor4(x), _int_tensor4(y)
     rng = range(n)
-    z_col = [[(i, zs[i * n + u]) for i in rng if zs[i * n + u]] for u in rng]
-    z_row = [[(i, zs[p * n + i]) for i in rng if zs[p * n + i]] for p in rng]
+    z_col = conj[0][0][0]
+    z_row = [[] for _ in rng]
+    for u, col in enumerate(z_col):
+        for i, c in col:
+            z_row[i].append((u, c))
     # x_vw^jk over j for the left side, x_jw^qk over j for the right side
     x_l = [[[[(j, xs[v][w][j][k]) for j in rng if xs[v][w][j][k]] for k in rng]
             for w in rng] for v in rng]
@@ -229,25 +242,27 @@ def coordinate_criterion(x, y, z):
             break
     rep.add("index-identity", idx_ok, idx_wit)
 
-    r_op = coords_to_operator(x, z)
-    s_op = coords_to_operator(y, z)
-    witness = _first_failing_column(_sparse_columns(s_op.matrix), _sparse_columns(r_op.matrix),
-                                    _sparse_columns(z), n)
+    # R and S as int columns: X's columns, then mu^-1 on the second leg
+    self_case = x == y
+    r = composite_columns(_coords_steps(xs, x_scale, conj), (n, n))
+    s = r if self_case else composite_columns(_coords_steps(ys, y_scale, conj), (n, n))
+    witness = _first_failing_column(s[0], r[0], z_col, n)
     rep.add("operator-identity", witness is None, witness)
 
     rep.set_flag("agreement", idx_ok == rep.passed("operator-identity"))
-    rep.set_flag("self-case", x == y)
-    conj = kron(z, z.inv())
-    rep.set_flag("mu-equivariant", r_op.matrix * conj == conj * r_op.matrix
-                 and s_op.matrix * conj == conj * s_op.matrix)
+    rep.set_flag("self-case", self_case)
+    rep.set_flag("mu-equivariant", all(
+        first_differing_column(conj + [(t, (0, 1), None)], [(t, (0, 1), None)] + conj,
+                               (n, n)) is None for t in ((r,) if self_case else (r, s))))
     return rep
 
 
 def _int_tensor4(x):
-    """x[k][l][i][j] times the common denominator of its entries, as ints."""
+    """x[k][l][i][j] times the common denominator of its entries, as ints,
+    and that denominator."""
     d = math.lcm(*(e.denominator for a in x for b in a for c in b for e in c))
     return [[[[e.numerator * (d // e.denominator) for e in c] for c in b] for b in a]
-            for a in x]
+            for a in x], d
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +279,29 @@ def tau_transforms(op):
     """
     n = op.carrier_dim
     mu = op.structure_map
-    flip, r = flip_columns(n, n), sparse_columns(op.matrix)
-    u, tt, w = (composite_matrix(steps, (n, n)) for steps in (
-        [(r, (0, 1), None), (flip, (0, 1), None)],
-        [(flip, (0, 1), None), (r, (0, 1), None)],
-        [(flip, (0, 1), None), (r, (0, 1), None), (flip, (0, 1), None)]))
+    n2 = n * n
+    # U, T and W re-index R by the swap (u, v) -> (v, u): U on its rows, T
+    # on its columns, W on both
+    sw = [(c % n) * n + c // n for c in range(n2)]
+    rows = op.matrix.data
+    u, tt, w = (Matrix.trusted(data, n2, n2) for data in (
+        [rows[sw[i]] for i in range(n2)],
+        [tuple(row[sw[j]] for j in range(n2)) for row in rows],
+        [tuple(rows[sw[i]][sw[j]] for j in range(n2)) for i in range(n2)]))
+    r, scale = sparse_columns(op.matrix)
+    us = [[(sw[i], x) for i, x in c] for c in r], scale
+    ts = [r[sw[j]] for j in range(n2)], scale
+    ws = [us[0][sw[j]] for j in range(n2)]
+    m = sparse_columns(mu)
     rep = AxiomReport()
 
-    base = check_long_equation(op).passed("hom-long-eq")
+    base = _first_failing_column(r, r, m[0], n) is None
     rep.add("base-longeq", base)
 
     # the legs of X in M (x) M (x) M as steps for first_differing_column;
     # X13 swaps the last two legs around X12, and the cycle
     # x (x) y (x) z -> z (x) x (x) y is a re-indexing
-    m = sparse_columns(mu)
-    n2 = n * n
+    flip = flip_columns(n, n)
     cyc = ([[((c % n) * n2 + c // n, 1)] for c in range(n2 * n)], 1)
 
     def x12(x):
@@ -291,21 +314,18 @@ def tau_transforms(op):
         return [(flip, (1, 2), None)] + x12(x) + [(flip, (1, 2), None)]
 
     dims = (n, n, n)
-    us, ts = sparse_columns(u), sparse_columns(tt)
     rep.add("transform-U", first_differing_column(
         x23(us) + x13(us), x12(us) + x13(us) + [(cyc, (0, 1, 2), None)], dims) is None)
     rep.add("transform-T", first_differing_column(
         x13(ts) + x12(ts), [(cyc, (0, 1, 2), None)] + x13(ts) + x23(ts), dims) is None)
-
-    w_op = OperatorOnTensorSquare(n, w, mu)
-    rep.add("transform-W", check_long_equation(w_op).passed("hom-long-eq"))
+    rep.add("transform-W", _first_failing_column(ws, ws, m[0], n) is None)
 
     verdicts = [c.passed for c in rep.checks]
     rep.set_flag("all-agree", len(set(verdicts)) == 1)
     transforms = {
         "U": OperatorOnTensorSquare(n, u, mu),
         "T": OperatorOnTensorSquare(n, tt, mu),
-        "W": w_op,
+        "W": OperatorOnTensorSquare(n, w, mu),
     }
     return transforms, rep
 

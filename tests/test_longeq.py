@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, Tensor3, SingularMatrix
+from homlong.linalg import Matrix, Tensor3, SingularMatrix, scalar_to_json
 from homlong.longdimod import canonical_dimodule
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             SearchSpaceTooLarge, ZeroDiagonal,
@@ -111,6 +113,53 @@ def test_coordinate_criterion_forced_failure():
     assert not rep.passed("operator-identity")
     assert not rep.passed("index-identity")
     assert rep.flags["agreement"]
+
+
+# the operators on the {0,1} grid at mu = diag(1,2) whose coordinates pass
+# the index identity while the operator identity fails (rows of R as bits);
+# a sweep of all 65 536 finds exactly these
+README_CRITERION_DISAGREEMENTS = (
+    ("0000", "0000", "1000", "0100"), ("0000", "0000", "1000", "1100"),
+    ("0000", "1000", "0000", "0010"), ("0000", "1100", "0000", "0011"),
+    ("0010", "0001", "0000", "0000"), ("0011", "0001", "0000", "0000"),
+    ("0100", "0000", "0001", "0000"), ("0100", "0100", "0001", "0001"),
+    ("0100", "1000", "0001", "0010"), ("0100", "1100", "0001", "0011"),
+    ("1000", "1000", "0010", "0010"), ("1000", "1100", "0010", "0011"),
+    ("1100", "0000", "0011", "0000"), ("1100", "0100", "0011", "0001"),
+    ("1100", "1000", "0011", "0010"), ("1100", "1100", "0011", "0011"),
+)
+
+
+def test_readme_coordinate_criterion_finding():
+    mu = Matrix.diagonal([1, 2])
+    assert len(set(README_CRITERION_DISAGREEMENTS)) == 16
+    for bits in README_CRITERION_DISAGREEMENTS:
+        op = OperatorOnTensorSquare(2, Matrix([[int(b) for b in row] for row in bits]), mu)
+        x = operator_to_coords(op)
+        rep = coordinate_criterion(x, x, mu)
+        assert rep.passed("index-identity") and not rep.passed("operator-identity"), bits
+        assert not rep.flags["agreement"] and not rep.flags["mu-equivariant"], bits
+
+
+def test_criterion_and_transforms_form_no_dense_products(monkeypatch):
+    # both run on int columns: no Kronecker product, no Matrix product and
+    # no Fraction matrix of a composite
+    from homlong import linalg, longeq
+
+    def refuse(*args):
+        raise AssertionError("dense product")
+
+    for owner, name in ((Matrix, "__mul__"), (linalg, "kron"), (longeq, "kron"),
+                        (longeq, "composite_matrix")):
+        monkeypatch.setattr(owner, name, refuse)
+    rnd = random.Random(3)
+    mu = Matrix([[1, 2], [-1, "1/2"]])
+    op = OperatorOnTensorSquare(2, Matrix([[rnd.randint(-1, 1) for _ in range(4)]
+                                           for _ in range(4)]), mu)
+    x = operator_to_coords(op)
+    y = [[[[e + 1 for e in c] for c in b] for b in a] for a in x]
+    coordinate_criterion(x, y, mu)
+    tau_transforms(op)
 
 
 def test_coords_round_trip():
@@ -262,3 +311,59 @@ def test_search_budget_covers_derivation():
     # one value: a single candidate, decided by the kernel alone
     sols = search_solutions(Matrix.identity(16), ["3/3"], "diagonal")
     assert len(sols) == 1 and sols[0].matrix == Matrix.identity(256)
+
+
+# the structure maps of the search-grid benchmark: full n = 2 over {0,1} and
+# diagonal n = 3 over {0,1,2}
+LONGEQ_FAMILIES = ([("full", [[1, 0], [0, a]], (0, 1)) for a in (2, 3)]
+                   + [("full", [[1, b], [0, 1]], (0, 1)) for b in (0, 1, -1)]
+                   + [("diagonal", [[1, b, 0], [0, 1, c], [0, 0, 1]], (0, 1, 2))
+                      for b in (1, 2) for c in (1, 2)])
+
+
+def _report_json(rep):
+    return {"checks": ["%s %s %r" % c.as_tuple() for c in rep.checks], "flags": rep.flags}
+
+
+def _rows_json(m):
+    return "; ".join(" ".join(str(scalar_to_json(x)) for x in row) for row in m.data)
+
+
+def longeq_reports():
+    """{"<mu> <kind> <i>": ...} the coordinate_criterion and tau_transforms
+    reports, with the U, T and W matrices, of every solution of each search
+    family, and of three one-entry perturbations per family (each also as y
+    against its solution's x, and as x against its y)."""
+    out = {}
+    for f, (shape, mu_rows, values) in enumerate(LONGEQ_FAMILIES):
+        mu = Matrix(mu_rows)
+        n = mu.rows
+        label = _rows_json(mu).replace("; ", ";").replace(" ", ",")
+        sols = search_solutions(mu, list(values), shape)
+        rng = random.Random(f)
+        cases = [("solution", i, s, None) for i, s in enumerate(sols)]
+        for i in sorted(rng.sample(range(len(sols)), 3)):
+            rows = [list(r) for r in sols[i].matrix.data]
+            r, c = rng.randrange(n * n), rng.randrange(n * n)
+            rows[r][c] += rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
+            cases.append(("perturbed", i, OperatorOnTensorSquare(n, Matrix(rows), mu),
+                          sols[i]))
+        for kind, i, op, base in cases:
+            x = operator_to_coords(op)
+            transforms, rep = tau_transforms(op)
+            entry = {"operator": _rows_json(op.matrix),
+                     "criterion": _report_json(coordinate_criterion(x, x, mu)),
+                     "tau": _report_json(rep)}
+            entry.update((k, _rows_json(t.matrix)) for k, t in transforms.items())
+            if base is not None:
+                xb = operator_to_coords(base)
+                entry["criterion-y"] = _report_json(coordinate_criterion(xb, x, mu))
+                entry["criterion-x"] = _report_json(coordinate_criterion(x, xb, mu))
+            out["%s %s %03d" % (label, kind, i)] = entry
+    return out
+
+
+def test_longeq_reports_match_golden():
+    expected = (pathlib.Path(__file__).resolve().parent / "data"
+                / "longeq_reports.json").read_text()
+    assert json.dumps(longeq_reports(), indent=2, sort_keys=True) + "\n" == expected

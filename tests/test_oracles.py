@@ -476,13 +476,35 @@ def _coords_to_rows(x, mu):
             for i in range(n) for t in range(n)]
 
 
-@st.composite
-def coordinates(draw, n, mu):
-    """x[k][l][i][j] = sum_t R[(i, t), (k, l)] mu[j, t] for a drawn operator R."""
-    rows = draw(operators(n, mu))
+def _rows_to_coords(rows, mu):
+    """x[k][l][i][j] = sum_t R[(i, t), (k, l)] mu[j, t]."""
+    n = len(mu)
     return [[[[sum(rows[i * n + t][k * n + l] * mu[j][t] for t in range(n))
                for j in range(n)] for i in range(n)]
              for l in range(n)] for k in range(n)]
+
+
+@st.composite
+def coordinates(draw, n, mu):
+    """The coordinates of a drawn operator R."""
+    return _rows_to_coords(draw(operators(n, mu)), mu)
+
+
+def _conj_sympy(mu):
+    """mu (x) mu^-1 as sympy's kronecker_product."""
+    z = sympy.Matrix(mu)
+    return sympy.kronecker_product(z, z.inv())
+
+
+@st.composite
+def equivariant_coordinates(draw, n, mu):
+    """The coordinates of a + b C + c C^2 for C = mu (x) mu^-1, which
+    commutes with C."""
+    conj = _conj_sympy(mu)
+    a, b, c = (sympy.Rational(str(draw(st.sampled_from(SMALL)))) for _ in range(3))
+    r = a * sympy.eye(n * n) + b * conj + c * conj * conj
+    rows = [[Fraction(int(e.p), int(e.q)) for e in row] for row in r.tolist()]
+    return _rows_to_coords(rows, mu)
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,6 +519,30 @@ def test_operator_identity_matches_oracle(data):
     rep = coordinate_criterion(x, y, Matrix(mu))
     assert rep.passed("operator-identity") == (expected is None)
     assert rep.check("operator-identity").witness == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mu_equivariance_flag_matches_sympy(data):
+    # R and S commute with mu (x) mu^-1, computed by sympy, on equivariant
+    # draws and on arbitrary operators
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    mu = data.draw(structure_maps(n))
+    conj = _conj_sympy(mu)
+
+    def draw_coords():
+        kind = equivariant_coordinates if data.draw(st.booleans()) else coordinates
+        return data.draw(kind(n, mu))
+
+    def commutes(x):
+        r = sympy.Matrix(_coords_to_rows(x, mu))
+        return r * conj == conj * r
+
+    x = draw_coords()
+    y = x if data.draw(st.booleans()) else draw_coords()
+    rep = coordinate_criterion(x, y, Matrix(mu))
+    assert rep.flags["self-case"] == (x == y)
+    assert rep.flags["mu-equivariant"] == (commutes(x) and commutes(y))
 
 
 def index_identity_first_failure(x, y, z):
@@ -954,7 +1000,9 @@ def dense_validate_hom_algebra(a):
     names = a.basis
     matrices_equal_report(rep, "HA1-mult", al * mm, mm * kron(al, al),
                           (n, n), (names, names))
-    rep.add("HA1-unit", al * u == u, None if al * u == u else (names,))
+    au = al * u
+    rep.add("HA1-unit", au == u, None if au == u else
+            (next(names[i] for i in range(n) if au.data[i] != u.data[i]),))
     matrices_equal_report(rep, "HA2-assoc",
                           mm * kron(al, mm), mm * kron(mm, al),
                           (n, n, n), (names, names, names))
@@ -1014,10 +1062,12 @@ def dense_validate_hom_bialgebra(h):
     m2 = tensor_square_mult_map(h.algebra)
     matrices_equal_report(rep, "delta-mult", cm * mm, m2 * kron(cm, cm),
                           (n, n), (names, names))
-    rep.add("delta-unit", cm * u == kron(u, u))
+    matrices_equal_report(rep, "delta-unit", (cm * u).transpose(), kron(u, u).transpose(),
+                          (n, n), (names, names))
     matrices_equal_report(rep, "counit-mult", eps * mm, kron(eps, eps),
                           (n, n), (names, names))
-    rep.add("counit-unit", (eps * u).data[0][0] == 1)
+    counital = (eps * u).data[0][0] == 1
+    rep.add("counit-unit", counital, None if counital else ("eps(1)",))
     return rep
 
 
@@ -1088,7 +1138,8 @@ def dense_validate_quasitriangular(h, r):
             break
     rep.add("QHA4", ok4, wit4)
 
-    rep.add("QHA5", kron(be, be) * rc == rc)
+    matrices_equal_report(rep, "QHA5", (kron(be, be) * rc).transpose(), rc.transpose(),
+                          (n, n), (names, names))
 
     unit2 = kron(u, u)
     lmul = m2 * kron(rc, Matrix.identity(n * n))
@@ -1142,7 +1193,8 @@ def dense_validate_coquasitriangular(b, form):
             None if (left == eps and right == eps) else
             ("<1|h>" if left != eps else "<h|1>",))
 
-    rep.add("CHA5", be.transpose() * form * be == form)
+    matrices_equal_report(rep, "CHA5", element_col(be.transpose() * form * be).transpose(),
+                          frow, (n, n), (names, names))
 
     cot = kron(frow, frow) * permute_output_legs(expand, [n, n, n, n], [0, 2, 3, 1])
     rep.set_flag("cotriangular", cot == kron(eps, eps))
@@ -1364,7 +1416,13 @@ def test_tau_transforms_match_dense_oracle(data):
     op = OperatorOnTensorSquare(n, Matrix(data.draw(operators(n, mu))), Matrix(mu))
     transforms, rep = tau_transforms(op)
     assert (rep.passed("transform-U"), rep.passed("transform-T")) == dense_tau_verdicts(op)
-    assert transforms["U"].matrix == flip_matrix(n, n) * op.matrix
+    flip = flip_matrix(n, n)
+    assert transforms["U"].matrix == flip * op.matrix
+    assert transforms["T"].matrix == op.matrix * flip
+    assert transforms["W"].matrix == flip * op.matrix * flip
+    for axiom, m in (("base-longeq", op.matrix), ("transform-W", transforms["W"].matrix)):
+        rows = m.to_lists()
+        assert rep.passed(axiom) == (longeq_first_failing_column(rows, rows, mu) is None)
 
 
 def test_readme_triangle_finding_matches_dense_oracle():
