@@ -521,28 +521,28 @@ def test_operator_identity_matches_oracle(data):
     assert rep.check("operator-identity").witness == expected
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_mu_equivariance_flag_matches_sympy(data):
     # R and S commute with mu (x) mu^-1, computed by sympy, on equivariant
-    # draws and on arbitrary operators
+    # draws and on arbitrary operators; both orders of (x, y), so that a
+    # pair with one equivariant side is checked with it as R and as S
     n = data.draw(st.sampled_from((1, 2, 3)))
     mu = data.draw(structure_maps(n))
     conj = _conj_sympy(mu)
-
-    def draw_coords():
-        kind = equivariant_coordinates if data.draw(st.booleans()) else coordinates
-        return data.draw(kind(n, mu))
+    kinds = {"equivariant": equivariant_coordinates, "arbitrary": coordinates}
 
     def commutes(x):
         r = sympy.Matrix(_coords_to_rows(x, mu))
         return r * conj == conj * r
 
-    x = draw_coords()
-    y = x if data.draw(st.booleans()) else draw_coords()
-    rep = coordinate_criterion(x, y, Matrix(mu))
-    assert rep.flags["self-case"] == (x == y)
-    assert rep.flags["mu-equivariant"] == (commutes(x) and commutes(y))
+    x = data.draw(kinds[data.draw(st.sampled_from(sorted(kinds)))](n, mu))
+    y_kind = data.draw(st.sampled_from(("same",) + tuple(sorted(kinds))))
+    y = x if y_kind == "same" else data.draw(kinds[y_kind](n, mu))
+    for r, s in ((x, y), (y, x)):
+        rep = coordinate_criterion(r, s, Matrix(mu))
+        assert rep.flags["self-case"] == (r == s)
+        assert rep.flags["mu-equivariant"] == (commutes(r) and commutes(s))
 
 
 def index_identity_first_failure(x, y, z):
