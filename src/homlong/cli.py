@@ -7,6 +7,7 @@ flags; --format json emits a canonical report that round-trips.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -400,10 +401,17 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """build_parser's parser, built on first use and kept for the process:
+    parsing a command line leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         fmt, unknown = _root_options(argv)
         if unknown and unknown[0] not in str(exc):

@@ -382,8 +382,10 @@ def validate_quasitriangular(h, r):
     """QHA1-QHA5 plus the triangularity test, column by column.
 
     The triangular flag holds when the flip of R is a two-sided inverse of R
-    in the tensor-square algebra; invertibility of R there is decided by an
-    exact linear solve and reported as the convolution-invertible flag.
+    in the tensor-square algebra; that inverse also makes R invertible there.
+    Only when the flip is not a two-sided inverse is invertibility decided by
+    an exact linear solve; either way it is reported as the
+    convolution-invertible flag.
     """
     n = h.dim
     if r.rows != n or r.cols != n:
@@ -435,10 +437,13 @@ def validate_quasitriangular(h, r):
     unit2 = composite_matrix([(insert_columns(h.unit, 1), (0,), (n, 1)),
                               (insert_columns(h.unit, 1), (1,), (n, 1))], (1,))
     r21 = composite_matrix([put_r(0), (flip, (0, 1), None)], (1,))
-    stacked = Matrix(list(lmul.data) + list(rmul.data), rows=2 * n * n, cols=n * n)
-    x = solve_exact(stacked, Vector(list(unit2.column(0)) * 2))
-    rep.set_flag("convolution-invertible", x is not None)
-    rep.set_flag("triangular", x is not None and lmul * r21 == unit2 and rmul * r21 == unit2)
+    triangular = lmul * r21 == unit2 and rmul * r21 == unit2
+    # a two-sided inverse R21 solves the stacked system, so the system is
+    # solved only when R21 is not one
+    rep.set_flag("convolution-invertible", triangular or solve_exact(
+        Matrix(list(lmul.data) + list(rmul.data), rows=2 * n * n, cols=n * n),
+        Vector(list(unit2.column(0)) * 2)) is not None)
+    rep.set_flag("triangular", triangular)
     return rep
 
 

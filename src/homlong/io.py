@@ -39,23 +39,30 @@ def load_scalar(v, where="scalar"):
 def load_matrix(rows, where="matrix"):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise FileFormatError(_ctx(where, "expected a list of rows"))
+    # Matrix reads each entry with scalar, as load_scalar does
     try:
-        return Matrix([[load_scalar(x, where) for x in r] for r in rows])
+        return Matrix(rows)
     except Exception as exc:
-        if isinstance(exc, FileFormatError):
-            raise
         raise FileFormatError(_ctx(where, str(exc)))
 
 
 def load_vector(entries, where="vector"):
     if not isinstance(entries, list):
         raise FileFormatError(_ctx(where, "expected a list"))
-    return Vector([load_scalar(x, where) for x in entries])
+    try:
+        return Vector(entries)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise FileFormatError(_ctx(where, str(exc)))
 
 
 def load_tensor3(data, where="tensor"):
     if not isinstance(data, list):
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
+    try:
+        return Tensor3(data)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    # a rejected entry or a bad nesting: read again, naming each entry
     try:
         return Tensor3([[[load_scalar(x, "%s[%d][%d][%d]" % (where, i, j, k))
                           for k, x in enumerate(row)]

@@ -41,7 +41,8 @@ def scalar(x):
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, int):
-        return Fraction(x)
+        # the shared constants; int_columns skips ZERO by identity
+        return ZERO if x == 0 else ONE if x == 1 else Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TypeError("cannot read %r as an exact rational" % (x,))

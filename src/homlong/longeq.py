@@ -233,13 +233,29 @@ def coordinate_criterion(x, y, z):
             for w in rng] for v in rng]
     x_r = [[[[(j, xs[j][w][q][k]) for j in rng if xs[j][w][q][k]] for k in rng]
             for q in rng] for w in rng]
-    idx_ok, idx_wit = True, None
-    for k, p, q, u, v, w in itertools.product(rng, repeat=6):
-        lhs = sum(c * a * ys[i][j][p][q] for i, c in z_col[u] for j, a in x_l[v][w][k])
-        rhs = sum(c * a * ys[u][v][i][j] for i, c in z_row[p] for j, a in x_r[w][q][k])
-        if lhs != rhs:
-            idx_ok, idx_wit = False, (k, p, q, u, v, w)
-            break
+    # y_ij^pq over (p, q) and y_uv^ij over (u, v), for each (i, j)
+    y_out = [[[(p, q, ys[i][j][p][q]) for p in rng for q in rng if ys[i][j][p][q]]
+              for j in rng] for i in rng]
+    y_in = [[[(u, v, ys[u][v][i][j]) for u in rng for v in rng if ys[u][v][i][j]]
+             for j in rng] for i in rng]
+    # both sides as sparse tables over (k, p, q, u, v, w): each product of
+    # nonzero coefficients is added once
+    lhs, rhs = {}, {}
+    for k, u, v, w in itertools.product(rng, repeat=4):
+        for i, c in z_col[u]:
+            for j, a in x_l[v][w][k]:
+                for p, q, e in y_out[i][j]:
+                    key = (k, p, q, u, v, w)
+                    lhs[key] = lhs.get(key, 0) + c * a * e
+    for k, w, p, q in itertools.product(rng, repeat=4):
+        for i, c in z_row[p]:
+            for j, a in x_r[w][q][k]:
+                for u, v, e in y_in[i][j]:
+                    key = (k, p, q, u, v, w)
+                    rhs[key] = rhs.get(key, 0) + c * a * e
+    # the first failure in itertools.product order is the least key
+    failing = [key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0)]
+    idx_ok, idx_wit = not failing, min(failing, default=None)
     rep.add("index-identity", idx_ok, idx_wit)
 
     # R and S as int columns: X's columns, then mu^-1 on the second leg

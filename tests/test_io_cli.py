@@ -2,6 +2,8 @@ import json
 import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -9,7 +11,7 @@ from homlong import fixtures as fx
 from homlong import io as hio
 from homlong.cli import REQUIRED, main
 from homlong.io import FileFormatError
-from homlong.linalg import Matrix, scalar, scalar_to_json
+from homlong.linalg import ONE, ZERO, Matrix, scalar, scalar_to_json
 from homlong.longdimod import canonical_dimodule
 from homlong.longeq import HAlphaLongDimodule, OperatorOnTensorSquare
 from test_oracles import flip_matrix
@@ -94,6 +96,34 @@ def test_malformed_files(tmp_path):
     hio.dump_json({"kind": "hom-algebra", "dim": 2, "mult": [[[1]]], "unit": [1, 0]}, bad3)
     with pytest.raises(FileFormatError):
         hio.load_structure(str(bad3))
+
+
+def test_scalar_returns_the_shared_zero_and_one():
+    assert scalar(0) is ZERO and scalar(1) is ONE
+    assert scalar(2) == 2 and scalar(-1) == -1
+
+
+@pytest.mark.parametrize("bad", ["1/0", True, "x"])
+@pytest.mark.parametrize("keys, location", [
+    (("action", 1, 0, 1), ".action[1][0][1]"),
+    (("mu", 1, 0), ".mu"),
+    (("H", "unit", 1), ".H.unit"),
+])
+def test_rejected_entry_is_named(tmp_path, kz2, bad, keys, location):
+    # the message is the scalar's own error and where the entry sits: the
+    # tensor index for an action, the field for a matrix or a vector
+    obj = hio.structure_to_json(canonical_dimodule(kz2, kz2))
+    field = obj
+    for key in keys[:-1]:
+        field = field[key]
+    field[keys[-1]] = bad
+    path = str(tmp_path / "bad.json")
+    hio.dump_json(obj, path)
+    with pytest.raises((TypeError, ValueError, ZeroDivisionError)) as cause:
+        scalar(bad)
+    with pytest.raises(FileFormatError) as exc:
+        hio.load_structure(path)
+    assert str(exc.value) == "%s (%s%s)" % (cause.value, path, location)
 
 
 def test_context_inline_and_r_from_file(files):
@@ -400,6 +430,45 @@ def test_help_exits_0(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage: homlong" in capsys.readouterr().out
+
+
+def _run_alone(argv, cwd):
+    """(stdout, stderr, exit code) of homlong run on argv in a fresh
+    interpreter."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from homlong.cli import main; sys.exit(main(sys.argv[1:]))"] + argv,
+        cwd=cwd, env=env, capture_output=True, text=True)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def test_parser_kept_across_calls_gives_each_call_its_own_output(files, monkeypatch, capsys):
+    # one process parses a usage error, --help, a check and a build in turn;
+    # each prints what it prints when run alone
+    monkeypatch.chdir(files)
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [
+        ["check", "nosuch"],
+        ["--format", "json", "check", "nosuch"],
+        ["--help"],
+        ["check", "symmetry", "--ctx", "ctx.json", "-M", "sign.json", "-N", "canonical.json"],
+        ["build", "braid", "--ctx", "ctx.json", "-M", "sign.json", "-N", "canonical.json",
+         "-o", "braid.json"],
+    ]
+    codes = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        alone = _run_alone(argv, files)
+        assert (captured.out, captured.err, code) == alone
+        codes.append(code)
+    assert codes == [2, 2, 0, 0, 0]
 
 
 def test_search_set_zero_denominator(files, capsys):

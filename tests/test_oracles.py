@@ -1765,3 +1765,38 @@ def test_one_sided_convolution_inverse_matches_dense_oracle():
     rep = validate_quasitriangular(h, fx.kz2_rmatrix())
     assert _tuples(rep) == _tuples(dense_validate_quasitriangular(h, fx.kz2_rmatrix()))
     assert rep.flags == {"convolution-invertible": False, "triangular": False}
+
+
+def _count_solves(monkeypatch):
+    """A list that grows by one at each solve_exact call validate_quasitriangular
+    makes."""
+    import homlong.homstruct as homstruct
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_exact(*args)
+
+    monkeypatch.setattr(homstruct, "solve_exact", counted)
+    return calls
+
+
+def test_triangular_r_skips_the_convolution_solve(monkeypatch):
+    # when the flip of R is a two-sided inverse it solves the stacked system,
+    # so no elimination runs; otherwise exactly one does
+    calls = _count_solves(monkeypatch)
+    kz2 = fx.kz2()
+    planes = [[list(row) for row in plane] for plane in kz2.mult.data]
+    planes[0][1][1] += 1
+    one_sided = replace(kz2, algebra=replace(kz2.algebra, mult=Tensor3(planes)))
+    cases = ([(kz2, fx.kz2_rmatrix(), 0),
+              (fx.sweedler_scaled_twisted(2), fx.sweedler_rmatrix(), 0)]
+             + [(h, fx.trivial_rmatrix(h), 0) for h in _hopf_carriers()]
+             + [(fx.klein_hopf(), fx.klein_rmatrix(), 1),
+                (one_sided, fx.kz2_rmatrix(), 1)])
+    for h, r, solves in cases:
+        del calls[:]
+        rep = validate_quasitriangular(h, r)
+        assert len(calls) == solves
+        assert rep.flags == dense_validate_quasitriangular(h, r).flags
+        assert rep.flags["triangular"] == (solves == 0)
