@@ -435,13 +435,11 @@ def test_help_exits_0(capsys):
 def _run_alone(argv, cwd):
     """(stdout, stderr, exit code) of homlong run on argv in a fresh
     interpreter."""
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [x for x in [os.environ.get("PYTHONPATH")] if x]))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from homlong.cli import main; sys.exit(main(sys.argv[1:]))"] + argv,
-        cwd=cwd, env=env, capture_output=True, text=True)
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
     return proc.stdout, proc.stderr, proc.returncode
 
 

@@ -1755,21 +1755,26 @@ def test_perturbed_sweedler_pair_fails_with_the_dense_witness():
     assert not validate_coquasitriangular(pair.B, pair.form.transpose()).ok
 
 
-def test_one_sided_convolution_inverse_matches_dense_oracle():
-    # with 1 g = 2 g the product of kz2 is not Hom-associative, and kz2's R
-    # has a convolution inverse on one side only: the flag needs both sides
+def _one_sided_kz2():
+    """kz2 with 1 g = 2 g: its product is not Hom-associative, and kz2's R
+    has a convolution inverse on one side only."""
     kz2 = fx.kz2()
     planes = [[list(row) for row in plane] for plane in kz2.mult.data]
     planes[0][1][1] += 1
-    h = replace(kz2, algebra=replace(kz2.algebra, mult=Tensor3(planes)))
+    return replace(kz2, algebra=replace(kz2.algebra, mult=Tensor3(planes)))
+
+
+def test_one_sided_convolution_inverse_matches_dense_oracle():
+    # the flag needs both sides
+    h = _one_sided_kz2()
     rep = validate_quasitriangular(h, fx.kz2_rmatrix())
     assert _tuples(rep) == _tuples(dense_validate_quasitriangular(h, fx.kz2_rmatrix()))
     assert rep.flags == {"convolution-invertible": False, "triangular": False}
 
 
-def _count_solves(monkeypatch):
-    """A list that grows by one at each solve_exact call validate_quasitriangular
-    makes."""
+def test_triangular_r_skips_the_convolution_solve(monkeypatch):
+    # when the flip of R is a two-sided inverse it solves the stacked system,
+    # so no elimination runs; otherwise exactly one does
     import homlong.homstruct as homstruct
     calls = []
 
@@ -1778,22 +1783,10 @@ def _count_solves(monkeypatch):
         return solve_exact(*args)
 
     monkeypatch.setattr(homstruct, "solve_exact", counted)
-    return calls
-
-
-def test_triangular_r_skips_the_convolution_solve(monkeypatch):
-    # when the flip of R is a two-sided inverse it solves the stacked system,
-    # so no elimination runs; otherwise exactly one does
-    calls = _count_solves(monkeypatch)
-    kz2 = fx.kz2()
-    planes = [[list(row) for row in plane] for plane in kz2.mult.data]
-    planes[0][1][1] += 1
-    one_sided = replace(kz2, algebra=replace(kz2.algebra, mult=Tensor3(planes)))
-    cases = ([(kz2, fx.kz2_rmatrix(), 0),
+    cases = ([(fx.kz2(), fx.kz2_rmatrix(), 0),
               (fx.sweedler_scaled_twisted(2), fx.sweedler_rmatrix(), 0)]
              + [(h, fx.trivial_rmatrix(h), 0) for h in _hopf_carriers()]
-             + [(fx.klein_hopf(), fx.klein_rmatrix(), 1),
-                (one_sided, fx.kz2_rmatrix(), 1)])
+             + [(fx.klein_hopf(), fx.klein_rmatrix(), 1), (_one_sided_kz2(), fx.kz2_rmatrix(), 1)])
     for h, r, solves in cases:
         del calls[:]
         rep = validate_quasitriangular(h, r)
