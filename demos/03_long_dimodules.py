@@ -2,15 +2,15 @@
 
 The compatibility rho(h.m) = b(m_-1) (x) a(h).m_0 ties the two structures
 together; tensor products and a canonical carrier H (x) B live inside the
-same category.  The monoidal constraints are explicit matrices, so coherence
-(pentagon, triangle, morphism properties) is decided exactly, and genuine
-failures are reported rather than assumed away.
+same category.  The monoidal constraints are explicit maps on tensor legs, so
+coherence (pentagon, triangle, morphism properties) is decided exactly, and
+genuine failures are reported rather than assumed away.
 """
 
 from homlong import fixtures as fx
-from homlong.longdimod import (canonical_dimodule, check_coherence,
-                               monoidal_constraints, tensor_dimodule,
-                               validate_long_dimodule)
+from homlong.linalg import composite_matrix
+from homlong.longdimod import (associator_legs, canonical_dimodule, check_coherence,
+                               tensor_dimodule, validate_long_dimodule)
 
 kz2 = fx.kz2()
 dims = fx.standard_dimodules()
@@ -29,9 +29,11 @@ t = tensor_dimodule(dims["canonical"], dims["canonical"])
 print("tensor of two canonical carriers: dim %d, valid? %s"
       % (t.dim, validate_long_dimodule(t).ok))
 
-# The associator is mu^-1 (x) id (x) omega; units act by the structure map.
-c = monoidal_constraints(dims["sign"], dims["canonical"], dims["trivial"])
-print("\nassociator shape: %dx%d" % (c["assoc"].rows, c["assoc"].cols))
+# The associator is mu^-1 (x) id (x) omega: mu^-1 on the first leg and omega
+# on the last; units act by the structure map.
+u, v, w = dims["sign"], dims["canonical"], dims["trivial"]
+assoc = composite_matrix(associator_legs(u, w), (u.dim, v.dim, w.dim))
+print("\nassociator shape: %dx%d" % (assoc.rows, assoc.cols))
 
 # Coherence holds on the standard fixtures...
 rep = check_coherence(dims["trivial"], dims["sign"], dims["canonical"])

@@ -5,7 +5,7 @@ All arithmetic is exact rational; every identity check is an exact matrix
 identity on lexicographic tensor bases and reports counterexample witnesses.
 """
 
-from .linalg import (Matrix, Tensor3, Vector, scalar, kron, solve_exact,
+from .linalg import (Matrix, Tensor3, Vector, scalar, solve_exact,
                      DimensionMismatch, SingularMatrix)
 from .report import AxiomReport, Check
 from .homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra,
@@ -22,8 +22,7 @@ from .repmod import (HomModule, HomComodule, YetterDrinfeldModule,
 from .longdimod import (HomLongDimodule, DualityData, MismatchedBase,
                         AntipodeNotInvertible, validate_long_dimodule,
                         canonical_dimodule, tensor_dimodule, unit_dimodule,
-                        trivial_dimodule, monoidal_constraints, associator,
-                        check_coherence, left_dual, right_dual, check_snake,
+                        trivial_dimodule, check_coherence, left_dual, right_dual, check_snake,
                         smash_product_algebra, to_smash_module,
                         from_smash_module, dimodule_morphism_report,
                         is_dimodule_morphism)

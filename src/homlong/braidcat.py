@@ -14,13 +14,14 @@ the same way.
 
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_columns, composite_matrix,
-                     coproduct_columns, flip_columns, insert_columns, pair_columns, per_leg,
-                     product_columns, sparse_columns, ZERO)
+from .linalg import (Matrix, DimensionMismatch, composite_columns, composite_matrix,
+                     coproduct_columns, coproduct_tensor, flip_columns, insert_columns,
+                     pair_columns, per_leg, product_columns, product_tensor, sparse_columns)
 from .homstruct import tensor_hopf, validate_quasitriangular, validate_coquasitriangular
 from .repmod import YetterDrinfeldModule, yd_prebraiding
 from .longdimod import (HomLongDimodule, MismatchedBase, associator_legs, base_parts,
-                        tensor_dimodule, dimodule_morphism_report)
+                        counit_action, dimodule_morphism_report, tensor_dimodule,
+                        unit_coaction)
 from .report import AxiomReport, composites_equal_report, matrices_equal_report
 
 
@@ -261,52 +262,22 @@ def hb_yd_structure(ctx, m):
     rho(m) = R2 (x) b^-3(m_-1) (x) R1 . mu^-1(m_0)."""
     ctx.require_valid()
     ctx.require_dimodule(m)
-    t = tensor_hopf(ctx.H, ctx.B)
     nh, nb, d = ctx.H.dim, ctx.B.dim, m.dim
-    al3i = (ctx.H.gamma ** 3).inv()
-    be3i = (ctx.B.gamma ** 3).inv()
-    mui = m.mu.inv()
-    f = ctx.form
-    r = ctx.R
-    rho = m.coaction
-    # [j][(h,o)]: coefficient of m_j in a^-3(e_h) . mu^-1(m_o), and without a^-3
-    acting = [(product_columns(m.action), (0, 1), (d,))]
-    p_act = composite_matrix(per_leg(al3i, mui) + acting, (nh, d))
-    p_id = composite_matrix(per_leg(Matrix.identity(nh), mui) + acting, (nh, d))
-
-    def act(hx, i, j):
-        hh, x = divmod(hx, nb)
-        s = ZERO
-        for a in range(nb):
-            fxa = f.data[x][a]
-            if fxa == 0:
-                continue
-            for o in range(d):
-                c = rho.data[i][a][o]
-                if c:
-                    s += fxa * c * p_act.data[j][hh * d + o]
-        return s
-
-    def coact(i, hx, j):
-        jq, b = divmod(hx, nb)
-        s = ZERO
-        for iq in range(nh):
-            rr = r.data[iq][jq]
-            if rr == 0:
-                continue
-            for c in range(nb):
-                bc = be3i.data[b][c]
-                if bc == 0:
-                    continue
-                for o in range(d):
-                    x = rho.data[i][c][o]
-                    if x:
-                        s += rr * bc * x * p_id.data[j][iq * d + o]
-        return s
-
-    return YetterDrinfeldModule(replace(t, antipode=None), d,
-                                Tensor3.from_function(nh * nb, d, d, act),
-                                Tensor3.from_function(d, nh * nb, d, coact),
+    ai, bi, mui = (sparse_columns(t.inv()) for t in (ctx.H.gamma, ctx.B.gamma, m.mu))
+    rho = (coproduct_columns(m.coaction), (2,), (nb, d))
+    # (h, x, m) -> (h, x, m_-1, m_0) -> <x|m_-1> a^-3(h) . mu^-1(m_0)
+    act = product_tensor([rho, (pair_columns(x for row in ctx.form.data for x in row), (1, 2), ())]
+                         + [(ai, (0,), None)] * 3
+                         + [(mui, (1,), None), (product_columns(m.action), (0, 1), (d,))],
+                         (nh, nb, d), 2)
+    # m -> (R1, R2, m_-1, m_0) -> (R2, m_-1, R1, m_0) -> R2 (x) b^-3(m_-1) (x) R1 . mu^-1(m_0)
+    co = coproduct_tensor([(insert_columns([x for row in ctx.R.data for x in row], d), (0,),
+                            (nh, nh, d)), rho]
+                          + [(bi, (2,), None)] * 3
+                          + [(mui, (3,), None), (flip_columns(nh, nh), (0, 1), None),
+                             (flip_columns(nh, nb), (1, 2), (nb, nh)),
+                             (product_columns(m.action), (2, 3), (d,))], (d,), nh * nb)
+    return YetterDrinfeldModule(replace(tensor_hopf(ctx.H, ctx.B), antipode=None), d, act, co,
                                 m.mu, m.basis)
 
 
@@ -322,16 +293,12 @@ def check_braiding_compatibility(ctx, m, n):
 
 def module_as_dimodule(h, m, b):
     """A module becomes a dimodule under the unit coaction rho(x) = 1_B (x) nu(x)."""
-    coact = Tensor3.from_function(m.dim, b.dim, m.dim,
-                                  lambda i, a, j: b.unit[a] * m.nu.data[j][i])
-    return HomLongDimodule(h, b, m.dim, m.action, coact, m.nu, m.basis)
+    return HomLongDimodule(h, b, m.dim, m.action, unit_coaction(b, m.nu), m.nu, m.basis)
 
 
 def comodule_as_dimodule(b, m, h):
     """A comodule becomes a dimodule under the counit action h.x = eps(h) mu(x)."""
-    act = Tensor3.from_function(h.dim, m.dim, m.dim,
-                                lambda a, i, j: h.counit[a] * m.mu.data[j][i])
-    return HomLongDimodule(h, b, m.dim, act, m.coaction, m.mu, m.basis)
+    return HomLongDimodule(h, b, m.dim, counit_action(h, m.mu), m.coaction, m.mu, m.basis)
 
 
 def module_family_braiding(ctx, m, n):

@@ -104,7 +104,8 @@ def _check_operator(op, report):
 
 
 def cmd_validate(args, report):
-    s = hio.load_structure(args.file)
+    raw = hio._read(args.file)
+    s = hio.load_structure(args.file, raw)
     if args.kind and isinstance(s, HomBialgebra):
         if args.kind == "hom-algebra":
             s = s.algebra
@@ -116,7 +117,6 @@ def cmd_validate(args, report):
         report.absorb(validate_hom_coalgebra(s))
     elif isinstance(s, HomBialgebra):
         report.absorb(validate_all(s))
-        raw = hio._read(args.file)
         if "R" in raw:
             report.absorb(validate_quasitriangular(
                 s, hio.load_matrix(raw["R"], args.file + ".R")), "R:")

@@ -3,11 +3,12 @@
 Hom-algebras, Hom-coalgebras, Hom-bialgebras and Hom-Hopf algebras, their
 duals, opposites and tensor products, the twist construction that turns a
 classical (bi/Hopf) algebra plus an automorphism into a Hom-structure, and
-(co)quasitriangular data with triangularity decided by exact linear solve.
+(co)quasitriangular data with triangularity decided by R R21 = 1 (x) 1.
 
 Each axiom is a pair of composites of leg steps (see linalg), compared one
-basis column at a time; R enters as an element inserted on new legs and a
-form as a covector pairing two legs away.  Failing checks carry the first
+basis column at a time, and each construction's structure maps are
+composites of the same steps; R enters as an element inserted on new legs
+and a form as a covector pairing two legs away.  Failing checks carry the first
 offending basis tuple: an input tuple for an identity between maps, an
 output coordinate for an identity between elements.
 """
@@ -15,9 +16,10 @@ output coordinate for an identity between elements.
 from dataclasses import dataclass, field
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_matrix,
-                     coproduct_columns, first_differing_column, flip_columns, insert_columns,
-                     kron, pair_columns, product_columns, solve_exact, sparse_columns, ZERO)
-from .report import AxiomReport, composites_equal_report, matrices_equal_report
+                     coproduct_columns, coproduct_tensor, first_differing_column, flip_columns,
+                     insert_columns, pair_columns, per_leg_matrix, product_columns,
+                     product_tensor, solve_exact, sparse_columns)
+from .report import AxiomReport, composites_equal_report, elements_equal_report
 
 
 class NotAutomorphism(Exception):
@@ -139,14 +141,6 @@ class CoQuasiTriangularStructure:
 # ---------------------------------------------------------------------------
 # validators
 
-def _element(steps):
-    """The coordinates of the element that a composite of steps makes on
-    the one-dimensional leg (1,), its first step inserting an element, as a
-    row whose columns are the output basis tuples, so matrices_equal_report
-    witnesses an output coordinate."""
-    return composite_matrix(steps, (1,)).transpose()
-
-
 def _first_side(rep, axiom, sides, dims, names):
     """Record that the two composites of every (label, lhs, rhs) in sides
     agree on the legs dims; on failure witness the label of the first pair
@@ -222,9 +216,8 @@ def validate_hom_bialgebra(h):
                              (flip_columns(n, n), (1, 2), None),
                              (mult, (0, 1), to_h), (mult, (1, 2), to_h)],
                             (n, n), (names, names))
-    matrices_equal_report(rep, "delta-unit", _element([(put_u, (0,), (n, 1)), (co, (0,), to_hh)]),
-                          _element([(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))]),
-                          to_hh, (names, names))
+    elements_equal_report(rep, "delta-unit", [(put_u, (0,), (n, 1)), (co, (0,), to_hh)],
+                          [(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))], to_hh, (names, names))
     composites_equal_report(rep, "counit-mult", [(mult, (0, 1), to_h), (eps, (0,), ())],
                             [(eps, (0,), ()), (eps, (0,), ())], (n, n), (names, names))
     counital = sum(e * u for e, u in zip(h.counit, h.unit)) == 1
@@ -292,87 +285,71 @@ def yau_twist(h, phi):
         raise NotAutomorphism("counit o phi != counit")
     if phi * h.unit != h.unit:
         raise NotAutomorphism("phi does not fix the unit")
-    mult2 = Tensor3.from_in2_out1(composite_matrix(phi_mult, (n, n)), n, n)
-    comult2 = Tensor3.from_in1_out2(composite_matrix(comult_phi, (n,)), n, n)
-    alg = HomAlgebra(n, mult2, h.unit, phi, h.basis)
-    coa = HomCoalgebra(n, comult2, h.counit, phi, h.basis)
+    alg = HomAlgebra(n, product_tensor(phi_mult, (n, n)), h.unit, phi, h.basis)
+    coa = HomCoalgebra(n, coproduct_tensor(comult_phi, (n,), n), h.counit, phi, h.basis)
     return HomBialgebra(alg, coa, h.antipode)
 
 
 def dual_hopf(b):
     """The dual Hom-Hopf algebra on the coordinate dual basis:
     (f*g)(y) = f(b^-2(y1)) g(b^-2(y2)), Delta(f)(x(x)y) = f(b^-2(xy)),
-    unit = counit, counit(f) = f(1), antipode = transpose, twist f -> f o b^-1."""
+    unit = counit, counit(f) = f(1), antipode = transpose, twist f -> f o b^-1.
+    Its product and coproduct are the transposes of (b^-2 (x) b^-2) o Delta
+    and b^-2 o mult."""
     n = b.dim
     b1i = b.gamma.inv()
-    b2i = b1i * b1i
-    cm, mt = b.comult, b.mult
-
-    def mult_entry(i, j, k):
-        s = ZERO
-        for c in range(n):
-            bic = b2i.data[i][c]
-            if bic == 0:
-                continue
-            for d in range(n):
-                x = cm.data[k][c][d]
-                if x:
-                    s += x * bic * b2i.data[j][d]
-        return s
-
-    def comult_entry(i, j, k):
-        s = ZERO
-        for e in range(n):
-            x = mt.data[j][k][e]
-            if x:
-                s += x * b2i.data[i][e]
-        return s
-
-    mult_d = Tensor3.from_function(n, n, n, mult_entry)
-    comult_d = Tensor3.from_function(n, n, n, comult_entry)
-    unit_d = Vector(b.counit.entries)
-    counit_d = Vector(b.unit.entries)
+    bi = sparse_columns(b1i)
+    twice = [(bi, (0,), None)] * 2
+    mult_d = composite_matrix([(coproduct_columns(b.comult), (0,), (n, n))] + twice
+                              + [(bi, (1,), None)] * 2, (n,)).transpose()
+    comult_d = composite_matrix([(product_columns(b.mult), (0, 1), (n,))] + twice,
+                                (n, n)).transpose()
     names = tuple(x + "*" for x in b.basis)
-    alg = HomAlgebra(n, mult_d, unit_d, b1i.transpose(), names)
-    coa = HomCoalgebra(n, comult_d, counit_d, b1i.transpose(), names)
+    alg = HomAlgebra(n, Tensor3.from_in2_out1(mult_d, n, n), Vector(b.counit.entries),
+                     b1i.transpose(), names)
+    coa = HomCoalgebra(n, Tensor3.from_in1_out2(comult_d, n, n), Vector(b.unit.entries),
+                       b1i.transpose(), names)
     s = b.antipode
     return HomBialgebra(alg, coa, None if s is None else s.transpose())
+
+
+def tensor_algebra(a, c):
+    """Componentwise tensor product Hom-algebra on the lexicographic basis:
+    (x (x) y)(x' (x) y') = xx' (x) yy'."""
+    na, nc = a.dim, c.dim
+    mult = product_tensor([(flip_columns(nc, na), (1, 2), (na, nc)),
+                           (product_columns(a.mult), (0, 1), (na,)),
+                           (product_columns(c.mult), (1, 2), (nc,))], (na, nc, na, nc), 2)
+    unit = per_leg_matrix(a.unit.as_column(), c.unit.as_column()).column(0)
+    return HomAlgebra(na * nc, mult, unit, per_leg_matrix(a.alpha, c.alpha),
+                      tensor_basis(a.basis, c.basis))
+
+
+def tensor_basis(first, second):
+    """The names of the lexicographic basis of a tensor product."""
+    return tuple("%s⊗%s" % (x, y) for x in first for y in second)
 
 
 def tensor_hopf(h, b):
     """Componentwise tensor product Hom-Hopf algebra on the lexicographic basis."""
     nh, nb = h.dim, b.dim
-    n = nh * nb
-    mh, mb = h.mult, b.mult
-    ch, cb = h.comult, b.comult
-
-    def mult_entry(i, j, k):
-        i0, i1 = divmod(i, nb)
-        j0, j1 = divmod(j, nb)
-        k0, k1 = divmod(k, nb)
-        return mh.data[i0][j0][k0] * mb.data[i1][j1][k1]
-
-    def comult_entry(i, j, k):
-        i0, i1 = divmod(i, nb)
-        j0, j1 = divmod(j, nb)
-        k0, k1 = divmod(k, nb)
-        return ch.data[i0][j0][k0] * cb.data[i1][j1][k1]
-
-    names = tuple("%s⊗%s" % (x, y) for x in h.basis for y in b.basis)
-    alg = HomAlgebra(n, Tensor3.from_function(n, n, n, mult_entry),
-                     h.unit.kron(b.unit), kron(h.gamma, b.gamma), names)
-    coa = HomCoalgebra(n, Tensor3.from_function(n, n, n, comult_entry),
-                       h.counit.kron(b.counit), kron(h.gamma, b.gamma), names)
+    comult = coproduct_tensor([(coproduct_columns(h.comult), (0,), (nh, nh)),
+                               (coproduct_columns(b.comult), (2,), (nb, nb)),
+                               (flip_columns(nh, nb), (1, 2), (nb, nh))], (nh, nb), nh * nb)
+    coa = HomCoalgebra(nh * nb, comult,
+                       per_leg_matrix(h.counit.as_row(), b.counit.as_row()).row(0),
+                       per_leg_matrix(h.gamma, b.gamma), tensor_basis(h.basis, b.basis))
     s = (None if h.antipode is None or b.antipode is None
-         else kron(h.antipode, b.antipode))
-    return HomBialgebra(alg, coa, s)
+         else per_leg_matrix(h.antipode, b.antipode))
+    return HomBialgebra(tensor_algebra(h.algebra, b.algebra), coa, s)
 
 
 def opposite_algebra(a):
     """Reverse the multiplication, keeping unit and twist."""
-    mult_op = Tensor3.from_function(a.dim, a.dim, a.dim,
-                                    lambda i, j, k: a.mult.data[j][i][k])
-    return HomAlgebra(a.dim, mult_op, a.unit, a.alpha, a.basis)
+    n = a.dim
+    mult_op = product_tensor([(flip_columns(n, n), (0, 1), None),
+                              (product_columns(a.mult), (0, 1), (n,))], (n, n))
+    return HomAlgebra(n, mult_op, a.unit, a.alpha, a.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +358,13 @@ def opposite_algebra(a):
 def validate_quasitriangular(h, r):
     """QHA1-QHA5 plus the triangularity test, column by column.
 
-    The triangular flag holds when the flip of R is a two-sided inverse of R
-    in the tensor-square algebra; that inverse also makes R invertible there.
-    Only when the flip is not a two-sided inverse is invertibility decided by
-    an exact linear solve; either way it is reported as the
-    convolution-invertible flag.
+    The triangular flag holds when R R21 = 1 (x) 1 for the flip R21 of R,
+    decided as an element composite; the flip of H (x) H is an automorphism
+    of the componentwise product, so R21 is then a two-sided inverse of R,
+    which also makes R invertible there.  Only when it is not is
+    invertibility decided, by an exact linear solve on the n^2 x n^2
+    matrices of left and right multiplication by R; either way it is
+    reported as the convolution-invertible flag.
     """
     n = h.dim
     if r.rows != n or r.cols != n:
@@ -401,25 +380,21 @@ def validate_quasitriangular(h, r):
         """x -> R (x) x on the leg `leg` of dim d."""
         return (insert_columns(rc, d), (leg,), (n, n, d))
 
-    unit = _element([(insert_columns(h.unit, 1), (0,), (n, 1))])
-    sides = [_element([put_r(0), (eps, (leg,), ())]) for leg in (0, 1)]
-    rep.add("QHA1", sides == [unit, unit],
-            None if sides == [unit, unit] else
-            ("eps(R1)R2" if sides[0] != unit else "R1eps(R2)",))
+    put_u = insert_columns(h.unit, 1)
+    sides = [first_differing_column([put_r(0), (eps, (leg,), ())], [(put_u, (0,), (n, 1))],
+                                    (1,)) is None for leg in (0, 1)]
+    rep.add("QHA1", all(sides), None if all(sides) else
+            ("eps(R1)R2" if not sides[0] else "R1eps(R2)",))
 
     names3 = (names, names, names)
     # (Delta (x) b)(R) against b(R1) (x) b(R'1) (x) R2 R'2
-    matrices_equal_report(rep, "QHA2",
-                          _element([put_r(0), (co, (0,), to_hh), (be, (2,), None)]),
-                          _element([put_r(0), put_r(2), (flip, (1, 2), None), (be, (0,), None),
-                                    (be, (1,), None), (mult, (2, 3), to_h)]),
-                          (n, n, n), names3)
+    elements_equal_report(rep, "QHA2", [put_r(0), (co, (0,), to_hh), (be, (2,), None)],
+                          [put_r(0), put_r(2), (flip, (1, 2), None), (be, (0,), None),
+                           (be, (1,), None), (mult, (2, 3), to_h)], (n, n, n), names3)
     # (b (x) Delta)(R) against R1 R'1 (x) b(R'2) (x) b(R2)
-    matrices_equal_report(rep, "QHA3",
-                          _element([put_r(0), (co, (1,), to_hh), (be, (0,), None)]),
-                          _element([put_r(0), put_r(2), (flip, (1, 2), None),
-                                    (flip, (2, 3), None), (mult, (0, 1), to_h),
-                                    (be, (1,), None), (be, (2,), None)]),
+    elements_equal_report(rep, "QHA3", [put_r(0), (co, (1,), to_hh), (be, (0,), None)],
+                          [put_r(0), put_r(2), (flip, (1, 2), None), (flip, (2, 3), None),
+                           (mult, (0, 1), to_h), (be, (1,), None), (be, (2,), None)],
                           (n, n, n), names3)
     # h2 R1 (x) h1 R2 against R1 h1 (x) R2 h2
     twice = [(mult, (0, 1), to_h), (mult, (1, 2), to_h)]
@@ -428,21 +403,22 @@ def validate_quasitriangular(h, r):
                              (flip, (2, 3), None)] + twice,
                             [(co, (0,), to_hh), put_r(0, n), (flip, (1, 2), None)] + twice,
                             to_h, (names,))
-    matrices_equal_report(rep, "QHA5", _element([put_r(0), (be, (0,), None), (be, (1,), None)]),
-                          _element([put_r(0)]), to_hh, (names, names))
+    elements_equal_report(rep, "QHA5", [put_r(0), (be, (0,), None), (be, (1,), None)],
+                          [put_r(0)], to_hh, (names, names))
 
-    # x -> R x and x -> x R on H (x) H, and the flip of R
-    lmul = composite_matrix([put_r(0, n), (flip, (1, 2), None)] + twice, to_hh)
-    rmul = composite_matrix([put_r(1, n), (flip, (2, 3), None)] + twice, to_hh)
-    unit2 = composite_matrix([(insert_columns(h.unit, 1), (0,), (n, 1)),
-                              (insert_columns(h.unit, 1), (1,), (n, 1))], (1,))
-    r21 = composite_matrix([put_r(0), (flip, (0, 1), None)], (1,))
-    triangular = lmul * r21 == unit2 and rmul * r21 == unit2
+    # x -> R x and x -> x R on H (x) H; R R21 against 1 (x) 1, R21 R being
+    # its image under the flip, an automorphism of the componentwise product
+    lmul = [put_r(0, n), (flip, (1, 2), None)] + twice
+    rmul = [put_r(1, n), (flip, (2, 3), None)] + twice
+    unit2 = [(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))]
+    triangular = first_differing_column([put_r(0), (flip, (0, 1), None)] + lmul, unit2,
+                                        (1,)) is None
     # a two-sided inverse R21 solves the stacked system, so the system is
     # solved only when R21 is not one
     rep.set_flag("convolution-invertible", triangular or solve_exact(
-        Matrix(list(lmul.data) + list(rmul.data), rows=2 * n * n, cols=n * n),
-        Vector(list(unit2.column(0)) * 2)) is not None)
+        Matrix.trusted(composite_matrix(lmul, to_hh).data + composite_matrix(rmul, to_hh).data,
+                       2 * n * n, n * n),
+        Vector(list(composite_matrix(unit2, (1,)).column(0)) * 2)) is not None)
     rep.set_flag("triangular", triangular)
     return rep
 

@@ -244,8 +244,11 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
     raise FileFormatError(_ctx(where, "unknown kind %r" % (kind,)))
 
 
-def load_structure(path):
-    obj = _read(path)
+def load_structure(path, obj=None):
+    """The structure in the file at path; obj, when given, is that file's
+    JSON as already read, so the file is not read again."""
+    if obj is None:
+        obj = _read(path)
     try:
         return structure_from_json(obj, os.path.dirname(path), path)
     except FileFormatError:

@@ -14,8 +14,11 @@ insert_columns, pair_columns), to consecutive legs of a sparse vector.  A
 composite is planned once, then run one basis vector at a time:
 first_differing_column compares two composites column by column,
 composite_columns gives one as int columns, a step for a further composite,
-and composite_matrix builds its matrix, so no structure map is assembled
-from Kronecker products of whole carriers.
+and composite_matrix builds its matrix.  Every constructed structure map is
+such a composite: per_leg_matrix gives a tensor product of maps, and
+product_tensor and coproduct_tensor give a multiplication, action,
+comultiplication or coaction, so no map is written as an index sum over
+structure constants or as a Kronecker product.
 """
 
 import math
@@ -118,9 +121,6 @@ class Vector:
     def scale(self, c):
         c = scalar(c)
         return Vector([c * a for a in self.entries])
-
-    def kron(self, other):
-        return Vector([a * b for a in self.entries for b in other.entries])
 
     def is_zero(self):
         return all(a == 0 for a in self.entries)
@@ -227,7 +227,7 @@ class Matrix:
         """Composition self o other (also accepts a Vector on the right).
 
         Row-combination algorithm: skips zero coefficients, so products with
-        permutation-like and kron-structured matrices stay cheap.
+        permutation-like and tensor-product matrices stay cheap.
         """
         if isinstance(other, Vector):
             return self.apply(other)
@@ -330,9 +330,6 @@ class Matrix:
             k >>= 1
         return out
 
-    def kron(self, other):
-        return kron(self, other)
-
     def to_lists(self):
         return [list(row) for row in self.data]
 
@@ -349,26 +346,6 @@ class Matrix:
 def _columns(m):
     """The columns of the Matrix m as tuples."""
     return list(zip(*m.data)) if m.rows else [()] * m.cols
-
-
-def kron(a, b):
-    """Kronecker product realizing f (x) g on lexicographic tensor bases."""
-    rb, cb = b.rows, b.cols
-    out = [[ZERO] * (a.cols * cb) for _ in range(a.rows * rb)]
-    for i in range(a.rows):
-        arow = a.data[i]
-        for j in range(a.cols):
-            x = arow[j]
-            if x == 0:
-                continue
-            for p in range(rb):
-                brow = b.data[p]
-                orow = out[i * rb + p]
-                base = j * cb
-                for q in range(cb):
-                    if brow[q]:
-                        orow[base + q] = x * brow[q]
-    return Matrix.trusted(map(tuple, out), a.rows * rb, a.cols * cb)
 
 
 def int_columns(columns):
@@ -401,7 +378,7 @@ def coproduct_columns(t):
 
 def per_leg(*maps):
     """Steps applying maps[k] to leg k: the tensor product of the maps."""
-    return [(sparse_columns(f), (k,), None) for k, f in enumerate(maps)]
+    return [(sparse_columns(f), (k,), (f.rows,)) for k, f in enumerate(maps)]
 
 
 def flip_columns(d0, d1):
@@ -504,6 +481,26 @@ def composite_matrix(steps, dims):
         for r, x in _run(plan, {j: 1}).items():
             out[r][j] = Fraction(x, scale)
     return Matrix.trusted(map(tuple, out), rows, cols)
+
+
+def per_leg_matrix(*maps):
+    """The Matrix of the tensor product of maps, maps[k] on leg k."""
+    return composite_matrix(per_leg(*maps), tuple(f.cols for f in maps))
+
+
+def product_tensor(steps, dims, first=1):
+    """The product-like Tensor3 (a multiplication or an action) of a
+    composite of steps on the legs dims; its first input is the first
+    `first` legs and its second the others."""
+    return Tensor3.from_in2_out1(composite_matrix(steps, dims), math.prod(dims[:first]),
+                                 math.prod(dims[first:]))
+
+
+def coproduct_tensor(steps, dims, first_out):
+    """The coproduct-like Tensor3 (a comultiplication or a coaction) of a
+    composite of steps on the legs dims; its first output has dim first_out."""
+    m = composite_matrix(steps, dims)
+    return Tensor3.from_in1_out2(m, first_out, m.rows // first_out)
 
 
 def solve_exact(a, b):

@@ -8,12 +8,15 @@ their coherence report, left/right duals with evaluation and coevaluation,
 and the equivalence with modules over the smash-type algebra B*op (x) H.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, coproduct_columns,
-                     flip_columns, kron, per_leg, product_columns, sparse_columns,
+from .linalg import (Matrix, Tensor3, DimensionMismatch, coproduct_columns, coproduct_tensor,
+                     first_differing_column, flip_columns, insert_columns, pair_columns,
+                     per_leg_matrix, product_columns, product_tensor, sparse_columns,
                      ZERO, ONE)
-from .homstruct import HomAlgebra, HomBialgebra, dual_hopf, opposite_algebra
+from .homstruct import (HomBialgebra, dual_hopf, opposite_algebra, tensor_algebra,
+                        tensor_basis)
 from .repmod import HomModule, HomComodule, validate_hom_module, validate_hom_comodule
 from .report import AxiomReport, composites_equal_report
 
@@ -97,29 +100,23 @@ def validate_long_dimodule(d):
 
 def canonical_dimodule(h, b):
     """The carrier H (x) B with h.(g (x) x) = hg (x) b(x) and
-    rho(g (x) x) = x1 (x) (a(g) (x) x2)."""
-    nh, nb = h.dim, b.dim
-    d = nh * nb
-    mh = h.mult
-    cb = b.comult
-    beta = b.gamma
-    alpha = h.gamma
+    rho(g (x) x) = x1 (x) (a(g) (x) x2): h_tensor_parts with B's coproduct
+    as the coaction."""
+    return HomLongDimodule(h, b, *h_tensor_parts(h, b.comult, b.gamma, b.basis))
 
-    def act(hh, i, j):
-        g, x = divmod(i, nb)
-        a, y = divmod(j, nb)
-        return mh.data[hh][g][a] * beta.data[y][x]
 
-    def coact(i, c, j):
-        g, x = divmod(i, nb)
-        a, y = divmod(j, nb)
-        return cb.data[x][c][y] * alpha.data[a][g]
-
-    names = tuple("%s⊗%s" % (x, y) for x in h.basis for y in b.basis)
-    return HomLongDimodule(h, b, d,
-                           Tensor3.from_function(nh, d, d, act),
-                           Tensor3.from_function(d, nb, d, coact),
-                           kron(alpha, beta), names)
+def h_tensor_parts(h, coaction, mu, names):
+    """H (x) M for a coaction on M with structure map mu, M's basis being
+    named names: h.(g (x) x) = hg (x) mu(x) and
+    rho(g (x) x) = x_-1 (x) (a(g) (x) x_0), as (dim, action, coaction,
+    structure map a (x) mu, basis names)."""
+    nh, dm, nc = h.dim, mu.rows, coaction.d1
+    act = product_tensor([(product_columns(h.mult), (0, 1), (nh,)),
+                          (sparse_columns(mu), (1,), None)], (nh, nh, dm))
+    co = coproduct_tensor([(sparse_columns(h.gamma), (0,), None),
+                           (coproduct_columns(coaction), (1,), (nc, dm)),
+                           (flip_columns(nh, nc), (0, 1), (nc, nh))], (nh, dm), nc)
+    return nh * dm, act, co, per_leg_matrix(h.gamma, mu), tensor_basis(h.basis, names)
 
 
 def base_parts(d):
@@ -136,35 +133,53 @@ def tensor_dimodule(m, n):
     if base_parts(m) != base_parts(n):
         raise MismatchedBase("tensor of dimodules over different algebra pairs")
     h, b = m.H, n.B
-    nh, nb = h.dim, b.dim
-    dm, dn = m.dim, n.dim
-    d = dm * dn
-    # (h, m, n) -> (h1, h2, m, n) -> (h1, m, h2, n) -> (h1.m, h2, n) -> (h1.m, h2.n)
-    act_mat = composite_matrix([(coproduct_columns(h.comult), (0,), (nh, nh)),
-                                (flip_columns(nh, dm), (1, 2), (dm, nh)),
-                                (product_columns(m.action), (0, 1), (dm,)),
-                                (product_columns(n.action), (1, 2), (dn,))],
-                               (nh, dm, dn))
-    # (m, n) -> (m_-1, m_0, n_-1, n_0) -> (m_-1, n_-1, m_0, n_0) -> (b^-2(m_-1 n_-1), m_0, n_0)
-    co_mat = composite_matrix([(coproduct_columns(m.coaction), (0,), (nb, dm)),
-                               (coproduct_columns(n.coaction), (2,), (nb, dn)),
-                               (flip_columns(dm, nb), (1, 2), (nb, dm)),
-                               (product_columns(b.mult), (0, 1), (nb,)),
-                               (sparse_columns((b.gamma * b.gamma).inv()), (0,), None)],
-                              (dm, dn))
-    mu = composite_matrix(per_leg(m.mu, n.mu), (dm, dn))
-    names = tuple("%s⊗%s" % (x, y) for x in m.basis for y in n.basis)
-    return HomLongDimodule(m.H, m.B, d,
-                           Tensor3.from_in2_out1(act_mat, nh, d),
-                           Tensor3.from_in1_out2(co_mat, nb, d),
-                           mu, names)
+    return HomLongDimodule(m.H, m.B, m.dim * n.dim,
+                           product_tensor(_tree_action(h, (m, n)), (h.dim, m.dim, n.dim)),
+                           coproduct_tensor(_tree_coaction(b, (m, n)), (m.dim, n.dim), b.dim),
+                           per_leg_matrix(m.mu, n.mu), tensor_basis(m.basis, n.basis))
+
+
+def _dims(tree):
+    """The dims of the carriers of a tensor tree (a carrier, or a pair of
+    trees), in order."""
+    return _dims(tree[0]) + _dims(tree[1]) if isinstance(tree, tuple) else (tree.dim,)
+
+
+def _tree_action(h, tree, at=0):
+    """Steps of h.(m (x) n) = h1.m (x) h2.n on the tensor product of a tree of
+    carriers, h on the leg at and the carriers' legs after it."""
+    if not isinstance(tree, tuple):
+        return [(product_columns(tree.action), (at, at + 1), (tree.dim,))]
+    left, right = tree
+    dims = _dims(left)
+    k, nh = len(dims), h.dim
+    # (h, l, r) -> (h1, h2, l, r) -> (h1, l, h2, r) -> (h1.l, h2.r)
+    return ([(coproduct_columns(h.comult), (at,), (nh, nh)),
+             (flip_columns(nh, math.prod(dims)), tuple(range(at + 1, at + k + 2)), dims + (nh,))]
+            + _tree_action(h, left, at) + _tree_action(h, right, at + k))
+
+
+def _tree_coaction(b, tree, at=0):
+    """Steps of rho(m (x) n) = b^-2(m_-1 n_-1) (x) m_0 (x) n_0 on the tensor
+    product of a tree of carriers, whose legs start at at; the B leg lands
+    on at."""
+    nb = b.dim
+    if not isinstance(tree, tuple):
+        return [(coproduct_columns(tree.coaction), (at,), (nb, tree.dim))]
+    left, right = tree
+    dims = _dims(left)
+    k, bi = len(dims), sparse_columns(b.gamma.inv())
+    # (l, r) -> (l_-1, l_0, r_-1, r_0) -> (l_-1, r_-1, l_0, r_0) -> (b^-2(l_-1 r_-1), l_0, r_0)
+    return (_tree_coaction(b, left, at) + _tree_coaction(b, right, at + k + 1)
+            + [(flip_columns(math.prod(dims), nb), tuple(range(at + 1, at + k + 2)),
+                (nb,) + dims),
+               (product_columns(b.mult), (at, at + 1), (nb,)), (bi, (at,), None),
+               (bi, (at,), None)])
 
 
 def unit_dimodule(h, b):
     """The monoidal unit: the ground field with identity structure map."""
-    act = Tensor3.from_function(h.dim, 1, 1, lambda i, _j, _k: h.counit[i])
-    coact = Tensor3.from_function(1, b.dim, 1, lambda _i, a, _k: b.unit[a])
-    return HomLongDimodule(h, b, 1, act, coact, Matrix.identity(1), ("1",))
+    return replace(trivial_dimodule(h, b), basis=("1",))
 
 
 def trivial_dimodule(h, b, mu=None):
@@ -172,31 +187,30 @@ def trivial_dimodule(h, b, mu=None):
     and the unit coaction rho(m) = 1_B (x) mu(m)."""
     if mu is None:
         mu = Matrix.identity(1)
+    return HomLongDimodule(h, b, mu.rows, counit_action(h, mu), unit_coaction(b, mu), mu)
+
+
+def counit_action(h, mu):
+    """The action h.m = eps(h) mu(m) of H on the carrier of mu."""
+    return product_tensor([(pair_columns(h.counit), (0,), ()),
+                           (sparse_columns(mu), (0,), None)], (h.dim, mu.rows))
+
+
+def unit_coaction(b, mu):
+    """The coaction rho(m) = 1_B (x) mu(m) of B on the carrier of mu."""
     d = mu.rows
-    act = Tensor3.from_function(h.dim, d, d,
-                                lambda i, j, k: h.counit[i] * mu.data[k][j])
-    coact = Tensor3.from_function(d, b.dim, d,
-                                  lambda j, a, k: b.unit[a] * mu.data[k][j])
-    return HomLongDimodule(h, b, d, act, coact, mu)
-
-
-def associator(u, v, w):
-    """Matrix of (u (x) v) (x) w -> u (x) (v (x) w),
-    (u (x) v) (x) w -> mu^-1(u) (x) (v (x) omega(w))."""
-    return composite_matrix(associator_legs(u, w), (u.dim, v.dim, w.dim))
+    return coproduct_tensor([(sparse_columns(mu), (0,), None),
+                             (insert_columns(b.unit, d), (0,), (b.dim, d))], (d,), b.dim)
 
 
 def associator_legs(u, w, inverse=False):
-    """associator(u, v, w) as steps for first_differing_column on the legs
-    (u, v, w): mu_u^-1 on leg 0 and omega_w on leg 2.  The inverse is mu_u
-    on leg 0 and omega_w^-1 on leg 2, so no triple product is inverted."""
+    """The associator (u (x) v) (x) w -> u (x) (v (x) w),
+    (u (x) v) (x) w -> mu^-1(u) (x) (v (x) omega(w)), as steps for
+    first_differing_column on the legs (u, v, w): mu_u^-1 on leg 0 and
+    omega_w on leg 2.  The inverse is mu_u on leg 0 and omega_w^-1 on leg 2,
+    so no triple product is inverted."""
     first, last = (u.mu, w.mu.inv()) if inverse else (u.mu.inv(), w.mu)
     return [(sparse_columns(first), (0,), None), (sparse_columns(last), (2,), None)]
-
-
-def monoidal_constraints(u, v, w):
-    """The associator for (u, v, w) and the unit constraints of v."""
-    return {"assoc": associator(u, v, w), "left_unit": v.mu, "right_unit": v.mu}
 
 
 def dimodule_morphism_report(m, n, f):
@@ -238,8 +252,12 @@ def check_coherence(u, v, w, x=None, morphisms=None):
     of the associator and both unit constraints.  Failures are findings, not
     errors: the report records them with witnesses.  The naturality,
     pentagon and triangle identities are checked column by column on the
-    tensor legs; the structure map of a tensor product is the Kronecker
-    product of its factors' maps, so each associator is a map on two legs.
+    tensor legs; the structure map of a tensor product is its factors' maps,
+    one on each leg, so each associator is a map on two legs.  The
+    associator's H-linearity and B-colinearity are checked the same way on
+    the legs (h, u, v, w) and (u, v, w), with each factor's action and
+    coaction as steps, so no tensor product of the three is built; a witness
+    names the basis vector x (x) y (x) z of (u (x) v) (x) w.
     """
     if x is None:
         x = w
@@ -278,12 +296,20 @@ def check_coherence(u, v, w, x=None, morphisms=None):
     composites_equal_report(rep, "triangle", lhs, [(mu[id(u)], (0,), None)],
                             (u.dim, v.dim), (u.basis, v.basis))
 
+    # f(h.x) against h.f(x), and rho(f(x)) against (id (x) f)(rho(x)), for the
+    # associator f from ((u, v), w) to (u, (v, w))
+    h, left, right = u.H, ((u, v), w), (u, (v, w))
+    a_shifted = [(mui[id(u)], (1,), None), (mu[id(w)], (3,), None)]
+    idxs = first_differing_column(_tree_action(h, left) + a_uvw,
+                                  a_shifted + _tree_action(h, right),
+                                  (h.dim, u.dim, v.dim, w.dim))
+    rep.add("assoc-H-linear", idxs is None,
+            None if idxs is None else (h.basis[idxs[0]], _triple_name(idxs[1:], u, v, w)))
+    idxs = first_differing_column(a_uvw + _tree_coaction(u.B, right),
+                                  _tree_coaction(u.B, left) + a_shifted, (u.dim, v.dim, w.dim))
+    rep.add("assoc-B-colinear", idxs is None,
+            None if idxs is None else (_triple_name(idxs, u, v, w),))
     unit = unit_dimodule(u.H, u.B)
-    uvw_l = tensor_dimodule(tensor_dimodule(u, v), w)
-    uvw_r = tensor_dimodule(u, tensor_dimodule(v, w))
-    arep = dimodule_morphism_report(uvw_l, uvw_r, associator(u, v, w))
-    rep.add("assoc-H-linear", arep.passed("H-linear"), arep.check("H-linear").witness)
-    rep.add("assoc-B-colinear", arep.passed("B-colinear"), arep.check("B-colinear").witness)
     lv = dimodule_morphism_report(tensor_dimodule(unit, v), v, v.mu)
     rep.add("left-unit-H-linear", lv.passed("H-linear"), lv.check("H-linear").witness)
     rep.add("left-unit-B-colinear", lv.passed("B-colinear"), lv.check("B-colinear").witness)
@@ -291,6 +317,11 @@ def check_coherence(u, v, w, x=None, morphisms=None):
     rep.add("right-unit-H-linear", rv.passed("H-linear"), rv.check("H-linear").witness)
     rep.add("right-unit-B-colinear", rv.passed("B-colinear"), rv.check("B-colinear").witness)
     return rep
+
+
+def _triple_name(idxs, u, v, w):
+    """The name x (x) y (x) z of a basis vector of u (x) v (x) w."""
+    return "⊗".join(t.basis[i] for t, i in zip((u, v, w), idxs))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +340,7 @@ def left_dual(m):
     h, b = _require_hopf_pair(m)
     if h.antipode.det() == 0 or b.antipode.det() == 0:
         raise AntipodeNotInvertible("antipode is singular")
-    return _dual(m, h.antipode * h.gamma.inv(),
-                 b.antipode.inv() * b.gamma.inv(), "left")
+    return _dual(m, (h.gamma.inv(), h.antipode), (b.gamma.inv(), b.antipode.inv()), "left")
 
 
 def right_dual(m):
@@ -319,39 +349,44 @@ def right_dual(m):
     h, b = _require_hopf_pair(m)
     if h.antipode.det() == 0 or b.antipode.det() == 0:
         raise AntipodeNotInvertible("antipode is singular")
-    return _dual(m, h.antipode.inv() * h.gamma.inv(),
-                 b.antipode * b.gamma.inv(), "right")
+    return _dual(m, (h.gamma.inv(), h.antipode.inv()), (b.gamma.inv(), b.antipode), "right")
+
+
+def _identity_element(d):
+    """The flat coordinates of sum_i e_i (x) e_i: inserted, the copairing of
+    a basis with its dual basis; paired, their evaluation."""
+    return [ONE if i == j else ZERO for i in range(d) for j in range(d)]
 
 
 def _dual(m, h_twist, b_twist, side):
+    """The dual carrier on the dual basis, for the twists of H and B given
+    as maps applied in turn.  Each of its maps is ev (f, -) of a composite
+    on M: the copairing inserted beside the input basis vector f, the
+    composite applied, then f paired away."""
     h, b = m.H, m.B
-    nh, nb, d = h.dim, b.dim, m.dim
-    mu2i = (m.mu * m.mu).inv()
-    p = m.action_map * kron(h_twist, mu2i)   # p[i][(h,j)] = coeff of m_i in (h_twist e_h).mu^-2(m_j)
-    act = Tensor3.from_function(nh, d, d, lambda hh, i, j: p.data[i][hh * d + j])
-    rho = m.coaction
-
-    def coact(i, a, l):
-        s = ZERO
-        for c in range(nb):
-            t = b_twist.data[a][c]
-            if t == 0:
-                continue
-            for o in range(d):
-                x = rho.data[l][c][o]
-                if x:
-                    s += x * t * mu2i.data[i][o]
-        return s
-
-    co = Tensor3.from_function(d, nb, d, coact)
-    mu_star = m.mu.inv().transpose()
+    nb, d = b.dim, m.dim
+    delta = _identity_element(d)
+    mui = sparse_columns(m.mu.inv())
+    # (h, f) -> (h, x, x', f) -> (h_twist(h) . mu^-2(x), x', f) -> f(h_twist(h) . mu^-2(x)) x'
+    act = product_tensor([(insert_columns(delta, d), (1,), (d, d, d))]
+                         + [(sparse_columns(t), (0,), None) for t in h_twist]
+                         + [(mui, (1,), None), (mui, (1,), None),
+                            (product_columns(m.action), (0, 1), (d,)),
+                            (flip_columns(d, d), (1, 2), None),
+                            (pair_columns(delta), (0, 1), ())], (h.dim, d))
+    # f -> (x, x', f) -> (b_twist(x_-1), mu^-2(x_0), x', f) -> b_twist(x_-1) f(mu^-2(x_0)) x'
+    co = coproduct_tensor([(insert_columns(delta, d), (0,), (d, d, d)),
+                           (coproduct_columns(m.coaction), (0,), (nb, d))]
+                          + [(sparse_columns(t), (0,), None) for t in b_twist]
+                          + [(mui, (1,), None), (mui, (1,), None),
+                             (flip_columns(d, d), (2, 3), None),
+                             (pair_columns(delta), (1, 2), ())], (d,), nb)
     names = tuple(x + "*" for x in m.basis)
-    dual = HomLongDimodule(h, b, d, act, co, mu_star, names)
+    dual = HomLongDimodule(h, b, d, act, co, m.mu.inv().transpose(), names)
     # dual-basis pairing and copairing; the same delta pattern serves both
     # sides (left: ev on M* (x) M, coev in M (x) M*; right: swapped roles).
-    ev = Matrix.from_function(1, d * d, lambda _r, c: ONE if c // d == c % d else ZERO)
-    coev = Matrix.from_function(d * d, 1, lambda r, _c: ONE if r // d == r % d else ZERO)
-    return DualityData(dual, ev, coev, side)
+    ev = Matrix([delta], rows=1, cols=d * d)
+    return DualityData(dual, ev, ev.transpose(), side)
 
 
 def check_snake(m, duality):
@@ -390,41 +425,20 @@ def check_snake(m, duality):
 
 def smash_product_algebra(b, h):
     """The Hom-algebra B*op (x) H (only the algebra structure is needed)."""
-    dual_alg = opposite_algebra(dual_hopf(b).algebra)
-    halg = h.algebra
-    nd, nh = dual_alg.dim, halg.dim
-    n = nd * nh
-
-    def mult_entry(i, j, k):
-        i0, i1 = divmod(i, nh)
-        j0, j1 = divmod(j, nh)
-        k0, k1 = divmod(k, nh)
-        return dual_alg.mult.data[i0][j0][k0] * halg.mult.data[i1][j1][k1]
-
-    names = tuple("%s⊗%s" % (x, y) for x in dual_alg.basis for y in halg.basis)
-    return HomAlgebra(n, Tensor3.from_function(n, n, n, mult_entry),
-                      dual_alg.unit.kron(halg.unit),
-                      kron(dual_alg.alpha, halg.alpha), names)
+    return tensor_algebra(opposite_algebra(dual_hopf(b).algebra), h.algebra)
 
 
 def to_smash_module(m):
     """(p (x) h) . x = p(x_-1) h . mu^-1(x_0) as a module over B*op (x) H."""
     h, b = m.H, m.B
     nh, nb, d = h.dim, b.dim, m.dim
-    alg = smash_product_algebra(b, h)
-    p = m.action_map * kron(Matrix.identity(nh), m.mu.inv())
-    rho = m.coaction
-
-    def act(ph, i, j):
-        pp, hh = divmod(ph, nh)
-        s = ZERO
-        for o in range(d):
-            x = rho.data[i][pp][o]
-            if x:
-                s += x * p.data[j][hh * d + o]
-        return s
-
-    return HomModule(alg, d, Tensor3.from_function(nb * nh, d, d, act), m.mu, m.basis)
+    # (p, h, x) -> (p, h, x_-1, x_0) -> (p, x_-1, h, x_0) -> p(x_-1) h . mu^-1(x_0)
+    act = product_tensor([(coproduct_columns(m.coaction), (2,), (nb, d)),
+                          (flip_columns(nh, nb), (1, 2), (nb, nh)),
+                          (pair_columns(_identity_element(nb)), (0, 1), ()),
+                          (sparse_columns(m.mu.inv()), (1,), None),
+                          (product_columns(m.action), (0, 1), (d,))], (nb, nh, d), 2)
+    return HomModule(smash_product_algebra(b, h), d, act, m.mu, m.basis)
 
 
 def from_smash_module(n, h, b):
@@ -434,27 +448,12 @@ def from_smash_module(n, h, b):
     if n.over.dim != nh * nb:
         raise DimensionMismatch("module is over a dim-%d algebra, expected %d"
                                 % (n.over.dim, nh * nb))
-    eps = b.counit
-    u = h.unit
-    actn = n.action
-
-    def act(hh, i, j):
-        s = ZERO
-        for a in range(nb):
-            e = eps[a]
-            if e:
-                s += e * actn.data[a * nh + hh][i][j]
-        return s
-
-    def coact(i, a, j):
-        s = ZERO
-        for t in range(nh):
-            x = u[t]
-            if x:
-                s += x * actn.data[a * nh + t][i][j]
-        return s
-
-    return HomLongDimodule(h, b, d,
-                           Tensor3.from_function(nh, d, d, act),
-                           Tensor3.from_function(d, nb, d, coact),
-                           n.nu, n.basis)
+    acting = product_columns(n.action)
+    # (h, m) -> (eps_B, h, m) -> (eps_B (x) h) . m
+    act = product_tensor([(insert_columns(b.counit, nh), (0,), (nb, nh)),
+                          (acting, (0, 1, 2), (d,))], (nh, d))
+    # m -> (b_i, f^i, m) -> (b_i, f^i, 1_H, m) -> b_i (x) (f^i (x) 1_H) . m
+    co = coproduct_tensor([(insert_columns(_identity_element(nb), d), (0,), (nb, nb, d)),
+                           (insert_columns(h.unit, d), (2,), (nh, d)),
+                           (acting, (1, 2, 3), (d,))], (d,), nb)
+    return HomLongDimodule(h, b, d, act, co, n.nu, n.basis)

@@ -15,9 +15,11 @@ import math
 from dataclasses import dataclass
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, SingularMatrix,
-                     composite_columns, composite_matrix, first_differing_column, flip_columns,
-                     kron, per_leg, scalar, sparse_columns, ZERO)
-from .longdimod import HomLongDimodule, validate_long_dimodule
+                     composite_columns, composite_matrix, coproduct_columns, coproduct_tensor,
+                     first_differing_column, flip_columns, per_leg, per_leg_matrix,
+                     product_columns, product_tensor, scalar, sparse_columns, ZERO)
+from .homstruct import tensor_basis
+from .longdimod import HomLongDimodule, h_tensor_parts, validate_long_dimodule
 from .report import AxiomReport
 
 
@@ -383,67 +385,30 @@ def module_extension(h, m):
     structure map a (x) mu, which forces h.(g (x) x) = a(g) (x) h.x.
     """
     nh, dm = h.dim, m.dim
-    d = nh * dm
-    p = m.action.flatten_in2_out1()
-    al, cm, mu = h.gamma, h.comult, m.nu
-
-    def act(hh, i, j):
-        g, x = divmod(i, dm)
-        a, jj = divmod(j, dm)
-        return al.data[a][g] * p.data[jj][hh * dm + x]
-
-    def coact(i, c, j):
-        g, x = divmod(i, dm)
-        a, jj = divmod(j, dm)
-        return cm.data[g][c][a] * mu.data[jj][x]
-
-    names = tuple("%s⊗%s" % (a, b) for a in h.basis for b in m.basis)
-    return HAlphaLongDimodule(h, d,
-                              Tensor3.from_function(nh, d, d, act),
-                              Tensor3.from_function(d, nh, d, coact),
-                              kron(al, mu), names)
+    # (h, g, x) -> (h, a(g), x) -> (a(g), h, x) -> (a(g), h.x)
+    act = product_tensor([(sparse_columns(h.gamma), (1,), None),
+                          (flip_columns(nh, nh), (0, 1), None),
+                          (product_columns(m.action), (1, 2), (dm,))], (nh, nh, dm))
+    co = coproduct_tensor([(coproduct_columns(h.comult), (0,), (nh, nh)),
+                           (sparse_columns(m.nu), (2,), None)], (nh, dm), nh)
+    return HAlphaLongDimodule(h, nh * dm, act, co, per_leg_matrix(h.gamma, m.nu),
+                              tensor_basis(h.basis, m.basis))
 
 
 def comodule_extension(h, m):
     """H (x) M with h.(g (x) x) = hg (x) mu(x) and
     rho(g (x) x) = x_-1 (x) (a(g) (x) x_0)."""
-    nh, dm = h.dim, m.dim
-    d = nh * dm
-    al, mt, mu = h.gamma, h.mult, m.mu
-    rho = m.coaction
-
-    def act(hh, i, j):
-        g, x = divmod(i, dm)
-        a, jj = divmod(j, dm)
-        return mt.data[hh][g][a] * mu.data[jj][x]
-
-    def coact(i, c, j):
-        g, x = divmod(i, dm)
-        a, jj = divmod(j, dm)
-        return rho.data[x][c][jj] * al.data[a][g]
-
-    names = tuple("%s⊗%s" % (a, b) for a in h.basis for b in m.basis)
-    return HAlphaLongDimodule(h, d,
-                              Tensor3.from_function(nh, d, d, act),
-                              Tensor3.from_function(d, nh, d, coact),
-                              kron(al, mu), names)
+    return HAlphaLongDimodule(h, *h_tensor_parts(h, m.coaction, m.mu, m.basis))
 
 
 def dimodule_solution(d):
     """The induced operator R(m (x) n) = n_-1 . m (x) n_0."""
-    n = d.dim
-    act, rho = d.action, d.coaction
-    # act_nz[a]: the nonzero (i, ii, coefficient of m_ii in h_a . m_i)
-    act_nz = [[(i, ii, x) for i, row in enumerate(plane) for ii, x in enumerate(row) if x]
-              for plane in act.data]
-    out = [[ZERO] * (n * n) for _ in range(n * n)]
-    for j, planes in enumerate(rho.data):
-        for a, row in enumerate(planes):
-            for jj, y in enumerate(row):
-                if y:
-                    for i, ii, x in act_nz[a]:
-                        out[ii * n + jj][i * n + j] += y * x
-    return OperatorOnTensorSquare(n, Matrix.trusted(map(tuple, out), n * n, n * n), d.mu)
+    n, nh = d.dim, d.coaction.d1
+    # (m, n) -> (m, n_-1, n_0) -> (n_-1, m, n_0) -> (n_-1 . m, n_0)
+    steps = [(coproduct_columns(d.coaction), (1,), (nh, n)),
+             (flip_columns(n, nh), (0, 1), (nh, n)),
+             (product_columns(d.action), (0, 1), (n,))]
+    return OperatorOnTensorSquare(n, composite_matrix(steps, (n, n)), d.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,20 @@ def composites_equal_report(report, axiom, lhs, rhs, dims_in, names_in=None):
     return report.add(axiom, idxs is None, _named(idxs, names_in))
 
 
+def elements_equal_report(report, axiom, lhs, rhs, dims_out, names_out=None):
+    """Record that two composites of steps on the one-dimensional leg (1,),
+    each first inserting an element, make the same element of the legs
+    dims_out; on failure witness the first output basis tuple on which they
+    differ."""
+    from .linalg import composite_columns, unflat_index
+    (lcol,), lscale = composite_columns(lhs, (1,))
+    (rcol,), rscale = composite_columns(rhs, (1,))
+    left, right = {r: x * rscale for r, x in lcol}, {r: x * lscale for r, x in rcol}
+    differ = [r for r in left.keys() | right.keys() if left.get(r) != right.get(r)]
+    return report.add(axiom, not differ, _named(unflat_index(min(differ), dims_out), names_out)
+                      if differ else None)
+
+
 def _named(idxs, names_in):
     if idxs is None or names_in is None:
         return idxs

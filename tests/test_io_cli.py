@@ -159,6 +159,16 @@ def test_validate_bialgebra_checks_r_and_form(files, capsys):
     assert any(a.startswith("form:") for a in checks)
 
 
+def test_validate_reads_a_hopf_file_once(monkeypatch, capsys):
+    # R and form come from the same parse of the file as the algebra
+    reads, read = [], hio._read
+    monkeypatch.setattr(hio, "_read", lambda path: reads.append(path) or read(path))
+    assert main(["validate", str(DEMO_FILES / "kz2.json")]) == 0
+    out = capsys.readouterr().out
+    assert "R:QHA1" in out and "form:CHA1" in out
+    assert reads == [str(DEMO_FILES / "kz2.json")]
+
+
 def test_check_commands(files, capsys):
     base = ["check", "ybe", "--ctx", p(files, "ctx.json"),
             "-U", p(files, "sign.json"), "-V", p(files, "trivial.json"),

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
                             SingularMatrix, apply_on_legs, composite_matrix,
-                            first_differing_column, unflat_index, insert_columns, kron,
+                            first_differing_column, unflat_index, insert_columns,
                             pair_columns, scalar, scalar_to_json, solve_exact, sparse_columns)
-from test_oracles import (apply3, flat_index, flip_matrix, kron_all, perm_matrix,
+from test_oracles import (apply3, flat_index, flip_matrix, kron, kron_all, perm_matrix,
                           permute_input_legs, permute_output_legs)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)

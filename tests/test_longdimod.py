@@ -3,17 +3,23 @@ from dataclasses import replace
 import pytest
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, Tensor3
+from homlong.linalg import Matrix, Tensor3, composite_matrix
 from homlong.homstruct import validate_hom_algebra
 from homlong.repmod import validate_hom_module
 from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
-                               MismatchedBase, associator, canonical_dimodule,
+                               MismatchedBase, associator_legs, canonical_dimodule,
                                check_coherence, check_snake, dimodule_morphism_report,
                                from_smash_module, is_dimodule_morphism, left_dual,
-                               monoidal_constraints, right_dual,
+                               right_dual,
                                smash_product_algebra, tensor_dimodule,
                                to_smash_module, trivial_dimodule, unit_dimodule,
                                validate_long_dimodule)
+from test_oracles import kron
+
+
+def associator(u, v, w):
+    """The associator (u (x) v) (x) w -> u (x) (v (x) w) as a matrix."""
+    return composite_matrix(associator_legs(u, w), (u.dim, v.dim, w.dim))
 
 
 def test_standard_fixtures_valid(dimodules, scaled):
@@ -53,7 +59,7 @@ def test_canonical_dimodule(kz2, kz4t):
         d = canonical_dimodule(h, b)
         assert d.dim == h.dim * b.dim
         assert validate_long_dimodule(d).ok
-    assert canonical_dimodule(kz4t, kz2).mu == fx.kz4_twist_map().kron(Matrix.identity(2))
+    assert canonical_dimodule(kz4t, kz2).mu == kron(fx.kz4_twist_map(), Matrix.identity(2))
 
 
 def test_tensor_dimodule(dimodules):
@@ -87,12 +93,10 @@ def test_tensor_propagates_defect(kz2, dimodules):
 
 def test_monoidal_constraints_trivial(kz2, dimodules):
     sign = dimodules["sign"]
-    c = monoidal_constraints(sign, sign, sign)
-    assert c["assoc"] == Matrix.identity(1)
-    assert c["left_unit"] == sign.mu and c["right_unit"] == sign.mu
+    # the associator is mu^-1 (x) id (x) omega; both unit constraints are mu
+    assert associator(sign, sign, sign) == Matrix.identity(1)
     d2 = fx.scaled_dimodules(kz2, kz2)["trivial-x2"]
-    c = monoidal_constraints(d2, d2, d2)
-    assert c["assoc"] == Matrix.identity(1)  # 2^-1 * 2 = 1 on a line
+    assert associator(d2, d2, d2) == Matrix.identity(1)  # 2^-1 * 2 = 1 on a line
 
 
 def test_associator_is_morphism(dimodules):
@@ -123,7 +127,6 @@ def test_tensor_coaction_power_is_the_right_one():
     # only k = -2 makes the associator B-colinear once the twist has infinite
     # order; the alternative power 1 is a valid object outside the monoidal
     # structure
-    from homlong.linalg import kron
     from test_oracles import permute_output_legs
     kz2 = fx.kz2()
     swt = fx.sweedler_scaled_twisted(2)
@@ -158,7 +161,7 @@ def test_coherence_corrupted_associator():
     # dropping the mu^-1 leg from the associator breaks the pentagon
     d = fx.scaled_dimodules()["sign-x2"]
     good = associator(d, d, d)
-    corrupt = d.mu.kron(Matrix.identity(1)).kron(d.mu)   # mu instead of mu^-1
+    corrupt = kron(kron(d.mu, Matrix.identity(1)), d.mu)   # mu instead of mu^-1
     assert good != corrupt
     rep = check_coherence(d, d, d)
     assert rep.passed("pentagon")
@@ -248,7 +251,7 @@ def test_smash_trivial_dimodule_reduces(kz2):
     # with unit coaction, (p (x) h) . m = p(1_B) h . m
     d = trivial_dimodule(kz2, kz2, Matrix.diagonal([1, 2]))
     n = to_smash_module(d)
-    p = d.action_map * Matrix.identity(2 * 2).kron(Matrix.identity(1))
+    p = d.action_map * kron(Matrix.identity(2 * 2), Matrix.identity(1))
     for pp in range(2):
         for hh in range(2):
             for i in range(2):
@@ -279,7 +282,7 @@ def test_round_trip_preserves_morphisms(kz2, dimodules):
     n = to_smash_module(sign)
     # same matrix is a module morphism on the smash side
     lhs = f * n.action_map
-    rhs = n.action_map * Matrix.identity(n.over.dim).kron(f)
+    rhs = n.action_map * kron(Matrix.identity(n.over.dim), f)
     assert lhs == rhs
 
 

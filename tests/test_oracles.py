@@ -24,24 +24,27 @@ from hypothesis import assume, given, settings, strategies as st
 from homlong import fixtures as fx
 from homlong.braidcat import (BraidingContext, DimoduleMorphism, NotAMorphism,
                               check_hexagons, check_naturality, check_qybe,
-                              check_symmetry, comodule_family_braiding, hb_yd_structure,
-                              long_braiding, long_braiding_inverse, module_family_braiding)
+                              check_symmetry, comodule_as_dimodule, comodule_family_braiding,
+                              hb_yd_structure, long_braiding, long_braiding_inverse,
+                              module_as_dimodule, module_family_braiding)
 from homlong.homstruct import (HomAlgebra, HomBialgebra, HomCoalgebra, NotAutomorphism,
-                               tensor_hopf, validate_coquasitriangular,
-                               validate_hom_algebra, validate_hom_bialgebra,
-                               validate_hom_coalgebra, validate_hom_hopf,
-                               validate_quasitriangular, yau_twist)
-from homlong.linalg import (Matrix, Tensor3, Vector, ZERO, ONE, DimensionMismatch, kron,
-                            solve_exact, unflat_index)
-from homlong.longdimod import (HomLongDimodule, associator, canonical_dimodule,
-                               check_coherence, check_snake, dimodule_morphism_report, left_dual,
-                               right_dual, tensor_dimodule, trivial_dimodule,
-                               unit_dimodule, validate_long_dimodule)
-from homlong.longeq import (OperatorOnTensorSquare, check_long_equation,
-                            coordinate_criterion, dimodule_solution, module_extension,
-                            search_solutions, tau_transforms)
+                               dual_hopf, opposite_algebra, tensor_hopf,
+                               validate_coquasitriangular, validate_hom_algebra,
+                               validate_hom_bialgebra, validate_hom_coalgebra,
+                               validate_hom_hopf, validate_quasitriangular, yau_twist)
+from homlong.linalg import (Matrix, Tensor3, Vector, ZERO, ONE, DimensionMismatch,
+                            SingularMatrix, solve_exact, unflat_index)
+from homlong.longdimod import (DualityData, HomLongDimodule, canonical_dimodule,
+                               check_coherence, check_snake, dimodule_morphism_report,
+                               from_smash_module, left_dual, right_dual,
+                               smash_product_algebra, tensor_dimodule, to_smash_module,
+                               trivial_dimodule, unit_dimodule, validate_long_dimodule)
+from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare, check_long_equation,
+                            comodule_extension, coordinate_criterion, dimodule_solution,
+                            module_extension, search_solutions, tau_transforms,
+                            validate_halpha_dimodule)
 from homlong.report import AxiomReport, Check, matrices_equal_report
-from homlong.repmod import (YetterDrinfeldModule, check_yd, validate_hom_comodule,
+from homlong.repmod import (HomModule, YetterDrinfeldModule, check_yd, validate_hom_comodule,
                             validate_hom_module, yd_prebraiding)
 
 
@@ -55,6 +58,29 @@ def flat_index(idxs, dims):
     for idx, d in zip(idxs, dims):
         i = i * d + idx
     return i
+
+
+def kron(a, b):
+    """Kronecker product realizing f (x) g on lexicographic tensor bases, of
+    two matrices or of two vectors."""
+    if isinstance(a, Vector):
+        return Vector([x * y for x in a.entries for y in b.entries])
+    rb, cb = b.rows, b.cols
+    out = [[ZERO] * (a.cols * cb) for _ in range(a.rows * rb)]
+    for i in range(a.rows):
+        arow = a.data[i]
+        for j in range(a.cols):
+            x = arow[j]
+            if x == 0:
+                continue
+            for p in range(rb):
+                brow = b.data[p]
+                orow = out[i * rb + p]
+                base = j * cb
+                for q in range(cb):
+                    if brow[q]:
+                        orow[base + q] = x * brow[q]
+    return Matrix.trusted(map(tuple, out), a.rows * rb, a.cols * cb)
 
 
 def kron_all(*ms):
@@ -1369,7 +1395,6 @@ def test_braid_identities_match_dense_oracle(case):
 def test_coherence_matches_dense_oracle(case, x_is_u):
     _, (u, v, w) = case
     x = u if x_is_u else w
-    assert associator(u, v, w) == dense_associator(u, v, w)
     assert _tuples(check_coherence(u, v, w, x)) == _tuples(dense_coherence(u, v, w, x))
 
 
@@ -1793,3 +1818,423 @@ def test_triangular_r_skips_the_convolution_solve(monkeypatch):
         assert len(calls) == solves
         assert rep.flags == dense_validate_quasitriangular(h, r).flags
         assert rep.flags["triangular"] == (solves == 0)
+
+
+# ---------------------------------------------------------------------------
+# the constructors against index sums over structure constants
+
+def tensor_hopf_elementwise(h, b):
+    nh, nb = h.dim, b.dim
+    n = nh * nb
+    mh, mb = h.mult, b.mult
+    ch, cb = h.comult, b.comult
+
+    def mult_entry(i, j, k):
+        i0, i1 = divmod(i, nb)
+        j0, j1 = divmod(j, nb)
+        k0, k1 = divmod(k, nb)
+        return mh.data[i0][j0][k0] * mb.data[i1][j1][k1]
+
+    def comult_entry(i, j, k):
+        i0, i1 = divmod(i, nb)
+        j0, j1 = divmod(j, nb)
+        k0, k1 = divmod(k, nb)
+        return ch.data[i0][j0][k0] * cb.data[i1][j1][k1]
+
+    names = tuple("%s⊗%s" % (x, y) for x in h.basis for y in b.basis)
+    alg = HomAlgebra(n, Tensor3.from_function(n, n, n, mult_entry),
+                     kron(h.unit, b.unit), kron(h.gamma, b.gamma), names)
+    coa = HomCoalgebra(n, Tensor3.from_function(n, n, n, comult_entry),
+                       kron(h.counit, b.counit), kron(h.gamma, b.gamma), names)
+    s = (None if h.antipode is None or b.antipode is None
+         else kron(h.antipode, b.antipode))
+    return HomBialgebra(alg, coa, s)
+
+
+def dual_hopf_elementwise(b):
+    """(f*g)(y) = f(b^-2(y1)) g(b^-2(y2)), Delta(f)(x(x)y) = f(b^-2(xy))."""
+    n = b.dim
+    b1i = b.gamma.inv()
+    b2i = b1i * b1i
+    cm, mt = b.comult, b.mult
+
+    def mult_entry(i, j, k):
+        s = ZERO
+        for c in range(n):
+            for d in range(n):
+                s += cm.data[k][c][d] * b2i.data[i][c] * b2i.data[j][d]
+        return s
+
+    def comult_entry(i, j, k):
+        return sum((mt.data[j][k][e] * b2i.data[i][e] for e in range(n)), ZERO)
+
+    names = tuple(x + "*" for x in b.basis)
+    alg = HomAlgebra(n, Tensor3.from_function(n, n, n, mult_entry), Vector(b.counit.entries),
+                     b1i.transpose(), names)
+    coa = HomCoalgebra(n, Tensor3.from_function(n, n, n, comult_entry), Vector(b.unit.entries),
+                       b1i.transpose(), names)
+    s = b.antipode
+    return HomBialgebra(alg, coa, None if s is None else s.transpose())
+
+
+def opposite_algebra_elementwise(a):
+    mult_op = Tensor3.from_function(a.dim, a.dim, a.dim, lambda i, j, k: a.mult.data[j][i][k])
+    return HomAlgebra(a.dim, mult_op, a.unit, a.alpha, a.basis)
+
+
+def canonical_dimodule_elementwise(h, b):
+    """h.(g (x) x) = hg (x) b(x) and rho(g (x) x) = x1 (x) (a(g) (x) x2)."""
+    nh, nb = h.dim, b.dim
+    d = nh * nb
+
+    def act(hh, i, j):
+        g, x = divmod(i, nb)
+        a, y = divmod(j, nb)
+        return h.mult.data[hh][g][a] * b.gamma.data[y][x]
+
+    def coact(i, c, j):
+        g, x = divmod(i, nb)
+        a, y = divmod(j, nb)
+        return b.comult.data[x][c][y] * h.gamma.data[a][g]
+
+    names = tuple("%s⊗%s" % (x, y) for x in h.basis for y in b.basis)
+    return HomLongDimodule(h, b, d, Tensor3.from_function(nh, d, d, act),
+                           Tensor3.from_function(d, nb, d, coact), kron(h.gamma, b.gamma), names)
+
+
+def trivial_dimodule_elementwise(h, b, mu):
+    d = mu.rows
+    act = Tensor3.from_function(h.dim, d, d, lambda i, j, k: h.counit[i] * mu.data[k][j])
+    coact = Tensor3.from_function(d, b.dim, d, lambda j, a, k: b.unit[a] * mu.data[k][j])
+    return HomLongDimodule(h, b, d, act, coact, mu)
+
+
+def unit_dimodule_elementwise(h, b):
+    act = Tensor3.from_function(h.dim, 1, 1, lambda i, _j, _k: h.counit[i])
+    coact = Tensor3.from_function(1, b.dim, 1, lambda _i, a, _k: b.unit[a])
+    return HomLongDimodule(h, b, 1, act, coact, Matrix.identity(1), ("1",))
+
+
+def dual_elementwise(m, side):
+    """The left or right dual: (h.f)(x) = f(t_H(h) . mu^-2(x)) and
+    f_-1 (x) f_0(x) = t_B(x_-1) (x) f(mu^-2(x_0)), with t_H = S_H a^-1 and
+    t_B = S_B^-1 b^-1 on the left, t_H = S_H^-1 a^-1 and t_B = S_B b^-1 on
+    the right."""
+    h, b = m.H, m.B
+    if side == "left":
+        h_twist = h.antipode * h.gamma.inv()
+        b_twist = b.antipode.inv() * b.gamma.inv()
+    else:
+        h_twist = h.antipode.inv() * h.gamma.inv()
+        b_twist = b.antipode * b.gamma.inv()
+    nh, nb, d = h.dim, b.dim, m.dim
+    mu2i = (m.mu * m.mu).inv()
+    # p[i][(h, j)] = coeff of m_i in (h_twist e_h).mu^-2(m_j)
+    p = m.action_map * kron(h_twist, mu2i)
+    act = Tensor3.from_function(nh, d, d, lambda hh, i, j: p.data[i][hh * d + j])
+
+    def coact(i, a, l):
+        s = ZERO
+        for c in range(nb):
+            for o in range(d):
+                s += m.coaction.data[l][c][o] * b_twist.data[a][c] * mu2i.data[i][o]
+        return s
+
+    dual = HomLongDimodule(h, b, d, act, Tensor3.from_function(d, nb, d, coact),
+                           m.mu.inv().transpose(), tuple(x + "*" for x in m.basis))
+    ev = Matrix.from_function(1, d * d, lambda _r, c: ONE if c // d == c % d else ZERO)
+    coev = Matrix.from_function(d * d, 1, lambda r, _c: ONE if r // d == r % d else ZERO)
+    return DualityData(dual, ev, coev, side)
+
+
+def smash_product_algebra_elementwise(b, h):
+    dual_alg = opposite_algebra_elementwise(dual_hopf_elementwise(b).algebra)
+    halg = h.algebra
+    nd, nh = dual_alg.dim, halg.dim
+    n = nd * nh
+
+    def mult_entry(i, j, k):
+        i0, i1 = divmod(i, nh)
+        j0, j1 = divmod(j, nh)
+        k0, k1 = divmod(k, nh)
+        return dual_alg.mult.data[i0][j0][k0] * halg.mult.data[i1][j1][k1]
+
+    names = tuple("%s⊗%s" % (x, y) for x in dual_alg.basis for y in halg.basis)
+    return HomAlgebra(n, Tensor3.from_function(n, n, n, mult_entry),
+                      kron(dual_alg.unit, halg.unit), kron(dual_alg.alpha, halg.alpha), names)
+
+
+def to_smash_module_elementwise(m):
+    """(p (x) h) . x = p(x_-1) h . mu^-1(x_0)."""
+    h, b = m.H, m.B
+    nh, nb, d = h.dim, b.dim, m.dim
+    p = m.action_map * kron(Matrix.identity(nh), m.mu.inv())
+
+    def act(ph, i, j):
+        pp, hh = divmod(ph, nh)
+        return sum((m.coaction.data[i][pp][o] * p.data[j][hh * d + o] for o in range(d)), ZERO)
+
+    return HomModule(smash_product_algebra_elementwise(b, h), d,
+                     Tensor3.from_function(nb * nh, d, d, act), m.mu, m.basis)
+
+
+def from_smash_module_elementwise(n, h, b):
+    """h.m = (eps_B (x) h) . m and m_-1 (x) m_0 = sum_i b_i (x) (f^i (x) 1_H) . m."""
+    nh, nb, d = h.dim, b.dim, n.dim
+    actn = n.action
+
+    def act(hh, i, j):
+        return sum((b.counit[a] * actn.data[a * nh + hh][i][j] for a in range(nb)), ZERO)
+
+    def coact(i, a, j):
+        return sum((h.unit[t] * actn.data[a * nh + t][i][j] for t in range(nh)), ZERO)
+
+    return HomLongDimodule(h, b, d, Tensor3.from_function(nh, d, d, act),
+                           Tensor3.from_function(d, nb, d, coact), n.nu, n.basis)
+
+
+def hb_yd_structure_elementwise(ctx, m):
+    """(h (x) x) . m = <x|m_-1> a^-3(h) . mu^-1(m_0) and
+    rho(m) = R2 (x) b^-3(m_-1) (x) R1 . mu^-1(m_0)."""
+    nh, nb, d = ctx.H.dim, ctx.B.dim, m.dim
+    al3i, be3i, mui = (ctx.H.gamma ** 3).inv(), (ctx.B.gamma ** 3).inv(), m.mu.inv()
+    f, r, rho = ctx.form, ctx.R, m.coaction
+    p_act = m.action_map * kron(al3i, mui)
+    p_id = m.action_map * kron(Matrix.identity(nh), mui)
+
+    def act(hx, i, j):
+        hh, x = divmod(hx, nb)
+        return sum((f.data[x][a] * rho.data[i][a][o] * p_act.data[j][hh * d + o]
+                    for a in range(nb) for o in range(d)), ZERO)
+
+    def coact(i, hx, j):
+        jq, bb = divmod(hx, nb)
+        return sum((r.data[iq][jq] * be3i.data[bb][c] * rho.data[i][c][o]
+                    * p_id.data[j][iq * d + o]
+                    for iq in range(nh) for c in range(nb) for o in range(d)), ZERO)
+
+    return YetterDrinfeldModule(replace(tensor_hopf_elementwise(ctx.H, ctx.B), antipode=None),
+                                d, Tensor3.from_function(nh * nb, d, d, act),
+                                Tensor3.from_function(d, nh * nb, d, coact), m.mu, m.basis)
+
+
+def module_as_dimodule_elementwise(h, m, b):
+    coact = Tensor3.from_function(m.dim, b.dim, m.dim,
+                                  lambda i, a, j: b.unit[a] * m.nu.data[j][i])
+    return HomLongDimodule(h, b, m.dim, m.action, coact, m.nu, m.basis)
+
+
+def comodule_as_dimodule_elementwise(b, m, h):
+    act = Tensor3.from_function(h.dim, m.dim, m.dim,
+                                lambda a, i, j: h.counit[a] * m.mu.data[j][i])
+    return HomLongDimodule(h, b, m.dim, act, m.coaction, m.mu, m.basis)
+
+
+def module_extension_elementwise(h, m):
+    """h.(g (x) x) = a(g) (x) h.x and rho(g (x) x) = g1 (x) (g2 (x) mu(x))."""
+    nh, dm = h.dim, m.dim
+    d = nh * dm
+    p = m.action.flatten_in2_out1()
+
+    def act(hh, i, j):
+        g, x = divmod(i, dm)
+        a, jj = divmod(j, dm)
+        return h.gamma.data[a][g] * p.data[jj][hh * dm + x]
+
+    def coact(i, c, j):
+        g, x = divmod(i, dm)
+        a, jj = divmod(j, dm)
+        return h.comult.data[g][c][a] * m.nu.data[jj][x]
+
+    names = tuple("%s⊗%s" % (a, b) for a in h.basis for b in m.basis)
+    return HAlphaLongDimodule(h, d, Tensor3.from_function(nh, d, d, act),
+                              Tensor3.from_function(d, nh, d, coact), kron(h.gamma, m.nu), names)
+
+
+def comodule_extension_elementwise(h, m):
+    """h.(g (x) x) = hg (x) mu(x) and rho(g (x) x) = x_-1 (x) (a(g) (x) x_0)."""
+    nh, dm = h.dim, m.dim
+    d = nh * dm
+
+    def act(hh, i, j):
+        g, x = divmod(i, dm)
+        a, jj = divmod(j, dm)
+        return h.mult.data[hh][g][a] * m.mu.data[jj][x]
+
+    def coact(i, c, j):
+        g, x = divmod(i, dm)
+        a, jj = divmod(j, dm)
+        return m.coaction.data[x][c][jj] * h.gamma.data[a][g]
+
+    names = tuple("%s⊗%s" % (a, b) for a in h.basis for b in m.basis)
+    return HAlphaLongDimodule(h, d, Tensor3.from_function(nh, d, d, act),
+                              Tensor3.from_function(d, nh, d, coact), kron(h.gamma, m.mu), names)
+
+
+def dimodule_solution_elementwise(d):
+    """R(m (x) n) = n_-1 . m (x) n_0."""
+    n = d.dim
+    out = [[ZERO] * (n * n) for _ in range(n * n)]
+    for i, j, ii, jj in itertools.product(range(n), repeat=4):
+        out[ii * n + jj][i * n + j] = sum(
+            (d.coaction.data[j][a][jj] * d.action.data[a][i][ii]
+             for a in range(d.coaction.d1)), ZERO)
+    return OperatorOnTensorSquare(n, Matrix(out), d.mu)
+
+
+def _outcome(build, *args):
+    """What build makes of args, or the class of the exception it raises."""
+    try:
+        return build(*args)
+    except (SingularMatrix, DimensionMismatch) as exc:
+        return type(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_hopf():
+    """kz2, kz4-twisted and Sweedler-scaled: Hopf algebras whose tensor
+    products, extensions and smash algebras stay small."""
+    return fx.kz2(), fx.kz4_twisted(), fx.sweedler_scaled_twisted(2)
+
+
+@st.composite
+def small_modules(draw, h):
+    """A module or a comodule of dim 1 or 2 over h: trivial, sign-like or
+    regular over kz2, one entry of its structure perhaps changed."""
+    comodule = draw(st.booleans())
+    if h.dim == 2 and draw(st.booleans()):
+        m = fx.regular_comodule(h) if comodule else fx.regular_module(h)
+    else:
+        mu = Matrix(draw(structure_maps(draw(st.integers(1, 2)))))
+        t = trivial_dimodule(h, h, mu)
+        m = t.comodule_part() if comodule else t.module_part()
+    part = draw(st.sampled_from((None, "structure", "coaction" if comodule else "action")))
+    if part == "structure":
+        key = "mu" if comodule else "nu"
+        mu = _bumped_matrix(draw, getattr(m, key))
+        assume(mu.det() != 0)
+        return replace(m, **{key: mu})
+    if part:
+        return replace(m, **{part: _bumped_tensor(draw, getattr(m, part))})
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_algebra_constructors_match_index_sums(data):
+    h, b = (data.draw(perturbed_hopf(data.draw(st.sampled_from(_small_hopf()))))
+            for _ in range(2))
+    assert tensor_hopf(h, b) == tensor_hopf_elementwise(h, b)
+    assert _outcome(dual_hopf, b) == _outcome(dual_hopf_elementwise, b)
+    assert opposite_algebra(h.algebra) == opposite_algebra_elementwise(h.algebra)
+    assert (_outcome(smash_product_algebra, b, h)
+            == _outcome(smash_product_algebra_elementwise, b, h))
+    assert canonical_dimodule(h, b) == canonical_dimodule_elementwise(h, b)
+    assert unit_dimodule(h, b) == unit_dimodule_elementwise(h, b)
+    mu = Matrix(data.draw(structure_maps(data.draw(st.integers(1, 3)))))
+    assert trivial_dimodule(h, b, mu) == trivial_dimodule_elementwise(h, b, mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dimodule_constructors_match_index_sums(data):
+    ctx, carriers = _context(data.draw(st.sampled_from(("kk", "sk"))))
+    m = data.draw(perturbed(data.draw(st.sampled_from(carriers))))
+    for side, dual in (("left", left_dual), ("right", right_dual)):
+        assert dual(m) == dual_elementwise(m, side)
+    n = to_smash_module(m)
+    assert n == to_smash_module_elementwise(m)
+    n = replace(n, action=data.draw(st.sampled_from(
+        (n.action, _bumped_tensor(data.draw, n.action)))))
+    assert from_smash_module(n, m.H, m.B) == from_smash_module_elementwise(n, m.H, m.B)
+    assert hb_yd_structure(ctx, m) == hb_yd_structure_elementwise(ctx, m)
+    mod, comod = m.module_part(), m.comodule_part()
+    assert (module_as_dimodule(m.H, mod, m.B)
+            == module_as_dimodule_elementwise(m.H, mod, m.B))
+    assert (comodule_as_dimodule(m.B, comod, m.H)
+            == comodule_as_dimodule_elementwise(m.B, comod, m.H))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extensions_and_induced_solution_match_index_sums(data):
+    h = data.draw(perturbed_bialgebra(data.draw(st.sampled_from(_small_hopf()))))
+    m = data.draw(small_modules(h))
+    if isinstance(m, HomModule):
+        ext, oracle = module_extension(h, m), module_extension_elementwise(h, m)
+    else:
+        ext, oracle = comodule_extension(h, m), comodule_extension_elementwise(h, m)
+    assert ext == oracle
+    assert _tuples(validate_halpha_dimodule(ext)) == _tuples(validate_halpha_dimodule(oracle))
+    sol = dimodule_solution(ext)
+    assert sol == dimodule_solution_elementwise(oracle)
+    assert _tuples(check_long_equation(sol)) == _tuples(
+        check_long_equation(dimodule_solution_elementwise(oracle)))
+
+
+def test_constructors_form_no_index_sums(monkeypatch):
+    # every constructor is a composite of leg steps: none builds a Tensor3
+    # entry by entry
+    from homlong import linalg
+    kz2, kz4t, sst = _small_hopf()
+    ctx, carriers = _context("sk")
+    can = carriers[0]
+    mod, comod = fx.trivial_module(kz4t, Matrix.diagonal([1, 2])), fx.regular_comodule(kz2)
+
+    def refuse(*args):
+        raise AssertionError("index sum")
+
+    monkeypatch.setattr(linalg.Tensor3, "from_function", refuse)
+    tensor_hopf(sst, kz4t)
+    dual_hopf(sst)
+    opposite_algebra(sst.algebra)
+    smash_product_algebra(kz2, sst)
+    for h, b in ((kz2, kz4t), (sst, kz2)):
+        canonical_dimodule(h, b)
+        unit_dimodule(h, b)
+        trivial_dimodule(h, b, Matrix.diagonal([1, 2]))
+    left_dual(can)
+    right_dual(can)
+    from_smash_module(to_smash_module(can), can.H, can.B)
+    hb_yd_structure(ctx, can)
+    module_as_dimodule(can.H, can.module_part(), can.B)
+    comodule_as_dimodule(can.B, can.comodule_part(), can.H)
+    dimodule_solution(module_extension(kz4t, mod))
+    dimodule_solution(comodule_extension(kz2, comod))
+    check_coherence(can, carriers[1], can)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_r_times_its_flip_decides_both_sides(data):
+    # R R21 = 1 (x) 1 exactly when R21 R = 1 (x) 1: the flip of H (x) H maps
+    # one product onto the other, also on perturbed, non-associative products
+    h, r = data.draw(st.sampled_from(((fx.kz2(), fx.kz2_rmatrix()),
+                                      (fx.sweedler_scaled_twisted(2), fx.sweedler_rmatrix()))))
+    if data.draw(st.booleans()):
+        r = _bumped_matrix(data.draw, r)
+    else:
+        h = data.draw(perturbed_hopf(h))
+    n = h.dim
+    mult, flip = tensor_square_mult_map(h.algebra), flip_matrix(n, n)
+    r_col = element_col(r)
+    r21 = flip * r_col
+    one = kron(h.unit.as_column(), h.unit.as_column())
+    rr21, r21r = mult * kron(r_col, r21), mult * kron(r21, r_col)
+    assert r21r == flip * rr21
+    both = rr21 == one and r21r == one
+    assert (rr21 == one) == both
+    assert validate_quasitriangular(h, r).flags["triangular"] == both
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kron_matches_sympy(data):
+    entry = st.sampled_from(SMALL)
+    a, b = (Matrix([[data.draw(entry) for _ in range(cols)] for _ in range(rows)])
+            for rows, cols in ((data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+                               for _ in range(2)))
+    expected = sympy.kronecker_product(sympy.Matrix(a.to_lists()), sympy.Matrix(b.to_lists()))
+    assert sympy.Matrix(kron(a, b).to_lists()) == expected
+    u, v = a.row(0), b.row(0)
+    assert kron(u, v) == kron(u.as_row(), v.as_row()).row(0)
