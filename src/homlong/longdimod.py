@@ -257,8 +257,12 @@ def check_coherence(u, v, w, x=None, morphisms=None):
     associator's H-linearity and B-colinearity are checked the same way on
     the legs (h, u, v, w) and (u, v, w), with each factor's action and
     coaction as steps, so no tensor product of the three is built; a witness
-    names the basis vector x (x) y (x) z of (u (x) v) (x) w.
+    names the basis vector x (x) y (x) z of (u (x) v) (x) w.  Raises
+    MismatchedBase when v or w lives over another pair (H, B) than u, as
+    their tensor product would.
     """
+    if base_parts(v) != base_parts(u) or base_parts(w) != base_parts(u):
+        raise MismatchedBase("tensor of dimodules over different algebra pairs")
     if x is None:
         x = w
     rep = AxiomReport()

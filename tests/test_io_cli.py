@@ -10,6 +10,7 @@ import pytest
 from homlong import fixtures as fx
 from homlong import io as hio
 from homlong.cli import REQUIRED, main
+from homlong.homstruct import dual_hopf
 from homlong.io import FileFormatError
 from homlong.linalg import ONE, ZERO, Matrix, scalar, scalar_to_json
 from homlong.longdimod import canonical_dimodule
@@ -187,6 +188,18 @@ def test_check_commands(files, capsys):
     assert main(["check", "roundtrip", "-D", p(files, "canonical.json")]) == 0
     assert main(["check", "coherence", "-U", p(files, "sign.json"),
                  "-V", p(files, "trivial.json"), "-W", p(files, "sign.json")]) == 0
+
+
+def test_coherence_refuses_mismatched_base(files, capsys):
+    kz2 = fx.kz2()
+    hio.save_structure(canonical_dimodule(kz2, dual_hopf(kz2)), files / "other.json")
+    args = ["check", "coherence", "-U", p(files, "sign.json"),
+            "-V", p(files, "sign.json"), "-W", p(files, "other.json")]
+    assert main(args) == 2
+    assert "different algebra pairs" in capsys.readouterr().err
+    assert main(["--format", "json"] + args) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "tensor of dimodules over different algebra pairs"
 
 
 def test_roundtrip_over_bialgebras_without_antipode(tmp_path, capsys):

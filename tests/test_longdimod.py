@@ -4,7 +4,7 @@ import pytest
 
 from homlong import fixtures as fx
 from homlong.linalg import Matrix, Tensor3, composite_matrix
-from homlong.homstruct import validate_hom_algebra
+from homlong.homstruct import dual_hopf, validate_hom_algebra
 from homlong.repmod import validate_hom_module
 from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
                                MismatchedBase, associator_legs, canonical_dimodule,
@@ -81,6 +81,16 @@ def test_tensor_mismatched_base(kz2, kz4t, dimodules):
     other = trivial_dimodule(kz4t, kz2)
     with pytest.raises(MismatchedBase):
         tensor_dimodule(dimodules["sign"], other)
+
+
+def test_coherence_mismatched_base(kz2, dimodules):
+    # B* = (kZ2)* has kZ2's dimensions, so the leg steps alone would run
+    # with u's coproduct against w's action; the pair decides first
+    other = canonical_dimodule(kz2, dual_hopf(kz2))
+    u = dimodules["sign"]
+    for v, w in ((u, other), (other, u), (other, other)):
+        with pytest.raises(MismatchedBase):
+            check_coherence(u, v, w)
 
 
 def test_tensor_propagates_defect(kz2, dimodules):
