@@ -5,8 +5,8 @@ the symmetry criterion for triangular / cotriangular data.
 
 Every categorical identity is realized as an exact identity on
 lexicographic bases, with the constraint maps of the monoidal structure
-spelled out explicitly.  The braiding is a matrix, built one basis column
-at a time from the structure constants (coactions, the form, mu^-2, R and
+spelled out explicitly.  The braiding is a matrix, built a batch of basis
+columns at a time from the structure constants (coactions, the form, mu^-2, R and
 the actions, each on its own tensor legs); the identities composed from it
 (naturality, hexagons, Yang-Baxter, symmetry) are checked column by column
 the same way.
@@ -113,8 +113,8 @@ def long_braiding(ctx, m, n):
 
 def _mu2_inverse(*factors):
     """mu^-2 of the tensor product of factors as int columns: each factor's
-    own mu^-2 on its leg, so no inverse spans two carriers."""
-    steps = per_leg(*((t.mu * t.mu).inv() for t in factors))
+    own mu^-1 twice on its leg, so no inverse spans two carriers."""
+    steps = per_leg(*(t.mu.inv() for t in factors)) * 2
     return composite_columns(steps, tuple(t.dim for t in factors))
 
 
@@ -208,8 +208,8 @@ def check_naturality(ctx, f, g):
 def check_hexagons(ctx, u, v, w):
     """Both hexagon identities with the explicit associators, column by
     column on the legs (u, v, w).  C_{U,V (x) W} and C_{U (x) V,W} are built
-    one column at a time like every braiding; mu^-2 of a tensor product is
-    its factors' own mu^-2, one leg each."""
+    a batch of columns at a time like every braiding; mu^-2 of a tensor
+    product is its factors' own mu^-2, one leg each."""
     rep = AxiomReport()
     du, dv, dw = u.dim, v.dim, w.dim
     c_uv, c_uw, c_vw = _braidings(ctx, (u, v), (u, w), (v, w))

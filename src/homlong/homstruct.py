@@ -5,8 +5,8 @@ duals, opposites and tensor products, the twist construction that turns a
 classical (bi/Hopf) algebra plus an automorphism into a Hom-structure, and
 (co)quasitriangular data with triangularity decided by R R21 = 1 (x) 1.
 
-Each axiom is a pair of composites of leg steps (see linalg), compared one
-basis column at a time, and each construction's structure maps are
+Each axiom is a pair of composites of leg steps (see linalg), compared on
+batches of basis columns, and each construction's structure maps are
 composites of the same steps; R enters as an element inserted on new legs
 and a form as a covector pairing two legs away.  Failing checks carry the first
 offending basis tuple: an input tuple for an identity between maps, an

@@ -11,14 +11,23 @@ Identities between composites of maps on tensor legs are decided without
 forming the composites.  A step applies a small map, as sparse int-scaled
 columns (product_columns, coproduct_columns, per_leg, flip_columns,
 insert_columns, pair_columns), to consecutive legs of a sparse vector.  A
-composite is planned once, then run one basis vector at a time:
-first_differing_column compares two composites column by column,
-composite_columns gives one as int columns, a step for a further composite,
-and composite_matrix builds its matrix.  Every constructed structure map is
-such a composite: per_leg_matrix gives a tensor product of maps, and
+composite is planned once, then run on batches of basis columns: the column
+index j is one more leading leg, so a batch is the one sparse vector
+sum_j e_j (x) e_j and a single pass per step serves all its columns.
+first_differing_column compares two composites on batches of 1, 2, 4, ...
+columns, up to BATCH_COLUMNS, so a failure at column c runs fewer than
+2(c + 1) columns a side; composite_columns gives one composite as int
+columns, a step for a further composite, and composite_matrix builds its
+matrix, both BATCH_COLUMNS columns at a time.  Every constructed structure
+map is such a composite: per_leg_matrix gives a tensor product of maps, and
 product_tensor and coproduct_tensor give a multiplication, action,
 comultiplication or coaction, so no map is written as an index sum over
 structure constants or as a Kronecker product.
+
+Matrix and Tensor3 are immutable, so each keeps what is derived from it
+once computed: a Matrix its sparse_columns and its inverse, a Tensor3 its
+product_columns and coproduct_columns.  The cached columns are shared by
+every caller and are never changed.
 """
 
 import math
@@ -141,9 +150,12 @@ def scalar_str(x):
 
 
 class Matrix:
-    """Dense exact matrix; data is a tuple of row tuples of Fractions."""
+    """Dense exact matrix; data is a tuple of row tuples of Fractions.
 
-    __slots__ = ("rows", "cols", "data")
+    A Matrix is immutable, so it keeps its sparse_columns and its inverse
+    once computed; equality and hashing read only the data."""
+
+    __slots__ = ("rows", "cols", "data", "_sparse", "_inverse")
 
     def __init__(self, rows_data, rows=None, cols=None):
         data = tuple(tuple(scalar(x) for x in row) for row in rows_data)
@@ -156,6 +168,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._sparse = self._inverse = None
 
     @staticmethod
     def trusted(data, rows, cols):
@@ -163,6 +176,7 @@ class Matrix:
         itself: no coercion and no shape check."""
         m = Matrix.__new__(Matrix)
         m.rows, m.cols, m.data = rows, cols, tuple(data)
+        m._sparse = m._inverse = None
         return m
 
     @staticmethod
@@ -296,7 +310,10 @@ class Matrix:
         return det
 
     def inv(self):
-        """Exact inverse; raises SingularMatrix when the determinant vanishes."""
+        """Exact inverse, computed once; raises SingularMatrix when the
+        determinant vanishes."""
+        if self._inverse is not None:
+            return self._inverse
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a %dx%d matrix" % (self.rows, self.cols))
         n = self.rows
@@ -314,7 +331,8 @@ class Matrix:
                 if r != c and a[r][c]:
                     f = a[r][c]
                     a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return Matrix([row[n:] for row in a], rows=n, cols=n)
+        self._inverse = Matrix([row[n:] for row in a], rows=n, cols=n)
+        return self._inverse
 
     def __pow__(self, k):
         if self.rows != self.cols:
@@ -360,20 +378,29 @@ def int_columns(columns):
 
 
 def sparse_columns(m):
-    """The columns of the Matrix m as int_columns gives them."""
-    return int_columns(_columns(m))
+    """The columns of the Matrix m as int_columns gives them, computed once
+    and shared: the lists are not to be changed."""
+    if m._sparse is None:
+        m._sparse = int_columns(_columns(m))
+    return m._sparse
 
 
 def product_columns(t):
     """The columns (i, j) -> sum_k t[i][j][k] e_k of a product-like Tensor3
-    (a multiplication or an action), as int_columns."""
-    return int_columns(row for plane in t.data for row in plane)
+    (a multiplication or an action), as int_columns; computed once and
+    shared like sparse_columns."""
+    if t._product is None:
+        t._product = int_columns(row for plane in t.data for row in plane)
+    return t._product
 
 
 def coproduct_columns(t):
     """The columns i -> sum_jk t[i][j][k] e_j (x) e_k of a coproduct-like
-    Tensor3 (a comultiplication or a coaction), as int_columns."""
-    return int_columns([x for row in plane for x in row] for plane in t.data)
+    Tensor3 (a comultiplication or a coaction), as int_columns; computed once
+    and shared like sparse_columns."""
+    if t._coproduct is None:
+        t._coproduct = int_columns([x for row in plane for x in row] for plane in t.data)
+    return t._coproduct
 
 
 def per_leg(*maps):
@@ -398,6 +425,11 @@ def pair_columns(covector):
     """The pairing with a covector given by its flat coordinates (a counit,
     or a form); as a step its out_dims are ()."""
     return int_columns([x] for x in covector)
+
+
+# the most basis columns a composite runs in one batch, which bounds the
+# sparse vectors a step holds
+BATCH_COLUMNS = 256
 
 
 def _plan(steps, dims):
@@ -442,6 +474,26 @@ def apply_on_legs(map_cols, legs, dims, vec, out_dims=None):
     return _run(plan, vec)
 
 
+def _run_columns(plan, start, stop, d_in, x):
+    """The images of x times the basis columns start, ..., stop - 1 of the
+    d_in input columns under a planned composite, run as one batch: the
+    sparse vector sum_j x e_j (x) e_j, whose leading leg is the column index
+    j, so entry r of column j's image is at key j * d_out + r.  Keys of two
+    columns never meet, so each column's entries come in the order of its
+    own run."""
+    return _run(plan, {j * d_in + j: x for j in range(start, stop)})
+
+
+def _entries(plan, d_in, d_out):
+    """(j, r, x) for every entry x in row r of column j of a planned
+    composite, the columns in order and run BATCH_COLUMNS at a time."""
+    for start in range(0, d_in, BATCH_COLUMNS):
+        batch = _run_columns(plan, start, min(start + BATCH_COLUMNS, d_in), d_in, 1)
+        for key, x in batch.items():
+            j, r = divmod(key, d_out)
+            yield j, r, x
+
+
 def first_differing_column(lhs, rhs, dims):
     """The first basis tuple of the tensor legs dims, in lexicographic
     order, on which two composites differ; None when they are equal.
@@ -450,14 +502,22 @@ def first_differing_column(lhs, rhs, dims):
     order; map is (cols, scale) as sparse_columns gives it.  Both are
     planned, and so checked, before any column is run.  A side run on int
     columns is its true value times its scales, so each side starts from
-    the other side's product."""
+    the other side's product.  The columns run in batches of 1, 2, 4, ...,
+    up to BATCH_COLUMNS, so a failure at column c costs fewer than 2(c + 1)
+    columns a side."""
     (lplan, ld, lscale), (rplan, rd, rscale) = _plan(lhs, dims), _plan(rhs, dims)
-    if math.prod(ld) != math.prod(rd):
-        raise DimensionMismatch("composites land in dims %d and %d"
-                                % (math.prod(ld), math.prod(rd)))
-    for j in range(math.prod(dims)):
-        if _run(lplan, {j: rscale}) != _run(rplan, {j: lscale}):
-            return unflat_index(j, dims)
+    d_in, d_out = math.prod(dims), math.prod(ld)
+    if d_out != math.prod(rd):
+        raise DimensionMismatch("composites land in dims %d and %d" % (d_out, math.prod(rd)))
+    start, size = 0, 1
+    while start < d_in:
+        stop = min(start + size, d_in)
+        left = _run_columns(lplan, start, stop, d_in, rscale)
+        right = _run_columns(rplan, start, stop, d_in, lscale)
+        if left != right:
+            key = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+            return unflat_index(key // d_out, dims)
+        start, size = stop, min(2 * size, BATCH_COLUMNS)
     return None
 
 
@@ -466,20 +526,23 @@ def composite_columns(steps, dims):
     takes them, as (cols, scale) in the form sparse_columns gives, the scale
     being the product of the steps' scales: a step for a further composite,
     with no Fraction on the way."""
-    plan, _, scale = _plan(steps, dims)
-    return [list(_run(plan, {j: 1}).items()) for j in range(math.prod(dims))], scale
+    plan, out_dims, scale = _plan(steps, dims)
+    d_in = math.prod(dims)
+    cols = [[] for _ in range(d_in)]
+    for j, r, x in _entries(plan, d_in, math.prod(out_dims)):
+        cols[j].append((r, x))
+    return cols, scale
 
 
 def composite_matrix(steps, dims):
     """The Matrix on the tensor legs dims of a composite of steps, as
-    first_differing_column takes them: each column run on int columns and
-    divided by the product of the scales once."""
+    first_differing_column takes them: the columns run on int columns and
+    each entry divided by the product of the scales once."""
     plan, out_dims, scale = _plan(steps, dims)
     rows, cols = math.prod(out_dims), math.prod(dims)
     out = [[ZERO] * cols for _ in range(rows)]
-    for j in range(cols):
-        for r, x in _run(plan, {j: 1}).items():
-            out[r][j] = Fraction(x, scale)
+    for j, r, x in _entries(plan, cols, rows):
+        out[r][j] = Fraction(x, scale)
     return Matrix.trusted(map(tuple, out), rows, cols)
 
 
@@ -546,7 +609,7 @@ class Tensor3:
       * coproduct-like (comult, coaction): input i, outputs (j, k).
     """
 
-    __slots__ = ("d0", "d1", "d2", "data")
+    __slots__ = ("d0", "d1", "d2", "data", "_product", "_coproduct")
 
     def __init__(self, data, dims=None):
         self.data = tuple(tuple(tuple(scalar(x) for x in row) for row in plane)
@@ -561,6 +624,7 @@ class Tensor3:
                 len(r) != d2 for p in self.data for r in p):
             raise DimensionMismatch("ragged tensor data")
         self.d0, self.d1, self.d2 = d0, d1, d2
+        self._product = self._coproduct = None
 
     @staticmethod
     def zeros(d0, d1, d2):
@@ -633,6 +697,7 @@ class Tensor3:
         t = Tensor3.__new__(Tensor3)
         t.data = tuple(tuple(tuple(row) for row in plane) for plane in data)
         t.d0, t.d1, t.d2 = dims
+        t._product = t._coproduct = None
         return t
 
     def to_json(self):

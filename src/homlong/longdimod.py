@@ -128,8 +128,8 @@ def base_parts(d):
 
 def tensor_dimodule(m, n):
     """Tensor product with h.(m (x) n) = h1.m (x) h2.n and
-    rho(m (x) n) = b^-2(m_-1 n_-1) (x) m_0 (x) n_0, each map built one basis
-    column at a time from the factors' structure constants."""
+    rho(m (x) n) = b^-2(m_-1 n_-1) (x) m_0 (x) n_0, each map built a batch of
+    basis columns at a time from the factors' structure constants."""
     if base_parts(m) != base_parts(n):
         raise MismatchedBase("tensor of dimodules over different algebra pairs")
     h, b = m.H, n.B
@@ -278,32 +278,32 @@ def check_coherence(u, v, w, x=None, morphisms=None):
             rep.set_flag("naturality-morphisms", "identity")
     if any(m.rows != t.dim or m.cols != t.dim for m, t in zip(morphisms, (u, v, w))):
         raise DimensionMismatch("naturality morphisms must be endomorphisms of u, v, w")
-    mu = {id(t): sparse_columns(t.mu) for t in (u, v, w, x)}
-    mui = {id(t): sparse_columns(t.mu.inv()) for t in (u, v)}
     fgh = [(sparse_columns(m), (leg,), None) for leg, m in enumerate(morphisms)]
     a_uvw = associator_legs(u, w)
     composites_equal_report(rep, "naturality-a", fgh + a_uvw, a_uvw + fgh,
                             (u.dim, v.dim, w.dim), (u.basis, v.basis, w.basis))
 
+    def mu(t, leg):
+        return (sparse_columns(t.mu), (leg,), None)
+
+    def mui(t, leg):
+        return (sparse_columns(t.mu.inv()), (leg,), None)
+
     # pentagon on the legs (u, v, w, x): associator(uv, w, x) is
     # mu_u^-1 (x) mu_v^-1 (x) id (x) omega_x, and so on
-    path1 = [(mui[id(u)], (0,), None), (mui[id(v)], (1,), None), (mu[id(x)], (3,), None),
-             (mui[id(u)], (0,), None), (mu[id(w)], (2,), None), (mu[id(x)], (3,), None)]
-    path2 = [(mui[id(u)], (0,), None), (mu[id(w)], (2,), None),
-             (mui[id(u)], (0,), None), (mu[id(x)], (3,), None),
-             (mui[id(v)], (1,), None), (mu[id(x)], (3,), None)]
+    path1 = [mui(u, 0), mui(v, 1), mu(x, 3), mui(u, 0), mu(w, 2), mu(x, 3)]
+    path2 = [mui(u, 0), mu(w, 2), mui(u, 0), mu(x, 3), mui(v, 1), mu(x, 3)]
     composites_equal_report(rep, "pentagon", path1, path2,
                             (u.dim, v.dim, w.dim, x.dim),
                             (u.basis, v.basis, w.basis, x.basis))
 
-    lhs = [(mui[id(u)], (0,), None), (mu[id(v)], (1,), None), (mu[id(v)], (1,), None)]
-    composites_equal_report(rep, "triangle", lhs, [(mu[id(u)], (0,), None)],
+    composites_equal_report(rep, "triangle", [mui(u, 0), mu(v, 1), mu(v, 1)], [mu(u, 0)],
                             (u.dim, v.dim), (u.basis, v.basis))
 
     # f(h.x) against h.f(x), and rho(f(x)) against (id (x) f)(rho(x)), for the
     # associator f from ((u, v), w) to (u, (v, w))
     h, left, right = u.H, ((u, v), w), (u, (v, w))
-    a_shifted = [(mui[id(u)], (1,), None), (mu[id(w)], (3,), None)]
+    a_shifted = [mui(u, 1), mu(w, 3)]
     idxs = first_differing_column(_tree_action(h, left) + a_uvw,
                                   a_shifted + _tree_action(h, right),
                                   (h.dim, u.dim, v.dim, w.dim))

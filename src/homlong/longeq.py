@@ -316,26 +316,21 @@ def tau_transforms(op):
     base = _first_failing_column(r, r, m[0], n) is None
     rep.add("base-longeq", base)
 
-    # the legs of X in M (x) M (x) M as steps for first_differing_column;
-    # X13 swaps the last two legs around X12, and the cycle
+    # X12, X13 and X23 on M (x) M (x) M, each run once into a 3-leg step;
+    # X13 is X12 between two flips of the last two legs, and the cycle
     # x (x) y (x) z -> z (x) x (x) y is a re-indexing
-    flip = flip_columns(n, n)
-    cyc = ([[((c % n) * n2 + c // n, 1)] for c in range(n2 * n)], 1)
+    dims, flip = (n, n, n), flip_columns(n, n)
+    cyc = ([[((c % n) * n2 + c // n, 1)] for c in range(n2 * n)], 1), (0, 1, 2), None
 
-    def x12(x):
-        return [(x, (0, 1), None), (m, (2,), None)]
+    def legs(x):
+        x12 = [(x, (0, 1), None), (m, (2,), None)]
+        x13 = [(flip, (1, 2), None)] + x12 + [(flip, (1, 2), None)]
+        x23 = [(m, (0,), None), (x, (1, 2), None)]
+        return [(composite_columns(steps, dims), (0, 1, 2), None) for steps in (x12, x13, x23)]
 
-    def x23(x):
-        return [(m, (0,), None), (x, (1, 2), None)]
-
-    def x13(x):
-        return [(flip, (1, 2), None)] + x12(x) + [(flip, (1, 2), None)]
-
-    dims = (n, n, n)
-    rep.add("transform-U", first_differing_column(
-        x23(us) + x13(us), x12(us) + x13(us) + [(cyc, (0, 1, 2), None)], dims) is None)
-    rep.add("transform-T", first_differing_column(
-        x13(ts) + x12(ts), [(cyc, (0, 1, 2), None)] + x13(ts) + x23(ts), dims) is None)
+    (u12, u13, u23), (t12, t13, t23) = legs(us), legs(ts)
+    rep.add("transform-U", first_differing_column([u23, u13], [u12, u13, cyc], dims) is None)
+    rep.add("transform-T", first_differing_column([t13, t12], [cyc, t13, t23], dims) is None)
     rep.add("transform-W", _first_failing_column(ws, ws, m[0], n) is None)
 
     verdicts = [c.passed for c in rep.checks]

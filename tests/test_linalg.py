@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
-                            SingularMatrix, apply_on_legs, composite_matrix,
+                            SingularMatrix, apply_on_legs, composite_matrix, coproduct_columns,
                             first_differing_column, unflat_index, insert_columns,
-                            pair_columns, scalar, scalar_to_json, solve_exact, sparse_columns)
+                            pair_columns, product_columns, scalar, scalar_to_json, solve_exact,
+                            sparse_columns)
 from test_oracles import (apply3, flat_index, flip_matrix, kron, kron_all, perm_matrix,
                           permute_input_legs, permute_output_legs)
 
@@ -271,3 +272,25 @@ def test_insert_and_pair_columns_match_kron():
 
 def test_sparse_columns_of_a_matrix_without_rows():
     assert sparse_columns(Matrix([], rows=0, cols=3)) == ([[], [], []], 1)
+
+
+def test_converted_and_inverted_maps_are_kept():
+    m = Matrix([[1, 2], [3, Fraction(1, 2)]])
+    assert m.inv() is m.inv()
+    assert sparse_columns(m) is sparse_columns(m)
+    t = Tensor3([[[1, 0], [0, 2]], [[0, 3], [Fraction(1, 3), 0]]])
+    assert product_columns(t) is product_columns(t)
+    assert coproduct_columns(t) is coproduct_columns(t)
+    # a filled cache leaves equality and hashing to the data
+    fresh_m, fresh_t = Matrix([[1, 2], [3, Fraction(1, 2)]]), Tensor3(t.data)
+    assert m == fresh_m and hash(m) == hash(fresh_m)
+    assert t == fresh_t and hash(t) == hash(fresh_t)
+    assert m.inv() == fresh_m.inv()
+    assert m.inv() * m == Matrix.identity(2)
+
+
+def test_singular_matrix_raises_on_every_call():
+    m = Matrix([[1, 2], [2, 4]])
+    for _ in range(3):
+        with pytest.raises(SingularMatrix):
+            m.inv()

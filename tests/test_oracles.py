@@ -3,25 +3,28 @@
 The elementwise oracles recompute the library's operators by summing over
 structure constants with explicit loops, so a bookkeeping error in either
 route would make them disagree.  The library builds the braidings and the
-tensor-product dimodules one basis column at a time on tensor legs, and
+tensor-product dimodules on batches of basis columns on tensor legs, and
 checks categorical identities, the module, comodule, Yetter-Drinfeld and
 dimodule axioms, the Hom-algebra tower, R-elements, forms and the twist the
 same way; the dense oracles build the same maps from Kronecker products and
 leg permutations and compose the identities as full matrices, associators
-and their inverses included.
+and their inverses included.  The batched runs themselves are checked
+against one run per basis column.
 """
 
 import functools
+import gc
 import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from homlong import fixtures as fx
+from homlong import fixtures as fx, linalg
 from homlong.braidcat import (BraidingContext, DimoduleMorphism, NotAMorphism,
                               check_hexagons, check_naturality, check_qybe,
                               check_symmetry, comodule_as_dimodule, comodule_family_braiding,
@@ -29,8 +32,8 @@ from homlong.braidcat import (BraidingContext, DimoduleMorphism, NotAMorphism,
                               module_as_dimodule, module_family_braiding)
 from homlong.homstruct import (HomAlgebra, HomBialgebra, HomCoalgebra, NotAutomorphism,
                                dual_hopf, opposite_algebra, tensor_hopf,
-                               validate_coquasitriangular, validate_hom_algebra,
-                               validate_hom_bialgebra, validate_hom_coalgebra,
+                               validate_all, validate_coquasitriangular,
+                               validate_hom_algebra, validate_hom_bialgebra, validate_hom_coalgebra,
                                validate_hom_hopf, validate_quasitriangular, yau_twist)
 from homlong.linalg import (Matrix, Tensor3, Vector, ZERO, ONE, DimensionMismatch,
                             SingularMatrix, solve_exact, unflat_index)
@@ -2238,3 +2241,151 @@ def test_kron_matches_sympy(data):
     assert sympy.Matrix(kron(a, b).to_lists()) == expected
     u, v = a.row(0), b.row(0)
     assert kron(u, v) == kron(u.as_row(), v.as_row()).row(0)
+
+
+# ---------------------------------------------------------------------------
+# batched composite runs against one run per basis column, and the per-object
+# caches of converted and inverted maps
+
+def first_differing_column_by_column(lhs, rhs, dims):
+    """first_differing_column with one linalg._run per basis column."""
+    (lplan, _, lscale), (rplan, _, rscale) = linalg._plan(lhs, dims), linalg._plan(rhs, dims)
+    for j in range(math.prod(dims)):
+        if linalg._run(lplan, {j: rscale}) != linalg._run(rplan, {j: lscale}):
+            return unflat_index(j, dims)
+    return None
+
+
+def composite_columns_by_column(steps, dims):
+    """composite_columns with one linalg._run per basis column."""
+    plan, _, scale = linalg._plan(steps, dims)
+    return [list(linalg._run(plan, {j: 1}).items()) for j in range(math.prod(dims))], scale
+
+
+@st.composite
+def int_maps(draw, rows, cols):
+    """A sparse int map with rows x cols entries as (cols, scale)."""
+    entries = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+                            min_size=rows * cols, max_size=rows * cols))
+    return ([[(r, x) for r, x in enumerate(entries[j * rows:(j + 1) * rows]) if x]
+             for j in range(cols)], draw(st.sampled_from([1, 2, 3])))
+
+
+@st.composite
+def composites(draw, leg_dims=st.integers(1, 3)):
+    """Legs dims and a composite of up to four random steps on them, each on
+    consecutive legs and landing in up to two legs."""
+    dims = tuple(draw(st.lists(leg_dims, min_size=1, max_size=4)))
+    steps, d = [], dims
+    for _ in range(draw(st.integers(1, 4))):
+        if not d:
+            break
+        first = draw(st.integers(0, len(d) - 1))
+        stop = draw(st.integers(first + 1, len(d)))
+        out = tuple(draw(st.lists(st.integers(1, 3), max_size=2 if len(d) < 5 else 1)))
+        steps.append((draw(int_maps(math.prod(out), math.prod(d[first:stop]))),
+                      tuple(range(first, stop)), out))
+        d = d[:first] + out + d[stop:]
+    return dims, steps
+
+
+def _one_entry_changed(draw, steps):
+    """steps with one entry of one step's map changed by a nonzero amount
+    (or added where it was zero)."""
+    k = draw(st.integers(0, len(steps) - 1))
+    (cols, scale), legs, out = steps[k]
+    rows = math.prod(out)
+    if not rows or not cols:
+        return steps
+    j, r = draw(st.integers(0, len(cols) - 1)), draw(st.integers(0, rows - 1))
+    col = dict(cols[j])
+    col[r] = col.get(r, 0) + draw(st.sampled_from([1, -1, 2]))
+    cols = cols[:j] + [[(i, x) for i, x in col.items() if x]] + cols[j + 1:]
+    return steps[:k] + [((cols, scale), legs, out)] + steps[k + 1:]
+
+
+def _counting_run(counts):
+    """linalg._run, recording the number of input columns of each call."""
+    real = linalg._run
+
+    def run(plan, vec):
+        counts.append(len(vec))
+        return real(plan, vec)
+    return run
+
+
+@settings(max_examples=150, deadline=None)
+@given(composites(), st.sampled_from([1, 2, 3, linalg.BATCH_COLUMNS]), st.data())
+def test_batched_composites_match_one_column_at_a_time(case, batch, data):
+    # the witness, every column's entries in order, and the columns run
+    # before the witness: fewer than 2(c + 1) a side for a witness at c
+    dims, lhs = case
+    rhs = _one_entry_changed(data.draw, lhs)
+    expected = first_differing_column_by_column(lhs, rhs, dims)
+    counts = []
+    with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
+            mock.patch.object(linalg, "_run", _counting_run(counts)):
+        assert linalg.first_differing_column(lhs, rhs, dims) == expected
+    runs = sum(counts) // 2
+    if expected is None:
+        assert runs == math.prod(dims)
+    else:
+        assert runs < 2 * (flat_index(expected, dims) + 1)
+    assert first_differing_column_by_column(lhs, lhs, dims) is None
+    with mock.patch.object(linalg, "BATCH_COLUMNS", batch):
+        assert linalg.first_differing_column(lhs, lhs, dims) is None
+        for steps in (lhs, rhs):
+            # lists of (row, value) pairs: equal in their order too
+            assert linalg.composite_columns(steps, dims) == composite_columns_by_column(steps, dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(composites(leg_dims=st.integers(0, 2)), st.data())
+def test_batched_composites_on_zero_dimensional_legs(case, data):
+    dims, lhs = case
+    assume(0 in dims)
+    rhs = _one_entry_changed(data.draw, lhs)
+    assert linalg.first_differing_column(lhs, rhs, dims) is None
+    assert first_differing_column_by_column(lhs, rhs, dims) is None
+    assert linalg.composite_columns(lhs, dims) == composite_columns_by_column(lhs, dims)
+    assert linalg.composite_columns(lhs, dims)[0] == []
+    assert linalg.composite_matrix(lhs, dims).cols == 0
+
+
+def _fresh_product_columns(t):
+    return linalg.int_columns(row for plane in t.data for row in plane)
+
+
+def _fresh_coproduct_columns(t):
+    return linalg.int_columns([x for row in plane for x in row] for plane in t.data)
+
+
+def test_cached_columns_are_never_changed_by_their_users():
+    # every check reads the shared, cached columns of a map; none may write
+    # to them, so after all of these each cache equals a fresh conversion
+    for h in _hopf_carriers():
+        validate_all(h)
+    for d in _validation_carriers():
+        validate_long_dimodule(d)
+    for tag in ("kk", "sk"):
+        ctx, carriers = _context(tag)
+        u, v, w = carriers[:3]
+        check_hexagons(ctx, u, v, w)
+        check_qybe(ctx, u, v, w)
+        check_coherence(u, v, w)
+    # the operator stays alive, so its caches are among those looked at
+    op = dimodule_solution(_validation_carriers()[-1])
+    tau_transforms(op)
+    seen = 0
+    for obj in gc.get_objects():
+        if isinstance(obj, Matrix) and obj._sparse is not None:
+            assert obj._sparse == linalg.int_columns(linalg._columns(obj))
+            seen += 1
+        elif isinstance(obj, Tensor3):
+            if obj._product is not None:
+                assert obj._product == _fresh_product_columns(obj)
+                seen += 1
+            if obj._coproduct is not None:
+                assert obj._coproduct == _fresh_coproduct_columns(obj)
+                seen += 1
+    assert op.matrix._sparse is not None and seen > 50
