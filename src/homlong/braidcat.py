@@ -6,8 +6,8 @@ the symmetry criterion for triangular / cotriangular data.
 Every categorical identity is realized as an exact identity on
 lexicographic bases, with the constraint maps of the monoidal structure
 spelled out explicitly.  The braiding is a matrix, built a batch of basis
-columns at a time from the structure constants (coactions, the form, mu^-2, R and
-the actions, each on its own tensor legs); the identities composed from it
+columns at a time from the structure constants (coactions, the form, mu^-2,
+R and the actions, each on its own tensor legs); the identities composed from it
 (naturality, hexagons, Yang-Baxter, symmetry) are checked column by column
 the same way.
 """

@@ -33,8 +33,9 @@ from homlong.braidcat import (BraidingContext, DimoduleMorphism, NotAMorphism,
 from homlong.homstruct import (HomAlgebra, HomBialgebra, HomCoalgebra, NotAutomorphism,
                                dual_hopf, opposite_algebra, tensor_hopf,
                                validate_all, validate_coquasitriangular,
-                               validate_hom_algebra, validate_hom_bialgebra, validate_hom_coalgebra,
-                               validate_hom_hopf, validate_quasitriangular, yau_twist)
+                               validate_hom_algebra, validate_hom_bialgebra,
+                               validate_hom_coalgebra, validate_hom_hopf,
+                               validate_quasitriangular, yau_twist)
 from homlong.linalg import (Matrix, Tensor3, Vector, ZERO, ONE, DimensionMismatch,
                             SingularMatrix, solve_exact, unflat_index)
 from homlong.longdimod import (DualityData, HomLongDimodule, canonical_dimodule,
@@ -2336,7 +2337,8 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
         assert linalg.first_differing_column(lhs, lhs, dims) is None
         for steps in (lhs, rhs):
             # lists of (row, value) pairs: equal in their order too
-            assert linalg.composite_columns(steps, dims) == composite_columns_by_column(steps, dims)
+            expected = composite_columns_by_column(steps, dims)
+            assert linalg.composite_columns(steps, dims) == expected
 
 
 @settings(max_examples=40, deadline=None)
