@@ -72,6 +72,18 @@ def load_tensor3(data, where="tensor"):
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
 
 
+def load_basis(obj, dim, where):
+    """The basis names in obj, exactly dim strings, or None when it gives
+    none."""
+    names = obj.get("basis")
+    if names is None:
+        return None
+    if not (isinstance(names, list) and len(names) == dim
+            and all(isinstance(x, str) for x in names)):
+        raise FileFormatError(_ctx(where + ".basis", "expected a list of %d names" % dim))
+    return tuple(names)
+
+
 def matrix_json(m):
     return m.to_json()
 
@@ -116,7 +128,7 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
         dim = int(obj["dim"])
     except (KeyError, TypeError, ValueError):
         raise FileFormatError(_ctx(where, "missing or invalid 'dim'"))
-    basis = tuple(obj.get("basis") or ("e%d" % i for i in range(dim)))
+    basis = load_basis(obj, dim, where) or tuple("e%d" % i for i in range(dim))
     gamma = load_matrix(obj["gamma"], where + ".gamma") if "gamma" in obj \
         else Matrix.identity(dim)
 
@@ -199,7 +211,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
         dim = int(obj["dim"])
         return HomModule(alg, dim, load_tensor3(obj["action"], where + ".action"),
                          load_matrix(obj["nu"], where + ".nu"),
-                         tuple(obj.get("basis") or ()) or None)
+                         load_basis(obj, dim, where))
     if kind == "hom-comodule":
         over, _ = _load_algebra_field(obj, "over", base_dir, where)
         coa = over.coalgebra if not isinstance(over, (HomAlgebra, HomCoalgebra)) else over
@@ -208,7 +220,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
         dim = int(obj["dim"])
         return HomComodule(coa, dim, load_tensor3(obj["coaction"], where + ".coaction"),
                            load_matrix(obj["mu"], where + ".mu"),
-                           tuple(obj.get("basis") or ()) or None)
+                           load_basis(obj, dim, where))
     if kind == "yd-module":
         over, _ = _load_algebra_field(obj, "over", base_dir, where)
         if not isinstance(over, HomBialgebra):
@@ -218,7 +230,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
                                     load_tensor3(obj["action"], where + ".action"),
                                     load_tensor3(obj["coaction"], where + ".coaction"),
                                     load_matrix(obj["structure_map"], where + ".structure_map"),
-                                    tuple(obj.get("basis") or ()) or None)
+                                    load_basis(obj, dim, where))
     if kind == "long-dimodule":
         h, _ = _load_algebra_field(obj, "H", base_dir, where)
         b, _ = _load_algebra_field(obj, "B", base_dir, where)
@@ -227,7 +239,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
                                load_tensor3(obj["action"], where + ".action"),
                                load_tensor3(obj["coaction"], where + ".coaction"),
                                load_matrix(obj["mu"], where + ".mu"),
-                               tuple(obj.get("basis") or ()) or None)
+                               load_basis(obj, dim, where))
     if kind == "halpha-dimodule":
         h, _ = _load_algebra_field(obj, "H", base_dir, where)
         dim = int(obj["dim"])
@@ -235,7 +247,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
                                   load_tensor3(obj["action"], where + ".action"),
                                   load_tensor3(obj["coaction"], where + ".coaction"),
                                   load_matrix(obj["mu"], where + ".mu"),
-                                  tuple(obj.get("basis") or ()) or None)
+                                  load_basis(obj, dim, where))
     if kind == "operator":
         n = int(obj["n"])
         op = OperatorOnTensorSquare(n, load_matrix(obj["matrix"], where + ".matrix"),

@@ -1,11 +1,21 @@
 """Exact linear algebra over the rationals, and maps applied to tensor legs.
 
-Everything is a Fraction; there is no floating point anywhere.  Linear maps
-are stored column-convention: M[i][j] is the coefficient of the i-th output
-basis vector in the image of the j-th input basis vector, so composition is
-matrix multiplication and matrices act on coordinate columns.  Tensor-product
-bases are ordered lexicographically, first factor major:
+Everything is exact, ints and Fractions; there is no floating point
+anywhere.  Linear maps are column-convention: M[i][j] is the coefficient of
+the i-th output basis vector in the image of the j-th input basis vector, so
+composition is matrix multiplication and matrices act on coordinate columns.
+Tensor-product bases are ordered lexicographically, first factor major:
 (i, j) -> i * dim_second + j.
+
+A Matrix is stored as its int-scaled sparse columns (cols, scale), in the
+unique form int_columns gives: entries sorted by row within each column and
+the scale the lcm of the reduced denominators.  Equality and hashing read
+that form.  Its dense rows of Fractions, data, are a view built only when
+something reads them (io output, det, inv, solve_exact, to_lists).  A
+Tensor3 built from a composite (product_tensor, coproduct_tensor) holds the
+same columns as its product_columns or coproduct_columns and builds its data
+on first read; a Tensor3 read from a file or a fixture is coerced from its
+entries.
 
 Identities between composites of maps on tensor legs are decided without
 forming the composites.  A step applies a small map, as sparse int-scaled
@@ -17,17 +27,17 @@ sum_j e_j (x) e_j and a single pass per step serves all its columns.
 first_differing_column compares two composites on batches of 1, 2, 4, ...
 columns, up to BATCH_COLUMNS, so a failure at column c runs fewer than
 2(c + 1) columns a side; composite_columns gives one composite as int
-columns, a step for a further composite, and composite_matrix builds its
-matrix, both BATCH_COLUMNS columns at a time.  Every constructed structure
-map is such a composite: per_leg_matrix gives a tensor product of maps, and
-product_tensor and coproduct_tensor give a multiplication, action,
-comultiplication or coaction, so no map is written as an index sum over
-structure constants or as a Kronecker product.
+columns, a step for a further composite, and composite_matrix the Matrix
+over the same columns, both run BATCH_COLUMNS columns at a time.  Every
+constructed structure map is such a composite: per_leg_matrix gives a
+tensor product of maps, and product_tensor and coproduct_tensor give a
+multiplication, action, comultiplication or coaction, so no map is written
+as an index sum over structure constants or as a Kronecker product.
 
 Matrix and Tensor3 are immutable, so each keeps what is derived from it
-once computed: a Matrix its sparse_columns and its inverse, a Tensor3 its
-product_columns and coproduct_columns.  The cached columns are shared by
-every caller and are never changed.
+once computed: a Matrix its data view and its inverse, a Tensor3 its data,
+product_columns and coproduct_columns.  The stored and cached columns are
+shared by every caller and are never changed.
 """
 
 import math
@@ -150,12 +160,17 @@ def scalar_str(x):
 
 
 class Matrix:
-    """Dense exact matrix; data is a tuple of row tuples of Fractions.
+    """Exact matrix, stored as its int-scaled sparse columns (cols, scale)
+    in the form int_columns gives: the map is cols / scale, cols[j] lists the
+    (row, value) pairs of column j with value != 0 in row order, and scale
+    is the lcm of the entries' reduced denominators.  That form is unique,
+    so equality and hashing read it.  data, the rows as tuples of Fractions,
+    is a view built on first read (kept from construction when the Matrix
+    was made from rows).
 
-    A Matrix is immutable, so it keeps its sparse_columns and its inverse
-    once computed; equality and hashing read only the data."""
+    A Matrix is immutable, so it also keeps its inverse once computed."""
 
-    __slots__ = ("rows", "cols", "data", "_sparse", "_inverse")
+    __slots__ = ("rows", "cols", "_sparse", "_data", "_inverse")
 
     def __init__(self, rows_data, rows=None, cols=None):
         data = tuple(tuple(scalar(x) for x in row) for row in rows_data)
@@ -165,28 +180,53 @@ class Matrix:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch("ragged or mis-shaped matrix data")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-        self._sparse = self._inverse = None
+        self.rows, self.cols, self._data, self._inverse = rows, cols, data, None
+        self._sparse = int_columns(_columns(self))
+
+    @staticmethod
+    def _of(rows, cols, sparse, data=None):
+        """A Matrix over columns already in the form int_columns gives."""
+        m = Matrix.__new__(Matrix)
+        m.rows, m.cols, m._sparse, m._data, m._inverse = rows, cols, sparse, data, None
+        return m
 
     @staticmethod
     def trusted(data, rows, cols):
         """A Matrix over row tuples of Fractions that the library computed
         itself: no coercion and no shape check."""
-        m = Matrix.__new__(Matrix)
-        m.rows, m.cols, m.data = rows, cols, tuple(data)
-        m._sparse = m._inverse = None
+        m = Matrix._of(rows, cols, None, tuple(data))
+        m._sparse = int_columns(_columns(m))
         return m
 
     @staticmethod
+    def from_int_columns(cols, scale, rows):
+        """The Matrix cols / scale with the given number of rows, for lists of
+        (row, int) pairs with nonzero value in any row order and a positive
+        int scale, as composite_columns gives them.  The lists are taken
+        over: each is sorted by row, and the values and the scale are divided
+        by their gcd, so the Matrix stores the form int_columns gives."""
+        g = math.gcd(scale, *(x for c in cols for _, x in c)) if scale != 1 else 1
+        if g != 1:
+            cols, scale = [[(r, x // g) for r, x in c] for c in cols], scale // g
+        for c in cols:
+            c.sort()
+        return Matrix._of(rows, len(cols), (cols, scale))
+
+    @property
+    def data(self):
+        """The rows as tuples of Fractions, built on first read."""
+        if self._data is None:
+            cols = _dense_columns(self._sparse, self.rows)
+            self._data = tuple(zip(*cols)) if cols else ((),) * self.rows
+        return self._data
+
+    @staticmethod
     def identity(n):
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)],
-                      rows=n, cols=n)
+        return Matrix._of(n, n, ([[(j, 1)] for j in range(n)], 1))
 
     @staticmethod
     def zeros(r, c):
-        return Matrix([[ZERO] * c for _ in range(r)], rows=r, cols=c)
+        return Matrix._of(r, c, ([[] for _ in range(c)], 1))
 
     @staticmethod
     def diagonal(entries):
@@ -211,10 +251,11 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self._sparse == other._sparse)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        cols, scale = self._sparse
+        return hash((self.rows, self.cols, scale, tuple(map(tuple, cols))))
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -238,35 +279,14 @@ class Matrix:
         return Matrix([[c * a for a in row] for row in self.data], rows=self.rows, cols=self.cols)
 
     def __mul__(self, other):
-        """Composition self o other (also accepts a Vector on the right).
-
-        Row-combination algorithm: skips zero coefficients, so products with
-        permutation-like and tensor-product matrices stay cheap.
-        """
+        """Composition self o other (also accepts a Vector on the right),
+        the composite of the two maps' int columns."""
         if isinstance(other, Vector):
             return self.apply(other)
         if self.cols != other.rows:
             raise DimensionMismatch("compose %dx%d with %dx%d"
                                     % (self.rows, self.cols, other.rows, other.cols))
-        bd = other.data
-        nc = other.cols
-        out = []
-        for ra in self.data:
-            row = [ZERO] * nc
-            for k, a in enumerate(ra):
-                if not a:
-                    continue
-                bk = bd[k]
-                if a == 1:
-                    for j, b in enumerate(bk):
-                        if b:
-                            row[j] = row[j] + b
-                else:
-                    for j, b in enumerate(bk):
-                        if b:
-                            row[j] = row[j] + a * b
-            out.append(tuple(row))
-        return Matrix.trusted(out, self.rows, nc)
+        return composite_matrix(per_leg(other) + per_leg(self), (other.cols,))
 
     def apply(self, v):
         if self.cols != v.dim:
@@ -275,17 +295,18 @@ class Matrix:
         return Vector([sum((a * b for a, b in zip(row, v.entries)), ZERO) for row in self.data])
 
     def transpose(self):
-        return Matrix(list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)],
-                      rows=self.cols, cols=self.rows)
+        cols, scale = self._sparse
+        out = [[] for _ in range(self.rows)]
+        for j, col in enumerate(cols):
+            for r, x in col:
+                out[r].append((j, x))
+        return Matrix._of(self.cols, self.rows, (out, scale))
 
     def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        return all(self.data[i][j] == (ONE if i == j else ZERO)
-                   for i in range(self.rows) for j in range(self.cols))
+        return self == Matrix.identity(self.rows)
 
     def is_zero(self):
-        return all(a == 0 for row in self.data for a in row)
+        return not any(self._sparse[0])
 
     def det(self):
         if self.rows != self.cols:
@@ -331,7 +352,7 @@ class Matrix:
                 if r != c and a[r][c]:
                     f = a[r][c]
                     a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        self._inverse = Matrix([row[n:] for row in a], rows=n, cols=n)
+        self._inverse = Matrix.trusted((tuple(row[n:]) for row in a), n, n)
         return self._inverse
 
     def __pow__(self, k):
@@ -366,6 +387,17 @@ def _columns(m):
     return list(zip(*m.data)) if m.rows else [()] * m.cols
 
 
+def _dense_columns(sparse, rows):
+    """Columns (cols, scale), as int_columns gives them, as dense lists of
+    Fractions of length rows."""
+    cols, scale = sparse
+    out = [[ZERO] * rows for _ in cols]
+    for dense, col in zip(out, cols):
+        for r, x in col:
+            dense[r] = Fraction(x, scale)
+    return out
+
+
 def int_columns(columns):
     """Dense columns of rationals as (cols, scale): the map is cols / scale,
     where cols[j] lists the (row, value) pairs of column j with value != 0
@@ -378,10 +410,8 @@ def int_columns(columns):
 
 
 def sparse_columns(m):
-    """The columns of the Matrix m as int_columns gives them, computed once
-    and shared: the lists are not to be changed."""
-    if m._sparse is None:
-        m._sparse = int_columns(_columns(m))
+    """The columns of the Matrix m as int_columns gives them: its stored
+    form, shared, so the lists are not to be changed."""
     return m._sparse
 
 
@@ -521,29 +551,31 @@ def first_differing_column(lhs, rhs, dims):
     return None
 
 
+def _composite(steps, dims):
+    """(cols, scale, rows) of a composite of steps on the legs dims, the
+    columns in run order and the scale the product of the steps' scales."""
+    plan, out_dims, scale = _plan(steps, dims)
+    d_in, rows = math.prod(dims), math.prod(out_dims)
+    cols = [[] for _ in range(d_in)]
+    for j, r, x in _entries(plan, d_in, rows):
+        cols[j].append((r, x))
+    return cols, scale, rows
+
+
 def composite_columns(steps, dims):
     """A composite of steps on the tensor legs dims, as first_differing_column
     takes them, as (cols, scale) in the form sparse_columns gives, the scale
     being the product of the steps' scales: a step for a further composite,
     with no Fraction on the way."""
-    plan, out_dims, scale = _plan(steps, dims)
-    d_in = math.prod(dims)
-    cols = [[] for _ in range(d_in)]
-    for j, r, x in _entries(plan, d_in, math.prod(out_dims)):
-        cols[j].append((r, x))
+    cols, scale, _ = _composite(steps, dims)
     return cols, scale
 
 
 def composite_matrix(steps, dims):
     """The Matrix on the tensor legs dims of a composite of steps, as
-    first_differing_column takes them: the columns run on int columns and
-    each entry divided by the product of the scales once."""
-    plan, out_dims, scale = _plan(steps, dims)
-    rows, cols = math.prod(out_dims), math.prod(dims)
-    out = [[ZERO] * cols for _ in range(rows)]
-    for j, r, x in _entries(plan, cols, rows):
-        out[r][j] = Fraction(x, scale)
-    return Matrix.trusted(map(tuple, out), rows, cols)
+    first_differing_column takes them: the int columns of the run, with no
+    dense fill and no Fraction on the way."""
+    return Matrix.from_int_columns(*_composite(steps, dims))
 
 
 def per_leg_matrix(*maps):
@@ -609,22 +641,37 @@ class Tensor3:
       * coproduct-like (comult, coaction): input i, outputs (j, k).
     """
 
-    __slots__ = ("d0", "d1", "d2", "data", "_product", "_coproduct")
+    __slots__ = ("d0", "d1", "d2", "_data", "_product", "_coproduct")
 
     def __init__(self, data, dims=None):
-        self.data = tuple(tuple(tuple(scalar(x) for x in row) for row in plane)
-                          for plane in data)
+        data = tuple(tuple(tuple(scalar(x) for x in row) for row in plane)
+                     for plane in data)
         if dims is not None:
             d0, d1, d2 = dims
         else:
-            d0 = len(self.data)
-            d1 = len(self.data[0]) if d0 else 0
-            d2 = len(self.data[0][0]) if d0 and d1 else 0
-        if len(self.data) != d0 or any(len(p) != d1 for p in self.data) or any(
-                len(r) != d2 for p in self.data for r in p):
+            d0 = len(data)
+            d1 = len(data[0]) if d0 else 0
+            d2 = len(data[0][0]) if d0 and d1 else 0
+        if len(data) != d0 or any(len(p) != d1 for p in data) or any(
+                len(r) != d2 for p in data for r in p):
             raise DimensionMismatch("ragged tensor data")
         self.d0, self.d1, self.d2 = d0, d1, d2
-        self._product = self._coproduct = None
+        self._data, self._product, self._coproduct = data, None, None
+
+    @property
+    def data(self):
+        """T[i][j][k] as nested tuples of Fractions; built on first read for
+        a tensor made from a Matrix's columns."""
+        if self._data is None:
+            d1, d2 = self.d1, self.d2
+            if self._product is not None:
+                cols = _dense_columns(self._product, d2)
+                self._data = tuple(tuple(map(tuple, cols[i * d1:(i + 1) * d1]))
+                                   for i in range(self.d0))
+            else:
+                self._data = tuple(tuple(tuple(c[j * d2:(j + 1) * d2]) for j in range(d1))
+                                   for c in _dense_columns(self._coproduct, d1 * d2))
+        return self._data
 
     @staticmethod
     def zeros(d0, d1, d2):
@@ -656,48 +703,37 @@ class Tensor3:
 
     def flatten_in2_out1(self):
         """Matrix of the map X (x) Y -> Z with T[i][j][k] = coeff of z_k in x_i y_j."""
-        m = [[ZERO] * (self.d0 * self.d1) for _ in range(self.d2)]
-        for i in range(self.d0):
-            for j in range(self.d1):
-                col = i * self.d1 + j
-                for k in range(self.d2):
-                    m[k][col] = self.data[i][j][k]
-        return Matrix(m, rows=self.d2, cols=self.d0 * self.d1)
+        return Matrix._of(self.d2, self.d0 * self.d1, product_columns(self))
 
     def flatten_in1_out2(self):
         """Matrix of the map X -> Y (x) Z with T[i][j][k] = coeff of y_j z_k at x_i."""
-        m = [[ZERO] * self.d0 for _ in range(self.d1 * self.d2)]
-        for i in range(self.d0):
-            for j in range(self.d1):
-                for k in range(self.d2):
-                    m[j * self.d2 + k][i] = self.data[i][j][k]
-        return Matrix(m, rows=self.d1 * self.d2, cols=self.d0)
+        return Matrix._of(self.d1 * self.d2, self.d0, coproduct_columns(self))
 
     @staticmethod
     def from_in2_out1(m, d0, d1):
-        """Inverse of flatten_in2_out1 for a matrix with d0*d1 columns."""
+        """Inverse of flatten_in2_out1 for a matrix with d0*d1 columns: m's
+        columns are the tensor's product_columns, and its data is built on
+        first read."""
         if m.cols != d0 * d1:
             raise DimensionMismatch("matrix has %d columns, expected %d" % (m.cols, d0 * d1))
-        cols = _columns(m)
-        return Tensor3._of_fractions([cols[i * d1:(i + 1) * d1] for i in range(d0)],
-                                     (d0, d1, m.rows))
+        return Tensor3._of((d0, d1, m.rows), product=sparse_columns(m))
 
     @staticmethod
     def from_in1_out2(m, d1, d2):
-        """Inverse of flatten_in1_out2 for a matrix with d1*d2 rows."""
+        """Inverse of flatten_in1_out2 for a matrix with d1*d2 rows: m's
+        columns are the tensor's coproduct_columns, and its data is built on
+        first read."""
         if m.rows != d1 * d2:
             raise DimensionMismatch("matrix has %d rows, expected %d" % (m.rows, d1 * d2))
-        return Tensor3._of_fractions([[c[j * d2:(j + 1) * d2] for j in range(d1)]
-                                      for c in _columns(m)], (m.cols, d1, d2))
+        return Tensor3._of((m.cols, d1, d2), coproduct=sparse_columns(m))
 
     @staticmethod
-    def _of_fractions(data, dims):
-        """A Tensor3 over the entries of a Matrix, which are Fractions
-        already: no coercion."""
+    def _of(dims, product=None, coproduct=None):
+        """A Tensor3 over the columns of its product-like or coproduct-like
+        Matrix, in the form int_columns gives."""
         t = Tensor3.__new__(Tensor3)
-        t.data = tuple(tuple(tuple(row) for row in plane) for plane in data)
         t.d0, t.d1, t.d2 = dims
-        t._product = t._coproduct = None
+        t._data, t._product, t._coproduct = None, product, coproduct
         return t
 
     def to_json(self):

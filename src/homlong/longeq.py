@@ -62,7 +62,8 @@ def check_long_equation(op):
 
 
 def _to_ints(values):
-    """The Fractions in values times their common denominator, as ints.
+    """The Fractions in values times their common denominator, as ints, and
+    that denominator.
 
     A Hom-Long side is linear in each of its two operators and quadratic in
     mu, so scaling an operand scales both sides by the same nonzero factor
@@ -70,7 +71,7 @@ def _to_ints(values):
     ints.
     """
     d = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (d // x.denominator) for x in values]
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def _sparse_columns(m):
@@ -301,15 +302,11 @@ def tau_transforms(op):
     # U, T and W re-index R by the swap (u, v) -> (v, u): U on its rows, T
     # on its columns, W on both
     sw = [(c % n) * n + c // n for c in range(n2)]
-    rows = op.matrix.data
-    u, tt, w = (Matrix.trusted(data, n2, n2) for data in (
-        [rows[sw[i]] for i in range(n2)],
-        [tuple(row[sw[j]] for j in range(n2)) for row in rows],
-        [tuple(rows[sw[i]][sw[j]] for j in range(n2)) for i in range(n2)]))
     r, scale = sparse_columns(op.matrix)
-    us = [[(sw[i], x) for i, x in c] for c in r], scale
-    ts = [r[sw[j]] for j in range(n2)], scale
-    ws = [us[0][sw[j]] for j in range(n2)]
+    us = [[(sw[i], x) for i, x in c] for c in r]
+    u, tt, w = (Matrix.from_int_columns(cols, scale, n2) for cols in (
+        us, [list(r[j]) for j in sw], [list(us[j]) for j in sw]))
+    us, ts, ws = sparse_columns(u), sparse_columns(tt), sparse_columns(w)[0]
     m = sparse_columns(mu)
     rep = AxiomReport()
 
@@ -429,6 +426,8 @@ def search_solutions(mu, coefficient_set, shape):
     visited.
     """
     n = mu.rows
+    if n == 0:
+        raise DimensionMismatch("structure map is 0x0; the search needs a carrier")
     if mu.det() == 0:
         raise SingularMatrix("structure map is singular")
     values = []
@@ -451,9 +450,8 @@ def search_solutions(mu, coefficient_set, shape):
         positions = [(r, c) for r in range(n2) for c in range(n2)]
 
     # the search runs on int-scaled values (the equation is homogeneous in
-    # R) and each solution is mapped back to the given ones
-    scaled = _to_ints(values)
-    given = dict(zip(scaled, values))
+    # R), and each solution is the Matrix of their int columns over the scale
+    scaled, scale = _to_ints(values)
     rank = {x: i for i, x in enumerate(scaled)}
     mu_cols = _sparse_columns(mu)
     # with a single value there is nothing to prune, so nothing is derived
@@ -473,10 +471,7 @@ def search_solutions(mu, coefficient_set, shape):
             if x:
                 cols[c].append((r, x))
         if _first_failing_column(cols, cols, mu_cols, n) is None:
-            rows = [[ZERO] * n2 for _ in range(n2)]
-            for (r, c), x in zip(positions, xs):
-                rows[r][c] = given[x]
-            out.append(OperatorOnTensorSquare(n, Matrix.trusted(map(tuple, rows), n2, n2), mu))
+            out.append(OperatorOnTensorSquare(n, Matrix.from_int_columns(cols, scale, n2), mu))
     return out
 
 
@@ -489,27 +484,40 @@ def _long_constraints(positions, mu_cols, n):
 
     Both sides of the equation are bilinear in (A, B), so the coefficient of
     x_a x_b is read off the kernel's sides at A = E_a, B = E_b plus those at
-    A = E_b, B = E_a (polarisation).
+    A = E_b, B = E_a (polarisation).  At a triple (u, v, w) the kernel's
+    left side reads B's column v n + w and then A's columns t n + j, for t
+    in the support of mu(e_u) and e_j (x) e_k in that column of B; its right
+    side reads A's column u n + v and then B's columns j n + s, for s in the
+    support of mu(e_w) and e_i (x) e_j in that column of A.  Only the pairs
+    (E_a, E_b) whose columns are read are evaluated: every other pair has
+    both sides zero.
     """
     n2 = n * n
-    units = []
-    for r, c in positions:
+    units, by_col = [], [[] for _ in range(n2)]
+    for a, (r, c) in enumerate(positions):
         cols = [[] for _ in range(n2)]
         cols[c] = [(r, 1)]
         units.append(cols)
+        by_col[c].append(a)
     forms = set()
     for u, v, w in itertools.product(range(n), repeat=3):
+        pairs = set()
+        for b in by_col[v * n + w]:
+            j = positions[b][0] // n
+            pairs.update((a, b) for t, _ in mu_cols[u] for a in by_col[t * n + j])
+        for a in by_col[u * n + v]:
+            j = positions[a][0] % n
+            pairs.update((a, b) for s, _ in mu_cols[w] for b in by_col[j * n + s])
         coords = {}
-        for a, ea in enumerate(units):
-            for b, eb in enumerate(units):
-                lhs, rhs = _column_sides(ea, eb, mu_cols, n, u, v, w)
-                ab = (a, b) if a <= b else (b, a)
-                for key, x in lhs.items():
-                    form = coords.setdefault(key, {})
-                    form[ab] = form.get(ab, 0) + x
-                for key, x in rhs.items():
-                    form = coords.setdefault(key, {})
-                    form[ab] = form.get(ab, 0) - x
+        for a, b in pairs:
+            lhs, rhs = _column_sides(units[a], units[b], mu_cols, n, u, v, w)
+            ab = (a, b) if a <= b else (b, a)
+            for key, x in lhs.items():
+                form = coords.setdefault(key, {})
+                form[ab] = form.get(ab, 0) + x
+            for key, x in rhs.items():
+                form = coords.setdefault(key, {})
+                form[ab] = form.get(ab, 0) - x
         for form in coords.values():
             terms = sorted((ab, x) for ab, x in form.items() if x)
             if terms:

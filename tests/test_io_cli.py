@@ -661,3 +661,49 @@ def test_perturbed_demo_algebras_validate_and_twist_reports_match_snapshot(tmp_p
     monkeypatch.chdir(tmp_path)
     got = perturbed_homstruct_reports(capsys)
     assert json.dumps(got, indent=2, sort_keys=True) + "\n" == expected
+
+
+def test_search_refuses_an_empty_structure_map(files, capsys):
+    path = str(files / "mu0.json")
+    hio.dump_json({"mu": []}, path)
+    assert main(["search", "--mu", path, "--set", "0,1"]) == 2
+    assert "0x0" in capsys.readouterr().err
+    assert main(["--format", "json", "search", "--mu", path, "--set", "0,1"]) == 2
+    assert "0x0" in json.loads(capsys.readouterr().out)["error"]
+
+
+def _basis_carriers():
+    """One structure of every kind whose file carries a basis."""
+    kz2, sd = fx.kz2(), fx.sign_dimodule()
+    from homlong.repmod import YetterDrinfeldModule
+    return [kz2, kz2.algebra, kz2.coalgebra, fx.sign_module(), fx.sign_comodule(),
+            YetterDrinfeldModule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis),
+            canonical_dimodule(kz2, kz2),
+            HAlphaLongDimodule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)]
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "ints", "not-a-list"])
+def test_a_basis_must_be_dim_strings(bad):
+    for s in _basis_carriers():
+        obj = hio.structure_to_json(s)
+        dim = obj["dim"]
+        obj["basis"] = {"short": ["a"] * (dim - 1), "long": ["a"] * (dim + 1),
+                        "ints": list(range(dim)), "not-a-list": "ab"[:dim]}[bad]
+        with pytest.raises(FileFormatError, match="basis"):
+            hio.structure_from_json(obj)
+        # a missing basis is named by default
+        del obj["basis"]
+        assert len(hio.structure_from_json(obj).basis) == dim
+
+
+def test_validate_and_dual_refuse_a_bad_basis(files, capsys):
+    obj = json.load(open(p(files, "canonical.json")))
+    assert obj["dim"] == 4
+    for basis in (["a"], [1, 2, 3, 4]):
+        obj["basis"] = basis
+        path = str(files / "badbasis.json")
+        hio.dump_json(obj, path)
+        assert main(["validate", path]) == 2
+        assert "basis" in capsys.readouterr().err
+        assert main(["build", "dual", "-D", path, "-o", str(files / "dual.json")]) == 2
+        assert "basis" in capsys.readouterr().err

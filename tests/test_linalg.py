@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homlong import linalg
 from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
                             SingularMatrix, apply_on_legs, composite_matrix, coproduct_columns,
                             first_differing_column, unflat_index, insert_columns,
-                            pair_columns, product_columns, scalar, scalar_to_json, solve_exact,
-                            sparse_columns)
+                            pair_columns, per_leg, product_columns, scalar, scalar_to_json,
+                            solve_exact, sparse_columns)
 from test_oracles import (apply3, flat_index, flip_matrix, kron, kron_all, perm_matrix,
                           permute_input_legs, permute_output_legs)
 
@@ -294,3 +295,46 @@ def test_singular_matrix_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(SingularMatrix):
             m.inv()
+
+
+@st.composite
+def three_ways(draw):
+    """One rational matrix built three ways: from dense rows of ints,
+    Fractions and "p/q" strings; as composite_matrix of a step with a
+    non-canonical scale and shuffled columns followed by a per_leg scaling;
+    and by Matrix.trusted over row tuples of Fractions."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = draw(st.lists(st.lists(st.one_of(st.just(0), rationals), min_size=c, max_size=c),
+                            min_size=r, max_size=r))
+
+    def written(x):
+        way = draw(st.sampled_from(("int", "fraction", "string")))
+        if way == "int" and x.denominator == 1:
+            return int(x)
+        return "%d/%d" % (x.numerator, x.denominator) if way == "string" else x
+
+    dense = Matrix([[written(x) for x in row] for row in entries], rows=r, cols=c)
+    # M / f as int columns, scaled by k and shuffled, then f on the output leg
+    f = draw(st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5))
+    k = draw(st.integers(1, 6))
+    d = math.lcm(*(Fraction(x).denominator for row in entries for x in row))
+    cols = [draw(st.permutations([(i, int(x * d) * f.denominator * k)
+                                  for i, x in enumerate(col) if x]))
+            for col in (zip(*entries) if r else [()] * c)]
+    composite = composite_matrix([((cols, d * f.numerator * k), (0,), (r,))]
+                                 + per_leg(Matrix.diagonal([f] * r)), (c,))
+    trusted = Matrix.trusted((tuple(Fraction(x) for x in row) for row in entries), r, c)
+    return dense, composite, trusted
+
+
+@settings(max_examples=80, deadline=None)
+@given(three_ways())
+def test_equal_entries_mean_equal_stored_columns(ways):
+    first = ways[0]
+    for m in ways:
+        assert m == first and hash(m) == hash(first)
+        assert sparse_columns(m) == sparse_columns(first)
+        assert sparse_columns(m) == linalg.int_columns(linalg._columns(m))
+    for m in ways:
+        assert m.data == first.data and m.to_json() == first.to_json()
+        assert all(type(x) is Fraction for row in m.data for x in row)

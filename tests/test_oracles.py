@@ -16,6 +16,7 @@ import functools
 import gc
 import itertools
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -24,7 +25,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from homlong import fixtures as fx, linalg
+from homlong import fixtures as fx, linalg, longeq
 from homlong.braidcat import (BraidingContext, DimoduleMorphism, NotAMorphism,
                               check_hexagons, check_naturality, check_qybe,
                               check_symmetry, comodule_as_dimodule, comodule_family_braiding,
@@ -673,6 +674,48 @@ def test_diagonal_search_n3_three_values_matches_oracle():
 def test_full_search_matches_oracle(mu, values):
     # two distinct values are the most the cap admits (3^16 > 2^20)
     _assert_search_matches_grid(mu, values, "full")
+
+
+def all_pairs_long_constraints(positions, mu_cols, n):
+    """The search's quadratic forms as first derived: the kernel's sides for
+    every ordered pair of unit operators at every basis triple."""
+    n2 = n * n
+    units = []
+    for r, c in positions:
+        cols = [[] for _ in range(n2)]
+        cols[c] = [(r, 1)]
+        units.append(cols)
+    forms = set()
+    for u, v, w in itertools.product(range(n), repeat=3):
+        coords = {}
+        for a, ea in enumerate(units):
+            for b, eb in enumerate(units):
+                lhs, rhs = longeq._column_sides(ea, eb, mu_cols, n, u, v, w)
+                ab = (a, b) if a <= b else (b, a)
+                for key, x in lhs.items():
+                    form = coords.setdefault(key, {})
+                    form[ab] = form.get(ab, 0) + x
+                for key, x in rhs.items():
+                    form = coords.setdefault(key, {})
+                    form[ab] = form.get(ab, 0) - x
+        for form in coords.values():
+            terms = sorted((ab, x) for ab, x in form.items() if x)
+            if terms:
+                forms.add(tuple(terms))
+    return sorted(forms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_long_constraints_match_the_all_pairs_derivation(data):
+    shape = data.draw(st.sampled_from(("diagonal", "full")))
+    n = data.draw(st.sampled_from((1, 2, 3) if shape == "diagonal" else (1, 2)))
+    n2 = n * n
+    positions = ([(c, c) for c in range(n2)] if shape == "diagonal"
+                 else [(r, c) for r in range(n2) for c in range(n2)])
+    mu_cols = linalg.sparse_columns(Matrix(data.draw(structure_maps(n))))[0]
+    assert (longeq._long_constraints(positions, mu_cols, n)
+            == all_pairs_long_constraints(positions, mu_cols, n))
 
 
 def test_longeq_witness_on_perturbed_n16_extension():
@@ -2391,3 +2434,42 @@ def test_cached_columns_are_never_changed_by_their_users():
                 assert obj._coproduct == _fresh_coproduct_columns(obj)
                 seen += 1
     assert op.matrix._sparse is not None and seen > 50
+
+
+def test_composite_built_maps_are_never_converted_again(monkeypatch):
+    # a map built from a composite holds its int columns from the start, so
+    # int_columns never runs on one: no dense round trip in the chain of the
+    # longeq-carriers benchmark, nor in the hexagons on a tensor dimodule
+    builders = [linalg.composite_matrix, linalg.product_tensor, linalg.coproduct_tensor]
+    built, owners = [], []
+
+    def recording(f):
+        def wrapper(*args, **kwargs):
+            built.append(f(*args, **kwargs))
+            return built[-1]
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name == "homlong" or name.startswith("homlong."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in builders):
+                    monkeypatch.setattr(module, attr, recording(value))
+    int_columns = linalg.int_columns
+
+    def watched(columns):
+        # the Matrix or Tensor3 whose columns are converted is a local of
+        # the caller (Matrix.__init__, product_columns, ...)
+        owners.extend(v for v in sys._getframe(1).f_locals.values()
+                      if isinstance(v, (Matrix, Tensor3)))
+        return int_columns(columns)
+
+    monkeypatch.setattr(linalg, "int_columns", watched)
+    kz4t = fx.kz4_twisted()
+    ext = module_extension(kz4t, fx.trivial_module(kz4t, Matrix.diagonal([1, 2, 3])))
+    assert ext.dim == 12 and validate_halpha_dimodule(ext).ok
+    assert check_long_equation(dimodule_solution(ext)).ok
+    ctx, carriers = _context("sk")
+    can = carriers[0]
+    assert check_hexagons(ctx, tensor_dimodule(can, can), can, can).ok
+    assert built and owners
+    assert not {id(m) for m in built} & {id(m) for m in owners}
