@@ -421,9 +421,10 @@ def search_solutions(mu, coefficient_set, shape):
     entry is set; every solution is checked again by the column kernel.  A
     grid of at most SEARCH_CAP candidates is searched to the end.  A larger
     one is refused with SearchSpaceTooLarge once the work passes SEARCH_CAP:
-    the n^3 kernel evaluations per pair of unknowns that derive the
-    constraints, counted before they start, plus the partial assignments
-    visited.
+    n^3 kernel evaluations per pair of unknowns for the derivation of the
+    constraints (a bound: only the pairs whose columns a basis triple reads
+    are evaluated), counted before it starts, plus the partial assignments
+    visited.  A 0x0 structure map is refused with DimensionMismatch.
     """
     n = mu.rows
     if n == 0:

@@ -15,6 +15,7 @@ from homlong.io import FileFormatError
 from homlong.linalg import ONE, ZERO, Matrix, scalar, scalar_to_json
 from homlong.longdimod import canonical_dimodule
 from homlong.longeq import HAlphaLongDimodule, OperatorOnTensorSquare
+from homlong.repmod import YetterDrinfeldModule
 from test_oracles import flip_matrix
 
 
@@ -675,7 +676,6 @@ def test_search_refuses_an_empty_structure_map(files, capsys):
 def _basis_carriers():
     """One structure of every kind whose file carries a basis."""
     kz2, sd = fx.kz2(), fx.sign_dimodule()
-    from homlong.repmod import YetterDrinfeldModule
     return [kz2, kz2.algebra, kz2.coalgebra, fx.sign_module(), fx.sign_comodule(),
             YetterDrinfeldModule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis),
             canonical_dimodule(kz2, kz2),

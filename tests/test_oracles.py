@@ -9,7 +9,8 @@ dimodule axioms, the Hom-algebra tower, R-elements, forms and the twist the
 same way; the dense oracles build the same maps from Kronecker products and
 leg permutations and compose the identities as full matrices, associators
 and their inverses included.  The batched runs themselves are checked
-against one run per basis column.
+against one run per basis column, and the search's constraints against
+their derivation from every pair of unit operators.
 """
 
 import functools
