@@ -29,7 +29,7 @@ ci = long_braiding_inverse(ctx, sign, can)
 print("\nbraiding sign vs canonical is invertible exactly?",
       ci.matrix == c.matrix.inv())
 print("and is a morphism of dimodules?")
-print(check_braid_morphism(ctx, sign, can))
+print(check_braid_morphism(c))
 
 print("\nhexagons on (sign, canonical, trivial):")
 print(check_hexagons(ctx, sign, can, dims["trivial"]))

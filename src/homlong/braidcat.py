@@ -130,14 +130,14 @@ def _paired(form, nb, m, n):
     return [(coproduct_columns(m.coaction), (0,), (nb, m.dim)),
             (coproduct_columns(n.coaction), (2,), (nb, n.dim)),
             (flip_columns(m.dim, nb), (1, 2), (nb, m.dim)),
-            (pair_columns(x for row in form.data for x in row), (0, 1), ())]
+            (pair_columns(form), (0, 1), ())]
 
 
 def _acted(r, nh, m, n):
     """Steps from M (x) N to N (x) M: m (x) n -> r2 . n (x) r1 . m for the
     element r = sum r[i][j] e_i (x) e_j of H (x) H."""
     dm, dn = m.dim, n.dim
-    return [(insert_columns([x for row in r.data for x in row], dm), (0,), (nh, nh, dm)),
+    return [(insert_columns(r, dm), (0,), (nh, nh, dm)),
             (flip_columns(nh, dm), (1, 2), (dm, nh)),
             (product_columns(m.action), (0, 1), (dm,)),
             (product_columns(n.action), (1, 2), (dn,)),
@@ -163,9 +163,10 @@ def long_braiding_inverse(ctx, m, n):
     return BraidOperator((n, m), composite_matrix(steps, (n.dim, m.dim)))
 
 
-def check_braid_morphism(ctx, m, n):
-    """H-linearity and B-colinearity of the braiding as a dimodule map."""
-    c = long_braiding(ctx, m, n)
+def check_braid_morphism(c):
+    """H-linearity and B-colinearity of a braiding c = long_braiding(ctx, m, n)
+    as a dimodule map M (x) N -> N (x) M."""
+    m, n = c.source
     src = tensor_dimodule(m, n)
     tgt = tensor_dimodule(n, m)
     rep = AxiomReport()
@@ -266,13 +267,12 @@ def hb_yd_structure(ctx, m):
     ai, bi, mui = (sparse_columns(t.inv()) for t in (ctx.H.gamma, ctx.B.gamma, m.mu))
     rho = (coproduct_columns(m.coaction), (2,), (nb, d))
     # (h, x, m) -> (h, x, m_-1, m_0) -> <x|m_-1> a^-3(h) . mu^-1(m_0)
-    act = product_tensor([rho, (pair_columns(x for row in ctx.form.data for x in row), (1, 2), ())]
+    act = product_tensor([rho, (pair_columns(ctx.form), (1, 2), ())]
                          + [(ai, (0,), None)] * 3
                          + [(mui, (1,), None), (product_columns(m.action), (0, 1), (d,))],
                          (nh, nb, d), 2)
     # m -> (R1, R2, m_-1, m_0) -> (R2, m_-1, R1, m_0) -> R2 (x) b^-3(m_-1) (x) R1 . mu^-1(m_0)
-    co = coproduct_tensor([(insert_columns([x for row in ctx.R.data for x in row], d), (0,),
-                            (nh, nh, d)), rho]
+    co = coproduct_tensor([(insert_columns(ctx.R, d), (0,), (nh, nh, d)), rho]
                           + [(bi, (2,), None)] * 3
                           + [(mui, (3,), None), (flip_columns(nh, nh), (0, 1), None),
                              (flip_columns(nh, nb), (1, 2), (nb, nh)),

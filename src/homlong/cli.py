@@ -207,7 +207,7 @@ def cmd_build(args, report):
         m = _load_kind(args.m, HomLongDimodule)
         n = _load_kind(args.n, HomLongDimodule)
         op = long_braiding(ctx, m, n)
-        report.absorb(check_braid_morphism(ctx, m, n))
+        report.absorb(check_braid_morphism(op))
         built = {
             "kind": "braid-operator",
             "rows": ["%s⊗%s" % (a, b) for a in n.basis for b in m.basis],

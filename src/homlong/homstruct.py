@@ -15,10 +15,11 @@ output coordinate for an identity between elements.
 
 from dataclasses import dataclass, field
 
-from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_matrix,
-                     coproduct_columns, coproduct_tensor, first_differing_column, flip_columns,
-                     insert_columns, pair_columns, per_leg_matrix, product_columns,
-                     product_tensor, solve_exact, sparse_columns)
+from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_columns,
+                     composite_matrix, coproduct_columns, coproduct_tensor,
+                     first_differing_column, flip_columns, insert_columns, pair_columns,
+                     per_leg_matrix, product_columns, product_tensor, solve_exact,
+                     sparse_columns)
 from .report import AxiomReport, composites_equal_report, elements_equal_report
 
 
@@ -305,9 +306,9 @@ def dual_hopf(b):
     comult_d = composite_matrix([(product_columns(b.mult), (0, 1), (n,))] + twice,
                                 (n, n)).transpose()
     names = tuple(x + "*" for x in b.basis)
-    alg = HomAlgebra(n, Tensor3.from_in2_out1(mult_d, n, n), Vector(b.counit.entries),
+    alg = HomAlgebra(n, Tensor3.from_in2_out1(mult_d, n, n), b.counit,
                      b1i.transpose(), names)
-    coa = HomCoalgebra(n, Tensor3.from_in1_out2(comult_d, n, n), Vector(b.unit.entries),
+    coa = HomCoalgebra(n, Tensor3.from_in1_out2(comult_d, n, n), b.unit,
                        b1i.transpose(), names)
     s = b.antipode
     return HomBialgebra(alg, coa, None if s is None else s.transpose())
@@ -373,12 +374,11 @@ def validate_quasitriangular(h, r):
     names = h.basis
     mult, co, be = product_columns(h.mult), coproduct_columns(h.comult), sparse_columns(h.gamma)
     eps, flip = pair_columns(h.counit), flip_columns(n, n)
-    rc = [x for row in r.data for x in row]
     to_h, to_hh = (n,), (n, n)
 
     def put_r(leg, d=1):
         """x -> R (x) x on the leg `leg` of dim d."""
-        return (insert_columns(rc, d), (leg,), (n, n, d))
+        return (insert_columns(r, d), (leg,), (n, n, d))
 
     put_u = insert_columns(h.unit, 1)
     sides = [first_differing_column([put_r(0), (eps, (leg,), ())], [(put_u, (0,), (n, 1))],
@@ -415,12 +415,22 @@ def validate_quasitriangular(h, r):
                                         (1,)) is None
     # a two-sided inverse R21 solves the stacked system, so the system is
     # solved only when R21 is not one
-    rep.set_flag("convolution-invertible", triangular or solve_exact(
-        Matrix.trusted(composite_matrix(lmul, to_hh).data + composite_matrix(rmul, to_hh).data,
-                       2 * n * n, n * n),
-        Vector(list(composite_matrix(unit2, (1,)).column(0)) * 2)) is not None)
+    rep.set_flag("convolution-invertible", triangular or _stacked_solvable(
+        composite_columns(lmul, to_hh), composite_columns(rmul, to_hh),
+        composite_columns(unit2, (1,))))
     rep.set_flag("triangular", triangular)
     return rep
+
+
+def _stacked_solvable(left, right, unit):
+    """Whether x -> (left x, right x) = (unit, unit) has a solution, for the
+    int columns of two maps and of an element on the same space."""
+    (lcols, ls), (rcols, rs), ((ucol,), us) = left, right, unit
+    nn = len(lcols)
+    stacked = [[(i, x * rs) for i, x in lc] + [(nn + i, x * ls) for i, x in rc]
+               for lc, rc in zip(lcols, rcols)]
+    rhs = Vector.from_int_column(ucol + [(nn + i, x) for i, x in ucol], us, 2 * nn)
+    return solve_exact(Matrix.from_int_columns(stacked, ls * rs, 2 * nn), rhs) is not None
 
 
 def validate_coquasitriangular(b, form):
@@ -433,7 +443,7 @@ def validate_coquasitriangular(b, form):
     names = b.basis
     mult, co, be = product_columns(b.mult), coproduct_columns(b.comult), sparse_columns(b.gamma)
     eps, flip = pair_columns(b.counit), flip_columns(n, n)
-    pair = (pair_columns([x for row in form.data for x in row]), (0, 1), ())
+    pair = (pair_columns(form), (0, 1), ())
     to_h, to_hh = (n,), (n, n)
     names3 = (names, names, names)
 

@@ -39,7 +39,8 @@ def load_scalar(v, where="scalar"):
 def load_matrix(rows, where="matrix"):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise FileFormatError(_ctx(where, "expected a list of rows"))
-    # Matrix reads each entry with scalar, as load_scalar does
+    # Matrix reads the entries straight into its int columns, each with
+    # scalar as load_scalar does
     try:
         return Matrix(rows)
     except Exception as exc:
@@ -55,11 +56,14 @@ def load_vector(entries, where="vector"):
         raise FileFormatError(_ctx(where, str(exc)))
 
 
-def load_tensor3(data, where="tensor"):
+def load_tensor3(data, where="tensor", coproduct=False):
+    """The Tensor3 in data, its entries read straight into the int columns of
+    the reading its field needs: product-like (mult, action) or, with
+    coproduct set, coproduct-like (comult, coaction)."""
     if not isinstance(data, list):
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
     try:
-        return Tensor3(data)
+        return Tensor3(data, coproduct=coproduct)
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     # a rejected entry or a bad nesting: read again, naming each entry
@@ -67,7 +71,7 @@ def load_tensor3(data, where="tensor"):
         return Tensor3([[[load_scalar(x, "%s[%d][%d][%d]" % (where, i, j, k))
                           for k, x in enumerate(row)]
                          for j, row in enumerate(plane)]
-                        for i, plane in enumerate(data)])
+                        for i, plane in enumerate(data)], coproduct=coproduct)
     except TypeError:
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
 
@@ -141,7 +145,7 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
     def coalgebra_part():
         if "comult" not in obj or "counit" not in obj:
             raise FileFormatError(_ctx(where, "coalgebra needs 'comult' and 'counit'"))
-        return HomCoalgebra(dim, load_tensor3(obj["comult"], where + ".comult"),
+        return HomCoalgebra(dim, load_tensor3(obj["comult"], where + ".comult", coproduct=True),
                             load_vector(obj["counit"], where + ".counit"), gamma, basis)
 
     try:
@@ -218,7 +222,8 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
         if isinstance(coa, HomAlgebra):
             raise FileFormatError(_ctx(where, "comodule 'over' must carry a coalgebra"))
         dim = int(obj["dim"])
-        return HomComodule(coa, dim, load_tensor3(obj["coaction"], where + ".coaction"),
+        return HomComodule(coa, dim, load_tensor3(obj["coaction"], where + ".coaction",
+                                                  coproduct=True),
                            load_matrix(obj["mu"], where + ".mu"),
                            load_basis(obj, dim, where))
     if kind == "yd-module":
@@ -228,7 +233,8 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
         dim = int(obj["dim"])
         return YetterDrinfeldModule(over, dim,
                                     load_tensor3(obj["action"], where + ".action"),
-                                    load_tensor3(obj["coaction"], where + ".coaction"),
+                                    load_tensor3(obj["coaction"], where + ".coaction",
+                                                 coproduct=True),
                                     load_matrix(obj["structure_map"], where + ".structure_map"),
                                     load_basis(obj, dim, where))
     if kind == "long-dimodule":
@@ -237,7 +243,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
         dim = int(obj["dim"])
         return HomLongDimodule(h, b, dim,
                                load_tensor3(obj["action"], where + ".action"),
-                               load_tensor3(obj["coaction"], where + ".coaction"),
+                               load_tensor3(obj["coaction"], where + ".coaction", coproduct=True),
                                load_matrix(obj["mu"], where + ".mu"),
                                load_basis(obj, dim, where))
     if kind == "halpha-dimodule":
@@ -245,7 +251,8 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
         dim = int(obj["dim"])
         return HAlphaLongDimodule(h, dim,
                                   load_tensor3(obj["action"], where + ".action"),
-                                  load_tensor3(obj["coaction"], where + ".coaction"),
+                                  load_tensor3(obj["coaction"], where + ".coaction",
+                                               coproduct=True),
                                   load_matrix(obj["mu"], where + ".mu"),
                                   load_basis(obj, dim, where))
     if kind == "operator":

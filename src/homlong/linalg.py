@@ -10,12 +10,15 @@ Tensor-product bases are ordered lexicographically, first factor major:
 A Matrix is stored as its int-scaled sparse columns (cols, scale), in the
 unique form int_columns gives: entries sorted by row within each column and
 the scale the lcm of the reduced denominators.  Equality and hashing read
-that form.  Its dense rows of Fractions, data, are a view built only when
-something reads them (io output, det, inv, solve_exact, to_lists).  A
-Tensor3 built from a composite (product_tensor, coproduct_tensor) holds the
-same columns as its product_columns or coproduct_columns and builds its data
-on first read; a Tensor3 read from a file or a fixture is coerced from its
-entries.
+that form.  int_columns is the one reader of scalars: Matrix(rows),
+Tensor3(data), Vector(entries) and the io loaders read ints as they are and
+"p/q" strings once, straight into that form, and never store a zero.  A
+Tensor3 stores one reading, product-like (mult, action) or coproduct-like
+(comult, coaction), and re-indexes the same ints for the other; equality
+compares the columns.  det, inv and solve_exact share one fraction-free
+(Bareiss) elimination on the int rows of the columns, and to_json writes
+from the columns, so the dense rows of Fractions, data, are a view built
+only when something reads it (to_lists, __getitem__, the oracles).
 
 Identities between composites of maps on tensor legs are decided without
 forming the composites.  A step applies a small map, as sparse int-scaled
@@ -35,8 +38,8 @@ multiplication, action, comultiplication or coaction, so no map is written
 as an index sum over structure constants or as a Kronecker product.
 
 Matrix and Tensor3 are immutable, so each keeps what is derived from it
-once computed: a Matrix its data view and its inverse, a Tensor3 its data,
-product_columns and coproduct_columns.  The stored and cached columns are
+once computed: a Matrix its data view, determinant and inverse, a Tensor3
+its data and its other reading.  The stored and cached columns are
 shared by every caller and are never changed.
 """
 
@@ -63,7 +66,7 @@ def scalar(x):
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, int):
-        # the shared constants; int_columns skips ZERO by identity
+        # the shared constants, which fill every data view
         return ZERO if x == 0 else ONE if x == 1 else Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())
@@ -92,10 +95,29 @@ def unflat_index(i, dims):
 
 
 class Vector:
-    __slots__ = ("entries",)
+    """Exact vector: its entries as Fractions and, read once at
+    construction, the same entries as one int column (col, scale) in the form
+    int_columns gives, which insert_columns and pair_columns take."""
+
+    __slots__ = ("entries", "_column")
 
     def __init__(self, entries):
-        self.entries = tuple(scalar(x) for x in entries)
+        entries = entries if isinstance(entries, (list, tuple)) else list(entries)
+        (col,), scale = int_columns([entries])
+        self._column = col, scale
+        self.entries = tuple(_dense_columns(([col], scale), len(entries))[0])
+
+    @staticmethod
+    def from_int_column(col, scale, dim):
+        """The Vector col / scale of dimension dim, for a list of (index, int)
+        pairs with nonzero value in any order and a positive int scale, taken
+        over and brought to the form int_columns gives, as
+        Matrix.from_int_columns does."""
+        (col,), scale = _canonical([col], scale)
+        v = Vector.__new__(Vector)
+        v._column = col, scale
+        v.entries = tuple(_dense_columns(([col], scale), dim)[0])
+        return v
 
     @property
     def dim(self):
@@ -145,10 +167,10 @@ class Vector:
         return all(a == 0 for a in self.entries)
 
     def as_column(self):
-        return Matrix([[a] for a in self.entries], rows=self.dim, cols=1)
+        return Matrix._of(self.dim, 1, ([self._column[0]], self._column[1]))
 
     def as_row(self):
-        return Matrix([list(self.entries)], rows=1, cols=self.dim)
+        return Matrix._of(1, self.dim, pair_columns(self))
 
     def __repr__(self):
         return "Vector([%s])" % ", ".join(scalar_str(a) for a in self.entries)
@@ -165,37 +187,31 @@ class Matrix:
     (row, value) pairs of column j with value != 0 in row order, and scale
     is the lcm of the entries' reduced denominators.  That form is unique,
     so equality and hashing read it.  data, the rows as tuples of Fractions,
-    is a view built on first read (kept from construction when the Matrix
-    was made from rows).
+    is a view built on first read.
 
-    A Matrix is immutable, so it also keeps its inverse once computed."""
+    A Matrix is immutable, so it also keeps its determinant and its inverse
+    once computed."""
 
-    __slots__ = ("rows", "cols", "_sparse", "_data", "_inverse")
+    __slots__ = ("rows", "cols", "_sparse", "_data", "_det", "_inverse")
 
     def __init__(self, rows_data, rows=None, cols=None):
-        data = tuple(tuple(scalar(x) for x in row) for row in rows_data)
+        data = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows_data]
         if rows is None:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
         if len(data) != rows or any(len(r) != cols for r in data):
+            int_columns(data)       # an unreadable entry is named before the shape
             raise DimensionMismatch("ragged or mis-shaped matrix data")
-        self.rows, self.cols, self._data, self._inverse = rows, cols, data, None
-        self._sparse = int_columns(_columns(self))
+        self.rows, self.cols, self._data, self._det, self._inverse = rows, cols, None, None, None
+        self._sparse = int_columns(zip(*data) if rows else [()] * cols)
 
     @staticmethod
-    def _of(rows, cols, sparse, data=None):
+    def _of(rows, cols, sparse):
         """A Matrix over columns already in the form int_columns gives."""
         m = Matrix.__new__(Matrix)
-        m.rows, m.cols, m._sparse, m._data, m._inverse = rows, cols, sparse, data, None
-        return m
-
-    @staticmethod
-    def trusted(data, rows, cols):
-        """A Matrix over row tuples of Fractions that the library computed
-        itself: no coercion and no shape check."""
-        m = Matrix._of(rows, cols, None, tuple(data))
-        m._sparse = int_columns(_columns(m))
+        m.rows, m.cols, m._sparse = rows, cols, sparse
+        m._data = m._det = m._inverse = None
         return m
 
     @staticmethod
@@ -205,12 +221,7 @@ class Matrix:
         int scale, as composite_columns gives them.  The lists are taken
         over: each is sorted by row, and the values and the scale are divided
         by their gcd, so the Matrix stores the form int_columns gives."""
-        g = math.gcd(scale, *(x for c in cols for _, x in c)) if scale != 1 else 1
-        if g != 1:
-            cols, scale = [[(r, x // g) for r, x in c] for c in cols], scale // g
-        for c in cols:
-            c.sort()
-        return Matrix._of(rows, len(cols), (cols, scale))
+        return Matrix._of(rows, len(cols), _canonical(cols, scale))
 
     @property
     def data(self):
@@ -230,9 +241,9 @@ class Matrix:
 
     @staticmethod
     def diagonal(entries):
-        entries = [scalar(x) for x in entries]
-        n = len(entries)
-        return Matrix([[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        cols, scale = int_columns([x] for x in entries)
+        n = len(cols)
+        return Matrix._of(n, n, ([[(j, x) for _, x in c] for j, c in enumerate(cols)], scale))
 
     @staticmethod
     def from_function(rows, cols, f):
@@ -244,10 +255,11 @@ class Matrix:
         return self.data[i][j]
 
     def row(self, i):
-        return Vector(self.data[i])
+        return self.transpose().column(i)
 
     def column(self, j):
-        return Vector([self.data[i][j] for i in range(self.rows)])
+        cols, scale = self._sparse
+        return Vector.from_int_column(list(cols[j]), scale, self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -292,7 +304,12 @@ class Matrix:
         if self.cols != v.dim:
             raise DimensionMismatch("apply %dx%d to dim-%d vector"
                                     % (self.rows, self.cols, v.dim))
-        return Vector([sum((a * b for a, b in zip(row, v.entries)), ZERO) for row in self.data])
+        (vcol, t), (cols, s) = v._column, self._sparse
+        out = {}
+        for j, y in vcol:
+            for i, x in cols[j]:
+                out[i] = out.get(i, 0) + x * y
+        return Vector.from_int_column([(i, x) for i, x in out.items() if x], s * t, self.rows)
 
     def transpose(self):
         cols, scale = self._sparse
@@ -309,51 +326,43 @@ class Matrix:
         return not any(self._sparse[0])
 
     def det(self):
+        """The exact determinant, computed once."""
+        if self._det is None:
+            self._factor()
+        return self._det
+
+    def inv(self):
+        """The exact inverse, computed once; raises SingularMatrix when the
+        determinant vanishes."""
+        if self.rows != self.cols:
+            raise DimensionMismatch("inverse of a %dx%d matrix" % (self.rows, self.cols))
+        if self._det is None:
+            self._factor()
+        if not self._det:
+            raise SingularMatrix("matrix is singular")
+        return self._inverse
+
+    def _factor(self):
+        """Fill the determinant and, when it is nonzero, the inverse, by one
+        fraction-free elimination of [C | I] for self = C / scale: it ends at
+        [d I | d C^-1] with d = +-det C, so self^-1 = scale C^-1."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a %dx%d matrix" % (self.rows, self.cols))
         n = self.rows
-        a = [list(row) for row in self.data]
-        det = ONE
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                return ZERO
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = ONE / a[c][c]
-            for r in range(c + 1, n):
-                if a[r][c]:
-                    f = a[r][c] * inv
-                    for cc in range(c, n):
-                        a[r][cc] -= f * a[c][cc]
-        return det
-
-    def inv(self):
-        """Exact inverse, computed once; raises SingularMatrix when the
-        determinant vanishes."""
-        if self._inverse is not None:
-            return self._inverse
-        if self.rows != self.cols:
-            raise DimensionMismatch("inverse of a %dx%d matrix" % (self.rows, self.cols))
-        n = self.rows
-        a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-             for i, row in enumerate(self.data)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if piv is None:
-                raise SingularMatrix("matrix is singular")
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-            inv = ONE / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for r in range(n):
-                if r != c and a[r][c]:
-                    f = a[r][c]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        self._inverse = Matrix.trusted((tuple(row[n:]) for row in a), n, n)
-        return self._inverse
+        cols, scale = self._sparse
+        rows = _int_rows(cols, n, n + n)
+        for i in range(n):
+            rows[i][n + i] = 1
+        pivots, sign, d = _eliminate(rows, n)
+        if len(pivots) < n:
+            self._det = ZERO
+            return
+        self._det = Fraction(sign * d, scale ** n)
+        if d < 0:
+            scale, d = -scale, -d
+        inverse = [[(i, row[j] * scale) for i, row in enumerate(rows) if row[j]]
+                   for j in range(n, n + n)]
+        self._inverse = Matrix.from_int_columns(inverse, d, n)
 
     def __pow__(self, k):
         if self.rows != self.cols:
@@ -373,18 +382,19 @@ class Matrix:
         return [list(row) for row in self.data]
 
     def to_json(self):
-        return [[scalar_to_json(x) for x in row] for row in self.data]
+        """The rows as ints and "p/q" strings, written from the columns."""
+        out = [[0] * self.cols for _ in range(self.rows)]
+        cols, scale = self._sparse
+        for j, col in enumerate(cols):
+            for i, x in col:
+                out[i][j] = _json_scalar(x, scale)
+        return out
 
     def __repr__(self):
         if self.rows * self.cols > 64:
             return "Matrix(%dx%d)" % (self.rows, self.cols)
         return "Matrix(%s)" % "; ".join(
             " ".join(scalar_str(x) for x in row) for row in self.data)
-
-
-def _columns(m):
-    """The columns of the Matrix m as tuples."""
-    return list(zip(*m.data)) if m.rows else [()] * m.cols
 
 
 def _dense_columns(sparse, rows):
@@ -399,14 +409,93 @@ def _dense_columns(sparse, rows):
 
 
 def int_columns(columns):
-    """Dense columns of rationals as (cols, scale): the map is cols / scale,
-    where cols[j] lists the (row, value) pairs of column j with value != 0
-    and every value is an int."""
-    # the shared ZERO, which fills computed matrices, is skipped by identity
-    # before the slower Fraction truth test
-    cols = [[(r, x) for r, x in enumerate(c) if x is not ZERO and x] for c in columns]
-    scale = math.lcm(*(x.denominator for c in cols for _, x in c))
-    return [[(r, x.numerator * (scale // x.denominator)) for r, x in c] for c in cols], scale
+    """The one reader of exact scalars: columns of ints, Fractions and "p/q"
+    strings as (cols, scale), the map being cols / scale.  cols[j] lists the
+    (row, value) pairs of column j with value != 0 in row order, every value
+    an int, and scale is the lcm of the entries' reduced denominators, so the
+    form is unique.  An int is taken as it is, anything else is read once by
+    scalar (with its errors), and zeros are never stored."""
+    cols, scale = [], 1
+    for c in columns:
+        col = []
+        for r, x in enumerate(c):
+            if type(x) is not int:
+                x = scalar(x)
+                if x.denominator == 1:
+                    x = x.numerator
+                else:
+                    scale = math.lcm(scale, x.denominator)
+            if x:
+                col.append((r, x))
+        cols.append(col)
+    if scale != 1:
+        cols = [[(r, x * scale if type(x) is int else x.numerator * (scale // x.denominator))
+                 for r, x in c] for c in cols]
+    return cols, scale
+
+
+def _canonical(cols, scale):
+    """Lists of (row, int) pairs with nonzero value in any row order, and a
+    positive int scale, in the form int_columns gives: each list sorted by
+    row, the values and the scale divided by their gcd."""
+    g = math.gcd(scale, *(x for c in cols for _, x in c)) if scale != 1 else 1
+    if g != 1:
+        cols, scale = [[(r, x // g) for r, x in c] for c in cols], scale // g
+    for c in cols:
+        c.sort()
+    return cols, scale
+
+
+def _json_scalar(x, scale):
+    """The entry x / scale as an int or a "p/q" string, as scalar_to_json
+    writes it."""
+    if scale == 1:
+        return x
+    g = math.gcd(x, scale)
+    return x // g if g == scale else "%d/%d" % (x // g, scale // g)
+
+
+def _int_rows(cols, rows, width):
+    """The int columns cols as dense int rows, padded with zeros to width."""
+    out = [[0] * width for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out[i][j] = x
+    return out
+
+
+def _eliminate(rows, width):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of int rows, in
+    place, with pivots in the first width columns: (pivot columns, sign of
+    the row swaps, last pivot d).  Each pivot is the first nonzero entry at
+    or below its row.  After k pivots every entry is the k-th leading pivot
+    minor times that of the reduced row echelon form, so every division is
+    exact (Sylvester's identity) and the entries stay ints; at the end each
+    pivot entry is d, the leading minor of the pivot rows and columns."""
+    pivots, sign, prev, m = [], 1, 1, len(rows)
+    for c in range(width):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        piv = top[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+            elif piv != prev:
+                rows[i] = [piv * x // prev for x in row]
+        pivots.append(c)
+        prev = piv
+    return pivots, sign, prev
 
 
 def sparse_columns(m):
@@ -417,19 +506,31 @@ def sparse_columns(m):
 
 def product_columns(t):
     """The columns (i, j) -> sum_k t[i][j][k] e_k of a product-like Tensor3
-    (a multiplication or an action), as int_columns; computed once and
-    shared like sparse_columns."""
+    (a multiplication or an action), as int_columns gives them; stored, or
+    re-indexed once from the coproduct-like columns, and shared like
+    sparse_columns."""
     if t._product is None:
-        t._product = int_columns(row for plane in t.data for row in plane)
+        cols, scale = t._coproduct
+        d1, d2 = t.d1, t.d2
+        out = [[] for _ in range(t.d0 * d1)]
+        for i, col in enumerate(cols):
+            for r, x in col:
+                j, k = divmod(r, d2)
+                out[i * d1 + j].append((k, x))
+        t._product = out, scale
     return t._product
 
 
 def coproduct_columns(t):
     """The columns i -> sum_jk t[i][j][k] e_j (x) e_k of a coproduct-like
-    Tensor3 (a comultiplication or a coaction), as int_columns; computed once
-    and shared like sparse_columns."""
+    Tensor3 (a comultiplication or a coaction), as int_columns gives them;
+    stored, or re-indexed once from the product-like columns, and shared
+    like sparse_columns."""
     if t._coproduct is None:
-        t._coproduct = int_columns([x for row in plane for x in row] for plane in t.data)
+        cols, scale = t._product
+        d1, d2 = t.d1, t.d2
+        t._coproduct = [[(j * d2 + k, x) for j in range(d1) for k, x in cols[i * d1 + j]]
+                        for i in range(t.d0)], scale
     return t._coproduct
 
 
@@ -444,17 +545,36 @@ def flip_columns(d0, d1):
     return [[(j * d0 + i, 1)] for i in range(d0) for j in range(d1)], 1
 
 
+def _element_column(element):
+    """The flat coordinates of an element, a Vector or a Matrix, as one int
+    column (col, scale) in the form int_columns gives, and their number: a
+    Vector's own column; for a Matrix (R, an element of a tensor square, or
+    a bilinear form) entry [i][j] at i * cols + j, re-indexed from its
+    columns."""
+    if isinstance(element, Vector):
+        return element._column, element.dim
+    cols, scale = element._sparse
+    n = element.cols
+    return (sorted((i * n + j, x) for j, col in enumerate(cols) for i, x in col),
+            scale), element.rows * n
+
+
 def insert_columns(element, d):
-    """x -> element (x) x on a leg of dim d, for an element's flat coordinates
-    (a unit, or R); as a step its out_dims are the element's legs, then d."""
-    (col,), scale = int_columns([element])
+    """x -> element (x) x on a leg of dim d, for an element given as a Vector
+    (a unit) or by its flat coordinates in a Matrix (R); as a step its
+    out_dims are the element's legs, then d."""
+    (col, scale), _ = _element_column(element)
     return [[(k * d + o, x) for k, x in col] for o in range(d)], scale
 
 
 def pair_columns(covector):
-    """The pairing with a covector given by its flat coordinates (a counit,
-    or a form); as a step its out_dims are ()."""
-    return int_columns([x] for x in covector)
+    """The pairing with a covector given as a Vector (a counit) or by its
+    flat coordinates in a Matrix (a form); as a step its out_dims are ()."""
+    (col, scale), size = _element_column(covector)
+    out = [[] for _ in range(size)]
+    for k, x in col:
+        out[k].append((0, x))
+    return out, scale
 
 
 # the most basis columns a composite runs in one batch, which bounds the
@@ -601,35 +721,22 @@ def coproduct_tensor(steps, dims, first_out):
 def solve_exact(a, b):
     """Solve the (possibly rectangular) linear system a x = b exactly.
 
-    Returns one solution Vector, or None when the system is inconsistent.
+    Returns one solution Vector, the free unknowns 0, or None when the
+    system is inconsistent.  For a = C / s and b = c / t on int columns the
+    fraction-free elimination of [C | c] gives C y = c, and x = y s / t.
     """
     if a.rows != b.dim:
         raise DimensionMismatch("system with %d rows and rhs of dim %d" % (a.rows, b.dim))
-    rows = [list(r) + [bv] for r, bv in zip(a.data, b.entries)]
     n = a.cols
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][n] != 0:
-            return None
+    cols, s = a._sparse
+    col, t = b._column
+    rows = _int_rows(cols + [col], a.rows, n + 1)
+    pivots, _, d = _eliminate(rows, n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
     x = [ZERO] * n
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[n] * s, d * t)
     return Vector(x)
 
 
@@ -639,13 +746,17 @@ class Tensor3:
     Two readings cover every use:
       * product-like (mult, action): inputs (i, j), output k;
       * coproduct-like (comult, coaction): input i, outputs (j, k).
+    A Tensor3 stores one reading as int columns in the form int_columns
+    gives (product_columns, or coproduct_columns when made with coproduct
+    set), and derives the other from it by re-indexing the same ints.
+    Equality and hashing read the columns.
     """
 
     __slots__ = ("d0", "d1", "d2", "_data", "_product", "_coproduct")
 
-    def __init__(self, data, dims=None):
-        data = tuple(tuple(tuple(scalar(x) for x in row) for row in plane)
-                     for plane in data)
+    def __init__(self, data, dims=None, coproduct=False):
+        data = [[r if isinstance(r, (list, tuple)) else tuple(r) for r in plane]
+                for plane in data]
         if dims is not None:
             d0, d1, d2 = dims
         else:
@@ -654,9 +765,14 @@ class Tensor3:
             d2 = len(data[0][0]) if d0 and d1 else 0
         if len(data) != d0 or any(len(p) != d1 for p in data) or any(
                 len(r) != d2 for p in data for r in p):
+            int_columns(r for p in data for r in p)     # entries are named first
             raise DimensionMismatch("ragged tensor data")
         self.d0, self.d1, self.d2 = d0, d1, d2
-        self._data, self._product, self._coproduct = data, None, None
+        self._data, self._product, self._coproduct = None, None, None
+        if coproduct:
+            self._coproduct = int_columns([x for r in p for x in r] for p in data)
+        else:
+            self._product = int_columns(r for p in data for r in p)
 
     @property
     def data(self):
@@ -675,8 +791,7 @@ class Tensor3:
 
     @staticmethod
     def zeros(d0, d1, d2):
-        return Tensor3([[[ZERO] * d2 for _ in range(d1)] for _ in range(d0)],
-                       dims=(d0, d1, d2))
+        return Tensor3._of((d0, d1, d2), product=([[] for _ in range(d0 * d1)], 1))
 
     @staticmethod
     def from_function(d0, d1, d2, f):
@@ -688,18 +803,22 @@ class Tensor3:
         return self.data[i][j][k]
 
     def __eq__(self, other):
-        return (isinstance(other, Tensor3) and (self.d0, self.d1, self.d2) ==
-                (other.d0, other.d1, other.d2) and self.data == other.data)
+        if not isinstance(other, Tensor3) or self.dims != other.dims:
+            return False
+        if self._coproduct is not None and other._coproduct is not None:
+            return self._coproduct == other._coproduct
+        return product_columns(self) == product_columns(other)
 
     def __hash__(self):
-        return hash((self.d0, self.d1, self.d2, self.data))
+        cols, scale = product_columns(self)
+        return hash((self.dims, scale, tuple(map(tuple, cols))))
 
     @property
     def dims(self):
         return (self.d0, self.d1, self.d2)
 
     def is_zero(self):
-        return all(x == 0 for p in self.data for r in p for x in r)
+        return not any((self._product or self._coproduct)[0])
 
     def flatten_in2_out1(self):
         """Matrix of the map X (x) Y -> Z with T[i][j][k] = coeff of z_k in x_i y_j."""
@@ -737,7 +856,23 @@ class Tensor3:
         return t
 
     def to_json(self):
-        return [[[scalar_to_json(x) for x in row] for row in plane] for plane in self.data]
+        """T[i][j][k] as nested lists of ints and "p/q" strings, written from
+        the stored columns."""
+        d1, d2 = self.d1, self.d2
+        out = [[[0] * d2 for _ in range(d1)] for _ in range(self.d0)]
+        if self._product is not None:
+            cols, scale = self._product
+            for c, col in enumerate(cols):
+                row = out[c // d1][c % d1]
+                for k, x in col:
+                    row[k] = _json_scalar(x, scale)
+        else:
+            cols, scale = self._coproduct
+            for i, col in enumerate(cols):
+                plane = out[i]
+                for r, x in col:
+                    plane[r // d2][r % d2] = _json_scalar(x, scale)
+        return out
 
     def __repr__(self):
         return "Tensor3(%dx%dx%d)" % self.dims

@@ -11,10 +11,10 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 import math
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, coproduct_columns, coproduct_tensor,
-                     first_differing_column, flip_columns, insert_columns, pair_columns,
-                     per_leg_matrix, product_columns, product_tensor, sparse_columns,
-                     ZERO, ONE)
+from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, coproduct_columns,
+                     coproduct_tensor, first_differing_column, flip_columns, insert_columns,
+                     pair_columns, per_leg_matrix, product_columns, product_tensor,
+                     sparse_columns)
 from .homstruct import (HomBialgebra, dual_hopf, opposite_algebra, tensor_algebra,
                         tensor_basis)
 from .repmod import HomModule, HomComodule, validate_hom_module, validate_hom_comodule
@@ -357,9 +357,9 @@ def right_dual(m):
 
 
 def _identity_element(d):
-    """The flat coordinates of sum_i e_i (x) e_i: inserted, the copairing of
-    a basis with its dual basis; paired, their evaluation."""
-    return [ONE if i == j else ZERO for i in range(d) for j in range(d)]
+    """The element sum_i e_i (x) e_i: inserted, the copairing of a basis with
+    its dual basis; paired, their evaluation."""
+    return Vector.from_int_column([(i * d + i, 1) for i in range(d)], 1, d * d)
 
 
 def _dual(m, h_twist, b_twist, side):
@@ -389,7 +389,7 @@ def _dual(m, h_twist, b_twist, side):
     dual = HomLongDimodule(h, b, d, act, co, m.mu.inv().transpose(), names)
     # dual-basis pairing and copairing; the same delta pattern serves both
     # sides (left: ev on M* (x) M, coev in M (x) M*; right: swapped roles).
-    ev = Matrix([delta], rows=1, cols=d * d)
+    ev = Matrix.from_int_columns(*pair_columns(delta), 1)
     return DualityData(dual, ev, ev.transpose(), side)
 
 

@@ -534,30 +534,51 @@ def _solve(forms, count, values, budget):
     A depth-first search: the next variable is the one that completes the
     most forms given those already set (ties to the lower index), each form
     is tested when its last variable is set, and the values of a variable
-    are tried in the given order.
+    are tried in the given order.  A form completed at depth d is
+    c0 + c1 v + c2 v^2 in the value v set there, so on entering a node its
+    coefficients are evaluated once and the values filtered by them.
     """
     order = _variable_order(forms, count)
     depth = {a: d for d, a in enumerate(order)}
-    # tests[d]: the forms whose last variable is set at depth d, their
-    # terms indexed by depth
+    # tests[d]: the forms whose last variable is set at depth d, each as
+    # its terms on earlier depths (c, p, q), its linear terms (c, p) and
+    # the coefficient of the square of the variable at depth d
     tests = [[] for _ in range(count)]
     for form in forms:
         terms = [(x, depth[a], depth[b]) for (a, b), x in form]
-        tests[max(max(p, q) for _, p, q in terms)].append(terms)
+        d = max(max(p, q) for _, p, q in terms)
+        tests[d].append(([(c, p, q) for c, p, q in terms if p < d and q < d],
+                         [(c, p + q - d) for c, p, q in terms if (p == d) != (q == d)],
+                         sum(c for c, p, q in terms if p == q == d)))
     x = [0] * count
-    tried = [0] * count
+
+    def passing(d):
+        """The values that keep every form completed at depth d zero."""
+        out = values
+        for fixed, linear, square in tests[d]:
+            c0 = c1 = 0
+            for c, p, q in fixed:
+                c0 += c * x[p] * x[q]
+            for c, p in linear:
+                c1 += c * x[p]
+            if c1 or square:
+                out = [v for v in out if not c0 + v * (c1 + v * square)]
+                if not out:
+                    break
+            elif c0:
+                return []
+        return out
+
     found = []
     nodes = 0
     d = 0
+    candidates, tried = [passing(0)] + [None] * (count - 1), [0] * count
     while d >= 0:
-        if tried[d] == len(values):
-            tried[d] = 0
+        if tried[d] == len(candidates[d]):
             d -= 1
             continue
-        x[d] = values[tried[d]]
+        x[d] = candidates[d][tried[d]]
         tried[d] += 1
-        if any(sum(c * x[p] * x[q] for c, p, q in terms) for terms in tests[d]):
-            continue
         nodes += 1
         if nodes > budget:
             return None
@@ -565,6 +586,7 @@ def _solve(forms, count, values, budget):
             found.append(tuple(x))
         else:
             d += 1
+            candidates[d], tried[d] = passing(d), 0
     return [tuple(xs[depth[a]] for a in range(count)) for xs in found]
 
 

@@ -101,7 +101,7 @@ def test_criterion_3_braided_structure():
         for n in dims.values():
             c = long_braiding(ctx, m, n)
             ci = long_braiding_inverse(ctx, m, n)
-            ok = ok and check_braid_morphism(ctx, m, n).ok
+            ok = ok and check_braid_morphism(c).ok
             ok = ok and ci.matrix * c.matrix == Matrix.identity(m.dim * n.dim)
             ok = ok and c.matrix * ci.matrix == Matrix.identity(n.dim * m.dim)
             f = DimoduleMorphism(m, m, m.mu)

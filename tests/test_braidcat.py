@@ -80,7 +80,7 @@ def test_inverse_is_matrix_inverse(ctx, roster):
 def test_braiding_is_dimodule_morphism(ctx, roster):
     for nm, m in roster.items():
         for nn, n in roster.items():
-            assert check_braid_morphism(ctx, m, n).ok, (nm, nn)
+            assert check_braid_morphism(long_braiding(ctx, m, n)).ok, (nm, nn)
 
 
 def test_naturality(ctx, dimodules):
@@ -228,7 +228,7 @@ def test_twisted_b_side_inverse_braiding(kz2, kz4t):
             ci = long_braiding_inverse(ctx5, m, n)
             assert ci.matrix * c.matrix == Matrix.identity(m.dim * n.dim)
             assert c.matrix * ci.matrix == Matrix.identity(n.dim * m.dim)
-            assert check_braid_morphism(ctx5, m, n).ok
+            assert check_braid_morphism(c).ok
             assert check_symmetry(ctx5, m, n).ok
     assert check_hexagons(ctx5, tr, can, tr).ok
     assert check_qybe(ctx5, can, tr, tr).ok
@@ -283,7 +283,7 @@ def test_sweedler_scaled_context_full_sweep(kz2):
             c = long_braiding(ctx, m, n)
             ci = long_braiding_inverse(ctx, m, n)
             assert ci.matrix * c.matrix == Matrix.identity(m.dim * n.dim)
-            assert check_braid_morphism(ctx, m, n).ok
+            assert check_braid_morphism(c).ok
             assert check_symmetry(ctx, m, n).ok
             assert check_braiding_compatibility(ctx, m, n).ok
         for dual in (left_dual(m), right_dual(m)):

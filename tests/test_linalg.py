@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from homlong import linalg
@@ -10,8 +11,8 @@ from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
                             first_differing_column, unflat_index, insert_columns,
                             pair_columns, per_leg, product_columns, scalar, scalar_to_json,
                             solve_exact, sparse_columns)
-from test_oracles import (apply3, flat_index, flip_matrix, kron, kron_all, perm_matrix,
-                          permute_input_legs, permute_output_legs)
+from test_oracles import (apply3, dense_columns, flat_index, flip_matrix, kron, kron_all,
+                          perm_matrix, permute_input_legs, permute_output_legs)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -302,7 +303,7 @@ def three_ways(draw):
     """One rational matrix built three ways: from dense rows of ints,
     Fractions and "p/q" strings; as composite_matrix of a step with a
     non-canonical scale and shuffled columns followed by a per_leg scaling;
-    and by Matrix.trusted over row tuples of Fractions."""
+    and by Matrix over a generator of row tuples of Fractions."""
     r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     entries = draw(st.lists(st.lists(st.one_of(st.just(0), rationals), min_size=c, max_size=c),
                             min_size=r, max_size=r))
@@ -323,8 +324,8 @@ def three_ways(draw):
             for col in (zip(*entries) if r else [()] * c)]
     composite = composite_matrix([((cols, d * f.numerator * k), (0,), (r,))]
                                  + per_leg(Matrix.diagonal([f] * r)), (c,))
-    trusted = Matrix.trusted((tuple(Fraction(x) for x in row) for row in entries), r, c)
-    return dense, composite, trusted
+    tuples = Matrix((tuple(Fraction(x) for x in row) for row in entries), r, c)
+    return dense, composite, tuples
 
 
 @settings(max_examples=80, deadline=None)
@@ -334,7 +335,97 @@ def test_equal_entries_mean_equal_stored_columns(ways):
     for m in ways:
         assert m == first and hash(m) == hash(first)
         assert sparse_columns(m) == sparse_columns(first)
-        assert sparse_columns(m) == linalg.int_columns(linalg._columns(m))
+        assert sparse_columns(m) == linalg.int_columns(dense_columns(m))
     for m in ways:
         assert m.data == first.data and m.to_json() == first.to_json()
         assert all(type(x) is Fraction for row in m.data for x in row)
+
+
+# ---------------------------------------------------------------------------
+# det, inv and solve_exact against sympy's exact matrices
+
+mixed = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def to_sympy(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in m.data for x in row])
+
+
+def from_sympy(values):
+    return [Fraction(int(x.p), int(x.q)) for x in values]
+
+
+@st.composite
+def square_matrices(draw):
+    """A square rational matrix with mixed denominators, n = 0 .. 5; about a
+    third of them have a row that is a combination of two others, so the
+    determinant vanishes, and some have two rows swapped, so it changes sign."""
+    n = draw(st.integers(0, 5))
+    rows = [[draw(mixed) for _ in range(n)] for _ in range(n)]
+    if n >= 3 and draw(st.integers(0, 2)) == 0:
+        a, b = draw(mixed), draw(mixed)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if n >= 2 and draw(st.booleans()):
+        rows[0], rows[1] = rows[1], rows[0]
+    return Matrix(rows, n, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_det_and_inv_match_sympy(m):
+    s = to_sympy(m)
+    det = s.det()
+    assert m.det() == Fraction(int(det.p), int(det.q))
+    if det == 0:
+        with pytest.raises(SingularMatrix):
+            m.inv()
+    else:
+        assert m.inv() == Matrix([from_sympy(s.inv().row(i)) for i in range(m.rows)],
+                                 m.rows, m.cols)
+
+
+def test_det_signs_and_the_empty_matrix():
+    assert Matrix([[0, 1], [1, 0]]).det() == -1
+    assert Matrix([["1/2", "1/3"], ["1/4", "1/5"]]).det() == Fraction(1, 60)
+    assert Matrix([[1, 2], [2, 4]]).det() == 0
+    empty = Matrix([], rows=0, cols=0)
+    assert empty.det() == to_sympy(empty).det() == 1
+    assert empty.inv() == empty
+
+
+@st.composite
+def rectangular_systems(draw):
+    """A rational m x n system, m, n = 0 .. 5 with mixed denominators, of
+    rank at most r; b is A x0 (consistent) or drawn freely (often not)."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    r = draw(st.integers(0, min(m, n)))
+    left = [[draw(mixed) for _ in range(r)] for _ in range(m)]
+    right = [[draw(mixed) for _ in range(n)] for _ in range(r)]
+    a = Matrix([[sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0))
+                 for j in range(n)] for i in range(m)], m, n)
+    if draw(st.booleans()):
+        x0 = [draw(mixed) for _ in range(n)]
+        b = [sum((a.data[i][j] * x0[j] for j in range(n)), Fraction(0)) for i in range(m)]
+    else:
+        b = [draw(mixed) for _ in range(m)]
+    return a, Vector(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangular_systems())
+def test_solve_exact_matches_sympy(system):
+    a, b = system
+    sa = to_sympy(a)
+    sb = sympy.Matrix(a.rows, 1, [sympy.Rational(x.numerator, x.denominator) for x in b])
+    x = solve_exact(a, b)
+    if sa.rank() != sa.row_join(sb).rank():
+        assert x is None
+        return
+    assert x is not None and a.apply(x) == b
+    # sympy's parametric solution with every parameter 0: the free unknowns
+    # are 0, as in solve_exact
+    if a.cols:
+        sol, params = sa.gauss_jordan_solve(sb)
+        sol = sol.subs({p: 0 for p in params})
+        assert list(x) == from_sympy(sol)

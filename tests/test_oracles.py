@@ -16,7 +16,9 @@ their derivation from every pair of unit operators.
 import functools
 import gc
 import itertools
+import json
 import math
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -26,7 +28,8 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from homlong import fixtures as fx, linalg, longeq
+from homlong import fixtures as fx, io as hio, linalg, longeq
+from homlong.cli import main as cli_main
 from homlong.braidcat import (BraidingContext, DimoduleMorphism, NotAMorphism,
                               check_hexagons, check_naturality, check_qybe,
                               check_symmetry, comodule_as_dimodule, comodule_family_braiding,
@@ -39,7 +42,8 @@ from homlong.homstruct import (HomAlgebra, HomBialgebra, HomCoalgebra, NotAutomo
                                validate_hom_coalgebra, validate_hom_hopf,
                                validate_quasitriangular, yau_twist)
 from homlong.linalg import (Matrix, Tensor3, Vector, ZERO, ONE, DimensionMismatch,
-                            SingularMatrix, solve_exact, unflat_index)
+                            SingularMatrix, scalar, scalar_to_json, solve_exact,
+                            unflat_index)
 from homlong.longdimod import (DualityData, HomLongDimodule, canonical_dimodule,
                                check_coherence, check_snake, dimodule_morphism_report,
                                from_smash_module, left_dual, right_dual,
@@ -86,7 +90,7 @@ def kron(a, b):
                 for q in range(cb):
                     if brow[q]:
                         orow[base + q] = x * brow[q]
-    return Matrix.trusted(map(tuple, out), a.rows * rb, a.cols * cb)
+    return Matrix(map(tuple, out), a.rows * rb, a.cols * cb)
 
 
 def kron_all(*ms):
@@ -94,6 +98,115 @@ def kron_all(*ms):
     for m in ms[1:]:
         out = kron(out, m)
     return out
+
+
+def dense_columns(m):
+    """The columns of the Matrix m as tuples of Fractions."""
+    return list(zip(*m.data)) if m.rows else [()] * m.cols
+
+
+# ---------------------------------------------------------------------------
+# Fraction Gauss-Jordan elimination and the Fraction-coercing loader, which
+# the library replaced by one fraction-free elimination and by reading
+# entries straight into int columns
+
+def fraction_det(m):
+    """The determinant by Gaussian elimination over Fractions."""
+    n = m.rows
+    a = [list(row) for row in m.data]
+    det = ONE
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            return ZERO
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = ONE / a[c][c]
+        for r in range(c + 1, n):
+            if a[r][c]:
+                f = a[r][c] * inv
+                for cc in range(c, n):
+                    a[r][cc] -= f * a[c][cc]
+    return det
+
+
+def fraction_inv(m):
+    """The inverse by Gauss-Jordan elimination of [m | I] over Fractions;
+    None when m is singular."""
+    n = m.rows
+    a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
+         for i, row in enumerate(m.data)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            return None
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+        inv = ONE / a[c][c]
+        a[c] = [x * inv for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return Matrix([row[n:] for row in a], n, n)
+
+
+def fraction_solve(a, b):
+    """One solution of a x = b by Gauss-Jordan elimination over Fractions,
+    the free unknowns 0; None when the system is inconsistent."""
+    rows = [list(r) + [bv] for r, bv in zip(a.data, b.entries)]
+    n = a.cols
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(rows[i][n] != 0 for i in range(r, len(rows))):
+        return None
+    x = [ZERO] * n
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][n]
+    return Vector(x)
+
+
+def fraction_int_columns(columns):
+    """Dense columns of Fractions as (cols, scale), the values ints."""
+    cols = [[(r, x) for r, x in enumerate(c) if x] for c in columns]
+    scale = math.lcm(*(x.denominator for c in cols for _, x in c))
+    return [[(r, x.numerator * (scale // x.denominator)) for r, x in c] for c in cols], scale
+
+
+def fraction_load_matrix(rows):
+    """A matrix field of a definition file read the old way: every entry,
+    zeros included, coerced to a Fraction, then the dense columns
+    converted."""
+    data = [[scalar(x) for x in row] for row in rows]
+    columns = list(zip(*data)) if data else []
+    return Matrix._of(len(data), len(columns), fraction_int_columns(columns))
+
+
+def fraction_load_tensor3(data):
+    """A tensor field read the old way, as its product-like columns."""
+    data = [[[scalar(x) for x in row] for row in plane] for plane in data]
+    d0 = len(data)
+    d1 = len(data[0]) if d0 else 0
+    d2 = len(data[0][0]) if d0 and d1 else 0
+    return Tensor3._of((d0, d1, d2),
+                       product=fraction_int_columns(row for plane in data for row in plane))
 
 
 def perm_matrix(dims, perm):
@@ -138,7 +251,7 @@ def permute_output_legs(m, dims, perm):
         idx = unflat_index(src, dims)
         dst = flat_index([idx[p] for p in perm], out_dims)
         rows[dst] = m.data[src]
-    return Matrix.trusted(rows, m.rows, m.cols)
+    return Matrix(rows, m.rows, m.cols)
 
 
 def permute_input_legs(m, dims, perm):
@@ -157,7 +270,7 @@ def permute_input_legs(m, dims, perm):
     for src in range(total):
         idx = unflat_index(src, dims)
         colmap[src] = flat_index([idx[p] for p in perm], out_dims)
-    return Matrix.trusted((tuple(row[colmap[c]] for c in range(total)) for row in m.data),
+    return Matrix((tuple(row[colmap[c]] for c in range(total)) for row in m.data),
                           m.rows, m.cols)
 
 
@@ -636,6 +749,71 @@ def grid_search_oracle(mu, values, shape):
 
 # coefficient values: SMALL plus duplicates written another way
 VALUES = SMALL + ["2/2", "-4/2", 1, "0"]
+
+
+def solve_value_by_value(forms, count, values):
+    """The depth-first search of longeq._solve with no budget, testing every
+    form completed at a node once per value: (solutions, nodes visited)."""
+    order = longeq._variable_order(forms, count)
+    depth = {a: d for d, a in enumerate(order)}
+    tests = [[] for _ in range(count)]
+    for form in forms:
+        terms = [(x, depth[a], depth[b]) for (a, b), x in form]
+        tests[max(max(p, q) for _, p, q in terms)].append(terms)
+    x, tried, found, nodes, d = [0] * count, [0] * count, [], 0, 0
+    while d >= 0:
+        if tried[d] == len(values):
+            tried[d] = 0
+            d -= 1
+            continue
+        x[d] = values[tried[d]]
+        tried[d] += 1
+        if any(sum(c * x[p] * x[q] for c, p, q in terms) for terms in tests[d]):
+            continue
+        nodes += 1
+        if d + 1 == count:
+            found.append(tuple(x))
+        else:
+            d += 1
+    return [tuple(xs[depth[a]] for a in range(count)) for xs in found], nodes
+
+
+@st.composite
+def quadratic_forms(draw):
+    """Forms in x_0 .. x_{count-1} as longeq._long_constraints gives them:
+    sorted tuples of ((a, b), c) with a <= b and c != 0."""
+    count = draw(st.integers(1, 6))
+    pairs = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)).map(
+        lambda ab: tuple(sorted(ab)))
+    form = st.dictionaries(pairs, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    forms = draw(st.lists(form, max_size=8))
+    values = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True))
+    return sorted({tuple(sorted(f.items())) for f in forms}), count, values
+
+
+def _assert_same_search(forms, count, values):
+    found, nodes = solve_value_by_value(forms, count, values)
+    # the same solutions in the same order, and the budget refuses at the
+    # same node
+    assert longeq._solve(forms, count, values, nodes) == found
+    if nodes:
+        assert longeq._solve(forms, count, values, nodes - 1) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadratic_forms())
+def test_solve_matches_the_value_by_value_search(case):
+    _assert_same_search(*case)
+
+
+def test_solve_matches_the_value_by_value_search_on_long_constraints():
+    unipotent3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    for n, entries in ((2, [[1, 1], [0, 1]]), (2, [[1, 0], [0, 2]]), (3, unipotent3)):
+        mu_cols = linalg.sparse_columns(Matrix(entries))[0]
+        positions = [(c, c) for c in range(n * n)]
+        forms = longeq._long_constraints(positions, mu_cols, n)
+        _assert_same_search(forms, n * n, [0, 1])
+        _assert_same_search(forms, n * n, [1, 0, -1])
 
 
 @st.composite
@@ -2425,7 +2603,7 @@ def test_cached_columns_are_never_changed_by_their_users():
     seen = 0
     for obj in gc.get_objects():
         if isinstance(obj, Matrix) and obj._sparse is not None:
-            assert obj._sparse == linalg.int_columns(linalg._columns(obj))
+            assert obj._sparse == linalg.int_columns(dense_columns(obj))
             seen += 1
         elif isinstance(obj, Tensor3):
             if obj._product is not None:
@@ -2474,3 +2652,160 @@ def test_composite_built_maps_are_never_converted_again(monkeypatch):
     assert check_hexagons(ctx, tensor_dimodule(can, can), can, can).ok
     assert built and owners
     assert not {id(m) for m in built} & {id(m) for m in owners}
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination against the Fraction oracle
+
+@st.composite
+def systems(draw):
+    """A rational m x n matrix, often of low rank, and a right-hand side
+    that is consistent about half the time."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    rank = draw(st.integers(0, min(m, n)))
+    left = [[draw(entries) for _ in range(rank)] for _ in range(m)]
+    right = [[draw(entries) for _ in range(n)] for _ in range(rank)]
+    a = Matrix([[sum((left[i][k] * right[k][j] for k in range(rank)), ZERO)
+                 for j in range(n)] for i in range(m)], m, n)
+    if draw(st.booleans()):
+        x = [draw(entries) for _ in range(n)]
+        b = [sum((a.data[i][j] * x[j] for j in range(n)), ZERO) for i in range(m)]
+    else:
+        b = [draw(entries) for _ in range(m)]
+    return a, Vector(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_fraction_free_elimination_matches_fraction_oracle(system):
+    a, b = system
+    assert solve_exact(a, b) == fraction_solve(a, b)
+    square = Matrix([row[:a.rows] for row in a.data], a.rows, min(a.rows, a.cols))
+    if square.rows == square.cols:
+        assert square.det() == fraction_det(square)
+        inverse = fraction_inv(square)
+        if inverse is None:
+            with pytest.raises(SingularMatrix):
+                square.inv()
+        else:
+            assert square.inv() == inverse
+
+
+# ---------------------------------------------------------------------------
+# the loader against the Fraction-coercing oracle
+
+DEMO_FILES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "demos", "demo_files")
+TENSOR_FIELDS = {"mult": False, "action": False, "comult": True, "coaction": True}
+
+
+def _demo_fields():
+    """(file, path, field, coproduct) of every matrix and tensor field of the
+    demo files; coproduct is None for a matrix."""
+    found = []
+
+    def walk(obj, name, path):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                walk(value, name, path + (key,))
+        elif path and path[-1] in TENSOR_FIELDS:
+            found.append((name, path, obj, TENSOR_FIELDS[path[-1]]))
+        elif path and path[-1] == "solutions":
+            for i, m in enumerate(obj):
+                found.append((name, path + (i,), m, None))
+        elif isinstance(obj, list) and obj and isinstance(obj[0], list):
+            found.append((name, path, obj, None))
+
+    for name in sorted(os.listdir(DEMO_FILES)):
+        with open(os.path.join(DEMO_FILES, name)) as fh:
+            walk(json.load(fh), name, ())
+    return found
+
+
+DEMO_FIELDS = _demo_fields()
+
+
+@st.composite
+def mutated_fields(draw):
+    """A field of a demo file with some entries rewritten: as ints, "p/q"
+    strings, zeros and negatives."""
+    name, path, field, coproduct = draw(st.sampled_from(DEMO_FIELDS))
+    field = json.loads(json.dumps(field))
+    rows = [row for plane in field for row in plane] if coproduct is not None else field
+    cells = [(row, k) for row in rows for k in range(len(row))]
+    for _ in range(draw(st.integers(0, 4)) if cells else 0):
+        row, k = draw(st.sampled_from(cells))
+        row[k] = draw(st.one_of(
+            st.integers(-6, 6), st.just(0), st.just("0"), st.just("0/5"),
+            st.builds(lambda p, q: "%d/%d" % (p, q), st.integers(-9, 9), st.integers(1, 9))))
+    return name, path, field, coproduct
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_fields())
+def test_loader_matches_the_fraction_coercing_oracle(case):
+    name, path, field, coproduct = case
+    where = "%s.%s" % (name, ".".join(map(str, path)))
+    if coproduct is None:
+        new, old = hio.load_matrix(field, where), fraction_load_matrix(field)
+    else:
+        new = hio.load_tensor3(field, where, coproduct=coproduct)
+        old = fraction_load_tensor3(field)
+        assert (new._coproduct is not None) == coproduct
+    assert new == old and old == new and hash(new) == hash(old)
+    assert new.data == old.data
+    assert new.to_json() == old.to_json() == [
+        _json_entries(x) for x in old.data]
+
+
+def _json_entries(x):
+    return [_json_entries(y) for y in x] if isinstance(x, tuple) else scalar_to_json(x)
+
+
+def test_demo_files_load_unchanged():
+    # every field of every demo file reads back to its own JSON
+    for name, path, field, coproduct in DEMO_FIELDS:
+        loaded = (hio.load_matrix(field) if coproduct is None
+                  else hio.load_tensor3(field, coproduct=coproduct))
+        assert loaded.to_json() == field, (name, path)
+    # and the loader stores the reading each tensor field is used in
+    d = hio.load_structure(os.path.join(DEMO_FILES, "canonical.json"))
+    for t in (d.action, d.H.mult, d.B.mult):
+        assert t._product is not None and t._coproduct is None
+    for t in (d.coaction, d.H.comult, d.B.comult):
+        assert t._coproduct is not None and t._product is None
+
+
+def test_cli_checks_on_demo_files_read_no_dense_view(monkeypatch, capsys):
+    # check ybe, hexagon and coherence run on the int columns the loader
+    # read: no Matrix or Tensor3 builds its dense data view, and int_columns,
+    # the reader, runs only inside the loaders, never in a check
+    views, outside = [], []
+    for cls in (Matrix, Tensor3):
+        def data(self, fget=cls.data.fget):
+            views.append(self)
+            return fget(self)
+        monkeypatch.setattr(cls, "data", property(data))
+    int_columns = linalg.int_columns
+    loaders = {hio.load_structure.__code__, hio.load_context.__code__}
+
+    def watched(columns):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in loaders:
+            frame = frame.f_back
+        if frame is None:
+            outside.append(sys._getframe(1).f_code.co_name)
+        return int_columns(columns)
+
+    monkeypatch.setattr(linalg, "int_columns", watched)
+    p = functools.partial(os.path.join, DEMO_FILES)
+    for argv in (["check", "ybe", "--ctx", p("ctx.json"), "-U", p("sign.json"),
+                  "-V", p("canonical.json"), "-W", p("canonical.json")],
+                 ["check", "hexagon", "--ctx", p("ctx.json"), "-U", p("canonical.json"),
+                  "-V", p("sign.json"), "-W", p("canonical.json")],
+                 ["check", "coherence", "-U", p("sign.json"), "-V", p("canonical.json"),
+                  "-W", p("canonical.json")]):
+        assert cli_main(argv) == 0, argv
+    capsys.readouterr()
+    assert not views and not outside
