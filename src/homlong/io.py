@@ -331,6 +331,6 @@ def save_structure(s, path):
 
 
 def dump_json(obj, path):
+    text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(text + "\n")

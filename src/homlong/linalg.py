@@ -26,12 +26,14 @@ columns (product_columns, coproduct_columns, per_leg, flip_columns,
 insert_columns, pair_columns), to consecutive legs of a sparse vector.  A
 composite is planned once, then run on batches of basis columns: the column
 index j is one more leading leg, so a batch is the one sparse vector
-sum_j e_j (x) e_j and a single pass per step serves all its columns.
-first_differing_column compares two composites on batches of 1, 2, 4, ...
-columns, up to BATCH_COLUMNS, so a failure at column c runs fewer than
-2(c + 1) columns a side; composite_columns gives one composite as int
-columns, a step for a further composite, and composite_matrix the Matrix
-over the same columns, both run BATCH_COLUMNS columns at a time.  Every
+sum_j e_j (x) e_j and a single pass per step serves all its columns; a
+step's output is filtered for zeros only when the step cancelled an entry.
+Every run takes the same fixed batches of BATCH_COLUMNS columns from column
+0 on: first_differing_column compares two composites batch by batch and
+stops at the first batch that differs, so a failure at column c runs
+min(d, (c // BATCH_COLUMNS + 1) * BATCH_COLUMNS) of the d columns a side;
+composite_columns gives one composite as int columns, a step for a further
+composite, and composite_matrix the Matrix over the same columns.  Every
 constructed structure map is such a composite: per_leg_matrix gives a
 tensor product of maps, and product_tensor and coproduct_tensor give a
 multiplication, action, comultiplication or coaction, so no map is written
@@ -599,8 +601,9 @@ def _plan(steps, dims):
 
 
 def _run(plan, vec):
-    """The image of a sparse vector under a planned composite, with zero
-    values dropped after every step."""
+    """The image of a sparse vector under a planned composite, with no zero
+    value after any step: a step's output is kept as it is and rebuilt
+    without its zeros only when the step cancelled an entry."""
     for cols, span, suf, span_out in plan:
         out = {}
         get = out.get
@@ -611,7 +614,7 @@ def _run(plan, vec):
             for r, y in cols[k]:
                 key = base + r * suf
                 out[key] = get(key, 0) + x * y
-        vec = {key: x for key, x in out.items() if x}
+        vec = {key: x for key, x in out.items() if x} if 0 in out.values() else out
     return vec
 
 
@@ -624,24 +627,15 @@ def apply_on_legs(map_cols, legs, dims, vec, out_dims=None):
     return _run(plan, vec)
 
 
-def _run_columns(plan, start, stop, d_in, x):
-    """The images of x times the basis columns start, ..., stop - 1 of the
-    d_in input columns under a planned composite, run as one batch: the
-    sparse vector sum_j x e_j (x) e_j, whose leading leg is the column index
-    j, so entry r of column j's image is at key j * d_out + r.  Keys of two
-    columns never meet, so each column's entries come in the order of its
-    own run."""
+def _run_batch(plan, start, d_in, x):
+    """The images of x times the basis columns start, start + 1, ... of the
+    d_in input columns, up to BATCH_COLUMNS of them, under a planned
+    composite, run as one batch: the sparse vector sum_j x e_j (x) e_j,
+    whose leading leg is the column index j, so entry r of column j's image
+    is at key j * d_out + r.  Keys of two columns never meet, so each
+    column's entries come in the order of its own run."""
+    stop = min(start + BATCH_COLUMNS, d_in)
     return _run(plan, {j * d_in + j: x for j in range(start, stop)})
-
-
-def _entries(plan, d_in, d_out):
-    """(j, r, x) for every entry x in row r of column j of a planned
-    composite, the columns in order and run BATCH_COLUMNS at a time."""
-    for start in range(0, d_in, BATCH_COLUMNS):
-        batch = _run_columns(plan, start, min(start + BATCH_COLUMNS, d_in), d_in, 1)
-        for key, x in batch.items():
-            j, r = divmod(key, d_out)
-            yield j, r, x
 
 
 def first_differing_column(lhs, rhs, dims):
@@ -652,22 +646,20 @@ def first_differing_column(lhs, rhs, dims):
     order; map is (cols, scale) as sparse_columns gives it.  Both are
     planned, and so checked, before any column is run.  A side run on int
     columns is its true value times its scales, so each side starts from
-    the other side's product.  The columns run in batches of 1, 2, 4, ...,
-    up to BATCH_COLUMNS, so a failure at column c costs fewer than 2(c + 1)
-    columns a side."""
+    the other side's product.  Both sides run on the batches composite_columns
+    runs, BATCH_COLUMNS columns from column 0 on, so a failure at column c
+    runs min(d, (c // BATCH_COLUMNS + 1) * BATCH_COLUMNS) of the d columns
+    a side, and the witness is the least differing column of that batch."""
     (lplan, ld, lscale), (rplan, rd, rscale) = _plan(lhs, dims), _plan(rhs, dims)
     d_in, d_out = math.prod(dims), math.prod(ld)
     if d_out != math.prod(rd):
         raise DimensionMismatch("composites land in dims %d and %d" % (d_out, math.prod(rd)))
-    start, size = 0, 1
-    while start < d_in:
-        stop = min(start + size, d_in)
-        left = _run_columns(lplan, start, stop, d_in, rscale)
-        right = _run_columns(rplan, start, stop, d_in, lscale)
+    for start in range(0, d_in, BATCH_COLUMNS):
+        left = _run_batch(lplan, start, d_in, rscale)
+        right = _run_batch(rplan, start, d_in, lscale)
         if left != right:
             key = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
             return unflat_index(key // d_out, dims)
-        start, size = stop, min(2 * size, BATCH_COLUMNS)
     return None
 
 
@@ -677,16 +669,20 @@ def _composite(steps, dims):
     plan, out_dims, scale = _plan(steps, dims)
     d_in, rows = math.prod(dims), math.prod(out_dims)
     cols = [[] for _ in range(d_in)]
-    for j, r, x in _entries(plan, d_in, rows):
-        cols[j].append((r, x))
+    for start in range(0, d_in, BATCH_COLUMNS):
+        for key, x in _run_batch(plan, start, d_in, 1).items():
+            j, r = divmod(key, rows)
+            cols[j].append((r, x))
     return cols, scale, rows
 
 
 def composite_columns(steps, dims):
     """A composite of steps on the tensor legs dims, as first_differing_column
-    takes them, as (cols, scale) in the form sparse_columns gives, the scale
-    being the product of the steps' scales: a step for a further composite,
-    with no Fraction on the way."""
+    takes them, as (cols, scale): a step for a further composite, with no
+    Fraction on the way.  Each column's entries come in the order of its
+    run, with no zero among them, and the scale is the unreduced product of
+    the steps' scales; Matrix.from_int_columns sorts and reduces them to the
+    canonical form int_columns gives."""
     cols, scale, _ = _composite(steps, dims)
     return cols, scale
 

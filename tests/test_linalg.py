@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -7,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from homlong import linalg
 from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
-                            SingularMatrix, apply_on_legs, composite_matrix, coproduct_columns,
+                            SingularMatrix, apply_on_legs, composite_columns, composite_matrix,
+                            coproduct_columns,
                             first_differing_column, unflat_index, insert_columns,
                             pair_columns, per_leg, product_columns, scalar, scalar_to_json,
                             solve_exact, sparse_columns)
-from test_oracles import (apply3, dense_columns, flat_index, flip_matrix, kron, kron_all,
-                          perm_matrix, permute_input_legs, permute_output_legs)
+from test_oracles import (apply3, composite_columns_by_column, dense_columns,
+                          first_differing_column_by_column, flat_index, flip_matrix, kron,
+                          kron_all, perm_matrix, permute_input_legs, permute_output_legs)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -213,6 +216,50 @@ def test_first_differing_column_scales_and_witness():
     assert first_differing_column([(flip, (0, 1), None)], [], (2, 2)) == (0, 1)
     with pytest.raises(DimensionMismatch):
         first_differing_column([(sparse_columns(Matrix([[1, 1]])), (0,), ())], [], (2,))
+
+
+# on legs (2, 2): e_0 -> e_0 + e_1 and e_1 -> e_0 on leg 0, then the
+# covector (1, -1) on leg 0, which cancels e_0 + e_1, then a map on both legs
+CANCELLING = [(([[(0, 1), (1, 1)], [(0, 1)]], 1), (0,), None),
+              (([[(0, 1)], [(0, -1)]], 1), (0,), (1,)),
+              (([[(0, 2), (1, 1)], [(1, 3)]], 1), (0, 1), None)]
+CANCELLED_COLUMNS = [[], [], [(0, 2), (1, 1)], [(1, 3)]]
+
+
+def test_a_step_that_cancels_leaves_no_zero():
+    dims = (2, 2)
+    plan, _, _ = linalg._plan(CANCELLING, dims)
+    batch = {j * 4 + j: 1 for j in range(4)}
+    for k in range(len(plan) + 1):
+        for vec in ({0: 1}, batch):
+            assert 0 not in linalg._run(plan[:k], vec).values()
+    # column 0 reaches the covector as e_0 + e_1, so it cancels there
+    assert linalg._run(plan[:2], {0: 1}) == {}
+    assert linalg._run(plan, {0: 1}) == {}
+    assert composite_columns(CANCELLING, dims) == (CANCELLED_COLUMNS, 1)
+    assert composite_columns_by_column(CANCELLING, dims) == (CANCELLED_COLUMNS, 1)
+    same = [((CANCELLED_COLUMNS, 1), (0, 1), (2,))]
+    off = [(([[], [(0, 1)]] + CANCELLED_COLUMNS[2:], 1), (0, 1), (2,))]
+    for rhs, witness in ((same, None), (off, (0, 1))):
+        assert first_differing_column(CANCELLING, rhs, dims) == witness
+        assert first_differing_column_by_column(CANCELLING, rhs, dims) == witness
+
+
+@pytest.mark.parametrize("batch", [3, linalg.BATCH_COLUMNS])
+@pytest.mark.parametrize("d", [1, 5, 256, 257, 600])
+def test_runs_per_composite_are_one_per_batch(d, batch):
+    # each side of a passing comparison, and a composite built as columns,
+    # runs once per batch of `batch` columns
+    steps = [(([[(j, 1)] for j in range(d)], 1), (0,), None)]
+    batches = -(-d // batch)
+    run = mock.Mock(side_effect=linalg._run)
+    with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
+            mock.patch.object(linalg, "_run", run):
+        assert first_differing_column(steps, [], (d,)) is None
+        assert run.call_count == 2 * batches
+        run.reset_mock()
+        composite_columns(steps, (d,))
+        assert run.call_count == batches
 
 
 @settings(max_examples=60, deadline=None)

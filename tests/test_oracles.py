@@ -2541,7 +2541,8 @@ def _counting_run(counts):
 @given(composites(), st.sampled_from([1, 2, 3, linalg.BATCH_COLUMNS]), st.data())
 def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     # the witness, every column's entries in order, and the columns run
-    # before the witness: fewer than 2(c + 1) a side for a witness at c
+    # before the witness: both sides run fixed batches of `batch` columns,
+    # so a witness at c runs the batches up to and including c's
     dims, lhs = case
     rhs = _one_entry_changed(data.draw, lhs)
     expected = first_differing_column_by_column(lhs, rhs, dims)
@@ -2549,18 +2550,20 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
             mock.patch.object(linalg, "_run", _counting_run(counts)):
         assert linalg.first_differing_column(lhs, rhs, dims) == expected
-    runs = sum(counts) // 2
+    runs, d = sum(counts) // 2, math.prod(dims)
     if expected is None:
-        assert runs == math.prod(dims)
+        assert runs == d
     else:
-        assert runs < 2 * (flat_index(expected, dims) + 1)
+        assert runs == min(d, (flat_index(expected, dims) // batch + 1) * batch)
     assert first_differing_column_by_column(lhs, lhs, dims) is None
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch):
         assert linalg.first_differing_column(lhs, lhs, dims) is None
         for steps in (lhs, rhs):
             # lists of (row, value) pairs: equal in their order too
             expected = composite_columns_by_column(steps, dims)
-            assert linalg.composite_columns(steps, dims) == expected
+            got = linalg.composite_columns(steps, dims)
+            assert got == expected
+            assert all(x for col in got[0] for _, x in col)
 
 
 @settings(max_examples=40, deadline=None)
