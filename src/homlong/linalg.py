@@ -28,11 +28,15 @@ composite is planned once, then run on batches of basis columns: the column
 index j is one more leading leg, so a batch is the one sparse vector
 sum_j e_j (x) e_j and a single pass per step serves all its columns; a
 step's output is filtered for zeros only when the step cancelled an entry.
-Every run takes the same fixed batches of BATCH_COLUMNS columns from column
-0 on: first_differing_column compares two composites batch by batch and
-stops at the first batch that differs, so a failure at column c runs
-min(d, (c // BATCH_COLUMNS + 1) * BATCH_COLUMNS) of the d columns a side;
-composite_columns gives one composite as int columns, a step for a further
+first_differing_column compares two composites on column 0 alone, then
+on batches of BATCH_COLUMNS columns, and stops at the first batch that
+differs, so a failure at column c runs min(d, 1 + ceil(c / BATCH_COLUMNS)
+* BATCH_COLUMNS) of the d columns a side: a check that passes pays one
+small batch more than BATCH_COLUMNS at a time would, one failing at column
+0 runs that column only, and one failing at a column c from 1 to about 127
+runs more than the 2(c + 1) columns a side of batches doubling from one
+column.  composite_columns gives one composite as
+int columns, run BATCH_COLUMNS columns at a time, a step for a further
 composite, and composite_matrix the Matrix over the same columns.  Every
 constructed structure map is such a composite: per_leg_matrix gives a
 tensor product of maps, and product_tensor and coproduct_tensor give a
@@ -627,14 +631,13 @@ def apply_on_legs(map_cols, legs, dims, vec, out_dims=None):
     return _run(plan, vec)
 
 
-def _run_batch(plan, start, d_in, x):
-    """The images of x times the basis columns start, start + 1, ... of the
-    d_in input columns, up to BATCH_COLUMNS of them, under a planned
-    composite, run as one batch: the sparse vector sum_j x e_j (x) e_j,
-    whose leading leg is the column index j, so entry r of column j's image
-    is at key j * d_out + r.  Keys of two columns never meet, so each
-    column's entries come in the order of its own run."""
-    stop = min(start + BATCH_COLUMNS, d_in)
+def _run_batch(plan, start, stop, d_in, x):
+    """The images of x times the basis columns start, ..., stop - 1 of the
+    d_in input columns under a planned composite, run as one batch: the
+    sparse vector sum_j x e_j (x) e_j, whose leading leg is the column index
+    j, so entry r of column j's image is at key j * d_out + r.  Keys of two
+    columns never meet, so each column's entries come in the order of its
+    own run."""
     return _run(plan, {j * d_in + j: x for j in range(start, stop)})
 
 
@@ -646,20 +649,22 @@ def first_differing_column(lhs, rhs, dims):
     order; map is (cols, scale) as sparse_columns gives it.  Both are
     planned, and so checked, before any column is run.  A side run on int
     columns is its true value times its scales, so each side starts from
-    the other side's product.  Both sides run on the batches composite_columns
-    runs, BATCH_COLUMNS columns from column 0 on, so a failure at column c
-    runs min(d, (c // BATCH_COLUMNS + 1) * BATCH_COLUMNS) of the d columns
-    a side, and the witness is the least differing column of that batch."""
+    the other side's product.  Both sides run column 0 alone, then
+    BATCH_COLUMNS columns at a time, so a failure at column c runs
+    min(d, 1 + ceil(c / BATCH_COLUMNS) * BATCH_COLUMNS) of the d columns a
+    side, and the witness is the least differing column of that batch."""
     (lplan, ld, lscale), (rplan, rd, rscale) = _plan(lhs, dims), _plan(rhs, dims)
     d_in, d_out = math.prod(dims), math.prod(ld)
     if d_out != math.prod(rd):
         raise DimensionMismatch("composites land in dims %d and %d" % (d_out, math.prod(rd)))
-    for start in range(0, d_in, BATCH_COLUMNS):
-        left = _run_batch(lplan, start, d_in, rscale)
-        right = _run_batch(rplan, start, d_in, lscale)
+    start, stop = 0, 1
+    while start < d_in:
+        left = _run_batch(lplan, start, stop, d_in, rscale)
+        right = _run_batch(rplan, start, stop, d_in, lscale)
         if left != right:
             key = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
             return unflat_index(key // d_out, dims)
+        start, stop = stop, min(stop + BATCH_COLUMNS, d_in)
     return None
 
 
@@ -670,7 +675,7 @@ def _composite(steps, dims):
     d_in, rows = math.prod(dims), math.prod(out_dims)
     cols = [[] for _ in range(d_in)]
     for start in range(0, d_in, BATCH_COLUMNS):
-        for key, x in _run_batch(plan, start, d_in, 1).items():
+        for key, x in _run_batch(plan, start, min(start + BATCH_COLUMNS, d_in), d_in, 1).items():
             j, r = divmod(key, rows)
             cols[j].append((r, x))
     return cols, scale, rows

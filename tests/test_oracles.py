@@ -2541,8 +2541,9 @@ def _counting_run(counts):
 @given(composites(), st.sampled_from([1, 2, 3, linalg.BATCH_COLUMNS]), st.data())
 def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     # the witness, every column's entries in order, and the columns run
-    # before the witness: both sides run fixed batches of `batch` columns,
-    # so a witness at c runs the batches up to and including c's
+    # before the witness: both sides run column 0 alone, then batches of
+    # `batch` columns, so a witness at c runs the batches up to and
+    # including c's
     dims, lhs = case
     rhs = _one_entry_changed(data.draw, lhs)
     expected = first_differing_column_by_column(lhs, rhs, dims)
@@ -2554,7 +2555,7 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     if expected is None:
         assert runs == d
     else:
-        assert runs == min(d, (flat_index(expected, dims) // batch + 1) * batch)
+        assert runs == min(d, 1 - (-flat_index(expected, dims) // batch) * batch)
     assert first_differing_column_by_column(lhs, lhs, dims) is None
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch):
         assert linalg.first_differing_column(lhs, lhs, dims) is None
