@@ -28,16 +28,11 @@ composite is planned once, then run on batches of basis columns: the column
 index j is one more leading leg, so a batch is the one sparse vector
 sum_j e_j (x) e_j and a single pass per step serves all its columns; a
 step's output is filtered for zeros only when the step cancelled an entry.
-first_differing_column compares two composites on column 0 alone, then
-on batches of BATCH_COLUMNS columns, and stops at the first batch that
-differs, so a failure at column c runs min(d, 1 + ceil(c / BATCH_COLUMNS)
-* BATCH_COLUMNS) of the d columns a side: a check that passes pays one
-small batch more than BATCH_COLUMNS at a time would, one failing at column
-0 runs that column only, and one failing at a column c from 1 to about 127
-runs more than the 2(c + 1) columns a side of batches doubling from one
-column.  composite_columns gives one composite as
-int columns, run BATCH_COLUMNS columns at a time, a step for a further
-composite, and composite_matrix the Matrix over the same columns.  Every
+first_differing_column compares two composites on column 0, then on
+batches of BATCH_COLUMNS columns, and stops at the first batch that
+differs; composite_columns gives one composite as int columns, a step for
+a further composite, and composite_matrix the Matrix over the same
+columns, both run BATCH_COLUMNS columns at a time.  Every
 constructed structure map is such a composite: per_leg_matrix gives a
 tensor product of maps, and product_tensor and coproduct_tensor give a
 multiplication, action, comultiplication or coaction, so no map is written
@@ -652,7 +647,9 @@ def first_differing_column(lhs, rhs, dims):
     the other side's product.  Both sides run column 0 alone, then
     BATCH_COLUMNS columns at a time, so a failure at column c runs
     min(d, 1 + ceil(c / BATCH_COLUMNS) * BATCH_COLUMNS) of the d columns a
-    side, and the witness is the least differing column of that batch."""
+    side, and the witness is the least differing column of that batch.  A
+    failure at a column c from 1 to about 127 runs more columns than the
+    2(c + 1) of batches doubling from one column, a pass far fewer runs."""
     (lplan, ld, lscale), (rplan, rd, rscale) = _plan(lhs, dims), _plan(rhs, dims)
     d_in, d_out = math.prod(dims), math.prod(ld)
     if d_out != math.prod(rd):
