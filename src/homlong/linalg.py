@@ -28,6 +28,12 @@ composite is planned once, then run on batches of basis columns: the column
 index j is one more leading leg, so a batch is the one sparse vector
 sum_j e_j (x) e_j and a single pass per step serves all its columns; a
 step's output is filtered for zeros only when the step cancelled an entry.
+On a composite of at least FOLD_MIN_COLUMNS columns, a step that keeps its
+leg count and has at most one entry per column, on distinct rows (mu, its
+inverse, alpha, the associators' legs, a flip), makes no pass of its own:
+the plan carries it past steps on other legs into the next step on its legs,
+whose columns it re-indexes and scales, and drops it where it composes to
+the identity, as mu^-1 and mu of consecutive associators do.
 first_differing_column compares two composites on column 0, then on
 batches of BATCH_COLUMNS columns, and stops at the first batch that
 differs; composite_columns gives one composite as int columns, a step for
@@ -414,23 +420,33 @@ def int_columns(columns):
     strings as (cols, scale), the map being cols / scale.  cols[j] lists the
     (row, value) pairs of column j with value != 0 in row order, every value
     an int, and scale is the lcm of the entries' reduced denominators, so the
-    form is unique.  An int is taken as it is, anything else is read once by
-    scalar (with its errors), and zeros are never stored."""
+    form is unique.  An int is taken as it is and a Fraction read from its
+    slots, not through scalar and its properties, a zero of either dropped
+    at once; anything else is read once by scalar (with its errors), and
+    zeros are never stored."""
     cols, scale = [], 1
     for c in columns:
         col = []
         for r, x in enumerate(c):
-            if type(x) is not int:
+            t = type(x)
+            if t is int:
+                if x:
+                    col.append((r, x))
+                continue
+            if t is not Fraction:
                 x = scalar(x)
-                if x.denominator == 1:
-                    x = x.numerator
-                else:
-                    scale = math.lcm(scale, x.denominator)
-            if x:
+            # the slots behind the numerator and denominator properties
+            n, q = x._numerator, x._denominator
+            if not n:
+                continue
+            if q == 1:
+                col.append((r, n))
+            else:
+                scale = math.lcm(scale, q)
                 col.append((r, x))
         cols.append(col)
     if scale != 1:
-        cols = [[(r, x * scale if type(x) is int else x.numerator * (scale // x.denominator))
+        cols = [[(r, x * scale if type(x) is int else x._numerator * (scale // x._denominator))
                  for r, x in c] for c in cols]
     return cols, scale
 
@@ -582,34 +598,137 @@ def pair_columns(covector):
 # sparse vectors a step holds
 BATCH_COLUMNS = 256
 
+# the fewest input columns of a composite whose one-entry-per-column steps
+# _plan folds away: a fold is a pass over the next step's columns at plan
+# time, which the 4-27-column composites of the Hom-Long search do not win
+# back; folded at every size, the search-grid benchmark ran 0.9x as many ops
+# per reference time, its tail op 1.2x as costly (seven 8 s pairs, 2 vCPUs)
+FOLD_MIN_COLUMNS = 64
+
 
 def _plan(steps, dims):
-    """Check a composite's legs and column counts on the legs dims once:
-    (plan, out_dims, product of the scales), a planned step being (cols,
-    blk_in * suf, suf, blk_out * suf) for its block, the legs after it and its image."""
-    plan, d, scale = [], tuple(dims), 1
+    """Check a composite's legs and column counts on the legs dims once,
+    exactly as the steps are given: (plan, out_dims, scale), a planned step
+    being (cols, blk_in * suf, suf, blk_out * suf) for its block, the legs
+    after it and its image.
+
+    A composite of at least FOLD_MIN_COLUMNS input columns is then planned
+    without its steps that keep their leg count and have at most one entry
+    per column, on distinct rows (mu, mu^-1, alpha, the associators' legs,
+    flips): _fold carries each one forward into the next step on its legs,
+    so _run makes no pass of its own for it.  The composite's value is the
+    same; scale is the product of the scales of the planned steps, which is
+    the product of all the steps' scales unless a carried map cancelled to
+    the identity (mu then mu^-1) and was dropped with its scales."""
+    shaped, d = [], tuple(dims)
     for (cols, sc), legs, out in steps:
         first, stop = legs[0], legs[-1] + 1
-        blk_in, suf = math.prod(d[first:stop]), math.prod(d[stop:])
-        if tuple(legs) != tuple(range(first, stop)) or stop > len(d) or len(cols) != blk_in:
+        if (tuple(legs) != tuple(range(first, stop)) or stop > len(d)
+                or len(cols) != math.prod(d[first:stop])):
             raise DimensionMismatch("map with %d columns on legs %r of %r" % (len(cols), legs, d))
-        out = d[first:stop] if out is None else tuple(out)
-        plan.append((cols, blk_in * suf, suf, math.prod(out) * suf))
+        ins = d[first:stop]
+        out = ins if out is None else tuple(out)
+        shaped.append((cols, sc, first, ins, out))
+        d = d[:first] + out + d[stop:]
+    if math.prod(dims) >= FOLD_MIN_COLUMNS:
+        shaped = _fold(shaped)
+    plan, d, scale = [], tuple(dims), 1
+    for cols, sc, first, ins, out in shaped:
+        stop = first + len(ins)
+        suf = math.prod(d[stop:])
+        plan.append((cols, math.prod(ins) * suf, suf, math.prod(out) * suf))
         d, scale = d[:first] + out + d[stop:], scale * sc
     return plan, d, scale
+
+
+def _fold(steps):
+    """Steps (cols, scale, first leg, in dims, out dims) with the same
+    composite, each one-entry-per-column step carried forward: past steps on
+    other legs (its first leg shifted when they change the leg count), into
+    the next step whose block holds its legs, and dropped when what it
+    composed to is the identity; it is put back as a step of its own before
+    a step that holds part of its legs, and at the end.  Carried steps lie on
+    disjoint legs and commute with the steps they pass, and a map with one
+    entry per column on distinct rows never cancels, so every column's image
+    is the same, its entries in the same order, up to the scales of a
+    dropped identity."""
+    out, carried = [], []
+    for step in steps:
+        _, _, first, ins, outs = step
+        stop = first + len(ins)
+        foldable = len(outs) == len(ins) and _one_entry_per_column(step[0])
+        held, folded = [], False
+        for c in carried:
+            c_first, c_stop = c[2], c[2] + len(c[3])
+            if first <= c_first and c_stop <= stop:
+                step, folded = _fold_into(c, step), True
+            elif c_stop <= first:
+                held.append(c)
+            elif stop <= c_first:
+                held.append(c[:2] + (c_first + len(outs) - len(ins),) + c[3:])
+            else:
+                out.append(c)
+        carried = held
+        if not foldable:
+            out.append(step)
+        elif not (folded and _is_identity(step)):
+            carried.append(step)
+    return out + carried
+
+
+def _one_entry_per_column(cols):
+    """Whether every column holds at most one entry, no two on one row."""
+    rows = set()
+    for c in cols:
+        if len(c) > 1:
+            return False
+        if c:
+            rows.add(c[0][0])
+    return len(rows) == sum(map(bool, cols))
+
+
+def _is_identity(step):
+    """Whether a one-entry-per-column step composed by _fold is the
+    identity: every column j is [(j, scale)] and it keeps its legs' dims."""
+    cols, scale, _, ins, outs = step
+    return ins == outs and all(c and c[0] == (j, scale) for j, c in enumerate(cols))
+
+
+def _fold_into(carried, step):
+    """The step `step` after the one-entry-per-column step `carried`, whose
+    legs lie in its block, as one step: its columns re-indexed and scaled by
+    carried's entries, the carried legs taking carried's input dims."""
+    c_cols, c_scale, c_first, c_ins, c_outs = carried
+    cols, scale, first, ins, outs = step
+    k = c_first - first
+    suf = math.prod(ins[k + len(c_ins):])
+    span = math.prod(c_outs) * suf
+    folded, empty = [], [[]] * suf
+    for p in range(0, math.prod(ins[:k]) * span, span):
+        for c in c_cols:
+            if not c:
+                folded += empty
+                continue
+            (r, x), = c
+            block = cols[p + r * suf:p + (r + 1) * suf]
+            folded += block if x == 1 else [[(i, x * y) for i, y in col] for col in block]
+    return folded, c_scale * scale, first, ins[:k] + c_ins + ins[k + len(c_ins):], outs
 
 
 def _run(plan, vec):
     """The image of a sparse vector under a planned composite, with no zero
     value after any step: a step's output is kept as it is and rebuilt
-    without its zeros only when the step cancelled an entry."""
+    without its zeros only when the step cancelled an entry.  An entry's
+    flat index is split into (p, k, s), its legs before the step's block,
+    its block column and its legs after it, by // and -."""
     for cols, span, suf, span_out in plan:
         out = {}
         get = out.get
         for idx, x in vec.items():
-            p, rest = divmod(idx, span)
-            k, s = divmod(rest, suf)
-            base = p * span_out + s
+            p = idx // span
+            s = idx - p * span
+            k = s // suf
+            base = p * span_out + s - k * suf
             for r, y in cols[k]:
                 key = base + r * suf
                 out[key] = get(key, 0) + x * y
@@ -621,7 +740,8 @@ def apply_on_legs(map_cols, legs, dims, vec, out_dims=None):
     """Apply a map, as int columns landing in the legs out_dims (by default
     its input legs), to the consecutive legs `legs` of a sparse vector (a
     dict from flat index on the legs dims to coefficient): the image on
-    dims[:legs[0]] + out_dims + dims[legs[-1] + 1:], zero values dropped."""
+    dims[:legs[0]] + out_dims + dims[legs[-1] + 1:], zero values dropped.
+    The one step is planned alone, so no other step is folded into it."""
     plan, _, _ = _plan([((map_cols, 1), legs, out_dims)], dims)
     return _run(plan, vec)
 
@@ -667,7 +787,7 @@ def first_differing_column(lhs, rhs, dims):
 
 def _composite(steps, dims):
     """(cols, scale, rows) of a composite of steps on the legs dims, the
-    columns in run order and the scale the product of the steps' scales."""
+    columns in run order and the scale that of its plan (see _plan)."""
     plan, out_dims, scale = _plan(steps, dims)
     d_in, rows = math.prod(dims), math.prod(out_dims)
     cols = [[] for _ in range(d_in)]
@@ -683,8 +803,10 @@ def composite_columns(steps, dims):
     takes them, as (cols, scale): a step for a further composite, with no
     Fraction on the way.  Each column's entries come in the order of its
     run, with no zero among them, and the scale is the unreduced product of
-    the steps' scales; Matrix.from_int_columns sorts and reduces them to the
-    canonical form int_columns gives."""
+    the steps' scales, less those of a one-entry-per-column map that _plan
+    found to cancel to the identity (mu then mu^-1) on a composite of at
+    least FOLD_MIN_COLUMNS columns; Matrix.from_int_columns sorts and
+    reduces them to the canonical form int_columns gives."""
     cols, scale, _ = _composite(steps, dims)
     return cols, scale
 

@@ -14,8 +14,9 @@ from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
                             pair_columns, per_leg, product_columns, scalar, scalar_to_json,
                             solve_exact, sparse_columns)
 from test_oracles import (apply3, composite_columns_by_column, dense_columns,
-                          first_differing_column_by_column, flat_index, flip_matrix, kron,
-                          kron_all, perm_matrix, permute_input_legs, permute_output_legs)
+                          first_differing_column_by_column, flat_index, flip_matrix,
+                          fraction_int_columns, inverse_map, kron, kron_all, perm_matrix,
+                          permute_input_legs, permute_output_legs, same_columns)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -35,6 +36,30 @@ def test_scalar_parsing():
         scalar(1.5)
     with pytest.raises(TypeError):
         scalar(True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6).map(str)),
+    min_size=3, max_size=3), max_size=4))
+def test_int_columns_reads_mixed_rows(columns):
+    # ints, Fractions (zeros and integral ones included) and "p/q" strings
+    # in one column read as every entry coerced to a Fraction first
+    assert linalg.int_columns(columns) == fraction_int_columns(
+        [[scalar(x) for x in c] for c in columns])
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (True, TypeError, "bool is not a scalar"),
+    (0.5, TypeError, "cannot read 0.5 as an exact rational"),
+    ("1/0", ZeroDivisionError, "Fraction(1, 0)"),
+])
+def test_int_columns_rejects_what_scalar_rejects(bad, error, message):
+    # after an int, a Fraction, a zero Fraction and a string in the same row
+    with pytest.raises(error) as raised:
+        linalg.int_columns([[3, Fraction(1, 2), Fraction(0), "2/3", bad]])
+    assert str(raised.value) == message
 
 
 def test_scalar_arithmetic_exact():
@@ -313,6 +338,81 @@ def test_composites_are_checked_before_any_column_runs(bad):
         first_differing_column([], [good, bad], dims)
     with pytest.raises(DimensionMismatch):
         composite_matrix([good, bad], dims)
+
+
+# a composite on legs of FOLD (64 columns) is folded by _plan; P and its
+# inverse, Q and the flip have one entry per column on distinct rows, G and
+# H two entries per column
+FOLD = (4, 4, 4)
+P = [[(1, 2)], [(2, -1)], [(3, 3)], [(0, 1)]], 3
+Q = [[(3, 1)], [], [(0, -2)], [(1, 1)]], 2
+FLIP = linalg.flip_columns(4, 4)
+
+
+def _two_entries(rows, cols, scale=1):
+    return [[(j % rows, 1), ((j + 1) % rows, j + 2)] for j in range(cols)], scale
+
+
+G, H = _two_entries(4, 16, 2), _two_entries(4, 4)
+FOLD_BRANCHES = {
+    # P on leg 1 goes into the columns of G, whose block holds leg 1
+    "fold-into-next": ([(P, (1,), None), (G, (0, 1), (4,)), (H, (0,), None)], 2),
+    # Q after P on leg 2 is one step, put back at the end
+    "compose": ([(P, (2,), None), (Q, (2,), None), (G, (0, 1), (4,))], 2),
+    # P then its inverse on leg 0 is the identity, dropped with its scales
+    "cancel": ([(P, (0,), None), (H, (1,), None), (inverse_map(*P), (0,), None)], 1),
+    # P on leg 2 passes G, which makes legs 0 and 1 one leg, and goes into H
+    # on leg 1; or passes G landing in three legs and is put back at the end
+    "commute with a leg shift": ([(P, (2,), None), (G, (0, 1), (4,)), (H, (1,), None)], 2),
+    "commute to the end": ([(P, (2,), None), (G, (0, 1), (2, 2, 2))], 2),
+    # a flip is put back before a step, or a flip, on part of its legs
+    "flush on partial overlap": ([(FLIP, (0, 1), None), (G, (1, 2), (4,))], 2),
+    "flush before a carried step": ([(FLIP, (1, 2), None), (FLIP, (0, 1), None)], 2),
+    # a carried step that meets no further step
+    "flush at the end": ([(G, (1, 2), (4,)), (Q, (0,), None)], 2),
+    # one entry per column but two on row 0: e_0 + e_1 + e_2 goes to e_1,
+    # its e_0 and e_2 cancelling, so the next step meets e_1 alone; folded,
+    # that step would meet e_0, e_1, e_2 and list its rows in another order
+    "not carried: two columns on one row": (
+        [(([[(0, 1), (1, 1), (2, 1)], [(1, 1)], [(2, 1)], [(3, 1)]], 1), (0,), None),
+         (([[(0, 1)], [(1, 1)], [(0, -1)], [(3, 1)]], 1), (0,), None),
+         (([[(1, 1)], [(0, 1), (1, 1)], [(2, 1)], [(3, 1)]], 1), (0,), None)], 3),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(FOLD_BRANCHES))
+def test_each_fold_branch_matches_one_step_at_a_time(branch):
+    steps, planned = FOLD_BRANCHES[branch]
+    assert math.prod(FOLD) >= linalg.FOLD_MIN_COLUMNS
+    plan, out_dims, scale = linalg._plan(steps, FOLD)
+    assert len(plan) == planned
+    got, expected = composite_columns(steps, FOLD), composite_columns_by_column(steps, FOLD)
+    assert same_columns(got, expected)
+    if branch == "cancel":
+        assert scale == got[1] == H[1]
+    # the composite itself as one step, and that step with one entry changed
+    whole = ((expected[0], expected[1]), (0, 1, 2), out_dims)
+    assert first_differing_column(steps, [whole], FOLD) is None
+    col = next(j for j, c in enumerate(expected[0]) if c)
+    bumped = expected[0][:col] + [[(r, x + 1) for r, x in expected[0][col]]] + expected[0][col + 1:]
+    rhs = [((bumped, expected[1]), (0, 1, 2), out_dims)]
+    assert first_differing_column(steps, rhs, FOLD) == unflat_index(col, FOLD)
+    assert first_differing_column_by_column(steps, rhs, FOLD) == unflat_index(col, FOLD)
+
+
+@pytest.mark.parametrize("steps, message", [
+    # 3 columns on a leg of dim 4, after two steps that would be folded
+    ([(FLIP, (0, 1), None), (P, (2,), None), (([[(0, 1)]] * 3, 1), (1,), None)],
+     "map with 3 columns on legs (1,) of (4, 4, 4)"),
+    # the dims named are those the steps as given leave, P still carried
+    ([(P, (2,), None), (G, (0, 1), (4,)), (P, (0, 1), None)],
+     "map with 4 columns on legs (0, 1) of (4, 4)"),
+    ([(P, (0,), None), (P, (3,), None)], "map with 4 columns on legs (3,) of (4, 4, 4)"),
+])
+def test_a_malformed_step_of_a_folded_composite_names_the_steps_as_given(steps, message):
+    with pytest.raises(DimensionMismatch) as raised:
+        first_differing_column(steps, [], FOLD)
+    assert str(raised.value) == message
 
 
 def test_insert_and_pair_columns_match_kron():

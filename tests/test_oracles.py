@@ -8,8 +8,9 @@ checks categorical identities, the module, comodule, Yetter-Drinfeld and
 dimodule axioms, the Hom-algebra tower, R-elements, forms and the twist the
 same way; the dense oracles build the same maps from Kronecker products and
 leg permutations and compose the identities as full matrices, associators
-and their inverses included.  The batched runs themselves are checked
-against one run per basis column, and the search's constraints against
+and their inverses included.  The batched, folded runs themselves are
+checked against one run per basis column and per step, and the search's
+constraints against
 their derivation from every pair of unit operators.
 """
 
@@ -2470,19 +2471,47 @@ def test_kron_matches_sympy(data):
 # batched composite runs against one run per basis column, and the per-object
 # caches of converted and inverted maps
 
+def run_by_steps(steps, dims, vec):
+    """A sparse vector through a composite one step at a time, each step
+    planned alone by linalg.apply_on_legs, so none is folded into another;
+    the steps' scales are left out."""
+    d = tuple(dims)
+    for (cols, _), legs, out in steps:
+        vec = linalg.apply_on_legs(cols, legs, d, vec, out)
+        first, stop = legs[0], legs[-1] + 1
+        d = d[:first] + (d[first:stop] if out is None else tuple(out)) + d[stop:]
+    return vec
+
+
+def steps_scale(steps):
+    """The product of the scales of a composite's steps."""
+    return math.prod(scale for (_, scale), _, _ in steps)
+
+
 def first_differing_column_by_column(lhs, rhs, dims):
-    """first_differing_column with one linalg._run per basis column."""
-    (lplan, _, lscale), (rplan, _, rscale) = linalg._plan(lhs, dims), linalg._plan(rhs, dims)
+    """first_differing_column run one basis column and one step at a time."""
+    lscale, rscale = steps_scale(lhs), steps_scale(rhs)
     for j in range(math.prod(dims)):
-        if linalg._run(lplan, {j: rscale}) != linalg._run(rplan, {j: lscale}):
+        if run_by_steps(lhs, dims, {j: rscale}) != run_by_steps(rhs, dims, {j: lscale}):
             return unflat_index(j, dims)
     return None
 
 
 def composite_columns_by_column(steps, dims):
-    """composite_columns with one linalg._run per basis column."""
-    plan, _, scale = linalg._plan(steps, dims)
-    return [list(linalg._run(plan, {j: 1}).items()) for j in range(math.prod(dims))], scale
+    """composite_columns run one basis column and one step at a time, with
+    the product of all the steps' scales."""
+    return ([list(run_by_steps(steps, dims, {j: 1}).items()) for j in range(math.prod(dims))],
+            steps_scale(steps))
+
+
+def same_columns(got, expected):
+    """Whether two (cols, scale) are the same map with the same rows, in the
+    same order, in every column: the planned composite drops the scales of a
+    carried map that cancelled to the identity, so the ints may differ by
+    that factor."""
+    (gcols, gscale), (ecols, escale) = got, expected
+    return ([[(r, x * escale) for r, x in c] for c in gcols]
+            == [[(r, x * gscale) for r, x in c] for c in ecols])
 
 
 @st.composite
@@ -2494,21 +2523,68 @@ def int_maps(draw, rows, cols):
              for j in range(cols)], draw(st.sampled_from([1, 2, 3])))
 
 
+def inverse_map(cols, scale):
+    """The inverse of a map with exactly one entry per column, on distinct
+    rows, as int columns (cols, scale)."""
+    lcm = math.lcm(*(abs(x) for c in cols for _, x in c))
+    out = [None] * len(cols)
+    for j, ((r, x),) in enumerate(cols):
+        out[r] = [(j, scale * lcm // x)]
+    return out, lcm
+
+
 @st.composite
-def composites(draw, leg_dims=st.integers(1, 3)):
+def one_entry_steps(draw, first, ins):
+    """Steps with at most one entry per column, on distinct rows, on the
+    legs first, first + 1, ... of dims ins, which linalg._plan carries
+    forward: a flip of two legs or a scaled permutation, with some columns
+    left empty, or either followed by its inverse."""
+    legs = tuple(range(first, first + len(ins)))
+    if len(ins) == 2 and draw(st.booleans()):
+        step = (linalg.flip_columns(*ins), legs, ins[::-1])
+    else:
+        blk = math.prod(ins)
+        perm = draw(st.permutations(range(blk)))
+        values = draw(st.lists(st.sampled_from([1, -1, 2, -3]), min_size=blk, max_size=blk))
+        step = ([[(r, x)] for r, x in zip(perm, values)], draw(st.sampled_from([1, 2, 3]))), \
+            legs, ins
+    kind = draw(st.sampled_from(("map", "with empty columns", "and its inverse")))
+    if kind == "and its inverse":
+        return [step, (inverse_map(*step[0]), legs, ins)]
+    if kind == "with empty columns":
+        (cols, scale), _, out = step
+        empty = draw(st.sets(st.integers(0, len(cols) - 1), min_size=1))
+        step = ([[] if j in empty else c for j, c in enumerate(cols)], scale), legs, out
+    return [step]
+
+
+@st.composite
+def composites(draw, leg_dims=st.integers(1, 3), one_entry=False):
     """Legs dims and a composite of up to four random steps on them, each on
-    consecutive legs and landing in up to two legs."""
-    dims = tuple(draw(st.lists(leg_dims, min_size=1, max_size=4)))
+    consecutive legs and landing in up to two legs.  With one_entry, the
+    legs' dims multiply to at least linalg.FOLD_MIN_COLUMNS, so _plan folds,
+    and up to six steps on one or two legs are drawn, about half of them by
+    one_entry_steps."""
+    if one_entry:
+        dims = tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=4).filter(
+            lambda d: math.prod(d) >= linalg.FOLD_MIN_COLUMNS)))
+    else:
+        dims = tuple(draw(st.lists(leg_dims, min_size=1, max_size=4)))
     steps, d = [], dims
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 6 if one_entry else 4))):
         if not d:
             break
         first = draw(st.integers(0, len(d) - 1))
-        stop = draw(st.integers(first + 1, len(d)))
-        out = tuple(draw(st.lists(st.integers(1, 3), max_size=2 if len(d) < 5 else 1)))
-        steps.append((draw(int_maps(math.prod(out), math.prod(d[first:stop]))),
-                      tuple(range(first, stop)), out))
-        d = d[:first] + out + d[stop:]
+        stop = draw(st.integers(first + 1, min(len(d), first + 2) if one_entry else len(d)))
+        if one_entry and draw(st.booleans()):
+            new = draw(one_entry_steps(first, d[first:stop]))
+        else:
+            out = tuple(draw(st.lists(st.integers(1, 3), max_size=2 if len(d) < 5 else 1)))
+            new = [(draw(int_maps(math.prod(out), math.prod(d[first:stop]))),
+                    tuple(range(first, stop)), out)]
+        for step in new:
+            steps.append(step)
+            d = d[:first] + step[2] + d[stop:]
     return dims, steps
 
 
@@ -2563,8 +2639,26 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
             # lists of (row, value) pairs: equal in their order too
             expected = composite_columns_by_column(steps, dims)
             got = linalg.composite_columns(steps, dims)
-            assert got == expected
+            assert same_columns(got, expected)
             assert all(x for col in got[0] for _, x in col)
+
+
+@settings(max_examples=100, deadline=None)
+@given(composites(one_entry=True), st.data())
+def test_folded_composites_match_one_step_at_a_time(case, data):
+    # composites large enough that _plan folds their one-entry-per-column
+    # steps: the witness, and every column's entries in order, as the steps
+    # run one at a time
+    dims, lhs = case
+    rhs = _one_entry_changed(data.draw, lhs)
+    for other in (lhs, rhs):
+        assert (linalg.first_differing_column(lhs, other, dims)
+                == first_differing_column_by_column(lhs, other, dims))
+    got, expected = linalg.composite_columns(lhs, dims), composite_columns_by_column(lhs, dims)
+    assert same_columns(got, expected)
+    assert all(x for col in got[0] for _, x in col)
+    rows = math.prod(linalg._plan(lhs, dims)[1])
+    assert linalg.composite_matrix(lhs, dims) == Matrix.from_int_columns(*expected, rows)
 
 
 @settings(max_examples=40, deadline=None)
