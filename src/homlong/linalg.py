@@ -420,10 +420,10 @@ def int_columns(columns):
     strings as (cols, scale), the map being cols / scale.  cols[j] lists the
     (row, value) pairs of column j with value != 0 in row order, every value
     an int, and scale is the lcm of the entries' reduced denominators, so the
-    form is unique.  An int is taken as it is and a Fraction read from its
-    slots, not through scalar and its properties, a zero of either dropped
-    at once; anything else is read once by scalar (with its errors), and
-    zeros are never stored."""
+    form is unique.  An int is taken as it is and a Fraction read by one
+    as_integer_ratio call, not through scalar, a zero of either dropped at
+    once; anything else is read once by scalar (with its errors), and zeros
+    are never stored."""
     cols, scale = [], 1
     for c in columns:
         col = []
@@ -435,19 +435,18 @@ def int_columns(columns):
                 continue
             if t is not Fraction:
                 x = scalar(x)
-            # the slots behind the numerator and denominator properties
-            n, q = x._numerator, x._denominator
+            n, q = x.as_integer_ratio()
             if not n:
                 continue
             if q == 1:
                 col.append((r, n))
             else:
                 scale = math.lcm(scale, q)
-                col.append((r, x))
+                col.append((r, (n, q)))
         cols.append(col)
     if scale != 1:
-        cols = [[(r, x * scale if type(x) is int else x._numerator * (scale // x._denominator))
-                 for r, x in c] for c in cols]
+        cols = [[(r, x * scale if type(x) is int else x[0] * (scale // x[1])) for r, x in c]
+                for c in cols]
     return cols, scale
 
 
@@ -612,28 +611,33 @@ def _plan(steps, dims):
     being (cols, blk_in * suf, suf, blk_out * suf) for its block, the legs
     after it and its image.
 
-    A composite of at least FOLD_MIN_COLUMNS input columns is then planned
-    without its steps that keep their leg count and have at most one entry
-    per column, on distinct rows (mu, mu^-1, alpha, the associators' legs,
-    flips): _fold carries each one forward into the next step on its legs,
-    so _run makes no pass of its own for it.  The composite's value is the
-    same; scale is the product of the scales of the planned steps, which is
-    the product of all the steps' scales unless a carried map cancelled to
-    the identity (mu then mu^-1) and was dropped with its scales."""
-    shaped, d = [], tuple(dims)
+    A composite of at least FOLD_MIN_COLUMNS input columns, with no
+    0-dimensional leg, is then planned again without its steps that keep
+    their leg count and have at most one entry per column, on distinct rows
+    (mu, mu^-1, alpha, the associators' legs, flips): _fold carries each one
+    forward into the next step on its legs, so _run makes no pass of its own
+    for it.  A smaller composite keeps its one plan.  The composite's value
+    is the same; scale is the product of the scales of the planned steps,
+    which is the product of all the steps' scales unless a carried map
+    cancelled to the identity (mu then mu^-1) and was dropped with its
+    scales."""
+    plan, shaped, d, scale = [], [], tuple(dims), 1
     for (cols, sc), legs, out in steps:
         first, stop = legs[0], legs[-1] + 1
-        if (tuple(legs) != tuple(range(first, stop)) or stop > len(d)
-                or len(cols) != math.prod(d[first:stop])):
-            raise DimensionMismatch("map with %d columns on legs %r of %r" % (len(cols), legs, d))
         ins = d[first:stop]
+        blk_in, suf = math.prod(ins), math.prod(d[stop:])
+        if tuple(legs) != tuple(range(first, stop)) or stop > len(d) or len(cols) != blk_in:
+            raise DimensionMismatch("map with %d columns on legs %r of %r" % (len(cols), legs, d))
         out = ins if out is None else tuple(out)
+        plan.append((cols, blk_in * suf, suf, math.prod(out) * suf))
         shaped.append((cols, sc, first, ins, out))
-        d = d[:first] + out + d[stop:]
-    if math.prod(dims) >= FOLD_MIN_COLUMNS:
-        shaped = _fold(shaped)
+        d, scale = d[:first] + out + d[stop:], scale * sc
+    # every leg a step meets is an input leg or lands from a step, so none
+    # is 0-dimensional when neither is
+    if math.prod(dims) < FOLD_MIN_COLUMNS or any(0 in s[4] for s in shaped):
+        return plan, d, scale
     plan, d, scale = [], tuple(dims), 1
-    for cols, sc, first, ins, out in shaped:
+    for cols, sc, first, ins, out in _fold(shaped):
         stop = first + len(ins)
         suf = math.prod(d[stop:])
         plan.append((cols, math.prod(ins) * suf, suf, math.prod(out) * suf))

@@ -415,6 +415,22 @@ def test_a_malformed_step_of_a_folded_composite_names_the_steps_as_given(steps, 
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("steps", [
+    # every column empty, so both steps have one entry per column at most,
+    # on a leg that is 0-dimensional between them
+    [(([[]] * 4, 1), (0,), (0,)), (([], 1), (0,), (4,))],
+    # a 0-dimensional leg after the legs of a carried flip, inside the
+    # block of the step it would go into
+    [(FLIP, (0, 1), None), (([[]] * 4, 1), (2,), (0,)), (([], 1), (0, 1, 2), (4, 4, 0))],
+])
+def test_a_composite_through_a_zero_dimensional_leg_is_not_folded(steps):
+    # a 64-column composite whose steps pass through a 0-dimensional leg
+    # maps every column to 0, as the steps run one at a time do
+    got = composite_columns(steps, FOLD)
+    assert got == composite_columns_by_column(steps, FOLD) == ([[]] * 64, 1)
+    assert first_differing_column(steps, steps, FOLD) is None
+
+
 def test_insert_and_pair_columns_match_kron():
     u = Vector([1, Fraction(1, 2), 0])
     assert (composite_matrix([(insert_columns(u, 2), (0,), (3, 2))], (2,))
