@@ -168,7 +168,7 @@ def check_braid_morphism(c):
     as a dimodule map M (x) N -> N (x) M."""
     m, n = c.source
     src = tensor_dimodule(m, n)
-    tgt = tensor_dimodule(n, m)
+    tgt = src if m is n else tensor_dimodule(n, m)
     rep = AxiomReport()
     mrep = dimodule_morphism_report(src, tgt, c.matrix)
     rep.add("braid-H-linear", mrep.passed("H-linear"), mrep.check("H-linear").witness)
@@ -179,13 +179,20 @@ def check_braid_morphism(c):
 
 
 def _braidings(ctx, *pairs):
-    """long_braiding of each pair, as int columns."""
+    """long_braiding of each pair, as int columns.  Each object is checked,
+    and its mu^-2 built, once; a pair of the same two objects as an earlier
+    one shares its columns."""
     ctx.require_valid()
+    objects = {id(t): t for pair in pairs for t in pair}
+    for t in objects.values():
+        ctx.require_dimodule(t)
+    mu2i = {key: _mu2_inverse(t) for key, t in objects.items()}
+    built = {}
     for m, n in pairs:
-        ctx.require_dimodule(m)
-        ctx.require_dimodule(n)
-    return [composite_columns(_braiding(ctx, m, n, _mu2_inverse(m), _mu2_inverse(n)),
-                              (m.dim, n.dim)) for m, n in pairs]
+        if (id(m), id(n)) not in built:
+            built[id(m), id(n)] = composite_columns(
+                _braiding(ctx, m, n, mu2i[id(m)], mu2i[id(n)]), (m.dim, n.dim))
+    return [built[id(m), id(n)] for m, n in pairs]
 
 
 def check_naturality(ctx, f, g):

@@ -8,7 +8,6 @@ flags; --format json emits a canonical report that round-trips.
 
 import argparse
 import functools
-import json
 import sys
 
 from .linalg import DimensionMismatch, SingularMatrix
@@ -65,8 +64,7 @@ class RunReport:
 
     def render(self, fmt, verbose=False):
         if fmt == "json":
-            return json.dumps(self.to_json(), indent=2, sort_keys=True,
-                              ensure_ascii=False)
+            return hio.json_text(self.to_json())
         lines = ["%s" % self.command]
         for p in self.inputs:
             lines.append("  input: %s" % p)
@@ -91,8 +89,8 @@ def _json_witness(w):
     return str(w)
 
 
-def _load_kind(path, expect):
-    s = hio.load_structure(path)
+def _load_kind(files, path, expect):
+    s = hio.load_structure(path, files)
     if not isinstance(s, expect):
         raise FileFormatError("expected %s" % expect.__name__, path)
     return s
@@ -103,9 +101,9 @@ def _check_operator(op, report):
     return report.absorb(check_long_equation(op))
 
 
-def cmd_validate(args, report):
-    raw = hio._read(args.file)
-    s = hio.load_structure(args.file, raw)
+def cmd_validate(args, report, files):
+    raw = files.read(args.file)
+    s = hio.load_structure(args.file, files)
     if args.kind and isinstance(s, HomBialgebra):
         if args.kind == "hom-algebra":
             s = s.algebra
@@ -143,23 +141,23 @@ def cmd_validate(args, report):
     return report
 
 
-def cmd_check(args, report):
+def cmd_check(args, report, files):
     subject = args.subject
     if subject == "longeq":
-        return _check_operator(_load_kind(args.operator, OperatorOnTensorSquare), report)
+        return _check_operator(_load_kind(files, args.operator, OperatorOnTensorSquare), report)
     if subject == "yd":
-        yd = _load_kind(args.m, YetterDrinfeldModule)
+        yd = _load_kind(files, args.m, YetterDrinfeldModule)
         report.absorb(validate_hom_module(yd.over.algebra, yd.module_part()), "module:")
         report.absorb(validate_hom_comodule(yd.over.coalgebra, yd.comodule_part()),
                       "comodule:")
         return report.absorb(check_yd(yd.over, yd))
     if subject == "snake":
-        d = _load_kind(args.dimodule, HomLongDimodule)
+        d = _load_kind(files, args.dimodule, HomLongDimodule)
         duality = left_dual(d) if args.side == "left" else right_dual(d)
         report.absorb(validate_long_dimodule(duality.dual), "dual:")
         return report.absorb(check_snake(d, duality))
     if subject == "roundtrip":
-        d = _load_kind(args.dimodule, HomLongDimodule)
+        d = _load_kind(files, args.dimodule, HomLongDimodule)
         n = to_smash_module(d)
         report.absorb(validate_hom_module(n.over, n), "smash-module:")
         back = from_smash_module(n, d.H, d.B)
@@ -168,24 +166,24 @@ def cmd_check(args, report):
         rep = AxiomReport().add("round-trip", same)
         return report.absorb(rep)
     if subject == "coherence":
-        u = _load_kind(args.u, HomLongDimodule)
-        v = _load_kind(args.v, HomLongDimodule)
-        w = _load_kind(args.w, HomLongDimodule)
-        x = _load_kind(args.x, HomLongDimodule) if args.x else None
+        u = _load_kind(files, args.u, HomLongDimodule)
+        v = _load_kind(files, args.v, HomLongDimodule)
+        w = _load_kind(files, args.w, HomLongDimodule)
+        x = _load_kind(files, args.x, HomLongDimodule) if args.x else None
         return report.absorb(check_coherence(u, v, w, x))
-    ctx = hio.load_context(args.ctx)
+    ctx = hio.load_context(args.ctx, files)
     if subject == "symmetry":
-        m = _load_kind(args.m, HomLongDimodule)
-        n = _load_kind(args.n, HomLongDimodule)
+        m = _load_kind(files, args.m, HomLongDimodule)
+        n = _load_kind(files, args.n, HomLongDimodule)
         rep = check_symmetry(ctx, m, n, diagnose=args.diagnose)
         report.absorb(rep)
         if not rep.flags.get("hypothesis-met", True):
             report.notes.append("hypothesis unmet: context is not triangular+cotriangular")
             raise HypothesisUnmet(report)
         return report
-    u = _load_kind(args.u, HomLongDimodule)
-    v = _load_kind(args.v, HomLongDimodule)
-    w = _load_kind(args.w, HomLongDimodule)
+    u = _load_kind(files, args.u, HomLongDimodule)
+    v = _load_kind(files, args.v, HomLongDimodule)
+    w = _load_kind(files, args.w, HomLongDimodule)
     if subject == "ybe":
         return report.absorb(check_qybe(ctx, u, v, w))
     if subject == "hexagon":
@@ -198,14 +196,14 @@ class HypothesisUnmet(Exception):
         self.report = report
 
 
-def cmd_build(args, report):
+def cmd_build(args, report, files):
     what = args.what
     built = None
     extra = {}
     if what == "braid":
-        ctx = hio.load_context(args.ctx)
-        m = _load_kind(args.m, HomLongDimodule)
-        n = _load_kind(args.n, HomLongDimodule)
+        ctx = hio.load_context(args.ctx, files)
+        m = _load_kind(files, args.m, HomLongDimodule)
+        n = _load_kind(files, args.n, HomLongDimodule)
         op = long_braiding(ctx, m, n)
         report.absorb(check_braid_morphism(op))
         built = {
@@ -215,7 +213,7 @@ def cmd_build(args, report):
             "matrix": hio.matrix_json(op.matrix),
         }
     elif what == "dual":
-        d = _load_kind(args.dimodule, HomLongDimodule)
+        d = _load_kind(files, args.dimodule, HomLongDimodule)
         duality = left_dual(d) if args.side == "left" else right_dual(d)
         report.absorb(validate_long_dimodule(duality.dual), "dual:")
         report.absorb(check_snake(d, duality))
@@ -224,27 +222,27 @@ def cmd_build(args, report):
         built["coev"] = hio.matrix_json(duality.coev)
         built["side"] = duality.side
     elif what == "tensor":
-        m = _load_kind(args.m, HomLongDimodule)
-        n = _load_kind(args.n, HomLongDimodule)
+        m = _load_kind(files, args.m, HomLongDimodule)
+        n = _load_kind(files, args.n, HomLongDimodule)
         t = tensor_dimodule(m, n)
         report.absorb(validate_long_dimodule(t))
         built = hio.structure_to_json(t)
     elif what == "twist":
-        base = _load_kind(args.base, HomBialgebra)
-        raw = hio._read(args.phi)
+        base = _load_kind(files, args.base, HomBialgebra)
+        raw = files.read(args.phi)
         phi = hio.load_matrix(raw["matrix"] if isinstance(raw, dict) else raw,
                               args.phi)
         twisted = yau_twist(base, phi)
         report.absorb(validate_all(twisted))
         built = hio.algebra_to_json(twisted)
     elif what == "dimodule-solution":
-        d = _load_kind(args.dimodule, HAlphaLongDimodule)
+        d = _load_kind(files, args.dimodule, HAlphaLongDimodule)
         op = dimodule_solution(d)
         report.absorb(check_long_equation(op))
         built = hio.structure_to_json(op)
     elif what == "extension":
-        base = _load_kind(args.base, HomBialgebra)
-        mod = hio.load_structure(args.m)
+        base = _load_kind(files, args.base, HomBialgebra)
+        mod = hio.load_structure(args.m, files)
         variant = args.variant
         if variant is None:
             variant = "module" if isinstance(mod, HomModule) else "comodule"
@@ -255,7 +253,7 @@ def cmd_build(args, report):
         report.absorb(validate_halpha_dimodule(ext))
         built = hio.structure_to_json(ext)
     elif what == "smash":
-        d = _load_kind(args.dimodule, HomLongDimodule)
+        d = _load_kind(files, args.dimodule, HomLongDimodule)
         n = to_smash_module(d)
         report.absorb(validate_hom_module(n.over, n))
         built = hio.structure_to_json(n)
@@ -269,8 +267,8 @@ def cmd_build(args, report):
     return report
 
 
-def cmd_search(args, report):
-    raw = hio._read(args.mu)
+def cmd_search(args, report, files):
+    raw = files.read(args.mu)
     mu = hio.load_matrix(raw["mu"] if isinstance(raw, dict) and "mu" in raw
                          else raw, args.mu)
     values = [hio.load_scalar(s, "--set") for s in args.set.split(",") if s.strip() != ""]
@@ -322,8 +320,8 @@ def _root_options(argv):
 
 def _print_error(fmt, command, inputs, exc):
     if fmt == "json":
-        print(json.dumps({"command": command, "inputs": inputs, "error": str(exc),
-                          "exit_code": 2}, indent=2, sort_keys=True))
+        print(hio.json_text({"command": command, "inputs": inputs, "error": str(exc),
+                             "exit_code": 2}, ensure_ascii=True))
     else:
         print("error: %s" % exc, file=sys.stderr)
     return 2
@@ -431,26 +429,27 @@ def main(argv=None):
     if args.command == "build":
         name = "build %s" % args.what
     report = RunReport(name, inputs)
+    files = hio.Files()     # this call's reads and builds, dropped when it returns
     try:
         missing = [flag for flag in REQUIRED.get(name, ())
                    if getattr(args, OPTION_DEST[flag]) is None]
         if missing:
             raise UsageError("%s needs %s" % (name, ", ".join(missing)))
         if args.command == "validate":
-            cmd_validate(args, report)
+            cmd_validate(args, report, files)
         elif args.command == "check":
-            cmd_check(args, report)
+            cmd_check(args, report, files)
         elif args.command == "build":
-            cmd_build(args, report)
+            cmd_build(args, report, files)
         elif args.command == "search":
-            cmd_search(args, report)
+            cmd_search(args, report, files)
     except HypothesisUnmet as exc:
         print(exc.report.render(args.format, args.verbose))
         return 2
     except (FileFormatError, DimensionMismatch, SingularMatrix, MismatchedBase,
             AntipodeNotInvertible, InvalidContext, NotAMorphism, NotAutomorphism,
             UsageError, ZeroDiagonal, SearchSpaceTooLarge, KeyError, ValueError,
-            OSError) as exc:
+            ArithmeticError, OSError) as exc:
         return _print_error(args.format, name, inputs, exc)
     print(report.render(args.format, args.verbose))
     return report.exit_code

@@ -3,7 +3,9 @@
 All scalars are integers or "p/q" strings in canonical form (q > 0).  Files
 carry a "kind" discriminator; fields holding another structure (an algebra
 under a module, the pair under a dimodule) may be inline objects or paths
-relative to the referencing file.
+relative to the referencing file.  A Files object lets one command read
+each file, and build each structure in it, once.  json_text is the one JSON
+writer.
 """
 
 import dataclasses
@@ -111,14 +113,52 @@ def _read(path):
                               % (exc.lineno, exc.colno), path)
 
 
-def _resolve(obj, base_dir, where):
+class Files:
+    """What one command reads: each file is read, and each structure in it
+    built, at most once for as long as this object lives.  A path is keyed
+    by its absolute form.  cli.main makes one per call; a loader given none
+    reads and builds afresh every time."""
+
+    def __init__(self):
+        self._made = {}
+
+    def once(self, what, path, make):
+        """make(), the first time what is asked of path."""
+        key = (what, os.path.abspath(path))
+        if key not in self._made:
+            self._made[key] = make()
+        return self._made[key]
+
+    def read(self, path):
+        """The JSON in the file at path."""
+        return self.once("json", path, lambda: _read(path))
+
+
+def _once(files, what, path, make):
+    return make() if files is None else files.once(what, path, make)
+
+
+def _read_once(path, files):
+    return _read(path) if files is None else files.read(path)
+
+
+def _resolve(obj, base_dir, where, files=None):
     """A field may be a path (string) or an inline object."""
     if isinstance(obj, str):
         path = obj if os.path.isabs(obj) else os.path.join(base_dir or ".", obj)
-        return _read(path), os.path.dirname(path), path
+        return _read_once(path, files), os.path.dirname(path), path
     if isinstance(obj, dict):
         return obj, base_dir, where
     raise FileFormatError(_ctx(where, "expected a path or an inline object"))
+
+
+def _int_field(obj, key, where):
+    """obj[key], which must be a JSON integer (a bool is not one)."""
+    value = obj.get(key)
+    if type(value) is not int:
+        raise FileFormatError(_ctx(where, "missing or invalid %r: expected an integer"
+                                   % key))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +168,7 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
     kind = obj.get("kind")
     if kind not in ("hom-algebra", "hom-coalgebra", "hom-bialgebra", "hom-hopf"):
         raise FileFormatError(_ctx(where, "unknown algebra kind %r" % (kind,)))
-    try:
-        dim = int(obj["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise FileFormatError(_ctx(where, "missing or invalid 'dim'"))
+    dim = _int_field(obj, "dim", where)
     basis = load_basis(obj, dim, where) or tuple("e%d" % i for i in range(dim))
     gamma = load_matrix(obj["gamma"], where + ".gamma") if "gamma" in obj \
         else Matrix.identity(dim)
@@ -187,11 +224,17 @@ def algebra_to_json(h):
     return out
 
 
-def _load_algebra_field(obj, key, base_dir, where, expect_hopf=False):
+def _load_algebra_field(obj, key, base_dir, where, expect_hopf=False, files=None):
     if key not in obj:
         raise FileFormatError(_ctx(where, "missing '%s'" % key))
-    sub, sub_dir, sub_where = _resolve(obj[key], base_dir, where + "." + key)
-    alg = algebra_from_json(sub, sub_dir, sub_where)
+    field = obj[key]
+    sub, sub_dir, sub_where = _resolve(field, base_dir, where + "." + key, files)
+
+    def build():
+        return algebra_from_json(sub, sub_dir, sub_where)
+
+    # an algebra in a file of its own is built once per Files object
+    alg = _once(files, "algebra", sub_where, build) if isinstance(field, str) else build()
     if expect_hopf and not (isinstance(alg, HomBialgebra) and alg.antipode is not None):
         raise FileFormatError(_ctx(sub_where, "expected a hom-hopf structure"))
     return alg, sub
@@ -200,37 +243,38 @@ def _load_algebra_field(obj, key, base_dir, where, expect_hopf=False):
 # ---------------------------------------------------------------------------
 # modules, dimodules, contexts, operators
 
-def structure_from_json(obj, base_dir=None, where="<inline>"):
-    """Dispatch on 'kind'; returns the loaded structure."""
+def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
+    """Dispatch on 'kind'; returns the loaded structure.  An algebra field
+    given as a path is read and built through files, when given."""
     if not isinstance(obj, dict):
         raise FileFormatError(_ctx(where, "expected a JSON object"))
     kind = obj.get("kind")
     if kind in ("hom-algebra", "hom-coalgebra", "hom-bialgebra", "hom-hopf"):
         return algebra_from_json(obj, base_dir, where)
     if kind == "hom-module":
-        over, _ = _load_algebra_field(obj, "over", base_dir, where)
+        over, _ = _load_algebra_field(obj, "over", base_dir, where, files=files)
         alg = over.algebra if not isinstance(over, (HomAlgebra, HomCoalgebra)) else over
         if isinstance(alg, HomCoalgebra):
             raise FileFormatError(_ctx(where, "module 'over' must carry an algebra"))
-        dim = int(obj["dim"])
+        dim = _int_field(obj, "dim", where)
         return HomModule(alg, dim, load_tensor3(obj["action"], where + ".action"),
                          load_matrix(obj["nu"], where + ".nu"),
                          load_basis(obj, dim, where))
     if kind == "hom-comodule":
-        over, _ = _load_algebra_field(obj, "over", base_dir, where)
+        over, _ = _load_algebra_field(obj, "over", base_dir, where, files=files)
         coa = over.coalgebra if not isinstance(over, (HomAlgebra, HomCoalgebra)) else over
         if isinstance(coa, HomAlgebra):
             raise FileFormatError(_ctx(where, "comodule 'over' must carry a coalgebra"))
-        dim = int(obj["dim"])
+        dim = _int_field(obj, "dim", where)
         return HomComodule(coa, dim, load_tensor3(obj["coaction"], where + ".coaction",
                                                   coproduct=True),
                            load_matrix(obj["mu"], where + ".mu"),
                            load_basis(obj, dim, where))
     if kind == "yd-module":
-        over, _ = _load_algebra_field(obj, "over", base_dir, where)
+        over, _ = _load_algebra_field(obj, "over", base_dir, where, files=files)
         if not isinstance(over, HomBialgebra):
             raise FileFormatError(_ctx(where, "yd-module 'over' must be a bialgebra"))
-        dim = int(obj["dim"])
+        dim = _int_field(obj, "dim", where)
         return YetterDrinfeldModule(over, dim,
                                     load_tensor3(obj["action"], where + ".action"),
                                     load_tensor3(obj["coaction"], where + ".coaction",
@@ -238,17 +282,17 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
                                     load_matrix(obj["structure_map"], where + ".structure_map"),
                                     load_basis(obj, dim, where))
     if kind == "long-dimodule":
-        h, _ = _load_algebra_field(obj, "H", base_dir, where)
-        b, _ = _load_algebra_field(obj, "B", base_dir, where)
-        dim = int(obj["dim"])
+        h, _ = _load_algebra_field(obj, "H", base_dir, where, files=files)
+        b, _ = _load_algebra_field(obj, "B", base_dir, where, files=files)
+        dim = _int_field(obj, "dim", where)
         return HomLongDimodule(h, b, dim,
                                load_tensor3(obj["action"], where + ".action"),
                                load_tensor3(obj["coaction"], where + ".coaction", coproduct=True),
                                load_matrix(obj["mu"], where + ".mu"),
                                load_basis(obj, dim, where))
     if kind == "halpha-dimodule":
-        h, _ = _load_algebra_field(obj, "H", base_dir, where)
-        dim = int(obj["dim"])
+        h, _ = _load_algebra_field(obj, "H", base_dir, where, files=files)
+        dim = _int_field(obj, "dim", where)
         return HAlphaLongDimodule(h, dim,
                                   load_tensor3(obj["action"], where + ".action"),
                                   load_tensor3(obj["coaction"], where + ".coaction",
@@ -256,34 +300,38 @@ def structure_from_json(obj, base_dir=None, where="<inline>"):
                                   load_matrix(obj["mu"], where + ".mu"),
                                   load_basis(obj, dim, where))
     if kind == "operator":
-        n = int(obj["n"])
+        n = _int_field(obj, "n", where)
         op = OperatorOnTensorSquare(n, load_matrix(obj["matrix"], where + ".matrix"),
                                     load_matrix(obj["mu"], where + ".mu"))
         return op
     raise FileFormatError(_ctx(where, "unknown kind %r" % (kind,)))
 
 
-def load_structure(path, obj=None):
-    """The structure in the file at path; obj, when given, is that file's
-    JSON as already read, so the file is not read again."""
-    if obj is None:
-        obj = _read(path)
-    try:
-        return structure_from_json(obj, os.path.dirname(path), path)
-    except FileFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(str(exc), path)
+def load_structure(path, files=None):
+    """The structure in the file at path.  Given files (a Files), a file
+    they hold is not read again, and a structure they hold is returned as
+    it is."""
+    def build():
+        obj = _read_once(path, files)
+        try:
+            return structure_from_json(obj, os.path.dirname(path), path, files)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FileFormatError(str(exc), path)
+
+    return _once(files, "structure", path, build)
 
 
-def load_context(path):
+def load_context(path, files=None):
     """Context file: H, B (paths or inline), R and form (inline matrices or
-    taken from the referenced algebra files)."""
+    taken from the referenced algebra files).  With files given, each file
+    is read, and each algebra file built, through them."""
     from .braidcat import BraidingContext
-    obj = _read(path)
+    obj = _read_once(path, files)
     where = path
-    h, h_raw = _load_algebra_field(obj, "H", os.path.dirname(path), where, expect_hopf=True)
-    b, b_raw = _load_algebra_field(obj, "B", os.path.dirname(path), where, expect_hopf=True)
+    h, h_raw = _load_algebra_field(obj, "H", os.path.dirname(path), where, expect_hopf=True,
+                                   files=files)
+    b, b_raw = _load_algebra_field(obj, "B", os.path.dirname(path), where, expect_hopf=True,
+                                   files=files)
     r_field = obj.get("R", h_raw.get("R"))
     if r_field is None:
         raise FileFormatError(_ctx(where, "no 'R' in context or in the H file"))
@@ -331,6 +379,61 @@ def save_structure(s, path):
 
 
 def dump_json(obj, path):
-    text = json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
+    text = json_text(obj)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+        fh.write("\n")
+
+
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+
+
+def json_text(obj, ensure_ascii=False):
+    """json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=ensure_ascii),
+    byte for byte, for obj made of dicts with str keys, lists, tuples and
+    JSON scalars; any other key raises TypeError.  json.dumps encodes in
+    pure Python whenever it indents; here a list of scalars (a matrix row,
+    the last index of a structure constant) is written whole: a list of
+    ints or of strings by one join, any other by one call of the C
+    encoder."""
+    string = json.encoder.encode_basestring_ascii if ensure_ascii \
+        else json.encoder.encode_basestring
+    encoders = {}
+
+    def flat(indent):
+        # the C encoder, separating a list's items by a newline and indent
+        if indent not in encoders:
+            encoders[indent] = json.JSONEncoder(ensure_ascii=ensure_ascii,
+                                                separators=("," + indent, ": ")).encode
+        return encoders[indent]
+
+    out = []
+
+    def emit(x, indent):
+        inner = indent + "  "
+        if isinstance(x, dict):
+            sep = "{"
+            for k, v in sorted(x.items()):
+                out.append(sep + inner + string(k) + ": ")
+                emit(v, inner)
+                sep = ","
+            out.append(indent + "}" if x else "{}")
+        elif isinstance(x, (list, tuple)):
+            kinds = set(map(type, x))
+            if x and kinds <= _SCALAR_TYPES:
+                items = ("," + inner).join(map(int.__repr__, x)) if kinds == {int} \
+                    else ("," + inner).join(map(string, x)) if kinds == {str} \
+                    else flat(inner)(x)[1:-1]
+                out.append("[" + inner + items + indent + "]")
+                return
+            sep = "["
+            for v in x:
+                out.append(sep + inner)
+                emit(v, inner)
+                sep = ","
+            out.append(indent + "]" if x else "[]")
+        else:
+            out.append(flat("")(x))
+
+    emit(obj, "\n")
+    return "".join(out)

@@ -6,8 +6,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from homlong import fixtures as fx
+from homlong import braidcat, cli, fixtures as fx
 from homlong import io as hio
 from homlong.cli import REQUIRED, main
 from homlong.homstruct import dual_hopf
@@ -707,3 +708,212 @@ def test_validate_and_dual_refuse_a_bad_basis(files, capsys):
         assert "basis" in capsys.readouterr().err
         assert main(["build", "dual", "-D", path, "-o", str(files / "dual.json")]) == 2
         assert "basis" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# integer fields
+
+def _with_field(obj, key, literal):
+    """The JSON text of obj with obj[key] written as the literal text given."""
+    obj = dict(obj, **{key: "@@"})
+    return json.dumps(obj).replace('"@@"', literal)
+
+
+INT_FIELDS = [
+    (lambda: hio.structure_to_json(fx.kz2()), "dim"),
+    (lambda: hio.structure_to_json(fx.sign_dimodule()), "dim"),
+    (lambda: hio.structure_to_json(OperatorOnTensorSquare(2, flip_matrix(2, 2),
+                                                          Matrix.identity(2))), "n"),
+]
+
+
+@pytest.mark.parametrize("literal", ["1e999", "2.5", "2.0", "true", '"2"', "null"])
+@pytest.mark.parametrize("make, key", INT_FIELDS)
+def test_dim_and_n_must_be_json_integers(tmp_path, capsys, make, key, literal):
+    path = tmp_path / "bad.json"
+    path.write_text(_with_field(make(), key, literal))
+    with pytest.raises(FileFormatError, match="'%s': expected an integer" % key):
+        hio.load_structure(str(path))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'%s'" % key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("make, key", INT_FIELDS)
+def test_a_missing_dim_or_n_is_named(make, key):
+    obj = make()
+    del obj[key]
+    with pytest.raises(FileFormatError, match="missing or invalid '%s'" % key):
+        hio.structure_from_json(obj)
+
+
+@pytest.mark.parametrize("exc", [OverflowError("too big"), ZeroDivisionError("by zero")])
+def test_arithmetic_errors_exit_2_with_a_message(files, monkeypatch, capsys, exc):
+    def fail(*args):
+        raise exc
+    monkeypatch.setattr("homlong.cli.check_qybe", fail)
+    argv = ["check", "ybe", "--ctx", p(files, "ctx.json"), "-U", p(files, "sign.json"),
+            "-V", p(files, "sign.json"), "-W", p(files, "sign.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % exc
+    assert main(["--format", "json"] + argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == str(exc)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+scalars = (st.none() | st.booleans() | st.integers(-2 ** 130, 2 ** 130)
+           | st.floats() | st.text())
+json_values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values, st.booleans())
+@example([1, True, 0, False, None, 2 ** 64, -2 ** 70, 1.5, [], {}, "é\n\"\\\x00"], False)
+@example({"": {}, "b": [[]], "a": [1, [2, [3, {"é": "⊗"}]]]}, True)
+def test_json_text_is_json_dumps_byte_for_byte(obj, ensure_ascii):
+    assert hio.json_text(obj, ensure_ascii) == json.dumps(
+        obj, indent=2, sort_keys=True, ensure_ascii=ensure_ascii)
+
+
+@pytest.mark.parametrize("obj", [{"a": 1, 2: 3}, {(1, 2): 3}, [object()], {1: 2}])
+def test_json_text_refuses_keys_other_than_str_and_unknown_types(obj):
+    with pytest.raises(TypeError):
+        hio.json_text(obj)
+
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+def test_committed_json_files_re_emit_byte_for_byte():
+    # every file here was written with indent=2 and sorted keys, non-ASCII
+    # text as it is or escaped, except demo_build.json (indent=1), whose
+    # "written" entries are the files the builds wrote
+    written = [w for case in json.loads((DATA / "demo_build.json").read_text()).values()
+               for w in [case["written"]] if w is not None]
+    texts = [path.read_text() for path in sorted(DATA.glob("*.json"))
+             + sorted(DEMO_FILES.glob("*.json")) if path.name != "demo_build.json"]
+    assert len(written) > 10 and len(texts) == 16
+    for text in texts + written:
+        assert hio.json_text(json.loads(text), ensure_ascii=text.isascii()) + "\n" == text
+
+
+def test_reports_and_errors_print_json_dumps_bytes(files, capsys):
+    for argv, ensure_ascii in [
+            (["check", "ybe", "--ctx", p(files, "ctx.json"), "-U", p(files, "sign.json"),
+              "-V", p(files, "trivial.json"), "-W", p(files, "canonical.json")], False),
+            (["check", "longeq", "-R", p(files, "flipop.json")], False),
+            (["validate", p(files, "broken.json")], False),
+            (["validate", p(files, "néant⊗.json")], True)]:
+        main(["--format", "json"] + argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True,
+                                 ensure_ascii=ensure_ascii) + "\n"
+    assert "\\u00e9" in out and "\\u2297" in out
+
+
+# ---------------------------------------------------------------------------
+# one call reads and builds each input once
+
+def test_one_call_reads_each_path_once_and_builds_one_object(monkeypatch, capsys):
+    reads, read = [], hio._read
+    monkeypatch.setattr(hio, "_read", lambda path: reads.append(os.path.abspath(path))
+                        or read(path))
+    seen, check_qybe = [], cli.check_qybe
+    monkeypatch.setattr(cli, "check_qybe",
+                        lambda *args: seen.append(args) or check_qybe(*args))
+    monkeypatch.chdir(DEMO_FILES)
+    assert main(["check", "ybe", "--ctx", "ctx.json", "-U", "canonical.json",
+                 "-V", "./canonical.json", "-W", str(DEMO_FILES / "canonical.json")]) == 0
+    assert sorted(reads) == sorted(str(DEMO_FILES / name)
+                                   for name in ("ctx.json", "kz2.json", "canonical.json"))
+    [(ctx, u, v, w)] = seen
+    assert u is v is w
+    assert ctx.H is ctx.B      # the context names kz2.json for both
+    # a second call reads everything again and builds new objects
+    assert main(["check", "ybe", "--ctx", "ctx.json", "-U", "canonical.json",
+                 "-V", "canonical.json", "-W", "canonical.json"]) == 0
+    assert len(reads) == 6
+    assert seen[1][1] is not u and seen[1][0].H is not ctx.H
+
+
+def test_library_loads_still_read_and_build_afresh(monkeypatch):
+    reads, read = [], hio._read
+    monkeypatch.setattr(hio, "_read", lambda path: reads.append(path) or read(path))
+    ctx = hio.load_context(str(DEMO_FILES / "ctx.json"))
+    assert ctx.H is not ctx.B and ctx.H == ctx.B
+    assert len(reads) == 3
+    path = str(DEMO_FILES / "canonical.json")
+    assert hio.load_structure(path) is not hio.load_structure(path)
+
+
+def test_a_file_rewritten_between_calls_is_read_afresh(tmp_path, capsys):
+    path = tmp_path / "canonical.json"
+    path.write_bytes((DEMO_FILES / "canonical.json").read_bytes())
+    assert main(["validate", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["mu"][0][0] = scalar_to_json(scalar(obj["mu"][0][0]) + 1)
+    hio.dump_json(obj, path)
+    assert main(["validate", str(path)]) == 1
+    path.write_text("{not json")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: %s: invalid JSON at line 1 column 2\n" % path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_malformed_second_input_exits_2_with_its_message(files, capsys, fmt):
+    bad = p(files, "bad.json")
+    pathlib.Path(bad).write_text("{not json")
+    argv = ["--format", fmt, "check", "ybe", "--ctx", p(files, "ctx.json"),
+            "-U", p(files, "sign.json"), "-V", bad, "-W", p(files, "sign.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    message = "%s: invalid JSON at line 1 column 2" % bad
+    if fmt == "text":
+        assert captured.err == "error: %s\n" % message
+    else:
+        assert json.loads(captured.out)["error"] == message
+
+
+# ---------------------------------------------------------------------------
+# one braiding per repeated pair
+
+@pytest.mark.parametrize("subject, files_by_option, builds", [
+    ("ybe", {"-U": "canonical", "-V": "canonical", "-W": "canonical"}, 1),
+    ("symmetry", {"-M": "canonical", "-N": "canonical"}, 1),
+    ("hexagon", {"-U": "trivial", "-V": "canonical", "-W": "trivial"}, 3 + 2),
+    ("ybe", {"-U": "trivial", "-V": "trivial", "-W": "canonical"}, 2),
+])
+def test_a_repeated_pair_is_braided_once(files, monkeypatch, capsys, subject, files_by_option,
+                                         builds):
+    # check hexagon also braids U with V (x) W and U (x) V with W, once each
+    monkeypatch.chdir(files)
+    argv = ["--format", "json", "--diagnose", "check", subject, "--ctx", "ctx.json"]
+    for option, name in files_by_option.items():
+        argv += [option, name + ".json"]
+    braided, braiding = [], braidcat._braiding
+    monkeypatch.setattr(braidcat, "_braiding",
+                        lambda ctx, m, n, *rest: braided.append((m, n))
+                        or braiding(ctx, m, n, *rest))
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert len(braided) == builds
+    # the same check as a library call, on one object per option, braids
+    # every pair anew and gives the same report
+    braided.clear()
+    ctx = hio.load_context("ctx.json")
+    dimodules = [hio.load_structure(name + ".json") for name in files_by_option.values()]
+    if subject == "symmetry":
+        rep = braidcat.check_symmetry(ctx, *dimodules, diagnose=True)
+    else:
+        rep = {"ybe": braidcat.check_qybe, "hexagon": braidcat.check_hexagons}[subject](
+            ctx, *dimodules)
+    assert len(braided) == (2 if subject == "symmetry" else 3 if subject == "ybe" else 5)
+    expected = cli.RunReport(report["command"], report["inputs"]).absorb(rep).to_json()
+    assert report == expected and code == expected["exit_code"] == 0
