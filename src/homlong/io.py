@@ -117,7 +117,7 @@ class Files:
     """What one command reads: each file is read, and each structure in it
     built, at most once for as long as this object lives.  A path is keyed
     by its absolute form.  cli.main makes one per call; a loader given none
-    reads and builds afresh every time."""
+    makes its own for that call alone."""
 
     def __init__(self):
         self._made = {}
@@ -134,19 +134,11 @@ class Files:
         return self.once("json", path, lambda: _read(path))
 
 
-def _once(files, what, path, make):
-    return make() if files is None else files.once(what, path, make)
-
-
-def _read_once(path, files):
-    return _read(path) if files is None else files.read(path)
-
-
-def _resolve(obj, base_dir, where, files=None):
+def _resolve(obj, base_dir, where, files):
     """A field may be a path (string) or an inline object."""
     if isinstance(obj, str):
         path = obj if os.path.isabs(obj) else os.path.join(base_dir or ".", obj)
-        return _read_once(path, files), os.path.dirname(path), path
+        return files.read(path), os.path.dirname(path), path
     if isinstance(obj, dict):
         return obj, base_dir, where
     raise FileFormatError(_ctx(where, "expected a path or an inline object"))
@@ -224,7 +216,7 @@ def algebra_to_json(h):
     return out
 
 
-def _load_algebra_field(obj, key, base_dir, where, expect_hopf=False, files=None):
+def _load_algebra_field(obj, key, base_dir, where, files, expect_hopf=False):
     if key not in obj:
         raise FileFormatError(_ctx(where, "missing '%s'" % key))
     field = obj[key]
@@ -234,7 +226,7 @@ def _load_algebra_field(obj, key, base_dir, where, expect_hopf=False, files=None
         return algebra_from_json(sub, sub_dir, sub_where)
 
     # an algebra in a file of its own is built once per Files object
-    alg = _once(files, "algebra", sub_where, build) if isinstance(field, str) else build()
+    alg = files.once("algebra", sub_where, build) if isinstance(field, str) else build()
     if expect_hopf and not (isinstance(alg, HomBialgebra) and alg.antipode is not None):
         raise FileFormatError(_ctx(sub_where, "expected a hom-hopf structure"))
     return alg, sub
@@ -245,14 +237,15 @@ def _load_algebra_field(obj, key, base_dir, where, expect_hopf=False, files=None
 
 def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
     """Dispatch on 'kind'; returns the loaded structure.  An algebra field
-    given as a path is read and built through files, when given."""
+    given as a path is read and built through files (a Files)."""
+    files = files or Files()
     if not isinstance(obj, dict):
         raise FileFormatError(_ctx(where, "expected a JSON object"))
     kind = obj.get("kind")
     if kind in ("hom-algebra", "hom-coalgebra", "hom-bialgebra", "hom-hopf"):
         return algebra_from_json(obj, base_dir, where)
     if kind == "hom-module":
-        over, _ = _load_algebra_field(obj, "over", base_dir, where, files=files)
+        over, _ = _load_algebra_field(obj, "over", base_dir, where, files)
         alg = over.algebra if not isinstance(over, (HomAlgebra, HomCoalgebra)) else over
         if isinstance(alg, HomCoalgebra):
             raise FileFormatError(_ctx(where, "module 'over' must carry an algebra"))
@@ -261,7 +254,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
                          load_matrix(obj["nu"], where + ".nu"),
                          load_basis(obj, dim, where))
     if kind == "hom-comodule":
-        over, _ = _load_algebra_field(obj, "over", base_dir, where, files=files)
+        over, _ = _load_algebra_field(obj, "over", base_dir, where, files)
         coa = over.coalgebra if not isinstance(over, (HomAlgebra, HomCoalgebra)) else over
         if isinstance(coa, HomAlgebra):
             raise FileFormatError(_ctx(where, "comodule 'over' must carry a coalgebra"))
@@ -271,7 +264,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
                            load_matrix(obj["mu"], where + ".mu"),
                            load_basis(obj, dim, where))
     if kind == "yd-module":
-        over, _ = _load_algebra_field(obj, "over", base_dir, where, files=files)
+        over, _ = _load_algebra_field(obj, "over", base_dir, where, files)
         if not isinstance(over, HomBialgebra):
             raise FileFormatError(_ctx(where, "yd-module 'over' must be a bialgebra"))
         dim = _int_field(obj, "dim", where)
@@ -282,8 +275,8 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
                                     load_matrix(obj["structure_map"], where + ".structure_map"),
                                     load_basis(obj, dim, where))
     if kind == "long-dimodule":
-        h, _ = _load_algebra_field(obj, "H", base_dir, where, files=files)
-        b, _ = _load_algebra_field(obj, "B", base_dir, where, files=files)
+        h, _ = _load_algebra_field(obj, "H", base_dir, where, files)
+        b, _ = _load_algebra_field(obj, "B", base_dir, where, files)
         dim = _int_field(obj, "dim", where)
         return HomLongDimodule(h, b, dim,
                                load_tensor3(obj["action"], where + ".action"),
@@ -291,7 +284,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
                                load_matrix(obj["mu"], where + ".mu"),
                                load_basis(obj, dim, where))
     if kind == "halpha-dimodule":
-        h, _ = _load_algebra_field(obj, "H", base_dir, where, files=files)
+        h, _ = _load_algebra_field(obj, "H", base_dir, where, files)
         dim = _int_field(obj, "dim", where)
         return HAlphaLongDimodule(h, dim,
                                   load_tensor3(obj["action"], where + ".action"),
@@ -311,27 +304,30 @@ def load_structure(path, files=None):
     """The structure in the file at path.  Given files (a Files), a file
     they hold is not read again, and a structure they hold is returned as
     it is."""
+    files = files or Files()
+
     def build():
-        obj = _read_once(path, files)
+        obj = files.read(path)
         try:
             return structure_from_json(obj, os.path.dirname(path), path, files)
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(str(exc), path)
 
-    return _once(files, "structure", path, build)
+    return files.once("structure", path, build)
 
 
 def load_context(path, files=None):
     """Context file: H, B (paths or inline), R and form (inline matrices or
-    taken from the referenced algebra files).  With files given, each file
-    is read, and each algebra file built, through them."""
+    taken from the referenced algebra files).  Each file is read, and each
+    algebra file built, through files (a Files) when given."""
     from .braidcat import BraidingContext
-    obj = _read_once(path, files)
+    files = files or Files()
+    obj = files.read(path)
     where = path
-    h, h_raw = _load_algebra_field(obj, "H", os.path.dirname(path), where, expect_hopf=True,
-                                   files=files)
-    b, b_raw = _load_algebra_field(obj, "B", os.path.dirname(path), where, expect_hopf=True,
-                                   files=files)
+    h, h_raw = _load_algebra_field(obj, "H", os.path.dirname(path), where, files,
+                                   expect_hopf=True)
+    b, b_raw = _load_algebra_field(obj, "B", os.path.dirname(path), where, files,
+                                   expect_hopf=True)
     r_field = obj.get("R", h_raw.get("R"))
     if r_field is None:
         raise FileFormatError(_ctx(where, "no 'R' in context or in the H file"))
@@ -393,9 +389,8 @@ def json_text(obj, ensure_ascii=False):
     byte for byte, for obj made of dicts with str keys, lists, tuples and
     JSON scalars; any other key raises TypeError.  json.dumps encodes in
     pure Python whenever it indents; here a list of scalars (a matrix row,
-    the last index of a structure constant) is written whole: a list of
-    ints or of strings by one join, any other by one call of the C
-    encoder."""
+    the last index of a structure constant) is written whole, by one call
+    of the C encoder."""
     string = json.encoder.encode_basestring_ascii if ensure_ascii \
         else json.encoder.encode_basestring
     encoders = {}
@@ -419,12 +414,8 @@ def json_text(obj, ensure_ascii=False):
                 sep = ","
             out.append(indent + "}" if x else "{}")
         elif isinstance(x, (list, tuple)):
-            kinds = set(map(type, x))
-            if x and kinds <= _SCALAR_TYPES:
-                items = ("," + inner).join(map(int.__repr__, x)) if kinds == {int} \
-                    else ("," + inner).join(map(string, x)) if kinds == {str} \
-                    else flat(inner)(x)[1:-1]
-                out.append("[" + inner + items + indent + "]")
+            if x and set(map(type, x)) <= _SCALAR_TYPES:
+                out.append("[" + inner + flat(inner)(x)[1:-1] + indent + "]")
                 return
             sep = "["
             for v in x:
