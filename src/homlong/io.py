@@ -135,10 +135,14 @@ class Files:
 
 
 def _resolve(obj, base_dir, where, files):
-    """A field may be a path (string) or an inline object."""
+    """A field may be a path (string) to a file holding an object, or an
+    inline object."""
     if isinstance(obj, str):
         path = obj if os.path.isabs(obj) else os.path.join(base_dir or ".", obj)
-        return files.read(path), os.path.dirname(path), path
+        sub = files.read(path)
+        if not isinstance(sub, dict):
+            raise FileFormatError("expected a JSON object", path)
+        return sub, os.path.dirname(path), path
     if isinstance(obj, dict):
         return obj, base_dir, where
     raise FileFormatError(_ctx(where, "expected a path or an inline object"))
@@ -323,6 +327,8 @@ def load_context(path, files=None):
     from .braidcat import BraidingContext
     files = files or Files()
     obj = files.read(path)
+    if not isinstance(obj, dict):
+        raise FileFormatError("expected a JSON object", path)
     where = path
     h, h_raw = _load_algebra_field(obj, "H", os.path.dirname(path), where, files,
                                    expect_hopf=True)

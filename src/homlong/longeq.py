@@ -13,11 +13,13 @@ kernel.
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, SingularMatrix,
                      composite_columns, composite_matrix, coproduct_columns, coproduct_tensor,
-                     first_differing_column, flip_columns, per_leg, per_leg_matrix,
-                     product_columns, product_tensor, scalar, sparse_columns, ZERO)
+                     first_differing_column, flip_columns, int_columns, per_leg,
+                     per_leg_matrix, product_columns, product_tensor, scalar, sparse_columns,
+                     ZERO)
 from .homstruct import tensor_basis
 from .longdimod import HomLongDimodule, h_tensor_parts, validate_long_dimodule
 from .report import AxiomReport
@@ -163,8 +165,13 @@ def diagonal_solution(a, b):
     if b.rows != n or b.cols != n:
         raise DimensionMismatch("coefficient matrix is %dx%d for dim %d"
                                 % (b.rows, b.cols, n))
-    mat = Matrix.from_function(n * n, n * n,
-                               lambda r, c: b.data[r // n][r % n] if r == c else ZERO)
+    # b_ij is entry (i, j) of b, in its column j, and lands in column i n + j
+    cols, scale = sparse_columns(b)
+    diag = [[] for _ in range(n * n)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            diag[i * n + j].append((i * n + j, x))
+    mat = Matrix.from_int_columns(diag, scale, n * n)
     return DiagonalSolution(n, mat, Matrix.diagonal(entries),
                             classical=all(x == 1 for x in entries))
 
@@ -175,7 +182,7 @@ def diagonal_solution(a, b):
 def coords_to_operator(x, z):
     """The operator m_k (x) m_l -> sum x[k][l][i][j] m_i (x) mu^-1(m_j)."""
     n = z.rows
-    steps = _coords_steps(*_int_tensor4(x), _conj(z))
+    steps = _coords_steps(_coords_columns(x, n), _conj(z))
     return OperatorOnTensorSquare(n, composite_matrix(steps, (n, n)), z)
 
 
@@ -187,25 +194,35 @@ def _conj(z):
         raise SingularMatrix("structure map is singular") from None
 
 
-def _coords_steps(xs, scale, conj):
-    """The operator of the int-scaled coordinates xs / scale as two steps
-    on M (x) M: X's columns m_k (x) m_l -> sum xs[k][l][i][j] m_i (x) m_j,
-    then mu^-1 on the second leg (the second step of conj)."""
-    n = len(xs)
+def _coords_columns(x, n):
+    """The coordinates x[k][l][i][j] as the int columns (cols, scale) of
+    X: m_k (x) m_l -> sum x[k][l][i][j] m_i (x) m_j, each entry read once
+    by int_columns (ints, Fractions and "p/q" strings)."""
     rng = range(n)
-    cols = [[(i * n + j, xs[k][l][i][j]) for i in rng for j in rng if xs[k][l][i][j]]
-            for k in rng for l in rng]
-    return [((cols, scale), (0, 1), None), conj[1]]
+    return int_columns([x[k][l][i][j] for i in rng for j in rng] for k in rng for l in rng)
+
+
+def _coords_steps(xs, conj):
+    """The operator of the coordinates, given as X's int columns xs, as two
+    steps on M (x) M: X, then mu^-1 on the second leg (the second step of
+    conj)."""
+    return [(xs, (0, 1), None), conj[1]]
 
 
 def operator_to_coords(op):
-    """Inverse of coords_to_operator: x[k][l][i][j] with the mu^-1 leg undone."""
+    """Inverse of coords_to_operator: x[k][l][i][j] with the mu^-1 leg undone,
+    as Fractions; x[k][l] is column k n + l of (id (x) mu) R."""
     n = op.carrier_dim
-    z = op.structure_map
-    m = op.matrix
-    return [[[[sum((m.data[i * n + t][k * n + l] * z.data[j][t] for t in range(n)), ZERO)
-               for j in range(n)] for i in range(n)]
-             for l in range(n)] for k in range(n)]
+    rng = range(n)
+    cols, scale = composite_columns([(sparse_columns(op.matrix), (0, 1), None),
+                                     (sparse_columns(op.structure_map), (1,), None)], (n, n))
+    x = [[[[ZERO] * n for _ in rng] for _ in rng] for _ in rng]
+    for kl, col in enumerate(cols):
+        k, l = divmod(kl, n)
+        for ij, v in col:
+            i, j = divmod(ij, n)
+            x[k][l][i][j] = Fraction(v, scale)
+    return x
 
 
 def coordinate_criterion(x, y, z):
@@ -213,34 +230,44 @@ def coordinate_criterion(x, y, z):
     against the operator identity S12 o R23 = R23 o S12 built from the same
     data; both verdicts are reported with an agreement flag, the operator
     verdict being the oracle.  The mu-equivariance of R and S (commutation
-    with mu (x) mu^-1) is recorded as an observation."""
+    with mu (x) mu^-1) is recorded as an observation.
+
+    Each coordinate tensor is read once, y not at all when it is x; both
+    sides are linear in x, y and z, so each works on their int-scaled
+    columns (_coords_columns), and y equals x exactly when those do."""
     n = z.rows
     conj = _conj(z)
-    x = [[[[scalar(x[k][l][i][j]) for j in range(n)] for i in range(n)]
-          for l in range(n)] for k in range(n)]
-    y = [[[[scalar(y[k][l][i][j]) for j in range(n)] for i in range(n)]
-          for l in range(n)] for k in range(n)]
+    xs = _coords_columns(x, n)
+    ys = xs if y is x else _coords_columns(y, n)
+    self_case = ys == xs
     rep = AxiomReport()
 
-    # both sides are linear in x, y and z, so each is int-scaled once; z's
-    # int columns are those of conj's first step
-    (xs, x_scale), (ys, y_scale) = _int_tensor4(x), _int_tensor4(y)
+    # z's int columns are those of conj's first step
     rng = range(n)
     z_col = conj[0][0][0]
     z_row = [[] for _ in rng]
     for u, col in enumerate(z_col):
         for i, c in col:
             z_row[i].append((u, c))
-    # x_vw^jk over j for the left side, x_jw^qk over j for the right side
-    x_l = [[[[(j, xs[v][w][j][k]) for j in rng if xs[v][w][j][k]] for k in rng]
-            for w in rng] for v in rng]
-    x_r = [[[[(j, xs[j][w][q][k]) for j in rng if xs[j][w][q][k]] for k in rng]
-            for q in rng] for w in rng]
-    # y_ij^pq over (p, q) and y_uv^ij over (u, v), for each (i, j)
-    y_out = [[[(p, q, ys[i][j][p][q]) for p in rng for q in rng if ys[i][j][p][q]]
-              for j in rng] for i in rng]
-    y_in = [[[(u, v, ys[u][v][i][j]) for u in rng for v in rng if ys[u][v][i][j]]
-             for j in rng] for i in rng]
+    # from X's column v n + w: x_vw^jk over j for the left side, and
+    # x_jw^qk over j for the right side (column j n + w); from Y's column
+    # i n + j: y_ij^pq over (p, q), and y_uv^ij over (u, v) (column u n + v)
+    x_l = [[[[] for _ in rng] for _ in rng] for _ in rng]
+    x_r = [[[[] for _ in rng] for _ in rng] for _ in rng]
+    for vw, col in enumerate(xs[0]):
+        v, w = divmod(vw, n)
+        for jk, a in col:
+            j, k = divmod(jk, n)
+            x_l[v][w][k].append((j, a))
+            x_r[w][j][k].append((v, a))
+    y_out = [[[] for _ in rng] for _ in rng]
+    y_in = [[[] for _ in rng] for _ in rng]
+    for uv, col in enumerate(ys[0]):
+        u, v = divmod(uv, n)
+        for ij, e in col:
+            i, j = divmod(ij, n)
+            y_out[u][v].append((i, j, e))
+            y_in[i][j].append((u, v, e))
     # both sides as sparse tables over (k, p, q, u, v, w): each product of
     # nonzero coefficients is added once
     lhs, rhs = {}, {}
@@ -262,9 +289,8 @@ def coordinate_criterion(x, y, z):
     rep.add("index-identity", idx_ok, idx_wit)
 
     # R and S as int columns: X's columns, then mu^-1 on the second leg
-    self_case = x == y
-    r = composite_columns(_coords_steps(xs, x_scale, conj), (n, n))
-    s = r if self_case else composite_columns(_coords_steps(ys, y_scale, conj), (n, n))
+    r = composite_columns(_coords_steps(xs, conj), (n, n))
+    s = r if self_case else composite_columns(_coords_steps(ys, conj), (n, n))
     witness = _first_failing_column(s[0], r[0], z_col, n)
     rep.add("operator-identity", witness is None, witness)
 
@@ -274,14 +300,6 @@ def coordinate_criterion(x, y, z):
         first_differing_column(conj + [(t, (0, 1), None)], [(t, (0, 1), None)] + conj,
                                (n, n)) is None for t in ((r,) if self_case else (r, s))))
     return rep
-
-
-def _int_tensor4(x):
-    """x[k][l][i][j] times the common denominator of its entries, as ints,
-    and that denominator."""
-    d = math.lcm(*(e.denominator for a in x for b in a for c in b for e in c))
-    return [[[[e.numerator * (d // e.denominator) for e in c] for c in b] for b in a]
-            for a in x], d
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +321,8 @@ def tau_transforms(op):
     # on its columns, W on both
     sw = [(c % n) * n + c // n for c in range(n2)]
     r, scale = sparse_columns(op.matrix)
-    us = [[(sw[i], x) for i, x in c] for c in r]
-    u, tt, w = (Matrix.from_int_columns(cols, scale, n2) for cols in (
-        us, [list(r[j]) for j in sw], [list(us[j]) for j in sw]))
+    u, tt, w = (Matrix.from_int_columns(_relabel(r, rows, order), scale, n2)
+                for rows, order in ((sw, range(n2)), (range(n2), sw), (sw, sw)))
     us, ts, ws = sparse_columns(u), sparse_columns(tt), sparse_columns(w)[0]
     m = sparse_columns(mu)
     rep = AxiomReport()
@@ -313,17 +330,20 @@ def tau_transforms(op):
     base = _first_failing_column(r, r, m[0], n) is None
     rep.add("base-longeq", base)
 
-    # X12, X13 and X23 on M (x) M (x) M, each run once into a 3-leg step;
-    # X13 is X12 between two flips of the last two legs, and the cycle
-    # x (x) y (x) z -> z (x) x (x) y is a re-indexing
-    dims, flip = (n, n, n), flip_columns(n, n)
-    cyc = ([[((c % n) * n2 + c // n, 1)] for c in range(n2 * n)], 1), (0, 1, 2), None
+    # X12, X13 and X23 on M (x) M (x) M as 3-leg steps; only X12 = x (x) mu
+    # is run.  X13 = P X12 P, P the flip of the last two legs, and
+    # X23 = C X12 C^-1, C the cycle x (x) y (x) z -> z (x) x (x) y, are X12
+    # re-indexed; C is also a step of the U- and T-equations
+    dims, n3 = (n, n, n), n2 * n
+    flip = [c - c % n2 + (c % n) * n + c % n2 // n for c in range(n3)]
+    cycle = [(c % n) * n2 + c // n for c in range(n3)]
+    back = [(c % n2) * n + c // n2 for c in range(n3)]
+    cyc = ([[(c, 1)] for c in cycle], 1), (0, 1, 2), None
 
     def legs(x):
-        x12 = [(x, (0, 1), None), (m, (2,), None)]
-        x13 = [(flip, (1, 2), None)] + x12 + [(flip, (1, 2), None)]
-        x23 = [(m, (0,), None), (x, (1, 2), None)]
-        return [(composite_columns(steps, dims), (0, 1, 2), None) for steps in (x12, x13, x23)]
+        x12, sc = composite_columns([(x, (0, 1), None), (m, (2,), None)], dims)
+        return [((cols, sc), (0, 1, 2), None)
+                for cols in (x12, _relabel(x12, flip, flip), _relabel(x12, cycle, back))]
 
     (u12, u13, u23), (t12, t13, t23) = legs(us), legs(ts)
     rep.add("transform-U", first_differing_column([u23, u13], [u12, u13, cyc], dims) is None)
@@ -338,6 +358,14 @@ def tau_transforms(op):
         "W": OperatorOnTensorSquare(n, w, mu),
     }
     return transforms, rep
+
+
+def _relabel(cols, rows, order):
+    """P X Q^-1 for the map X given by its int columns cols and basis
+    permutations P and Q, given as lists: rows[i] = P(i) and
+    order[j] = Q^-1(j), so column j is column order[j] of X with each row
+    i renamed rows[i]."""
+    return [[(rows[i], x) for i, x in cols[j]] for j in order]
 
 
 # ---------------------------------------------------------------------------

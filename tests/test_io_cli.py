@@ -192,6 +192,32 @@ def test_check_commands(files, capsys):
                  "-V", p(files, "trivial.json"), "-W", p(files, "sign.json")]) == 0
 
 
+def test_file_that_is_not_an_object_exits_2(files, capsys):
+    # an algebra field naming a file whose JSON is a list, or a context file
+    # that is a list, is an input error that names that file: for a
+    # module's 'over', a context's H and B, and the context itself
+    listed = p(files, "list.json")
+    hio.dump_json([1, 2], listed)
+    hio.dump_json(["H", "B"], files / "listed_ctx.json")
+    hio.dump_json({"kind": "hom-module", "over": "list.json", "dim": 1},
+                  files / "module.json")
+    hio.dump_json({"kind": "context", "H": "list.json", "B": "list.json"},
+                  files / "listctx.json")
+    sign = p(files, "sign.json")
+    for name, bad, args, load in (
+            ("module.json", listed, ["validate"], hio.load_structure),
+            ("listctx.json", listed, ["check", "ybe", "--ctx"], hio.load_context),
+            ("listed_ctx.json", p(files, "listed_ctx.json"), ["check", "ybe", "--ctx"],
+             hio.load_context)):
+        tail = ["-U", sign, "-V", sign, "-W", sign] if load is hio.load_context else []
+        assert main(args + [p(files, name)] + tail) == 2
+        err = capsys.readouterr().err
+        assert "expected a JSON object" in err and bad in err
+        with pytest.raises(FileFormatError) as exc:
+            load(p(files, name))
+        assert exc.value.path == bad
+
+
 def test_coherence_refuses_mismatched_base(files, capsys):
     kz2 = fx.kz2()
     hio.save_structure(canonical_dimodule(kz2, dual_hopf(kz2)), files / "other.json")

@@ -1,13 +1,18 @@
+import copy
+import itertools
 import json
 import pathlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, Tensor3, SingularMatrix, scalar_to_json
+from homlong import longeq
+from homlong.linalg import (Matrix, Tensor3, SingularMatrix, composite_columns, flip_columns,
+                            scalar_to_json, sparse_columns)
 from homlong.longdimod import canonical_dimodule
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             SearchSpaceTooLarge, ZeroDiagonal,
@@ -194,6 +199,114 @@ def test_tau_transform_scalar():
     op = OperatorOnTensorSquare(1, Matrix([[4]]), Matrix([[3]]))
     _, rep = tau_transforms(op)
     assert rep.ok
+
+
+@st.composite
+def grid_mus(draw, n):
+    """An identity, diagonal or unipotent structure map, as the search grids
+    use them."""
+    kind = draw(st.sampled_from(("identity", "diagonal", "unipotent")))
+    entry = st.sampled_from((1, -1, 2, 3, Fraction(1, 2)))
+    if kind == "identity":
+        return Matrix.identity(n)
+    if kind == "diagonal":
+        return Matrix.diagonal([draw(entry) for _ in range(n)])
+    return Matrix([[1 if i == j else (draw(st.sampled_from((0, 1, -2))) if j > i else 0)
+                    for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def grid_or_arbitrary_operators(draw, n):
+    """An operator on M (x) M with entries on a {0, 1} or {-1, 0, 1} grid
+    (full or diagonal), or arbitrary small rationals."""
+    n2 = n * n
+    kind = draw(st.sampled_from(("full grid", "diagonal grid", "arbitrary")))
+    entry = (st.sampled_from((0, 1)) if draw(st.booleans()) else st.sampled_from((-1, 0, 1))) \
+        if kind != "arbitrary" else rationals
+    return Matrix([[draw(entry) if kind != "diagonal grid" or r == c else 0
+                    for c in range(n2)] for r in range(n2)])
+
+
+def _int_columns_matrix(step, rows):
+    """The Matrix of a composite's int columns (cols, scale), its lists
+    copied."""
+    cols, scale = step
+    return Matrix.from_int_columns([list(c) for c in cols], scale, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelled_legs_match_leg_step_composites(data):
+    # tau runs X12 = x (x) mu and relabels it into X13 and X23; each equals
+    # the composite that applies x and mu to those legs, for x = U and T
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    mu = data.draw(grid_mus(n))
+    op = OperatorOnTensorSquare(n, data.draw(grid_or_arbitrary_operators(n)), mu)
+    spy = mock.Mock(side_effect=longeq.first_differing_column)
+    with mock.patch.object(longeq, "first_differing_column", spy):
+        transforms, _ = tau_transforms(op)
+    (u_lhs, u_rhs), (t_lhs, t_rhs) = [c.args[:2] for c in spy.call_args_list]
+    dims, m, flip = (n, n, n), sparse_columns(mu), flip_columns(n, n)
+    for key, x13, x23 in (("U", u_lhs[1], u_lhs[0]), ("T", t_lhs[0], t_rhs[2])):
+        x = sparse_columns(transforms[key].matrix)
+        want13 = composite_columns([(flip, (1, 2), None), (x, (0, 1), None), (m, (2,), None),
+                                    (flip, (1, 2), None)], dims)
+        want23 = composite_columns([(m, (0,), None), (x, (1, 2), None)], dims)
+        for (got, legs, out), want in ((x13, want13), (x23, want23)):
+            assert (legs, out) == ((0, 1, 2), None)
+            assert _int_columns_matrix(got, n ** 3) == _int_columns_matrix(want, n ** 3)
+
+
+def test_flip_transforms_and_criterion_cost():
+    # tau_transforms runs one composite per transform, X12; coordinate_criterion
+    # reads each coordinate tensor once, and y not at all when it is x
+    mu = Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
+    op = search_solutions(mu, [0, 1], "diagonal")[-1]
+    runs = mock.Mock(side_effect=longeq.composite_columns)
+    with mock.patch.object(longeq, "composite_columns", runs):
+        tau_transforms(op)
+    assert runs.call_count == 2
+    x = operator_to_coords(op)
+    reads = mock.Mock(side_effect=longeq.int_columns)
+    with mock.patch.object(longeq, "int_columns", reads):
+        coordinate_criterion(x, x, mu)
+        assert reads.call_count == 1
+        reads.reset_mock()
+        coordinate_criterion(x, copy.deepcopy(x), mu)
+        assert reads.call_count == 2
+
+
+def _mixed(x):
+    """The coordinates x written as ints where integral, otherwise as
+    Fractions and "p/q" strings in turn."""
+    turn = itertools.count()
+    return [[[[int(e) if e.denominator == 1 else
+               e if next(turn) % 2 else "%d/%d" % (e.numerator, e.denominator)
+               for e in c] for c in b] for b in a] for a in x]
+
+
+@pytest.mark.parametrize("rows, mu", [
+    ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], [[1, 0], [0, "1/2"]]),
+    ([[2, "1/2", 0, 0], [0, 1, 0, 0], [0, 0, "-3/2", 0], [0, 0, 0, 1]], [[1, 1], [0, 1]]),
+    ([["1/3", 0, 1, 0], [0, 2, 0, 0], [0, 0, 1, "5/2"], [1, 0, 0, 4]], [[2, 0], [0, "1/2"]]),
+])
+def test_criterion_reads_equal_coordinates_alike(rows, mu):
+    # y is x, an equal copy of x, and the same values as ints, Fractions and
+    # "p/q" strings: one report; a bool or a float entry is refused
+    mu = Matrix(mu)
+    x = operator_to_coords(OperatorOnTensorSquare(2, Matrix(rows), mu))
+    y = _mixed(x)
+    assert any(type(e) is str for a in y for b in a for c in b for e in c)
+    reports = [_report_json(coordinate_criterion(x, other, mu))
+               for other in (x, copy.deepcopy(x), y)]
+    assert reports[0]["flags"]["self-case"]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    for bad in (True, 1.0):
+        y[1][0][1][1] = bad
+        with pytest.raises(TypeError):
+            coordinate_criterion(x, y, mu)
+        with pytest.raises(TypeError):
+            coordinate_criterion(y, y, mu)
 
 
 def test_halpha_sign(kz2):

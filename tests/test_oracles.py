@@ -51,9 +51,9 @@ from homlong.longdimod import (DualityData, HomLongDimodule, canonical_dimodule,
                                smash_product_algebra, tensor_dimodule, to_smash_module,
                                trivial_dimodule, unit_dimodule, validate_long_dimodule)
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare, check_long_equation,
-                            comodule_extension, coordinate_criterion, dimodule_solution,
-                            module_extension, search_solutions, tau_transforms,
-                            validate_halpha_dimodule)
+                            comodule_extension, coordinate_criterion, diagonal_solution,
+                            dimodule_solution, module_extension, operator_to_coords,
+                            search_solutions, tau_transforms, validate_halpha_dimodule)
 from homlong.report import AxiomReport, Check, matrices_equal_report
 from homlong.repmod import (HomModule, YetterDrinfeldModule, check_yd, validate_hom_comodule,
                             validate_hom_module, yd_prebraiding)
@@ -689,6 +689,31 @@ def test_mu_equivariance_flag_matches_sympy(data):
         rep = coordinate_criterion(r, s, Matrix(mu))
         assert rep.flags["self-case"] == (r == s)
         assert rep.flags["mu-equivariant"] == (commutes(r) and commutes(s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_operator_to_coords_matches_index_sums(data):
+    # x[k][l][i][j] = sum_t R[(i, t), (k, l)] mu[j][t], every entry a Fraction
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    mu = data.draw(structure_maps(n))
+    rows = data.draw(operators(n, mu))
+    x = operator_to_coords(OperatorOnTensorSquare(n, Matrix(rows), Matrix(mu)))
+    assert x == _rows_to_coords(rows, mu)
+    assert all(type(e) is Fraction for a in x for b in a for c in b for e in c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_diagonal_solution_matches_index_sums(data):
+    # R[(i, j), (i, j)] = b[i][j] and zero off the diagonal, over mu = diag(a)
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    a = [data.draw(st.sampled_from(SMALL).filter(bool)) for _ in range(n)]
+    b = [[data.draw(st.sampled_from(SMALL)) for _ in range(n)] for _ in range(n)]
+    op = diagonal_solution(a, Matrix(b))
+    assert op.matrix == Matrix([[b[r // n][r % n] if r == c else 0 for c in range(n * n)]
+                                for r in range(n * n)])
+    assert op.structure_map == Matrix.diagonal(a)
 
 
 def index_identity_first_failure(x, y, z):
