@@ -115,23 +115,38 @@ def _read(path):
 
 class Files:
     """What one command reads: each file is read, and each structure in it
-    built, at most once for as long as this object lives.  A path is keyed
+    built, at most once for as long as this object lives, and equal algebra
+    definitions, inline or in a file, build one algebra.  A path is keyed
     by its absolute form.  cli.main makes one per call; a loader given none
     makes its own for that call alone."""
 
     def __init__(self):
         self._made = {}
 
-    def once(self, what, path, make):
-        """make(), the first time what is asked of path."""
-        key = (what, os.path.abspath(path))
+    def _once(self, key, make):
         if key not in self._made:
             self._made[key] = make()
         return self._made[key]
 
+    def once(self, what, path, make):
+        """make(), the first time what is asked of path."""
+        return self._once((what, os.path.abspath(path)), make)
+
     def read(self, path):
         """The JSON in the file at path."""
         return self.once("json", path, lambda: _read(path))
+
+    def algebra(self, obj, base_dir, where):
+        """algebra_from_json(obj, base_dir, where), built once for all
+        definitions with the same canonical JSON of the algebra's own
+        fields (an algebra file's R and form are not among them).  A
+        definition that is not plain JSON is built afresh."""
+        try:
+            key = json.dumps({k: obj[k] for k in _ALGEBRA_FIELDS if k in obj},
+                             sort_keys=True)
+        except TypeError:
+            return algebra_from_json(obj, base_dir, where)
+        return self._once(("algebra", key), lambda: algebra_from_json(obj, base_dir, where))
 
 
 def _resolve(obj, base_dir, where, files):
@@ -159,6 +174,10 @@ def _int_field(obj, key, where):
 
 # ---------------------------------------------------------------------------
 # algebras
+
+_ALGEBRA_FIELDS = ("kind", "dim", "basis", "mult", "unit", "comult", "counit", "gamma",
+                   "antipode")
+
 
 def algebra_from_json(obj, base_dir=None, where="<inline>"):
     kind = obj.get("kind")
@@ -225,12 +244,7 @@ def _load_algebra_field(obj, key, base_dir, where, files, expect_hopf=False):
         raise FileFormatError(_ctx(where, "missing '%s'" % key))
     field = obj[key]
     sub, sub_dir, sub_where = _resolve(field, base_dir, where + "." + key, files)
-
-    def build():
-        return algebra_from_json(sub, sub_dir, sub_where)
-
-    # an algebra in a file of its own is built once per Files object
-    alg = files.once("algebra", sub_where, build) if isinstance(field, str) else build()
+    alg = files.algebra(sub, sub_dir, sub_where)
     if expect_hopf and not (isinstance(alg, HomBialgebra) and alg.antipode is not None):
         raise FileFormatError(_ctx(sub_where, "expected a hom-hopf structure"))
     return alg, sub
@@ -247,7 +261,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
         raise FileFormatError(_ctx(where, "expected a JSON object"))
     kind = obj.get("kind")
     if kind in ("hom-algebra", "hom-coalgebra", "hom-bialgebra", "hom-hopf"):
-        return algebra_from_json(obj, base_dir, where)
+        return files.algebra(obj, base_dir, where)
     if kind == "hom-module":
         over, _ = _load_algebra_field(obj, "over", base_dir, where, files)
         alg = over.algebra if not isinstance(over, (HomAlgebra, HomCoalgebra)) else over

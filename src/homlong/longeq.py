@@ -90,54 +90,55 @@ def _first_failing_column(a_cols, b_cols, mu_cols, n):
     A and B act on M (x) M and mu on M (dim n); each is given by its sparse
     columns (lists of (row, value) pairs with nonzero value).
     """
-    for u in range(n):
-        for v in range(n):
-            for w in range(n):
-                lhs, rhs = _column_sides(a_cols, b_cols, mu_cols, n, u, v, w)
-                if lhs != rhs and ({key: x for key, x in lhs.items() if x}
-                                   != {key: x for key, x in rhs.items() if x}):
-                    return (u, v, w)
-    return None
+    rng = range(n)
+    found = _first_difference(a_cols, b_cols, mu_cols, n, rng, rng, rng)
+    return None if found is None else found[0]
 
 
-def _column_sides(a_cols, b_cols, mu_cols, n, u, v, w):
-    """(A (x) mu)(mu (x) B) and (mu (x) B)(A (x) mu) applied to
-    e_u (x) e_v (x) e_w, each as a dict from output index to coefficient
-    (an entry may be 0 where terms cancel).
+def _first_difference(a_cols, b_cols, mu_cols, n, us, vs, ws):
+    """The first basis triple (u, v, w) of us x vs x ws, in lexicographic
+    order, on which (A (x) mu)(mu (x) B) - (mu (x) B)(A (x) mu) applied to
+    e_u (x) e_v (x) e_w has a nonzero coefficient, with that difference as
+    a dict from output index to coefficient (an entry may be 0 where terms
+    cancel); None when there is no such triple.
 
-    Both sides are applied without forming a Kronecker product, so the work
-    is the product of the nonzero counts involved; each side is bilinear in
-    (A, B).
+    Operands as in _first_failing_column.  Both sides are applied without
+    forming a Kronecker product, so the work is the product of the nonzero
+    counts involved; the difference is bilinear in (A, B).
     """
     n2 = n * n
-    mu_u = mu_cols[u]
-    # (A (x) mu)(mu (x) B): e_t (x) B e_vw, then A on (t, j), mu on k
-    lhs = {}
-    for jk, b in b_cols[v * n + w]:
-        j, k = divmod(jk, n)
-        mu_k = mu_cols[k]
-        for t, m in mu_u:
-            mb = m * b
-            for pq, a in a_cols[t * n + j]:
-                amb = a * mb
-                base = pq * n
-                for r, z in mu_k:
-                    key = base + r
-                    lhs[key] = lhs.get(key, 0) + z * amb
-    # (mu (x) B)(A (x) mu): A e_uv (x) mu e_w, then mu on i, B on (j, s)
-    rhs = {}
-    mu_w = mu_cols[w]
-    for ij, a in a_cols[u * n + v]:
-        i, j = divmod(ij, n)
-        mu_i = mu_cols[i]
-        for s, m in mu_w:
-            am = a * m
-            for qr, b in b_cols[j * n + s]:
-                bam = b * am
-                for p, z in mu_i:
-                    key = p * n2 + qr
-                    rhs[key] = rhs.get(key, 0) + z * bam
-    return lhs, rhs
+    for u in us:
+        mu_u = mu_cols[u]
+        for v in vs:
+            a_uv = a_cols[u * n + v]
+            for w in ws:
+                diff = {}
+                # (A (x) mu)(mu (x) B): e_t (x) B e_vw, then A on (t, j), mu on k
+                for jk, b in b_cols[v * n + w]:
+                    j, mu_k = jk // n, mu_cols[jk % n]
+                    for t, m in mu_u:
+                        mb = m * b
+                        for pq, a in a_cols[t * n + j]:
+                            amb = a * mb
+                            base = pq * n
+                            for r, z in mu_k:
+                                key = base + r
+                                diff[key] = diff.get(key, 0) + z * amb
+                # minus (mu (x) B)(A (x) mu): A e_uv (x) mu e_w, then mu on i,
+                # B on (j, s)
+                mu_w = mu_cols[w]
+                for ij, a in a_uv:
+                    j, mu_i = ij % n, mu_cols[ij // n]
+                    for s, m in mu_w:
+                        am = a * m
+                        for qr, b in b_cols[j * n + s]:
+                            bam = b * am
+                            for p, z in mu_i:
+                                key = p * n2 + qr
+                                diff[key] = diff.get(key, 0) - z * bam
+                if any(diff.values()):
+                    return (u, v, w), diff
+    return None
 
 
 def check_invertible_iff(op):
@@ -511,15 +512,15 @@ def _long_constraints(positions, mu_cols, n):
     with a <= b, that must vanish.  Forms that vanish identically are
     dropped, and repeated ones kept once.
 
-    Both sides of the equation are bilinear in (A, B), so the coefficient of
-    x_a x_b is read off the kernel's sides at A = E_a, B = E_b plus those at
-    A = E_b, B = E_a (polarisation).  At a triple (u, v, w) the kernel's
-    left side reads B's column v n + w and then A's columns t n + j, for t
-    in the support of mu(e_u) and e_j (x) e_k in that column of B; its right
-    side reads A's column u n + v and then B's columns j n + s, for s in the
-    support of mu(e_w) and e_i (x) e_j in that column of A.  Only the pairs
-    (E_a, E_b) whose columns are read are evaluated: every other pair has
-    both sides zero.
+    The difference of the two sides is bilinear in (A, B), so the
+    coefficient of x_a x_b is read off the kernel's difference at A = E_a,
+    B = E_b plus that at A = E_b, B = E_a (polarisation).  At a triple
+    (u, v, w) the kernel's left side reads B's column v n + w and then A's
+    columns t n + j, for t in the support of mu(e_u) and e_j (x) e_k in that
+    column of B; its right side reads A's column u n + v and then B's
+    columns j n + s, for s in the support of mu(e_w) and e_i (x) e_j in that
+    column of A.  Only the pairs (E_a, E_b) whose columns are read are
+    evaluated: every other pair has both sides zero.
     """
     n2 = n * n
     units, by_col = [], [[] for _ in range(n2)]
@@ -539,14 +540,13 @@ def _long_constraints(positions, mu_cols, n):
             pairs.update((a, b) for s, _ in mu_cols[w] for b in by_col[j * n + s])
         coords = {}
         for a, b in pairs:
-            lhs, rhs = _column_sides(units[a], units[b], mu_cols, n, u, v, w)
+            found = _first_difference(units[a], units[b], mu_cols, n, (u,), (v,), (w,))
+            if found is None:
+                continue
             ab = (a, b) if a <= b else (b, a)
-            for key, x in lhs.items():
+            for key, x in found[1].items():
                 form = coords.setdefault(key, {})
                 form[ab] = form.get(ab, 0) + x
-            for key, x in rhs.items():
-                form = coords.setdefault(key, {})
-                form[ab] = form.get(ab, 0) - x
         for form in coords.values():
             terms = sorted((ab, x) for ab, x in form.items() if x)
             if terms:

@@ -3,14 +3,17 @@
 A report is a list of (axiom id, pass/fail, witness) entries plus a dict of
 verified flags (triangular, cotriangular, ...).  Witnesses name the basis
 tuple on which an identity first failed, so a failing report doubles as a
-debugging instrument.
+debugging instrument.  An entry is a Check, a named tuple: immutable,
+hashable, equal to any Check with the same fields and printed as
+Check(axiom=..., passed=..., witness=...); a report of many small checks
+pays only a tuple per entry.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     axiom: str
     passed: bool
     witness: tuple = None

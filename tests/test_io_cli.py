@@ -16,6 +16,7 @@ from homlong.io import FileFormatError
 from homlong.linalg import ONE, ZERO, Matrix, scalar, scalar_to_json
 from homlong.longdimod import canonical_dimodule
 from homlong.longeq import HAlphaLongDimodule, OperatorOnTensorSquare
+from homlong.report import AxiomReport, Check
 from homlong.repmod import YetterDrinfeldModule
 from test_oracles import flip_matrix
 
@@ -829,6 +830,25 @@ def test_committed_json_files_re_emit_byte_for_byte():
         assert hio.json_text(json.loads(text), ensure_ascii=text.isascii()) + "\n" == text
 
 
+def test_check_entries_compare_hash_print_and_render_as_before():
+    witness = ("1⊗1", "1⊗g", "1⊗1")
+    c = Check("QYBE", False, witness)
+    assert c == Check("QYBE", False, witness) and hash(c) == hash(Check("QYBE", False, witness))
+    assert c != Check("QYBE", True, witness) and Check("QYBE", True).witness is None
+    assert repr(c) == "Check(axiom='QYBE', passed=False, witness=('1⊗1', '1⊗g', '1⊗1'))"
+    assert c.as_tuple() == ("QYBE", "fail", witness)
+    with pytest.raises(AttributeError):
+        c.passed = True
+    rep = AxiomReport().add("QYBE", False, witness).add("hom-long-eq", True, (0, 1, 0))
+    rep.set_flag("agreement", True)
+    assert str(rep) == ("QYBE                         FAIL  witness=('1⊗1', '1⊗g', '1⊗1')\n"
+                        "hom-long-eq                  pass\n"
+                        "[flag] agreement             True")
+    run = cli.RunReport("check", ["x.json"]).absorb(rep)
+    assert json.loads(run.render("json"))["checks"] == [
+        ["QYBE", "fail", list(witness)], ["hom-long-eq", "pass", [0, 1, 0]]]
+
+
 def test_reports_and_errors_print_json_dumps_bytes(files, capsys):
     for argv, ensure_ascii in [
             (["check", "ybe", "--ctx", p(files, "ctx.json"), "-U", p(files, "sign.json"),
@@ -877,6 +897,58 @@ def test_library_loads_read_and_build_afresh_on_each_call(monkeypatch):
     assert reads == first + first
     path = str(DEMO_FILES / "canonical.json")
     assert hio.load_structure(path) is not hio.load_structure(path)
+
+
+ALGEBRA_FIELDS = ("kind", "dim", "basis", "mult", "unit", "comult", "counit", "gamma",
+                  "antipode")
+
+
+def _algebra_key(obj):
+    return json.dumps({k: obj[k] for k in ALGEBRA_FIELDS if k in obj}, sort_keys=True)
+
+
+def test_one_call_builds_each_distinct_algebra_once(files, monkeypatch, capsys):
+    # the context names kz2.json (with R and form) for H and B; every
+    # dimodule file carries its H and B inline
+    monkeypatch.chdir(files)
+    names = ("canonical", "trivial", "canonical")
+    argv = ["--format", "json", "check", "hexagon", "--ctx", "ctx.json"]
+    for option, name in zip(("-U", "-V", "-W"), names):
+        argv += [option, name + ".json"]
+    definitions = [json.loads(pathlib.Path("kz2.json").read_text())]
+    for name in names:
+        obj = json.loads(pathlib.Path(name + ".json").read_text())
+        definitions += [obj["H"], obj["B"]]
+    built, build = [], hio.algebra_from_json
+    monkeypatch.setattr(hio, "algebra_from_json",
+                        lambda obj, *rest: built.append(_algebra_key(obj)) or build(obj, *rest))
+    seen, check_hexagons = [], cli.check_hexagons
+    monkeypatch.setattr(cli, "check_hexagons",
+                        lambda *args: seen.append(args) or check_hexagons(*args))
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert sorted(built) == sorted({_algebra_key(obj) for obj in definitions})
+    [(ctx, u, v, w)] = seen
+    assert ctx.H is ctx.B is u.H is u.B is v.H is v.B     # all kz2
+    # library loads, each building its algebras afresh (once per load, as
+    # H and B are equal), give the same bytes
+    built.clear()
+    ctx = hio.load_context("ctx.json")
+    dimodules = [hio.load_structure(name + ".json") for name in names]
+    assert ctx.H is not dimodules[0].H is not dimodules[2].H
+    assert len(built) == 1 + len(names)
+    rep = braidcat.check_hexagons(ctx, *dimodules)
+    expected = cli.RunReport(*(json.loads(out)[k] for k in ("command", "inputs"))).absorb(rep)
+    assert out == expected.render("json") + "\n"
+
+
+def test_algebra_definitions_that_are_not_plain_json_are_built_afresh():
+    obj = hio.algebra_to_json(fx.kz2())
+    obj["gamma"] = [[ONE, ZERO], [ZERO, ONE]]
+    files = hio.Files()
+    assert files.algebra(obj, None, "<inline>") is not files.algebra(obj, None, "<inline>")
+    plain = hio.algebra_to_json(fx.kz2())
+    assert files.algebra(plain, None, "<inline>") is files.algebra(dict(plain), None, "x")
 
 
 def test_a_file_rewritten_between_calls_is_read_afresh(tmp_path, capsys):

@@ -490,38 +490,45 @@ def test_inverse_braiding_against_solver():
 # ---------------------------------------------------------------------------
 # the Hom-Long equation
 
-def longeq_first_failing_column(a, b, mu):
-    """First basis triple (u, v, w), in lexicographic order, on which
-    (A (x) mu)(mu (x) B) and (mu (x) B)(A (x) mu) differ; None when equal.
-
-    a and b are n^2 x n^2 and mu is n x n, as lists of rows.  Both composites
-    are dense n x n x n arrays filled by the index sums
+def longeq_column_sides(a, b, mu, u, v, w):
+    """(A (x) mu)(mu (x) B) and (mu (x) B)(A (x) mu) applied to
+    e_u (x) e_v (x) e_w, as dense n x n x n arrays filled by the index sums
       lhs[p][q][r] = sum_{t,j,k} A[pq, tj] mu[r, k] mu[t, u] B[jk, vw],
       rhs[p][q][r] = sum_{i,j,s} mu[p, i] B[qr, js] A[ij, uv] mu[s, w].
+
+    a and b are n^2 x n^2 and mu is n x n, as lists of rows.
     """
     n = len(mu)
     rng = range(n)
-    for u, v, w in itertools.product(rng, repeat=3):
-        lhs = [[[0] * n for _ in rng] for _ in rng]
-        rhs = [[[0] * n for _ in rng] for _ in rng]
-        for t, j, k in itertools.product(rng, repeat=3):
-            c = mu[t][u] * b[j * n + k][v * n + w]
-            if not c:
-                continue
-            for p, q in itertools.product(rng, repeat=2):
-                x = a[p * n + q][t * n + j] * c
-                if x:
-                    for r in rng:
-                        lhs[p][q][r] += mu[r][k] * x
-        for i, j, s in itertools.product(rng, repeat=3):
-            c = a[i * n + j][u * n + v] * mu[s][w]
-            if not c:
-                continue
-            for q, r in itertools.product(rng, repeat=2):
-                x = b[q * n + r][j * n + s] * c
-                if x:
-                    for p in rng:
-                        rhs[p][q][r] += mu[p][i] * x
+    lhs = [[[0] * n for _ in rng] for _ in rng]
+    rhs = [[[0] * n for _ in rng] for _ in rng]
+    for t, j, k in itertools.product(rng, repeat=3):
+        c = mu[t][u] * b[j * n + k][v * n + w]
+        if not c:
+            continue
+        for p, q in itertools.product(rng, repeat=2):
+            x = a[p * n + q][t * n + j] * c
+            if x:
+                for r in rng:
+                    lhs[p][q][r] += mu[r][k] * x
+    for i, j, s in itertools.product(rng, repeat=3):
+        c = a[i * n + j][u * n + v] * mu[s][w]
+        if not c:
+            continue
+        for q, r in itertools.product(rng, repeat=2):
+            x = b[q * n + r][j * n + s] * c
+            if x:
+                for p in rng:
+                    rhs[p][q][r] += mu[p][i] * x
+    return lhs, rhs
+
+
+def longeq_first_failing_column(a, b, mu):
+    """First basis triple (u, v, w), in lexicographic order, on which
+    (A (x) mu)(mu (x) B) and (mu (x) B)(A (x) mu) differ (longeq_column_sides);
+    None when equal."""
+    for u, v, w in itertools.product(range(len(mu)), repeat=3):
+        lhs, rhs = longeq_column_sides(a, b, mu, u, v, w)
         if lhs != rhs:
             return (u, v, w)
     return None
@@ -574,19 +581,45 @@ def operators(draw, n, mu):
         rows = [[mu[i][k] * mu[j][l] for k in range(n) for l in range(n)]
                 for i in range(n) for j in range(n)]
     elif kind == "nilpotent":
-        a = [draw(st.sampled_from(SMALL)) for _ in range(n)]
-        b = [0] * n
-        if n > 1:
-            i, j = draw(st.permutations(range(n)))[:2]
-            b[i], b[j] = c * a[j], -c * a[i]
-        rows = [[a[i] * b[k] * a[j] * b[l] for k in range(n) for l in range(n)]
-                for i in range(n) for j in range(n)]
+        rows = _nilpotent_square(draw, n, c)
     else:
         rows = [[draw(st.sampled_from(SMALL)) for _ in range(n2)] for _ in range(n2)]
     for _ in range(draw(st.integers(0, 2))):
         r, col = draw(st.integers(0, n2 - 1)), draw(st.integers(0, n2 - 1))
         rows[r][col] += draw(st.sampled_from(SMALL))
     return rows
+
+
+def _nilpotent_square(draw, n, c):
+    """N (x) N, as rows, for N = a b^T with b^T a = 0 (b has at most two
+    nonzero entries, c a_j and -c a_i)."""
+    a = [draw(st.sampled_from(SMALL)) for _ in range(n)]
+    b = [0] * n
+    if n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        b[i], b[j] = c * a[j], -c * a[i]
+    return [[a[i] * b[k] * a[j] * b[l] for k in range(n) for l in range(n)]
+            for i in range(n) for j in range(n)]
+
+
+@st.composite
+def kernel_operators(draw, n, mu):
+    """Entries from {-1, 0, 1}, arbitrary Fractions (zeros among them), an
+    N (x) N as in operators (terms of one side cancel at a key), perhaps
+    with one entry changed, or any of operators."""
+    n2 = n * n
+    kind = draw(st.sampled_from(("signs", "fractions", "cancelling", "operators")))
+    if kind == "operators":
+        return draw(operators(n, mu))
+    if kind == "cancelling":
+        rows = _nilpotent_square(draw, n, draw(st.sampled_from(SMALL).filter(bool)))
+        if draw(st.booleans()):
+            r, col = draw(st.integers(0, n2 - 1)), draw(st.integers(0, n2 - 1))
+            rows[r][col] += draw(st.sampled_from(SMALL))
+        return rows
+    entry = (st.sampled_from((-1, 0, 1)) if kind == "signs" else
+             st.one_of(st.just(0), st.fractions(min_value=-5, max_value=5, max_denominator=7)))
+    return [[draw(entry) for _ in range(n2)] for _ in range(n2)]
 
 
 def test_longeq_cancelling_solution():
@@ -605,11 +638,37 @@ def test_longeq_cancelling_solution():
 def test_check_long_equation_matches_oracle(data):
     n = data.draw(st.sampled_from((1, 2, 3)))
     mu = data.draw(structure_maps(n))
-    rows = data.draw(operators(n, mu))
+    rows = data.draw(kernel_operators(n, mu))
     expected = longeq_first_failing_column(rows, rows, mu)
     rep = check_long_equation(OperatorOnTensorSquare(n, Matrix(rows), Matrix(mu)))
     assert rep.ok == (expected is None)
     assert rep.check("hom-long-eq").witness == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_first_difference_matches_dense_oracle(data):
+    # at one triple, for A and B (often A itself): the kernel's difference,
+    # zeros dropped and the int scaling undone, is the dense LHS - RHS
+    # there, and the triple is reported exactly when that is nonzero
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    mu = data.draw(structure_maps(n))
+    rows = data.draw(kernel_operators(n, mu))
+    other = rows if data.draw(st.booleans()) else data.draw(kernel_operators(n, mu))
+    u, v, w = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    lhs, rhs = longeq_column_sides(rows, other, mu, u, v, w)
+    dense = {(p * n + q) * n + r: lhs[p][q][r] - rhs[p][q][r]
+             for p, q, r in itertools.product(range(n), repeat=3)
+             if lhs[p][q][r] != rhs[p][q][r]}
+    (a_cols, a_scale), (b_cols, b_scale), (mu_cols, mu_scale) = (
+        linalg.sparse_columns(Matrix(m)) for m in (rows, other, mu))
+    found = longeq._first_difference(a_cols, b_cols, mu_cols, n, (u,), (v,), (w,))
+    assert (found is None) == (not dense)
+    if found is not None:
+        triple, diff = found
+        scale = a_scale * b_scale * mu_scale ** 2
+        assert triple == (u, v, w)
+        assert {key: Fraction(x, scale) for key, x in diff.items() if x} == dense
 
 
 def _coords_to_rows(x, mu):
@@ -882,8 +941,8 @@ def test_full_search_matches_oracle(mu, values):
 
 
 def all_pairs_long_constraints(positions, mu_cols, n):
-    """The search's quadratic forms as first derived: the kernel's sides for
-    every ordered pair of unit operators at every basis triple."""
+    """The search's quadratic forms as first derived: the kernel's difference
+    for every ordered pair of unit operators at every basis triple."""
     n2 = n * n
     units = []
     for r, c in positions:
@@ -895,14 +954,13 @@ def all_pairs_long_constraints(positions, mu_cols, n):
         coords = {}
         for a, ea in enumerate(units):
             for b, eb in enumerate(units):
-                lhs, rhs = longeq._column_sides(ea, eb, mu_cols, n, u, v, w)
+                found = longeq._first_difference(ea, eb, mu_cols, n, (u,), (v,), (w,))
+                if found is None:
+                    continue
                 ab = (a, b) if a <= b else (b, a)
-                for key, x in lhs.items():
+                for key, x in found[1].items():
                     form = coords.setdefault(key, {})
                     form[ab] = form.get(ab, 0) + x
-                for key, x in rhs.items():
-                    form = coords.setdefault(key, {})
-                    form[ab] = form.get(ab, 0) - x
         for form in coords.values():
             terms = sorted((ab, x) for ab, x in form.items() if x)
             if terms:
