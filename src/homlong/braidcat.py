@@ -22,7 +22,7 @@ from .repmod import YetterDrinfeldModule, yd_prebraiding
 from .longdimod import (HomLongDimodule, MismatchedBase, associator_legs, base_parts,
                         counit_action, dimodule_morphism_report, tensor_dimodule,
                         unit_coaction)
-from .report import AxiomReport, composites_equal_report, matrices_equal_report
+from .report import AxiomReport, composites_equal_report
 
 
 class InvalidContext(Exception):
@@ -53,6 +53,8 @@ class BraidingContext:
     def __init__(self, h, r, b, form):
         if h.antipode is None or b.antipode is None:
             raise InvalidContext("context needs Hopf structures on both sides")
+        if h.antipode.det() == 0 or b.antipode.det() == 0:
+            raise InvalidContext("context needs bijective antipodes on both sides")
         self.H = h
         self.R = r
         self.B = b
@@ -150,16 +152,16 @@ def long_braiding_inverse(ctx, m, n):
     ctx.require_valid()
     ctx.require_dimodule(m)
     ctx.require_dimodule(n)
-    if ctx.B.antipode.det() == 0:
-        from .longdimod import AntipodeNotInvertible
-        raise AntipodeNotInvertible("the coquasitriangular side needs S^-1")
-    # pair[b][a] = <S_B^-1(a)|b> on (n_-1, m_-1); r[j][i] is the coefficient
-    # of S_H(R1) = e_i, R2 = e_j, so that e_j acts on n and e_i on m
-    pair = ctx.form.transpose() * ctx.B.antipode.inv()
-    r = (ctx.H.antipode * ctx.R).transpose()
-    steps = (_paired(pair, ctx.B.dim, n, m)
+    nh, nb = ctx.H.dim, ctx.B.dim
+    # <S_B^-1(m_-1)|n_-1>: S_B^-1 on the m_-1 leg, and the legs flipped under
+    # the form; S_H on R's first leg and the legs of R flipped, so that R2
+    # acts on n and S_H(R1) on m
+    paired, acted = _paired(ctx.form, nb, n, m), _acted(ctx.R, nh, n, m)
+    steps = (paired[:-1] + [(sparse_columns(ctx.B.antipode.inv()), (1,), None),
+                            (flip_columns(nb, nb), (0, 1), None)] + paired[-1:]
              + [(_mu2_inverse(n), (0,), None), (_mu2_inverse(m), (1,), None)]
-             + _acted(r, ctx.H.dim, n, m))
+             + acted[:1] + [(sparse_columns(ctx.H.antipode), (0,), None),
+                            (flip_columns(nh, nh), (0, 1), None)] + acted[1:])
     return BraidOperator((n, m), composite_matrix(steps, (n.dim, m.dim)))
 
 
@@ -291,10 +293,11 @@ def hb_yd_structure(ctx, m):
 def check_braiding_compatibility(ctx, m, n):
     """The induced Yetter-Drinfeld pre-braiding equals the dimodule braiding."""
     pre = yd_prebraiding(hb_yd_structure(ctx, m), hb_yd_structure(ctx, n))
-    braid = long_braiding(ctx, m, n).matrix
     rep = AxiomReport()
-    matrices_equal_report(rep, "prebraiding-matches-braiding", pre, braid,
-                          (m.dim, n.dim), (m.basis, n.basis))
+    composites_equal_report(rep, "prebraiding-matches-braiding",
+                            [(sparse_columns(pre), (0, 1), (n.dim, m.dim))],
+                            _braiding(ctx, m, n, _mu2_inverse(m), _mu2_inverse(n)),
+                            (m.dim, n.dim), (m.basis, n.basis))
     return rep
 
 

@@ -8,11 +8,11 @@ the little zoo of dimodules used throughout.
 
 from fractions import Fraction
 
-from .linalg import Matrix, Tensor3, Vector
+from .linalg import Matrix, Tensor3, Vector, per_leg_matrix
 from .homstruct import HomAlgebra, HomCoalgebra, HomBialgebra, yau_twist
 from .repmod import HomModule, HomComodule
-from .longdimod import (HomLongDimodule, canonical_dimodule, trivial_dimodule,
-                        unit_dimodule)
+from .longdimod import (HomLongDimodule, canonical_dimodule, counit_action,
+                        trivial_dimodule, unit_dimodule)
 
 
 def group_hopf(m, names=None):
@@ -145,8 +145,7 @@ def kz2_form():
 
 def trivial_rmatrix(h):
     """R = 1 (x) 1, quasitriangular whenever the coproduct is cocommutative."""
-    u = h.unit
-    return Matrix.from_function(h.dim, h.dim, lambda i, j: u[i] * u[j])
+    return per_leg_matrix(h.unit.as_column(), h.unit.as_row())
 
 
 def sweedler_rmatrix():
@@ -158,8 +157,7 @@ def sweedler_rmatrix():
 
 def trivial_form(b):
     """<h|g> = eps(h) eps(g), coquasitriangular whenever mult is commutative."""
-    e = b.counit
-    return Matrix.from_function(b.dim, b.dim, lambda i, j: e[i] * e[j])
+    return per_leg_matrix(b.counit.as_column(), b.counit.as_row())
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +195,11 @@ def regular_comodule(b):
 
 def trivial_module(h, mu=None):
     """h . m = eps(h) mu(m) on any carrier with invertible mu."""
-    hb = h if isinstance(h, HomAlgebra) else h.algebra
+    if isinstance(h, HomAlgebra):
+        raise ValueError("need a bialgebra to build the counit action")
     if mu is None:
         mu = Matrix.identity(1)
-    d = mu.rows
-    counit = h.counit if not isinstance(h, HomAlgebra) else None
-    if counit is None:
-        raise ValueError("need a bialgebra to build the counit action")
-    act = Tensor3.from_function(hb.dim, d, d, lambda i, j, k: counit[i] * mu.data[k][j])
-    return HomModule(hb, d, act, mu)
+    return HomModule(h.algebra, mu.rows, counit_action(h, mu), mu)
 
 
 # ---------------------------------------------------------------------------

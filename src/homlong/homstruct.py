@@ -164,10 +164,8 @@ def validate_hom_algebra(a):
     composites_equal_report(rep, "HA1-mult", [(mult, (0, 1), to_h), (al, (0,), None)],
                             [(al, (0,), None), (al, (1,), None), (mult, (0, 1), to_h)],
                             (n, n), (names, names))
-    twisted = a.alpha * a.unit
-    fixed = twisted == a.unit
-    rep.add("HA1-unit", fixed, None if fixed else
-            (next(nm for nm, x, y in zip(names, twisted, a.unit) if x != y),))
+    put_1 = [(insert_columns(a.unit, 1), (0,), (n, 1))]
+    elements_equal_report(rep, "HA1-unit", put_1 + [(al, (0,), None)], put_1, to_h, (names,))
     composites_equal_report(rep, "HA2-assoc",
                             [(mult, (1, 2), to_h), (al, (0,), None), (mult, (0, 1), to_h)],
                             [(mult, (0, 1), to_h), (al, (1,), None), (mult, (0, 1), to_h)],
@@ -221,8 +219,8 @@ def validate_hom_bialgebra(h):
                           [(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))], to_hh, (names, names))
     composites_equal_report(rep, "counit-mult", [(mult, (0, 1), to_h), (eps, (0,), ())],
                             [(eps, (0,), ()), (eps, (0,), ())], (n, n), (names, names))
-    counital = sum(e * u for e, u in zip(h.counit, h.unit)) == 1
-    rep.add("counit-unit", counital, None if counital else ("eps(1)",))
+    elements_equal_report(rep, "counit-unit", [(put_u, (0,), (n, 1)), (eps, (0,), ())], [],
+                          (1,), (("eps(1)",),))
     return rep
 
 
@@ -284,7 +282,8 @@ def yau_twist(h, phi):
     if first_differing_column([(ph, (0,), None), (eps, (0,), ())], [(eps, (0,), ())],
                               (n,)) is not None:
         raise NotAutomorphism("counit o phi != counit")
-    if phi * h.unit != h.unit:
+    put_u = [(insert_columns(h.unit, 1), (0,), (n, 1))]
+    if first_differing_column(put_u + [(ph, (0,), None)], put_u, (1,)) is not None:
         raise NotAutomorphism("phi does not fix the unit")
     alg = HomAlgebra(n, product_tensor(phi_mult, (n, n)), h.unit, phi, h.basis)
     coa = HomCoalgebra(n, coproduct_tensor(comult_phi, (n,), n), h.counit, phi, h.basis)

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import os
 
-from .linalg import Matrix, Tensor3, Vector, scalar, scalar_to_json
+from .linalg import Matrix, Tensor3, Vector, scalar
 from .homstruct import HomAlgebra, HomCoalgebra, HomBialgebra
 from .repmod import HomModule, HomComodule, YetterDrinfeldModule
 from .longdimod import HomLongDimodule
@@ -95,7 +95,7 @@ def matrix_json(m):
 
 
 def vector_json(v):
-    return [scalar_to_json(x) for x in v]
+    return v.to_json()
 
 
 def tensor3_json(t):

@@ -2,23 +2,25 @@
 
 Everything is exact, ints and Fractions; there is no floating point
 anywhere.  Linear maps are column-convention: M[i][j] is the coefficient of
-the i-th output basis vector in the image of the j-th input basis vector, so
-composition is matrix multiplication and matrices act on coordinate columns.
-Tensor-product bases are ordered lexicographically, first factor major:
-(i, j) -> i * dim_second + j.
+the i-th output basis vector in the image of the j-th input basis vector, and
+matrices act on coordinate columns.  Matrix and Vector have no arithmetic:
+maps compose only as steps on tensor legs (below).  Tensor-product bases
+are ordered lexicographically, first factor major: (i, j) -> i * dim_second
++ j.
 
 A Matrix is stored as its int-scaled sparse columns (cols, scale), in the
 unique form int_columns gives: entries sorted by row within each column and
 the scale the lcm of the reduced denominators.  Equality and hashing read
 that form.  int_columns is the one reader of scalars: Matrix(rows),
 Tensor3(data), Vector(entries) and the io loaders read ints as they are and
-"p/q" strings once, straight into that form, and never store a zero.  A
-Tensor3 stores one reading, product-like (mult, action) or coproduct-like
-(comult, coaction), and re-indexes the same ints for the other; equality
-compares the columns.  det, inv and solve_exact share one fraction-free
+"p/q" strings once, straight into that form, and never store a zero; a
+Vector is one such column.  A Tensor3 stores one reading, product-like
+(mult, action) or coproduct-like (comult, coaction), and re-indexes the same
+ints for the other; equality compares the columns.  det, inv and solve_exact share one fraction-free
 (Bareiss) elimination on the int rows of the columns, and to_json writes
-from the columns, so the dense rows of Fractions, data, are a view built
-only when something reads it (to_lists, __getitem__, the oracles).
+from the columns, so the Fractions of a Matrix or Tensor3 (data) and of a
+Vector (entries) are views built only when something reads them
+(__getitem__, to_lists, __repr__, the test oracles).
 
 Identities between composites of maps on tensor legs are decided without
 forming the composites.  A step applies a small map, as sparse int-scaled
@@ -44,10 +46,10 @@ tensor product of maps, and product_tensor and coproduct_tensor give a
 multiplication, action, comultiplication or coaction, so no map is written
 as an index sum over structure constants or as a Kronecker product.
 
-Matrix and Tensor3 are immutable, so each keeps what is derived from it
-once computed: a Matrix its data view, determinant and inverse, a Tensor3
-its data and its other reading.  The stored and cached columns are
-shared by every caller and are never changed.
+Matrix, Vector and Tensor3 are immutable, so each keeps what is derived
+from it once computed: a Matrix its data view, determinant and inverse, a
+Vector its entries, a Tensor3 its data and its other reading.  The stored
+and cached columns are shared by every caller and are never changed.
 """
 
 import math
@@ -102,17 +104,17 @@ def unflat_index(i, dims):
 
 
 class Vector:
-    """Exact vector: its entries as Fractions and, read once at
-    construction, the same entries as one int column (col, scale) in the form
-    int_columns gives, which insert_columns and pair_columns take."""
+    """Exact vector, stored as one int column (col, scale) in the form
+    int_columns gives, which insert_columns and pair_columns take; equality
+    and hashing read it.  entries, its Fractions, is a view built on first
+    read, as Matrix.data is."""
 
-    __slots__ = ("entries", "_column")
+    __slots__ = ("dim", "_column", "_entries")
 
     def __init__(self, entries):
         entries = entries if isinstance(entries, (list, tuple)) else list(entries)
         (col,), scale = int_columns([entries])
-        self._column = col, scale
-        self.entries = tuple(_dense_columns(([col], scale), len(entries))[0])
+        self.dim, self._column, self._entries = len(entries), (col, scale), None
 
     @staticmethod
     def from_int_column(col, scale, dim):
@@ -122,21 +124,16 @@ class Vector:
         Matrix.from_int_columns does."""
         (col,), scale = _canonical([col], scale)
         v = Vector.__new__(Vector)
-        v._column = col, scale
-        v.entries = tuple(_dense_columns(([col], scale), dim)[0])
+        v.dim, v._column, v._entries = dim, (col, scale), None
         return v
 
     @property
-    def dim(self):
-        return len(self.entries)
-
-    @staticmethod
-    def zero(n):
-        return Vector([ZERO] * n)
-
-    @staticmethod
-    def basis(n, i):
-        return Vector([ONE if j == i else ZERO for j in range(n)])
+    def entries(self):
+        """The entries as a tuple of Fractions, built on first read."""
+        if self._entries is None:
+            col, scale = self._column
+            self._entries = tuple(_dense_columns(([col], scale), self.dim)[0])
+        return self._entries
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -145,39 +142,29 @@ class Vector:
         return iter(self.entries)
 
     def __len__(self):
-        return len(self.entries)
+        return self.dim
 
     def __eq__(self, other):
-        return isinstance(other, Vector) and self.entries == other.entries
+        return (isinstance(other, Vector) and self.dim == other.dim
+                and self._column == other._column)
 
     def __hash__(self):
-        return hash(self.entries)
-
-    def __add__(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatch("vector dims %d vs %d" % (self.dim, other.dim))
-        return Vector([a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatch("vector dims %d vs %d" % (self.dim, other.dim))
-        return Vector([a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return Vector([-a for a in self.entries])
-
-    def scale(self, c):
-        c = scalar(c)
-        return Vector([c * a for a in self.entries])
-
-    def is_zero(self):
-        return all(a == 0 for a in self.entries)
+        col, scale = self._column
+        return hash((self.dim, scale, tuple(col)))
 
     def as_column(self):
         return Matrix._of(self.dim, 1, ([self._column[0]], self._column[1]))
 
     def as_row(self):
         return Matrix._of(1, self.dim, pair_columns(self))
+
+    def to_json(self):
+        """The entries as ints and "p/q" strings, written from the column."""
+        out = [0] * self.dim
+        col, scale = self._column
+        for i, x in col:
+            out[i] = _json_scalar(x, scale)
+        return out
 
     def __repr__(self):
         return "Vector([%s])" % ", ".join(scalar_str(a) for a in self.entries)
@@ -276,48 +263,6 @@ class Matrix:
         cols, scale = self._sparse
         return hash((self.rows, self.cols, scale, tuple(map(tuple, cols))))
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("add %dx%d with %dx%d"
-                                    % (self.rows, self.cols, other.rows, other.cols))
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-                      rows=self.rows, cols=self.cols)
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("sub %dx%d with %dx%d"
-                                    % (self.rows, self.cols, other.rows, other.cols))
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-                      rows=self.rows, cols=self.cols)
-
-    def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.data], rows=self.rows, cols=self.cols)
-
-    def scale(self, c):
-        c = scalar(c)
-        return Matrix([[c * a for a in row] for row in self.data], rows=self.rows, cols=self.cols)
-
-    def __mul__(self, other):
-        """Composition self o other (also accepts a Vector on the right),
-        the composite of the two maps' int columns."""
-        if isinstance(other, Vector):
-            return self.apply(other)
-        if self.cols != other.rows:
-            raise DimensionMismatch("compose %dx%d with %dx%d"
-                                    % (self.rows, self.cols, other.rows, other.cols))
-        return composite_matrix(per_leg(other) + per_leg(self), (other.cols,))
-
-    def apply(self, v):
-        if self.cols != v.dim:
-            raise DimensionMismatch("apply %dx%d to dim-%d vector"
-                                    % (self.rows, self.cols, v.dim))
-        (vcol, t), (cols, s) = v._column, self._sparse
-        out = {}
-        for j, y in vcol:
-            for i, x in cols[j]:
-                out[i] = out.get(i, 0) + x * y
-        return Vector.from_int_column([(i, x) for i, x in out.items() if x], s * t, self.rows)
-
     def transpose(self):
         cols, scale = self._sparse
         out = [[] for _ in range(self.rows)]
@@ -370,20 +315,6 @@ class Matrix:
         inverse = [[(i, row[j] * scale) for i, row in enumerate(rows) if row[j]]
                    for j in range(n, n + n)]
         self._inverse = Matrix.from_int_columns(inverse, d, n)
-
-    def __pow__(self, k):
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of a non-square matrix")
-        if k < 0:
-            return self.inv() ** (-k)
-        out = Matrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def to_lists(self):
         return [list(row) for row in self.data]

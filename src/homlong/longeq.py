@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, SingularMatrix,
+from .linalg import (Matrix, Tensor3, DimensionMismatch, SingularMatrix,
                      composite_columns, composite_matrix, coproduct_columns, coproduct_tensor,
                      first_differing_column, flip_columns, int_columns, per_leg,
                      per_leg_matrix, product_columns, product_tensor, scalar, sparse_columns,
@@ -159,7 +159,7 @@ def check_invertible_iff(op):
 def diagonal_solution(a, b):
     """R(m_i (x) m_j) = b_ij m_i (x) m_j over mu = diag(a); always a solution.
     With every a_i = 1 the result is flagged as a classical Long solution."""
-    entries = [scalar(x) for x in (a.entries if isinstance(a, Vector) else a)]
+    entries = [scalar(x) for x in a]
     if any(x == 0 for x in entries):
         raise ZeroDiagonal("structure map entries must be nonzero")
     n = len(entries)

@@ -79,24 +79,10 @@ class AxiomReport:
         return "\n".join(self.lines())
 
 
-def matrices_equal_report(report, axiom, lhs, rhs, dims_in, names_in=None):
-    """Record lhs == rhs; on failure witness the first differing input basis tuple."""
-    if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
-        report.add(axiom, False, ("shape", (lhs.rows, lhs.cols), (rhs.rows, rhs.cols)))
-        return report
-    if lhs == rhs:
-        report.add(axiom, True)
-        return report
-    from .linalg import unflat_index
-    for c in range(lhs.cols):
-        if any(lhs.data[r][c] != rhs.data[r][c] for r in range(lhs.rows)):
-            return report.add(axiom, False, _named(unflat_index(c, dims_in), names_in))
-
-
 def composites_equal_report(report, axiom, lhs, rhs, dims_in, names_in=None):
     """Record lhs == rhs for two composites of maps on tensor legs (see
     linalg.first_differing_column), column by column; on failure witness the
-    first differing input basis tuple, as matrices_equal_report does."""
+    first differing input basis tuple."""
     from .linalg import first_differing_column
     idxs = first_differing_column(lhs, rhs, dims_in)
     return report.add(axiom, idxs is None, _named(idxs, names_in))
@@ -104,9 +90,9 @@ def composites_equal_report(report, axiom, lhs, rhs, dims_in, names_in=None):
 
 def elements_equal_report(report, axiom, lhs, rhs, dims_out, names_out=None):
     """Record that two composites of steps on the one-dimensional leg (1,),
-    each first inserting an element, make the same element of the legs
-    dims_out; on failure witness the first output basis tuple on which they
-    differ."""
+    each inserting elements or pairing them away (the empty composite is the
+    scalar 1), make the same element of the legs dims_out; on failure
+    witness the first output basis tuple on which they differ."""
     from .linalg import composite_columns, unflat_index
     (lcol,), lscale = composite_columns(lhs, (1,))
     (rcol,), rscale = composite_columns(rhs, (1,))

@@ -16,7 +16,7 @@ from homlong.braidcat import (BraidingContext, DimoduleMorphism, InvalidContext,
                               hb_yd_structure, long_braiding,
                               long_braiding_inverse, module_as_dimodule,
                               module_family_braiding)
-from test_oracles import flip_matrix
+from test_oracles import flip_matrix, mul, scaled
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +74,8 @@ def test_inverse_is_matrix_inverse(ctx, roster):
             ci = long_braiding_inverse(ctx, m, n)
             eye_mn = Matrix.identity(m.dim * n.dim)
             eye_nm = Matrix.identity(n.dim * m.dim)
-            assert ci.matrix * c.matrix == eye_mn, (nm, nn)
-            assert c.matrix * ci.matrix == eye_nm, (nm, nn)
+            assert mul(ci.matrix, c.matrix) == eye_mn, (nm, nn)
+            assert mul(c.matrix, ci.matrix) == eye_nm, (nm, nn)
             assert ci.matrix == c.matrix.inv(), (nm, nn)
 
 
@@ -112,7 +112,7 @@ def test_hexagons(ctx, dimodules):
 
 def test_hexagon_fails_with_corrupted_r(kz2, dimodules):
     # drop the 1/2 normalization: QHA axioms fail, the context refuses
-    bad_r = fx.kz2_rmatrix().scale(2)
+    bad_r = scaled(fx.kz2_rmatrix(), 2)
     bad = BraidingContext(kz2, bad_r, kz2, fx.kz2_form())
     assert not bad.valid
     with pytest.raises(InvalidContext):
@@ -194,7 +194,7 @@ def test_twisted_context_braiding(kz4t, kz2):
         for n in (can8, tr):
             c = long_braiding(ctx2, m, n)
             ci = long_braiding_inverse(ctx2, m, n)
-            assert ci.matrix * c.matrix == Matrix.identity(m.dim * n.dim)
+            assert mul(ci.matrix, c.matrix) == Matrix.identity(m.dim * n.dim)
             assert check_symmetry(ctx2, m, n).ok
             assert check_braiding_compatibility(ctx2, m, n).ok
     assert check_hexagons(ctx2, tr, tr, can8).ok
@@ -228,8 +228,8 @@ def test_twisted_b_side_inverse_braiding(kz2, kz4t):
         for n in (can, tr):
             c = long_braiding(ctx5, m, n)
             ci = long_braiding_inverse(ctx5, m, n)
-            assert ci.matrix * c.matrix == Matrix.identity(m.dim * n.dim)
-            assert c.matrix * ci.matrix == Matrix.identity(n.dim * m.dim)
+            assert mul(ci.matrix, c.matrix) == Matrix.identity(m.dim * n.dim)
+            assert mul(c.matrix, ci.matrix) == Matrix.identity(n.dim * m.dim)
             assert check_braid_morphism(c).ok
             assert check_symmetry(ctx5, m, n).ok
     assert check_hexagons(ctx5, tr, can, tr).ok
@@ -272,7 +272,7 @@ def test_sweedler_scaled_context_full_sweep(kz2):
     swt = fx.sweedler_scaled_twisted(2)
     ctx = BraidingContext(swt, fx.sweedler_rmatrix(), kz2, fx.kz2_form())
     assert ctx.valid and ctx.triangular and ctx.cotriangular
-    assert not (swt.gamma * swt.gamma).is_identity()
+    assert not mul(swt.gamma, swt.gamma).is_identity()
     assert not swt.antipode.is_identity()
     can = canonical_dimodule(swt, kz2)          # dim 8
     tr = trivial_dimodule(swt, kz2, Matrix.diagonal([1, 3]))
@@ -284,7 +284,7 @@ def test_sweedler_scaled_context_full_sweep(kz2):
         for n in (can, tr):
             c = long_braiding(ctx, m, n)
             ci = long_braiding_inverse(ctx, m, n)
-            assert ci.matrix * c.matrix == Matrix.identity(m.dim * n.dim)
+            assert mul(ci.matrix, c.matrix) == Matrix.identity(m.dim * n.dim)
             assert check_braid_morphism(c).ok
             assert check_symmetry(ctx, m, n).ok
             assert check_braiding_compatibility(ctx, m, n).ok

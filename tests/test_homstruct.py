@@ -84,7 +84,8 @@ def test_yau_twist_group_automorphisms(n, k):
 def test_sweedler_scaled_twist(c):
     # an infinite-order twist on a noncommutative, noncocommutative base
     t = fx.sweedler_scaled_twisted(c)
-    assert not (t.gamma * t.gamma).is_identity()
+    from test_oracles import mul
+    assert not mul(t.gamma, t.gamma).is_identity()
     assert validate_all(t).ok
     d = dual_hopf(t)
     assert validate_all(d).ok
@@ -215,9 +216,9 @@ def test_quasitriangular_counterexample(kz2):
 
 def test_flip_invertibility_symmetry(kz2):
     # flip(R) is convolution-invertible iff R is, on the fixture set
-    from test_oracles import col_to_matrix, element_col, flip_matrix
+    from test_oracles import col_to_matrix, element_col, flip_matrix, mul
     for r in (fx.kz2_rmatrix(), fx.trivial_rmatrix(kz2), Matrix([[0, 1], [0, 0]])):
-        flipped = col_to_matrix(flip_matrix(2, 2) * element_col(r), 2, 2)
+        flipped = col_to_matrix(mul(flip_matrix(2, 2), element_col(r)), 2, 2)
         a = validate_quasitriangular(kz2, r).flags["convolution-invertible"]
         b = validate_quasitriangular(kz2, flipped).flags["convolution-invertible"]
         assert a == b

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homlong import braidcat, cli, fixtures as fx
+from homlong import braidcat, cli, fixtures as fx, linalg
 from homlong import io as hio
 from homlong.cli import REQUIRED, main
 from homlong.homstruct import dual_hopf
@@ -606,6 +606,17 @@ def test_demo_files_build_and_braid_reports_match_snapshot(tmp_path, monkeypatch
         assert got[key] == expected[key], key
 
 
+def test_no_cli_path_builds_a_dense_view(tmp_path, monkeypatch, capsys):
+    # every data and entries view of a Matrix, Tensor3 or Vector is built by
+    # _dense_columns; the commands read and write the int columns only
+    def refuse(*args):
+        raise AssertionError("a dense view was built")
+
+    monkeypatch.setattr(linalg, "_dense_columns", refuse)
+    test_demo_files_validate_reports_match_snapshot(monkeypatch, capsys)
+    test_demo_files_build_and_braid_reports_match_snapshot(tmp_path, monkeypatch, capsys)
+
+
 PERTURBED_FILES = ("canonical.json", "sign.json", "halpha.json")
 
 
@@ -978,6 +989,34 @@ def test_a_malformed_second_input_exits_2_with_its_message(files, capsys, fmt):
         assert captured.err == "error: %s\n" % message
     else:
         assert json.loads(captured.out)["error"] == message
+
+
+@pytest.mark.parametrize("side, argv", [
+    ("H", ["check", "ybe", "-U", "sign.json", "-V", "sign.json", "-W", "sign.json"]),
+    ("H", ["check", "hexagon", "-U", "sign.json", "-V", "sign.json", "-W", "sign.json"]),
+    ("H", ["check", "symmetry", "-M", "sign.json", "-N", "sign.json"]),
+    ("H", ["build", "braid", "-M", "sign.json", "-N", "sign.json", "-o", "out.json"]),
+    ("B", ["check", "ybe", "-U", "sign.json", "-V", "sign.json", "-W", "sign.json"]),
+])
+def test_a_context_with_a_singular_antipode_exits_2(files, monkeypatch, capsys, side, argv):
+    # kz2 with antipode [[1, 1], [1, 1]] keeps its R and form valid, and
+    # validate flags the antipode; a context over it is refused
+    monkeypatch.chdir(files)
+    obj = json.loads((files / "kz2.json").read_text())
+    obj["antipode"] = [[1, 1], [1, 1]]
+    hio.dump_json(obj, files / "singular.json")
+    pair = {"H": "kz2.json", "B": "kz2.json", side: "singular.json"}
+    hio.dump_json(dict(kind="context", **pair), files / "ctxs.json")
+    assert main(["validate", "singular.json"]) == 1
+    assert "[flag] hopf:antipode-invertible    False" in capsys.readouterr().out
+    argv = argv[:2] + ["--ctx", "ctxs.json"] + argv[2:]
+    message = "context needs bijective antipodes on both sides"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert main(["--format", "json"] + argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == message and report["exit_code"] == 2
+    assert not (files / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

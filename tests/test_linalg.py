@@ -16,7 +16,7 @@ from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
 from test_oracles import (apply3, composite_columns_by_column, dense_columns,
                           first_differing_column_by_column, flat_index, flip_matrix,
                           fraction_int_columns, inverse_map, kron, kron_all, perm_matrix,
-                          permute_input_legs, permute_output_legs, same_columns)
+                          mul, permute_input_legs, permute_output_legs, same_columns)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -80,8 +80,7 @@ def test_kron_1x1():
 def test_kron_index_convention():
     # swap (x) id applied to e0 (x) e0 lands on index 2 = 1*2 + 0
     m = kron(Matrix([[0, 1], [1, 0]]), Matrix.identity(2))
-    v = m.apply(Vector.basis(4, 0))
-    assert v == Vector.basis(4, 2)
+    assert mul(m, Vector([1, 0, 0, 0])) == Vector([0, 0, 1, 0])
 
 
 def test_kron_rectangular_shapes():
@@ -97,15 +96,9 @@ def test_invert_examples():
     assert Matrix([[2]]).inv() == Matrix([["1/2"]])
     m = Matrix([[1, 1], [0, 1]])
     assert m.inv() == Matrix([[1, -1], [0, 1]])
-    assert m * m.inv() == Matrix.identity(2)
+    assert mul(m, m.inv()) == Matrix.identity(2)
     with pytest.raises(SingularMatrix):
         Matrix([[1, 2], [2, 4]]).inv()
-
-
-def test_pow_negative():
-    m = Matrix([[2, 0], [0, 3]])
-    assert m ** -2 == Matrix([["1/4", 0], [0, "1/9"]])
-    assert m ** 0 == Matrix.identity(2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,20 +110,20 @@ def test_invert_involution(m):
         assert m.det() == 0
         return
     assert inv.inv() == m
-    assert m * inv == Matrix.identity(3)
+    assert mul(m, inv) == Matrix.identity(3)
 
 
 @settings(max_examples=40, deadline=None)
 @given(rand_matrix(2, 3), rand_matrix(2, 2), rand_matrix(3, 2), rand_matrix(2, 3))
 def test_kron_mixed_product(a, b, c, d):
-    assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
+    assert mul(kron(a, b), kron(c, d)) == kron(mul(a, c), mul(b, d))
 
 
 @settings(max_examples=40, deadline=None)
 @given(rand_matrix(3, 3))
 def test_det_multiplicative(m):
     n = Matrix([[1, 2, 0], [0, 1, 5], [1, 0, 1]])
-    assert (m * n).det() == m.det() * n.det()
+    assert mul(m, n).det() == m.det() * n.det()
 
 
 def test_perm_matrix_and_flat_index():
@@ -140,7 +133,7 @@ def test_perm_matrix_and_flat_index():
     dst = flat_index((0, 1, 2), [2, 2, 3])
     assert p.data[dst][src] == 1
     assert unflat_index(src, dims) == (1, 2, 0)
-    assert flip_matrix(2, 2) * flip_matrix(2, 2) == Matrix.identity(4)
+    assert mul(flip_matrix(2, 2), flip_matrix(2, 2)) == Matrix.identity(4)
 
 
 def test_lazy_leg_permutations_match_matrices():
@@ -148,9 +141,9 @@ def test_lazy_leg_permutations_match_matrices():
     perm = [2, 0, 1]
     p = perm_matrix(dims, perm)
     m = Matrix.from_function(12, 5, lambda i, j: Fraction(3 * i - j, 2))
-    assert permute_output_legs(m, dims, perm) == p * m
+    assert permute_output_legs(m, dims, perm) == mul(p, m)
     mt = m.transpose()
-    assert permute_input_legs(mt, dims, perm) == mt * p
+    assert permute_input_legs(mt, dims, perm) == mul(mt, p)
     with pytest.raises(DimensionMismatch):
         permute_output_legs(Matrix.identity(5), dims, perm)
 
@@ -178,7 +171,7 @@ def test_apply3():
     assert apply3(t, 0, Matrix.identity(2)) == t
     z = Tensor3.zeros(2, 2, 2)
     assert apply3(z, 1, Matrix([[1, 2], [3, 4]])) == z
-    doubled = apply3(t, 2, Matrix.identity(2).scale(2))
+    doubled = apply3(t, 2, Matrix.diagonal([2, 2]))
     assert all(doubled[i, j, k] == 2 * t[i, j, k]
                for i in range(2) for j in range(2) for k in range(2))
     with pytest.raises(DimensionMismatch):
@@ -189,7 +182,7 @@ def test_zero_dim_edge_cases():
     e = Matrix([], rows=0, cols=0)
     assert kron(e, Matrix.identity(2)) == Matrix([], rows=0, cols=0)
     v = Vector([])
-    assert v.dim == 0 and v.is_zero()
+    assert v.dim == 0 and v.entries == ()
     t = Tensor3.zeros(2, 0, 0)
     assert t.flatten_in2_out1().rows == 0
 
@@ -198,7 +191,7 @@ def test_shape_errors():
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2], [3]])
     with pytest.raises(DimensionMismatch):
-        Matrix([[1]]) * Matrix([[1, 2], [3, 4]])
+        mul(Matrix([[1]]), Matrix([[1, 2], [3, 4]]))
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2]]).det()
 
@@ -217,7 +210,7 @@ def test_apply_on_legs_matches_kron(data):
     vec = data.draw(st.dictionaries(st.integers(0, math.prod(dims) - 1), rationals))
     full = kron_all(Matrix.identity(math.prod(dims[:first])), a,
                     Matrix.identity(math.prod(dims[stop:])))
-    expected = full * Vector([vec.get(i, 0) for i in range(full.cols)])
+    expected = mul(full, Vector([vec.get(i, 0) for i in range(full.cols)]))
     cols, scale = sparse_columns(a)
     got = apply_on_legs(cols, tuple(range(first, stop)), dims, vec, out_dims)
     assert got == {i: x * scale for i, x in enumerate(expected) if x}
@@ -233,8 +226,8 @@ def test_apply_on_legs_rejects_bad_legs():
 
 def test_first_differing_column_scales_and_witness():
     # (2 id) (x) (1/2 id) equals the identity although the int columns differ
-    two, half = sparse_columns(Matrix.identity(2).scale(2)), sparse_columns(
-        Matrix.identity(3).scale(Fraction(1, 2)))
+    two, half = (sparse_columns(Matrix.diagonal([2, 2])),
+                 sparse_columns(Matrix.diagonal([Fraction(1, 2)] * 3)))
     assert first_differing_column([(two, (0,), None), (half, (1,), None)], [], (2, 3)) is None
     # the flip differs from the identity first on e_0 (x) e_1
     flip = sparse_columns(flip_matrix(2, 2))
@@ -307,8 +300,8 @@ def test_composite_matrix_matches_kron_all(data):
         out = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
         a = data.draw(rand_matrix(math.prod(out), math.prod(d[first:stop])))
         steps.append((sparse_columns(a), tuple(range(first, stop)), out))
-        expected = kron_all(Matrix.identity(math.prod(d[:first])), a,
-                            Matrix.identity(math.prod(d[stop:]))) * expected
+        expected = mul(kron_all(Matrix.identity(math.prod(d[:first])), a,
+                                Matrix.identity(math.prod(d[stop:]))), expected)
         d = d[:first] + out + d[stop:]
     got = composite_matrix(steps, dims)
     assert (got.rows, got.cols) == (expected.rows, expected.cols)
@@ -456,7 +449,7 @@ def test_converted_and_inverted_maps_are_kept():
     assert m == fresh_m and hash(m) == hash(fresh_m)
     assert t == fresh_t and hash(t) == hash(fresh_t)
     assert m.inv() == fresh_m.inv()
-    assert m.inv() * m == Matrix.identity(2)
+    assert mul(m.inv(), m) == Matrix.identity(2)
 
 
 def test_singular_matrix_raises_on_every_call():
@@ -590,7 +583,7 @@ def test_solve_exact_matches_sympy(system):
     if sa.rank() != sa.row_join(sb).rank():
         assert x is None
         return
-    assert x is not None and a.apply(x) == b
+    assert x is not None and mul(a, x) == b
     # sympy's parametric solution with every parameter 0: the free unknowns
     # are 0, as in solve_exact
     if a.cols:

@@ -14,7 +14,7 @@ from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
                                smash_product_algebra, tensor_dimodule,
                                to_smash_module, trivial_dimodule, unit_dimodule,
                                validate_long_dimodule)
-from test_oracles import kron
+from test_oracles import kron, mul, scaled
 
 
 def associator(u, v, w):
@@ -137,18 +137,19 @@ def test_tensor_coaction_power_is_the_right_one():
     # only k = -2 makes the associator B-colinear once the twist has infinite
     # order; the alternative power 1 is a valid object outside the monoidal
     # structure
-    from test_oracles import permute_output_legs
+    from test_oracles import permute_output_legs, power
     kz2 = fx.kz2()
     swt = fx.sweedler_scaled_twisted(2)
 
-    def tensor_variant(m, n, power):
+    def tensor_variant(m, n, k):
         bb = m.B
         nb = bb.dim
         d = m.dim * n.dim
         base = tensor_dimodule(m, n)
-        co_mat = (kron((bb.gamma ** power) * bb.mult.flatten_in2_out1(), Matrix.identity(d))
-                  * permute_output_legs(kron(m.coaction_map, n.coaction_map),
-                                        [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
+        co_mat = mul(kron(mul(power(bb.gamma, k), bb.mult.flatten_in2_out1()),
+                          Matrix.identity(d)),
+                     permute_output_legs(kron(m.coaction_map, n.coaction_map),
+                                         [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
         return HomLongDimodule(m.H, m.B, d, base.action,
                                Tensor3.from_in1_out2(co_mat, nb, d),
                                base.mu, base.basis)
@@ -156,13 +157,13 @@ def test_tensor_coaction_power_is_the_right_one():
     u = canonical_dimodule(kz2, swt)
     v = trivial_dimodule(kz2, swt, Matrix.diagonal([1, 2]))
     w = trivial_dimodule(kz2, swt)
-    for power, expect in [(-2, True), (1, False)]:
-        uv, vw = tensor_variant(u, v, power), tensor_variant(v, w, power)
-        src = tensor_variant(uv, w, power)
-        tgt = tensor_variant(u, vw, power)
+    for k, expect in [(-2, True), (1, False)]:
+        uv, vw = tensor_variant(u, v, k), tensor_variant(v, w, k)
+        src = tensor_variant(uv, w, k)
+        tgt = tensor_variant(u, vw, k)
         assert validate_long_dimodule(src).ok
         rep = dimodule_morphism_report(src, tgt, associator(u, v, w))
-        assert rep.passed("B-colinear") == expect, power
+        assert rep.passed("B-colinear") == expect, k
     # the library's tensor_dimodule is the k = -2 variant
     assert tensor_variant(u, v, -2).coaction == tensor_dimodule(u, v).coaction
 
@@ -176,8 +177,8 @@ def test_coherence_corrupted_associator():
     rep = check_coherence(d, d, d)
     assert rep.passed("pentagon")
     uv = tensor_dimodule(d, d)
-    genuine = associator(d, d, uv) * associator(uv, d, d)
-    assert genuine != corrupt * corrupt
+    genuine = mul(associator(d, d, uv), associator(uv, d, d))
+    assert genuine != mul(corrupt, corrupt)
 
 
 def test_coherence_unit_morphism_finding_kz5():
@@ -232,7 +233,7 @@ def test_snake_fails_on_scaled_ev(dimodules):
     d = dimodules["sign"]
     dual = left_dual(d)
     from homlong.longdimod import DualityData
-    corrupted = DualityData(dual.dual, dual.ev.scale(2), dual.coev, "left")
+    corrupted = DualityData(dual.dual, scaled(dual.ev, 2), dual.coev, "left")
     rep = check_snake(d, corrupted)
     assert not rep.passed("snake-object") and not rep.passed("snake-dual")
 
@@ -261,7 +262,7 @@ def test_smash_trivial_dimodule_reduces(kz2):
     # with unit coaction, (p (x) h) . m = p(1_B) h . m
     d = trivial_dimodule(kz2, kz2, Matrix.diagonal([1, 2]))
     n = to_smash_module(d)
-    p = d.action_map * kron(Matrix.identity(2 * 2), Matrix.identity(1))
+    p = mul(d.action_map, kron(Matrix.identity(2 * 2), Matrix.identity(1)))
     for pp in range(2):
         for hh in range(2):
             for i in range(2):
@@ -291,8 +292,8 @@ def test_round_trip_preserves_morphisms(kz2, dimodules):
     assert is_dimodule_morphism(sign, sign, f)
     n = to_smash_module(sign)
     # same matrix is a module morphism on the smash side
-    lhs = f * n.action_map
-    rhs = n.action_map * kron(Matrix.identity(n.over.dim), f)
+    lhs = mul(f, n.action_map)
+    rhs = mul(n.action_map, kron(Matrix.identity(n.over.dim), f))
     assert lhs == rhs
 
 
