@@ -8,8 +8,7 @@ identity on lexicographic tensor bases and reports counterexample witnesses.
 from .linalg import (Matrix, Tensor3, Vector, scalar, solve_exact,
                      DimensionMismatch, SingularMatrix)
 from .report import AxiomReport, Check
-from .homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra,
-                        QuasiTriangularStructure, CoQuasiTriangularStructure,
+from .homstruct import (HomStructure, QuasiTriangularStructure, CoQuasiTriangularStructure,
                         NotAutomorphism, validate_hom_algebra,
                         validate_hom_coalgebra, validate_hom_bialgebra,
                         validate_hom_hopf, validate_all, yau_twist, dual_hopf,

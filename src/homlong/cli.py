@@ -14,7 +14,7 @@ from .linalg import DimensionMismatch, SingularMatrix
 from .report import AxiomReport
 from . import io as hio
 from .io import FileFormatError
-from .homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra, NotAutomorphism,
+from .homstruct import (HomStructure, NotAutomorphism,
                         validate_hom_algebra, validate_hom_coalgebra, validate_all,
                         validate_quasitriangular, validate_coquasitriangular, yau_twist)
 from .repmod import (HomModule, HomComodule, YetterDrinfeldModule,
@@ -89,11 +89,20 @@ def _json_witness(w):
     return str(w)
 
 
-def _load_kind(files, path, expect):
+def _load_kind(files, path, *kinds):
+    """The structure in the file at path, whose kind must be one of kinds."""
     s = hio.load_structure(path, files)
-    if not isinstance(s, expect):
-        raise FileFormatError("expected %s" % expect.__name__, path)
+    if files.read(path).get("kind") not in kinds:
+        raise FileFormatError("expected %s %s file" % ("an" if kinds[0][0] in "aeiou" else "a",
+                                                       " or ".join(kinds)), path)
     return s
+
+
+def _check_yd_module(yd, report):
+    """The module and comodule axioms of yd and its compatibility."""
+    report.absorb(validate_hom_module(yd.over, yd.module_part()), "module:")
+    report.absorb(validate_hom_comodule(yd.over, yd.comodule_part()), "comodule:")
+    return report.absorb(check_yd(yd.over, yd))
 
 
 def _check_operator(op, report):
@@ -104,16 +113,16 @@ def _check_operator(op, report):
 def cmd_validate(args, report, files):
     raw = files.read(args.file)
     s = hio.load_structure(args.file, files)
-    if args.kind and isinstance(s, HomBialgebra):
-        if args.kind == "hom-algebra":
-            s = s.algebra
-        elif args.kind == "hom-coalgebra":
-            s = s.coalgebra
-    if isinstance(s, HomAlgebra):
+    if args.kind:
+        part = "mult" if args.kind == "hom-algebra" else "comult"
+        if not isinstance(s, HomStructure) or getattr(s, part) is None:
+            raise FileFormatError("no %s part to validate" % args.kind, args.file)
+        s = s.algebra if args.kind == "hom-algebra" else s.coalgebra
+    if isinstance(s, HomStructure) and s.kind == "hom-algebra":
         report.absorb(validate_hom_algebra(s))
-    elif isinstance(s, HomCoalgebra):
+    elif isinstance(s, HomStructure) and s.kind == "hom-coalgebra":
         report.absorb(validate_hom_coalgebra(s))
-    elif isinstance(s, HomBialgebra):
+    elif isinstance(s, HomStructure):
         report.absorb(validate_all(s))
         if "R" in raw:
             report.absorb(validate_quasitriangular(
@@ -126,10 +135,7 @@ def cmd_validate(args, report, files):
     elif isinstance(s, HomComodule):
         report.absorb(validate_hom_comodule(s.over, s))
     elif isinstance(s, YetterDrinfeldModule):
-        report.absorb(validate_hom_module(s.over.algebra, s.module_part()), "module:")
-        report.absorb(validate_hom_comodule(s.over.coalgebra, s.comodule_part()),
-                      "comodule:")
-        report.absorb(check_yd(s.over, s))
+        _check_yd_module(s, report)
     elif isinstance(s, HomLongDimodule):
         report.absorb(validate_long_dimodule(s))
     elif isinstance(s, HAlphaLongDimodule):
@@ -144,20 +150,16 @@ def cmd_validate(args, report, files):
 def cmd_check(args, report, files):
     subject = args.subject
     if subject == "longeq":
-        return _check_operator(_load_kind(files, args.operator, OperatorOnTensorSquare), report)
+        return _check_operator(_load_kind(files, args.operator, "operator"), report)
     if subject == "yd":
-        yd = _load_kind(files, args.m, YetterDrinfeldModule)
-        report.absorb(validate_hom_module(yd.over.algebra, yd.module_part()), "module:")
-        report.absorb(validate_hom_comodule(yd.over.coalgebra, yd.comodule_part()),
-                      "comodule:")
-        return report.absorb(check_yd(yd.over, yd))
+        return _check_yd_module(_load_kind(files, args.m, "yd-module"), report)
     if subject == "snake":
-        d = _load_kind(files, args.dimodule, HomLongDimodule)
+        d = _load_kind(files, args.dimodule, "long-dimodule")
         duality = left_dual(d) if args.side == "left" else right_dual(d)
         report.absorb(validate_long_dimodule(duality.dual), "dual:")
         return report.absorb(check_snake(d, duality))
     if subject == "roundtrip":
-        d = _load_kind(files, args.dimodule, HomLongDimodule)
+        d = _load_kind(files, args.dimodule, "long-dimodule")
         n = to_smash_module(d)
         report.absorb(validate_hom_module(n.over, n), "smash-module:")
         back = from_smash_module(n, d.H, d.B)
@@ -166,24 +168,24 @@ def cmd_check(args, report, files):
         rep = AxiomReport().add("round-trip", same)
         return report.absorb(rep)
     if subject == "coherence":
-        u = _load_kind(files, args.u, HomLongDimodule)
-        v = _load_kind(files, args.v, HomLongDimodule)
-        w = _load_kind(files, args.w, HomLongDimodule)
-        x = _load_kind(files, args.x, HomLongDimodule) if args.x else None
+        u = _load_kind(files, args.u, "long-dimodule")
+        v = _load_kind(files, args.v, "long-dimodule")
+        w = _load_kind(files, args.w, "long-dimodule")
+        x = _load_kind(files, args.x, "long-dimodule") if args.x else None
         return report.absorb(check_coherence(u, v, w, x))
     ctx = hio.load_context(args.ctx, files)
     if subject == "symmetry":
-        m = _load_kind(files, args.m, HomLongDimodule)
-        n = _load_kind(files, args.n, HomLongDimodule)
+        m = _load_kind(files, args.m, "long-dimodule")
+        n = _load_kind(files, args.n, "long-dimodule")
         rep = check_symmetry(ctx, m, n, diagnose=args.diagnose)
         report.absorb(rep)
         if not rep.flags.get("hypothesis-met", True):
             report.notes.append("hypothesis unmet: context is not triangular+cotriangular")
             raise HypothesisUnmet(report)
         return report
-    u = _load_kind(files, args.u, HomLongDimodule)
-    v = _load_kind(files, args.v, HomLongDimodule)
-    w = _load_kind(files, args.w, HomLongDimodule)
+    u = _load_kind(files, args.u, "long-dimodule")
+    v = _load_kind(files, args.v, "long-dimodule")
+    w = _load_kind(files, args.w, "long-dimodule")
     if subject == "ybe":
         return report.absorb(check_qybe(ctx, u, v, w))
     if subject == "hexagon":
@@ -202,8 +204,8 @@ def cmd_build(args, report, files):
     extra = {}
     if what == "braid":
         ctx = hio.load_context(args.ctx, files)
-        m = _load_kind(files, args.m, HomLongDimodule)
-        n = _load_kind(files, args.n, HomLongDimodule)
+        m = _load_kind(files, args.m, "long-dimodule")
+        n = _load_kind(files, args.n, "long-dimodule")
         op = long_braiding(ctx, m, n)
         report.absorb(check_braid_morphism(op))
         built = {
@@ -213,7 +215,7 @@ def cmd_build(args, report, files):
             "matrix": hio.matrix_json(op.matrix),
         }
     elif what == "dual":
-        d = _load_kind(files, args.dimodule, HomLongDimodule)
+        d = _load_kind(files, args.dimodule, "long-dimodule")
         duality = left_dual(d) if args.side == "left" else right_dual(d)
         report.absorb(validate_long_dimodule(duality.dual), "dual:")
         report.absorb(check_snake(d, duality))
@@ -222,13 +224,13 @@ def cmd_build(args, report, files):
         built["coev"] = hio.matrix_json(duality.coev)
         built["side"] = duality.side
     elif what == "tensor":
-        m = _load_kind(files, args.m, HomLongDimodule)
-        n = _load_kind(files, args.n, HomLongDimodule)
+        m = _load_kind(files, args.m, "long-dimodule")
+        n = _load_kind(files, args.n, "long-dimodule")
         t = tensor_dimodule(m, n)
         report.absorb(validate_long_dimodule(t))
         built = hio.structure_to_json(t)
     elif what == "twist":
-        base = _load_kind(files, args.base, HomBialgebra)
+        base = _load_kind(files, args.base, "hom-bialgebra", "hom-hopf")
         raw = files.read(args.phi)
         phi = hio.load_matrix(raw["matrix"] if isinstance(raw, dict) else raw,
                               args.phi)
@@ -236,12 +238,12 @@ def cmd_build(args, report, files):
         report.absorb(validate_all(twisted))
         built = hio.algebra_to_json(twisted)
     elif what == "dimodule-solution":
-        d = _load_kind(files, args.dimodule, HAlphaLongDimodule)
+        d = _load_kind(files, args.dimodule, "halpha-dimodule")
         op = dimodule_solution(d)
         report.absorb(check_long_equation(op))
         built = hio.structure_to_json(op)
     elif what == "extension":
-        base = _load_kind(files, args.base, HomBialgebra)
+        base = _load_kind(files, args.base, "hom-bialgebra", "hom-hopf")
         mod = hio.load_structure(args.m, files)
         variant = args.variant
         if variant is None:
@@ -253,7 +255,7 @@ def cmd_build(args, report, files):
         report.absorb(validate_halpha_dimodule(ext))
         built = hio.structure_to_json(ext)
     elif what == "smash":
-        d = _load_kind(files, args.dimodule, HomLongDimodule)
+        d = _load_kind(files, args.dimodule, "long-dimodule")
         n = to_smash_module(d)
         report.absorb(validate_hom_module(n.over, n))
         built = hio.structure_to_json(n)
@@ -361,7 +363,7 @@ def build_parser():
 
     v = sub.add_parser("validate", help="validate a definition file")
     v.add_argument("file")
-    v.add_argument("--kind", default=None)
+    v.add_argument("--kind", choices=("hom-algebra", "hom-coalgebra"), default=None)
 
     c = sub.add_parser("check", help="check a named identity")
     c.add_argument("subject", choices=("ybe", "hexagon", "symmetry", "longeq",

@@ -6,10 +6,11 @@ the standard triangular/cotriangular data on the order-2 group algebra, and
 the little zoo of dimodules used throughout.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .linalg import Matrix, Tensor3, Vector, per_leg_matrix
-from .homstruct import HomAlgebra, HomCoalgebra, HomBialgebra, yau_twist
+from .homstruct import HomStructure, tensor_hopf, yau_twist
 from .repmod import HomModule, HomComodule
 from .longdimod import (HomLongDimodule, canonical_dimodule, counit_action,
                         trivial_dimodule, unit_dimodule)
@@ -25,10 +26,7 @@ def group_hopf(m, names=None):
     if names is None:
         names = tuple("1" if i == 0 else ("g" if i == 1 else "g%d" % i)
                       for i in range(m))
-    eye = Matrix.identity(m)
-    alg = HomAlgebra(m, mult, unit, eye, names)
-    coa = HomCoalgebra(m, comult, counit, eye, names)
-    return HomBialgebra(alg, coa, s)
+    return HomStructure(m, Matrix.identity(m), mult, unit, comult, counit, s, names)
 
 
 def field_hopf():
@@ -64,12 +62,7 @@ def kz5_twisted():
 
 def klein_hopf():
     """Group algebra of Z2 x Z2; basis (1, b, a, ab)."""
-    from .homstruct import tensor_hopf
-    k = tensor_hopf(kz2(), kz2())
-    names = ("1", "b", "a", "ab")
-    alg = HomAlgebra(4, k.mult, k.unit, k.gamma, names)
-    coa = HomCoalgebra(4, k.comult, k.counit, k.gamma, names)
-    return HomBialgebra(alg, coa, k.antipode)
+    return replace(tensor_hopf(kz2(), kz2()), basis=("1", "b", "a", "ab"))
 
 
 def klein_rmatrix():
@@ -106,10 +99,7 @@ def sweedler_hopf():
     s = Matrix.from_function(n, n, lambda i, j: {(0, 0): 1, (1, 1): 1,
                                                  (3, 2): -1, (2, 3): 1}.get((i, j), 0))
     names = ("1", "g", "x", "gx")
-    eye = Matrix.identity(n)
-    alg = HomAlgebra(n, mult, unit, eye, names)
-    coa = HomCoalgebra(n, comult, counit, eye, names)
-    return HomBialgebra(alg, coa, s)
+    return HomStructure(n, Matrix.identity(n), mult, unit, comult, counit, s, names)
 
 
 def sweedler_twist_map():
@@ -183,20 +173,16 @@ def sign_comodule(b=None, scale=1):
 
 def regular_module(h):
     """The algebra acting on itself by multiplication."""
-    hb = h if isinstance(h, HomAlgebra) else h.algebra
-    return HomModule(hb, hb.dim, hb.mult, hb.alpha, hb.basis)
+    return HomModule(h.algebra, h.dim, h.mult, h.gamma, h.basis)
 
 
 def regular_comodule(b):
     """The coalgebra coacting on itself by comultiplication."""
-    bb = b if isinstance(b, HomCoalgebra) else b.coalgebra
-    return HomComodule(bb, bb.dim, bb.comult, bb.beta, bb.basis)
+    return HomComodule(b.coalgebra, b.dim, b.comult, b.gamma, b.basis)
 
 
 def trivial_module(h, mu=None):
     """h . m = eps(h) mu(m) on any carrier with invertible mu."""
-    if isinstance(h, HomAlgebra):
-        raise ValueError("need a bialgebra to build the counit action")
     if mu is None:
         mu = Matrix.identity(1)
     return HomModule(h.algebra, mu.rows, counit_action(h, mu), mu)

@@ -1,9 +1,11 @@
 """Hom-algebra tower by structure constants.
 
-Hom-algebras, Hom-coalgebras, Hom-bialgebras and Hom-Hopf algebras, their
-duals, opposites and tensor products, the twist construction that turns a
-classical (bi/Hopf) algebra plus an automorphism into a Hom-structure, and
-(co)quasitriangular data with triangularity decided by R R21 = 1 (x) 1.
+Hom-algebras, Hom-coalgebras, Hom-bialgebras and Hom-Hopf algebras as one
+type, HomStructure, whose one structure map gamma twists whichever of the
+product and the coproduct are set; their duals, opposites and tensor
+products, the twist construction that turns a classical (bi/Hopf) algebra
+plus an automorphism into a Hom-structure, and (co)quasitriangular data
+with triangularity decided by R R21 = 1 (x) 1.
 
 Each axiom is a pair of composites of leg steps (see linalg), compared on
 batches of basis columns, and each construction's structure maps are
@@ -13,7 +15,7 @@ offending basis tuple: an input tuple for an identity between maps, an
 output coordinate for an identity between elements.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_columns,
                      composite_matrix, coproduct_columns, coproduct_tensor,
@@ -32,100 +34,63 @@ def default_basis(n, prefix="e"):
 
 
 @dataclass(frozen=True)
-class HomAlgebra:
+class HomStructure:
+    """A Hom-algebra, Hom-coalgebra, Hom-bialgebra or Hom-Hopf algebra: one
+    carrier whose single structure map gamma twists the product and the
+    coproduct alike.  Its kind follows from which parts are set."""
     dim: int
-    mult: Tensor3          # mult[i][j][k] = coeff of e_k in e_i e_j
-    unit: Vector           # coordinates of the unit element
-    alpha: Matrix          # the structure automorphism
-    basis: tuple = None
-
-    def __post_init__(self):
-        n = self.dim
-        if self.mult.dims != (n, n, n):
-            raise DimensionMismatch("mult tensor %r for dim %d" % (self.mult.dims, n))
-        if self.unit.dim != n or self.alpha.rows != n or self.alpha.cols != n:
-            raise DimensionMismatch("unit/alpha shapes do not match dim %d" % n)
-        if self.basis is None:
-            object.__setattr__(self, "basis", default_basis(n))
-        elif len(self.basis) != n:
-            raise DimensionMismatch("%d basis names for dim %d" % (len(self.basis), n))
-
-
-@dataclass(frozen=True)
-class HomCoalgebra:
-    dim: int
-    comult: Tensor3        # comult[i][j][k] = coeff of e_j (x) e_k in Delta(e_i)
-    counit: Vector         # counit as a covector
-    beta: Matrix
-    basis: tuple = None
-
-    def __post_init__(self):
-        n = self.dim
-        if self.comult.dims != (n, n, n):
-            raise DimensionMismatch("comult tensor %r for dim %d" % (self.comult.dims, n))
-        if self.counit.dim != n or self.beta.rows != n or self.beta.cols != n:
-            raise DimensionMismatch("counit/beta shapes do not match dim %d" % n)
-        if self.basis is None:
-            object.__setattr__(self, "basis", default_basis(n))
-        elif len(self.basis) != n:
-            raise DimensionMismatch("%d basis names for dim %d" % (len(self.basis), n))
-
-
-@dataclass(frozen=True)
-class HomBialgebra:
-    """A Hom-bialgebra; with an antipode set it is a Hom-Hopf algebra."""
-    algebra: HomAlgebra
-    coalgebra: HomCoalgebra
+    gamma: Matrix              # the structure map
+    mult: Tensor3 = None       # mult[i][j][k] = coeff of e_k in e_i e_j
+    unit: Vector = None        # coordinates of the unit element
+    comult: Tensor3 = None     # comult[i][j][k] = coeff of e_j (x) e_k in Delta(e_i)
+    counit: Vector = None      # counit as a covector
     antipode: Matrix = None
+    basis: tuple = None
 
     def __post_init__(self):
-        if self.algebra.dim != self.coalgebra.dim:
-            raise DimensionMismatch("algebra dim %d vs coalgebra dim %d"
-                                    % (self.algebra.dim, self.coalgebra.dim))
-        if self.algebra.alpha != self.coalgebra.beta:
-            raise DimensionMismatch("algebra and coalgebra parts carry different twists")
-        if self.algebra.basis != self.coalgebra.basis:
-            raise DimensionMismatch("algebra and coalgebra basis names differ")
-        s, n = self.antipode, self.algebra.dim
-        if s is not None and (s.rows != n or s.cols != n):
-            raise DimensionMismatch("antipode is %dx%d for dim %d" % (s.rows, s.cols, n))
+        n, has_alg, has_coalg = self.dim, self.mult is not None, self.comult is not None
+        if has_alg != (self.unit is not None) or has_coalg != (self.counit is not None):
+            raise DimensionMismatch("mult needs unit and comult needs counit")
+        if self.gamma is None or not (has_alg or has_coalg):
+            raise DimensionMismatch("a structure needs gamma, and mult or comult")
+        if self.antipode is not None and not (has_alg and has_coalg):
+            raise DimensionMismatch("an antipode needs both mult and comult")
+        for name, t in (("mult", self.mult), ("comult", self.comult)):
+            if t is not None and t.dims != (n, n, n):
+                raise DimensionMismatch("%s tensor %r for dim %d" % (name, t.dims, n))
+        for name, v in (("unit", self.unit), ("counit", self.counit)):
+            if v is not None and v.dim != n:
+                raise DimensionMismatch("%s has dim %d for dim %d" % (name, v.dim, n))
+        for name, m in (("gamma", self.gamma), ("antipode", self.antipode)):
+            if m is not None and (m.rows != n or m.cols != n):
+                raise DimensionMismatch("%s is %dx%d for dim %d" % (name, m.rows, m.cols, n))
+        if self.basis is None:
+            object.__setattr__(self, "basis", default_basis(n))
+        elif len(self.basis) != n:
+            raise DimensionMismatch("%d basis names for dim %d" % (len(self.basis), n))
 
     @property
     def kind(self):
+        if self.comult is None:
+            return "hom-algebra"
+        if self.mult is None:
+            return "hom-coalgebra"
         return "hom-bialgebra" if self.antipode is None else "hom-hopf"
 
     @property
-    def dim(self):
-        return self.algebra.dim
+    def algebra(self):
+        """The algebra part: this structure without comult, counit or antipode."""
+        return replace(self, comult=None, counit=None, antipode=None)
 
     @property
-    def basis(self):
-        return self.algebra.basis
-
-    @property
-    def gamma(self):
-        return self.algebra.alpha
-
-    @property
-    def mult(self):
-        return self.algebra.mult
-
-    @property
-    def comult(self):
-        return self.coalgebra.comult
-
-    @property
-    def unit(self):
-        return self.algebra.unit
-
-    @property
-    def counit(self):
-        return self.coalgebra.counit
+    def coalgebra(self):
+        """The coalgebra part: this structure without mult, unit or antipode."""
+        return replace(self, mult=None, unit=None, antipode=None)
 
 
 @dataclass(frozen=True)
 class QuasiTriangularStructure:
-    owner: HomBialgebra
+    owner: HomStructure
     R: Matrix              # R[i][j] = coeff of e_i (x) e_j
     triangular: bool
     report: AxiomReport = field(compare=False)
@@ -133,7 +98,7 @@ class QuasiTriangularStructure:
 
 @dataclass(frozen=True)
 class CoQuasiTriangularStructure:
-    owner: HomBialgebra
+    owner: HomStructure
     form: Matrix           # form[i][j] = <e_i | e_j>
     cotriangular: bool
     report: AxiomReport = field(compare=False)
@@ -158,8 +123,8 @@ def validate_hom_algebra(a):
     and HA2 (Hom-associativity and the twisted unit law), column by column."""
     n, names = a.dim, a.basis
     rep = AxiomReport()
-    rep.add("alpha-invertible", a.alpha.det() != 0)
-    mult, al, put_u = product_columns(a.mult), sparse_columns(a.alpha), insert_columns(a.unit, n)
+    rep.add("alpha-invertible", a.gamma.det() != 0)
+    mult, al, put_u = product_columns(a.mult), sparse_columns(a.gamma), insert_columns(a.unit, n)
     to_h = (n,)
     composites_equal_report(rep, "HA1-mult", [(mult, (0, 1), to_h), (al, (0,), None)],
                             [(al, (0,), None), (al, (1,), None), (mult, (0, 1), to_h)],
@@ -170,7 +135,7 @@ def validate_hom_algebra(a):
                             [(mult, (1, 2), to_h), (al, (0,), None), (mult, (0, 1), to_h)],
                             [(mult, (0, 1), to_h), (al, (1,), None), (mult, (0, 1), to_h)],
                             (n, n, n), (names, names, names))
-    # 1 a and a 1, each against alpha(a)
+    # 1 a and a 1, each against gamma(a)
     left = [(put_u, (0,), (n, n)), (mult, (0, 1), to_h)]
     right = [(put_u, (0,), (n, n)), (flip_columns(n, n), (0, 1), None), (mult, (0, 1), to_h)]
     twist = [(al, (0,), None)]
@@ -184,8 +149,8 @@ def validate_hom_coalgebra(c):
     by column."""
     n, names = c.dim, c.basis
     rep = AxiomReport()
-    rep.add("beta-invertible", c.beta.det() != 0)
-    co, be, eps = coproduct_columns(c.comult), sparse_columns(c.beta), pair_columns(c.counit)
+    rep.add("beta-invertible", c.gamma.det() != 0)
+    co, be, eps = coproduct_columns(c.comult), sparse_columns(c.gamma), pair_columns(c.counit)
     to_hh, twist = (n, n), [(be, (0,), None)]
     _first_side(rep, "HC1", (
         ("delta", twist + [(co, (0,), to_hh)],
@@ -247,8 +212,8 @@ def validate_hom_hopf(h):
 def validate_all(h):
     """Full tower report for a bialgebra or Hopf algebra."""
     rep = AxiomReport()
-    rep.extend(validate_hom_algebra(h.algebra), "algebra:")
-    rep.extend(validate_hom_coalgebra(h.coalgebra), "coalgebra:")
+    rep.extend(validate_hom_algebra(h), "algebra:")
+    rep.extend(validate_hom_coalgebra(h), "coalgebra:")
     rep.extend(validate_hom_bialgebra(h), "bialgebra:")
     if h.antipode is not None:
         rep.extend(validate_hom_hopf(h), "hopf:")
@@ -285,9 +250,8 @@ def yau_twist(h, phi):
     put_u = [(insert_columns(h.unit, 1), (0,), (n, 1))]
     if first_differing_column(put_u + [(ph, (0,), None)], put_u, (1,)) is not None:
         raise NotAutomorphism("phi does not fix the unit")
-    alg = HomAlgebra(n, product_tensor(phi_mult, (n, n)), h.unit, phi, h.basis)
-    coa = HomCoalgebra(n, coproduct_tensor(comult_phi, (n,), n), h.counit, phi, h.basis)
-    return HomBialgebra(alg, coa, h.antipode)
+    return replace(h, gamma=phi, mult=product_tensor(phi_mult, (n, n)),
+                   comult=coproduct_tensor(comult_phi, (n,), n))
 
 
 def dual_hopf(b):
@@ -304,25 +268,23 @@ def dual_hopf(b):
                               + [(bi, (1,), None)] * 2, (n,)).transpose()
     comult_d = composite_matrix([(product_columns(b.mult), (0, 1), (n,))] + twice,
                                 (n, n)).transpose()
-    names = tuple(x + "*" for x in b.basis)
-    alg = HomAlgebra(n, Tensor3.from_in2_out1(mult_d, n, n), b.counit,
-                     b1i.transpose(), names)
-    coa = HomCoalgebra(n, Tensor3.from_in1_out2(comult_d, n, n), b.unit,
-                       b1i.transpose(), names)
     s = b.antipode
-    return HomBialgebra(alg, coa, None if s is None else s.transpose())
+    return HomStructure(n, b1i.transpose(), Tensor3.from_in2_out1(mult_d, n, n), b.counit,
+                        Tensor3.from_in1_out2(comult_d, n, n), b.unit,
+                        None if s is None else s.transpose(),
+                        tuple(x + "*" for x in b.basis))
 
 
 def tensor_algebra(a, c):
-    """Componentwise tensor product Hom-algebra on the lexicographic basis:
-    (x (x) y)(x' (x) y') = xx' (x) yy'."""
+    """Componentwise tensor product Hom-algebra of the algebra parts of a and
+    c on the lexicographic basis: (x (x) y)(x' (x) y') = xx' (x) yy'."""
     na, nc = a.dim, c.dim
     mult = product_tensor([(flip_columns(nc, na), (1, 2), (na, nc)),
                            (product_columns(a.mult), (0, 1), (na,)),
                            (product_columns(c.mult), (1, 2), (nc,))], (na, nc, na, nc), 2)
     unit = per_leg_matrix(a.unit.as_column(), c.unit.as_column()).column(0)
-    return HomAlgebra(na * nc, mult, unit, per_leg_matrix(a.alpha, c.alpha),
-                      tensor_basis(a.basis, c.basis))
+    return HomStructure(na * nc, per_leg_matrix(a.gamma, c.gamma), mult, unit,
+                        basis=tensor_basis(a.basis, c.basis))
 
 
 def tensor_basis(first, second):
@@ -336,20 +298,18 @@ def tensor_hopf(h, b):
     comult = coproduct_tensor([(coproduct_columns(h.comult), (0,), (nh, nh)),
                                (coproduct_columns(b.comult), (2,), (nb, nb)),
                                (flip_columns(nh, nb), (1, 2), (nb, nh))], (nh, nb), nh * nb)
-    coa = HomCoalgebra(nh * nb, comult,
-                       per_leg_matrix(h.counit.as_row(), b.counit.as_row()).row(0),
-                       per_leg_matrix(h.gamma, b.gamma), tensor_basis(h.basis, b.basis))
     s = (None if h.antipode is None or b.antipode is None
          else per_leg_matrix(h.antipode, b.antipode))
-    return HomBialgebra(tensor_algebra(h.algebra, b.algebra), coa, s)
+    return replace(tensor_algebra(h, b), comult=comult, antipode=s,
+                   counit=per_leg_matrix(h.counit.as_row(), b.counit.as_row()).row(0))
 
 
 def opposite_algebra(a):
-    """Reverse the multiplication, keeping unit and twist."""
+    """The algebra part of a with the multiplication reversed."""
     n = a.dim
     mult_op = product_tensor([(flip_columns(n, n), (0, 1), None),
                               (product_columns(a.mult), (0, 1), (n,))], (n, n))
-    return HomAlgebra(n, mult_op, a.unit, a.alpha, a.basis)
+    return HomStructure(n, a.gamma, mult_op, a.unit, basis=a.basis)
 
 
 # ---------------------------------------------------------------------------

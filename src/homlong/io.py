@@ -8,12 +8,11 @@ each file, and build each structure in it, once.  json_text is the one JSON
 writer.
 """
 
-import dataclasses
 import json
 import os
 
 from .linalg import Matrix, Tensor3, Vector, scalar
-from .homstruct import HomAlgebra, HomCoalgebra, HomBialgebra
+from .homstruct import HomStructure
 from .repmod import HomModule, HomComodule, YetterDrinfeldModule
 from .longdimod import HomLongDimodule
 from .longeq import HAlphaLongDimodule, OperatorOnTensorSquare
@@ -92,10 +91,6 @@ def load_basis(obj, dim, where):
 
 def matrix_json(m):
     return m.to_json()
-
-
-def vector_json(v):
-    return v.to_json()
 
 
 def tensor3_json(t):
@@ -184,34 +179,26 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
     if kind not in ("hom-algebra", "hom-coalgebra", "hom-bialgebra", "hom-hopf"):
         raise FileFormatError(_ctx(where, "unknown algebra kind %r" % (kind,)))
     dim = _int_field(obj, "dim", where)
-    basis = load_basis(obj, dim, where) or tuple("e%d" % i for i in range(dim))
+    basis = load_basis(obj, dim, where)
     gamma = load_matrix(obj["gamma"], where + ".gamma") if "gamma" in obj \
         else Matrix.identity(dim)
-
-    def algebra_part():
-        if "mult" not in obj or "unit" not in obj:
-            raise FileFormatError(_ctx(where, "algebra needs 'mult' and 'unit'"))
-        return HomAlgebra(dim, load_tensor3(obj["mult"], where + ".mult"),
-                          load_vector(obj["unit"], where + ".unit"), gamma, basis)
-
-    def coalgebra_part():
-        if "comult" not in obj or "counit" not in obj:
-            raise FileFormatError(_ctx(where, "coalgebra needs 'comult' and 'counit'"))
-        return HomCoalgebra(dim, load_tensor3(obj["comult"], where + ".comult", coproduct=True),
-                            load_vector(obj["counit"], where + ".counit"), gamma, basis)
-
+    parts = {}
     try:
-        if kind == "hom-algebra":
-            return algebra_part()
-        if kind == "hom-coalgebra":
-            return coalgebra_part()
-        bi = HomBialgebra(algebra_part(), coalgebra_part())
-        if kind == "hom-bialgebra":
-            return bi
-        if "antipode" not in obj:
-            raise FileFormatError(_ctx(where, "hom-hopf needs 'antipode'"))
-        return dataclasses.replace(bi, antipode=load_matrix(obj["antipode"],
-                                                           where + ".antipode"))
+        if kind != "hom-coalgebra":
+            if "mult" not in obj or "unit" not in obj:
+                raise FileFormatError(_ctx(where, "algebra needs 'mult' and 'unit'"))
+            parts.update(mult=load_tensor3(obj["mult"], where + ".mult"),
+                         unit=load_vector(obj["unit"], where + ".unit"))
+        if kind != "hom-algebra":
+            if "comult" not in obj or "counit" not in obj:
+                raise FileFormatError(_ctx(where, "coalgebra needs 'comult' and 'counit'"))
+            parts.update(comult=load_tensor3(obj["comult"], where + ".comult", coproduct=True),
+                         counit=load_vector(obj["counit"], where + ".counit"))
+        if kind == "hom-hopf":
+            if "antipode" not in obj:
+                raise FileFormatError(_ctx(where, "hom-hopf needs 'antipode'"))
+            parts["antipode"] = load_matrix(obj["antipode"], where + ".antipode")
+        return HomStructure(dim, gamma, basis=basis, **parts)
     except FileFormatError:
         raise
     except Exception as exc:
@@ -219,34 +206,27 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
 
 
 def algebra_to_json(h):
-    out = {}
-    if isinstance(h, HomAlgebra):
-        out.update(kind="hom-algebra", dim=h.dim, basis=list(h.basis),
-                   mult=tensor3_json(h.mult), unit=vector_json(h.unit),
-                   gamma=matrix_json(h.alpha))
-        return out
-    if isinstance(h, HomCoalgebra):
-        out.update(kind="hom-coalgebra", dim=h.dim, basis=list(h.basis),
-                   comult=tensor3_json(h.comult), counit=vector_json(h.counit),
-                   gamma=matrix_json(h.beta))
-        return out
-    out.update(kind=h.kind, dim=h.dim, basis=list(h.basis),
-               mult=tensor3_json(h.mult), unit=vector_json(h.unit),
-               comult=tensor3_json(h.comult), counit=vector_json(h.counit),
-               gamma=matrix_json(h.gamma))
-    if h.antipode is not None:
-        out["antipode"] = matrix_json(h.antipode)
+    out = {"kind": h.kind, "dim": h.dim, "basis": list(h.basis)}
+    for key in ("mult", "unit", "comult", "counit", "gamma", "antipode"):
+        value = getattr(h, key)
+        if value is not None:
+            out[key] = value.to_json()
     return out
 
 
-def _load_algebra_field(obj, key, base_dir, where, files, expect_hopf=False):
+_BIALGEBRA_KINDS = ("hom-bialgebra", "hom-hopf")
+
+
+def _load_algebra_field(obj, key, base_dir, where, files, kinds=None):
+    """The algebra in obj[key] and its JSON; with kinds given, its kind
+    must be one of them."""
     if key not in obj:
         raise FileFormatError(_ctx(where, "missing '%s'" % key))
     field = obj[key]
     sub, sub_dir, sub_where = _resolve(field, base_dir, where + "." + key, files)
     alg = files.algebra(sub, sub_dir, sub_where)
-    if expect_hopf and not (isinstance(alg, HomBialgebra) and alg.antipode is not None):
-        raise FileFormatError(_ctx(sub_where, "expected a hom-hopf structure"))
+    if kinds and alg.kind not in kinds:
+        raise FileFormatError(_ctx(sub_where, "expected a %s structure" % " or ".join(kinds)))
     return alg, sub
 
 
@@ -264,27 +244,23 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
         return files.algebra(obj, base_dir, where)
     if kind == "hom-module":
         over, _ = _load_algebra_field(obj, "over", base_dir, where, files)
-        alg = over.algebra if not isinstance(over, (HomAlgebra, HomCoalgebra)) else over
-        if isinstance(alg, HomCoalgebra):
+        if over.mult is None:
             raise FileFormatError(_ctx(where, "module 'over' must carry an algebra"))
         dim = _int_field(obj, "dim", where)
-        return HomModule(alg, dim, load_tensor3(obj["action"], where + ".action"),
+        return HomModule(over.algebra, dim, load_tensor3(obj["action"], where + ".action"),
                          load_matrix(obj["nu"], where + ".nu"),
                          load_basis(obj, dim, where))
     if kind == "hom-comodule":
         over, _ = _load_algebra_field(obj, "over", base_dir, where, files)
-        coa = over.coalgebra if not isinstance(over, (HomAlgebra, HomCoalgebra)) else over
-        if isinstance(coa, HomAlgebra):
+        if over.comult is None:
             raise FileFormatError(_ctx(where, "comodule 'over' must carry a coalgebra"))
         dim = _int_field(obj, "dim", where)
-        return HomComodule(coa, dim, load_tensor3(obj["coaction"], where + ".coaction",
-                                                  coproduct=True),
+        return HomComodule(over.coalgebra, dim,
+                           load_tensor3(obj["coaction"], where + ".coaction", coproduct=True),
                            load_matrix(obj["mu"], where + ".mu"),
                            load_basis(obj, dim, where))
     if kind == "yd-module":
-        over, _ = _load_algebra_field(obj, "over", base_dir, where, files)
-        if not isinstance(over, HomBialgebra):
-            raise FileFormatError(_ctx(where, "yd-module 'over' must be a bialgebra"))
+        over, _ = _load_algebra_field(obj, "over", base_dir, where, files, _BIALGEBRA_KINDS)
         dim = _int_field(obj, "dim", where)
         return YetterDrinfeldModule(over, dim,
                                     load_tensor3(obj["action"], where + ".action"),
@@ -293,8 +269,8 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
                                     load_matrix(obj["structure_map"], where + ".structure_map"),
                                     load_basis(obj, dim, where))
     if kind == "long-dimodule":
-        h, _ = _load_algebra_field(obj, "H", base_dir, where, files)
-        b, _ = _load_algebra_field(obj, "B", base_dir, where, files)
+        h, _ = _load_algebra_field(obj, "H", base_dir, where, files, _BIALGEBRA_KINDS)
+        b, _ = _load_algebra_field(obj, "B", base_dir, where, files, _BIALGEBRA_KINDS)
         dim = _int_field(obj, "dim", where)
         return HomLongDimodule(h, b, dim,
                                load_tensor3(obj["action"], where + ".action"),
@@ -302,7 +278,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
                                load_matrix(obj["mu"], where + ".mu"),
                                load_basis(obj, dim, where))
     if kind == "halpha-dimodule":
-        h, _ = _load_algebra_field(obj, "H", base_dir, where, files)
+        h, _ = _load_algebra_field(obj, "H", base_dir, where, files, _BIALGEBRA_KINDS)
         dim = _int_field(obj, "dim", where)
         return HAlphaLongDimodule(h, dim,
                                   load_tensor3(obj["action"], where + ".action"),
@@ -345,9 +321,9 @@ def load_context(path, files=None):
         raise FileFormatError("expected a JSON object", path)
     where = path
     h, h_raw = _load_algebra_field(obj, "H", os.path.dirname(path), where, files,
-                                   expect_hopf=True)
+                                   ("hom-hopf",))
     b, b_raw = _load_algebra_field(obj, "B", os.path.dirname(path), where, files,
-                                   expect_hopf=True)
+                                   ("hom-hopf",))
     r_field = obj.get("R", h_raw.get("R"))
     if r_field is None:
         raise FileFormatError(_ctx(where, "no 'R' in context or in the H file"))
@@ -359,7 +335,7 @@ def load_context(path, files=None):
 
 
 def structure_to_json(s):
-    if isinstance(s, (HomAlgebra, HomCoalgebra, HomBialgebra)):
+    if isinstance(s, HomStructure):
         return algebra_to_json(s)
     if isinstance(s, HomModule):
         return {"kind": "hom-module", "over": algebra_to_json(s.over),

@@ -15,7 +15,7 @@ from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, coproduct_colum
                      coproduct_tensor, first_differing_column, flip_columns, insert_columns,
                      pair_columns, per_leg_matrix, product_columns, product_tensor,
                      sparse_columns)
-from .homstruct import (HomBialgebra, dual_hopf, opposite_algebra, tensor_algebra,
+from .homstruct import (HomStructure, dual_hopf, opposite_algebra, tensor_algebra,
                         tensor_basis)
 from .repmod import HomModule, HomComodule, validate_hom_module, validate_hom_comodule
 from .report import AxiomReport, composites_equal_report
@@ -31,8 +31,8 @@ class AntipodeNotInvertible(Exception):
 
 @dataclass(frozen=True)
 class HomLongDimodule:
-    H: HomBialgebra
-    B: HomBialgebra
+    H: HomStructure
+    B: HomStructure
     dim: int
     action: Tensor3        # over H: action[h][i][j]
     coaction: Tensor3      # over B: coaction[i][a][j]
@@ -85,8 +85,8 @@ def validate_long_dimodule(d):
     rho(h.m) = b(m_-1) (x) a(h).m_0."""
     h, b = d.H, d.B
     rep = AxiomReport()
-    rep.extend(validate_hom_module(h.algebra, d.module_part()), "module:")
-    rep.extend(validate_hom_comodule(b.coalgebra, d.comodule_part()), "comodule:")
+    rep.extend(validate_hom_module(h, d.module_part()), "module:")
+    rep.extend(validate_hom_comodule(b, d.comodule_part()), "comodule:")
     act, co = product_columns(d.action), coproduct_columns(d.coaction)
     nh, nb, to_d, to_bd = h.dim, b.dim, (d.dim,), (b.dim, d.dim)
     composites_equal_report(rep, "compat-2.1",
@@ -120,10 +120,12 @@ def h_tensor_parts(h, coaction, mu, names):
 
 
 def base_parts(d):
-    """The algebra and coalgebra parts of the pair (H, B) of a dimodule or a
-    braiding context.  Antipodes are left out: they do not decide which
+    """Every field but the antipode of each of the pair (H, B) of a dimodule
+    or a braiding context.  Antipodes are left out: they do not decide which
     dimodules combine."""
-    return d.H.algebra, d.H.coalgebra, d.B.algebra, d.B.coalgebra
+    h, b = d.H, d.B
+    return (h.dim, h.gamma, h.mult, h.unit, h.comult, h.counit, h.basis,
+            b.dim, b.gamma, b.mult, b.unit, b.comult, b.counit, b.basis)
 
 
 def tensor_dimodule(m, n):
@@ -332,9 +334,12 @@ def _triple_name(idxs, u, v, w):
 # duals
 
 def _require_hopf_pair(m):
+    """The pair (H, B) of m, which must both carry bijective antipodes."""
     h, b = m.H, m.B
     if h.antipode is None or b.antipode is None:
         raise AntipodeNotInvertible("duality needs Hopf structures on both sides")
+    if h.antipode.det() == 0 or b.antipode.det() == 0:
+        raise AntipodeNotInvertible("antipode is singular")
     return h, b
 
 
@@ -342,8 +347,6 @@ def left_dual(m):
     """Left dual carrier with (h.f)(x) = f(S_H a^-1(h) . mu^-2(x)),
     f_-1 (x) f_0(x) = S_B^-1 b^-1(x_-1) (x) f(mu^-2(x_0)), mu*(f) = f o mu^-1."""
     h, b = _require_hopf_pair(m)
-    if h.antipode.det() == 0 or b.antipode.det() == 0:
-        raise AntipodeNotInvertible("antipode is singular")
     return _dual(m, (h.gamma.inv(), h.antipode), (b.gamma.inv(), b.antipode.inv()), "left")
 
 
@@ -351,8 +354,6 @@ def right_dual(m):
     """Right dual carrier with (h.f)(x) = f(S_H^-1 a^-1(h) . mu^-2(x)) and
     f_-1 (x) f_0(x) = S_B b^-1(x_-1) (x) f(mu^-2(x_0))."""
     h, b = _require_hopf_pair(m)
-    if h.antipode.det() == 0 or b.antipode.det() == 0:
-        raise AntipodeNotInvertible("antipode is singular")
     return _dual(m, (h.gamma.inv(), h.antipode.inv()), (b.gamma.inv(), b.antipode), "right")
 
 
@@ -429,7 +430,7 @@ def check_snake(m, duality):
 
 def smash_product_algebra(b, h):
     """The Hom-algebra B*op (x) H (only the algebra structure is needed)."""
-    return tensor_algebra(opposite_algebra(dual_hopf(b).algebra), h.algebra)
+    return tensor_algebra(opposite_algebra(dual_hopf(b)), h)
 
 
 def to_smash_module(m):

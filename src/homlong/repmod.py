@@ -1,5 +1,10 @@
 """Hom-modules, Hom-comodules and Hom-Yetter-Drinfeld modules.
 
+Each lives over a homstruct.HomStructure held as `over`: a module over one
+with a product, a comodule over one with a coproduct, a Yetter-Drinfeld
+module over one with both.  The validators read only the part they need,
+so a module's algebra may be passed as a whole Hom-bialgebra.
+
 Carriers are described by structure constants: action[h][i][j] is the
 coefficient of m_j in e_h . m_i, coaction[i][a][j] the coefficient of
 b_a (x) m_j in rho(m_i).  The compatibility condition and its Hopf-case
@@ -13,13 +18,13 @@ from dataclasses import dataclass
 from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, coproduct_columns,
                      flip_columns, insert_columns, pair_columns, product_columns,
                      sparse_columns)
-from .homstruct import HomAlgebra, HomCoalgebra, HomBialgebra
+from .homstruct import HomStructure
 from .report import AxiomReport, composites_equal_report
 
 
 @dataclass(frozen=True)
 class HomModule:
-    over: HomAlgebra
+    over: HomStructure
     dim: int
     action: Tensor3        # action[h][i][j] = coeff of m_j in e_h . m_i
     nu: Matrix
@@ -44,7 +49,7 @@ class HomModule:
 
 @dataclass(frozen=True)
 class HomComodule:
-    over: HomCoalgebra
+    over: HomStructure
     dim: int
     coaction: Tensor3      # coaction[i][a][j] = coeff of b_a (x) m_j in rho(m_i)
     mu: Matrix
@@ -70,7 +75,7 @@ class HomComodule:
 @dataclass(frozen=True)
 class YetterDrinfeldModule:
     """A module and comodule over one Hom-bialgebra sharing a structure map."""
-    over: HomBialgebra
+    over: HomStructure
     dim: int
     action: Tensor3
     coaction: Tensor3
@@ -99,7 +104,7 @@ def validate_hom_module(a, m):
                                 % (a.dim, m.action.dims))
     rep = AxiomReport()
     rep.add("nu-invertible", m.nu.det() != 0)
-    act, nu, al = product_columns(m.action), sparse_columns(m.nu), sparse_columns(a.alpha)
+    act, nu, al = product_columns(m.action), sparse_columns(m.nu), sparse_columns(a.gamma)
     to_m, hn, mn = (m.dim,), a.basis, m.basis
     composites_equal_report(rep, "HM1", [(act, (0, 1), to_m), (nu, (0,), None)],
                             [(al, (0,), None), (nu, (1,), None), (act, (0, 1), to_m)],
@@ -124,7 +129,7 @@ def validate_hom_comodule(c, m):
                                 % (c.dim, m.coaction.dims))
     rep = AxiomReport()
     rep.add("mu-invertible", m.mu.det() != 0)
-    co, mu, be = coproduct_columns(m.coaction), sparse_columns(m.mu), sparse_columns(c.beta)
+    co, mu, be = coproduct_columns(m.coaction), sparse_columns(m.mu), sparse_columns(c.gamma)
     to_cm, names = (c.dim, m.dim), (m.basis,)
     composites_equal_report(rep, "HCM1-a", [(mu, (0,), None), (co, (0,), to_cm)],
                             [(co, (0,), to_cm), (be, (0,), None), (mu, (1,), None)],

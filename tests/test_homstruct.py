@@ -1,11 +1,12 @@
+import re
 from dataclasses import replace
 
 import pytest
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, Tensor3, Vector
-from homlong.homstruct import (HomAlgebra, HomCoalgebra, HomBialgebra,
-                               NotAutomorphism,
+from homlong.linalg import DimensionMismatch, Matrix, Tensor3, Vector
+from homlong.longdimod import base_parts
+from homlong.homstruct import (NotAutomorphism,
                                opposite_algebra, dual_hopf, tensor_hopf,
                                validate_all, validate_coquasitriangular,
                                validate_hom_algebra, validate_hom_bialgebra,
@@ -20,7 +21,7 @@ def test_tower_passes_on_fixtures(kz2, kz4, kz4t, sweedler, sweedler_t):
 
 
 def test_algebra_mutation_witness(kz2):
-    bad = HomAlgebra(2, kz2.mult, kz2.unit, Matrix([[1, 0], [0, 2]]), kz2.basis)
+    bad = replace(kz2.algebra, gamma=Matrix([[1, 0], [0, 2]]))
     rep = validate_hom_algebra(bad)
     assert not rep.passed("HA1-mult")
     assert rep.check("HA1-mult").witness == ("g", "g")
@@ -28,7 +29,7 @@ def test_algebra_mutation_witness(kz2):
 
 def test_coalgebra_mutation_witness(kz2):
     # counit sending g to 0 breaks the twisted counit law at g
-    bad = HomCoalgebra(2, kz2.comult, Vector([1, 0]), Matrix.identity(2), kz2.basis)
+    bad = replace(kz2.coalgebra, counit=Vector([1, 0]))
     rep = validate_hom_coalgebra(bad)
     assert not rep.passed("HC2-counit")
     assert rep.check("HC2-counit").witness[1] == "g"
@@ -39,8 +40,7 @@ def test_bialgebra_mutation_witness(kz2):
     mult = Tensor3.from_function(2, 2, 2,
                                  lambda i, j, k: (2 if (i, j) == (1, 1) else 1)
                                  if k == (i + j) % 2 else 0)
-    alg = HomAlgebra(2, mult, kz2.unit, Matrix.identity(2), kz2.basis)
-    bad = HomBialgebra(alg, kz2.coalgebra)
+    bad = replace(kz2, mult=mult, antipode=None)
     rep = validate_hom_bialgebra(bad)
     assert not rep.passed("delta-mult")
     assert rep.check("delta-mult").witness == ("g", "g")
@@ -52,20 +52,80 @@ def test_grouplike_to_skew_mutation(kz2):
     # axioms (the twisted counit law fails at g)
     comult = Tensor3.from_function(2, 2, 2,
                                    lambda i, j, k: 1 if (i, j, k) in ((0, 0, 0), (1, 1, 0)) else 0)
-    coa = HomCoalgebra(2, comult, kz2.counit, Matrix.identity(2), kz2.basis)
-    mutant = HomBialgebra(kz2.algebra, coa)
+    mutant = replace(kz2, comult=comult, antipode=None)
     assert validate_hom_bialgebra(mutant).ok
-    rep = validate_hom_coalgebra(coa)
+    rep = validate_hom_coalgebra(mutant.coalgebra)
     assert not rep.passed("HC2-counit")
     assert rep.check("HC2-counit").witness[1] == "g"
 
 
 def test_hopf_mutation_witness(kz2):
-    bad = HomBialgebra(kz2.algebra, kz2.coalgebra, Matrix.zeros(2, 2))
+    bad = replace(kz2, antipode=Matrix.zeros(2, 2))
     rep = validate_hom_hopf(bad)
     assert not rep.passed("antipode-left")
     assert rep.check("antipode-left").witness == ("1",)
     assert not rep.flags["antipode-invertible"]
+
+
+# ---------------------------------------------------------------------------
+# one structure type
+
+def test_kind_follows_from_the_parts_set(kz2):
+    assert kz2.kind == "hom-hopf"
+    assert replace(kz2, antipode=None).kind == "hom-bialgebra"
+    assert kz2.algebra.kind == "hom-algebra"
+    assert kz2.coalgebra.kind == "hom-coalgebra"
+
+
+def test_projections_clear_the_other_part_and_the_antipode(kz2):
+    alg, coa = kz2.algebra, kz2.coalgebra
+    assert (alg.mult, alg.unit, alg.comult, alg.counit, alg.antipode) == (
+        kz2.mult, kz2.unit, None, None, None)
+    assert (coa.mult, coa.unit, coa.comult, coa.counit, coa.antipode) == (
+        None, None, kz2.comult, kz2.counit, None)
+    for part in (alg, coa):
+        assert (part.dim, part.gamma, part.basis) == (kz2.dim, kz2.gamma, kz2.basis)
+    # a projection of a projection is itself
+    assert alg.algebra == alg and coa.coalgebra == coa
+
+
+def test_projections_of_equal_structures_are_equal_and_hash_equally(kz2):
+    other = fx.kz2()
+    assert other is not kz2 and other == kz2 and hash(other) == hash(kz2)
+    for a, b in ((other.algebra, kz2.algebra), (other.coalgebra, kz2.coalgebra)):
+        assert a == b and hash(a) == hash(b)
+    assert kz2.algebra != kz2.coalgebra
+    assert fx.kz4().algebra != fx.kz4_twisted().algebra
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(unit=None), "mult needs unit"),
+    (dict(counit=None), "comult needs counit"),
+    (dict(mult=None, unit=None, comult=None, counit=None, antipode=None),
+     "needs gamma, and mult or comult"),
+    (dict(gamma=None), "needs gamma"),
+    (dict(mult=None, unit=None), "antipode needs both"),
+    (dict(comult=None, counit=None), "antipode needs both"),
+    (dict(mult=Tensor3.from_function(2, 2, 3, lambda i, j, k: 0)), "mult tensor (2, 2, 3)"),
+    (dict(comult=Tensor3.from_function(3, 2, 2, lambda i, j, k: 0)),
+     "comult tensor (3, 2, 2)"),
+    (dict(unit=Vector([1, 0, 0])), "unit has dim 3"),
+    (dict(counit=Vector([1])), "counit has dim 1"),
+    (dict(gamma=Matrix.identity(3)), "gamma is 3x3"),
+    (dict(antipode=Matrix.zeros(2, 3)), "antipode is 2x3"),
+    (dict(basis=("1",)), "1 basis names for dim 2"),
+])
+def test_structure_refuses_incomplete_or_misshaped_fields(kz2, change, message):
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        replace(kz2, **change)
+
+
+def test_base_parts_ignore_the_antipode(kz2):
+    plain = replace(kz2, antipode=None)
+    d = fx.sign_dimodule(kz2, kz2)
+    assert base_parts(d) == base_parts(replace(d, H=plain, B=plain))
+    assert base_parts(d) != base_parts(replace(d, B=replace(plain, basis=("a", "b"))))
+    assert base_parts(d) != base_parts(replace(d, H=replace(kz2, gamma=Matrix.diagonal([1, -1]))))
 
 
 def test_yau_twist_identity_returns_input(kz4):

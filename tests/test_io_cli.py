@@ -247,6 +247,26 @@ def test_roundtrip_over_bialgebras_without_antipode(tmp_path, capsys):
     assert report["exit_code"] == 0 and report["checks"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", [["validate"], ["check", "roundtrip", "-D"],
+                                     ["build", "smash", "-D"]])
+def test_a_dimodule_over_algebra_parts_exits_2(tmp_path, capsys, command, fmt):
+    # the pair under a dimodule must be bialgebras: over an algebra-only H
+    # and a coalgebra-only B these commands ended in a traceback
+    obj = json.loads((DEMO_FILES / "sign.json").read_text())
+    obj["H"] = hio.algebra_to_json(fx.kz2().algebra)
+    obj["B"] = hio.algebra_to_json(fx.kz2().coalgebra)
+    path = str(tmp_path / "parts.json")
+    hio.dump_json(obj, path)
+    message = "expected a hom-bialgebra or hom-hopf structure (%s.H)" % path
+    assert main((["--format", "json"] if fmt == "json" else []) + command + [path]) == 2
+    captured = capsys.readouterr()
+    if fmt == "json":
+        assert json.loads(captured.out)["error"] == message
+    else:
+        assert captured.err == "error: %s\n" % message
+
+
 def test_check_incompatible_inputs(files, tmp_path, capsys):
     hio.save_structure(fx.trivial_dimodule(fx.kz4_twisted(), fx.kz2()),
                        tmp_path / "other.json")
@@ -388,6 +408,62 @@ def test_verbose_and_kind_override(files, capsys):
                  "--kind", "hom-algebra"]) == 0
     out = capsys.readouterr().out
     assert "HA2-assoc" in out and "bialgebra" not in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name, kind, message", [
+    ("kz2.json", "hom-coalgebr", "invalid choice: 'hom-coalgebr'"),
+    ("alg.json", "hom-coalgebra", "alg.json: no hom-coalgebra part to validate"),
+    ("coalg.json", "hom-algebra", "coalg.json: no hom-algebra part to validate"),
+    ("canonical.json", "hom-algebra", "canonical.json: no hom-algebra part to validate"),
+])
+def test_validate_kind_refuses_a_part_it_cannot_validate(files, monkeypatch, capsys,
+                                                         name, kind, message, fmt):
+    hio.save_structure(fx.kz2().algebra, files / "alg.json")
+    hio.save_structure(fx.kz2().coalgebra, files / "coalg.json")
+    monkeypatch.chdir(files)
+    assert main((["--format", "json"] if fmt == "json" else [])
+                + ["validate", name, "--kind", kind]) == 2
+    captured = capsys.readouterr()
+    if fmt == "json":
+        report = json.loads(captured.out)
+        assert report["exit_code"] == 2 and message in report["error"]
+    else:
+        assert captured.out == "" and message in captured.err
+
+
+def test_validate_kind_on_the_part_a_file_has(files, capsys):
+    hio.save_structure(fx.kz2().coalgebra, files / "coalg.json")
+    for path in (p(files, "coalg.json"), p(files, "kz2.json")):
+        assert main(["validate", path, "--kind", "hom-coalgebra"]) == 0
+        out = capsys.readouterr().out
+        assert "HC2-coassoc" in out and "HA2-assoc" not in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, message", [
+    (["build", "twist", "--base", "alg.json", "--phi", "phi.json"],
+     "alg.json: expected a hom-bialgebra or hom-hopf file"),
+    (["build", "extension", "--base", "alg.json", "-M", "mod.json"],
+     "alg.json: expected a hom-bialgebra or hom-hopf file"),
+    (["check", "snake", "-D", "halpha.json"], "halpha.json: expected a long-dimodule file"),
+    (["build", "dimodule-solution", "-D", "sign.json"],
+     "sign.json: expected a halpha-dimodule file"),
+    (["check", "yd", "-M", "sign.json"], "sign.json: expected a yd-module file"),
+    (["check", "longeq", "-R", "kz2.json"], "kz2.json: expected an operator file"),
+])
+def test_inputs_of_the_wrong_kind_exit_2_naming_the_kind(files, monkeypatch, capsys,
+                                                         argv, message, fmt):
+    hio.save_structure(fx.kz4().algebra, files / "alg.json")
+    hio.save_structure(fx.sign_module(), files / "mod.json")
+    monkeypatch.chdir(files)
+    assert main((["--format", "json"] if fmt == "json" else []) + argv) == 2
+    captured = capsys.readouterr()
+    if fmt == "json":
+        report = json.loads(captured.out)
+        assert report["exit_code"] == 2 and report["error"] == message
+    else:
+        assert captured.out == "" and captured.err == "error: %s\n" % message
 
 
 def test_global_diagnose_position(files, tmp_path, capsys):

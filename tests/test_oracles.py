@@ -37,7 +37,7 @@ from homlong.braidcat import (BraidingContext, DimoduleMorphism, NotAMorphism,
                               check_symmetry, comodule_as_dimodule, comodule_family_braiding,
                               hb_yd_structure, long_braiding, long_braiding_inverse,
                               module_as_dimodule, module_family_braiding)
-from homlong.homstruct import (HomAlgebra, HomBialgebra, HomCoalgebra, NotAutomorphism,
+from homlong.homstruct import (HomStructure, NotAutomorphism,
                                dual_hopf, opposite_algebra, tensor_hopf,
                                validate_all, validate_coquasitriangular,
                                validate_hom_algebra, validate_hom_bialgebra,
@@ -1280,7 +1280,7 @@ def dense_validate_hom_module(a, m):
     """nu-invertible, HM1 and HM2 with every composite a full matrix."""
     rep = AxiomReport()
     rep.add("nu-invertible", m.nu.det() != 0)
-    am, nu, al, mm = m.action_map, m.nu, a.alpha, a.mult.flatten_in2_out1()
+    am, nu, al, mm = m.action_map, m.nu, a.gamma, a.mult.flatten_in2_out1()
     eye_m = Matrix.identity(m.dim)
     hn, mn = a.basis, m.basis
     matrices_equal_report(rep, "HM1", mul(nu, am), mul(am, kron(al, nu)),
@@ -1297,7 +1297,7 @@ def dense_validate_hom_comodule(c, m):
     """mu-invertible, HCM1 and HCM2 with every composite a full matrix."""
     rep = AxiomReport()
     rep.add("mu-invertible", m.mu.det() != 0)
-    co, mu, be, cm = m.coaction_map, m.mu, c.beta, c.comult.flatten_in1_out2()
+    co, mu, be, cm = m.coaction_map, m.mu, c.gamma, c.comult.flatten_in1_out2()
     eye_m = Matrix.identity(m.dim)
     mn = m.basis
     matrices_equal_report(rep, "HCM1-a", mul(co, mu), mul(kron(be, mu), co),
@@ -1386,8 +1386,8 @@ def dense_validate_hom_algebra(a):
     and HA2 (Hom-associativity and the twisted unit law)."""
     n = a.dim
     rep = AxiomReport()
-    rep.add("alpha-invertible", a.alpha.det() != 0)
-    mm, al, u = a.mult.flatten_in2_out1(), a.alpha, a.unit.as_column()
+    rep.add("alpha-invertible", a.gamma.det() != 0)
+    mm, al, u = a.mult.flatten_in2_out1(), a.gamma, a.unit.as_column()
     eye = Matrix.identity(n)
     names = a.basis
     matrices_equal_report(rep, "HA1-mult", mul(al, mm), mul(mm, kron(al, al)),
@@ -1415,8 +1415,8 @@ def dense_validate_hom_coalgebra(c):
     counit) and HC2 (Hom-coassociativity and the twisted counit law)."""
     n = c.dim
     rep = AxiomReport()
-    rep.add("beta-invertible", c.beta.det() != 0)
-    cm, be, eps = c.comult.flatten_in1_out2(), c.beta, c.counit.as_row()
+    rep.add("beta-invertible", c.gamma.det() != 0)
+    cm, be, eps = c.comult.flatten_in1_out2(), c.gamma, c.counit.as_row()
     eye = Matrix.identity(n)
     names = c.basis
     lhs, rhs = mul(cm, be), mul(kron(be, be), cm)
@@ -1614,9 +1614,7 @@ def dense_yau_twist(h, phi):
         raise NotAutomorphism("phi does not fix the unit")
     mult2 = apply3(h.mult, 2, phi)
     comult2 = apply3(h.comult, 0, phi.transpose())
-    alg = HomAlgebra(n, mult2, h.unit, phi, h.basis)
-    coa = HomCoalgebra(n, comult2, h.counit, phi, h.basis)
-    return HomBialgebra(alg, coa, h.antipode)
+    return HomStructure(n, phi, mult2, h.unit, comult2, h.counit, h.antipode, h.basis)
 
 
 def _tuples(rep):
@@ -1917,15 +1915,13 @@ def perturbed_bialgebra(draw, h):
     kept invertible, and shared by the algebra and coalgebra parts)."""
     part = draw(st.sampled_from((None, "mult", "comult", "twist")))
     if part == "mult":
-        return replace(h, algebra=replace(h.algebra, mult=_bumped_tensor(draw, h.mult)))
+        return replace(h, mult=_bumped_tensor(draw, h.mult))
     if part == "comult":
-        return replace(h, coalgebra=replace(h.coalgebra,
-                                            comult=_bumped_tensor(draw, h.comult)))
+        return replace(h, comult=_bumped_tensor(draw, h.comult))
     if part == "twist":
         g = Matrix(_bumped(draw, h.gamma.data))
         assume(g.det() != 0)
-        return replace(h, algebra=replace(h.algebra, alpha=g),
-                       coalgebra=replace(h.coalgebra, beta=g))
+        return replace(h, gamma=g)
     return h
 
 
@@ -2044,19 +2040,16 @@ def perturbed_hopf(draw, h):
     part = draw(st.sampled_from((None, "mult", "comult", "unit", "counit", "twist",
                                  "antipode")))
     if part in ("unit", "counit"):
-        side = "algebra" if part == "unit" else "coalgebra"
         v = Vector(_bumped(draw, [list(getattr(h, part))])[0])
-        return replace(h, **{side: replace(getattr(h, side), **{part: v})})
+        return replace(h, **{part: v})
     if part == "twist":
-        g = _bumped_matrix(draw, h.gamma)
-        return replace(h, algebra=replace(h.algebra, alpha=g),
-                       coalgebra=replace(h.coalgebra, beta=g))
+        return replace(h, gamma=_bumped_matrix(draw, h.gamma))
     if part == "antipode":
         return replace(h, antipode=_bumped_matrix(draw, h.antipode))
     if part == "mult":
-        return replace(h, algebra=replace(h.algebra, mult=_bumped_tensor(draw, h.mult)))
+        return replace(h, mult=_bumped_tensor(draw, h.mult))
     if part == "comult":
-        return replace(h, coalgebra=replace(h.coalgebra, comult=_bumped_tensor(draw, h.comult)))
+        return replace(h, comult=_bumped_tensor(draw, h.comult))
     return h
 
 
@@ -2171,7 +2164,7 @@ def _one_sided_kz2():
     kz2 = fx.kz2()
     planes = [[list(row) for row in plane] for plane in kz2.mult.data]
     planes[0][1][1] += 1
-    return replace(kz2, algebra=replace(kz2.algebra, mult=Tensor3(planes)))
+    return replace(kz2, mult=Tensor3(planes))
 
 
 def test_one_sided_convolution_inverse_matches_dense_oracle():
@@ -2227,13 +2220,11 @@ def tensor_hopf_elementwise(h, b):
         return ch.data[i0][j0][k0] * cb.data[i1][j1][k1]
 
     names = tuple("%s⊗%s" % (x, y) for x in h.basis for y in b.basis)
-    alg = HomAlgebra(n, Tensor3.from_function(n, n, n, mult_entry),
-                     kron(h.unit, b.unit), kron(h.gamma, b.gamma), names)
-    coa = HomCoalgebra(n, Tensor3.from_function(n, n, n, comult_entry),
-                       kron(h.counit, b.counit), kron(h.gamma, b.gamma), names)
     s = (None if h.antipode is None or b.antipode is None
          else kron(h.antipode, b.antipode))
-    return HomBialgebra(alg, coa, s)
+    return HomStructure(n, kron(h.gamma, b.gamma), Tensor3.from_function(n, n, n, mult_entry),
+                        kron(h.unit, b.unit), Tensor3.from_function(n, n, n, comult_entry),
+                        kron(h.counit, b.counit), s, names)
 
 
 def dual_hopf_elementwise(b):
@@ -2254,17 +2245,15 @@ def dual_hopf_elementwise(b):
         return sum((mt.data[j][k][e] * b2i.data[i][e] for e in range(n)), ZERO)
 
     names = tuple(x + "*" for x in b.basis)
-    alg = HomAlgebra(n, Tensor3.from_function(n, n, n, mult_entry), Vector(b.counit.entries),
-                     b1i.transpose(), names)
-    coa = HomCoalgebra(n, Tensor3.from_function(n, n, n, comult_entry), Vector(b.unit.entries),
-                       b1i.transpose(), names)
     s = b.antipode
-    return HomBialgebra(alg, coa, None if s is None else s.transpose())
+    return HomStructure(n, b1i.transpose(), Tensor3.from_function(n, n, n, mult_entry),
+                        Vector(b.counit.entries), Tensor3.from_function(n, n, n, comult_entry),
+                        Vector(b.unit.entries), None if s is None else s.transpose(), names)
 
 
 def opposite_algebra_elementwise(a):
     mult_op = Tensor3.from_function(a.dim, a.dim, a.dim, lambda i, j, k: a.mult.data[j][i][k])
-    return HomAlgebra(a.dim, mult_op, a.unit, a.alpha, a.basis)
+    return HomStructure(a.dim, a.gamma, mult_op, a.unit, basis=a.basis)
 
 
 def canonical_dimodule_elementwise(h, b):
@@ -2345,8 +2334,9 @@ def smash_product_algebra_elementwise(b, h):
         return dual_alg.mult.data[i0][j0][k0] * halg.mult.data[i1][j1][k1]
 
     names = tuple("%s⊗%s" % (x, y) for x in dual_alg.basis for y in halg.basis)
-    return HomAlgebra(n, Tensor3.from_function(n, n, n, mult_entry),
-                      kron(dual_alg.unit, halg.unit), kron(dual_alg.alpha, halg.alpha), names)
+    return HomStructure(n, kron(dual_alg.gamma, halg.gamma),
+                        Tensor3.from_function(n, n, n, mult_entry),
+                        kron(dual_alg.unit, halg.unit), basis=names)
 
 
 def to_smash_module_elementwise(m):

@@ -1,0 +1,59 @@
+"""The names `import homlong` exports, pinned so that an export added or
+dropped shows up in review: 86 names and the seven submodules the package
+imports."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+PUBLIC_NAMES = [
+    "AntipodeNotInvertible", "AxiomReport", "BraidOperator", "BraidingContext", "Check",
+    "CoQuasiTriangularStructure", "DiagonalSolution", "DimensionMismatch",
+    "DimoduleMorphism", "DualityData", "HAlphaLongDimodule", "HomComodule",
+    "HomLongDimodule", "HomModule", "HomStructure", "InvalidContext", "Matrix",
+    "MismatchedBase", "NotAMorphism", "NotAutomorphism", "OperatorOnTensorSquare",
+    "QuasiTriangularStructure", "SearchSpaceTooLarge", "SingularMatrix", "Tensor3",
+    "Vector", "YetterDrinfeldModule", "ZeroDiagonal", "canonical_dimodule",
+    "check_braid_morphism", "check_braiding_compatibility", "check_coherence",
+    "check_hexagons", "check_invertible_iff", "check_long_equation", "check_naturality",
+    "check_qybe", "check_snake", "check_symmetry", "check_yd", "comodule_as_dimodule",
+    "comodule_extension", "comodule_family_braiding", "coordinate_criterion",
+    "coords_to_operator", "coquasitriangular", "diagonal_solution",
+    "dimodule_morphism_report", "dimodule_solution", "dual_hopf", "from_smash_module",
+    "hb_yd_structure", "is_dimodule_morphism", "left_dual", "long_braiding",
+    "long_braiding_inverse", "module_as_dimodule", "module_extension",
+    "module_family_braiding", "operator_to_coords", "opposite_algebra",
+    "quasitriangular", "right_dual", "scalar", "search_solutions",
+    "smash_product_algebra", "solve_exact", "tau_transforms", "tensor_dimodule",
+    "tensor_hopf", "to_smash_module", "trivial_dimodule", "unit_dimodule",
+    "validate_all", "validate_coquasitriangular", "validate_halpha_dimodule",
+    "validate_hom_algebra", "validate_hom_bialgebra", "validate_hom_coalgebra",
+    "validate_hom_comodule", "validate_hom_hopf", "validate_hom_module",
+    "validate_long_dimodule", "validate_quasitriangular", "yau_twist", "yd_prebraiding",
+]
+
+SUBMODULES = ["braidcat", "homstruct", "linalg", "longdimod", "longeq", "repmod", "report"]
+
+# run in a fresh interpreter: in this one, other tests' imports of
+# homlong.io, homlong.cli and homlong.fixtures add those submodules too
+LIST = """
+import json, types, homlong
+public = {n: v for n, v in vars(homlong).items() if not n.startswith("_")}
+print(json.dumps([sorted(n for n, v in public.items() if not isinstance(v, types.ModuleType)),
+                  sorted(n for n, v in public.items() if isinstance(v, types.ModuleType))]))
+"""
+
+
+def test_public_names_are_pinned():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", LIST], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    names, modules = json.loads(out)
+    assert names == PUBLIC_NAMES
+    assert modules == SUBMODULES
+    assert len(names) + len(modules) == 93
