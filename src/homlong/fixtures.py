@@ -135,7 +135,7 @@ def kz2_form():
 
 def trivial_rmatrix(h):
     """R = 1 (x) 1, quasitriangular whenever the coproduct is cocommutative."""
-    return per_leg_matrix(h.unit.as_column(), h.unit.as_row())
+    return per_leg_matrix(h.unit, h.unit.transpose())
 
 
 def sweedler_rmatrix():
@@ -147,7 +147,7 @@ def sweedler_rmatrix():
 
 def trivial_form(b):
     """<h|g> = eps(h) eps(g), coquasitriangular whenever mult is commutative."""
-    return per_leg_matrix(b.counit.as_column(), b.counit.as_row())
+    return per_leg_matrix(b.counit, b.counit.transpose())
 
 
 # ---------------------------------------------------------------------------

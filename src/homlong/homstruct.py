@@ -282,7 +282,7 @@ def tensor_algebra(a, c):
     mult = product_tensor([(flip_columns(nc, na), (1, 2), (na, nc)),
                            (product_columns(a.mult), (0, 1), (na,)),
                            (product_columns(c.mult), (1, 2), (nc,))], (na, nc, na, nc), 2)
-    unit = per_leg_matrix(a.unit.as_column(), c.unit.as_column()).column(0)
+    unit = per_leg_matrix(a.unit, c.unit).column(0)
     return HomStructure(na * nc, per_leg_matrix(a.gamma, c.gamma), mult, unit,
                         basis=tensor_basis(a.basis, c.basis))
 
@@ -301,7 +301,7 @@ def tensor_hopf(h, b):
     s = (None if h.antipode is None or b.antipode is None
          else per_leg_matrix(h.antipode, b.antipode))
     return replace(tensor_algebra(h, b), comult=comult, antipode=s,
-                   counit=per_leg_matrix(h.counit.as_row(), b.counit.as_row()).row(0))
+                   counit=per_leg_matrix(h.counit, b.counit).column(0))
 
 
 def opposite_algebra(a):
@@ -388,7 +388,7 @@ def _stacked_solvable(left, right, unit):
     nn = len(lcols)
     stacked = [[(i, x * rs) for i, x in lc] + [(nn + i, x * ls) for i, x in rc]
                for lc, rc in zip(lcols, rcols)]
-    rhs = Vector.from_int_column(ucol + [(nn + i, x) for i, x in ucol], us, 2 * nn)
+    rhs = Vector.from_int_columns([ucol + [(nn + i, x) for i, x in ucol]], us, 2 * nn)
     return solve_exact(Matrix.from_int_columns(stacked, ls * rs, 2 * nn), rhs) is not None
 
 

@@ -11,16 +11,17 @@ are ordered lexicographically, first factor major: (i, j) -> i * dim_second
 A Matrix is stored as its int-scaled sparse columns (cols, scale), in the
 unique form int_columns gives: entries sorted by row within each column and
 the scale the lcm of the reduced denominators.  Equality and hashing read
-that form.  int_columns is the one reader of scalars: Matrix(rows),
-Tensor3(data), Vector(entries) and the io loaders read ints as they are and
-"p/q" strings once, straight into that form, and never store a zero; a
-Vector is one such column.  A Tensor3 stores one reading, product-like
-(mult, action) or coproduct-like (comult, coaction), and re-indexes the same
-ints for the other; equality compares the columns.  det, inv and solve_exact share one fraction-free
-(Bareiss) elimination on the int rows of the columns, and to_json writes
-from the columns, so the Fractions of a Matrix or Tensor3 (data) and of a
-Vector (entries) are views built only when something reads them
-(__getitem__, to_lists, __repr__, the test oracles).
+that form and the type; a Vector (a unit, a counit) is an n x 1 Matrix.
+int_columns is the one reader of scalars: Matrix(rows), Tensor3(data),
+Vector(entries) and the io loaders read ints as they are and "p/q" strings
+once, straight into that form, and never store a zero.  A Tensor3 stores
+one reading, product-like (mult, action) or coproduct-like (comult,
+coaction), and re-indexes the same ints for the other; equality compares
+the columns.  det, inv and solve_exact share one fraction-free (Bareiss)
+elimination on the int rows of the columns, and to_json writes from the
+columns, so the Fractions of a Matrix or Tensor3 (data) are views built
+only when something reads them (__getitem__, to_lists, __repr__, the test
+oracles).
 
 Identities between composites of maps on tensor legs are decided without
 forming the composites.  A step applies a small map, as sparse int-scaled
@@ -48,8 +49,8 @@ as an index sum over structure constants or as a Kronecker product.
 
 Matrix, Vector and Tensor3 are immutable, so each keeps what is derived
 from it once computed: a Matrix its data view, determinant and inverse, a
-Vector its entries, a Tensor3 its data and its other reading.  The stored
-and cached columns are shared by every caller and are never changed.
+Tensor3 its data and its other reading.  The stored and cached columns are
+shared by every caller and are never changed.
 """
 
 import math
@@ -103,73 +104,6 @@ def unflat_index(i, dims):
     return tuple(reversed(out))
 
 
-class Vector:
-    """Exact vector, stored as one int column (col, scale) in the form
-    int_columns gives, which insert_columns and pair_columns take; equality
-    and hashing read it.  entries, its Fractions, is a view built on first
-    read, as Matrix.data is."""
-
-    __slots__ = ("dim", "_column", "_entries")
-
-    def __init__(self, entries):
-        entries = entries if isinstance(entries, (list, tuple)) else list(entries)
-        (col,), scale = int_columns([entries])
-        self.dim, self._column, self._entries = len(entries), (col, scale), None
-
-    @staticmethod
-    def from_int_column(col, scale, dim):
-        """The Vector col / scale of dimension dim, for a list of (index, int)
-        pairs with nonzero value in any order and a positive int scale, taken
-        over and brought to the form int_columns gives, as
-        Matrix.from_int_columns does."""
-        (col,), scale = _canonical([col], scale)
-        v = Vector.__new__(Vector)
-        v.dim, v._column, v._entries = dim, (col, scale), None
-        return v
-
-    @property
-    def entries(self):
-        """The entries as a tuple of Fractions, built on first read."""
-        if self._entries is None:
-            col, scale = self._column
-            self._entries = tuple(_dense_columns(([col], scale), self.dim)[0])
-        return self._entries
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return self.dim
-
-    def __eq__(self, other):
-        return (isinstance(other, Vector) and self.dim == other.dim
-                and self._column == other._column)
-
-    def __hash__(self):
-        col, scale = self._column
-        return hash((self.dim, scale, tuple(col)))
-
-    def as_column(self):
-        return Matrix._of(self.dim, 1, ([self._column[0]], self._column[1]))
-
-    def as_row(self):
-        return Matrix._of(1, self.dim, pair_columns(self))
-
-    def to_json(self):
-        """The entries as ints and "p/q" strings, written from the column."""
-        out = [0] * self.dim
-        col, scale = self._column
-        for i, x in col:
-            out[i] = _json_scalar(x, scale)
-        return out
-
-    def __repr__(self):
-        return "Vector([%s])" % ", ".join(scalar_str(a) for a in self.entries)
-
-
 def scalar_str(x):
     s = scalar_to_json(x)
     return str(s)
@@ -180,8 +114,8 @@ class Matrix:
     in the form int_columns gives: the map is cols / scale, cols[j] lists the
     (row, value) pairs of column j with value != 0 in row order, and scale
     is the lcm of the entries' reduced denominators.  That form is unique,
-    so equality and hashing read it.  data, the rows as tuples of Fractions,
-    is a view built on first read.
+    so hashing reads it, and equality it and the type.  data, the rows as
+    tuples of Fractions, is a view built on first read.
 
     A Matrix is immutable, so it also keeps its determinant and its inverse
     once computed."""
@@ -200,22 +134,22 @@ class Matrix:
         self.rows, self.cols, self._data, self._det, self._inverse = rows, cols, None, None, None
         self._sparse = int_columns(zip(*data) if rows else [()] * cols)
 
-    @staticmethod
-    def _of(rows, cols, sparse):
-        """A Matrix over columns already in the form int_columns gives."""
-        m = Matrix.__new__(Matrix)
+    @classmethod
+    def _of(cls, rows, cols, sparse):
+        """An instance of cls over columns in the form int_columns gives."""
+        m = cls.__new__(cls)
         m.rows, m.cols, m._sparse = rows, cols, sparse
         m._data = m._det = m._inverse = None
         return m
 
-    @staticmethod
-    def from_int_columns(cols, scale, rows):
-        """The Matrix cols / scale with the given number of rows, for lists of
-        (row, int) pairs with nonzero value in any row order and a positive
-        int scale, as composite_columns gives them.  The lists are taken
-        over: each is sorted by row, and the values and the scale are divided
-        by their gcd, so the Matrix stores the form int_columns gives."""
-        return Matrix._of(rows, len(cols), _canonical(cols, scale))
+    @classmethod
+    def from_int_columns(cls, cols, scale, rows):
+        """The Matrix, or on Vector the Vector, cols / scale with the given
+        number of rows, for lists of (row, int) pairs with nonzero value in
+        any row order and a positive int scale, as composite_columns gives
+        them.  The lists are taken over: each is sorted by row, and the
+        values and the scale are divided by their gcd (the canonical form)."""
+        return cls._of(rows, len(cols), _canonical(cols, scale))
 
     @property
     def data(self):
@@ -248,15 +182,12 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i):
-        return self.transpose().column(i)
-
     def column(self, j):
         cols, scale = self._sparse
-        return Vector.from_int_column(list(cols[j]), scale, self.rows)
+        return Vector.from_int_columns([list(cols[j])], scale, self.rows)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
+        return (type(other) is type(self) and self.rows == other.rows
                 and self.cols == other.cols and self._sparse == other._sparse)
 
     def __hash__(self):
@@ -273,9 +204,6 @@ class Matrix:
 
     def is_identity(self):
         return self == Matrix.identity(self.rows)
-
-    def is_zero(self):
-        return not any(self._sparse[0])
 
     def det(self):
         """The exact determinant, computed once."""
@@ -333,6 +261,45 @@ class Matrix:
             return "Matrix(%dx%d)" % (self.rows, self.cols)
         return "Matrix(%s)" % "; ".join(
             " ".join(scalar_str(x) for x in row) for row in self.data)
+
+
+class Vector(Matrix):
+    """Exact vector: the n x 1 Matrix of a map from the one-dimensional leg,
+    stored, compared and hashed as any Matrix is, with the vector interface
+    on top (v[i], dim, len, iteration, entries, a flat to_json).  Matrix
+    equality compares types, so a Vector equals only a Vector."""
+
+    __slots__ = ()
+
+    def __init__(self, entries):
+        entries = entries if isinstance(entries, (list, tuple)) else list(entries)
+        self.rows, self.cols, self._sparse = len(entries), 1, int_columns([entries])
+        self._data = self._det = self._inverse = None
+
+    @property
+    def dim(self):
+        return self.rows
+
+    @property
+    def entries(self):
+        """The entries as a tuple of Fractions, read off the data view."""
+        return tuple(row[0] for row in self.data)
+
+    def __getitem__(self, i):
+        return self.entries[i] if isinstance(i, slice) else self.data[i][0]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self):
+        return self.rows
+
+    def to_json(self):
+        """The entries as ints and "p/q" strings, written from the column."""
+        return [x for x, in super().to_json()]
+
+    def __repr__(self):
+        return "Vector([%s])" % ", ".join(scalar_str(a) for a in self.entries)
 
 
 def _dense_columns(sparse, rows):
@@ -493,15 +460,15 @@ def flip_columns(d0, d1):
 
 
 def _element_column(element):
-    """The flat coordinates of an element, a Vector or a Matrix, as one int
-    column (col, scale) in the form int_columns gives, and their number: a
-    Vector's own column; for a Matrix (R, an element of a tensor square, or
-    a bilinear form) entry [i][j] at i * cols + j, re-indexed from its
-    columns."""
-    if isinstance(element, Vector):
-        return element._column, element.dim
+    """The flat coordinates of an element given as a Matrix, as one int
+    column (col, scale) in the form int_columns gives, and their number:
+    entry [i][j] at i * cols + j, so a single column (a unit or counit
+    Vector) is its own flat coordinates, and the columns of R, an element
+    of a tensor square, or of a bilinear form are re-indexed."""
     cols, scale = element._sparse
     n = element.cols
+    if n == 1:
+        return (cols[0], scale), element.rows
     return (sorted((i * n + j, x) for j, col in enumerate(cols) for i, x in col),
             scale), element.rows * n
 
@@ -671,16 +638,6 @@ def _run(plan, vec):
     return vec
 
 
-def apply_on_legs(map_cols, legs, dims, vec, out_dims=None):
-    """Apply a map, as int columns landing in the legs out_dims (by default
-    its input legs), to the consecutive legs `legs` of a sparse vector (a
-    dict from flat index on the legs dims to coefficient): the image on
-    dims[:legs[0]] + out_dims + dims[legs[-1] + 1:], zero values dropped.
-    The one step is planned alone, so no other step is folded into it."""
-    plan, _, _ = _plan([((map_cols, 1), legs, out_dims)], dims)
-    return _run(plan, vec)
-
-
 def _run_batch(plan, start, stop, d_in, x):
     """The images of x times the basis columns start, ..., stop - 1 of the
     d_in input columns under a planned composite, run as one batch: the
@@ -780,11 +737,11 @@ def solve_exact(a, b):
     system is inconsistent.  For a = C / s and b = c / t on int columns the
     fraction-free elimination of [C | c] gives C y = c, and x = y s / t.
     """
-    if a.rows != b.dim:
-        raise DimensionMismatch("system with %d rows and rhs of dim %d" % (a.rows, b.dim))
+    if a.rows != b.rows:
+        raise DimensionMismatch("system with %d rows and rhs of dim %d" % (a.rows, b.rows))
     n = a.cols
     cols, s = a._sparse
-    col, t = b._column
+    (col,), t = b._sparse
     rows = _int_rows(cols + [col], a.rows, n + 1)
     pivots, _, d = _eliminate(rows, n)
     if any(row[n] for row in rows[len(pivots):]):
@@ -872,31 +829,20 @@ class Tensor3:
     def dims(self):
         return (self.d0, self.d1, self.d2)
 
-    def is_zero(self):
-        return not any((self._product or self._coproduct)[0])
-
-    def flatten_in2_out1(self):
-        """Matrix of the map X (x) Y -> Z with T[i][j][k] = coeff of z_k in x_i y_j."""
-        return Matrix._of(self.d2, self.d0 * self.d1, product_columns(self))
-
-    def flatten_in1_out2(self):
-        """Matrix of the map X -> Y (x) Z with T[i][j][k] = coeff of y_j z_k at x_i."""
-        return Matrix._of(self.d1 * self.d2, self.d0, coproduct_columns(self))
-
     @staticmethod
     def from_in2_out1(m, d0, d1):
-        """Inverse of flatten_in2_out1 for a matrix with d0*d1 columns: m's
-        columns are the tensor's product_columns, and its data is built on
-        first read."""
+        """The product-like Tensor3 (T[i][j][k] = coeff of z_k in x_i y_j)
+        of the map m: X (x) Y -> Z with d0*d1 columns, which are its
+        product_columns; its data is built on first read."""
         if m.cols != d0 * d1:
             raise DimensionMismatch("matrix has %d columns, expected %d" % (m.cols, d0 * d1))
         return Tensor3._of((d0, d1, m.rows), product=sparse_columns(m))
 
     @staticmethod
     def from_in1_out2(m, d1, d2):
-        """Inverse of flatten_in1_out2 for a matrix with d1*d2 rows: m's
-        columns are the tensor's coproduct_columns, and its data is built on
-        first read."""
+        """The coproduct-like Tensor3 (T[i][j][k] = coeff of y_j z_k at x_i)
+        of the map m: X -> Y (x) Z with d1*d2 rows, whose columns are its
+        coproduct_columns; its data is built on first read."""
         if m.rows != d1 * d2:
             raise DimensionMismatch("matrix has %d rows, expected %d" % (m.rows, d1 * d2))
         return Tensor3._of((m.cols, d1, d2), coproduct=sparse_columns(m))

@@ -15,9 +15,10 @@ from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, coproduct_colum
                      coproduct_tensor, first_differing_column, flip_columns, insert_columns,
                      pair_columns, per_leg_matrix, product_columns, product_tensor,
                      sparse_columns)
-from .homstruct import (HomStructure, dual_hopf, opposite_algebra, tensor_algebra,
-                        tensor_basis)
-from .repmod import HomModule, HomComodule, validate_hom_module, validate_hom_comodule
+from .homstruct import (HomStructure, default_basis, dual_hopf, opposite_algebra,
+                        tensor_algebra, tensor_basis)
+from .repmod import (HomModule, HomComodule, check_carrier_shapes, validate_hom_module,
+                     validate_hom_comodule)
 from .report import AxiomReport, composites_equal_report
 
 
@@ -40,20 +41,13 @@ class HomLongDimodule:
     basis: tuple = None
 
     def __post_init__(self):
-        nh = self.H.dim
-        nb = self.B.dim
-        if self.action.dims != (nh, self.dim, self.dim):
-            raise DimensionMismatch("action dims %r for H dim %d, carrier dim %d"
-                                    % (self.action.dims, nh, self.dim))
-        if self.coaction.dims != (self.dim, nb, self.dim):
-            raise DimensionMismatch("coaction dims %r for B dim %d, carrier dim %d"
-                                    % (self.coaction.dims, nb, self.dim))
-        if self.mu.rows != self.dim or self.mu.cols != self.dim:
-            raise DimensionMismatch("structure map is %dx%d on a dim-%d carrier"
-                                    % (self.mu.rows, self.mu.cols, self.dim))
+        for side, s in (("H", self.H), ("B", self.B)):
+            if s.mult is None or s.comult is None:
+                raise DimensionMismatch("%s needs mult and comult, not a %s" % (side, s.kind))
+        check_carrier_shapes(self.H.dim, self.B.dim, self.dim, self.action, self.coaction,
+                             self.mu)
         if self.basis is None:
-            object.__setattr__(self, "basis",
-                               tuple("m%d" % i for i in range(self.dim)))
+            object.__setattr__(self, "basis", default_basis(self.dim, "m"))
 
     def module_part(self):
         return HomModule(self.H.algebra, self.dim, self.action,
@@ -62,14 +56,6 @@ class HomLongDimodule:
     def comodule_part(self):
         return HomComodule(self.B.coalgebra, self.dim, self.coaction,
                            self.mu, self.basis)
-
-    @property
-    def action_map(self):
-        return self.action.flatten_in2_out1()
-
-    @property
-    def coaction_map(self):
-        return self.coaction.flatten_in1_out2()
 
 
 @dataclass(frozen=True)
@@ -360,7 +346,7 @@ def right_dual(m):
 def _identity_element(d):
     """The element sum_i e_i (x) e_i: inserted, the copairing of a basis with
     its dual basis; paired, their evaluation."""
-    return Vector.from_int_column([(i * d + i, 1) for i in range(d)], 1, d * d)
+    return Vector.from_int_columns([[(i * d + i, 1) for i in range(d)]], 1, d * d)
 
 
 def _dual(m, h_twist, b_twist, side):

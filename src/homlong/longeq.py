@@ -20,8 +20,9 @@ from .linalg import (Matrix, Tensor3, DimensionMismatch, SingularMatrix,
                      first_differing_column, flip_columns, int_columns, per_leg,
                      per_leg_matrix, product_columns, product_tensor, scalar, sparse_columns,
                      ZERO)
-from .homstruct import tensor_basis
+from .homstruct import default_basis, tensor_basis
 from .longdimod import HomLongDimodule, h_tensor_parts, validate_long_dimodule
+from .repmod import check_carrier_shapes
 from .report import AxiomReport
 
 
@@ -384,9 +385,10 @@ class HAlphaLongDimodule:
     basis: tuple = None
 
     def __post_init__(self):
+        check_carrier_shapes(self.H.dim, self.H.dim, self.dim, self.action, self.coaction,
+                             self.mu)
         if self.basis is None:
-            object.__setattr__(self, "basis",
-                               tuple("m%d" % i for i in range(self.dim)))
+            object.__setattr__(self, "basis", default_basis(self.dim, "m"))
 
     def as_long_dimodule(self):
         return HomLongDimodule(self.H, self.H, self.dim, self.action,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, coproduct_columns,
                      flip_columns, insert_columns, pair_columns, product_columns,
                      sparse_columns)
-from .homstruct import HomStructure
+from .homstruct import HomStructure, default_basis
 from .report import AxiomReport, composites_equal_report
 
 
@@ -38,13 +38,7 @@ class HomModule:
             raise DimensionMismatch("structure map is %dx%d on a dim-%d module"
                                     % (self.nu.rows, self.nu.cols, self.dim))
         if self.basis is None:
-            object.__setattr__(self, "basis",
-                               tuple("m%d" % i for i in range(self.dim)))
-
-    @property
-    def action_map(self):
-        """Matrix of the action H (x) M -> M."""
-        return self.action.flatten_in2_out1()
+            object.__setattr__(self, "basis", default_basis(self.dim, "m"))
 
 
 @dataclass(frozen=True)
@@ -63,13 +57,7 @@ class HomComodule:
             raise DimensionMismatch("structure map is %dx%d on a dim-%d comodule"
                                     % (self.mu.rows, self.mu.cols, self.dim))
         if self.basis is None:
-            object.__setattr__(self, "basis",
-                               tuple("m%d" % i for i in range(self.dim)))
-
-    @property
-    def coaction_map(self):
-        """Matrix of the coaction M -> C (x) M."""
-        return self.coaction.flatten_in1_out2()
+            object.__setattr__(self, "basis", default_basis(self.dim, "m"))
 
 
 @dataclass(frozen=True)
@@ -83,9 +71,10 @@ class YetterDrinfeldModule:
     basis: tuple = None
 
     def __post_init__(self):
+        check_carrier_shapes(self.over.dim, self.over.dim, self.dim, self.action,
+                             self.coaction, self.structure_map)
         if self.basis is None:
-            object.__setattr__(self, "basis",
-                               tuple("m%d" % i for i in range(self.dim)))
+            object.__setattr__(self, "basis", default_basis(self.dim, "m"))
 
     def module_part(self):
         return HomModule(self.over.algebra, self.dim, self.action,
@@ -94,6 +83,21 @@ class YetterDrinfeldModule:
     def comodule_part(self):
         return HomComodule(self.over.coalgebra, self.dim, self.coaction,
                            self.structure_map, self.basis)
+
+
+def check_carrier_shapes(nh, nb, dim, action, coaction, mu):
+    """Refuse an action, coaction or structure map that does not fit a
+    carrier of dim dim acted on by an H of dim nh and coacted on by a B of
+    dim nb."""
+    if action.dims != (nh, dim, dim):
+        raise DimensionMismatch("action dims %r for H dim %d, carrier dim %d"
+                                % (action.dims, nh, dim))
+    if coaction.dims != (dim, nb, dim):
+        raise DimensionMismatch("coaction dims %r for B dim %d, carrier dim %d"
+                                % (coaction.dims, nb, dim))
+    if mu.rows != dim or mu.cols != dim:
+        raise DimensionMismatch("structure map is %dx%d on a dim-%d carrier"
+                                % (mu.rows, mu.cols, dim))
 
 
 def validate_hom_module(a, m):

@@ -6,17 +6,18 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from homlong import linalg
+from homlong import io as hio, linalg
 from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
-                            SingularMatrix, apply_on_legs, composite_columns, composite_matrix,
+                            SingularMatrix, composite_columns, composite_matrix,
                             coproduct_columns,
                             first_differing_column, unflat_index, insert_columns,
                             pair_columns, per_leg, product_columns, scalar, scalar_to_json,
                             solve_exact, sparse_columns)
-from test_oracles import (apply3, composite_columns_by_column, dense_columns,
-                          first_differing_column_by_column, flat_index, flip_matrix,
-                          fraction_int_columns, inverse_map, kron, kron_all, perm_matrix,
-                          mul, permute_input_legs, permute_output_legs, same_columns)
+from test_oracles import (apply3, column_matrix, composite_columns_by_column,
+                          coproduct_map, dense_columns, first_differing_column_by_column,
+                          flat_index, flip_matrix, fraction_int_columns, inverse_map, kron,
+                          kron_all, perm_matrix, mul, permute_input_legs, permute_output_legs,
+                          product_map, row_matrix, same_columns)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -156,12 +157,36 @@ def test_solve_exact():
     assert solve_exact(a, Vector([3, 1, 5])) is None
 
 
+def test_every_way_to_make_a_vector_gives_one_vector():
+    # the entries 1/2, 0, -3, 2/3 as (index, int) pairs over the scale 6
+    col = [(0, 3), (2, -18), (3, 4)]
+    made = [
+        Vector([Fraction(1, 2), 0, -3, Fraction(2, 3)]),
+        Vector.from_int_columns([[(3, 8), (0, 6), (2, -36)]], 12, 4),
+        Matrix([[Fraction(1, 2), 1], [0, 0], [-3, 0], ["2/3", 5]]).column(0),
+        hio.load_vector(["1/2", 0, -3, "2/3"]),
+        solve_exact(Matrix.diagonal([2, 2, 2, 2]), Vector([1, 0, -6, Fraction(4, 3)])),
+    ]
+    for v in made:
+        assert type(v) is Vector and (v.dim, len(v)) == (4, 4)
+        assert v == made[0] and hash(v) == hash(made[0])
+        assert v.to_json() == ["1/2", 0, -3, "2/3"]
+        assert list(v) == list(v.entries) == [v[i] for i in range(4)] == [
+            Fraction(1, 2), 0, -3, Fraction(2, 3)]
+        assert v[1:3] == (0, -3) and v[-1] == Fraction(2, 3)
+        assert insert_columns(v, 1) == ([col], 6)
+        assert pair_columns(v) == ([[(0, 3)], [], [(0, -18)], [(0, 4)]], 6)
+    # a Vector equals only a Vector, although both are stored alike
+    assert Vector([1, 0]) != Matrix([[1], [0]]) and Matrix([[1], [0]]) != Vector([1, 0])
+    assert sparse_columns(Vector([1, 0])) == sparse_columns(Matrix([[1], [0]]))
+
+
 def test_tensor3_flatten_round_trip():
     t = Tensor3.from_function(2, 3, 2, lambda i, j, k: i + 10 * j + 100 * k)
-    m = t.flatten_in2_out1()
+    m = product_map(t)
     assert (m.rows, m.cols) == (2, 6)
     assert Tensor3.from_in2_out1(m, 2, 3) == t
-    m2 = t.flatten_in1_out2()
+    m2 = coproduct_map(t)
     assert (m2.rows, m2.cols) == (6, 2)
     assert Tensor3.from_in1_out2(m2, 3, 2) == t
 
@@ -184,7 +209,7 @@ def test_zero_dim_edge_cases():
     v = Vector([])
     assert v.dim == 0 and v.entries == ()
     t = Tensor3.zeros(2, 0, 0)
-    assert t.flatten_in2_out1().rows == 0
+    assert product_columns(t) == ([], 1) and t.to_json() == [[], []]
 
 
 def test_shape_errors():
@@ -198,7 +223,7 @@ def test_shape_errors():
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_apply_on_legs_matches_kron(data):
+def test_single_step_composite_matches_kron(data):
     # a map on legs first..stop-1 is I (x) A (x) I on the flat tensor basis,
     # also when it changes the number of legs or their dims
     dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
@@ -207,21 +232,19 @@ def test_apply_on_legs_matches_kron(data):
     out_dims = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2)))
     blk = math.prod(dims[first:stop])
     a = data.draw(rand_matrix(math.prod(out_dims), blk))
-    vec = data.draw(st.dictionaries(st.integers(0, math.prod(dims) - 1), rationals))
     full = kron_all(Matrix.identity(math.prod(dims[:first])), a,
                     Matrix.identity(math.prod(dims[stop:])))
-    expected = mul(full, Vector([vec.get(i, 0) for i in range(full.cols)]))
-    cols, scale = sparse_columns(a)
-    got = apply_on_legs(cols, tuple(range(first, stop)), dims, vec, out_dims)
-    assert got == {i: x * scale for i, x in enumerate(expected) if x}
+    cols, scale = composite_columns([(sparse_columns(a), tuple(range(first, stop)), out_dims)],
+                                    dims)
+    assert Matrix.from_int_columns(cols, scale, full.rows) == full
 
 
-def test_apply_on_legs_rejects_bad_legs():
-    cols, _ = sparse_columns(Matrix.identity(2))
+def test_single_step_composite_rejects_bad_legs():
+    step = sparse_columns(Matrix.identity(2))
     with pytest.raises(DimensionMismatch):
-        apply_on_legs(cols, (0, 2), (2, 1, 1), {0: 1})
+        composite_columns([(step, (0, 2), None)], (2, 1, 1))
     with pytest.raises(DimensionMismatch):
-        apply_on_legs(cols, (0,), (3, 2), {0: 1})
+        composite_columns([(step, (0,), None)], (3, 2))
 
 
 def test_first_differing_column_scales_and_witness():
@@ -427,10 +450,10 @@ def test_a_composite_through_a_zero_dimensional_leg_is_not_folded(steps):
 def test_insert_and_pair_columns_match_kron():
     u = Vector([1, Fraction(1, 2), 0])
     assert (composite_matrix([(insert_columns(u, 2), (0,), (3, 2))], (2,))
-            == kron(u.as_column(), Matrix.identity(2)))
+            == kron(column_matrix(u), Matrix.identity(2)))
     f = Vector([2, 0, Fraction(-1, 3)])
     assert (composite_matrix([(pair_columns(f), (1,), ())], (2, 3))
-            == kron(Matrix.identity(2), f.as_row()))
+            == kron(Matrix.identity(2), row_matrix(f)))
 
 
 def test_sparse_columns_of_a_matrix_without_rows():

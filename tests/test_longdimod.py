@@ -1,9 +1,10 @@
+import re
 from dataclasses import replace
 
 import pytest
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, Tensor3, composite_matrix
+from homlong.linalg import DimensionMismatch, Matrix, Tensor3, composite_matrix
 from homlong.homstruct import dual_hopf, validate_hom_algebra
 from homlong.repmod import validate_hom_module
 from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
@@ -14,7 +15,9 @@ from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
                                smash_product_algebra, tensor_dimodule,
                                to_smash_module, trivial_dimodule, unit_dimodule,
                                validate_long_dimodule)
-from test_oracles import kron, mul, scaled
+from homlong.longeq import HAlphaLongDimodule
+from homlong.repmod import YetterDrinfeldModule
+from test_oracles import coproduct_map, kron, mul, product_map, scaled
 
 
 def associator(u, v, w):
@@ -146,9 +149,10 @@ def test_tensor_coaction_power_is_the_right_one():
         nb = bb.dim
         d = m.dim * n.dim
         base = tensor_dimodule(m, n)
-        co_mat = mul(kron(mul(power(bb.gamma, k), bb.mult.flatten_in2_out1()),
+        co_mat = mul(kron(mul(power(bb.gamma, k), product_map(bb.mult)),
                           Matrix.identity(d)),
-                     permute_output_legs(kron(m.coaction_map, n.coaction_map),
+                     permute_output_legs(kron(coproduct_map(m.coaction),
+                                              coproduct_map(n.coaction)),
                                          [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
         return HomLongDimodule(m.H, m.B, d, base.action,
                                Tensor3.from_in1_out2(co_mat, nb, d),
@@ -262,7 +266,7 @@ def test_smash_trivial_dimodule_reduces(kz2):
     # with unit coaction, (p (x) h) . m = p(1_B) h . m
     d = trivial_dimodule(kz2, kz2, Matrix.diagonal([1, 2]))
     n = to_smash_module(d)
-    p = mul(d.action_map, kron(Matrix.identity(2 * 2), Matrix.identity(1)))
+    p = mul(product_map(d.action), kron(Matrix.identity(2 * 2), Matrix.identity(1)))
     for pp in range(2):
         for hh in range(2):
             for i in range(2):
@@ -292,8 +296,8 @@ def test_round_trip_preserves_morphisms(kz2, dimodules):
     assert is_dimodule_morphism(sign, sign, f)
     n = to_smash_module(sign)
     # same matrix is a module morphism on the smash side
-    lhs = mul(f, n.action_map)
-    rhs = mul(n.action_map, kron(Matrix.identity(n.over.dim), f))
+    lhs = mul(f, product_map(n.action))
+    rhs = mul(product_map(n.action), kron(Matrix.identity(n.over.dim), f))
     assert lhs == rhs
 
 
@@ -304,3 +308,37 @@ def test_zero_dimensional_dimodule_validates_and_snakes(kz2):
     assert validate_long_dimodule(z).ok
     for dual in (left_dual(z), right_dual(z)):
         assert check_snake(z, dual).ok
+
+
+@pytest.mark.parametrize("side", ["H", "B"])
+@pytest.mark.parametrize("part", ["algebra", "coalgebra"])
+def test_dimodule_refuses_a_base_without_both_parts(kz2, side, part):
+    # a structure with one part validates as a dimodule's module or comodule
+    # part, but its other maps are needed by the duals and the smash module
+    sd = fx.sign_dimodule()
+    bases = dict(H=kz2, B=kz2)
+    bases[side] = getattr(kz2, part)
+    with pytest.raises(DimensionMismatch, match="%s needs mult and comult" % side):
+        HomLongDimodule(bases["H"], bases["B"], 1, sd.action, sd.coaction, sd.mu, sd.basis)
+
+
+CARRIERS = {
+    "long-dimodule": lambda h, *parts: HomLongDimodule(h, h, *parts),
+    "yd-module": YetterDrinfeldModule,
+    "halpha-dimodule": HAlphaLongDimodule,
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+@pytest.mark.parametrize("field, bad, message", [
+    (0, Tensor3.zeros(2, 1, 2), "action dims (2, 1, 2) for H dim 2, carrier dim 1"),
+    (1, Tensor3.zeros(1, 4, 1), "coaction dims (1, 4, 1) for B dim 2, carrier dim 1"),
+    (2, Matrix.identity(2), "structure map is 2x2 on a dim-1 carrier"),
+], ids=["action", "coaction", "mu"])
+def test_carriers_check_their_shapes(kz2, carrier, field, bad, message):
+    sd = fx.sign_dimodule()
+    parts = [sd.action, sd.coaction, sd.mu]
+    parts[field] = bad
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        CARRIERS[carrier](kz2, 1, *parts)
+    assert CARRIERS[carrier](kz2, 1, sd.action, sd.coaction, sd.mu).basis == ("m0",)

@@ -397,7 +397,7 @@ def test_search_full_small_grid():
     # {0,1} over mu = I2: results agree with the one-by-one checker
     sols = search_solutions(Matrix.identity(2), [0], "full")
     assert len(sols) == 1          # the zero operator solves trivially
-    assert sols[0].matrix.is_zero()
+    assert sols[0].matrix == Matrix.zeros(sols[0].matrix.rows, sols[0].matrix.cols)
 
 
 @pytest.mark.parametrize("mu, count", [([[1, 0], [0, 1]], 665), ([[1, 0], [0, 2]], 109),

@@ -108,10 +108,8 @@ def mul(*maps):
     sums b's entries (k, y) times a's column k, on the int columns
     sparse_columns gives, so no step of the library's composite engine
     runs."""
-    *ms, last = maps
-    ms.append(last.as_column() if isinstance(last, Vector) else last)
-    out = ms[0]
-    for b in ms[1:]:
+    out = maps[0]
+    for b in maps[1:]:
         if out.cols != b.rows:
             raise DimensionMismatch("compose %dx%d with %dx%d"
                                     % (out.rows, out.cols, b.rows, b.cols))
@@ -124,7 +122,7 @@ def mul(*maps):
                     acc[i] = acc.get(i, 0) + x * y
             cols.append([(i, x) for i, x in acc.items() if x])
         out = Matrix.from_int_columns(cols, s * t, out.rows)
-    return out.column(0) if isinstance(last, Vector) else out
+    return out.column(0) if isinstance(maps[-1], Vector) else out
 
 
 def power(m, k):
@@ -155,6 +153,34 @@ def matrices_equal_report(report, axiom, lhs, rhs, dims_in, names_in=None):
                 idxs = tuple(names[i] for names, i in zip(names_in, idxs))
             return report.add(axiom, False, idxs)
     return report.add(axiom, True)
+
+
+def product_map(t):
+    """The Matrix of a product-like Tensor3 (a multiplication or an action)
+    X (x) Y -> Z, column (i, j) holding t[i][j][k] in row k, read entry by
+    entry from its data."""
+    d0, d1, d2 = t.dims
+    return Matrix([[t.data[c // d1][c % d1][k] for c in range(d0 * d1)] for k in range(d2)],
+                  d2, d0 * d1)
+
+
+def coproduct_map(t):
+    """The Matrix of a coproduct-like Tensor3 (a comultiplication or a
+    coaction) X -> Y (x) Z, column i holding t[i][j][k] in row (j, k), read
+    entry by entry from its data."""
+    d0, d1, d2 = t.dims
+    return Matrix([[t.data[i][r // d2][r % d2] for i in range(d0)] for r in range(d1 * d2)],
+                  d1 * d2, d0)
+
+
+def column_matrix(v):
+    """The n x 1 Matrix, not a Vector, with the entries of the Vector v."""
+    return Matrix(v.data, v.rows, 1)
+
+
+def row_matrix(v):
+    """The 1 x n Matrix of the covector with the entries of the Vector v."""
+    return Matrix([v.entries], 1, v.rows)
 
 
 def dense_columns(m):
@@ -373,7 +399,7 @@ def tensor_square_mult_map(a):
     """Multiplication of A (x) A as a map (A(x)A)(x)(A(x)A) -> A(x)A:
     (a(x)b)(c(x)d) = ac (x) bd."""
     n = a.dim
-    mm = a.mult.flatten_in2_out1()
+    mm = product_map(a.mult)
     return permute_input_legs(kron(mm, mm), [n, n, n, n], [0, 2, 1, 3])
 
 
@@ -1067,10 +1093,10 @@ def dense_braiding(ctx, m, n):
     frow = element_col(ctx.form).transpose()
     rc = element_col(ctx.R)
     paired = mul(kron(frow, kron(mul(m.mu, m.mu).inv(), mul(n.mu, n.mu).inv())),
-                 permute_output_legs(kron(m.coaction_map, n.coaction_map),
+                 permute_output_legs(kron(coproduct_map(m.coaction), coproduct_map(n.coaction)),
                                      [nb, dm, nb, dn], [0, 2, 1, 3]))
     with_r = mul(kron(rc, Matrix.identity(dm * dn)), paired)
-    return mul(kron(n.action_map, m.action_map),
+    return mul(kron(product_map(n.action), product_map(m.action)),
                permute_output_legs(with_r, [nh, nh, dm, dn], [1, 3, 0, 2]))
 
 
@@ -1082,10 +1108,11 @@ def dense_braiding_inverse(ctx, m, n):
                kron(ctx.B.antipode.inv(), Matrix.identity(nb)))
     rc = element_col(ctx.R)
     paired = mul(kron(frow, kron(mul(n.mu, n.mu).inv(), mul(m.mu, m.mu).inv())),
-                 permute_output_legs(kron(n.coaction_map, m.coaction_map),
+                 permute_output_legs(kron(coproduct_map(n.coaction), coproduct_map(m.coaction)),
                                      [nb, dn, nb, dm], [2, 0, 1, 3]))
     with_r = mul(kron(rc, Matrix.identity(dn * dm)), paired)
-    return mul(kron(mul(m.action_map, kron(ctx.H.antipode, Matrix.identity(dm))), n.action_map),
+    return mul(kron(mul(product_map(m.action), kron(ctx.H.antipode, Matrix.identity(dm))),
+                    product_map(n.action)),
                permute_output_legs(with_r, [nh, nh, dn, dm], [0, 3, 1, 2]))
 
 
@@ -1093,8 +1120,8 @@ def dense_module_family_braiding(ctx, m, n):
     """m (x) n -> R2 . nu^-1(n) (x) R1 . mu^-1(m)."""
     nh = ctx.H.dim
     rc = element_col(ctx.R)
-    return mul(kron(mul(n.action_map, kron(Matrix.identity(nh), n.mu.inv())),
-                    mul(m.action_map, kron(Matrix.identity(nh), m.mu.inv()))),
+    return mul(kron(mul(product_map(n.action), kron(Matrix.identity(nh), n.mu.inv())),
+                    mul(product_map(m.action), kron(Matrix.identity(nh), m.mu.inv()))),
                permute_output_legs(kron(rc, Matrix.identity(m.dim * n.dim)),
                                    [nh, nh, m.dim, n.dim], [1, 3, 0, 2]))
 
@@ -1104,7 +1131,7 @@ def dense_comodule_family_braiding(ctx, m, n):
     nb = ctx.B.dim
     frow = element_col(ctx.form).transpose()
     return mul(kron(frow, kron(n.mu.inv(), m.mu.inv())),
-               permute_output_legs(kron(m.coaction_map, n.coaction_map),
+               permute_output_legs(kron(coproduct_map(m.coaction), coproduct_map(n.coaction)),
                                    [nb, m.dim, nb, n.dim], [0, 2, 3, 1]))
 
 
@@ -1115,11 +1142,11 @@ def dense_tensor_dimodule(m, n):
     nh, nb = h.dim, b.dim
     d = m.dim * n.dim
     eye = Matrix.identity(d)
-    act_mat = mul(kron(m.action_map, n.action_map),
-                  permute_output_legs(kron(h.comult.flatten_in1_out2(), eye),
+    act_mat = mul(kron(product_map(m.action), product_map(n.action)),
+                  permute_output_legs(kron(coproduct_map(h.comult), eye),
                                       [nh, nh, m.dim, n.dim], [0, 2, 1, 3]))
-    co_mat = mul(kron(mul(mul(b.gamma, b.gamma).inv(), b.mult.flatten_in2_out1()), eye),
-                 permute_output_legs(kron(m.coaction_map, n.coaction_map),
+    co_mat = mul(kron(mul(mul(b.gamma, b.gamma).inv(), product_map(b.mult)), eye),
+                 permute_output_legs(kron(coproduct_map(m.coaction), coproduct_map(n.coaction)),
                                      [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
     names = tuple("%s⊗%s" % (x, y) for x in m.basis for y in n.basis)
     return (Tensor3.from_in2_out1(act_mat, nh, d), Tensor3.from_in1_out2(co_mat, nb, d),
@@ -1133,11 +1160,11 @@ def dense_morphism_report(m, n, f):
     """H-linearity, B-colinearity and structure-map commutation of f: m -> n."""
     rep = AxiomReport()
     h, b = m.H, m.B
-    matrices_equal_report(rep, "H-linear", mul(f, m.action_map),
-                          mul(n.action_map, kron(Matrix.identity(h.dim), f)),
+    matrices_equal_report(rep, "H-linear", mul(f, product_map(m.action)),
+                          mul(product_map(n.action), kron(Matrix.identity(h.dim), f)),
                           (h.dim, m.dim), (h.basis, m.basis))
-    matrices_equal_report(rep, "B-colinear", mul(n.coaction_map, f),
-                          mul(kron(Matrix.identity(b.dim), f), m.coaction_map),
+    matrices_equal_report(rep, "B-colinear", mul(coproduct_map(n.coaction), f),
+                          mul(kron(Matrix.identity(b.dim), f), coproduct_map(m.coaction)),
                           (m.dim,), (m.basis,))
     matrices_equal_report(rep, "structure-commute", mul(n.mu, f), mul(f, m.mu),
                           (m.dim,), (m.basis,))
@@ -1280,7 +1307,7 @@ def dense_validate_hom_module(a, m):
     """nu-invertible, HM1 and HM2 with every composite a full matrix."""
     rep = AxiomReport()
     rep.add("nu-invertible", m.nu.det() != 0)
-    am, nu, al, mm = m.action_map, m.nu, a.gamma, a.mult.flatten_in2_out1()
+    am, nu, al, mm = product_map(m.action), m.nu, a.gamma, product_map(a.mult)
     eye_m = Matrix.identity(m.dim)
     hn, mn = a.basis, m.basis
     matrices_equal_report(rep, "HM1", mul(nu, am), mul(am, kron(al, nu)),
@@ -1288,7 +1315,7 @@ def dense_validate_hom_module(a, m):
     matrices_equal_report(rep, "HM2-assoc",
                           mul(am, kron(al, am)), mul(am, kron(mm, nu)),
                           (a.dim, a.dim, m.dim), (hn, hn, mn))
-    matrices_equal_report(rep, "HM2-unit", mul(am, kron(a.unit.as_column(), eye_m)), nu,
+    matrices_equal_report(rep, "HM2-unit", mul(am, kron(column_matrix(a.unit), eye_m)), nu,
                           (m.dim,), (mn,))
     return rep
 
@@ -1297,12 +1324,12 @@ def dense_validate_hom_comodule(c, m):
     """mu-invertible, HCM1 and HCM2 with every composite a full matrix."""
     rep = AxiomReport()
     rep.add("mu-invertible", m.mu.det() != 0)
-    co, mu, be, cm = m.coaction_map, m.mu, c.gamma, c.comult.flatten_in1_out2()
+    co, mu, be, cm = coproduct_map(m.coaction), m.mu, c.gamma, coproduct_map(c.comult)
     eye_m = Matrix.identity(m.dim)
     mn = m.basis
     matrices_equal_report(rep, "HCM1-a", mul(co, mu), mul(kron(be, mu), co),
                           (m.dim,), (mn,))
-    matrices_equal_report(rep, "HCM1-b", mul(kron(c.counit.as_row(), eye_m), co), mu,
+    matrices_equal_report(rep, "HCM1-b", mul(kron(row_matrix(c.counit), eye_m), co), mu,
                           (m.dim,), (mn,))
     matrices_equal_report(rep, "HCM2",
                           mul(kron(be, co), co), mul(kron(cm, mu), co),
@@ -1316,7 +1343,7 @@ def dense_validate_long_dimodule(d):
     rep = AxiomReport()
     rep.extend(dense_validate_hom_module(h.algebra, d.module_part()), "module:")
     rep.extend(dense_validate_hom_comodule(b.coalgebra, d.comodule_part()), "comodule:")
-    am, co = d.action_map, d.coaction_map
+    am, co = product_map(d.action), coproduct_map(d.coaction)
     lhs = mul(co, am)
     rhs = mul(kron(b.gamma, mul(am, kron(h.gamma, Matrix.identity(d.dim)))),
               permute_output_legs(kron(Matrix.identity(h.dim), co),
@@ -1331,10 +1358,10 @@ def dense_check_yd(h, m):
     matrices."""
     n = h.dim
     d = m.dim
-    am = m.action.flatten_in2_out1()
-    co = m.coaction.flatten_in1_out2()
+    am = product_map(m.action)
+    co = coproduct_map(m.coaction)
     be = h.gamma
-    mm, cm = h.mult.flatten_in2_out1(), h.comult.flatten_in1_out2()
+    mm, cm = product_map(h.mult), coproduct_map(h.comult)
     eye_h, eye_m = Matrix.identity(n), Matrix.identity(d)
     rep = AxiomReport()
 
@@ -1370,10 +1397,10 @@ def dense_yd_prebraiding(m, n):
     hb = m.over
     nh = hb.dim
     be2 = mul(hb.gamma, hb.gamma)
-    act_n = n.action.flatten_in2_out1()
+    act_n = product_map(n.action)
     g = mul(act_n, kron(be2, n.structure_map.inv()))
     return mul(kron(g, m.structure_map.inv()),
-               permute_output_legs(kron(m.coaction.flatten_in1_out2(),
+               permute_output_legs(kron(coproduct_map(m.coaction),
                                         Matrix.identity(n.dim)),
                                    [nh, m.dim, n.dim], [0, 2, 1]))
 
@@ -1387,7 +1414,7 @@ def dense_validate_hom_algebra(a):
     n = a.dim
     rep = AxiomReport()
     rep.add("alpha-invertible", a.gamma.det() != 0)
-    mm, al, u = a.mult.flatten_in2_out1(), a.gamma, a.unit.as_column()
+    mm, al, u = product_map(a.mult), a.gamma, column_matrix(a.unit)
     eye = Matrix.identity(n)
     names = a.basis
     matrices_equal_report(rep, "HA1-mult", mul(al, mm), mul(mm, kron(al, al)),
@@ -1416,7 +1443,7 @@ def dense_validate_hom_coalgebra(c):
     n = c.dim
     rep = AxiomReport()
     rep.add("beta-invertible", c.gamma.det() != 0)
-    cm, be, eps = c.comult.flatten_in1_out2(), c.gamma, c.counit.as_row()
+    cm, be, eps = coproduct_map(c.comult), c.gamma, row_matrix(c.counit)
     eye = Matrix.identity(n)
     names = c.basis
     lhs, rhs = mul(cm, be), mul(kron(be, be), cm)
@@ -1448,8 +1475,8 @@ def dense_validate_hom_bialgebra(h):
     """Check that the comultiplication and counit are Hom-algebra morphisms."""
     n = h.dim
     rep = AxiomReport()
-    mm, cm = h.mult.flatten_in2_out1(), h.comult.flatten_in1_out2()
-    u, eps = h.unit.as_column(), h.counit.as_row()
+    mm, cm = product_map(h.mult), coproduct_map(h.comult)
+    u, eps = column_matrix(h.unit), row_matrix(h.counit)
     names = h.basis
     m2 = tensor_square_mult_map(h.algebra)
     matrices_equal_report(rep, "delta-mult", mul(cm, mm), mul(m2, kron(cm, cm)),
@@ -1467,10 +1494,10 @@ def dense_validate_hom_hopf(h):
     """Check the antipode identities, S-twist commutation and invertibility."""
     n = h.dim
     rep = AxiomReport()
-    mm, cm, s = h.mult.flatten_in2_out1(), h.comult.flatten_in1_out2(), h.antipode
+    mm, cm, s = product_map(h.mult), coproduct_map(h.comult), h.antipode
     names = h.basis
     eye = Matrix.identity(n)
-    target = mul(h.unit.as_column(), h.counit.as_row())
+    target = mul(column_matrix(h.unit), row_matrix(h.counit))
     matrices_equal_report(rep, "antipode-left", mul(mm, kron(s, eye), cm), target,
                           (n,), (names,))
     matrices_equal_report(rep, "antipode-right", mul(mm, kron(eye, s), cm), target,
@@ -1496,8 +1523,8 @@ def dense_validate_quasitriangular(h, r):
     rep = AxiomReport()
     names = h.basis
     eye = Matrix.identity(n)
-    mm, cm, be = h.mult.flatten_in2_out1(), h.comult.flatten_in1_out2(), h.gamma
-    eps, u = h.counit.as_row(), h.unit.as_column()
+    mm, cm, be = product_map(h.mult), coproduct_map(h.comult), h.gamma
+    eps, u = row_matrix(h.counit), column_matrix(h.unit)
     rc = element_col(r)
 
     left = mul(kron(eps, eye), rc)
@@ -1521,7 +1548,7 @@ def dense_validate_quasitriangular(h, r):
     flip = flip_matrix(n, n)
     ok4, wit4 = True, None
     for hh in range(n):
-        dh = cm.column(hh).as_column()
+        dh = column_matrix(cm.column(hh))
         dcop = mul(flip, dh)
         lhs = mul(m2, kron(dcop, rc))
         rhs = mul(m2, kron(rc, dh))
@@ -1556,8 +1583,8 @@ def dense_validate_coquasitriangular(b, form):
     rep = AxiomReport()
     names = b.basis
     eye = Matrix.identity(n)
-    mm, cm, be = b.mult.flatten_in2_out1(), b.comult.flatten_in1_out2(), b.gamma
-    eps, u = b.counit.as_row(), b.unit.as_column()
+    mm, cm, be = product_map(b.mult), coproduct_map(b.comult), b.gamma
+    eps, u = row_matrix(b.counit), column_matrix(b.unit)
     frow = element_col(form).transpose()
     dims3 = (n, n, n)
 
@@ -1603,14 +1630,14 @@ def dense_yau_twist(h, phi):
         raise DimensionMismatch("phi is %dx%d for dim %d" % (phi.rows, phi.cols, n))
     if phi.det() == 0:
         raise NotAutomorphism("phi is not invertible")
-    mm, cm = h.mult.flatten_in2_out1(), h.comult.flatten_in1_out2()
+    mm, cm = product_map(h.mult), coproduct_map(h.comult)
     if mul(phi, mm) != mul(mm, kron(phi, phi)):
         raise NotAutomorphism("phi o mult != mult o (phi x phi)")
     if mul(kron(phi, phi), cm) != mul(cm, phi):
         raise NotAutomorphism("(phi x phi) o comult != comult o phi")
-    if mul(h.counit.as_row(), phi) != h.counit.as_row():
+    if mul(row_matrix(h.counit), phi) != row_matrix(h.counit):
         raise NotAutomorphism("counit o phi != counit")
-    if mul(phi, h.unit.as_column()) != h.unit.as_column():
+    if mul(phi, column_matrix(h.unit)) != column_matrix(h.unit):
         raise NotAutomorphism("phi does not fix the unit")
     mult2 = apply3(h.mult, 2, phi)
     comult2 = apply3(h.comult, 0, phi.transpose())
@@ -2304,7 +2331,7 @@ def dual_elementwise(m, side):
     nh, nb, d = h.dim, b.dim, m.dim
     mu2i = mul(m.mu, m.mu).inv()
     # p[i][(h, j)] = coeff of m_i in (h_twist e_h).mu^-2(m_j)
-    p = mul(m.action_map, kron(h_twist, mu2i))
+    p = mul(product_map(m.action), kron(h_twist, mu2i))
     act = Tensor3.from_function(nh, d, d, lambda hh, i, j: p.data[i][hh * d + j])
 
     def coact(i, a, l):
@@ -2343,7 +2370,7 @@ def to_smash_module_elementwise(m):
     """(p (x) h) . x = p(x_-1) h . mu^-1(x_0)."""
     h, b = m.H, m.B
     nh, nb, d = h.dim, b.dim, m.dim
-    p = mul(m.action_map, kron(Matrix.identity(nh), m.mu.inv()))
+    p = mul(product_map(m.action), kron(Matrix.identity(nh), m.mu.inv()))
 
     def act(ph, i, j):
         pp, hh = divmod(ph, nh)
@@ -2374,8 +2401,8 @@ def hb_yd_structure_elementwise(ctx, m):
     nh, nb, d = ctx.H.dim, ctx.B.dim, m.dim
     al3i, be3i, mui = power(ctx.H.gamma, 3).inv(), power(ctx.B.gamma, 3).inv(), m.mu.inv()
     f, r, rho = ctx.form, ctx.R, m.coaction
-    p_act = mul(m.action_map, kron(al3i, mui))
-    p_id = mul(m.action_map, kron(Matrix.identity(nh), mui))
+    p_act = mul(product_map(m.action), kron(al3i, mui))
+    p_id = mul(product_map(m.action), kron(Matrix.identity(nh), mui))
 
     def act(hx, i, j):
         hh, x = divmod(hx, nb)
@@ -2409,7 +2436,7 @@ def module_extension_elementwise(h, m):
     """h.(g (x) x) = a(g) (x) h.x and rho(g (x) x) = g1 (x) (g2 (x) mu(x))."""
     nh, dm = h.dim, m.dim
     d = nh * dm
-    p = m.action.flatten_in2_out1()
+    p = product_map(m.action)
 
     def act(hh, i, j):
         g, x = divmod(i, dm)
@@ -2594,7 +2621,7 @@ def test_r_times_its_flip_decides_both_sides(data):
     mult, flip = tensor_square_mult_map(h.algebra), flip_matrix(n, n)
     r_col = element_col(r)
     r21 = mul(flip, r_col)
-    one = kron(h.unit.as_column(), h.unit.as_column())
+    one = kron(column_matrix(h.unit), column_matrix(h.unit))
     rr21, r21r = mul(mult, kron(r_col, r21)), mul(mult, kron(r21, r_col))
     assert r21r == mul(flip, rr21)
     both = rr21 == one and r21r == one
@@ -2611,8 +2638,8 @@ def test_kron_matches_sympy(data):
                                for _ in range(2)))
     expected = sympy.kronecker_product(sympy.Matrix(a.to_lists()), sympy.Matrix(b.to_lists()))
     assert sympy.Matrix(kron(a, b).to_lists()) == expected
-    u, v = a.row(0), b.row(0)
-    assert kron(u, v) == kron(u.as_row(), v.as_row()).row(0)
+    u, v = Vector(a.data[0]), Vector(b.data[0])
+    assert kron(u, v) == Vector(kron(row_matrix(u), row_matrix(v)).data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -2620,14 +2647,24 @@ def test_kron_matches_sympy(data):
 # caches of converted and inverted maps
 
 def run_by_steps(steps, dims, vec):
-    """A sparse vector through a composite one step at a time, each step
-    planned alone by linalg.apply_on_legs, so none is folded into another;
-    the steps' scales are left out."""
+    """A sparse vector through a composite one step at a time, each entry's
+    index split into its basis tuple and put back together with
+    flat_index, so nothing of the library's planner or runner runs and no
+    step is folded into another; zero values are dropped after each step
+    and the steps' scales are left out."""
     d = tuple(dims)
     for (cols, _), legs, out in steps:
-        vec = linalg.apply_on_legs(cols, legs, d, vec, out)
         first, stop = legs[0], legs[-1] + 1
-        d = d[:first] + (d[first:stop] if out is None else tuple(out)) + d[stop:]
+        ins = d[first:stop]
+        out = ins if out is None else tuple(out)
+        image_dims = d[:first] + out + d[stop:]
+        image = {}
+        for idx, x in vec.items():
+            t = unflat_index(idx, d)
+            for r, y in cols[flat_index(t[first:stop], ins)]:
+                key = flat_index(t[:first] + unflat_index(r, out) + t[stop:], image_dims)
+                image[key] = image.get(key, 0) + x * y
+        vec, d = {k: x for k, x in image.items() if x}, image_dims
     return vec
 
 

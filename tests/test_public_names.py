@@ -1,12 +1,17 @@
 """The names `import homlong` exports, pinned so that an export added or
 dropped shows up in review: 86 names and the seven submodules the package
-imports."""
+imports.  The public names of homlong.linalg and of its Matrix, Vector and
+Tensor3 are pinned the same way, so that a view or entry point added back
+shows up too."""
 
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import types
+
+from homlong import linalg
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -57,3 +62,38 @@ def test_public_names_are_pinned():
     assert names == PUBLIC_NAMES
     assert modules == SUBMODULES
     assert len(names) + len(modules) == 93
+
+
+LINALG_NAMES = [
+    "BATCH_COLUMNS", "DimensionMismatch", "FOLD_MIN_COLUMNS", "Fraction", "LinalgError",
+    "Matrix", "ONE", "SingularMatrix", "Tensor3", "Vector", "ZERO", "composite_columns",
+    "composite_matrix", "coproduct_columns", "coproduct_tensor", "first_differing_column",
+    "flip_columns", "insert_columns", "int_columns", "pair_columns", "per_leg",
+    "per_leg_matrix", "product_columns", "product_tensor", "scalar", "scalar_str",
+    "scalar_to_json", "solve_exact", "sparse_columns", "unflat_index",
+]
+
+MATRIX_ATTRIBUTES = [
+    "cols", "column", "data", "det", "diagonal", "from_function", "from_int_columns",
+    "identity", "inv", "is_identity", "rows", "to_json", "to_lists", "transpose", "zeros",
+]
+
+# a Vector is an n x 1 Matrix with the vector interface on top
+VECTOR_ATTRIBUTES = sorted(MATRIX_ATTRIBUTES + ["dim", "entries"])
+
+TENSOR3_ATTRIBUTES = [
+    "d0", "d1", "d2", "data", "dims", "from_function", "from_in1_out2", "from_in2_out1",
+    "to_json", "zeros",
+]
+
+
+def _public(names):
+    return sorted(n for n in names if not n.startswith("_"))
+
+
+def test_linalg_names_are_pinned():
+    assert _public(n for n, v in vars(linalg).items()
+                   if not isinstance(v, types.ModuleType)) == LINALG_NAMES
+    assert _public(dir(linalg.Matrix)) == MATRIX_ATTRIBUTES
+    assert _public(dir(linalg.Vector)) == VECTOR_ATTRIBUTES
+    assert _public(dir(linalg.Tensor3)) == TENSOR3_ATTRIBUTES
