@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .linalg import (Matrix, DimensionMismatch, composite_columns, composite_matrix,
                      coproduct_columns, coproduct_tensor, flip_columns, insert_columns,
-                     pair_columns, per_leg, product_columns, product_tensor, sparse_columns)
+                     pair_columns, per_leg, product_tensor, sparse_columns)
 from .homstruct import tensor_hopf, validate_quasitriangular, validate_coquasitriangular
 from .repmod import YetterDrinfeldModule, yd_prebraiding
 from .longdimod import (HomLongDimodule, MismatchedBase, associator_legs, base_parts,
@@ -141,8 +141,8 @@ def _acted(r, nh, m, n):
     dm, dn = m.dim, n.dim
     return [(insert_columns(r, dm), (0,), (nh, nh, dm)),
             (flip_columns(nh, dm), (1, 2), (dm, nh)),
-            (product_columns(m.action), (0, 1), (dm,)),
-            (product_columns(n.action), (1, 2), (dn,)),
+            (sparse_columns(m.action), (0, 1), (dm,)),
+            (sparse_columns(n.action), (1, 2), (dn,)),
             (flip_columns(dm, dn), (0, 1), (dn, dm))]
 
 
@@ -278,14 +278,14 @@ def hb_yd_structure(ctx, m):
     # (h, x, m) -> (h, x, m_-1, m_0) -> <x|m_-1> a^-3(h) . mu^-1(m_0)
     act = product_tensor([rho, (pair_columns(ctx.form), (1, 2), ())]
                          + [(ai, (0,), None)] * 3
-                         + [(mui, (1,), None), (product_columns(m.action), (0, 1), (d,))],
+                         + [(mui, (1,), None), (sparse_columns(m.action), (0, 1), (d,))],
                          (nh, nb, d), 2)
     # m -> (R1, R2, m_-1, m_0) -> (R2, m_-1, R1, m_0) -> R2 (x) b^-3(m_-1) (x) R1 . mu^-1(m_0)
     co = coproduct_tensor([(insert_columns(ctx.R, d), (0,), (nh, nh, d)), rho]
                           + [(bi, (2,), None)] * 3
                           + [(mui, (3,), None), (flip_columns(nh, nh), (0, 1), None),
                              (flip_columns(nh, nb), (1, 2), (nb, nh)),
-                             (product_columns(m.action), (2, 3), (d,))], (d,), nh * nb)
+                             (sparse_columns(m.action), (2, 3), (d,))], (d,), nh * nb)
     return YetterDrinfeldModule(replace(tensor_hopf(ctx.H, ctx.B), antipode=None), d, act, co,
                                 m.mu, m.basis)
 

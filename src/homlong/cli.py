@@ -23,7 +23,7 @@ from .longdimod import (HomLongDimodule, MismatchedBase, AntipodeNotInvertible,
                         validate_long_dimodule, tensor_dimodule, left_dual,
                         right_dual, check_snake, check_coherence, to_smash_module,
                         from_smash_module)
-from .longeq import (HAlphaLongDimodule, OperatorOnTensorSquare, ZeroDiagonal,
+from .longeq import (OperatorOnTensorSquare, ZeroDiagonal,
                      SearchSpaceTooLarge, check_long_equation,
                      validate_halpha_dimodule, dimodule_solution, module_extension,
                      comodule_extension, search_solutions)
@@ -138,8 +138,6 @@ def cmd_validate(args, report, files):
         _check_yd_module(s, report)
     elif isinstance(s, HomLongDimodule):
         report.absorb(validate_long_dimodule(s))
-    elif isinstance(s, HAlphaLongDimodule):
-        report.absorb(validate_halpha_dimodule(s))
     elif isinstance(s, OperatorOnTensorSquare):
         _check_operator(s, report)
     else:

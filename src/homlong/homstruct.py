@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, replace
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_columns,
                      composite_matrix, coproduct_columns, coproduct_tensor,
                      first_differing_column, flip_columns, insert_columns, pair_columns,
-                     per_leg_matrix, product_columns, product_tensor, solve_exact,
-                     sparse_columns)
+                     per_leg_matrix, product_tensor, solve_exact, sparse_columns)
 from .report import AxiomReport, composites_equal_report, elements_equal_report
 
 
@@ -124,7 +123,7 @@ def validate_hom_algebra(a):
     n, names = a.dim, a.basis
     rep = AxiomReport()
     rep.add("alpha-invertible", a.gamma.det() != 0)
-    mult, al, put_u = product_columns(a.mult), sparse_columns(a.gamma), insert_columns(a.unit, n)
+    mult, al, put_u = sparse_columns(a.mult), sparse_columns(a.gamma), insert_columns(a.unit, n)
     to_h = (n,)
     composites_equal_report(rep, "HA1-mult", [(mult, (0, 1), to_h), (al, (0,), None)],
                             [(al, (0,), None), (al, (1,), None), (mult, (0, 1), to_h)],
@@ -171,7 +170,7 @@ def validate_hom_bialgebra(h):
     column by column."""
     n, names = h.dim, h.basis
     rep = AxiomReport()
-    mult, co, eps = product_columns(h.mult), coproduct_columns(h.comult), pair_columns(h.counit)
+    mult, co, eps = sparse_columns(h.mult), coproduct_columns(h.comult), pair_columns(h.counit)
     put_u = insert_columns(h.unit, 1)
     to_h, to_hh = (n,), (n, n)
     # (ab)1 (x) (ab)2 against a1 b1 (x) a2 b2
@@ -194,7 +193,7 @@ def validate_hom_hopf(h):
     column by column."""
     n, names = h.dim, (h.basis,)
     rep = AxiomReport()
-    mult, co, s = product_columns(h.mult), coproduct_columns(h.comult), sparse_columns(h.antipode)
+    mult, co, s = sparse_columns(h.mult), coproduct_columns(h.comult), sparse_columns(h.antipode)
     ga, to_h = sparse_columns(h.gamma), (n,)
     # eps(a) 1
     target = [(insert_columns(h.unit, n), (0,), (n, n)), (pair_columns(h.counit), (1,), ())]
@@ -234,7 +233,7 @@ def yau_twist(h, phi):
         raise DimensionMismatch("phi is %dx%d for dim %d" % (phi.rows, phi.cols, n))
     if phi.det() == 0:
         raise NotAutomorphism("phi is not invertible")
-    mult, co, ph = product_columns(h.mult), coproduct_columns(h.comult), sparse_columns(phi)
+    mult, co, ph = sparse_columns(h.mult), coproduct_columns(h.comult), sparse_columns(phi)
     phi_mult = [(mult, (0, 1), (n,)), (ph, (0,), None)]
     comult_phi = [(ph, (0,), None), (co, (0,), (n, n))]
     if first_differing_column(phi_mult, [(ph, (0,), None), (ph, (1,), None),
@@ -266,7 +265,7 @@ def dual_hopf(b):
     twice = [(bi, (0,), None)] * 2
     mult_d = composite_matrix([(coproduct_columns(b.comult), (0,), (n, n))] + twice
                               + [(bi, (1,), None)] * 2, (n,)).transpose()
-    comult_d = composite_matrix([(product_columns(b.mult), (0, 1), (n,))] + twice,
+    comult_d = composite_matrix([(sparse_columns(b.mult), (0, 1), (n,))] + twice,
                                 (n, n)).transpose()
     s = b.antipode
     return HomStructure(n, b1i.transpose(), Tensor3.from_in2_out1(mult_d, n, n), b.counit,
@@ -280,8 +279,8 @@ def tensor_algebra(a, c):
     c on the lexicographic basis: (x (x) y)(x' (x) y') = xx' (x) yy'."""
     na, nc = a.dim, c.dim
     mult = product_tensor([(flip_columns(nc, na), (1, 2), (na, nc)),
-                           (product_columns(a.mult), (0, 1), (na,)),
-                           (product_columns(c.mult), (1, 2), (nc,))], (na, nc, na, nc), 2)
+                           (sparse_columns(a.mult), (0, 1), (na,)),
+                           (sparse_columns(c.mult), (1, 2), (nc,))], (na, nc, na, nc), 2)
     unit = per_leg_matrix(a.unit, c.unit).column(0)
     return HomStructure(na * nc, per_leg_matrix(a.gamma, c.gamma), mult, unit,
                         basis=tensor_basis(a.basis, c.basis))
@@ -308,7 +307,7 @@ def opposite_algebra(a):
     """The algebra part of a with the multiplication reversed."""
     n = a.dim
     mult_op = product_tensor([(flip_columns(n, n), (0, 1), None),
-                              (product_columns(a.mult), (0, 1), (n,))], (n, n))
+                              (sparse_columns(a.mult), (0, 1), (n,))], (n, n))
     return HomStructure(n, a.gamma, mult_op, a.unit, basis=a.basis)
 
 
@@ -331,7 +330,7 @@ def validate_quasitriangular(h, r):
         raise DimensionMismatch("R is %dx%d on a dim-%d algebra" % (r.rows, r.cols, n))
     rep = AxiomReport()
     names = h.basis
-    mult, co, be = product_columns(h.mult), coproduct_columns(h.comult), sparse_columns(h.gamma)
+    mult, co, be = sparse_columns(h.mult), coproduct_columns(h.comult), sparse_columns(h.gamma)
     eps, flip = pair_columns(h.counit), flip_columns(n, n)
     to_h, to_hh = (n,), (n, n)
 
@@ -400,7 +399,7 @@ def validate_coquasitriangular(b, form):
         raise DimensionMismatch("form is %dx%d on a dim-%d algebra" % (form.rows, form.cols, n))
     rep = AxiomReport()
     names = b.basis
-    mult, co, be = product_columns(b.mult), coproduct_columns(b.comult), sparse_columns(b.gamma)
+    mult, co, be = sparse_columns(b.mult), coproduct_columns(b.comult), sparse_columns(b.gamma)
     eps, flip = pair_columns(b.counit), flip_columns(n, n)
     pair = (pair_columns(form), (0, 1), ())
     to_h, to_hh = (n,), (n, n)

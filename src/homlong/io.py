@@ -57,14 +57,14 @@ def load_vector(entries, where="vector"):
         raise FileFormatError(_ctx(where, str(exc)))
 
 
-def load_tensor3(data, where="tensor", coproduct=False):
-    """The Tensor3 in data, its entries read straight into the int columns of
-    the reading its field needs: product-like (mult, action) or, with
-    coproduct set, coproduct-like (comult, coaction)."""
+def load_tensor3(data, where="tensor"):
+    """The Tensor3 in data, its entries read straight into its int columns,
+    the product-like ones; a comult or coaction re-indexes them into its
+    coproduct-like reading when a check first asks for it."""
     if not isinstance(data, list):
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
     try:
-        return Tensor3(data, coproduct=coproduct)
+        return Tensor3(data)
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     # a rejected entry or a bad nesting: read again, naming each entry
@@ -72,7 +72,7 @@ def load_tensor3(data, where="tensor", coproduct=False):
         return Tensor3([[[load_scalar(x, "%s[%d][%d][%d]" % (where, i, j, k))
                           for k, x in enumerate(row)]
                          for j, row in enumerate(plane)]
-                        for i, plane in enumerate(data)], coproduct=coproduct)
+                        for i, plane in enumerate(data)])
     except TypeError:
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
 
@@ -91,10 +91,6 @@ def load_basis(obj, dim, where):
 
 def matrix_json(m):
     return m.to_json()
-
-
-def tensor3_json(t):
-    return t.to_json()
 
 
 def _read(path):
@@ -192,7 +188,7 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
         if kind != "hom-algebra":
             if "comult" not in obj or "counit" not in obj:
                 raise FileFormatError(_ctx(where, "coalgebra needs 'comult' and 'counit'"))
-            parts.update(comult=load_tensor3(obj["comult"], where + ".comult", coproduct=True),
+            parts.update(comult=load_tensor3(obj["comult"], where + ".comult"),
                          counit=load_vector(obj["counit"], where + ".counit"))
         if kind == "hom-hopf":
             if "antipode" not in obj:
@@ -256,7 +252,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
             raise FileFormatError(_ctx(where, "comodule 'over' must carry a coalgebra"))
         dim = _int_field(obj, "dim", where)
         return HomComodule(over.coalgebra, dim,
-                           load_tensor3(obj["coaction"], where + ".coaction", coproduct=True),
+                           load_tensor3(obj["coaction"], where + ".coaction"),
                            load_matrix(obj["mu"], where + ".mu"),
                            load_basis(obj, dim, where))
     if kind == "yd-module":
@@ -264,28 +260,19 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
         dim = _int_field(obj, "dim", where)
         return YetterDrinfeldModule(over, dim,
                                     load_tensor3(obj["action"], where + ".action"),
-                                    load_tensor3(obj["coaction"], where + ".coaction",
-                                                 coproduct=True),
+                                    load_tensor3(obj["coaction"], where + ".coaction"),
                                     load_matrix(obj["structure_map"], where + ".structure_map"),
                                     load_basis(obj, dim, where))
-    if kind == "long-dimodule":
-        h, _ = _load_algebra_field(obj, "H", base_dir, where, files, _BIALGEBRA_KINDS)
-        b, _ = _load_algebra_field(obj, "B", base_dir, where, files, _BIALGEBRA_KINDS)
+    if kind in ("long-dimodule", "halpha-dimodule"):
+        # an H-alpha dimodule is one over (H, H), with no B field
+        keys, make = (("H", "B"), HomLongDimodule) if kind == "long-dimodule" \
+            else (("H",), HAlphaLongDimodule)
+        pair = [_load_algebra_field(obj, key, base_dir, where, files, _BIALGEBRA_KINDS)[0]
+                for key in keys]
         dim = _int_field(obj, "dim", where)
-        return HomLongDimodule(h, b, dim,
-                               load_tensor3(obj["action"], where + ".action"),
-                               load_tensor3(obj["coaction"], where + ".coaction", coproduct=True),
-                               load_matrix(obj["mu"], where + ".mu"),
-                               load_basis(obj, dim, where))
-    if kind == "halpha-dimodule":
-        h, _ = _load_algebra_field(obj, "H", base_dir, where, files, _BIALGEBRA_KINDS)
-        dim = _int_field(obj, "dim", where)
-        return HAlphaLongDimodule(h, dim,
-                                  load_tensor3(obj["action"], where + ".action"),
-                                  load_tensor3(obj["coaction"], where + ".coaction",
-                                               coproduct=True),
-                                  load_matrix(obj["mu"], where + ".mu"),
-                                  load_basis(obj, dim, where))
+        return make(*pair, dim, load_tensor3(obj["action"], where + ".action"),
+                    load_tensor3(obj["coaction"], where + ".coaction"),
+                    load_matrix(obj["mu"], where + ".mu"), load_basis(obj, dim, where))
     if kind == "operator":
         n = _int_field(obj, "n", where)
         op = OperatorOnTensorSquare(n, load_matrix(obj["matrix"], where + ".matrix"),
@@ -340,26 +327,25 @@ def structure_to_json(s):
     if isinstance(s, HomModule):
         return {"kind": "hom-module", "over": algebra_to_json(s.over),
                 "dim": s.dim, "basis": list(s.basis),
-                "action": tensor3_json(s.action), "nu": matrix_json(s.nu)}
+                "action": s.action.to_json(), "nu": matrix_json(s.nu)}
     if isinstance(s, HomComodule):
         return {"kind": "hom-comodule", "over": algebra_to_json(s.over),
                 "dim": s.dim, "basis": list(s.basis),
-                "coaction": tensor3_json(s.coaction), "mu": matrix_json(s.mu)}
+                "coaction": s.coaction.to_json(), "mu": matrix_json(s.mu)}
     if isinstance(s, YetterDrinfeldModule):
         return {"kind": "yd-module", "over": algebra_to_json(s.over),
                 "dim": s.dim, "basis": list(s.basis),
-                "action": tensor3_json(s.action), "coaction": tensor3_json(s.coaction),
+                "action": s.action.to_json(), "coaction": s.coaction.to_json(),
                 "structure_map": matrix_json(s.structure_map)}
     if isinstance(s, HomLongDimodule):
-        return {"kind": "long-dimodule", "H": algebra_to_json(s.H),
-                "B": algebra_to_json(s.B), "dim": s.dim, "basis": list(s.basis),
-                "action": tensor3_json(s.action), "coaction": tensor3_json(s.coaction),
-                "mu": matrix_json(s.mu)}
-    if isinstance(s, HAlphaLongDimodule):
-        return {"kind": "halpha-dimodule", "H": algebra_to_json(s.H),
-                "dim": s.dim, "basis": list(s.basis),
-                "action": tensor3_json(s.action), "coaction": tensor3_json(s.coaction),
-                "mu": matrix_json(s.mu)}
+        halpha = isinstance(s, HAlphaLongDimodule)
+        out = {"kind": "halpha-dimodule" if halpha else "long-dimodule",
+               "H": algebra_to_json(s.H), "dim": s.dim, "basis": list(s.basis),
+               "action": s.action.to_json(), "coaction": s.coaction.to_json(),
+               "mu": matrix_json(s.mu)}
+        if not halpha:
+            out["B"] = algebra_to_json(s.B)
+        return out
     if isinstance(s, OperatorOnTensorSquare):
         return {"kind": "operator", "n": s.carrier_dim,
                 "mu": matrix_json(s.structure_map), "matrix": matrix_json(s.matrix)}

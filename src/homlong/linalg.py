@@ -11,21 +11,22 @@ are ordered lexicographically, first factor major: (i, j) -> i * dim_second
 A Matrix is stored as its int-scaled sparse columns (cols, scale), in the
 unique form int_columns gives: entries sorted by row within each column and
 the scale the lcm of the reduced denominators.  Equality and hashing read
-that form and the type; a Vector (a unit, a counit) is an n x 1 Matrix.
-int_columns is the one reader of scalars: Matrix(rows), Tensor3(data),
-Vector(entries) and the io loaders read ints as they are and "p/q" strings
-once, straight into that form, and never store a zero.  A Tensor3 stores
-one reading, product-like (mult, action) or coproduct-like (comult,
-coaction), and re-indexes the same ints for the other; equality compares
-the columns.  det, inv and solve_exact share one fraction-free (Bareiss)
+that form and the type.  A Vector (a unit, a counit) is an n x 1 Matrix,
+and a Tensor3 (a multiplication, action, comultiplication or coaction) the
+Matrix of its product-like map (i, j) -> sum_k T[i][j][k] e_k with its leg
+dims; coproduct_columns re-indexes the same ints once into the
+coproduct-like reading.  int_columns is the one reader of scalars:
+Matrix(rows), Tensor3(data), Vector(entries) and the io loaders read ints
+as they are and "p/q" strings once, straight into that form, and never
+store a zero.  det, inv and solve_exact share one fraction-free (Bareiss)
 elimination on the int rows of the columns, and to_json writes from the
-columns, so the Fractions of a Matrix or Tensor3 (data) are views built
-only when something reads them (__getitem__, to_lists, __repr__, the test
-oracles).
+columns, so the Fractions of a Matrix (data, nested for a Tensor3) are
+views built only when something reads them (__getitem__, to_lists,
+__repr__, the test oracles).
 
 Identities between composites of maps on tensor legs are decided without
 forming the composites.  A step applies a small map, as sparse int-scaled
-columns (product_columns, coproduct_columns, per_leg, flip_columns,
+columns (sparse_columns, coproduct_columns, per_leg, flip_columns,
 insert_columns, pair_columns), to consecutive legs of a sparse vector.  A
 composite is planned once, then run on batches of basis columns: the column
 index j is one more leading leg, so a batch is the one sparse vector
@@ -49,7 +50,7 @@ as an index sum over structure constants or as a Kronecker product.
 
 Matrix, Vector and Tensor3 are immutable, so each keeps what is derived
 from it once computed: a Matrix its data view, determinant and inverse, a
-Tensor3 its data and its other reading.  The stored and cached columns are
+Tensor3 also its coproduct-like reading.  The stored and cached columns are
 shared by every caller and are never changed.
 """
 
@@ -413,36 +414,19 @@ def _eliminate(rows, width):
 
 
 def sparse_columns(m):
-    """The columns of the Matrix m as int_columns gives them: its stored
+    """The columns of the Matrix m as int_columns gives them (of a Tensor3,
+    the product-like columns (i, j) -> sum_k t[i][j][k] e_k): its stored
     form, shared, so the lists are not to be changed."""
     return m._sparse
 
 
-def product_columns(t):
-    """The columns (i, j) -> sum_k t[i][j][k] e_k of a product-like Tensor3
-    (a multiplication or an action), as int_columns gives them; stored, or
-    re-indexed once from the coproduct-like columns, and shared like
-    sparse_columns."""
-    if t._product is None:
-        cols, scale = t._coproduct
-        d1, d2 = t.d1, t.d2
-        out = [[] for _ in range(t.d0 * d1)]
-        for i, col in enumerate(cols):
-            for r, x in col:
-                j, k = divmod(r, d2)
-                out[i * d1 + j].append((k, x))
-        t._product = out, scale
-    return t._product
-
-
 def coproduct_columns(t):
     """The columns i -> sum_jk t[i][j][k] e_j (x) e_k of a coproduct-like
-    Tensor3 (a comultiplication or a coaction), as int_columns gives them;
-    stored, or re-indexed once from the product-like columns, and shared
-    like sparse_columns."""
+    Tensor3 (a comultiplication or a coaction), as int_columns gives them:
+    its columns re-indexed once, then kept and shared like sparse_columns."""
     if t._coproduct is None:
-        cols, scale = t._product
-        d1, d2 = t.d1, t.d2
+        cols, scale = t._sparse
+        d1, d2 = t.d1, t.rows
         t._coproduct = [[(j * d2 + k, x) for j in range(d1) for k, x in cols[i * d1 + j]]
                         for i in range(t.d0)], scale
     return t._coproduct
@@ -752,21 +736,18 @@ def solve_exact(a, b):
     return Vector(x)
 
 
-class Tensor3:
-    """Structure-constant tensor T[i][j][k] with three named legs.
+class Tensor3(Matrix):
+    """Structure-constant tensor T[i][j][k] with three named legs: the
+    Matrix of its product-like map (i, j) -> sum_k T[i][j][k] e_k (a mult,
+    an action), d0 * d1 columns and d2 = rows, stored, compared and hashed
+    as any Matrix is, with the leg dims on top.  Equality also compares d0,
+    and a Tensor3 equals only a Tensor3.  coproduct_columns gives its
+    coproduct-like reading i -> sum_jk T[i][j][k] e_j (x) e_k (a comult, a
+    coaction) from the same ints."""
 
-    Two readings cover every use:
-      * product-like (mult, action): inputs (i, j), output k;
-      * coproduct-like (comult, coaction): input i, outputs (j, k).
-    A Tensor3 stores one reading as int columns in the form int_columns
-    gives (product_columns, or coproduct_columns when made with coproduct
-    set), and derives the other from it by re-indexing the same ints.
-    Equality and hashing read the columns.
-    """
+    __slots__ = ("d0", "d1", "_coproduct")
 
-    __slots__ = ("d0", "d1", "d2", "_data", "_product", "_coproduct")
-
-    def __init__(self, data, dims=None, coproduct=False):
+    def __init__(self, data, dims=None):
         data = [[r if isinstance(r, (list, tuple)) else tuple(r) for r in plane]
                 for plane in data]
         if dims is not None:
@@ -779,31 +760,38 @@ class Tensor3:
                 len(r) != d2 for p in data for r in p):
             int_columns(r for p in data for r in p)     # entries are named first
             raise DimensionMismatch("ragged tensor data")
-        self.d0, self.d1, self.d2 = d0, d1, d2
-        self._data, self._product, self._coproduct = None, None, None
-        if coproduct:
-            self._coproduct = int_columns([x for r in p for x in r] for p in data)
-        else:
-            self._product = int_columns(r for p in data for r in p)
+        self.rows, self.cols, self.d0, self.d1 = d2, d0 * d1, d0, d1
+        self._sparse = int_columns(r for p in data for r in p)
+        self._data = self._det = self._inverse = self._coproduct = None
+
+    @classmethod
+    def _of(cls, rows, cols, sparse, d0, d1):
+        """The d0 x d1 x rows Tensor3 over product-like columns in the form
+        int_columns gives, cols = d0 * d1 of them."""
+        t = super()._of(rows, cols, sparse)
+        t.d0, t.d1, t._coproduct = d0, d1, None
+        return t
+
+    @property
+    def d2(self):
+        return self.rows
+
+    @property
+    def dims(self):
+        return (self.d0, self.d1, self.rows)
 
     @property
     def data(self):
-        """T[i][j][k] as nested tuples of Fractions; built on first read for
-        a tensor made from a Matrix's columns."""
+        """T[i][j][k] as nested tuples of Fractions, built on first read."""
         if self._data is None:
-            d1, d2 = self.d1, self.d2
-            if self._product is not None:
-                cols = _dense_columns(self._product, d2)
-                self._data = tuple(tuple(map(tuple, cols[i * d1:(i + 1) * d1]))
-                                   for i in range(self.d0))
-            else:
-                self._data = tuple(tuple(tuple(c[j * d2:(j + 1) * d2]) for j in range(d1))
-                                   for c in _dense_columns(self._coproduct, d1 * d2))
+            d1, cols = self.d1, _dense_columns(self._sparse, self.rows)
+            self._data = tuple(tuple(map(tuple, cols[i * d1:(i + 1) * d1]))
+                               for i in range(self.d0))
         return self._data
 
     @staticmethod
     def zeros(d0, d1, d2):
-        return Tensor3._of((d0, d1, d2), product=([[] for _ in range(d0 * d1)], 1))
+        return Tensor3._of(d2, d0 * d1, ([[] for _ in range(d0 * d1)], 1), d0, d1)
 
     @staticmethod
     def from_function(d0, d1, d2, f):
@@ -815,64 +803,46 @@ class Tensor3:
         return self.data[i][j][k]
 
     def __eq__(self, other):
-        if not isinstance(other, Tensor3) or self.dims != other.dims:
-            return False
-        if self._coproduct is not None and other._coproduct is not None:
-            return self._coproduct == other._coproduct
-        return product_columns(self) == product_columns(other)
+        return Matrix.__eq__(self, other) and self.d0 == other.d0
 
-    def __hash__(self):
-        cols, scale = product_columns(self)
-        return hash((self.dims, scale, tuple(map(tuple, cols))))
-
-    @property
-    def dims(self):
-        return (self.d0, self.d1, self.d2)
+    __hash__ = Matrix.__hash__
 
     @staticmethod
     def from_in2_out1(m, d0, d1):
         """The product-like Tensor3 (T[i][j][k] = coeff of z_k in x_i y_j)
         of the map m: X (x) Y -> Z with d0*d1 columns, which are its
-        product_columns; its data is built on first read."""
+        columns; its data is built on first read."""
         if m.cols != d0 * d1:
             raise DimensionMismatch("matrix has %d columns, expected %d" % (m.cols, d0 * d1))
-        return Tensor3._of((d0, d1, m.rows), product=sparse_columns(m))
+        return Tensor3._of(m.rows, m.cols, sparse_columns(m), d0, d1)
 
     @staticmethod
     def from_in1_out2(m, d1, d2):
         """The coproduct-like Tensor3 (T[i][j][k] = coeff of y_j z_k at x_i)
-        of the map m: X -> Y (x) Z with d1*d2 rows, whose columns are its
-        coproduct_columns; its data is built on first read."""
+        of the map m: X -> Y (x) Z with d1*d2 rows: m's columns re-indexed
+        once into its own, and kept as its coproduct_columns."""
         if m.rows != d1 * d2:
             raise DimensionMismatch("matrix has %d rows, expected %d" % (m.rows, d1 * d2))
-        return Tensor3._of((m.cols, d1, d2), coproduct=sparse_columns(m))
-
-    @staticmethod
-    def _of(dims, product=None, coproduct=None):
-        """A Tensor3 over the columns of its product-like or coproduct-like
-        Matrix, in the form int_columns gives."""
-        t = Tensor3.__new__(Tensor3)
-        t.d0, t.d1, t.d2 = dims
-        t._data, t._product, t._coproduct = None, product, coproduct
+        cols, scale = sparse_columns(m)
+        out = [[] for _ in range(m.cols * d1)]
+        for i, col in enumerate(cols):
+            for r, x in col:
+                j, k = divmod(r, d2)
+                out[i * d1 + j].append((k, x))
+        t = Tensor3._of(d2, m.cols * d1, (out, scale), m.cols, d1)
+        t._coproduct = cols, scale
         return t
 
     def to_json(self):
         """T[i][j][k] as nested lists of ints and "p/q" strings, written from
-        the stored columns."""
-        d1, d2 = self.d1, self.d2
+        the columns."""
+        d1, d2 = self.d1, self.rows
         out = [[[0] * d2 for _ in range(d1)] for _ in range(self.d0)]
-        if self._product is not None:
-            cols, scale = self._product
-            for c, col in enumerate(cols):
-                row = out[c // d1][c % d1]
-                for k, x in col:
-                    row[k] = _json_scalar(x, scale)
-        else:
-            cols, scale = self._coproduct
-            for i, col in enumerate(cols):
-                plane = out[i]
-                for r, x in col:
-                    plane[r // d2][r % d2] = _json_scalar(x, scale)
+        cols, scale = self._sparse
+        for c, col in enumerate(cols):
+            row = out[c // d1][c % d1]
+            for k, x in col:
+                row[k] = _json_scalar(x, scale)
         return out
 
     def __repr__(self):

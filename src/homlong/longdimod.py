@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, coproduct_columns,
                      coproduct_tensor, first_differing_column, flip_columns, insert_columns,
-                     pair_columns, per_leg_matrix, product_columns, product_tensor,
-                     sparse_columns)
+                     pair_columns, per_leg_matrix, product_tensor, sparse_columns)
 from .homstruct import (HomStructure, default_basis, dual_hopf, opposite_algebra,
                         tensor_algebra, tensor_basis)
 from .repmod import (HomModule, HomComodule, check_carrier_shapes, validate_hom_module,
@@ -73,7 +72,7 @@ def validate_long_dimodule(d):
     rep = AxiomReport()
     rep.extend(validate_hom_module(h, d.module_part()), "module:")
     rep.extend(validate_hom_comodule(b, d.comodule_part()), "comodule:")
-    act, co = product_columns(d.action), coproduct_columns(d.coaction)
+    act, co = sparse_columns(d.action), coproduct_columns(d.coaction)
     nh, nb, to_d, to_bd = h.dim, b.dim, (d.dim,), (b.dim, d.dim)
     composites_equal_report(rep, "compat-2.1",
                             [(act, (0, 1), to_d), (co, (0,), to_bd)],
@@ -97,7 +96,7 @@ def h_tensor_parts(h, coaction, mu, names):
     rho(g (x) x) = x_-1 (x) (a(g) (x) x_0), as (dim, action, coaction,
     structure map a (x) mu, basis names)."""
     nh, dm, nc = h.dim, mu.rows, coaction.d1
-    act = product_tensor([(product_columns(h.mult), (0, 1), (nh,)),
+    act = product_tensor([(sparse_columns(h.mult), (0, 1), (nh,)),
                           (sparse_columns(mu), (1,), None)], (nh, nh, dm))
     co = coproduct_tensor([(sparse_columns(h.gamma), (0,), None),
                            (coproduct_columns(coaction), (1,), (nc, dm)),
@@ -137,7 +136,7 @@ def _tree_action(h, tree, at=0):
     """Steps of h.(m (x) n) = h1.m (x) h2.n on the tensor product of a tree of
     carriers, h on the leg at and the carriers' legs after it."""
     if not isinstance(tree, tuple):
-        return [(product_columns(tree.action), (at, at + 1), (tree.dim,))]
+        return [(sparse_columns(tree.action), (at, at + 1), (tree.dim,))]
     left, right = tree
     dims = _dims(left)
     k, nh = len(dims), h.dim
@@ -161,7 +160,7 @@ def _tree_coaction(b, tree, at=0):
     return (_tree_coaction(b, left, at) + _tree_coaction(b, right, at + k + 1)
             + [(flip_columns(math.prod(dims), nb), tuple(range(at + 1, at + k + 2)),
                 (nb,) + dims),
-               (product_columns(b.mult), (at, at + 1), (nb,)), (bi, (at,), None),
+               (sparse_columns(b.mult), (at, at + 1), (nb,)), (bi, (at,), None),
                (bi, (at,), None)])
 
 
@@ -212,8 +211,8 @@ def dimodule_morphism_report(m, n, f):
     fc = sparse_columns(f)
     to_n = (n.dim,)
     composites_equal_report(rep, "H-linear",
-                            [(product_columns(m.action), (0, 1), (m.dim,)), (fc, (0,), to_n)],
-                            [(fc, (1,), to_n), (product_columns(n.action), (0, 1), to_n)],
+                            [(sparse_columns(m.action), (0, 1), (m.dim,)), (fc, (0,), to_n)],
+                            [(fc, (1,), to_n), (sparse_columns(n.action), (0, 1), to_n)],
                             (h.dim, m.dim), (h.basis, m.basis))
     rho_m, rho_n = coproduct_columns(m.coaction), coproduct_columns(n.coaction)
     composites_equal_report(rep, "B-colinear",
@@ -246,13 +245,13 @@ def check_coherence(u, v, w, x=None, morphisms=None):
     the legs (h, u, v, w) and (u, v, w), with each factor's action and
     coaction as steps, so no tensor product of the three is built; a witness
     names the basis vector x (x) y (x) z of (u (x) v) (x) w.  Raises
-    MismatchedBase when v or w lives over another pair (H, B) than u, as
+    MismatchedBase when v, w or x lives over another pair (H, B) than u, as
     their tensor product would.
     """
-    if base_parts(v) != base_parts(u) or base_parts(w) != base_parts(u):
-        raise MismatchedBase("tensor of dimodules over different algebra pairs")
     if x is None:
         x = w
+    if any(base_parts(t) != base_parts(u) for t in (v, w, x)):
+        raise MismatchedBase("tensor of dimodules over different algebra pairs")
     rep = AxiomReport()
 
     if morphisms is None:
@@ -362,7 +361,7 @@ def _dual(m, h_twist, b_twist, side):
     act = product_tensor([(insert_columns(delta, d), (1,), (d, d, d))]
                          + [(sparse_columns(t), (0,), None) for t in h_twist]
                          + [(mui, (1,), None), (mui, (1,), None),
-                            (product_columns(m.action), (0, 1), (d,)),
+                            (sparse_columns(m.action), (0, 1), (d,)),
                             (flip_columns(d, d), (1, 2), None),
                             (pair_columns(delta), (0, 1), ())], (h.dim, d))
     # f -> (x, x', f) -> (b_twist(x_-1), mu^-2(x_0), x', f) -> b_twist(x_-1) f(mu^-2(x_0)) x'
@@ -428,7 +427,7 @@ def to_smash_module(m):
                           (flip_columns(nh, nb), (1, 2), (nb, nh)),
                           (pair_columns(_identity_element(nb)), (0, 1), ()),
                           (sparse_columns(m.mu.inv()), (1,), None),
-                          (product_columns(m.action), (0, 1), (d,))], (nb, nh, d), 2)
+                          (sparse_columns(m.action), (0, 1), (d,))], (nb, nh, d), 2)
     return HomModule(smash_product_algebra(b, h), d, act, m.mu, m.basis)
 
 
@@ -439,7 +438,7 @@ def from_smash_module(n, h, b):
     if n.over.dim != nh * nb:
         raise DimensionMismatch("module is over a dim-%d algebra, expected %d"
                                 % (n.over.dim, nh * nb))
-    acting = product_columns(n.action)
+    acting = sparse_columns(n.action)
     # (h, m) -> (eps_B, h, m) -> (eps_B (x) h) . m
     act = product_tensor([(insert_columns(b.counit, nh), (0,), (nb, nh)),
                           (acting, (0, 1, 2), (d,))], (nh, d))

@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, SingularMatrix,
+from .linalg import (Matrix, DimensionMismatch, SingularMatrix,
                      composite_columns, composite_matrix, coproduct_columns, coproduct_tensor,
                      first_differing_column, flip_columns, int_columns, per_leg,
-                     per_leg_matrix, product_columns, product_tensor, scalar, sparse_columns,
-                     ZERO)
-from .homstruct import default_basis, tensor_basis
+                     per_leg_matrix, product_tensor, scalar, sparse_columns, ZERO)
+from .homstruct import tensor_basis
 from .longdimod import HomLongDimodule, h_tensor_parts, validate_long_dimodule
-from .repmod import check_carrier_shapes
 from .report import AxiomReport
 
 
@@ -373,31 +371,20 @@ def _relabel(cols, rows, order):
 # ---------------------------------------------------------------------------
 # single-algebra Long dimodules
 
-@dataclass(frozen=True)
-class HAlphaLongDimodule:
-    """Module and comodule over one Hom-bialgebra with
-    rho(h.m) = a(m_-1) (x) a(h).m_0."""
-    H: object
-    dim: int
-    action: Tensor3
-    coaction: Tensor3
-    mu: Matrix
-    basis: tuple = None
+class HAlphaLongDimodule(HomLongDimodule):
+    """A Hom-Long dimodule over (H, H): module and comodule over one
+    Hom-bialgebra with rho(h.m) = a(m_-1) (x) a(h).m_0.  It is written as
+    the halpha-dimodule kind, with no B field; as a dataclass it equals only
+    an HAlphaLongDimodule, and dataclasses.replace, which passes B, refuses
+    it with a TypeError."""
 
-    def __post_init__(self):
-        check_carrier_shapes(self.H.dim, self.H.dim, self.dim, self.action, self.coaction,
-                             self.mu)
-        if self.basis is None:
-            object.__setattr__(self, "basis", default_basis(self.dim, "m"))
-
-    def as_long_dimodule(self):
-        return HomLongDimodule(self.H, self.H, self.dim, self.action,
-                               self.coaction, self.mu, self.basis)
+    def __init__(self, H, dim, action, coaction, mu, basis=None):
+        super().__init__(H, H, dim, action, coaction, mu, basis)
 
 
 def validate_halpha_dimodule(d):
     """Module axioms, comodule axioms and the compatibility, with B := H."""
-    return validate_long_dimodule(d.as_long_dimodule())
+    return validate_long_dimodule(d)
 
 
 def module_extension(h, m):
@@ -411,7 +398,7 @@ def module_extension(h, m):
     # (h, g, x) -> (h, a(g), x) -> (a(g), h, x) -> (a(g), h.x)
     act = product_tensor([(sparse_columns(h.gamma), (1,), None),
                           (flip_columns(nh, nh), (0, 1), None),
-                          (product_columns(m.action), (1, 2), (dm,))], (nh, nh, dm))
+                          (sparse_columns(m.action), (1, 2), (dm,))], (nh, nh, dm))
     co = coproduct_tensor([(coproduct_columns(h.comult), (0,), (nh, nh)),
                            (sparse_columns(m.nu), (2,), None)], (nh, dm), nh)
     return HAlphaLongDimodule(h, nh * dm, act, co, per_leg_matrix(h.gamma, m.nu),
@@ -430,7 +417,7 @@ def dimodule_solution(d):
     # (m, n) -> (m, n_-1, n_0) -> (n_-1, m, n_0) -> (n_-1 . m, n_0)
     steps = [(coproduct_columns(d.coaction), (1,), (nh, n)),
              (flip_columns(n, nh), (0, 1), (nh, n)),
-             (product_columns(d.action), (0, 1), (n,))]
+             (sparse_columns(d.action), (0, 1), (n,))]
     return OperatorOnTensorSquare(n, composite_matrix(steps, (n, n)), d.mu)
 
 

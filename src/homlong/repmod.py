@@ -16,8 +16,7 @@ step helpers live), compared on batches of basis columns.
 from dataclasses import dataclass
 
 from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, coproduct_columns,
-                     flip_columns, insert_columns, pair_columns, product_columns,
-                     sparse_columns)
+                     flip_columns, insert_columns, pair_columns, sparse_columns)
 from .homstruct import HomStructure, default_basis
 from .report import AxiomReport, composites_equal_report
 
@@ -108,14 +107,14 @@ def validate_hom_module(a, m):
                                 % (a.dim, m.action.dims))
     rep = AxiomReport()
     rep.add("nu-invertible", m.nu.det() != 0)
-    act, nu, al = product_columns(m.action), sparse_columns(m.nu), sparse_columns(a.gamma)
+    act, nu, al = sparse_columns(m.action), sparse_columns(m.nu), sparse_columns(a.gamma)
     to_m, hn, mn = (m.dim,), a.basis, m.basis
     composites_equal_report(rep, "HM1", [(act, (0, 1), to_m), (nu, (0,), None)],
                             [(al, (0,), None), (nu, (1,), None), (act, (0, 1), to_m)],
                             (a.dim, m.dim), (hn, mn))
     composites_equal_report(rep, "HM2-assoc",
                             [(act, (1, 2), to_m), (al, (0,), None), (act, (0, 1), to_m)],
-                            [(product_columns(a.mult), (0, 1), (a.dim,)), (nu, (1,), None),
+                            [(sparse_columns(a.mult), (0, 1), (a.dim,)), (nu, (1,), None),
                              (act, (0, 1), to_m)],
                             (a.dim, a.dim, m.dim), (hn, hn, mn))
     composites_equal_report(rep, "HM2-unit",
@@ -155,8 +154,8 @@ def check_yd(h, m):
     by column: (HYD); with an antipode also the reformulation (HYD)' and a
     flag recording that both verdicts agree."""
     n, d, rep = h.dim, m.dim, AxiomReport()
-    act, co = product_columns(m.action), coproduct_columns(m.coaction)
-    mult, comult = product_columns(h.mult), coproduct_columns(h.comult)
+    act, co = sparse_columns(m.action), coproduct_columns(m.coaction)
+    mult, comult = sparse_columns(h.mult), coproduct_columns(h.comult)
     # b^k on a leg as the step b k times
     be = sparse_columns(h.gamma)
     to_h, to_m, to_hh, to_hm = (n,), (d,), (n, n), (n, d)
@@ -195,6 +194,6 @@ def yd_prebraiding(m, n):
              (flip_columns(m.dim, n.dim), (1, 2), (n.dim, m.dim)),
              *[(sparse_columns(m.over.gamma), (0,), None)] * 2,
              (sparse_columns(n.structure_map.inv()), (1,), None),
-             (product_columns(n.action), (0, 1), (n.dim,)),
+             (sparse_columns(n.action), (0, 1), (n.dim,)),
              (sparse_columns(m.structure_map.inv()), (1,), None)]
     return composite_matrix(steps, (m.dim, n.dim))

@@ -231,6 +231,20 @@ def test_coherence_refuses_mismatched_base(files, capsys):
     assert out["error"] == "tensor of dimodules over different algebra pairs"
 
 
+def test_coherence_refuses_x_over_another_pair(files, capsys):
+    kz3 = fx.group_hopf(3)
+    hio.save_structure(fx.trivial_dimodule(kz3, kz3), files / "kz3_trivial.json")
+    sign = p(files, "sign.json")
+    args = ["check", "coherence", "-U", sign, "-V", sign, "-W", sign,
+            "-X", p(files, "kz3_trivial.json")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "different algebra pairs" in captured.err and "result: ok" not in captured.out
+    assert main(["--format", "json"] + args) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "tensor of dimodules over different algebra pairs"
+
+
 def test_roundtrip_over_bialgebras_without_antipode(tmp_path, capsys):
     # the smash-type algebra needs only the algebra structures, so a
     # dimodule over Hom-bialgebras passes the round trip, as it validates

@@ -6,12 +6,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from homlong import io as hio, linalg
+from homlong import fixtures as fx, io as hio, linalg
 from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
                             SingularMatrix, composite_columns, composite_matrix,
-                            coproduct_columns,
+                            coproduct_columns, coproduct_tensor, int_columns,
                             first_differing_column, unflat_index, insert_columns,
-                            pair_columns, per_leg, product_columns, scalar, scalar_to_json,
+                            pair_columns, per_leg, product_tensor, scalar, scalar_to_json,
                             solve_exact, sparse_columns)
 from test_oracles import (apply3, column_matrix, composite_columns_by_column,
                           coproduct_map, dense_columns, first_differing_column_by_column,
@@ -209,7 +209,7 @@ def test_zero_dim_edge_cases():
     v = Vector([])
     assert v.dim == 0 and v.entries == ()
     t = Tensor3.zeros(2, 0, 0)
-    assert product_columns(t) == ([], 1) and t.to_json() == [[], []]
+    assert sparse_columns(t) == ([], 1) and t.to_json() == [[], []]
 
 
 def test_shape_errors():
@@ -460,12 +460,68 @@ def test_sparse_columns_of_a_matrix_without_rows():
     assert sparse_columns(Matrix([], rows=0, cols=3)) == ([[], [], []], 1)
 
 
+tensor_data = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda d: st.lists(st.lists(st.lists(rationals, min_size=d[2], max_size=d[2]),
+                                min_size=d[1], max_size=d[1]), min_size=d[0], max_size=d[0]))
+
+
+def _fresh_coproduct_columns(data):
+    return int_columns([x for row in plane for x in row] for plane in data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_data)
+def test_every_tensor3_construction_gives_one_stored_form(data):
+    # each way of making a Tensor3 gives the Matrix of its product-like map:
+    # equal, equally hashed and written, with the same data view and a
+    # coproduct-like reading equal to a fresh conversion
+    d0, d1, d2 = len(data), len(data[0]), len(data[0][0])
+    ref = Tensor3(data)
+    prod = Matrix.from_function(d2, d0 * d1, lambda k, c: data[c // d1][c % d1][k])
+    cop = Matrix.from_function(d1 * d2, d0, lambda r, i: data[i][r // d2][r % d2])
+    made = [Tensor3(data), Tensor3.from_function(d0, d1, d2, lambda i, j, k: data[i][j][k]),
+            Tensor3.from_in2_out1(prod, d0, d1), Tensor3.from_in1_out2(cop, d1, d2),
+            product_tensor([(sparse_columns(prod), (0, 1), (d2,))], (d0, d1)),
+            coproduct_tensor([(sparse_columns(cop), (0,), (d1, d2))], (d0,), d1),
+            hio.load_tensor3(ref.to_json())]
+    for t in made:
+        assert t == ref and ref == t and hash(t) == hash(ref)
+        assert t.dims == (d0, d1, d2) and (t.rows, t.cols) == (d2, d0 * d1)
+        assert t.to_json() == ref.to_json()
+        assert t.data == ref.data == tuple(tuple(map(tuple, plane)) for plane in data)
+        assert coproduct_columns(t) == _fresh_coproduct_columns(data)
+
+
+def test_loaded_mult_and_comult_fields_equal_the_built_tensors():
+    # the loader stores product-like columns alone; the coproduct-like
+    # reading is made on first ask and equals a fresh conversion
+    for h in (fx.kz2(), fx.kz4_twisted(), fx.sweedler_scaled_twisted(2)):
+        obj = hio.algebra_to_json(h)
+        for field in ("mult", "comult"):
+            t, built = hio.load_tensor3(obj[field], field), getattr(h, field)
+            assert t == built and hash(t) == hash(built)
+            assert t.to_json() == built.to_json() == obj[field] and t.data == built.data
+            assert t._coproduct is None
+            assert coproduct_columns(t) == _fresh_coproduct_columns(t.data) \
+                == coproduct_columns(built)
+
+
+def test_tensor3_equality_reads_the_leg_dims_and_the_type():
+    assert Tensor3.zeros(2, 3, 1) != Tensor3.zeros(3, 2, 1)
+    assert Tensor3.zeros(2, 3, 1) == Tensor3.zeros(2, 3, 1)
+    t = Tensor3([[[1, "1/2"], [0, 3]], [[0, 0], [-1, 0]]])
+    cols, scale = sparse_columns(t)
+    m = Matrix.from_int_columns([list(c) for c in cols], scale, t.rows)
+    assert sparse_columns(m) == sparse_columns(t) and (m.rows, m.cols) == (t.rows, t.cols)
+    assert t != m and m != t
+
+
 def test_converted_and_inverted_maps_are_kept():
     m = Matrix([[1, 2], [3, Fraction(1, 2)]])
     assert m.inv() is m.inv()
     assert sparse_columns(m) is sparse_columns(m)
     t = Tensor3([[[1, 0], [0, 2]], [[0, 3], [Fraction(1, 3), 0]]])
-    assert product_columns(t) is product_columns(t)
+    assert sparse_columns(t) is sparse_columns(t)
     assert coproduct_columns(t) is coproduct_columns(t)
     # a filled cache leaves equality and hashing to the data
     fresh_m, fresh_t = Matrix([[1, 2], [3, Fraction(1, 2)]]), Tensor3(t.data)

@@ -96,6 +96,17 @@ def test_coherence_mismatched_base(kz2, dimodules):
             check_coherence(u, v, w)
 
 
+def test_coherence_refuses_x_over_another_pair(kz2, dimodules):
+    # x enters only the pentagon, and on the legs alone a dimodule over
+    # another pair may fit: it is refused the way v and w are
+    u = dimodules["sign"]
+    kz3 = fx.group_hopf(3)
+    for x in (trivial_dimodule(kz3, kz3), canonical_dimodule(kz2, dual_hopf(kz2))):
+        with pytest.raises(MismatchedBase):
+            check_coherence(u, u, u, x)
+    assert check_coherence(u, u, u, u).ok
+
+
 def test_tensor_propagates_defect(kz2, dimodules):
     bad = HomLongDimodule(kz2, kz2, 2, kz2.mult, kz2.comult,
                           Matrix.identity(2), kz2.basis)

@@ -3,6 +3,7 @@ import itertools
 import json
 import pathlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +14,7 @@ from homlong import fixtures as fx
 from homlong import longeq
 from homlong.linalg import (Matrix, Tensor3, SingularMatrix, composite_columns, flip_columns,
                             scalar_to_json, sparse_columns)
-from homlong.longdimod import canonical_dimodule
+from homlong.longdimod import HomLongDimodule, canonical_dimodule, validate_long_dimodule
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             SearchSpaceTooLarge, ZeroDiagonal,
                             check_invertible_iff, check_long_equation,
@@ -325,6 +326,20 @@ def test_halpha_trivial(kz2):
     # unit coaction: R(m (x) n) = 1.m (x) mu(n)-ish, here mu (x) mu
     assert sol.matrix == kron(t.mu, t.mu)
     assert check_long_equation(sol).ok
+
+
+def test_halpha_dimodule_is_a_long_dimodule_over_h_h(kz2):
+    sd = fx.sign_dimodule()
+    d = halpha_sign(kz2)
+    assert isinstance(d, HomLongDimodule) and d.B is d.H is kz2
+    assert d == halpha_sign(kz2) and hash(d) == hash(halpha_sign(kz2))
+    # the type is kept, so it never equals the same data as a HomLongDimodule
+    same = HomLongDimodule(kz2, kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)
+    assert d != same and same != d
+    assert validate_halpha_dimodule(d) == validate_long_dimodule(same)
+    # replace passes every field, B among them, which the constructor refuses
+    with pytest.raises(TypeError, match="'B'"):
+        replace(d, mu=Matrix([[2]]))
 
 
 def test_halpha_bad_coaction(kz2):

@@ -69,8 +69,8 @@ LINALG_NAMES = [
     "Matrix", "ONE", "SingularMatrix", "Tensor3", "Vector", "ZERO", "composite_columns",
     "composite_matrix", "coproduct_columns", "coproduct_tensor", "first_differing_column",
     "flip_columns", "insert_columns", "int_columns", "pair_columns", "per_leg",
-    "per_leg_matrix", "product_columns", "product_tensor", "scalar", "scalar_str",
-    "scalar_to_json", "solve_exact", "sparse_columns", "unflat_index",
+    "per_leg_matrix", "product_tensor", "scalar", "scalar_str", "scalar_to_json",
+    "solve_exact", "sparse_columns", "unflat_index",
 ]
 
 MATRIX_ATTRIBUTES = [
@@ -81,10 +81,9 @@ MATRIX_ATTRIBUTES = [
 # a Vector is an n x 1 Matrix with the vector interface on top
 VECTOR_ATTRIBUTES = sorted(MATRIX_ATTRIBUTES + ["dim", "entries"])
 
-TENSOR3_ATTRIBUTES = [
-    "d0", "d1", "d2", "data", "dims", "from_function", "from_in1_out2", "from_in2_out1",
-    "to_json", "zeros",
-]
+# a Tensor3 is the Matrix of its product-like map with the leg dims on top
+TENSOR3_ATTRIBUTES = sorted(MATRIX_ATTRIBUTES + ["d0", "d1", "d2", "dims", "from_in1_out2",
+                                                 "from_in2_out1"])
 
 
 def _public(names):
