@@ -8,9 +8,7 @@ cotriangular when the flipped pairing is its convolution inverse.
 """
 
 from homlong import fixtures as fx
-from homlong.homstruct import (coquasitriangular, quasitriangular,
-                               validate_coquasitriangular,
-                               validate_quasitriangular)
+from homlong.homstruct import validate_coquasitriangular, validate_quasitriangular
 
 kz2 = fx.kz2()
 
@@ -38,9 +36,9 @@ for check in validate_quasitriangular(kz2, Matrix([[0, 1], [0, 0]])).failed():
 # the double-style element (1x1 + 1xb + ax1 - axb)/2 passes all five axioms
 # but its flip is not its inverse.
 klein = fx.klein_hopf()
-q = quasitriangular(klein, fx.klein_rmatrix())
+q = validate_quasitriangular(klein, fx.klein_rmatrix())
 print("\n== Klein four element ==")
-print("triangular?", q.triangular)
+print("quasitriangular?", q.ok, "| triangular?", q.flags["triangular"])
 
-c = coquasitriangular(kz2, fx.kz2_form())
-print("\ncotriangular flag on the kZ2 form:", c.cotriangular)
+c = validate_coquasitriangular(kz2, fx.kz2_form())
+print("\ncotriangular flag on the kZ2 form:", c.flags["cotriangular"])

@@ -19,7 +19,7 @@ from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
 # diagonal family: mu = diag(a_i), R(m_i x m_j) = b_ij m_i x m_j
 op = diagonal_solution([1, 2], Matrix([[1, 3], [5, 7]]))
 print("diagonal operator solves?", check_long_equation(op).ok,
-      "| classical?", op.classical)
+      "| classical?", op.structure_map.is_identity())
 print("its inverse too?", check_invertible_iff(op).flags["iff-consistent"])
 
 # the flip m_i (x) m_j -> m_j (x) m_i against mu = diag(1,2) fails, with a

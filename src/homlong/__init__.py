@@ -8,13 +8,11 @@ identity on lexicographic tensor bases and reports counterexample witnesses.
 from .linalg import (Matrix, Tensor3, Vector, scalar, solve_exact,
                      DimensionMismatch, SingularMatrix)
 from .report import AxiomReport, Check
-from .homstruct import (HomStructure, QuasiTriangularStructure, CoQuasiTriangularStructure,
-                        NotAutomorphism, validate_hom_algebra,
+from .homstruct import (HomStructure, NotAutomorphism, validate_hom_algebra,
                         validate_hom_coalgebra, validate_hom_bialgebra,
                         validate_hom_hopf, validate_all, yau_twist, dual_hopf,
                         tensor_hopf, opposite_algebra, validate_quasitriangular,
-                        validate_coquasitriangular, quasitriangular,
-                        coquasitriangular)
+                        validate_coquasitriangular)
 from .repmod import (HomModule, HomComodule, YetterDrinfeldModule,
                      validate_hom_module, validate_hom_comodule, check_yd,
                      yd_prebraiding)
@@ -23,8 +21,7 @@ from .longdimod import (HomLongDimodule, DualityData, MismatchedBase,
                         canonical_dimodule, tensor_dimodule, unit_dimodule,
                         trivial_dimodule, check_coherence, left_dual, right_dual, check_snake,
                         smash_product_algebra, to_smash_module,
-                        from_smash_module, dimodule_morphism_report,
-                        is_dimodule_morphism)
+                        from_smash_module, dimodule_morphism_report)
 from .braidcat import (BraidingContext, BraidOperator, DimoduleMorphism,
                        InvalidContext, NotAMorphism, long_braiding,
                        long_braiding_inverse, check_braid_morphism,
@@ -33,9 +30,8 @@ from .braidcat import (BraidingContext, BraidOperator, DimoduleMorphism,
                        module_as_dimodule, comodule_as_dimodule,
                        module_family_braiding, comodule_family_braiding,
                        check_symmetry)
-from .longeq import (OperatorOnTensorSquare, DiagonalSolution,
-                     HAlphaLongDimodule, ZeroDiagonal, SearchSpaceTooLarge,
-                     check_long_equation, check_invertible_iff,
+from .longeq import (OperatorOnTensorSquare, HAlphaLongDimodule, ZeroDiagonal,
+                     SearchSpaceTooLarge, check_long_equation, check_invertible_iff,
                      diagonal_solution, coordinate_criterion, tau_transforms,
                      validate_halpha_dimodule, module_extension,
                      comodule_extension, dimodule_solution, search_solutions,

@@ -11,7 +11,7 @@ import functools
 import sys
 
 from .linalg import DimensionMismatch, SingularMatrix
-from .report import AxiomReport
+from .report import AxiomReport, Check
 from . import io as hio
 from .io import FileFormatError
 from .homstruct import (HomStructure, NotAutomorphism,
@@ -32,31 +32,25 @@ from .braidcat import (InvalidContext, NotAMorphism, long_braiding,
                        check_symmetry)
 
 
-class RunReport:
+class RunReport(AxiomReport):
+    """One command's checks and flags, with its name, inputs and notes."""
+
     def __init__(self, command, inputs):
+        super().__init__()
         self.command = command
         self.inputs = list(inputs)
-        self.checks = []
-        self.flags = {}
         self.notes = []
-
-    def absorb(self, axiom_report, prefix=""):
-        for c in axiom_report.checks:
-            self.checks.append((prefix + c.axiom, "pass" if c.passed else "fail",
-                                c.witness))
-        for k, v in axiom_report.flags.items():
-            self.flags[prefix + k] = v
-        return self
 
     @property
     def exit_code(self):
-        return 0 if all(v == "pass" for _, v, _ in self.checks) else 1
+        return 0 if self.ok else 1
 
     def to_json(self):
         return {
             "command": self.command,
             "inputs": self.inputs,
-            "checks": [[a, v, _json_witness(w)] for a, v, w in self.checks],
+            "checks": [[a, v, _json_witness(w)]
+                       for a, v, w in map(Check.as_tuple, self.checks)],
             "flags": {k: _json_witness(v) for k, v in self.flags.items()},
             "notes": self.notes,
             "exit_code": self.exit_code,
@@ -68,7 +62,7 @@ class RunReport:
         lines = ["%s" % self.command]
         for p in self.inputs:
             lines.append("  input: %s" % p)
-        for a, v, w in self.checks:
+        for a, v, w in map(Check.as_tuple, self.checks):
             line = "  %-34s %s" % (a, v)
             if w is not None and (v == "fail" or verbose):
                 line += "  witness=%r" % (w,)
@@ -77,7 +71,7 @@ class RunReport:
             lines.append("  [flag] %-27s %s" % (k, self.flags[k]))
         for n in self.notes:
             lines.append("  note: %s" % n)
-        lines.append("result: %s" % ("ok" if self.exit_code == 0 else "FAIL"))
+        lines.append("result: %s" % ("ok" if self.ok else "FAIL"))
         return "\n".join(lines)
 
 
@@ -87,6 +81,9 @@ def _json_witness(w):
     if isinstance(w, (list, dict, str, int, bool)) or w is None:
         return w
     return str(w)
+
+
+_DIMODULE_KINDS = ("long-dimodule", "halpha-dimodule")
 
 
 def _load_kind(files, path, *kinds):
@@ -100,14 +97,14 @@ def _load_kind(files, path, *kinds):
 
 def _check_yd_module(yd, report):
     """The module and comodule axioms of yd and its compatibility."""
-    report.absorb(validate_hom_module(yd.over, yd.module_part()), "module:")
-    report.absorb(validate_hom_comodule(yd.over, yd.comodule_part()), "comodule:")
-    return report.absorb(check_yd(yd.over, yd))
+    report.extend(validate_hom_module(yd.over, yd.module_part()), "module:")
+    report.extend(validate_hom_comodule(yd.over, yd.comodule_part()), "comodule:")
+    return report.extend(check_yd(yd.over, yd))
 
 
 def _check_operator(op, report):
-    report.absorb(AxiomReport().add("mu-invertible", op.structure_map.det() != 0))
-    return report.absorb(check_long_equation(op))
+    report.add("mu-invertible", op.structure_map.det() != 0)
+    return report.extend(check_long_equation(op))
 
 
 def cmd_validate(args, report, files):
@@ -119,25 +116,25 @@ def cmd_validate(args, report, files):
             raise FileFormatError("no %s part to validate" % args.kind, args.file)
         s = s.algebra if args.kind == "hom-algebra" else s.coalgebra
     if isinstance(s, HomStructure) and s.kind == "hom-algebra":
-        report.absorb(validate_hom_algebra(s))
+        report.extend(validate_hom_algebra(s))
     elif isinstance(s, HomStructure) and s.kind == "hom-coalgebra":
-        report.absorb(validate_hom_coalgebra(s))
+        report.extend(validate_hom_coalgebra(s))
     elif isinstance(s, HomStructure):
-        report.absorb(validate_all(s))
+        report.extend(validate_all(s))
         if "R" in raw:
-            report.absorb(validate_quasitriangular(
+            report.extend(validate_quasitriangular(
                 s, hio.load_matrix(raw["R"], args.file + ".R")), "R:")
         if "form" in raw:
-            report.absorb(validate_coquasitriangular(
+            report.extend(validate_coquasitriangular(
                 s, hio.load_matrix(raw["form"], args.file + ".form")), "form:")
     elif isinstance(s, HomModule):
-        report.absorb(validate_hom_module(s.over, s))
+        report.extend(validate_hom_module(s.over, s))
     elif isinstance(s, HomComodule):
-        report.absorb(validate_hom_comodule(s.over, s))
+        report.extend(validate_hom_comodule(s.over, s))
     elif isinstance(s, YetterDrinfeldModule):
         _check_yd_module(s, report)
     elif isinstance(s, HomLongDimodule):
-        report.absorb(validate_long_dimodule(s))
+        report.extend(validate_long_dimodule(s))
     elif isinstance(s, OperatorOnTensorSquare):
         _check_operator(s, report)
     else:
@@ -152,42 +149,40 @@ def cmd_check(args, report, files):
     if subject == "yd":
         return _check_yd_module(_load_kind(files, args.m, "yd-module"), report)
     if subject == "snake":
-        d = _load_kind(files, args.dimodule, "long-dimodule")
+        d = _load_kind(files, args.dimodule, *_DIMODULE_KINDS)
         duality = left_dual(d) if args.side == "left" else right_dual(d)
-        report.absorb(validate_long_dimodule(duality.dual), "dual:")
-        return report.absorb(check_snake(d, duality))
+        report.extend(validate_long_dimodule(duality.dual), "dual:")
+        return report.extend(check_snake(d, duality))
     if subject == "roundtrip":
-        d = _load_kind(files, args.dimodule, "long-dimodule")
+        d = _load_kind(files, args.dimodule, *_DIMODULE_KINDS)
         n = to_smash_module(d)
-        report.absorb(validate_hom_module(n.over, n), "smash-module:")
+        report.extend(validate_hom_module(n.over, n), "smash-module:")
         back = from_smash_module(n, d.H, d.B)
-        same = (back.action == d.action and back.coaction == d.coaction
-                and back.mu == d.mu)
-        rep = AxiomReport().add("round-trip", same)
-        return report.absorb(rep)
+        return report.add("round-trip", back.action == d.action
+                          and back.coaction == d.coaction and back.mu == d.mu)
     if subject == "coherence":
-        u = _load_kind(files, args.u, "long-dimodule")
-        v = _load_kind(files, args.v, "long-dimodule")
-        w = _load_kind(files, args.w, "long-dimodule")
-        x = _load_kind(files, args.x, "long-dimodule") if args.x else None
-        return report.absorb(check_coherence(u, v, w, x))
+        u = _load_kind(files, args.u, *_DIMODULE_KINDS)
+        v = _load_kind(files, args.v, *_DIMODULE_KINDS)
+        w = _load_kind(files, args.w, *_DIMODULE_KINDS)
+        x = _load_kind(files, args.x, *_DIMODULE_KINDS) if args.x else None
+        return report.extend(check_coherence(u, v, w, x))
     ctx = hio.load_context(args.ctx, files)
     if subject == "symmetry":
-        m = _load_kind(files, args.m, "long-dimodule")
-        n = _load_kind(files, args.n, "long-dimodule")
+        m = _load_kind(files, args.m, *_DIMODULE_KINDS)
+        n = _load_kind(files, args.n, *_DIMODULE_KINDS)
         rep = check_symmetry(ctx, m, n, diagnose=args.diagnose)
-        report.absorb(rep)
+        report.extend(rep)
         if not rep.flags.get("hypothesis-met", True):
             report.notes.append("hypothesis unmet: context is not triangular+cotriangular")
             raise HypothesisUnmet(report)
         return report
-    u = _load_kind(files, args.u, "long-dimodule")
-    v = _load_kind(files, args.v, "long-dimodule")
-    w = _load_kind(files, args.w, "long-dimodule")
+    u = _load_kind(files, args.u, *_DIMODULE_KINDS)
+    v = _load_kind(files, args.v, *_DIMODULE_KINDS)
+    w = _load_kind(files, args.w, *_DIMODULE_KINDS)
     if subject == "ybe":
-        return report.absorb(check_qybe(ctx, u, v, w))
+        return report.extend(check_qybe(ctx, u, v, w))
     if subject == "hexagon":
-        return report.absorb(check_hexagons(ctx, u, v, w))
+        return report.extend(check_hexagons(ctx, u, v, w))
     raise FileFormatError("unknown check subject %r" % subject)
 
 
@@ -202,10 +197,10 @@ def cmd_build(args, report, files):
     extra = {}
     if what == "braid":
         ctx = hio.load_context(args.ctx, files)
-        m = _load_kind(files, args.m, "long-dimodule")
-        n = _load_kind(files, args.n, "long-dimodule")
+        m = _load_kind(files, args.m, *_DIMODULE_KINDS)
+        n = _load_kind(files, args.n, *_DIMODULE_KINDS)
         op = long_braiding(ctx, m, n)
-        report.absorb(check_braid_morphism(op))
+        report.extend(check_braid_morphism(op))
         built = {
             "kind": "braid-operator",
             "rows": ["%s⊗%s" % (a, b) for a in n.basis for b in m.basis],
@@ -213,36 +208,37 @@ def cmd_build(args, report, files):
             "matrix": hio.matrix_json(op.matrix),
         }
     elif what == "dual":
-        d = _load_kind(files, args.dimodule, "long-dimodule")
+        d = _load_kind(files, args.dimodule, *_DIMODULE_KINDS)
         duality = left_dual(d) if args.side == "left" else right_dual(d)
-        report.absorb(validate_long_dimodule(duality.dual), "dual:")
-        report.absorb(check_snake(d, duality))
+        report.extend(validate_long_dimodule(duality.dual), "dual:")
+        report.extend(check_snake(d, duality))
         built = hio.structure_to_json(duality.dual)
         built["ev"] = hio.matrix_json(duality.ev)
         built["coev"] = hio.matrix_json(duality.coev)
         built["side"] = duality.side
     elif what == "tensor":
-        m = _load_kind(files, args.m, "long-dimodule")
-        n = _load_kind(files, args.n, "long-dimodule")
+        m = _load_kind(files, args.m, *_DIMODULE_KINDS)
+        n = _load_kind(files, args.n, *_DIMODULE_KINDS)
         t = tensor_dimodule(m, n)
-        report.absorb(validate_long_dimodule(t))
+        report.extend(validate_long_dimodule(t))
         built = hio.structure_to_json(t)
     elif what == "twist":
         base = _load_kind(files, args.base, "hom-bialgebra", "hom-hopf")
         raw = files.read(args.phi)
-        phi = hio.load_matrix(raw["matrix"] if isinstance(raw, dict) else raw,
-                              args.phi)
+        if isinstance(raw, dict) and "matrix" not in raw:
+            raise FileFormatError("missing 'matrix'", args.phi)
+        phi = hio.load_matrix(raw["matrix"] if isinstance(raw, dict) else raw, args.phi)
         twisted = yau_twist(base, phi)
-        report.absorb(validate_all(twisted))
+        report.extend(validate_all(twisted))
         built = hio.algebra_to_json(twisted)
     elif what == "dimodule-solution":
         d = _load_kind(files, args.dimodule, "halpha-dimodule")
         op = dimodule_solution(d)
-        report.absorb(check_long_equation(op))
+        report.extend(check_long_equation(op))
         built = hio.structure_to_json(op)
     elif what == "extension":
         base = _load_kind(files, args.base, "hom-bialgebra", "hom-hopf")
-        mod = hio.load_structure(args.m, files)
+        mod = _load_kind(files, args.m, "hom-module", "hom-comodule")
         variant = args.variant
         if variant is None:
             variant = "module" if isinstance(mod, HomModule) else "comodule"
@@ -250,16 +246,16 @@ def cmd_build(args, report, files):
             ext = module_extension(base, mod)
         else:
             ext = comodule_extension(base, mod)
-        report.absorb(validate_halpha_dimodule(ext))
+        report.extend(validate_halpha_dimodule(ext))
         built = hio.structure_to_json(ext)
     elif what == "smash":
-        d = _load_kind(files, args.dimodule, "long-dimodule")
+        d = _load_kind(files, args.dimodule, *_DIMODULE_KINDS)
         n = to_smash_module(d)
-        report.absorb(validate_hom_module(n.over, n))
+        report.extend(validate_hom_module(n.over, n))
         built = hio.structure_to_json(n)
     else:
         raise FileFormatError("unknown build target %r" % what)
-    if report.exit_code == 0 and args.out:
+    if report.ok and args.out:
         hio.dump_json(built, args.out)
         report.notes.append("wrote %s" % args.out)
     elif args.out:
@@ -273,10 +269,7 @@ def cmd_search(args, report, files):
                          else raw, args.mu)
     values = [hio.load_scalar(s, "--set") for s in args.set.split(",") if s.strip() != ""]
     sols = search_solutions(mu, values, args.shape)
-    rep = AxiomReport()
-    rep.add("exhaustive-search", True)
-    rep.set_flag("solutions", len(sols))
-    report.absorb(rep)
+    report.add("exhaustive-search", True).set_flag("solutions", len(sols))
     if args.out:
         hio.dump_json({
             "kind": "solution-list",

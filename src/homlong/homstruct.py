@@ -15,7 +15,7 @@ offending basis tuple: an input tuple for an identity between maps, an
 output coordinate for an identity between elements.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_columns,
                      composite_matrix, coproduct_columns, coproduct_tensor,
@@ -85,22 +85,6 @@ class HomStructure:
     def coalgebra(self):
         """The coalgebra part: this structure without mult, unit or antipode."""
         return replace(self, mult=None, unit=None, antipode=None)
-
-
-@dataclass(frozen=True)
-class QuasiTriangularStructure:
-    owner: HomStructure
-    R: Matrix              # R[i][j] = coeff of e_i (x) e_j
-    triangular: bool
-    report: AxiomReport = field(compare=False)
-
-
-@dataclass(frozen=True)
-class CoQuasiTriangularStructure:
-    owner: HomStructure
-    form: Matrix           # form[i][j] = <e_i | e_j>
-    cotriangular: bool
-    report: AxiomReport = field(compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +419,3 @@ def validate_coquasitriangular(b, form):
         to_hh) is None)
     return rep
 
-
-def quasitriangular(h, r):
-    """Validate and package an R element; raises on axiom failure."""
-    rep = validate_quasitriangular(h, r)
-    if not rep.ok:
-        raise ValueError("not quasitriangular: %s" % ", ".join(
-            c.axiom for c in rep.failed()))
-    return QuasiTriangularStructure(h, r, rep.flags["triangular"], rep)
-
-
-def coquasitriangular(b, form):
-    """Validate and package a bilinear form; raises on axiom failure."""
-    rep = validate_coquasitriangular(b, form)
-    if not rep.ok:
-        raise ValueError("not coquasitriangular: %s" % ", ".join(
-            c.axiom for c in rep.failed()))
-    return CoQuasiTriangularStructure(b, form, rep.flags["cotriangular"], rep)

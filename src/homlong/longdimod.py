@@ -226,10 +226,6 @@ def dimodule_morphism_report(m, n, f):
     return rep
 
 
-def is_dimodule_morphism(m, n, f):
-    return dimodule_morphism_report(m, n, f).ok
-
-
 def check_coherence(u, v, w, x=None, morphisms=None):
     """Coherence of the monoidal constraints on concrete objects.
 
@@ -255,7 +251,7 @@ def check_coherence(u, v, w, x=None, morphisms=None):
     rep = AxiomReport()
 
     if morphisms is None:
-        use_structure = all(is_dimodule_morphism(t, t, t.mu) for t in (u, v, w))
+        use_structure = all(dimodule_morphism_report(t, t, t.mu).ok for t in (u, v, w))
         if use_structure:
             morphisms = (u.mu, v.mu, w.mu)
             rep.set_flag("naturality-morphisms", "structure-maps")

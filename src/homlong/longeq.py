@@ -50,11 +50,6 @@ class OperatorOnTensorSquare:
                                     % (self.structure_map.rows, self.structure_map.cols, n))
 
 
-@dataclass(frozen=True)
-class DiagonalSolution(OperatorOnTensorSquare):
-    classical: bool = False
-
-
 def check_long_equation(op):
     """(R x mu)(mu x R) = (mu x R)(R x mu), with a witness basis triple."""
     r = _sparse_columns(op.matrix)
@@ -156,8 +151,8 @@ def check_invertible_iff(op):
 
 
 def diagonal_solution(a, b):
-    """R(m_i (x) m_j) = b_ij m_i (x) m_j over mu = diag(a); always a solution.
-    With every a_i = 1 the result is flagged as a classical Long solution."""
+    """R(m_i (x) m_j) = b_ij m_i (x) m_j over mu = diag(a); always a solution,
+    and a classical Long solution when every a_i = 1 (mu is the identity)."""
     entries = [scalar(x) for x in a]
     if any(x == 0 for x in entries):
         raise ZeroDiagonal("structure map entries must be nonzero")
@@ -172,8 +167,7 @@ def diagonal_solution(a, b):
         for i, x in col:
             diag[i * n + j].append((i * n + j, x))
     mat = Matrix.from_int_columns(diag, scale, n * n)
-    return DiagonalSolution(n, mat, Matrix.diagonal(entries),
-                            classical=all(x == 1 for x in entries))
+    return OperatorOnTensorSquare(n, mat, Matrix.diagonal(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -342,14 +342,12 @@ def test_sweedler_scaled_as_b_side():
     assert not rep.passed("CHA3")
 
 
-def test_quasitriangular_factories(kz2):
-    from homlong.homstruct import quasitriangular, coquasitriangular
-    q = quasitriangular(kz2, fx.kz2_rmatrix())
-    assert q.triangular and q.owner is kz2
-    c = coquasitriangular(kz2, fx.kz2_form())
-    assert c.cotriangular
-    with pytest.raises(ValueError):
-        quasitriangular(kz2, Matrix([[0, 1], [0, 0]]))
-    klein = fx.klein_hopf()
-    q2 = quasitriangular(klein, fx.klein_rmatrix())
-    assert not q2.triangular
+def test_triangular_flags_of_the_validators(kz2):
+    from homlong.homstruct import validate_quasitriangular, validate_coquasitriangular
+    q = validate_quasitriangular(kz2, fx.kz2_rmatrix())
+    assert q.ok and q.flags["triangular"]
+    c = validate_coquasitriangular(kz2, fx.kz2_form())
+    assert c.ok and c.flags["cotriangular"]
+    assert not validate_quasitriangular(kz2, Matrix([[0, 1], [0, 0]])).ok
+    q2 = validate_quasitriangular(fx.klein_hopf(), fx.klein_rmatrix())
+    assert q2.ok and not q2.flags["triangular"]

@@ -245,6 +245,37 @@ def test_coherence_refuses_x_over_another_pair(files, capsys):
     assert out["error"] == "tensor of dimodules over different algebra pairs"
 
 
+DIMODULE_COMMANDS = [
+    "check snake -D {d}", "check snake --side right -D {d}", "check roundtrip -D {d}",
+    "check coherence -U {d} -V {d} -W {d} -X {d}",
+    "check hexagon --ctx ctx.json -U {d} -V canonical.json -W {d}",
+    "check ybe --ctx ctx.json -U {d} -V {d} -W canonical.json",
+    "check symmetry --ctx ctx.json -M {d} -N canonical.json",
+    "build braid --ctx ctx.json -M {d} -N canonical.json -o {out}",
+    "build dual -D {d} -o {out}", "build dual --side right -D {d} -o {out}",
+    "build tensor -M {d} -N {d} -o {out}", "build smash -D {d} -o {out}",
+]
+
+
+@pytest.mark.parametrize("command", DIMODULE_COMMANDS)
+def test_dimodule_commands_read_a_halpha_dimodule_as_its_long_dimodule(
+        command, tmp_path, monkeypatch, capsys):
+    # halpha.json holds the sign dimodule of sign.json as a halpha-dimodule
+    for name in ("sign.json", "halpha.json", "canonical.json", "ctx.json", "kz2.json"):
+        (tmp_path / name).write_bytes((DEMO_FILES / name).read_bytes())
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for d in ("sign.json", "halpha.json"):
+        out = "built-from-" + d
+        code = main(["--format", "json"] + command.format(d=d, out=out).split())
+        report = json.loads(capsys.readouterr().out)
+        written = pathlib.Path(out).read_bytes() if "{out}" in command else None
+        del report["inputs"], report["notes"]
+        runs.append((code, report, written))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1]["checks"]
+
+
 def test_roundtrip_over_bialgebras_without_antipode(tmp_path, capsys):
     # the smash-type algebra needs only the algebra structures, so a
     # dimodule over Hom-bialgebras passes the round trip, as it validates
@@ -460,7 +491,12 @@ def test_validate_kind_on_the_part_a_file_has(files, capsys):
      "alg.json: expected a hom-bialgebra or hom-hopf file"),
     (["build", "extension", "--base", "alg.json", "-M", "mod.json"],
      "alg.json: expected a hom-bialgebra or hom-hopf file"),
-    (["check", "snake", "-D", "halpha.json"], "halpha.json: expected a long-dimodule file"),
+    (["build", "extension", "--base", "kz4.json", "-M", "sign.json"],
+     "sign.json: expected a hom-module or hom-comodule file"),
+    (["build", "twist", "--base", "kz4.json", "--phi", "kz4.json"],
+     "kz4.json: missing 'matrix'"),
+    (["check", "snake", "-D", "mod.json"],
+     "mod.json: expected a long-dimodule or halpha-dimodule file"),
     (["build", "dimodule-solution", "-D", "sign.json"],
      "sign.json: expected a halpha-dimodule file"),
     (["check", "yd", "-M", "sign.json"], "sign.json: expected a yd-module file"),
@@ -945,7 +981,7 @@ def test_check_entries_compare_hash_print_and_render_as_before():
     assert str(rep) == ("QYBE                         FAIL  witness=('1⊗1', '1⊗g', '1⊗1')\n"
                         "hom-long-eq                  pass\n"
                         "[flag] agreement             True")
-    run = cli.RunReport("check", ["x.json"]).absorb(rep)
+    run = cli.RunReport("check", ["x.json"]).extend(rep)
     assert json.loads(run.render("json"))["checks"] == [
         ["QYBE", "fail", list(witness)], ["hom-long-eq", "pass", [0, 1, 0]]]
 
@@ -1039,7 +1075,7 @@ def test_one_call_builds_each_distinct_algebra_once(files, monkeypatch, capsys):
     assert ctx.H is not dimodules[0].H is not dimodules[2].H
     assert len(built) == 1 + len(names)
     rep = braidcat.check_hexagons(ctx, *dimodules)
-    expected = cli.RunReport(*(json.loads(out)[k] for k in ("command", "inputs"))).absorb(rep)
+    expected = cli.RunReport(*(json.loads(out)[k] for k in ("command", "inputs"))).extend(rep)
     assert out == expected.render("json") + "\n"
 
 
@@ -1143,5 +1179,5 @@ def test_a_repeated_pair_is_braided_once(files, monkeypatch, capsys, subject, fi
         rep = {"ybe": braidcat.check_qybe, "hexagon": braidcat.check_hexagons}[subject](
             ctx, *dimodules)
     assert len(braided) == (2 if subject == "symmetry" else 3 if subject == "ybe" else 5)
-    expected = cli.RunReport(report["command"], report["inputs"]).absorb(rep).to_json()
+    expected = cli.RunReport(report["command"], report["inputs"]).extend(rep).to_json()
     assert report == expected and code == expected["exit_code"] == 0

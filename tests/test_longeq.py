@@ -61,7 +61,7 @@ def test_diagonal_family_always_solves(a, data):
     b = Matrix([[data.draw(rationals) for _ in range(n)] for _ in range(n)])
     op = diagonal_solution(a, b)
     assert check_long_equation(op).ok
-    assert op.classical == all(x == 1 for x in a)
+    assert op.structure_map.is_identity() == all(x == 1 for x in a)
 
 
 def test_diagonal_rejects_zero():
