@@ -265,6 +265,8 @@ def cmd_build(args, report, files):
 
 def cmd_search(args, report, files):
     raw = files.read(args.mu)
+    if isinstance(raw, dict) and raw.get("kind", "operator") != "operator":
+        raise FileFormatError("expected an operator file, not a %s file" % raw["kind"], args.mu)
     mu = hio.load_matrix(raw["mu"] if isinstance(raw, dict) and "mu" in raw
                          else raw, args.mu)
     values = [hio.load_scalar(s, "--set") for s in args.set.split(",") if s.strip() != ""]

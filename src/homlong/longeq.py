@@ -8,6 +8,17 @@ algebra Long dimodules with their induced solutions, the two extension
 constructions on H (x) M, and an exact search over a coefficient grid that
 prunes on the equation's quadratic constraints, read off the checker's
 kernel.
+
+Every check of the equation goes through _first_failing_column, which has
+two kernels chosen from the input alone.  _first_difference applies
+LHS - RHS to one basis triple at a time as a table of coefficients; it
+handles any number of terms and their cancellation, and the search derives
+its constraints from it.  When both operators and mu have exactly one
+nonzero entry in every column and n >= 4 (the induced operators of the
+extensions of trivial modules, for example), each side of a triple is a
+single term, and _first_single_term_difference compares the two terms
+from tables built once per call.  Both return the same first failing
+triple.
 """
 
 import itertools
@@ -83,10 +94,62 @@ def _first_failing_column(a_cols, b_cols, mu_cols, n):
 
     A and B act on M (x) M and mu on M (dim n); each is given by its sparse
     columns (lists of (row, value) pairs with nonzero value).
+
+    When A, B and mu each have exactly one entry in every column and
+    n >= 4, _first_single_term_difference decides it; every other input
+    goes to _first_difference.  At n <= 3 the test of the column lengths is
+    a visible share of a check, and there is little to gain; A is tested
+    first, as a search candidate with a zero column fails there.
     """
+    if (n >= 4 and min(map(len, a_cols)) == 1 == max(map(len, a_cols))
+            and min(map(len, b_cols)) == 1 == max(map(len, b_cols))
+            and min(map(len, mu_cols)) == 1 == max(map(len, mu_cols))):
+        return _first_single_term_difference(a_cols, b_cols, mu_cols, n)
     rng = range(n)
     found = _first_difference(a_cols, b_cols, mu_cols, n, rng, rng, rng)
     return None if found is None else found[0]
+
+
+def _first_single_term_difference(a_cols, b_cols, mu_cols, n):
+    """_first_failing_column for A, B and mu with exactly one entry in
+    every column.
+
+    Then each side of the equation on e_u (x) e_v (x) e_w is a single term
+    with a nonzero value, and the sides differ exactly when their output
+    indices or their values do; the first such triple is _first_difference's.
+    B is tabulated once: for the left side, with B e_vw = b e_j (x) e_k and
+    mu e_k = z e_r, left[v][w] = (j, r, b z); for the right side, with
+    mu e_w = m e_s, right[j n + w] = (qr, b' m) for B e_js = b' e_qr.
+    """
+    n2 = n * n
+    mu = [col[0] for col in mu_cols]
+    left = []
+    for ((jk, b),) in b_cols:
+        r, z = mu[jk % n]
+        left.append((jk // n, r, b * z))
+    left = [left[vn:vn + n] for vn in range(0, n2, n)]
+    right = []
+    for jn in range(0, n2, n):
+        for s, m in mu:
+            ((qr, b),) = b_cols[jn + s]
+            right.append((qr, b * m))
+    for u in range(n):
+        # (A (x) mu)(mu (x) B): mu e_u = m e_t, then A on (t, j), with output
+        # index pq n + r and value a m (b z)
+        t, m = mu[u]
+        a_t = [(pq * n, a * m) for ((pq, a),) in a_cols[t * n:t * n + n]]
+        for v in range(n):
+            # (mu (x) B)(A (x) mu): A e_uv = a e_ij and mu e_i = z e_p, then
+            # B on (j, s), with output index p n^2 + qr and value z a (b' m)
+            ((ij, a),) = a_cols[u * n + v]
+            p, z = mu[ij // n]
+            za, pn2, jn = z * a, p * n2, ij % n * n
+            for w, (j, r, bz) in enumerate(left[v]):
+                pqn, am = a_t[j]
+                qr, bm = right[jn + w]
+                if pqn + r != pn2 + qr or am * bz != za * bm:
+                    return (u, v, w)
+    return None
 
 
 def _first_difference(a_cols, b_cols, mu_cols, n, us, vs, ws):

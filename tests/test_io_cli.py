@@ -370,6 +370,15 @@ def test_search_command(files, capsys):
     assert main(["search", "--mu", str(mu3), "--set", "0,1", "--shape", "full"]) == 2
 
 
+def test_search_reads_a_bare_map_an_object_without_kind_and_an_operator_file(files, capsys):
+    hio.dump_json(hio.matrix_json(Matrix.identity(2)), files / "bare.json")
+    hio.dump_json({"kind": "operator", "n": 2, "mu": hio.matrix_json(Matrix.identity(2)),
+                   "matrix": hio.matrix_json(Matrix.identity(4))}, files / "op.json")
+    for name in ("bare.json", "id2.json", "op.json"):
+        assert main(["search", "--mu", p(files, name), "--set", "0,1"]) == 0
+        assert "16 solutions" in capsys.readouterr().out
+
+
 def test_search_command_over_signs(files, capsys):
     # 3^16 candidates, above the cap, searched within the node budget;
     # "--set=" because argparse reads a bare -1,0,1 as an option
@@ -501,6 +510,8 @@ def test_validate_kind_on_the_part_a_file_has(files, capsys):
      "sign.json: expected a halpha-dimodule file"),
     (["check", "yd", "-M", "sign.json"], "sign.json: expected a yd-module file"),
     (["check", "longeq", "-R", "kz2.json"], "kz2.json: expected an operator file"),
+    (["search", "--mu", "sign.json", "--set", "0,1"],
+     "sign.json: expected an operator file, not a long-dimodule file"),
 ])
 def test_inputs_of_the_wrong_kind_exit_2_naming_the_kind(files, monkeypatch, capsys,
                                                          argv, message, fmt):

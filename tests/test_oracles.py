@@ -56,8 +56,8 @@ from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare, check_lo
                             dimodule_solution, module_extension, operator_to_coords,
                             search_solutions, tau_transforms, validate_halpha_dimodule)
 from homlong.report import AxiomReport, Check
-from homlong.repmod import (HomModule, YetterDrinfeldModule, check_yd, validate_hom_comodule,
-                            validate_hom_module, yd_prebraiding)
+from homlong.repmod import (HomComodule, HomModule, YetterDrinfeldModule, check_yd,
+                            validate_hom_comodule, validate_hom_module, yd_prebraiding)
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +753,151 @@ def test_first_difference_matches_dense_oracle(data):
         assert {key: Fraction(x, scale) for key, x in diff.items() if x} == dense
 
 
+# operators with exactly one nonzero entry in every column, at n = 4 and 5,
+# where the checker runs its single-term kernel
+
+ONE_ENTRY_VALUES = {"ints": st.integers(-3, 3).filter(bool),
+                    "fractions": st.fractions(min_value=-5, max_value=5,
+                                              max_denominator=7).filter(bool)}
+
+
+@st.composite
+def one_entry_maps(draw, d, entry, injective):
+    """A d x d map, as rows, with one nonzero entry in every column: a
+    permutation with values, or, when not injective, rows drawn freely
+    (so two columns often share a row, and a square one is singular)."""
+    targets = (draw(st.permutations(range(d))) if injective
+               else [draw(st.integers(0, d - 1)) for _ in range(d)])
+    rows = [[0] * d for _ in range(d)]
+    for c, r in enumerate(targets):
+        rows[r][c] = draw(entry)
+    return rows
+
+
+@st.composite
+def graded_solutions(draw, n, entry):
+    """(R, mu) for the induced operator R(e_x (x) e_y) = c g^|y|.e_x (x) e_y
+    of a Z/2-graded carrier with basis e_0 .. e_{n-1}, on which the
+    generator g acts by a signed involution of the basis that keeps
+    degrees; mu is diagonal and constant on the orbits of g, perhaps
+    followed by g, so it keeps degrees and commutes with g.  Then both sides
+    send e_x (x) e_y (x) e_z to c^2 g^|y| mu e_x (x) g^|z| e_y (x) mu e_z."""
+    deg = [draw(st.integers(0, 1)) for _ in range(n)]
+    sigma, open_ = list(range(n)), {}
+    for i in draw(st.permutations(range(n))):
+        j = open_.get(deg[i])
+        if j is not None and draw(st.booleans()):
+            sigma[i], sigma[j] = j, i
+            del open_[deg[i]]
+        else:
+            open_[deg[i]] = i
+    orbit = [min(i, sigma[i]) for i in range(n)]
+    sign = {o: draw(st.sampled_from((1, -1))) for o in sorted(set(orbit))}
+    scale = {o: draw(entry) for o in sorted(set(orbit))}
+    g = [[sign[orbit[c]] if r == sigma[c] else 0 for c in range(n)] for r in range(n)]
+    shift = draw(st.booleans())
+    mu = [[scale[orbit[c]] * (g[r][c] if shift else int(r == c)) for c in range(n)]
+          for r in range(n)]
+    c = draw(entry)
+    rows = [[0] * (n * n) for _ in range(n * n)]
+    for x, y in itertools.product(range(n), repeat=2):
+        gx, s = (sigma[x], sign[orbit[x]]) if deg[y] else (x, 1)
+        rows[gx * n + y][x * n + y] = c * s
+    return rows, mu
+
+
+@st.composite
+def single_term_cases(draw):
+    """(n, mu, A, B), each map with one nonzero entry in every column: an
+    induced solution (a graded carrier, or a kz2 extension at n = 4), mu (x)
+    mu, a scalar, a diagonal operator over a diagonal mu, or a drawn map over
+    a drawn mu (perhaps singular); B is A itself, a multiple of it, A with
+    a value changed or another drawn map; then up to two values of A
+    changed, in B too when B is A, and perhaps one of mu."""
+    n = draw(st.sampled_from((4, 5)))
+    n2 = n * n
+    entry = ONE_ENTRY_VALUES[draw(st.sampled_from(sorted(ONE_ENTRY_VALUES)))]
+    kind = draw(st.sampled_from(("graded", "extension", "mu-mu", "scalar", "diagonal",
+                                 "drawn")))
+    if kind == "extension":
+        n, n2 = 4, 16
+        kz2 = fx.kz2()
+        which = draw(st.sampled_from(("regular module", "regular comodule", "trivial module")))
+        if which == "regular module":
+            d = module_extension(kz2, fx.regular_module(kz2))
+        elif which == "regular comodule":
+            d = comodule_extension(kz2, fx.regular_comodule(kz2))
+        else:
+            mu = Matrix.diagonal([draw(entry), draw(entry)])
+            d = module_extension(kz2, fx.trivial_module(kz2, mu))
+        op = dimodule_solution(d)
+        a, mu = op.matrix.to_lists(), op.structure_map.to_lists()
+    elif kind == "graded":
+        a, mu = draw(graded_solutions(n, entry))
+    else:
+        if kind == "diagonal":
+            mu = [[draw(entry) if r == c else 0 for c in range(n)] for r in range(n)]
+        else:
+            mu = draw(one_entry_maps(n, entry, injective=draw(st.booleans())))
+        if kind == "mu-mu":
+            c = draw(entry)
+            a = [[c * mu[i][k] * mu[j][l] for k in range(n) for l in range(n)]
+                 for i in range(n) for j in range(n)]
+        elif kind == "scalar":
+            c = draw(entry)
+            a = [[c if r == col else 0 for col in range(n2)] for r in range(n2)]
+        elif kind == "diagonal":
+            a = [[draw(entry) if r == col else 0 for col in range(n2)] for r in range(n2)]
+        else:
+            a = draw(one_entry_maps(n2, entry, injective=draw(st.booleans())))
+    other = draw(st.sampled_from(("same", "multiple", "changed", "drawn")))
+    if other == "same":
+        b = a
+    elif other == "multiple":
+        c = draw(entry)
+        b = [[c * x for x in row] for row in a]
+    elif other == "changed":
+        b = [list(row) for row in a]
+        _change_a_value(draw, b, entry)
+    else:
+        b = draw(one_entry_maps(n2, entry, injective=draw(st.booleans())))
+    for _ in range(draw(st.integers(0, 2))):
+        _change_a_value(draw, a, entry)
+    if draw(st.booleans()):
+        _change_a_value(draw, mu, entry)
+    return n, mu, a, b
+
+
+def _change_a_value(draw, rows, entry):
+    """Give the one nonzero entry of a drawn column another nonzero value."""
+    c = draw(st.integers(0, len(rows) - 1))
+    r = next(r for r, row in enumerate(rows) if row[c])
+    rows[r][c] = draw(entry.filter(lambda x: x != rows[r][c]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(single_term_cases())
+def test_single_term_kernel_matches_oracle(case):
+    # the kernel decides these without _first_difference, and its witness is
+    # the dense oracle's and _first_difference's over the full ranges, for
+    # A = B as check_long_equation calls it and A != B as
+    # coordinate_criterion does
+    n, mu, a, b = case
+    a_cols, mu_cols = (sparse_columns(Matrix(m))[0] for m in (a, mu))
+    b_cols = a_cols if b is a else sparse_columns(Matrix(b))[0]
+    assert all(len(col) == 1 for cols in (a_cols, b_cols, mu_cols) for col in cols)
+    with mock.patch.object(longeq, "_first_difference",
+                           side_effect=AssertionError("generic kernel")):
+        witness = longeq._first_failing_column(a_cols, b_cols, mu_cols, n)
+    assert witness == longeq_first_failing_column(a, b, mu)
+    rng = range(n)
+    found = longeq._first_difference(a_cols, b_cols, mu_cols, n, rng, rng, rng)
+    assert witness == (None if found is None else found[0])
+    if b is a:
+        rep = check_long_equation(OperatorOnTensorSquare(n, Matrix(a), Matrix(mu)))
+        assert rep.check("hom-long-eq").witness == witness
+
+
 def _coords_to_rows(x, mu):
     """R[(i, t), (k, l)] = sum_j x[k][l][i][j] mu^-1[t, j], mu^-1 from sympy."""
     n = len(mu)
@@ -1073,6 +1218,84 @@ def test_longeq_witness_on_perturbed_n16_extension():
     assert expected is not None
     rep = check_long_equation(OperatorOnTensorSquare(16, Matrix(rows), op.structure_map))
     assert rep.check("hom-long-eq").witness == expected
+
+
+def test_longeq_witness_on_value_perturbed_n16_extension():
+    # the same operator with the value of one nonzero entry doubled keeps
+    # one entry in every column, so the single-term kernel decides it
+    kz4t = fx.kz4_twisted()
+    op = dimodule_solution(module_extension(kz4t, fx.regular_module(kz4t)))
+    rows, mu = op.matrix.to_lists(), op.structure_map.to_lists()
+    r = next(r for r, row in enumerate(rows) if row[77])
+    rows[r][77] *= 2
+    expected = longeq_first_failing_column(rows, rows, mu)
+    assert expected is not None
+    bent = OperatorOnTensorSquare(16, Matrix(rows), op.structure_map)
+    assert all(len(col) == 1 for col in sparse_columns(bent.matrix)[0])
+    with mock.patch.object(longeq, "_first_difference",
+                           side_effect=AssertionError("generic kernel")):
+        rep = check_long_equation(bent)
+    assert rep.check("hom-long-eq").witness == expected
+
+
+def _longeq_carrier_solutions():
+    """The distinct induced operators of the longeq-carriers benchmark: for
+    kz4-twisted, Klein and Sweedler-scaled, the module extension of the
+    trivial module over diag(1, 2, 3) (n = 12), and the module and comodule
+    extensions of the trivial module and comodule (rho(m) = 1 (x) mu(m))
+    over diag(1, 2) and diag(2, 1) (n = 8)."""
+    ops = []
+    for h in (fx.kz4_twisted(), fx.klein_hopf(), fx.sweedler_scaled_twisted(2)):
+        exts = [module_extension(h, fx.trivial_module(h, Matrix.diagonal([1, 2, 3])))]
+        for mu in (Matrix.diagonal([1, 2]), Matrix.diagonal([2, 1])):
+            d = mu.rows
+            coaction = Tensor3.from_function(d, h.dim, d, lambda i, a, j: h.unit[a] * mu[j, i])
+            exts += [module_extension(h, fx.trivial_module(h, mu)),
+                     comodule_extension(h, HomComodule(h.coalgebra, d, coaction, mu))]
+        for ext in exts:
+            op = dimodule_solution(ext)
+            if op not in ops:
+                ops.append(op)
+    return ops
+
+
+def _unimodular_block_map(n):
+    """P and P^-1 (from sympy) for the unimodular P with the dense block
+    [[2, 1], [1, 1]] on each pair of indices 2b, 2b + 1."""
+    p = sympy.zeros(n, n)
+    for b in range(0, n, 2):
+        p[b, b], p[b, b + 1], p[b + 1, b], p[b + 1, b + 1] = 2, 1, 1, 1
+    assert p.det() == 1
+    return tuple(Matrix([[int(x) for x in row] for row in m.tolist()]) for m in (p, p.inv()))
+
+
+def test_longeq_verdict_is_kept_by_a_change_of_basis():
+    # R -> (P (x) P) R (P (x) P)^-1 and mu -> P mu P^-1 conjugate both sides
+    # of the equation by P (x) P (x) P, so the verdict stays.  Each carrier
+    # operator and a copy with one value doubled (which fails for kz4-twisted
+    # and still solves for the diagonal Klein and Sweedler ones) is decided
+    # by the single-term kernel, the transported one by _first_difference.
+    # A P dense in every row would make every column of R dense, and the
+    # generic kernel would take some 0.07 s a triple at n = 8; 2 x 2 blocks
+    # keep the whole test under a second
+    verdicts = set()
+    for op in _longeq_carrier_solutions():
+        n = op.carrier_dim
+        rows = op.matrix.to_lists()
+        c = 5 * n + 3
+        r = next(r for r, row in enumerate(rows) if row[c])
+        rows[r][c] *= 2
+        p, p_inv = _unimodular_block_map(n)
+        pp, pp_inv = kron(p, p), kron(p_inv, p_inv)
+        for x in (op, OperatorOnTensorSquare(n, Matrix(rows), op.structure_map)):
+            assert all(len(col) == 1 for col in sparse_columns(x.matrix)[0])
+            moved = OperatorOnTensorSquare(n, mul(pp, x.matrix, pp_inv),
+                                           mul(p, x.structure_map, p_inv))
+            assert max(map(len, sparse_columns(moved.matrix)[0])) > 1
+            verdict = check_long_equation(x).ok
+            assert check_long_equation(moved).ok == verdict
+            verdicts.add((x is op, verdict))
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------
