@@ -3,9 +3,10 @@
 All scalars are integers or "p/q" strings in canonical form (q > 0).  Files
 carry a "kind" discriminator; fields holding another structure (an algebra
 under a module, the pair under a dimodule) may be inline objects or paths
-relative to the referencing file.  A Files object lets one command read
-each file, and build each structure in it, once.  json_text is the one JSON
-writer.
+relative to the referencing file.  The five carrier kinds, modules to
+dimodules, are read and written from one table, _CARRIERS.  A Files object
+lets one command read each file, and build each structure in it, once.
+json_text is the one JSON writer.
 """
 
 import json
@@ -229,6 +230,35 @@ def _load_algebra_field(obj, key, base_dir, where, files, kinds=None):
 # ---------------------------------------------------------------------------
 # modules, dimodules, contexts, operators
 
+_DIMODULE_MAPS = (("action", load_tensor3), ("coaction", load_tensor3), ("mu", load_matrix))
+
+# kind -> (class, algebra fields as (key, part), maps in file order with
+# their readers); each field holds the attribute of its name, and part None
+# stands for the whole structure, of a bialgebra kind.  halpha-dimodule
+# precedes long-dimodule: the writer takes the first class s is an instance of.
+_CARRIERS = {
+    "hom-module": (HomModule, (("over", "algebra"),),
+                   (("action", load_tensor3), ("nu", load_matrix))),
+    "hom-comodule": (HomComodule, (("over", "coalgebra"),),
+                     (("coaction", load_tensor3), ("mu", load_matrix))),
+    "yd-module": (YetterDrinfeldModule, (("over", None),), (("action", load_tensor3),
+                  ("coaction", load_tensor3), ("structure_map", load_matrix))),
+    "halpha-dimodule": (HAlphaLongDimodule, (("H", None),), _DIMODULE_MAPS),
+    "long-dimodule": (HomLongDimodule, (("H", None), ("B", None)), _DIMODULE_MAPS),
+}
+
+
+def _carrier_algebra(obj, kind, key, part, base_dir, where, files):
+    """What a carrier of this kind is built over, from obj[key] (see _CARRIERS)."""
+    if part is None:
+        return _load_algebra_field(obj, key, base_dir, where, files, _BIALGEBRA_KINDS)[0]
+    alg, _ = _load_algebra_field(obj, key, base_dir, where, files)
+    needs, words = ("mult", "an algebra") if part == "algebra" else ("comult", "a coalgebra")
+    if getattr(alg, needs) is None:
+        raise FileFormatError(_ctx(where, "%s '%s' must carry %s" % (kind[4:], key, words)))
+    return getattr(alg, part)
+
+
 def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
     """Dispatch on 'kind'; returns the loaded structure.  An algebra field
     given as a path is read and built through files (a Files)."""
@@ -238,46 +268,17 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
     kind = obj.get("kind")
     if kind in ("hom-algebra", "hom-coalgebra", "hom-bialgebra", "hom-hopf"):
         return files.algebra(obj, base_dir, where)
-    if kind == "hom-module":
-        over, _ = _load_algebra_field(obj, "over", base_dir, where, files)
-        if over.mult is None:
-            raise FileFormatError(_ctx(where, "module 'over' must carry an algebra"))
+    if isinstance(kind, str) and kind in _CARRIERS:
+        make, algebras, maps = _CARRIERS[kind]
+        args = [_carrier_algebra(obj, kind, key, part, base_dir, where, files)
+                for key, part in algebras]
         dim = _int_field(obj, "dim", where)
-        return HomModule(over.algebra, dim, load_tensor3(obj["action"], where + ".action"),
-                         load_matrix(obj["nu"], where + ".nu"),
-                         load_basis(obj, dim, where))
-    if kind == "hom-comodule":
-        over, _ = _load_algebra_field(obj, "over", base_dir, where, files)
-        if over.comult is None:
-            raise FileFormatError(_ctx(where, "comodule 'over' must carry a coalgebra"))
-        dim = _int_field(obj, "dim", where)
-        return HomComodule(over.coalgebra, dim,
-                           load_tensor3(obj["coaction"], where + ".coaction"),
-                           load_matrix(obj["mu"], where + ".mu"),
-                           load_basis(obj, dim, where))
-    if kind == "yd-module":
-        over, _ = _load_algebra_field(obj, "over", base_dir, where, files, _BIALGEBRA_KINDS)
-        dim = _int_field(obj, "dim", where)
-        return YetterDrinfeldModule(over, dim,
-                                    load_tensor3(obj["action"], where + ".action"),
-                                    load_tensor3(obj["coaction"], where + ".coaction"),
-                                    load_matrix(obj["structure_map"], where + ".structure_map"),
-                                    load_basis(obj, dim, where))
-    if kind in ("long-dimodule", "halpha-dimodule"):
-        # an H-alpha dimodule is one over (H, H), with no B field
-        keys, make = (("H", "B"), HomLongDimodule) if kind == "long-dimodule" \
-            else (("H",), HAlphaLongDimodule)
-        pair = [_load_algebra_field(obj, key, base_dir, where, files, _BIALGEBRA_KINDS)[0]
-                for key in keys]
-        dim = _int_field(obj, "dim", where)
-        return make(*pair, dim, load_tensor3(obj["action"], where + ".action"),
-                    load_tensor3(obj["coaction"], where + ".coaction"),
-                    load_matrix(obj["mu"], where + ".mu"), load_basis(obj, dim, where))
+        args += [dim] + [load(obj[key], where + "." + key) for key, load in maps]
+        return make(*args, load_basis(obj, dim, where))
     if kind == "operator":
         n = _int_field(obj, "n", where)
-        op = OperatorOnTensorSquare(n, load_matrix(obj["matrix"], where + ".matrix"),
-                                    load_matrix(obj["mu"], where + ".mu"))
-        return op
+        return OperatorOnTensorSquare(n, load_matrix(obj["matrix"], where + ".matrix"),
+                                      load_matrix(obj["mu"], where + ".mu"))
     raise FileFormatError(_ctx(where, "unknown kind %r" % (kind,)))
 
 
@@ -324,28 +325,12 @@ def load_context(path, files=None):
 def structure_to_json(s):
     if isinstance(s, HomStructure):
         return algebra_to_json(s)
-    if isinstance(s, HomModule):
-        return {"kind": "hom-module", "over": algebra_to_json(s.over),
-                "dim": s.dim, "basis": list(s.basis),
-                "action": s.action.to_json(), "nu": matrix_json(s.nu)}
-    if isinstance(s, HomComodule):
-        return {"kind": "hom-comodule", "over": algebra_to_json(s.over),
-                "dim": s.dim, "basis": list(s.basis),
-                "coaction": s.coaction.to_json(), "mu": matrix_json(s.mu)}
-    if isinstance(s, YetterDrinfeldModule):
-        return {"kind": "yd-module", "over": algebra_to_json(s.over),
-                "dim": s.dim, "basis": list(s.basis),
-                "action": s.action.to_json(), "coaction": s.coaction.to_json(),
-                "structure_map": matrix_json(s.structure_map)}
-    if isinstance(s, HomLongDimodule):
-        halpha = isinstance(s, HAlphaLongDimodule)
-        out = {"kind": "halpha-dimodule" if halpha else "long-dimodule",
-               "H": algebra_to_json(s.H), "dim": s.dim, "basis": list(s.basis),
-               "action": s.action.to_json(), "coaction": s.coaction.to_json(),
-               "mu": matrix_json(s.mu)}
-        if not halpha:
-            out["B"] = algebra_to_json(s.B)
-        return out
+    for kind, (cls, algebras, maps) in _CARRIERS.items():
+        if isinstance(s, cls):
+            out = {"kind": kind, "dim": s.dim, "basis": list(s.basis)}
+            out.update((key, algebra_to_json(getattr(s, key))) for key, _ in algebras)
+            out.update((key, getattr(s, key).to_json()) for key, _ in maps)
+            return out
     if isinstance(s, OperatorOnTensorSquare):
         return {"kind": "operator", "n": s.carrier_dim,
                 "mu": matrix_json(s.structure_map), "matrix": matrix_json(s.matrix)}

@@ -38,8 +38,8 @@ inverse, alpha, the associators' legs, a flip), makes no pass of its own:
 the plan carries it past steps on other legs into the next step on its legs,
 whose columns it re-indexes and scales, and drops it where it composes to
 the identity, as mu^-1 and mu of consecutive associators do.
-first_differing_column compares two composites on column 0, then on
-batches of BATCH_COLUMNS columns, and stops at the first batch that
+first_differing_column compares two composites on batches of
+BATCH_COLUMNS columns from column 0, and stops at the first batch that
 differs; composite_columns gives one composite as int columns, a step for
 a further composite, and composite_matrix the Matrix over the same
 columns, both run BATCH_COLUMNS columns at a time.  Every
@@ -640,24 +640,21 @@ def first_differing_column(lhs, rhs, dims):
     order; map is (cols, scale) as sparse_columns gives it.  Both are
     planned, and so checked, before any column is run.  A side run on int
     columns is its true value times its scales, so each side starts from
-    the other side's product.  Both sides run column 0 alone, then
-    BATCH_COLUMNS columns at a time, so a failure at column c runs
-    min(d, 1 + ceil(c / BATCH_COLUMNS) * BATCH_COLUMNS) of the d columns a
-    side, and the witness is the least differing column of that batch.  A
-    failure at a column c from 1 to about 127 runs more columns than the
-    2(c + 1) of batches doubling from one column, a pass far fewer runs."""
+    the other side's product.  Both sides run BATCH_COLUMNS columns at a
+    time from column 0, so a failure at column c runs
+    min(d, (c // BATCH_COLUMNS + 1) * BATCH_COLUMNS) of the d columns a
+    side, and the witness is the least differing column of that batch."""
     (lplan, ld, lscale), (rplan, rd, rscale) = _plan(lhs, dims), _plan(rhs, dims)
     d_in, d_out = math.prod(dims), math.prod(ld)
     if d_out != math.prod(rd):
         raise DimensionMismatch("composites land in dims %d and %d" % (d_out, math.prod(rd)))
-    start, stop = 0, 1
-    while start < d_in:
+    for start in range(0, d_in, BATCH_COLUMNS):
+        stop = min(start + BATCH_COLUMNS, d_in)
         left = _run_batch(lplan, start, stop, d_in, rscale)
         right = _run_batch(rplan, start, stop, d_in, lscale)
         if left != right:
             key = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
             return unflat_index(key // d_out, dims)
-        start, stop = stop, min(stop + BATCH_COLUMNS, d_in)
     return None
 
 

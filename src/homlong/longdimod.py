@@ -11,9 +11,10 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 import math
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, coproduct_columns,
-                     coproduct_tensor, first_differing_column, flip_columns, insert_columns,
-                     pair_columns, per_leg_matrix, product_tensor, sparse_columns)
+from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_columns,
+                     coproduct_columns, coproduct_tensor, first_differing_column,
+                     flip_columns, insert_columns, pair_columns, per_leg_matrix,
+                     product_tensor, sparse_columns)
 from .homstruct import (HomStructure, default_basis, dual_hopf, opposite_algebra,
                         tensor_algebra, tensor_basis)
 from .repmod import (HomModule, HomComodule, check_carrier_shapes, validate_hom_module,
@@ -346,33 +347,42 @@ def _identity_element(d):
 
 def _dual(m, h_twist, b_twist, side):
     """The dual carrier on the dual basis, for the twists of H and B given
-    as maps applied in turn.  Each of its maps is ev (f, -) of a composite
-    on M: the copairing inserted beside the input basis vector f, the
-    composite applied, then f paired away."""
+    as maps applied in turn.  Its action and coaction are transposes on the
+    carrier legs of one composite each on M, as dual_hopf's maps are: the
+    coefficient of e_j in h_twist(h) . mu^-2(x) is that of f^x in h.f^j,
+    and the coefficient of b (x) e_j in b_twist(x_-1) (x) mu^-2(x_0) is
+    that of b (x) f^x in the coaction of f^j."""
     h, b = m.H, m.B
     nb, d = b.dim, m.dim
-    delta = _identity_element(d)
-    mui = sparse_columns(m.mu.inv())
-    # (h, f) -> (h, x, x', f) -> (h_twist(h) . mu^-2(x), x', f) -> f(h_twist(h) . mu^-2(x)) x'
-    act = product_tensor([(insert_columns(delta, d), (1,), (d, d, d))]
-                         + [(sparse_columns(t), (0,), None) for t in h_twist]
-                         + [(mui, (1,), None), (mui, (1,), None),
-                            (sparse_columns(m.action), (0, 1), (d,)),
-                            (flip_columns(d, d), (1, 2), None),
-                            (pair_columns(delta), (0, 1), ())], (h.dim, d))
-    # f -> (x, x', f) -> (b_twist(x_-1), mu^-2(x_0), x', f) -> b_twist(x_-1) f(mu^-2(x_0)) x'
-    co = coproduct_tensor([(insert_columns(delta, d), (0,), (d, d, d)),
-                           (coproduct_columns(m.coaction), (0,), (nb, d))]
-                          + [(sparse_columns(t), (0,), None) for t in b_twist]
-                          + [(mui, (1,), None), (mui, (1,), None),
-                             (flip_columns(d, d), (2, 3), None),
-                             (pair_columns(delta), (1, 2), ())], (d,), nb)
-    names = tuple(x + "*" for x in m.basis)
-    dual = HomLongDimodule(h, b, d, act, co, m.mu.inv().transpose(), names)
-    # dual-basis pairing and copairing; the same delta pattern serves both
-    # sides (left: ev on M* (x) M, coev in M (x) M*; right: swapped roles).
-    ev = Matrix.from_int_columns(*pair_columns(delta), 1)
+    mui2 = [(sparse_columns(m.mu.inv()), (1,), None)] * 2
+    # (h, x) -> h_twist(h) . mu^-2(x)
+    act = composite_columns([(sparse_columns(t), (0,), None) for t in h_twist] + mui2
+                            + [(sparse_columns(m.action), (0, 1), (d,))], (h.dim, d))
+    # x -> b_twist(x_-1) (x) mu^-2(x_0)
+    co = composite_columns([(coproduct_columns(m.coaction), (0,), (nb, d))]
+                           + [(sparse_columns(t), (0,), None) for t in b_twist] + mui2, (d,))
+    dual = HomLongDimodule(h, b, d,
+                           Tensor3.from_in2_out1(_carrier_transpose(act, d, d), h.dim, d),
+                           Tensor3.from_in1_out2(_carrier_transpose(co, d, nb * d), nb, d),
+                           m.mu.inv().transpose(), tuple(x + "*" for x in m.basis))
+    # dual-basis pairing and copairing; the same sum_i e_i (x) e_i serves
+    # both sides (left: ev on M* (x) M, coev in M (x) M*; right: swapped roles).
+    ev = Matrix.from_int_columns(*pair_columns(_identity_element(d)), 1)
     return DualityData(dual, ev, ev.transpose(), side)
+
+
+def _carrier_transpose(composite, d, rows):
+    """The Matrix with the given rows of a composite's (cols, scale), its
+    columns (p, x) and rows (a, j), x and j on legs of dim d, re-indexed to
+    columns (p, j) and rows (a, x)."""
+    cols, scale = composite
+    out = [[] for _ in cols]
+    for c, col in enumerate(cols):
+        p, x = divmod(c, d)
+        for r, v in col:
+            a, j = divmod(r, d)
+            out[p * d + j].append((a * d + x, v))
+    return Matrix.from_int_columns(out, scale, rows)
 
 
 def check_snake(m, duality):

@@ -289,23 +289,23 @@ def test_a_step_that_cancels_leaves_no_zero():
 @pytest.mark.parametrize("batch", [3, linalg.BATCH_COLUMNS])
 @pytest.mark.parametrize("d", [1, 5, 256, 257, 600])
 def test_runs_per_composite_are_one_per_batch(d, batch):
-    # each side of a passing comparison runs column 0, then once per batch
-    # of `batch` columns; a composite built as columns runs once per batch
-    # of `batch` columns; a comparison failing at column 0 runs it alone
+    # each side of a passing comparison, and a composite built as columns,
+    # runs once per batch of `batch` columns from column 0; a comparison
+    # failing at column 0 runs the first batch alone
     steps = [(([[(j, 1)] for j in range(d)], 1), (0,), None)]
     batches = -(-d // batch)
     run = mock.Mock(side_effect=linalg._run)
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
             mock.patch.object(linalg, "_run", run):
         assert first_differing_column(steps, [], (d,)) is None
-        assert run.call_count == 2 * (1 - (-(d - 1) // batch))
+        assert run.call_count == 2 * batches
         run.reset_mock()
         composite_columns(steps, (d,))
         assert run.call_count == batches
         run.reset_mock()
         doubled = [(([[(j, 2 if j == 0 else 1)] for j in range(d)], 1), (0,), None)]
         assert first_differing_column(steps, doubled, (d,)) == (0,)
-        assert [len(vec) for (_, vec), _ in run.call_args_list] == [1, 1]
+        assert [len(vec) for (_, vec), _ in run.call_args_list] == [min(d, batch)] * 2
 
 
 @settings(max_examples=60, deadline=None)

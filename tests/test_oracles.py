@@ -44,8 +44,10 @@ from homlong.homstruct import (HomStructure, NotAutomorphism,
                                validate_hom_coalgebra, validate_hom_hopf,
                                validate_quasitriangular, yau_twist)
 from homlong.linalg import (Matrix, Tensor3, Vector, ZERO, ONE, DimensionMismatch,
-                            SingularMatrix, scalar, scalar_to_json, solve_exact,
-                            sparse_columns, unflat_index)
+                            SingularMatrix, coproduct_columns, coproduct_tensor,
+                            flip_columns, insert_columns, pair_columns, product_tensor,
+                            scalar, scalar_to_json, solve_exact, sparse_columns,
+                            unflat_index)
 from homlong.longdimod import (DualityData, HomLongDimodule, canonical_dimodule,
                                check_coherence, check_snake, dimodule_morphism_report,
                                from_smash_module, left_dual, right_dual,
@@ -2572,6 +2574,39 @@ def dual_elementwise(m, side):
     return DualityData(dual, ev, coev, side)
 
 
+def dual_by_copairing(m, side):
+    """The left or right dual as a composite per map on M: the copairing
+    sum_i e_i (x) e_i inserted beside the input basis vector f, the map
+    applied, then f paired away, so that each map is ev(f, -) of a
+    composite."""
+    h, b = m.H, m.B
+    if side == "left":
+        h_twist, b_twist = (h.gamma.inv(), h.antipode), (b.gamma.inv(), b.antipode.inv())
+    else:
+        h_twist, b_twist = (h.gamma.inv(), h.antipode.inv()), (b.gamma.inv(), b.antipode)
+    nb, d = b.dim, m.dim
+    delta = Vector.from_int_columns([[(i * d + i, 1) for i in range(d)]], 1, d * d)
+    mui = sparse_columns(m.mu.inv())
+    # (h, f) -> (h, x, x', f) -> (h_twist(h) . mu^-2(x), x', f) -> f(h_twist(h) . mu^-2(x)) x'
+    act = product_tensor([(insert_columns(delta, d), (1,), (d, d, d))]
+                         + [(sparse_columns(t), (0,), None) for t in h_twist]
+                         + [(mui, (1,), None), (mui, (1,), None),
+                            (sparse_columns(m.action), (0, 1), (d,)),
+                            (flip_columns(d, d), (1, 2), None),
+                            (pair_columns(delta), (0, 1), ())], (h.dim, d))
+    # f -> (x, x', f) -> (b_twist(x_-1), mu^-2(x_0), x', f) -> b_twist(x_-1) f(mu^-2(x_0)) x'
+    co = coproduct_tensor([(insert_columns(delta, d), (0,), (d, d, d)),
+                           (coproduct_columns(m.coaction), (0,), (nb, d))]
+                          + [(sparse_columns(t), (0,), None) for t in b_twist]
+                          + [(mui, (1,), None), (mui, (1,), None),
+                             (flip_columns(d, d), (2, 3), None),
+                             (pair_columns(delta), (1, 2), ())], (d,), nb)
+    dual = HomLongDimodule(h, b, d, act, co, m.mu.inv().transpose(),
+                           tuple(x + "*" for x in m.basis))
+    ev = Matrix.from_int_columns(*pair_columns(delta), 1)
+    return DualityData(dual, ev, ev.transpose(), side)
+
+
 def smash_product_algebra_elementwise(b, h):
     dual_alg = opposite_algebra_elementwise(dual_hopf_elementwise(b).algebra)
     halg = h.algebra
@@ -2759,6 +2794,23 @@ def test_algebra_constructors_match_index_sums(data):
     assert unit_dimodule(h, b) == unit_dimodule_elementwise(h, b)
     mu = Matrix(data.draw(structure_maps(data.draw(st.integers(1, 3)))))
     assert trivial_dimodule(h, b, mu) == trivial_dimodule_elementwise(h, b, mu)
+
+
+def test_duals_match_the_copairing_construction(kz2, kz4t):
+    # the duals' maps, read off one composite each by transposition, equal
+    # the copairing construction on every fixture dimodule, both sides
+    sst = fx.sweedler_scaled_twisted(2)
+    dimodules = (list(fx.standard_dimodules(kz2, kz2).values())
+                 + list(fx.scaled_dimodules(kz2, kz2).values())
+                 + _context("kk")[1] + _context("sk")[1]
+                 + [canonical_dimodule(kz4t, kz2), canonical_dimodule(kz2, sst),
+                    trivial_dimodule(kz2, kz2, Matrix.zeros(0, 0)),
+                    module_extension(kz2, fx.sign_module()),
+                    comodule_extension(kz2, fx.regular_comodule(kz2)),
+                    tensor_dimodule(*[canonical_dimodule(sst, kz2)] * 2)])
+    for m in dimodules:
+        for side, dual in (("left", left_dual), ("right", right_dual)):
+            assert dual(m) == dual_by_copairing(m, side)
 
 
 @settings(max_examples=60, deadline=None)
@@ -3026,9 +3078,8 @@ def _counting_run(counts):
 @given(composites(), st.sampled_from([1, 2, 3, linalg.BATCH_COLUMNS]), st.data())
 def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     # the witness, every column's entries in order, and the columns run
-    # before the witness: both sides run column 0 alone, then batches of
-    # `batch` columns, so a witness at c runs the batches up to and
-    # including c's
+    # before the witness: both sides run batches of `batch` columns from
+    # column 0, so a witness at c runs the batches up to and including c's
     dims, lhs = case
     rhs = _one_entry_changed(data.draw, lhs)
     expected = first_differing_column_by_column(lhs, rhs, dims)
@@ -3040,7 +3091,7 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     if expected is None:
         assert runs == d
     else:
-        assert runs == min(d, 1 - (-flat_index(expected, dims) // batch) * batch)
+        assert runs == min(d, (flat_index(expected, dims) // batch + 1) * batch)
     assert first_differing_column_by_column(lhs, lhs, dims) is None
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch):
         assert linalg.first_differing_column(lhs, lhs, dims) is None
