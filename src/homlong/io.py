@@ -4,7 +4,9 @@ All scalars are integers or "p/q" strings in canonical form (q > 0).  Files
 carry a "kind" discriminator; fields holding another structure (an algebra
 under a module, the pair under a dimodule) may be inline objects or paths
 relative to the referencing file.  The five carrier kinds, modules to
-dimodules, are read and written from one table, _CARRIERS.  A Files object
+dimodules, are read and written from one table, _CARRIERS.  A tensor is
+read once, into the int columns of its product-like map; its other reading
+is those columns with their legs moved (linalg.move_legs).  A Files object
 lets one command read each file, and build each structure in it, once.
 json_text is the one JSON writer.
 """
@@ -60,8 +62,8 @@ def load_vector(entries, where="vector"):
 
 def load_tensor3(data, where="tensor"):
     """The Tensor3 in data, its entries read straight into its int columns,
-    the product-like ones; a comult or coaction re-indexes them into its
-    coproduct-like reading when a check first asks for it."""
+    the product-like ones; a comult or coaction gets its coproduct-like
+    reading by one leg move when a check first asks for it."""
     if not isinstance(data, list):
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
     try:

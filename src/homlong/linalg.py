@@ -14,8 +14,8 @@ the scale the lcm of the reduced denominators.  Equality and hashing read
 that form and the type.  A Vector (a unit, a counit) is an n x 1 Matrix,
 and a Tensor3 (a multiplication, action, comultiplication or coaction) the
 Matrix of its product-like map (i, j) -> sum_k T[i][j][k] e_k with its leg
-dims; coproduct_columns re-indexes the same ints once into the
-coproduct-like reading.  int_columns is the one reader of scalars:
+dims; coproduct_columns moves the same ints once into the coproduct-like
+reading.  int_columns is the one reader of scalars:
 Matrix(rows), Tensor3(data), Vector(entries) and the io loaders read ints
 as they are and "p/q" strings once, straight into that form, and never
 store a zero.  det, inv and solve_exact share one fraction-free (Bareiss)
@@ -28,25 +28,27 @@ Identities between composites of maps on tensor legs are decided without
 forming the composites.  A step applies a small map, as sparse int-scaled
 columns (sparse_columns, coproduct_columns, per_leg, flip_columns,
 insert_columns, pair_columns), to consecutive legs of a sparse vector.  A
-composite is planned once, then run on batches of basis columns: the column
-index j is one more leading leg, so a batch is the one sparse vector
-sum_j e_j (x) e_j and a single pass per step serves all its columns; a
-step's output is filtered for zeros only when the step cancelled an entry.
-On a composite of at least FOLD_MIN_COLUMNS columns, a step that keeps its
-leg count and has at most one entry per column, on distinct rows (mu, its
-inverse, alpha, the associators' legs, a flip), makes no pass of its own:
-the plan carries it past steps on other legs into the next step on its legs,
-whose columns it re-indexes and scales, and drops it where it composes to
-the identity, as mu^-1 and mu of consecutive associators do.
-first_differing_column compares two composites on batches of
-BATCH_COLUMNS columns from column 0, and stops at the first batch that
-differs; composite_columns gives one composite as int columns, a step for
-a further composite, and composite_matrix the Matrix over the same
-columns, both run BATCH_COLUMNS columns at a time.  Every
-constructed structure map is such a composite: per_leg_matrix gives a
-tensor product of maps, and product_tensor and coproduct_tensor give a
-multiplication, action, comultiplication or coaction, so no map is written
-as an index sum over structure constants or as a Kronecker product.
+map with legs moved between its inputs and outputs (a transpose, the other
+reading of a Tensor3, an element's flat coordinates) comes from one
+function, move_legs, in one pass over its entries.  A composite is planned
+once, then run on batches of basis columns: the column index j is one more
+leading leg, so a batch is the one sparse vector sum_j e_j (x) e_j and a
+single pass per step serves all its columns; a step's output is filtered
+for zeros only when the step cancelled an entry.  On a composite of at least
+FOLD_MIN_COLUMNS columns, a step that keeps its leg count and has at most
+one entry per column, on distinct rows (mu, its inverse, alpha, the
+associators' legs, a flip), makes no pass of its own: the plan carries it
+past steps on other legs into the next step on its legs, whose columns it
+re-indexes and scales, and drops it where it composes to the identity, as
+mu^-1 and mu of consecutive associators do.  first_differing_column compares
+two composites on batches of BATCH_COLUMNS columns from column 0, and stops
+at the first batch that differs; composite_columns gives one composite as
+int columns, a step for a further composite, and composite_matrix the
+Matrix over the same columns, both run BATCH_COLUMNS columns at a
+time.  Every constructed structure map is such a composite: per_leg_matrix
+gives a tensor product of maps, and product_tensor and coproduct_tensor
+give a multiplication, action, comultiplication or coaction, so no map is
+written as an index sum over structure constants or as a Kronecker product.
 
 Matrix, Vector and Tensor3 are immutable, so each keeps what is derived
 from it once computed: a Matrix its data view, determinant and inverse, a
@@ -54,6 +56,7 @@ Tensor3 also its coproduct-like reading.  The stored and cached columns are
 shared by every caller and are never changed.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -197,11 +200,8 @@ class Matrix:
 
     def transpose(self):
         cols, scale = self._sparse
-        out = [[] for _ in range(self.rows)]
-        for j, col in enumerate(cols):
-            for r, x in col:
-                out[r].append((j, x))
-        return Matrix._of(self.cols, self.rows, (out, scale))
+        return Matrix._of(self.cols, self.rows,
+                          (move_legs(cols, (self.cols,), (self.rows,), (1,), (0,)), scale))
 
     def is_identity(self):
         return self == Matrix.identity(self.rows)
@@ -420,15 +420,65 @@ def sparse_columns(m):
     return m._sparse
 
 
+# the most leg-move shapes whose index tables move_legs keeps; a run of a
+# benchmark workload meets 8 to 34
+_MOVE_TABLE_SHAPES = 256
+
+
+def move_legs(cols, dims_in, dims_out, ins, outs):
+    """The int columns of the map whose input legs are the legs ins, and
+    whose output legs the legs outs, of the map given by its int columns
+    cols from legs of dims dims_in (tuples, as are ins and outs) to legs of
+    dims dims_out, legs numbered inputs first: a transpose, the other
+    reading of a tensor, a flip conjugate.  One pass puts each entry at
+    its new column and row, read off index tables kept per shape; a new
+    column lists its entries in the order of the pass, so by row whenever
+    outs is increasing."""
+    count, col_in, row_in, col_out, row_out = _move_tables(dims_in, dims_out, ins, outs)
+    if len(cols) != len(col_in):
+        raise DimensionMismatch("%d columns on input legs %r" % (len(cols), dims_in))
+    out = [[] for _ in range(count)]
+    for col, c, r0 in zip(cols, col_in, row_in):
+        for r, x in col:
+            out[c + col_out[r]].append((r0 + row_out[r], x))
+    return out
+
+
+@functools.lru_cache(maxsize=_MOVE_TABLE_SHAPES)
+def _move_tables(dims_in, dims_out, ins, outs):
+    """move_legs' tables, shared by its calls and never changed: the number
+    of new columns, then for each old column and for each old row its share
+    of the new column and row indices."""
+    dims = dims_in + dims_out
+    if sorted(ins + outs) != list(range(len(dims))):
+        raise DimensionMismatch("legs %r and %r are not the %d legs" % (ins, outs, len(dims)))
+    wc, wr = [0] * len(dims), [0] * len(dims)
+    for legs, weights in ((ins, wc), (outs, wr)):
+        w = 1
+        for leg in reversed(legs):
+            weights[leg], w = w, w * dims[leg]
+
+    def tables(legs):
+        col, row = [0], [0]
+        for leg in legs:
+            digits = range(dims[leg])
+            col = [c + a * wc[leg] for c in col for a in digits]
+            row = [r + a * wr[leg] for r in row for a in digits]
+        return col, row
+
+    n_in = len(dims_in)
+    return (math.prod(dims[leg] for leg in ins), *tables(range(n_in)),
+            *tables(range(n_in, len(dims))))
+
+
 def coproduct_columns(t):
     """The columns i -> sum_jk t[i][j][k] e_j (x) e_k of a coproduct-like
     Tensor3 (a comultiplication or a coaction), as int_columns gives them:
-    its columns re-indexed once, then kept and shared like sparse_columns."""
+    its columns with legs moved once, then kept and shared like
+    sparse_columns."""
     if t._coproduct is None:
         cols, scale = t._sparse
-        d1, d2 = t.d1, t.rows
-        t._coproduct = [[(j * d2 + k, x) for j in range(d1) for k, x in cols[i * d1 + j]]
-                        for i in range(t.d0)], scale
+        t._coproduct = move_legs(cols, (t.d0, t.d1), (t.rows,), (0,), (1, 2)), scale
     return t._coproduct
 
 
@@ -443,36 +493,21 @@ def flip_columns(d0, d1):
     return [[(j * d0 + i, 1)] for i in range(d0) for j in range(d1)], 1
 
 
-def _element_column(element):
-    """The flat coordinates of an element given as a Matrix, as one int
-    column (col, scale) in the form int_columns gives, and their number:
-    entry [i][j] at i * cols + j, so a single column (a unit or counit
-    Vector) is its own flat coordinates, and the columns of R, an element
-    of a tensor square, or of a bilinear form are re-indexed."""
-    cols, scale = element._sparse
-    n = element.cols
-    if n == 1:
-        return (cols[0], scale), element.rows
-    return (sorted((i * n + j, x) for j, col in enumerate(cols) for i, x in col),
-            scale), element.rows * n
-
-
 def insert_columns(element, d):
     """x -> element (x) x on a leg of dim d, for an element given as a Vector
-    (a unit) or by its flat coordinates in a Matrix (R); as a step its
-    out_dims are the element's legs, then d."""
-    (col, scale), _ = _element_column(element)
+    (a unit) or by its flat coordinates in a Matrix (R): entry [i][j] at
+    i * cols + j; as a step its out_dims are the element's legs, then d."""
+    cols, scale = element._sparse
+    (col,) = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0))
     return [[(k * d + o, x) for k, x in col] for o in range(d)], scale
 
 
 def pair_columns(covector):
     """The pairing with a covector given as a Vector (a counit) or by its
-    flat coordinates in a Matrix (a form); as a step its out_dims are ()."""
-    (col, scale), size = _element_column(covector)
-    out = [[] for _ in range(size)]
-    for k, x in col:
-        out[k].append((0, x))
-    return out, scale
+    flat coordinates in a Matrix (a form), as insert_columns reads an
+    element; as a step its out_dims are ()."""
+    cols, scale = covector._sparse
+    return move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
 
 
 # the most basis columns a composite runs in one batch, which bounds the
@@ -816,17 +851,13 @@ class Tensor3(Matrix):
     @staticmethod
     def from_in1_out2(m, d1, d2):
         """The coproduct-like Tensor3 (T[i][j][k] = coeff of y_j z_k at x_i)
-        of the map m: X -> Y (x) Z with d1*d2 rows: m's columns re-indexed
-        once into its own, and kept as its coproduct_columns."""
+        of the map m: X -> Y (x) Z with d1*d2 rows: m's columns with legs
+        moved once into its own, and kept as its coproduct_columns."""
         if m.rows != d1 * d2:
             raise DimensionMismatch("matrix has %d rows, expected %d" % (m.rows, d1 * d2))
         cols, scale = sparse_columns(m)
-        out = [[] for _ in range(m.cols * d1)]
-        for i, col in enumerate(cols):
-            for r, x in col:
-                j, k = divmod(r, d2)
-                out[i * d1 + j].append((k, x))
-        t = Tensor3._of(d2, m.cols * d1, (out, scale), m.cols, d1)
+        t = Tensor3._of(d2, m.cols * d1,
+                        (move_legs(cols, (m.cols,), (d1, d2), (0, 1), (2,)), scale), m.cols, d1)
         t._coproduct = cols, scale
         return t
 

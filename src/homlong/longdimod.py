@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_columns,
                      coproduct_columns, coproduct_tensor, first_differing_column,
-                     flip_columns, insert_columns, pair_columns, per_leg_matrix,
+                     flip_columns, insert_columns, move_legs, pair_columns, per_leg_matrix,
                      product_tensor, sparse_columns)
 from .homstruct import (HomStructure, default_basis, dual_hopf, opposite_algebra,
                         tensor_algebra, tensor_basis)
@@ -227,11 +227,12 @@ def dimodule_morphism_report(m, n, f):
     return rep
 
 
-def check_coherence(u, v, w, x=None, morphisms=None):
+def check_coherence(u, v, w, x=None):
     """Coherence of the monoidal constraints on concrete objects.
 
     Reports naturality of the associator (against the structure maps when
-    those are morphisms, else identities), the pentagon on (u, v, w, x) with
+    those are morphisms, else identities; each distinct object's structure
+    map is tested once), the pentagon on (u, v, w, x) with
     x defaulting to w, the triangle for (u, v), and H-linearity/B-colinearity
     of the associator and both unit constraints.  Failures are findings, not
     errors: the report records them with witnesses.  The naturality,
@@ -251,17 +252,14 @@ def check_coherence(u, v, w, x=None, morphisms=None):
         raise MismatchedBase("tensor of dimodules over different algebra pairs")
     rep = AxiomReport()
 
-    if morphisms is None:
-        use_structure = all(dimodule_morphism_report(t, t, t.mu).ok for t in (u, v, w))
-        if use_structure:
-            morphisms = (u.mu, v.mu, w.mu)
-            rep.set_flag("naturality-morphisms", "structure-maps")
-        else:
-            morphisms = (Matrix.identity(u.dim), Matrix.identity(v.dim),
-                         Matrix.identity(w.dim))
-            rep.set_flag("naturality-morphisms", "identity")
-    if any(m.rows != t.dim or m.cols != t.dim for m, t in zip(morphisms, (u, v, w))):
-        raise DimensionMismatch("naturality morphisms must be endomorphisms of u, v, w")
+    uvw = (u, v, w)
+    distinct = [t for k, t in enumerate(uvw) if t not in uvw[:k]]
+    if all(dimodule_morphism_report(t, t, t.mu).ok for t in distinct):
+        morphisms = (u.mu, v.mu, w.mu)
+        rep.set_flag("naturality-morphisms", "structure-maps")
+    else:
+        morphisms = (Matrix.identity(u.dim), Matrix.identity(v.dim), Matrix.identity(w.dim))
+        rep.set_flag("naturality-morphisms", "identity")
     fgh = [(sparse_columns(m), (leg,), None) for leg, m in enumerate(morphisms)]
     a_uvw = associator_legs(u, w)
     composites_equal_report(rep, "naturality-a", fgh + a_uvw, a_uvw + fgh,
@@ -347,8 +345,8 @@ def _identity_element(d):
 
 def _dual(m, h_twist, b_twist, side):
     """The dual carrier on the dual basis, for the twists of H and B given
-    as maps applied in turn.  Its action and coaction are transposes on the
-    carrier legs of one composite each on M, as dual_hopf's maps are: the
+    as maps applied in turn.  Its action and coaction are one composite each
+    on M with its carrier legs moved, as dual_hopf's maps are transposes: the
     coefficient of e_j in h_twist(h) . mu^-2(x) is that of f^x in h.f^j,
     and the coefficient of b (x) e_j in b_twist(x_-1) (x) mu^-2(x_0) is
     that of b (x) f^x in the coaction of f^j."""
@@ -361,28 +359,17 @@ def _dual(m, h_twist, b_twist, side):
     # x -> b_twist(x_-1) (x) mu^-2(x_0)
     co = composite_columns([(coproduct_columns(m.coaction), (0,), (nb, d))]
                            + [(sparse_columns(t), (0,), None) for t in b_twist] + mui2, (d,))
-    dual = HomLongDimodule(h, b, d,
-                           Tensor3.from_in2_out1(_carrier_transpose(act, d, d), h.dim, d),
-                           Tensor3.from_in1_out2(_carrier_transpose(co, d, nb * d), nb, d),
-                           m.mu.inv().transpose(), tuple(x + "*" for x in m.basis))
+    # the dual action's legs (h, f^j | f^x) are act's (h, x | j), and the
+    # dual coaction's (f^j, b | f^x) are co's (x | b, j)
+    act = Matrix.from_int_columns(move_legs(act[0], (h.dim, d), (d,), (0, 2), (1,)), act[1], d)
+    co = Matrix.from_int_columns(move_legs(co[0], (d,), (nb, d), (2, 1), (0,)), co[1], d)
+    dual = HomLongDimodule(h, b, d, Tensor3.from_in2_out1(act, h.dim, d),
+                           Tensor3.from_in2_out1(co, d, nb), m.mu.inv().transpose(),
+                           tuple(x + "*" for x in m.basis))
     # dual-basis pairing and copairing; the same sum_i e_i (x) e_i serves
     # both sides (left: ev on M* (x) M, coev in M (x) M*; right: swapped roles).
     ev = Matrix.from_int_columns(*pair_columns(_identity_element(d)), 1)
     return DualityData(dual, ev, ev.transpose(), side)
-
-
-def _carrier_transpose(composite, d, rows):
-    """The Matrix with the given rows of a composite's (cols, scale), its
-    columns (p, x) and rows (a, j), x and j on legs of dim d, re-indexed to
-    columns (p, j) and rows (a, x)."""
-    cols, scale = composite
-    out = [[] for _ in cols]
-    for c, col in enumerate(cols):
-        p, x = divmod(c, d)
-        for r, v in col:
-            a, j = divmod(r, d)
-            out[p * d + j].append((a * d + x, v))
-    return Matrix.from_int_columns(out, scale, rows)
 
 
 def check_snake(m, duality):

@@ -18,7 +18,8 @@ nonzero entry in every column and n >= 4 (the induced operators of the
 extensions of trivial modules, for example), each side of a triple is a
 single term, and _first_single_term_difference compares the two terms
 from tables built once per call.  Both return the same first failing
-triple.
+triple.  The flip transforms, the legs X13 and X23 of their equations and
+the coordinate criterion's tables are maps with legs moved by move_legs.
 """
 
 import itertools
@@ -28,8 +29,9 @@ from fractions import Fraction
 
 from .linalg import (Matrix, DimensionMismatch, SingularMatrix,
                      composite_columns, composite_matrix, coproduct_columns, coproduct_tensor,
-                     first_differing_column, flip_columns, int_columns, per_leg,
-                     per_leg_matrix, product_tensor, scalar, sparse_columns, ZERO)
+                     first_differing_column, flip_columns, int_columns, move_legs, per_leg,
+                     per_leg_matrix, product_tensor, scalar, sparse_columns, unflat_index,
+                     ZERO)
 from .homstruct import tensor_basis
 from .longdimod import HomLongDimodule, h_tensor_parts, validate_long_dimodule
 from .report import AxiomReport
@@ -299,50 +301,37 @@ def coordinate_criterion(x, y, z):
     self_case = ys == xs
     rep = AxiomReport()
 
-    # z's int columns are those of conj's first step
-    rng = range(n)
+    # z's int columns are those of conj's first step: z_u^i over i in
+    # column u, and z_i^p over i in column p of z_row
+    rng, n2, sq = range(n), n * n, (n, n)
     z_col = conj[0][0][0]
-    z_row = [[] for _ in rng]
-    for u, col in enumerate(z_col):
-        for i, c in col:
-            z_row[i].append((u, c))
-    # from X's column v n + w: x_vw^jk over j for the left side, and
-    # x_jw^qk over j for the right side (column j n + w); from Y's column
-    # i n + j: y_ij^pq over (p, q), and y_uv^ij over (u, v) (column u n + v)
-    x_l = [[[[] for _ in rng] for _ in rng] for _ in rng]
-    x_r = [[[[] for _ in rng] for _ in rng] for _ in rng]
-    for vw, col in enumerate(xs[0]):
-        v, w = divmod(vw, n)
-        for jk, a in col:
-            j, k = divmod(jk, n)
-            x_l[v][w][k].append((j, a))
-            x_r[w][j][k].append((v, a))
-    y_out = [[[] for _ in rng] for _ in rng]
-    y_in = [[[] for _ in rng] for _ in rng]
-    for uv, col in enumerate(ys[0]):
-        u, v = divmod(uv, n)
-        for ij, e in col:
-            i, j = divmod(ij, n)
-            y_out[u][v].append((i, j, e))
-            y_in[i][j].append((u, v, e))
-    # both sides as sparse tables over (k, p, q, u, v, w): each product of
-    # nonzero coefficients is added once
+    z_row = move_legs(z_col, (n,), (n,), (1,), (0,))
+    # X's legs (v, w | j, k) moved to x_vw^jk over j in column (v, w, k) for
+    # the left side and to x_jw^qk over j in column (w, q, k) for the right
+    # side; Y's y_ij^pq over (p, q) in column (i, j), and y_uv^ij over (u, v)
+    # in column (i, j) of y_in
+    x_l = move_legs(xs[0], sq, sq, (0, 1, 3), (2,))
+    x_r = move_legs(xs[0], sq, sq, (1, 2, 3), (0,))
+    y_out, y_in = ys[0], move_legs(ys[0], sq, sq, (2, 3), (0, 1))
+    # both sides as sparse tables over the flat index of (k, p, q, u, v, w):
+    # each product of nonzero coefficients is added once
     lhs, rhs = {}, {}
     for k, u, v, w in itertools.product(rng, repeat=4):
         for i, c in z_col[u]:
-            for j, a in x_l[v][w][k]:
-                for p, q, e in y_out[i][j]:
-                    key = (k, p, q, u, v, w)
+            for j, a in x_l[(v * n + w) * n + k]:
+                for pq, e in y_out[i * n + j]:
+                    key = ((k * n2 + pq) * n2 + u * n + v) * n + w
                     lhs[key] = lhs.get(key, 0) + c * a * e
     for k, w, p, q in itertools.product(rng, repeat=4):
         for i, c in z_row[p]:
-            for j, a in x_r[w][q][k]:
-                for u, v, e in y_in[i][j]:
-                    key = (k, p, q, u, v, w)
+            for j, a in x_r[(w * n + q) * n + k]:
+                for uv, e in y_in[i * n + j]:
+                    key = ((k * n2 + p * n + q) * n2 + uv) * n + w
                     rhs[key] = rhs.get(key, 0) + c * a * e
     # the first failure in itertools.product order is the least key
     failing = [key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0)]
-    idx_ok, idx_wit = not failing, min(failing, default=None)
+    idx_ok = not failing
+    idx_wit = None if idx_ok else unflat_index(min(failing), (n,) * 6)
     rep.add("index-identity", idx_ok, idx_wit)
 
     # R and S as int columns: X's columns, then mu^-1 on the second leg
@@ -373,13 +362,11 @@ def tau_transforms(op):
     """
     n = op.carrier_dim
     mu = op.structure_map
-    n2 = n * n
-    # U, T and W re-index R by the swap (u, v) -> (v, u): U on its rows, T
-    # on its columns, W on both
-    sw = [(c % n) * n + c // n for c in range(n2)]
+    n2, sq = n * n, (n, n)
+    # U, T and W are R with its output legs, its input legs or both swapped
     r, scale = sparse_columns(op.matrix)
-    u, tt, w = (Matrix.from_int_columns(_relabel(r, rows, order), scale, n2)
-                for rows, order in ((sw, range(n2)), (range(n2), sw), (sw, sw)))
+    u, tt, w = (Matrix.from_int_columns(move_legs(r, sq, sq, ins, outs), scale, n2)
+                for ins, outs in (((0, 1), (3, 2)), ((1, 0), (2, 3)), ((1, 0), (3, 2))))
     us, ts, ws = sparse_columns(u), sparse_columns(tt), sparse_columns(w)[0]
     m = sparse_columns(mu)
     rep = AxiomReport()
@@ -390,17 +377,15 @@ def tau_transforms(op):
     # X12, X13 and X23 on M (x) M (x) M as 3-leg steps; only X12 = x (x) mu
     # is run.  X13 = P X12 P, P the flip of the last two legs, and
     # X23 = C X12 C^-1, C the cycle x (x) y (x) z -> z (x) x (x) y, are X12
-    # re-indexed; C is also a step of the U- and T-equations
-    dims, n3 = (n, n, n), n2 * n
-    flip = [c - c % n2 + (c % n) * n + c % n2 // n for c in range(n3)]
-    cycle = [(c % n) * n2 + c // n for c in range(n3)]
-    back = [(c % n2) * n + c // n2 for c in range(n3)]
-    cyc = ([[(c, 1)] for c in cycle], 1), (0, 1, 2), None
+    # with its legs moved; C is also a step of the U- and T-equations
+    dims = (n, n, n)
+    cyc = flip_columns(n2, n), (0, 1, 2), None
 
     def legs(x):
         x12, sc = composite_columns([(x, (0, 1), None), (m, (2,), None)], dims)
-        return [((cols, sc), (0, 1, 2), None)
-                for cols in (x12, _relabel(x12, flip, flip), _relabel(x12, cycle, back))]
+        return [((cols, sc), (0, 1, 2), None) for cols in (
+            x12, move_legs(x12, dims, dims, (0, 2, 1), (3, 5, 4)),
+            move_legs(x12, dims, dims, (2, 0, 1), (5, 3, 4)))]
 
     (u12, u13, u23), (t12, t13, t23) = legs(us), legs(ts)
     rep.add("transform-U", first_differing_column([u23, u13], [u12, u13, cyc], dims) is None)
@@ -415,14 +400,6 @@ def tau_transforms(op):
         "W": OperatorOnTensorSquare(n, w, mu),
     }
     return transforms, rep
-
-
-def _relabel(cols, rows, order):
-    """P X Q^-1 for the map X given by its int columns cols and basis
-    permutations P and Q, given as lists: rows[i] = P(i) and
-    order[j] = Q^-1(j), so column j is column order[j] of X with each row
-    i renamed rows[i]."""
-    return [[(rows[i], x) for i, x in cols[j]] for j in order]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from homlong import fixtures as fx
+from homlong import fixtures as fx, longdimod
 from homlong.linalg import DimensionMismatch, Matrix, Tensor3, composite_matrix
 from homlong.homstruct import dual_hopf, validate_hom_algebra
 from homlong.repmod import validate_hom_module
@@ -135,6 +135,27 @@ def test_coherence_standard(dimodules):
     rep = check_coherence(u, v, w)
     assert rep.ok
     assert rep.flags["naturality-morphisms"] == "structure-maps"
+
+
+def test_coherence_tests_each_distinct_structure_map_once(dimodules, monkeypatch):
+    tr, can = dimodules["trivial"], dimodules["canonical"]
+    equal_tr = replace(tr)
+    reports = {uvw: check_coherence(*uvw) for uvw in
+               ((tr, can, tr), (can, tr, tr), (tr, tr, tr), (tr, equal_tr, can))}
+    tested = []
+    real = longdimod.dimodule_morphism_report
+
+    def counted(m, n, f):
+        if m is n and f is m.mu:
+            tested.append(m)
+        return real(m, n, f)
+
+    monkeypatch.setattr(longdimod, "dimodule_morphism_report", counted)
+    for uvw, rep in reports.items():
+        tested.clear()
+        assert check_coherence(*uvw) == rep
+        assert tested == [t for k, t in enumerate(uvw) if t not in uvw[:k]]
+    assert tested == [tr, can]
 
 
 def test_coherence_triangle_finding(scaled):

@@ -3213,6 +3213,59 @@ def test_composite_built_maps_are_never_converted_again(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# leg moves against a dense nested-list copy
+
+@st.composite
+def leg_moves(draw):
+    """A map from 0-3 input legs to 0-3 output legs of dims 1-3, as sparse
+    int columns, and any order of all its legs split into new inputs and new
+    outputs."""
+    dims_in = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    dims_out = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    legs = draw(st.permutations(range(len(dims_in) + len(dims_out))))
+    k = draw(st.integers(0, len(legs)))
+    rows = math.prod(dims_out)
+    values = st.integers(-4, 4).filter(bool)
+    cols = [sorted(draw(st.dictionaries(st.integers(0, rows - 1), values, max_size=3)).items())
+            for _ in range(math.prod(dims_in))]
+    return cols, dims_in, dims_out, tuple(legs[:k]), tuple(legs[k:])
+
+
+def dense_move_legs(cols, dims_in, dims_out, ins, outs):
+    """The dense columns of the map with its legs moved, read entry by entry
+    off a dense nested-list copy of the map."""
+    dense = [[0] * math.prod(dims_out) for _ in cols]
+    for j, col in enumerate(cols):
+        for r, x in col:
+            dense[j][r] = x
+    dims = dims_in + dims_out
+    moved = [[0] * math.prod(dims[leg] for leg in outs)
+             for _ in range(math.prod(dims[leg] for leg in ins))]
+    for idx in itertools.product(*map(range, dims)):
+        x = dense[flat_index(idx[:len(dims_in)], dims_in)][flat_index(idx[len(dims_in):],
+                                                                     dims_out)]
+        moved[flat_index([idx[leg] for leg in ins], [dims[leg] for leg in ins])][
+            flat_index([idx[leg] for leg in outs], [dims[leg] for leg in outs])] = x
+    return moved
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg_moves())
+def test_move_legs_matches_a_dense_copy(case):
+    cols, dims_in, dims_out, ins, outs = case
+    moved = linalg.move_legs(cols, dims_in, dims_out, ins, outs)
+    expected = dense_move_legs(cols, dims_in, dims_out, ins, outs)
+    assert len(moved) == len(expected)
+    for col, dense in zip(moved, expected):
+        rows = [r for r, _ in col]
+        assert len(set(rows)) == len(rows) and all(x for _, x in col)
+        assert [dense[r] for r in rows] == [x for _, x in col]
+        assert sum(map(bool, dense)) == len(col)
+        if list(outs) == sorted(outs):
+            assert rows == sorted(rows)
+
+
+# ---------------------------------------------------------------------------
 # the fraction-free elimination against the Fraction oracle
 
 @st.composite

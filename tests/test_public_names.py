@@ -66,7 +66,7 @@ LINALG_NAMES = [
     "BATCH_COLUMNS", "DimensionMismatch", "FOLD_MIN_COLUMNS", "Fraction", "LinalgError",
     "Matrix", "ONE", "SingularMatrix", "Tensor3", "Vector", "ZERO", "composite_columns",
     "composite_matrix", "coproduct_columns", "coproduct_tensor", "first_differing_column",
-    "flip_columns", "insert_columns", "int_columns", "pair_columns", "per_leg",
+    "flip_columns", "insert_columns", "int_columns", "move_legs", "pair_columns", "per_leg",
     "per_leg_matrix", "product_tensor", "scalar", "scalar_str", "scalar_to_json",
     "solve_exact", "sparse_columns", "unflat_index",
 ]
