@@ -8,7 +8,7 @@ genuine failures are reported rather than assumed away.
 """
 
 from homlong import fixtures as fx
-from homlong.linalg import composite_matrix
+from homlong.linalg import Composite
 from homlong.longdimod import (associator_legs, canonical_dimodule, check_coherence,
                                tensor_dimodule, validate_long_dimodule)
 
@@ -32,7 +32,7 @@ print("tensor of two canonical carriers: dim %d, valid? %s"
 # The associator is mu^-1 (x) id (x) omega: mu^-1 on the first leg and omega
 # on the last; units act by the structure map.
 u, v, w = dims["sign"], dims["canonical"], dims["trivial"]
-assoc = composite_matrix(associator_legs(u, w), (u.dim, v.dim, w.dim))
+assoc = Composite(associator_legs(u, w), (u.dim, v.dim, w.dim)).matrix()
 print("\nassociator shape: %dx%d" % (assoc.rows, assoc.cols))
 
 # Coherence holds on the standard fixtures...

@@ -14,9 +14,8 @@ the same way.
 
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, DimensionMismatch, composite_columns, composite_matrix,
-                     coproduct_columns, coproduct_tensor, flip_columns, insert_columns,
-                     pair_columns, per_leg, product_tensor, sparse_columns)
+from .linalg import (Matrix, Composite, DimensionMismatch, coproduct_columns, flip_columns,
+                     insert_columns, pair_columns, per_leg, sparse_columns)
 from .homstruct import tensor_hopf, validate_quasitriangular, validate_coquasitriangular
 from .repmod import YetterDrinfeldModule, yd_prebraiding
 from .longdimod import (HomLongDimodule, MismatchedBase, associator_legs, base_parts,
@@ -109,15 +108,15 @@ def long_braiding(ctx, m, n):
     ctx.require_valid()
     ctx.require_dimodule(m)
     ctx.require_dimodule(n)
-    return BraidOperator((m, n), composite_matrix(
-        _braiding(ctx, m, n, _mu2_inverse(m), _mu2_inverse(n)), (m.dim, n.dim)))
+    return BraidOperator((m, n), Composite(
+        _braiding(ctx, m, n, _mu2_inverse(m), _mu2_inverse(n)), (m.dim, n.dim)).matrix())
 
 
 def _mu2_inverse(*factors):
     """mu^-2 of the tensor product of factors as int columns: each factor's
     own mu^-1 twice on its leg, so no inverse spans two carriers."""
     steps = per_leg(*(t.mu.inv() for t in factors)) * 2
-    return composite_columns(steps, tuple(t.dim for t in factors))
+    return Composite(steps, tuple(t.dim for t in factors)).columns()
 
 
 def _braiding(ctx, m, n, mu2i, nu2i):
@@ -162,7 +161,7 @@ def long_braiding_inverse(ctx, m, n):
              + [(_mu2_inverse(n), (0,), None), (_mu2_inverse(m), (1,), None)]
              + acted[:1] + [(sparse_columns(ctx.H.antipode), (0,), None),
                             (flip_columns(nh, nh), (0, 1), None)] + acted[1:])
-    return BraidOperator((n, m), composite_matrix(steps, (n.dim, m.dim)))
+    return BraidOperator((n, m), Composite(steps, (n.dim, m.dim)).matrix())
 
 
 def check_braid_morphism(c):
@@ -192,8 +191,8 @@ def _braidings(ctx, *pairs):
     built = {}
     for m, n in pairs:
         if (id(m), id(n)) not in built:
-            built[id(m), id(n)] = composite_columns(
-                _braiding(ctx, m, n, mu2i[id(m)], mu2i[id(n)]), (m.dim, n.dim))
+            built[id(m), id(n)] = Composite(
+                _braiding(ctx, m, n, mu2i[id(m)], mu2i[id(n)]), (m.dim, n.dim)).columns()
     return [built[id(m), id(n)] for m, n in pairs]
 
 
@@ -223,10 +222,10 @@ def check_hexagons(ctx, u, v, w):
     rep = AxiomReport()
     du, dv, dw = u.dim, v.dim, w.dim
     c_uv, c_uw, c_vw = _braidings(ctx, (u, v), (u, w), (v, w))
-    c_u_vw = composite_columns(_braiding(ctx, u, tensor_dimodule(v, w), _mu2_inverse(u),
-                                         _mu2_inverse(v, w)), (du, dv * dw))
-    c_uv_w = composite_columns(_braiding(ctx, tensor_dimodule(u, v), w, _mu2_inverse(u, v),
-                                         _mu2_inverse(w)), (du * dv, dw))
+    c_u_vw = Composite(_braiding(ctx, u, tensor_dimodule(v, w), _mu2_inverse(u),
+                                 _mu2_inverse(v, w)), (du, dv * dw)).columns()
+    c_uv_w = Composite(_braiding(ctx, tensor_dimodule(u, v), w, _mu2_inverse(u, v),
+                                 _mu2_inverse(w)), (du * dv, dw)).columns()
     a = associator_legs
     names = (u.basis, v.basis, w.basis)
 
@@ -276,16 +275,16 @@ def hb_yd_structure(ctx, m):
     ai, bi, mui = (sparse_columns(t.inv()) for t in (ctx.H.gamma, ctx.B.gamma, m.mu))
     rho = (coproduct_columns(m.coaction), (2,), (nb, d))
     # (h, x, m) -> (h, x, m_-1, m_0) -> <x|m_-1> a^-3(h) . mu^-1(m_0)
-    act = product_tensor([rho, (pair_columns(ctx.form), (1, 2), ())]
-                         + [(ai, (0,), None)] * 3
-                         + [(mui, (1,), None), (sparse_columns(m.action), (0, 1), (d,))],
-                         (nh, nb, d), 2)
+    act = Composite([rho, (pair_columns(ctx.form), (1, 2), ())]
+                    + [(ai, (0,), None)] * 3
+                    + [(mui, (1,), None), (sparse_columns(m.action), (0, 1), (d,))],
+                    (nh, nb, d)).product(2)
     # m -> (R1, R2, m_-1, m_0) -> (R2, m_-1, R1, m_0) -> R2 (x) b^-3(m_-1) (x) R1 . mu^-1(m_0)
-    co = coproduct_tensor([(insert_columns(ctx.R, d), (0,), (nh, nh, d)), rho]
-                          + [(bi, (2,), None)] * 3
-                          + [(mui, (3,), None), (flip_columns(nh, nh), (0, 1), None),
-                             (flip_columns(nh, nb), (1, 2), (nb, nh)),
-                             (sparse_columns(m.action), (2, 3), (d,))], (d,), nh * nb)
+    co = Composite([(insert_columns(ctx.R, d), (0,), (nh, nh, d)), rho]
+                   + [(bi, (2,), None)] * 3
+                   + [(mui, (3,), None), (flip_columns(nh, nh), (0, 1), None),
+                      (flip_columns(nh, nb), (1, 2), (nb, nh)),
+                      (sparse_columns(m.action), (2, 3), (d,))], (d,)).coproduct(nh * nb)
     return YetterDrinfeldModule(replace(tensor_hopf(ctx.H, ctx.B), antipode=None), d, act, co,
                                 m.mu, m.basis)
 
@@ -315,7 +314,7 @@ def module_family_braiding(ctx, m, n):
     """Restricted braiding on unit-coaction dimodules:
     m (x) n -> R2 . nu^-1(n) (x) R1 . mu^-1(m)."""
     steps = per_leg(m.mu.inv(), n.mu.inv()) + _acted(ctx.R, ctx.H.dim, m, n)
-    return composite_matrix(steps, (m.dim, n.dim))
+    return Composite(steps, (m.dim, n.dim)).matrix()
 
 
 def comodule_family_braiding(ctx, m, n):
@@ -324,7 +323,7 @@ def comodule_family_braiding(ctx, m, n):
     dm, dn = m.dim, n.dim
     steps = (_paired(ctx.form, ctx.B.dim, m, n) + per_leg(m.mu.inv(), n.mu.inv())
              + [(flip_columns(dm, dn), (0, 1), (dn, dm))])
-    return composite_matrix(steps, (dm, dn))
+    return Composite(steps, (dm, dn)).matrix()
 
 
 def check_symmetry(ctx, m, n, diagnose=False):

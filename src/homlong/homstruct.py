@@ -17,10 +17,9 @@ output coordinate for an identity between elements.
 
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_columns,
-                     composite_matrix, coproduct_columns, coproduct_tensor,
-                     first_differing_column, flip_columns, insert_columns, pair_columns,
-                     per_leg_matrix, product_tensor, solve_exact, sparse_columns)
+from .linalg import (Matrix, Tensor3, Vector, Composite, DimensionMismatch, coproduct_columns,
+                     flip_columns, insert_columns, move_legs, pair_columns, per_leg_matrix,
+                     solve_exact, sparse_columns)
 from .report import AxiomReport, composites_equal_report, elements_equal_report
 
 
@@ -95,7 +94,7 @@ def _first_side(rep, axiom, sides, dims, names):
     agree on the legs dims; on failure witness the label of the first pair
     that differs, with the name of its first differing basis vector."""
     for label, lhs, rhs in sides:
-        idxs = first_differing_column(lhs, rhs, dims)
+        idxs = Composite(lhs, dims).first_difference(Composite(rhs, dims))
         if idxs is not None:
             return rep.add(axiom, False, (label, names[idxs[0]]))
     return rep.add(axiom, True)
@@ -220,21 +219,19 @@ def yau_twist(h, phi):
     mult, co, ph = sparse_columns(h.mult), coproduct_columns(h.comult), sparse_columns(phi)
     phi_mult = [(mult, (0, 1), (n,)), (ph, (0,), None)]
     comult_phi = [(ph, (0,), None), (co, (0,), (n, n))]
-    if first_differing_column(phi_mult, [(ph, (0,), None), (ph, (1,), None),
-                                         (mult, (0, 1), (n,))], (n, n)) is not None:
-        raise NotAutomorphism("phi o mult != mult o (phi x phi)")
-    if first_differing_column([(co, (0,), (n, n)), (ph, (0,), None), (ph, (1,), None)],
-                              comult_phi, (n,)) is not None:
-        raise NotAutomorphism("(phi x phi) o comult != comult o phi")
-    eps = pair_columns(h.counit)
-    if first_differing_column([(ph, (0,), None), (eps, (0,), ())], [(eps, (0,), ())],
-                              (n,)) is not None:
-        raise NotAutomorphism("counit o phi != counit")
-    put_u = [(insert_columns(h.unit, 1), (0,), (n, 1))]
-    if first_differing_column(put_u + [(ph, (0,), None)], put_u, (1,)) is not None:
-        raise NotAutomorphism("phi does not fix the unit")
-    return replace(h, gamma=phi, mult=product_tensor(phi_mult, (n, n)),
-                   comult=coproduct_tensor(comult_phi, (n,), n))
+    eps, put_u = pair_columns(h.counit), [(insert_columns(h.unit, 1), (0,), (n, 1))]
+    for lhs, rhs, dims, message in (
+            (phi_mult, [(ph, (0,), None), (ph, (1,), None), (mult, (0, 1), (n,))], (n, n),
+             "phi o mult != mult o (phi x phi)"),
+            ([(co, (0,), (n, n)), (ph, (0,), None), (ph, (1,), None)], comult_phi, (n,),
+             "(phi x phi) o comult != comult o phi"),
+            ([(ph, (0,), None), (eps, (0,), ())], [(eps, (0,), ())], (n,),
+             "counit o phi != counit"),
+            (put_u + [(ph, (0,), None)], put_u, (1,), "phi does not fix the unit")):
+        if Composite(lhs, dims).first_difference(Composite(rhs, dims)) is not None:
+            raise NotAutomorphism(message)
+    return replace(h, gamma=phi, mult=Composite(phi_mult, (n, n)).product(),
+                   comult=Composite(comult_phi, (n,)).coproduct(n))
 
 
 def dual_hopf(b):
@@ -242,18 +239,23 @@ def dual_hopf(b):
     (f*g)(y) = f(b^-2(y1)) g(b^-2(y2)), Delta(f)(x(x)y) = f(b^-2(xy)),
     unit = counit, counit(f) = f(1), antipode = transpose, twist f -> f o b^-1.
     Its product and coproduct are the transposes of (b^-2 (x) b^-2) o Delta
-    and b^-2 o mult."""
+    and b^-2 o mult: each composite's columns with legs moved once."""
     n = b.dim
     b1i = b.gamma.inv()
     bi = sparse_columns(b1i)
     twice = [(bi, (0,), None)] * 2
-    mult_d = composite_matrix([(coproduct_columns(b.comult), (0,), (n, n))] + twice
-                              + [(bi, (1,), None)] * 2, (n,)).transpose()
-    comult_d = composite_matrix([(sparse_columns(b.mult), (0, 1), (n,))] + twice,
-                                (n, n)).transpose()
+    mult, ms = Composite([(coproduct_columns(b.comult), (0,), (n, n))] + twice
+                         + [(bi, (1,), None)] * 2, (n,)).columns()
+    comult, cs = Composite([(sparse_columns(b.mult), (0, 1), (n,))] + twice, (n, n)).columns()
+    # the dual product's legs (f, g | h) are those of Delta's (x | y, z)
+    # moved to (y, z | x), and the dual coproduct's (f, g | h) those of
+    # mult's (x, y | z) moved to (z, x | y)
     s = b.antipode
-    return HomStructure(n, b1i.transpose(), Tensor3.from_in2_out1(mult_d, n, n), b.counit,
-                        Tensor3.from_in1_out2(comult_d, n, n), b.unit,
+    return HomStructure(n, b1i.transpose(),
+                        Tensor3.from_int_columns(move_legs(mult, (n,), (n, n), (1, 2), (0,)),
+                                                 ms, (n, n, n)), b.counit,
+                        Tensor3.from_int_columns(move_legs(comult, (n, n), (n,), (2, 0), (1,)),
+                                                 cs, (n, n, n)), b.unit,
                         None if s is None else s.transpose(),
                         tuple(x + "*" for x in b.basis))
 
@@ -262,9 +264,9 @@ def tensor_algebra(a, c):
     """Componentwise tensor product Hom-algebra of the algebra parts of a and
     c on the lexicographic basis: (x (x) y)(x' (x) y') = xx' (x) yy'."""
     na, nc = a.dim, c.dim
-    mult = product_tensor([(flip_columns(nc, na), (1, 2), (na, nc)),
-                           (sparse_columns(a.mult), (0, 1), (na,)),
-                           (sparse_columns(c.mult), (1, 2), (nc,))], (na, nc, na, nc), 2)
+    mult = Composite([(flip_columns(nc, na), (1, 2), (na, nc)),
+                      (sparse_columns(a.mult), (0, 1), (na,)),
+                      (sparse_columns(c.mult), (1, 2), (nc,))], (na, nc, na, nc)).product(2)
     unit = per_leg_matrix(a.unit, c.unit).column(0)
     return HomStructure(na * nc, per_leg_matrix(a.gamma, c.gamma), mult, unit,
                         basis=tensor_basis(a.basis, c.basis))
@@ -278,9 +280,9 @@ def tensor_basis(first, second):
 def tensor_hopf(h, b):
     """Componentwise tensor product Hom-Hopf algebra on the lexicographic basis."""
     nh, nb = h.dim, b.dim
-    comult = coproduct_tensor([(coproduct_columns(h.comult), (0,), (nh, nh)),
-                               (coproduct_columns(b.comult), (2,), (nb, nb)),
-                               (flip_columns(nh, nb), (1, 2), (nb, nh))], (nh, nb), nh * nb)
+    comult = Composite([(coproduct_columns(h.comult), (0,), (nh, nh)),
+                        (coproduct_columns(b.comult), (2,), (nb, nb)),
+                        (flip_columns(nh, nb), (1, 2), (nb, nh))], (nh, nb)).coproduct(nh * nb)
     s = (None if h.antipode is None or b.antipode is None
          else per_leg_matrix(h.antipode, b.antipode))
     return replace(tensor_algebra(h, b), comult=comult, antipode=s,
@@ -290,8 +292,8 @@ def tensor_hopf(h, b):
 def opposite_algebra(a):
     """The algebra part of a with the multiplication reversed."""
     n = a.dim
-    mult_op = product_tensor([(flip_columns(n, n), (0, 1), None),
-                              (sparse_columns(a.mult), (0, 1), (n,))], (n, n))
+    mult_op = Composite([(flip_columns(n, n), (0, 1), None),
+                         (sparse_columns(a.mult), (0, 1), (n,))], (n, n)).product()
     return HomStructure(n, a.gamma, mult_op, a.unit, basis=a.basis)
 
 
@@ -323,8 +325,9 @@ def validate_quasitriangular(h, r):
         return (insert_columns(r, d), (leg,), (n, n, d))
 
     put_u = insert_columns(h.unit, 1)
-    sides = [first_differing_column([put_r(0), (eps, (leg,), ())], [(put_u, (0,), (n, 1))],
-                                    (1,)) is None for leg in (0, 1)]
+    unit = Composite([(put_u, (0,), (n, 1))], (1,))
+    sides = [Composite([put_r(0), (eps, (leg,), ())], (1,)).first_difference(unit) is None
+             for leg in (0, 1)]
     rep.add("QHA1", all(sides), None if all(sides) else
             ("eps(R1)R2" if not sides[0] else "R1eps(R2)",))
 
@@ -352,14 +355,14 @@ def validate_quasitriangular(h, r):
     # its image under the flip, an automorphism of the componentwise product
     lmul = [put_r(0, n), (flip, (1, 2), None)] + twice
     rmul = [put_r(1, n), (flip, (2, 3), None)] + twice
-    unit2 = [(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))]
-    triangular = first_differing_column([put_r(0), (flip, (0, 1), None)] + lmul, unit2,
-                                        (1,)) is None
+    unit2 = Composite([(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))], (1,))
+    triangular = Composite([put_r(0), (flip, (0, 1), None)] + lmul,
+                           (1,)).first_difference(unit2) is None
     # a two-sided inverse R21 solves the stacked system, so the system is
     # solved only when R21 is not one
     rep.set_flag("convolution-invertible", triangular or _stacked_solvable(
-        composite_columns(lmul, to_hh), composite_columns(rmul, to_hh),
-        composite_columns(unit2, (1,))))
+        Composite(lmul, to_hh).columns(), Composite(rmul, to_hh).columns(),
+        unit2.columns()))
     rep.set_flag("triangular", triangular)
     return rep
 
@@ -405,7 +408,8 @@ def validate_coquasitriangular(b, form):
                             to_hh, (names, names))
     # <1|h> and <h|1>, each against eps(h)
     put_u = (insert_columns(b.unit, n), (0,), to_hh)
-    sides = [first_differing_column(side, [(eps, (0,), ())], to_h) is None
+    counit = Composite([(eps, (0,), ())], to_h)
+    sides = [Composite(side, to_h).first_difference(counit) is None
              for side in ([put_u, pair], [put_u, (flip, (0, 1), None), pair])]
     rep.add("CHA4", all(sides), None if all(sides) else
             ("<1|h>" if not sides[0] else "<h|1>",))
@@ -414,8 +418,8 @@ def validate_coquasitriangular(b, form):
                             to_hh, (names, names))
 
     # <h1|g1><g2|h2> against eps(h) eps(g)
-    rep.set_flag("cotriangular", first_differing_column(
-        expand + [pair, (flip, (0, 1), None), pair], [(eps, (0,), ()), (eps, (0,), ())],
-        to_hh) is None)
+    rep.set_flag("cotriangular", Composite(
+        expand + [pair, (flip, (0, 1), None), pair], to_hh).first_difference(
+            Composite([(eps, (0,), ()), (eps, (0,), ())], to_hh)) is None)
     return rep
 

@@ -30,25 +30,26 @@ columns (sparse_columns, coproduct_columns, per_leg, flip_columns,
 insert_columns, pair_columns), to consecutive legs of a sparse vector.  A
 map with legs moved between its inputs and outputs (a transpose, the other
 reading of a Tensor3, an element's flat coordinates) comes from one
-function, move_legs, in one pass over its entries.  A composite is planned
-once, then run on batches of basis columns: the column index j is one more
-leading leg, so a batch is the one sparse vector sum_j e_j (x) e_j and a
-single pass per step serves all its columns; a step's output is filtered
-for zeros only when the step cancelled an entry.  On a composite of at least
-FOLD_MIN_COLUMNS columns, a step that keeps its leg count and has at most
-one entry per column, on distinct rows (mu, its inverse, alpha, the
-associators' legs, a flip), makes no pass of its own: the plan carries it
-past steps on other legs into the next step on its legs, whose columns it
-re-indexes and scales, and drops it where it composes to the identity, as
-mu^-1 and mu of consecutive associators do.  first_differing_column compares
-two composites on batches of BATCH_COLUMNS columns from column 0, and stops
-at the first batch that differs; composite_columns gives one composite as
-int columns, a step for a further composite, and composite_matrix the
-Matrix over the same columns, both run BATCH_COLUMNS columns at a
+function, move_legs, in one pass over its entries.  A Composite of steps is
+checked and planned once, when it is built, then run on batches of basis
+columns: the column index j is one more leading leg, so a batch is the one
+sparse vector sum_j e_j (x) e_j and a single pass per step serves all its
+columns; a step's output is filtered for zeros only when the step cancelled
+an entry.  On a composite of at least FOLD_MIN_COLUMNS columns, a step that
+keeps its leg count and has at most one entry per column, on distinct rows
+(mu, its inverse, alpha, the associators' legs, a flip), makes no pass of
+its own: the plan carries it past steps on other legs into the next step on
+its legs, whose columns it re-indexes and scales, and drops it where it
+composes to the identity, as mu^-1 and mu of consecutive associators do.
+Composite.first_difference compares two composites on batches of
+BATCH_COLUMNS columns from column 0, and stops at the first batch that
+differs; columns() gives one composite as int columns, a step for a further
+composite, matrix() the Matrix over the same columns, and product() and
+coproduct() its two Tensor3 readings, all run BATCH_COLUMNS columns at a
 time.  Every constructed structure map is such a composite: per_leg_matrix
-gives a tensor product of maps, and product_tensor and coproduct_tensor
-give a multiplication, action, comultiplication or coaction, so no map is
-written as an index sum over structure constants or as a Kronecker product.
+gives a tensor product of maps, and the Tensor3 readings a multiplication,
+action, comultiplication or coaction, so no map is written as an index sum
+over structure constants or as a Kronecker product.
 
 Matrix, Vector and Tensor3 are immutable, so each keeps what is derived
 from it once computed: a Matrix its data view, determinant and inverse, a
@@ -150,7 +151,7 @@ class Matrix:
     def from_int_columns(cls, cols, scale, rows):
         """The Matrix, or on Vector the Vector, cols / scale with the given
         number of rows, for lists of (row, int) pairs with nonzero value in
-        any row order and a positive int scale, as composite_columns gives
+        any row order and a positive int scale, as Composite.columns gives
         them.  The lists are taken over: each is sorted by row, and the
         values and the scale are divided by their gcd (the canonical form)."""
         return cls._of(rows, len(cols), _canonical(cols, scale))
@@ -524,37 +525,42 @@ FOLD_MIN_COLUMNS = 64
 
 def _plan(steps, dims):
     """Check a composite's legs and column counts on the legs dims once,
-    exactly as the steps are given: (plan, out_dims, scale), a planned step
-    being (cols, blk_in * suf, suf, blk_out * suf) for its block, the legs
-    after it and its image.
+    exactly as the steps are given, and build its one plan: (plan,
+    out_dims, scale), a planned step being (cols, blk_in * suf, suf,
+    blk_out * suf) for its block, the legs after it and its image.
 
-    A composite of at least FOLD_MIN_COLUMNS input columns, with no
-    0-dimensional leg, is then planned again without its steps that keep
-    their leg count and have at most one entry per column, on distinct rows
-    (mu, mu^-1, alpha, the associators' legs, flips): _fold carries each one
+    On a composite of at least FOLD_MIN_COLUMNS input columns, with no
+    0-dimensional leg, the plan leaves out its steps that keep their leg
+    count and have at most one entry per column, on distinct rows (mu,
+    mu^-1, alpha, the associators' legs, flips): _fold carries each one
     forward into the next step on its legs, so _run makes no pass of its own
-    for it.  A smaller composite keeps its one plan.  The composite's value
-    is the same; scale is the product of the scales of the planned steps,
-    which is the product of all the steps' scales unless a carried map
-    cancelled to the identity (mu then mu^-1) and was dropped with its
-    scales."""
+    for it.  The composite's value is the same; scale is the product of the
+    scales of the planned steps, which is the product of all the steps'
+    scales unless a carried map cancelled to the identity (mu then mu^-1)
+    and was dropped with its scales."""
+    fold = math.prod(dims) >= FOLD_MIN_COLUMNS
     plan, shaped, d, scale = [], [], tuple(dims), 1
     for (cols, sc), legs, out in steps:
         first, stop = legs[0], legs[-1] + 1
         ins = d[first:stop]
-        blk_in, suf = math.prod(ins), math.prod(d[stop:])
+        blk_in = math.prod(ins)
         if tuple(legs) != tuple(range(first, stop)) or stop > len(d) or len(cols) != blk_in:
             raise DimensionMismatch("map with %d columns on legs %r of %r" % (len(cols), legs, d))
         out = ins if out is None else tuple(out)
-        plan.append((cols, blk_in * suf, suf, math.prod(out) * suf))
-        shaped.append((cols, sc, first, ins, out))
+        if fold:
+            shaped.append((cols, sc, first, ins, out))
+        else:
+            suf = math.prod(d[stop:])
+            plan.append((cols, blk_in * suf, suf, math.prod(out) * suf))
         d, scale = d[:first] + out + d[stop:], scale * sc
+    if not fold:
+        return plan, d, scale
     # every leg a step meets is an input leg or lands from a step, so none
     # is 0-dimensional when neither is
-    if math.prod(dims) < FOLD_MIN_COLUMNS or any(0 in s[4] for s in shaped):
-        return plan, d, scale
-    plan, d, scale = [], tuple(dims), 1
-    for cols, sc, first, ins, out in _fold(shaped):
+    if not any(0 in s[4] for s in shaped):
+        shaped = _fold(shaped)
+    d, scale = tuple(dims), 1
+    for cols, sc, first, ins, out in shaped:
         stop = first + len(ins)
         suf = math.prod(d[stop:])
         plan.append((cols, math.prod(ins) * suf, suf, math.prod(out) * suf))
@@ -657,93 +663,95 @@ def _run(plan, vec):
     return vec
 
 
-def _run_batch(plan, start, stop, d_in, x):
-    """The images of x times the basis columns start, ..., stop - 1 of the
-    d_in input columns under a planned composite, run as one batch: the
-    sparse vector sum_j x e_j (x) e_j, whose leading leg is the column index
-    j, so entry r of column j's image is at key j * d_out + r.  Keys of two
-    columns never meet, so each column's entries come in the order of its
-    own run."""
-    return _run(plan, {j * d_in + j: x for j in range(start, stop)})
+class Composite:
+    """A composite of steps on the tensor legs dims, checked and planned
+    (see _plan) once, when it is built.  A step is (map, legs, out_dims),
+    applied in order; map is (cols, scale) as sparse_columns gives it, and
+    out_dims None keeps the legs' dims.  Each reading runs the plan afresh,
+    BATCH_COLUMNS basis columns at a time, with no Fraction on the way, and
+    changes no step's columns."""
 
+    __slots__ = ("dims", "out_dims", "_plan", "_scale")
 
-def first_differing_column(lhs, rhs, dims):
-    """The first basis tuple of the tensor legs dims, in lexicographic
-    order, on which two composites differ; None when they are equal.
+    def __init__(self, steps, dims):
+        self.dims = tuple(dims)
+        self._plan, self.out_dims, self._scale = _plan(steps, self.dims)
 
-    A composite is a sequence of steps (map, legs, out_dims), applied in
-    order; map is (cols, scale) as sparse_columns gives it.  Both are
-    planned, and so checked, before any column is run.  A side run on int
-    columns is its true value times its scales, so each side starts from
-    the other side's product.  Both sides run BATCH_COLUMNS columns at a
-    time from column 0, so a failure at column c runs
-    min(d, (c // BATCH_COLUMNS + 1) * BATCH_COLUMNS) of the d columns a
-    side, and the witness is the least differing column of that batch."""
-    (lplan, ld, lscale), (rplan, rd, rscale) = _plan(lhs, dims), _plan(rhs, dims)
-    d_in, d_out = math.prod(dims), math.prod(ld)
-    if d_out != math.prod(rd):
-        raise DimensionMismatch("composites land in dims %d and %d" % (d_out, math.prod(rd)))
-    for start in range(0, d_in, BATCH_COLUMNS):
-        stop = min(start + BATCH_COLUMNS, d_in)
-        left = _run_batch(lplan, start, stop, d_in, rscale)
-        right = _run_batch(rplan, start, stop, d_in, lscale)
-        if left != right:
-            key = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
-            return unflat_index(key // d_out, dims)
-    return None
+    def _batches(self, x):
+        """The images of x times the basis columns, a batch of BATCH_COLUMNS
+        from column 0 at a time, each batch run as the one sparse vector
+        sum_j x e_j (x) e_j: its leading leg is the column index j, so entry
+        r of column j's image is at key j * rows + r, and each column's
+        entries come in the order of its own run."""
+        d_in = math.prod(self.dims)
+        for start in range(0, d_in, BATCH_COLUMNS):
+            yield _run(self._plan, {j * d_in + j: x
+                                    for j in range(start, min(start + BATCH_COLUMNS, d_in))})
 
+    def columns(self):
+        """The composite as (cols, scale), a step for a further composite:
+        each column's entries in the order of its run, none of them zero,
+        and the scale the unreduced product of the steps' scales, less
+        those of a one-entry-per-column map the plan dropped as cancelling
+        to the identity (mu then mu^-1); Matrix.from_int_columns sorts and
+        reduces them to the canonical form int_columns gives."""
+        rows = math.prod(self.out_dims)
+        cols = [[] for _ in range(math.prod(self.dims))]
+        for batch in self._batches(1):
+            for key, x in batch.items():
+                j, r = divmod(key, rows)
+                cols[j].append((r, x))
+        return cols, self._scale
 
-def _composite(steps, dims):
-    """(cols, scale, rows) of a composite of steps on the legs dims, the
-    columns in run order and the scale that of its plan (see _plan)."""
-    plan, out_dims, scale = _plan(steps, dims)
-    d_in, rows = math.prod(dims), math.prod(out_dims)
-    cols = [[] for _ in range(d_in)]
-    for start in range(0, d_in, BATCH_COLUMNS):
-        for key, x in _run_batch(plan, start, min(start + BATCH_COLUMNS, d_in), d_in, 1).items():
-            j, r = divmod(key, rows)
-            cols[j].append((r, x))
-    return cols, scale, rows
+    def matrix(self):
+        return Matrix.from_int_columns(*self.columns(), math.prod(self.out_dims))
 
+    def product(self, first=1):
+        """The product-like Tensor3 (a multiplication or an action) whose
+        first input is the first `first` legs and second the others."""
+        return Tensor3.from_int_columns(*self.columns(), (
+            math.prod(self.dims[:first]), math.prod(self.dims[first:]),
+            math.prod(self.out_dims)))
 
-def composite_columns(steps, dims):
-    """A composite of steps on the tensor legs dims, as first_differing_column
-    takes them, as (cols, scale): a step for a further composite, with no
-    Fraction on the way.  Each column's entries come in the order of its
-    run, with no zero among them, and the scale is the unreduced product of
-    the steps' scales, less those of a one-entry-per-column map that _plan
-    found to cancel to the identity (mu then mu^-1) on a composite of at
-    least FOLD_MIN_COLUMNS columns; Matrix.from_int_columns sorts and
-    reduces them to the canonical form int_columns gives."""
-    cols, scale, _ = _composite(steps, dims)
-    return cols, scale
+    def coproduct(self, first_out):
+        """The coproduct-like Tensor3 (a comultiplication or a coaction)
+        whose first output has dim first_out: the columns with legs moved
+        once, and kept as its coproduct_columns."""
+        rows = math.prod(self.out_dims)
+        dims = (math.prod(self.dims), first_out, rows // first_out)
+        if rows % first_out:
+            raise DimensionMismatch("matrix has %d rows, expected %d"
+                                    % (rows, first_out * dims[2]))
+        cols, scale = _canonical(*self.columns())
+        t = Tensor3.from_int_columns(move_legs(cols, dims[:1], dims[1:], (0, 1), (2,)),
+                                     scale, dims)
+        t._coproduct = cols, scale
+        return t
 
-
-def composite_matrix(steps, dims):
-    """The Matrix on the tensor legs dims of a composite of steps, as
-    first_differing_column takes them: the int columns of the run, with no
-    dense fill and no Fraction on the way."""
-    return Matrix.from_int_columns(*_composite(steps, dims))
+    def first_difference(self, other):
+        """The first basis tuple of the input legs, in lexicographic order,
+        on which this composite and other, on the same legs, differ; None
+        when they are equal.  Each side runs on int columns, scaled by the
+        other side's scale, a batch at a time from column 0, so a failure
+        at column c runs min(d, (c // BATCH_COLUMNS + 1) * BATCH_COLUMNS)
+        of the d columns a side, and the witness is the least differing
+        column of that batch."""
+        d_out = math.prod(self.out_dims)
+        if self.dims != other.dims:
+            raise DimensionMismatch("composites on legs %r and %r" % (self.dims, other.dims))
+        if d_out != math.prod(other.out_dims):
+            raise DimensionMismatch("composites land in dims %d and %d"
+                                    % (d_out, math.prod(other.out_dims)))
+        for left, right in zip(self._batches(other._scale), other._batches(self._scale)):
+            if left != right:
+                key = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+                return unflat_index(key // d_out, self.dims)
+        return None
 
 
 def per_leg_matrix(*maps):
     """The Matrix of the tensor product of maps, maps[k] on leg k."""
-    return composite_matrix(per_leg(*maps), tuple(f.cols for f in maps))
-
-
-def product_tensor(steps, dims, first=1):
-    """The product-like Tensor3 (a multiplication or an action) of a
-    composite of steps on the legs dims; its first input is the first
-    `first` legs and its second the others."""
-    return Tensor3.from_in2_out1(composite_matrix(steps, dims), math.prod(dims[:first]),
-                                 math.prod(dims[first:]))
-
-
-def coproduct_tensor(steps, dims, first_out):
-    """The coproduct-like Tensor3 (a comultiplication or a coaction) of a
-    composite of steps on the legs dims; its first output has dim first_out."""
-    m = composite_matrix(steps, dims)
-    return Tensor3.from_in1_out2(m, first_out, m.rows // first_out)
+    return Composite(per_leg(*maps), tuple(f.cols for f in maps)).matrix()
 
 
 def solve_exact(a, b):
@@ -797,10 +805,14 @@ class Tensor3(Matrix):
         self._data = self._det = self._inverse = self._coproduct = None
 
     @classmethod
-    def _of(cls, rows, cols, sparse, d0, d1):
-        """The d0 x d1 x rows Tensor3 over product-like columns in the form
-        int_columns gives, cols = d0 * d1 of them."""
-        t = super()._of(rows, cols, sparse)
+    def from_int_columns(cls, cols, scale, dims):
+        """The Tensor3 of dims (d0, d1, d2) whose product-like columns are
+        cols / scale, d0 * d1 lists of (row, int) pairs with rows below d2,
+        taken over as Matrix.from_int_columns takes them."""
+        d0, d1, d2 = dims
+        if len(cols) != d0 * d1:
+            raise DimensionMismatch("matrix has %d columns, expected %d" % (len(cols), d0 * d1))
+        t = cls._of(d2, d0 * d1, _canonical(cols, scale))
         t.d0, t.d1, t._coproduct = d0, d1, None
         return t
 
@@ -823,7 +835,7 @@ class Tensor3(Matrix):
 
     @staticmethod
     def zeros(d0, d1, d2):
-        return Tensor3._of(d2, d0 * d1, ([[] for _ in range(d0 * d1)], 1), d0, d1)
+        return Tensor3.from_int_columns([[] for _ in range(d0 * d1)], 1, (d0, d1, d2))
 
     @staticmethod
     def from_function(d0, d1, d2, f):
@@ -838,28 +850,6 @@ class Tensor3(Matrix):
         return Matrix.__eq__(self, other) and self.d0 == other.d0
 
     __hash__ = Matrix.__hash__
-
-    @staticmethod
-    def from_in2_out1(m, d0, d1):
-        """The product-like Tensor3 (T[i][j][k] = coeff of z_k in x_i y_j)
-        of the map m: X (x) Y -> Z with d0*d1 columns, which are its
-        columns; its data is built on first read."""
-        if m.cols != d0 * d1:
-            raise DimensionMismatch("matrix has %d columns, expected %d" % (m.cols, d0 * d1))
-        return Tensor3._of(m.rows, m.cols, sparse_columns(m), d0, d1)
-
-    @staticmethod
-    def from_in1_out2(m, d1, d2):
-        """The coproduct-like Tensor3 (T[i][j][k] = coeff of y_j z_k at x_i)
-        of the map m: X -> Y (x) Z with d1*d2 rows: m's columns with legs
-        moved once into its own, and kept as its coproduct_columns."""
-        if m.rows != d1 * d2:
-            raise DimensionMismatch("matrix has %d rows, expected %d" % (m.rows, d1 * d2))
-        cols, scale = sparse_columns(m)
-        t = Tensor3._of(d2, m.cols * d1,
-                        (move_legs(cols, (m.cols,), (d1, d2), (0, 1), (2,)), scale), m.cols, d1)
-        t._coproduct = cols, scale
-        return t
 
     def to_json(self):
         """T[i][j][k] as nested lists of ints and "p/q" strings, written from

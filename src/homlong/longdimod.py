@@ -11,10 +11,9 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 import math
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, Vector, DimensionMismatch, composite_columns,
-                     coproduct_columns, coproduct_tensor, first_differing_column,
+from .linalg import (Matrix, Tensor3, Vector, Composite, DimensionMismatch, coproduct_columns,
                      flip_columns, insert_columns, move_legs, pair_columns, per_leg_matrix,
-                     product_tensor, sparse_columns)
+                     sparse_columns)
 from .homstruct import (HomStructure, default_basis, dual_hopf, opposite_algebra,
                         tensor_algebra, tensor_basis)
 from .repmod import (HomModule, HomComodule, check_carrier_shapes, validate_hom_module,
@@ -97,11 +96,11 @@ def h_tensor_parts(h, coaction, mu, names):
     rho(g (x) x) = x_-1 (x) (a(g) (x) x_0), as (dim, action, coaction,
     structure map a (x) mu, basis names)."""
     nh, dm, nc = h.dim, mu.rows, coaction.d1
-    act = product_tensor([(sparse_columns(h.mult), (0, 1), (nh,)),
-                          (sparse_columns(mu), (1,), None)], (nh, nh, dm))
-    co = coproduct_tensor([(sparse_columns(h.gamma), (0,), None),
-                           (coproduct_columns(coaction), (1,), (nc, dm)),
-                           (flip_columns(nh, nc), (0, 1), (nc, nh))], (nh, dm), nc)
+    act = Composite([(sparse_columns(h.mult), (0, 1), (nh,)),
+                     (sparse_columns(mu), (1,), None)], (nh, nh, dm)).product()
+    co = Composite([(sparse_columns(h.gamma), (0,), None),
+                    (coproduct_columns(coaction), (1,), (nc, dm)),
+                    (flip_columns(nh, nc), (0, 1), (nc, nh))], (nh, dm)).coproduct(nc)
     return nh * dm, act, co, per_leg_matrix(h.gamma, mu), tensor_basis(h.basis, names)
 
 
@@ -122,8 +121,8 @@ def tensor_dimodule(m, n):
         raise MismatchedBase("tensor of dimodules over different algebra pairs")
     h, b = m.H, n.B
     return HomLongDimodule(m.H, m.B, m.dim * n.dim,
-                           product_tensor(_tree_action(h, (m, n)), (h.dim, m.dim, n.dim)),
-                           coproduct_tensor(_tree_coaction(b, (m, n)), (m.dim, n.dim), b.dim),
+                           Composite(_tree_action(h, (m, n)), (h.dim, m.dim, n.dim)).product(),
+                           Composite(_tree_coaction(b, (m, n)), (m.dim, n.dim)).coproduct(b.dim),
                            per_leg_matrix(m.mu, n.mu), tensor_basis(m.basis, n.basis))
 
 
@@ -180,21 +179,21 @@ def trivial_dimodule(h, b, mu=None):
 
 def counit_action(h, mu):
     """The action h.m = eps(h) mu(m) of H on the carrier of mu."""
-    return product_tensor([(pair_columns(h.counit), (0,), ()),
-                           (sparse_columns(mu), (0,), None)], (h.dim, mu.rows))
+    return Composite([(pair_columns(h.counit), (0,), ()),
+                      (sparse_columns(mu), (0,), None)], (h.dim, mu.rows)).product()
 
 
 def unit_coaction(b, mu):
     """The coaction rho(m) = 1_B (x) mu(m) of B on the carrier of mu."""
     d = mu.rows
-    return coproduct_tensor([(sparse_columns(mu), (0,), None),
-                             (insert_columns(b.unit, d), (0,), (b.dim, d))], (d,), b.dim)
+    return Composite([(sparse_columns(mu), (0,), None),
+                      (insert_columns(b.unit, d), (0,), (b.dim, d))], (d,)).coproduct(b.dim)
 
 
 def associator_legs(u, w, inverse=False):
     """The associator (u (x) v) (x) w -> u (x) (v (x) w),
-    (u (x) v) (x) w -> mu^-1(u) (x) (v (x) omega(w)), as steps for
-    first_differing_column on the legs (u, v, w): mu_u^-1 on leg 0 and
+    (u (x) v) (x) w -> mu^-1(u) (x) (v (x) omega(w)), as steps for a
+    Composite on the legs (u, v, w): mu_u^-1 on leg 0 and
     omega_w on leg 2.  The inverse is mu_u on leg 0 and omega_w^-1 on leg 2,
     so no triple product is inverted."""
     first, last = (u.mu, w.mu.inv()) if inverse else (u.mu.inv(), w.mu)
@@ -286,13 +285,13 @@ def check_coherence(u, v, w, x=None):
     # associator f from ((u, v), w) to (u, (v, w))
     h, left, right = u.H, ((u, v), w), (u, (v, w))
     a_shifted = [mui(u, 1), mu(w, 3)]
-    idxs = first_differing_column(_tree_action(h, left) + a_uvw,
-                                  a_shifted + _tree_action(h, right),
-                                  (h.dim, u.dim, v.dim, w.dim))
+    dims = (h.dim, u.dim, v.dim, w.dim)
+    idxs = Composite(_tree_action(h, left) + a_uvw, dims).first_difference(
+        Composite(a_shifted + _tree_action(h, right), dims))
     rep.add("assoc-H-linear", idxs is None,
             None if idxs is None else (h.basis[idxs[0]], _triple_name(idxs[1:], u, v, w)))
-    idxs = first_differing_column(a_uvw + _tree_coaction(u.B, right),
-                                  _tree_coaction(u.B, left) + a_shifted, (u.dim, v.dim, w.dim))
+    idxs = Composite(a_uvw + _tree_coaction(u.B, right), dims[1:]).first_difference(
+        Composite(_tree_coaction(u.B, left) + a_shifted, dims[1:]))
     rep.add("assoc-B-colinear", idxs is None,
             None if idxs is None else (_triple_name(idxs, u, v, w),))
     unit = unit_dimodule(u.H, u.B)
@@ -354,17 +353,18 @@ def _dual(m, h_twist, b_twist, side):
     nb, d = b.dim, m.dim
     mui2 = [(sparse_columns(m.mu.inv()), (1,), None)] * 2
     # (h, x) -> h_twist(h) . mu^-2(x)
-    act = composite_columns([(sparse_columns(t), (0,), None) for t in h_twist] + mui2
-                            + [(sparse_columns(m.action), (0, 1), (d,))], (h.dim, d))
+    act = Composite([(sparse_columns(t), (0,), None) for t in h_twist] + mui2
+                    + [(sparse_columns(m.action), (0, 1), (d,))], (h.dim, d)).columns()
     # x -> b_twist(x_-1) (x) mu^-2(x_0)
-    co = composite_columns([(coproduct_columns(m.coaction), (0,), (nb, d))]
-                           + [(sparse_columns(t), (0,), None) for t in b_twist] + mui2, (d,))
+    co = Composite([(coproduct_columns(m.coaction), (0,), (nb, d))]
+                   + [(sparse_columns(t), (0,), None) for t in b_twist] + mui2, (d,)).columns()
     # the dual action's legs (h, f^j | f^x) are act's (h, x | j), and the
     # dual coaction's (f^j, b | f^x) are co's (x | b, j)
-    act = Matrix.from_int_columns(move_legs(act[0], (h.dim, d), (d,), (0, 2), (1,)), act[1], d)
-    co = Matrix.from_int_columns(move_legs(co[0], (d,), (nb, d), (2, 1), (0,)), co[1], d)
-    dual = HomLongDimodule(h, b, d, Tensor3.from_in2_out1(act, h.dim, d),
-                           Tensor3.from_in2_out1(co, d, nb), m.mu.inv().transpose(),
+    act = Tensor3.from_int_columns(move_legs(act[0], (h.dim, d), (d,), (0, 2), (1,)), act[1],
+                                   (h.dim, d, d))
+    co = Tensor3.from_int_columns(move_legs(co[0], (d,), (nb, d), (2, 1), (0,)), co[1],
+                                  (d, nb, d))
+    dual = HomLongDimodule(h, b, d, act, co, m.mu.inv().transpose(),
                            tuple(x + "*" for x in m.basis))
     # dual-basis pairing and copairing; the same sum_i e_i (x) e_i serves
     # both sides (left: ev on M* (x) M, coev in M (x) M*; right: swapped roles).
@@ -416,11 +416,11 @@ def to_smash_module(m):
     h, b = m.H, m.B
     nh, nb, d = h.dim, b.dim, m.dim
     # (p, h, x) -> (p, h, x_-1, x_0) -> (p, x_-1, h, x_0) -> p(x_-1) h . mu^-1(x_0)
-    act = product_tensor([(coproduct_columns(m.coaction), (2,), (nb, d)),
-                          (flip_columns(nh, nb), (1, 2), (nb, nh)),
-                          (pair_columns(_identity_element(nb)), (0, 1), ()),
-                          (sparse_columns(m.mu.inv()), (1,), None),
-                          (sparse_columns(m.action), (0, 1), (d,))], (nb, nh, d), 2)
+    act = Composite([(coproduct_columns(m.coaction), (2,), (nb, d)),
+                     (flip_columns(nh, nb), (1, 2), (nb, nh)),
+                     (pair_columns(_identity_element(nb)), (0, 1), ()),
+                     (sparse_columns(m.mu.inv()), (1,), None),
+                     (sparse_columns(m.action), (0, 1), (d,))], (nb, nh, d)).product(2)
     return HomModule(smash_product_algebra(b, h), d, act, m.mu, m.basis)
 
 
@@ -433,10 +433,10 @@ def from_smash_module(n, h, b):
                                 % (n.over.dim, nh * nb))
     acting = sparse_columns(n.action)
     # (h, m) -> (eps_B, h, m) -> (eps_B (x) h) . m
-    act = product_tensor([(insert_columns(b.counit, nh), (0,), (nb, nh)),
-                          (acting, (0, 1, 2), (d,))], (nh, d))
+    act = Composite([(insert_columns(b.counit, nh), (0,), (nb, nh)),
+                     (acting, (0, 1, 2), (d,))], (nh, d)).product()
     # m -> (b_i, f^i, m) -> (b_i, f^i, 1_H, m) -> b_i (x) (f^i (x) 1_H) . m
-    co = coproduct_tensor([(insert_columns(_identity_element(nb), d), (0,), (nb, nb, d)),
-                           (insert_columns(h.unit, d), (2,), (nh, d)),
-                           (acting, (1, 2, 3), (d,))], (d,), nb)
+    co = Composite([(insert_columns(_identity_element(nb), d), (0,), (nb, nb, d)),
+                    (insert_columns(h.unit, d), (2,), (nh, d)),
+                    (acting, (1, 2, 3), (d,))], (d,)).coproduct(nb)
     return HomLongDimodule(h, b, d, act, co, n.nu, n.basis)

@@ -27,11 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, DimensionMismatch, SingularMatrix,
-                     composite_columns, composite_matrix, coproduct_columns, coproduct_tensor,
-                     first_differing_column, flip_columns, int_columns, move_legs, per_leg,
-                     per_leg_matrix, product_tensor, scalar, sparse_columns, unflat_index,
-                     ZERO)
+from .linalg import (Matrix, Composite, DimensionMismatch, SingularMatrix, coproduct_columns,
+                     flip_columns, int_columns, move_legs, per_leg, per_leg_matrix, scalar,
+                     sparse_columns, unflat_index, ZERO)
 from .homstruct import tensor_basis
 from .longdimod import HomLongDimodule, h_tensor_parts, validate_long_dimodule
 from .report import AxiomReport
@@ -65,8 +63,8 @@ class OperatorOnTensorSquare:
 
 def check_long_equation(op):
     """(R x mu)(mu x R) = (mu x R)(R x mu), with a witness basis triple."""
-    r = _sparse_columns(op.matrix)
-    witness = _first_failing_column(r, r, _sparse_columns(op.structure_map), op.carrier_dim)
+    r = sparse_columns(op.matrix)[0]
+    witness = _first_failing_column(r, r, sparse_columns(op.structure_map)[0], op.carrier_dim)
     return AxiomReport().add("hom-long-eq", witness is None, witness)
 
 
@@ -81,12 +79,6 @@ def _to_ints(values):
     """
     d = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (d // x.denominator) for x in values], d
-
-
-def _sparse_columns(m):
-    """m's columns, int-scaled (see _to_ints), as lists of (row, value) pairs
-    with nonzero value."""
-    return sparse_columns(m)[0]
 
 
 def _first_failing_column(a_cols, b_cols, mu_cols, n):
@@ -242,7 +234,7 @@ def coords_to_operator(x, z):
     """The operator m_k (x) m_l -> sum x[k][l][i][j] m_i (x) mu^-1(m_j)."""
     n = z.rows
     steps = _coords_steps(_coords_columns(x, n), _conj(z))
-    return OperatorOnTensorSquare(n, composite_matrix(steps, (n, n)), z)
+    return OperatorOnTensorSquare(n, Composite(steps, (n, n)).matrix(), z)
 
 
 def _conj(z):
@@ -273,8 +265,8 @@ def operator_to_coords(op):
     as Fractions; x[k][l] is column k n + l of (id (x) mu) R."""
     n = op.carrier_dim
     rng = range(n)
-    cols, scale = composite_columns([(sparse_columns(op.matrix), (0, 1), None),
-                                     (sparse_columns(op.structure_map), (1,), None)], (n, n))
+    cols, scale = Composite([(sparse_columns(op.matrix), (0, 1), None),
+                             (sparse_columns(op.structure_map), (1,), None)], (n, n)).columns()
     x = [[[[ZERO] * n for _ in rng] for _ in rng] for _ in rng]
     for kl, col in enumerate(cols):
         k, l = divmod(kl, n)
@@ -335,16 +327,17 @@ def coordinate_criterion(x, y, z):
     rep.add("index-identity", idx_ok, idx_wit)
 
     # R and S as int columns: X's columns, then mu^-1 on the second leg
-    r = composite_columns(_coords_steps(xs, conj), (n, n))
-    s = r if self_case else composite_columns(_coords_steps(ys, conj), (n, n))
+    r = Composite(_coords_steps(xs, conj), (n, n)).columns()
+    s = r if self_case else Composite(_coords_steps(ys, conj), (n, n)).columns()
     witness = _first_failing_column(s[0], r[0], z_col, n)
     rep.add("operator-identity", witness is None, witness)
 
     rep.set_flag("agreement", idx_ok == rep.passed("operator-identity"))
     rep.set_flag("self-case", self_case)
     rep.set_flag("mu-equivariant", all(
-        first_differing_column(conj + [(t, (0, 1), None)], [(t, (0, 1), None)] + conj,
-                               (n, n)) is None for t in ((r,) if self_case else (r, s))))
+        Composite(conj + [(t, (0, 1), None)], sq).first_difference(
+            Composite([(t, (0, 1), None)] + conj, sq)) is None
+        for t in ((r,) if self_case else (r, s))))
     return rep
 
 
@@ -382,14 +375,16 @@ def tau_transforms(op):
     cyc = flip_columns(n2, n), (0, 1, 2), None
 
     def legs(x):
-        x12, sc = composite_columns([(x, (0, 1), None), (m, (2,), None)], dims)
+        x12, sc = Composite([(x, (0, 1), None), (m, (2,), None)], dims).columns()
         return [((cols, sc), (0, 1, 2), None) for cols in (
             x12, move_legs(x12, dims, dims, (0, 2, 1), (3, 5, 4)),
             move_legs(x12, dims, dims, (2, 0, 1), (5, 3, 4)))]
 
     (u12, u13, u23), (t12, t13, t23) = legs(us), legs(ts)
-    rep.add("transform-U", first_differing_column([u23, u13], [u12, u13, cyc], dims) is None)
-    rep.add("transform-T", first_differing_column([t13, t12], [cyc, t13, t23], dims) is None)
+    rep.add("transform-U", Composite([u23, u13], dims).first_difference(
+        Composite([u12, u13, cyc], dims)) is None)
+    rep.add("transform-T", Composite([t13, t12], dims).first_difference(
+        Composite([cyc, t13, t23], dims)) is None)
     rep.add("transform-W", _first_failing_column(ws, ws, m[0], n) is None)
 
     verdicts = [c.passed for c in rep.checks]
@@ -430,11 +425,11 @@ def module_extension(h, m):
     """
     nh, dm = h.dim, m.dim
     # (h, g, x) -> (h, a(g), x) -> (a(g), h, x) -> (a(g), h.x)
-    act = product_tensor([(sparse_columns(h.gamma), (1,), None),
-                          (flip_columns(nh, nh), (0, 1), None),
-                          (sparse_columns(m.action), (1, 2), (dm,))], (nh, nh, dm))
-    co = coproduct_tensor([(coproduct_columns(h.comult), (0,), (nh, nh)),
-                           (sparse_columns(m.nu), (2,), None)], (nh, dm), nh)
+    act = Composite([(sparse_columns(h.gamma), (1,), None),
+                     (flip_columns(nh, nh), (0, 1), None),
+                     (sparse_columns(m.action), (1, 2), (dm,))], (nh, nh, dm)).product()
+    co = Composite([(coproduct_columns(h.comult), (0,), (nh, nh)),
+                    (sparse_columns(m.nu), (2,), None)], (nh, dm)).coproduct(nh)
     return HAlphaLongDimodule(h, nh * dm, act, co, per_leg_matrix(h.gamma, m.nu),
                               tensor_basis(h.basis, m.basis))
 
@@ -452,7 +447,7 @@ def dimodule_solution(d):
     steps = [(coproduct_columns(d.coaction), (1,), (nh, n)),
              (flip_columns(n, nh), (0, 1), (nh, n)),
              (sparse_columns(d.action), (0, 1), (n,))]
-    return OperatorOnTensorSquare(n, composite_matrix(steps, (n, n)), d.mu)
+    return OperatorOnTensorSquare(n, Composite(steps, (n, n)).matrix(), d.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +501,7 @@ def search_solutions(mu, coefficient_set, shape):
     # R), and each solution is the Matrix of their int columns over the scale
     scaled, scale = _to_ints(values)
     rank = {x: i for i, x in enumerate(scaled)}
-    mu_cols = _sparse_columns(mu)
+    mu_cols = sparse_columns(mu)[0]
     # with a single value there is nothing to prune, so nothing is derived
     budget = SEARCH_CAP if cardinality > SEARCH_CAP else math.inf
     derivation = n ** 3 * count * count if len(values) > 1 else 0

@@ -15,7 +15,7 @@ step helpers live), compared on batches of basis columns.
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, composite_matrix, coproduct_columns,
+from .linalg import (Matrix, Tensor3, Composite, DimensionMismatch, coproduct_columns,
                      flip_columns, insert_columns, pair_columns, sparse_columns)
 from .homstruct import HomStructure, default_basis
 from .report import AxiomReport, composites_equal_report
@@ -196,4 +196,4 @@ def yd_prebraiding(m, n):
              (sparse_columns(n.structure_map.inv()), (1,), None),
              (sparse_columns(n.action), (0, 1), (n.dim,)),
              (sparse_columns(m.structure_map.inv()), (1,), None)]
-    return composite_matrix(steps, (m.dim, n.dim))
+    return Composite(steps, (m.dim, n.dim)).matrix()

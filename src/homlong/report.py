@@ -81,10 +81,10 @@ class AxiomReport:
 
 def composites_equal_report(report, axiom, lhs, rhs, dims_in, names_in=None):
     """Record lhs == rhs for two composites of maps on tensor legs (see
-    linalg.first_differing_column), column by column; on failure witness the
-    first differing input basis tuple."""
-    from .linalg import first_differing_column
-    idxs = first_differing_column(lhs, rhs, dims_in)
+    linalg.Composite), column by column; on failure witness the first
+    differing input basis tuple."""
+    from .linalg import Composite
+    idxs = Composite(lhs, dims_in).first_difference(Composite(rhs, dims_in))
     return report.add(axiom, idxs is None, _named(idxs, names_in))
 
 
@@ -93,9 +93,9 @@ def elements_equal_report(report, axiom, lhs, rhs, dims_out, names_out=None):
     each inserting elements or pairing them away (the empty composite is the
     scalar 1), make the same element of the legs dims_out; on failure
     witness the first output basis tuple on which they differ."""
-    from .linalg import composite_columns, unflat_index
-    (lcol,), lscale = composite_columns(lhs, (1,))
-    (rcol,), rscale = composite_columns(rhs, (1,))
+    from .linalg import Composite, unflat_index
+    (lcol,), lscale = Composite(lhs, (1,)).columns()
+    (rcol,), rscale = Composite(rhs, (1,)).columns()
     left, right = {r: x * rscale for r, x in lcol}, {r: x * lscale for r, x in rcol}
     differ = [r for r in left.keys() | right.keys() if left.get(r) != right.get(r)]
     return report.add(axiom, not differ, _named(unflat_index(min(differ), dims_out), names_out)

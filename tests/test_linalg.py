@@ -7,14 +7,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx, io as hio, linalg
-from homlong.linalg import (Matrix, Tensor3, Vector, DimensionMismatch,
-                            SingularMatrix, composite_columns, composite_matrix,
-                            coproduct_columns, coproduct_tensor, int_columns,
-                            first_differing_column, unflat_index, insert_columns,
-                            pair_columns, per_leg, product_tensor, scalar, scalar_to_json,
+from homlong.linalg import (Matrix, Tensor3, Vector, Composite, DimensionMismatch,
+                            SingularMatrix, coproduct_columns, int_columns, unflat_index,
+                            insert_columns, pair_columns, per_leg, scalar, scalar_to_json,
                             solve_exact, sparse_columns)
-from test_oracles import (apply3, column_matrix, composite_columns_by_column,
-                          coproduct_map, dense_columns, first_differing_column_by_column,
+from test_oracles import (HOPF_FIXTURES, apply3, column_matrix, columns_by_column, coproduct_map,
+                          dense_columns, first_difference_by_column,
                           flat_index, flip_matrix, fraction_int_columns, inverse_map, kron,
                           kron_all, perm_matrix, mul, permute_input_legs, permute_output_legs,
                           product_map, row_matrix, same_columns)
@@ -185,10 +183,17 @@ def test_tensor3_flatten_round_trip():
     t = Tensor3.from_function(2, 3, 2, lambda i, j, k: i + 10 * j + 100 * k)
     m = product_map(t)
     assert (m.rows, m.cols) == (2, 6)
-    assert Tensor3.from_in2_out1(m, 2, 3) == t
+    assert Tensor3.from_int_columns(*_copied(m), (2, 3, 2)) == t
     m2 = coproduct_map(t)
     assert (m2.rows, m2.cols) == (6, 2)
-    assert Tensor3.from_in1_out2(m2, 3, 2) == t
+    assert Composite([(sparse_columns(m2), (0,), (3, 2))], (2,)).coproduct(3) == t
+
+
+def _copied(m):
+    """m's int columns (cols, scale) as new lists, for a call that takes
+    them over."""
+    cols, scale = sparse_columns(m)
+    return [list(c) for c in cols], scale
 
 
 def test_apply3():
@@ -234,29 +239,32 @@ def test_single_step_composite_matches_kron(data):
     a = data.draw(rand_matrix(math.prod(out_dims), blk))
     full = kron_all(Matrix.identity(math.prod(dims[:first])), a,
                     Matrix.identity(math.prod(dims[stop:])))
-    cols, scale = composite_columns([(sparse_columns(a), tuple(range(first, stop)), out_dims)],
-                                    dims)
+    cols, scale = Composite([(sparse_columns(a), tuple(range(first, stop)), out_dims)],
+                            dims).columns()
     assert Matrix.from_int_columns(cols, scale, full.rows) == full
 
 
 def test_single_step_composite_rejects_bad_legs():
     step = sparse_columns(Matrix.identity(2))
     with pytest.raises(DimensionMismatch):
-        composite_columns([(step, (0, 2), None)], (2, 1, 1))
+        Composite([(step, (0, 2), None)], (2, 1, 1))
     with pytest.raises(DimensionMismatch):
-        composite_columns([(step, (0,), None)], (3, 2))
+        Composite([(step, (0,), None)], (3, 2))
 
 
 def test_first_differing_column_scales_and_witness():
     # (2 id) (x) (1/2 id) equals the identity although the int columns differ
     two, half = (sparse_columns(Matrix.diagonal([2, 2])),
                  sparse_columns(Matrix.diagonal([Fraction(1, 2)] * 3)))
-    assert first_differing_column([(two, (0,), None), (half, (1,), None)], [], (2, 3)) is None
+    assert Composite([(two, (0,), None), (half, (1,), None)], (2, 3)).first_difference(
+        Composite([], (2, 3))) is None
     # the flip differs from the identity first on e_0 (x) e_1
     flip = sparse_columns(flip_matrix(2, 2))
-    assert first_differing_column([(flip, (0, 1), None)], [], (2, 2)) == (0, 1)
+    assert Composite([(flip, (0, 1), None)], (2, 2)).first_difference(
+        Composite([], (2, 2))) == (0, 1)
     with pytest.raises(DimensionMismatch):
-        first_differing_column([(sparse_columns(Matrix([[1, 1]])), (0,), ())], [], (2,))
+        Composite([(sparse_columns(Matrix([[1, 1]])), (0,), ())], (2,)).first_difference(
+            Composite([], (2,)))
 
 
 # on legs (2, 2): e_0 -> e_0 + e_1 and e_1 -> e_0 on leg 0, then the
@@ -277,13 +285,13 @@ def test_a_step_that_cancels_leaves_no_zero():
     # column 0 reaches the covector as e_0 + e_1, so it cancels there
     assert linalg._run(plan[:2], {0: 1}) == {}
     assert linalg._run(plan, {0: 1}) == {}
-    assert composite_columns(CANCELLING, dims) == (CANCELLED_COLUMNS, 1)
-    assert composite_columns_by_column(CANCELLING, dims) == (CANCELLED_COLUMNS, 1)
+    assert Composite(CANCELLING, dims).columns() == (CANCELLED_COLUMNS, 1)
+    assert columns_by_column(CANCELLING, dims) == (CANCELLED_COLUMNS, 1)
     same = [((CANCELLED_COLUMNS, 1), (0, 1), (2,))]
     off = [(([[], [(0, 1)]] + CANCELLED_COLUMNS[2:], 1), (0, 1), (2,))]
     for rhs, witness in ((same, None), (off, (0, 1))):
-        assert first_differing_column(CANCELLING, rhs, dims) == witness
-        assert first_differing_column_by_column(CANCELLING, rhs, dims) == witness
+        assert Composite(CANCELLING, dims).first_difference(Composite(rhs, dims)) == witness
+        assert first_difference_by_column(CANCELLING, rhs, dims) == witness
 
 
 @pytest.mark.parametrize("batch", [3, linalg.BATCH_COLUMNS])
@@ -297,14 +305,14 @@ def test_runs_per_composite_are_one_per_batch(d, batch):
     run = mock.Mock(side_effect=linalg._run)
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
             mock.patch.object(linalg, "_run", run):
-        assert first_differing_column(steps, [], (d,)) is None
+        assert Composite(steps, (d,)).first_difference(Composite([], (d,))) is None
         assert run.call_count == 2 * batches
         run.reset_mock()
-        composite_columns(steps, (d,))
+        Composite(steps, (d,)).columns()
         assert run.call_count == batches
         run.reset_mock()
         doubled = [(([[(j, 2 if j == 0 else 1)] for j in range(d)], 1), (0,), None)]
-        assert first_differing_column(steps, doubled, (d,)) == (0,)
+        assert Composite(steps, (d,)).first_difference(Composite(doubled, (d,))) == (0,)
         assert [len(vec) for (_, vec), _ in run.call_args_list] == [min(d, batch)] * 2
 
 
@@ -326,7 +334,7 @@ def test_composite_matrix_matches_kron_all(data):
         expected = mul(kron_all(Matrix.identity(math.prod(d[:first])), a,
                                 Matrix.identity(math.prod(d[stop:]))), expected)
         d = d[:first] + out + d[stop:]
-    got = composite_matrix(steps, dims)
+    got = Composite(steps, dims).matrix()
     assert (got.rows, got.cols) == (expected.rows, expected.cols)
     assert got == expected
 
@@ -349,11 +357,11 @@ def test_composites_are_checked_before_any_column_runs(bad):
     good = ((_Unread(cols), scale), (0,), None)
     dims = (2, 3, 1)
     with pytest.raises(DimensionMismatch):
-        first_differing_column([good, bad], [], dims)
+        Composite([good, bad], dims).first_difference(Composite([], dims))
     with pytest.raises(DimensionMismatch):
-        first_differing_column([], [good, bad], dims)
+        Composite([], dims).first_difference(Composite([good, bad], dims))
     with pytest.raises(DimensionMismatch):
-        composite_matrix([good, bad], dims)
+        Composite([good, bad], dims).matrix()
 
 
 # a composite on legs of FOLD (64 columns) is folded by _plan; P and its
@@ -402,18 +410,18 @@ def test_each_fold_branch_matches_one_step_at_a_time(branch):
     assert math.prod(FOLD) >= linalg.FOLD_MIN_COLUMNS
     plan, out_dims, scale = linalg._plan(steps, FOLD)
     assert len(plan) == planned
-    got, expected = composite_columns(steps, FOLD), composite_columns_by_column(steps, FOLD)
+    got, expected = Composite(steps, FOLD).columns(), columns_by_column(steps, FOLD)
     assert same_columns(got, expected)
     if branch == "cancel":
         assert scale == got[1] == H[1]
     # the composite itself as one step, and that step with one entry changed
     whole = ((expected[0], expected[1]), (0, 1, 2), out_dims)
-    assert first_differing_column(steps, [whole], FOLD) is None
+    assert Composite(steps, FOLD).first_difference(Composite([whole], FOLD)) is None
     col = next(j for j, c in enumerate(expected[0]) if c)
     bumped = expected[0][:col] + [[(r, x + 1) for r, x in expected[0][col]]] + expected[0][col + 1:]
     rhs = [((bumped, expected[1]), (0, 1, 2), out_dims)]
-    assert first_differing_column(steps, rhs, FOLD) == unflat_index(col, FOLD)
-    assert first_differing_column_by_column(steps, rhs, FOLD) == unflat_index(col, FOLD)
+    assert Composite(steps, FOLD).first_difference(Composite(rhs, FOLD)) == unflat_index(col, FOLD)
+    assert first_difference_by_column(steps, rhs, FOLD) == unflat_index(col, FOLD)
 
 
 @pytest.mark.parametrize("steps, message", [
@@ -427,7 +435,7 @@ def test_each_fold_branch_matches_one_step_at_a_time(branch):
 ])
 def test_a_malformed_step_of_a_folded_composite_names_the_steps_as_given(steps, message):
     with pytest.raises(DimensionMismatch) as raised:
-        first_differing_column(steps, [], FOLD)
+        Composite(steps, FOLD).first_difference(Composite([], FOLD))
     assert str(raised.value) == message
 
 
@@ -442,17 +450,46 @@ def test_a_malformed_step_of_a_folded_composite_names_the_steps_as_given(steps, 
 def test_a_composite_through_a_zero_dimensional_leg_is_not_folded(steps):
     # a 64-column composite whose steps pass through a 0-dimensional leg
     # maps every column to 0, as the steps run one at a time do
-    got = composite_columns(steps, FOLD)
-    assert got == composite_columns_by_column(steps, FOLD) == ([[]] * 64, 1)
-    assert first_differing_column(steps, steps, FOLD) is None
+    got = Composite(steps, FOLD).columns()
+    assert got == columns_by_column(steps, FOLD) == ([[]] * 64, 1)
+    assert Composite(steps, FOLD).first_difference(Composite(steps, FOLD)) is None
+
+
+def _column_lists(steps):
+    """Copies of the column lists of every step, to see they stay as given."""
+    return [[list(c) for c in cols] for (cols, _), _, _ in steps]
+
+
+@pytest.mark.parametrize("dims, steps, other", [
+    ((2, 2), CANCELLING, [(([[], [(0, 1)]] + CANCELLED_COLUMNS[2:], 1), (0, 1), (2,))]),
+    (FOLD, FOLD_BRANCHES["cancel"][0], FOLD_BRANCHES["flush before a carried step"][0]),
+    (FOLD, FOLD_BRANCHES["fold-into-next"][0], FOLD_BRANCHES["commute with a leg shift"][0]),
+], ids=["unfolded", "folded, cancelling", "folded"])
+def test_a_composite_built_once_answers_every_reading_alike(dims, steps, other):
+    # checked and planned once, a Composite runs its plan afresh on every
+    # call: the same columns, matrix and witness each time, unfolded and
+    # folded, and every step's column lists as they were given
+    before = _column_lists(steps + other)
+    composite, against = Composite(steps, dims), Composite(other, dims)
+    answers = [(composite.columns(), composite.matrix(), composite.first_difference(against))
+               for _ in range(2)]
+    assert answers[0] == answers[1]
+    assert answers[0][0] == Composite(steps, dims).columns()
+    assert answers[0][2] == first_difference_by_column(steps, other, dims)
+    assert _column_lists(steps + other) == before
+
+
+def test_a_composite_compares_only_with_one_on_the_same_legs():
+    with pytest.raises(DimensionMismatch, match=r"composites on legs \(2, 3\) and \(3, 2\)"):
+        Composite([], (2, 3)).first_difference(Composite([], (3, 2)))
 
 
 def test_insert_and_pair_columns_match_kron():
     u = Vector([1, Fraction(1, 2), 0])
-    assert (composite_matrix([(insert_columns(u, 2), (0,), (3, 2))], (2,))
+    assert (Composite([(insert_columns(u, 2), (0,), (3, 2))], (2,)).matrix()
             == kron(column_matrix(u), Matrix.identity(2)))
     f = Vector([2, 0, Fraction(-1, 3)])
-    assert (composite_matrix([(pair_columns(f), (1,), ())], (2, 3))
+    assert (Composite([(pair_columns(f), (1,), ())], (2, 3)).matrix()
             == kron(Matrix.identity(2), row_matrix(f)))
 
 
@@ -480,9 +517,11 @@ def test_every_tensor3_construction_gives_one_stored_form(data):
     prod = Matrix.from_function(d2, d0 * d1, lambda k, c: data[c // d1][c % d1][k])
     cop = Matrix.from_function(d1 * d2, d0, lambda r, i: data[i][r // d2][r % d2])
     made = [Tensor3(data), Tensor3.from_function(d0, d1, d2, lambda i, j, k: data[i][j][k]),
-            Tensor3.from_in2_out1(prod, d0, d1), Tensor3.from_in1_out2(cop, d1, d2),
-            product_tensor([(sparse_columns(prod), (0, 1), (d2,))], (d0, d1)),
-            coproduct_tensor([(sparse_columns(cop), (0,), (d1, d2))], (d0,), d1),
+            Tensor3.from_int_columns(*_copied(prod), (d0, d1, d2)),
+            Tensor3.from_int_columns(*int_columns(r for plane in data for r in plane),
+                                     (d0, d1, d2)),
+            Composite([(sparse_columns(prod), (0, 1), (d2,))], (d0, d1)).product(),
+            Composite([(sparse_columns(cop), (0,), (d1, d2))], (d0,)).coproduct(d1),
             hio.load_tensor3(ref.to_json())]
     for t in made:
         assert t == ref and ref == t and hash(t) == hash(ref)
@@ -504,6 +543,30 @@ def test_loaded_mult_and_comult_fields_equal_the_built_tensors():
             assert t._coproduct is None
             assert coproduct_columns(t) == _fresh_coproduct_columns(t.data) \
                 == coproduct_columns(built)
+
+
+@pytest.mark.parametrize("build", HOPF_FIXTURES, ids=lambda f: f.__name__)
+def test_fixture_tensors_built_from_int_columns_equal_the_built_ones(build):
+    # every fixture's mult and comult, built from nested data and from int
+    # columns with the leg dims: its product-like columns converted entry
+    # by entry, and the product-like and coproduct-like maps as composites
+    for t in (build().mult, build().comult):
+        d0, d1, d2 = t.dims
+        data = [[[t[i, j, k] for k in range(d2)] for j in range(d1)] for i in range(d0)]
+        made = [Tensor3(data),
+                Tensor3.from_int_columns(*fraction_int_columns(
+                    row for plane in data for row in plane), t.dims),
+                Composite([(sparse_columns(product_map(t)), (0, 1), (d2,))], (d0, d1)).product(),
+                Composite([(sparse_columns(coproduct_map(t)), (0,), (d1, d2))],
+                          (d0,)).coproduct(d1)]
+        for m in made:
+            assert m == t and hash(m) == hash(t) and m.to_json() == t.to_json()
+            assert coproduct_columns(m) == coproduct_columns(t)
+
+
+def test_tensor3_from_int_columns_checks_the_column_count():
+    with pytest.raises(DimensionMismatch, match="matrix has 3 columns, expected 4"):
+        Tensor3.from_int_columns([[]] * 3, 1, (2, 2, 1))
 
 
 def test_tensor3_equality_reads_the_leg_dims_and_the_type():
@@ -541,7 +604,7 @@ def test_singular_matrix_raises_on_every_call():
 @st.composite
 def three_ways(draw):
     """One rational matrix built three ways: from dense rows of ints,
-    Fractions and "p/q" strings; as composite_matrix of a step with a
+    Fractions and "p/q" strings; as the Composite matrix of a step with a
     non-canonical scale and shuffled columns followed by a per_leg scaling;
     and by Matrix over a generator of row tuples of Fractions."""
     r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -562,8 +625,8 @@ def three_ways(draw):
     cols = [draw(st.permutations([(i, int(x * d) * f.denominator * k)
                                   for i, x in enumerate(col) if x]))
             for col in (zip(*entries) if r else [()] * c)]
-    composite = composite_matrix([((cols, d * f.numerator * k), (0,), (r,))]
-                                 + per_leg(Matrix.diagonal([f] * r)), (c,))
+    composite = Composite([((cols, d * f.numerator * k), (0,), (r,))]
+                          + per_leg(Matrix.diagonal([f] * r)), (c,)).matrix()
     tuples = Matrix((tuple(Fraction(x) for x in row) for row in entries), r, c)
     return dense, composite, tuples
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from homlong import fixtures as fx, longdimod
-from homlong.linalg import DimensionMismatch, Matrix, Tensor3, composite_matrix
+from homlong.linalg import Composite, DimensionMismatch, Matrix, Tensor3
 from homlong.homstruct import dual_hopf, validate_hom_algebra
 from homlong.repmod import validate_hom_module
 from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
@@ -21,7 +21,7 @@ from test_oracles import coproduct_map, kron, mul, product_map, scaled
 
 def associator(u, v, w):
     """The associator (u (x) v) (x) w -> u (x) (v (x) w) as a matrix."""
-    return composite_matrix(associator_legs(u, w), (u.dim, v.dim, w.dim))
+    return Composite(associator_legs(u, w), (u.dim, v.dim, w.dim)).matrix()
 
 
 def test_standard_fixtures_valid(dimodules, scaled):
@@ -186,7 +186,8 @@ def test_tensor_coaction_power_is_the_right_one():
                                               coproduct_map(n.coaction)),
                                          [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
         return HomLongDimodule(m.H, m.B, d, base.action,
-                               Tensor3.from_in1_out2(co_mat, nb, d),
+                               Tensor3.from_function(d, nb, d,
+                                                     lambda i, j, l: co_mat[j * d + l, i]),
                                base.mu, base.basis)
 
     u = canonical_dimodule(kz2, swt)

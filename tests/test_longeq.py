@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx
 from homlong import longeq
-from homlong.linalg import (Matrix, Tensor3, SingularMatrix, composite_columns, flip_columns,
+from homlong.linalg import (Matrix, Tensor3, Composite, SingularMatrix, flip_columns,
                             scalar_to_json, sparse_columns)
 from homlong.longdimod import HomLongDimodule, canonical_dimodule, validate_long_dimodule
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
@@ -150,12 +150,11 @@ def test_readme_coordinate_criterion_finding():
 
 def test_criterion_and_transforms_form_no_dense_products(monkeypatch):
     # both run on int columns: no Fraction matrix of a composite
-    from homlong import longeq
-
     def refuse(*args):
         raise AssertionError("dense product")
 
-    monkeypatch.setattr(longeq, "composite_matrix", refuse)
+    for reading in ("matrix", "product", "coproduct"):
+        monkeypatch.setattr(Composite, reading, refuse)
     rnd = random.Random(3)
     mu = Matrix([[1, 2], [-1, "1/2"]])
     op = OperatorOnTensorSquare(2, Matrix([[rnd.randint(-1, 1) for _ in range(4)]
@@ -242,16 +241,18 @@ def test_relabelled_legs_match_leg_step_composites(data):
     n = data.draw(st.sampled_from((1, 2, 3)))
     mu = data.draw(grid_mus(n))
     op = OperatorOnTensorSquare(n, data.draw(grid_or_arbitrary_operators(n)), mu)
-    spy = mock.Mock(side_effect=longeq.first_differing_column)
-    with mock.patch.object(longeq, "first_differing_column", spy):
+    spy = mock.Mock(side_effect=Composite)
+    with mock.patch.object(longeq, "Composite", spy):
         transforms, _ = tau_transforms(op)
-    (u_lhs, u_rhs), (t_lhs, t_rhs) = [c.args[:2] for c in spy.call_args_list]
+    # the composites built after X12 for U and for T: both sides of the U-
+    # and of the T-equation
+    u_lhs, u_rhs, t_lhs, t_rhs = [c.args[0] for c in spy.call_args_list[2:]]
     dims, m, flip = (n, n, n), sparse_columns(mu), flip_columns(n, n)
     for key, x13, x23 in (("U", u_lhs[1], u_lhs[0]), ("T", t_lhs[0], t_rhs[2])):
         x = sparse_columns(transforms[key].matrix)
-        want13 = composite_columns([(flip, (1, 2), None), (x, (0, 1), None), (m, (2,), None),
-                                    (flip, (1, 2), None)], dims)
-        want23 = composite_columns([(m, (0,), None), (x, (1, 2), None)], dims)
+        want13 = Composite([(flip, (1, 2), None), (x, (0, 1), None), (m, (2,), None),
+                            (flip, (1, 2), None)], dims).columns()
+        want23 = Composite([(m, (0,), None), (x, (1, 2), None)], dims).columns()
         for (got, legs, out), want in ((x13, want13), (x23, want23)):
             assert (legs, out) == ((0, 1, 2), None)
             assert _int_columns_matrix(got, n ** 3) == _int_columns_matrix(want, n ** 3)
@@ -262,8 +263,8 @@ def test_flip_transforms_and_criterion_cost():
     # reads each coordinate tensor once, and y not at all when it is x
     mu = Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
     op = search_solutions(mu, [0, 1], "diagonal")[-1]
-    runs = mock.Mock(side_effect=longeq.composite_columns)
-    with mock.patch.object(longeq, "composite_columns", runs):
+    runs = mock.Mock(side_effect=Composite.columns)
+    with mock.patch.object(Composite, "columns", autospec=True, side_effect=runs):
         tau_transforms(op)
     assert runs.call_count == 2
     x = operator_to_coords(op)

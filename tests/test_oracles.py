@@ -43,10 +43,9 @@ from homlong.homstruct import (HomStructure, NotAutomorphism,
                                validate_hom_algebra, validate_hom_bialgebra,
                                validate_hom_coalgebra, validate_hom_hopf,
                                validate_quasitriangular, yau_twist)
-from homlong.linalg import (Matrix, Tensor3, Vector, ZERO, ONE, DimensionMismatch,
-                            SingularMatrix, coproduct_columns, coproduct_tensor,
-                            flip_columns, insert_columns, pair_columns, product_tensor,
-                            scalar, scalar_to_json, solve_exact, sparse_columns,
+from homlong.linalg import (Matrix, Tensor3, Vector, Composite, ZERO, ONE, DimensionMismatch,
+                            SingularMatrix, coproduct_columns, flip_columns, insert_columns,
+                            pair_columns, scalar, scalar_to_json, solve_exact, sparse_columns,
                             unflat_index)
 from homlong.longdimod import (DualityData, HomLongDimodule, canonical_dimodule,
                                check_coherence, check_snake, dimodule_morphism_report,
@@ -290,8 +289,8 @@ def fraction_load_tensor3(data):
     d0 = len(data)
     d1 = len(data[0]) if d0 else 0
     d2 = len(data[0][0]) if d0 and d1 else 0
-    columns = fraction_int_columns(row for plane in data for row in plane)
-    return Tensor3.from_in2_out1(Matrix._of(d2, d0 * d1, columns), d0, d1)
+    return Tensor3.from_int_columns(*fraction_int_columns(row for plane in data for row in plane),
+                                    (d0, d1, d2))
 
 
 def perm_matrix(dims, perm):
@@ -1374,7 +1373,8 @@ def dense_tensor_dimodule(m, n):
                  permute_output_legs(kron(coproduct_map(m.coaction), coproduct_map(n.coaction)),
                                      [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
     names = tuple("%s⊗%s" % (x, y) for x in m.basis for y in n.basis)
-    return (Tensor3.from_in2_out1(act_mat, nh, d), Tensor3.from_in1_out2(co_mat, nb, d),
+    return (Tensor3.from_function(nh, d, d, lambda i, j, k: act_mat[k, i * d + j]),
+            Tensor3.from_function(d, nb, d, lambda i, j, k: co_mat[j * d + k, i]),
             kron(m.mu, n.mu), names)
 
 
@@ -2588,19 +2588,19 @@ def dual_by_copairing(m, side):
     delta = Vector.from_int_columns([[(i * d + i, 1) for i in range(d)]], 1, d * d)
     mui = sparse_columns(m.mu.inv())
     # (h, f) -> (h, x, x', f) -> (h_twist(h) . mu^-2(x), x', f) -> f(h_twist(h) . mu^-2(x)) x'
-    act = product_tensor([(insert_columns(delta, d), (1,), (d, d, d))]
-                         + [(sparse_columns(t), (0,), None) for t in h_twist]
-                         + [(mui, (1,), None), (mui, (1,), None),
-                            (sparse_columns(m.action), (0, 1), (d,)),
-                            (flip_columns(d, d), (1, 2), None),
-                            (pair_columns(delta), (0, 1), ())], (h.dim, d))
+    act = Composite([(insert_columns(delta, d), (1,), (d, d, d))]
+                    + [(sparse_columns(t), (0,), None) for t in h_twist]
+                    + [(mui, (1,), None), (mui, (1,), None),
+                       (sparse_columns(m.action), (0, 1), (d,)),
+                       (flip_columns(d, d), (1, 2), None),
+                       (pair_columns(delta), (0, 1), ())], (h.dim, d)).product()
     # f -> (x, x', f) -> (b_twist(x_-1), mu^-2(x_0), x', f) -> b_twist(x_-1) f(mu^-2(x_0)) x'
-    co = coproduct_tensor([(insert_columns(delta, d), (0,), (d, d, d)),
-                           (coproduct_columns(m.coaction), (0,), (nb, d))]
-                          + [(sparse_columns(t), (0,), None) for t in b_twist]
-                          + [(mui, (1,), None), (mui, (1,), None),
-                             (flip_columns(d, d), (2, 3), None),
-                             (pair_columns(delta), (1, 2), ())], (d,), nb)
+    co = Composite([(insert_columns(delta, d), (0,), (d, d, d)),
+                    (coproduct_columns(m.coaction), (0,), (nb, d))]
+                   + [(sparse_columns(t), (0,), None) for t in b_twist]
+                   + [(mui, (1,), None), (mui, (1,), None),
+                      (flip_columns(d, d), (2, 3), None),
+                      (pair_columns(delta), (1, 2), ())], (d,)).coproduct(nb)
     dual = HomLongDimodule(h, b, d, act, co, m.mu.inv().transpose(),
                            tuple(x + "*" for x in m.basis))
     ev = Matrix.from_int_columns(*pair_columns(delta), 1)
@@ -2796,6 +2796,22 @@ def test_algebra_constructors_match_index_sums(data):
     assert trivial_dimodule(h, b, mu) == trivial_dimodule_elementwise(h, b, mu)
 
 
+# every Hopf algebra fixtures.py builds without arguments
+HOPF_FIXTURES = [fx.field_hopf, fx.kz2, fx.kz4, fx.kz4_twisted, fx.kz5_twisted, fx.klein_hopf,
+                 fx.sweedler_hopf, fx.sweedler_twisted, fx.sweedler_scaled_twisted]
+
+
+@pytest.mark.parametrize("build", HOPF_FIXTURES, ids=lambda f: f.__name__)
+def test_dual_hopf_of_every_fixture_matches_index_sums(build):
+    # the dual's product and coproduct, each a composite's columns with legs
+    # moved once, against the index sums; the coproduct-like reading of the
+    # dual comultiplication against a fresh conversion of its data
+    b = build()
+    d = dual_hopf(b)
+    assert d == dual_hopf_elementwise(b)
+    assert coproduct_columns(d.comult) == _fresh_coproduct_columns(d.comult)
+
+
 def test_duals_match_the_copairing_construction(kz2, kz4t):
     # the duals' maps, read off one composite each by transposition, equal
     # the copairing construction on every fixture dimodule, both sides
@@ -2949,8 +2965,9 @@ def steps_scale(steps):
     return math.prod(scale for (_, scale), _, _ in steps)
 
 
-def first_differing_column_by_column(lhs, rhs, dims):
-    """first_differing_column run one basis column and one step at a time."""
+def first_difference_by_column(lhs, rhs, dims):
+    """Composite.first_difference run one basis column and one step at a
+    time, with no plan."""
     lscale, rscale = steps_scale(lhs), steps_scale(rhs)
     for j in range(math.prod(dims)):
         if run_by_steps(lhs, dims, {j: rscale}) != run_by_steps(rhs, dims, {j: lscale}):
@@ -2958,9 +2975,9 @@ def first_differing_column_by_column(lhs, rhs, dims):
     return None
 
 
-def composite_columns_by_column(steps, dims):
-    """composite_columns run one basis column and one step at a time, with
-    the product of all the steps' scales."""
+def columns_by_column(steps, dims):
+    """Composite.columns run one basis column and one step at a time, with
+    no plan and the product of all the steps' scales."""
     return ([list(run_by_steps(steps, dims, {j: 1}).items()) for j in range(math.prod(dims))],
             steps_scale(steps))
 
@@ -3082,23 +3099,23 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     # column 0, so a witness at c runs the batches up to and including c's
     dims, lhs = case
     rhs = _one_entry_changed(data.draw, lhs)
-    expected = first_differing_column_by_column(lhs, rhs, dims)
+    expected = first_difference_by_column(lhs, rhs, dims)
     counts = []
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
             mock.patch.object(linalg, "_run", _counting_run(counts)):
-        assert linalg.first_differing_column(lhs, rhs, dims) == expected
+        assert Composite(lhs, dims).first_difference(Composite(rhs, dims)) == expected
     runs, d = sum(counts) // 2, math.prod(dims)
     if expected is None:
         assert runs == d
     else:
         assert runs == min(d, (flat_index(expected, dims) // batch + 1) * batch)
-    assert first_differing_column_by_column(lhs, lhs, dims) is None
+    assert first_difference_by_column(lhs, lhs, dims) is None
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch):
-        assert linalg.first_differing_column(lhs, lhs, dims) is None
+        assert Composite(lhs, dims).first_difference(Composite(lhs, dims)) is None
         for steps in (lhs, rhs):
             # lists of (row, value) pairs: equal in their order too
-            expected = composite_columns_by_column(steps, dims)
-            got = linalg.composite_columns(steps, dims)
+            expected = columns_by_column(steps, dims)
+            got = Composite(steps, dims).columns()
             assert same_columns(got, expected)
             assert all(x for col in got[0] for _, x in col)
 
@@ -3112,13 +3129,13 @@ def test_folded_composites_match_one_step_at_a_time(case, data):
     dims, lhs = case
     rhs = _one_entry_changed(data.draw, lhs)
     for other in (lhs, rhs):
-        assert (linalg.first_differing_column(lhs, other, dims)
-                == first_differing_column_by_column(lhs, other, dims))
-    got, expected = linalg.composite_columns(lhs, dims), composite_columns_by_column(lhs, dims)
+        assert (Composite(lhs, dims).first_difference(Composite(other, dims))
+                == first_difference_by_column(lhs, other, dims))
+    got, expected = Composite(lhs, dims).columns(), columns_by_column(lhs, dims)
     assert same_columns(got, expected)
     assert all(x for col in got[0] for _, x in col)
-    rows = math.prod(linalg._plan(lhs, dims)[1])
-    assert linalg.composite_matrix(lhs, dims) == Matrix.from_int_columns(*expected, rows)
+    rows = math.prod(Composite(lhs, dims).out_dims)
+    assert Composite(lhs, dims).matrix() == Matrix.from_int_columns(*expected, rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -3127,11 +3144,11 @@ def test_batched_composites_on_zero_dimensional_legs(case, data):
     dims, lhs = case
     assume(0 in dims)
     rhs = _one_entry_changed(data.draw, lhs)
-    assert linalg.first_differing_column(lhs, rhs, dims) is None
-    assert first_differing_column_by_column(lhs, rhs, dims) is None
-    assert linalg.composite_columns(lhs, dims) == composite_columns_by_column(lhs, dims)
-    assert linalg.composite_columns(lhs, dims)[0] == []
-    assert linalg.composite_matrix(lhs, dims).cols == 0
+    assert Composite(lhs, dims).first_difference(Composite(rhs, dims)) is None
+    assert first_difference_by_column(lhs, rhs, dims) is None
+    assert Composite(lhs, dims).columns() == columns_by_column(lhs, dims)
+    assert Composite(lhs, dims).columns()[0] == []
+    assert Composite(lhs, dims).matrix().cols == 0
 
 
 def _fresh_product_columns(t):
@@ -3177,7 +3194,6 @@ def test_composite_built_maps_are_never_converted_again(monkeypatch):
     # a map built from a composite holds its int columns from the start, so
     # int_columns never runs on one: no dense round trip in the chain of the
     # longeq-carriers benchmark, nor in the hexagons on a tensor dimodule
-    builders = [linalg.composite_matrix, linalg.product_tensor, linalg.coproduct_tensor]
     built, owners = [], []
 
     def recording(f):
@@ -3186,11 +3202,8 @@ def test_composite_built_maps_are_never_converted_again(monkeypatch):
             return built[-1]
         return wrapper
 
-    for name, module in list(sys.modules.items()):
-        if name == "homlong" or name.startswith("homlong."):
-            for attr, value in list(vars(module).items()):
-                if any(value is f for f in builders):
-                    monkeypatch.setattr(module, attr, recording(value))
+    for reading in ("matrix", "product", "coproduct"):
+        monkeypatch.setattr(Composite, reading, recording(getattr(Composite, reading)))
     int_columns = linalg.int_columns
 
     def watched(columns):
