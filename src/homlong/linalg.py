@@ -538,8 +538,7 @@ def _plan(steps, dims):
     scales of the planned steps, which is the product of all the steps'
     scales unless a carried map cancelled to the identity (mu then mu^-1)
     and was dropped with its scales."""
-    fold = math.prod(dims) >= FOLD_MIN_COLUMNS
-    plan, shaped, d, scale = [], [], tuple(dims), 1
+    shaped, d = [], tuple(dims)
     for (cols, sc), legs, out in steps:
         first, stop = legs[0], legs[-1] + 1
         ins = d[first:stop]
@@ -547,19 +546,13 @@ def _plan(steps, dims):
         if tuple(legs) != tuple(range(first, stop)) or stop > len(d) or len(cols) != blk_in:
             raise DimensionMismatch("map with %d columns on legs %r of %r" % (len(cols), legs, d))
         out = ins if out is None else tuple(out)
-        if fold:
-            shaped.append((cols, sc, first, ins, out))
-        else:
-            suf = math.prod(d[stop:])
-            plan.append((cols, blk_in * suf, suf, math.prod(out) * suf))
-        d, scale = d[:first] + out + d[stop:], scale * sc
-    if not fold:
-        return plan, d, scale
+        shaped.append((cols, sc, first, ins, out))
+        d = d[:first] + out + d[stop:]
     # every leg a step meets is an input leg or lands from a step, so none
     # is 0-dimensional when neither is
-    if not any(0 in s[4] for s in shaped):
+    if math.prod(dims) >= FOLD_MIN_COLUMNS and not any(0 in s[4] for s in shaped):
         shaped = _fold(shaped)
-    d, scale = tuple(dims), 1
+    plan, d, scale = [], tuple(dims), 1
     for cols, sc, first, ins, out in shaped:
         stop = first + len(ins)
         suf = math.prod(d[stop:])
@@ -716,17 +709,15 @@ class Composite:
     def coproduct(self, first_out):
         """The coproduct-like Tensor3 (a comultiplication or a coaction)
         whose first output has dim first_out: the columns with legs moved
-        once, and kept as its coproduct_columns."""
+        once, to its product-like columns."""
         rows = math.prod(self.out_dims)
         dims = (math.prod(self.dims), first_out, rows // first_out)
         if rows % first_out:
             raise DimensionMismatch("matrix has %d rows, expected %d"
                                     % (rows, first_out * dims[2]))
-        cols, scale = _canonical(*self.columns())
-        t = Tensor3.from_int_columns(move_legs(cols, dims[:1], dims[1:], (0, 1), (2,)),
-                                     scale, dims)
-        t._coproduct = cols, scale
-        return t
+        cols, scale = self.columns()
+        return Tensor3.from_int_columns(move_legs(cols, dims[:1], dims[1:], (0, 1), (2,)),
+                                        scale, dims)
 
     def first_difference(self, other):
         """The first basis tuple of the input legs, in lexicographic order,
