@@ -12,7 +12,8 @@ from homlong.linalg import (Matrix, Tensor3, Vector, Composite, DimensionMismatc
                             insert_columns, pair_columns, per_leg, scalar, scalar_to_json,
                             solve_exact, sparse_columns)
 from test_oracles import (HOPF_FIXTURES, apply3, column_matrix, columns_by_column, coproduct_map,
-                          dense_columns, first_difference_by_column,
+                          dense_columns, elimination_squares, elimination_systems,
+                          first_difference_by_column,
                           flat_index, flip_matrix, fraction_int_columns, inverse_map, kron,
                           kron_all, perm_matrix, mul, permute_input_legs, permute_output_legs,
                           product_map, row_matrix, same_columns)
@@ -153,6 +154,12 @@ def test_solve_exact():
     x = solve_exact(a, b)
     assert x == Vector([2, 1])
     assert solve_exact(a, Vector([3, 1, 5])) is None
+
+
+@pytest.mark.parametrize("cols", [0, 2])
+def test_solve_exact_refuses_a_rhs_that_is_not_one_column(cols):
+    with pytest.raises(DimensionMismatch, match="rhs of shape 2x%d" % cols):
+        solve_exact(Matrix.identity(2), Matrix.zeros(2, cols))
 
 
 def test_every_way_to_make_a_vector_gives_one_vector():
@@ -647,9 +654,6 @@ def test_equal_entries_mean_equal_stored_columns(ways):
 # ---------------------------------------------------------------------------
 # det, inv and solve_exact against sympy's exact matrices
 
-mixed = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-
-
 def to_sympy(m):
     return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
                                          for row in m.data for x in row])
@@ -659,23 +663,8 @@ def from_sympy(values):
     return [Fraction(int(x.p), int(x.q)) for x in values]
 
 
-@st.composite
-def square_matrices(draw):
-    """A square rational matrix with mixed denominators, n = 0 .. 5; about a
-    third of them have a row that is a combination of two others, so the
-    determinant vanishes, and some have two rows swapped, so it changes sign."""
-    n = draw(st.integers(0, 5))
-    rows = [[draw(mixed) for _ in range(n)] for _ in range(n)]
-    if n >= 3 and draw(st.integers(0, 2)) == 0:
-        a, b = draw(mixed), draw(mixed)
-        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
-    if n >= 2 and draw(st.booleans()):
-        rows[0], rows[1] = rows[1], rows[0]
-    return Matrix(rows, n, n)
-
-
 @settings(max_examples=150, deadline=None)
-@given(square_matrices())
+@given(elimination_squares())
 def test_det_and_inv_match_sympy(m):
     s = to_sympy(m)
     det = s.det()
@@ -697,26 +686,8 @@ def test_det_signs_and_the_empty_matrix():
     assert empty.inv() == empty
 
 
-@st.composite
-def rectangular_systems(draw):
-    """A rational m x n system, m, n = 0 .. 5 with mixed denominators, of
-    rank at most r; b is A x0 (consistent) or drawn freely (often not)."""
-    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-    r = draw(st.integers(0, min(m, n)))
-    left = [[draw(mixed) for _ in range(r)] for _ in range(m)]
-    right = [[draw(mixed) for _ in range(n)] for _ in range(r)]
-    a = Matrix([[sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0))
-                 for j in range(n)] for i in range(m)], m, n)
-    if draw(st.booleans()):
-        x0 = [draw(mixed) for _ in range(n)]
-        b = [sum((a.data[i][j] * x0[j] for j in range(n)), Fraction(0)) for i in range(m)]
-    else:
-        b = [draw(mixed) for _ in range(m)]
-    return a, Vector(b)
-
-
 @settings(max_examples=150, deadline=None)
-@given(rectangular_systems())
+@given(elimination_systems())
 def test_solve_exact_matches_sympy(system):
     a, b = system
     sa = to_sympy(a)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from homlong import fixtures as fx, longdimod
-from homlong.linalg import Composite, DimensionMismatch, Matrix, Tensor3
+from homlong.linalg import Composite, DimensionMismatch, Matrix, Tensor3, per_leg_matrix
 from homlong.homstruct import dual_hopf, validate_hom_algebra
 from homlong.repmod import validate_hom_module
 from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
@@ -77,6 +77,17 @@ def test_tensor_with_unit(kz2, dimodules):
     t = tensor_dimodule(d, unit)
     assert validate_long_dimodule(t).ok
     assert t.mu == d.mu
+
+
+def test_triple_tensor_mu_inverts_leg_by_leg(kz2):
+    # the 512 x 512 mu of (can (x) can) (x) can has one entry per column;
+    # its inverse is the tensor product of the factors' inverses and its
+    # determinant det(mu)^(3 * 64)
+    can = canonical_dimodule(fx.sweedler_scaled_twisted(2), kz2)
+    t3 = tensor_dimodule(tensor_dimodule(can, can), can)
+    assert t3.mu.rows == 512
+    assert t3.mu.inv() == per_leg_matrix(*[can.mu.inv()] * 3)
+    assert t3.mu.det() == can.mu.det() ** 192
 
 
 def test_tensor_mismatched_base(kz2, kz4t, dimodules):

@@ -28,7 +28,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from homlong import fixtures as fx, io as hio, linalg, longeq
 from homlong.cli import main as cli_main
@@ -190,9 +190,9 @@ def dense_columns(m):
 
 
 # ---------------------------------------------------------------------------
-# Fraction Gauss-Jordan elimination and the Fraction-coercing loader, which
-# the library replaced by one fraction-free elimination and by reading
-# entries straight into int columns
+# Fraction Gauss-Jordan elimination, dense Bareiss elimination and the
+# Fraction-coercing loader, which the library replaced by one sparse
+# fraction-free elimination and by reading entries straight into int columns
 
 def fraction_det(m):
     """The determinant by Gaussian elimination over Fractions."""
@@ -265,6 +265,142 @@ def fraction_solve(a, b):
     for i, c in enumerate(pivots):
         x[c] = rows[i][n]
     return Vector(x)
+
+
+def bareiss(rows, width):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of dense int rows, in
+    place, with pivots in the first width columns: (pivot columns, sign of
+    the row swaps, last pivot d).  Each pivot is the first nonzero entry at
+    or below its row, and every row is rewritten at every pivot; after k
+    pivots every entry is the k-th leading pivot minor times that of the
+    reduced row echelon form, so every division is exact."""
+    pivots, sign, prev, m = [], 1, 1, len(rows)
+    for c in range(width):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        piv = top[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+            elif piv != prev:
+                rows[i] = [piv * x // prev for x in row]
+        pivots.append(c)
+        prev = piv
+    return pivots, sign, prev
+
+
+def _dense_int_rows(cols, rows, width):
+    out = [[0] * width for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out[i][j] = x
+    return out
+
+
+def bareiss_det_inv(m):
+    """(det, inverse or None) of a square Matrix by dense Bareiss
+    elimination of [C | I] for m = C / scale."""
+    n = m.rows
+    cols, scale = sparse_columns(m)
+    rows = _dense_int_rows(cols, n, n + n)
+    for i in range(n):
+        rows[i][n + i] = 1
+    pivots, sign, d = bareiss(rows, n)
+    if len(pivots) < n:
+        return ZERO, None
+    return Fraction(sign * d, scale ** n), Matrix(
+        [[Fraction(x * scale, d) for x in row[n:]] for row in rows], n, n)
+
+
+def bareiss_solve(a, b):
+    """One solution of a x = b by dense Bareiss elimination of [C | c], the
+    free unknowns 0; None when the system is inconsistent."""
+    n = a.cols
+    cols, s = sparse_columns(a)
+    (col,), t = sparse_columns(b)
+    rows = _dense_int_rows(cols + [col], a.rows, n + 1)
+    pivots, _, d = bareiss(rows, n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    x = [ZERO] * n
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[n] * s, d * t)
+    return Vector(x)
+
+
+@st.composite
+def elimination_matrices(draw, rows, cols):
+    """An m x n matrix of one kind: monomial (at most one nonzero in each
+    row and column), sparse (at most two nonzeros a row), or dense with int
+    or rational entries."""
+    kind = draw(st.sampled_from(["monomial", "sparse", "dense-int", "dense-rational"]))
+    if kind == "dense-int":
+        entries = st.integers(-9, 9)
+    elif kind == "dense-rational":
+        entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    else:
+        entries = st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)])
+    out = [[0] * cols for _ in range(rows)]
+    if kind == "monomial":
+        targets = draw(st.permutations(range(max(rows, cols))))
+        for i in range(rows):
+            if targets[i] < cols:
+                out[i][targets[i]] = draw(entries)
+    elif kind == "sparse":
+        for row in out:
+            for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)) if cols else ():
+                row[j] = draw(entries)
+    else:
+        out = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    return out
+
+
+@st.composite
+def elimination_squares(draw, most=16):
+    """A square Matrix for det and inv, n = 0 .. most, of a kind that
+    elimination_matrices draws; some are made singular (a row replaced by a
+    combination of two others) and some have two rows swapped, which flips
+    the sign of the determinant."""
+    n = draw(st.integers(0, most))
+    rows = draw(elimination_matrices(n, n))
+    if n >= 2 and draw(st.integers(0, 3)) == 0:
+        a, b = draw(st.sampled_from([0, 1, -2])), draw(st.sampled_from([1, 3]))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[i], rows[j] = rows[j], rows[i]
+    return Matrix(rows, n, n)
+
+
+@st.composite
+def elimination_systems(draw, most=16):
+    """A rectangular system (A, b), A m x n with m, n = 0 .. most of a kind
+    that elimination_matrices draws, often rank-deficient (rows repeated as
+    combinations of others); b is A x0 (consistent) or drawn freely (often
+    not)."""
+    m, n = draw(st.integers(0, most)), draw(st.integers(0, most))
+    rows = draw(elimination_matrices(m, n))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=m // 2)) if m >= 2 else ():
+        k = draw(st.integers(0, m - 1))
+        rows[i] = [x + 2 * y for x, y in zip(rows[k], rows[(k + 1) % m])]
+    a = Matrix(rows, m, n)
+    if draw(st.booleans()):
+        x0 = [draw(st.sampled_from([0, 1, -1, Fraction(3, 2)])) for _ in range(n)]
+        b = [sum((a.data[i][j] * x0[j] for j in range(n)), ZERO) for i in range(m)]
+    else:
+        b = [draw(st.sampled_from([0, 1, -2, Fraction(1, 3)])) for _ in range(m)]
+    return a, Vector(b)
 
 
 def fraction_int_columns(columns):
@@ -3081,14 +3217,18 @@ def _one_entry_changed(draw, steps):
     return steps[:k] + [((cols, scale), legs, out)] + steps[k + 1:]
 
 
-def _counting_run(counts):
-    """linalg._run, recording the number of input columns of each call."""
-    real = linalg._run
+def _counting_batches(counts):
+    """Composite._batches, recording the number of basis columns of each
+    batch it runs (_run starts from the first step's image of a batch, whose
+    size is not that number)."""
+    real = Composite._batches
 
-    def run(plan, vec):
-        counts.append(len(vec))
-        return real(plan, vec)
-    return run
+    def batches(self, x):
+        d = math.prod(self.dims)
+        for start, image in zip(range(0, d, linalg.BATCH_COLUMNS), real(self, x)):
+            counts.append(min(linalg.BATCH_COLUMNS, d - start))
+            yield image
+    return batches
 
 
 @settings(max_examples=150, deadline=None)
@@ -3102,7 +3242,7 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     expected = first_difference_by_column(lhs, rhs, dims)
     counts = []
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
-            mock.patch.object(linalg, "_run", _counting_run(counts)):
+            mock.patch.object(Composite, "_batches", _counting_batches(counts)):
         assert Composite(lhs, dims).first_difference(Composite(rhs, dims)) == expected
     runs, d = sum(counts) // 2, math.prod(dims)
     if expected is None:
@@ -3314,6 +3454,24 @@ def test_fraction_free_elimination_matches_fraction_oracle(system):
                 square.inv()
         else:
             assert square.inv() == inverse
+
+
+@settings(max_examples=150, deadline=None)
+@given(elimination_squares(), elimination_systems())
+@example(Matrix([], rows=0, cols=0), (Matrix([], rows=0, cols=0), Vector([])))
+@example(Matrix([[0, 2], [3, 0]]), (Matrix([[0, 0, 2], [0, 0, 4]]), Vector([1, 2])))
+def test_sparse_elimination_matches_dense_bareiss(square, system):
+    # the same determinant and inverse, and the same solution with the free
+    # unknowns 0, as the dense elimination the library used to run
+    det, inverse = bareiss_det_inv(square)
+    assert square.det() == det
+    if inverse is None:
+        with pytest.raises(SingularMatrix):
+            square.inv()
+    else:
+        assert square.inv() == inverse
+    a, b = system
+    assert solve_exact(a, b) == bareiss_solve(a, b)
 
 
 # ---------------------------------------------------------------------------
