@@ -5,7 +5,7 @@ All arithmetic is exact rational; every identity check is an exact matrix
 identity on lexicographic tensor bases and reports counterexample witnesses.
 """
 
-from .linalg import (Matrix, Tensor3, Vector, scalar, solve_exact,
+from .linalg import (Matrix, Tensor3, scalar, solve_exact,
                      DimensionMismatch, SingularMatrix)
 from .report import AxiomReport, Check
 from .homstruct import (HomStructure, NotAutomorphism, validate_hom_algebra,

@@ -9,7 +9,7 @@ the little zoo of dimodules used throughout.
 from dataclasses import replace
 from fractions import Fraction
 
-from .linalg import Matrix, Tensor3, Vector, per_leg_matrix
+from .linalg import Matrix, Tensor3, per_leg_matrix
 from .homstruct import HomStructure, tensor_hopf, yau_twist
 from .repmod import HomModule, HomComodule
 from .longdimod import (HomLongDimodule, canonical_dimodule, counit_action,
@@ -20,8 +20,8 @@ def group_hopf(m, names=None):
     """Group algebra of the cyclic group of order m, identity twist."""
     mult = Tensor3.from_function(m, m, m, lambda i, j, k: 1 if k == (i + j) % m else 0)
     comult = Tensor3.from_function(m, m, m, lambda i, j, k: 1 if j == i == k else 0)
-    unit = Vector([1] + [0] * (m - 1))
-    counit = Vector([1] * m)
+    unit = Matrix([[1]] + [[0]] * (m - 1))
+    counit = Matrix([[1]] * m)
     s = Matrix.from_function(m, m, lambda i, j: 1 if i == (-j) % m else 0)
     if names is None:
         names = tuple("1" if i == 0 else ("g" if i == 1 else "g%d" % i)
@@ -94,8 +94,8 @@ def sweedler_hopf():
         3: {(3, 1): 1, (0, 3): 1},
     }
     comult = Tensor3.from_function(n, n, n, lambda i, j, k: cop[i].get((j, k), 0))
-    unit = Vector([1, 0, 0, 0])
-    counit = Vector([1, 1, 0, 0])
+    unit = Matrix([[1], [0], [0], [0]])
+    counit = Matrix([[1], [1], [0], [0]])
     s = Matrix.from_function(n, n, lambda i, j: {(0, 0): 1, (1, 1): 1,
                                                  (3, 2): -1, (2, 3): 1}.get((i, j), 0))
     names = ("1", "g", "x", "gx")

@@ -17,7 +17,7 @@ output coordinate for an identity between elements.
 
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, Vector, Composite, DimensionMismatch, coproduct_columns,
+from .linalg import (Matrix, Tensor3, Composite, DimensionMismatch, coproduct_columns,
                      flip_columns, insert_columns, move_legs, pair_columns, per_leg_matrix,
                      solve_exact, sparse_columns)
 from .report import AxiomReport, composites_equal_report, elements_equal_report
@@ -39,9 +39,9 @@ class HomStructure:
     dim: int
     gamma: Matrix              # the structure map
     mult: Tensor3 = None       # mult[i][j][k] = coeff of e_k in e_i e_j
-    unit: Vector = None        # coordinates of the unit element
+    unit: Matrix = None        # n x 1: coordinates of the unit element
     comult: Tensor3 = None     # comult[i][j][k] = coeff of e_j (x) e_k in Delta(e_i)
-    counit: Vector = None      # counit as a covector
+    counit: Matrix = None      # n x 1: the counit's values on the basis
     antipode: Matrix = None
     basis: tuple = None
 
@@ -57,8 +57,9 @@ class HomStructure:
             if t is not None and t.dims != (n, n, n):
                 raise DimensionMismatch("%s tensor %r for dim %d" % (name, t.dims, n))
         for name, v in (("unit", self.unit), ("counit", self.counit)):
-            if v is not None and v.dim != n:
-                raise DimensionMismatch("%s has dim %d for dim %d" % (name, v.dim, n))
+            if v is not None and (v.rows, v.cols) != (n, 1):
+                shape = "dim %d" % v.rows if v.cols == 1 else "shape %dx%d" % (v.rows, v.cols)
+                raise DimensionMismatch("%s has %s for dim %d" % (name, shape, n))
         for name, m in (("gamma", self.gamma), ("antipode", self.antipode)):
             if m is not None and (m.rows != n or m.cols != n):
                 raise DimensionMismatch("%s is %dx%d for dim %d" % (name, m.rows, m.cols, n))
@@ -267,9 +268,8 @@ def tensor_algebra(a, c):
     mult = Composite([(flip_columns(nc, na), (1, 2), (na, nc)),
                       (sparse_columns(a.mult), (0, 1), (na,)),
                       (sparse_columns(c.mult), (1, 2), (nc,))], (na, nc, na, nc)).product(2)
-    unit = per_leg_matrix(a.unit, c.unit).column(0)
-    return HomStructure(na * nc, per_leg_matrix(a.gamma, c.gamma), mult, unit,
-                        basis=tensor_basis(a.basis, c.basis))
+    return HomStructure(na * nc, per_leg_matrix(a.gamma, c.gamma), mult,
+                        per_leg_matrix(a.unit, c.unit), basis=tensor_basis(a.basis, c.basis))
 
 
 def tensor_basis(first, second):
@@ -286,7 +286,7 @@ def tensor_hopf(h, b):
     s = (None if h.antipode is None or b.antipode is None
          else per_leg_matrix(h.antipode, b.antipode))
     return replace(tensor_algebra(h, b), comult=comult, antipode=s,
-                   counit=per_leg_matrix(h.counit, b.counit).column(0))
+                   counit=per_leg_matrix(h.counit, b.counit))
 
 
 def opposite_algebra(a):
@@ -374,7 +374,7 @@ def _stacked_solvable(left, right, unit):
     nn = len(lcols)
     stacked = [[(i, x * rs) for i, x in lc] + [(nn + i, x * ls) for i, x in rc]
                for lc, rc in zip(lcols, rcols)]
-    rhs = Vector.from_int_columns([ucol + [(nn + i, x) for i, x in ucol]], us, 2 * nn)
+    rhs = Matrix.from_int_columns([ucol + [(nn + i, x) for i, x in ucol]], us, 2 * nn)
     return solve_exact(Matrix.from_int_columns(stacked, ls * rs, 2 * nn), rhs) is not None
 
 

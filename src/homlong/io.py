@@ -14,7 +14,7 @@ json_text is the one JSON writer.
 import json
 import os
 
-from .linalg import Matrix, Tensor3, Vector, scalar
+from .linalg import Matrix, Tensor3, scalar
 from .homstruct import HomStructure
 from .repmod import HomModule, HomComodule, YetterDrinfeldModule
 from .longdimod import HomLongDimodule
@@ -52,10 +52,11 @@ def load_matrix(rows, where="matrix"):
 
 
 def load_vector(entries, where="vector"):
+    """The flat list entries (a unit, a counit) as a one-column Matrix."""
     if not isinstance(entries, list):
         raise FileFormatError(_ctx(where, "expected a list"))
     try:
-        return Vector(entries)
+        return Matrix([[x] for x in entries], cols=1)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise FileFormatError(_ctx(where, str(exc)))
 
@@ -209,7 +210,9 @@ def algebra_to_json(h):
     for key in ("mult", "unit", "comult", "counit", "gamma", "antipode"):
         value = getattr(h, key)
         if value is not None:
-            out[key] = value.to_json()
+            rows = value.to_json()
+            # the unit and counit, one-column matrices, as load_vector reads them
+            out[key] = [x for x, in rows] if key in ("unit", "counit") else rows
     return out
 
 

@@ -3,7 +3,7 @@
 Everything is exact, ints and Fractions; there is no floating point
 anywhere.  Linear maps are column-convention: M[i][j] is the coefficient of
 the i-th output basis vector in the image of the j-th input basis vector, and
-matrices act on coordinate columns.  Matrix and Vector have no arithmetic:
+matrices act on coordinate columns.  Matrix and Tensor3 have no arithmetic:
 maps compose only as steps on tensor legs (below).  Tensor-product bases
 are ordered lexicographically, first factor major: (i, j) -> i * dim_second
 + j.
@@ -11,12 +11,12 @@ are ordered lexicographically, first factor major: (i, j) -> i * dim_second
 A Matrix is stored as its int-scaled sparse columns (cols, scale), in the
 unique form int_columns gives: entries sorted by row within each column and
 the scale the lcm of the reduced denominators.  Equality and hashing read
-that form and the type.  A Vector (a unit, a counit) is an n x 1 Matrix,
-and a Tensor3 (a multiplication, action, comultiplication or coaction) the
-Matrix of its product-like map (i, j) -> sum_k T[i][j][k] e_k with its leg
-dims; coproduct_columns moves the same ints once into the coproduct-like
-reading.  int_columns is the one reader of scalars:
-Matrix(rows), Tensor3(data), Vector(entries) and the io loaders read ints
+that form and the type.  A unit, a counit or a solution is an n x 1 Matrix,
+m[i] its i-th coordinate, and a Tensor3 (a multiplication, action,
+comultiplication or coaction) the Matrix of its product-like map (i, j) ->
+sum_k T[i][j][k] e_k with its leg dims; coproduct_columns moves the same
+ints once into the coproduct-like reading.  int_columns is the one reader
+of scalars: Matrix(rows), Tensor3(data) and the io loaders read ints
 as they are and "p/q" strings once, straight into that form, and never
 store a zero.  det, inv and solve_exact share one fraction-free
 elimination on sparse int rows read off the columns, which rewrites only
@@ -56,7 +56,7 @@ gives a tensor product of maps, and the Tensor3 readings a multiplication,
 action, comultiplication or coaction, so no map is written as an index sum
 over structure constants or as a Kronecker product.
 
-Matrix, Vector and Tensor3 are immutable, so each keeps what is derived
+Matrix and Tensor3 are immutable, so each keeps what is derived
 from it once computed: a Matrix its data view, determinant and inverse, a
 Tensor3 also its coproduct-like reading.  The stored and cached columns are
 shared by every caller and are never changed.
@@ -64,6 +64,7 @@ shared by every caller and are never changed.
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 
@@ -89,7 +90,10 @@ def scalar(x):
         # the shared constants, which fill every data view
         return ZERO if x == 0 else ONE if x == 1 else Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        # not Fraction's decimals, underscores or exponents (1e9999 is 10**9999)
+        if re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", x):
+            return Fraction(x)
+        raise ValueError("%r is not an int or a p/q string" % x)
     raise TypeError("cannot read %r as an exact rational" % (x,))
 
 
@@ -112,11 +116,6 @@ def unflat_index(i, dims):
         out.append(i % d)
         i //= d
     return tuple(reversed(out))
-
-
-def scalar_str(x):
-    s = scalar_to_json(x)
-    return str(s)
 
 
 class Matrix:
@@ -154,11 +153,11 @@ class Matrix:
 
     @classmethod
     def from_int_columns(cls, cols, scale, rows):
-        """The Matrix, or on Vector the Vector, cols / scale with the given
-        number of rows, for lists of (row, int) pairs with nonzero value in
-        any row order and a positive int scale, as Composite.columns gives
-        them.  The lists are taken over: each is sorted by row, and the
-        values and the scale are divided by their gcd (the canonical form)."""
+        """The Matrix cols / scale with the given number of rows, for lists
+        of (row, int) pairs with nonzero value in any row order and a
+        positive int scale, as Composite.columns gives them.  The lists are
+        taken over: each is sorted by row, and the values and the scale are
+        divided by their gcd (the canonical form)."""
         return cls._of(rows, len(cols), _canonical(cols, scale))
 
     @property
@@ -189,12 +188,13 @@ class Matrix:
                       rows=rows, cols=cols)
 
     def __getitem__(self, ij):
+        """m[i, j]; on a one-column matrix (a unit, a counit) also m[i]."""
+        if isinstance(ij, int):
+            if self.cols != 1:
+                raise TypeError("a %dx%d matrix takes an index pair" % (self.rows, self.cols))
+            ij = ij, 0
         i, j = ij
         return self.data[i][j]
-
-    def column(self, j):
-        cols, scale = self._sparse
-        return Vector.from_int_columns([list(cols[j])], scale, self.rows)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.rows == other.rows
@@ -271,46 +271,7 @@ class Matrix:
         if self.rows * self.cols > 64:
             return "Matrix(%dx%d)" % (self.rows, self.cols)
         return "Matrix(%s)" % "; ".join(
-            " ".join(scalar_str(x) for x in row) for row in self.data)
-
-
-class Vector(Matrix):
-    """Exact vector: the n x 1 Matrix of a map from the one-dimensional leg,
-    stored, compared and hashed as any Matrix is, with the vector interface
-    on top (v[i], dim, len, iteration, entries, a flat to_json).  Matrix
-    equality compares types, so a Vector equals only a Vector."""
-
-    __slots__ = ()
-
-    def __init__(self, entries):
-        entries = entries if isinstance(entries, (list, tuple)) else list(entries)
-        self.rows, self.cols, self._sparse = len(entries), 1, int_columns([entries])
-        self._data = self._det = self._inverse = None
-
-    @property
-    def dim(self):
-        return self.rows
-
-    @property
-    def entries(self):
-        """The entries as a tuple of Fractions, read off the data view."""
-        return tuple(row[0] for row in self.data)
-
-    def __getitem__(self, i):
-        return self.entries[i] if isinstance(i, slice) else self.data[i][0]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return self.rows
-
-    def to_json(self):
-        """The entries as ints and "p/q" strings, written from the column."""
-        return [x for x, in super().to_json()]
-
-    def __repr__(self):
-        return "Vector([%s])" % ", ".join(scalar_str(a) for a in self.entries)
+            " ".join(str(scalar_to_json(x)) for x in row) for row in self.data)
 
 
 def _dense_columns(sparse, rows):
@@ -538,18 +499,18 @@ def flip_columns(d0, d1):
 
 
 def insert_columns(element, d):
-    """x -> element (x) x on a leg of dim d, for an element given as a Vector
-    (a unit) or by its flat coordinates in a Matrix (R): entry [i][j] at
-    i * cols + j; as a step its out_dims are the element's legs, then d."""
+    """x -> element (x) x on a leg of dim d, for an element (a unit, R) given
+    by its flat coordinates in a Matrix: entry [i][j] at i * cols + j; as a
+    step its out_dims are the element's legs, then d."""
     cols, scale = element._sparse
     (col,) = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0))
     return [[(k * d + o, x) for k, x in col] for o in range(d)], scale
 
 
 def pair_columns(covector):
-    """The pairing with a covector given as a Vector (a counit) or by its
-    flat coordinates in a Matrix (a form), as insert_columns reads an
-    element; as a step its out_dims are ()."""
+    """The pairing with a covector (a counit, a form) given by its flat
+    coordinates in a Matrix, as insert_columns reads an element; as a step
+    its out_dims are ()."""
     cols, scale = covector._sparse
     return move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
 
@@ -814,12 +775,12 @@ def per_leg_matrix(*maps):
 def solve_exact(a, b):
     """Solve the (possibly rectangular) linear system a x = b exactly.
 
-    Returns one solution Vector, the free unknowns 0, or None when the
-    system is inconsistent; b must be one column.  For a = C / s and
-    b = c / t on int columns the sparse fraction-free elimination
-    (_eliminate) of the rows of [C | c] gives C y = c, and x = y s / t.  Its
-    pivot columns are those of dense elimination, so the free unknowns, and
-    the solution, are too.
+    Returns one solution as a one-column Matrix, the free unknowns 0, or
+    None when the system is inconsistent; b must be one column.  For
+    a = C / s and b = c / t on int columns the sparse fraction-free
+    elimination (_eliminate) of the rows of [C | c] gives C y = c, and
+    x = y s / t.  Its pivot columns are those of dense elimination, so the
+    free unknowns, and the solution, are too.
     """
     if a.rows != b.rows:
         raise DimensionMismatch("system with %d rows and rhs of dim %d" % (a.rows, b.rows))
@@ -835,7 +796,7 @@ def solve_exact(a, b):
     x = [ZERO] * n
     for row, c in zip(rows, pivots):
         x[c] = Fraction(row.get(n, 0) * s, d * t)
-    return Vector(x)
+    return Matrix([[v] for v in x], cols=1)
 
 
 class Tensor3(Matrix):

@@ -11,7 +11,7 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 import math
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, Vector, Composite, DimensionMismatch, coproduct_columns,
+from .linalg import (Matrix, Tensor3, Composite, DimensionMismatch, coproduct_columns,
                      flip_columns, insert_columns, move_legs, pair_columns, per_leg_matrix,
                      sparse_columns)
 from .homstruct import (HomStructure, default_basis, dual_hopf, opposite_algebra,
@@ -339,7 +339,7 @@ def right_dual(m):
 def _identity_element(d):
     """The element sum_i e_i (x) e_i: inserted, the copairing of a basis with
     its dual basis; paired, their evaluation."""
-    return Vector.from_int_columns([[(i * d + i, 1) for i in range(d)]], 1, d * d)
+    return Matrix.from_int_columns([[(i * d + i, 1) for i in range(d)]], 1, d * d)
 
 
 def _dual(m, h_twist, b_twist, side):

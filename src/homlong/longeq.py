@@ -485,13 +485,13 @@ def search_solutions(mu, coefficient_set, shape):
             values.append(s)
     if shape not in ("diagonal", "full"):
         raise ValueError("shape must be 'diagonal' or 'full'")
+    if not values:
+        return []       # an empty grid has nothing to search, at any n
     n2 = n * n
     count = n2 if shape == "diagonal" else n2 * n2
     cardinality = len(values) ** count
     if shape == "full" and n > 2:
         raise SearchSpaceTooLarge(cardinality)
-    if not values:
-        return []
     if shape == "diagonal":
         positions = [(c, c) for c in range(n2)]
     else:

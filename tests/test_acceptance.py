@@ -11,7 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, Tensor3, Vector
+from homlong.linalg import Matrix, Tensor3
 from homlong.homstruct import (tensor_hopf, validate_all,
                                validate_coquasitriangular, validate_hom_algebra,
                                validate_hom_bialgebra, validate_hom_coalgebra,
@@ -65,7 +65,7 @@ def test_criterion_1_axiom_tower():
     rep = validate_hom_algebra(mut_alg)
     ok = ok and not rep.passed("HA1-mult") and rep.check("HA1-mult").witness == ("g", "g")
 
-    mut_coa = replace(kz2.coalgebra, counit=Vector([1, 0]))
+    mut_coa = replace(kz2.coalgebra, counit=Matrix([[1], [0]]))
     rep = validate_hom_coalgebra(mut_coa)
     ok = ok and not rep.passed("HC2-counit") and rep.check("HC2-counit").witness[1] == "g"
 

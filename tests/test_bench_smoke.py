@@ -1,9 +1,9 @@
 """The benchmark's workloads run on the library as it stands.
 
 bench/workloads.py calls library names directly (Tensor3.from_function,
-Vector indexing, Matrix indexing, to_lists, long_braiding_inverse,
-trivial_module), so one short run of each workload fails here, with its
-error output, when one of them stops working.
+one-index reads of a one-column Matrix such as h.unit[a], Matrix indexing,
+to_lists, long_braiding_inverse, trivial_module), so one short run of each
+workload fails here, with its error output, when one of them stops working.
 """
 
 import json

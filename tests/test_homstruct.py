@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from homlong import fixtures as fx
-from homlong.linalg import DimensionMismatch, Matrix, Tensor3, Vector
+from homlong.linalg import DimensionMismatch, Matrix, Tensor3
 from homlong.longdimod import base_parts
 from homlong.homstruct import (NotAutomorphism,
                                opposite_algebra, dual_hopf, tensor_hopf,
@@ -29,7 +29,7 @@ def test_algebra_mutation_witness(kz2):
 
 def test_coalgebra_mutation_witness(kz2):
     # counit sending g to 0 breaks the twisted counit law at g
-    bad = replace(kz2.coalgebra, counit=Vector([1, 0]))
+    bad = replace(kz2.coalgebra, counit=Matrix([[1], [0]]))
     rep = validate_hom_coalgebra(bad)
     assert not rep.passed("HC2-counit")
     assert rep.check("HC2-counit").witness[1] == "g"
@@ -109,8 +109,10 @@ def test_projections_of_equal_structures_are_equal_and_hash_equally(kz2):
     (dict(mult=Tensor3.from_function(2, 2, 3, lambda i, j, k: 0)), "mult tensor (2, 2, 3)"),
     (dict(comult=Tensor3.from_function(3, 2, 2, lambda i, j, k: 0)),
      "comult tensor (3, 2, 2)"),
-    (dict(unit=Vector([1, 0, 0])), "unit has dim 3"),
-    (dict(counit=Vector([1])), "counit has dim 1"),
+    (dict(unit=Matrix([[1], [0], [0]])), "unit has dim 3 for dim 2"),
+    (dict(counit=Matrix([[1]])), "counit has dim 1"),
+    (dict(unit=Matrix.identity(2)), "unit has shape 2x2 for dim 2"),
+    (dict(counit=Matrix([[1, 1]])), "counit has shape 1x2 for dim 2"),
     (dict(gamma=Matrix.identity(3)), "gamma is 3x3"),
     (dict(antipode=Matrix.zeros(2, 3)), "antipode is 2x3"),
     (dict(basis=("1",)), "1 basis names for dim 2"),
@@ -182,7 +184,7 @@ def test_dual_hopf_of_group_algebra(kz2):
                 expect = 1 if (a == b == k) else 0
                 assert d.mult[a, b, k] == expect
     # unit of the dual is the counit vector
-    assert d.unit == Vector([1, 1])
+    assert d.unit == Matrix([[1], [1]])
 
 
 def test_dual_hopf_one_dimensional():

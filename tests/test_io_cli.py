@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,14 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 from homlong import braidcat, cli, fixtures as fx, linalg
 from homlong import io as hio
 from homlong.cli import REQUIRED, main
-from homlong.homstruct import dual_hopf
+from homlong.homstruct import dual_hopf, tensor_hopf
 from homlong.io import FileFormatError
 from homlong.linalg import ONE, ZERO, Matrix, scalar, scalar_to_json
 from homlong.longdimod import canonical_dimodule
 from homlong.longeq import HAlphaLongDimodule, OperatorOnTensorSquare, module_extension
 from homlong.report import AxiomReport, Check
 from homlong.repmod import YetterDrinfeldModule
-from test_oracles import flip_matrix
+from test_oracles import HOPF_FIXTURES, flip_matrix
 
 
 @pytest.fixture()
@@ -83,6 +84,27 @@ def test_structure_round_trips(tmp_path, kz2, kz4t):
         # saving what was loaded writes the same bytes
         hio.save_structure(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("build", HOPF_FIXTURES, ids=lambda f: f.__name__)
+def test_units_and_counits_are_flat_lists_read_by_one_index(tmp_path, build):
+    # a unit or counit is a one-column Matrix: the file holds its flat list
+    # (what bench/oracle.py reads), and unit[i] reads its i-th coordinate
+    # (what bench/workloads.py reads)
+    h = build()
+    for i, s in enumerate((h, h.algebra, h.coalgebra, dual_hopf(h), tensor_hopf(h, fx.kz2()))):
+        obj = hio.algebra_to_json(s)
+        for key in ("unit", "counit"):
+            v = getattr(s, key)
+            if v is None:
+                assert key not in obj
+                continue
+            assert (v.rows, v.cols) == (s.dim, 1)
+            assert [v[k] for k in range(s.dim)] == [row[0] for row in v.data]
+            assert obj[key] == [scalar_to_json(v[k]) for k in range(s.dim)]
+        path = tmp_path / ("a%d.json" % i)
+        hio.dump_json(obj, path)
+        assert hio.load_structure(str(path)) == s
 
 
 # What the reader says of a carrier file with the fields given as None
@@ -440,6 +462,11 @@ def test_search_command(files, capsys):
     mu3 = files / "id3.json"
     hio.dump_json({"mu": hio.matrix_json(Matrix.identity(3))}, mu3)
     assert main(["search", "--mu", str(mu3), "--set", "0,1", "--shape", "full"]) == 2
+    # an empty grid has nothing to search, on either shape
+    for shape in ("diagonal", "full"):
+        capsys.readouterr()
+        assert main(["search", "--mu", str(mu3), "--set", ",", "--shape", shape]) == 0
+        assert "0 solutions" in capsys.readouterr().out
 
 
 def test_search_reads_a_bare_map_an_object_without_kind_and_an_operator_file(files, capsys):
@@ -735,6 +762,21 @@ def test_search_set_zero_denominator(files, capsys):
     assert "--set" in capsys.readouterr().err
 
 
+def test_an_exponent_is_refused_at_once_in_a_set_and_in_a_file(files, capsys):
+    # Fraction would expand 1e4000000 as 10**4000000, for seconds, before
+    # any check ran
+    message = "'1e4000000' is not an int or a p/q string"
+    start = time.perf_counter()
+    assert main(["search", "--mu", p(files, "id2.json"), "--set", "1e4000000"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "--set" in err
+    path = str(files / "exponent.json")
+    hio.dump_json({"kind": "operator", "n": 1, "mu": [[1]], "matrix": [["1e4000000"]]}, path)
+    assert main(["validate", path]) == 2
+    assert message in capsys.readouterr().err
+    assert time.perf_counter() - start < 0.5
+
+
 def test_singular_mu_fails_operator_checks(tmp_path, capsys):
     path = str(tmp_path / "singular.json")
     hio.dump_json({"kind": "operator", "n": 1, "matrix": [[1]], "mu": [[0]]}, path)
@@ -816,8 +858,8 @@ def test_demo_files_build_and_braid_reports_match_snapshot(tmp_path, monkeypatch
 
 
 def test_no_cli_path_builds_a_dense_view(tmp_path, monkeypatch, capsys):
-    # every data and entries view of a Matrix, Tensor3 or Vector is built by
-    # _dense_columns; the commands read and write the int columns only
+    # every data view of a Matrix or Tensor3 is built by _dense_columns; the
+    # commands read and write the int columns only
     def refuse(*args):
         raise AssertionError("a dense view was built")
 

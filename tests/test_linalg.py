@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -7,11 +8,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx, io as hio, linalg
-from homlong.linalg import (Matrix, Tensor3, Vector, Composite, DimensionMismatch,
+from homlong.linalg import (Matrix, Tensor3, Composite, DimensionMismatch,
                             SingularMatrix, coproduct_columns, int_columns, unflat_index,
                             insert_columns, pair_columns, per_leg, scalar, scalar_to_json,
                             solve_exact, sparse_columns)
-from test_oracles import (HOPF_FIXTURES, apply3, column_matrix, columns_by_column, coproduct_map,
+from test_oracles import (HOPF_FIXTURES, apply3, column_of, columns_by_column, coproduct_map,
                           dense_columns, elimination_squares, elimination_systems,
                           first_difference_by_column,
                           flat_index, flip_matrix, fraction_int_columns, inverse_map, kron,
@@ -30,12 +31,27 @@ def test_scalar_parsing():
     assert scalar(3) == Fraction(3)
     assert scalar("2/4") == Fraction(1, 2)
     assert scalar("-7/3") == Fraction(-7, 3)
+    assert scalar(" -7/3 ") == Fraction(-7, 3) and scalar("+2") == 2 and scalar("\t0\n") == 0
     assert scalar_to_json(Fraction(4, 2)) == 2
     assert scalar_to_json(Fraction(-1, 3)) == "-1/3"
     with pytest.raises(TypeError):
         scalar(1.5)
     with pytest.raises(TypeError):
         scalar(True)
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", "1e-3", "1e4000000", "1_000", "1/2/3", "1 / 2", "/2", "2/", "--1", "1/-2",
+    "inf", "nan", "", "٣", "0x10",
+])
+def test_scalar_refuses_other_strings_at_once(text):
+    # Fraction would read the decimal, exponent and underscore forms, and
+    # expand 1e4000000 as 10**4000000 for seconds before any check
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="is not an int or a p/q string") as raised:
+        scalar(text)
+    assert time.perf_counter() - start < 0.1
+    assert repr(text) in str(raised.value)
 
 
 @settings(max_examples=80, deadline=None)
@@ -80,7 +96,7 @@ def test_kron_1x1():
 def test_kron_index_convention():
     # swap (x) id applied to e0 (x) e0 lands on index 2 = 1*2 + 0
     m = kron(Matrix([[0, 1], [1, 0]]), Matrix.identity(2))
-    assert mul(m, Vector([1, 0, 0, 0])) == Vector([0, 0, 1, 0])
+    assert mul(m, column_of([1, 0, 0, 0])) == column_of([0, 0, 1, 0])
 
 
 def test_kron_rectangular_shapes():
@@ -150,10 +166,10 @@ def test_lazy_leg_permutations_match_matrices():
 
 def test_solve_exact():
     a = Matrix([[1, 1], [1, -1], [2, 0]])
-    b = Vector([3, 1, 4])
+    b = Matrix([[3], [1], [4]])
     x = solve_exact(a, b)
-    assert x == Vector([2, 1])
-    assert solve_exact(a, Vector([3, 1, 5])) is None
+    assert x == Matrix([[2], [1]])
+    assert solve_exact(a, Matrix([[3], [1], [5]])) is None
 
 
 @pytest.mark.parametrize("cols", [0, 2])
@@ -162,28 +178,31 @@ def test_solve_exact_refuses_a_rhs_that_is_not_one_column(cols):
         solve_exact(Matrix.identity(2), Matrix.zeros(2, cols))
 
 
-def test_every_way_to_make_a_vector_gives_one_vector():
+def test_every_way_to_make_an_element_gives_one_column_matrix():
     # the entries 1/2, 0, -3, 2/3 as (index, int) pairs over the scale 6
     col = [(0, 3), (2, -18), (3, 4)]
     made = [
-        Vector([Fraction(1, 2), 0, -3, Fraction(2, 3)]),
-        Vector.from_int_columns([[(3, 8), (0, 6), (2, -36)]], 12, 4),
-        Matrix([[Fraction(1, 2), 1], [0, 0], [-3, 0], ["2/3", 5]]).column(0),
+        Matrix([[Fraction(1, 2)], [0], [-3], ["2/3"]]),
+        Matrix.from_int_columns([[(3, 8), (0, 6), (2, -36)]], 12, 4),
         hio.load_vector(["1/2", 0, -3, "2/3"]),
-        solve_exact(Matrix.diagonal([2, 2, 2, 2]), Vector([1, 0, -6, Fraction(4, 3)])),
+        solve_exact(Matrix.diagonal([2, 2, 2, 2]), column_of([1, 0, -6, Fraction(4, 3)])),
     ]
     for v in made:
-        assert type(v) is Vector and (v.dim, len(v)) == (4, 4)
+        assert type(v) is Matrix and (v.rows, v.cols) == (4, 1)
         assert v == made[0] and hash(v) == hash(made[0])
-        assert v.to_json() == ["1/2", 0, -3, "2/3"]
-        assert list(v) == list(v.entries) == [v[i] for i in range(4)] == [
-            Fraction(1, 2), 0, -3, Fraction(2, 3)]
-        assert v[1:3] == (0, -3) and v[-1] == Fraction(2, 3)
+        assert v.to_json() == [["1/2"], [0], [-3], ["2/3"]]
+        assert [v[i] for i in range(4)] == [Fraction(1, 2), 0, -3, Fraction(2, 3)]
+        assert v[-1] == Fraction(2, 3) and v[3] == v[3, 0]
         assert insert_columns(v, 1) == ([col], 6)
         assert pair_columns(v) == ([[(0, 3)], [], [(0, -18)], [(0, 4)]], 6)
-    # a Vector equals only a Vector, although both are stored alike
-    assert Vector([1, 0]) != Matrix([[1], [0]]) and Matrix([[1], [0]]) != Vector([1, 0])
-    assert sparse_columns(Vector([1, 0])) == sparse_columns(Matrix([[1], [0]]))
+
+
+@pytest.mark.parametrize("m", [Matrix.identity(2), Matrix([[1, 2]]), Matrix.zeros(3, 0)])
+def test_one_index_reads_only_a_one_column_matrix(m):
+    with pytest.raises(TypeError, match="a %dx%d matrix takes an index pair" % (m.rows, m.cols)):
+        m[0]
+    with pytest.raises(IndexError):
+        Matrix([[1], [2]])[2]
 
 
 def test_tensor3_flatten_round_trip():
@@ -218,8 +237,8 @@ def test_apply3():
 def test_zero_dim_edge_cases():
     e = Matrix([], rows=0, cols=0)
     assert kron(e, Matrix.identity(2)) == Matrix([], rows=0, cols=0)
-    v = Vector([])
-    assert v.dim == 0 and v.entries == ()
+    v = hio.load_vector([])
+    assert (v.rows, v.cols) == (0, 1) and v.to_json() == [] and sparse_columns(v) == ([[]], 1)
     t = Tensor3.zeros(2, 0, 0)
     assert sparse_columns(t) == ([], 1) and t.to_json() == [[], []]
 
@@ -492,10 +511,10 @@ def test_a_composite_compares_only_with_one_on_the_same_legs():
 
 
 def test_insert_and_pair_columns_match_kron():
-    u = Vector([1, Fraction(1, 2), 0])
+    u = column_of([1, Fraction(1, 2), 0])
     assert (Composite([(insert_columns(u, 2), (0,), (3, 2))], (2,)).matrix()
-            == kron(column_matrix(u), Matrix.identity(2)))
-    f = Vector([2, 0, Fraction(-1, 3)])
+            == kron(u, Matrix.identity(2)))
+    f = column_of([2, 0, Fraction(-1, 3)])
     assert (Composite([(pair_columns(f), (1,), ())], (2, 3)).matrix()
             == kron(Matrix.identity(2), row_matrix(f)))
 

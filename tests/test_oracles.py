@@ -43,7 +43,7 @@ from homlong.homstruct import (HomStructure, NotAutomorphism,
                                validate_hom_algebra, validate_hom_bialgebra,
                                validate_hom_coalgebra, validate_hom_hopf,
                                validate_quasitriangular, yau_twist)
-from homlong.linalg import (Matrix, Tensor3, Vector, Composite, ZERO, ONE, DimensionMismatch,
+from homlong.linalg import (Matrix, Tensor3, Composite, ZERO, ONE, DimensionMismatch,
                             SingularMatrix, coproduct_columns, flip_columns, insert_columns,
                             pair_columns, scalar, scalar_to_json, solve_exact, sparse_columns,
                             unflat_index)
@@ -75,9 +75,7 @@ def flat_index(idxs, dims):
 
 def kron(a, b):
     """Kronecker product realizing f (x) g on lexicographic tensor bases, of
-    two matrices or of two vectors."""
-    if isinstance(a, Vector):
-        return Vector([x * y for x in a.entries for y in b.entries])
+    two matrices: of two elements when both have one column."""
     rb, cb = b.rows, b.cols
     out = [[ZERO] * (a.cols * cb) for _ in range(a.rows * rb)]
     for i in range(a.rows):
@@ -105,10 +103,10 @@ def kron_all(*ms):
 
 def mul(*maps):
     """The composite maps[0] o maps[1] o ... of Matrices, the last of which
-    may be a Vector, one product at a time from the left: column j of a o b
-    sums b's entries (k, y) times a's column k, on the int columns
-    sparse_columns gives, so no step of the library's composite engine
-    runs."""
+    may be an element (one column), one product at a time from the left:
+    column j of a o b sums b's entries (k, y) times a's column k, on the int
+    columns sparse_columns gives, so no step of the library's composite
+    engine runs."""
     out = maps[0]
     for b in maps[1:]:
         if out.cols != b.rows:
@@ -123,7 +121,7 @@ def mul(*maps):
                     acc[i] = acc.get(i, 0) + x * y
             cols.append([(i, x) for i, x in acc.items() if x])
         out = Matrix.from_int_columns(cols, s * t, out.rows)
-    return out.column(0) if isinstance(maps[-1], Vector) else out
+    return out
 
 
 def power(m, k):
@@ -174,14 +172,19 @@ def coproduct_map(t):
                   d1 * d2, d0)
 
 
-def column_matrix(v):
-    """The n x 1 Matrix, not a Vector, with the entries of the Vector v."""
-    return Matrix(v.data, v.rows, 1)
+def column_of(entries):
+    """The n x 1 Matrix with the given entries: an element or a covector."""
+    return Matrix([[x] for x in entries], cols=1)
+
+
+def entries_of(v):
+    """The entries of the n x 1 Matrix v, read off its data view."""
+    return [row[0] for row in v.data]
 
 
 def row_matrix(v):
-    """The 1 x n Matrix of the covector with the entries of the Vector v."""
-    return Matrix([v.entries], 1, v.rows)
+    """The 1 x n Matrix of the covector with the entries of the n x 1 v."""
+    return Matrix([entries_of(v)], 1, v.rows)
 
 
 def dense_columns(m):
@@ -240,7 +243,7 @@ def fraction_inv(m):
 def fraction_solve(a, b):
     """One solution of a x = b by Gauss-Jordan elimination over Fractions,
     the free unknowns 0; None when the system is inconsistent."""
-    rows = [list(r) + [bv] for r, bv in zip(a.data, b.entries)]
+    rows = [list(r) + [bv] for r, bv in zip(a.data, entries_of(b))]
     n = a.cols
     pivots = []
     r = 0
@@ -264,7 +267,7 @@ def fraction_solve(a, b):
     x = [ZERO] * n
     for i, c in enumerate(pivots):
         x[c] = rows[i][n]
-    return Vector(x)
+    return column_of(x)
 
 
 def bareiss(rows, width):
@@ -336,7 +339,7 @@ def bareiss_solve(a, b):
     x = [ZERO] * n
     for row, c in zip(rows, pivots):
         x[c] = Fraction(row[n] * s, d * t)
-    return Vector(x)
+    return column_of(x)
 
 
 @st.composite
@@ -400,7 +403,7 @@ def elimination_systems(draw, most=16):
         b = [sum((a.data[i][j] * x0[j] for j in range(n)), ZERO) for i in range(m)]
     else:
         b = [draw(st.sampled_from([0, 1, -2, Fraction(1, 3)])) for _ in range(m)]
-    return a, Vector(b)
+    return a, column_of(b)
 
 
 def fraction_int_columns(columns):
@@ -1676,7 +1679,7 @@ def dense_validate_hom_module(a, m):
     matrices_equal_report(rep, "HM2-assoc",
                           mul(am, kron(al, am)), mul(am, kron(mm, nu)),
                           (a.dim, a.dim, m.dim), (hn, hn, mn))
-    matrices_equal_report(rep, "HM2-unit", mul(am, kron(column_matrix(a.unit), eye_m)), nu,
+    matrices_equal_report(rep, "HM2-unit", mul(am, kron(a.unit, eye_m)), nu,
                           (m.dim,), (mn,))
     return rep
 
@@ -1775,7 +1778,7 @@ def dense_validate_hom_algebra(a):
     n = a.dim
     rep = AxiomReport()
     rep.add("alpha-invertible", a.gamma.det() != 0)
-    mm, al, u = product_map(a.mult), a.gamma, column_matrix(a.unit)
+    mm, al, u = product_map(a.mult), a.gamma, a.unit
     eye = Matrix.identity(n)
     names = a.basis
     matrices_equal_report(rep, "HA1-mult", mul(al, mm), mul(mm, kron(al, al)),
@@ -1793,7 +1796,8 @@ def dense_validate_hom_algebra(a):
     else:
         side = "1*a" if left != al else "a*1"
         bad = left if left != al else right
-        w = next((names[j] for j in range(n) if bad.column(j) != al.column(j)), None)
+        w = next((names[j] for j, (x, y) in enumerate(zip(dense_columns(bad), dense_columns(al)))
+                  if x != y), None)
         rep.add("HA2-unit", False, (side, w))
     return rep
 
@@ -1813,7 +1817,7 @@ def dense_validate_hom_coalgebra(c):
     else:
         if lhs != rhs:
             w = next((("delta", names[j]) for j in range(n)
-                      if lhs.column(j) != rhs.column(j)), None)
+                      if dense_columns(lhs)[j] != dense_columns(rhs)[j]), None)
         else:
             w = ("counit", next(names[j] for j in range(n)
                                 if mul(eps, be).data[0][j] != eps.data[0][j]))
@@ -1827,7 +1831,8 @@ def dense_validate_hom_coalgebra(c):
     else:
         side = "eps(c1)c2" if left != be else "c1 eps(c2)"
         bad = left if left != be else right
-        w = next((names[j] for j in range(n) if bad.column(j) != be.column(j)), None)
+        w = next((names[j] for j, (x, y) in enumerate(zip(dense_columns(bad), dense_columns(be)))
+                  if x != y), None)
         rep.add("HC2-counit", False, (side, w))
     return rep
 
@@ -1837,7 +1842,7 @@ def dense_validate_hom_bialgebra(h):
     n = h.dim
     rep = AxiomReport()
     mm, cm = product_map(h.mult), coproduct_map(h.comult)
-    u, eps = column_matrix(h.unit), row_matrix(h.counit)
+    u, eps = h.unit, row_matrix(h.counit)
     names = h.basis
     m2 = tensor_square_mult_map(h.algebra)
     matrices_equal_report(rep, "delta-mult", mul(cm, mm), mul(m2, kron(cm, cm)),
@@ -1858,7 +1863,7 @@ def dense_validate_hom_hopf(h):
     mm, cm, s = product_map(h.mult), coproduct_map(h.comult), h.antipode
     names = h.basis
     eye = Matrix.identity(n)
-    target = mul(column_matrix(h.unit), row_matrix(h.counit))
+    target = mul(h.unit, row_matrix(h.counit))
     matrices_equal_report(rep, "antipode-left", mul(mm, kron(s, eye), cm), target,
                           (n,), (names,))
     matrices_equal_report(rep, "antipode-right", mul(mm, kron(eye, s), cm), target,
@@ -1885,7 +1890,7 @@ def dense_validate_quasitriangular(h, r):
     names = h.basis
     eye = Matrix.identity(n)
     mm, cm, be = product_map(h.mult), coproduct_map(h.comult), h.gamma
-    eps, u = row_matrix(h.counit), column_matrix(h.unit)
+    eps, u = row_matrix(h.counit), h.unit
     rc = element_col(r)
 
     left = mul(kron(eps, eye), rc)
@@ -1909,7 +1914,7 @@ def dense_validate_quasitriangular(h, r):
     flip = flip_matrix(n, n)
     ok4, wit4 = True, None
     for hh in range(n):
-        dh = column_matrix(cm.column(hh))
+        dh = column_of(dense_columns(cm)[hh])
         dcop = mul(flip, dh)
         lhs = mul(m2, kron(dcop, rc))
         rhs = mul(m2, kron(rc, dh))
@@ -1925,7 +1930,7 @@ def dense_validate_quasitriangular(h, r):
     lmul = mul(m2, kron(rc, Matrix.identity(n * n)))
     rmul = mul(m2, kron(Matrix.identity(n * n), rc))
     stacked = Matrix(list(lmul.data) + list(rmul.data), rows=2 * n * n, cols=n * n)
-    target = Vector(list(unit2.column(0)) + list(unit2.column(0)))
+    target = column_of(entries_of(unit2) * 2)
     x = solve_exact(stacked, target)
     rep.set_flag("convolution-invertible", x is not None)
     flip_r = mul(flip, rc)
@@ -1945,7 +1950,7 @@ def dense_validate_coquasitriangular(b, form):
     names = b.basis
     eye = Matrix.identity(n)
     mm, cm, be = product_map(b.mult), coproduct_map(b.comult), b.gamma
-    eps, u = row_matrix(b.counit), column_matrix(b.unit)
+    eps, u = row_matrix(b.counit), b.unit
     frow = element_col(form).transpose()
     dims3 = (n, n, n)
 
@@ -1998,7 +2003,7 @@ def dense_yau_twist(h, phi):
         raise NotAutomorphism("(phi x phi) o comult != comult o phi")
     if mul(row_matrix(h.counit), phi) != row_matrix(h.counit):
         raise NotAutomorphism("counit o phi != counit")
-    if mul(phi, column_matrix(h.unit)) != column_matrix(h.unit):
+    if mul(phi, h.unit) != h.unit:
         raise NotAutomorphism("phi does not fix the unit")
     mult2 = apply3(h.mult, 2, phi)
     comult2 = apply3(h.comult, 0, phi.transpose())
@@ -2429,7 +2434,7 @@ def perturbed_hopf(draw, h):
     part = draw(st.sampled_from((None, "mult", "comult", "unit", "counit", "twist",
                                  "antipode")))
     if part in ("unit", "counit"):
-        v = Vector(_bumped(draw, [list(getattr(h, part))])[0])
+        v = column_of(_bumped(draw, [entries_of(getattr(h, part))])[0])
         return replace(h, **{part: v})
     if part == "twist":
         return replace(h, gamma=_bumped_matrix(draw, h.gamma))
@@ -2636,8 +2641,8 @@ def dual_hopf_elementwise(b):
     names = tuple(x + "*" for x in b.basis)
     s = b.antipode
     return HomStructure(n, b1i.transpose(), Tensor3.from_function(n, n, n, mult_entry),
-                        Vector(b.counit.entries), Tensor3.from_function(n, n, n, comult_entry),
-                        Vector(b.unit.entries), None if s is None else s.transpose(), names)
+                        b.counit, Tensor3.from_function(n, n, n, comult_entry),
+                        b.unit, None if s is None else s.transpose(), names)
 
 
 def opposite_algebra_elementwise(a):
@@ -2721,7 +2726,7 @@ def dual_by_copairing(m, side):
     else:
         h_twist, b_twist = (h.gamma.inv(), h.antipode.inv()), (b.gamma.inv(), b.antipode)
     nb, d = b.dim, m.dim
-    delta = Vector.from_int_columns([[(i * d + i, 1) for i in range(d)]], 1, d * d)
+    delta = Matrix.from_int_columns([[(i * d + i, 1) for i in range(d)]], 1, d * d)
     mui = sparse_columns(m.mu.inv())
     # (h, f) -> (h, x, x', f) -> (h_twist(h) . mu^-2(x), x', f) -> f(h_twist(h) . mu^-2(x)) x'
     act = Composite([(insert_columns(delta, d), (1,), (d, d, d))]
@@ -3049,7 +3054,7 @@ def test_r_times_its_flip_decides_both_sides(data):
     mult, flip = tensor_square_mult_map(h.algebra), flip_matrix(n, n)
     r_col = element_col(r)
     r21 = mul(flip, r_col)
-    one = kron(column_matrix(h.unit), column_matrix(h.unit))
+    one = kron(h.unit, h.unit)
     rr21, r21r = mul(mult, kron(r_col, r21)), mul(mult, kron(r21, r_col))
     assert r21r == mul(flip, rr21)
     both = rr21 == one and r21r == one
@@ -3066,8 +3071,8 @@ def test_kron_matches_sympy(data):
                                for _ in range(2)))
     expected = sympy.kronecker_product(sympy.Matrix(a.to_lists()), sympy.Matrix(b.to_lists()))
     assert sympy.Matrix(kron(a, b).to_lists()) == expected
-    u, v = Vector(a.data[0]), Vector(b.data[0])
-    assert kron(u, v) == Vector(kron(row_matrix(u), row_matrix(v)).data[0])
+    u, v = column_of(a.data[0]), column_of(b.data[0])
+    assert kron(u, v) == column_of(kron(row_matrix(u), row_matrix(v)).data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -3437,7 +3442,7 @@ def systems(draw):
         b = [sum((a.data[i][j] * x[j] for j in range(n)), ZERO) for i in range(m)]
     else:
         b = [draw(entries) for _ in range(m)]
-    return a, Vector(b)
+    return a, column_of(b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -3458,8 +3463,8 @@ def test_fraction_free_elimination_matches_fraction_oracle(system):
 
 @settings(max_examples=150, deadline=None)
 @given(elimination_squares(), elimination_systems())
-@example(Matrix([], rows=0, cols=0), (Matrix([], rows=0, cols=0), Vector([])))
-@example(Matrix([[0, 2], [3, 0]]), (Matrix([[0, 0, 2], [0, 0, 4]]), Vector([1, 2])))
+@example(Matrix([], rows=0, cols=0), (Matrix([], rows=0, cols=0), column_of([])))
+@example(Matrix([[0, 2], [3, 0]]), (Matrix([[0, 0, 2], [0, 0, 4]]), column_of([1, 2])))
 def test_sparse_elimination_matches_dense_bareiss(square, system):
     # the same determinant and inverse, and the same solution with the free
     # unknowns 0, as the dense elimination the library used to run

@@ -1,8 +1,8 @@
 """The names `import homlong` exports, pinned so that an export added or
-dropped shows up in review: 80 names and the seven submodules the package
-imports.  The public names of homlong.linalg and of its Matrix, Vector and
-Tensor3 are pinned the same way, so that a view or entry point added back
-shows up too."""
+dropped shows up in review: 79 names and the seven submodules the package
+imports.  The public names of homlong.linalg and of its Matrix and Tensor3
+are pinned the same way, so that a view or entry point added back shows up
+too."""
 
 import json
 import os
@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "HomComodule", "HomLongDimodule", "HomModule", "HomStructure", "InvalidContext",
     "Matrix", "MismatchedBase", "NotAMorphism", "NotAutomorphism",
     "OperatorOnTensorSquare", "SearchSpaceTooLarge", "SingularMatrix", "Tensor3",
-    "Vector", "YetterDrinfeldModule", "ZeroDiagonal", "canonical_dimodule",
+    "YetterDrinfeldModule", "ZeroDiagonal", "canonical_dimodule",
     "check_braid_morphism", "check_braiding_compatibility", "check_coherence",
     "check_hexagons", "check_invertible_iff", "check_long_equation", "check_naturality",
     "check_qybe", "check_snake", "check_symmetry", "check_yd", "comodule_as_dimodule",
@@ -59,24 +59,21 @@ def test_public_names_are_pinned():
     names, modules = json.loads(out)
     assert names == PUBLIC_NAMES
     assert modules == SUBMODULES
-    assert len(names) + len(modules) == 87
+    assert len(names) + len(modules) == 86
 
 
 LINALG_NAMES = [
     "BATCH_COLUMNS", "Composite", "DimensionMismatch", "FOLD_MIN_COLUMNS", "Fraction",
-    "LinalgError", "Matrix", "ONE", "SingularMatrix", "Tensor3", "Vector", "ZERO",
+    "LinalgError", "Matrix", "ONE", "SingularMatrix", "Tensor3", "ZERO",
     "coproduct_columns", "flip_columns", "insert_columns", "int_columns", "move_legs",
-    "pair_columns", "per_leg", "per_leg_matrix", "scalar", "scalar_str", "scalar_to_json",
+    "pair_columns", "per_leg", "per_leg_matrix", "scalar", "scalar_to_json",
     "solve_exact", "sparse_columns", "unflat_index",
 ]
 
 MATRIX_ATTRIBUTES = [
-    "cols", "column", "data", "det", "diagonal", "from_function", "from_int_columns",
+    "cols", "data", "det", "diagonal", "from_function", "from_int_columns",
     "identity", "inv", "is_identity", "rows", "to_json", "to_lists", "transpose", "zeros",
 ]
-
-# a Vector is an n x 1 Matrix with the vector interface on top
-VECTOR_ATTRIBUTES = sorted(MATRIX_ATTRIBUTES + ["dim", "entries"])
 
 # a Tensor3 is the Matrix of its product-like map with the leg dims on top
 TENSOR3_ATTRIBUTES = sorted(MATRIX_ATTRIBUTES + ["d0", "d1", "d2", "dims"])
@@ -95,7 +92,6 @@ def test_linalg_names_are_pinned():
     assert _public(n for n, v in vars(linalg).items()
                    if not isinstance(v, types.ModuleType)) == LINALG_NAMES
     assert _public(dir(linalg.Matrix)) == MATRIX_ATTRIBUTES
-    assert _public(dir(linalg.Vector)) == VECTOR_ATTRIBUTES
     assert _public(dir(linalg.Tensor3)) == TENSOR3_ATTRIBUTES
     assert _public(dir(linalg.Composite)) == COMPOSITE_ATTRIBUTES
-    assert len(LINALG_NAMES) == 26
+    assert len(LINALG_NAMES) == 24

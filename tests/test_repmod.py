@@ -57,8 +57,7 @@ def test_trivial_comodule(kz2):
 
 def test_sign_comodule_and_counit_mutation(kz2):
     assert validate_hom_comodule(kz2.coalgebra, fx.sign_comodule()).ok
-    from homlong.linalg import Vector
-    broken = replace(kz2.coalgebra, counit=Vector([1, 0]))
+    broken = replace(kz2.coalgebra, counit=Matrix([[1], [0]]))
     rep = validate_hom_comodule(broken, fx.sign_comodule(kz2))
     assert not rep.passed("HCM1-b")
 
