@@ -170,13 +170,7 @@ def check_braid_morphism(c):
     m, n = c.source
     src = tensor_dimodule(m, n)
     tgt = src if m is n else tensor_dimodule(n, m)
-    rep = AxiomReport()
-    mrep = dimodule_morphism_report(src, tgt, c.matrix)
-    rep.add("braid-H-linear", mrep.passed("H-linear"), mrep.check("H-linear").witness)
-    rep.add("braid-B-colinear", mrep.passed("B-colinear"), mrep.check("B-colinear").witness)
-    rep.add("braid-structure-commute", mrep.passed("structure-commute"),
-            mrep.check("structure-commute").witness)
-    return rep
+    return AxiomReport().extend(dimodule_morphism_report(src, tgt, c.matrix), "braid-")
 
 
 def _braidings(ctx, *pairs):
@@ -209,7 +203,6 @@ def check_naturality(ctx, f, g):
     rhs = [(fc, (0,), df), (gc, (1,), dg), (c_tgt, (0, 1), dg + df)]
     rep = AxiomReport()
     composites_equal_report(rep, "naturality", lhs, rhs,
-                            (f.source.dim, g.source.dim),
                             (f.source.basis, g.source.basis))
     return rep
 
@@ -233,7 +226,7 @@ def check_hexagons(ctx, u, v, w):
     lhs1 = a(u, w) + [(c_u_vw, (0, 1, 2), (dv, dw, du))] + a(v, u)
     # (id (x) c_uw) associator(v, u, w) (c_uv (x) id)
     rhs1 = [(c_uv, (0, 1), (dv, du))] + a(v, w) + [(c_uw, (1, 2), (dw, du))]
-    composites_equal_report(rep, "H1", lhs1, rhs1, (du, dv, dw), names)
+    composites_equal_report(rep, "H1", lhs1, rhs1, names)
 
     # associator(w, u, v)^-1 C_{U(x)V,W} associator(u, v, w)^-1
     lhs2 = (a(u, w, inverse=True) + [(c_uv_w, (0, 1, 2), (dw, du, dv))]
@@ -241,7 +234,7 @@ def check_hexagons(ctx, u, v, w):
     # (c_uw (x) id) associator(u, w, v)^-1 (id (x) c_vw)
     rhs2 = ([(c_vw, (1, 2), (dw, dv))] + a(u, v, inverse=True)
             + [(c_uw, (0, 1), (dw, du))])
-    composites_equal_report(rep, "H2", lhs2, rhs2, (du, dv, dw), names)
+    composites_equal_report(rep, "H2", lhs2, rhs2, names)
     return rep
 
 
@@ -260,8 +253,7 @@ def check_qybe(ctx, u, v, w):
     rhs = ([(c_uv, (0, 1), (dv, du))] + a(v, w)
            + [(c_uw, (1, 2), (dw, du))] + a(v, u, inverse=True)
            + [(c_vw, (0, 1), (dw, dv))] + a(w, u))
-    composites_equal_report(rep, "QYBE", lhs, rhs, (du, dv, dw),
-                            (u.basis, v.basis, w.basis))
+    composites_equal_report(rep, "QYBE", lhs, rhs, (u.basis, v.basis, w.basis))
     return rep
 
 
@@ -296,7 +288,7 @@ def check_braiding_compatibility(ctx, m, n):
     composites_equal_report(rep, "prebraiding-matches-braiding",
                             [(sparse_columns(pre), (0, 1), (n.dim, m.dim))],
                             _braiding(ctx, m, n, _mu2_inverse(m), _mu2_inverse(n)),
-                            (m.dim, n.dim), (m.basis, n.basis))
+                            (m.basis, n.basis))
     return rep
 
 
@@ -339,5 +331,5 @@ def check_symmetry(ctx, m, n, diagnose=False):
     rep.set_flag("hypothesis-met", hypothesis)
     composites_equal_report(rep, "symmetry",
                             [(forth, (0, 1), (n.dim, m.dim)), (back, (0, 1), (m.dim, n.dim))],
-                            [], (m.dim, n.dim), (m.basis, n.basis))
+                            [], (m.basis, n.basis))
     return rep

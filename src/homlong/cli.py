@@ -1,12 +1,17 @@
 """Command-line surface: validate definition files, run identity checks,
 emit constructions, and search for Hom-Long solutions.
 
+Each check subject and build target is one SUBJECTS entry, from which the
+check and build parsers, a report's inputs, and the refusal of a missing
+option or of one the subject does not take are all read.
+
 Exit codes: 0 all verdicts pass, 1 some check failed, 2 input/shape error or
 unmet hypothesis.  Output is deterministic byte-for-byte for fixed inputs and
 flags; --format json emits a canonical report that round-trips.
 """
 
 import argparse
+import collections
 import functools
 import sys
 
@@ -83,28 +88,36 @@ def _json_witness(w):
     return str(w)
 
 
-_DIMODULE_KINDS = ("long-dimodule", "halpha-dimodule")
+def _structure(*kinds):
+    """The loader of a file holding a structure of one of kinds: it reads the
+    file's kind, and refuses any other, before it builds anything."""
+    def load(path, files):
+        raw = files.read(path)
+        if isinstance(raw, dict) and raw.get("kind") not in kinds:
+            raise FileFormatError("expected %s %s file" % (
+                "an" if kinds[0][0] in "aeiou" else "a", " or ".join(kinds)), path)
+        return hio.load_structure(path, files)
+    return load
 
 
-def _load_kind(files, path, *kinds):
-    """The structure in the file at path, whose kind must be one of kinds."""
-    s = hio.load_structure(path, files)
-    if files.read(path).get("kind") not in kinds:
-        raise FileFormatError("expected %s %s file" % ("an" if kinds[0][0] in "aeiou" else "a",
-                                                       " or ".join(kinds)), path)
-    return s
+def _load_phi(path, files):
+    """The map in a --phi file: a matrix, or an object holding one as 'matrix'."""
+    raw = files.read(path)
+    if isinstance(raw, dict) and "matrix" not in raw:
+        raise FileFormatError("missing 'matrix'", path)
+    return hio.load_matrix(raw["matrix"] if isinstance(raw, dict) else raw, path)
 
 
-def _check_yd_module(yd, report):
+def _check_yd_module(report, yd):
     """The module and comodule axioms of yd and its compatibility."""
     report.extend(validate_hom_module(yd.over, yd.module_part()), "module:")
     report.extend(validate_hom_comodule(yd.over, yd.comodule_part()), "comodule:")
-    return report.extend(check_yd(yd.over, yd))
+    report.extend(check_yd(yd.over, yd))
 
 
-def _check_operator(op, report):
+def _check_operator(report, op):
     report.add("mu-invertible", op.structure_map.det() != 0)
-    return report.extend(check_long_equation(op))
+    report.extend(check_long_equation(op))
 
 
 def cmd_validate(args, report, files):
@@ -132,135 +145,144 @@ def cmd_validate(args, report, files):
     elif isinstance(s, HomComodule):
         report.extend(validate_hom_comodule(s.over, s))
     elif isinstance(s, YetterDrinfeldModule):
-        _check_yd_module(s, report)
+        _check_yd_module(report, s)
     elif isinstance(s, HomLongDimodule):
         report.extend(validate_long_dimodule(s))
     elif isinstance(s, OperatorOnTensorSquare):
-        _check_operator(s, report)
+        _check_operator(report, s)
     else:
         raise FileFormatError("nothing to validate", args.file)
     return report
 
 
-def cmd_check(args, report, files):
-    subject = args.subject
-    if subject == "longeq":
-        return _check_operator(_load_kind(files, args.operator, "operator"), report)
-    if subject == "yd":
-        return _check_yd_module(_load_kind(files, args.m, "yd-module"), report)
-    if subject == "snake":
-        d = _load_kind(files, args.dimodule, *_DIMODULE_KINDS)
-        duality = left_dual(d) if args.side == "left" else right_dual(d)
-        report.extend(validate_long_dimodule(duality.dual), "dual:")
-        return report.extend(check_snake(d, duality))
-    if subject == "roundtrip":
-        d = _load_kind(files, args.dimodule, *_DIMODULE_KINDS)
-        n = to_smash_module(d)
-        report.extend(validate_hom_module(n.over, n), "smash-module:")
-        back = from_smash_module(n, d.H, d.B)
-        return report.add("round-trip", back.action == d.action
-                          and back.coaction == d.coaction and back.mu == d.mu)
-    if subject == "coherence":
-        u = _load_kind(files, args.u, *_DIMODULE_KINDS)
-        v = _load_kind(files, args.v, *_DIMODULE_KINDS)
-        w = _load_kind(files, args.w, *_DIMODULE_KINDS)
-        x = _load_kind(files, args.x, *_DIMODULE_KINDS) if args.x else None
-        return report.extend(check_coherence(u, v, w, x))
-    ctx = hio.load_context(args.ctx, files)
-    if subject == "symmetry":
-        m = _load_kind(files, args.m, *_DIMODULE_KINDS)
-        n = _load_kind(files, args.n, *_DIMODULE_KINDS)
-        rep = check_symmetry(ctx, m, n, diagnose=args.diagnose)
-        report.extend(rep)
-        if not rep.flags.get("hypothesis-met", True):
-            report.notes.append("hypothesis unmet: context is not triangular+cotriangular")
-            raise HypothesisUnmet(report)
-        return report
-    u = _load_kind(files, args.u, *_DIMODULE_KINDS)
-    v = _load_kind(files, args.v, *_DIMODULE_KINDS)
-    w = _load_kind(files, args.w, *_DIMODULE_KINDS)
-    if subject == "ybe":
-        return report.extend(check_qybe(ctx, u, v, w))
-    if subject == "hexagon":
-        return report.extend(check_hexagons(ctx, u, v, w))
-    raise FileFormatError("unknown check subject %r" % subject)
-
-
 class HypothesisUnmet(Exception):
-    def __init__(self, report):
-        self.report = report
+    """A check whose hypothesis fails: its report is printed, and it exits 2."""
 
 
-def cmd_build(args, report, files):
-    what = args.what
-    built = None
-    extra = {}
-    if what == "braid":
-        ctx = hio.load_context(args.ctx, files)
-        m = _load_kind(files, args.m, *_DIMODULE_KINDS)
-        n = _load_kind(files, args.n, *_DIMODULE_KINDS)
-        op = long_braiding(ctx, m, n)
-        report.extend(check_braid_morphism(op))
-        built = {
-            "kind": "braid-operator",
-            "rows": ["%s⊗%s" % (a, b) for a in n.basis for b in m.basis],
-            "cols": ["%s⊗%s" % (a, b) for a in m.basis for b in n.basis],
-            "matrix": hio.matrix_json(op.matrix),
-        }
-    elif what == "dual":
-        d = _load_kind(files, args.dimodule, *_DIMODULE_KINDS)
-        duality = left_dual(d) if args.side == "left" else right_dual(d)
-        report.extend(validate_long_dimodule(duality.dual), "dual:")
-        report.extend(check_snake(d, duality))
-        built = hio.structure_to_json(duality.dual)
-        built["ev"] = hio.matrix_json(duality.ev)
-        built["coev"] = hio.matrix_json(duality.coev)
-        built["side"] = duality.side
-    elif what == "tensor":
-        m = _load_kind(files, args.m, *_DIMODULE_KINDS)
-        n = _load_kind(files, args.n, *_DIMODULE_KINDS)
-        t = tensor_dimodule(m, n)
-        report.extend(validate_long_dimodule(t))
-        built = hio.structure_to_json(t)
-    elif what == "twist":
-        base = _load_kind(files, args.base, "hom-bialgebra", "hom-hopf")
-        raw = files.read(args.phi)
-        if isinstance(raw, dict) and "matrix" not in raw:
-            raise FileFormatError("missing 'matrix'", args.phi)
-        phi = hio.load_matrix(raw["matrix"] if isinstance(raw, dict) else raw, args.phi)
-        twisted = yau_twist(base, phi)
-        report.extend(validate_all(twisted))
-        built = hio.algebra_to_json(twisted)
-    elif what == "dimodule-solution":
-        d = _load_kind(files, args.dimodule, "halpha-dimodule")
-        op = dimodule_solution(d)
-        report.extend(check_long_equation(op))
-        built = hio.structure_to_json(op)
-    elif what == "extension":
-        base = _load_kind(files, args.base, "hom-bialgebra", "hom-hopf")
-        mod = _load_kind(files, args.m, "hom-module", "hom-comodule")
-        variant = args.variant
-        if variant is None:
-            variant = "module" if isinstance(mod, HomModule) else "comodule"
-        if variant == "module":
-            ext = module_extension(base, mod)
-        else:
-            ext = comodule_extension(base, mod)
-        report.extend(validate_halpha_dimodule(ext))
-        built = hio.structure_to_json(ext)
-    elif what == "smash":
-        d = _load_kind(files, args.dimodule, *_DIMODULE_KINDS)
-        n = to_smash_module(d)
-        report.extend(validate_hom_module(n.over, n))
-        built = hio.structure_to_json(n)
-    else:
-        raise FileFormatError("unknown build target %r" % what)
-    if report.ok and args.out:
-        hio.dump_json(built, args.out)
-        report.notes.append("wrote %s" % args.out)
-    elif args.out:
+def _check_symmetry(report, ctx, m, n, diagnose):
+    if not report.extend(check_symmetry(ctx, m, n, diagnose=diagnose)).flags["hypothesis-met"]:
+        report.notes.append("hypothesis unmet: context is not triangular+cotriangular")
+        raise HypothesisUnmet()
+
+
+def _check_snake(report, d, side):
+    """The dual of d on side (left if None), validated, and the snake
+    identities of that duality, which is returned."""
+    duality = right_dual(d) if side == "right" else left_dual(d)
+    report.extend(validate_long_dimodule(duality.dual), "dual:")
+    report.extend(check_snake(d, duality))
+    return duality
+
+
+def _check_roundtrip(report, d):
+    n = to_smash_module(d)
+    report.extend(validate_hom_module(n.over, n), "smash-module:")
+    back = from_smash_module(n, d.H, d.B)
+    report.add("round-trip", back.action == d.action
+               and back.coaction == d.coaction and back.mu == d.mu)
+
+
+def _emit(make, check):
+    """The run of a build target that checks make(*values) and returns its file."""
+    def run(report, *values):
+        s = make(*values)
+        report.extend(check(s))
+        return hio.structure_to_json(s)
+    return run
+
+
+def _build_braid(report, ctx, m, n):
+    op = long_braiding(ctx, m, n)
+    report.extend(check_braid_morphism(op))
+    return {
+        "kind": "braid-operator",
+        "rows": ["%s⊗%s" % (a, b) for a in n.basis for b in m.basis],
+        "cols": ["%s⊗%s" % (a, b) for a in m.basis for b in n.basis],
+        "matrix": hio.matrix_json(op.matrix),
+    }
+
+
+def _build_dual(report, d, side):
+    duality = _check_snake(report, d, side)
+    return dict(hio.structure_to_json(duality.dual), ev=hio.matrix_json(duality.ev),
+                coev=hio.matrix_json(duality.coev), side=duality.side)
+
+
+def _extension(base, mod, variant):
+    if variant is None:
+        variant = "module" if isinstance(mod, HomModule) else "comodule"
+    return (module_extension if variant == "module" else comodule_extension)(base, mod)
+
+
+# A SUBJECTS entry: run(report, *values) gets the value of each file option,
+# read in order by the loader beside it (a function of the path and the
+# command's Files), then of each option in optional that names no file; a
+# file option left out is None.  A build target's run returns what -o writes.
+Subject = collections.namedtuple("Subject", "run files optional", defaults=((),))
+_DIMODULE = _structure("long-dimodule", "halpha-dimodule")
+_BIALGEBRA = _structure("hom-bialgebra", "hom-hopf")
+
+# Each check subject and build target, in the order the parser lists them.
+SUBJECTS = {
+    "check ybe": Subject(lambda report, *s: report.extend(check_qybe(*s)), (
+        ("--ctx", hio.load_context), ("-U", _DIMODULE), ("-V", _DIMODULE), ("-W", _DIMODULE))),
+    "check hexagon": Subject(lambda report, *s: report.extend(check_hexagons(*s)), (
+        ("--ctx", hio.load_context), ("-U", _DIMODULE), ("-V", _DIMODULE), ("-W", _DIMODULE))),
+    "check symmetry": Subject(_check_symmetry, (
+        ("--ctx", hio.load_context), ("-M", _DIMODULE), ("-N", _DIMODULE)), ("--diagnose",)),
+    "check longeq": Subject(_check_operator, (("-R", _structure("operator")),)),
+    "check yd": Subject(_check_yd_module, (("-M", _structure("yd-module")),)),
+    "check snake": Subject(_check_snake, (("-D", _DIMODULE),), ("--side",)),
+    "check roundtrip": Subject(_check_roundtrip, (("-D", _DIMODULE),)),
+    "check coherence": Subject(lambda report, *s: report.extend(check_coherence(*s)), (
+        ("-U", _DIMODULE), ("-V", _DIMODULE), ("-W", _DIMODULE), ("-X", _DIMODULE)), ("-X",)),
+    "build braid": Subject(_build_braid, (
+        ("--ctx", hio.load_context), ("-M", _DIMODULE), ("-N", _DIMODULE))),
+    "build dual": Subject(_build_dual, (("-D", _DIMODULE),), ("--side",)),
+    "build tensor": Subject(_emit(tensor_dimodule, validate_long_dimodule),
+                            (("-M", _DIMODULE), ("-N", _DIMODULE))),
+    "build twist": Subject(_emit(yau_twist, validate_all),
+                           (("--base", _BIALGEBRA), ("--phi", _load_phi))),
+    "build dimodule-solution": Subject(_emit(dimodule_solution, check_long_equation),
+                                       (("-D", _structure("halpha-dimodule")),)),
+    "build extension": Subject(_emit(_extension, validate_halpha_dimodule), (
+        ("--base", _BIALGEBRA), ("-M", _structure("hom-module", "hom-comodule"))), ("--variant",)),
+    "build smash": Subject(_emit(to_smash_module, lambda n: validate_hom_module(n.over, n)),
+                           (("-D", _DIMODULE),)),
+}
+
+
+def _flags(name):
+    """The options of the check subject or build target name, or of all the
+    subjects of the command name, in the order of the help and the inputs."""
+    flags = [flag for key, s in SUBJECTS.items() if name in (key, key.split()[0])
+             for flag in [flag for flag, _ in s.files] + list(s.optional)]
+    return tuple(dict.fromkeys(flags + (["-o"] if name.startswith("build") else [])))
+
+
+def cmd_subject(args, report, files):
+    """Run a check subject or build target as its SUBJECTS entry says, and
+    write what a build made to -o once every check passed."""
+    name, subject = report.command, SUBJECTS[report.command]
+    given = [flag for flag in _flags(args.command) if getattr(args, flag) is not None]
+    refused = [flag for flag in given if flag not in _flags(name)]
+    if refused:
+        raise UsageError("%s does not take %s" % (name, ", ".join(refused)))
+    missing = [flag for flag, _ in subject.files
+               if flag not in given and flag not in subject.optional]
+    if missing:
+        raise UsageError("%s needs %s" % (name, ", ".join(missing)))
+    if args.diagnose:       # given before the command
+        setattr(args, "--diagnose", True)
+    values = [load(getattr(args, flag), files) if flag in given else None
+              for flag, load in subject.files]
+    values += [getattr(args, flag) for flag in subject.optional if flag in _VALUE_OPTIONS]
+    built, out = subject.run(report, *values), getattr(args, "-o", None)
+    if report.ok and out:
+        hio.dump_json(built, out)
+        report.notes.append("wrote %s" % out)
+    elif out:
         report.notes.append("output not written: post-validation failed")
-    return report
 
 
 def cmd_search(args, report, files):
@@ -287,7 +309,7 @@ def cmd_search(args, report, files):
 
 class UsageError(Exception):
     """A command line the parser rejects, or a check subject or build target
-    run without an option it needs."""
+    run without an option it needs or with one it does not take."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -322,27 +344,11 @@ def _print_error(fmt, command, inputs, exc):
     return 2
 
 
-# The file options each check subject and build target cannot run without,
-# and the attribute the parser stores each option in.
-REQUIRED = {
-    "check ybe": ("--ctx", "-U", "-V", "-W"),
-    "check hexagon": ("--ctx", "-U", "-V", "-W"),
-    "check symmetry": ("--ctx", "-M", "-N"),
-    "check longeq": ("-R",),
-    "check yd": ("-M",),
-    "check snake": ("-D",),
-    "check roundtrip": ("-D",),
-    "check coherence": ("-U", "-V", "-W"),
-    "build braid": ("--ctx", "-M", "-N"),
-    "build dual": ("-D",),
-    "build tensor": ("-M", "-N"),
-    "build twist": ("--base", "--phi"),
-    "build dimodule-solution": ("-D",),
-    "build extension": ("--base", "-M"),
-    "build smash": ("-D",),
-}
-OPTION_DEST = {"--ctx": "ctx", "-U": "u", "-V": "v", "-W": "w", "-M": "m", "-N": "n",
-               "-R": "operator", "-D": "dimodule", "--base": "base", "--phi": "phi"}
+# How the parser declares each option after the subject that names no input file.
+_VALUE_OPTIONS = {"--side": {"choices": ("left", "right")},
+                  "--variant": {"choices": ("module", "comodule")},
+                  "--diagnose": {"action": "store_true", "default": None},
+                  "-o": {"metavar": "OUT"}}
 
 
 def build_parser():
@@ -358,33 +364,15 @@ def build_parser():
     v.add_argument("file")
     v.add_argument("--kind", choices=("hom-algebra", "hom-coalgebra"), default=None)
 
-    c = sub.add_parser("check", help="check a named identity")
-    c.add_argument("subject", choices=("ybe", "hexagon", "symmetry", "longeq",
-                                       "yd", "snake", "roundtrip", "coherence"))
-    c.add_argument("--ctx")
-    c.add_argument("-U", dest="u")
-    c.add_argument("-V", dest="v")
-    c.add_argument("-W", dest="w")
-    c.add_argument("-X", dest="x")
-    c.add_argument("-M", dest="m")
-    c.add_argument("-N", dest="n")
-    c.add_argument("-R", dest="operator")
-    c.add_argument("-D", dest="dimodule")
-    c.add_argument("--side", choices=("left", "right"), default="left")
-    c.add_argument("--diagnose", action="store_true", default=argparse.SUPPRESS)
-
-    b = sub.add_parser("build", help="emit a construction as a file")
-    b.add_argument("what", choices=("braid", "dual", "tensor", "twist",
-                                    "dimodule-solution", "extension", "smash"))
-    b.add_argument("--ctx")
-    b.add_argument("-M", dest="m")
-    b.add_argument("-N", dest="n")
-    b.add_argument("-D", dest="dimodule")
-    b.add_argument("--base")
-    b.add_argument("--phi")
-    b.add_argument("--variant", choices=("module", "comodule"), default=None)
-    b.add_argument("--side", choices=("left", "right"), default="left")
-    b.add_argument("-o", dest="out")
+    for command, text in (("check", "check a named identity"),
+                          ("build", "emit a construction as a file")):
+        c = sub.add_parser(command, help=text)
+        c.add_argument("subject", choices=[key.split()[1] for key in SUBJECTS
+                                           if key.split()[0] == command])
+        # each option is kept under its flag, apart from the global --diagnose
+        for flag in _flags(command):
+            c.add_argument(flag, dest=flag, **_VALUE_OPTIONS.get(
+                flag, {"metavar": flag.lstrip("-").upper()}))
 
     s = sub.add_parser("search", help="exact search for solutions on a coefficient grid")
     s.add_argument("--mu", required=True)
@@ -412,34 +400,21 @@ def main(argv=None):
             exc = UsageError("unrecognized option %s before the command (%s)"
                              % (unknown[0], exc))
         return _print_error(fmt, None, [], exc)
-    inputs = [x for x in (getattr(args, "file", None), getattr(args, "ctx", None),
-                          getattr(args, "u", None), getattr(args, "v", None),
-                          getattr(args, "w", None), getattr(args, "x", None),
-                          getattr(args, "m", None), getattr(args, "n", None),
-                          getattr(args, "operator", None),
-                          getattr(args, "dimodule", None), getattr(args, "base", None),
-                          getattr(args, "phi", None), getattr(args, "mu", None))
-              if x]
-    name = args.command if args.command != "check" else "check %s" % args.subject
-    if args.command == "build":
-        name = "build %s" % args.what
+    if args.command in ("check", "build"):
+        name = "%s %s" % (args.command, args.subject)
+        paths = [getattr(args, flag) for flag in _flags(args.command)
+                 if flag in dict(SUBJECTS[name].files)]
+    else:
+        name = args.command
+        paths = [args.file if name == "validate" else args.mu]
+    inputs = [path for path in paths if path]
     report = RunReport(name, inputs)
     files = hio.Files()     # this call's reads and builds, dropped when it returns
     try:
-        missing = [flag for flag in REQUIRED.get(name, ())
-                   if getattr(args, OPTION_DEST[flag]) is None]
-        if missing:
-            raise UsageError("%s needs %s" % (name, ", ".join(missing)))
-        if args.command == "validate":
-            cmd_validate(args, report, files)
-        elif args.command == "check":
-            cmd_check(args, report, files)
-        elif args.command == "build":
-            cmd_build(args, report, files)
-        elif args.command == "search":
-            cmd_search(args, report, files)
-    except HypothesisUnmet as exc:
-        print(exc.report.render(args.format, args.verbose))
+        {"validate": cmd_validate, "search": cmd_search}.get(name, cmd_subject)(
+            args, report, files)
+    except HypothesisUnmet:
+        print(report.render(args.format, args.verbose))
         return 2
     except (FileFormatError, DimensionMismatch, SingularMatrix, MismatchedBase,
             AntipodeNotInvertible, InvalidContext, NotAMorphism, NotAutomorphism,

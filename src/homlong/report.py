@@ -12,6 +12,8 @@ pays only a tuple per entry.
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .linalg import Composite, unflat_index
+
 
 class Check(NamedTuple):
     axiom: str
@@ -79,30 +81,30 @@ class AxiomReport:
         return "\n".join(self.lines())
 
 
-def composites_equal_report(report, axiom, lhs, rhs, dims_in, names_in=None):
-    """Record lhs == rhs for two composites of maps on tensor legs (see
-    linalg.Composite), column by column; on failure witness the first
-    differing input basis tuple."""
-    from .linalg import Composite
+def composites_equal_report(report, axiom, lhs, rhs, names_in):
+    """Record lhs == rhs for two composites of maps on the tensor legs whose
+    bases are names_in (see linalg.Composite), column by column; on failure
+    witness the first differing input basis tuple."""
+    dims_in = tuple(map(len, names_in))
     idxs = Composite(lhs, dims_in).first_difference(Composite(rhs, dims_in))
     return report.add(axiom, idxs is None, _named(idxs, names_in))
 
 
-def elements_equal_report(report, axiom, lhs, rhs, dims_out, names_out=None):
+def elements_equal_report(report, axiom, lhs, rhs, names_out):
     """Record that two composites of steps on the one-dimensional leg (1,),
     each inserting elements or pairing them away (the empty composite is the
-    scalar 1), make the same element of the legs dims_out; on failure
-    witness the first output basis tuple on which they differ."""
-    from .linalg import Composite, unflat_index
+    scalar 1), make the same element of the legs whose bases are names_out;
+    on failure witness the first output basis tuple on which they differ."""
     (lcol,), lscale = Composite(lhs, (1,)).columns()
     (rcol,), rscale = Composite(rhs, (1,)).columns()
     left, right = {r: x * rscale for r, x in lcol}, {r: x * lscale for r, x in rcol}
     differ = [r for r in left.keys() | right.keys() if left.get(r) != right.get(r)]
+    dims_out = tuple(map(len, names_out))
     return report.add(axiom, not differ, _named(unflat_index(min(differ), dims_out), names_out)
                       if differ else None)
 
 
 def _named(idxs, names_in):
-    if idxs is None or names_in is None:
+    if idxs is None:
         return idxs
     return tuple(names[i] for names, i in zip(names_in, idxs))

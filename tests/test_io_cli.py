@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from homlong import braidcat, cli, fixtures as fx, linalg
 from homlong import io as hio
-from homlong.cli import REQUIRED, main
+from homlong.cli import SUBJECTS, main
 from homlong.homstruct import dual_hopf, tensor_hopf
 from homlong.io import FileFormatError
 from homlong.linalg import ONE, ZERO, Matrix, scalar, scalar_to_json
@@ -609,6 +609,10 @@ def test_validate_kind_on_the_part_a_file_has(files, capsys):
      "sign.json: expected a halpha-dimodule file"),
     (["check", "yd", "-M", "sign.json"], "sign.json: expected a yd-module file"),
     (["check", "longeq", "-R", "kz2.json"], "kz2.json: expected an operator file"),
+    # the kind is read before the file is built: a malformed file of another
+    # kind is refused for its kind, and one that is no object as before
+    (["check", "longeq", "-R", "hollow.json"], "hollow.json: expected an operator file"),
+    (["check", "longeq", "-R", "list.json"], "expected a JSON object (list.json)"),
     (["search", "--mu", "sign.json", "--set", "0,1"],
      "sign.json: expected an operator file, not a long-dimodule file"),
 ])
@@ -616,6 +620,8 @@ def test_inputs_of_the_wrong_kind_exit_2_naming_the_kind(files, monkeypatch, cap
                                                          argv, message, fmt):
     hio.save_structure(fx.kz4().algebra, files / "alg.json")
     hio.save_structure(fx.sign_module(), files / "mod.json")
+    hio.dump_json({"kind": "long-dimodule", "dim": 2}, files / "hollow.json")
+    hio.dump_json([1, 2], files / "list.json")
     monkeypatch.chdir(files)
     assert main((["--format", "json"] if fmt == "json" else []) + argv) == 2
     captured = capsys.readouterr()
@@ -667,7 +673,8 @@ def test_deterministic_output(files, capsys):
     (["check", "symmetry", "--ctx", "ctx.json"], ["-M", "-N"]),
     (["check", "ybe", "-U", "sign.json", "-V", "sign.json", "-W", "sign.json"], ["--ctx"]),
     (["build", "twist", "--base", "kz4.json"], ["--phi"]),
-] + [(name.split(), list(flags)) for name, flags in sorted(REQUIRED.items())])
+] + [(name.split(), [flag for flag, _ in s.files if flag not in s.optional])
+      for name, s in sorted(SUBJECTS.items())])
 def test_missing_options_exit_2(files, monkeypatch, capsys, argv, missing):
     monkeypatch.chdir(files)
     assert main(argv) == 2
@@ -677,6 +684,94 @@ def test_missing_options_exit_2(files, monkeypatch, capsys, argv, missing):
     report = json.loads(capsys.readouterr().out)
     assert report["exit_code"] == 2
     assert all(flag in report["error"] for flag in missing)
+
+
+# Every option the check and build parsers declare after the subject, in the
+# order a report lists input files.
+COMMAND_OPTIONS = {
+    "check": ["--ctx", "-U", "-V", "-W", "-X", "-M", "-N", "-R", "-D", "--side", "--diagnose"],
+    "build": ["--ctx", "-M", "-N", "-D", "--base", "--phi", "--variant", "--side", "-o"],
+}
+# A command line each subject runs on, giving every option it takes.
+SUBJECT_RUNS = {
+    "check ybe": "--ctx ctx.json -U sign.json -V trivial.json -W canonical.json",
+    "check hexagon": "--ctx ctx.json -U sign.json -V sign.json -W trivial.json",
+    "check symmetry": "--ctx ctx.json -M sign.json -N canonical.json --diagnose",
+    "check longeq": "-R rsol.json",
+    "check yd": "-M yd.json",
+    "check snake": "-D canonical.json --side right",
+    "check roundtrip": "-D canonical.json",
+    "check coherence": "-U sign.json -V trivial.json -W sign.json -X trivial.json",
+    "build braid": "--ctx ctx.json -M sign.json -N canonical.json -o out.json",
+    "build dual": "-D sign.json --side left -o out.json",
+    "build tensor": "-M sign.json -N canonical.json -o out.json",
+    "build twist": "--base kz4.json --phi phi.json -o out.json",
+    "build dimodule-solution": "-D halpha.json -o out.json",
+    "build extension": "--base kz2.json -M signmod.json --variant module -o out.json",
+    "build smash": "-D sign.json -o out.json",
+}
+VALUES = {"--side": ["left"], "--variant": ["module"], "--diagnose": [], "-o": ["out.json"]}
+
+
+def _takes(name):
+    s = SUBJECTS[name]
+    return list(dict.fromkeys([flag for flag, _ in s.files] + list(s.optional)
+                              + (["-o"] if name.startswith("build") else [])))
+
+
+@pytest.mark.parametrize("name", sorted(SUBJECTS))
+def test_each_subject_takes_only_its_options(files, monkeypatch, capsys, name):
+    monkeypatch.chdir(files)
+    hio.save_structure(fx.sign_module(), files / "signmod.json")
+    hio.save_structure(YetterDrinfeldModule(
+        fx.kz2(), 1, linalg.Tensor3([[[1]], [[-1]]]), linalg.Tensor3([[[0], [1]]]),
+        Matrix.identity(1), ("v",)), files / "yd.json")
+    assert main(["build", "dimodule-solution", "-D", "halpha.json", "-o", "rsol.json"]) == 0
+    capsys.readouterr()
+    command = name.split()
+    argv = command + SUBJECT_RUNS[name].split()
+    given = dict(zip(argv[2::2], argv[3::2]))
+    # inputs: the files given, in the order of COMMAND_OPTIONS
+    inputs = [given[flag] for flag in COMMAND_OPTIONS[command[0]]
+              if flag in given and flag not in VALUES]
+    assert main(["--format", "json"] + argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["command"], report["inputs"]) == (name, inputs)
+    assert sorted(flag for flag in argv if flag.startswith("-")) == sorted(_takes(name))
+    refused = [flag for flag in COMMAND_OPTIONS[command[0]] if flag not in _takes(name)]
+    assert len(refused) == len(COMMAND_OPTIONS[command[0]]) - len(_takes(name))
+    for flag in refused:
+        extra = [flag] + VALUES.get(flag, ["nosuch.json"])
+        message = "%s does not take %s" % (name, flag)
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: %s\n" % message
+        assert main(["--format", "json"] + command + extra + argv[2:]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"command": name, "inputs": inputs, "error": message, "exit_code": 2}
+
+
+def test_readme_synopsis_lists_each_subjects_options():
+    # each "homlong check|build <subject>" line of the README's CLI block:
+    # its bare flags are the subject's required file options (and -o on a
+    # build), its bracketed ones the options it may leave out
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    seen = set()
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[1:2] not in (["check"], ["build"]):
+            continue
+        name = " ".join(words[1:3])
+        s = SUBJECTS[name]
+        bare = [w for w in words[3:] if w.startswith("-")]
+        bracketed = [w.strip("[]") for w in words[3:] if w.startswith("[-")]
+        assert bare == [flag for flag, _ in s.files if flag not in s.optional] + (
+            ["-o"] if name.startswith("build") else []), line
+        assert bracketed == list(s.optional), line
+        seen.add(name)
+    assert seen == set(SUBJECTS)
+    assert sum(len(_takes(name)) for name in SUBJECTS) == 42
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
