@@ -15,8 +15,8 @@ sign = dims["sign"]
 
 ld = left_dual(sign)
 print("== left dual of the sign line ==")
-print("dual action tensor:", ld.dual.action.data)
-print("dual coaction tensor:", ld.dual.coaction.data)
+print("dual action tensor:", ld.dual.action.to_json())
+print("dual coaction tensor:", ld.dual.coaction.to_json())
 print("dual is a valid dimodule?", validate_long_dimodule(ld.dual).ok)
 print("snake identities:")
 print(check_snake(sign, ld))

@@ -22,7 +22,7 @@ dims = fx.standard_dimodules()
 sign, can = dims["sign"], dims["canonical"]
 
 c = long_braiding(ctx, sign, sign)
-print("\nbraiding on the sign line (both -1 factors cancel):", c.matrix.data)
+print("\nbraiding on the sign line (both -1 factors cancel):", c.matrix.to_json())
 
 c = long_braiding(ctx, sign, can)
 ci = long_braiding_inverse(ctx, sign, can)

@@ -46,7 +46,7 @@ sd = fx.sign_dimodule()
 d = HAlphaLongDimodule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)
 sol = dimodule_solution(d)
 print("\nsign-line dimodule: valid? %s; induced R = %s; solves? %s"
-      % (validate_halpha_dimodule(d).ok, sol.matrix.data,
+      % (validate_halpha_dimodule(d).ok, sol.matrix.to_json(),
          check_long_equation(sol).ok))
 
 print("\nextension carriers H (x) M:")
@@ -66,4 +66,4 @@ sols = search_solutions(Matrix.diagonal([1, 2]), [0, 1], "full")
 print("full {0,1} grid over mu = diag(1,2): %d of 65536 candidates solve"
       % len(sols))
 for s in sols[:3]:
-    print("  e.g.", s.matrix.data)
+    print("  e.g.", s.matrix.to_json())

@@ -209,9 +209,13 @@ def _build_dual(report, d, side):
 
 
 def _extension(base, mod, variant):
-    if variant is None:
-        variant = "module" if isinstance(mod, HomModule) else "comodule"
-    return (module_extension if variant == "module" else comodule_extension)(base, mod)
+    """The extension of base by the -M file's module or comodule, refused
+    before it is built when --variant names the other kind."""
+    kind = "module" if isinstance(mod, HomModule) else "comodule"
+    if variant not in (None, kind):
+        raise UsageError("build extension --variant %s needs a hom-%s -M, not a hom-%s file"
+                         % (variant, variant, kind))
+    return (module_extension if kind == "module" else comodule_extension)(base, mod)
 
 
 # A SUBJECTS entry: run(report, *values) gets the value of each file option,

@@ -90,10 +90,12 @@ class HomStructure:
 # ---------------------------------------------------------------------------
 # validators
 
-def _first_side(rep, axiom, sides, dims, names):
+def _first_side(rep, axiom, sides, names):
     """Record that the two composites of every (label, lhs, rhs) in sides
-    agree on the legs dims; on failure witness the label of the first pair
-    that differs, with the name of its first differing basis vector."""
+    agree on the one leg whose basis is names; on failure witness the label
+    of the first pair that differs, with the name of its first differing
+    basis vector."""
+    dims = (len(names),)
     for label, lhs, rhs in sides:
         idxs = Composite(lhs, dims).first_difference(Composite(rhs, dims))
         if idxs is not None:
@@ -122,8 +124,7 @@ def validate_hom_algebra(a):
     left = [(put_u, (0,), (n, n)), (mult, (0, 1), to_h)]
     right = [(put_u, (0,), (n, n)), (flip_columns(n, n), (0, 1), None), (mult, (0, 1), to_h)]
     twist = [(al, (0,), None)]
-    return _first_side(rep, "HA2-unit", (("1*a", left, twist), ("a*1", right, twist)),
-                       to_h, names)
+    return _first_side(rep, "HA2-unit", (("1*a", left, twist), ("a*1", right, twist)), names)
 
 
 def validate_hom_coalgebra(c):
@@ -138,7 +139,7 @@ def validate_hom_coalgebra(c):
     _first_side(rep, "HC1", (
         ("delta", twist + [(co, (0,), to_hh)],
          [(co, (0,), to_hh), (be, (0,), None), (be, (1,), None)]),
-        ("counit", twist + [(eps, (0,), ())], [(eps, (0,), ())])), (n,), names)
+        ("counit", twist + [(eps, (0,), ())], [(eps, (0,), ())])), names)
     composites_equal_report(rep, "HC2-coassoc",
                             [(co, (0,), to_hh), (co, (1,), to_hh), (be, (0,), None)],
                             [(co, (0,), to_hh), (co, (0,), to_hh), (be, (2,), None)],
@@ -146,7 +147,7 @@ def validate_hom_coalgebra(c):
     left = [(co, (0,), to_hh), (eps, (0,), ())]
     right = [(co, (0,), to_hh), (eps, (1,), ())]
     return _first_side(rep, "HC2-counit", (("eps(c1)c2", left, twist),
-                                           ("c1 eps(c2)", right, twist)), (n,), names)
+                                           ("c1 eps(c2)", right, twist)), names)
 
 
 def validate_hom_bialgebra(h):

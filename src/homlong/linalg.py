@@ -18,14 +18,13 @@ sum_k T[i][j][k] e_k with its leg dims; coproduct_columns moves the same
 ints once into the coproduct-like reading.  int_columns is the one reader
 of scalars: Matrix(rows), Tensor3(data) and the io loaders read ints
 as they are and "p/q" strings once, straight into that form, and never
-store a zero.  det, inv and solve_exact share one fraction-free
+store a zero.  That form is all a Matrix keeps: to_json writes from it, and
+an entry (m[i, j] by bisection in column j), to_lists and __repr__ are read
+off it when asked.  det, inv and solve_exact share one fraction-free
 elimination on sparse int rows read off the columns, which rewrites only
 the rows that hold the pivot column and scales the others lazily, so it
 pays only for the nonzeros: a 512 x 512 mu with one entry per column
-inverts in milliseconds.  to_json writes from the columns, so the
-Fractions of a Matrix (data, nested for a Tensor3) are views built only
-when something reads them (__getitem__, to_lists, __repr__, the test
-oracles).
+inverts in milliseconds.
 
 Identities between composites of maps on tensor legs are decided without
 forming the composites.  A step applies a small map, as sparse int-scaled
@@ -56,12 +55,13 @@ gives a tensor product of maps, and the Tensor3 readings a multiplication,
 action, comultiplication or coaction, so no map is written as an index sum
 over structure constants or as a Kronecker product.
 
-Matrix and Tensor3 are immutable, so each keeps what is derived
-from it once computed: a Matrix its data view, determinant and inverse, a
-Tensor3 also its coproduct-like reading.  The stored and cached columns are
-shared by every caller and are never changed.
+Matrix and Tensor3 are immutable, so each keeps what is derived from it
+once computed: a Matrix its determinant and inverse, a Tensor3 also its
+coproduct-like reading.  The stored and cached columns are shared by every
+caller and are never changed.
 """
 
+import bisect
 import functools
 import math
 import re
@@ -87,7 +87,7 @@ def scalar(x):
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, int):
-        # the shared constants, which fill every data view
+        # the shared constants, so every to_lists holds one ZERO and one ONE
         return ZERO if x == 0 else ONE if x == 1 else Fraction(x)
     if isinstance(x, str):
         # not Fraction's decimals, underscores or exponents (1e9999 is 10**9999)
@@ -95,13 +95,6 @@ def scalar(x):
             return Fraction(x)
         raise ValueError("%r is not an int or a p/q string" % x)
     raise TypeError("cannot read %r as an exact rational" % (x,))
-
-
-def scalar_to_json(x):
-    """Render a Fraction as an int (q = 1) or a "p/q" string."""
-    if x.denominator == 1:
-        return int(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
 
 
 ZERO = Fraction(0)
@@ -123,13 +116,13 @@ class Matrix:
     in the form int_columns gives: the map is cols / scale, cols[j] lists the
     (row, value) pairs of column j with value != 0 in row order, and scale
     is the lcm of the entries' reduced denominators.  That form is unique,
-    so hashing reads it, and equality it and the type.  data, the rows as
-    tuples of Fractions, is a view built on first read.
+    so hashing reads it, and equality it and the type.  It is the one form
+    kept: entries are read off it when asked for.
 
     A Matrix is immutable, so it also keeps its determinant and its inverse
     once computed."""
 
-    __slots__ = ("rows", "cols", "_sparse", "_data", "_det", "_inverse")
+    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse")
 
     def __init__(self, rows_data, rows=None, cols=None):
         data = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows_data]
@@ -140,7 +133,7 @@ class Matrix:
         if len(data) != rows or any(len(r) != cols for r in data):
             int_columns(data)       # an unreadable entry is named before the shape
             raise DimensionMismatch("ragged or mis-shaped matrix data")
-        self.rows, self.cols, self._data, self._det, self._inverse = rows, cols, None, None, None
+        self.rows, self.cols, self._det, self._inverse = rows, cols, None, None
         self._sparse = int_columns(zip(*data) if rows else [()] * cols)
 
     @classmethod
@@ -148,7 +141,7 @@ class Matrix:
         """An instance of cls over columns in the form int_columns gives."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._sparse = rows, cols, sparse
-        m._data = m._det = m._inverse = None
+        m._det = m._inverse = None
         return m
 
     @classmethod
@@ -159,14 +152,6 @@ class Matrix:
         taken over: each is sorted by row, and the values and the scale are
         divided by their gcd (the canonical form)."""
         return cls._of(rows, len(cols), _canonical(cols, scale))
-
-    @property
-    def data(self):
-        """The rows as tuples of Fractions, built on first read."""
-        if self._data is None:
-            cols = _dense_columns(self._sparse, self.rows)
-            self._data = tuple(zip(*cols)) if cols else ((),) * self.rows
-        return self._data
 
     @staticmethod
     def identity(n):
@@ -194,7 +179,13 @@ class Matrix:
                 raise TypeError("a %dx%d matrix takes an index pair" % (self.rows, self.cols))
             ij = ij, 0
         i, j = ij
-        return self.data[i][j]
+        return self._entry(range(self.rows)[i], range(self.cols)[j])
+
+    def _entry(self, i, j):
+        """The entry in row i of column j, indices in range, by bisection."""
+        col, scale = self._sparse[0][j], self._sparse[1]
+        k = bisect.bisect_left(col, (i,))
+        return Fraction(col[k][1], scale) if k < len(col) and col[k][0] == i else ZERO
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.rows == other.rows
@@ -256,7 +247,9 @@ class Matrix:
         self._inverse = Matrix.from_int_columns(inverse, d, n)
 
     def to_lists(self):
-        return [list(row) for row in self.data]
+        """The rows as lists of Fractions, the entries of to_json read by
+        scalar; a 0, most entries of a structure map, is ZERO without a call."""
+        return [[ZERO if x == 0 else scalar(x) for x in row] for row in self.to_json()]
 
     def to_json(self):
         """The rows as ints and "p/q" strings, written from the columns."""
@@ -270,19 +263,7 @@ class Matrix:
     def __repr__(self):
         if self.rows * self.cols > 64:
             return "Matrix(%dx%d)" % (self.rows, self.cols)
-        return "Matrix(%s)" % "; ".join(
-            " ".join(str(scalar_to_json(x)) for x in row) for row in self.data)
-
-
-def _dense_columns(sparse, rows):
-    """Columns (cols, scale), as int_columns gives them, as dense lists of
-    Fractions of length rows."""
-    cols, scale = sparse
-    out = [[ZERO] * rows for _ in cols]
-    for dense, col in zip(out, cols):
-        for r, x in col:
-            dense[r] = Fraction(x, scale)
-    return out
+        return "Matrix(%s)" % "; ".join(" ".join(map(str, row)) for row in self.to_json())
 
 
 def int_columns(columns):
@@ -333,8 +314,8 @@ def _canonical(cols, scale):
 
 
 def _json_scalar(x, scale):
-    """The entry x / scale as an int or a "p/q" string, as scalar_to_json
-    writes it."""
+    """The entry x / scale as an int when it is whole, otherwise as a
+    reduced "p/q" string."""
     if scale == 1:
         return x
     g = math.gcd(x, scale)
@@ -825,7 +806,7 @@ class Tensor3(Matrix):
             raise DimensionMismatch("ragged tensor data")
         self.rows, self.cols, self.d0, self.d1 = d2, d0 * d1, d0, d1
         self._sparse = int_columns(r for p in data for r in p)
-        self._data = self._det = self._inverse = self._coproduct = None
+        self._det = self._inverse = self._coproduct = None
 
     @classmethod
     def from_int_columns(cls, cols, scale, dims):
@@ -847,15 +828,6 @@ class Tensor3(Matrix):
     def dims(self):
         return (self.d0, self.d1, self.rows)
 
-    @property
-    def data(self):
-        """T[i][j][k] as nested tuples of Fractions, built on first read."""
-        if self._data is None:
-            d1, cols = self.d1, _dense_columns(self._sparse, self.rows)
-            self._data = tuple(tuple(map(tuple, cols[i * d1:(i + 1) * d1]))
-                               for i in range(self.d0))
-        return self._data
-
     @staticmethod
     def zeros(d0, d1, d2):
         return Tensor3.from_int_columns([[] for _ in range(d0 * d1)], 1, (d0, d1, d2))
@@ -867,12 +839,18 @@ class Tensor3(Matrix):
 
     def __getitem__(self, ijk):
         i, j, k = ijk
-        return self.data[i][j][k]
+        return self._entry(range(self.rows)[k],
+                           range(self.d0)[i] * self.d1 + range(self.d1)[j])
 
     def __eq__(self, other):
         return Matrix.__eq__(self, other) and self.d0 == other.d0
 
     __hash__ = Matrix.__hash__
+
+    def to_lists(self):
+        """T[i][j][k] as Matrix.to_lists reads it, so Tensor3(t.to_lists()) == t."""
+        return [[[ZERO if x == 0 else scalar(x) for x in row] for row in plane]
+                for plane in self.to_json()]
 
     def to_json(self):
         """T[i][j][k] as nested lists of ints and "p/q" strings, written from

@@ -360,27 +360,25 @@ def tau_transforms(op):
     r, scale = sparse_columns(op.matrix)
     u, tt, w = (Matrix.from_int_columns(move_legs(r, sq, sq, ins, outs), scale, n2)
                 for ins, outs in (((0, 1), (3, 2)), ((1, 0), (2, 3)), ((1, 0), (3, 2))))
-    us, ts, ws = sparse_columns(u), sparse_columns(tt), sparse_columns(w)[0]
+    ws = sparse_columns(w)[0]
     m = sparse_columns(mu)
     rep = AxiomReport()
 
     base = _first_failing_column(r, r, m[0], n) is None
     rep.add("base-longeq", base)
 
-    # X12, X13 and X23 on M (x) M (x) M as 3-leg steps; only X12 = x (x) mu
-    # is run.  X13 = P X12 P, P the flip of the last two legs, and
-    # X23 = C X12 C^-1, C the cycle x (x) y (x) z -> z (x) x (x) y, are X12
-    # with its legs moved; C is also a step of the U- and T-equations
+    # the 3-leg steps X12, X13 and X23 on M (x) M (x) M for X = U and T all
+    # come from one run of R12 = R (x) mu: U12 and T12 are R12 with its first
+    # two output or input legs swapped, X13 = P X12 P, P the flip of the last
+    # two legs, and X23 = C X12 C^-1, C the cycle x (x) y (x) z -> z (x) x (x) y,
+    # which is also a step of the U- and T-equations
     dims = (n, n, n)
     cyc = flip_columns(n2, n), (0, 1, 2), None
-
-    def legs(x):
-        x12, sc = Composite([(x, (0, 1), None), (m, (2,), None)], dims).columns()
-        return [((cols, sc), (0, 1, 2), None) for cols in (
-            x12, move_legs(x12, dims, dims, (0, 2, 1), (3, 5, 4)),
-            move_legs(x12, dims, dims, (2, 0, 1), (5, 3, 4)))]
-
-    (u12, u13, u23), (t12, t13, t23) = legs(us), legs(ts)
+    r12, sc = Composite([((r, scale), (0, 1), None), (m, (2,), None)], dims).columns()
+    (u12, u13, u23), (t12, t13, t23) = (
+        [((move_legs(r12, dims, dims, ins, outs), sc), (0, 1, 2), None) for ins, outs in moves]
+        for moves in ((((0, 1, 2), (4, 3, 5)), ((0, 2, 1), (4, 5, 3)), ((2, 0, 1), (5, 4, 3))),
+                      (((1, 0, 2), (3, 4, 5)), ((1, 2, 0), (3, 5, 4)), ((2, 1, 0), (5, 3, 4)))))
     rep.add("transform-U", Composite([u23, u13], dims).first_difference(
         Composite([u12, u13, cyc], dims)) is None)
     rep.add("transform-T", Composite([t13, t12], dims).first_difference(

@@ -201,7 +201,8 @@ def test_criterion_9_hom_long_toolkit():
         z = Matrix.diagonal([rnd.choice([1, 2, 3]) for _ in range(n)])
         if k % 5 == 0:
             bb = [[Fraction(rnd.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-            x = [[[[bb[kk][ll] * z.data[ll][ll] if (i == kk and j == ll) else Fraction(0)
+            zz = z.to_lists()
+            x = [[[[bb[kk][ll] * zz[ll][ll] if (i == kk and j == ll) else Fraction(0)
                     for j in range(n)] for i in range(n)]
                   for ll in range(n)] for kk in range(n)]
             y = x

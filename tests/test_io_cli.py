@@ -12,14 +12,18 @@ from hypothesis import example, given, settings, strategies as st
 from homlong import braidcat, cli, fixtures as fx, linalg
 from homlong import io as hio
 from homlong.cli import SUBJECTS, main
-from homlong.homstruct import dual_hopf, tensor_hopf
+from homlong.braidcat import check_hexagons, check_qybe
+from homlong.homstruct import dual_hopf, tensor_hopf, validate_all
 from homlong.io import FileFormatError
-from homlong.linalg import ONE, ZERO, Matrix, scalar, scalar_to_json
-from homlong.longdimod import canonical_dimodule
-from homlong.longeq import HAlphaLongDimodule, OperatorOnTensorSquare, module_extension
+from homlong.linalg import ONE, ZERO, Matrix, scalar
+from homlong.longdimod import canonical_dimodule, check_coherence
+from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare, check_long_equation,
+                            comodule_extension, coordinate_criterion, dimodule_solution,
+                            module_extension, operator_to_coords, search_solutions,
+                            tau_transforms, validate_halpha_dimodule)
 from homlong.report import AxiomReport, Check
 from homlong.repmod import YetterDrinfeldModule
-from test_oracles import HOPF_FIXTURES, flip_matrix
+from test_oracles import HOPF_FIXTURES, dense_entries, flip_matrix, json_scalar
 
 
 @pytest.fixture()
@@ -100,8 +104,8 @@ def test_units_and_counits_are_flat_lists_read_by_one_index(tmp_path, build):
                 assert key not in obj
                 continue
             assert (v.rows, v.cols) == (s.dim, 1)
-            assert [v[k] for k in range(s.dim)] == [row[0] for row in v.data]
-            assert obj[key] == [scalar_to_json(v[k]) for k in range(s.dim)]
+            assert [v[k] for k in range(s.dim)] == [row[0] for row in dense_entries(v)]
+            assert obj[key] == [json_scalar(v[k]) for k in range(s.dim)]
         path = tmp_path / ("a%d.json" % i)
         hio.dump_json(obj, path)
         assert hio.load_structure(str(path)) == s
@@ -445,6 +449,32 @@ def test_build_extension(files, tmp_path):
                  "-M", str(tmp_path / "signmod.json"),
                  "-o", str(tmp_path / "ext.json")]) == 0
     assert main(["validate", str(tmp_path / "ext.json")]) == 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("path, variant, kind", [("signmod.json", "comodule", "module"),
+                                                 ("signcomod.json", "module", "comodule")])
+def test_extension_variant_of_the_other_kind_exits_2(files, monkeypatch, capsys,
+                                                      path, variant, kind, fmt):
+    # --variant names the kind of -M it builds from; the other kind is refused
+    # by name before anything is built, where it used to end in a traceback
+    monkeypatch.chdir(files)
+    hio.save_structure(fx.sign_module(), files / "signmod.json")
+    hio.save_structure(fx.sign_comodule(), files / "signcomod.json")
+    argv = ["build", "extension", "--base", "kz2.json", "-M", path, "--variant", variant,
+            "-o", "ext.json"]
+    message = "build extension --variant %s needs a hom-%s -M, not a hom-%s file" % (
+        variant, variant, kind)
+    assert main((["--format", "json"] if fmt == "json" else []) + argv) == 2
+    captured = capsys.readouterr()
+    if fmt == "json":
+        assert json.loads(captured.out) == {"command": "build extension",
+                                            "inputs": [path, "kz2.json"],
+                                            "error": message, "exit_code": 2}
+    else:
+        assert captured.out == "" and captured.err == "error: %s\n" % message
+    assert not (files / "ext.json").exists()
+    assert main(argv[:-4] + ["--variant", kind]) == 0
 
 
 def test_search_command(files, capsys):
@@ -952,15 +982,37 @@ def test_demo_files_build_and_braid_reports_match_snapshot(tmp_path, monkeypatch
         assert got[key] == expected[key], key
 
 
-def test_no_cli_path_builds_a_dense_view(tmp_path, monkeypatch, capsys):
-    # every data view of a Matrix or Tensor3 is built by _dense_columns; the
-    # commands read and write the int columns only
-    def refuse(*args):
-        raise AssertionError("a dense view was built")
+def test_no_cli_path_builds_a_dense_view(tmp_path, monkeypatch, capsys, ctx, dimodules):
+    # an entry of a Matrix or Tensor3 is read as a Fraction only by indexing
+    # or by to_lists; the commands, and the library calls the benchmark
+    # times, read and write the int columns only
+    h, mu = fx.kz2(), Matrix([[1, 1], [0, 1]])
+    sign, canonical = dimodules["sign"], dimodules["canonical"]
+    module, comodule = fx.trivial_module(h, mu), fx.sign_comodule(h)
 
-    monkeypatch.setattr(linalg, "_dense_columns", refuse)
+    def refuse(*args):
+        raise AssertionError("an entry was read as a Fraction")
+
+    for cls in (Matrix, linalg.Tensor3):
+        monkeypatch.setattr(cls, "to_lists", refuse)
+        monkeypatch.setattr(cls, "__getitem__", refuse)
+    with pytest.raises(AssertionError):
+        mu[0, 0]
     test_demo_files_validate_reports_match_snapshot(monkeypatch, capsys)
     test_demo_files_build_and_braid_reports_match_snapshot(tmp_path, monkeypatch, capsys)
+    assert validate_all(h).ok and validate_all(fx.sweedler_hopf()).ok
+    assert check_qybe(ctx, sign, canonical, canonical).ok
+    assert check_hexagons(ctx, canonical, sign, canonical).ok
+    assert check_coherence(sign, canonical, canonical).ok
+    for extension in (module_extension(h, module), comodule_extension(h, comodule)):
+        assert validate_halpha_dimodule(extension).ok
+        assert check_long_equation(dimodule_solution(extension)).ok
+    solutions = search_solutions(mu, [0, 1], "full")
+    assert solutions
+    for op in solutions:
+        assert check_long_equation(op).ok and tau_transforms(op)[1].ok
+        x = operator_to_coords(op)
+        assert coordinate_criterion(x, x, mu).flags["self-case"]
 
 
 PERTURBED_FILES = ("canonical.json", "sign.json", "halpha.json")
@@ -974,7 +1026,7 @@ def _perturbed_copy(name, part, seed):
     entry, key = obj, part
     while isinstance(entry[key], list):
         entry, key = entry[key], rng.randrange(len(entry[key]))
-    entry[key] = scalar_to_json(scalar(entry[key]) + rng.choice((-2, -1, 1, 2)))
+    entry[key] = json_scalar(scalar(entry[key]) + rng.choice((-2, -1, 1, 2)))
     path = "%s-%s-%d.json" % (name[:-5], part, seed)
     hio.dump_json(obj, path)
     return path
@@ -1313,7 +1365,7 @@ def test_a_file_rewritten_between_calls_is_read_afresh(tmp_path, capsys):
     path.write_bytes((DEMO_FILES / "canonical.json").read_bytes())
     assert main(["validate", str(path)]) == 0
     obj = json.loads(path.read_text())
-    obj["mu"][0][0] = scalar_to_json(scalar(obj["mu"][0][0]) + 1)
+    obj["mu"][0][0] = json_scalar(scalar(obj["mu"][0][0]) + 1)
     hio.dump_json(obj, path)
     assert main(["validate", str(path)]) == 1
     path.write_text("{not json")

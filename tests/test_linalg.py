@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -10,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from homlong import fixtures as fx, io as hio, linalg
 from homlong.linalg import (Matrix, Tensor3, Composite, DimensionMismatch,
                             SingularMatrix, coproduct_columns, int_columns, unflat_index,
-                            insert_columns, pair_columns, per_leg, scalar, scalar_to_json,
-                            solve_exact, sparse_columns)
+                            insert_columns, pair_columns, per_leg, scalar, solve_exact,
+                            sparse_columns)
 from test_oracles import (HOPF_FIXTURES, apply3, column_of, columns_by_column, coproduct_map,
                           dense_columns, elimination_squares, elimination_systems,
                           first_difference_by_column,
@@ -32,8 +34,7 @@ def test_scalar_parsing():
     assert scalar("2/4") == Fraction(1, 2)
     assert scalar("-7/3") == Fraction(-7, 3)
     assert scalar(" -7/3 ") == Fraction(-7, 3) and scalar("+2") == 2 and scalar("\t0\n") == 0
-    assert scalar_to_json(Fraction(4, 2)) == 2
-    assert scalar_to_json(Fraction(-1, 3)) == "-1/3"
+    assert Matrix([[Fraction(4, 2), Fraction(-1, 3)]]).to_json() == [[2, "-1/3"]]
     with pytest.raises(TypeError):
         scalar(1.5)
     with pytest.raises(TypeError):
@@ -104,7 +105,7 @@ def test_kron_rectangular_shapes():
     b = Matrix([[1], [2]])             # 2x1
     k = kron(a, b)
     assert (k.rows, k.cols) == (2, 3)
-    assert k.data[1][2] == 6
+    assert k[1, 2] == 6
 
 
 def test_invert_examples():
@@ -147,7 +148,7 @@ def test_perm_matrix_and_flat_index():
     p = perm_matrix(dims, [2, 0, 1])
     src = flat_index((1, 2, 0), dims)
     dst = flat_index((0, 1, 2), [2, 2, 3])
-    assert p.data[dst][src] == 1
+    assert p[dst, src] == 1
     assert unflat_index(src, dims) == (1, 2, 0)
     assert mul(flip_matrix(2, 2), flip_matrix(2, 2)) == Matrix.identity(4)
 
@@ -203,6 +204,58 @@ def test_one_index_reads_only_a_one_column_matrix(m):
         m[0]
     with pytest.raises(IndexError):
         Matrix([[1], [2]])[2]
+
+
+def small_tensors():
+    """A Tensor3 of dims 1-3 with small entries, one in three a Fraction."""
+    entry = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    return st.tuples(*[st.integers(1, 3)] * 3).flatmap(lambda dims: st.builds(
+        Tensor3, st.lists(st.lists(st.lists(entry, min_size=dims[2], max_size=dims[2]),
+                                   min_size=dims[1], max_size=dims[1]),
+                          min_size=dims[0], max_size=dims[0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tensors())
+def test_to_lists_reads_back_the_same_tensor(t):
+    # a Tensor3 gives its nested T[i][j][k] as lists of Fractions, 0 and 1
+    # the shared ZERO and ONE, and so does the Matrix of its product-like map
+    d0, d1, d2 = t.dims
+    nested = t.to_lists()
+    assert nested == [[[t[i, j, k] for k in range(d2)] for j in range(d1)] for i in range(d0)]
+    assert all(type(row) is list for plane in nested for row in plane)
+    assert Tensor3(nested) == t
+    m = Matrix.from_int_columns(*copy.deepcopy(sparse_columns(t)), d2)
+    assert Matrix(m.to_lists()) == m
+    for x in [x for plane in nested for row in plane for x in row] + sum(m.to_lists(), []):
+        assert type(x) is Fraction and (x is linalg.ZERO) == (x == 0)
+        assert (x is linalg.ONE) == (x == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tensors())
+def test_every_index_reads_the_entry_of_to_lists(t):
+    # m[i, j], t[i, j, k] and a column's v[i], for every index in range,
+    # negative ones included; any other index raises IndexError
+    d0, d1, d2 = t.dims
+    nested = t.to_lists()
+    for i, j, k in itertools.product(*(range(-d, d) for d in t.dims)):
+        assert t[i, j, k] == nested[i][j][k]
+    m = Matrix.from_int_columns(*copy.deepcopy(sparse_columns(t)), d2)
+    rows = m.to_lists()
+    for i, j in itertools.product(range(-m.rows, m.rows), range(-m.cols, m.cols)):
+        assert m[i, j] == rows[i][j]
+    v = Matrix([row[:1] for row in rows])
+    assert [v[i] for i in range(-v.rows, v.rows)] == [row[0] for row in rows] * 2
+    for bad in ((d0, 0, 0), (0, d1, 0), (0, 0, d2), (-d0 - 1, 0, 0), (0, 0, -d2 - 1)):
+        with pytest.raises(IndexError):
+            t[bad]
+    for bad in ((m.rows, 0), (0, m.cols), (-m.rows - 1, 0), (0, -m.cols - 1)):
+        with pytest.raises(IndexError):
+            m[bad]
+    for bad in (v.rows, -v.rows - 1):
+        with pytest.raises(IndexError):
+            v[bad]
 
 
 def test_tensor3_flatten_round_trip():
@@ -553,7 +606,7 @@ def test_every_tensor3_construction_gives_one_stored_form(data):
         assert t == ref and ref == t and hash(t) == hash(ref)
         assert t.dims == (d0, d1, d2) and (t.rows, t.cols) == (d2, d0 * d1)
         assert t.to_json() == ref.to_json()
-        assert t.data == ref.data == tuple(tuple(map(tuple, plane)) for plane in data)
+        assert t.to_lists() == ref.to_lists() == [[list(row) for row in plane] for plane in data]
         assert coproduct_columns(t) == _fresh_coproduct_columns(data)
 
 
@@ -565,9 +618,10 @@ def test_loaded_mult_and_comult_fields_equal_the_built_tensors():
         for field in ("mult", "comult"):
             t, built = hio.load_tensor3(obj[field], field), getattr(h, field)
             assert t == built and hash(t) == hash(built)
-            assert t.to_json() == built.to_json() == obj[field] and t.data == built.data
+            assert t.to_json() == built.to_json() == obj[field]
+            assert t.to_lists() == built.to_lists()
             assert t._coproduct is None
-            assert coproduct_columns(t) == _fresh_coproduct_columns(t.data) \
+            assert coproduct_columns(t) == _fresh_coproduct_columns(t.to_lists()) \
                 == coproduct_columns(built)
 
 
@@ -613,7 +667,7 @@ def test_converted_and_inverted_maps_are_kept():
     assert sparse_columns(t) is sparse_columns(t)
     assert coproduct_columns(t) is coproduct_columns(t)
     # a filled cache leaves equality and hashing to the data
-    fresh_m, fresh_t = Matrix([[1, 2], [3, Fraction(1, 2)]]), Tensor3(t.data)
+    fresh_m, fresh_t = Matrix([[1, 2], [3, Fraction(1, 2)]]), Tensor3(t.to_lists())
     assert m == fresh_m and hash(m) == hash(fresh_m)
     assert t == fresh_t and hash(t) == hash(fresh_t)
     assert m.inv() == fresh_m.inv()
@@ -666,8 +720,8 @@ def test_equal_entries_mean_equal_stored_columns(ways):
         assert sparse_columns(m) == sparse_columns(first)
         assert sparse_columns(m) == linalg.int_columns(dense_columns(m))
     for m in ways:
-        assert m.data == first.data and m.to_json() == first.to_json()
-        assert all(type(x) is Fraction for row in m.data for x in row)
+        assert m.to_lists() == first.to_lists() and m.to_json() == first.to_json()
+        assert all(type(x) is Fraction for row in m.to_lists() for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +729,7 @@ def test_equal_entries_mean_equal_stored_columns(ways):
 
 def to_sympy(m):
     return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
-                                         for row in m.data for x in row])
+                                         for row in m.to_lists() for x in row])
 
 
 def from_sympy(values):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from homlong import fixtures as fx
 from homlong import longeq
 from homlong.linalg import (Matrix, Tensor3, Composite, SingularMatrix, flip_columns,
-                            scalar_to_json, sparse_columns)
+                            sparse_columns)
 from homlong.longdimod import HomLongDimodule, canonical_dimodule, validate_long_dimodule
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             SearchSpaceTooLarge, ZeroDiagonal,
@@ -92,8 +92,8 @@ def test_coordinate_criterion_scalar_case():
 
 
 def diagonal_coords(b, a):
-    n = len(a)
-    return [[[[b.data[k][l] * a[l] if (i == k and j == l) else Fraction(0)
+    n, rows = len(a), b.to_lists()
+    return [[[[rows[k][l] * a[l] if (i == k and j == l) else Fraction(0)
                for j in range(n)] for i in range(n)]
              for l in range(n)] for k in range(n)]
 
@@ -180,7 +180,7 @@ def test_tau_transform_verdicts_agree_random():
         n = 2
         mu = Matrix.diagonal([rnd.choice([1, 2, 3, -1]) for _ in range(n)])
         if k % 2 == 0:
-            op = diagonal_solution([mu.data[i][i] for i in range(n)],
+            op = diagonal_solution([mu[i, i] for i in range(n)],
                                    Matrix([[Fraction(rnd.randint(-3, 3))
                                             for _ in range(n)] for _ in range(n)]))
         else:
@@ -236,37 +236,40 @@ def _int_columns_matrix(step, rows):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_relabelled_legs_match_leg_step_composites(data):
-    # tau runs X12 = x (x) mu and relabels it into X13 and X23; each equals
-    # the composite that applies x and mu to those legs, for x = U and T
+    # tau runs R12 = R (x) mu once and relabels it into X12, X13 and X23;
+    # each equals the composite that applies x and mu to those legs, for
+    # x = U and T
     n = data.draw(st.sampled_from((1, 2, 3)))
     mu = data.draw(grid_mus(n))
     op = OperatorOnTensorSquare(n, data.draw(grid_or_arbitrary_operators(n)), mu)
     spy = mock.Mock(side_effect=Composite)
     with mock.patch.object(longeq, "Composite", spy):
         transforms, _ = tau_transforms(op)
-    # the composites built after X12 for U and for T: both sides of the U-
-    # and of the T-equation
-    u_lhs, u_rhs, t_lhs, t_rhs = [c.args[0] for c in spy.call_args_list[2:]]
+    # the composites built after R12: both sides of the U- and of the
+    # T-equation
+    u_lhs, u_rhs, t_lhs, t_rhs = [c.args[0] for c in spy.call_args_list[1:]]
     dims, m, flip = (n, n, n), sparse_columns(mu), flip_columns(n, n)
-    for key, x13, x23 in (("U", u_lhs[1], u_lhs[0]), ("T", t_lhs[0], t_rhs[2])):
+    for key, x12, x13, x23 in (("U", u_rhs[0], u_lhs[1], u_lhs[0]),
+                               ("T", t_lhs[1], t_lhs[0], t_rhs[2])):
         x = sparse_columns(transforms[key].matrix)
+        want12 = Composite([(x, (0, 1), None), (m, (2,), None)], dims).columns()
         want13 = Composite([(flip, (1, 2), None), (x, (0, 1), None), (m, (2,), None),
                             (flip, (1, 2), None)], dims).columns()
         want23 = Composite([(m, (0,), None), (x, (1, 2), None)], dims).columns()
-        for (got, legs, out), want in ((x13, want13), (x23, want23)):
+        for (got, legs, out), want in ((x12, want12), (x13, want13), (x23, want23)):
             assert (legs, out) == ((0, 1, 2), None)
             assert _int_columns_matrix(got, n ** 3) == _int_columns_matrix(want, n ** 3)
 
 
 def test_flip_transforms_and_criterion_cost():
-    # tau_transforms runs one composite per transform, X12; coordinate_criterion
+    # tau_transforms runs one composite, R12 = R (x) mu; coordinate_criterion
     # reads each coordinate tensor once, and y not at all when it is x
     mu = Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
     op = search_solutions(mu, [0, 1], "diagonal")[-1]
     runs = mock.Mock(side_effect=Composite.columns)
     with mock.patch.object(Composite, "columns", autospec=True, side_effect=runs):
         tau_transforms(op)
-    assert runs.call_count == 2
+    assert runs.call_count == 1
     x = operator_to_coords(op)
     reads = mock.Mock(side_effect=longeq.int_columns)
     with mock.patch.object(longeq, "int_columns", reads):
@@ -457,7 +460,7 @@ def _report_json(rep):
 
 
 def _rows_json(m):
-    return "; ".join(" ".join(str(scalar_to_json(x)) for x in row) for row in m.data)
+    return "; ".join(" ".join(map(str, row)) for row in m.to_json())
 
 
 def longeq_reports():
@@ -474,7 +477,7 @@ def longeq_reports():
         rng = random.Random(f)
         cases = [("solution", i, s, None) for i, s in enumerate(sols)]
         for i in sorted(rng.sample(range(len(sols)), 3)):
-            rows = [list(r) for r in sols[i].matrix.data]
+            rows = sols[i].matrix.to_lists()
             r, c = rng.randrange(n * n), rng.randrange(n * n)
             rows[r][c] += rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
             cases.append(("perturbed", i, OperatorOnTensorSquare(n, Matrix(rows), mu),

@@ -45,8 +45,7 @@ from homlong.homstruct import (HomStructure, NotAutomorphism,
                                validate_quasitriangular, yau_twist)
 from homlong.linalg import (Matrix, Tensor3, Composite, ZERO, ONE, DimensionMismatch,
                             SingularMatrix, coproduct_columns, flip_columns, insert_columns,
-                            pair_columns, scalar, scalar_to_json, solve_exact, sparse_columns,
-                            unflat_index)
+                            pair_columns, scalar, solve_exact, sparse_columns, unflat_index)
 from homlong.longdimod import (DualityData, HomLongDimodule, canonical_dimodule,
                                check_coherence, check_snake, dimodule_morphism_report,
                                from_smash_module, left_dual, right_dual,
@@ -65,6 +64,27 @@ from homlong.repmod import (HomComodule, HomModule, YetterDrinfeldModule, check_
 # dense leg machinery: Kronecker products, products and leg permutations of
 # whole matrices, which the library does not build
 
+def dense_entries(m):
+    """The oracles' one reader of a Matrix or a Tensor3: its entries as
+    nested lists of Fractions, the rows of a Matrix and T[i][j][k] of a
+    Tensor3, read off the int columns sparse_columns gives, fresh on every
+    call."""
+    cols, scale = sparse_columns(m)
+    columns = [[ZERO] * m.rows for _ in cols]
+    for column, col in zip(columns, cols):
+        for i, x in col:
+            column[i] = Fraction(x, scale)
+    if isinstance(m, Tensor3):
+        return [columns[i * m.d1:(i + 1) * m.d1] for i in range(m.d0)]
+    return [list(row) for row in zip(*columns)] if columns else [[] for _ in range(m.rows)]
+
+
+def json_scalar(x):
+    """A Fraction as a definition file writes it: an int when it is whole,
+    otherwise a "p/q" string."""
+    return x.numerator if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+
+
 def flat_index(idxs, dims):
     """Lexicographic index of a tuple in the tensor basis with the given dims."""
     i = 0
@@ -78,14 +98,15 @@ def kron(a, b):
     two matrices: of two elements when both have one column."""
     rb, cb = b.rows, b.cols
     out = [[ZERO] * (a.cols * cb) for _ in range(a.rows * rb)]
+    arows, brows = dense_entries(a), dense_entries(b)
     for i in range(a.rows):
-        arow = a.data[i]
+        arow = arows[i]
         for j in range(a.cols):
             x = arow[j]
             if x == 0:
                 continue
             for p in range(rb):
-                brow = b.data[p]
+                brow = brows[p]
                 orow = out[i * rb + p]
                 base = j * cb
                 for q in range(cb):
@@ -157,18 +178,20 @@ def matrices_equal_report(report, axiom, lhs, rhs, dims_in, names_in=None):
 def product_map(t):
     """The Matrix of a product-like Tensor3 (a multiplication or an action)
     X (x) Y -> Z, column (i, j) holding t[i][j][k] in row k, read entry by
-    entry from its data."""
+    entry from its dense reading."""
     d0, d1, d2 = t.dims
-    return Matrix([[t.data[c // d1][c % d1][k] for c in range(d0 * d1)] for k in range(d2)],
+    t = dense_entries(t)
+    return Matrix([[t[c // d1][c % d1][k] for c in range(d0 * d1)] for k in range(d2)],
                   d2, d0 * d1)
 
 
 def coproduct_map(t):
     """The Matrix of a coproduct-like Tensor3 (a comultiplication or a
     coaction) X -> Y (x) Z, column i holding t[i][j][k] in row (j, k), read
-    entry by entry from its data."""
+    entry by entry from its dense reading."""
     d0, d1, d2 = t.dims
-    return Matrix([[t.data[i][r // d2][r % d2] for i in range(d0)] for r in range(d1 * d2)],
+    t = dense_entries(t)
+    return Matrix([[t[i][r // d2][r % d2] for i in range(d0)] for r in range(d1 * d2)],
                   d1 * d2, d0)
 
 
@@ -178,8 +201,8 @@ def column_of(entries):
 
 
 def entries_of(v):
-    """The entries of the n x 1 Matrix v, read off its data view."""
-    return [row[0] for row in v.data]
+    """The entries of the n x 1 Matrix v, read off its dense reading."""
+    return [row[0] for row in dense_entries(v)]
 
 
 def row_matrix(v):
@@ -189,7 +212,7 @@ def row_matrix(v):
 
 def dense_columns(m):
     """The columns of the Matrix m as tuples of Fractions."""
-    return list(zip(*m.data)) if m.rows else [()] * m.cols
+    return list(zip(*dense_entries(m))) if m.rows else [()] * m.cols
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +223,7 @@ def dense_columns(m):
 def fraction_det(m):
     """The determinant by Gaussian elimination over Fractions."""
     n = m.rows
-    a = [list(row) for row in m.data]
+    a = dense_entries(m)
     det = ONE
     for c in range(n):
         piv = next((r for r in range(c, n) if a[r][c] != 0), None)
@@ -224,7 +247,7 @@ def fraction_inv(m):
     None when m is singular."""
     n = m.rows
     a = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-         for i, row in enumerate(m.data)]
+         for i, row in enumerate(dense_entries(m))]
     for c in range(n):
         piv = next((r for r in range(c, n) if a[r][c] != 0), None)
         if piv is None:
@@ -243,7 +266,7 @@ def fraction_inv(m):
 def fraction_solve(a, b):
     """One solution of a x = b by Gauss-Jordan elimination over Fractions,
     the free unknowns 0; None when the system is inconsistent."""
-    rows = [list(r) + [bv] for r, bv in zip(a.data, entries_of(b))]
+    rows = [list(r) + [bv] for r, bv in zip(dense_entries(a), entries_of(b))]
     n = a.cols
     pivots = []
     r = 0
@@ -400,7 +423,8 @@ def elimination_systems(draw, most=16):
     a = Matrix(rows, m, n)
     if draw(st.booleans()):
         x0 = [draw(st.sampled_from([0, 1, -1, Fraction(3, 2)])) for _ in range(n)]
-        b = [sum((a.data[i][j] * x0[j] for j in range(n)), ZERO) for i in range(m)]
+        entries = dense_entries(a)
+        b = [sum((entries[i][j] * x0[j] for j in range(n)), ZERO) for i in range(m)]
     else:
         b = [draw(st.sampled_from([0, 1, -2, Fraction(1, 3)])) for _ in range(m)]
     return a, column_of(b)
@@ -469,11 +493,11 @@ def permute_output_legs(m, dims, perm):
     if m.rows != total:
         raise DimensionMismatch("matrix has %d rows for legs %r" % (m.rows, dims))
     out_dims = [dims[p] for p in perm]
-    rows = [None] * total
+    rows, old = [None] * total, dense_entries(m)
     for src in range(total):
         idx = unflat_index(src, dims)
         dst = flat_index([idx[p] for p in perm], out_dims)
-        rows[dst] = m.data[src]
+        rows[dst] = old[src]
     return Matrix(rows, m.rows, m.cols)
 
 
@@ -493,7 +517,7 @@ def permute_input_legs(m, dims, perm):
     for src in range(total):
         idx = unflat_index(src, dims)
         colmap[src] = flat_index([idx[p] for p in perm], out_dims)
-    return Matrix((tuple(row[colmap[c]] for c in range(total)) for row in m.data),
+    return Matrix((tuple(row[colmap[c]] for c in range(total)) for row in dense_entries(m)),
                           m.rows, m.cols)
 
 
@@ -511,16 +535,17 @@ def apply3(t, mode, m):
         raise DimensionMismatch("matrix with %d columns against leg of dim %d" % (m.cols, d))
     dims = list(t.dims)
     dims[mode] = m.rows
+    m_rows, t_entries = dense_entries(m), dense_entries(t)
 
     def entry(i, j, k):
         idx = [i, j, k]
         a = idx[mode]
         s = ZERO
         for p in range(d):
-            c = m.data[a][p]
+            c = m_rows[a][p]
             if c:
                 idx[mode] = p
-                s += c * t.data[idx[0]][idx[1]][idx[2]]
+                s += c * t_entries[idx[0]][idx[1]][idx[2]]
         return s
 
     return Tensor3.from_function(dims[0], dims[1], dims[2], entry)
@@ -528,11 +553,12 @@ def apply3(t, mode, m):
 
 def element_col(r):
     """An element of X (x) Y given by the matrix r[i][j] as a flat column."""
-    return Matrix([[x] for row in r.data for x in row], rows=r.rows * r.cols, cols=1)
+    return Matrix([[x] for row in dense_entries(r) for x in row], rows=r.rows * r.cols, cols=1)
 
 
 def col_to_matrix(col, d0, d1):
-    return Matrix.from_function(d0, d1, lambda i, j: col.data[i * d1 + j][0])
+    x = entries_of(col)
+    return Matrix.from_function(d0, d1, lambda i, j: x[i * d1 + j])
 
 
 def tensor_square_mult_map(a):
@@ -1783,9 +1809,9 @@ def dense_validate_hom_algebra(a):
     names = a.basis
     matrices_equal_report(rep, "HA1-mult", mul(al, mm), mul(mm, kron(al, al)),
                           (n, n), (names, names))
-    au = mul(al, u)
+    au, entries = mul(al, u), entries_of(u)
     rep.add("HA1-unit", au == u, None if au == u else
-            (next(names[i] for i in range(n) if au.data[i] != u.data[i]),))
+            (next(names[i] for i, x in enumerate(entries_of(au)) if x != entries[i]),))
     matrices_equal_report(rep, "HA2-assoc",
                           mul(mm, kron(al, mm)), mul(mm, kron(mm, al)),
                           (n, n, n), (names, names, names))
@@ -1819,8 +1845,8 @@ def dense_validate_hom_coalgebra(c):
             w = next((("delta", names[j]) for j in range(n)
                       if dense_columns(lhs)[j] != dense_columns(rhs)[j]), None)
         else:
-            w = ("counit", next(names[j] for j in range(n)
-                                if mul(eps, be).data[0][j] != eps.data[0][j]))
+            eb, e = dense_entries(mul(eps, be))[0], dense_entries(eps)[0]
+            w = ("counit", next(names[j] for j in range(n) if eb[j] != e[j]))
         rep.add("HC1", False, w)
     matrices_equal_report(rep, "HC2-coassoc",
                           mul(kron(be, cm), cm), mul(kron(cm, be), cm), (n,), (names,))
@@ -1851,7 +1877,7 @@ def dense_validate_hom_bialgebra(h):
                           (n, n), (names, names))
     matrices_equal_report(rep, "counit-mult", mul(eps, mm), kron(eps, eps),
                           (n, n), (names, names))
-    counital = mul(eps, u).data[0][0] == 1
+    counital = dense_entries(mul(eps, u))[0][0] == 1
     rep.add("counit-unit", counital, None if counital else ("eps(1)",))
     return rep
 
@@ -1929,7 +1955,7 @@ def dense_validate_quasitriangular(h, r):
     unit2 = kron(u, u)
     lmul = mul(m2, kron(rc, Matrix.identity(n * n)))
     rmul = mul(m2, kron(Matrix.identity(n * n), rc))
-    stacked = Matrix(list(lmul.data) + list(rmul.data), rows=2 * n * n, cols=n * n)
+    stacked = Matrix(dense_entries(lmul) + dense_entries(rmul), rows=2 * n * n, cols=n * n)
     target = column_of(entries_of(unit2) * 2)
     x = solve_exact(stacked, target)
     rep.set_flag("convolution-invertible", x is not None)
@@ -2045,17 +2071,17 @@ def perturbed(draw, d):
     invertible), so that the identities built on it fail."""
     part = draw(st.sampled_from((None, "action", "coaction", "mu")))
     if part == "action":
-        planes = [list(plane) for plane in d.action.data]
+        planes = dense_entries(d.action)
         h = draw(st.integers(0, d.H.dim - 1))
         planes[h] = _bumped(draw, planes[h])
         return replace(d, action=Tensor3(planes))
     if part == "coaction":
-        planes = [list(plane) for plane in d.coaction.data]
+        planes = dense_entries(d.coaction)
         i = draw(st.integers(0, d.dim - 1))
         planes[i] = _bumped(draw, planes[i])
         return replace(d, coaction=Tensor3(planes))
     if part == "mu":
-        mu = Matrix(_bumped(draw, d.mu.data))
+        mu = Matrix(_bumped(draw, dense_entries(d.mu)))
         assume(mu.det() != 0)
         return replace(d, mu=mu)
     return d
@@ -2181,7 +2207,7 @@ def test_morphism_report_and_naturality_match_dense_oracle(data):
     m = data.draw(perturbed(data.draw(st.sampled_from(carriers))))
     f = data.draw(st.sampled_from((m.mu, Matrix.identity(m.dim), scaled(m.mu, 2))))
     if data.draw(st.booleans()):
-        f = Matrix(_bumped(data.draw, f.data))
+        f = Matrix(_bumped(data.draw, dense_entries(f)))
     assert _tuples(dimodule_morphism_report(m, m, f)) == _tuples(dense_morphism_report(m, m, f))
     n = data.draw(st.sampled_from(carriers))
     pair = (DimoduleMorphism(m, m, f), DimoduleMorphism(n, n, n.mu))
@@ -2204,7 +2230,7 @@ def test_snake_matches_dense_oracle(data):
     m = data.draw(perturbed(m))
     which = data.draw(st.sampled_from((None, "ev", "coev")))
     if which:
-        pairing = Matrix(_bumped(data.draw, getattr(duality, which).data))
+        pairing = Matrix(_bumped(data.draw, dense_entries(getattr(duality, which))))
         duality = replace(duality, **{which: pairing})
     assert _tuples(check_snake(m, duality)) == _tuples(dense_snake(m, duality))
 
@@ -2238,7 +2264,7 @@ def test_qybe_witness_with_perturbed_coaction_on_sweedler_cube():
     # check; the witness is the first differing column of dense_qybe, which
     # takes seconds here, so its value is written out
     ctx, (can, _, _) = _context("sk")
-    t = [[list(row) for row in plane] for plane in can.coaction.data]
+    t = dense_entries(can.coaction)
     t[1][0][1] += 1
     rep = check_qybe(ctx, can, replace(can, coaction=Tensor3(t)), can)
     assert rep.check("QYBE") == Check("QYBE", False, ("1⊗1", "1⊗g", "1⊗1"))
@@ -2253,7 +2279,7 @@ def test_hexagons_and_coherence_on_sweedler_cube():
     # braidings and tensor products, written out because those runs take
     # 10-50 s each here
     ctx, (can, _, _) = _context("sk")
-    mu = [list(row) for row in can.mu.data]
+    mu = dense_entries(can.mu)
     mu[0][1] += 1
     bumped = replace(can, mu=Matrix(mu))
     passed = [("H1", "pass", None), ("H2", "pass", None)]
@@ -2297,7 +2323,7 @@ def _validation_carriers():
 
 def _bumped_tensor(draw, t):
     """The Tensor3 t with one entry changed by a nonzero amount."""
-    planes = [list(plane) for plane in t.data]
+    planes = dense_entries(t)
     i = draw(st.integers(0, len(planes) - 1))
     planes[i] = _bumped(draw, planes[i])
     return Tensor3(planes)
@@ -2313,7 +2339,7 @@ def perturbed_bialgebra(draw, h):
     if part == "comult":
         return replace(h, comult=_bumped_tensor(draw, h.comult))
     if part == "twist":
-        g = Matrix(_bumped(draw, h.gamma.data))
+        g = Matrix(_bumped(draw, dense_entries(h.gamma)))
         assume(g.det() != 0)
         return replace(h, gamma=g)
     return h
@@ -2347,7 +2373,7 @@ def test_perturbed_validation_carriers_fail_with_the_dense_witness():
     for d in _validation_carriers():
         assert validate_long_dimodule(d).ok, d.basis
         for part in ("action", "coaction"):
-            t = [[list(row) for row in plane] for plane in getattr(d, part).data]
+            t = dense_entries(getattr(d, part))
             t[-1][-1][-1] += 1
             bad = replace(d, **{part: Tensor3(t)})
             rep = validate_long_dimodule(bad)
@@ -2357,11 +2383,11 @@ def test_perturbed_validation_carriers_fail_with_the_dense_witness():
 
 def _trivial_yd(h, mu):
     """h . m = eps(h) mu(m) and rho(m) = 1 (x) mu(m) over h without its antipode."""
-    d = mu.rows
+    d, rows = mu.rows, dense_entries(mu)
     return YetterDrinfeldModule(
         replace(h, antipode=None), d,
-        Tensor3.from_function(h.dim, d, d, lambda i, j, k: h.counit[i] * mu.data[k][j]),
-        Tensor3.from_function(d, h.dim, d, lambda j, a, k: h.unit[a] * mu.data[k][j]), mu)
+        Tensor3.from_function(h.dim, d, d, lambda i, j, k: h.counit[i] * rows[k][j]),
+        Tensor3.from_function(d, h.dim, d, lambda j, a, k: h.unit[a] * rows[k][j]), mu)
 
 
 @functools.lru_cache(maxsize=None)
@@ -2390,7 +2416,7 @@ def perturbed_yd(draw, m):
     changed (kept invertible)."""
     part = draw(st.sampled_from((None, "action", "coaction", "structure_map")))
     if part == "structure_map":
-        mu = Matrix(_bumped(draw, m.structure_map.data))
+        mu = Matrix(_bumped(draw, dense_entries(m.structure_map)))
         assume(mu.det() != 0)
         return replace(m, structure_map=mu)
     if part:
@@ -2424,7 +2450,7 @@ def _hopf_carriers():
 
 
 def _bumped_matrix(draw, m):
-    return Matrix(_bumped(draw, m.data))
+    return Matrix(_bumped(draw, dense_entries(m)))
 
 
 @st.composite
@@ -2556,7 +2582,7 @@ def _one_sided_kz2():
     """kz2 with 1 g = 2 g: its product is not Hom-associative, and kz2's R
     has a convolution inverse on one side only."""
     kz2 = fx.kz2()
-    planes = [[list(row) for row in plane] for plane in kz2.mult.data]
+    planes = dense_entries(kz2.mult)
     planes[0][1][1] += 1
     return replace(kz2, mult=Tensor3(planes))
 
@@ -2598,20 +2624,20 @@ def test_triangular_r_skips_the_convolution_solve(monkeypatch):
 def tensor_hopf_elementwise(h, b):
     nh, nb = h.dim, b.dim
     n = nh * nb
-    mh, mb = h.mult, b.mult
-    ch, cb = h.comult, b.comult
+    mh, mb = dense_entries(h.mult), dense_entries(b.mult)
+    ch, cb = dense_entries(h.comult), dense_entries(b.comult)
 
     def mult_entry(i, j, k):
         i0, i1 = divmod(i, nb)
         j0, j1 = divmod(j, nb)
         k0, k1 = divmod(k, nb)
-        return mh.data[i0][j0][k0] * mb.data[i1][j1][k1]
+        return mh[i0][j0][k0] * mb[i1][j1][k1]
 
     def comult_entry(i, j, k):
         i0, i1 = divmod(i, nb)
         j0, j1 = divmod(j, nb)
         k0, k1 = divmod(k, nb)
-        return ch.data[i0][j0][k0] * cb.data[i1][j1][k1]
+        return ch[i0][j0][k0] * cb[i1][j1][k1]
 
     names = tuple("%s⊗%s" % (x, y) for x in h.basis for y in b.basis)
     s = (None if h.antipode is None or b.antipode is None
@@ -2625,18 +2651,18 @@ def dual_hopf_elementwise(b):
     """(f*g)(y) = f(b^-2(y1)) g(b^-2(y2)), Delta(f)(x(x)y) = f(b^-2(xy))."""
     n = b.dim
     b1i = b.gamma.inv()
-    b2i = mul(b1i, b1i)
-    cm, mt = b.comult, b.mult
+    b2i = dense_entries(mul(b1i, b1i))
+    cm, mt = dense_entries(b.comult), dense_entries(b.mult)
 
     def mult_entry(i, j, k):
         s = ZERO
         for c in range(n):
             for d in range(n):
-                s += cm.data[k][c][d] * b2i.data[i][c] * b2i.data[j][d]
+                s += cm[k][c][d] * b2i[i][c] * b2i[j][d]
         return s
 
     def comult_entry(i, j, k):
-        return sum((mt.data[j][k][e] * b2i.data[i][e] for e in range(n)), ZERO)
+        return sum((mt[j][k][e] * b2i[i][e] for e in range(n)), ZERO)
 
     names = tuple(x + "*" for x in b.basis)
     s = b.antipode
@@ -2646,7 +2672,8 @@ def dual_hopf_elementwise(b):
 
 
 def opposite_algebra_elementwise(a):
-    mult_op = Tensor3.from_function(a.dim, a.dim, a.dim, lambda i, j, k: a.mult.data[j][i][k])
+    mult = dense_entries(a.mult)
+    mult_op = Tensor3.from_function(a.dim, a.dim, a.dim, lambda i, j, k: mult[j][i][k])
     return HomStructure(a.dim, a.gamma, mult_op, a.unit, basis=a.basis)
 
 
@@ -2654,16 +2681,17 @@ def canonical_dimodule_elementwise(h, b):
     """h.(g (x) x) = hg (x) b(x) and rho(g (x) x) = x1 (x) (a(g) (x) x2)."""
     nh, nb = h.dim, b.dim
     d = nh * nb
+    h_mult, h_gamma, b_comult, b_gamma = map(dense_entries, (h.mult, h.gamma, b.comult, b.gamma))
 
     def act(hh, i, j):
         g, x = divmod(i, nb)
         a, y = divmod(j, nb)
-        return h.mult.data[hh][g][a] * b.gamma.data[y][x]
+        return h_mult[hh][g][a] * b_gamma[y][x]
 
     def coact(i, c, j):
         g, x = divmod(i, nb)
         a, y = divmod(j, nb)
-        return b.comult.data[x][c][y] * h.gamma.data[a][g]
+        return b_comult[x][c][y] * h_gamma[a][g]
 
     names = tuple("%s⊗%s" % (x, y) for x in h.basis for y in b.basis)
     return HomLongDimodule(h, b, d, Tensor3.from_function(nh, d, d, act),
@@ -2671,9 +2699,9 @@ def canonical_dimodule_elementwise(h, b):
 
 
 def trivial_dimodule_elementwise(h, b, mu):
-    d = mu.rows
-    act = Tensor3.from_function(h.dim, d, d, lambda i, j, k: h.counit[i] * mu.data[k][j])
-    coact = Tensor3.from_function(d, b.dim, d, lambda j, a, k: b.unit[a] * mu.data[k][j])
+    d, rows = mu.rows, dense_entries(mu)
+    act = Tensor3.from_function(h.dim, d, d, lambda i, j, k: h.counit[i] * rows[k][j])
+    coact = Tensor3.from_function(d, b.dim, d, lambda j, a, k: b.unit[a] * rows[k][j])
     return HomLongDimodule(h, b, d, act, coact, mu)
 
 
@@ -2698,14 +2726,15 @@ def dual_elementwise(m, side):
     nh, nb, d = h.dim, b.dim, m.dim
     mu2i = mul(m.mu, m.mu).inv()
     # p[i][(h, j)] = coeff of m_i in (h_twist e_h).mu^-2(m_j)
-    p = mul(product_map(m.action), kron(h_twist, mu2i))
-    act = Tensor3.from_function(nh, d, d, lambda hh, i, j: p.data[i][hh * d + j])
+    p = dense_entries(mul(product_map(m.action), kron(h_twist, mu2i)))
+    act = Tensor3.from_function(nh, d, d, lambda hh, i, j: p[i][hh * d + j])
+    rho, b_twist, mu2i = dense_entries(m.coaction), dense_entries(b_twist), dense_entries(mu2i)
 
     def coact(i, a, l):
         s = ZERO
         for c in range(nb):
             for o in range(d):
-                s += m.coaction.data[l][c][o] * b_twist.data[a][c] * mu2i.data[i][o]
+                s += rho[l][c][o] * b_twist[a][c] * mu2i[i][o]
         return s
 
     dual = HomLongDimodule(h, b, d, act, Tensor3.from_function(d, nb, d, coact),
@@ -2753,12 +2782,13 @@ def smash_product_algebra_elementwise(b, h):
     halg = h.algebra
     nd, nh = dual_alg.dim, halg.dim
     n = nd * nh
+    dual_mult, h_mult = dense_entries(dual_alg.mult), dense_entries(halg.mult)
 
     def mult_entry(i, j, k):
         i0, i1 = divmod(i, nh)
         j0, j1 = divmod(j, nh)
         k0, k1 = divmod(k, nh)
-        return dual_alg.mult.data[i0][j0][k0] * halg.mult.data[i1][j1][k1]
+        return dual_mult[i0][j0][k0] * h_mult[i1][j1][k1]
 
     names = tuple("%s⊗%s" % (x, y) for x in dual_alg.basis for y in halg.basis)
     return HomStructure(n, kron(dual_alg.gamma, halg.gamma),
@@ -2770,11 +2800,12 @@ def to_smash_module_elementwise(m):
     """(p (x) h) . x = p(x_-1) h . mu^-1(x_0)."""
     h, b = m.H, m.B
     nh, nb, d = h.dim, b.dim, m.dim
-    p = mul(product_map(m.action), kron(Matrix.identity(nh), m.mu.inv()))
+    p = dense_entries(mul(product_map(m.action), kron(Matrix.identity(nh), m.mu.inv())))
+    rho = dense_entries(m.coaction)
 
     def act(ph, i, j):
         pp, hh = divmod(ph, nh)
-        return sum((m.coaction.data[i][pp][o] * p.data[j][hh * d + o] for o in range(d)), ZERO)
+        return sum((rho[i][pp][o] * p[j][hh * d + o] for o in range(d)), ZERO)
 
     return HomModule(smash_product_algebra_elementwise(b, h), d,
                      Tensor3.from_function(nb * nh, d, d, act), m.mu, m.basis)
@@ -2783,13 +2814,13 @@ def to_smash_module_elementwise(m):
 def from_smash_module_elementwise(n, h, b):
     """h.m = (eps_B (x) h) . m and m_-1 (x) m_0 = sum_i b_i (x) (f^i (x) 1_H) . m."""
     nh, nb, d = h.dim, b.dim, n.dim
-    actn = n.action
+    actn = dense_entries(n.action)
 
     def act(hh, i, j):
-        return sum((b.counit[a] * actn.data[a * nh + hh][i][j] for a in range(nb)), ZERO)
+        return sum((b.counit[a] * actn[a * nh + hh][i][j] for a in range(nb)), ZERO)
 
     def coact(i, a, j):
-        return sum((h.unit[t] * actn.data[a * nh + t][i][j] for t in range(nh)), ZERO)
+        return sum((h.unit[t] * actn[a * nh + t][i][j] for t in range(nh)), ZERO)
 
     return HomLongDimodule(h, b, d, Tensor3.from_function(nh, d, d, act),
                            Tensor3.from_function(d, nb, d, coact), n.nu, n.basis)
@@ -2800,19 +2831,19 @@ def hb_yd_structure_elementwise(ctx, m):
     rho(m) = R2 (x) b^-3(m_-1) (x) R1 . mu^-1(m_0)."""
     nh, nb, d = ctx.H.dim, ctx.B.dim, m.dim
     al3i, be3i, mui = power(ctx.H.gamma, 3).inv(), power(ctx.B.gamma, 3).inv(), m.mu.inv()
-    f, r, rho = ctx.form, ctx.R, m.coaction
-    p_act = mul(product_map(m.action), kron(al3i, mui))
-    p_id = mul(product_map(m.action), kron(Matrix.identity(nh), mui))
+    f, r, rho, be3i = map(dense_entries, (ctx.form, ctx.R, m.coaction, be3i))
+    p_act = dense_entries(mul(product_map(m.action), kron(al3i, mui)))
+    p_id = dense_entries(mul(product_map(m.action), kron(Matrix.identity(nh), mui)))
 
     def act(hx, i, j):
         hh, x = divmod(hx, nb)
-        return sum((f.data[x][a] * rho.data[i][a][o] * p_act.data[j][hh * d + o]
+        return sum((f[x][a] * rho[i][a][o] * p_act[j][hh * d + o]
                     for a in range(nb) for o in range(d)), ZERO)
 
     def coact(i, hx, j):
         jq, bb = divmod(hx, nb)
-        return sum((r.data[iq][jq] * be3i.data[bb][c] * rho.data[i][c][o]
-                    * p_id.data[j][iq * d + o]
+        return sum((r[iq][jq] * be3i[bb][c] * rho[i][c][o]
+                    * p_id[j][iq * d + o]
                     for iq in range(nh) for c in range(nb) for o in range(d)), ZERO)
 
     return YetterDrinfeldModule(replace(tensor_hopf_elementwise(ctx.H, ctx.B), antipode=None),
@@ -2821,14 +2852,14 @@ def hb_yd_structure_elementwise(ctx, m):
 
 
 def module_as_dimodule_elementwise(h, m, b):
-    coact = Tensor3.from_function(m.dim, b.dim, m.dim,
-                                  lambda i, a, j: b.unit[a] * m.nu.data[j][i])
+    nu = dense_entries(m.nu)
+    coact = Tensor3.from_function(m.dim, b.dim, m.dim, lambda i, a, j: b.unit[a] * nu[j][i])
     return HomLongDimodule(h, b, m.dim, m.action, coact, m.nu, m.basis)
 
 
 def comodule_as_dimodule_elementwise(b, m, h):
-    act = Tensor3.from_function(h.dim, m.dim, m.dim,
-                                lambda a, i, j: h.counit[a] * m.mu.data[j][i])
+    mu = dense_entries(m.mu)
+    act = Tensor3.from_function(h.dim, m.dim, m.dim, lambda a, i, j: h.counit[a] * mu[j][i])
     return HomLongDimodule(h, b, m.dim, act, m.coaction, m.mu, m.basis)
 
 
@@ -2836,17 +2867,17 @@ def module_extension_elementwise(h, m):
     """h.(g (x) x) = a(g) (x) h.x and rho(g (x) x) = g1 (x) (g2 (x) mu(x))."""
     nh, dm = h.dim, m.dim
     d = nh * dm
-    p = product_map(m.action)
+    p, gamma, comult, nu = map(dense_entries, (product_map(m.action), h.gamma, h.comult, m.nu))
 
     def act(hh, i, j):
         g, x = divmod(i, dm)
         a, jj = divmod(j, dm)
-        return h.gamma.data[a][g] * p.data[jj][hh * dm + x]
+        return gamma[a][g] * p[jj][hh * dm + x]
 
     def coact(i, c, j):
         g, x = divmod(i, dm)
         a, jj = divmod(j, dm)
-        return h.comult.data[g][c][a] * m.nu.data[jj][x]
+        return comult[g][c][a] * nu[jj][x]
 
     names = tuple("%s⊗%s" % (a, b) for a in h.basis for b in m.basis)
     return HAlphaLongDimodule(h, d, Tensor3.from_function(nh, d, d, act),
@@ -2857,16 +2888,17 @@ def comodule_extension_elementwise(h, m):
     """h.(g (x) x) = hg (x) mu(x) and rho(g (x) x) = x_-1 (x) (a(g) (x) x_0)."""
     nh, dm = h.dim, m.dim
     d = nh * dm
+    mult, gamma, rho, mu = map(dense_entries, (h.mult, h.gamma, m.coaction, m.mu))
 
     def act(hh, i, j):
         g, x = divmod(i, dm)
         a, jj = divmod(j, dm)
-        return h.mult.data[hh][g][a] * m.mu.data[jj][x]
+        return mult[hh][g][a] * mu[jj][x]
 
     def coact(i, c, j):
         g, x = divmod(i, dm)
         a, jj = divmod(j, dm)
-        return m.coaction.data[x][c][jj] * h.gamma.data[a][g]
+        return rho[x][c][jj] * gamma[a][g]
 
     names = tuple("%s⊗%s" % (a, b) for a in h.basis for b in m.basis)
     return HAlphaLongDimodule(h, d, Tensor3.from_function(nh, d, d, act),
@@ -2877,9 +2909,10 @@ def dimodule_solution_elementwise(d):
     """R(m (x) n) = n_-1 . m (x) n_0."""
     n = d.dim
     out = [[ZERO] * (n * n) for _ in range(n * n)]
+    rho, act = dense_entries(d.coaction), dense_entries(d.action)
     for i, j, ii, jj in itertools.product(range(n), repeat=4):
         out[ii * n + jj][i * n + j] = sum(
-            (d.coaction.data[j][a][jj] * d.action.data[a][i][ii]
+            (rho[j][a][jj] * act[a][i][ii]
              for a in range(d.coaction.d1)), ZERO)
     return OperatorOnTensorSquare(n, Matrix(out), d.mu)
 
@@ -3071,8 +3104,8 @@ def test_kron_matches_sympy(data):
                                for _ in range(2)))
     expected = sympy.kronecker_product(sympy.Matrix(a.to_lists()), sympy.Matrix(b.to_lists()))
     assert sympy.Matrix(kron(a, b).to_lists()) == expected
-    u, v = column_of(a.data[0]), column_of(b.data[0])
-    assert kron(u, v) == column_of(kron(row_matrix(u), row_matrix(v)).data[0])
+    u, v = column_of(dense_entries(a)[0]), column_of(dense_entries(b)[0])
+    assert kron(u, v) == column_of(dense_entries(kron(row_matrix(u), row_matrix(v)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -3297,11 +3330,11 @@ def test_batched_composites_on_zero_dimensional_legs(case, data):
 
 
 def _fresh_product_columns(t):
-    return linalg.int_columns(row for plane in t.data for row in plane)
+    return linalg.int_columns(row for plane in dense_entries(t) for row in plane)
 
 
 def _fresh_coproduct_columns(t):
-    return linalg.int_columns([x for row in plane for x in row] for plane in t.data)
+    return linalg.int_columns([x for row in plane for x in row] for plane in dense_entries(t))
 
 
 def test_cached_columns_are_never_changed_by_their_users():
@@ -3438,8 +3471,8 @@ def systems(draw):
     a = Matrix([[sum((left[i][k] * right[k][j] for k in range(rank)), ZERO)
                  for j in range(n)] for i in range(m)], m, n)
     if draw(st.booleans()):
-        x = [draw(entries) for _ in range(n)]
-        b = [sum((a.data[i][j] * x[j] for j in range(n)), ZERO) for i in range(m)]
+        x, rows = [draw(entries) for _ in range(n)], dense_entries(a)
+        b = [sum((rows[i][j] * x[j] for j in range(n)), ZERO) for i in range(m)]
     else:
         b = [draw(entries) for _ in range(m)]
     return a, column_of(b)
@@ -3450,7 +3483,7 @@ def systems(draw):
 def test_fraction_free_elimination_matches_fraction_oracle(system):
     a, b = system
     assert solve_exact(a, b) == fraction_solve(a, b)
-    square = Matrix([row[:a.rows] for row in a.data], a.rows, min(a.rows, a.cols))
+    square = Matrix([row[:a.rows] for row in dense_entries(a)], a.rows, min(a.rows, a.cols))
     if square.rows == square.cols:
         assert square.det() == fraction_det(square)
         inverse = fraction_inv(square)
@@ -3546,13 +3579,13 @@ def test_loader_matches_the_fraction_coercing_oracle(case):
         if coproduct:
             assert linalg.coproduct_columns(new) == _fresh_coproduct_columns(old)
     assert new == old and old == new and hash(new) == hash(old)
-    assert new.data == old.data
+    assert dense_entries(new) == dense_entries(old)
     assert new.to_json() == old.to_json() == [
-        _json_entries(x) for x in old.data]
+        _json_entries(x) for x in dense_entries(old)]
 
 
 def _json_entries(x):
-    return [_json_entries(y) for y in x] if isinstance(x, tuple) else scalar_to_json(x)
+    return [_json_entries(y) for y in x] if isinstance(x, list) else json_scalar(x)
 
 
 def test_demo_files_load_unchanged():
@@ -3574,14 +3607,16 @@ def test_demo_files_load_unchanged():
 
 def test_cli_checks_on_demo_files_read_no_dense_view(monkeypatch, capsys):
     # check ybe, hexagon and coherence run on the int columns the loader
-    # read: no Matrix or Tensor3 builds its dense data view, and int_columns,
-    # the reader, runs only inside the loaders, never in a check
+    # read: no entry of a Matrix or Tensor3 is read as a Fraction, by
+    # indexing or by to_lists, and int_columns, the reader, runs only inside
+    # the loaders, never in a check
     views, outside = [], []
     for cls in (Matrix, Tensor3):
-        def data(self, fget=cls.data.fget):
-            views.append(self)
-            return fget(self)
-        monkeypatch.setattr(cls, "data", property(data))
+        for name in ("to_lists", "__getitem__"):
+            def read(self, *args, method=getattr(cls, name)):
+                views.append(self)
+                return method(self, *args)
+            monkeypatch.setattr(cls, name, read)
     int_columns = linalg.int_columns
     loaders = {hio.load_structure.__code__, hio.load_context.__code__}
 

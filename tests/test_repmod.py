@@ -50,7 +50,7 @@ def test_trivial_comodule(kz2):
     mu = Matrix.diagonal([1, 2])
     m = HomComodule(kz2.coalgebra, 2,
                     Tensor3.from_function(2, 2, 2,
-                                          lambda i, a, j: kz2.unit[a] * mu.data[j][i]),
+                                          lambda i, a, j: kz2.unit[a] * mu[j, i]),
                     mu)
     assert validate_hom_comodule(kz2.coalgebra, m).ok
 
@@ -70,8 +70,8 @@ def test_yd_sign_module(kz2):
 
 def test_yd_trivial(kz2):
     mu = Matrix.diagonal([1, 2])
-    act = Tensor3.from_function(2, 2, 2, lambda h, i, j: kz2.counit[h] * mu.data[j][i])
-    coact = Tensor3.from_function(2, 2, 2, lambda i, a, j: kz2.unit[a] * mu.data[j][i])
+    act = Tensor3.from_function(2, 2, 2, lambda h, i, j: kz2.counit[h] * mu[j, i])
+    coact = Tensor3.from_function(2, 2, 2, lambda i, a, j: kz2.unit[a] * mu[j, i])
     yd = YetterDrinfeldModule(replace(kz2, antipode=None), 2, act, coact, mu)
     rep = check_yd(kz2, yd)
     assert rep.passed("HYD") and rep.passed("HYD-prime")
@@ -98,8 +98,8 @@ def test_yd_spec_counterexample_is_invalid_comodule(kz2):
 def test_yd_over_twisted(kz4t):
     # trivial action/coaction with arbitrary invertible structure map
     mu = Matrix.diagonal([1, 2])
-    act = Tensor3.from_function(4, 2, 2, lambda h, i, j: kz4t.counit[h] * mu.data[j][i])
-    coact = Tensor3.from_function(2, 4, 2, lambda i, a, j: kz4t.unit[a] * mu.data[j][i])
+    act = Tensor3.from_function(4, 2, 2, lambda h, i, j: kz4t.counit[h] * mu[j, i])
+    coact = Tensor3.from_function(2, 4, 2, lambda i, a, j: kz4t.unit[a] * mu[j, i])
     yd = YetterDrinfeldModule(replace(kz4t, antipode=None), 2, act, coact, mu)
     rep = check_yd(kz4t, yd)
     assert rep.ok and rep.flags["hyd-consistent"]
@@ -107,8 +107,8 @@ def test_yd_over_twisted(kz4t):
 
 def test_prebraiding_trivial_coaction_is_flip(kz2):
     mu = Matrix.diagonal([1, 2])
-    act = Tensor3.from_function(2, 2, 2, lambda h, i, j: kz2.counit[h] * mu.data[j][i])
-    coact = Tensor3.from_function(2, 2, 2, lambda i, a, j: kz2.unit[a] * mu.data[j][i])
+    act = Tensor3.from_function(2, 2, 2, lambda h, i, j: kz2.counit[h] * mu[j, i])
+    coact = Tensor3.from_function(2, 2, 2, lambda i, a, j: kz2.unit[a] * mu[j, i])
     m = YetterDrinfeldModule(replace(kz2, antipode=None), 2, act, coact, mu)
     n = sign_yd(kz2)
     assert yd_prebraiding(m, n) == flip_matrix(2, 1)
