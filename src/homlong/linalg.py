@@ -44,16 +44,20 @@ column, on distinct rows (mu, its inverse, alpha, the associators' legs, a
 flip), makes no pass of its own: the plan carries it past steps on other
 legs into the next step on its legs, whose columns it re-indexes and
 scales, and drops it where it composes to the identity, as mu^-1 and mu of
-consecutive associators do.
+consecutive associators do.  A smaller composite, such as the 4-27-column
+ones of the Hom-Long checks, is planned in the one loop that checks its
+steps, and its readings run it as a single batch.
 Composite.first_difference compares two composites on batches of
 BATCH_COLUMNS columns from column 0, and stops at the first batch that
 differs; columns() gives one composite as int columns, a step for a further
 composite, matrix() the Matrix over the same columns, and product() and
 coproduct() its two Tensor3 readings, all run BATCH_COLUMNS columns at a
-time.  Every constructed structure map is such a composite: per_leg_matrix
-gives a tensor product of maps, and the Tensor3 readings a multiplication,
-action, comultiplication or coaction, so no map is written as an index sum
-over structure constants or as a Kronecker product.
+time, and a composite of at most BATCH_COLUMNS columns at once, with no
+generator of batches.  Every constructed structure map is such a
+composite: per_leg_matrix gives a tensor product of maps, and the Tensor3
+readings a multiplication, action, comultiplication or coaction, so no map
+is written as an index sum over structure constants or as a Kronecker
+product.
 
 Matrix and Tensor3 are immutable, so each keeps what is derived from it
 once computed: a Matrix its determinant and inverse, a Tensor3 also its
@@ -247,17 +251,25 @@ class Matrix:
         self._inverse = Matrix.from_int_columns(inverse, d, n)
 
     def to_lists(self):
-        """The rows as lists of Fractions, the entries of to_json read by
-        scalar; a 0, most entries of a structure map, is ZERO without a call."""
-        return [[ZERO if x == 0 else scalar(x) for x in row] for row in self.to_json()]
+        """The rows as lists of Fractions, each entry Fraction(x, scale)
+        straight from its int column; 0 is ZERO and a whole 1 is ONE.
+        Matrix(rows) reads the shape back from the list lengths, so a map
+        with 0 rows (an empty list) reads back only when its shape is given:
+        Matrix(m.to_lists(), rows=m.rows, cols=m.cols) == m."""
+        return self._dense(ZERO, _fraction)
 
     def to_json(self):
         """The rows as ints and "p/q" strings, written from the columns."""
-        out = [[0] * self.cols for _ in range(self.rows)]
+        return self._dense(0, _json_scalar)
+
+    def _dense(self, zero, read):
+        """The rows, the entry x of an int column read as read(x, scale) and
+        every other entry zero."""
+        out = [[zero] * self.cols for _ in range(self.rows)]
         cols, scale = self._sparse
         for j, col in enumerate(cols):
             for i, x in col:
-                out[i][j] = _json_scalar(x, scale)
+                out[i][j] = read(x, scale)
         return out
 
     def __repr__(self):
@@ -311,6 +323,11 @@ def _canonical(cols, scale):
     for c in cols:
         c.sort()
     return cols, scale
+
+
+def _fraction(x, scale):
+    """The entry x / scale as a Fraction, the shared ONE when it is 1."""
+    return ONE if x == scale else Fraction(x, scale)
 
 
 def _json_scalar(x, scale):
@@ -406,8 +423,9 @@ def sparse_columns(m):
     return m._sparse
 
 
-# the most leg-move shapes whose index tables move_legs keeps; a run of a
-# benchmark workload meets 8 to 34
+# the most shapes whose index tables move_legs keeps, and whose flips
+# flip_columns keeps; a run of a benchmark workload meets 8 to 34 leg-move
+# shapes
 _MOVE_TABLE_SHAPES = 256
 
 
@@ -473,9 +491,11 @@ def per_leg(*maps):
     return [(sparse_columns(f), (k,), (f.rows,)) for k, f in enumerate(maps)]
 
 
+@functools.lru_cache(maxsize=_MOVE_TABLE_SHAPES)
 def flip_columns(d0, d1):
     """The swap X (x) Y -> Y (x) X of legs of dims d0, d1; as a step its
-    out_dims are (d1, d0)."""
+    out_dims are (d1, d0).  Kept per shape, as move_legs' tables are, and
+    shared like sparse_columns, so the lists are not to be changed."""
     return [[(j * d0 + i, 1)] for i in range(d0) for j in range(d1)], 1
 
 
@@ -504,7 +524,9 @@ BATCH_COLUMNS = 256
 # _plan folds away: a fold is a pass over the next step's columns at plan
 # time, which the 4-27-column composites of the Hom-Long search do not win
 # back; folded at every size, the search-grid benchmark ran 0.9x as many ops
-# per reference time, its tail op 1.2x as costly (seven 8 s pairs, 2 vCPUs)
+# per reference time, its tail op 1.2x as costly (seven 8 s pairs, 2 vCPUs).
+# Below it _plan plans the steps in the loop that checks them, so a small
+# composite's plan costs one pass over its steps
 FOLD_MIN_COLUMNS = 64
 
 
@@ -522,8 +544,11 @@ def _plan(steps, dims):
     for it.  The composite's value is the same; scale is the product of the
     scales of the planned steps, which is the product of all the steps'
     scales unless a carried map cancelled to the identity (mu then mu^-1)
-    and was dropped with its scales."""
-    shaped, d = [], tuple(dims)
+    and was dropped with its scales.  Below the gate the loop that checks
+    the steps also plans them; only a folded composite is planned again,
+    from its folded steps."""
+    fold = math.prod(dims) >= FOLD_MIN_COLUMNS
+    plan, shaped, d, scale = [], [], tuple(dims), 1
     for (cols, sc), legs, out in steps:
         first, stop = legs[0], legs[-1] + 1
         ins = d[first:stop]
@@ -531,14 +556,17 @@ def _plan(steps, dims):
         if tuple(legs) != tuple(range(first, stop)) or stop > len(d) or len(cols) != blk_in:
             raise DimensionMismatch("map with %d columns on legs %r of %r" % (len(cols), legs, d))
         out = ins if out is None else tuple(out)
-        shaped.append((cols, sc, first, ins, out))
-        d = d[:first] + out + d[stop:]
+        suf = math.prod(d[stop:])
+        plan.append((cols, blk_in * suf, suf, math.prod(out) * suf))
+        if fold:
+            shaped.append((cols, sc, first, ins, out))
+        d, scale = d[:first] + out + d[stop:], scale * sc
     # every leg a step meets is an input leg or lands from a step, so none
     # is 0-dimensional when neither is
-    if math.prod(dims) >= FOLD_MIN_COLUMNS and not any(0 in s[4] for s in shaped):
-        shaped = _fold(shaped)
+    if not fold or any(0 in s[4] for s in shaped):
+        return plan, d, scale
     plan, d, scale = [], tuple(dims), 1
-    for cols, sc, first, ins, out in shaped:
+    for cols, sc, first, ins, out in _fold(shaped):
         stop = first + len(ins)
         suf = math.prod(d[stop:])
         plan.append((cols, math.prod(ins) * suf, suf, math.prod(out) * suf))
@@ -658,36 +686,46 @@ class Composite:
     BATCH_COLUMNS basis columns at a time, with no Fraction on the way, and
     changes no step's columns."""
 
-    __slots__ = ("dims", "out_dims", "_plan", "_scale")
+    __slots__ = ("dims", "out_dims", "_d_in", "_first", "_rest", "_scale")
 
     def __init__(self, steps, dims):
         self.dims = tuple(dims)
-        self._plan, self.out_dims, self._scale = _plan(steps, self.dims)
+        plan, self.out_dims, self._scale = _plan(steps, self.dims)
+        d_in = self._d_in = math.prod(self.dims)
+        # an empty plan starts from the identity on no legs
+        self._first = plan[0] if plan else ([[(0, 1)]], d_in, d_in, d_in)
+        self._rest = plan[1:]
+
+    def _batch(self, x, start, stop):
+        """The image of x times the basis columns start to stop - 1, run as
+        the one sparse vector sum_j x e_j (x) e_j: its leading leg is the
+        column index j, so entry r of column j's image is at key j * rows
+        + r, and each column's entries come in the order of its own run.
+        The first planned step's image of the batch is written straight
+        from that step's columns, with no sums and no zero filter, since
+        distinct basis columns land on distinct keys and x times a nonzero
+        entry is never 0; _run takes the rest of the plan from there."""
+        cols, span, suf, span_out = self._first
+        vec, step = {}, self._d_in + 1
+        for idx in range(start * step, stop * step, step):
+            p = idx // span
+            s = idx - p * span
+            k = s // suf
+            base = p * span_out + s - k * suf
+            for r, y in cols[k]:
+                vec[base + r * suf] = x * y
+        return _run(self._rest, vec)
 
     def _batches(self, x):
-        """The images of x times the basis columns, a batch of BATCH_COLUMNS
-        from column 0 at a time, each batch run as the one sparse vector
-        sum_j x e_j (x) e_j: its leading leg is the column index j, so entry
-        r of column j's image is at key j * rows + r, and each column's
-        entries come in the order of its own run.  The first planned step's
-        image of the batch is written straight from that step's columns,
-        with no sums and no zero filter, since distinct basis columns land
-        on distinct keys and x times a nonzero entry is never 0; _run takes
-        the rest of the plan from there."""
-        d_in = math.prod(self.dims)
-        # an empty plan starts from the identity on no legs
-        (cols, span, suf, span_out), *rest = self._plan or [([[(0, 1)]], d_in, d_in, d_in)]
-        for start in range(0, d_in, BATCH_COLUMNS):
-            vec = {}
-            for j in range(start, min(start + BATCH_COLUMNS, d_in)):
-                idx = j * d_in + j
-                p = idx // span
-                s = idx - p * span
-                k = s // suf
-                base = p * span_out + s - k * suf
-                for r, y in cols[k]:
-                    vec[base + r * suf] = x * y
-            yield _run(rest, vec)
+        """The images of x times the basis columns, a batch (_batch) of
+        BATCH_COLUMNS from column 0 at a time: a composite of at most
+        BATCH_COLUMNS columns is one batch, run at once, and a larger one a
+        generator that runs each batch when it is asked for."""
+        d_in = self._d_in
+        if d_in <= BATCH_COLUMNS:
+            return (self._batch(x, 0, d_in),)
+        return (self._batch(x, start, min(start + BATCH_COLUMNS, d_in))
+                for start in range(0, d_in, BATCH_COLUMNS))
 
     def columns(self):
         """The composite as (cols, scale), a step for a further composite:
@@ -697,7 +735,7 @@ class Composite:
         to the identity (mu then mu^-1); Matrix.from_int_columns sorts and
         reduces them to the canonical form int_columns gives."""
         rows = math.prod(self.out_dims)
-        cols = [[] for _ in range(math.prod(self.dims))]
+        cols = [[] for _ in range(self._d_in)]
         for batch in self._batches(1):
             for key, x in batch.items():
                 j, r = divmod(key, rows)
@@ -719,7 +757,7 @@ class Composite:
         whose first output has dim first_out: the columns with legs moved
         once, to its product-like columns."""
         rows = math.prod(self.out_dims)
-        dims = (math.prod(self.dims), first_out, rows // first_out)
+        dims = (self._d_in, first_out, rows // first_out)
         if rows % first_out:
             raise DimensionMismatch("matrix has %d rows, expected %d"
                                     % (rows, first_out * dims[2]))
@@ -848,20 +886,26 @@ class Tensor3(Matrix):
     __hash__ = Matrix.__hash__
 
     def to_lists(self):
-        """T[i][j][k] as Matrix.to_lists reads it, so Tensor3(t.to_lists()) == t."""
-        return [[[ZERO if x == 0 else scalar(x) for x in row] for row in plane]
-                for plane in self.to_json()]
+        """T[i][j][k] as Matrix.to_lists reads it, so Tensor3(t.to_lists()) == t.
+        Tensor3(data) reads the dims back from the list lengths, so a map
+        with a 0-dimensional leg (first or second) reads back only when its
+        shape is given: Tensor3(t.to_lists(), dims=t.dims) == t."""
+        return self._dense(ZERO, _fraction)
 
     def to_json(self):
         """T[i][j][k] as nested lists of ints and "p/q" strings, written from
         the columns."""
+        return self._dense(0, _json_scalar)
+
+    def _dense(self, zero, read):
+        """T[i][j][k] as Matrix._dense reads the entries."""
         d1, d2 = self.d1, self.rows
-        out = [[[0] * d2 for _ in range(d1)] for _ in range(self.d0)]
+        out = [[[zero] * d2 for _ in range(d1)] for _ in range(self.d0)]
         cols, scale = self._sparse
         for c, col in enumerate(cols):
             row = out[c // d1][c % d1]
             for k, x in col:
-                row[k] = _json_scalar(x, scale)
+                row[k] = read(x, scale)
         return out
 
     def __repr__(self):

@@ -232,6 +232,21 @@ def test_to_lists_reads_back_the_same_tensor(t):
         assert (x is linalg.ONE) == (x == 1)
 
 
+@pytest.mark.parametrize("m", [Matrix.zeros(0, 3), Matrix.zeros(3, 0)])
+def test_a_matrix_with_an_empty_side_reads_back_given_its_shape(m):
+    # 0 x 3 gives [], read as 0 x 0 when no shape is given
+    assert Matrix(m.to_lists(), rows=m.rows, cols=m.cols) == m
+    assert (Matrix(m.to_lists()) == m) == (m.rows > 0)
+
+
+@pytest.mark.parametrize("dims", [(2, 0, 3), (0, 2, 3)])
+def test_a_tensor_with_a_zero_dimensional_leg_reads_back_given_its_dims(dims):
+    # the dims read off the lists end at the first empty list
+    t = Tensor3.zeros(*dims)
+    assert Tensor3(t.to_lists(), dims=dims) == t
+    assert Tensor3(t.to_lists()).dims != dims
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_tensors())
 def test_every_index_reads_the_entry_of_to_lists(t):

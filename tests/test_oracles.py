@@ -1181,13 +1181,36 @@ def index_identity_first_failure(x, y, z):
     return None
 
 
-@settings(max_examples=40, deadline=None)
+@st.composite
+def sparse_coordinates(draw, n):
+    """Coordinates x[v][w][j][k] with at most two of X's n^3 (v, w, k)
+    columns over j nonempty, each holding one or more nonzero entries."""
+    x = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    rng = st.integers(0, n - 1)
+    for v, w, k in draw(st.sets(st.tuples(rng, rng, rng), max_size=2)):
+        for j in draw(st.sets(rng, min_size=1)):
+            x[v][w][j][k] = draw(st.sampled_from([c for c in SMALL if c]))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_index_identity_matches_oracle(data):
+    # the coordinates of drawn operators, and sparse coordinates, whose
+    # tables are read off few nonempty columns of X: y != x, over a mu with
+    # two entries in column 1
     n = data.draw(st.sampled_from((1, 2, 3)))
-    mu = data.draw(structure_maps(n))
-    x = data.draw(coordinates(n, mu))
-    y = x if data.draw(st.booleans()) else data.draw(coordinates(n, mu))
+    if n > 1 and data.draw(st.booleans()):
+        entry = st.sampled_from(SMALL)
+        mu = [[1 if i == j else (data.draw(entry) if j > i else 0) for j in range(n)]
+              for i in range(n)]
+        mu[0][1] = data.draw(st.sampled_from([c for c in SMALL if c]))
+        x = data.draw(sparse_coordinates(n))
+        y = data.draw(sparse_coordinates(n).filter(lambda y: y != x))
+    else:
+        mu = data.draw(structure_maps(n))
+        x = data.draw(coordinates(n, mu))
+        y = x if data.draw(st.booleans()) else data.draw(coordinates(n, mu))
     expected = index_identity_first_failure(x, y, mu)
     rep = coordinate_criterion(x, y, Matrix(mu))
     assert rep.passed("index-identity") == (expected is None)
@@ -3256,17 +3279,15 @@ def _one_entry_changed(draw, steps):
 
 
 def _counting_batches(counts):
-    """Composite._batches, recording the number of basis columns of each
-    batch it runs (_run starts from the first step's image of a batch, whose
-    size is not that number)."""
-    real = Composite._batches
+    """Composite._batch, the runner of one batch that every reading uses,
+    recording the number of basis columns of each batch it runs (_run starts
+    from the first step's image of a batch, whose size is not that number)."""
+    real = Composite._batch
 
-    def batches(self, x):
-        d = math.prod(self.dims)
-        for start, image in zip(range(0, d, linalg.BATCH_COLUMNS), real(self, x)):
-            counts.append(min(linalg.BATCH_COLUMNS, d - start))
-            yield image
-    return batches
+    def batch(self, x, start, stop):
+        counts.append(stop - start)
+        return real(self, x, start, stop)
+    return batch
 
 
 @settings(max_examples=150, deadline=None)
@@ -3280,7 +3301,7 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     expected = first_difference_by_column(lhs, rhs, dims)
     counts = []
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
-            mock.patch.object(Composite, "_batches", _counting_batches(counts)):
+            mock.patch.object(Composite, "_batch", _counting_batches(counts)):
         assert Composite(lhs, dims).first_difference(Composite(rhs, dims)) == expected
     runs, d = sum(counts) // 2, math.prod(dims)
     if expected is None:
