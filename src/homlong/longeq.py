@@ -20,8 +20,18 @@ single term, and _first_single_term_difference compares the two terms
 from tables built once per call.  Both return the same first failing
 triple.  The flip transforms, the legs X13 and X23 of their equations and
 the coordinate criterion's tables are maps with legs moved by move_legs.
+
+Each operator is decided once.  An OperatorOnTensorSquare keeps its first
+failing triple (first_failing_triple), as a Matrix keeps its inverse:
+check_long_equation, check_invertible_iff and tau_transforms' base check
+read it, search_solutions returns its solutions decided by its re-check,
+and tau_transforms returns W decided by its W-check.  What the coordinate
+criterion derives from mu alone (mu (x) mu^-1 as steps per leg and on
+both legs, mu read by row) is kept per structure map (_mu_steps), as
+move_legs keeps its tables per shape.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,8 +55,21 @@ class SearchSpaceTooLarge(Exception):
         self.cardinality = cardinality
 
 
+# what first_failing_triple reads before the verdict is decided; never kept
+_UNDECIDED = object()
+
+
 @dataclass(frozen=True)
 class OperatorOnTensorSquare:
+    """An operator R on M (x) M with the structure map mu of M.
+
+    Immutable, so like a Matrix with its inverse it keeps the Hom-Long
+    equation's verdict once decided (first_failing_triple).  The verdict is
+    not a field: equality, hashing, repr and dataclasses.replace (which
+    gives an undecided operator) read the fields alone, and a copy or a
+    pickle carries a decided verdict.  Keeping it is idempotent: the
+    verdict is a function of the fields."""
+
     carrier_dim: int
     matrix: Matrix         # endomorphism of M (x) M, lexicographic basis
     structure_map: Matrix  # mu, invertible
@@ -60,11 +83,24 @@ class OperatorOnTensorSquare:
             raise DimensionMismatch("structure map is %dx%d for carrier dim %d"
                                     % (self.structure_map.rows, self.structure_map.cols, n))
 
+    def first_failing_triple(self):
+        """The first basis triple (u, v, w) on which (R (x) mu)(mu (x) R) and
+        (mu (x) R)(R (x) mu) differ, None when R solves the equation;
+        decided by _first_failing_column once, then kept in the instance
+        dict, outside the frozen fields."""
+        kept = self.__dict__
+        witness = kept.get("_witness", _UNDECIDED)
+        if witness is _UNDECIDED:
+            r = sparse_columns(self.matrix)[0]
+            witness = kept["_witness"] = _first_failing_column(
+                r, r, sparse_columns(self.structure_map)[0], self.carrier_dim)
+        return witness
+
 
 def check_long_equation(op):
-    """(R x mu)(mu x R) = (mu x R)(R x mu), with a witness basis triple."""
-    r = sparse_columns(op.matrix)[0]
-    witness = _first_failing_column(r, r, sparse_columns(op.structure_map)[0], op.carrier_dim)
+    """(R x mu)(mu x R) = (mu x R)(R x mu), with a witness basis triple;
+    an operator decided before is not decided again."""
+    witness = op.first_failing_triple()
     return AxiomReport().add("hom-long-eq", witness is None, witness)
 
 
@@ -199,8 +235,8 @@ def check_invertible_iff(op):
         raise SingularMatrix("operator is not invertible")
     inv = OperatorOnTensorSquare(op.carrier_dim, op.matrix.inv(), op.structure_map)
     rep = AxiomReport()
-    r_ok = check_long_equation(op).passed("hom-long-eq")
-    i_ok = check_long_equation(inv).passed("hom-long-eq")
+    r_ok = op.first_failing_triple() is None
+    i_ok = inv.first_failing_triple() is None
     rep.add("R-longeq", r_ok)
     rep.add("Rinv-longeq", i_ok)
     rep.set_flag("iff-consistent", r_ok == i_ok)
@@ -233,24 +269,42 @@ def diagonal_solution(a, b):
 def coords_to_operator(x, z):
     """The operator m_k (x) m_l -> sum x[k][l][i][j] m_i (x) mu^-1(m_j)."""
     n = z.rows
-    steps = _coords_steps(_coords_columns(x, n), _conj(z))
+    steps = _coords_steps(_coords_columns(x, n), _mu_steps(z)[0])
     return OperatorOnTensorSquare(n, Composite(steps, (n, n)).matrix(), z)
 
 
-def _conj(z):
-    """mu (x) mu^-1 as steps on M (x) M (per_leg), for an invertible mu."""
+# the most structure maps whose steps _mu_steps keeps; a search-grid cycle
+# of the benchmark meets four
+_STRUCTURE_MAPS = 64
+
+
+@functools.lru_cache(maxsize=_STRUCTURE_MAPS)
+def _mu_steps(z):
+    """For an invertible mu: mu (x) mu^-1 as steps on M (x) M (per_leg),
+    mu's int columns read by row (entry z_i^p over i in column p), and
+    mu (x) mu^-1 as one step on both legs.  Kept per structure map (an
+    immutable Matrix, equal maps sharing an entry) and shared, like
+    move_legs' tables, so the lists are not to be changed."""
     try:
-        return per_leg(z, z.inv())
+        conj = per_leg(z, z.inv())
     except SingularMatrix:
         raise SingularMatrix("structure map is singular") from None
+    n = z.rows
+    z_row = move_legs(conj[0][0][0], (n,), (n,), (1,), (0,))
+    return conj, z_row, (Composite(conj, (n, n)).columns(), (0, 1), None)
 
 
 def _coords_columns(x, n):
     """The coordinates x[k][l][i][j] as the int columns (cols, scale) of
     X: m_k (x) m_l -> sum x[k][l][i][j] m_i (x) m_j, each entry read once
-    by int_columns (ints, Fractions and "p/q" strings)."""
-    rng = range(n)
-    return int_columns([x[k][l][i][j] for i in rng for j in rng] for k in rng for l in rng)
+    by int_columns (ints, Fractions and "p/q" strings).  A tensor that is
+    not n x n x n x n, ragged ones included, is refused with
+    DimensionMismatch."""
+    # the n^2 matrices x[k][l], in column order, when x has n rows of n
+    blocks = [b for a in x if len(a) == n for b in a] if len(x) == n else ()
+    if len(blocks) != n * n or any(len(b) != n or any(len(r) != n for r in b) for b in blocks):
+        raise DimensionMismatch("coordinate tensor is not %dx%dx%dx%d" % ((n,) * 4))
+    return int_columns([e for r in b for e in r] for b in blocks)
 
 
 def _coords_steps(xs, conj):
@@ -287,7 +341,7 @@ def coordinate_criterion(x, y, z):
     sides are linear in x, y and z, so each works on their int-scaled
     columns (_coords_columns), and y equals x exactly when those do."""
     n = z.rows
-    conj = _conj(z)
+    conj, z_row, both = _mu_steps(z)
     xs = _coords_columns(x, n)
     ys = xs if y is x else _coords_columns(y, n)
     self_case = ys == xs
@@ -297,7 +351,6 @@ def coordinate_criterion(x, y, z):
     # column u, and z_i^p over i in column p of z_row
     rng, n2, n3, sq = range(n), n * n, n ** 3, (n, n)
     z_col = conj[0][0][0]
-    z_row = move_legs(z_col, (n,), (n,), (1,), (0,))
     # X's legs (v, w | j, k) moved to x_vw^jk over j in column (v, w, k) for
     # the left side and to x_jw^qk over j in column (w, q, k) for the right
     # side; Y's y_ij^pq over (p, q) in column (i, j), and y_uv^ij over (u, v)
@@ -349,8 +402,7 @@ def coordinate_criterion(x, y, z):
 
     rep.set_flag("agreement", idx_ok == rep.passed("operator-identity"))
     rep.set_flag("self-case", self_case)
-    # mu (x) mu^-1 as one step on both legs, run once
-    both = Composite(conj, sq).columns(), (0, 1), None
+    # mu (x) mu^-1 as one step on both legs, run once per structure map
     rep.set_flag("mu-equivariant", all(
         Composite([both, (t, (0, 1), None)], sq).first_difference(
             Composite([(t, (0, 1), None), both], sq)) is None
@@ -369,6 +421,10 @@ def tau_transforms(op):
     equation.  The double transform W = tau o R o tau solves the Hom-Long
     equation itself (conjugation by the order-reversing permutation), which
     is the W-equation checked here.
+
+    The base check reads R's kept verdict, or decides it and keeps it
+    (OperatorOnTensorSquare.first_failing_triple); the returned W keeps
+    the verdict of the W-check.
     """
     n = op.carrier_dim
     mu = op.structure_map
@@ -377,12 +433,10 @@ def tau_transforms(op):
     r, scale = sparse_columns(op.matrix)
     u, tt, w = (Matrix.from_int_columns(move_legs(r, sq, sq, ins, outs), scale, n2)
                 for ins, outs in (((0, 1), (3, 2)), ((1, 0), (2, 3)), ((1, 0), (3, 2))))
-    ws = sparse_columns(w)[0]
     m = sparse_columns(mu)
+    w_op = OperatorOnTensorSquare(n, w, mu)
     rep = AxiomReport()
-
-    base = _first_failing_column(r, r, m[0], n) is None
-    rep.add("base-longeq", base)
+    rep.add("base-longeq", op.first_failing_triple() is None)
 
     # the 3-leg steps X12, X13 and X23 on M (x) M (x) M for X = U and T all
     # come from one run of R12 = R (x) mu: U12 and T12 are R12 with its first
@@ -400,14 +454,14 @@ def tau_transforms(op):
         Composite([u12, u13, cyc], dims)) is None)
     rep.add("transform-T", Composite([t13, t12], dims).first_difference(
         Composite([cyc, t13, t23], dims)) is None)
-    rep.add("transform-W", _first_failing_column(ws, ws, m[0], n) is None)
+    rep.add("transform-W", w_op.first_failing_triple() is None)
 
     verdicts = [c.passed for c in rep.checks]
     rep.set_flag("all-agree", len(set(verdicts)) == 1)
     transforms = {
         "U": OperatorOnTensorSquare(n, u, mu),
         "T": OperatorOnTensorSquare(n, tt, mu),
-        "W": OperatorOnTensorSquare(n, w, mu),
+        "W": w_op,
     }
     return transforms, rep
 
@@ -480,7 +534,9 @@ def search_solutions(mu, coefficient_set, shape):
     unknowns, any n); shape "full" searches all n^2 x n^2 matrices (n^4
     unknowns, refused for n > 2).  The search assigns one entry at a time
     and tests each quadratic constraint of the equation as soon as its last
-    entry is set; every solution is checked again by the column kernel.  A
+    entry is set; every solution is checked again by the column kernel,
+    and is returned holding that verdict, so checking it again
+    (check_long_equation, tau_transforms) does not run the kernel.  A
     grid of at most SEARCH_CAP candidates is searched to the end.  A larger
     one is refused with SearchSpaceTooLarge once the work passes SEARCH_CAP:
     n^3 kernel evaluations per pair of unknowns for the derivation of the
@@ -534,7 +590,9 @@ def search_solutions(mu, coefficient_set, shape):
             if x:
                 cols[c].append((r, x))
         if _first_failing_column(cols, cols, mu_cols, n) is None:
-            out.append(OperatorOnTensorSquare(n, Matrix.from_int_columns(cols, scale, n2), mu))
+            op = OperatorOnTensorSquare(n, Matrix.from_int_columns(cols, scale, n2), mu)
+            op.__dict__["_witness"] = None      # the re-check's verdict, kept
+            out.append(op)
     return out
 
 

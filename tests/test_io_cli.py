@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -1453,3 +1455,78 @@ def test_a_repeated_pair_is_braided_once(files, monkeypatch, capsys, subject, fi
     assert len(braided) == (2 if subject == "symmetry" else 3 if subject == "ybe" else 5)
     expected = cli.RunReport(report["command"], report["inputs"]).extend(rep).to_json()
     assert report == expected and code == expected["exit_code"] == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzed operator files
+
+# what an entry of a file may hold besides an int: bools, floats, null,
+# nested lists, p/q strings, exponents, zero denominators, other strings
+fuzz_entries = st.one_of(
+    st.integers(-2, 2), st.booleans(), st.floats(), st.none(),
+    st.lists(st.integers(-1, 1), max_size=2),
+    st.sampled_from(("1/2", "-3/4", "1e9", "1/0", "2.5", "", "x")), st.just(10 ** 9))
+
+
+@st.composite
+def fuzz_matrices(draw, size, entry, square=False):
+    """A size x size matrix of entry; unless square, perhaps rows of any
+    shape, or a value that is not a list of rows."""
+    kind = "square" if square else draw(st.sampled_from(("square", "any", "scalar")))
+    if kind == "square" and isinstance(size, int) and not isinstance(size, bool) \
+            and 0 <= size <= 9:
+        return [[draw(entry) for _ in range(size)] for _ in range(size)]
+    if kind == "scalar":
+        return draw(fuzz_entries | st.dictionaries(st.sampled_from(("matrix", "mu")),
+                                                   fuzz_entries, max_size=1))
+    return draw(st.lists(st.lists(entry, max_size=3), max_size=3))
+
+
+@st.composite
+def operator_files(draw):
+    """Operator JSON: half of them an operator on a carrier of dim 1 to 3
+    with int entries, perhaps with one entry of any kind; the other half of
+    any shape: n from 0 to 3 or not an int, a matrix and a mu each square
+    for that n or of any shape, perhaps a field dropped, and the kind
+    "operator", absent or another."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        ints = st.integers(-2, 2)
+        obj = {"kind": "operator", "n": n, "matrix": draw(fuzz_matrices(n * n, ints, True)),
+               "mu": draw(fuzz_matrices(n, ints, True))}
+        if draw(st.booleans()):
+            rows = obj[draw(st.sampled_from(("matrix", "mu")))]
+            rows[draw(st.integers(0, len(rows) - 1))][0] = draw(fuzz_entries)
+        return obj
+    n = draw(st.integers(0, 3) | st.sampled_from((-1, True, 1.0, "2", None, [2])))
+    entry = draw(st.sampled_from((st.integers(-2, 2), fuzz_entries)))
+    obj = {"kind": draw(st.sampled_from(("operator", "operator", None, "hom-module"))),
+           "n": n,
+           "matrix": draw(fuzz_matrices(n * n if isinstance(n, int) else n, entry)),
+           "mu": draw(fuzz_matrices(n, entry))}
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), max_size=1)):
+        del obj[key]
+    if obj.get("kind", "") is None:
+        del obj["kind"]
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_files(), st.sampled_from(("diagonal", "full")))
+def test_fuzzed_operator_files_exit_0_1_or_2_without_a_traceback(tmp_path_factory, obj, shape):
+    # check longeq, validate and search --mu, in both formats: the exit code
+    # is 0, 1 or 2, nothing prints a traceback, and a json run prints one
+    # object whose exit_code is the return value
+    path = str(tmp_path_factory.mktemp("fuzz") / "op.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    for argv in (["check", "longeq", "-R", path], ["validate", path],
+                 ["search", "--mu", path, "--set", "0,1", "--shape", shape]):
+        for fmt in ("text", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--format", fmt] + argv)
+            assert code in (0, 1, 2), (argv, obj)
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            if fmt == "json":
+                assert json.loads(out.getvalue())["exit_code"] == code, (argv, obj)

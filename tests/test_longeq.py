@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import pathlib
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx
 from homlong import longeq
-from homlong.linalg import (Matrix, Tensor3, Composite, SingularMatrix, flip_columns,
-                            sparse_columns)
+from homlong.linalg import (Matrix, Tensor3, Composite, DimensionMismatch, SingularMatrix,
+                            flip_columns, sparse_columns)
 from homlong.longdimod import HomLongDimodule, canonical_dimodule, validate_long_dimodule
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             SearchSpaceTooLarge, ZeroDiagonal,
@@ -263,7 +264,8 @@ def test_relabelled_legs_match_leg_step_composites(data):
 
 def test_flip_transforms_and_criterion_cost():
     # tau_transforms runs one composite, R12 = R (x) mu; coordinate_criterion
-    # reads each coordinate tensor once, and y not at all when it is x
+    # reads each coordinate tensor once, and y not at all when it is x, and
+    # runs mu (x) mu^-1 once per structure map, not once per call
     mu = Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
     op = search_solutions(mu, [0, 1], "diagonal")[-1]
     runs = mock.Mock(side_effect=Composite.columns)
@@ -272,12 +274,139 @@ def test_flip_transforms_and_criterion_cost():
     assert runs.call_count == 1
     x = operator_to_coords(op)
     reads = mock.Mock(side_effect=longeq.int_columns)
-    with mock.patch.object(longeq, "int_columns", reads):
-        coordinate_criterion(x, x, mu)
-        assert reads.call_count == 1
+    longeq._mu_steps.cache_clear()
+    with mock.patch.object(longeq, "int_columns", reads), \
+            mock.patch.object(Composite, "columns", autospec=True, side_effect=runs):
+        for call, mu_runs in ((1, 1), (2, 0), (3, 0)):
+            runs.reset_mock()
+            coordinate_criterion(x, x, Matrix(mu.to_lists()))
+            # R's columns, and mu (x) mu^-1 on the first call only
+            assert runs.call_count == 1 + mu_runs, call
+        assert reads.call_count == 3
         reads.reset_mock()
         coordinate_criterion(x, copy.deepcopy(x), mu)
         assert reads.call_count == 2
+
+
+def _kernel_runs(f, *args):
+    """f(*args) and the number of runs of the Hom-Long kernel it made."""
+    runs = mock.Mock(side_effect=longeq._first_failing_column)
+    with mock.patch.object(longeq, "_first_failing_column", runs):
+        out = f(*args)
+    return out, runs.call_count
+
+
+# a cyclic permutation of four basis vectors: a monomial mu, whose grid
+# solutions have one entry per column, so the single-term kernel decides them
+CYCLE4 = Matrix([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+
+
+@pytest.mark.parametrize("mu, values, shape, count", [
+    (Matrix([[1, 1], [0, 1]]), (0, 1), "full", 19),
+    (Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]]), (0, 1), "diagonal", 14),
+    (CYCLE4, (1, -1), "diagonal", 8),
+])
+def test_search_results_come_back_decided(mu, values, shape, count):
+    # the search's re-check decides each solution; check_long_equation and
+    # the base check of tau_transforms read that verdict, and only W, a new
+    # operator, is decided there, and comes back decided
+    single = mock.Mock(side_effect=longeq._first_single_term_difference)
+    with mock.patch.object(longeq, "_first_single_term_difference", single):
+        sols, runs = _kernel_runs(search_solutions, mu, list(values), shape)
+    assert len(sols) == count and runs >= count
+    assert (single.call_count >= count) == (mu.rows >= 4)
+    for s in sols:
+        rep, runs = _kernel_runs(check_long_equation, s)
+        assert rep.ok and runs == 0
+        (transforms, rep), runs = _kernel_runs(tau_transforms, s)
+        assert rep.ok and rep.flags["all-agree"] and runs == 1
+        w = transforms["W"]
+        assert _kernel_runs(check_long_equation, w) == (check_long_equation(replace(w)), 0)
+
+
+def test_check_invertible_iff_decides_r_once():
+    op = OperatorOnTensorSquare(2, flip_matrix(2, 2), Matrix.diagonal([1, 2]))
+    fresh, runs = _kernel_runs(check_invertible_iff, op)
+    assert runs == 2        # R and R^-1
+    assert _kernel_runs(check_invertible_iff, op) == (fresh, 1)
+    assert _kernel_runs(check_long_equation, op)[1] == 0
+    other = replace(op)
+    check_long_equation(other)
+    assert _kernel_runs(check_invertible_iff, other) == (fresh, 1)
+
+
+@pytest.mark.parametrize("rows, mu", [
+    ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], [[1, 0], [0, 1]]),
+    ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], [[1, 0], [0, 2]]),
+    ([["1/2", 0, 0, 0], [0, 3, 0, 0], [0, 0, -1, 0], [0, 0, 0, 2]], [[1, 0], [0, "2/3"]]),
+])
+def test_a_kept_verdict_is_not_a_field(rows, mu):
+    # a decided operator equals, hashes and prints as an undecided equal one;
+    # replace gives an undecided operator, and a copy or a pickle keeps the
+    # verdict
+    decided, undecided = (OperatorOnTensorSquare(2, Matrix(rows), Matrix(mu)) for _ in range(2))
+    rep = check_long_equation(decided)
+    assert decided == undecided and hash(decided) == hash(undecided)
+    assert repr(decided) == repr(undecided)
+    assert {decided: 1}[undecided] == 1
+    assert _kernel_runs(check_long_equation, replace(decided)) == (rep, 1)
+    for kept in (copy.copy(decided), copy.deepcopy(decided),
+                 pickle.loads(pickle.dumps(decided))):
+        assert kept == decided
+        assert _kernel_runs(check_long_equation, kept) == (rep, 0)
+    assert _kernel_runs(check_long_equation, pickle.loads(pickle.dumps(undecided))) == (rep, 1)
+
+
+@pytest.mark.parametrize("entries", [
+    [[1, "1/2", 0], [0, 2, 0], [0, 0, -1]],
+    [[2, 0, 0], [1, 1, 0], [0, "-3/2", 1]],
+])
+def test_equal_structure_maps_share_their_steps(entries):
+    # equal but distinct mu objects, read from ints, Fractions and "p/q"
+    # strings, give byte-identical reports, cached or not; the kept step
+    # lists are not changed by the calls that read them
+    mu = Matrix(entries)
+    ops = search_solutions(mu, [0, 1], "diagonal")
+    xs = [operator_to_coords(s) for s in ops[:4]]
+    xs.append([[[[Fraction(k + l - i * j, 1 + i) for j in range(3)] for i in range(3)]
+                for l in range(3)] for k in range(3)])
+    longeq._mu_steps.cache_clear()
+    fresh = []
+    for x in xs:
+        fresh.append(json.dumps(_report_json(coordinate_criterion(x, x, mu))))
+        longeq._mu_steps.cache_clear()
+    kept = copy.deepcopy(longeq._mu_steps(mu))
+    for twin in (Matrix([[Fraction(e) for e in row] for row in entries]),
+                 Matrix([[str(Fraction(e)) for e in row] for row in entries]), mu):
+        assert twin == mu and hash(twin) == hash(mu)
+        for x, want in zip(xs, fresh):
+            assert json.dumps(_report_json(coordinate_criterion(x, x, twin))) == want
+            assert coords_to_operator(x, twin) == coords_to_operator(x, mu)
+    assert longeq._mu_steps(mu) == kept
+    assert longeq._mu_steps.cache_info().currsize == 1
+
+
+def test_criterion_refuses_mis_shaped_coordinates():
+    # a larger, a smaller and a ragged tensor are refused where they enter,
+    # naming the n x n x n x n shape, not read in part
+    mu3 = Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
+    x3 = operator_to_coords(search_solutions(mu3, [0, 1], "diagonal")[-1])
+    x2 = operator_to_coords(OperatorOnTensorSquare(2, flip_matrix(2, 2), Matrix.identity(2)))
+    ragged = copy.deepcopy(x2)
+    ragged[1][0][1].append(0)
+    short = copy.deepcopy(x2)
+    del short[0][1][0][1]
+    missing = copy.deepcopy(x2)
+    missing[1].pop()
+    cases = [(x3, Matrix.identity(2), "2x2x2x2"), (x2, mu3, "3x3x3x3"),
+             (ragged, Matrix.identity(2), "2x2x2x2"), (short, Matrix.identity(2), "2x2x2x2"),
+             (missing, Matrix.identity(2), "2x2x2x2"), (x2[:1], Matrix.identity(2), "2x2x2x2")]
+    for x, mu, shape in cases:
+        for call in (lambda: coordinate_criterion(x, x, mu),
+                     lambda: coordinate_criterion(x2 if mu.rows == 2 else x3, x, mu),
+                     lambda: coords_to_operator(x, mu)):
+            with pytest.raises(DimensionMismatch, match="coordinate tensor is not " + shape):
+                call()
 
 
 def _mixed(x):

@@ -51,10 +51,11 @@ from homlong.longdimod import (DualityData, HomLongDimodule, canonical_dimodule,
                                from_smash_module, left_dual, right_dual,
                                smash_product_algebra, tensor_dimodule, to_smash_module,
                                trivial_dimodule, unit_dimodule, validate_long_dimodule)
-from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare, check_long_equation,
-                            comodule_extension, coordinate_criterion, diagonal_solution,
-                            dimodule_solution, module_extension, operator_to_coords,
-                            search_solutions, tau_transforms, validate_halpha_dimodule)
+from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare, check_invertible_iff,
+                            check_long_equation, comodule_extension, coordinate_criterion,
+                            diagonal_solution, dimodule_solution, module_extension,
+                            operator_to_coords, search_solutions, tau_transforms,
+                            validate_halpha_dimodule)
 from homlong.report import AxiomReport, Check
 from homlong.repmod import (HomComodule, HomModule, YetterDrinfeldModule, check_yd,
                             validate_hom_comodule, validate_hom_module, yd_prebraiding)
@@ -891,6 +892,39 @@ def test_check_long_equation_matches_oracle(data):
     rep = check_long_equation(OperatorOnTensorSquare(n, Matrix(rows), Matrix(mu)))
     assert rep.ok == (expected is None)
     assert rep.check("hom-long-eq").witness == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kept_verdict_matches_oracle_whichever_entry_point_decides(data):
+    # the operator keeps the verdict of the first entry point that decides
+    # it; every later one reads it, and verdict and witness are the oracle's
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    mu = data.draw(structure_maps(n))
+    rows = data.draw(kernel_operators(n, mu))
+    expected = longeq_first_failing_column(rows, rows, mu)
+    op = OperatorOnTensorSquare(n, Matrix(rows), Matrix(mu))
+    invertible = op.matrix.det() != 0
+
+    def witness(name):
+        if name == "check":
+            rep = check_long_equation(op)
+            assert rep.ok == (expected is None)
+            return rep.check("hom-long-eq").witness
+        if name == "tau":
+            assert tau_transforms(op)[1].passed("base-longeq") == (expected is None)
+        elif name == "iff" and invertible:
+            assert check_invertible_iff(op).passed("R-longeq") == (expected is None)
+        return op.first_failing_triple()
+
+    runs = mock.Mock(side_effect=longeq._first_failing_column)
+    with mock.patch.object(longeq, "_first_failing_column", runs):
+        for name in data.draw(st.permutations(("check", "tau", "iff", "triple"))):
+            assert witness(name) == expected, name
+    # R once, W once, and R^-1 once when R is invertible
+    r = sparse_columns(op.matrix)[0]
+    assert sum(c.args[0] is r for c in runs.call_args_list) == 1
+    assert runs.call_count == 3 if invertible else 2
 
 
 @settings(max_examples=80, deadline=None)
