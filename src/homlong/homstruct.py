@@ -7,20 +7,17 @@ products, the twist construction that turns a classical (bi/Hopf) algebra
 plus an automorphism into a Hom-structure, and (co)quasitriangular data
 with triangularity decided by R R21 = 1 (x) 1.
 
-Each axiom is a pair of composites of leg steps (see linalg), compared on
-batches of basis columns, and each construction's structure maps are
-composites of the same steps; R enters as an element inserted on new legs
-and a form as a covector pairing two legs away.  Failing checks carry the first
-offending basis tuple: an input tuple for an identity between maps, an
-output coordinate for an identity between elements.
+Each validator is a table of report.Identity values, whose steps name the
+legs they read (a unit and R are elements inserted, a counit and a form
+covectors paired away), and each construction a report.compose of such
+steps.  A failure's witness is an input basis tuple for an identity
+between maps, an output coordinate for one between elements.
 """
 
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, Composite, DimensionMismatch, coproduct_columns,
-                     flip_columns, insert_columns, move_legs, pair_columns, per_leg_matrix,
-                     solve_exact, sparse_columns)
-from .report import AxiomReport, composites_equal_report, elements_equal_report
+from .linalg import Matrix, Tensor3, DimensionMismatch, move_legs, per_leg_matrix, solve_exact
+from .report import AxiomReport, Check, Identity, compose
 
 
 class NotAutomorphism(Exception):
@@ -90,107 +87,66 @@ class HomStructure:
 # ---------------------------------------------------------------------------
 # validators
 
-def _first_side(rep, axiom, sides, names):
-    """Record that the two composites of every (label, lhs, rhs) in sides
-    agree on the one leg whose basis is names; on failure witness the label
-    of the first pair that differs, with the name of its first differing
-    basis vector."""
-    dims = (len(names),)
-    for label, lhs, rhs in sides:
-        idxs = Composite(lhs, dims).first_difference(Composite(rhs, dims))
-        if idxs is not None:
-            return rep.add(axiom, False, (label, names[idxs[0]]))
-    return rep.add(axiom, True)
-
-
 def validate_hom_algebra(a):
     """Check alpha-invertible, HA1 (twist is multiplicative, fixes the unit)
     and HA2 (Hom-associativity and the twisted unit law), column by column."""
-    n, names = a.dim, a.basis
-    rep = AxiomReport()
-    rep.add("alpha-invertible", a.gamma.det() != 0)
-    mult, al, put_u = sparse_columns(a.mult), sparse_columns(a.gamma), insert_columns(a.unit, n)
-    to_h = (n,)
-    composites_equal_report(rep, "HA1-mult", [(mult, (0, 1), to_h), (al, (0,), None)],
-                            [(al, (0,), None), (al, (1,), None), (mult, (0, 1), to_h)],
-                            (names, names))
-    put_1 = [(insert_columns(a.unit, 1), (0,), (n, 1))]
-    elements_equal_report(rep, "HA1-unit", put_1 + [(al, (0,), None)], put_1, (names,))
-    composites_equal_report(rep, "HA2-assoc",
-                            [(mult, (1, 2), to_h), (al, (0,), None), (mult, (0, 1), to_h)],
-                            [(mult, (0, 1), to_h), (al, (1,), None), (mult, (0, 1), to_h)],
-                            (names, names, names))
-    # 1 a and a 1, each against gamma(a)
-    left = [(put_u, (0,), (n, n)), (mult, (0, 1), to_h)]
-    right = [(put_u, (0,), (n, n)), (flip_columns(n, n), (0, 1), None), (mult, (0, 1), to_h)]
-    twist = [(al, (0,), None)]
-    return _first_side(rep, "HA2-unit", (("1*a", left, twist), ("a*1", right, twist)), names)
+    mult, al, u, names = a.mult, a.gamma, a.unit, a.basis
+    return AxiomReport().record(
+        Check("alpha-invertible", a.gamma.det() != 0),
+        Identity("HA1-mult", dict(a=names, b=names), [(mult, "a b -> x"), (al, "x")],
+                 [(al, "a"), (al, "b"), (mult, "a b -> x")]),
+        Identity("HA1-unit", (), [(u, "-> x"), (al, "x")], [(u, "-> x")], dict(x=names)),
+        Identity("HA2-assoc", dict(a=names, b=names, c=names),
+                 [(mult, "b c -> x"), (al, "a"), (mult, "a x -> x")],
+                 [(mult, "a b -> x"), (al, "c"), (mult, "x c -> x")]),
+        Identity("HA2-unit", dict(a=names), {"1*a": [(u, "-> u"), (mult, "u a -> a")],
+                                             "a*1": [(u, "-> u"), (mult, "a u -> a")]},
+                 [(al, "a")]))
 
 
 def validate_hom_coalgebra(c):
     """Check beta-invertible, HC1 (twist is comultiplicative, preserves the
     counit) and HC2 (Hom-coassociativity and the twisted counit law), column
     by column."""
-    n, names = c.dim, c.basis
-    rep = AxiomReport()
-    rep.add("beta-invertible", c.gamma.det() != 0)
-    co, be, eps = coproduct_columns(c.comult), sparse_columns(c.gamma), pair_columns(c.counit)
-    to_hh, twist = (n, n), [(be, (0,), None)]
-    _first_side(rep, "HC1", (
-        ("delta", twist + [(co, (0,), to_hh)],
-         [(co, (0,), to_hh), (be, (0,), None), (be, (1,), None)]),
-        ("counit", twist + [(eps, (0,), ())], [(eps, (0,), ())])), names)
-    composites_equal_report(rep, "HC2-coassoc",
-                            [(co, (0,), to_hh), (co, (1,), to_hh), (be, (0,), None)],
-                            [(co, (0,), to_hh), (co, (0,), to_hh), (be, (2,), None)],
-                            (names,))
-    left = [(co, (0,), to_hh), (eps, (0,), ())]
-    right = [(co, (0,), to_hh), (eps, (1,), ())]
-    return _first_side(rep, "HC2-counit", (("eps(c1)c2", left, twist),
-                                           ("c1 eps(c2)", right, twist)), names)
+    co, be, eps, names = c.comult, c.gamma, c.counit, c.basis
+    return AxiomReport().record(
+        Check("beta-invertible", c.gamma.det() != 0),
+        Identity("HC1", dict(a=names),
+                 {"delta": [(be, "a"), (co, "a -> x y")], "counit": [(be, "a"), (eps, "a ->")]},
+                 {"delta": [(co, "a -> x y"), (be, "x"), (be, "y")], "counit": [(eps, "a ->")]}),
+        Identity("HC2-coassoc", dict(a=names), [(co, "a -> x y"), (co, "y -> y z"), (be, "x")],
+                 [(co, "a -> x z"), (co, "x -> x y"), (be, "z")]),
+        Identity("HC2-counit", dict(a=names), {"eps(c1)c2": [(co, "a -> x a"), (eps, "x ->")],
+                                               "c1 eps(c2)": [(co, "a -> a x"), (eps, "x ->")]},
+                 [(be, "a")]))
 
 
 def validate_hom_bialgebra(h):
     """Check that the comultiplication and counit are Hom-algebra morphisms,
     column by column."""
-    n, names = h.dim, h.basis
-    rep = AxiomReport()
-    mult, co, eps = sparse_columns(h.mult), coproduct_columns(h.comult), pair_columns(h.counit)
-    put_u = insert_columns(h.unit, 1)
-    to_h, to_hh = (n,), (n, n)
-    # (ab)1 (x) (ab)2 against a1 b1 (x) a2 b2
-    composites_equal_report(rep, "delta-mult", [(mult, (0, 1), to_h), (co, (0,), to_hh)],
-                            [(co, (1,), to_hh), (co, (0,), to_hh),
-                             (flip_columns(n, n), (1, 2), None),
-                             (mult, (0, 1), to_h), (mult, (1, 2), to_h)],
-                            (names, names))
-    elements_equal_report(rep, "delta-unit", [(put_u, (0,), (n, 1)), (co, (0,), to_hh)],
-                          [(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))], (names, names))
-    composites_equal_report(rep, "counit-mult", [(mult, (0, 1), to_h), (eps, (0,), ())],
-                            [(eps, (0,), ()), (eps, (0,), ())], (names, names))
-    elements_equal_report(rep, "counit-unit", [(put_u, (0,), (n, 1)), (eps, (0,), ())], [],
-                          (("eps(1)",),))
-    return rep
+    mult, co, eps, u, names = h.mult, h.comult, h.counit, h.unit, h.basis
+    return AxiomReport().record(
+        # (ab)1 (x) (ab)2 against a1 b1 (x) a2 b2
+        Identity("delta-mult", dict(a=names, b=names), [(mult, "a b -> a"), (co, "a -> x y")],
+                 [(co, "a -> a c"), (co, "b -> b d"), (mult, "a b -> x"), (mult, "c d -> y")]),
+        Identity("delta-unit", (), [(u, "-> a"), (co, "a -> x y")], [(u, "-> x"), (u, "-> y")],
+                 dict(x=names, y=names)),
+        Identity("counit-mult", dict(a=names, b=names), [(mult, "a b -> a"), (eps, "a ->")],
+                 [(eps, "a ->"), (eps, "b ->")]),
+        Identity("counit-unit", (), {"eps(1)": [(u, "-> a"), (eps, "a ->")]}, []))
 
 
 def validate_hom_hopf(h):
     """Check the antipode identities, S-twist commutation and invertibility,
     column by column."""
-    n, names = h.dim, (h.basis,)
-    rep = AxiomReport()
-    mult, co, s = sparse_columns(h.mult), coproduct_columns(h.comult), sparse_columns(h.antipode)
-    ga, to_h = sparse_columns(h.gamma), (n,)
-    # eps(a) 1
-    target = [(insert_columns(h.unit, n), (0,), (n, n)), (pair_columns(h.counit), (1,), ())]
-    for axiom, leg in (("antipode-left", 0), ("antipode-right", 1)):
-        composites_equal_report(rep, axiom, [(co, (0,), (n, n)), (s, (leg,), None),
-                                             (mult, (0, 1), to_h)], target, names)
-    composites_equal_report(rep, "S-gamma-commute", [(ga, (0,), None), (s, (0,), None)],
-                            [(s, (0,), None), (ga, (0,), None)], names)
+    mult, co, s, ga, names = h.mult, h.comult, h.antipode, h.gamma, dict(a=h.basis)
+    eps_1 = [(h.unit, "-> x"), (h.counit, "a ->")]
     s_inv = h.antipode.det() != 0
-    rep.add("S-invertible", s_inv)
-    rep.set_flag("antipode-invertible", s_inv)
-    return rep
+    return AxiomReport().record(
+        Identity("antipode-left", names, [(co, "a -> a b"), (s, "a"), (mult, "a b -> x")], eps_1),
+        Identity("antipode-right", names, [(co, "a -> a b"), (s, "b"), (mult, "a b -> x")], eps_1),
+        Identity("S-gamma-commute", names, [(ga, "a"), (s, "a")], [(s, "a"), (ga, "a")]),
+        Check("S-invertible", s_inv)).set_flag("antipode-invertible", s_inv)
 
 
 def validate_all(h):
@@ -218,22 +174,20 @@ def yau_twist(h, phi):
         raise DimensionMismatch("phi is %dx%d for dim %d" % (phi.rows, phi.cols, n))
     if phi.det() == 0:
         raise NotAutomorphism("phi is not invertible")
-    mult, co, ph = sparse_columns(h.mult), coproduct_columns(h.comult), sparse_columns(phi)
-    phi_mult = [(mult, (0, 1), (n,)), (ph, (0,), None)]
-    comult_phi = [(ph, (0,), None), (co, (0,), (n, n))]
-    eps, put_u = pair_columns(h.counit), [(insert_columns(h.unit, 1), (0,), (n, 1))]
-    for lhs, rhs, dims, message in (
-            (phi_mult, [(ph, (0,), None), (ph, (1,), None), (mult, (0, 1), (n,))], (n, n),
-             "phi o mult != mult o (phi x phi)"),
-            ([(co, (0,), (n, n)), (ph, (0,), None), (ph, (1,), None)], comult_phi, (n,),
-             "(phi x phi) o comult != comult o phi"),
-            ([(ph, (0,), None), (eps, (0,), ())], [(eps, (0,), ())], (n,),
-             "counit o phi != counit"),
-            (put_u + [(ph, (0,), None)], put_u, (1,), "phi does not fix the unit")):
-        if Composite(lhs, dims).first_difference(Composite(rhs, dims)) is not None:
-            raise NotAutomorphism(message)
-    return replace(h, gamma=phi, mult=Composite(phi_mult, (n, n)).product(),
-                   comult=Composite(comult_phi, (n,)).coproduct(n))
+    mult, co, eps, u, legs = h.mult, h.comult, h.counit, h.unit, dict(a=n, b=n)
+    phi_mult, comult_phi = [(mult, "a b -> a"), (phi, "a")], [(phi, "a"), (co, "a -> a b")]
+    for identity in (
+            Identity("phi o mult != mult o (phi x phi)", legs, phi_mult,
+                     [(phi, "a"), (phi, "b"), (mult, "a b -> a")]),
+            Identity("(phi x phi) o comult != comult o phi", dict(a=n),
+                     [(co, "a -> a b"), (phi, "a"), (phi, "b")], comult_phi),
+            Identity("counit o phi != counit", dict(a=n), [(phi, "a"), (eps, "a ->")],
+                     [(eps, "a ->")]),
+            Identity("phi does not fix the unit", (), [(u, "-> a"), (phi, "a")], [(u, "-> a")])):
+        if not identity.decide().passed:
+            raise NotAutomorphism(identity.axiom)
+    return replace(h, gamma=phi, mult=compose(legs, phi_mult, "a").product(),
+                   comult=compose(dict(a=n), comult_phi, "a b").coproduct(n))
 
 
 def dual_hopf(b):
@@ -242,18 +196,16 @@ def dual_hopf(b):
     unit = counit, counit(f) = f(1), antipode = transpose, twist f -> f o b^-1.
     Its product and coproduct are the transposes of (b^-2 (x) b^-2) o Delta
     and b^-2 o mult: each composite's columns with legs moved once."""
-    n = b.dim
-    b1i = b.gamma.inv()
-    bi = sparse_columns(b1i)
-    twice = [(bi, (0,), None)] * 2
-    mult, ms = Composite([(coproduct_columns(b.comult), (0,), (n, n))] + twice
-                         + [(bi, (1,), None)] * 2, (n,)).columns()
-    comult, cs = Composite([(sparse_columns(b.mult), (0, 1), (n,))] + twice, (n, n)).columns()
+    n, bi = b.dim, b.gamma.inv()
+    mult, ms = compose(dict(x=n), [(b.comult, "x -> y z")] + [(bi, "y"), (bi, "z")] * 2,
+                       "y z").columns()
+    comult, cs = compose(dict(x=n, y=n), [(b.mult, "x y -> z"), (bi, "z"), (bi, "z")],
+                         "z").columns()
     # the dual product's legs (f, g | h) are those of Delta's (x | y, z)
     # moved to (y, z | x), and the dual coproduct's (f, g | h) those of
     # mult's (x, y | z) moved to (z, x | y)
     s = b.antipode
-    return HomStructure(n, b1i.transpose(),
+    return HomStructure(n, bi.transpose(),
                         Tensor3.from_int_columns(move_legs(mult, (n,), (n, n), (1, 2), (0,)),
                                                  ms, (n, n, n)), b.counit,
                         Tensor3.from_int_columns(move_legs(comult, (n, n), (n,), (2, 0), (1,)),
@@ -265,11 +217,9 @@ def dual_hopf(b):
 def tensor_algebra(a, c):
     """Componentwise tensor product Hom-algebra of the algebra parts of a and
     c on the lexicographic basis: (x (x) y)(x' (x) y') = xx' (x) yy'."""
-    na, nc = a.dim, c.dim
-    mult = Composite([(flip_columns(nc, na), (1, 2), (na, nc)),
-                      (sparse_columns(a.mult), (0, 1), (na,)),
-                      (sparse_columns(c.mult), (1, 2), (nc,))], (na, nc, na, nc)).product(2)
-    return HomStructure(na * nc, per_leg_matrix(a.gamma, c.gamma), mult,
+    mult = compose(dict(x=a.dim, y=c.dim, z=a.dim, w=c.dim),
+                   [(a.mult, "x z -> x"), (c.mult, "y w -> y")], "x y").product(2)
+    return HomStructure(a.dim * c.dim, per_leg_matrix(a.gamma, c.gamma), mult,
                         per_leg_matrix(a.unit, c.unit), basis=tensor_basis(a.basis, c.basis))
 
 
@@ -280,10 +230,8 @@ def tensor_basis(first, second):
 
 def tensor_hopf(h, b):
     """Componentwise tensor product Hom-Hopf algebra on the lexicographic basis."""
-    nh, nb = h.dim, b.dim
-    comult = Composite([(coproduct_columns(h.comult), (0,), (nh, nh)),
-                        (coproduct_columns(b.comult), (2,), (nb, nb)),
-                        (flip_columns(nh, nb), (1, 2), (nb, nh))], (nh, nb)).coproduct(nh * nb)
+    comult = compose(dict(x=h.dim, y=b.dim), [(h.comult, "x -> x z"), (b.comult, "y -> y w")],
+                     "x y z w").coproduct(h.dim * b.dim)
     s = (None if h.antipode is None or b.antipode is None
          else per_leg_matrix(h.antipode, b.antipode))
     return replace(tensor_algebra(h, b), comult=comult, antipode=s,
@@ -292,10 +240,8 @@ def tensor_hopf(h, b):
 
 def opposite_algebra(a):
     """The algebra part of a with the multiplication reversed."""
-    n = a.dim
-    mult_op = Composite([(flip_columns(n, n), (0, 1), None),
-                         (sparse_columns(a.mult), (0, 1), (n,))], (n, n)).product()
-    return HomStructure(n, a.gamma, mult_op, a.unit, basis=a.basis)
+    mult_op = compose(dict(x=a.dim, y=a.dim), [(a.mult, "y x -> x")], "x").product()
+    return HomStructure(a.dim, a.gamma, mult_op, a.unit, basis=a.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +251,7 @@ def validate_quasitriangular(h, r):
     """QHA1-QHA5 plus the triangularity test, column by column.
 
     The triangular flag holds when R R21 = 1 (x) 1 for the flip R21 of R,
-    decided as an element composite; the flip of H (x) H is an automorphism
+    decided as an element identity; the flip of H (x) H is an automorphism
     of the componentwise product, so R21 is then a two-sided inverse of R,
     which also makes R invertible there.  Only when it is not is
     invertibility decided, by an exact linear solve on the n^2 x n^2
@@ -315,57 +261,37 @@ def validate_quasitriangular(h, r):
     n = h.dim
     if r.rows != n or r.cols != n:
         raise DimensionMismatch("R is %dx%d on a dim-%d algebra" % (r.rows, r.cols, n))
-    rep = AxiomReport()
-    names = h.basis
-    mult, co, be = sparse_columns(h.mult), coproduct_columns(h.comult), sparse_columns(h.gamma)
-    eps, flip = pair_columns(h.counit), flip_columns(n, n)
-    to_h, to_hh = (n,), (n, n)
-
-    def put_r(leg, d=1):
-        """x -> R (x) x on the leg `leg` of dim d."""
-        return (insert_columns(r, d), (leg,), (n, n, d))
-
-    put_u = insert_columns(h.unit, 1)
-    unit = Composite([(put_u, (0,), (n, 1))], (1,))
-    sides = [Composite([put_r(0), (eps, (leg,), ())], (1,)).first_difference(unit) is None
-             for leg in (0, 1)]
-    rep.add("QHA1", all(sides), None if all(sides) else
-            ("eps(R1)R2" if not sides[0] else "R1eps(R2)",))
-
-    names3 = (names, names, names)
-    # (Delta (x) b)(R) against b(R1) (x) b(R'1) (x) R2 R'2
-    elements_equal_report(rep, "QHA2", [put_r(0), (co, (0,), to_hh), (be, (2,), None)],
-                          [put_r(0), put_r(2), (flip, (1, 2), None), (be, (0,), None),
-                           (be, (1,), None), (mult, (2, 3), to_h)], names3)
-    # (b (x) Delta)(R) against R1 R'1 (x) b(R'2) (x) b(R2)
-    elements_equal_report(rep, "QHA3", [put_r(0), (co, (1,), to_hh), (be, (0,), None)],
-                          [put_r(0), put_r(2), (flip, (1, 2), None), (flip, (2, 3), None),
-                           (mult, (0, 1), to_h), (be, (1,), None), (be, (2,), None)],
-                          names3)
-    # h2 R1 (x) h1 R2 against R1 h1 (x) R2 h2
-    twice = [(mult, (0, 1), to_h), (mult, (1, 2), to_h)]
-    composites_equal_report(rep, "QHA4",
-                            [(co, (0,), to_hh), (flip, (0, 1), None), put_r(1, n),
-                             (flip, (2, 3), None)] + twice,
-                            [(co, (0,), to_hh), put_r(0, n), (flip, (1, 2), None)] + twice,
-                            (names,))
-    elements_equal_report(rep, "QHA5", [put_r(0), (be, (0,), None), (be, (1,), None)],
-                          [put_r(0)], (names, names))
-
-    # x -> R x and x -> x R on H (x) H; R R21 against 1 (x) 1, R21 R being
-    # its image under the flip, an automorphism of the componentwise product
-    lmul = [put_r(0, n), (flip, (1, 2), None)] + twice
-    rmul = [put_r(1, n), (flip, (2, 3), None)] + twice
-    unit2 = Composite([(put_u, (0,), (n, 1)), (put_u, (1,), (n, 1))], (1,))
-    triangular = Composite([put_r(0), (flip, (0, 1), None)] + lmul,
-                           (1,)).first_difference(unit2) is None
-    # a two-sided inverse R21 solves the stacked system, so the system is
-    # solved only when R21 is not one
+    mult, co, be, u, names = h.mult, h.comult, h.gamma, h.unit, h.basis
+    rep = AxiomReport().record(
+        Identity("QHA1", (), {"eps(R1)R2": [(r, "-> a b"), (h.counit, "a ->")],
+                              "R1eps(R2)": [(r, "-> b a"), (h.counit, "a ->")]}, [(u, "-> b")]),
+        # (Delta (x) b)(R) against b(R1) (x) b(R'1) (x) R2 R'2
+        Identity("QHA2", (), [(r, "-> a c"), (co, "a -> a b"), (be, "c")],
+                 [(r, "-> a x"), (r, "-> b y"), (be, "a"), (be, "b"), (mult, "x y -> c")],
+                 dict(a=names, b=names, c=names)),
+        # (b (x) Delta)(R) against R1 R'1 (x) b(R'2) (x) b(R2)
+        Identity("QHA3", (), [(r, "-> a x"), (co, "x -> b c"), (be, "a")],
+                 [(r, "-> x c"), (r, "-> y b"), (mult, "x y -> a"), (be, "b"), (be, "c")],
+                 dict(a=names, b=names, c=names)),
+        # h2 R1 (x) h1 R2 against R1 h1 (x) R2 h2
+        Identity("QHA4", dict(h=names),
+                 [(co, "h -> a b"), (r, "-> c d"), (mult, "b c -> x"), (mult, "a d -> y")],
+                 [(co, "h -> a b"), (r, "-> c d"), (mult, "c a -> x"), (mult, "d b -> y")]),
+        Identity("QHA5", (), [(r, "-> a b"), (be, "a"), (be, "b")], [(r, "-> a b")],
+                 dict(a=names, b=names)))
+    # R R21 against 1 (x) 1, with R' = d (x) c, so R21 = c (x) d
+    triangular = Identity("triangular", (), [(r, "-> a b"), (r, "-> d c"), (mult, "a c -> x"),
+                                             (mult, "b d -> y")],
+                          [(u, "-> x"), (u, "-> y")]).decide().passed
+    # x -> R x and x -> x R on H (x) H; a two-sided inverse R21 solves the
+    # stacked system, so the system is solved only when R21 is not one
+    lmul, rmul = ([(r, "-> r s"), (mult, left), (mult, right)] for left, right in
+                  (("r x -> x", "s y -> y"), ("x r -> x", "y s -> y")))
     rep.set_flag("convolution-invertible", triangular or _stacked_solvable(
-        Composite(lmul, to_hh).columns(), Composite(rmul, to_hh).columns(),
-        unit2.columns()))
-    rep.set_flag("triangular", triangular)
-    return rep
+        compose(dict(x=n, y=n), lmul, "x y").columns(),
+        compose(dict(x=n, y=n), rmul, "x y").columns(),
+        compose((), [(u, "-> x"), (u, "-> y")], "x y").columns()))
+    return rep.set_flag("triangular", triangular)
 
 
 def _stacked_solvable(left, right, unit):
@@ -385,42 +311,24 @@ def validate_coquasitriangular(b, form):
     n = b.dim
     if form.rows != n or form.cols != n:
         raise DimensionMismatch("form is %dx%d on a dim-%d algebra" % (form.rows, form.cols, n))
-    rep = AxiomReport()
-    names = b.basis
-    mult, co, be = sparse_columns(b.mult), coproduct_columns(b.comult), sparse_columns(b.gamma)
-    eps, flip = pair_columns(b.counit), flip_columns(n, n)
-    pair = (pair_columns(form), (0, 1), ())
-    to_h, to_hh = (n,), (n, n)
-    names3 = (names, names, names)
-
-    # CHA1: input (h,g,l); split l, twist h and g, pair as <bh|l2><bg|l1>.
-    composites_equal_report(rep, "CHA1", [(mult, (0, 1), to_h), (be, (1,), None), pair],
-                            [(co, (2,), to_hh), (be, (0,), None), (be, (1,), None),
-                             (pair[0], (1, 2), ()), pair], names3)
-    # CHA2: split h, twist g and l, pair as <h1|bg><h2|bl>.
-    composites_equal_report(rep, "CHA2", [(mult, (1, 2), to_h), (be, (0,), None), pair],
-                            [(co, (0,), to_hh), (be, (2,), None), (be, (3,), None),
-                             (flip, (1, 2), None), pair, pair], names3)
-    # CHA3: <h1|g1> g2 h2 against h1 g1 <h2|g2>
-    expand = [(co, (1,), to_hh), (co, (0,), to_hh), (flip, (1, 2), None)]
-    composites_equal_report(rep, "CHA3",
-                            expand + [pair, (flip, (0, 1), None), (mult, (0, 1), to_h)],
-                            expand + [(pair[0], (2, 3), ()), (mult, (0, 1), to_h)],
-                            (names, names))
-    # <1|h> and <h|1>, each against eps(h)
-    put_u = (insert_columns(b.unit, n), (0,), to_hh)
-    counit = Composite([(eps, (0,), ())], to_h)
-    sides = [Composite(side, to_h).first_difference(counit) is None
-             for side in ([put_u, pair], [put_u, (flip, (0, 1), None), pair])]
-    rep.add("CHA4", all(sides), None if all(sides) else
-            ("<1|h>" if not sides[0] else "<h|1>",))
-
-    composites_equal_report(rep, "CHA5", [(be, (0,), None), (be, (1,), None), pair], [pair],
-                            (names, names))
-
-    # <h1|g1><g2|h2> against eps(h) eps(g)
-    rep.set_flag("cotriangular", Composite(
-        expand + [pair, (flip, (0, 1), None), pair], to_hh).first_difference(
-            Composite([(eps, (0,), ()), (eps, (0,), ())], to_hh)) is None)
-    return rep
-
+    mult, co, be, eps, names = b.mult, b.comult, b.gamma, b.counit, b.basis
+    hg, hgl = dict(h=names, g=names), dict(h=names, g=names, l=names)
+    return AxiomReport().record(
+        # <hg|b(l)> against <b(h)|l2><b(g)|l1>
+        Identity("CHA1", hgl, [(mult, "h g -> x"), (be, "l"), (form, "x l ->")],
+                 [(co, "l -> a c"), (be, "h"), (be, "g"), (form, "g a ->"), (form, "h c ->")]),
+        # <b(h)|gl> against <h1|b(g)><h2|b(l)>
+        Identity("CHA2", hgl, [(mult, "g l -> x"), (be, "h"), (form, "h x ->")],
+                 [(co, "h -> a c"), (be, "g"), (be, "l"), (form, "a g ->"), (form, "c l ->")]),
+        # <h1|g1> g2 h2 against h1 g1 <h2|g2>
+        Identity("CHA3", hg, [(co, "h -> a c"), (co, "g -> d e"), (form, "a d ->"),
+                              (mult, "e c -> x")],
+                 [(co, "h -> a c"), (co, "g -> d e"), (form, "c e ->"), (mult, "a d -> x")]),
+        # <1|h> and <h|1>, each against eps(h)
+        Identity("CHA4", dict(h=n), {"<1|h>": [(b.unit, "-> x"), (form, "x h ->")],
+                                     "<h|1>": [(b.unit, "-> x"), (form, "h x ->")]},
+                 [(eps, "h ->")]),
+        Identity("CHA5", hg, [(be, "h"), (be, "g"), (form, "h g ->")], [(form, "h g ->")]),
+    ).set_flag("cotriangular", Identity(  # <h1|g1><g2|h2> against eps(h) eps(g)
+        "cotriangular", hg, [(co, "h -> a c"), (co, "g -> d e"), (form, "a d ->"),
+                             (form, "e c ->")], [(eps, "h ->"), (eps, "g ->")]).decide().passed)

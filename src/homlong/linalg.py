@@ -2,67 +2,48 @@
 
 Everything is exact, ints and Fractions; there is no floating point
 anywhere.  Linear maps are column-convention: M[i][j] is the coefficient of
-the i-th output basis vector in the image of the j-th input basis vector, and
-matrices act on coordinate columns.  Matrix and Tensor3 have no arithmetic:
-maps compose only as steps on tensor legs (below).  Tensor-product bases
-are ordered lexicographically, first factor major: (i, j) -> i * dim_second
-+ j.
+the i-th output basis vector in the image of the j-th input basis vector.
+Matrix and Tensor3 have no arithmetic: maps compose only as steps on
+tensor legs (below).  Tensor-product bases are ordered lexicographically,
+first factor major: (i, j) -> i * dim_second + j.
 
 A Matrix is stored as its int-scaled sparse columns (cols, scale), in the
-unique form int_columns gives: entries sorted by row within each column and
-the scale the lcm of the reduced denominators.  Equality and hashing read
-that form and the type.  A unit, a counit or a solution is an n x 1 Matrix,
-m[i] its i-th coordinate, and a Tensor3 (a multiplication, action,
-comultiplication or coaction) the Matrix of its product-like map (i, j) ->
-sum_k T[i][j][k] e_k with its leg dims; coproduct_columns moves the same
-ints once into the coproduct-like reading.  int_columns is the one reader
-of scalars: Matrix(rows), Tensor3(data) and the io loaders read ints
-as they are and "p/q" strings once, straight into that form, and never
-store a zero.  That form is all a Matrix keeps: to_json writes from it, and
-an entry (m[i, j] by bisection in column j), to_lists and __repr__ are read
-off it when asked.  det, inv and solve_exact share one fraction-free
-elimination on sparse int rows read off the columns, which rewrites only
-the rows that hold the pivot column and scales the others lazily, so it
-pays only for the nonzeros: a 512 x 512 mu with one entry per column
-inverts in milliseconds.
+unique form int_columns gives: entries sorted by row within each column,
+the scale the lcm of the reduced denominators, no zero stored.  Equality
+and hashing read that form and the type, and it is all a Matrix keeps:
+entries (m[i, j] by bisection), to_lists, to_json and __repr__ are read
+off it.  int_columns is the one reader of scalars, for Matrix(rows),
+Tensor3(data) and the io loaders.  A unit, a counit or a solution is an
+n x 1 Matrix, and a Tensor3 (a multiplication, action, comultiplication
+or coaction) the Matrix of its product-like map (i, j) -> sum_k T[i][j][k]
+e_k with its leg dims; coproduct_columns gives its other reading, and it
+refuses to be read as one matrix (transpose, is_identity, det, inv).  det,
+inv and solve_exact share one fraction-free elimination on sparse int
+rows, which pays only for the nonzeros.
 
-Identities between composites of maps on tensor legs are decided without
-forming the composites.  A step applies a small map, as sparse int-scaled
-columns (sparse_columns, coproduct_columns, per_leg, flip_columns,
-insert_columns, pair_columns), to consecutive legs of a sparse vector.  A
-map with legs moved between its inputs and outputs (a transpose, the other
-reading of a Tensor3, an element's flat coordinates) comes from one
-function, move_legs, in one pass over its entries.  A Composite of steps is
-checked and planned once, when it is built, then run on batches of basis
-columns: the column index j is one more leading leg, so a batch is the one
-sparse vector sum_j e_j (x) e_j and a single pass per step serves all its
-columns.  The first step's image of a batch is written straight from that
-step's columns; a later step's output is filtered for zeros only when the
-step cancelled an entry.  On a composite of at least FOLD_MIN_COLUMNS
-columns, a step that keeps its leg count and has at most one entry per
-column, on distinct rows (mu, its inverse, alpha, the associators' legs, a
-flip), makes no pass of its own: the plan carries it past steps on other
-legs into the next step on its legs, whose columns it re-indexes and
-scales, and drops it where it composes to the identity, as mu^-1 and mu of
-consecutive associators do.  A smaller composite, such as the 4-27-column
-ones of the Hom-Long checks, is planned in the one loop that checks its
-steps, and its readings run it as a single batch.
-Composite.first_difference compares two composites on batches of
-BATCH_COLUMNS columns from column 0, and stops at the first batch that
-differs; columns() gives one composite as int columns, a step for a further
-composite, matrix() the Matrix over the same columns, and product() and
-coproduct() its two Tensor3 readings, all run BATCH_COLUMNS columns at a
-time, and a composite of at most BATCH_COLUMNS columns at once, with no
-generator of batches.  Every constructed structure map is such a
-composite: per_leg_matrix gives a tensor product of maps, and the Tensor3
-readings a multiplication, action, comultiplication or coaction, so no map
-is written as an index sum over structure constants or as a Kronecker
+A step applies a small map, as int-scaled columns (sparse_columns,
+coproduct_columns, per_leg, flip_columns, insert_columns, pair_columns),
+to consecutive legs of a sparse vector; report.Identity and report.compose
+write steps on named legs and compile them to these.  A map with legs
+moved between its inputs and outputs (a transpose, the other reading of a
+Tensor3, an element's flat coordinates) comes from one function,
+move_legs.  A Composite of steps is checked and planned once, then run on
+batches of basis columns: the column index is one more leading leg, so a
+single pass per step serves a batch.  On a composite of at least
+FOLD_MIN_COLUMNS columns, a step that keeps its leg count and has one
+entry per column on distinct rows (mu, alpha, a flip) is carried into the
+next step on its legs and makes no pass of its own, and dropped where it
+composes to the identity; a smaller composite runs its plan as one batch.
+first_difference compares two composites BATCH_COLUMNS columns at a time
+from column 0 and stops at the first batch that differs; columns(),
+matrix(), product() and coproduct() read one composite.  Every constructed
+structure map is such a composite, never an index sum or a Kronecker
 product.
 
 Matrix and Tensor3 are immutable, so each keeps what is derived from it
-once computed: a Matrix its determinant and inverse, a Tensor3 also its
-coproduct-like reading.  The stored and cached columns are shared by every
-caller and are never changed.
+once computed: a Matrix its determinant, inverse and covector reading, a
+Tensor3 also its coproduct-like reading.  The stored and cached columns
+are shared by every caller and are never changed.
 """
 
 import bisect
@@ -123,10 +104,10 @@ class Matrix:
     so hashing reads it, and equality it and the type.  It is the one form
     kept: entries are read off it when asked for.
 
-    A Matrix is immutable, so it also keeps its determinant and its inverse
-    once computed."""
+    A Matrix is immutable, so it also keeps its determinant, its inverse
+    and its covector reading (pair_columns) once computed."""
 
-    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse")
+    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse", "_flat")
 
     def __init__(self, rows_data, rows=None, cols=None):
         data = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows_data]
@@ -137,7 +118,7 @@ class Matrix:
         if len(data) != rows or any(len(r) != cols for r in data):
             int_columns(data)       # an unreadable entry is named before the shape
             raise DimensionMismatch("ragged or mis-shaped matrix data")
-        self.rows, self.cols, self._det, self._inverse = rows, cols, None, None
+        self.rows, self.cols, self._det, self._inverse, self._flat = rows, cols, None, None, None
         self._sparse = int_columns(zip(*data) if rows else [()] * cols)
 
     @classmethod
@@ -145,7 +126,7 @@ class Matrix:
         """An instance of cls over columns in the form int_columns gives."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._sparse = rows, cols, sparse
-        m._det = m._inverse = None
+        m._det = m._inverse = m._flat = None
         return m
 
     @classmethod
@@ -503,17 +484,20 @@ def insert_columns(element, d):
     """x -> element (x) x on a leg of dim d, for an element (a unit, R) given
     by its flat coordinates in a Matrix: entry [i][j] at i * cols + j; as a
     step its out_dims are the element's legs, then d."""
-    cols, scale = element._sparse
-    (col,) = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0))
+    cols, scale = pair_columns(element)
+    col = [(k, c[0][1]) for k, c in enumerate(cols) if c]
     return [[(k * d + o, x) for k, x in col] for o in range(d)], scale
 
 
 def pair_columns(covector):
     """The pairing with a covector (a counit, a form) given by its flat
     coordinates in a Matrix, as insert_columns reads an element; as a step
-    its out_dims are ()."""
-    cols, scale = covector._sparse
-    return move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
+    its out_dims are ().  Its columns are moved once, then kept and shared
+    like sparse_columns."""
+    if covector._flat is None:
+        cols, scale = covector._sparse
+        covector._flat = move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
+    return covector._flat
 
 
 # the most basis columns a composite runs in one batch, which bounds the
@@ -689,9 +673,18 @@ class Composite:
     __slots__ = ("dims", "out_dims", "_d_in", "_first", "_rest", "_scale")
 
     def __init__(self, steps, dims):
-        self.dims = tuple(dims)
-        plan, self.out_dims, self._scale = _plan(steps, self.dims)
-        d_in = self._d_in = math.prod(self.dims)
+        self._set(tuple(dims), *_plan(steps, tuple(dims)))
+
+    @classmethod
+    def _planned(cls, dims, plan, out_dims, scale):
+        """The Composite of a plan in _plan's form made elsewhere, on the
+        legs dims below FOLD_MIN_COLUMNS, where _plan folds nothing."""
+        (c := cls.__new__(cls))._set(dims, plan, out_dims, scale)
+        return c
+
+    def _set(self, dims, plan, out_dims, scale):
+        self.dims, self.out_dims, self._scale = dims, out_dims, scale
+        d_in = self._d_in = math.prod(dims)
         # an empty plan starts from the identity on no legs
         self._first = plan[0] if plan else ([[(0, 1)]], d_in, d_in, d_in)
         self._rest = plan[1:]
@@ -773,6 +766,12 @@ class Composite:
         at column c runs min(d, (c // BATCH_COLUMNS + 1) * BATCH_COLUMNS)
         of the d columns a side, and the witness is the least differing
         column of that batch."""
+        key = self._first_key(other)
+        return None if key is None else unflat_index(key // math.prod(self.out_dims), self.dims)
+
+    def _first_key(self, other):
+        """The least key j * rows + r (column j, row r) at which the
+        composites differ, as first_difference reads them, or None."""
         d_out = math.prod(self.out_dims)
         if self.dims != other.dims:
             raise DimensionMismatch("composites on legs %r and %r" % (self.dims, other.dims))
@@ -781,8 +780,7 @@ class Composite:
                                     % (d_out, math.prod(other.out_dims)))
         for left, right in zip(self._batches(other._scale), other._batches(self._scale)):
             if left != right:
-                key = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
-                return unflat_index(key // d_out, self.dims)
+                return min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
         return None
 
 
@@ -825,7 +823,8 @@ class Tensor3(Matrix):
     as any Matrix is, with the leg dims on top.  Equality also compares d0,
     and a Tensor3 equals only a Tensor3.  coproduct_columns gives its
     coproduct-like reading i -> sum_jk T[i][j][k] e_j (x) e_k (a comult, a
-    coaction) from the same ints."""
+    coaction) from the same ints.  The Matrix methods that would read it as
+    one map (transpose, is_identity, det, inv) raise TypeError."""
 
     __slots__ = ("d0", "d1", "_coproduct")
 
@@ -844,7 +843,7 @@ class Tensor3(Matrix):
             raise DimensionMismatch("ragged tensor data")
         self.rows, self.cols, self.d0, self.d1 = d2, d0 * d1, d0, d1
         self._sparse = int_columns(r for p in data for r in p)
-        self._det = self._inverse = self._coproduct = None
+        self._det = self._inverse = self._flat = self._coproduct = None
 
     @classmethod
     def from_int_columns(cls, cols, scale, dims):
@@ -874,6 +873,11 @@ class Tensor3(Matrix):
     def from_function(d0, d1, d2, f):
         return Tensor3([[[f(i, j, k) for k in range(d2)] for j in range(d1)]
                         for i in range(d0)], dims=(d0, d1, d2))
+
+    def _not_a_matrix(self):
+        raise TypeError("a Tensor3 has three legs: read it by sparse_columns or coproduct_columns")
+
+    transpose = is_identity = det = inv = _not_a_matrix
 
     def __getitem__(self, ijk):
         i, j, k = ijk

@@ -9,16 +9,14 @@ Carriers are described by structure constants: action[h][i][j] is the
 coefficient of m_j in e_h . m_i, coaction[i][a][j] the coefficient of
 b_a (x) m_j in rho(m_i).  The compatibility condition and its Hopf-case
 reformulation are both checked; the reformulation is a cross-check only.
-Every identity is a pair of composites of leg steps (see linalg, where the
-step helpers live), compared on batches of basis columns.
+Every axiom is a report.Identity on named legs.
 """
 
 from dataclasses import dataclass
 
-from .linalg import (Matrix, Tensor3, Composite, DimensionMismatch, coproduct_columns,
-                     flip_columns, insert_columns, pair_columns, sparse_columns)
+from .linalg import Matrix, Tensor3, DimensionMismatch
 from .homstruct import HomStructure, default_basis
-from .report import AxiomReport, composites_equal_report
+from .report import AxiomReport, Check, Identity, compose
 
 
 @dataclass(frozen=True)
@@ -105,23 +103,15 @@ def validate_hom_module(a, m):
     if m.action.dims != (a.dim, m.dim, m.dim):
         raise DimensionMismatch("module over dim-%d algebra has action dims %r"
                                 % (a.dim, m.action.dims))
-    rep = AxiomReport()
-    rep.add("nu-invertible", m.nu.det() != 0)
-    act, nu, al = sparse_columns(m.action), sparse_columns(m.nu), sparse_columns(a.gamma)
-    to_m, hn, mn = (m.dim,), a.basis, m.basis
-    composites_equal_report(rep, "HM1", [(act, (0, 1), to_m), (nu, (0,), None)],
-                            [(al, (0,), None), (nu, (1,), None), (act, (0, 1), to_m)],
-                            (hn, mn))
-    composites_equal_report(rep, "HM2-assoc",
-                            [(act, (1, 2), to_m), (al, (0,), None), (act, (0, 1), to_m)],
-                            [(sparse_columns(a.mult), (0, 1), (a.dim,)), (nu, (1,), None),
-                             (act, (0, 1), to_m)],
-                            (hn, hn, mn))
-    composites_equal_report(rep, "HM2-unit",
-                            [(insert_columns(a.unit, m.dim), (0,), (a.dim, m.dim)),
-                             (act, (0, 1), to_m)],
-                            [(nu, (0,), None)], (mn,))
-    return rep
+    act, nu, al, hn = m.action, m.nu, a.gamma, a.basis
+    return AxiomReport().record(
+        Check("nu-invertible", m.nu.det() != 0),
+        Identity("HM1", dict(h=hn, m=m.basis), [(act, "h m -> m"), (nu, "m")],
+                 [(al, "h"), (nu, "m"), (act, "h m -> m")]),
+        Identity("HM2-assoc", dict(h=hn, g=hn, m=m.basis),
+                 [(act, "g m -> m"), (al, "h"), (act, "h m -> m")],
+                 [(a.mult, "h g -> h"), (nu, "m"), (act, "h m -> m")]),
+        Identity("HM2-unit", dict(m=m.basis), [(a.unit, "-> h"), (act, "h m -> m")], [(nu, "m")]))
 
 
 def validate_hom_comodule(c, m):
@@ -130,70 +120,46 @@ def validate_hom_comodule(c, m):
     if m.coaction.dims != (m.dim, c.dim, m.dim):
         raise DimensionMismatch("comodule over dim-%d coalgebra has coaction dims %r"
                                 % (c.dim, m.coaction.dims))
-    rep = AxiomReport()
-    rep.add("mu-invertible", m.mu.det() != 0)
-    co, mu, be = coproduct_columns(m.coaction), sparse_columns(m.mu), sparse_columns(c.gamma)
-    to_cm, names = (c.dim, m.dim), (m.basis,)
-    composites_equal_report(rep, "HCM1-a", [(mu, (0,), None), (co, (0,), to_cm)],
-                            [(co, (0,), to_cm), (be, (0,), None), (mu, (1,), None)],
-                            names)
-    composites_equal_report(rep, "HCM1-b",
-                            [(co, (0,), to_cm), (pair_columns(c.counit), (0,), ())],
-                            [(mu, (0,), None)], names)
-    composites_equal_report(rep, "HCM2",
-                            [(co, (0,), to_cm), (be, (0,), None), (co, (1,), to_cm)],
-                            [(co, (0,), to_cm),
-                             (coproduct_columns(c.comult), (0,), (c.dim, c.dim)),
-                             (mu, (2,), None)],
-                            names)
-    return rep
+    co, mu, be, names = m.coaction, m.mu, c.gamma, dict(m=m.basis)
+    return AxiomReport().record(
+        Check("mu-invertible", m.mu.det() != 0),
+        Identity("HCM1-a", names, [(mu, "m"), (co, "m -> b m")],
+                 [(co, "m -> b m"), (be, "b"), (mu, "m")]),
+        Identity("HCM1-b", names, [(co, "m -> b m"), (c.counit, "b ->")], [(mu, "m")]),
+        Identity("HCM2", names, [(co, "m -> b m"), (be, "b"), (co, "m -> c m")],
+                 [(co, "m -> b m"), (c.comult, "b -> b c"), (mu, "m")]))
 
 
 def check_yd(h, m):
     """Compatibility of action and coaction over one Hom-bialgebra, column
     by column: (HYD); with an antipode also the reformulation (HYD)' and a
     flag recording that both verdicts agree."""
-    n, d, rep = h.dim, m.dim, AxiomReport()
-    act, co = sparse_columns(m.action), coproduct_columns(m.coaction)
-    mult, comult = sparse_columns(h.mult), coproduct_columns(h.comult)
-    # b^k on a leg as the step b k times
-    be = sparse_columns(h.gamma)
-    to_h, to_m, to_hh, to_hm = (n,), (d,), (n, n), (n, d)
-
-    # h1 b(m-1) (x) b^3(h2) . m0: split h and m, bring m-1 next to h1
-    lhs = [(comult, (0,), to_hh), (co, (2,), to_hm), (flip_columns(n, n), (1, 2), None),
-           (be, (1,), None), (mult, (0, 1), to_h), *[(be, (1,), None)] * 3, (act, (1, 2), to_m)]
-    # w = b^2(h1) . m ; w-1 h2 (x) w0
-    rhs = [(comult, (0,), to_hh), (flip_columns(n, d), (1, 2), (d, n)), *[(be, (0,), None)] * 2,
-           (act, (0, 1), to_m), (co, (0,), to_hm), (flip_columns(d, n), (1, 2), (n, d)),
-           (mult, (0, 1), to_h)]
-    composites_equal_report(rep, "HYD", lhs, rhs, (h.basis, m.basis))
-
+    act, co, mult, comult, be = m.action, m.coaction, h.mult, h.comult, h.gamma
+    names = dict(h=h.basis, m=m.basis)
+    # h1 b(m-1) (x) b^3(h2) . m0 against w-1 h2 (x) w0 for w = b^2(h1) . m
+    rep = AxiomReport().record(Identity(
+        "HYD", names, [(comult, "h -> h g"), (co, "m -> b m"), (be, "b"), (mult, "h b -> b"),
+                       *[(be, "g")] * 3, (act, "g m -> m")],
+        [(comult, "h -> h g"), (be, "h"), (be, "h"), (act, "h m -> m"), (co, "m -> b m"),
+         (mult, "b g -> b")]))
     if h.antipode is not None:
         # co(b^4(h) . m) against (b^-2(h11 b(m-1)) S(h2)) (x) b^3(h12) . m0
-        lhs2 = [(be, (0,), None)] * 4 + [(act, (0, 1), to_m), (co, (0,), to_hm)]
-        # b^-2 as b's inverse twice
-        bi = (sparse_columns(h.gamma.inv()), (0,), None)
-        rhs2 = [(comult, (0,), to_hh), (flip_columns(n, d), (1, 2), (d, n)),
-                (co, (1,), to_hm), (comult, (0,), to_hh), (flip_columns(n, n), (1, 2), None),
-                *[(be, (2,), None)] * 3, (act, (2, 3), to_m),
-                (flip_columns(d, n), (2, 3), (n, d)), (be, (1,), None), (mult, (0, 1), to_h),
-                bi, bi, (sparse_columns(h.antipode), (1,), None), (mult, (0, 1), to_h)]
-        composites_equal_report(rep, "HYD-prime", lhs2, rhs2, (h.basis, m.basis))
+        bi = (h.gamma.inv(), "b")
+        rep.record(Identity(
+            "HYD-prime", names, [*[(be, "h")] * 4, (act, "h m -> m"), (co, "m -> b m")],
+            [(comult, "h -> h s"), (co, "m -> b m"), (comult, "h -> h g"), *[(be, "g")] * 3,
+             (act, "g m -> m"), (be, "b"), (mult, "h b -> b"), bi, bi, (h.antipode, "s"),
+             (mult, "b s -> b")]))
         rep.set_flag("hyd-consistent", rep.passed("HYD") == rep.passed("HYD-prime"))
     return rep
 
 
 def yd_prebraiding(m, n):
     """Matrix of the pre-braiding M (x) N -> N (x) M,
-    m (x) n -> b^2(m-1) . nu^-1(n) (x) mu^-1(m0), a batch of columns at a time."""
+    m (x) n -> b^2(m-1) . nu^-1(n) (x) mu^-1(m0)."""
     if m.over != n.over:
         raise DimensionMismatch("pre-braiding of modules over different bialgebras")
-    nh = m.over.dim
-    steps = [(coproduct_columns(m.coaction), (0,), (nh, m.dim)),
-             (flip_columns(m.dim, n.dim), (1, 2), (n.dim, m.dim)),
-             *[(sparse_columns(m.over.gamma), (0,), None)] * 2,
-             (sparse_columns(n.structure_map.inv()), (1,), None),
-             (sparse_columns(n.action), (0, 1), (n.dim,)),
-             (sparse_columns(m.structure_map.inv()), (1,), None)]
-    return Composite(steps, (m.dim, n.dim)).matrix()
+    be = (m.over.gamma, "p")
+    return compose(dict(x=m.dim, y=n.dim), [
+        (m.coaction, "x -> p x"), be, be, (n.structure_map.inv(), "y"),
+        (n.action, "p y -> y"), (m.structure_map.inv(), "x")], "y x").matrix()

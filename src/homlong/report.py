@@ -1,18 +1,30 @@
-"""Axiom reports: per-check verdicts with counterexample witnesses.
+"""Axiom reports: per-check verdicts with counterexample witnesses, and the
+identities they decide.
 
 A report is a list of (axiom id, pass/fail, witness) entries plus a dict of
 verified flags (triangular, cotriangular, ...).  Witnesses name the basis
 tuple on which an identity first failed, so a failing report doubles as a
 debugging instrument.  An entry is a Check, a named tuple: immutable,
 hashable, equal to any Check with the same fields and printed as
-Check(axiom=..., passed=..., witness=...); a report of many small checks
-pays only a tuple per entry.
+Check(axiom=..., passed=..., witness=...).
+
+Every axiom is an Identity lhs = rhs, each side a list of steps (map,
+"a b -> x") naming the tensor legs the map reads and the legs it leaves; a
+validator is a table of Checks and Identities that AxiomReport.record
+decides in order.  An identity is compiled once per text and shape into
+linalg's positional leg steps: the compiler places the flips and the legs
+of the elements a side inserts, so the text reads as the formula.  compose
+builds a map from such steps.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .linalg import Composite, unflat_index
+from .linalg import (FOLD_MIN_COLUMNS, Composite, DimensionMismatch, Matrix, Tensor3,
+                     coproduct_columns, insert_columns, move_legs, pair_columns, sparse_columns,
+                     unflat_index)
 
 
 class Check(NamedTuple):
@@ -31,6 +43,11 @@ class AxiomReport:
 
     def add(self, axiom, passed, witness=None):
         self.checks.append(Check(axiom, bool(passed), witness))
+        return self
+
+    def record(self, *items):
+        """Append each item's check: a Check as it is, an Identity decided."""
+        self.checks += [i.decide() if isinstance(i, Identity) else i for i in items]
         return self
 
     def set_flag(self, name, value):
@@ -81,30 +98,277 @@ class AxiomReport:
         return "\n".join(self.lines())
 
 
-def composites_equal_report(report, axiom, lhs, rhs, names_in):
-    """Record lhs == rhs for two composites of maps on the tensor legs whose
-    bases are names_in (see linalg.Composite), column by column; on failure
-    witness the first differing input basis tuple."""
-    dims_in = tuple(map(len, names_in))
-    idxs = Composite(lhs, dims_in).first_difference(Composite(rhs, dims_in))
-    return report.add(axiom, idxs is None, _named(idxs, names_in))
+class Identity(NamedTuple):
+    """The axiom lhs = rhs between composites of maps on named tensor legs,
+    decided column by column.
+
+    A side is a list of steps (map, text); "a b -> x" reads the legs a and
+    b, in that order, and leaves the leg x, and "a" is "a -> a".  A Tensor3
+    reads as its product ("a b -> x") or its coproduct ("x -> a b"); a
+    Matrix with no input legs is an element inserted and one with no output
+    legs a covector paired away, by the flat coordinates i * cols + j (a
+    unit, R, a counit, a form), and otherwise the map from its columns to
+    its rows; int columns (cols, scale) from Composite.columns land on legs
+    whose names give their dims.
+
+    names_in maps each input leg to its basis names; a failure's witness
+    names the first differing input basis tuple.  A leg given by its dim
+    is left out of the witness, and several legs under one key ("x y z")
+    take a tuple of bases and are named together, x⊗y⊗z.  An element
+    identity is the case names_in = (): its witness is the first differing
+    output coordinate, named by names_out, which also orders the output
+    legs (else the rhs ends in the lhs's order).  A side may be a dict of
+    labelled sides, the rhs one side for all or a dict by the same labels:
+    the first label whose pair differs leads the witness."""
+
+    axiom: str
+    names_in: object
+    lhs: object
+    rhs: object
+    names_out: object = ()
+
+    def decide(self):
+        """The Check of this identity."""
+        symbols, dims = _legs(self.names_in)
+        outs = _legs(self.names_out)[0] if self.names_out else None
+        for label in self.lhs if type(self.lhs) is dict else (None,):
+            left = self.lhs if label is None else self.lhs[label]
+            right = self.rhs[label] if type(self.rhs) is dict else self.rhs
+            compiled = _compiled(symbols, dims, _shapes(left), outs)
+            left = _composite(compiled, left, dims)
+            right = _composite(_compiled(symbols, dims, _shapes(right), outs or compiled[1]),
+                               right, dims)
+            key = left._first_key(right)
+            if key is not None:
+                digits = unflat_index(key, dims + left.out_dims)
+                named = (_named(digits, self.names_in) if symbols
+                         else _named(digits[1:], self.names_out))
+                return Check(self.axiom, False, named if label is None else (label,) + named)
+        return Check(self.axiom, True)
 
 
-def elements_equal_report(report, axiom, lhs, rhs, names_out):
-    """Record that two composites of steps on the one-dimensional leg (1,),
-    each inserting elements or pairing them away (the empty composite is the
-    scalar 1), make the same element of the legs whose bases are names_out;
-    on failure witness the first output basis tuple on which they differ."""
-    (lcol,), lscale = Composite(lhs, (1,)).columns()
-    (rcol,), rscale = Composite(rhs, (1,)).columns()
-    left, right = {r: x * rscale for r, x in lcol}, {r: x * lscale for r, x in rcol}
-    differ = [r for r in left.keys() | right.keys() if left.get(r) != right.get(r)]
-    dims_out = tuple(map(len, names_out))
-    return report.add(axiom, not differ, _named(unflat_index(min(differ), dims_out), names_out)
-                      if differ else None)
+def compose(legs, steps, outs):
+    """The Composite of steps read as an Identity's side, from the legs legs
+    (a dict from leg to dim) to the legs outs ("x y"); both ends carry a
+    last unit leg of dim 1."""
+    symbols, dims = _legs(legs)
+    return _composite(_compiled(symbols, dims, _shapes(steps), tuple(outs.split())), steps, dims)
 
 
-def _named(idxs, names_in):
-    if idxs is None:
-        return idxs
-    return tuple(names[i] for names, i in zip(names_in, idxs))
+def _legs(names):
+    """The legs and their dims, then the unit leg's, of names (Identity)."""
+    symbols, dims = [], []
+    for key, value in names.items() if type(names) is dict else names:
+        if " " in key:
+            symbols += key.split()
+            dims += map(len, value)
+        else:
+            symbols.append(key)
+            dims.append(value if type(value) is int else len(value))
+    dims.append(1)
+    return tuple(symbols), tuple(dims)
+
+
+def _named(digits, names):
+    """The witness of the basis tuple digits over the legs of names."""
+    out = []
+    for key, value in names.items() if type(names) is dict else names:
+        legs = len(key.split())
+        if type(value) is not int:
+            out.append("⊗".join(b[i] for b, i in zip(value if legs > 1 else (value,), digits)))
+        digits = digits[legs:]
+    return tuple(out)
+
+
+def _shapes(side):
+    """A side's texts with its maps' shapes, which compiling reads: a
+    Tensor3's dims, a Matrix's (rows, cols), None for int columns."""
+    return tuple([(text, m.dims if type(m) is Tensor3 else
+                   (m.rows, m.cols) if isinstance(m, Matrix) else None) for m, text in side])
+
+
+def _composite(compiled, side, dims):
+    """The Composite of a compiled side on the maps of side; below
+    FOLD_MIN_COLUMNS, on the spans compiled with it."""
+    plan, _, out_dims = compiled
+    if math.prod(dims) < FOLD_MIN_COLUMNS:
+        steps, scale = [], 1
+        for k, read, _, _, blk, spans in plan:
+            cols, sc = read if k is None else read(side[k][0])
+            if len(cols) != blk:
+                break
+            steps.append((cols, *spans))
+            scale *= sc
+        else:
+            return Composite._planned(dims, steps, out_dims, scale)
+    return Composite([(read if k is None else read(side[k][0]), legs, out)
+                      for k, read, legs, out, _, _ in plan], dims)
+
+
+@functools.lru_cache(maxsize=1024)
+def _compiled(symbols, dims, side, target):
+    """The positional plan of a side (texts and map shapes) on the legs
+    symbols of dims dims, the last the unit leg, ending on the legs target
+    when given; the legs it leaves; the dims it lands on.  A step is (map
+    index, reader, legs, out dims, block size, spans as _plan makes them);
+    a permutation has index None and its columns for reader."""
+    ops, ends = _arranged(symbols, tuple(text for text, _ in side), target)
+    table, dims, plan = {**dict(zip(symbols, dims)), None: 1}, list(dims), []
+    for k, p, ins, outs in ops:
+        n = len(ins)
+        if k is None:
+            block = tuple(table[s] for s in ins)
+            read = _permutation(block, tuple(ins.index(s) for s in outs))
+            out = tuple(table[s] for s in outs)
+        else:
+            reads, leaves = _arrow(side[k][0])
+            read, want, out = _reading(side[k][1], reads, leaves, table)
+            if not reads:
+                read, out = functools.partial(read, d=dims[p]), out + (dims[p],)
+            elif want is not None and tuple(dims[p:p + n]) != tuple(want):
+                raise DimensionMismatch("map on legs of dims %r, given %r -> %r of dims %r"
+                                        % (tuple(want), ins, outs, tuple(dims[p:p + n])))
+            table.update(zip(outs, out))
+        suf, blk = math.prod(dims[p + n:]), math.prod(dims[p:p + n])
+        plan.append((k, read, tuple(range(p, p + n)), out, blk,
+                     (blk * suf, suf, math.prod(out) * suf)))
+        dims[p:p + n] = out
+    return tuple(plan), ends, tuple(dims)
+
+
+@functools.lru_cache(maxsize=1024)
+def _arranged(symbols, texts, target):
+    """The leg moves of the side texts from the legs symbols, then the unit
+    leg None, and the legs it leaves.  A move (k, p, ins, outs) has step k
+    read the legs ins from position p and leave outs there; an element
+    inserted reads the leg it lands before; a permutation (k None) orders
+    the legs ins as outs.  One permutation brings a step's input legs
+    together where they are not, the other legs of the block before them
+    when they flow into earlier legs of target; an element lands beside the
+    live leg a later step reads next to it.  The side ends on target."""
+    state, moves = list(symbols) + [None], []
+    steps = [_arrow(text) for text in texts]
+    r_out = _ranks(steps, target)
+    for k, (ins, outs) in enumerate(steps):
+        if ins:
+            p = state.index(ins[0])
+            if state[p:p + len(ins)] != list(ins):
+                pos = [state.index(s) for s in ins]
+                lo, hi, r = min(pos), max(pos) + 1, r_out[k]
+                others = [s for s in state[lo:hi] if s not in ins]
+                before = [s for s in others if r is not None
+                          and _rank(s, steps[k + 1:], r_out[k + 1:], target) < r]
+                _move(moves, state, lo, before + list(ins)
+                      + [s for s in others if s not in before])
+                p = lo + len(before)
+        else:
+            p = _place(state, steps[k + 1:], outs)
+            ins, outs = (state[p],), outs + (state[p],)
+        moves.append((k, p, ins, outs))
+        state[p:p + len(ins)] = outs
+    if target is not None:
+        if sorted(state[:-1]) != sorted(target):
+            raise DimensionMismatch("legs %r land where %r should" % (state[:-1], tuple(target)))
+        _move(moves, state, 0, list(target))
+    return tuple(moves), tuple(state[:-1])
+
+
+@functools.lru_cache(maxsize=1024)
+def _arrow(text):
+    """The input and output legs of a step's text."""
+    ins, arrow, outs = text.partition("->")
+    return tuple(ins.split()), tuple((outs if arrow else ins).split())
+
+
+def _ranks(steps, target):
+    """For each step, the least place in target its outputs flow into, or
+    None, read backwards from the end."""
+    if target is None:
+        return [None] * len(steps)
+    rank, out = {s: i for i, s in enumerate(target)}, []
+    for ins, outs in reversed(steps):
+        r = min((rank[s] for s in outs if s in rank), default=None)
+        out.append(r)
+        for s in outs:
+            rank.pop(s, None)
+        for s in ins:
+            if r is None:
+                rank.pop(s, None)
+            else:
+                rank[s] = r
+    return out[::-1]
+
+
+def _rank(leg, later, r_out, target):
+    """The least place in target the live leg flows into, or past its end."""
+    for (ins, _), r in zip(later, r_out):
+        if leg in ins:
+            return len(target) if r is None else r
+    return target.index(leg) if leg in target else len(target)
+
+
+def _reading(shape, ins, outs, dims):
+    """How a step reads its map: (reader, its input dims or None, its
+    output dims)."""
+    if shape is None:
+        if any(s not in dims for s in outs):
+            raise DimensionMismatch("int columns onto new legs %r" % (outs,))
+        return tuple, None, tuple(dims[s] for s in outs)     # a tuple read as it is
+    if len(shape) == 3:     # a Tensor3, else read as the Matrix of its product
+        if (len(ins), len(outs)) == (1, 2):
+            return coproduct_columns, shape[:1], shape[1:]
+        if len(ins) == 2:
+            return sparse_columns, shape[:2], _split(shape[2], outs, dims)
+        shape = shape[2], shape[0] * shape[1]
+    rows, cols = shape
+    if not ins:
+        return insert_columns, (), _split(rows * cols, outs, dims, shape)
+    if not outs:
+        return pair_columns, _split(rows * cols, ins, dims, shape), ()
+    return sparse_columns, _split(cols, ins, dims), _split(rows, outs, dims)
+
+
+def _split(total, legs, dims, square=None):
+    """The dims of legs sharing total basis vectors: total on one leg, else
+    their dims, else an element's (rows, cols) on two."""
+    if len(legs) == 1:
+        return (total,)
+    got = (tuple(dims[s] for s in legs) if all(s in dims for s in legs)
+           else square if square and len(legs) == 2 else None)
+    if got is None or math.prod(got) != total:
+        raise DimensionMismatch("%d basis vectors on legs %r" % (total, legs))
+    return got
+
+
+def _place(state, later, new):
+    """Where an element's legs new land: beside the live leg the first later
+    step reading both reads next to them, else last, before the unit leg."""
+    for ins, _ in later:
+        live = [s for s in ins if s in state]
+        i = next((i for i, s in enumerate(ins) if s in new), None)
+        if live and i is not None:
+            if i and ins[i - 1] in state:
+                return state.index(ins[i - 1]) + 1
+            return state.index(live[0])
+    return len(state) - 1
+
+
+def _move(moves, state, lo, new):
+    """Order the legs state[lo:] as new by one permutation of those that move."""
+    old, a, b = state[lo:lo + len(new)], 0, len(new)
+    while a < b and old[a] == new[a]:
+        a += 1
+    while b > a and old[b - 1] == new[b - 1]:
+        b -= 1
+    if a < b:
+        moves.append((None, lo + a, tuple(old[a:b]), tuple(new[a:b])))
+        state[lo:lo + len(new)] = new
+
+
+@functools.lru_cache(maxsize=256)
+def _permutation(dims, order):
+    """The int columns taking legs of dims to the order order (their places):
+    the identity with its output legs moved."""
+    k = len(dims)
+    return move_legs([[(j, 1)] for j in range(math.prod(dims))], dims, dims,
+                     tuple(range(k)), tuple(k + i for i in order)), 1

@@ -1530,3 +1530,98 @@ def test_fuzzed_operator_files_exit_0_1_or_2_without_a_traceback(tmp_path_factor
             assert "Traceback" not in out.getvalue() + err.getvalue()
             if fmt == "json":
                 assert json.loads(out.getvalue())["exit_code"] == code, (argv, obj)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed files of the other kinds
+
+def _fuzz_bases():
+    """A valid file of each other kind over kz2, every algebra inline: an
+    algebra with R and form, a context, and the five carrier kinds."""
+    kz2, sd = fx.kz2(), fx.sign_dimodule()
+    alg = dict(hio.algebra_to_json(kz2), R=hio.matrix_json(fx.kz2_rmatrix()),
+               form=hio.matrix_json(fx.kz2_form()))
+    return {
+        "algebra": alg,
+        "context": {"kind": "context", "H": alg, "B": alg},
+        "hom-module": hio.structure_to_json(fx.sign_module(kz2)),
+        "hom-comodule": hio.structure_to_json(fx.sign_comodule(kz2)),
+        "yd-module": hio.structure_to_json(
+            YetterDrinfeldModule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)),
+        "halpha-dimodule": hio.structure_to_json(
+            HAlphaLongDimodule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)),
+        "long-dimodule": hio.structure_to_json(
+            fx.trivial_dimodule(kz2, kz2, Matrix.diagonal([1, 3]))),
+    }
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+@st.composite
+def fuzzed_files(draw):
+    """(kind, JSON): a valid file of a kind, then one or two changes, each
+    at a random place in it, mostly a leaf: an int entry moved by one (so
+    the file reads, and its checks may fail), a value replaced by an entry
+    or a list of any kind, or a key dropped."""
+    kind = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    obj = json.loads(json.dumps(FUZZ_BASES[kind]))
+    for _ in range(draw(st.integers(1, 2))):
+        parent, key = None, None
+        node = obj
+        while isinstance(node, (dict, list)) and node and (parent is None
+                                                            or draw(st.integers(0, 4))):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            continue
+        change = draw(st.sampled_from(("bump", "bump", "replace", "drop")))
+        if change == "bump" and isinstance(node, int) and not isinstance(node, bool):
+            parent[key] = node + draw(st.sampled_from((-1, 1)))
+        elif change == "drop" and isinstance(parent, dict):
+            del parent[key]
+        else:
+            parent[key] = draw(fuzz_entries | st.lists(st.lists(fuzz_entries, max_size=2),
+                                                       max_size=2))
+    return kind, obj
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzzed_files())
+def test_fuzzed_files_of_every_kind_exit_0_1_or_2_without_a_traceback(tmp_path_factory, drawn):
+    # validate and one check or build per kind, in both formats: the exit
+    # code is 0, 1 or 2, nothing prints a traceback, and a json run prints
+    # one object whose exit_code is the return value
+    kind, obj = drawn
+    d = tmp_path_factory.mktemp("fuzz")
+    good = str(d / "good.json")
+    hio.save_structure(fx.trivial_dimodule(fx.kz2(), fx.kz2(), Matrix.diagonal([1, 3])), good)
+    base = str(d / "base.json")
+    hio.save_structure(fx.kz2(), base)
+    path, out = str(d / "fuzzed.json"), str(d / "out.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    ctx = path
+    if kind == "algebra":
+        ctx = str(d / "ctx.json")
+        with open(ctx, "w") as fh:
+            json.dump({"kind": "context", "H": "fuzzed.json", "B": "fuzzed.json"}, fh)
+    subject = {
+        "algebra": ["check", "symmetry", "--ctx", ctx, "-M", good, "-N", good, "--diagnose"],
+        "context": ["check", "symmetry", "--ctx", ctx, "-M", good, "-N", good, "--diagnose"],
+        "hom-module": ["build", "extension", "--base", base, "-M", path, "-o", out],
+        "hom-comodule": ["build", "extension", "--base", base, "-M", path, "-o", out],
+        "yd-module": ["check", "yd", "-M", path],
+        "halpha-dimodule": ["build", "dimodule-solution", "-D", path, "-o", out],
+        "long-dimodule": ["check", "snake", "-D", path],
+    }[kind]
+    for argv in (["validate", path], subject):
+        for fmt in ("text", "json"):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["--format", fmt] + argv)
+            assert code in (0, 1, 2), (argv, obj)
+            assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
+            if fmt == "json":
+                assert json.loads(stdout.getvalue())["exit_code"] == code, (argv, obj)

@@ -791,3 +791,12 @@ def test_solve_exact_matches_sympy(system):
         sol, params = sa.gauss_jordan_solve(sb)
         sol = sol.subs({p: 0 for p in params})
         assert list(x) == from_sympy(sol)
+
+
+@pytest.mark.parametrize("method", ["transpose", "is_identity", "det", "inv"])
+def test_tensor3_refuses_to_be_read_as_one_matrix(method):
+    # d0 * d1 = d2, so its product-like matrix is square and would invert
+    t = Tensor3.from_function(2, 2, 4, lambda i, j, k: int(k == 2 * i + j) + i)
+    with pytest.raises(TypeError, match="three legs"):
+        getattr(t, method)()
+    assert getattr(Matrix.from_int_columns(*sparse_columns(t), 4), method)() is not None

@@ -56,7 +56,7 @@ from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare, check_in
                             diagonal_solution, dimodule_solution, module_extension,
                             operator_to_coords, search_solutions, tau_transforms,
                             validate_halpha_dimodule)
-from homlong.report import AxiomReport, Check
+from homlong.report import AxiomReport, Check, Identity
 from homlong.repmod import (HomComodule, HomModule, YetterDrinfeldModule, check_yd,
                             validate_hom_comodule, validate_hom_module, yd_prebraiding)
 
@@ -3694,3 +3694,167 @@ def test_cli_checks_on_demo_files_read_no_dense_view(monkeypatch, capsys):
         assert cli_main(argv) == 0, argv
     capsys.readouterr()
     assert not views and not outside
+
+
+# ---------------------------------------------------------------------------
+# Identity's leg compiler against index sums over named legs
+
+def named_entries(m, ins, outs, dims, idx):
+    """(output index tuple, value) for the map m of a step reading the legs
+    ins at the index tuple idx and leaving the legs outs, read as Identity
+    documents it, by single entries m[i, j] and t[i, j, k]."""
+    out_dims = [dims[s] for s in outs]
+    if isinstance(m, tuple):                       # int columns (cols, scale)
+        cols, scale = m
+        j = flat_index(idx, [dims[s] for s in ins])
+        return [(unflat_index(r, out_dims), Fraction(x, scale)) for r, x in cols[j]]
+    if isinstance(m, Tensor3):
+        if len(ins) == 1:                          # coproduct: i -> t[i][j][k] e_j (x) e_k
+            return [((j, k), m[idx[0], j, k]) for j in range(m.d1) for k in range(m.d2)]
+        return [((k,), m[idx[0], idx[1], k]) for k in range(m.d2)]
+    if not ins:                                    # an element, by flat coordinates
+        return [(unflat_index(f, out_dims), m[f // m.cols, f % m.cols])
+                for f in range(m.rows * m.cols)]
+    j = flat_index(idx, [dims[s] for s in ins])
+    if not outs:                                   # a covector, by flat coordinates
+        return [((), m[j // m.cols, j % m.cols])]
+    return [(unflat_index(r, out_dims), m[r, j]) for r in range(m.rows)]
+
+
+def flat_index(idx, dims):
+    f = 0
+    for i, d in zip(idx, dims):
+        f = f * d + i
+    return f
+
+
+def named_image(side, start, dims):
+    """The image of one basis vector, an assignment leg -> index, under the
+    steps of side, as a dict from sorted assignments to nonzero values."""
+    vec = {tuple(sorted(start.items())): Fraction(1)}
+    for m, text in side:
+        ins, _, outs = text.partition("->")
+        ins, outs = ins.split(), (outs.split() if "->" in text else ins.split())
+        new = {}
+        for key, x in vec.items():
+            a = dict(key)
+            idx = tuple(a.pop(s) for s in ins)
+            for o, y in named_entries(m, ins, outs, dims, idx):
+                if y:
+                    b = dict(a, **dict(zip(outs, o)))
+                    k = tuple(sorted(b.items()))
+                    new[k] = new.get(k, 0) + x * y
+        vec = {k: v for k, v in new.items() if v}
+    return vec
+
+
+@st.composite
+def named_identities(draw):
+    """(identity, expected Check): a random composite of small int maps on
+    2-4 named legs of dims 1-3, written twice with the legs of each map in
+    random orders (and 2 -> 1 maps as a Matrix or a Tensor3), and in half
+    the draws one entry of one map of the rhs moved by one.  An element
+    identity (names_in = ()) first inserts its legs."""
+    element = draw(st.integers(0, 3)) == 0
+    k = 2 if element else draw(st.integers(2, 4))
+    dims = {s: draw(st.integers(1, 3)) for s in "abcd"[:k]}
+    live, fresh, steps = list(dims), iter("efghijklmnopqrstuvwxyz"), []
+    small = st.integers(-2, 2)
+
+    def new_leg():
+        s = next(fresh)
+        dims[s] = draw(st.integers(1, 3))
+        return s
+
+    if element:
+        steps.append(("insert", (), tuple(live)))
+    for _ in range(draw(st.integers(1, 5))):
+        kinds = ["map1", "insert"] if len(live) < 4 else ["map1"]
+        if live:
+            kinds += ["coproduct", "pair"]
+        if len(live) >= 2:
+            kinds += ["map2", "pair", "raw"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "insert":
+            outs = tuple(new_leg() for _ in range(draw(st.integers(1, 2))))
+            steps.append((kind, (), outs))
+            live += outs
+            continue
+        width = 2 if kind in ("map2", "raw") else draw(st.integers(1, 2)) if kind == "pair" else 1
+        ins = tuple(draw(st.permutations(live))[:width])
+        outs = ins if kind == "raw" else tuple(
+            new_leg() for _ in range({"coproduct": 2, "pair": 0}.get(kind, 1)))
+        steps.append((kind, ins, outs))
+        live = [s for s in live if s not in ins] + list(outs)
+    # each step's map as a function of its legs in the order drawn
+    maps = []
+    for kind, ins, outs in steps:
+        shape = tuple(dims[s] for s in ins) + tuple(dims[s] for s in outs)
+        entries = draw(st.lists(small, min_size=math.prod(shape), max_size=math.prod(shape)))
+        maps.append(dict(zip(itertools.product(*(range(d) for d in shape)), entries)))
+
+    def write(kind, ins, outs, f, bend=None):
+        """One step for f on the legs in random orders, as the library reads it."""
+        ins2, outs2 = draw(st.permutations(ins)), draw(st.permutations(outs))
+        din, dout = [dims[s] for s in ins2], [dims[s] for s in outs2]
+
+        def value(i, o):
+            a, b = dict(zip(ins2, i)), dict(zip(outs2, o))
+            key = tuple(a[s] for s in ins) + tuple(b[s] for s in outs)
+            return f[key] + (1 if key == bend else 0)
+
+        text = " ".join(ins2) + " -> " + " ".join(outs2)
+        ii = list(itertools.product(*(range(d) for d in din)))
+        oo = list(itertools.product(*(range(d) for d in dout)))
+        if kind == "coproduct":
+            t = Tensor3([[[value(i, (j, k)) for k in range(dout[1])] for j in range(dout[0])]
+                         for i in ii], dims=(din[0],) + tuple(dout))
+            return t, text
+        if kind == "map2" and draw(st.booleans()):
+            t = Tensor3([[[value((i, j), (k,)) for k in range(dout[0])] for j in range(din[1])]
+                         for i in range(din[0])], dims=tuple(din) + tuple(dout))
+            return t, text
+        if kind == "insert" or kind == "pair":
+            legs, d = (oo, dout) if kind == "insert" else (ii, din)
+            rows, cols = (d[0], d[1]) if len(d) == 2 else (d[0], 1)
+            grid = [[0] * cols for _ in range(rows)]
+            for t in legs:
+                grid[t[0]][t[1] if len(t) == 2 else 0] = (value((), t) if kind == "insert"
+                                                          else value(t, ()))
+            return Matrix(grid, rows=rows, cols=cols), text
+        m = Matrix([[value(i, o) for i in ii] for o in oo], rows=len(oo), cols=len(ii))
+        return (sparse_columns(m) if kind == "raw" else m), text
+
+    lhs = [write(*s, f) for s, f in zip(steps, maps)]
+    bent = draw(st.booleans()) and draw(st.integers(0, len(steps) - 1))
+    rhs = []
+    for n, (s, f) in enumerate(zip(steps, maps)):
+        bend = draw(st.sampled_from(sorted(f))) if bent is not False and n == bent else None
+        rhs.append(write(*s, f, bend))
+    names = {s: tuple("%s%d" % (s, i) for i in range(dims[s])) for s in dims}
+    inputs = () if element else tuple("abcd"[:k])
+    outs = tuple(draw(st.permutations(live))) if element else ()
+    identity = Identity("drawn", {s: names[s] for s in inputs}, lhs, rhs,
+                        {s: names[s] for s in outs})
+    # the expected Check: the first input basis tuple, or for an element
+    # identity the first output coordinate, on which the sides differ
+    for col in itertools.product(*(range(dims[s]) for s in inputs)):
+        start = dict(zip(inputs, col))
+        left, right = named_image(lhs, start, dims), named_image(rhs, start, dims)
+        if left != right:
+            if not element:
+                return identity, Check("drawn", False, tuple(names[s][i]
+                                                             for s, i in zip(inputs, col)))
+            for coord in itertools.product(*(range(dims[s]) for s in outs)):
+                key = tuple(sorted(zip(outs, coord)))
+                if left.get(key) != right.get(key):
+                    return identity, Check("drawn", False, tuple(names[s][i]
+                                                                 for s, i in zip(outs, coord)))
+    return identity, Check("drawn", True)
+
+
+@settings(max_examples=250, deadline=None)
+@given(named_identities())
+def test_identity_compiler_matches_index_sums(drawn):
+    identity, expected = drawn
+    assert identity.decide() == expected

@@ -2,7 +2,8 @@
 dropped shows up in review: 79 names and the seven submodules the package
 imports.  The public names of homlong.linalg and of its Matrix and Tensor3
 are pinned the same way, so that a view or entry point added back shows up
-too."""
+too, and so are those of homlong.report and its Identity, so that a report
+helper beside Identity shows up."""
 
 import json
 import os
@@ -11,7 +12,7 @@ import subprocess
 import sys
 import types
 
-from homlong import linalg
+from homlong import linalg, report
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -95,3 +96,20 @@ def test_linalg_names_are_pinned():
     assert _public(dir(linalg.Tensor3)) == TENSOR3_ATTRIBUTES
     assert _public(dir(linalg.Composite)) == COMPOSITE_ATTRIBUTES
     assert len(LINALG_NAMES) == 23
+
+
+REPORT_NAMES = [
+    "AxiomReport", "Check", "Composite", "DimensionMismatch", "FOLD_MIN_COLUMNS", "Identity",
+    "Matrix", "NamedTuple", "Tensor3", "compose", "coproduct_columns", "dataclass", "field",
+    "insert_columns", "move_legs", "pair_columns", "sparse_columns", "unflat_index",
+]
+
+# an Identity is a named tuple of its fields with one method, decide
+IDENTITY_ATTRIBUTES = ["axiom", "count", "decide", "index", "lhs", "names_in", "names_out", "rhs"]
+
+
+def test_report_names_are_pinned():
+    assert _public(n for n, v in vars(report).items()
+                   if not isinstance(v, types.ModuleType)) == REPORT_NAMES
+    assert _public(dir(report.Identity)) == IDENTITY_ATTRIBUTES
+    assert report.Identity._fields == ("axiom", "names_in", "lhs", "rhs", "names_out")
