@@ -8,9 +8,9 @@ genuine failures are reported rather than assumed away.
 """
 
 from homlong import fixtures as fx
-from homlong.linalg import Composite
 from homlong.longdimod import (associator_legs, canonical_dimodule, check_coherence,
                                tensor_dimodule, validate_long_dimodule)
+from homlong.report import compose
 
 kz2 = fx.kz2()
 dims = fx.standard_dimodules()
@@ -32,7 +32,8 @@ print("tensor of two canonical carriers: dim %d, valid? %s"
 # The associator is mu^-1 (x) id (x) omega: mu^-1 on the first leg and omega
 # on the last; units act by the structure map.
 u, v, w = dims["sign"], dims["canonical"], dims["trivial"]
-assoc = Composite(associator_legs(u, w), (u.dim, v.dim, w.dim)).matrix()
+assoc = compose(dict(x=u.dim, y=v.dim, z=w.dim), associator_legs(u, w, "x z"),
+                "x y z").matrix()
 print("\nassociator shape: %dx%d" % (assoc.rows, assoc.cols))
 
 # Coherence holds on the standard fixtures...

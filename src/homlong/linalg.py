@@ -33,7 +33,9 @@ single pass per step serves a batch.  On a composite of at least
 FOLD_MIN_COLUMNS columns, a step that keeps its leg count and has one
 entry per column on distinct rows (mu, alpha, a flip) is carried into the
 next step on its legs and makes no pass of its own, and dropped where it
-composes to the identity; a smaller composite runs its plan as one batch.
+composes to the identity; a smaller composite runs its plan as one batch,
+and its plan also runs the same steps on other maps of the same column
+counts (Composite._on), as report's compiled identity sides do.
 first_difference compares two composites BATCH_COLUMNS columns at a time
 from column 0 and stops at the first batch that differs; columns(),
 matrix(), product() and coproduct() read one composite.  Every constructed
@@ -41,9 +43,9 @@ structure map is such a composite, never an index sum or a Kronecker
 product.
 
 Matrix and Tensor3 are immutable, so each keeps what is derived from it
-once computed: a Matrix its determinant, inverse and covector reading, a
-Tensor3 also its coproduct-like reading.  The stored and cached columns
-are shared by every caller and are never changed.
+once computed: a Matrix its determinant and inverse, a Tensor3 also its
+coproduct-like reading.  The stored and cached columns are shared by every
+caller and are never changed.
 """
 
 import bisect
@@ -104,10 +106,10 @@ class Matrix:
     so hashing reads it, and equality it and the type.  It is the one form
     kept: entries are read off it when asked for.
 
-    A Matrix is immutable, so it also keeps its determinant, its inverse
-    and its covector reading (pair_columns) once computed."""
+    A Matrix is immutable, so it also keeps its determinant and its inverse
+    once computed."""
 
-    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse", "_flat")
+    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse")
 
     def __init__(self, rows_data, rows=None, cols=None):
         data = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows_data]
@@ -118,7 +120,7 @@ class Matrix:
         if len(data) != rows or any(len(r) != cols for r in data):
             int_columns(data)       # an unreadable entry is named before the shape
             raise DimensionMismatch("ragged or mis-shaped matrix data")
-        self.rows, self.cols, self._det, self._inverse, self._flat = rows, cols, None, None, None
+        self.rows, self.cols, self._det, self._inverse = rows, cols, None, None
         self._sparse = int_columns(zip(*data) if rows else [()] * cols)
 
     @classmethod
@@ -126,7 +128,7 @@ class Matrix:
         """An instance of cls over columns in the form int_columns gives."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._sparse = rows, cols, sparse
-        m._det = m._inverse = m._flat = None
+        m._det = m._inverse = None
         return m
 
     @classmethod
@@ -484,20 +486,17 @@ def insert_columns(element, d):
     """x -> element (x) x on a leg of dim d, for an element (a unit, R) given
     by its flat coordinates in a Matrix: entry [i][j] at i * cols + j; as a
     step its out_dims are the element's legs, then d."""
-    cols, scale = pair_columns(element)
-    col = [(k, c[0][1]) for k, c in enumerate(cols) if c]
+    cols, scale = element._sparse
+    (col,) = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0))
     return [[(k * d + o, x) for k, x in col] for o in range(d)], scale
 
 
 def pair_columns(covector):
     """The pairing with a covector (a counit, a form) given by its flat
     coordinates in a Matrix, as insert_columns reads an element; as a step
-    its out_dims are ().  Its columns are moved once, then kept and shared
-    like sparse_columns."""
-    if covector._flat is None:
-        cols, scale = covector._sparse
-        covector._flat = move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
-    return covector._flat
+    its out_dims are ()."""
+    cols, scale = covector._sparse
+    return move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
 
 
 # the most basis columns a composite runs in one batch, which bounds the
@@ -673,21 +672,30 @@ class Composite:
     __slots__ = ("dims", "out_dims", "_d_in", "_first", "_rest", "_scale")
 
     def __init__(self, steps, dims):
-        self._set(tuple(dims), *_plan(steps, tuple(dims)))
-
-    @classmethod
-    def _planned(cls, dims, plan, out_dims, scale):
-        """The Composite of a plan in _plan's form made elsewhere, on the
-        legs dims below FOLD_MIN_COLUMNS, where _plan folds nothing."""
-        (c := cls.__new__(cls))._set(dims, plan, out_dims, scale)
-        return c
-
-    def _set(self, dims, plan, out_dims, scale):
-        self.dims, self.out_dims, self._scale = dims, out_dims, scale
-        d_in = self._d_in = math.prod(dims)
+        self.dims = tuple(dims)
+        plan, self.out_dims, self._scale = _plan(steps, self.dims)
+        d_in = self._d_in = math.prod(self.dims)
         # an empty plan starts from the identity on no legs
         self._first = plan[0] if plan else ([[(0, 1)]], d_in, d_in, d_in)
         self._rest = plan[1:]
+
+    def _on(self, maps):
+        """The composite of the same steps with the maps (cols, scale) in
+        their place, one a step, run by this composite's plan; None where
+        that plan does not serve: on FOLD_MIN_COLUMNS or more columns,
+        where it may be folded, or for a map of another column count."""
+        if self._d_in >= FOLD_MIN_COLUMNS or not maps:
+            return None
+        plan, scale = [], 1
+        for (cols, sc), (old, span, suf, span_out) in zip(maps, (self._first, *self._rest)):
+            if len(cols) != len(old):
+                return None
+            plan.append((cols, span, suf, span_out))
+            scale *= sc
+        new = Composite.__new__(Composite)
+        new.dims, new.out_dims, new._d_in, new._scale = self.dims, self.out_dims, self._d_in, scale
+        new._first, new._rest = plan[0], plan[1:]
+        return new
 
     def _batch(self, x, start, stop):
         """The image of x times the basis columns start to stop - 1, run as
@@ -843,7 +851,7 @@ class Tensor3(Matrix):
             raise DimensionMismatch("ragged tensor data")
         self.rows, self.cols, self.d0, self.d1 = d2, d0 * d1, d0, d1
         self._sparse = int_columns(r for p in data for r in p)
-        self._det = self._inverse = self._flat = self._coproduct = None
+        self._det = self._inverse = self._coproduct = None
 
     @classmethod
     def from_int_columns(cls, cols, scale, dims):

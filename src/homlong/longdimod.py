@@ -10,8 +10,7 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 
 from dataclasses import dataclass, replace
 
-from .linalg import (Matrix, Tensor3, DimensionMismatch, move_legs, pair_columns, per_leg_matrix,
-                     sparse_columns)
+from .linalg import Matrix, Tensor3, DimensionMismatch, move_legs, pair_columns, per_leg_matrix
 from .homstruct import (HomStructure, default_basis, dual_hopf, opposite_algebra,
                         tensor_algebra, tensor_basis)
 from .repmod import (HomModule, HomComodule, check_carrier_shapes, validate_hom_module,
@@ -140,16 +139,14 @@ def unit_coaction(b, mu):
     return compose(dict(x=mu.rows), [(mu, "x"), (b.unit, "-> c")], "c x").coproduct(b.dim)
 
 
-def associator_legs(u, w, legs=None, inverse=False):
+def associator_legs(u, w, legs, inverse=False):
     """The associator (u (x) v) (x) w -> u (x) (v (x) w),
-    (u (x) v) (x) w -> mu^-1(u) (x) (v (x) omega(w)), as steps for a
-    Composite on the legs (u, v, w): mu_u^-1 on leg 0 and omega_w on leg 2,
-    or, given legs "x z", as an Identity's steps on the legs x and z.  The
-    inverse is mu_u and omega_w^-1, so no triple product is inverted."""
+    (u (x) v) (x) w -> mu^-1(u) (x) (v (x) omega(w)), as an Identity's
+    steps: mu_u^-1 on the first of the legs ("x z") and omega_w on the
+    second.  The inverse is mu_u and omega_w^-1, so no triple product is
+    inverted."""
     first, last = (u.mu, w.mu.inv()) if inverse else (u.mu.inv(), w.mu)
-    if legs:
-        return list(zip((first, last), legs.split()))
-    return [(sparse_columns(first), (0,), None), (sparse_columns(last), (2,), None)]
+    return list(zip((first, last), legs.split()))
 
 
 def _morphism_identities(m, n, f):

@@ -13,8 +13,9 @@ Every axiom is an Identity lhs = rhs, each side a list of steps (map,
 validator is a table of Checks and Identities that AxiomReport.record
 decides in order.  An identity is compiled once per text and shape into
 linalg's positional leg steps: the compiler places the flips and the legs
-of the elements a side inserts, so the text reads as the formula.  compose
-builds a map from such steps.
+of the elements a side inserts, so the text reads as the formula, and
+each decision runs the plan compiled with them on the side's maps.
+compose builds a map from such steps.
 """
 
 import functools
@@ -22,9 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .linalg import (FOLD_MIN_COLUMNS, Composite, DimensionMismatch, Matrix, Tensor3,
-                     coproduct_columns, insert_columns, move_legs, pair_columns, sparse_columns,
-                     unflat_index)
+from .linalg import (Composite, DimensionMismatch, Matrix, Tensor3, coproduct_columns,
+                     insert_columns, move_legs, pair_columns, sparse_columns, unflat_index)
 
 
 class Check(NamedTuple):
@@ -188,32 +188,24 @@ def _shapes(side):
 
 
 def _composite(compiled, side, dims):
-    """The Composite of a compiled side on the maps of side; below
-    FOLD_MIN_COLUMNS, on the spans compiled with it."""
-    plan, _, out_dims = compiled
-    if math.prod(dims) < FOLD_MIN_COLUMNS:
-        steps, scale = [], 1
-        for k, read, _, _, blk, spans in plan:
-            cols, sc = read if k is None else read(side[k][0])
-            if len(cols) != blk:
-                break
-            steps.append((cols, *spans))
-            scale *= sc
-        else:
-            return Composite._planned(dims, steps, out_dims, scale)
-    return Composite([(read if k is None else read(side[k][0]), legs, out)
-                      for k, read, legs, out, _, _ in plan], dims)
+    """The Composite of a compiled side on the maps of side, run by the
+    plan of the side's template where that serves."""
+    plan, _, template = compiled
+    maps = [read if k is None else read(side[k][0]) for k, read, _, _ in plan]
+    return template._on(maps) or Composite(
+        [(m, legs, out) for m, (_, _, legs, out) in zip(maps, plan)], dims)
 
 
 @functools.lru_cache(maxsize=1024)
 def _compiled(symbols, dims, side, target):
     """The positional plan of a side (texts and map shapes) on the legs
     symbols of dims dims, the last the unit leg, ending on the legs target
-    when given; the legs it leaves; the dims it lands on.  A step is (map
-    index, reader, legs, out dims, block size, spans as _plan makes them);
-    a permutation has index None and its columns for reader."""
+    when given; the legs it leaves; and its template, the Composite of the
+    plan on zero maps of the same column counts.  A step is (map index,
+    reader, legs, out dims); a permutation has index None and its columns
+    for reader."""
     ops, ends = _arranged(symbols, tuple(text for text, _ in side), target)
-    table, dims, plan = {**dict(zip(symbols, dims)), None: 1}, list(dims), []
+    table, d, plan, zero = {**dict(zip(symbols, dims)), None: 1}, list(dims), [], []
     for k, p, ins, outs in ops:
         n = len(ins)
         if k is None:
@@ -224,16 +216,16 @@ def _compiled(symbols, dims, side, target):
             reads, leaves = _arrow(side[k][0])
             read, want, out = _reading(side[k][1], reads, leaves, table)
             if not reads:
-                read, out = functools.partial(read, d=dims[p]), out + (dims[p],)
-            elif want is not None and tuple(dims[p:p + n]) != tuple(want):
+                read, out = functools.partial(read, d=d[p]), out + (d[p],)
+            elif want is not None and tuple(d[p:p + n]) != tuple(want):
                 raise DimensionMismatch("map on legs of dims %r, given %r -> %r of dims %r"
-                                        % (tuple(want), ins, outs, tuple(dims[p:p + n])))
+                                        % (tuple(want), ins, outs, tuple(d[p:p + n])))
             table.update(zip(outs, out))
-        suf, blk = math.prod(dims[p + n:]), math.prod(dims[p:p + n])
-        plan.append((k, read, tuple(range(p, p + n)), out, blk,
-                     (blk * suf, suf, math.prod(out) * suf)))
-        dims[p:p + n] = out
-    return tuple(plan), ends, tuple(dims)
+        legs = tuple(range(p, p + n))
+        plan.append((k, read, legs, out))
+        zero.append((([[]] * math.prod(d[p:p + n]), 1), legs, out))
+        d[p:p + n] = out
+    return tuple(plan), ends, Composite(zero, dims)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -241,29 +233,21 @@ def _arranged(symbols, texts, target):
     """The leg moves of the side texts from the legs symbols, then the unit
     leg None, and the legs it leaves.  A move (k, p, ins, outs) has step k
     read the legs ins from position p and leave outs there; an element
-    inserted reads the leg it lands before; a permutation (k None) orders
-    the legs ins as outs.  One permutation brings a step's input legs
-    together where they are not, the other legs of the block before them
-    when they flow into earlier legs of target; an element lands beside the
-    live leg a later step reads next to it.  The side ends on target."""
+    inserted lands last, before the unit leg, which it reads; a permutation
+    (k None) orders the legs ins as outs.  Where a step's input legs are
+    not together, one permutation brings them together, in order, at the
+    first of them.  The side ends on target."""
     state, moves = list(symbols) + [None], []
-    steps = [_arrow(text) for text in texts]
-    r_out = _ranks(steps, target)
-    for k, (ins, outs) in enumerate(steps):
+    for k, text in enumerate(texts):
+        ins, outs = _arrow(text)
         if ins:
-            p = state.index(ins[0])
-            if state[p:p + len(ins)] != list(ins):
-                pos = [state.index(s) for s in ins]
-                lo, hi, r = min(pos), max(pos) + 1, r_out[k]
-                others = [s for s in state[lo:hi] if s not in ins]
-                before = [s for s in others if r is not None
-                          and _rank(s, steps[k + 1:], r_out[k + 1:], target) < r]
-                _move(moves, state, lo, before + list(ins)
-                      + [s for s in others if s not in before])
-                p = lo + len(before)
+            pos = [state.index(s) for s in ins]
+            p = min(pos)
+            _move(moves, state, p, list(ins) + [s for s in state[p:max(pos) + 1]
+                                                if s not in ins])
         else:
-            p = _place(state, steps[k + 1:], outs)
-            ins, outs = (state[p],), outs + (state[p],)
+            p = len(state) - 1
+            ins, outs = (None,), outs + (None,)
         moves.append((k, p, ins, outs))
         state[p:p + len(ins)] = outs
     if target is not None:
@@ -278,33 +262,6 @@ def _arrow(text):
     """The input and output legs of a step's text."""
     ins, arrow, outs = text.partition("->")
     return tuple(ins.split()), tuple((outs if arrow else ins).split())
-
-
-def _ranks(steps, target):
-    """For each step, the least place in target its outputs flow into, or
-    None, read backwards from the end."""
-    if target is None:
-        return [None] * len(steps)
-    rank, out = {s: i for i, s in enumerate(target)}, []
-    for ins, outs in reversed(steps):
-        r = min((rank[s] for s in outs if s in rank), default=None)
-        out.append(r)
-        for s in outs:
-            rank.pop(s, None)
-        for s in ins:
-            if r is None:
-                rank.pop(s, None)
-            else:
-                rank[s] = r
-    return out[::-1]
-
-
-def _rank(leg, later, r_out, target):
-    """The least place in target the live leg flows into, or past its end."""
-    for (ins, _), r in zip(later, r_out):
-        if leg in ins:
-            return len(target) if r is None else r
-    return target.index(leg) if leg in target else len(target)
 
 
 def _reading(shape, ins, outs, dims):
@@ -338,19 +295,6 @@ def _split(total, legs, dims, square=None):
     if got is None or math.prod(got) != total:
         raise DimensionMismatch("%d basis vectors on legs %r" % (total, legs))
     return got
-
-
-def _place(state, later, new):
-    """Where an element's legs new land: beside the live leg the first later
-    step reading both reads next to them, else last, before the unit leg."""
-    for ins, _ in later:
-        live = [s for s in ins if s in state]
-        i = next((i for i, s in enumerate(ins) if s in new), None)
-        if live and i is not None:
-            if i and ins[i - 1] in state:
-                return state.index(ins[i - 1]) + 1
-            return state.index(live[0])
-    return len(state) - 1
 
 
 def _move(moves, state, lo, new):

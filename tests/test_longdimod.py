@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from homlong import fixtures as fx, longdimod
-from homlong.linalg import Composite, DimensionMismatch, Matrix, Tensor3, per_leg_matrix
+from homlong.linalg import DimensionMismatch, Matrix, Tensor3, per_leg_matrix
 from homlong.homstruct import dual_hopf, validate_hom_algebra
 from homlong.repmod import validate_hom_module
 from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
@@ -16,12 +16,14 @@ from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
                                validate_long_dimodule)
 from homlong.longeq import HAlphaLongDimodule
 from homlong.repmod import YetterDrinfeldModule
+from homlong.report import compose
 from test_oracles import coproduct_map, kron, mul, product_map, scaled
 
 
 def associator(u, v, w):
     """The associator (u (x) v) (x) w -> u (x) (v (x) w) as a matrix."""
-    return Composite(associator_legs(u, w), (u.dim, v.dim, w.dim)).matrix()
+    return compose(dict(x=u.dim, y=v.dim, z=w.dim), associator_legs(u, w, "x z"),
+                   "x y z").matrix()
 
 
 def test_standard_fixtures_valid(dimodules, scaled):

@@ -99,7 +99,7 @@ def test_linalg_names_are_pinned():
 
 
 REPORT_NAMES = [
-    "AxiomReport", "Check", "Composite", "DimensionMismatch", "FOLD_MIN_COLUMNS", "Identity",
+    "AxiomReport", "Check", "Composite", "DimensionMismatch", "Identity",
     "Matrix", "NamedTuple", "Tensor3", "compose", "coproduct_columns", "dataclass", "field",
     "insert_columns", "move_legs", "pair_columns", "sparse_columns", "unflat_index",
 ]
