@@ -33,19 +33,21 @@ single pass per step serves a batch.  On a composite of at least
 FOLD_MIN_COLUMNS columns, a step that keeps its leg count and has one
 entry per column on distinct rows (mu, alpha, a flip) is carried into the
 next step on its legs and makes no pass of its own, and dropped where it
-composes to the identity; a smaller composite runs its plan as one batch,
-and its plan also runs the same steps on other maps of the same column
-counts (Composite._on), as report's compiled identity sides do.
-first_difference compares two composites BATCH_COLUMNS columns at a time
-from column 0 and stops at the first batch that differs; columns(),
-matrix(), product() and coproduct() read one composite.  Every constructed
-structure map is such a composite, never an index sum or a Kronecker
-product.
+composes to the identity; a smaller composite runs its plan as one batch.
+A plan is a list of (cols, span, suf, span_out), and the batch runners
+take a plan, not a Composite: report's compiled identity sides build
+theirs from their maps and spans compiled per shape.  _first_key compares
+two plans BATCH_COLUMNS columns at a time from column 0 and stops at the
+first batch that differs, as first_difference does for two composites;
+columns(), matrix(), product() and coproduct() read one composite.  Every
+constructed structure map is such a composite, never an index sum or a
+Kronecker product.
 
 Matrix and Tensor3 are immutable, so each keeps what is derived from it
-once computed: a Matrix its determinant and inverse, a Tensor3 also its
-coproduct-like reading.  The stored and cached columns are shared by every
-caller and are never changed.
+once computed: a Matrix its determinant, its inverse and its readings as
+an element and as a covector, a Tensor3 also its coproduct-like reading.
+The stored and cached columns are shared by every caller and are never
+changed.
 """
 
 import bisect
@@ -106,10 +108,11 @@ class Matrix:
     so hashing reads it, and equality it and the type.  It is the one form
     kept: entries are read off it when asked for.
 
-    A Matrix is immutable, so it also keeps its determinant and its inverse
-    once computed."""
+    A Matrix is immutable, so it also keeps its determinant, its inverse and
+    its readings as an element and as a covector (insert_columns,
+    pair_columns) once computed."""
 
-    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse")
+    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse", "_element", "_covector")
 
     def __init__(self, rows_data, rows=None, cols=None):
         data = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows_data]
@@ -120,7 +123,8 @@ class Matrix:
         if len(data) != rows or any(len(r) != cols for r in data):
             int_columns(data)       # an unreadable entry is named before the shape
             raise DimensionMismatch("ragged or mis-shaped matrix data")
-        self.rows, self.cols, self._det, self._inverse = rows, cols, None, None
+        self.rows, self.cols = rows, cols
+        self._det = self._inverse = self._element = self._covector = None
         self._sparse = int_columns(zip(*data) if rows else [()] * cols)
 
     @classmethod
@@ -128,7 +132,7 @@ class Matrix:
         """An instance of cls over columns in the form int_columns gives."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._sparse = rows, cols, sparse
-        m._det = m._inverse = None
+        m._det = m._inverse = m._element = m._covector = None
         return m
 
     @classmethod
@@ -482,21 +486,27 @@ def flip_columns(d0, d1):
     return [[(j * d0 + i, 1)] for i in range(d0) for j in range(d1)], 1
 
 
-def insert_columns(element, d):
+def insert_columns(element, d=1):
     """x -> element (x) x on a leg of dim d, for an element (a unit, R) given
     by its flat coordinates in a Matrix: entry [i][j] at i * cols + j; as a
-    step its out_dims are the element's legs, then d."""
-    cols, scale = element._sparse
-    (col,) = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0))
-    return [[(k * d + o, x) for k, x in col] for o in range(d)], scale
+    step its out_dims are the element's legs, then d.  The reading at d = 1
+    is moved once, then kept and shared like sparse_columns."""
+    if element._element is None:
+        cols, scale = element._sparse
+        element._element = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0)), scale
+    (col,), scale = element._element
+    return element._element if d == 1 else ([[(k * d + o, x) for k, x in col]
+                                             for o in range(d)], scale)
 
 
 def pair_columns(covector):
     """The pairing with a covector (a counit, a form) given by its flat
     coordinates in a Matrix, as insert_columns reads an element; as a step
-    its out_dims are ()."""
-    cols, scale = covector._sparse
-    return move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
+    its out_dims are ().  Moved once, then kept and shared likewise."""
+    if covector._covector is None:
+        cols, scale = covector._sparse
+        covector._covector = move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
+    return covector._covector
 
 
 # the most basis columns a composite runs in one batch, which bounds the
@@ -665,68 +675,15 @@ class Composite:
     """A composite of steps on the tensor legs dims, checked and planned
     (see _plan) once, when it is built.  A step is (map, legs, out_dims),
     applied in order; map is (cols, scale) as sparse_columns gives it, and
-    out_dims None keeps the legs' dims.  Each reading runs the plan afresh,
-    BATCH_COLUMNS basis columns at a time, with no Fraction on the way, and
-    changes no step's columns."""
+    out_dims None keeps the legs' dims.  Each reading runs the plan afresh
+    by _batches, with no Fraction on the way, changing no step's columns."""
 
-    __slots__ = ("dims", "out_dims", "_d_in", "_first", "_rest", "_scale")
+    __slots__ = ("dims", "out_dims", "_d_in", "_plan", "_scale")
 
     def __init__(self, steps, dims):
         self.dims = tuple(dims)
-        plan, self.out_dims, self._scale = _plan(steps, self.dims)
-        d_in = self._d_in = math.prod(self.dims)
-        # an empty plan starts from the identity on no legs
-        self._first = plan[0] if plan else ([[(0, 1)]], d_in, d_in, d_in)
-        self._rest = plan[1:]
-
-    def _on(self, maps):
-        """The composite of the same steps with the maps (cols, scale) in
-        their place, one a step, run by this composite's plan; None where
-        that plan does not serve: on FOLD_MIN_COLUMNS or more columns,
-        where it may be folded, or for a map of another column count."""
-        if self._d_in >= FOLD_MIN_COLUMNS or not maps:
-            return None
-        plan, scale = [], 1
-        for (cols, sc), (old, span, suf, span_out) in zip(maps, (self._first, *self._rest)):
-            if len(cols) != len(old):
-                return None
-            plan.append((cols, span, suf, span_out))
-            scale *= sc
-        new = Composite.__new__(Composite)
-        new.dims, new.out_dims, new._d_in, new._scale = self.dims, self.out_dims, self._d_in, scale
-        new._first, new._rest = plan[0], plan[1:]
-        return new
-
-    def _batch(self, x, start, stop):
-        """The image of x times the basis columns start to stop - 1, run as
-        the one sparse vector sum_j x e_j (x) e_j: its leading leg is the
-        column index j, so entry r of column j's image is at key j * rows
-        + r, and each column's entries come in the order of its own run.
-        The first planned step's image of the batch is written straight
-        from that step's columns, with no sums and no zero filter, since
-        distinct basis columns land on distinct keys and x times a nonzero
-        entry is never 0; _run takes the rest of the plan from there."""
-        cols, span, suf, span_out = self._first
-        vec, step = {}, self._d_in + 1
-        for idx in range(start * step, stop * step, step):
-            p = idx // span
-            s = idx - p * span
-            k = s // suf
-            base = p * span_out + s - k * suf
-            for r, y in cols[k]:
-                vec[base + r * suf] = x * y
-        return _run(self._rest, vec)
-
-    def _batches(self, x):
-        """The images of x times the basis columns, a batch (_batch) of
-        BATCH_COLUMNS from column 0 at a time: a composite of at most
-        BATCH_COLUMNS columns is one batch, run at once, and a larger one a
-        generator that runs each batch when it is asked for."""
-        d_in = self._d_in
-        if d_in <= BATCH_COLUMNS:
-            return (self._batch(x, 0, d_in),)
-        return (self._batch(x, start, min(start + BATCH_COLUMNS, d_in))
-                for start in range(0, d_in, BATCH_COLUMNS))
+        self._plan, self.out_dims, self._scale = _plan(steps, self.dims)
+        self._d_in = math.prod(self.dims)
 
     def columns(self):
         """The composite as (cols, scale), a step for a further composite:
@@ -737,7 +694,7 @@ class Composite:
         reduces them to the canonical form int_columns gives."""
         rows = math.prod(self.out_dims)
         cols = [[] for _ in range(self._d_in)]
-        for batch in self._batches(1):
+        for batch in _batches(self._plan, self._d_in, 1):
             for key, x in batch.items():
                 j, r = divmod(key, rows)
                 cols[j].append((r, x))
@@ -768,28 +725,56 @@ class Composite:
 
     def first_difference(self, other):
         """The first basis tuple of the input legs, in lexicographic order,
-        on which this composite and other, on the same legs, differ; None
-        when they are equal.  Each side runs on int columns, scaled by the
-        other side's scale, a batch at a time from column 0, so a failure
-        at column c runs min(d, (c // BATCH_COLUMNS + 1) * BATCH_COLUMNS)
-        of the d columns a side, and the witness is the least differing
-        column of that batch."""
-        key = self._first_key(other)
-        return None if key is None else unflat_index(key // math.prod(self.out_dims), self.dims)
-
-    def _first_key(self, other):
-        """The least key j * rows + r (column j, row r) at which the
-        composites differ, as first_difference reads them, or None."""
-        d_out = math.prod(self.out_dims)
+        on which this composite and other differ (_first_key), or None."""
         if self.dims != other.dims:
             raise DimensionMismatch("composites on legs %r and %r" % (self.dims, other.dims))
-        if d_out != math.prod(other.out_dims):
-            raise DimensionMismatch("composites land in dims %d and %d"
-                                    % (d_out, math.prod(other.out_dims)))
-        for left, right in zip(self._batches(other._scale), other._batches(self._scale)):
-            if left != right:
-                return min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
-        return None
+        rows = math.prod(self.out_dims)
+        key = _first_key((self._plan, self._scale, rows),
+                        (other._plan, other._scale, math.prod(other.out_dims)), self._d_in)
+        return None if key is None else unflat_index(key // rows, self.dims)
+
+
+def _first_key(left, right, d_in):
+    """The least key j * rows + r (column j, row r) at which two plans
+    (plan, scale, rows) on d_in basis columns differ, or None, each run on
+    int columns scaled by the other's scale a batch (_batches) at a time
+    from column 0: a failure at column c runs that batch and those before."""
+    (plan, scale, rows), (other, other_scale, other_rows) = left, right
+    if rows != other_rows:
+        raise DimensionMismatch("composites land in dims %d and %d" % (rows, other_rows))
+    for a, b in zip(_batches(plan, d_in, other_scale), _batches(other, d_in, scale)):
+        if a != b:
+            return min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    return None
+
+
+def _batch(plan, d_in, x, start, stop):
+    """The image of x times the basis columns start to stop - 1 under a
+    plan on d_in columns, as the one sparse vector sum_j x e_j (x) e_j: the
+    column index j leads, so entry r of column j's image is at key j * rows
+    + r, each column's entries in the order of its run.  The first step's
+    image (an empty plan's, the identity's) is written straight from its
+    columns, with no sums and no zero filter, since distinct basis columns
+    land on distinct keys; _run takes the rest of the plan from there."""
+    cols, span, suf, span_out = plan[0] if plan else ([[(0, 1)]], d_in, d_in, d_in)
+    vec, step = {}, d_in + 1
+    for idx in range(start * step, stop * step, step):
+        p = idx // span
+        s = idx - p * span
+        k = s // suf
+        base = p * span_out + s - k * suf
+        for r, y in cols[k]:
+            vec[base + r * suf] = x * y
+    return _run(plan[1:], vec)
+
+
+def _batches(plan, d_in, x):
+    """The images of x times the basis columns in batches (_batch) of
+    BATCH_COLUMNS from column 0: one run at once, or a generator of them."""
+    if d_in <= BATCH_COLUMNS:
+        return (_batch(plan, d_in, x, 0, d_in),)
+    return (_batch(plan, d_in, x, start, min(start + BATCH_COLUMNS, d_in))
+            for start in range(0, d_in, BATCH_COLUMNS))
 
 
 def per_leg_matrix(*maps):
@@ -851,7 +836,7 @@ class Tensor3(Matrix):
             raise DimensionMismatch("ragged tensor data")
         self.rows, self.cols, self.d0, self.d1 = d2, d0 * d1, d0, d1
         self._sparse = int_columns(r for p in data for r in p)
-        self._det = self._inverse = self._coproduct = None
+        self._det = self._inverse = self._element = self._covector = self._coproduct = None
 
     @classmethod
     def from_int_columns(cls, cols, scale, dims):

@@ -11,11 +11,13 @@ Check(axiom=..., passed=..., witness=...).
 Every axiom is an Identity lhs = rhs, each side a list of steps (map,
 "a b -> x") naming the tensor legs the map reads and the legs it leaves; a
 validator is a table of Checks and Identities that AxiomReport.record
-decides in order.  An identity is compiled once per text and shape into
-linalg's positional leg steps: the compiler places the flips and the legs
-of the elements a side inserts, so the text reads as the formula, and
-each decision runs the plan compiled with them on the side's maps.
-compose builds a map from such steps.
+decides in order.  A side is compiled once per text into positional leg
+moves: the compiler places the flips and the legs of the elements a side
+inserts, so the text reads as the formula.  Each shape of its maps adds a
+small table of ints, the moves' spans and permutation columns, checked
+against the dims once.  A decision builds the side's plan straight from
+its maps and that table, with no Composite below FOLD_MIN_COLUMNS, and
+runs linalg's column batches on it.  compose builds a map from such steps.
 """
 
 import functools
@@ -23,8 +25,10 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .linalg import (Composite, DimensionMismatch, Matrix, Tensor3, coproduct_columns,
-                     insert_columns, move_legs, pair_columns, sparse_columns, unflat_index)
+from . import linalg
+from .linalg import (Composite, DimensionMismatch, Matrix, Tensor3, _first_key, coproduct_columns,
+                     flip_columns, insert_columns, move_legs, pair_columns, sparse_columns,
+                     unflat_index)
 
 
 class Check(NamedTuple):
@@ -131,16 +135,16 @@ class Identity(NamedTuple):
         """The Check of this identity."""
         symbols, dims = _legs(self.names_in)
         outs = _legs(self.names_out)[0] if self.names_out else None
+        d_in, shapes = math.prod(dims), None if type(self.rhs) is dict else _shapes(self.rhs)
         for label in self.lhs if type(self.lhs) is dict else (None,):
             left = self.lhs if label is None else self.lhs[label]
-            right = self.rhs[label] if type(self.rhs) is dict else self.rhs
+            right = self.rhs if shapes is not None else self.rhs[label]
             compiled = _compiled(symbols, dims, _shapes(left), outs)
-            left = _composite(compiled, left, dims)
-            right = _composite(_compiled(symbols, dims, _shapes(right), outs or compiled[1]),
-                               right, dims)
-            key = left._first_key(right)
+            other = _compiled(symbols, dims, shapes or _shapes(right), outs or compiled[1])
+            key = _first_key(_planned(compiled, left, dims, d_in),
+                             _planned(other, right, dims, d_in), d_in)
             if key is not None:
-                digits = unflat_index(key, dims + left.out_dims)
+                digits = unflat_index(key, dims + compiled[2])
                 named = (_named(digits, self.names_in) if symbols
                          else _named(digits[1:], self.names_out))
                 return Check(self.axiom, False, named if label is None else (label,) + named)
@@ -152,7 +156,8 @@ def compose(legs, steps, outs):
     (a dict from leg to dim) to the legs outs ("x y"); both ends carry a
     last unit leg of dim 1."""
     symbols, dims = _legs(legs)
-    return _composite(_compiled(symbols, dims, _shapes(steps), tuple(outs.split())), steps, dims)
+    return Composite(_steps(_compiled(symbols, dims, _shapes(steps), tuple(outs.split())),
+                            steps), dims)
 
 
 def _legs(names):
@@ -181,75 +186,88 @@ def _named(digits, names):
 
 
 def _shapes(side):
-    """A side's texts with its maps' shapes, which compiling reads: a
-    Tensor3's dims, a Matrix's (rows, cols), None for int columns."""
-    return tuple([(text, m.dims if type(m) is Tensor3 else
-                   (m.rows, m.cols) if isinstance(m, Matrix) else None) for m, text in side])
+    """A side's texts with its maps' shapes: a Tensor3's dims, a Matrix's
+    (rows, cols), int columns' column count."""
+    return tuple([(text, (m.d0, m.d1, m.rows) if type(m) is Tensor3 else
+                   (m.rows, m.cols) if isinstance(m, Matrix) else len(m[0])) for m, text in side])
 
 
-def _composite(compiled, side, dims):
-    """The Composite of a compiled side on the maps of side, run by the
-    plan of the side's template where that serves."""
-    plan, _, template = compiled
-    maps = [read if k is None else read(side[k][0]) for k, read, _, _ in plan]
-    return template._on(maps) or Composite(
-        [(m, legs, out) for m, (_, _, legs, out) in zip(maps, plan)], dims)
+def _planned(compiled, side, dims, d_in):
+    """The plan (plan, scale, rows) of a compiled side on the maps of side:
+    below FOLD_MIN_COLUMNS its maps beside the compiled spans, else the
+    plan Composite makes (and folds)."""
+    if d_in >= linalg.FOLD_MIN_COLUMNS:
+        c = Composite(_steps(compiled, side), dims)
+        return c._plan, c._scale, compiled[3]
+    plan, scale = [], 1
+    for k, read, _, _, span, suf, span_out in compiled[0]:
+        cols, sc = read if k is None else read(side[k][0])
+        plan.append((cols, span, suf, span_out))
+        scale *= sc
+    return plan, scale, compiled[3]
+
+
+def _steps(compiled, side):
+    """The Composite steps (map, legs, out dims) of a compiled side."""
+    return [(read if k is None else read(side[k][0]), legs, out)
+            for k, read, legs, out, _, _, _ in compiled[0]]
 
 
 @functools.lru_cache(maxsize=1024)
 def _compiled(symbols, dims, side, target):
-    """The positional plan of a side (texts and map shapes) on the legs
-    symbols of dims dims, the last the unit leg, ending on the legs target
-    when given; the legs it leaves; and its template, the Composite of the
-    plan on zero maps of the same column counts.  A step is (map index,
-    reader, legs, out dims); a permutation has index None and its columns
-    for reader."""
-    ops, ends = _arranged(symbols, tuple(text for text, _ in side), target)
-    table, d, plan, zero = {**dict(zip(symbols, dims)), None: 1}, list(dims), [], []
-    for k, p, ins, outs in ops:
-        n = len(ins)
+    """A side (texts and map shapes) on the legs symbols of dims dims, the
+    last the unit leg, ending on target when given, as ints for one shape
+    on its moves (_arranged, once per text): (steps, the legs it leaves,
+    their dims, their product).  A step is (map index, reader, legs, out
+    dims, span, suf, span_out), with linalg._plan's spans; a permutation
+    has index None and its columns for reader."""
+    moves, ends = _arranged(symbols, tuple([text for text, _ in side]), target)
+    table, d, steps, bad = dict(zip(symbols, dims)), dims, [], None
+    for k, p, stop, legs, ins, outs in moves:
+        block = d[p:stop]
         if k is None:
-            block = tuple(table[s] for s in ins)
-            read = _permutation(block, tuple(ins.index(s) for s in outs))
-            out = tuple(table[s] for s in outs)
+            read, out = _permutation(block, outs), tuple([block[i] for i in outs])
         else:
-            reads, leaves = _arrow(side[k][0])
-            read, want, out = _reading(side[k][1], reads, leaves, table)
-            if not reads:
-                read, out = functools.partial(read, d=d[p]), out + (d[p],)
-            elif want is not None and tuple(d[p:p + n]) != tuple(want):
+            shape = side[k][1]
+            read, want, out = _reading(shape, ins, outs, table)
+            if not ins:
+                out += (1,)     # the unit leg, which an element reads
+            elif want is not None and block != want:
                 raise DimensionMismatch("map on legs of dims %r, given %r -> %r of dims %r"
-                                        % (tuple(want), ins, outs, tuple(d[p:p + n])))
+                                        % (want, ins, outs, block))
+            elif want is None and shape != math.prod(block) and bad is None:
+                bad = "map with %d columns on legs %r of %r" % (shape, legs, d)
             table.update(zip(outs, out))
-        legs = tuple(range(p, p + n))
-        plan.append((k, read, legs, out))
-        zero.append((([[]] * math.prod(d[p:p + n]), 1), legs, out))
-        d[p:p + n] = out
-    return tuple(plan), ends, Composite(zero, dims)
+        suf = math.prod(d[stop:])
+        steps.append((k, read, legs, out, math.prod(block) * suf, suf, math.prod(out) * suf))
+        d = d[:p] + out + d[stop:]
+    if bad:
+        raise DimensionMismatch(bad)
+    return tuple(steps), ends, d, math.prod(d)
 
 
 @functools.lru_cache(maxsize=1024)
 def _arranged(symbols, texts, target):
     """The leg moves of the side texts from the legs symbols, then the unit
-    leg None, and the legs it leaves.  A move (k, p, ins, outs) has step k
-    read the legs ins from position p and leave outs there; an element
-    inserted lands last, before the unit leg, which it reads; a permutation
-    (k None) orders the legs ins as outs.  Where a step's input legs are
-    not together, one permutation brings them together, in order, at the
-    first of them.  The side ends on target."""
+    leg None, and the legs it leaves.  A move (k, p, stop, places, ins,
+    outs) has step k read the places p to stop - 1, the legs ins of its
+    text, and leave its legs outs there; an element inserted lands last,
+    before the unit leg, which it reads; a permutation (k None) has for
+    outs the places in ins of the legs it leaves.  Where a step's input legs
+    are not together, one permutation brings them together, in order, at
+    the first of them.  The side ends on target."""
     state, moves = list(symbols) + [None], []
     for k, text in enumerate(texts):
-        ins, outs = _arrow(text)
+        ins, arrow, outs = text.partition("->")
+        ins, outs = tuple(ins.split()), tuple((outs if arrow else ins).split())
+        p, n = len(state) - 1, 1
         if ins:
             pos = [state.index(s) for s in ins]
-            p = min(pos)
+            p, n = min(pos), len(ins)
             _move(moves, state, p, list(ins) + [s for s in state[p:max(pos) + 1]
                                                 if s not in ins])
-        else:
-            p = len(state) - 1
-            ins, outs = (None,), outs + (None,)
-        moves.append((k, p, ins, outs))
-        state[p:p + len(ins)] = outs
+        moves.append((k, p, p + n, tuple(range(p, p + n)), ins, outs))
+        state[p:p + n] = outs if ins else outs + (None,)
     if target is not None:
         if sorted(state[:-1]) != sorted(target):
             raise DimensionMismatch("legs %r land where %r should" % (state[:-1], tuple(target)))
@@ -257,17 +275,10 @@ def _arranged(symbols, texts, target):
     return tuple(moves), tuple(state[:-1])
 
 
-@functools.lru_cache(maxsize=1024)
-def _arrow(text):
-    """The input and output legs of a step's text."""
-    ins, arrow, outs = text.partition("->")
-    return tuple(ins.split()), tuple((outs if arrow else ins).split())
-
-
 def _reading(shape, ins, outs, dims):
     """How a step reads its map: (reader, its input dims or None, its
     output dims)."""
-    if shape is None:
+    if type(shape) is int:
         if any(s not in dims for s in outs):
             raise DimensionMismatch("int columns onto new legs %r" % (outs,))
         return tuple, None, tuple(dims[s] for s in outs)     # a tuple read as it is
@@ -305,14 +316,18 @@ def _move(moves, state, lo, new):
     while b > a and old[b - 1] == new[b - 1]:
         b -= 1
     if a < b:
-        moves.append((None, lo + a, tuple(old[a:b]), tuple(new[a:b])))
+        moves.append((None, lo + a, lo + b, tuple(range(lo + a, lo + b)), tuple(old[a:b]),
+                      tuple([old.index(s, a) - a for s in new[a:b]])))
         state[lo:lo + len(new)] = new
 
 
 @functools.lru_cache(maxsize=256)
 def _permutation(dims, order):
-    """The int columns taking legs of dims to the order order (their places):
-    the identity with its output legs moved."""
-    k = len(dims)
+    """The int columns taking legs of dims to the order order (the places
+    of the legs it leaves): a swap of two blocks of legs is their flip, any
+    other order the identity with its output legs moved."""
+    j, k = order[0], len(dims)
+    if order == tuple(range(j, k)) + tuple(range(j)):
+        return flip_columns(math.prod(dims[:j]), math.prod(dims[j:]))
     return move_legs([[(j, 1)] for j in range(math.prod(dims))], dims, dims,
                      tuple(range(k)), tuple(k + i for i in order)), 1

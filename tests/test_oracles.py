@@ -3313,14 +3313,14 @@ def _one_entry_changed(draw, steps):
 
 
 def _counting_batches(counts):
-    """Composite._batch, the runner of one batch that every reading uses,
+    """linalg._batch, the runner of one batch that every reading uses,
     recording the number of basis columns of each batch it runs (_run starts
     from the first step's image of a batch, whose size is not that number)."""
-    real = Composite._batch
+    real = linalg._batch
 
-    def batch(self, x, start, stop):
+    def batch(plan, d_in, x, start, stop):
         counts.append(stop - start)
-        return real(self, x, start, stop)
+        return real(plan, d_in, x, start, stop)
     return batch
 
 
@@ -3335,7 +3335,7 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     expected = first_difference_by_column(lhs, rhs, dims)
     counts = []
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
-            mock.patch.object(Composite, "_batch", _counting_batches(counts)):
+            mock.patch.object(linalg, "_batch", _counting_batches(counts)):
         assert Composite(lhs, dims).first_difference(Composite(rhs, dims)) == expected
     runs, d = sum(counts) // 2, math.prod(dims)
     if expected is None:
@@ -3408,7 +3408,7 @@ def test_cached_columns_are_never_changed_by_their_users():
     # the operator stays alive, so its caches are among those looked at
     op = dimodule_solution(_validation_carriers()[-1])
     tau_transforms(op)
-    seen = 0
+    seen = readings = 0
     for obj in gc.get_objects():
         # a Tensor3 is a Matrix with a nested data view, so it comes first
         if isinstance(obj, Tensor3):
@@ -3420,7 +3420,19 @@ def test_cached_columns_are_never_changed_by_their_users():
         elif isinstance(obj, Matrix) and obj._sparse is not None:
             assert obj._sparse == linalg.int_columns(dense_columns(obj))
             seen += 1
-    assert op.matrix._sparse is not None and seen > 50
+        # an element's or a covector's reading, as its flat coordinates
+        if type(obj) is Matrix and (obj._element or obj._covector):
+            columns = dense_columns(obj)
+            (flat,), scale = linalg.int_columns([[columns[j][i] for i in range(obj.rows)
+                                                  for j in range(obj.cols)]])
+            if obj._element is not None:
+                assert (sorted(obj._element[0][0]), obj._element[1]) == (flat, scale)
+            if obj._covector is not None:
+                coords = dict(flat)
+                assert obj._covector == ([[(0, coords[f])] if f in coords else []
+                                          for f in range(obj.rows * obj.cols)], scale)
+            readings += 1
+    assert op.matrix._sparse is not None and seen > 50 and readings > 5
 
 
 def test_composite_built_maps_are_never_converted_again(monkeypatch):
@@ -3750,21 +3762,20 @@ def named_image(side, start, dims):
 
 @st.composite
 def named_identities(draw):
-    """(identity, expected Check): a random composite of small int maps on
-    2-4 named legs of dims 1-3, written twice with the legs of each map in
+    """[(identity, expected Check)] for one drawn set of texts at two
+    different sets of dims: a random composite of small int maps on 2-4
+    named legs of dims 1-3, written twice with the legs of each map in
     random orders (and 2 -> 1 maps as a Matrix or a Tensor3), and in half
     the draws one entry of one map of the rhs moved by one.  An element
     identity (names_in = ()) first inserts its legs."""
     element = draw(st.integers(0, 3)) == 0
     k = 2 if element else draw(st.integers(2, 4))
-    dims = {s: draw(st.integers(1, 3)) for s in "abcd"[:k]}
-    live, fresh, steps = list(dims), iter("efghijklmnopqrstuvwxyz"), []
-    small = st.integers(-2, 2)
+    legs, fresh, steps = list("abcd"[:k]), iter("efghijklmnopqrstuvwxyz"), []
+    live = list(legs)
 
     def new_leg():
-        s = next(fresh)
-        dims[s] = draw(st.integers(1, 3))
-        return s
+        legs.append(next(fresh))
+        return legs[-1]
 
     if element:
         steps.append(("insert", (), tuple(live)))
@@ -3786,16 +3797,34 @@ def named_identities(draw):
             new_leg() for _ in range({"coproduct": 2, "pair": 0}.get(kind, 1)))
         steps.append((kind, ins, outs))
         live = [s for s in live if s not in ins] + list(outs)
+    # each step's legs in the order it is written (each side once), and
+    # whether a 2 -> 1 map is a Tensor3: the same texts at both dims
+    written = [[(tuple(draw(st.permutations(ins))), tuple(draw(st.permutations(outs))),
+                 draw(st.booleans())) for _, ins, outs in steps] for _ in "lr"]
+    bent = draw(st.booleans()) and draw(st.integers(0, len(steps) - 1))
+    outs = tuple(draw(st.permutations(live))) if element else ()
+    first = {s: draw(st.integers(1, 3)) for s in legs}
+    second = {s: draw(st.integers(1, 3)) for s in legs}
+    if second == first:
+        second[legs[0]] = first[legs[0]] % 3 + 1
+    inputs = () if element else tuple("abcd"[:k])
+    return [_identity_at(draw, dims, steps, written, bent, inputs, outs)
+            for dims in (first, second)]
+
+
+def _identity_at(draw, dims, steps, written, bent, inputs, outs):
+    """(identity, expected Check) of named_identities' texts at dims."""
+    small = st.integers(-2, 2)
     # each step's map as a function of its legs in the order drawn
     maps = []
-    for kind, ins, outs in steps:
-        shape = tuple(dims[s] for s in ins) + tuple(dims[s] for s in outs)
+    for kind, ins, outs_ in steps:
+        shape = tuple(dims[s] for s in ins) + tuple(dims[s] for s in outs_)
         entries = draw(st.lists(small, min_size=math.prod(shape), max_size=math.prod(shape)))
         maps.append(dict(zip(itertools.product(*(range(d) for d in shape)), entries)))
 
-    def write(kind, ins, outs, f, bend=None):
-        """One step for f on the legs in random orders, as the library reads it."""
-        ins2, outs2 = draw(st.permutations(ins)), draw(st.permutations(outs))
+    def write(kind, ins, outs, f, order, bend=None):
+        """One step for f on the legs in the written orders, as the library reads it."""
+        ins2, outs2, tensor = order
         din, dout = [dims[s] for s in ins2], [dims[s] for s in outs2]
 
         def value(i, o):
@@ -3810,7 +3839,7 @@ def named_identities(draw):
             t = Tensor3([[[value(i, (j, k)) for k in range(dout[1])] for j in range(dout[0])]
                          for i in ii], dims=(din[0],) + tuple(dout))
             return t, text
-        if kind == "map2" and draw(st.booleans()):
+        if kind == "map2" and tensor:
             t = Tensor3([[[value((i, j), (k,)) for k in range(dout[0])] for j in range(din[1])]
                          for i in range(din[0])], dims=tuple(din) + tuple(dout))
             return t, text
@@ -3825,15 +3854,12 @@ def named_identities(draw):
         m = Matrix([[value(i, o) for i in ii] for o in oo], rows=len(oo), cols=len(ii))
         return (sparse_columns(m) if kind == "raw" else m), text
 
-    lhs = [write(*s, f) for s, f in zip(steps, maps)]
-    bent = draw(st.booleans()) and draw(st.integers(0, len(steps) - 1))
+    lhs = [write(*s, f, order) for s, f, order in zip(steps, maps, written[0])]
     rhs = []
-    for n, (s, f) in enumerate(zip(steps, maps)):
+    for n, (s, f, order) in enumerate(zip(steps, maps, written[1])):
         bend = draw(st.sampled_from(sorted(f))) if bent is not False and n == bent else None
-        rhs.append(write(*s, f, bend))
+        rhs.append(write(*s, f, order, bend))
     names = {s: tuple("%s%d" % (s, i) for i in range(dims[s])) for s in dims}
-    inputs = () if element else tuple("abcd"[:k])
-    outs = tuple(draw(st.permutations(live))) if element else ()
     identity = Identity("drawn", {s: names[s] for s in inputs}, lhs, rhs,
                         {s: names[s] for s in outs})
     # the expected Check: the first input basis tuple, or for an element
@@ -3842,7 +3868,7 @@ def named_identities(draw):
         start = dict(zip(inputs, col))
         left, right = named_image(lhs, start, dims), named_image(rhs, start, dims)
         if left != right:
-            if not element:
+            if inputs:
                 return identity, Check("drawn", False, tuple(names[s][i]
                                                              for s, i in zip(inputs, col)))
             for coord in itertools.product(*(range(dims[s]) for s in outs)):
@@ -3856,5 +3882,7 @@ def named_identities(draw):
 @settings(max_examples=250, deadline=None)
 @given(named_identities())
 def test_identity_compiler_matches_index_sums(drawn):
-    identity, expected = drawn
-    assert identity.decide() == expected
+    # the same texts at two sets of dims, decided one after the other in
+    # this process: the second reuses the moves compiled for the first
+    for identity, expected in drawn:
+        assert identity.decide() == expected

@@ -101,7 +101,8 @@ def test_linalg_names_are_pinned():
 REPORT_NAMES = [
     "AxiomReport", "Check", "Composite", "DimensionMismatch", "Identity",
     "Matrix", "NamedTuple", "Tensor3", "compose", "coproduct_columns", "dataclass", "field",
-    "insert_columns", "move_legs", "pair_columns", "sparse_columns", "unflat_index",
+    "flip_columns", "insert_columns", "move_legs", "pair_columns", "sparse_columns",
+    "unflat_index",
 ]
 
 # an Identity is a named tuple of its fields with one method, decide
