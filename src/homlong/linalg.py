@@ -34,20 +34,19 @@ FOLD_MIN_COLUMNS columns, a step that keeps its leg count and has one
 entry per column on distinct rows (mu, alpha, a flip) is carried into the
 next step on its legs and makes no pass of its own, and dropped where it
 composes to the identity; a smaller composite runs its plan as one batch.
-A plan is a list of (cols, span, suf, span_out), and the batch runners
-take a plan, not a Composite: report's compiled identity sides build
-theirs from their maps and spans compiled per shape.  _first_key compares
-two plans BATCH_COLUMNS columns at a time from column 0 and stops at the
-first batch that differs, as first_difference does for two composites;
+A plan lists each step's map, then its spans, as layout gives them; layout
+also checks the steps' legs and column counts, and report lays out an
+identity side once per shape of its maps.  first_key (two such sides, no
+Composite below FOLD_MIN_COLUMNS) and first_difference compare two plans
+BATCH_COLUMNS columns at a time from column 0 up to the first that differs;
 columns(), matrix(), product() and coproduct() read one composite.  Every
 constructed structure map is such a composite, never an index sum or a
 Kronecker product.
 
 Matrix and Tensor3 are immutable, so each keeps what is derived from it
-once computed: a Matrix its determinant, its inverse and its readings as
-an element and as a covector, a Tensor3 also its coproduct-like reading.
-The stored and cached columns are shared by every caller and are never
-changed.
+once computed: a Matrix its determinant and inverse, a Tensor3 also its
+coproduct-like reading.  The stored and cached columns are shared by every
+caller and are never changed.
 """
 
 import bisect
@@ -108,11 +107,10 @@ class Matrix:
     so hashing reads it, and equality it and the type.  It is the one form
     kept: entries are read off it when asked for.
 
-    A Matrix is immutable, so it also keeps its determinant, its inverse and
-    its readings as an element and as a covector (insert_columns,
-    pair_columns) once computed."""
+    A Matrix is immutable, so it also keeps its determinant and its inverse
+    once computed."""
 
-    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse", "_element", "_covector")
+    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse")
 
     def __init__(self, rows_data, rows=None, cols=None):
         data = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows_data]
@@ -123,8 +121,7 @@ class Matrix:
         if len(data) != rows or any(len(r) != cols for r in data):
             int_columns(data)       # an unreadable entry is named before the shape
             raise DimensionMismatch("ragged or mis-shaped matrix data")
-        self.rows, self.cols = rows, cols
-        self._det = self._inverse = self._element = self._covector = None
+        self.rows, self.cols, self._det, self._inverse = rows, cols, None, None
         self._sparse = int_columns(zip(*data) if rows else [()] * cols)
 
     @classmethod
@@ -132,7 +129,7 @@ class Matrix:
         """An instance of cls over columns in the form int_columns gives."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._sparse = rows, cols, sparse
-        m._det = m._inverse = m._element = m._covector = None
+        m._det = m._inverse = None
         return m
 
     @classmethod
@@ -489,24 +486,18 @@ def flip_columns(d0, d1):
 def insert_columns(element, d=1):
     """x -> element (x) x on a leg of dim d, for an element (a unit, R) given
     by its flat coordinates in a Matrix: entry [i][j] at i * cols + j; as a
-    step its out_dims are the element's legs, then d.  The reading at d = 1
-    is moved once, then kept and shared like sparse_columns."""
-    if element._element is None:
-        cols, scale = element._sparse
-        element._element = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0)), scale
-    (col,), scale = element._element
-    return element._element if d == 1 else ([[(k * d + o, x) for k, x in col]
-                                             for o in range(d)], scale)
+    step its out_dims are the element's legs, then d."""
+    cols, scale = element._sparse
+    (col,) = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0))
+    return [[(k * d + o, x) for k, x in col] for o in range(d)], scale
 
 
 def pair_columns(covector):
     """The pairing with a covector (a counit, a form) given by its flat
     coordinates in a Matrix, as insert_columns reads an element; as a step
-    its out_dims are ().  Moved once, then kept and shared likewise."""
-    if covector._covector is None:
-        cols, scale = covector._sparse
-        covector._covector = move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
-    return covector._covector
+    its out_dims are ()."""
+    cols, scale = covector._sparse
+    return move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
 
 
 # the most basis columns a composite runs in one batch, which bounds the
@@ -518,16 +509,39 @@ BATCH_COLUMNS = 256
 # time, which the 4-27-column composites of the Hom-Long search do not win
 # back; folded at every size, the search-grid benchmark ran 0.9x as many ops
 # per reference time, its tail op 1.2x as costly (seven 8 s pairs, 2 vCPUs).
-# Below it _plan plans the steps in the loop that checks them, so a small
-# composite's plan costs one pass over its steps
+# Below it a plan is the steps' columns on their layout, one pass each
 FOLD_MIN_COLUMNS = 64
+
+
+def layout(dims, steps):
+    """Check the steps of a composite on the legs dims and lay them out once:
+    (plan, the dims they leave, the product of the maps' scales).  A step is
+    (map, legs, out dims or None), as Composite takes it, or has its map's
+    column count for the map; a planned step is the map, or count, then its
+    span (blk_in * suf, suf, blk_out * suf, first leg, stop, out dims), for
+    its block (legs first to stop - 1), the legs after it and its image."""
+    plan, d, scale = [], tuple(dims), 1
+    for m, legs, out in steps:
+        if type(m) is int:
+            n = m
+        else:
+            n, scale = len(m[0]), scale * m[1]
+        first, stop = legs[0], legs[-1] + 1
+        ins = d[first:stop]
+        blk_in = math.prod(ins)
+        if tuple(legs) != tuple(range(first, stop)) or stop > len(d) or n != blk_in:
+            raise DimensionMismatch("map with %d columns on legs %r of %r" % (n, legs, d))
+        out = ins if out is None else tuple(out)
+        suf = math.prod(d[stop:])
+        plan.append((m, blk_in * suf, suf, math.prod(out) * suf, first, stop, out))
+        d = d[:first] + out + d[stop:]
+    return plan, d, scale
 
 
 def _plan(steps, dims):
     """Check a composite's legs and column counts on the legs dims once,
-    exactly as the steps are given, and build its one plan: (plan,
-    out_dims, scale), a planned step being (cols, blk_in * suf, suf,
-    blk_out * suf) for its block, the legs after it and its image.
+    exactly as the steps are given (layout), and build its one plan: (plan,
+    out_dims, scale), a planned step as layout gives it.
 
     On a composite of at least FOLD_MIN_COLUMNS input columns, with no
     0-dimensional leg, the plan leaves out its steps that keep their leg
@@ -537,33 +551,23 @@ def _plan(steps, dims):
     for it.  The composite's value is the same; scale is the product of the
     scales of the planned steps, which is the product of all the steps'
     scales unless a carried map cancelled to the identity (mu then mu^-1)
-    and was dropped with its scales.  Below the gate the loop that checks
-    the steps also plans them; only a folded composite is planned again,
-    from its folded steps."""
-    fold = math.prod(dims) >= FOLD_MIN_COLUMNS
-    plan, shaped, d, scale = [], [], tuple(dims), 1
-    for (cols, sc), legs, out in steps:
-        first, stop = legs[0], legs[-1] + 1
-        ins = d[first:stop]
-        blk_in = math.prod(ins)
-        if tuple(legs) != tuple(range(first, stop)) or stop > len(d) or len(cols) != blk_in:
-            raise DimensionMismatch("map with %d columns on legs %r of %r" % (len(cols), legs, d))
-        out = ins if out is None else tuple(out)
-        suf = math.prod(d[stop:])
-        plan.append((cols, blk_in * suf, suf, math.prod(out) * suf))
-        if fold:
-            shaped.append((cols, sc, first, ins, out))
-        d, scale = d[:first] + out + d[stop:], scale * sc
+    and was dropped with its scales.  Only a folded composite is planned
+    again, from its folded steps, which need no check."""
+    plan, d, scale = layout(dims, steps)
     # every leg a step meets is an input leg or lands from a step, so none
     # is 0-dimensional when neither is
-    if not fold or any(0 in s[4] for s in shaped):
+    if math.prod(dims) < FOLD_MIN_COLUMNS or any(0 in s[6] for s in plan):
         return plan, d, scale
-    plan, d, scale = [], tuple(dims), 1
+    shaped, d_in = [], tuple(dims)
+    for (cols, sc), _, _, _, first, stop, out in plan:
+        shaped.append((cols, sc, first, d_in[first:stop], out))
+        d_in = d_in[:first] + out + d_in[stop:]
+    plan, d_in, scale = [], tuple(dims), 1
     for cols, sc, first, ins, out in _fold(shaped):
         stop = first + len(ins)
-        suf = math.prod(d[stop:])
-        plan.append((cols, math.prod(ins) * suf, suf, math.prod(out) * suf))
-        d, scale = d[:first] + out + d[stop:], scale * sc
+        suf = math.prod(d_in[stop:])
+        plan.append(((cols, sc), math.prod(ins) * suf, suf, math.prod(out) * suf, first, stop, out))
+        d_in, scale = d_in[:first] + out + d_in[stop:], scale * sc
     return plan, d, scale
 
 
@@ -648,7 +652,7 @@ def _run(plan, vec):
     flat index is split into (p, k, s), its legs before the step's block,
     its block column and its legs after it, by // and -; a step on the last
     legs (suf 1) has no legs after it, so its loop splits off p alone."""
-    for cols, span, suf, span_out in plan:
+    for (cols, _), span, suf, span_out, _, _, _ in plan:
         out = {}
         get = out.get
         if suf == 1:
@@ -728,18 +732,30 @@ class Composite:
         on which this composite and other differ (_first_key), or None."""
         if self.dims != other.dims:
             raise DimensionMismatch("composites on legs %r and %r" % (self.dims, other.dims))
-        rows = math.prod(self.out_dims)
-        key = _first_key((self._plan, self._scale, rows),
-                        (other._plan, other._scale, math.prod(other.out_dims)), self._d_in)
-        return None if key is None else unflat_index(key // rows, self.dims)
+        key = _first_key((self._plan, self.out_dims, self._scale),
+                         (other._plan, other.out_dims, other._scale), self._d_in)
+        return None if key is None else unflat_index(key // math.prod(self.out_dims), self.dims)
+
+
+def first_key(dims, left, right):
+    """The least key j * rows + r (column j of the legs dims, row r) at
+    which two composites differ, or None, each given as _plan gives it:
+    (plan, out dims, scale).  Below FOLD_MIN_COLUMNS the plans run as
+    given, so no Composite is built; on more columns _plan folds them."""
+    d_in = math.prod(dims)
+    if d_in >= FOLD_MIN_COLUMNS:
+        left, right = [_plan([(m, range(f, stop), out) for m, _, _, _, f, stop, out in side[0]],
+                             dims) for side in (left, right)]
+    return _first_key(left, right, d_in)
 
 
 def _first_key(left, right, d_in):
     """The least key j * rows + r (column j, row r) at which two plans
-    (plan, scale, rows) on d_in basis columns differ, or None, each run on
-    int columns scaled by the other's scale a batch (_batches) at a time
+    (plan, out dims, scale) on d_in basis columns differ, or None, each run
+    on int columns scaled by the other's scale a batch (_batches) at a time
     from column 0: a failure at column c runs that batch and those before."""
-    (plan, scale, rows), (other, other_scale, other_rows) = left, right
+    (plan, out_dims, scale), (other, other_dims, other_scale) = left, right
+    rows, other_rows = math.prod(out_dims), math.prod(other_dims)
     if rows != other_rows:
         raise DimensionMismatch("composites land in dims %d and %d" % (rows, other_rows))
     for a, b in zip(_batches(plan, d_in, other_scale), _batches(other, d_in, scale)):
@@ -756,7 +772,8 @@ def _batch(plan, d_in, x, start, stop):
     image (an empty plan's, the identity's) is written straight from its
     columns, with no sums and no zero filter, since distinct basis columns
     land on distinct keys; _run takes the rest of the plan from there."""
-    cols, span, suf, span_out = plan[0] if plan else ([[(0, 1)]], d_in, d_in, d_in)
+    (cols, _), span, suf, span_out, _, _, _ = plan[0] if plan else (
+        ([[(0, 1)]], 1), d_in, d_in, d_in, 0, 1, (d_in,))
     vec, step = {}, d_in + 1
     for idx in range(start * step, stop * step, step):
         p = idx // span
@@ -836,7 +853,7 @@ class Tensor3(Matrix):
             raise DimensionMismatch("ragged tensor data")
         self.rows, self.cols, self.d0, self.d1 = d2, d0 * d1, d0, d1
         self._sparse = int_columns(r for p in data for r in p)
-        self._det = self._inverse = self._element = self._covector = self._coproduct = None
+        self._det = self._inverse = self._coproduct = None
 
     @classmethod
     def from_int_columns(cls, cols, scale, dims):

@@ -14,10 +14,10 @@ validator is a table of Checks and Identities that AxiomReport.record
 decides in order.  A side is compiled once per text into positional leg
 moves: the compiler places the flips and the legs of the elements a side
 inserts, so the text reads as the formula.  Each shape of its maps adds a
-small table of ints, the moves' spans and permutation columns, checked
-against the dims once.  A decision builds the side's plan straight from
-its maps and that table, with no Composite below FOLD_MIN_COLUMNS, and
-runs linalg's column batches on it.  compose builds a map from such steps.
+small table of ints, checked against the dims once: the permutations'
+columns and linalg.layout of the steps.  A decision reads the side's maps
+and runs them on that layout by linalg.first_key, which builds no
+Composite below FOLD_MIN_COLUMNS.  compose builds a map from such steps.
 """
 
 import functools
@@ -25,10 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import linalg
-from .linalg import (Composite, DimensionMismatch, Matrix, Tensor3, _first_key, coproduct_columns,
-                     flip_columns, insert_columns, move_legs, pair_columns, sparse_columns,
-                     unflat_index)
+from .linalg import (Composite, DimensionMismatch, Matrix, Tensor3, coproduct_columns, first_key,
+                     insert_columns, layout, move_legs, pair_columns, sparse_columns, unflat_index)
 
 
 class Check(NamedTuple):
@@ -135,14 +133,13 @@ class Identity(NamedTuple):
         """The Check of this identity."""
         symbols, dims = _legs(self.names_in)
         outs = _legs(self.names_out)[0] if self.names_out else None
-        d_in, shapes = math.prod(dims), None if type(self.rhs) is dict else _shapes(self.rhs)
+        shapes = None if type(self.rhs) is dict else _shapes(self.rhs)
         for label in self.lhs if type(self.lhs) is dict else (None,):
             left = self.lhs if label is None else self.lhs[label]
             right = self.rhs if shapes is not None else self.rhs[label]
             compiled = _compiled(symbols, dims, _shapes(left), outs)
             other = _compiled(symbols, dims, shapes or _shapes(right), outs or compiled[1])
-            key = _first_key(_planned(compiled, left, dims, d_in),
-                             _planned(other, right, dims, d_in), d_in)
+            key = first_key(dims, _plan(compiled, left), _plan(other, right))
             if key is not None:
                 digits = unflat_index(key, dims + compiled[2])
                 named = (_named(digits, self.names_in) if symbols
@@ -156,8 +153,9 @@ def compose(legs, steps, outs):
     (a dict from leg to dim) to the legs outs ("x y"); both ends carry a
     last unit leg of dim 1."""
     symbols, dims = _legs(legs)
-    return Composite(_steps(_compiled(symbols, dims, _shapes(steps), tuple(outs.split())),
-                            steps), dims)
+    compiled = _compiled(symbols, dims, _shapes(steps), tuple(outs.split()))
+    return Composite([(read if k is None else read(steps[k][0]), at, out)
+                      for k, read, at, out, *_ in compiled[0]], dims)
 
 
 def _legs(names):
@@ -192,41 +190,32 @@ def _shapes(side):
                    (m.rows, m.cols) if isinstance(m, Matrix) else len(m[0])) for m, text in side])
 
 
-def _planned(compiled, side, dims, d_in):
-    """The plan (plan, scale, rows) of a compiled side on the maps of side:
-    below FOLD_MIN_COLUMNS its maps beside the compiled spans, else the
-    plan Composite makes (and folds)."""
-    if d_in >= linalg.FOLD_MIN_COLUMNS:
-        c = Composite(_steps(compiled, side), dims)
-        return c._plan, c._scale, compiled[3]
+def _plan(compiled, side):
+    """A compiled side on the maps of side, as linalg.first_key takes it:
+    (each step's map, then its span; the dims it leaves; the maps' scale)."""
     plan, scale = [], 1
-    for k, read, _, _, span, suf, span_out in compiled[0]:
-        cols, sc = read if k is None else read(side[k][0])
-        plan.append((cols, span, suf, span_out))
-        scale *= sc
-    return plan, scale, compiled[3]
-
-
-def _steps(compiled, side):
-    """The Composite steps (map, legs, out dims) of a compiled side."""
-    return [(read if k is None else read(side[k][0]), legs, out)
-            for k, read, legs, out, _, _, _ in compiled[0]]
+    for step in compiled[0]:
+        k, read = step[0], step[1]
+        m = read if k is None else read(side[k][0])
+        plan.append((m,) + step[4:])
+        scale *= m[1]
+    return plan, compiled[2], scale
 
 
 @functools.lru_cache(maxsize=1024)
 def _compiled(symbols, dims, side, target):
     """A side (texts and map shapes) on the legs symbols of dims dims, the
-    last the unit leg, ending on target when given, as ints for one shape
-    on its moves (_arranged, once per text): (steps, the legs it leaves,
-    their dims, their product).  A step is (map index, reader, legs, out
-    dims, span, suf, span_out), with linalg._plan's spans; a permutation
-    has index None and its columns for reader."""
+    last the unit leg, ending on target when given, as its moves (_arranged,
+    once per text) read for one shape: (steps, the legs it leaves, their
+    dims).  A step is (map index, reader, legs, out dims), then its span from
+    linalg.layout, in one tuple; a permutation has index None and its
+    columns for reader."""
     moves, ends = _arranged(symbols, tuple([text for text, _ in side]), target)
-    table, d, steps, bad = dict(zip(symbols, dims)), dims, [], None
+    table, d, steps, counted = dict(zip(symbols, dims)), dims, [], []
     for k, p, stop, legs, ins, outs in moves:
         block = d[p:stop]
         if k is None:
-            read, out = _permutation(block, outs), tuple([block[i] for i in outs])
+            read, want, out = _permutation(block, outs), block, tuple([block[i] for i in outs])
         else:
             shape = side[k][1]
             read, want, out = _reading(shape, ins, outs, table)
@@ -235,15 +224,12 @@ def _compiled(symbols, dims, side, target):
             elif want is not None and block != want:
                 raise DimensionMismatch("map on legs of dims %r, given %r -> %r of dims %r"
                                         % (want, ins, outs, block))
-            elif want is None and shape != math.prod(block) and bad is None:
-                bad = "map with %d columns on legs %r of %r" % (shape, legs, d)
             table.update(zip(outs, out))
-        suf = math.prod(d[stop:])
-        steps.append((k, read, legs, out, math.prod(block) * suf, suf, math.prod(out) * suf))
+        steps.append((k, read, legs, out))
+        counted.append((shape if want is None else math.prod(want), legs, out))
         d = d[:p] + out + d[stop:]
-    if bad:
-        raise DimensionMismatch(bad)
-    return tuple(steps), ends, d, math.prod(d)
+    plan, out_dims, _ = layout(dims, counted)
+    return tuple([step + planned[1:] for step, planned in zip(steps, plan)]), ends, out_dims
 
 
 @functools.lru_cache(maxsize=1024)
@@ -324,10 +310,7 @@ def _move(moves, state, lo, new):
 @functools.lru_cache(maxsize=256)
 def _permutation(dims, order):
     """The int columns taking legs of dims to the order order (the places
-    of the legs it leaves): a swap of two blocks of legs is their flip, any
-    other order the identity with its output legs moved."""
-    j, k = order[0], len(dims)
-    if order == tuple(range(j, k)) + tuple(range(j)):
-        return flip_columns(math.prod(dims[:j]), math.prod(dims[j:]))
+    of the legs it leaves): the identity with its output legs moved."""
+    k = len(dims)
     return move_legs([[(j, 1)] for j in range(math.prod(dims))], dims, dims,
                      tuple(range(k)), tuple(k + i for i in order)), 1

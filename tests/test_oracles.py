@@ -3408,7 +3408,7 @@ def test_cached_columns_are_never_changed_by_their_users():
     # the operator stays alive, so its caches are among those looked at
     op = dimodule_solution(_validation_carriers()[-1])
     tau_transforms(op)
-    seen = readings = 0
+    seen = 0
     for obj in gc.get_objects():
         # a Tensor3 is a Matrix with a nested data view, so it comes first
         if isinstance(obj, Tensor3):
@@ -3420,19 +3420,7 @@ def test_cached_columns_are_never_changed_by_their_users():
         elif isinstance(obj, Matrix) and obj._sparse is not None:
             assert obj._sparse == linalg.int_columns(dense_columns(obj))
             seen += 1
-        # an element's or a covector's reading, as its flat coordinates
-        if type(obj) is Matrix and (obj._element or obj._covector):
-            columns = dense_columns(obj)
-            (flat,), scale = linalg.int_columns([[columns[j][i] for i in range(obj.rows)
-                                                  for j in range(obj.cols)]])
-            if obj._element is not None:
-                assert (sorted(obj._element[0][0]), obj._element[1]) == (flat, scale)
-            if obj._covector is not None:
-                coords = dict(flat)
-                assert obj._covector == ([[(0, coords[f])] if f in coords else []
-                                          for f in range(obj.rows * obj.cols)], scale)
-            readings += 1
-    assert op.matrix._sparse is not None and seen > 50 and readings > 5
+    assert op.matrix._sparse is not None and seen > 50
 
 
 def test_composite_built_maps_are_never_converted_again(monkeypatch):

@@ -66,8 +66,8 @@ def test_public_names_are_pinned():
 LINALG_NAMES = [
     "BATCH_COLUMNS", "Composite", "DimensionMismatch", "FOLD_MIN_COLUMNS", "Fraction",
     "LinalgError", "Matrix", "ONE", "SingularMatrix", "Tensor3", "ZERO",
-    "coproduct_columns", "flip_columns", "insert_columns", "int_columns", "move_legs",
-    "pair_columns", "per_leg", "per_leg_matrix", "scalar", "solve_exact",
+    "coproduct_columns", "first_key", "flip_columns", "insert_columns", "int_columns", "layout",
+    "move_legs", "pair_columns", "per_leg", "per_leg_matrix", "scalar", "solve_exact",
     "sparse_columns", "unflat_index",
 ]
 
@@ -95,13 +95,13 @@ def test_linalg_names_are_pinned():
     assert _public(dir(linalg.Matrix)) == MATRIX_ATTRIBUTES
     assert _public(dir(linalg.Tensor3)) == TENSOR3_ATTRIBUTES
     assert _public(dir(linalg.Composite)) == COMPOSITE_ATTRIBUTES
-    assert len(LINALG_NAMES) == 23
+    assert len(LINALG_NAMES) == 25
 
 
 REPORT_NAMES = [
     "AxiomReport", "Check", "Composite", "DimensionMismatch", "Identity",
     "Matrix", "NamedTuple", "Tensor3", "compose", "coproduct_columns", "dataclass", "field",
-    "flip_columns", "insert_columns", "move_legs", "pair_columns", "sparse_columns",
+    "first_key", "insert_columns", "layout", "move_legs", "pair_columns", "sparse_columns",
     "unflat_index",
 ]
 
