@@ -12,7 +12,7 @@ columns as a step.
 
 from dataclasses import dataclass, replace
 
-from .linalg import Matrix, Composite, DimensionMismatch, per_leg
+from .linalg import Matrix, DimensionMismatch
 from .homstruct import tensor_hopf, validate_quasitriangular, validate_coquasitriangular
 from .repmod import YetterDrinfeldModule, yd_prebraiding
 from .longdimod import (HomLongDimodule, MismatchedBase, associator_legs, base_parts,
@@ -111,8 +111,9 @@ def long_braiding(ctx, m, n):
 def _mu2_inverse(*factors):
     """mu^-2 of the tensor product of factors as int columns: each factor's
     own mu^-1 twice on its leg, so no inverse spans two carriers."""
-    steps = per_leg(*(t.mu.inv() for t in factors)) * 2
-    return Composite(steps, tuple(t.dim for t in factors)).columns()
+    legs = {"x%d" % k: t.dim for k, t in enumerate(factors)}
+    steps = [(t.mu.inv(), leg) for leg, t in zip(legs, factors)] * 2
+    return compose(legs, steps, " ".join(legs)).columns()
 
 
 def _braiding(ctx, m, n, mu2i, nu2i):

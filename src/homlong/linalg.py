@@ -22,26 +22,26 @@ inv and solve_exact share one fraction-free elimination on sparse int
 rows, which pays only for the nonzeros.
 
 A step applies a small map, as int-scaled columns (sparse_columns,
-coproduct_columns, per_leg, flip_columns, insert_columns, pair_columns),
-to consecutive legs of a sparse vector; report.Identity and report.compose
-write steps on named legs and compile them to these.  A map with legs
-moved between its inputs and outputs (a transpose, the other reading of a
-Tensor3, an element's flat coordinates) comes from one function,
-move_legs.  A Composite of steps is checked and planned once, then run on
-batches of basis columns: the column index is one more leading leg, so a
-single pass per step serves a batch.  On a composite of at least
-FOLD_MIN_COLUMNS columns, a step that keeps its leg count and has one
-entry per column on distinct rows (mu, alpha, a flip) is carried into the
-next step on its legs and makes no pass of its own, and dropped where it
-composes to the identity; a smaller composite runs its plan as one batch.
-A plan lists each step's map, then its spans, as layout gives them; layout
-also checks the steps' legs and column counts, and report lays out an
-identity side once per shape of its maps.  first_key (two such sides, no
-Composite below FOLD_MIN_COLUMNS) and first_difference compare two plans
-BATCH_COLUMNS columns at a time from column 0 up to the first that differs;
-columns(), matrix(), product() and coproduct() read one composite.  Every
-constructed structure map is such a composite, never an index sum or a
-Kronecker product.
+coproduct_columns, insert_columns, pair_columns), to consecutive legs of a
+sparse vector; report.Identity and report.compose write steps on named
+legs and compile them to these, placing every permutation of legs.  A map
+with legs moved between its inputs and outputs (a transpose, the other
+reading of a Tensor3, an element's flat coordinates, a permutation of
+legs) comes from one function, move_legs.  A Composite of steps is
+checked and planned once, then run on batches of basis columns: the
+column index is one more leading leg, so a single pass per step serves a
+batch.  On a composite of at least FOLD_MIN_COLUMNS columns, a step that
+keeps its leg count and has one entry per column on distinct rows (mu,
+alpha, a permutation of legs) is carried into the next step on its legs
+and makes no pass of its own, and dropped where it composes to the
+identity; a smaller composite runs its plan as one batch.  A plan lists
+each step's map, then its spans, as layout gives them; layout also checks
+the steps' legs and column counts, and report lays out an identity side
+once per shape of its maps.  first_key compares two such sides, building
+no Composite below FOLD_MIN_COLUMNS, BATCH_COLUMNS columns at a time from
+column 0 up to the first that differs; columns(), matrix(), product() and
+coproduct() read one composite.  Every constructed structure map is such
+a composite, never an index sum or a Kronecker product.
 
 Matrix and Tensor3 are immutable, so each keeps what is derived from it
 once computed: a Matrix its determinant and inverse, a Tensor3 also its
@@ -407,9 +407,8 @@ def sparse_columns(m):
     return m._sparse
 
 
-# the most shapes whose index tables move_legs keeps, and whose flips
-# flip_columns keeps; a run of a benchmark workload meets 8 to 34 leg-move
-# shapes
+# the most shapes whose index tables move_legs keeps; a run of a benchmark
+# workload meets 8 to 34 leg-move shapes
 _MOVE_TABLE_SHAPES = 256
 
 
@@ -468,19 +467,6 @@ def coproduct_columns(t):
         cols, scale = t._sparse
         t._coproduct = move_legs(cols, (t.d0, t.d1), (t.rows,), (0,), (1, 2)), scale
     return t._coproduct
-
-
-def per_leg(*maps):
-    """Steps applying maps[k] to leg k: the tensor product of the maps."""
-    return [(sparse_columns(f), (k,), (f.rows,)) for k, f in enumerate(maps)]
-
-
-@functools.lru_cache(maxsize=_MOVE_TABLE_SHAPES)
-def flip_columns(d0, d1):
-    """The swap X (x) Y -> Y (x) X of legs of dims d0, d1; as a step its
-    out_dims are (d1, d0).  Kept per shape, as move_legs' tables are, and
-    shared like sparse_columns, so the lists are not to be changed."""
-    return [[(j * d0 + i, 1)] for i in range(d0) for j in range(d1)], 1
 
 
 def insert_columns(element, d=1):
@@ -546,13 +532,14 @@ def _plan(steps, dims):
     On a composite of at least FOLD_MIN_COLUMNS input columns, with no
     0-dimensional leg, the plan leaves out its steps that keep their leg
     count and have at most one entry per column, on distinct rows (mu,
-    mu^-1, alpha, the associators' legs, flips): _fold carries each one
-    forward into the next step on its legs, so _run makes no pass of its own
-    for it.  The composite's value is the same; scale is the product of the
-    scales of the planned steps, which is the product of all the steps'
-    scales unless a carried map cancelled to the identity (mu then mu^-1)
-    and was dropped with its scales.  Only a folded composite is planned
-    again, from its folded steps, which need no check."""
+    mu^-1, alpha, the associators' legs, permutations of legs): _fold
+    carries each one forward into the next step on its legs, so _run makes
+    no pass of its own for it.  The composite's value is the same; scale is
+    the product of the scales of the planned steps, which is the product of
+    all the steps' scales unless a carried map cancelled to the identity
+    (mu then mu^-1) and was dropped with its scales.  Only a folded
+    composite is planned again, from its folded steps, which need no
+    check."""
     plan, d, scale = layout(dims, steps)
     # every leg a step meets is an input leg or lands from a step, so none
     # is 0-dimensional when neither is
@@ -727,15 +714,6 @@ class Composite:
         return Tensor3.from_int_columns(move_legs(cols, dims[:1], dims[1:], (0, 1), (2,)),
                                         scale, dims)
 
-    def first_difference(self, other):
-        """The first basis tuple of the input legs, in lexicographic order,
-        on which this composite and other differ (_first_key), or None."""
-        if self.dims != other.dims:
-            raise DimensionMismatch("composites on legs %r and %r" % (self.dims, other.dims))
-        key = _first_key((self._plan, self.out_dims, self._scale),
-                         (other._plan, other.out_dims, other._scale), self._d_in)
-        return None if key is None else unflat_index(key // math.prod(self.out_dims), self.dims)
-
 
 def first_key(dims, left, right):
     """The least key j * rows + r (column j of the legs dims, row r) at
@@ -796,7 +774,8 @@ def _batches(plan, d_in, x):
 
 def per_leg_matrix(*maps):
     """The Matrix of the tensor product of maps, maps[k] on leg k."""
-    return Composite(per_leg(*maps), tuple(f.cols for f in maps)).matrix()
+    return Composite([(sparse_columns(f), (k,), (f.rows,)) for k, f in enumerate(maps)],
+                     tuple(f.cols for f in maps)).matrix()
 
 
 def solve_exact(a, b):

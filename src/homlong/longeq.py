@@ -18,17 +18,18 @@ nonzero entry in every column and n >= 4 (the induced operators of the
 extensions of trivial modules, for example), each side of a triple is a
 single term, and _first_single_term_difference compares the two terms
 from tables built once per call.  Both return the same first failing
-triple.  The flip transforms, the legs X13 and X23 of their equations and
-the coordinate criterion's tables are maps with legs moved by move_legs.
+triple.  The flip transforms and the coordinate criterion's tables move
+legs by move_legs; every other map is written on named legs, as a
+report.Identity (the U- and T-equations, on R itself) or report.compose.
 
 Each operator is decided once.  An OperatorOnTensorSquare keeps its first
 failing triple (first_failing_triple), as a Matrix keeps its inverse:
 check_long_equation, check_invertible_iff and tau_transforms' base check
 read it, search_solutions returns its solutions decided by its re-check,
 and tau_transforms returns W decided by its W-check.  What the coordinate
-criterion derives from mu alone (mu (x) mu^-1 as steps per leg and on
-both legs, mu read by row) is kept per structure map (_mu_steps), as
-move_legs keeps its tables per shape.
+criterion derives from mu alone (mu^-1, mu read by row and mu (x) mu^-1
+as int columns) is kept per structure map (_mu_steps), as move_legs keeps
+its tables per shape.
 """
 
 import functools
@@ -37,12 +38,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, Composite, DimensionMismatch, SingularMatrix, coproduct_columns,
-                     flip_columns, int_columns, move_legs, per_leg, per_leg_matrix, scalar,
-                     sparse_columns, unflat_index, ZERO)
+from .linalg import (Matrix, DimensionMismatch, SingularMatrix, int_columns, move_legs,
+                     per_leg_matrix, scalar, sparse_columns, unflat_index, ZERO)
 from .homstruct import tensor_basis
 from .longdimod import HomLongDimodule, h_tensor_parts, validate_long_dimodule
-from .report import AxiomReport
+from .report import AxiomReport, Identity, compose
 
 
 class ZeroDiagonal(Exception):
@@ -269,29 +269,29 @@ def diagonal_solution(a, b):
 def coords_to_operator(x, z):
     """The operator m_k (x) m_l -> sum x[k][l][i][j] m_i (x) mu^-1(m_j)."""
     n = z.rows
-    steps = _coords_steps(_coords_columns(x, n), _mu_steps(z)[0])
-    return OperatorOnTensorSquare(n, Composite(steps, (n, n)).matrix(), z)
+    r = _coords_operator(_coords_columns(x, n), _mu_steps(z)[0])
+    return OperatorOnTensorSquare(n, r.matrix(), z)
 
 
-# the most structure maps whose steps _mu_steps keeps; a search-grid cycle
+# the most structure maps whose readings _mu_steps keeps; a search-grid cycle
 # of the benchmark meets four
 _STRUCTURE_MAPS = 64
 
 
 @functools.lru_cache(maxsize=_STRUCTURE_MAPS)
 def _mu_steps(z):
-    """For an invertible mu: mu (x) mu^-1 as steps on M (x) M (per_leg),
-    mu's int columns read by row (entry z_i^p over i in column p), and
-    mu (x) mu^-1 as one step on both legs.  Kept per structure map (an
-    immutable Matrix, equal maps sharing an entry) and shared, like
-    move_legs' tables, so the lists are not to be changed."""
+    """For an invertible mu: mu^-1, mu's int columns read by row (entry
+    z_i^p over i in column p), and mu (x) mu^-1 as int columns on M (x) M.
+    Kept per structure map (an immutable Matrix, equal maps sharing an
+    entry) and shared, like move_legs' tables, so the lists are not to be
+    changed."""
     try:
-        conj = per_leg(z, z.inv())
+        zi = z.inv()
     except SingularMatrix:
         raise SingularMatrix("structure map is singular") from None
     n = z.rows
-    z_row = move_legs(conj[0][0][0], (n,), (n,), (1,), (0,))
-    return conj, z_row, (Composite(conj, (n, n)).columns(), (0, 1), None)
+    z_row = move_legs(sparse_columns(z)[0], (n,), (n,), (1,), (0,))
+    return zi, z_row, compose(dict(k=n, l=n), [(z, "k"), (zi, "l")], "k l").columns()
 
 
 def _coords_columns(x, n):
@@ -307,11 +307,10 @@ def _coords_columns(x, n):
     return int_columns([e for r in b for e in r] for b in blocks)
 
 
-def _coords_steps(xs, conj):
-    """The operator of the coordinates, given as X's int columns xs, as two
-    steps on M (x) M: X, then mu^-1 on the second leg (the second step of
-    conj)."""
-    return [(xs, (0, 1), None), conj[1]]
+def _coords_operator(xs, zi):
+    """The Composite of the coordinates, given as X's int columns xs, on
+    M (x) M: X, then mu^-1 (zi) on the second leg."""
+    return compose(dict(k=zi.rows, l=zi.rows), [(xs, "k l"), (zi, "l")], "k l")
 
 
 def operator_to_coords(op):
@@ -319,8 +318,8 @@ def operator_to_coords(op):
     as Fractions; x[k][l] is column k n + l of (id (x) mu) R."""
     n = op.carrier_dim
     rng = range(n)
-    cols, scale = Composite([(sparse_columns(op.matrix), (0, 1), None),
-                             (sparse_columns(op.structure_map), (1,), None)], (n, n)).columns()
+    cols, scale = compose(dict(k=n, l=n), [(op.matrix, "k l"), (op.structure_map, "l")],
+                          "k l").columns()
     x = [[[[ZERO] * n for _ in rng] for _ in rng] for _ in rng]
     for kl, col in enumerate(cols):
         k, l = divmod(kl, n)
@@ -341,16 +340,16 @@ def coordinate_criterion(x, y, z):
     sides are linear in x, y and z, so each works on their int-scaled
     columns (_coords_columns), and y equals x exactly when those do."""
     n = z.rows
-    conj, z_row, both = _mu_steps(z)
+    zi, z_row, both = _mu_steps(z)
     xs = _coords_columns(x, n)
     ys = xs if y is x else _coords_columns(y, n)
     self_case = ys == xs
     rep = AxiomReport()
 
-    # z's int columns are those of conj's first step: z_u^i over i in
-    # column u, and z_i^p over i in column p of z_row
+    # z's int columns: z_u^i over i in column u, and z_i^p over i in
+    # column p of z_row
     rng, n2, n3, sq = range(n), n * n, n ** 3, (n, n)
-    z_col = conj[0][0][0]
+    z_col = sparse_columns(z)[0]
     # X's legs (v, w | j, k) moved to x_vw^jk over j in column (v, w, k) for
     # the left side and to x_jw^qk over j in column (w, q, k) for the right
     # side; Y's y_ij^pq over (p, q) in column (i, j), and y_uv^ij over (u, v)
@@ -395,17 +394,17 @@ def coordinate_criterion(x, y, z):
     rep.add("index-identity", idx_ok, idx_wit)
 
     # R and S as int columns: X's columns, then mu^-1 on the second leg
-    r = Composite(_coords_steps(xs, conj), (n, n)).columns()
-    s = r if self_case else Composite(_coords_steps(ys, conj), (n, n)).columns()
+    r = _coords_operator(xs, zi).columns()
+    s = r if self_case else _coords_operator(ys, zi).columns()
     witness = _first_failing_column(s[0], r[0], z_col, n)
     rep.add("operator-identity", witness is None, witness)
 
     rep.set_flag("agreement", idx_ok == rep.passed("operator-identity"))
     rep.set_flag("self-case", self_case)
-    # mu (x) mu^-1 as one step on both legs, run once per structure map
+    # mu (x) mu^-1 as int columns, run once per structure map
     rep.set_flag("mu-equivariant", all(
-        Composite([both, (t, (0, 1), None)], sq).first_difference(
-            Composite([(t, (0, 1), None), both], sq)) is None
+        Identity("mu-equivariant", dict(k=n, l=n), [(both, "k l"), (t, "k l")],
+                 [(t, "k l"), (both, "k l")]).decide().passed
         for t in ((r,) if self_case else (r, s))))
     return rep
 
@@ -433,27 +432,23 @@ def tau_transforms(op):
     r, scale = sparse_columns(op.matrix)
     u, tt, w = (Matrix.from_int_columns(move_legs(r, sq, sq, ins, outs), scale, n2)
                 for ins, outs in (((0, 1), (3, 2)), ((1, 0), (2, 3)), ((1, 0), (3, 2))))
-    m = sparse_columns(mu)
     w_op = OperatorOnTensorSquare(n, w, mu)
     rep = AxiomReport()
     rep.add("base-longeq", op.first_failing_triple() is None)
 
-    # the 3-leg steps X12, X13 and X23 on M (x) M (x) M for X = U and T all
-    # come from one run of R12 = R (x) mu: U12 and T12 are R12 with its first
-    # two output or input legs swapped, X13 = P X12 P, P the flip of the last
-    # two legs, and X23 = C X12 C^-1, C the cycle x (x) y (x) z -> z (x) x (x) y,
-    # which is also a step of the U- and T-equations
-    dims = (n, n, n)
-    cyc = flip_columns(n2, n), (0, 1, 2), None
-    r12, sc = Composite([((r, scale), (0, 1), None), (m, (2,), None)], dims).columns()
-    (u12, u13, u23), (t12, t13, t23) = (
-        [((move_legs(r12, dims, dims, ins, outs), sc), (0, 1, 2), None) for ins, outs in moves]
-        for moves in ((((0, 1, 2), (4, 3, 5)), ((0, 2, 1), (4, 5, 3)), ((2, 0, 1), (5, 4, 3))),
-                      (((1, 0, 2), (3, 4, 5)), ((1, 2, 0), (3, 5, 4)), ((2, 1, 0), (5, 3, 4)))))
-    rep.add("transform-U", Composite([u23, u13], dims).first_difference(
-        Composite([u12, u13, cyc], dims)) is None)
-    rep.add("transform-T", Composite([t13, t12], dims).first_difference(
-        Composite([cyc, t13, t23], dims)) is None)
+    # both equations on R itself: U on the legs a b is (R, "a b -> b a"),
+    # T is (R, "b a -> a b"), and the cycle x (x) y (x) z -> z (x) x (x) y
+    # renames the legs x y z to y z x, through the free legs t and s
+    legs = dict(x=n, y=n, z=n)
+    rm = op.matrix
+    for axiom, lhs, rhs in (
+            # U13 U23 = cycle U13 U12
+            ("transform-U", [(rm, "y z -> z y"), (mu, "x"), (rm, "x z -> z x"), (mu, "y")],
+             [(rm, "x y -> y x"), (mu, "z -> t"), (mu, "y -> z"), (rm, "x t -> x y")]),
+            # T12 T13 = T23 T13 cycle
+            ("transform-T", [(rm, "z x -> x z"), (mu, "y"), (rm, "y x -> x y"), (mu, "z")],
+             [(mu, "x -> s"), (rm, "y z -> x y"), (rm, "y s -> y z"), (mu, "x")])):
+        rep.add(axiom, Identity(axiom, legs, lhs, rhs).decide().passed)
     rep.add("transform-W", w_op.first_failing_triple() is None)
 
     verdicts = [c.passed for c in rep.checks]
@@ -493,12 +488,9 @@ def module_extension(h, m):
     structure map a (x) mu, which forces h.(g (x) x) = a(g) (x) h.x.
     """
     nh, dm = h.dim, m.dim
-    # (h, g, x) -> (h, a(g), x) -> (a(g), h, x) -> (a(g), h.x)
-    act = Composite([(sparse_columns(h.gamma), (1,), None),
-                     (flip_columns(nh, nh), (0, 1), None),
-                     (sparse_columns(m.action), (1, 2), (dm,))], (nh, nh, dm)).product()
-    co = Composite([(coproduct_columns(h.comult), (0,), (nh, nh)),
-                    (sparse_columns(m.nu), (2,), None)], (nh, dm)).coproduct(nh)
+    act = compose(dict(h=nh, g=nh, x=dm), [(h.gamma, "g"), (m.action, "h x -> x")],
+                  "g x").product()
+    co = compose(dict(g=nh, x=dm), [(h.comult, "g -> c g"), (m.nu, "x")], "c g x").coproduct(nh)
     return HAlphaLongDimodule(h, nh * dm, act, co, per_leg_matrix(h.gamma, m.nu),
                               tensor_basis(h.basis, m.basis))
 
@@ -511,12 +503,9 @@ def comodule_extension(h, m):
 
 def dimodule_solution(d):
     """The induced operator R(m (x) n) = n_-1 . m (x) n_0."""
-    n, nh = d.dim, d.coaction.d1
-    # (m, n) -> (m, n_-1, n_0) -> (n_-1, m, n_0) -> (n_-1 . m, n_0)
-    steps = [(coproduct_columns(d.coaction), (1,), (nh, n)),
-             (flip_columns(n, nh), (0, 1), (nh, n)),
-             (sparse_columns(d.action), (0, 1), (n,))]
-    return OperatorOnTensorSquare(n, Composite(steps, (n, n)).matrix(), d.mu)
+    n = d.dim
+    r = compose(dict(m=n, n=n), [(d.coaction, "n -> c n"), (d.action, "c m -> m")], "m n")
+    return OperatorOnTensorSquare(n, r.matrix(), d.mu)
 
 
 # ---------------------------------------------------------------------------

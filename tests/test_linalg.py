@@ -12,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 from homlong import fixtures as fx, io as hio, linalg
 from homlong.linalg import (Matrix, Tensor3, Composite, DimensionMismatch,
                             SingularMatrix, coproduct_columns, int_columns, unflat_index,
-                            insert_columns, pair_columns, per_leg, scalar, solve_exact,
+                            insert_columns, pair_columns, scalar, solve_exact,
                             sparse_columns)
 from test_oracles import (HOPF_FIXTURES, apply3, column_of, columns_by_column, coproduct_map,
                           dense_columns, elimination_squares, elimination_systems,
-                          first_difference_by_column,
+                          first_difference, first_difference_by_column,
                           flat_index, flip_matrix, fraction_int_columns, inverse_map, kron,
-                          kron_all, perm_matrix, mul, permute_input_legs, permute_output_legs,
+                          kron_all, leg_flip, perm_matrix, mul, permute_input_legs,
+                          permute_output_legs,
                           product_map, row_matrix, same_columns)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
@@ -350,15 +351,12 @@ def test_first_differing_column_scales_and_witness():
     # (2 id) (x) (1/2 id) equals the identity although the int columns differ
     two, half = (sparse_columns(Matrix.diagonal([2, 2])),
                  sparse_columns(Matrix.diagonal([Fraction(1, 2)] * 3)))
-    assert Composite([(two, (0,), None), (half, (1,), None)], (2, 3)).first_difference(
-        Composite([], (2, 3))) is None
+    assert first_difference([(two, (0,), None), (half, (1,), None)], [], (2, 3)) is None
     # the flip differs from the identity first on e_0 (x) e_1
     flip = sparse_columns(flip_matrix(2, 2))
-    assert Composite([(flip, (0, 1), None)], (2, 2)).first_difference(
-        Composite([], (2, 2))) == (0, 1)
+    assert first_difference([(flip, (0, 1), None)], [], (2, 2)) == (0, 1)
     with pytest.raises(DimensionMismatch):
-        Composite([(sparse_columns(Matrix([[1, 1]])), (0,), ())], (2,)).first_difference(
-            Composite([], (2,)))
+        first_difference([(sparse_columns(Matrix([[1, 1]])), (0,), ())], [], (2,))
 
 
 # on legs (2, 2): e_0 -> e_0 + e_1 and e_1 -> e_0 on leg 0, then the
@@ -384,7 +382,7 @@ def test_a_step_that_cancels_leaves_no_zero():
     same = [((CANCELLED_COLUMNS, 1), (0, 1), (2,))]
     off = [(([[], [(0, 1)]] + CANCELLED_COLUMNS[2:], 1), (0, 1), (2,))]
     for rhs, witness in ((same, None), (off, (0, 1))):
-        assert Composite(CANCELLING, dims).first_difference(Composite(rhs, dims)) == witness
+        assert first_difference(CANCELLING, rhs, dims) == witness
         assert first_difference_by_column(CANCELLING, rhs, dims) == witness
 
 
@@ -399,14 +397,14 @@ def test_runs_per_composite_are_one_per_batch(d, batch):
     run = mock.Mock(side_effect=linalg._run)
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
             mock.patch.object(linalg, "_run", run):
-        assert Composite(steps, (d,)).first_difference(Composite([], (d,))) is None
+        assert first_difference(steps, [], (d,)) is None
         assert run.call_count == 2 * batches
         run.reset_mock()
         Composite(steps, (d,)).columns()
         assert run.call_count == batches
         run.reset_mock()
         doubled = [(([[(j, 2 if j == 0 else 1)] for j in range(d)], 1), (0,), None)]
-        assert Composite(steps, (d,)).first_difference(Composite(doubled, (d,))) == (0,)
+        assert first_difference(steps, doubled, (d,)) == (0,)
         assert [len(vec) for (_, vec), _ in run.call_args_list] == [min(d, batch)] * 2
 
 
@@ -451,9 +449,9 @@ def test_composites_are_checked_before_any_column_runs(bad):
     good = ((_Unread(cols), scale), (0,), None)
     dims = (2, 3, 1)
     with pytest.raises(DimensionMismatch):
-        Composite([good, bad], dims).first_difference(Composite([], dims))
+        first_difference([good, bad], [], dims)
     with pytest.raises(DimensionMismatch):
-        Composite([], dims).first_difference(Composite([good, bad], dims))
+        first_difference([], [good, bad], dims)
     with pytest.raises(DimensionMismatch):
         Composite([good, bad], dims).matrix()
 
@@ -464,7 +462,7 @@ def test_composites_are_checked_before_any_column_runs(bad):
 FOLD = (4, 4, 4)
 P = [[(1, 2)], [(2, -1)], [(3, 3)], [(0, 1)]], 3
 Q = [[(3, 1)], [], [(0, -2)], [(1, 1)]], 2
-FLIP = linalg.flip_columns(4, 4)
+FLIP = leg_flip(4, 4)
 
 
 def _two_entries(rows, cols, scale=1):
@@ -510,11 +508,11 @@ def test_each_fold_branch_matches_one_step_at_a_time(branch):
         assert scale == got[1] == H[1]
     # the composite itself as one step, and that step with one entry changed
     whole = ((expected[0], expected[1]), (0, 1, 2), out_dims)
-    assert Composite(steps, FOLD).first_difference(Composite([whole], FOLD)) is None
+    assert first_difference(steps, [whole], FOLD) is None
     col = next(j for j, c in enumerate(expected[0]) if c)
     bumped = expected[0][:col] + [[(r, x + 1) for r, x in expected[0][col]]] + expected[0][col + 1:]
     rhs = [((bumped, expected[1]), (0, 1, 2), out_dims)]
-    assert Composite(steps, FOLD).first_difference(Composite(rhs, FOLD)) == unflat_index(col, FOLD)
+    assert first_difference(steps, rhs, FOLD) == unflat_index(col, FOLD)
     assert first_difference_by_column(steps, rhs, FOLD) == unflat_index(col, FOLD)
 
 
@@ -529,7 +527,7 @@ def test_each_fold_branch_matches_one_step_at_a_time(branch):
 ])
 def test_a_malformed_step_of_a_folded_composite_names_the_steps_as_given(steps, message):
     with pytest.raises(DimensionMismatch) as raised:
-        Composite(steps, FOLD).first_difference(Composite([], FOLD))
+        first_difference(steps, [], FOLD)
     assert str(raised.value) == message
 
 
@@ -546,7 +544,7 @@ def test_a_composite_through_a_zero_dimensional_leg_is_not_folded(steps):
     # maps every column to 0, as the steps run one at a time do
     got = Composite(steps, FOLD).columns()
     assert got == columns_by_column(steps, FOLD) == ([[]] * 64, 1)
-    assert Composite(steps, FOLD).first_difference(Composite(steps, FOLD)) is None
+    assert first_difference(steps, steps, FOLD) is None
 
 
 def _column_lists(steps):
@@ -561,21 +559,17 @@ def _column_lists(steps):
 ], ids=["unfolded", "folded, cancelling", "folded"])
 def test_a_composite_built_once_answers_every_reading_alike(dims, steps, other):
     # checked and planned once, a Composite runs its plan afresh on every
-    # call: the same columns, matrix and witness each time, unfolded and
-    # folded, and every step's column lists as they were given
+    # call: the same columns and matrix each time, unfolded and folded, as
+    # first_key gives the same witness; every step's column lists stay as
+    # they were given
     before = _column_lists(steps + other)
-    composite, against = Composite(steps, dims), Composite(other, dims)
-    answers = [(composite.columns(), composite.matrix(), composite.first_difference(against))
+    composite = Composite(steps, dims)
+    answers = [(composite.columns(), composite.matrix(), first_difference(steps, other, dims))
                for _ in range(2)]
     assert answers[0] == answers[1]
     assert answers[0][0] == Composite(steps, dims).columns()
     assert answers[0][2] == first_difference_by_column(steps, other, dims)
     assert _column_lists(steps + other) == before
-
-
-def test_a_composite_compares_only_with_one_on_the_same_legs():
-    with pytest.raises(DimensionMismatch, match=r"composites on legs \(2, 3\) and \(3, 2\)"):
-        Composite([], (2, 3)).first_difference(Composite([], (3, 2)))
 
 
 def test_insert_and_pair_columns_match_kron():
@@ -700,7 +694,7 @@ def test_singular_matrix_raises_on_every_call():
 def three_ways(draw):
     """One rational matrix built three ways: from dense rows of ints,
     Fractions and "p/q" strings; as the Composite matrix of a step with a
-    non-canonical scale and shuffled columns followed by a per_leg scaling;
+    non-canonical scale and shuffled columns followed by a scaling step;
     and by Matrix over a generator of row tuples of Fractions."""
     r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     entries = draw(st.lists(st.lists(st.one_of(st.just(0), rationals), min_size=c, max_size=c),
@@ -721,7 +715,7 @@ def three_ways(draw):
                                   for i, x in enumerate(col) if x]))
             for col in (zip(*entries) if r else [()] * c)]
     composite = Composite([((cols, d * f.numerator * k), (0,), (r,))]
-                          + per_leg(Matrix.diagonal([f] * r)), (c,)).matrix()
+                          + [(sparse_columns(Matrix.diagonal([f] * r)), (0,), (r,))], (c,)).matrix()
     tuples = Matrix((tuple(Fraction(x) for x in row) for row in entries), r, c)
     return dense, composite, tuples
 

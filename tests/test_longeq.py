@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx
 from homlong import longeq
-from homlong.linalg import (Matrix, Tensor3, Composite, DimensionMismatch, SingularMatrix,
-                            flip_columns, sparse_columns)
+from homlong.linalg import Matrix, Tensor3, Composite, DimensionMismatch, SingularMatrix
 from homlong.longdimod import HomLongDimodule, canonical_dimodule, validate_long_dimodule
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             SearchSpaceTooLarge, ZeroDiagonal,
@@ -201,77 +200,23 @@ def test_tau_transform_scalar():
     assert rep.ok
 
 
-@st.composite
-def grid_mus(draw, n):
-    """An identity, diagonal or unipotent structure map, as the search grids
-    use them."""
-    kind = draw(st.sampled_from(("identity", "diagonal", "unipotent")))
-    entry = st.sampled_from((1, -1, 2, 3, Fraction(1, 2)))
-    if kind == "identity":
-        return Matrix.identity(n)
-    if kind == "diagonal":
-        return Matrix.diagonal([draw(entry) for _ in range(n)])
-    return Matrix([[1 if i == j else (draw(st.sampled_from((0, 1, -2))) if j > i else 0)
-                    for j in range(n)] for i in range(n)])
-
-
-@st.composite
-def grid_or_arbitrary_operators(draw, n):
-    """An operator on M (x) M with entries on a {0, 1} or {-1, 0, 1} grid
-    (full or diagonal), or arbitrary small rationals."""
-    n2 = n * n
-    kind = draw(st.sampled_from(("full grid", "diagonal grid", "arbitrary")))
-    entry = (st.sampled_from((0, 1)) if draw(st.booleans()) else st.sampled_from((-1, 0, 1))) \
-        if kind != "arbitrary" else rationals
-    return Matrix([[draw(entry) if kind != "diagonal grid" or r == c else 0
-                    for c in range(n2)] for r in range(n2)])
-
-
-def _int_columns_matrix(step, rows):
-    """The Matrix of a composite's int columns (cols, scale), its lists
-    copied."""
-    cols, scale = step
-    return Matrix.from_int_columns([list(c) for c in cols], scale, rows)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_relabelled_legs_match_leg_step_composites(data):
-    # tau runs R12 = R (x) mu once and relabels it into X12, X13 and X23;
-    # each equals the composite that applies x and mu to those legs, for
-    # x = U and T
-    n = data.draw(st.sampled_from((1, 2, 3)))
-    mu = data.draw(grid_mus(n))
-    op = OperatorOnTensorSquare(n, data.draw(grid_or_arbitrary_operators(n)), mu)
-    spy = mock.Mock(side_effect=Composite)
-    with mock.patch.object(longeq, "Composite", spy):
-        transforms, _ = tau_transforms(op)
-    # the composites built after R12: both sides of the U- and of the
-    # T-equation
-    u_lhs, u_rhs, t_lhs, t_rhs = [c.args[0] for c in spy.call_args_list[1:]]
-    dims, m, flip = (n, n, n), sparse_columns(mu), flip_columns(n, n)
-    for key, x12, x13, x23 in (("U", u_rhs[0], u_lhs[1], u_lhs[0]),
-                               ("T", t_lhs[1], t_lhs[0], t_rhs[2])):
-        x = sparse_columns(transforms[key].matrix)
-        want12 = Composite([(x, (0, 1), None), (m, (2,), None)], dims).columns()
-        want13 = Composite([(flip, (1, 2), None), (x, (0, 1), None), (m, (2,), None),
-                            (flip, (1, 2), None)], dims).columns()
-        want23 = Composite([(m, (0,), None), (x, (1, 2), None)], dims).columns()
-        for (got, legs, out), want in ((x12, want12), (x13, want13), (x23, want23)):
-            assert (legs, out) == ((0, 1, 2), None)
-            assert _int_columns_matrix(got, n ** 3) == _int_columns_matrix(want, n ** 3)
-
-
 def test_flip_transforms_and_criterion_cost():
-    # tau_transforms runs one composite, R12 = R (x) mu; coordinate_criterion
-    # reads each coordinate tensor once, and y not at all when it is x, and
-    # runs mu (x) mu^-1 once per structure map, not once per call
+    # tau_transforms runs no Composite: its equations are Identities on R,
+    # and R and W are each decided once; coordinate_criterion reads each
+    # coordinate tensor once, and y not at all when it is x, and derives
+    # mu (x) mu^-1 once per structure map, not once per call
     mu = Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
     op = search_solutions(mu, [0, 1], "diagonal")[-1]
+    undecided = OperatorOnTensorSquare(op.carrier_dim, op.matrix, mu)
     runs = mock.Mock(side_effect=Composite.columns)
-    with mock.patch.object(Composite, "columns", autospec=True, side_effect=runs):
-        tau_transforms(op)
-    assert runs.call_count == 1
+    kernel = mock.Mock(side_effect=longeq._first_failing_column)
+    with mock.patch.object(Composite, "columns", autospec=True, side_effect=runs), \
+            mock.patch.object(longeq, "_first_failing_column", kernel):
+        transforms, rep = tau_transforms(undecided)
+        assert rep.ok and kernel.call_count == 2
+        assert transforms["W"].first_failing_triple() is None
+        assert undecided.first_failing_triple() is None
+    assert runs.call_count == 0 and kernel.call_count == 2
     x = operator_to_coords(op)
     reads = mock.Mock(side_effect=longeq.int_columns)
     longeq._mu_steps.cache_clear()

@@ -44,8 +44,9 @@ from homlong.homstruct import (HomStructure, NotAutomorphism,
                                validate_hom_coalgebra, validate_hom_hopf,
                                validate_quasitriangular, yau_twist)
 from homlong.linalg import (Matrix, Tensor3, Composite, ZERO, ONE, DimensionMismatch,
-                            SingularMatrix, coproduct_columns, flip_columns, insert_columns,
-                            pair_columns, scalar, solve_exact, sparse_columns, unflat_index)
+                            SingularMatrix, coproduct_columns, first_key, insert_columns, layout,
+                            move_legs, pair_columns, scalar, solve_exact, sparse_columns,
+                            unflat_index)
 from homlong.longdimod import (DualityData, HomLongDimodule, canonical_dimodule,
                                check_coherence, check_snake, dimodule_morphism_report,
                                from_smash_module, left_dual, right_dual,
@@ -2819,14 +2820,14 @@ def dual_by_copairing(m, side):
                     + [(sparse_columns(t), (0,), None) for t in h_twist]
                     + [(mui, (1,), None), (mui, (1,), None),
                        (sparse_columns(m.action), (0, 1), (d,)),
-                       (flip_columns(d, d), (1, 2), None),
+                       (leg_flip(d, d), (1, 2), None),
                        (pair_columns(delta), (0, 1), ())], (h.dim, d)).product()
     # f -> (x, x', f) -> (b_twist(x_-1), mu^-2(x_0), x', f) -> b_twist(x_-1) f(mu^-2(x_0)) x'
     co = Composite([(insert_columns(delta, d), (0,), (d, d, d)),
                     (coproduct_columns(m.coaction), (0,), (nb, d))]
                    + [(sparse_columns(t), (0,), None) for t in b_twist]
                    + [(mui, (1,), None), (mui, (1,), None),
-                      (flip_columns(d, d), (2, 3), None),
+                      (leg_flip(d, d), (2, 3), None),
                       (pair_columns(delta), (1, 2), ())], (d,)).coproduct(nb)
     dual = HomLongDimodule(h, b, d, act, co, m.mu.inv().transpose(),
                            tuple(x + "*" for x in m.basis))
@@ -3196,9 +3197,25 @@ def steps_scale(steps):
     return math.prod(scale for (_, scale), _, _ in steps)
 
 
+def leg_flip(d0, d1):
+    """The swap X (x) Y -> Y (x) X of legs of dims d0, d1 as int columns
+    (cols, scale), the identity with its output legs moved; as a step its
+    out dims are (d1, d0)."""
+    return move_legs([[(j, 1)] for j in range(d0 * d1)], (d0, d1), (d0, d1), (0, 1), (3, 2)), 1
+
+
+def first_difference(lhs, rhs, dims):
+    """The first basis tuple of the legs dims, in lexicographic order, on
+    which the composites of the steps lhs and rhs differ, or None: their
+    layouts compared by linalg.first_key."""
+    left = layout(dims, lhs)
+    key = first_key(dims, left, layout(dims, rhs))
+    return None if key is None else unflat_index(key // math.prod(left[1]), dims)
+
+
 def first_difference_by_column(lhs, rhs, dims):
-    """Composite.first_difference run one basis column and one step at a
-    time, with no plan."""
+    """first_difference run one basis column and one step at a time, with
+    no plan."""
     lscale, rscale = steps_scale(lhs), steps_scale(rhs)
     for j in range(math.prod(dims)):
         if run_by_steps(lhs, dims, {j: rscale}) != run_by_steps(rhs, dims, {j: lscale}):
@@ -3250,7 +3267,7 @@ def one_entry_steps(draw, first, ins):
     left empty, or either followed by its inverse."""
     legs = tuple(range(first, first + len(ins)))
     if len(ins) == 2 and draw(st.booleans()):
-        step = (linalg.flip_columns(*ins), legs, ins[::-1])
+        step = (leg_flip(*ins), legs, ins[::-1])
     else:
         blk = math.prod(ins)
         perm = draw(st.permutations(range(blk)))
@@ -3336,7 +3353,7 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
     counts = []
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch), \
             mock.patch.object(linalg, "_batch", _counting_batches(counts)):
-        assert Composite(lhs, dims).first_difference(Composite(rhs, dims)) == expected
+        assert first_difference(lhs, rhs, dims) == expected
     runs, d = sum(counts) // 2, math.prod(dims)
     if expected is None:
         assert runs == d
@@ -3344,7 +3361,7 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
         assert runs == min(d, (flat_index(expected, dims) // batch + 1) * batch)
     assert first_difference_by_column(lhs, lhs, dims) is None
     with mock.patch.object(linalg, "BATCH_COLUMNS", batch):
-        assert Composite(lhs, dims).first_difference(Composite(lhs, dims)) is None
+        assert first_difference(lhs, lhs, dims) is None
         for steps in (lhs, rhs):
             # lists of (row, value) pairs: equal in their order too
             expected = columns_by_column(steps, dims)
@@ -3362,8 +3379,7 @@ def test_folded_composites_match_one_step_at_a_time(case, data):
     dims, lhs = case
     rhs = _one_entry_changed(data.draw, lhs)
     for other in (lhs, rhs):
-        assert (Composite(lhs, dims).first_difference(Composite(other, dims))
-                == first_difference_by_column(lhs, other, dims))
+        assert first_difference(lhs, other, dims) == first_difference_by_column(lhs, other, dims)
     got, expected = Composite(lhs, dims).columns(), columns_by_column(lhs, dims)
     assert same_columns(got, expected)
     assert all(x for col in got[0] for _, x in col)
@@ -3377,7 +3393,7 @@ def test_batched_composites_on_zero_dimensional_legs(case, data):
     dims, lhs = case
     assume(0 in dims)
     rhs = _one_entry_changed(data.draw, lhs)
-    assert Composite(lhs, dims).first_difference(Composite(rhs, dims)) is None
+    assert first_difference(lhs, rhs, dims) is None
     assert first_difference_by_column(lhs, rhs, dims) is None
     assert Composite(lhs, dims).columns() == columns_by_column(lhs, dims)
     assert Composite(lhs, dims).columns()[0] == []
@@ -3754,8 +3770,11 @@ def named_identities(draw):
     different sets of dims: a random composite of small int maps on 2-4
     named legs of dims 1-3, written twice with the legs of each map in
     random orders (and 2 -> 1 maps as a Matrix or a Tensor3), and in half
-    the draws one entry of one map of the rhs moved by one.  An element
-    identity (names_in = ()) first inserts its legs."""
+    the draws one entry of one map of the rhs moved by one.  A 2 -> 2 map
+    leaves the legs it reads, as int columns or as a Matrix, so its text
+    may name them in another order ("x z -> z x"), and a 1 -> 1 map may
+    leave a leg named as one read earlier ("y -> z" after z was read).  An
+    element identity (names_in = ()) first inserts its legs."""
     element = draw(st.integers(0, 3)) == 0
     k = 2 if element else draw(st.integers(2, 4))
     legs, fresh, steps = list("abcd"[:k]), iter("efghijklmnopqrstuvwxyz"), []
@@ -3772,17 +3791,23 @@ def named_identities(draw):
         if live:
             kinds += ["coproduct", "pair"]
         if len(live) >= 2:
-            kinds += ["map2", "pair", "raw"]
+            kinds += ["map2", "pair", "raw", "map22"]
         kind = draw(st.sampled_from(kinds))
+        freed = [s for s in legs if s not in live]
         if kind == "insert":
             outs = tuple(new_leg() for _ in range(draw(st.integers(1, 2))))
             steps.append((kind, (), outs))
             live += outs
             continue
-        width = 2 if kind in ("map2", "raw") else draw(st.integers(1, 2)) if kind == "pair" else 1
+        width = (2 if kind in ("map2", "raw", "map22") else draw(st.integers(1, 2))
+                 if kind == "pair" else 1)
         ins = tuple(draw(st.permutations(live))[:width])
-        outs = ins if kind == "raw" else tuple(
-            new_leg() for _ in range({"coproduct": 2, "pair": 0}.get(kind, 1)))
+        if kind in ("raw", "map22"):
+            outs = ins
+        elif kind == "map1" and freed and draw(st.booleans()):
+            outs = (draw(st.sampled_from(freed)),)
+        else:
+            outs = tuple(new_leg() for _ in range({"coproduct": 2, "pair": 0}.get(kind, 1)))
         steps.append((kind, ins, outs))
         live = [s for s in live if s not in ins] + list(outs)
     # each step's legs in the order it is written (each side once), and

@@ -3,8 +3,10 @@ dropped shows up in review: 79 names and the seven submodules the package
 imports.  The public names of homlong.linalg and of its Matrix and Tensor3
 are pinned the same way, so that a view or entry point added back shows up
 too, and so are those of homlong.report and its Identity, so that a report
-helper beside Identity shows up."""
+helper beside Identity shows up.  Beside linalg, only report may name
+Composite, so no other module places leg steps by hand."""
 
+import ast
 import json
 import os
 import pathlib
@@ -66,9 +68,8 @@ def test_public_names_are_pinned():
 LINALG_NAMES = [
     "BATCH_COLUMNS", "Composite", "DimensionMismatch", "FOLD_MIN_COLUMNS", "Fraction",
     "LinalgError", "Matrix", "ONE", "SingularMatrix", "Tensor3", "ZERO",
-    "coproduct_columns", "first_key", "flip_columns", "insert_columns", "int_columns", "layout",
-    "move_legs", "pair_columns", "per_leg", "per_leg_matrix", "scalar", "solve_exact",
-    "sparse_columns", "unflat_index",
+    "coproduct_columns", "first_key", "insert_columns", "int_columns", "layout", "move_legs",
+    "pair_columns", "per_leg_matrix", "scalar", "solve_exact", "sparse_columns", "unflat_index",
 ]
 
 MATRIX_ATTRIBUTES = [
@@ -79,10 +80,9 @@ MATRIX_ATTRIBUTES = [
 # a Tensor3 is the Matrix of its product-like map with the leg dims on top
 TENSOR3_ATTRIBUTES = sorted(MATRIX_ATTRIBUTES + ["d0", "d1", "d2", "dims"])
 
-# a Composite is checked and planned once; its readings run the plan
-COMPOSITE_ATTRIBUTES = [
-    "columns", "coproduct", "dims", "first_difference", "matrix", "out_dims", "product",
-]
+# a Composite is checked and planned once; its readings run the plan, and
+# linalg.first_key is the one comparison of two composites
+COMPOSITE_ATTRIBUTES = ["columns", "coproduct", "dims", "matrix", "out_dims", "product"]
 
 
 def _public(names):
@@ -95,7 +95,22 @@ def test_linalg_names_are_pinned():
     assert _public(dir(linalg.Matrix)) == MATRIX_ATTRIBUTES
     assert _public(dir(linalg.Tensor3)) == TENSOR3_ATTRIBUTES
     assert _public(dir(linalg.Composite)) == COMPOSITE_ATTRIBUTES
-    assert len(LINALG_NAMES) == 25
+    assert len(LINALG_NAMES) == 23
+
+
+def _names_composite(node):
+    """Whether an ast node imports Composite or reads it off a module."""
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "Composite" for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "Composite"
+
+
+def test_only_report_builds_composites_beside_linalg():
+    # every other module writes its maps as steps on named legs
+    # (report.compose, report.Identity), so none places leg steps by hand
+    users = sorted(path.stem for path in (SRC / "homlong").glob("*.py")
+                   if any(map(_names_composite, ast.walk(ast.parse(path.read_text())))))
+    assert users == ["report"]
 
 
 REPORT_NAMES = [
