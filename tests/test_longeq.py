@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx
 from homlong import longeq
-from homlong.linalg import Matrix, Tensor3, Composite, DimensionMismatch, SingularMatrix
+from homlong.linalg import (Matrix, Tensor3, Composite, DimensionMismatch, SingularMatrix,
+                            sparse_columns)
 from homlong.longdimod import HomLongDimodule, canonical_dimodule, validate_long_dimodule
 from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             SearchSpaceTooLarge, ZeroDiagonal,
@@ -23,8 +24,9 @@ from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             dimodule_solution, module_extension,
                             operator_to_coords, search_solutions, tau_transforms,
                             validate_halpha_dimodule)
-from test_oracles import (dense_columns, flip_matrix, kron, leg12, leg23,
-                          longeq_first_failing_column, mul)
+from homlong.report import compose
+from test_oracles import (dense_columns, first_difference, flip_matrix, kron, leg12, leg23,
+                          leg_flip, longeq_first_failing_column, mul)
 
 nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(lambda x: x != 0)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -198,6 +200,73 @@ def test_tau_transform_scalar():
     op = OperatorOnTensorSquare(1, Matrix([[4]]), Matrix([[3]]))
     _, rep = tau_transforms(op)
     assert rep.ok
+
+
+@st.composite
+def grid_mus(draw, n):
+    """An identity, diagonal or unipotent structure map, as the search grids
+    use them."""
+    kind = draw(st.sampled_from(("identity", "diagonal", "unipotent")))
+    entry = st.sampled_from((1, -1, 2, 3, Fraction(1, 2)))
+    if kind == "identity":
+        return Matrix.identity(n)
+    if kind == "diagonal":
+        return Matrix.diagonal([draw(entry) for _ in range(n)])
+    return Matrix([[1 if i == j else (draw(st.sampled_from((0, 1, -2))) if j > i else 0)
+                    for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def grid_or_arbitrary_operators(draw, n):
+    """An operator on M (x) M with entries on a {0, 1} or {-1, 0, 1} grid
+    (full or diagonal), or arbitrary small rationals."""
+    n2 = n * n
+    kind = draw(st.sampled_from(("full grid", "diagonal grid", "arbitrary")))
+    entry = (st.sampled_from((0, 1)) if draw(st.booleans()) else st.sampled_from((-1, 0, 1))) \
+        if kind != "arbitrary" else rationals
+    return Matrix([[draw(entry) if kind != "diagonal grid" or r == c else 0
+                    for c in range(n2)] for r in range(n2)])
+
+
+def _int_columns_matrix(step, rows):
+    """The Matrix of a composite's int columns (cols, scale), its lists
+    copied."""
+    cols, scale = step
+    return Matrix.from_int_columns([list(c) for c in cols], scale, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelled_legs_match_leg_step_composites(data):
+    # tau writes the U- and T-equations on R itself, relabelling its legs;
+    # each side equals the composite that applies X12 = x (x) mu,
+    # X13 = P X12 P (P the flip of the last two legs), X23 = mu (x) x and
+    # the cycle x (x) y (x) z -> z (x) x (x) y as leg steps, for x = U and
+    # T, and each verdict is whether those composites agree
+    n = data.draw(st.sampled_from((1, 2, 3)))
+    mu = data.draw(grid_mus(n))
+    op = OperatorOnTensorSquare(n, data.draw(grid_or_arbitrary_operators(n)), mu)
+    spy = mock.Mock(side_effect=longeq.Identity)
+    with mock.patch.object(longeq, "Identity", spy):
+        transforms, rep = tau_transforms(op)
+    identities = {c.args[0]: c.args for c in spy.call_args_list}
+    dims, m, flip = (n, n, n), sparse_columns(mu), leg_flip(n, n)
+    cyc = leg_flip(n * n, n), (0, 1, 2), None
+    for key in ("U", "T"):
+        x = sparse_columns(transforms[key].matrix)
+        x12 = (Composite([(x, (0, 1), None), (m, (2,), None)], dims).columns(), (0, 1, 2), None)
+        x13 = (Composite([(flip, (1, 2), None), (x, (0, 1), None), (m, (2,), None),
+                          (flip, (1, 2), None)], dims).columns(), (0, 1, 2), None)
+        x23 = (Composite([(m, (0,), None), (x, (1, 2), None)], dims).columns(), (0, 1, 2), None)
+        # U13 U23 = cycle U13 U12 and T12 T13 = T23 T13 cycle
+        lhs, rhs = ([x23, x13], [x12, x13, cyc]) if key == "U" else ([x13, x12], [cyc, x13, x23])
+        axiom, legs, named_lhs, named_rhs = identities["transform-" + key]
+        assert legs == dict(x=n, y=n, z=n)
+        for named, steps in ((named_lhs, lhs), (named_rhs, rhs)):
+            got = compose(legs, named, "x y z").columns()
+            assert (_int_columns_matrix(got, n ** 3)
+                    == _int_columns_matrix(Composite(steps, dims).columns(), n ** 3))
+        assert rep.passed(axiom) == (first_difference(lhs, rhs, dims) is None)
 
 
 def test_flip_transforms_and_criterion_cost():
