@@ -256,9 +256,11 @@ SUBJECTS = {
 }
 
 
+@functools.cache
 def _flags(name):
     """The options of the check subject or build target name, or of all the
-    subjects of the command name, in the order of the help and the inputs."""
+    subjects of the command name, in the order of the help and the inputs;
+    kept per name, as SUBJECTS never changes."""
     flags = [flag for key, s in SUBJECTS.items() if name in (key, key.split()[0])
              for flag in [flag for flag, _ in s.files] + list(s.optional)]
     return tuple(dict.fromkeys(flags + (["-o"] if name.startswith("build") else [])))

@@ -38,15 +38,20 @@ identity; a smaller composite runs its plan as one batch.  A plan lists
 each step's map, then its spans, as layout gives them; layout also checks
 the steps' legs and column counts, and report lays out an identity side
 once per shape of its maps.  first_key compares two such sides, building
-no Composite below FOLD_MIN_COLUMNS, BATCH_COLUMNS columns at a time from
-column 0 up to the first that differs; columns(), matrix(), product() and
-coproduct() read one composite.  Every constructed structure map is such
-a composite, never an index sum or a Kronecker product.
+no Composite: one of FOLD_MIN_COLUMNS or more columns is folded from that
+layout (_folded), with no second check.  It runs them BATCH_COLUMNS
+columns at a time from column 0 up to the first that differs; columns(),
+matrix(), product() and coproduct() read one composite.  Every
+constructed structure map is such a composite, never an index sum or a
+Kronecker product.
 
 Matrix and Tensor3 are immutable, so each keeps what is derived from it
-once computed: a Matrix its determinant and inverse, a Tensor3 also its
-coproduct-like reading.  The stored and cached columns are shared by every
-caller and are never changed.
+once computed: a Matrix its determinant, its inverse and its flat
+readings as an element (insert_columns) and as a covector (pair_columns),
+so an identity that inserts R or pairs a form moves its legs once per
+Matrix, not once per decision; a Tensor3 also keeps its coproduct-like
+reading.  The stored and cached columns are shared by every caller and
+are never changed.
 """
 
 import bisect
@@ -107,10 +112,10 @@ class Matrix:
     so hashing reads it, and equality it and the type.  It is the one form
     kept: entries are read off it when asked for.
 
-    A Matrix is immutable, so it also keeps its determinant and its inverse
-    once computed."""
+    A Matrix is immutable, so it also keeps its determinant, its inverse and
+    its flat readings as an element and as a covector once computed."""
 
-    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse")
+    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse", "_element", "_covector")
 
     def __init__(self, rows_data, rows=None, cols=None):
         data = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows_data]
@@ -121,7 +126,8 @@ class Matrix:
         if len(data) != rows or any(len(r) != cols for r in data):
             int_columns(data)       # an unreadable entry is named before the shape
             raise DimensionMismatch("ragged or mis-shaped matrix data")
-        self.rows, self.cols, self._det, self._inverse = rows, cols, None, None
+        self.rows, self.cols = rows, cols
+        self._det = self._inverse = self._element = self._covector = None
         self._sparse = int_columns(zip(*data) if rows else [()] * cols)
 
     @classmethod
@@ -129,7 +135,7 @@ class Matrix:
         """An instance of cls over columns in the form int_columns gives."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._sparse = rows, cols, sparse
-        m._det = m._inverse = None
+        m._det = m._inverse = m._element = m._covector = None
         return m
 
     @classmethod
@@ -472,18 +478,26 @@ def coproduct_columns(t):
 def insert_columns(element, d=1):
     """x -> element (x) x on a leg of dim d, for an element (a unit, R) given
     by its flat coordinates in a Matrix: entry [i][j] at i * cols + j; as a
-    step its out_dims are the element's legs, then d."""
-    cols, scale = element._sparse
-    (col,) = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0))
+    step its out_dims are the element's legs, then d.  The reading on a leg
+    of dim 1 is kept and shared like sparse_columns."""
+    if element._element is None:
+        cols, scale = element._sparse
+        element._element = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0)), scale
+    if d == 1:
+        return element._element
+    (col,), scale = element._element
     return [[(k * d + o, x) for k, x in col] for o in range(d)], scale
 
 
 def pair_columns(covector):
     """The pairing with a covector (a counit, a form) given by its flat
     coordinates in a Matrix, as insert_columns reads an element; as a step
-    its out_dims are ()."""
-    cols, scale = covector._sparse
-    return move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
+    its out_dims are ().  The reading is kept and shared like
+    sparse_columns."""
+    if covector._covector is None:
+        cols, scale = covector._sparse
+        covector._covector = move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
+    return covector._covector
 
 
 # the most basis columns a composite runs in one batch, which bounds the
@@ -491,7 +505,7 @@ def pair_columns(covector):
 BATCH_COLUMNS = 256
 
 # the fewest input columns of a composite whose one-entry-per-column steps
-# _plan folds away: a fold is a pass over the next step's columns at plan
+# _folded folds away: a fold is a pass over the next step's columns at plan
 # time, which the 4-27-column composites of the Hom-Long search do not win
 # back; folded at every size, the search-grid benchmark ran 0.9x as many ops
 # per reference time, its tail op 1.2x as costly (seven 8 s pairs, 2 vCPUs).
@@ -527,24 +541,29 @@ def layout(dims, steps):
 def _plan(steps, dims):
     """Check a composite's legs and column counts on the legs dims once,
     exactly as the steps are given (layout), and build its one plan: (plan,
-    out_dims, scale), a planned step as layout gives it.
+    out_dims, scale), a planned step as layout gives it, folded (_folded)
+    on at least FOLD_MIN_COLUMNS input columns."""
+    planned = layout(dims, steps)
+    return _folded(planned, dims) if math.prod(dims) >= FOLD_MIN_COLUMNS else planned
 
-    On a composite of at least FOLD_MIN_COLUMNS input columns, with no
-    0-dimensional leg, the plan leaves out its steps that keep their leg
-    count and have at most one entry per column, on distinct rows (mu,
-    mu^-1, alpha, the associators' legs, permutations of legs): _fold
+
+def _folded(planned, dims):
+    """A plan (plan, out_dims, scale) on the legs dims, as layout gives it,
+    with its steps that keep their leg count and have at most one entry per
+    column, on distinct rows (mu, mu^-1, alpha, the associators' legs,
+    permutations of legs), left out unless a leg is 0-dimensional: _fold
     carries each one forward into the next step on its legs, so _run makes
     no pass of its own for it.  The composite's value is the same; scale is
     the product of the scales of the planned steps, which is the product of
     all the steps' scales unless a carried map cancelled to the identity
-    (mu then mu^-1) and was dropped with its scales.  Only a folded
-    composite is planned again, from its folded steps, which need no
-    check."""
-    plan, d, scale = layout(dims, steps)
+    (mu then mu^-1) and was dropped with its scales.  No step is checked
+    again: their input dims are followed from dims through their out dims,
+    so a plan may leave out only a step that keeps its block's dims."""
+    plan, d, scale = planned
     # every leg a step meets is an input leg or lands from a step, so none
     # is 0-dimensional when neither is
-    if math.prod(dims) < FOLD_MIN_COLUMNS or any(0 in s[6] for s in plan):
-        return plan, d, scale
+    if any(0 in s[6] for s in plan):
+        return planned
     shaped, d_in = [], tuple(dims)
     for (cols, sc), _, _, _, first, stop, out in plan:
         shaped.append((cols, sc, first, d_in[first:stop], out))
@@ -717,13 +736,13 @@ class Composite:
 
 def first_key(dims, left, right):
     """The least key j * rows + r (column j of the legs dims, row r) at
-    which two composites differ, or None, each given as _plan gives it:
-    (plan, out dims, scale).  Below FOLD_MIN_COLUMNS the plans run as
-    given, so no Composite is built; on more columns _plan folds them."""
+    which two composites differ, or None, each given as layout gives it:
+    (plan, out dims, scale), laid out and checked before.  Below
+    FOLD_MIN_COLUMNS the plans run as given, so no Composite is built; on
+    more columns _folded folds them, with no second layout."""
     d_in = math.prod(dims)
     if d_in >= FOLD_MIN_COLUMNS:
-        left, right = [_plan([(m, range(f, stop), out) for m, _, _, _, f, stop, out in side[0]],
-                             dims) for side in (left, right)]
+        left, right = _folded(left, dims), _folded(right, dims)
     return _first_key(left, right, d_in)
 
 
@@ -832,7 +851,7 @@ class Tensor3(Matrix):
             raise DimensionMismatch("ragged tensor data")
         self.rows, self.cols, self.d0, self.d1 = d2, d0 * d1, d0, d1
         self._sparse = int_columns(r for p in data for r in p)
-        self._det = self._inverse = self._coproduct = None
+        self._det = self._inverse = self._element = self._covector = self._coproduct = None
 
     @classmethod
     def from_int_columns(cls, cols, scale, dims):

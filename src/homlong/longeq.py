@@ -423,7 +423,8 @@ def tau_transforms(op):
 
     The base check reads R's kept verdict, or decides it and keeps it
     (OperatorOnTensorSquare.first_failing_triple); the returned W keeps
-    the verdict of the W-check.
+    the verdict of the W-check.  Each failing check names the first basis
+    triple (u, v, w) on which its equation fails.
     """
     n = op.carrier_dim
     mu = op.structure_map
@@ -434,12 +435,13 @@ def tau_transforms(op):
                 for ins, outs in (((0, 1), (3, 2)), ((1, 0), (2, 3)), ((1, 0), (3, 2))))
     w_op = OperatorOnTensorSquare(n, w, mu)
     rep = AxiomReport()
-    rep.add("base-longeq", op.first_failing_triple() is None)
+    base = op.first_failing_triple()
+    rep.add("base-longeq", base is None, base)
 
     # both equations on R itself: U on the legs a b is (R, "a b -> b a"),
     # T is (R, "b a -> a b"), and the cycle x (x) y (x) z -> z (x) x (x) y
     # renames the legs x y z to y z x, through the free legs t and s
-    legs = dict(x=n, y=n, z=n)
+    legs = dict(x=range(n), y=range(n), z=range(n))
     rm = op.matrix
     for axiom, lhs, rhs in (
             # U13 U23 = cycle U13 U12
@@ -448,8 +450,9 @@ def tau_transforms(op):
             # T12 T13 = T23 T13 cycle
             ("transform-T", [(rm, "z x -> x z"), (mu, "y"), (rm, "y x -> x y"), (mu, "z")],
              [(mu, "x -> s"), (rm, "y z -> x y"), (rm, "y s -> y z"), (mu, "x")])):
-        rep.add(axiom, Identity(axiom, legs, lhs, rhs).decide().passed)
-    rep.add("transform-W", w_op.first_failing_triple() is None)
+        rep.record(Identity(axiom, legs, lhs, rhs))
+    witness = w_op.first_failing_triple()
+    rep.add("transform-W", witness is None, witness)
 
     verdicts = [c.passed for c in rep.checks]
     rep.set_flag("all-agree", len(set(verdicts)) == 1)

@@ -15,9 +15,11 @@ decides in order.  A side is compiled once per text into positional leg
 moves: the compiler places the flips and the legs of the elements a side
 inserts, so the text reads as the formula.  Each shape of its maps adds a
 small table of ints, checked against the dims once: the permutations'
-columns and linalg.layout of the steps.  A decision reads the side's maps
-and runs them on that layout by linalg.first_key, which builds no
-Composite below FOLD_MIN_COLUMNS.  compose builds a map from such steps.
+columns and linalg.layout of the steps.  A decision reads the side's maps,
+leaves out each that is the identity on its block (_plan), and runs the
+rest on that layout by linalg.first_key, which builds no Composite and
+folds a side of FOLD_MIN_COLUMNS or more columns from the layout.
+compose builds a map from such steps.
 """
 
 import functools
@@ -113,15 +115,16 @@ class Identity(NamedTuple):
     its rows; int columns (cols, scale) from Composite.columns land on legs
     whose names give their dims.
 
-    names_in maps each input leg to its basis names; a failure's witness
-    names the first differing input basis tuple.  A leg given by its dim
-    is left out of the witness, and several legs under one key ("x y z")
-    take a tuple of bases and are named together, x⊗y⊗z.  An element
-    identity is the case names_in = (): its witness is the first differing
-    output coordinate, named by names_out, which also orders the output
-    legs (else the rhs ends in the lhs's order).  A side may be a dict of
-    labelled sides, the rhs one side for all or a dict by the same labels:
-    the first label whose pair differs leads the witness."""
+    names_in maps each input leg to its basis names (range(n) names each
+    basis vector by its index); a failure's witness names the first
+    differing input basis tuple.  A leg given by its dim is left out of the
+    witness, and several legs under one key ("x y z") take a tuple of bases
+    and are named together, x⊗y⊗z.  An element identity is the case
+    names_in = (): its witness is the first differing output coordinate,
+    named by names_out, which also orders the output legs (else the rhs
+    ends in the lhs's order).  A side may be a dict of labelled sides, the
+    rhs one side for all or a dict by the same labels: the first label
+    whose pair differs leads the witness."""
 
     axiom: str
     names_in: object
@@ -178,7 +181,8 @@ def _named(digits, names):
     for key, value in names.items() if type(names) is dict else names:
         legs = len(key.split())
         if type(value) is not int:
-            out.append("⊗".join(b[i] for b, i in zip(value if legs > 1 else (value,), digits)))
+            out.append(value[digits[0]] if legs == 1 else
+                       "⊗".join(b[i] for b, i in zip(value, digits)))
         digits = digits[legs:]
     return tuple(out)
 
@@ -192,14 +196,29 @@ def _shapes(side):
 
 def _plan(compiled, side):
     """A compiled side on the maps of side, as linalg.first_key takes it:
-    (each step's map, then its span; the dims it leaves; the maps' scale)."""
+    (each step's map, then its span; the dims it leaves; the maps' scale).
+    A map that is the identity on its block's dims (kz2's alpha, mu = id,
+    mu^-2 of an involutive mu) leaves the plan with its scale, so it makes
+    no pass."""
     plan, scale = [], 1
     for step in compiled[0]:
         k, read = step[0], step[1]
         m = read if k is None else read(side[k][0])
-        plan.append((m,) + step[4:])
+        if step[4] and _is_identity(m):
+            continue
+        plan.append((m,) + step[5:])
         scale *= m[1]
     return plan, compiled[2], scale
+
+
+def _is_identity(m):
+    """Whether the int columns m = (cols, scale) are the identity: every
+    column j is [(j, scale)]."""
+    cols, scale = m
+    for j, c in enumerate(cols):
+        if len(c) != 1 or c[0] != (j, scale):
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=1024)
@@ -207,9 +226,9 @@ def _compiled(symbols, dims, side, target):
     """A side (texts and map shapes) on the legs symbols of dims dims, the
     last the unit leg, ending on target when given, as its moves (_arranged,
     once per text) read for one shape: (steps, the legs it leaves, their
-    dims).  A step is (map index, reader, legs, out dims), then its span from
-    linalg.layout, in one tuple; a permutation has index None and its
-    columns for reader."""
+    dims).  A step is (map index, reader, legs, out dims, whether a map
+    keeps its block's dims), then its span from linalg.layout, in one
+    tuple; a permutation has index None and its columns for reader."""
     moves, ends = _arranged(symbols, tuple([text for text, _ in side]), target)
     table, d, steps, counted = dict(zip(symbols, dims)), dims, [], []
     for k, p, stop, legs, ins, outs in moves:
@@ -225,7 +244,7 @@ def _compiled(symbols, dims, side, target):
                 raise DimensionMismatch("map on legs of dims %r, given %r -> %r of dims %r"
                                         % (want, ins, outs, block))
             table.update(zip(outs, out))
-        steps.append((k, read, legs, out))
+        steps.append((k, read, legs, out, k is not None and block == out))
         counted.append((shape if want is None else math.prod(want), legs, out))
         d = d[:p] + out + d[stop:]
     plan, out_dims, _ = layout(dims, counted)

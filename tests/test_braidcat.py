@@ -313,19 +313,20 @@ def test_sweedler_scaled_context_full_sweep(kz2):
 def test_qybe_on_the_sweedler_scaled_canonical_cube_folds_its_associators(kz2, monkeypatch):
     # each side of the QYBE is nine steps: three braidings and the
     # associators' mu^-1 and omega legs, each with one entry per column.
-    # _plan folds those into the braidings, cancels mu against mu^-1 across
-    # consecutive associators and puts the rest back at the end, so at most
-    # four steps a side run on the 512 columns
+    # first_key folds those into the braidings from the side's compiled
+    # layout (_folded), cancels mu against mu^-1 across consecutive
+    # associators and puts the rest back at the end, so at most four steps
+    # a side run on the 512 columns
     swt = fx.sweedler_scaled_twisted(2)
     ctx = BraidingContext(swt, fx.sweedler_rmatrix(), kz2, fx.kz2_form())
     can = canonical_dimodule(swt, kz2)
-    plans, real = [], linalg._plan
+    plans, real = [], linalg._folded
 
-    def plan(steps, dims):
-        out = real(steps, dims)
-        plans.append((math.prod(dims), len(steps), len(out[0])))
+    def folded(planned, dims):
+        out = real(planned, dims)
+        plans.append((math.prod(dims), len(planned[0]), len(out[0])))
         return out
-    monkeypatch.setattr(linalg, "_plan", plan)
+    monkeypatch.setattr(linalg, "_folded", folded)
     assert check_qybe(ctx, can, can, can).ok
     sides = [(steps, planned) for d, steps, planned in plans if d == 512]
     assert [steps for steps, _ in sides] == [9, 9]

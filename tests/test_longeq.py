@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx
-from homlong import longeq
+from homlong import linalg, longeq
 from homlong.linalg import (Matrix, Tensor3, Composite, DimensionMismatch, SingularMatrix,
                             sparse_columns)
 from homlong.longdimod import HomLongDimodule, canonical_dimodule, validate_long_dimodule
@@ -242,7 +242,8 @@ def test_relabelled_legs_match_leg_step_composites(data):
     # each side equals the composite that applies X12 = x (x) mu,
     # X13 = P X12 P (P the flip of the last two legs), X23 = mu (x) x and
     # the cycle x (x) y (x) z -> z (x) x (x) y as leg steps, for x = U and
-    # T, and each verdict is whether those composites agree
+    # T, and each check names the first triple on which those composites
+    # differ
     n = data.draw(st.sampled_from((1, 2, 3)))
     mu = data.draw(grid_mus(n))
     op = OperatorOnTensorSquare(n, data.draw(grid_or_arbitrary_operators(n)), mu)
@@ -261,28 +262,34 @@ def test_relabelled_legs_match_leg_step_composites(data):
         # U13 U23 = cycle U13 U12 and T12 T13 = T23 T13 cycle
         lhs, rhs = ([x23, x13], [x12, x13, cyc]) if key == "U" else ([x13, x12], [cyc, x13, x23])
         axiom, legs, named_lhs, named_rhs = identities["transform-" + key]
-        assert legs == dict(x=n, y=n, z=n)
+        assert legs == dict(x=range(n), y=range(n), z=range(n))
         for named, steps in ((named_lhs, lhs), (named_rhs, rhs)):
             got = compose(legs, named, "x y z").columns()
             assert (_int_columns_matrix(got, n ** 3)
                     == _int_columns_matrix(Composite(steps, dims).columns(), n ** 3))
-        assert rep.passed(axiom) == (first_difference(lhs, rhs, dims) is None)
+        witness = first_difference(lhs, rhs, dims)
+        assert rep.check(axiom) == (axiom, witness is None, witness)
 
 
 def test_flip_transforms_and_criterion_cost():
     # tau_transforms runs no Composite: its equations are Identities on R,
-    # and R and W are each decided once; coordinate_criterion reads each
-    # coordinate tensor once, and y not at all when it is x, and derives
-    # mu (x) mu^-1 once per structure map, not once per call
+    # which read R's columns with no leg moved, and R and W are each
+    # decided once; the only legs it moves are those of the matrices U, T
+    # and W, one move each; coordinate_criterion reads each coordinate
+    # tensor once, and y not at all when it is x, and derives mu (x) mu^-1
+    # once per structure map, not once per call
     mu = Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
     op = search_solutions(mu, [0, 1], "diagonal")[-1]
     undecided = OperatorOnTensorSquare(op.carrier_dim, op.matrix, mu)
     runs = mock.Mock(side_effect=Composite.columns)
     kernel = mock.Mock(side_effect=longeq._first_failing_column)
+    moves = mock.Mock(side_effect=linalg.move_legs)
     with mock.patch.object(Composite, "columns", autospec=True, side_effect=runs), \
-            mock.patch.object(longeq, "_first_failing_column", kernel):
+            mock.patch.object(longeq, "_first_failing_column", kernel), \
+            mock.patch.object(longeq, "move_legs", moves), \
+            mock.patch.object(linalg, "move_legs", moves):
         transforms, rep = tau_transforms(undecided)
-        assert rep.ok and kernel.call_count == 2
+        assert rep.ok and kernel.call_count == 2 and moves.call_count == 3
         assert transforms["W"].first_failing_triple() is None
         assert undecided.first_failing_triple() is None
     assert runs.call_count == 0 and kernel.call_count == 2

@@ -1733,8 +1733,10 @@ def dense_snake(m, duality):
     return rep
 
 
-def dense_tau_verdicts(op):
-    """The U- and T-equations with the legs and the cycle as n^3 x n^3 matrices."""
+def dense_tau_witnesses(op):
+    """The first basis triple on which the U-equation fails, then the
+    T-equation's, None where it holds, with the legs and the cycle as
+    n^3 x n^3 matrices."""
     n, mu = op.carrier_dim, op.structure_map
     t = flip_matrix(n, n)
     move = kron(Matrix.identity(n), t)
@@ -1743,9 +1745,17 @@ def dense_tau_verdicts(op):
     def legs(x):
         return kron(x, mu), mul(move, kron(x, mu), move), kron(mu, x)
 
+    def first_column(a, b):
+        a, b = a.to_lists(), b.to_lists()
+        for j in range(n ** 3):
+            if any(row_a[j] != row_b[j] for row_a, row_b in zip(a, b)):
+                return unflat_index(j, (n, n, n))
+        return None
+
     u12, u13, u23 = legs(mul(t, op.matrix))
     t12, t13, t23 = legs(mul(op.matrix, t))
-    return mul(u13, u23) == mul(cyc, u13, u12), mul(t12, t13) == mul(t23, t13, cyc)
+    return (first_column(mul(u13, u23), mul(cyc, u13, u12)),
+            first_column(mul(t12, t13), mul(t23, t13, cyc)))
 
 
 # ---------------------------------------------------------------------------
@@ -2300,14 +2310,16 @@ def test_tau_transforms_match_dense_oracle(data):
     mu = data.draw(structure_maps(n))
     op = OperatorOnTensorSquare(n, Matrix(data.draw(operators(n, mu))), Matrix(mu))
     transforms, rep = tau_transforms(op)
-    assert (rep.passed("transform-U"), rep.passed("transform-T")) == dense_tau_verdicts(op)
+    for axiom, witness in zip(("transform-U", "transform-T"), dense_tau_witnesses(op)):
+        assert rep.check(axiom) == Check(axiom, witness is None, witness)
     flip = flip_matrix(n, n)
     assert transforms["U"].matrix == mul(flip, op.matrix)
     assert transforms["T"].matrix == mul(op.matrix, flip)
     assert transforms["W"].matrix == mul(flip, op.matrix, flip)
     for axiom, m in (("base-longeq", op.matrix), ("transform-W", transforms["W"].matrix)):
         rows = m.to_lists()
-        assert rep.passed(axiom) == (longeq_first_failing_column(rows, rows, mu) is None)
+        witness = longeq_first_failing_column(rows, rows, mu)
+        assert rep.check(axiom) == Check(axiom, witness is None, witness)
 
 
 def test_readme_triangle_finding_matches_dense_oracle():
@@ -3899,3 +3911,93 @@ def test_identity_compiler_matches_index_sums(drawn):
     # this process: the second reuses the moves compiled for the first
     for identity, expected in drawn:
         assert identity.decide() == expected
+
+
+# ---------------------------------------------------------------------------
+# a decision's shortcuts against index sums: identity maps leave the plan,
+# elements and covectors are read through their kept flat readings, and
+# sides of FOLD_MIN_COLUMNS or more columns are folded from their layout
+
+SHORTCUT_KINDS = ("identity", "scaled", "moved", "diagonal", "map", "bubble", "embed")
+
+
+@st.composite
+def shortcut_identities(draw):
+    """(identity, expected Check) on the legs a b c, of under 64 or of at
+    least 64 columns: each side a run of drawn steps on them.  An identity
+    map (a Matrix on one or two legs, or int columns [(j, s)] over s) lands
+    on each side or not; a near-identity (one column moved, or a diagonal
+    with one 2) lands on the lhs, and on the rhs it or the identity; a map,
+    an element inserted, mapped and paired with a covector (the same two
+    Matrix objects each time, so they are read more than once), and an
+    embedding into one more dimension and a map back land on both."""
+    small = st.integers(-2, 2)
+    big = draw(st.booleans())
+    dims = {s: draw(st.integers(4, 5) if big else st.integers(1, 3)) for s in "abc"}
+    dims.update(("z" + s, dims[s] + 1) for s in "abc")
+    dims["e"] = draw(st.sampled_from((1, 2, 4)))
+
+    def matrix(rows, cols):
+        entries = draw(st.lists(small, min_size=rows * cols, max_size=rows * cols))
+        return Matrix([entries[i * cols:(i + 1) * cols] for i in range(rows)], rows=rows,
+                      cols=cols)
+
+    def flat(n):
+        rows = draw(st.sampled_from([r for r in (1, 2, 4) if n % r == 0]))
+        return matrix(rows, n // rows)
+
+    element, covector = flat(dims["e"]), flat(dims["e"])
+    lhs, rhs = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(SHORTCUT_KINDS))
+        leg = draw(st.sampled_from("abc"))
+        d = dims[leg]
+        if kind in ("identity", "scaled"):
+            if kind == "scaled":
+                s = draw(st.integers(2, 3))
+                step = ([[(j, s)] for j in range(d)], s), leg
+            else:
+                legs = draw(st.permutations("abc"))[:draw(st.integers(1, 2))]
+                step = Matrix.identity(math.prod(dims[x] for x in legs)), " ".join(legs)
+            for side in (lhs, rhs):
+                if draw(st.booleans()):
+                    side.append(step)
+            continue
+        if kind in ("moved", "diagonal"):
+            j = draw(st.integers(0, d - 1))
+            if kind == "moved":
+                near = Matrix.from_int_columns([[((i + (i == j)) % d, 1)] for i in range(d)],
+                                               1, d)
+            else:
+                near = Matrix.diagonal([2 if i == j else 1 for i in range(d)])
+            lhs.append((near, leg))
+            rhs.append((near if draw(st.booleans()) else Matrix.identity(d), leg))
+            continue
+        if kind == "map":
+            steps = [(matrix(d, d), leg)]
+        elif kind == "bubble":
+            steps = [(element, "-> e"), (matrix(dims["e"], dims["e"]), "e"), (covector, "e ->")]
+        else:
+            z = "z" + leg
+            steps = [(Matrix.from_int_columns([[(i, 1)] for i in range(d)], 1, d + 1),
+                      "%s -> %s" % (leg, z)), (matrix(d, d + 1), "%s -> %s" % (z, leg))]
+        lhs += steps
+        rhs += steps
+    names = {s: tuple("%s%d" % (s, i) for i in range(dims[s])) for s in "abc"}
+    identity = Identity("shortcut", names, lhs, rhs)
+    for col in itertools.product(*(range(dims[s]) for s in "abc")):
+        start = dict(zip("abc", col))
+        if named_image(lhs, start, dims) != named_image(rhs, start, dims):
+            return identity, Check("shortcut", False, tuple(names[s][i]
+                                                            for s, i in zip("abc", col)))
+    return identity, Check("shortcut", True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shortcut_identities())
+def test_decision_shortcuts_match_index_sums(drawn):
+    # decided twice: the second decision reads the kept flat readings of
+    # the element and the covector and the compiled tables
+    identity, expected = drawn
+    assert identity.decide() == expected
+    assert identity.decide() == expected

@@ -1,8 +1,10 @@
 """report's identity compiler: its error texts, and how often it compiles."""
 
+import sys
+
 import pytest
 
-from homlong import fixtures as fx, report
+from homlong import fixtures as fx, linalg, report
 from homlong.braidcat import (BraidingContext, check_hexagons, check_qybe, check_symmetry,
                               long_braiding, long_braiding_inverse)
 from homlong.homstruct import (tensor_hopf, validate_all, validate_coquasitriangular,
@@ -103,3 +105,34 @@ def test_compile_caches_stay_below_their_bounds():
     for cache in (report._arranged, report._compiled):
         info = cache.cache_info()
         assert info.misses == info.currsize < info.maxsize
+
+
+def test_a_matrix_is_read_by_its_flat_coordinates_once(monkeypatch):
+    # the context validators insert R and the unit and pair the counit and
+    # the form in many identities; each Matrix's flat reading moves its
+    # legs once, the first time it is read, and is kept, so validating the
+    # same context again moves none
+    readers = {linalg.insert_columns.__code__, linalg.pair_columns.__code__}
+    reads, real = [], linalg.move_legs
+
+    def move_legs(*args):
+        frame = sys._getframe(1)
+        if frame.f_code in readers:
+            reads.append((frame.f_code.co_name, id(frame.f_locals[frame.f_code.co_varnames[0]])))
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "move_legs", move_legs)
+    kz2, swt = fx.kz2(), fx.sweedler_scaled_twisted(2)
+    contexts = [(kz2, fx.kz2_rmatrix(), fx.kz2_form()),
+                (swt, fx.sweedler_rmatrix(), fx.trivial_form(swt))]
+    for h, r, form in contexts:
+        assert validate_quasitriangular(h, r).ok
+        validate_coquasitriangular(h, form)
+    expected = {(reader, id(m)) for h, r, form in contexts
+                for reader, m in (("insert_columns", r), ("insert_columns", h.unit),
+                                  ("pair_columns", h.counit), ("pair_columns", form))}
+    assert sorted(reads) == sorted(expected)
+    reads.clear()
+    for h, r, form in contexts:
+        validate_quasitriangular(h, r), validate_coquasitriangular(h, form)
+    assert reads == []
