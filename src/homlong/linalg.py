@@ -27,23 +27,21 @@ sparse vector; report.Identity and report.compose write steps on named
 legs and compile them to these, placing every permutation of legs.  A map
 with legs moved between its inputs and outputs (a transpose, the other
 reading of a Tensor3, an element's flat coordinates, a permutation of
-legs) comes from one function, move_legs.  A Composite of steps is
-checked and planned once, then run on batches of basis columns: the
-column index is one more leading leg, so a single pass per step serves a
-batch.  On a composite of at least FOLD_MIN_COLUMNS columns, a step that
-keeps its leg count and has one entry per column on distinct rows (mu,
-alpha, a permutation of legs) is carried into the next step on its legs
-and makes no pass of its own, and dropped where it composes to the
-identity; a smaller composite runs its plan as one batch.  A plan lists
-each step's map, then its spans, as layout gives them; layout also checks
-the steps' legs and column counts, and report lays out an identity side
-once per shape of its maps.  first_key compares two such sides, building
-no Composite: one of FOLD_MIN_COLUMNS or more columns is folded from that
-layout (_folded), with no second check.  It runs them BATCH_COLUMNS
-columns at a time from column 0 up to the first that differs; columns(),
-matrix(), product() and coproduct() read one composite.  Every
-constructed structure map is such a composite, never an index sum or a
-Kronecker product.
+legs) comes from one function, move_legs.  layout checks a composite's
+steps against its legs and lays each out once: its map, then its span,
+block and image.  A Composite takes that plan and is run on batches of
+basis columns: the column index is one more leading leg, so a single pass
+per step serves a batch.  On a composite of at least FOLD_MIN_COLUMNS
+columns, a step that keeps its leg count and has one entry per column on
+distinct rows (mu, alpha, a permutation of legs) is carried into the next
+step on its legs and makes no pass of its own, and dropped where it
+composes to the identity; a smaller composite runs its plan as one batch.
+report lays out an identity side once per shape of its maps and builds
+its Composite per decision, with no second layout.  first_key compares two
+Composites BATCH_COLUMNS columns at a time from column 0 up to the first
+that differs; columns(), matrix(), product() and coproduct() read one.
+Every constructed structure map is such a composite, never an index sum
+or a Kronecker product.
 
 Matrix and Tensor3 are immutable, so each keeps what is derived from it
 once computed: a Matrix its determinant, its inverse and its flat
@@ -475,18 +473,15 @@ def coproduct_columns(t):
     return t._coproduct
 
 
-def insert_columns(element, d=1):
-    """x -> element (x) x on a leg of dim d, for an element (a unit, R) given
+def insert_columns(element):
+    """x -> element (x) x on a leg of dim 1, for an element (a unit, R) given
     by its flat coordinates in a Matrix: entry [i][j] at i * cols + j; as a
-    step its out_dims are the element's legs, then d.  The reading on a leg
-    of dim 1 is kept and shared like sparse_columns."""
+    step its out_dims are the element's legs, then 1.  The reading is kept
+    and shared like sparse_columns."""
     if element._element is None:
         cols, scale = element._sparse
         element._element = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0)), scale
-    if d == 1:
-        return element._element
-    (col,), scale = element._element
-    return [[(k * d + o, x) for k, x in col] for o in range(d)], scale
+    return element._element
 
 
 def pair_columns(covector):
@@ -515,11 +510,13 @@ FOLD_MIN_COLUMNS = 64
 
 def layout(dims, steps):
     """Check the steps of a composite on the legs dims and lay them out once:
-    (plan, the dims they leave, the product of the maps' scales).  A step is
-    (map, legs, out dims or None), as Composite takes it, or has its map's
-    column count for the map; a planned step is the map, or count, then its
-    span (blk_in * suf, suf, blk_out * suf, first leg, stop, out dims), for
-    its block (legs first to stop - 1), the legs after it and its image."""
+    (plan, the dims they leave, the product of the maps' scales), as
+    Composite takes it.  A step is (map, legs, out dims), the map (cols,
+    scale) as sparse_columns gives it, or its column count, and out dims
+    None keeping the legs' dims; a laid-out step is the map, or count, then
+    its span (blk_in * suf, suf, blk_out * suf, first leg, in dims, out
+    dims), for its block (the legs from first on, of dims in dims), the
+    legs after it and its image."""
     plan, d, scale = [], tuple(dims), 1
     for m, legs, out in steps:
         if type(m) is int:
@@ -533,18 +530,9 @@ def layout(dims, steps):
             raise DimensionMismatch("map with %d columns on legs %r of %r" % (n, legs, d))
         out = ins if out is None else tuple(out)
         suf = math.prod(d[stop:])
-        plan.append((m, blk_in * suf, suf, math.prod(out) * suf, first, stop, out))
+        plan.append((m, blk_in * suf, suf, math.prod(out) * suf, first, ins, out))
         d = d[:first] + out + d[stop:]
     return plan, d, scale
-
-
-def _plan(steps, dims):
-    """Check a composite's legs and column counts on the legs dims once,
-    exactly as the steps are given (layout), and build its one plan: (plan,
-    out_dims, scale), a planned step as layout gives it, folded (_folded)
-    on at least FOLD_MIN_COLUMNS input columns."""
-    planned = layout(dims, steps)
-    return _folded(planned, dims) if math.prod(dims) >= FOLD_MIN_COLUMNS else planned
 
 
 def _folded(planned, dims):
@@ -557,51 +545,48 @@ def _folded(planned, dims):
     the product of the scales of the planned steps, which is the product of
     all the steps' scales unless a carried map cancelled to the identity
     (mu then mu^-1) and was dropped with its scales.  No step is checked
-    again: their input dims are followed from dims through their out dims,
-    so a plan may leave out only a step that keeps its block's dims."""
+    again: the legs after each step are followed from dims through the out
+    dims, so a plan may leave out only a step that keeps its block's dims."""
     plan, d, scale = planned
     # every leg a step meets is an input leg or lands from a step, so none
     # is 0-dimensional when neither is
     if any(0 in s[6] for s in plan):
         return planned
-    shaped, d_in = [], tuple(dims)
-    for (cols, sc), _, _, _, first, stop, out in plan:
-        shaped.append((cols, sc, first, d_in[first:stop], out))
-        d_in = d_in[:first] + out + d_in[stop:]
     plan, d_in, scale = [], tuple(dims), 1
-    for cols, sc, first, ins, out in _fold(shaped):
+    for m, _, _, _, first, ins, out in _fold(planned[0]):
         stop = first + len(ins)
         suf = math.prod(d_in[stop:])
-        plan.append(((cols, sc), math.prod(ins) * suf, suf, math.prod(out) * suf, first, stop, out))
-        d_in, scale = d_in[:first] + out + d_in[stop:], scale * sc
+        plan.append((m, math.prod(ins) * suf, suf, math.prod(out) * suf, first, ins, out))
+        d_in, scale = d_in[:first] + out + d_in[stop:], scale * m[1]
     return plan, d, scale
 
 
 def _fold(steps):
-    """Steps (cols, scale, first leg, in dims, out dims) with the same
-    composite, each one-entry-per-column step carried forward: past steps on
-    other legs (its first leg shifted when they change the leg count), into
-    the next step whose block holds its legs, and dropped when what it
-    composed to is the identity; it is put back as a step of its own before
-    a step that holds part of its legs, and at the end.  Carried steps lie on
-    disjoint legs and commute with the steps they pass, and a map with one
-    entry per column on distinct rows never cancels, so every column's image
-    is the same, its entries in the same order, up to the scales of a
-    dropped identity."""
+    """Laid-out steps with the same composite, each one-entry-per-column
+    step carried forward: past steps on other legs (its first leg shifted
+    when they change the leg count), into the next step whose block holds
+    its legs, and dropped when what it composed to is the identity; it is
+    put back as a step of its own before a step that holds part of its
+    legs, and at the end.  Carried steps lie on disjoint legs and commute
+    with the steps they pass, and a map with one entry per column on
+    distinct rows never cancels, so every column's image is the same, its
+    entries in the same order, up to the scales of a dropped identity.  A
+    step moved or folded into keeps its span as laid out, which _folded
+    lays out again."""
     out, carried = [], []
     for step in steps:
-        _, _, first, ins, outs = step
+        first, ins, outs = step[4:]
         stop = first + len(ins)
-        foldable = len(outs) == len(ins) and _one_entry_per_column(step[0])
+        foldable = len(outs) == len(ins) and _one_entry_per_column(step[0][0])
         held, folded = [], False
         for c in carried:
-            c_first, c_stop = c[2], c[2] + len(c[3])
+            c_first, c_stop = c[4], c[4] + len(c[5])
             if first <= c_first and c_stop <= stop:
                 step, folded = _fold_into(c, step), True
             elif c_stop <= first:
                 held.append(c)
             elif stop <= c_first:
-                held.append(c[:2] + (c_first + len(outs) - len(ins),) + c[3:])
+                held.append(c[:4] + (c_first + len(outs) - len(ins),) + c[5:])
             else:
                 out.append(c)
         carried = held
@@ -626,7 +611,7 @@ def _one_entry_per_column(cols):
 def _is_identity(step):
     """Whether a one-entry-per-column step composed by _fold is the
     identity: every column j is [(j, scale)] and it keeps its legs' dims."""
-    cols, scale, _, ins, outs = step
+    (cols, scale), ins, outs = step[0], step[5], step[6]
     return ins == outs and all(c and c[0] == (j, scale) for j, c in enumerate(cols))
 
 
@@ -634,8 +619,8 @@ def _fold_into(carried, step):
     """The step `step` after the one-entry-per-column step `carried`, whose
     legs lie in its block, as one step: its columns re-indexed and scaled by
     carried's entries, the carried legs taking carried's input dims."""
-    c_cols, c_scale, c_first, c_ins, c_outs = carried
-    cols, scale, first, ins, outs = step
+    (c_cols, c_scale), _, _, _, c_first, c_ins, c_outs = carried
+    (cols, scale), _, _, _, first, ins, outs = step
     k = c_first - first
     suf = math.prod(ins[k + len(c_ins):])
     span = math.prod(c_outs) * suf
@@ -648,7 +633,8 @@ def _fold_into(carried, step):
             (r, x), = c
             block = cols[p + r * suf:p + (r + 1) * suf]
             folded += block if x == 1 else [[(i, x * y) for i, y in col] for col in block]
-    return folded, c_scale * scale, first, ins[:k] + c_ins + ins[k + len(c_ins):], outs
+    return (((folded, c_scale * scale),) + step[1:4]
+            + (first, ins[:k] + c_ins + ins[k + len(c_ins):], outs))
 
 
 def _run(plan, vec):
@@ -682,18 +668,21 @@ def _run(plan, vec):
 
 
 class Composite:
-    """A composite of steps on the tensor legs dims, checked and planned
-    (see _plan) once, when it is built.  A step is (map, legs, out_dims),
-    applied in order; map is (cols, scale) as sparse_columns gives it, and
-    out_dims None keeps the legs' dims.  Each reading runs the plan afresh
-    by _batches, with no Fraction on the way, changing no step's columns."""
+    """A composite of steps on the tensor legs dims, built from the plan
+    (plan, out_dims, scale) that layout gives, which has checked the steps;
+    on at least FOLD_MIN_COLUMNS input columns the plan is folded
+    (_folded) once, here.  Each reading runs the plan afresh by _batches,
+    with no Fraction on the way, changing no step's columns, and first_key
+    compares two composites the same way."""
 
     __slots__ = ("dims", "out_dims", "_d_in", "_plan", "_scale")
 
-    def __init__(self, steps, dims):
+    def __init__(self, planned, dims):
         self.dims = tuple(dims)
-        self._plan, self.out_dims, self._scale = _plan(steps, self.dims)
         self._d_in = math.prod(self.dims)
+        if self._d_in >= FOLD_MIN_COLUMNS:
+            planned = _folded(planned, self.dims)
+        self._plan, self.out_dims, self._scale = planned
 
     def columns(self):
         """The composite as (cols, scale), a step for a further composite:
@@ -734,28 +723,18 @@ class Composite:
                                         scale, dims)
 
 
-def first_key(dims, left, right):
-    """The least key j * rows + r (column j of the legs dims, row r) at
-    which two composites differ, or None, each given as layout gives it:
-    (plan, out dims, scale), laid out and checked before.  Below
-    FOLD_MIN_COLUMNS the plans run as given, so no Composite is built; on
-    more columns _folded folds them, with no second layout."""
-    d_in = math.prod(dims)
-    if d_in >= FOLD_MIN_COLUMNS:
-        left, right = _folded(left, dims), _folded(right, dims)
-    return _first_key(left, right, d_in)
-
-
-def _first_key(left, right, d_in):
-    """The least key j * rows + r (column j, row r) at which two plans
-    (plan, out dims, scale) on d_in basis columns differ, or None, each run
-    on int columns scaled by the other's scale a batch (_batches) at a time
-    from column 0: a failure at column c runs that batch and those before."""
-    (plan, out_dims, scale), (other, other_dims, other_scale) = left, right
-    rows, other_rows = math.prod(out_dims), math.prod(other_dims)
+def first_key(left, right):
+    """The least key j * rows + r (column j of their input legs, row r) at
+    which two Composites differ, or None: each runs on int columns scaled by
+    the other's scale a batch (_batches) at a time from column 0, so a
+    failure at column c runs that batch and those before."""
+    if left.dims != right.dims:
+        raise DimensionMismatch("composites on legs of dims %r and %r" % (left.dims, right.dims))
+    rows, other_rows = math.prod(left.out_dims), math.prod(right.out_dims)
     if rows != other_rows:
         raise DimensionMismatch("composites land in dims %d and %d" % (rows, other_rows))
-    for a, b in zip(_batches(plan, d_in, other_scale), _batches(other, d_in, scale)):
+    for a, b in zip(_batches(left._plan, left._d_in, right._scale),
+                    _batches(right._plan, right._d_in, left._scale)):
         if a != b:
             return min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     return None
@@ -770,7 +749,7 @@ def _batch(plan, d_in, x, start, stop):
     columns, with no sums and no zero filter, since distinct basis columns
     land on distinct keys; _run takes the rest of the plan from there."""
     (cols, _), span, suf, span_out, _, _, _ = plan[0] if plan else (
-        ([[(0, 1)]], 1), d_in, d_in, d_in, 0, 1, (d_in,))
+        ([[(0, 1)]], 1), d_in, d_in, d_in, 0, (1,), (1,))
     vec, step = {}, d_in + 1
     for idx in range(start * step, stop * step, step):
         p = idx // span
@@ -793,8 +772,9 @@ def _batches(plan, d_in, x):
 
 def per_leg_matrix(*maps):
     """The Matrix of the tensor product of maps, maps[k] on leg k."""
-    return Composite([(sparse_columns(f), (k,), (f.rows,)) for k, f in enumerate(maps)],
-                     tuple(f.cols for f in maps)).matrix()
+    dims = tuple(f.cols for f in maps)
+    return Composite(layout(dims, [(sparse_columns(f), (k,), (f.rows,))
+                                   for k, f in enumerate(maps)]), dims).matrix()
 
 
 def solve_exact(a, b):

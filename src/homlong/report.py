@@ -15,11 +15,11 @@ decides in order.  A side is compiled once per text into positional leg
 moves: the compiler places the flips and the legs of the elements a side
 inserts, so the text reads as the formula.  Each shape of its maps adds a
 small table of ints, checked against the dims once: the permutations'
-columns and linalg.layout of the steps.  A decision reads the side's maps,
-leaves out each that is the identity on its block (_plan), and runs the
-rest on that layout by linalg.first_key, which builds no Composite and
-folds a side of FOLD_MIN_COLUMNS or more columns from the layout.
-compose builds a map from such steps.
+columns and linalg.layout of the steps.  _plan builds a side's Composite
+from that layout and the side's maps, leaving out each map that is the
+identity on its block, with no second layout: a decision compares its two
+sides' Composites by linalg.first_key, and compose returns one to be read
+as a map.
 """
 
 import functools
@@ -142,7 +142,7 @@ class Identity(NamedTuple):
             right = self.rhs if shapes is not None else self.rhs[label]
             compiled = _compiled(symbols, dims, _shapes(left), outs)
             other = _compiled(symbols, dims, shapes or _shapes(right), outs or compiled[1])
-            key = first_key(dims, _plan(compiled, left), _plan(other, right))
+            key = first_key(_plan(compiled, left, dims), _plan(other, right, dims))
             if key is not None:
                 digits = unflat_index(key, dims + compiled[2])
                 named = (_named(digits, self.names_in) if symbols
@@ -156,9 +156,7 @@ def compose(legs, steps, outs):
     (a dict from leg to dim) to the legs outs ("x y"); both ends carry a
     last unit leg of dim 1."""
     symbols, dims = _legs(legs)
-    compiled = _compiled(symbols, dims, _shapes(steps), tuple(outs.split()))
-    return Composite([(read if k is None else read(steps[k][0]), at, out)
-                      for k, read, at, out, *_ in compiled[0]], dims)
+    return _plan(_compiled(symbols, dims, _shapes(steps), tuple(outs.split())), steps, dims)
 
 
 def _legs(names):
@@ -194,21 +192,21 @@ def _shapes(side):
                    (m.rows, m.cols) if isinstance(m, Matrix) else len(m[0])) for m, text in side])
 
 
-def _plan(compiled, side):
-    """A compiled side on the maps of side, as linalg.first_key takes it:
-    (each step's map, then its span; the dims it leaves; the maps' scale).
-    A map that is the identity on its block's dims (kz2's alpha, mu = id,
+def _plan(compiled, side, dims):
+    """The Composite of a compiled side on the maps of side, from the legs
+    dims: each step's map, then its span, as linalg.layout laid it out.  A
+    map that is the identity on its block's dims (kz2's alpha, mu = id,
     mu^-2 of an involutive mu) leaves the plan with its scale, so it makes
     no pass."""
     plan, scale = [], 1
     for step in compiled[0]:
         k, read = step[0], step[1]
         m = read if k is None else read(side[k][0])
-        if step[4] and _is_identity(m):
+        if step[2] and _is_identity(m):
             continue
-        plan.append((m,) + step[5:])
+        plan.append((m,) + step[3:])
         scale *= m[1]
-    return plan, compiled[2], scale
+    return Composite((plan, compiled[2], scale), dims)
 
 
 def _is_identity(m):
@@ -226,9 +224,9 @@ def _compiled(symbols, dims, side, target):
     """A side (texts and map shapes) on the legs symbols of dims dims, the
     last the unit leg, ending on target when given, as its moves (_arranged,
     once per text) read for one shape: (steps, the legs it leaves, their
-    dims).  A step is (map index, reader, legs, out dims, whether a map
-    keeps its block's dims), then its span from linalg.layout, in one
-    tuple; a permutation has index None and its columns for reader."""
+    dims).  A step is (map index, reader, whether a map keeps its block's
+    dims), then its span from linalg.layout, in one tuple; a permutation
+    has index None and its columns for reader."""
     moves, ends = _arranged(symbols, tuple([text for text, _ in side]), target)
     table, d, steps, counted = dict(zip(symbols, dims)), dims, [], []
     for k, p, stop, legs, ins, outs in moves:
@@ -244,7 +242,7 @@ def _compiled(symbols, dims, side, target):
                 raise DimensionMismatch("map on legs of dims %r, given %r -> %r of dims %r"
                                         % (want, ins, outs, block))
             table.update(zip(outs, out))
-        steps.append((k, read, legs, out, k is not None and block == out))
+        steps.append((k, read, k is not None and block == out))
         counted.append((shape if want is None else math.prod(want), legs, out))
         d = d[:p] + out + d[stop:]
     plan, out_dims, _ = layout(dims, counted)

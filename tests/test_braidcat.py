@@ -313,8 +313,8 @@ def test_sweedler_scaled_context_full_sweep(kz2):
 def test_qybe_on_the_sweedler_scaled_canonical_cube_folds_its_associators(kz2, monkeypatch):
     # each side of the QYBE is nine steps: three braidings and the
     # associators' mu^-1 and omega legs, each with one entry per column.
-    # first_key folds those into the braidings from the side's compiled
-    # layout (_folded), cancels mu against mu^-1 across consecutive
+    # Each side's Composite folds those into the braidings from the side's
+    # compiled layout (_folded), cancels mu against mu^-1 across consecutive
     # associators and puts the rest back at the end, so at most four steps
     # a side run on the 512 columns
     swt = fx.sweedler_scaled_twisted(2)

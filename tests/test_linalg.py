@@ -10,12 +10,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx, io as hio, linalg
-from homlong.linalg import (Matrix, Tensor3, Composite, DimensionMismatch,
-                            SingularMatrix, coproduct_columns, int_columns, unflat_index,
-                            insert_columns, pair_columns, scalar, solve_exact,
+from homlong.linalg import (Matrix, Tensor3, DimensionMismatch,
+                            SingularMatrix, coproduct_columns, first_key, int_columns,
+                            unflat_index, insert_columns, pair_columns, scalar, solve_exact,
                             sparse_columns)
-from test_oracles import (HOPF_FIXTURES, apply3, column_of, columns_by_column, coproduct_map,
-                          dense_columns, elimination_squares, elimination_systems,
+from test_oracles import (HOPF_FIXTURES, apply3, column_of, columns_by_column, composite,
+                          coproduct_map, dense_columns, elimination_squares, elimination_systems,
                           first_difference, first_difference_by_column,
                           flat_index, flip_matrix, fraction_int_columns, inverse_map, kron,
                           kron_all, leg_flip, perm_matrix, mul, permute_input_legs,
@@ -195,7 +195,7 @@ def test_every_way_to_make_an_element_gives_one_column_matrix():
         assert v.to_json() == [["1/2"], [0], [-3], ["2/3"]]
         assert [v[i] for i in range(4)] == [Fraction(1, 2), 0, -3, Fraction(2, 3)]
         assert v[-1] == Fraction(2, 3) and v[3] == v[3, 0]
-        assert insert_columns(v, 1) == ([col], 6)
+        assert insert_columns(v) == ([col], 6)
         assert pair_columns(v) == ([[(0, 3)], [], [(0, -18)], [(0, 4)]], 6)
 
 
@@ -281,7 +281,7 @@ def test_tensor3_flatten_round_trip():
     assert Tensor3.from_int_columns(*_copied(m), (2, 3, 2)) == t
     m2 = coproduct_map(t)
     assert (m2.rows, m2.cols) == (6, 2)
-    assert Composite([(sparse_columns(m2), (0,), (3, 2))], (2,)).coproduct(3) == t
+    assert composite([(sparse_columns(m2), (0,), (3, 2))], (2,)).coproduct(3) == t
 
 
 def _copied(m):
@@ -334,7 +334,7 @@ def test_single_step_composite_matches_kron(data):
     a = data.draw(rand_matrix(math.prod(out_dims), blk))
     full = kron_all(Matrix.identity(math.prod(dims[:first])), a,
                     Matrix.identity(math.prod(dims[stop:])))
-    cols, scale = Composite([(sparse_columns(a), tuple(range(first, stop)), out_dims)],
+    cols, scale = composite([(sparse_columns(a), tuple(range(first, stop)), out_dims)],
                             dims).columns()
     assert Matrix.from_int_columns(cols, scale, full.rows) == full
 
@@ -342,9 +342,9 @@ def test_single_step_composite_matches_kron(data):
 def test_single_step_composite_rejects_bad_legs():
     step = sparse_columns(Matrix.identity(2))
     with pytest.raises(DimensionMismatch):
-        Composite([(step, (0, 2), None)], (2, 1, 1))
+        composite([(step, (0, 2), None)], (2, 1, 1))
     with pytest.raises(DimensionMismatch):
-        Composite([(step, (0,), None)], (3, 2))
+        composite([(step, (0,), None)], (3, 2))
 
 
 def test_first_differing_column_scales_and_witness():
@@ -359,6 +359,13 @@ def test_first_differing_column_scales_and_witness():
         first_difference([(sparse_columns(Matrix([[1, 1]])), (0,), ())], [], (2,))
 
 
+def test_first_key_refuses_composites_on_other_input_dims():
+    # a key j * rows + r reads column j on the input legs of both sides
+    with pytest.raises(DimensionMismatch) as err:
+        first_key(composite([], (2, 3)), composite([], (3, 2)))
+    assert str(err.value) == "composites on legs of dims (2, 3) and (3, 2)"
+
+
 # on legs (2, 2): e_0 -> e_0 + e_1 and e_1 -> e_0 on leg 0, then the
 # covector (1, -1) on leg 0, which cancels e_0 + e_1, then a map on both legs
 CANCELLING = [(([[(0, 1), (1, 1)], [(0, 1)]], 1), (0,), None),
@@ -369,7 +376,7 @@ CANCELLED_COLUMNS = [[], [], [(0, 2), (1, 1)], [(1, 3)]]
 
 def test_a_step_that_cancels_leaves_no_zero():
     dims = (2, 2)
-    plan, _, _ = linalg._plan(CANCELLING, dims)
+    plan = composite(CANCELLING, dims)._plan
     batch = {j * 4 + j: 1 for j in range(4)}
     for k in range(len(plan) + 1):
         for vec in ({0: 1}, batch):
@@ -377,7 +384,7 @@ def test_a_step_that_cancels_leaves_no_zero():
     # column 0 reaches the covector as e_0 + e_1, so it cancels there
     assert linalg._run(plan[:2], {0: 1}) == {}
     assert linalg._run(plan, {0: 1}) == {}
-    assert Composite(CANCELLING, dims).columns() == (CANCELLED_COLUMNS, 1)
+    assert composite(CANCELLING, dims).columns() == (CANCELLED_COLUMNS, 1)
     assert columns_by_column(CANCELLING, dims) == (CANCELLED_COLUMNS, 1)
     same = [((CANCELLED_COLUMNS, 1), (0, 1), (2,))]
     off = [(([[], [(0, 1)]] + CANCELLED_COLUMNS[2:], 1), (0, 1), (2,))]
@@ -400,7 +407,7 @@ def test_runs_per_composite_are_one_per_batch(d, batch):
         assert first_difference(steps, [], (d,)) is None
         assert run.call_count == 2 * batches
         run.reset_mock()
-        Composite(steps, (d,)).columns()
+        composite(steps, (d,)).columns()
         assert run.call_count == batches
         run.reset_mock()
         doubled = [(([[(j, 2 if j == 0 else 1)] for j in range(d)], 1), (0,), None)]
@@ -426,7 +433,7 @@ def test_composite_matrix_matches_kron_all(data):
         expected = mul(kron_all(Matrix.identity(math.prod(d[:first])), a,
                                 Matrix.identity(math.prod(d[stop:]))), expected)
         d = d[:first] + out + d[stop:]
-    got = Composite(steps, dims).matrix()
+    got = composite(steps, dims).matrix()
     assert (got.rows, got.cols) == (expected.rows, expected.cols)
     assert got == expected
 
@@ -453,10 +460,10 @@ def test_composites_are_checked_before_any_column_runs(bad):
     with pytest.raises(DimensionMismatch):
         first_difference([], [good, bad], dims)
     with pytest.raises(DimensionMismatch):
-        Composite([good, bad], dims).matrix()
+        composite([good, bad], dims).matrix()
 
 
-# a composite on legs of FOLD (64 columns) is folded by _plan; P and its
+# a composite on legs of FOLD (64 columns) is folded when built; P and its
 # inverse, Q and the flip have one entry per column on distinct rows, G and
 # H two entries per column
 FOLD = (4, 4, 4)
@@ -500,18 +507,18 @@ FOLD_BRANCHES = {
 def test_each_fold_branch_matches_one_step_at_a_time(branch):
     steps, planned = FOLD_BRANCHES[branch]
     assert math.prod(FOLD) >= linalg.FOLD_MIN_COLUMNS
-    plan, out_dims, scale = linalg._plan(steps, FOLD)
-    assert len(plan) == planned
-    got, expected = Composite(steps, FOLD).columns(), columns_by_column(steps, FOLD)
+    folded = composite(steps, FOLD)
+    assert len(folded._plan) == planned
+    got, expected = folded.columns(), columns_by_column(steps, FOLD)
     assert same_columns(got, expected)
     if branch == "cancel":
-        assert scale == got[1] == H[1]
+        assert folded._scale == got[1] == H[1]
     # the composite itself as one step, and that step with one entry changed
-    whole = ((expected[0], expected[1]), (0, 1, 2), out_dims)
+    whole = ((expected[0], expected[1]), (0, 1, 2), folded.out_dims)
     assert first_difference(steps, [whole], FOLD) is None
     col = next(j for j, c in enumerate(expected[0]) if c)
     bumped = expected[0][:col] + [[(r, x + 1) for r, x in expected[0][col]]] + expected[0][col + 1:]
-    rhs = [((bumped, expected[1]), (0, 1, 2), out_dims)]
+    rhs = [((bumped, expected[1]), (0, 1, 2), folded.out_dims)]
     assert first_difference(steps, rhs, FOLD) == unflat_index(col, FOLD)
     assert first_difference_by_column(steps, rhs, FOLD) == unflat_index(col, FOLD)
 
@@ -542,7 +549,7 @@ def test_a_malformed_step_of_a_folded_composite_names_the_steps_as_given(steps, 
 def test_a_composite_through_a_zero_dimensional_leg_is_not_folded(steps):
     # a 64-column composite whose steps pass through a 0-dimensional leg
     # maps every column to 0, as the steps run one at a time do
-    got = Composite(steps, FOLD).columns()
+    got = composite(steps, FOLD).columns()
     assert got == columns_by_column(steps, FOLD) == ([[]] * 64, 1)
     assert first_difference(steps, steps, FOLD) is None
 
@@ -563,21 +570,22 @@ def test_a_composite_built_once_answers_every_reading_alike(dims, steps, other):
     # first_key gives the same witness; every step's column lists stay as
     # they were given
     before = _column_lists(steps + other)
-    composite = Composite(steps, dims)
-    answers = [(composite.columns(), composite.matrix(), first_difference(steps, other, dims))
+    built = composite(steps, dims)
+    answers = [(built.columns(), built.matrix(), first_difference(steps, other, dims))
                for _ in range(2)]
     assert answers[0] == answers[1]
-    assert answers[0][0] == Composite(steps, dims).columns()
+    assert answers[0][0] == composite(steps, dims).columns()
     assert answers[0][2] == first_difference_by_column(steps, other, dims)
     assert _column_lists(steps + other) == before
 
 
 def test_insert_and_pair_columns_match_kron():
+    # u lands on a last leg of dim 1, then moves before x
     u = column_of([1, Fraction(1, 2), 0])
-    assert (Composite([(insert_columns(u, 2), (0,), (3, 2))], (2,)).matrix()
-            == kron(u, Matrix.identity(2)))
+    assert (composite([(insert_columns(u), (1,), (3, 1)), (leg_flip(2, 3), (0, 1), (3, 2))],
+                      (2, 1)).matrix() == kron(u, Matrix.identity(2)))
     f = column_of([2, 0, Fraction(-1, 3)])
-    assert (Composite([(pair_columns(f), (1,), ())], (2, 3)).matrix()
+    assert (composite([(pair_columns(f), (1,), ())], (2, 3)).matrix()
             == kron(Matrix.identity(2), row_matrix(f)))
 
 
@@ -608,8 +616,8 @@ def test_every_tensor3_construction_gives_one_stored_form(data):
             Tensor3.from_int_columns(*_copied(prod), (d0, d1, d2)),
             Tensor3.from_int_columns(*int_columns(r for plane in data for r in plane),
                                      (d0, d1, d2)),
-            Composite([(sparse_columns(prod), (0, 1), (d2,))], (d0, d1)).product(),
-            Composite([(sparse_columns(cop), (0,), (d1, d2))], (d0,)).coproduct(d1),
+            composite([(sparse_columns(prod), (0, 1), (d2,))], (d0, d1)).product(),
+            composite([(sparse_columns(cop), (0,), (d1, d2))], (d0,)).coproduct(d1),
             hio.load_tensor3(ref.to_json())]
     for t in made:
         assert t == ref and ref == t and hash(t) == hash(ref)
@@ -645,8 +653,8 @@ def test_fixture_tensors_built_from_int_columns_equal_the_built_ones(build):
         made = [Tensor3(data),
                 Tensor3.from_int_columns(*fraction_int_columns(
                     row for plane in data for row in plane), t.dims),
-                Composite([(sparse_columns(product_map(t)), (0, 1), (d2,))], (d0, d1)).product(),
-                Composite([(sparse_columns(coproduct_map(t)), (0,), (d1, d2))],
+                composite([(sparse_columns(product_map(t)), (0, 1), (d2,))], (d0, d1)).product(),
+                composite([(sparse_columns(coproduct_map(t)), (0,), (d1, d2))],
                           (d0,)).coproduct(d1)]
         for m in made:
             assert m == t and hash(m) == hash(t) and m.to_json() == t.to_json()
@@ -714,10 +722,10 @@ def three_ways(draw):
     cols = [draw(st.permutations([(i, int(x * d) * f.denominator * k)
                                   for i, x in enumerate(col) if x]))
             for col in (zip(*entries) if r else [()] * c)]
-    composite = Composite([((cols, d * f.numerator * k), (0,), (r,))]
-                          + [(sparse_columns(Matrix.diagonal([f] * r)), (0,), (r,))], (c,)).matrix()
+    built = composite([((cols, d * f.numerator * k), (0,), (r,))]
+                      + [(sparse_columns(Matrix.diagonal([f] * r)), (0,), (r,))], (c,)).matrix()
     tuples = Matrix((tuple(Fraction(x) for x in row) for row in entries), r, c)
-    return dense, composite, tuples
+    return dense, built, tuples
 
 
 @settings(max_examples=80, deadline=None)

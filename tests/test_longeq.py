@@ -25,8 +25,8 @@ from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
                             operator_to_coords, search_solutions, tau_transforms,
                             validate_halpha_dimodule)
 from homlong.report import compose
-from test_oracles import (dense_columns, first_difference, flip_matrix, kron, leg12, leg23,
-                          leg_flip, longeq_first_failing_column, mul)
+from test_oracles import (composite, dense_columns, first_difference, flip_matrix, kron, leg12,
+                          leg23, leg_flip, longeq_first_failing_column, mul)
 
 nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(lambda x: x != 0)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -255,10 +255,10 @@ def test_relabelled_legs_match_leg_step_composites(data):
     cyc = leg_flip(n * n, n), (0, 1, 2), None
     for key in ("U", "T"):
         x = sparse_columns(transforms[key].matrix)
-        x12 = (Composite([(x, (0, 1), None), (m, (2,), None)], dims).columns(), (0, 1, 2), None)
-        x13 = (Composite([(flip, (1, 2), None), (x, (0, 1), None), (m, (2,), None),
+        x12 = (composite([(x, (0, 1), None), (m, (2,), None)], dims).columns(), (0, 1, 2), None)
+        x13 = (composite([(flip, (1, 2), None), (x, (0, 1), None), (m, (2,), None),
                           (flip, (1, 2), None)], dims).columns(), (0, 1, 2), None)
-        x23 = (Composite([(m, (0,), None), (x, (1, 2), None)], dims).columns(), (0, 1, 2), None)
+        x23 = (composite([(m, (0,), None), (x, (1, 2), None)], dims).columns(), (0, 1, 2), None)
         # U13 U23 = cycle U13 U12 and T12 T13 = T23 T13 cycle
         lhs, rhs = ([x23, x13], [x12, x13, cyc]) if key == "U" else ([x13, x12], [cyc, x13, x23])
         axiom, legs, named_lhs, named_rhs = identities["transform-" + key]
@@ -266,7 +266,7 @@ def test_relabelled_legs_match_leg_step_composites(data):
         for named, steps in ((named_lhs, lhs), (named_rhs, rhs)):
             got = compose(legs, named, "x y z").columns()
             assert (_int_columns_matrix(got, n ** 3)
-                    == _int_columns_matrix(Composite(steps, dims).columns(), n ** 3))
+                    == _int_columns_matrix(composite(steps, dims).columns(), n ** 3))
         witness = first_difference(lhs, rhs, dims)
         assert rep.check(axiom) == (axiom, witness is None, witness)
 

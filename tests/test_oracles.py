@@ -2254,7 +2254,7 @@ def test_dense_oracles_run_without_the_composite_engine(monkeypatch, tag):
     def refuse(*args):
         raise AssertionError("the composite engine ran")
 
-    monkeypatch.setattr(linalg, "_plan", refuse)
+    monkeypatch.setattr(linalg, "layout", refuse)
     monkeypatch.setattr(linalg, "_run", refuse)
     assert (dense_braiding(ctx, u, v), dense_braiding_inverse(ctx, u, v),
             _tuples(dense_qybe(ctx, u, v, w)), _tuples(dense_hexagons(ctx, u, v, w))) == expected
@@ -2827,20 +2827,23 @@ def dual_by_copairing(m, side):
     nb, d = b.dim, m.dim
     delta = Matrix.from_int_columns([[(i * d + i, 1) for i in range(d)]], 1, d * d)
     mui = sparse_columns(m.mu.inv())
+    # the copairing is inserted on a last leg of dim 1, then f moves past it:
     # (h, f) -> (h, x, x', f) -> (h_twist(h) . mu^-2(x), x', f) -> f(h_twist(h) . mu^-2(x)) x'
-    act = Composite([(insert_columns(delta, d), (1,), (d, d, d))]
+    act = composite([(insert_columns(delta), (2,), (d, d, 1)),
+                     (leg_flip(d, d * d), (1, 2, 3), (d, d, d))]
                     + [(sparse_columns(t), (0,), None) for t in h_twist]
                     + [(mui, (1,), None), (mui, (1,), None),
                        (sparse_columns(m.action), (0, 1), (d,)),
                        (leg_flip(d, d), (1, 2), None),
-                       (pair_columns(delta), (0, 1), ())], (h.dim, d)).product()
+                       (pair_columns(delta), (0, 1), ())], (h.dim, d, 1)).product()
     # f -> (x, x', f) -> (b_twist(x_-1), mu^-2(x_0), x', f) -> b_twist(x_-1) f(mu^-2(x_0)) x'
-    co = Composite([(insert_columns(delta, d), (0,), (d, d, d)),
+    co = composite([(insert_columns(delta), (1,), (d, d, 1)),
+                    (leg_flip(d, d * d), (0, 1, 2), (d, d, d)),
                     (coproduct_columns(m.coaction), (0,), (nb, d))]
                    + [(sparse_columns(t), (0,), None) for t in b_twist]
                    + [(mui, (1,), None), (mui, (1,), None),
                       (leg_flip(d, d), (2, 3), None),
-                      (pair_columns(delta), (1, 2), ())], (d,)).coproduct(nb)
+                      (pair_columns(delta), (1, 2), ())], (d, 1)).coproduct(nb)
     dual = HomLongDimodule(h, b, d, act, co, m.mu.inv().transpose(),
                            tuple(x + "*" for x in m.basis))
     ev = Matrix.from_int_columns(*pair_columns(delta), 1)
@@ -3216,13 +3219,19 @@ def leg_flip(d0, d1):
     return move_legs([[(j, 1)] for j in range(d0 * d1)], (d0, d1), (d0, d1), (0, 1), (3, 2)), 1
 
 
+def composite(steps, dims):
+    """The Composite of positional steps (map, legs, out dims) on the legs
+    dims: their linalg.layout, the one way to a Composite."""
+    return Composite(layout(dims, steps), dims)
+
+
 def first_difference(lhs, rhs, dims):
     """The first basis tuple of the legs dims, in lexicographic order, on
     which the composites of the steps lhs and rhs differ, or None: their
-    layouts compared by linalg.first_key."""
-    left = layout(dims, lhs)
-    key = first_key(dims, left, layout(dims, rhs))
-    return None if key is None else unflat_index(key // math.prod(left[1]), dims)
+    Composites compared by linalg.first_key."""
+    left = composite(lhs, dims)
+    key = first_key(left, composite(rhs, dims))
+    return None if key is None else unflat_index(key // math.prod(left.out_dims), dims)
 
 
 def first_difference_by_column(lhs, rhs, dims):
@@ -3274,7 +3283,7 @@ def inverse_map(cols, scale):
 @st.composite
 def one_entry_steps(draw, first, ins):
     """Steps with at most one entry per column, on distinct rows, on the
-    legs first, first + 1, ... of dims ins, which linalg._plan carries
+    legs first, first + 1, ... of dims ins, which a Composite carries
     forward: a flip of two legs or a scaled permutation, with some columns
     left empty, or either followed by its inverse."""
     legs = tuple(range(first, first + len(ins)))
@@ -3300,7 +3309,7 @@ def one_entry_steps(draw, first, ins):
 def composites(draw, leg_dims=st.integers(1, 3), one_entry=False):
     """Legs dims and a composite of up to four random steps on them, each on
     consecutive legs and landing in up to two legs.  With one_entry, the
-    legs' dims multiply to at least linalg.FOLD_MIN_COLUMNS, so _plan folds,
+    legs' dims multiply to at least linalg.FOLD_MIN_COLUMNS, so Composite folds,
     and up to six steps on one or two legs are drawn, about half of them by
     one_entry_steps."""
     if one_entry:
@@ -3377,7 +3386,7 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
         for steps in (lhs, rhs):
             # lists of (row, value) pairs: equal in their order too
             expected = columns_by_column(steps, dims)
-            got = Composite(steps, dims).columns()
+            got = composite(steps, dims).columns()
             assert same_columns(got, expected)
             assert all(x for col in got[0] for _, x in col)
 
@@ -3385,18 +3394,18 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
 @settings(max_examples=100, deadline=None)
 @given(composites(one_entry=True), st.data())
 def test_folded_composites_match_one_step_at_a_time(case, data):
-    # composites large enough that _plan folds their one-entry-per-column
+    # composites large enough that Composite folds their one-entry-per-column
     # steps: the witness, and every column's entries in order, as the steps
     # run one at a time
     dims, lhs = case
     rhs = _one_entry_changed(data.draw, lhs)
     for other in (lhs, rhs):
         assert first_difference(lhs, other, dims) == first_difference_by_column(lhs, other, dims)
-    got, expected = Composite(lhs, dims).columns(), columns_by_column(lhs, dims)
+    got, expected = composite(lhs, dims).columns(), columns_by_column(lhs, dims)
     assert same_columns(got, expected)
     assert all(x for col in got[0] for _, x in col)
-    rows = math.prod(Composite(lhs, dims).out_dims)
-    assert Composite(lhs, dims).matrix() == Matrix.from_int_columns(*expected, rows)
+    rows = math.prod(composite(lhs, dims).out_dims)
+    assert composite(lhs, dims).matrix() == Matrix.from_int_columns(*expected, rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -3407,9 +3416,9 @@ def test_batched_composites_on_zero_dimensional_legs(case, data):
     rhs = _one_entry_changed(data.draw, lhs)
     assert first_difference(lhs, rhs, dims) is None
     assert first_difference_by_column(lhs, rhs, dims) is None
-    assert Composite(lhs, dims).columns() == columns_by_column(lhs, dims)
-    assert Composite(lhs, dims).columns()[0] == []
-    assert Composite(lhs, dims).matrix().cols == 0
+    assert composite(lhs, dims).columns() == columns_by_column(lhs, dims)
+    assert composite(lhs, dims).columns()[0] == []
+    assert composite(lhs, dims).matrix().cols == 0
 
 
 def _fresh_product_columns(t):

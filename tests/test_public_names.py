@@ -4,7 +4,8 @@ imports.  The public names of homlong.linalg and of its Matrix and Tensor3
 are pinned the same way, so that a view or entry point added back shows up
 too, and so are those of homlong.report and its Identity, so that a report
 helper beside Identity shows up.  Beside linalg, only report may name
-Composite, so no other module places leg steps by hand."""
+Composite, layout or first_key, so no other module places leg steps by
+hand."""
 
 import ast
 import json
@@ -98,19 +99,26 @@ def test_linalg_names_are_pinned():
     assert len(LINALG_NAMES) == 23
 
 
-def _names_composite(node):
-    """Whether an ast node imports Composite or reads it off a module."""
+# the one way from positional leg steps to a run: layout, then Composite,
+# then first_key or a reading
+COMPOSITE_PATH = {"Composite", "layout", "first_key"}
+
+
+def _composite_names(node):
+    """The names of COMPOSITE_PATH an ast node imports or reads off a
+    module."""
     if isinstance(node, ast.ImportFrom):
-        return any(alias.name == "Composite" for alias in node.names)
-    return isinstance(node, ast.Attribute) and node.attr == "Composite"
+        return {alias.name for alias in node.names} & COMPOSITE_PATH
+    return {node.attr} & COMPOSITE_PATH if isinstance(node, ast.Attribute) else set()
 
 
 def test_only_report_builds_composites_beside_linalg():
     # every other module writes its maps as steps on named legs
-    # (report.compose, report.Identity), so none places leg steps by hand
-    users = sorted(path.stem for path in (SRC / "homlong").glob("*.py")
-                   if any(map(_names_composite, ast.walk(ast.parse(path.read_text())))))
-    assert users == ["report"]
+    # (report.compose, report.Identity), so none lays out leg steps, builds
+    # a Composite or compares two by hand
+    users = {(name, path.stem) for path in (SRC / "homlong").glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text())) for name in _composite_names(node)}
+    assert users == {(name, "report") for name in COMPOSITE_PATH}
 
 
 REPORT_NAMES = [

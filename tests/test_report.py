@@ -1,6 +1,7 @@
 """report's identity compiler: its error texts, and how often it compiles."""
 
 import sys
+from unittest import mock
 
 import pytest
 
@@ -136,3 +137,24 @@ def test_a_matrix_is_read_by_its_flat_coordinates_once(monkeypatch):
     for h, r, form in contexts:
         validate_quasitriangular(h, r), validate_coquasitriangular(h, form)
     assert reads == []
+
+
+def test_a_second_compose_lays_out_nothing():
+    # compose builds its Composite from the side's compiled layout, so the
+    # same text on the same shapes again lays out no step, through report's
+    # name or linalg's
+    layout = mock.Mock(side_effect=linalg.layout)
+    steps = [(fx.kz2().mult, "x y -> x"), (Matrix([[1, 2], [0, 3]]), "x")]
+    with mock.patch.object(linalg, "layout", layout), mock.patch.object(report, "layout", layout):
+        first = compose(dict(x=2, y=2), steps, "x").matrix()
+        layout.reset_mock()
+        assert compose(dict(x=2, y=2), steps, "x").matrix() == first
+    assert layout.call_count == 0
+
+
+def test_compose_leaves_out_an_identity_map():
+    # as a decision does: the identity on x makes no pass, and the map is mu
+    mu = Matrix([[1, 2], [0, 3]])
+    composite = compose(dict(x=2), [(I2, "x"), (mu, "x")], "x")
+    assert len(composite._plan) == 1
+    assert composite.matrix() == mu
