@@ -307,8 +307,7 @@ def _square(v, d):
     """The d x d Matrix with the flat coordinates of v, a d^2 x 1 coev or a
     1 x d^2 ev, so that its two legs read as d and d."""
     cols, scale = pair_columns(v)
-    return Matrix.from_int_columns([[(k // d, x) for k in range(j, d * d, d) for _, x in cols[k]]
-                                    for j in range(d)], scale, d)
+    return Matrix.from_int_columns(move_legs(cols, (d, d), (), (1,), (0,)), scale, d)
 
 
 # ---------------------------------------------------------------------------

@@ -12,34 +12,34 @@ kernel.
 Every check of the equation goes through _first_failing_column, which has
 two kernels chosen from the input alone.  _first_difference applies
 LHS - RHS to one basis triple at a time as a table of coefficients; it
-handles any number of terms and their cancellation, and the search derives
-its constraints from it.  When both operators and mu have exactly one
-nonzero entry in every column and n >= 4 (the induced operators of the
-extensions of trivial modules, for example), each side of a triple is a
-single term, and _first_single_term_difference compares the two terms
-from tables built once per call.  Both return the same first failing
-triple.  The flip transforms and the coordinate criterion's tables move
-legs by move_legs; every other map is written on named legs, as a
-report.Identity (the U- and T-equations, on R itself) or report.compose.
+handles any number of terms and their cancellation, takes the map on the
+last leg apart from the one on the first, and the search derives its
+constraints from it.  When both operators and mu have exactly one nonzero
+entry in every column and n >= 4 (the induced operators of the extensions of
+trivial modules, for example), each side of a triple is a single term, and
+_first_single_term_difference compares the two terms from tables built once
+per call.  Both return the same first failing triple.  The coordinate
+criterion's two identities are the same commutation on other operands:
+_first_difference with z on the first leg and the identity on the last for
+the index identity, _first_failing_column for the operator identity.  The
+flip transforms move legs by move_legs; every other map is written on named
+legs, as a report.Identity (the U- and T-equations, on R itself) or
+report.compose.
 
 Each operator is decided once.  An OperatorOnTensorSquare keeps its first
 failing triple (first_failing_triple), as a Matrix keeps its inverse:
 check_long_equation, check_invertible_iff and tau_transforms' base check
-read it, search_solutions returns its solutions decided by its re-check,
-and tau_transforms returns W decided by its W-check.  What the coordinate
-criterion derives from mu alone (mu^-1, mu read by row and mu (x) mu^-1
-as int columns) is kept per structure map (_mu_steps), as move_legs keeps
-its tables per shape.
+read it, search_solutions returns the solutions whose first_failing_triple
+is None, and tau_transforms returns W decided by its W-check.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (Matrix, DimensionMismatch, SingularMatrix, int_columns, move_legs,
-                     per_leg_matrix, scalar, sparse_columns, unflat_index, ZERO)
+                     per_leg_matrix, scalar, sparse_columns, ZERO)
 from .homstruct import tensor_basis
 from .longdimod import HomLongDimodule, h_tensor_parts, validate_long_dimodule
 from .report import AxiomReport, Identity, compose
@@ -123,7 +123,8 @@ def _first_failing_column(a_cols, b_cols, mu_cols, n):
     they are equal.
 
     A and B act on M (x) M and mu on M (dim n); each is given by its sparse
-    columns (lists of (row, value) pairs with nonzero value).
+    columns (lists of (row, value) pairs with nonzero value).  mu is the map
+    on both the first and the last leg (_first_difference).
 
     When A, B and mu each have exactly one entry in every column and
     n >= 4, _first_single_term_difference decides it; every other input
@@ -136,7 +137,7 @@ def _first_failing_column(a_cols, b_cols, mu_cols, n):
             and min(map(len, mu_cols)) == 1 == max(map(len, mu_cols))):
         return _first_single_term_difference(a_cols, b_cols, mu_cols, n)
     rng = range(n)
-    found = _first_difference(a_cols, b_cols, mu_cols, n, rng, rng, rng)
+    found = _first_difference(a_cols, b_cols, mu_cols, mu_cols, n, rng, rng, rng)
     return None if found is None else found[0]
 
 
@@ -182,16 +183,19 @@ def _first_single_term_difference(a_cols, b_cols, mu_cols, n):
     return None
 
 
-def _first_difference(a_cols, b_cols, mu_cols, n, us, vs, ws):
+def _first_difference(a_cols, b_cols, mu_cols, last_cols, n, us, vs, ws):
     """The first basis triple (u, v, w) of us x vs x ws, in lexicographic
-    order, on which (A (x) mu)(mu (x) B) - (mu (x) B)(A (x) mu) applied to
+    order, on which (A (x) l)(mu (x) B) - (mu (x) B)(A (x) l) applied to
     e_u (x) e_v (x) e_w has a nonzero coefficient, with that difference as
     a dict from output index to coefficient (an entry may be 0 where terms
     cancel); None when there is no such triple.
 
-    Operands as in _first_failing_column.  Both sides are applied without
-    forming a Kronecker product, so the work is the product of the nonzero
-    counts involved; the difference is bilinear in (A, B).
+    Operands as in _first_failing_column, with mu on the first leg and l,
+    given by its columns last_cols, on the last: the Hom-Long equation takes
+    l = mu, the coordinate criterion's index identity takes mu = z and
+    l = id.  Both sides are applied without forming a Kronecker product, so
+    the work is the product of the nonzero counts involved; the difference
+    is bilinear in (A, B).
     """
     n2 = n * n
     for u in us:
@@ -200,23 +204,23 @@ def _first_difference(a_cols, b_cols, mu_cols, n, us, vs, ws):
             a_uv = a_cols[u * n + v]
             for w in ws:
                 diff = {}
-                # (A (x) mu)(mu (x) B): e_t (x) B e_vw, then A on (t, j), mu on k
+                # (A (x) l)(mu (x) B): e_t (x) B e_vw, then A on (t, j), l on k
                 for jk, b in b_cols[v * n + w]:
-                    j, mu_k = jk // n, mu_cols[jk % n]
+                    j, last_k = jk // n, last_cols[jk % n]
                     for t, m in mu_u:
                         mb = m * b
                         for pq, a in a_cols[t * n + j]:
                             amb = a * mb
                             base = pq * n
-                            for r, z in mu_k:
+                            for r, z in last_k:
                                 key = base + r
                                 diff[key] = diff.get(key, 0) + z * amb
-                # minus (mu (x) B)(A (x) mu): A e_uv (x) mu e_w, then mu on i,
+                # minus (mu (x) B)(A (x) l): A e_uv (x) l e_w, then mu on i,
                 # B on (j, s)
-                mu_w = mu_cols[w]
+                last_w = last_cols[w]
                 for ij, a in a_uv:
                     j, mu_i = ij % n, mu_cols[ij // n]
-                    for s, m in mu_w:
+                    for s, m in last_w:
                         am = a * m
                         for qr, b in b_cols[j * n + s]:
                             bam = b * am
@@ -269,29 +273,17 @@ def diagonal_solution(a, b):
 def coords_to_operator(x, z):
     """The operator m_k (x) m_l -> sum x[k][l][i][j] m_i (x) mu^-1(m_j)."""
     n = z.rows
-    r = _coords_operator(_coords_columns(x, n), _mu_steps(z)[0])
+    r = _coords_operator(_coords_columns(x, n), _structure_inverse(z))
     return OperatorOnTensorSquare(n, r.matrix(), z)
 
 
-# the most structure maps whose readings _mu_steps keeps; a search-grid cycle
-# of the benchmark meets four
-_STRUCTURE_MAPS = 64
-
-
-@functools.lru_cache(maxsize=_STRUCTURE_MAPS)
-def _mu_steps(z):
-    """For an invertible mu: mu^-1, mu's int columns read by row (entry
-    z_i^p over i in column p), and mu (x) mu^-1 as int columns on M (x) M.
-    Kept per structure map (an immutable Matrix, equal maps sharing an
-    entry) and shared, like move_legs' tables, so the lists are not to be
-    changed."""
+def _structure_inverse(z):
+    """mu^-1, kept by the Matrix; a singular mu is refused as a structure
+    map."""
     try:
-        zi = z.inv()
+        return z.inv()
     except SingularMatrix:
         raise SingularMatrix("structure map is singular") from None
-    n = z.rows
-    z_row = move_legs(sparse_columns(z)[0], (n,), (n,), (1,), (0,))
-    return zi, z_row, compose(dict(k=n, l=n), [(z, "k"), (zi, "l")], "k l").columns()
 
 
 def _coords_columns(x, n):
@@ -336,62 +328,32 @@ def coordinate_criterion(x, y, z):
     verdict being the oracle.  The mu-equivariance of R and S (commutation
     with mu (x) mu^-1) is recorded as an observation.
 
-    Each coordinate tensor is read once, y not at all when it is x; both
-    sides are linear in x, y and z, so each works on their int-scaled
-    columns (_coords_columns), and y equals x exactly when those do."""
+    Both identities are the Hom-Long kernel's commutation on other operands.
+    The index identity is (Y (x) id)(z (x) X) = (z (x) X)(Y (x) id): at
+    e_u (x) e_v (x) e_w its sides are the two sums at e_p (x) e_q (x) e_k,
+    and its witness is the least failing (k, p, q, u, v, w).  The operator
+    identity is the kernel's on (S, R) with mu on both legs.  Each
+    coordinate tensor is read once, y not at all when it is x; both sides
+    are linear in x, y and z, so each works on their int-scaled columns
+    (_coords_columns), and y equals x exactly when those do."""
     n = z.rows
-    zi, z_row, both = _mu_steps(z)
+    zi = _structure_inverse(z)
     xs = _coords_columns(x, n)
     ys = xs if y is x else _coords_columns(y, n)
     self_case = ys == xs
     rep = AxiomReport()
 
-    # z's int columns: z_u^i over i in column u, and z_i^p over i in
-    # column p of z_row
-    rng, n2, n3, sq = range(n), n * n, n ** 3, (n, n)
     z_col = sparse_columns(z)[0]
-    # X's legs (v, w | j, k) moved to x_vw^jk over j in column (v, w, k) for
-    # the left side and to x_jw^qk over j in column (w, q, k) for the right
-    # side; Y's y_ij^pq over (p, q) in column (i, j), and y_uv^ij over (u, v)
-    # in column (i, j) of y_in
-    x_l = move_legs(xs[0], sq, sq, (0, 1, 3), (2,))
-    x_r = move_legs(xs[0], sq, sq, (1, 2, 3), (0,))
-    y_out, y_in = ys[0], move_legs(ys[0], sq, sq, (2, 3), (0, 1))
-    # both sides as sparse tables over the flat index of (k, p, q, u, v, w),
-    # read off X's nonempty columns only: each product of nonzero
-    # coefficients is added once
-    lhs, rhs = {}, {}
-    for vwk, col in enumerate(x_l):
-        if not col:
-            continue
-        vw, k = divmod(vwk, n)
-        v, w = divmod(vw, n)
-        for u in rng:
-            base = k * n3 * n2 + u * n2 + v * n + w
-            for i, c in z_col[u]:
-                for j, a in col:
-                    ca = c * a
-                    for pq, e in y_out[i * n + j]:
-                        key = base + pq * n3
-                        lhs[key] = lhs.get(key, 0) + ca * e
-    for wqk, col in enumerate(x_r):
-        if not col:
-            continue
-        wq, k = divmod(wqk, n)
-        w, q = divmod(wq, n)
-        for p in rng:
-            base = (k * n2 + p * n + q) * n3 + w
-            for i, c in z_row[p]:
-                for j, a in col:
-                    ca = c * a
-                    for uv, e in y_in[i * n + j]:
-                        key = base + uv * n
-                        rhs[key] = rhs.get(key, 0) + ca * e
-    # the first failure in itertools.product order is the least key
-    failing = [key for key in lhs.keys() | rhs.keys() if lhs.get(key, 0) != rhs.get(key, 0)]
-    idx_ok = not failing
-    idx_wit = None if idx_ok else unflat_index(min(failing), (n,) * 6)
-    rep.add("index-identity", idx_ok, idx_wit)
+    ident = [[(i, 1)] for i in range(n)]
+    # each nonzero output p n^2 + q n + k of LHS - RHS, as (k, p, q, u, v, w)
+    failing = []
+    for u, v, w in itertools.product(range(n), repeat=3):
+        found = _first_difference(ys[0], xs[0], z_col, ident, n, (u,), (v,), (w,))
+        if found is not None:
+            failing += [(pqk % n, pqk // (n * n), pqk // n % n, u, v, w)
+                        for pqk, c in found[1].items() if c]
+    idx_wit = min(failing, default=None)
+    rep.add("index-identity", idx_wit is None, idx_wit)
 
     # R and S as int columns: X's columns, then mu^-1 on the second leg
     r = _coords_operator(xs, zi).columns()
@@ -399,12 +361,11 @@ def coordinate_criterion(x, y, z):
     witness = _first_failing_column(s[0], r[0], z_col, n)
     rep.add("operator-identity", witness is None, witness)
 
-    rep.set_flag("agreement", idx_ok == rep.passed("operator-identity"))
+    rep.set_flag("agreement", (idx_wit is None) == rep.passed("operator-identity"))
     rep.set_flag("self-case", self_case)
-    # mu (x) mu^-1 as int columns, run once per structure map
     rep.set_flag("mu-equivariant", all(
-        Identity("mu-equivariant", dict(k=n, l=n), [(both, "k l"), (t, "k l")],
-                 [(t, "k l"), (both, "k l")]).decide().passed
+        Identity("mu-equivariant", dict(k=n, l=n), [(z, "k"), (zi, "l"), (t, "k l")],
+                 [(t, "k l"), (z, "k"), (zi, "l")]).decide().passed
         for t in ((r,) if self_case else (r, s))))
     return rep
 
@@ -581,9 +542,8 @@ def search_solutions(mu, coefficient_set, shape):
         for (r, c), x in zip(positions, xs):
             if x:
                 cols[c].append((r, x))
-        if _first_failing_column(cols, cols, mu_cols, n) is None:
-            op = OperatorOnTensorSquare(n, Matrix.from_int_columns(cols, scale, n2), mu)
-            op.__dict__["_witness"] = None      # the re-check's verdict, kept
+        op = OperatorOnTensorSquare(n, Matrix.from_int_columns(cols, scale, n2), mu)
+        if op.first_failing_triple() is None:
             out.append(op)
     return out
 
@@ -623,7 +583,8 @@ def _long_constraints(positions, mu_cols, n):
             pairs.update((a, b) for s, _ in mu_cols[w] for b in by_col[j * n + s])
         coords = {}
         for a, b in pairs:
-            found = _first_difference(units[a], units[b], mu_cols, n, (u,), (v,), (w,))
+            found = _first_difference(units[a], units[b], mu_cols, mu_cols, n,
+                                      (u,), (v,), (w,))
             if found is None:
                 continue
             ab = (a, b) if a <= b else (b, a)

@@ -276,8 +276,8 @@ def test_flip_transforms_and_criterion_cost():
     # which read R's columns with no leg moved, and R and W are each
     # decided once; the only legs it moves are those of the matrices U, T
     # and W, one move each; coordinate_criterion reads each coordinate
-    # tensor once, and y not at all when it is x, and derives mu (x) mu^-1
-    # once per structure map, not once per call
+    # tensor once, and y not at all when it is x, runs R's columns once a
+    # call and moves no legs: both its identities are kernel runs
     mu = Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
     op = search_solutions(mu, [0, 1], "diagonal")[-1]
     undecided = OperatorOnTensorSquare(op.carrier_dim, op.matrix, mu)
@@ -295,18 +295,21 @@ def test_flip_transforms_and_criterion_cost():
     assert runs.call_count == 0 and kernel.call_count == 2
     x = operator_to_coords(op)
     reads = mock.Mock(side_effect=longeq.int_columns)
-    longeq._mu_steps.cache_clear()
+    moves.reset_mock()
     with mock.patch.object(longeq, "int_columns", reads), \
-            mock.patch.object(Composite, "columns", autospec=True, side_effect=runs):
-        for call, mu_runs in ((1, 1), (2, 0), (3, 0)):
+            mock.patch.object(Composite, "columns", autospec=True, side_effect=runs), \
+            mock.patch.object(longeq, "move_legs", moves), \
+            mock.patch.object(linalg, "move_legs", moves):
+        for call in range(3):
             runs.reset_mock()
             coordinate_criterion(x, x, Matrix(mu.to_lists()))
-            # R's columns, and mu (x) mu^-1 on the first call only
-            assert runs.call_count == 1 + mu_runs, call
+            # R's columns, on every call
+            assert runs.call_count == 1, call
         assert reads.call_count == 3
         reads.reset_mock()
         coordinate_criterion(x, copy.deepcopy(x), mu)
         assert reads.call_count == 2
+    assert moves.call_count == 0
 
 
 def _kernel_runs(f, *args):
@@ -382,29 +385,22 @@ def test_a_kept_verdict_is_not_a_field(rows, mu):
     [[1, "1/2", 0], [0, 2, 0], [0, 0, -1]],
     [[2, 0, 0], [1, 1, 0], [0, "-3/2", 1]],
 ])
-def test_equal_structure_maps_share_their_steps(entries):
+def test_equal_structure_maps_give_equal_criteria(entries):
     # equal but distinct mu objects, read from ints, Fractions and "p/q"
-    # strings, give byte-identical reports, cached or not; the kept step
-    # lists are not changed by the calls that read them
+    # strings, give byte-identical criterion reports and equal operators,
+    # whether or not the Matrix has its inverse kept from an earlier call
     mu = Matrix(entries)
     ops = search_solutions(mu, [0, 1], "diagonal")
     xs = [operator_to_coords(s) for s in ops[:4]]
     xs.append([[[[Fraction(k + l - i * j, 1 + i) for j in range(3)] for i in range(3)]
                 for l in range(3)] for k in range(3)])
-    longeq._mu_steps.cache_clear()
-    fresh = []
-    for x in xs:
-        fresh.append(json.dumps(_report_json(coordinate_criterion(x, x, mu))))
-        longeq._mu_steps.cache_clear()
-    kept = copy.deepcopy(longeq._mu_steps(mu))
+    fresh = [json.dumps(_report_json(coordinate_criterion(x, x, Matrix(entries)))) for x in xs]
     for twin in (Matrix([[Fraction(e) for e in row] for row in entries]),
                  Matrix([[str(Fraction(e)) for e in row] for row in entries]), mu):
         assert twin == mu and hash(twin) == hash(mu)
         for x, want in zip(xs, fresh):
             assert json.dumps(_report_json(coordinate_criterion(x, x, twin))) == want
             assert coords_to_operator(x, twin) == coords_to_operator(x, mu)
-    assert longeq._mu_steps(mu) == kept
-    assert longeq._mu_steps.cache_info().currsize == 1
 
 
 def test_criterion_refuses_mis_shaped_coordinates():

@@ -740,13 +740,14 @@ def test_inverse_braiding_against_solver():
 # ---------------------------------------------------------------------------
 # the Hom-Long equation
 
-def longeq_column_sides(a, b, mu, u, v, w):
-    """(A (x) mu)(mu (x) B) and (mu (x) B)(A (x) mu) applied to
+def longeq_column_sides(a, b, mu, last, u, v, w):
+    """(A (x) l)(mu (x) B) and (mu (x) B)(A (x) l) applied to
     e_u (x) e_v (x) e_w, as dense n x n x n arrays filled by the index sums
-      lhs[p][q][r] = sum_{t,j,k} A[pq, tj] mu[r, k] mu[t, u] B[jk, vw],
-      rhs[p][q][r] = sum_{i,j,s} mu[p, i] B[qr, js] A[ij, uv] mu[s, w].
+      lhs[p][q][r] = sum_{t,j,k} A[pq, tj] l[r, k] mu[t, u] B[jk, vw],
+      rhs[p][q][r] = sum_{i,j,s} mu[p, i] B[qr, js] A[ij, uv] l[s, w].
 
-    a and b are n^2 x n^2 and mu is n x n, as lists of rows.
+    a and b are n^2 x n^2, and mu and the last-leg map l (last) are n x n,
+    as lists of rows; the Hom-Long equation is the case l = mu.
     """
     n = len(mu)
     rng = range(n)
@@ -760,9 +761,9 @@ def longeq_column_sides(a, b, mu, u, v, w):
             x = a[p * n + q][t * n + j] * c
             if x:
                 for r in rng:
-                    lhs[p][q][r] += mu[r][k] * x
+                    lhs[p][q][r] += last[r][k] * x
     for i, j, s in itertools.product(rng, repeat=3):
-        c = a[i * n + j][u * n + v] * mu[s][w]
+        c = a[i * n + j][u * n + v] * last[s][w]
         if not c:
             continue
         for q, r in itertools.product(rng, repeat=2):
@@ -778,7 +779,7 @@ def longeq_first_failing_column(a, b, mu):
     (A (x) mu)(mu (x) B) and (mu (x) B)(A (x) mu) differ (longeq_column_sides);
     None when equal."""
     for u, v, w in itertools.product(range(len(mu)), repeat=3):
-        lhs, rhs = longeq_column_sides(a, b, mu, u, v, w)
+        lhs, rhs = longeq_column_sides(a, b, mu, mu, u, v, w)
         if lhs != rhs:
             return (u, v, w)
     return None
@@ -931,25 +932,30 @@ def test_kept_verdict_matches_oracle_whichever_entry_point_decides(data):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_first_difference_matches_dense_oracle(data):
-    # at one triple, for A and B (often A itself): the kernel's difference,
+    # at one triple, for A and B (often A itself) and a last-leg map that is
+    # mu (the Hom-Long equation), the identity (the coordinate criterion's
+    # index identity) or another structure map: the kernel's difference,
     # zeros dropped and the int scaling undone, is the dense LHS - RHS
     # there, and the triple is reported exactly when that is nonzero
     n = data.draw(st.sampled_from((1, 2, 3)))
     mu = data.draw(structure_maps(n))
     rows = data.draw(kernel_operators(n, mu))
     other = rows if data.draw(st.booleans()) else data.draw(kernel_operators(n, mu))
+    last = data.draw(st.one_of(
+        st.just(mu), st.just([[int(i == j) for j in range(n)] for i in range(n)]),
+        structure_maps(n)))
     u, v, w = (data.draw(st.integers(0, n - 1)) for _ in range(3))
-    lhs, rhs = longeq_column_sides(rows, other, mu, u, v, w)
+    lhs, rhs = longeq_column_sides(rows, other, mu, last, u, v, w)
     dense = {(p * n + q) * n + r: lhs[p][q][r] - rhs[p][q][r]
              for p, q, r in itertools.product(range(n), repeat=3)
              if lhs[p][q][r] != rhs[p][q][r]}
-    (a_cols, a_scale), (b_cols, b_scale), (mu_cols, mu_scale) = (
-        linalg.sparse_columns(Matrix(m)) for m in (rows, other, mu))
-    found = longeq._first_difference(a_cols, b_cols, mu_cols, n, (u,), (v,), (w,))
+    (a_cols, a_scale), (b_cols, b_scale), (mu_cols, mu_scale), (last_cols, last_scale) = (
+        linalg.sparse_columns(Matrix(m)) for m in (rows, other, mu, last))
+    found = longeq._first_difference(a_cols, b_cols, mu_cols, last_cols, n, (u,), (v,), (w,))
     assert (found is None) == (not dense)
     if found is not None:
         triple, diff = found
-        scale = a_scale * b_scale * mu_scale ** 2
+        scale = a_scale * b_scale * mu_scale * last_scale
         assert triple == (u, v, w)
         assert {key: Fraction(x, scale) for key, x in diff.items() if x} == dense
 
@@ -1092,7 +1098,7 @@ def test_single_term_kernel_matches_oracle(case):
         witness = longeq._first_failing_column(a_cols, b_cols, mu_cols, n)
     assert witness == longeq_first_failing_column(a, b, mu)
     rng = range(n)
-    found = longeq._first_difference(a_cols, b_cols, mu_cols, n, rng, rng, rng)
+    found = longeq._first_difference(a_cols, b_cols, mu_cols, mu_cols, n, rng, rng, rng)
     assert witness == (None if found is None else found[0])
     if b is a:
         rep = check_long_equation(OperatorOnTensorSquare(n, Matrix(a), Matrix(mu)))
@@ -1405,7 +1411,8 @@ def all_pairs_long_constraints(positions, mu_cols, n):
         coords = {}
         for a, ea in enumerate(units):
             for b, eb in enumerate(units):
-                found = longeq._first_difference(ea, eb, mu_cols, n, (u,), (v,), (w,))
+                found = longeq._first_difference(ea, eb, mu_cols, mu_cols, n,
+                                                 (u,), (v,), (w,))
                 if found is None:
                     continue
                 ab = (a, b) if a <= b else (b, a)
