@@ -20,8 +20,8 @@ dims = fx.standard_dimodules()
 print("== induced Yetter-Drinfeld structures over H (x) B ==")
 for name, d in dims.items():
     yd = hb_yd_structure(ctx, d)
-    mod = validate_hom_module(t.algebra, yd.module_part()).ok
-    com = validate_hom_comodule(t.coalgebra, yd.comodule_part()).ok
+    mod = validate_hom_module(yd.module_part()).ok
+    com = validate_hom_comodule(yd.comodule_part()).ok
     hyd = check_yd(t, yd)
     print("%-10s module %s  comodule %s  (HYD) %s  cross-check agrees %s"
           % (name, mod, com, hyd.passed("HYD"), hyd.flags["hyd-consistent"]))

@@ -27,7 +27,7 @@ roster["scaled trivial over (kZ2, twisted Z4)"] = trivial_dimodule(
 print("\n== round trips ==")
 for name, d in roster.items():
     n = to_smash_module(d)
-    ok_mod = validate_hom_module(n.over, n).ok
+    ok_mod = validate_hom_module(n).ok
     back = from_smash_module(n, d.H, d.B)
     ok_back = (back.action == d.action and back.coaction == d.coaction
                and back.mu == d.mu)

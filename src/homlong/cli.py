@@ -110,8 +110,8 @@ def _load_phi(path, files):
 
 def _check_yd_module(report, yd):
     """The module and comodule axioms of yd and its compatibility."""
-    report.extend(validate_hom_module(yd.over, yd.module_part()), "module:")
-    report.extend(validate_hom_comodule(yd.over, yd.comodule_part()), "comodule:")
+    report.extend(validate_hom_module(yd.module_part()), "module:")
+    report.extend(validate_hom_comodule(yd.comodule_part()), "comodule:")
     report.extend(check_yd(yd.over, yd))
 
 
@@ -141,9 +141,9 @@ def cmd_validate(args, report, files):
             report.extend(validate_coquasitriangular(
                 s, hio.load_matrix(raw["form"], args.file + ".form")), "form:")
     elif isinstance(s, HomModule):
-        report.extend(validate_hom_module(s.over, s))
+        report.extend(validate_hom_module(s))
     elif isinstance(s, HomComodule):
-        report.extend(validate_hom_comodule(s.over, s))
+        report.extend(validate_hom_comodule(s))
     elif isinstance(s, YetterDrinfeldModule):
         _check_yd_module(report, s)
     elif isinstance(s, HomLongDimodule):
@@ -176,7 +176,7 @@ def _check_snake(report, d, side):
 
 def _check_roundtrip(report, d):
     n = to_smash_module(d)
-    report.extend(validate_hom_module(n.over, n), "smash-module:")
+    report.extend(validate_hom_module(n), "smash-module:")
     back = from_smash_module(n, d.H, d.B)
     report.add("round-trip", back.action == d.action
                and back.coaction == d.coaction and back.mu == d.mu)
@@ -251,7 +251,7 @@ SUBJECTS = {
                                        (("-D", _structure("halpha-dimodule")),)),
     "build extension": Subject(_emit(_extension, validate_halpha_dimodule), (
         ("--base", _BIALGEBRA), ("-M", _structure("hom-module", "hom-comodule"))), ("--variant",)),
-    "build smash": Subject(_emit(to_smash_module, lambda n: validate_hom_module(n.over, n)),
+    "build smash": Subject(_emit(to_smash_module, validate_hom_module),
                            (("-D", _DIMODULE),)),
 }
 

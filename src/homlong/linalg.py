@@ -544,21 +544,15 @@ def _folded(planned, dims):
     no pass of its own for it.  The composite's value is the same; scale is
     the product of the scales of the planned steps, which is the product of
     all the steps' scales unless a carried map cancelled to the identity
-    (mu then mu^-1) and was dropped with its scales.  No step is checked
-    again: the legs after each step are followed from dims through the out
-    dims, so a plan may leave out only a step that keeps its block's dims."""
-    plan, d, scale = planned
+    (mu then mu^-1) and was dropped with its scales.  The folded steps are
+    laid out again by layout, which checks each one on the legs left from
+    dims by the steps before it."""
     # every leg a step meets is an input leg or lands from a step, so none
     # is 0-dimensional when neither is
-    if any(0 in s[6] for s in plan):
+    if any(0 in s[6] for s in planned[0]):
         return planned
-    plan, d_in, scale = [], tuple(dims), 1
-    for m, _, _, _, first, ins, out in _fold(planned[0]):
-        stop = first + len(ins)
-        suf = math.prod(d_in[stop:])
-        plan.append((m, math.prod(ins) * suf, suf, math.prod(out) * suf, first, ins, out))
-        d_in, scale = d_in[:first] + out + d_in[stop:], scale * m[1]
-    return plan, d, scale
+    return layout(dims, [(m, tuple(range(first, first + len(ins))), out)
+                         for m, _, _, _, first, ins, out in _fold(planned[0])])
 
 
 def _fold(steps):
@@ -812,7 +806,11 @@ class Tensor3(Matrix):
     and a Tensor3 equals only a Tensor3.  coproduct_columns gives its
     coproduct-like reading i -> sum_jk T[i][j][k] e_j (x) e_k (a comult, a
     coaction) from the same ints.  The Matrix methods that would read it as
-    one map (transpose, is_identity, det, inv) raise TypeError."""
+    one map (transpose, is_identity, det, inv) raise TypeError.  to_lists
+    and to_json give T[i][j][k] as nested lists; Tensor3(data) reads the
+    dims back from the list lengths, so a map with a 0-dimensional first or
+    second leg reads back only when its shape is given:
+    Tensor3(t.to_lists(), dims=t.dims) == t."""
 
     __slots__ = ("d0", "d1", "_coproduct")
 
@@ -876,18 +874,6 @@ class Tensor3(Matrix):
         return Matrix.__eq__(self, other) and self.d0 == other.d0
 
     __hash__ = Matrix.__hash__
-
-    def to_lists(self):
-        """T[i][j][k] as Matrix.to_lists reads it, so Tensor3(t.to_lists()) == t.
-        Tensor3(data) reads the dims back from the list lengths, so a map
-        with a 0-dimensional leg (first or second) reads back only when its
-        shape is given: Tensor3(t.to_lists(), dims=t.dims) == t."""
-        return self._dense(ZERO, _fraction)
-
-    def to_json(self):
-        """T[i][j][k] as nested lists of ints and "p/q" strings, written from
-        the columns."""
-        return self._dense(0, _json_scalar)
 
     def _dense(self, zero, read):
         """T[i][j][k] as Matrix._dense reads the entries."""

@@ -11,9 +11,8 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 from dataclasses import dataclass, replace
 
 from .linalg import Matrix, Tensor3, DimensionMismatch, move_legs, pair_columns, per_leg_matrix
-from .homstruct import (HomStructure, default_basis, dual_hopf, opposite_algebra,
-                        tensor_algebra, tensor_basis)
-from .repmod import (HomModule, HomComodule, check_carrier_shapes, validate_hom_module,
+from .homstruct import HomStructure, dual_hopf, opposite_algebra, tensor_algebra, tensor_basis
+from .repmod import (HomModule, HomComodule, check_carrier, validate_hom_module,
                      validate_hom_comodule)
 from .report import AxiomReport, Identity, compose
 
@@ -40,10 +39,7 @@ class HomLongDimodule:
         for side, s in (("H", self.H), ("B", self.B)):
             if s.mult is None or s.comult is None:
                 raise DimensionMismatch("%s needs mult and comult, not a %s" % (side, s.kind))
-        check_carrier_shapes(self.H.dim, self.B.dim, self.dim, self.action, self.coaction,
-                             self.mu)
-        if self.basis is None:
-            object.__setattr__(self, "basis", default_basis(self.dim, "m"))
+        check_carrier(self, self.mu, self.H, self.B)
 
     def module_part(self):
         return HomModule(self.H.algebra, self.dim, self.action,
@@ -67,8 +63,8 @@ def validate_long_dimodule(d):
     rho(h.m) = b(m_-1) (x) a(h).m_0."""
     h, b = d.H, d.B
     rep = AxiomReport()
-    rep.extend(validate_hom_module(h, d.module_part()), "module:")
-    rep.extend(validate_hom_comodule(b, d.comodule_part()), "comodule:")
+    rep.extend(validate_hom_module(d.module_part()), "module:")
+    rep.extend(validate_hom_comodule(d.comodule_part()), "comodule:")
     return rep.record(Identity("compat-2.1", dict(h=h.basis, m=d.basis),
                                [(d.action, "h m -> m"), (d.coaction, "m -> b m")],
                                [(d.coaction, "m -> b m"), (b.gamma, "b"), (h.gamma, "h"),

@@ -2,8 +2,10 @@
 
 Each lives over a homstruct.HomStructure held as `over`: a module over one
 with a product, a comodule over one with a coproduct, a Yetter-Drinfeld
-module over one with both.  The validators read only the part they need,
-so a module's algebra may be passed as a whole Hom-bialgebra.
+module over one with both.  Each carrier is checked once, where it is
+built, by check_carrier: its shapes fit, and the structure it lives over has
+the part it needs.  The validators then take only the carrier and check its
+axioms over its own `over`.
 
 Carriers are described by structure constants: action[h][i][j] is the
 coefficient of m_j in e_h . m_i, coaction[i][a][j] the coefficient of
@@ -28,14 +30,7 @@ class HomModule:
     basis: tuple = None
 
     def __post_init__(self):
-        if self.action.dims != (self.over.dim, self.dim, self.dim):
-            raise DimensionMismatch("action tensor %r for algebra dim %d, module dim %d"
-                                    % (self.action.dims, self.over.dim, self.dim))
-        if self.nu.rows != self.dim or self.nu.cols != self.dim:
-            raise DimensionMismatch("structure map is %dx%d on a dim-%d module"
-                                    % (self.nu.rows, self.nu.cols, self.dim))
-        if self.basis is None:
-            object.__setattr__(self, "basis", default_basis(self.dim, "m"))
+        check_carrier(self, self.nu, acting=self.over)
 
 
 @dataclass(frozen=True)
@@ -47,14 +42,7 @@ class HomComodule:
     basis: tuple = None
 
     def __post_init__(self):
-        if self.coaction.dims != (self.dim, self.over.dim, self.dim):
-            raise DimensionMismatch("coaction tensor %r for coalgebra dim %d, module dim %d"
-                                    % (self.coaction.dims, self.over.dim, self.dim))
-        if self.mu.rows != self.dim or self.mu.cols != self.dim:
-            raise DimensionMismatch("structure map is %dx%d on a dim-%d comodule"
-                                    % (self.mu.rows, self.mu.cols, self.dim))
-        if self.basis is None:
-            object.__setattr__(self, "basis", default_basis(self.dim, "m"))
+        check_carrier(self, self.mu, coacting=self.over)
 
 
 @dataclass(frozen=True)
@@ -68,10 +56,7 @@ class YetterDrinfeldModule:
     basis: tuple = None
 
     def __post_init__(self):
-        check_carrier_shapes(self.over.dim, self.over.dim, self.dim, self.action,
-                             self.coaction, self.structure_map)
-        if self.basis is None:
-            object.__setattr__(self, "basis", default_basis(self.dim, "m"))
+        check_carrier(self, self.structure_map, self.over, self.over)
 
     def module_part(self):
         return HomModule(self.over.algebra, self.dim, self.action,
@@ -82,27 +67,33 @@ class YetterDrinfeldModule:
                            self.structure_map, self.basis)
 
 
-def check_carrier_shapes(nh, nb, dim, action, coaction, mu):
-    """Refuse an action, coaction or structure map that does not fit a
-    carrier of dim dim acted on by an H of dim nh and coacted on by a B of
-    dim nb."""
-    if action.dims != (nh, dim, dim):
-        raise DimensionMismatch("action dims %r for H dim %d, carrier dim %d"
-                                % (action.dims, nh, dim))
-    if coaction.dims != (dim, nb, dim):
-        raise DimensionMismatch("coaction dims %r for B dim %d, carrier dim %d"
-                                % (coaction.dims, nb, dim))
-    if mu.rows != dim or mu.cols != dim:
+def check_carrier(m, mu, acting=None, coacting=None):
+    """Refuse a carrier m whose structure map mu, action by the structure
+    acting (which needs a product) or coaction by coacting (which needs a
+    coproduct) does not fit it, and name its basis m0, m1, ... if unnamed."""
+    n = m.dim
+    for side, s, part, name in (("H", acting, "mult", "action"),
+                                ("B", coacting, "comult", "coaction")):
+        if s is None:
+            continue
+        if getattr(s, part) is None:
+            raise DimensionMismatch("%s needs %s, not a %s" % (side, part, s.kind))
+        dims = getattr(m, name).dims
+        if dims != ((s.dim, n, n) if name == "action" else (n, s.dim, n)):
+            raise DimensionMismatch("%s dims %r for %s dim %d, carrier dim %d"
+                                    % (name, dims, side, s.dim, n))
+    if mu.rows != n or mu.cols != n:
         raise DimensionMismatch("structure map is %dx%d on a dim-%d carrier"
-                                % (mu.rows, mu.cols, dim))
+                                % (mu.rows, mu.cols, n))
+    if m.basis is None:
+        object.__setattr__(m, "basis", default_basis(n, "m"))
 
 
-def validate_hom_module(a, m):
+def validate_hom_module(m):
     """Check nu-invertible, HM1 (nu(h.m) = alpha(h).nu(m)) and HM2
-    (twisted associativity and the unit acting as nu), column by column."""
-    if m.action.dims != (a.dim, m.dim, m.dim):
-        raise DimensionMismatch("module over dim-%d algebra has action dims %r"
-                                % (a.dim, m.action.dims))
+    (twisted associativity and the unit acting as nu) over m.over, column
+    by column."""
+    a = m.over
     act, nu, al, hn = m.action, m.nu, a.gamma, a.basis
     return AxiomReport().record(
         Check("nu-invertible", m.nu.det() != 0),
@@ -114,12 +105,11 @@ def validate_hom_module(a, m):
         Identity("HM2-unit", dict(m=m.basis), [(a.unit, "-> h"), (act, "h m -> m")], [(nu, "m")]))
 
 
-def validate_hom_comodule(c, m):
+def validate_hom_comodule(m):
     """Check mu-invertible, HCM1 (mu-compatibility and counit law) and HCM2
-    (twisted coassociativity of the coaction), column by column."""
-    if m.coaction.dims != (m.dim, c.dim, m.dim):
-        raise DimensionMismatch("comodule over dim-%d coalgebra has coaction dims %r"
-                                % (c.dim, m.coaction.dims))
+    (twisted coassociativity of the coaction) over m.over, column by
+    column."""
+    c = m.over
     co, mu, be, names = m.coaction, m.mu, c.gamma, dict(m=m.basis)
     return AxiomReport().record(
         Check("mu-invertible", m.mu.det() != 0),

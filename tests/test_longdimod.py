@@ -15,7 +15,7 @@ from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
                                to_smash_module, trivial_dimodule, unit_dimodule,
                                validate_long_dimodule)
 from homlong.longeq import HAlphaLongDimodule
-from homlong.repmod import YetterDrinfeldModule
+from homlong.repmod import HomComodule, HomModule, YetterDrinfeldModule
 from homlong.report import compose
 from test_oracles import coproduct_map, kron, mul, product_map, scaled
 
@@ -298,7 +298,7 @@ def test_smash_algebra_and_module(kz2, dimodules):
     assert validate_hom_algebra(alg).ok
     for name, d in dimodules.items():
         n = to_smash_module(d)
-        assert validate_hom_module(n.over, n).ok, name
+        assert validate_hom_module(n).ok, name
 
 
 def test_smash_action_value(dimodules):
@@ -367,23 +367,32 @@ def test_dimodule_refuses_a_base_without_both_parts(kz2, side, part):
         HomLongDimodule(bases["H"], bases["B"], 1, sd.action, sd.coaction, sd.mu, sd.basis)
 
 
+# each kind of carrier with the maps it is built from
+BOTH_PARTS = ("action", "coaction", "mu")
 CARRIERS = {
-    "long-dimodule": lambda h, *parts: HomLongDimodule(h, h, *parts),
-    "yd-module": YetterDrinfeldModule,
-    "halpha-dimodule": HAlphaLongDimodule,
+    "long-dimodule": (lambda h, *parts: HomLongDimodule(h, h, *parts), BOTH_PARTS),
+    "yd-module": (YetterDrinfeldModule, BOTH_PARTS),
+    "halpha-dimodule": (HAlphaLongDimodule, BOTH_PARTS),
+    "hom-module": (HomModule, ("action", "mu")),
+    "hom-comodule": (HomComodule, ("coaction", "mu")),
+}
+
+MISFITS = {
+    "action": (Tensor3.zeros(2, 1, 2), "action dims (2, 1, 2) for H dim 2, carrier dim 1"),
+    "coaction": (Tensor3.zeros(1, 4, 1), "coaction dims (1, 4, 1) for B dim 2, carrier dim 1"),
+    "mu": (Matrix.identity(2), "structure map is 2x2 on a dim-1 carrier"),
 }
 
 
-@pytest.mark.parametrize("carrier", sorted(CARRIERS))
-@pytest.mark.parametrize("field, bad, message", [
-    (0, Tensor3.zeros(2, 1, 2), "action dims (2, 1, 2) for H dim 2, carrier dim 1"),
-    (1, Tensor3.zeros(1, 4, 1), "coaction dims (1, 4, 1) for B dim 2, carrier dim 1"),
-    (2, Matrix.identity(2), "structure map is 2x2 on a dim-1 carrier"),
-], ids=["action", "coaction", "mu"])
-def test_carriers_check_their_shapes(kz2, carrier, field, bad, message):
+@pytest.mark.parametrize("field, carrier", [
+    pytest.param(field, carrier, id="%s-%s" % (field, carrier))
+    for field in MISFITS for carrier in sorted(CARRIERS) if field in CARRIERS[carrier][1]])
+def test_carriers_check_their_shapes(kz2, field, carrier):
+    # every kind refuses a misfit map with one message per map
+    make, fields = CARRIERS[carrier]
     sd = fx.sign_dimodule()
-    parts = [sd.action, sd.coaction, sd.mu]
-    parts[field] = bad
+    parts = dict(action=sd.action, coaction=sd.coaction, mu=sd.mu)
+    bad, message = MISFITS[field]
     with pytest.raises(DimensionMismatch, match=re.escape(message)):
-        CARRIERS[carrier](kz2, 1, *parts)
-    assert CARRIERS[carrier](kz2, 1, sd.action, sd.coaction, sd.mu).basis == ("m0",)
+        make(kz2, 1, *[bad if f == field else parts[f] for f in fields])
+    assert make(kz2, 1, *[parts[f] for f in fields]).basis == ("m0",)

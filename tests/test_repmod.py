@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -18,31 +19,46 @@ def sign_yd(kz2):
 def test_regular_module_is_module(kz2, kz4t):
     for h in (kz2, kz4t):
         m = fx.regular_module(h)
-        assert validate_hom_module(h.algebra, m).ok
+        assert validate_hom_module(m).ok
 
 
 def test_sign_module(kz2):
-    assert validate_hom_module(kz2.algebra, fx.sign_module()).ok
-    assert validate_hom_module(kz2.algebra, fx.sign_module(scale=2)).ok
+    assert validate_hom_module(fx.sign_module()).ok
+    assert validate_hom_module(fx.sign_module(scale=2)).ok
 
 
 def test_sign_module_wrong_nu(kz2):
     bad = HomModule(kz2.algebra, 1, Tensor3([[[1]], [[-1]]]), Matrix([[3]]), ("v",))
-    rep = validate_hom_module(kz2.algebra, bad)
+    rep = validate_hom_module(bad)
     assert not rep.passed("HM2-unit")
     assert rep.check("HM2-unit").witness == ("v",)
 
 
 def test_module_shape_mismatch(kz2, kz4t):
     m = fx.sign_module()
-    with pytest.raises(DimensionMismatch):
-        validate_hom_module(kz4t.algebra, m)
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            "action dims (2, 1, 1) for H dim 4, carrier dim 1")):
+        replace(m, over=kz4t.algebra)
+
+
+# the refusal of a carrier over the part of kz2 that lacks what it needs
+MISSING = {"coalgebra": "H needs mult, not a hom-coalgebra",
+           "algebra": "B needs comult, not a hom-algebra"}
+
+
+@pytest.mark.parametrize("kind, part", [("module", "coalgebra"), ("comodule", "algebra"),
+                                        ("yd", "algebra"), ("yd", "coalgebra")])
+def test_carrier_refuses_a_structure_without_the_part_it_needs(kz2, kind, part):
+    # refused where it is built, not later inside a validator
+    m = dict(module=fx.sign_module(), comodule=fx.sign_comodule(), yd=sign_yd(kz2))[kind]
+    with pytest.raises(DimensionMismatch, match=re.escape(MISSING[part])):
+        replace(m, over=getattr(kz2, part))
 
 
 def test_regular_comodule(kz2, kz4t):
     for c in (kz2, kz4t):
         m = fx.regular_comodule(c)
-        assert validate_hom_comodule(c.coalgebra, m).ok
+        assert validate_hom_comodule(m).ok
 
 
 def test_trivial_comodule(kz2):
@@ -52,13 +68,13 @@ def test_trivial_comodule(kz2):
                     Tensor3.from_function(2, 2, 2,
                                           lambda i, a, j: kz2.unit[a] * mu[j, i]),
                     mu)
-    assert validate_hom_comodule(kz2.coalgebra, m).ok
+    assert validate_hom_comodule(m).ok
 
 
 def test_sign_comodule_and_counit_mutation(kz2):
-    assert validate_hom_comodule(kz2.coalgebra, fx.sign_comodule()).ok
+    assert validate_hom_comodule(fx.sign_comodule()).ok
     broken = replace(kz2.coalgebra, counit=Matrix([[1], [0]]))
-    rep = validate_hom_comodule(broken, fx.sign_comodule(kz2))
+    rep = validate_hom_comodule(replace(fx.sign_comodule(kz2), over=broken))
     assert not rep.passed("HCM1-b")
 
 
@@ -91,7 +107,7 @@ def test_yd_spec_counterexample_is_invalid_comodule(kz2):
     # the coaction 1 (x) v + g (x) v fails the comodule counit law, so it
     # never reaches the compatibility check
     bad = HomComodule(kz2.coalgebra, 1, Tensor3([[[1], [1]]]), Matrix.identity(1))
-    rep = validate_hom_comodule(kz2.coalgebra, bad)
+    rep = validate_hom_comodule(bad)
     assert not rep.passed("HCM1-b")
 
 
