@@ -24,8 +24,13 @@ class NotAutomorphism(Exception):
     """The supplied map fails one of the automorphism identities."""
 
 
-def default_basis(n, prefix="e"):
-    return tuple("%s%d" % (prefix, i) for i in range(n))
+def fit_basis(s, prefix="e"):
+    """Name the basis of s (a frozen dataclass with dim and basis) prefix0,
+    prefix1, ... if unnamed; refuse one that does not give dim names."""
+    if s.basis is None:
+        object.__setattr__(s, "basis", tuple("%s%d" % (prefix, i) for i in range(s.dim)))
+    elif len(s.basis) != s.dim:
+        raise DimensionMismatch("%d basis names for dim %d" % (len(s.basis), s.dim))
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,7 @@ class HomStructure:
         for name, m in (("gamma", self.gamma), ("antipode", self.antipode)):
             if m is not None and (m.rows != n or m.cols != n):
                 raise DimensionMismatch("%s is %dx%d for dim %d" % (name, m.rows, m.cols, n))
-        if self.basis is None:
-            object.__setattr__(self, "basis", default_basis(n))
-        elif len(self.basis) != n:
-            raise DimensionMismatch("%d basis names for dim %d" % (len(self.basis), n))
+        fit_basis(self)
 
     @property
     def kind(self):

@@ -8,13 +8,13 @@ dimodules, are read and written from one table, _CARRIERS.  A tensor is
 read once, into the int columns of its product-like map; its other reading
 is those columns with their legs moved (linalg.move_legs).  A Files object
 lets one command read each file, and build each structure in it, once.
-json_text is the one JSON writer.
+json_text, one json.dumps call, is the one JSON writer.
 """
 
 import json
 import os
 
-from .linalg import Matrix, Tensor3, scalar
+from .linalg import Matrix, Tensor3, DimensionMismatch, scalar
 from .homstruct import HomStructure
 from .repmod import HomModule, HomComodule, YetterDrinfeldModule
 from .longdimod import HomLongDimodule
@@ -69,6 +69,8 @@ def load_tensor3(data, where="tensor"):
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
     try:
         return Tensor3(data)
+    except DimensionMismatch as exc:     # every entry read, the nesting ragged
+        raise FileFormatError(_ctx(where, str(exc)))
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     # a rejected entry or a bad nesting: read again, naming each entry
@@ -353,50 +355,6 @@ def dump_json(obj, path):
         fh.write("\n")
 
 
-_SCALAR_TYPES = {str, int, float, bool, type(None)}
-
-
 def json_text(obj, ensure_ascii=False):
-    """json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=ensure_ascii),
-    byte for byte, for obj made of dicts with str keys, lists, tuples and
-    JSON scalars; any other key raises TypeError.  json.dumps encodes in
-    pure Python whenever it indents; here a list of scalars (a matrix row,
-    the last index of a structure constant) is written whole, by one call
-    of the C encoder."""
-    string = json.encoder.encode_basestring_ascii if ensure_ascii \
-        else json.encoder.encode_basestring
-    encoders = {}
-
-    def flat(indent):
-        # the C encoder, separating a list's items by a newline and indent
-        if indent not in encoders:
-            encoders[indent] = json.JSONEncoder(ensure_ascii=ensure_ascii,
-                                                separators=("," + indent, ": ")).encode
-        return encoders[indent]
-
-    out = []
-
-    def emit(x, indent):
-        inner = indent + "  "
-        if isinstance(x, dict):
-            sep = "{"
-            for k, v in sorted(x.items()):
-                out.append(sep + inner + string(k) + ": ")
-                emit(v, inner)
-                sep = ","
-            out.append(indent + "}" if x else "{}")
-        elif isinstance(x, (list, tuple)):
-            if x and set(map(type, x)) <= _SCALAR_TYPES:
-                out.append("[" + inner + flat(inner)(x)[1:-1] + indent + "]")
-                return
-            sep = "["
-            for v in x:
-                out.append(sep + inner)
-                emit(v, inner)
-                sep = ","
-            out.append(indent + "]" if x else "[]")
-        else:
-            out.append(flat("")(x))
-
-    emit(obj, "\n")
-    return "".join(out)
+    """obj as JSON text in the one format of every report and written file."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=ensure_ascii)

@@ -104,19 +104,6 @@ def check_long_equation(op):
     return AxiomReport().add("hom-long-eq", witness is None, witness)
 
 
-def _to_ints(values):
-    """The Fractions in values times their common denominator, as ints, and
-    that denominator.
-
-    A Hom-Long side is linear in each of its two operators and quadratic in
-    mu, so scaling an operand scales both sides by the same nonzero factor
-    and leaves every column's verdict unchanged; the kernel then computes on
-    ints.
-    """
-    d = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (d // x.denominator) for x in values], d
-
-
 def _first_failing_column(a_cols, b_cols, mu_cols, n):
     """The first input basis triple (u, v, w), in lexicographic order, on
     which (A (x) mu)(mu (x) B) and (mu (x) B)(A (x) mu) differ; None when
@@ -502,11 +489,14 @@ def search_solutions(mu, coefficient_set, shape):
         raise DimensionMismatch("structure map is 0x0; the search needs a carrier")
     if mu.det() == 0:
         raise SingularMatrix("structure map is singular")
-    values = []
-    for v in coefficient_set:
-        s = scalar(v)
-        if s not in values:
-            values.append(s)
+    # the search runs on the grid's values times their common denominator,
+    # as ints, each once in the given order: each side is linear in each
+    # operator, so scaling R keeps every verdict, and each solution is the
+    # Matrix of its int columns over the scale
+    grid = list(coefficient_set)
+    (col,), scale = int_columns([grid])
+    held = dict(col)
+    values = list(dict.fromkeys(held.get(i, 0) for i in range(len(grid))))
     if shape not in ("diagonal", "full"):
         raise ValueError("shape must be 'diagonal' or 'full'")
     if not values:
@@ -521,10 +511,7 @@ def search_solutions(mu, coefficient_set, shape):
     else:
         positions = [(r, c) for r in range(n2) for c in range(n2)]
 
-    # the search runs on int-scaled values (the equation is homogeneous in
-    # R), and each solution is the Matrix of their int columns over the scale
-    scaled, scale = _to_ints(values)
-    rank = {x: i for i, x in enumerate(scaled)}
+    rank = {x: i for i, x in enumerate(values)}
     mu_cols = sparse_columns(mu)[0]
     # with a single value there is nothing to prune, so nothing is derived
     budget = SEARCH_CAP if cardinality > SEARCH_CAP else math.inf
@@ -532,7 +519,7 @@ def search_solutions(mu, coefficient_set, shape):
     if derivation > budget:
         raise SearchSpaceTooLarge(cardinality)
     forms = _long_constraints(positions, mu_cols, n) if derivation else []
-    found = _solve(forms, count, scaled, budget - derivation)
+    found = _solve(forms, count, values, budget - derivation)
     if found is None:
         raise SearchSpaceTooLarge(cardinality)
     found.sort(key=lambda xs: [rank[x] for x in xs])

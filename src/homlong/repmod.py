@@ -17,7 +17,7 @@ Every axiom is a report.Identity on named legs.
 from dataclasses import dataclass
 
 from .linalg import Matrix, Tensor3, DimensionMismatch
-from .homstruct import HomStructure, default_basis
+from .homstruct import HomStructure, fit_basis
 from .report import AxiomReport, Check, Identity, compose
 
 
@@ -70,7 +70,8 @@ class YetterDrinfeldModule:
 def check_carrier(m, mu, acting=None, coacting=None):
     """Refuse a carrier m whose structure map mu, action by the structure
     acting (which needs a product) or coaction by coacting (which needs a
-    coproduct) does not fit it, and name its basis m0, m1, ... if unnamed."""
+    coproduct) does not fit it, or whose basis does not give m.dim names;
+    name an unnamed basis m0, m1, ..."""
     n = m.dim
     for side, s, part, name in (("H", acting, "mult", "action"),
                                 ("B", coacting, "comult", "coaction")):
@@ -85,8 +86,7 @@ def check_carrier(m, mu, acting=None, coacting=None):
     if mu.rows != n or mu.cols != n:
         raise DimensionMismatch("structure map is %dx%d on a dim-%d carrier"
                                 % (mu.rows, mu.cols, n))
-    if m.basis is None:
-        object.__setattr__(m, "basis", default_basis(n, "m"))
+    fit_basis(m, "m")
 
 
 def validate_hom_module(m):

@@ -175,6 +175,21 @@ def test_carrier_reader_errors_are_pinned(tmp_path, kind):
         assert str(exc.value) == expected.format(path)
 
 
+@pytest.mark.parametrize("key, ragged", [("action", [[[1]], [[1, 2]]]),
+                                          ("coaction", [[[1], [1, 2]]])])
+def test_a_ragged_tensor_names_its_file_and_field(tmp_path, capsys, key, ragged):
+    path = str(tmp_path / "ragged.json")
+    obj = hio.structure_to_json(fx.sign_dimodule())
+    obj[key] = ragged
+    hio.dump_json(obj, path)
+    message = "ragged tensor data (%s.%s)" % (path, key)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert main(["--format", "json", "validate", path]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == message and report["exit_code"] == 2
+
+
 def test_scalar_strings_round_trip(tmp_path):
     m = Matrix([["1/3", "-2/7"], [0, 5]])
     hio.dump_json({"kind": "operator", "n": 1, "mu": [[1]],
@@ -1219,10 +1234,15 @@ def test_json_text_is_json_dumps_byte_for_byte(obj, ensure_ascii):
         obj, indent=2, sort_keys=True, ensure_ascii=ensure_ascii)
 
 
-@pytest.mark.parametrize("obj", [{"a": 1, 2: 3}, {(1, 2): 3}, [object()], {1: 2}])
+@pytest.mark.parametrize("obj", [{"a": 1, 2: 3}, {(1, 2): 3}, [object()]])
 def test_json_text_refuses_keys_other_than_str_and_unknown_types(obj):
     with pytest.raises(TypeError):
         hio.json_text(obj)
+
+
+def test_json_text_writes_an_int_key_as_json_dumps_does():
+    text = hio.json_text({1: 2})
+    assert text == json.dumps({1: 2}, indent=2, sort_keys=True) == '{\n  "1": 2\n}'
 
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"

@@ -5,7 +5,8 @@ are pinned the same way, so that a view or entry point added back shows up
 too, and so are those of homlong.report and its Identity, so that a report
 helper beside Identity shows up.  Beside linalg, only report may name
 Composite, layout or first_key, so no other module places leg steps by
-hand."""
+hand, and only io.json_text writes indented JSON, so no second writer
+decides the format of a report or a written file."""
 
 import ast
 import json
@@ -119,6 +120,28 @@ def test_only_report_builds_composites_beside_linalg():
     users = {(name, path.stem) for path in (SRC / "homlong").glob("*.py")
              for node in ast.walk(ast.parse(path.read_text())) for name in _composite_names(node)}
     assert users == {(name, "report") for name in COMPOSITE_PATH}
+
+
+# what json offers for writing indented text
+JSON_WRITERS = {"dump", "dumps", "JSONEncoder"}
+
+
+def _indented_json_writers(path):
+    """(module, function) for each function in the file at path that calls
+    one of JSON_WRITERS with an indent."""
+    return {(path.stem, f.name) for f in ast.walk(ast.parse(path.read_text()))
+            if isinstance(f, ast.FunctionDef) for call in ast.walk(f)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "attr", getattr(call.func, "id", None)) in JSON_WRITERS
+            and any(k.arg == "indent" for k in call.keywords)}
+
+
+def test_only_json_text_writes_indented_json():
+    # every report and written file is json_text's text, so its format is
+    # decided in one place; the un-indented key in io.Files.algebra writes
+    # no file
+    writers = set().union(*map(_indented_json_writers, (SRC / "homlong").glob("*.py")))
+    assert writers == {("io", "json_text")}
 
 
 REPORT_NAMES = [

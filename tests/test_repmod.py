@@ -1,3 +1,4 @@
+import functools
 import re
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import pytest
 
 from homlong import fixtures as fx
 from homlong.linalg import Matrix, Tensor3, DimensionMismatch
+from homlong.longeq import HAlphaLongDimodule
 from homlong.repmod import (HomModule, HomComodule, YetterDrinfeldModule,
                             check_yd, validate_hom_comodule, validate_hom_module,
                             yd_prebraiding)
@@ -53,6 +55,18 @@ def test_carrier_refuses_a_structure_without_the_part_it_needs(kz2, kind, part):
     m = dict(module=fx.sign_module(), comodule=fx.sign_comodule(), yd=sign_yd(kz2))[kind]
     with pytest.raises(DimensionMismatch, match=re.escape(MISSING[part])):
         replace(m, over=getattr(kz2, part))
+
+
+def test_every_carrier_refuses_a_basis_of_the_wrong_length(kz2):
+    # refused where it is built, in the words HomStructure refuses it with
+    sd = fx.sign_dimodule()
+    makers = [functools.partial(replace, m)
+              for m in (fx.sign_module(), fx.sign_comodule(), sign_yd(kz2), sd)]
+    makers.append(functools.partial(HAlphaLongDimodule, kz2, 1, sd.action, sd.coaction, sd.mu))
+    for make in makers:
+        with pytest.raises(DimensionMismatch, match="^3 basis names for dim 1$"):
+            make(basis=("a", "b", "c"))
+        assert make(basis=None).basis == ("m0",) and make(basis=("v",)).basis == ("v",)
 
 
 def test_regular_comodule(kz2, kz4t):
