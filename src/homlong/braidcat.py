@@ -7,7 +7,8 @@ Every categorical identity is a report.Identity on named legs with the
 monoidal constraints spelled out.  The braiding is one report.compose of
 the coactions, the form, mu^-2, R and the actions, and the identities
 built from it (naturality, hexagons, Yang-Baxter, symmetry) take its int
-columns as a step.
+columns as a step.  A BraidingContext decides its axioms once, at the
+first require, and every braiding makes that one call.
 """
 
 from dataclasses import dataclass, replace
@@ -44,7 +45,9 @@ class BraidOperator:
 
 class BraidingContext:
     """A quasitriangular Hopf structure on H paired with a coquasitriangular
-    form on B; validation is cached and consulted by every braiding call."""
+    form on B.  Its axioms are decided once, at the first require (or the
+    first read of reports, valid or a flag), and every braiding makes that
+    one call before it reads R or the form."""
 
     def __init__(self, h, r, b, form):
         if h.antipode is None or b.antipode is None:
@@ -55,57 +58,46 @@ class BraidingContext:
         self.R = r
         self.B = b
         self.form = form
-        self._r_report = None
-        self._form_report = None
+        self._reports = None
 
     @property
-    def r_report(self):
-        if self._r_report is None:
+    def reports(self):
+        """R's report, then the form's, decided together on first use."""
+        if self._reports is None:
             try:
-                self._r_report = validate_quasitriangular(self.H, self.R)
+                self._reports = (validate_quasitriangular(self.H, self.R),
+                                 validate_coquasitriangular(self.B, self.form))
             except DimensionMismatch as exc:
                 raise InvalidContext(str(exc))
-        return self._r_report
-
-    @property
-    def form_report(self):
-        if self._form_report is None:
-            try:
-                self._form_report = validate_coquasitriangular(self.B, self.form)
-            except DimensionMismatch as exc:
-                raise InvalidContext(str(exc))
-        return self._form_report
+        return self._reports
 
     @property
     def valid(self):
-        return self.r_report.ok and self.form_report.ok
+        return all(rep.ok for rep in self.reports)
 
     @property
     def triangular(self):
-        return self.r_report.flags["triangular"]
+        return self.reports[0].flags["triangular"]
 
     @property
     def cotriangular(self):
-        return self.form_report.flags["cotriangular"]
+        return self.reports[1].flags["cotriangular"]
 
-    def require_valid(self):
+    def require(self, *dimodules):
+        """Refuse a context whose axioms fail, then any of the dimodules
+        that lives over another pair (H, B)."""
         if not self.valid:
-            bad = [c.axiom for c in self.r_report.failed()] + \
-                  [c.axiom for c in self.form_report.failed()]
+            bad = [c.axiom for rep in self.reports for c in rep.failed()]
             raise InvalidContext("context axioms fail: %s" % ", ".join(bad))
-
-    def require_dimodule(self, m):
-        if base_parts(m) != base_parts(self):
+        if any(base_parts(t) != base_parts(self) for t in dimodules):
             raise MismatchedBase("dimodule lives over a different algebra pair")
 
 
 def long_braiding(ctx, m, n):
     """The braiding M (x) N -> N (x) M,
     m (x) n -> <m_-1|n_-1> R2 . nu^-2(n_0) (x) R1 . mu^-2(m_0)."""
-    ctx.require_valid()
-    ctx.require_dimodule(m)
-    ctx.require_dimodule(n)
-    return BraidOperator((m, n), _braiding(ctx, m, n, _mu2_inverse(m), _mu2_inverse(n)).matrix())
+    (c,) = _braidings(ctx, (m, n))
+    return BraidOperator((m, n), Matrix.from_int_columns(*c, n.dim * m.dim))
 
 
 def _mu2_inverse(*factors):
@@ -140,9 +132,7 @@ def _acted(ctx, m, n, *twist):
 def long_braiding_inverse(ctx, m, n):
     """The inverse N (x) M -> M (x) N,
     n (x) m -> <S_B^-1(m_-1)|n_-1> S_H(R1) . mu^-2(m_0) (x) R2 . nu^-2(n_0)."""
-    ctx.require_valid()
-    ctx.require_dimodule(m)
-    ctx.require_dimodule(n)
+    ctx.require(m, n)
     steps = (_paired(ctx, m, n, ctx.B.antipode.inv())
              + [(_mu2_inverse(n), "y"), (_mu2_inverse(m), "x")]
              + _acted(ctx, m, n, ctx.H.antipode))
@@ -162,10 +152,8 @@ def _braidings(ctx, *pairs):
     """long_braiding of each pair, as int columns.  Each object is checked,
     and its mu^-2 built, once; a pair of the same two objects as an earlier
     one shares its columns."""
-    ctx.require_valid()
     objects = {id(t): t for pair in pairs for t in pair}
-    for t in objects.values():
-        ctx.require_dimodule(t)
+    ctx.require(*objects.values())
     mu2i = {key: _mu2_inverse(t) for key, t in objects.items()}
     built = {}
     for m, n in pairs:
@@ -228,8 +216,7 @@ def hb_yd_structure(ctx, m):
     """Yetter-Drinfeld structure over H (x) B induced on a dimodule:
     (h (x) x) . m = <x|m_-1> a^-3(h) . mu^-1(m_0) and
     rho(m) = R2 (x) b^-3(m_-1) (x) R1 . mu^-1(m_0)."""
-    ctx.require_valid()
-    ctx.require_dimodule(m)
+    ctx.require(m)
     ai, bi, mui = (ctx.H.gamma.inv(), "h"), (ctx.B.gamma.inv(), "p"), (m.mu.inv(), "m")
     act = compose(dict(h=ctx.H.dim, x=ctx.B.dim, m=m.dim),
                   [(m.coaction, "m -> p m"), (ctx.form, "x p ->"), ai, ai, ai, mui,
@@ -251,17 +238,22 @@ def check_braiding_compatibility(ctx, m, n):
 
 def module_as_dimodule(h, m, b):
     """A module becomes a dimodule under the unit coaction rho(x) = 1_B (x) nu(x)."""
+    if m.over != h.algebra:
+        raise MismatchedBase("module lives over another algebra than H")
     return HomLongDimodule(h, b, m.dim, m.action, unit_coaction(b, m.nu), m.nu, m.basis)
 
 
 def comodule_as_dimodule(b, m, h):
     """A comodule becomes a dimodule under the counit action h.x = eps(h) mu(x)."""
+    if m.over != b.coalgebra:
+        raise MismatchedBase("comodule lives over another coalgebra than B")
     return HomLongDimodule(h, b, m.dim, counit_action(h, m.mu), m.coaction, m.mu, m.basis)
 
 
 def module_family_braiding(ctx, m, n):
     """Restricted braiding on unit-coaction dimodules:
     m (x) n -> R2 . nu^-1(n) (x) R1 . mu^-1(m)."""
+    ctx.require(m, n)
     return compose(dict(x=m.dim, y=n.dim), [(m.mu.inv(), "x"), (n.mu.inv(), "y")]
                    + _acted(ctx, m, n), "y x").matrix()
 
@@ -269,6 +261,7 @@ def module_family_braiding(ctx, m, n):
 def comodule_family_braiding(ctx, m, n):
     """Restricted braiding on counit-action dimodules:
     m (x) n -> <m_-1|n_-1> nu^-1(n_0) (x) mu^-1(m_0)."""
+    ctx.require(m, n)
     return compose(dict(x=m.dim, y=n.dim), _paired(ctx, m, n)
                    + [(m.mu.inv(), "x"), (n.mu.inv(), "y")], "y x").matrix()
 
@@ -277,7 +270,7 @@ def check_symmetry(ctx, m, n, diagnose=False):
     """C_{N,M} o C_{M,N} = id, available when the context is triangular and
     cotriangular; diagnose mode computes the composite regardless but flags
     the unmet hypothesis."""
-    ctx.require_valid()
+    ctx.require()
     hypothesis = ctx.triangular and ctx.cotriangular
     if not hypothesis and not diagnose:
         raise InvalidContext("symmetry needs verified triangular and cotriangular flags")

@@ -193,7 +193,7 @@ class Matrix:
                           (move_legs(cols, (self.cols,), (self.rows,), (1,), (0,)), scale))
 
     def is_identity(self):
-        return self == Matrix.identity(self.rows)
+        return self.rows == self.cols and _is_identity(self._sparse)
 
     def det(self):
         """The exact determinant, computed once."""
@@ -586,7 +586,7 @@ def _fold(steps):
         carried = held
         if not foldable:
             out.append(step)
-        elif not (folded and _is_identity(step)):
+        elif not (folded and step[5] == step[6] and _is_identity(step[0])):
             carried.append(step)
     return out + carried
 
@@ -602,11 +602,14 @@ def _one_entry_per_column(cols):
     return len(rows) == sum(map(bool, cols))
 
 
-def _is_identity(step):
-    """Whether a one-entry-per-column step composed by _fold is the
-    identity: every column j is [(j, scale)] and it keeps its legs' dims."""
-    (cols, scale), ins, outs = step[0], step[5], step[6]
-    return ins == outs and all(c and c[0] == (j, scale) for j, c in enumerate(cols))
+def _is_identity(m):
+    """Whether the int columns m = (cols, scale) are the identity: every
+    column j is [(j, scale)]."""
+    cols, scale = m
+    for j, c in enumerate(cols):
+        if len(c) != 1 or c[0] != (j, scale):
+            return False
+    return True
 
 
 def _fold_into(carried, step):

@@ -162,7 +162,9 @@ def _morphism_identities(m, n, f):
 
 def dimodule_morphism_report(m, n, f):
     """H-linearity, B-colinearity and structure-map commutation of f: m -> n,
-    each checked column by column."""
+    each checked column by column; m and n live over one pair (H, B)."""
+    if base_parts(m) != base_parts(n):
+        raise MismatchedBase("morphism between dimodules over different algebra pairs")
     return AxiomReport().record(*_morphism_identities(m, n, f))
 
 

@@ -27,8 +27,9 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .linalg import (Composite, DimensionMismatch, Matrix, Tensor3, coproduct_columns, first_key,
-                     insert_columns, layout, move_legs, pair_columns, sparse_columns, unflat_index)
+from .linalg import (Composite, DimensionMismatch, Matrix, Tensor3, _is_identity,
+                     coproduct_columns, first_key, insert_columns, layout, move_legs,
+                     pair_columns, sparse_columns, unflat_index)
 
 
 class Check(NamedTuple):
@@ -207,16 +208,6 @@ def _plan(compiled, side, dims):
         plan.append((m,) + step[3:])
         scale *= m[1]
     return Composite((plan, compiled[2], scale), dims)
-
-
-def _is_identity(m):
-    """Whether the int columns m = (cols, scale) are the identity: every
-    column j is [(j, scale)]."""
-    cols, scale = m
-    for j, c in enumerate(cols):
-        if len(c) != 1 or c[0] != (j, scale):
-            return False
-    return True
 
 
 @functools.lru_cache(maxsize=1024)

@@ -6,7 +6,7 @@ from homlong import fixtures as fx, linalg
 from homlong.linalg import Matrix
 from homlong.homstruct import tensor_hopf
 from homlong.repmod import check_yd, validate_hom_comodule, validate_hom_module
-from homlong.longdimod import (canonical_dimodule, trivial_dimodule,
+from homlong.longdimod import (MismatchedBase, canonical_dimodule, trivial_dimodule,
                                validate_long_dimodule)
 from homlong.braidcat import (BraidingContext, DimoduleMorphism, InvalidContext,
                               NotAMorphism, check_braid_morphism,
@@ -352,3 +352,33 @@ def test_triangular_flags_of_the_validators(kz2):
     assert not validate_quasitriangular(kz2, Matrix([[0, 1], [0, 0]])).ok
     q2 = validate_quasitriangular(fx.klein_hopf(), fx.klein_rmatrix())
     assert q2.ok and not q2.flags["triangular"]
+
+
+FAMILY_BRAIDINGS = [module_family_braiding, comodule_family_braiding]
+
+
+@pytest.mark.parametrize("braiding", FAMILY_BRAIDINGS)
+def test_family_braidings_refuse_a_failing_context(kz2, dimodules, braiding):
+    # over kz2, this R fails QHA1-QHA3 and this form CHA1-CHA2
+    bad = BraidingContext(kz2, Matrix([[1, 1], [1, -1]]), kz2, Matrix([[1, 1], [1, 0]]))
+    with pytest.raises(InvalidContext, match="^context axioms fail: QHA1, QHA2, QHA3, CHA1, CHA2$"):
+        braiding(bad, dimodules["sign"], dimodules["sign"])
+
+
+@pytest.mark.parametrize("braiding", FAMILY_BRAIDINGS)
+def test_family_braidings_refuse_a_dimodule_over_another_pair(kz4t, kz2, braiding):
+    ctx2 = BraidingContext(kz4t, fx.trivial_rmatrix(kz4t), kz2, fx.kz2_form())
+    ours, klein = trivial_dimodule(kz4t, kz2), trivial_dimodule(fx.klein_hopf(), kz2)
+    assert braiding(ctx2, ours, ours) == Matrix([[1]])
+    for m, n in ((klein, ours), (ours, klein)):
+        with pytest.raises(MismatchedBase, match="dimodule lives over a different algebra pair"):
+            braiding(ctx2, m, n)
+
+
+def test_as_dimodule_refuses_a_carrier_over_another_structure(kz4t, kz2):
+    # Klein and kz4t have the same dimension, so only the check tells them apart
+    klein = fx.klein_hopf()
+    with pytest.raises(MismatchedBase, match="module lives over another algebra than H"):
+        module_as_dimodule(klein, fx.trivial_module(kz4t), kz2)
+    with pytest.raises(MismatchedBase, match="comodule lives over another coalgebra than B"):
+        comodule_as_dimodule(klein, fx.regular_comodule(kz4t), kz2)

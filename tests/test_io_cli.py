@@ -1439,6 +1439,26 @@ def test_a_context_with_a_singular_antipode_exits_2(files, monkeypatch, capsys, 
     assert not (files / "out.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "ybe", "-U", "sign.json", "-V", "sign.json", "-W", "sign.json"],
+    ["check", "symmetry", "-M", "sign.json", "-N", "sign.json"],
+    ["build", "braid", "-M", "sign.json", "-N", "sign.json", "-o", "out.json"],
+])
+def test_a_context_whose_axioms_fail_exits_2(files, monkeypatch, capsys, argv):
+    # over kz2, R = [[1, 1], [1, -1]] fails QHA1-QHA3 and the form is valid
+    monkeypatch.chdir(files)
+    hio.dump_json(dict(kind="context", H="kz2.json", B="kz2.json", R=[[1, 1], [1, -1]]),
+                  files / "badr.json")
+    argv = argv[:2] + ["--ctx", "badr.json"] + argv[2:]
+    message = "context axioms fail: QHA1, QHA2, QHA3"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert main(["--format", "json"] + argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == message and report["exit_code"] == 2
+    assert not (files / "out.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # one braiding per repeated pair
 

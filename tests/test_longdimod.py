@@ -396,3 +396,10 @@ def test_carriers_check_their_shapes(kz2, field, carrier):
     with pytest.raises(DimensionMismatch, match=re.escape(message)):
         make(kz2, 1, *[bad if f == field else parts[f] for f in fields])
     assert make(kz2, 1, *[parts[f] for f in fields]).basis == ("m0",)
+
+
+def test_morphism_report_refuses_dimodules_over_two_pairs(kz4t, kz2):
+    m, n = trivial_dimodule(kz4t, kz2), trivial_dimodule(fx.klein_hopf(), kz2)
+    assert dimodule_morphism_report(m, m, Matrix.identity(1)).ok
+    with pytest.raises(MismatchedBase):
+        dimodule_morphism_report(m, n, Matrix.identity(1))

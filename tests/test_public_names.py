@@ -3,10 +3,11 @@ dropped shows up in review: 79 names and the seven submodules the package
 imports.  The public names of homlong.linalg and of its Matrix and Tensor3
 are pinned the same way, so that a view or entry point added back shows up
 too, and so are those of homlong.report and its Identity, so that a report
-helper beside Identity shows up.  Beside linalg, only report may name
-Composite, layout or first_key, so no other module places leg steps by
-hand, and only io.json_text writes indented JSON, so no second writer
-decides the format of a report or a written file."""
+helper beside Identity shows up, and those of a BraidingContext, whose one
+require checks every braiding's hypotheses.  Beside linalg, only report
+may name Composite, layout or first_key, so no other module places leg
+steps by hand, and only io.json_text writes indented JSON, so no second
+writer decides the format of a report or a written file."""
 
 import ast
 import json
@@ -160,3 +161,13 @@ def test_report_names_are_pinned():
                    if not isinstance(v, types.ModuleType)) == REPORT_NAMES
     assert _public(dir(report.Identity)) == IDENTITY_ATTRIBUTES
     assert report.Identity._fields == ("axiom", "names_in", "lhs", "rhs", "names_out")
+
+
+# the context's data, its reports decided at first use, and the one check
+# every braiding makes
+BRAIDING_CONTEXT_ATTRIBUTES = ["B", "H", "R", "cotriangular", "form", "reports", "require",
+                               "triangular", "valid"]
+
+
+def test_braiding_context_names_are_pinned(ctx):
+    assert _public(dir(ctx)) == BRAIDING_CONTEXT_ATTRIBUTES
