@@ -19,7 +19,7 @@ from .linalg import DimensionMismatch, SingularMatrix
 from .report import AxiomReport, Check
 from . import io as hio
 from .io import FileFormatError
-from .homstruct import (HomStructure, NotAutomorphism,
+from .homstruct import (HomStructure, NotAutomorphism, tensor_basis,
                         validate_hom_algebra, validate_hom_coalgebra, validate_all,
                         validate_quasitriangular, validate_coquasitriangular, yau_twist)
 from .repmod import (HomModule, HomComodule, YetterDrinfeldModule,
@@ -28,8 +28,7 @@ from .longdimod import (HomLongDimodule, MismatchedBase, AntipodeNotInvertible,
                         validate_long_dimodule, tensor_dimodule, left_dual,
                         right_dual, check_snake, check_coherence, to_smash_module,
                         from_smash_module)
-from .longeq import (OperatorOnTensorSquare, ZeroDiagonal,
-                     SearchSpaceTooLarge, check_long_equation,
+from .longeq import (ZeroDiagonal, SearchSpaceTooLarge, check_long_equation,
                      validate_halpha_dimodule, dimodule_solution, module_extension,
                      comodule_extension, search_solutions)
 from .braidcat import (InvalidContext, NotAMorphism, long_braiding,
@@ -148,10 +147,8 @@ def cmd_validate(args, report, files):
         _check_yd_module(report, s)
     elif isinstance(s, HomLongDimodule):
         report.extend(validate_long_dimodule(s))
-    elif isinstance(s, OperatorOnTensorSquare):
-        _check_operator(report, s)
     else:
-        raise FileFormatError("nothing to validate", args.file)
+        _check_operator(report, s)
     return report
 
 
@@ -196,8 +193,8 @@ def _build_braid(report, ctx, m, n):
     report.extend(check_braid_morphism(op))
     return {
         "kind": "braid-operator",
-        "rows": ["%s⊗%s" % (a, b) for a in n.basis for b in m.basis],
-        "cols": ["%s⊗%s" % (a, b) for a in m.basis for b in n.basis],
+        "rows": list(tensor_basis(n.basis, m.basis)),
+        "cols": list(tensor_basis(m.basis, n.basis)),
         "matrix": hio.matrix_json(op.matrix),
     }
 

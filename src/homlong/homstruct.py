@@ -12,6 +12,9 @@ legs they read (a unit and R are elements inserted, a counit and a form
 covectors paired away), and each construction a report.compose of such
 steps.  A failure's witness is an input basis tuple for an identity
 between maps, an output coordinate for one between elements.
+require_shape is the one shape check of every map the library takes: a
+map of the wrong shape or kind is refused where it enters, in the one text
+"<name> is <got>, expected <shape>".
 """
 
 from dataclasses import dataclass, replace
@@ -31,6 +34,16 @@ def fit_basis(s, prefix="e"):
         object.__setattr__(s, "basis", tuple("%s%d" % (prefix, i) for i in range(s.dim)))
     elif len(s.basis) != s.dim:
         raise DimensionMismatch("%d basis names for dim %d" % (len(s.basis), s.dim))
+
+
+def require_shape(m, shape, name):
+    """Refuse the map m, named name, unless it reads as shape: a Tensor3 by
+    its dims, any other Matrix by (rows, cols), so that a map of the wrong
+    kind is refused too."""
+    got = m.dims if isinstance(m, Tensor3) else (m.rows, m.cols)
+    if got != shape:
+        raise DimensionMismatch("%s is %s, expected %s"
+                                % (name, "x".join(map(str, got)), "x".join(map(str, shape))))
 
 
 @dataclass(frozen=True)
@@ -55,16 +68,10 @@ class HomStructure:
             raise DimensionMismatch("a structure needs gamma, and mult or comult")
         if self.antipode is not None and not (has_alg and has_coalg):
             raise DimensionMismatch("an antipode needs both mult and comult")
-        for name, t in (("mult", self.mult), ("comult", self.comult)):
-            if t is not None and t.dims != (n, n, n):
-                raise DimensionMismatch("%s tensor %r for dim %d" % (name, t.dims, n))
-        for name, v in (("unit", self.unit), ("counit", self.counit)):
-            if v is not None and (v.rows, v.cols) != (n, 1):
-                shape = "dim %d" % v.rows if v.cols == 1 else "shape %dx%d" % (v.rows, v.cols)
-                raise DimensionMismatch("%s has %s for dim %d" % (name, shape, n))
-        for name, m in (("gamma", self.gamma), ("antipode", self.antipode)):
-            if m is not None and (m.rows != n or m.cols != n):
-                raise DimensionMismatch("%s is %dx%d for dim %d" % (name, m.rows, m.cols, n))
+        for name, shape in (("mult", (n, n, n)), ("comult", (n, n, n)), ("unit", (n, 1)),
+                            ("counit", (n, 1)), ("gamma", (n, n)), ("antipode", (n, n))):
+            if getattr(self, name) is not None:
+                require_shape(getattr(self, name), shape, name)
         fit_basis(self)
 
     @property
@@ -172,8 +179,7 @@ def yau_twist(h, phi):
     n = h.dim
     if not h.gamma.is_identity():
         raise NotAutomorphism("twist base must carry the identity structure map")
-    if phi.rows != n or phi.cols != n:
-        raise DimensionMismatch("phi is %dx%d for dim %d" % (phi.rows, phi.cols, n))
+    require_shape(phi, (n, n), "phi")
     if phi.det() == 0:
         raise NotAutomorphism("phi is not invertible")
     mult, co, eps, u, legs = h.mult, h.comult, h.counit, h.unit, dict(a=n, b=n)
@@ -261,8 +267,7 @@ def validate_quasitriangular(h, r):
     reported as the convolution-invertible flag.
     """
     n = h.dim
-    if r.rows != n or r.cols != n:
-        raise DimensionMismatch("R is %dx%d on a dim-%d algebra" % (r.rows, r.cols, n))
+    require_shape(r, (n, n), "R")
     mult, co, be, u, names = h.mult, h.comult, h.gamma, h.unit, h.basis
     rep = AxiomReport().record(
         Identity("QHA1", (), {"eps(R1)R2": [(r, "-> a b"), (h.counit, "a ->")],
@@ -311,8 +316,7 @@ def validate_coquasitriangular(b, form):
     """CHA1-CHA5 plus the cotriangularity test on a bilinear form, column by
     column."""
     n = b.dim
-    if form.rows != n or form.cols != n:
-        raise DimensionMismatch("form is %dx%d on a dim-%d algebra" % (form.rows, form.cols, n))
+    require_shape(form, (n, n), "form")
     mult, co, be, eps, names = b.mult, b.comult, b.gamma, b.counit, b.basis
     hg, hgl = dict(h=names, g=names), dict(h=names, g=names, l=names)
     return AxiomReport().record(

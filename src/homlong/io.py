@@ -7,14 +7,15 @@ relative to the referencing file.  The five carrier kinds, modules to
 dimodules, are read and written from one table, _CARRIERS.  A tensor is
 read once, into the int columns of its product-like map; its other reading
 is those columns with their legs moved (linalg.move_legs).  A Files object
-lets one command read each file, and build each structure in it, once.
+lets one command read each file, and build each structure in it, once;
+_built builds each, so a shape refusal names the file it came from.
 json_text, one json.dumps call, is the one JSON writer.
 """
 
 import json
 import os
 
-from .linalg import Matrix, Tensor3, DimensionMismatch, scalar
+from .linalg import Matrix, Tensor3, DimensionMismatch, LinalgError, scalar
 from .homstruct import HomStructure
 from .repmod import HomModule, HomComodule, YetterDrinfeldModule
 from .longdimod import HomLongDimodule
@@ -31,6 +32,15 @@ class FileFormatError(Exception):
 
 def _ctx(where, what):
     return "%s (%s)" % (what, where)
+
+
+def _built(where, make, *args, **kwargs):
+    """make(*args, **kwargs), a structure a file holds; a LinalgError (a
+    map of the wrong shape) is refused as the FileFormatError naming where."""
+    try:
+        return make(*args, **kwargs)
+    except LinalgError as exc:
+        raise FileFormatError(_ctx(where, str(exc)))
 
 
 def load_scalar(v, where="scalar"):
@@ -185,26 +195,21 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
     gamma = load_matrix(obj["gamma"], where + ".gamma") if "gamma" in obj \
         else Matrix.identity(dim)
     parts = {}
-    try:
-        if kind != "hom-coalgebra":
-            if "mult" not in obj or "unit" not in obj:
-                raise FileFormatError(_ctx(where, "algebra needs 'mult' and 'unit'"))
-            parts.update(mult=load_tensor3(obj["mult"], where + ".mult"),
-                         unit=load_vector(obj["unit"], where + ".unit"))
-        if kind != "hom-algebra":
-            if "comult" not in obj or "counit" not in obj:
-                raise FileFormatError(_ctx(where, "coalgebra needs 'comult' and 'counit'"))
-            parts.update(comult=load_tensor3(obj["comult"], where + ".comult"),
-                         counit=load_vector(obj["counit"], where + ".counit"))
-        if kind == "hom-hopf":
-            if "antipode" not in obj:
-                raise FileFormatError(_ctx(where, "hom-hopf needs 'antipode'"))
-            parts["antipode"] = load_matrix(obj["antipode"], where + ".antipode")
-        return HomStructure(dim, gamma, basis=basis, **parts)
-    except FileFormatError:
-        raise
-    except Exception as exc:
-        raise FileFormatError(_ctx(where, str(exc)))
+    if kind != "hom-coalgebra":
+        if "mult" not in obj or "unit" not in obj:
+            raise FileFormatError(_ctx(where, "algebra needs 'mult' and 'unit'"))
+        parts.update(mult=load_tensor3(obj["mult"], where + ".mult"),
+                     unit=load_vector(obj["unit"], where + ".unit"))
+    if kind != "hom-algebra":
+        if "comult" not in obj or "counit" not in obj:
+            raise FileFormatError(_ctx(where, "coalgebra needs 'comult' and 'counit'"))
+        parts.update(comult=load_tensor3(obj["comult"], where + ".comult"),
+                     counit=load_vector(obj["counit"], where + ".counit"))
+    if kind == "hom-hopf":
+        if "antipode" not in obj:
+            raise FileFormatError(_ctx(where, "hom-hopf needs 'antipode'"))
+        parts["antipode"] = load_matrix(obj["antipode"], where + ".antipode")
+    return _built(where, HomStructure, dim, gamma, basis=basis, **parts)
 
 
 def algebra_to_json(h):
@@ -281,11 +286,12 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
                 for key, part in algebras]
         dim = _int_field(obj, "dim", where)
         args += [dim] + [load(obj[key], where + "." + key) for key, load in maps]
-        return make(*args, load_basis(obj, dim, where))
+        return _built(where, make, *args, load_basis(obj, dim, where))
     if kind == "operator":
         n = _int_field(obj, "n", where)
-        return OperatorOnTensorSquare(n, load_matrix(obj["matrix"], where + ".matrix"),
-                                      load_matrix(obj["mu"], where + ".mu"))
+        return _built(where, OperatorOnTensorSquare, n,
+                      load_matrix(obj["matrix"], where + ".matrix"),
+                      load_matrix(obj["mu"], where + ".mu"))
     raise FileFormatError(_ctx(where, "unknown kind %r" % (kind,)))
 
 

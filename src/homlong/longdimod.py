@@ -11,7 +11,8 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 from dataclasses import dataclass, replace
 
 from .linalg import Matrix, Tensor3, DimensionMismatch, move_legs, pair_columns, per_leg_matrix
-from .homstruct import HomStructure, dual_hopf, opposite_algebra, tensor_algebra, tensor_basis
+from .homstruct import (HomStructure, dual_hopf, opposite_algebra, require_shape,
+                        tensor_algebra, tensor_basis)
 from .repmod import (HomModule, HomComodule, check_carrier, validate_hom_module,
                      validate_hom_comodule)
 from .report import AxiomReport, Identity, compose
@@ -147,9 +148,7 @@ def associator_legs(u, w, legs, inverse=False):
 
 def _morphism_identities(m, n, f):
     """H-linearity, B-colinearity and structure-map commutation of f: m -> n."""
-    if f.rows != n.dim or f.cols != m.dim:
-        raise DimensionMismatch("a %dx%d map from dim %d to dim %d"
-                                % (f.rows, f.cols, m.dim, n.dim))
+    require_shape(f, (n.dim, m.dim), "morphism")
     names = dict(x=m.basis)
     return (Identity("H-linear", dict(h=m.H.basis, x=m.basis),
                      [(m.action, "h x -> x"), (f, "x -> y")],
@@ -329,9 +328,7 @@ def from_smash_module(n, h, b):
     """Recover the dimodule: h.m = (eps_B (x) h) . m and
     m_-1 (x) m_0 = sum_i b_i (x) (f^i (x) 1_H) . m."""
     nh, nb, d = h.dim, b.dim, n.dim
-    if n.over.dim != nh * nb:
-        raise DimensionMismatch("module is over a dim-%d algebra, expected %d"
-                                % (n.over.dim, nh * nb))
+    require_shape(n.action, (nh * nb, d, d), "action")
     act = compose(dict(h=nh, x=d), [(b.counit, "-> f"), (n.action, "f h x -> x")], "x").product()
     # the element sum_i b_i (x) f^i, then 1_H, acting as (f^i (x) 1_H) on m
     co = compose(dict(x=d), [(Matrix.identity(nb), "-> c f"), (h.unit, "-> h"),

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .linalg import (Matrix, DimensionMismatch, SingularMatrix, int_columns, move_legs,
                      per_leg_matrix, scalar, sparse_columns, ZERO)
-from .homstruct import tensor_basis
+from .homstruct import require_shape, tensor_basis
 from .longdimod import HomLongDimodule, h_tensor_parts, validate_long_dimodule
 from .report import AxiomReport, Identity, compose
 
@@ -76,12 +76,8 @@ class OperatorOnTensorSquare:
 
     def __post_init__(self):
         n = self.carrier_dim
-        if self.matrix.rows != n * n or self.matrix.cols != n * n:
-            raise DimensionMismatch("operator matrix is %dx%d for carrier dim %d"
-                                    % (self.matrix.rows, self.matrix.cols, n))
-        if self.structure_map.rows != n or self.structure_map.cols != n:
-            raise DimensionMismatch("structure map is %dx%d for carrier dim %d"
-                                    % (self.structure_map.rows, self.structure_map.cols, n))
+        require_shape(self.matrix, (n * n, n * n), "operator matrix")
+        require_shape(self.structure_map, (n, n), "structure map")
 
     def first_failing_triple(self):
         """The first basis triple (u, v, w) on which (R (x) mu)(mu (x) R) and
@@ -225,13 +221,10 @@ def check_invertible_iff(op):
     if op.matrix.det() == 0:
         raise SingularMatrix("operator is not invertible")
     inv = OperatorOnTensorSquare(op.carrier_dim, op.matrix.inv(), op.structure_map)
-    rep = AxiomReport()
-    r_ok = op.first_failing_triple() is None
-    i_ok = inv.first_failing_triple() is None
-    rep.add("R-longeq", r_ok)
-    rep.add("Rinv-longeq", i_ok)
-    rep.set_flag("iff-consistent", r_ok == i_ok)
-    return rep
+    r_wit, i_wit = op.first_failing_triple(), inv.first_failing_triple()
+    rep = AxiomReport().add("R-longeq", r_wit is None, r_wit)
+    rep.add("Rinv-longeq", i_wit is None, i_wit)
+    return rep.set_flag("iff-consistent", (r_wit is None) == (i_wit is None))
 
 
 def diagonal_solution(a, b):
@@ -241,17 +234,9 @@ def diagonal_solution(a, b):
     if any(x == 0 for x in entries):
         raise ZeroDiagonal("structure map entries must be nonzero")
     n = len(entries)
-    if b.rows != n or b.cols != n:
-        raise DimensionMismatch("coefficient matrix is %dx%d for dim %d"
-                                % (b.rows, b.cols, n))
-    # b_ij is entry (i, j) of b, in its column j, and lands in column i n + j
-    cols, scale = sparse_columns(b)
-    diag = [[] for _ in range(n * n)]
-    for j, col in enumerate(cols):
-        for i, x in col:
-            diag[i * n + j].append((i * n + j, x))
-    mat = Matrix.from_int_columns(diag, scale, n * n)
-    return OperatorOnTensorSquare(n, mat, Matrix.diagonal(entries))
+    require_shape(b, (n, n), "coefficient matrix")
+    r = Matrix.diagonal([b[i, j] for i in range(n) for j in range(n)])
+    return OperatorOnTensorSquare(n, r, Matrix.diagonal(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +250,9 @@ def coords_to_operator(x, z):
 
 
 def _structure_inverse(z):
-    """mu^-1, kept by the Matrix; a singular mu is refused as a structure
-    map."""
+    """mu^-1, kept by the Matrix; a mu that is not square or is singular is
+    refused as a structure map."""
+    require_shape(z, (z.rows, z.rows), "structure map")
     try:
         return z.inv()
     except SingularMatrix:
@@ -485,6 +471,7 @@ def search_solutions(mu, coefficient_set, shape):
     visited.  A 0x0 structure map is refused with DimensionMismatch.
     """
     n = mu.rows
+    require_shape(mu, (n, n), "structure map")
     if n == 0:
         raise DimensionMismatch("structure map is 0x0; the search needs a carrier")
     if mu.det() == 0:

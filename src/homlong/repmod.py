@@ -17,7 +17,7 @@ Every axiom is a report.Identity on named legs.
 from dataclasses import dataclass
 
 from .linalg import Matrix, Tensor3, DimensionMismatch
-from .homstruct import HomStructure, fit_basis
+from .homstruct import HomStructure, fit_basis, require_shape
 from .report import AxiomReport, Check, Identity, compose
 
 
@@ -79,13 +79,9 @@ def check_carrier(m, mu, acting=None, coacting=None):
             continue
         if getattr(s, part) is None:
             raise DimensionMismatch("%s needs %s, not a %s" % (side, part, s.kind))
-        dims = getattr(m, name).dims
-        if dims != ((s.dim, n, n) if name == "action" else (n, s.dim, n)):
-            raise DimensionMismatch("%s dims %r for %s dim %d, carrier dim %d"
-                                    % (name, dims, side, s.dim, n))
-    if mu.rows != n or mu.cols != n:
-        raise DimensionMismatch("structure map is %dx%d on a dim-%d carrier"
-                                % (mu.rows, mu.cols, n))
+        require_shape(getattr(m, name), (s.dim, n, n) if name == "action" else (n, s.dim, n),
+                      name)
+    require_shape(mu, (n, n), "structure map")
     fit_basis(m, "m")
 
 

@@ -5,7 +5,10 @@ import pytest
 
 from homlong import fixtures as fx
 from homlong.linalg import DimensionMismatch, Matrix, Tensor3
-from homlong.longdimod import base_parts
+from homlong.longdimod import (base_parts, dimodule_morphism_report, from_smash_module,
+                               to_smash_module)
+from homlong.longeq import (OperatorOnTensorSquare, coordinate_criterion, coords_to_operator,
+                            diagonal_solution, search_solutions)
 from homlong.homstruct import (NotAutomorphism,
                                opposite_algebra, dual_hopf, tensor_hopf,
                                validate_all, validate_coquasitriangular,
@@ -106,20 +109,74 @@ def test_projections_of_equal_structures_are_equal_and_hash_equally(kz2):
     (dict(gamma=None), "needs gamma"),
     (dict(mult=None, unit=None), "antipode needs both"),
     (dict(comult=None, counit=None), "antipode needs both"),
-    (dict(mult=Tensor3.from_function(2, 2, 3, lambda i, j, k: 0)), "mult tensor (2, 2, 3)"),
+    (dict(mult=Tensor3.from_function(2, 2, 3, lambda i, j, k: 0)),
+     "mult is 2x2x3, expected 2x2x2"),
     (dict(comult=Tensor3.from_function(3, 2, 2, lambda i, j, k: 0)),
-     "comult tensor (3, 2, 2)"),
-    (dict(unit=Matrix([[1], [0], [0]])), "unit has dim 3 for dim 2"),
-    (dict(counit=Matrix([[1]])), "counit has dim 1"),
-    (dict(unit=Matrix.identity(2)), "unit has shape 2x2 for dim 2"),
-    (dict(counit=Matrix([[1, 1]])), "counit has shape 1x2 for dim 2"),
+     "comult is 3x2x2, expected 2x2x2"),
+    (dict(unit=Matrix([[1], [0], [0]])), "unit is 3x1, expected 2x1"),
+    (dict(counit=Matrix([[1]])), "counit is 1x1, expected 2x1"),
+    (dict(unit=Matrix.identity(2)), "unit is 2x2, expected 2x1"),
+    (dict(counit=Matrix([[1, 1]])), "counit is 1x2, expected 2x1"),
     (dict(gamma=Matrix.identity(3)), "gamma is 3x3"),
     (dict(antipode=Matrix.zeros(2, 3)), "antipode is 2x3"),
+    # a map of the wrong kind: a Tensor3 for a Matrix, a Matrix for a Tensor3
+    (dict(gamma=Tensor3.zeros(1, 2, 2)), "gamma is 1x2x2, expected 2x2"),
+    (dict(unit=Tensor3.zeros(1, 1, 2)), "unit is 1x1x2, expected 2x1"),
+    (dict(mult=Matrix.zeros(2, 4)), "mult is 2x4, expected 2x2x2"),
     (dict(basis=("1",)), "1 basis names for dim 2"),
 ])
 def test_structure_refuses_incomplete_or_misshaped_fields(kz2, change, message):
     with pytest.raises(DimensionMismatch, match=re.escape(message)):
         replace(kz2, **change)
+
+
+ZERO_COORDS = [[[[0] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
+
+# each entry point that takes a map, beyond a structure's own maps (above)
+# and a carrier's (test_longdimod.MISFITS), given one of the wrong shape or
+# of the wrong kind (a Tensor3 for a Matrix), and its one refusal text
+SHAPE_REFUSALS = {
+    "phi": (lambda kz2: yau_twist(fx.kz4(), Matrix.identity(3)), "phi is 3x3, expected 4x4"),
+    "phi-kind": (lambda kz2: yau_twist(fx.kz4(), Tensor3.zeros(2, 2, 4)),
+                 "phi is 2x2x4, expected 4x4"),
+    "R": (lambda kz2: validate_quasitriangular(kz2, Matrix.zeros(2, 3)), "R is 2x3, expected 2x2"),
+    "R-kind": (lambda kz2: validate_quasitriangular(kz2, Tensor3.zeros(1, 2, 2)),
+               "R is 1x2x2, expected 2x2"),
+    "form": (lambda kz2: validate_coquasitriangular(kz2, Matrix.zeros(3, 2)),
+             "form is 3x2, expected 2x2"),
+    "morphism": (lambda kz2: dimodule_morphism_report(fx.sign_dimodule(), fx.sign_dimodule(),
+                                                      Matrix.zeros(1, 2)),
+                 "morphism is 1x2, expected 1x1"),
+    "morphism-kind": (lambda kz2: dimodule_morphism_report(
+        fx.sign_dimodule(), fx.sign_dimodule(), Tensor3.zeros(1, 1, 1)),
+        "morphism is 1x1x1, expected 1x1"),
+    "smash-module": (lambda kz2: from_smash_module(to_smash_module(fx.sign_dimodule()), kz2,
+                                                   fx.kz4_twisted()),
+                     "action is 4x1x1, expected 8x1x1"),
+    "operator": (lambda kz2: OperatorOnTensorSquare(2, Matrix.identity(3), Matrix.identity(2)),
+                 "operator matrix is 3x3, expected 4x4"),
+    "operator-kind": (lambda kz2: OperatorOnTensorSquare(2, Tensor3.zeros(2, 2, 4),
+                                                         Matrix.identity(2)),
+                      "operator matrix is 2x2x4, expected 4x4"),
+    "operator-mu": (lambda kz2: OperatorOnTensorSquare(2, Matrix.identity(4), Matrix.zeros(2, 3)),
+                    "structure map is 2x3, expected 2x2"),
+    "diagonal": (lambda kz2: diagonal_solution([1, 2], Matrix.identity(3)),
+                 "coefficient matrix is 3x3, expected 2x2"),
+    "search-mu": (lambda kz2: search_solutions(Matrix.zeros(2, 3), [0, 1], "diagonal"),
+                  "structure map is 2x3, expected 2x2"),
+    "coords-mu": (lambda kz2: coords_to_operator(ZERO_COORDS, Matrix.zeros(2, 3)),
+                  "structure map is 2x3, expected 2x2"),
+    "criterion-mu": (lambda kz2: coordinate_criterion(ZERO_COORDS, ZERO_COORDS,
+                                                      Matrix.zeros(2, 3)),
+                     "structure map is 2x3, expected 2x2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_REFUSALS))
+def test_every_map_taking_entry_point_refuses_a_misshaped_map_in_one_text(kz2, case):
+    build, message = SHAPE_REFUSALS[case]
+    with pytest.raises(DimensionMismatch, match="^%s$" % re.escape(message)):
+        build(kz2)
 
 
 def test_base_parts_ignore_the_antipode(kz2):

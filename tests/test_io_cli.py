@@ -190,6 +190,27 @@ def test_a_ragged_tensor_names_its_file_and_field(tmp_path, capsys, key, ragged)
     assert report["error"] == message and report["exit_code"] == 2
 
 
+@pytest.mark.parametrize("source, name, key, value, message", [
+    ("canonical.json", "bad_dimod.json", "mu", [[1, 0, 0, 0]] * 3,
+     "structure map is 3x4, expected 4x4"),
+    ("canonical.json", "bad_action.json", "action", [[[0] * 4] * 4],
+     "action is 1x4x4, expected 2x4x4"),
+    ("flipop.json", "bad_op.json", "mu", [[1, 0, 0], [0, 2, 0]],
+     "structure map is 2x3, expected 2x2"),
+])
+def test_a_misshaped_map_names_its_file(files, capsys, source, name, key, value, message):
+    # a carrier or an operator is refused as an algebra is: the file named
+    obj = json.loads((files / source).read_text())
+    obj[key] = value
+    path = str(files / name)
+    hio.dump_json(obj, path)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == "error: %s (%s)\n" % (message, path)
+    assert main(["--format", "json", "validate", path]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "%s (%s)" % (message, path) and report["exit_code"] == 2
+
+
 def test_scalar_strings_round_trip(tmp_path):
     m = Matrix([["1/3", "-2/7"], [0, 5]])
     hio.dump_json({"kind": "operator", "n": 1, "mu": [[1]],

@@ -377,23 +377,28 @@ CARRIERS = {
     "hom-comodule": (HomComodule, ("coaction", "mu")),
 }
 
+# case -> (field, misfit map, refusal); a "-kind" case gives a Matrix for a
+# Tensor3 or a Tensor3 for a Matrix
 MISFITS = {
-    "action": (Tensor3.zeros(2, 1, 2), "action dims (2, 1, 2) for H dim 2, carrier dim 1"),
-    "coaction": (Tensor3.zeros(1, 4, 1), "coaction dims (1, 4, 1) for B dim 2, carrier dim 1"),
-    "mu": (Matrix.identity(2), "structure map is 2x2 on a dim-1 carrier"),
+    "action": ("action", Tensor3.zeros(2, 1, 2), "action is 2x1x2, expected 2x1x1"),
+    "coaction": ("coaction", Tensor3.zeros(1, 4, 1), "coaction is 1x4x1, expected 1x2x1"),
+    "mu": ("mu", Matrix.identity(2), "structure map is 2x2, expected 1x1"),
+    "action-kind": ("action", Matrix.identity(1), "action is 1x1, expected 2x1x1"),
+    "coaction-kind": ("coaction", Matrix.identity(1), "coaction is 1x1, expected 1x2x1"),
+    "mu-kind": ("mu", Tensor3.zeros(1, 1, 1), "structure map is 1x1x1, expected 1x1"),
 }
 
 
-@pytest.mark.parametrize("field, carrier", [
-    pytest.param(field, carrier, id="%s-%s" % (field, carrier))
-    for field in MISFITS for carrier in sorted(CARRIERS) if field in CARRIERS[carrier][1]])
-def test_carriers_check_their_shapes(kz2, field, carrier):
+@pytest.mark.parametrize("case, carrier", [
+    pytest.param(case, carrier, id="%s-%s" % (case, carrier)) for case in MISFITS
+    for carrier in sorted(CARRIERS) if MISFITS[case][0] in CARRIERS[carrier][1]])
+def test_carriers_check_their_shapes(kz2, case, carrier):
     # every kind refuses a misfit map with one message per map
     make, fields = CARRIERS[carrier]
     sd = fx.sign_dimodule()
     parts = dict(action=sd.action, coaction=sd.coaction, mu=sd.mu)
-    bad, message = MISFITS[field]
-    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+    field, bad, message = MISFITS[case]
+    with pytest.raises(DimensionMismatch, match="^%s$" % re.escape(message)):
         make(kz2, 1, *[bad if f == field else parts[f] for f in fields])
     assert make(kz2, 1, *[parts[f] for f in fields]).basis == ("m0",)
 

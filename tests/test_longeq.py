@@ -85,6 +85,17 @@ def test_invertible_iff():
         check_invertible_iff(singular)
 
 
+def test_invertible_iff_names_the_first_failing_triples():
+    # demo 08's flip over mu = diag(1, 2): R and R^-1 both fail, each at
+    # the triple its own operator keeps
+    op = OperatorOnTensorSquare(2, flip_matrix(2, 2), Matrix.diagonal([1, 2]))
+    rep = check_invertible_iff(op)
+    inv = OperatorOnTensorSquare(2, op.matrix.inv(), op.structure_map)
+    assert rep.check("R-longeq").witness == op.first_failing_triple() == (0, 0, 1)
+    assert rep.check("Rinv-longeq").witness == inv.first_failing_triple() == (0, 0, 1)
+    assert rep.flags["iff-consistent"]
+
+
 def test_coordinate_criterion_scalar_case():
     x = [[[[Fraction(3)]]]]
     y = [[[[Fraction(5)]]]]

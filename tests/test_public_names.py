@@ -7,7 +7,9 @@ helper beside Identity shows up, and those of a BraidingContext, whose one
 require checks every braiding's hypotheses.  Beside linalg, only report
 may name Composite, layout or first_key, so no other module places leg
 steps by hand, and only io.json_text writes indented JSON, so no second
-writer decides the format of a report or a written file."""
+writer decides the format of a report or a written file.  Beside linalg,
+no module compares a map's rows, cols or dims to raise DimensionMismatch:
+homstruct.require_shape is the one shape refusal of a map."""
 
 import ast
 import json
@@ -143,6 +145,31 @@ def test_only_json_text_writes_indented_json():
     # no file
     writers = set().union(*map(_indented_json_writers, (SRC / "homlong").glob("*.py")))
     assert writers == {("io", "json_text")}
+
+
+# what a map's shape is read from
+SHAPE_ATTRIBUTES = {"rows", "cols", "dims"}
+
+
+def _shape_refusals(path):
+    """(module, line) for each if in the file at path whose test reads one
+    of SHAPE_ATTRIBUTES and whose body raises DimensionMismatch."""
+    return {(path.stem, node.lineno) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.If)
+            and any(isinstance(a, ast.Attribute) and a.attr in SHAPE_ATTRIBUTES
+                    for a in ast.walk(node.test))
+            and any(isinstance(r, ast.Raise) and isinstance(r.exc, ast.Call)
+                    and getattr(r.exc.func, "id", None) == "DimensionMismatch"
+                    for stmt in node.body for r in ast.walk(stmt))}
+
+
+def test_require_shape_is_the_one_shape_refusal_beside_linalg():
+    # every other module hands a map and its expected shape to
+    # homstruct.require_shape, so a map is refused in one text, its kind
+    # checked with its shape
+    refusals = set().union(*(_shape_refusals(path) for path in (SRC / "homlong").glob("*.py")
+                             if path.stem != "linalg"))
+    assert refusals == set()
 
 
 REPORT_NAMES = [

@@ -39,7 +39,7 @@ def test_sign_module_wrong_nu(kz2):
 def test_module_shape_mismatch(kz2, kz4t):
     m = fx.sign_module()
     with pytest.raises(DimensionMismatch, match=re.escape(
-            "action dims (2, 1, 1) for H dim 4, carrier dim 1")):
+            "action is 2x1x1, expected 4x1x1")):
         replace(m, over=kz4t.algebra)
 
 
