@@ -9,20 +9,18 @@ pre-braiding restricts to the dimodule braiding on the nose.
 from homlong import fixtures as fx
 from homlong.braidcat import (BraidingContext, check_braiding_compatibility,
                               hb_yd_structure, long_braiding)
-from homlong.homstruct import tensor_hopf
 from homlong.repmod import check_yd, validate_hom_comodule, validate_hom_module, yd_prebraiding
 
 kz2 = fx.kz2()
 ctx = BraidingContext(kz2, fx.kz2_rmatrix(), kz2, fx.kz2_form())
-t = tensor_hopf(kz2, kz2)
 dims = fx.standard_dimodules()
 
 print("== induced Yetter-Drinfeld structures over H (x) B ==")
 for name, d in dims.items():
     yd = hb_yd_structure(ctx, d)
-    mod = validate_hom_module(yd.module_part()).ok
-    com = validate_hom_comodule(yd.comodule_part()).ok
-    hyd = check_yd(t, yd)
+    mod = validate_hom_module(yd).ok
+    com = validate_hom_comodule(yd).ok
+    hyd = check_yd(yd)
     print("%-10s module %s  comodule %s  (HYD) %s  cross-check agrees %s"
           % (name, mod, com, hyd.passed("HYD"), hyd.flags["hyd-consistent"]))
 

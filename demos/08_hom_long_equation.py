@@ -6,15 +6,17 @@ every single-algebra Long dimodule induces a solution m (x) n -> n_-1.m (x) n_0;
 and small grids can be searched exhaustively.
 """
 
+from dataclasses import replace
+
 from homlong import fixtures as fx
 from homlong.linalg import Matrix
-from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
-                            check_invertible_iff, check_long_equation,
-                            comodule_extension, coordinate_criterion,
-                            diagonal_solution, dimodule_solution,
-                            module_extension, operator_to_coords,
-                            search_solutions, tau_transforms,
-                            validate_halpha_dimodule)
+from homlong.longdimod import validate_long_dimodule
+from homlong.longeq import (OperatorOnTensorSquare, check_invertible_iff,
+                            check_long_equation, comodule_extension,
+                            coordinate_criterion, diagonal_solution,
+                            dimodule_solution, module_extension,
+                            operator_to_coords, search_solutions,
+                            tau_transforms)
 
 # diagonal family: mu = diag(a_i), R(m_i x m_j) = b_ij m_i x m_j
 op = diagonal_solution([1, 2], Matrix([[1, 3], [5, 7]]))
@@ -43,10 +45,10 @@ print(rep)
 # single-algebra Long dimodules induce solutions
 kz2, kz4t = fx.kz2(), fx.kz4_twisted()
 sd = fx.sign_dimodule()
-d = HAlphaLongDimodule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)
+d = replace(sd, kind="halpha-dimodule")
 sol = dimodule_solution(d)
 print("\nsign-line dimodule: valid? %s; induced R = %s; solves? %s"
-      % (validate_halpha_dimodule(d).ok, sol.matrix.to_json(),
+      % (validate_long_dimodule(d).ok, sol.matrix.to_json(),
          check_long_equation(sol).ok))
 
 print("\nextension carriers H (x) M:")
@@ -54,7 +56,7 @@ for name, ext in [("module extension of the sign module",
                    module_extension(kz2, fx.sign_module())),
                   ("comodule extension over twisted Z4",
                    comodule_extension(kz4t, fx.regular_comodule(kz4t)))]:
-    ok = validate_halpha_dimodule(ext).ok
+    ok = validate_long_dimodule(ext).ok
     solves = check_long_equation(dimodule_solution(ext)).ok
     print("  %-42s valid %s  induced solution %s" % (name, ok, solves))
 

@@ -5,13 +5,14 @@ in-process: validate, check, build and search, including the exit codes.
 """
 
 import os
+from dataclasses import replace
 
 from homlong import fixtures as fx
 from homlong import io as hio
 from homlong.cli import main
 from homlong.linalg import Matrix
 from homlong.longdimod import canonical_dimodule
-from homlong.longeq import HAlphaLongDimodule, OperatorOnTensorSquare
+from homlong.longeq import OperatorOnTensorSquare
 
 out = os.path.join(os.path.dirname(os.path.abspath(__file__)), "demo_files")
 os.makedirs(out, exist_ok=True)
@@ -36,8 +37,7 @@ flip = Matrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 hio.save_structure(OperatorOnTensorSquare(2, flip, Matrix.diagonal([1, 2])), path("flip.json"))
 hio.dump_json({"mu": hio.matrix_json(Matrix.identity(2))}, path("id2.json"))
 sd = fx.sign_dimodule()
-hio.save_structure(HAlphaLongDimodule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis),
-                   path("halpha.json"))
+hio.save_structure(replace(sd, kind="halpha-dimodule"), path("halpha.json"))
 
 for argv in [
     ["validate", path("kz2.json")],

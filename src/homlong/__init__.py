@@ -13,11 +13,9 @@ from .homstruct import (HomStructure, NotAutomorphism, validate_hom_algebra,
                         validate_hom_hopf, validate_all, yau_twist, dual_hopf,
                         tensor_hopf, opposite_algebra, validate_quasitriangular,
                         validate_coquasitriangular)
-from .repmod import (HomModule, HomComodule, YetterDrinfeldModule,
-                     validate_hom_module, validate_hom_comodule, check_yd,
-                     yd_prebraiding)
-from .longdimod import (HomLongDimodule, DualityData, MismatchedBase,
-                        AntipodeNotInvertible, validate_long_dimodule,
+from .repmod import (Carrier, MismatchedBase, validate_hom_module, validate_hom_comodule,
+                     validate_yd_module, check_yd, yd_prebraiding)
+from .longdimod import (DualityData, AntipodeNotInvertible, validate_long_dimodule,
                         canonical_dimodule, tensor_dimodule, unit_dimodule,
                         trivial_dimodule, check_coherence, left_dual, right_dual, check_snake,
                         smash_product_algebra, to_smash_module,
@@ -30,10 +28,9 @@ from .braidcat import (BraidingContext, BraidOperator, DimoduleMorphism,
                        module_as_dimodule, comodule_as_dimodule,
                        module_family_braiding, comodule_family_braiding,
                        check_symmetry)
-from .longeq import (OperatorOnTensorSquare, HAlphaLongDimodule, ZeroDiagonal,
+from .longeq import (OperatorOnTensorSquare, ZeroDiagonal,
                      SearchSpaceTooLarge, check_long_equation, check_invertible_iff,
-                     diagonal_solution, coordinate_criterion, tau_transforms,
-                     validate_halpha_dimodule, module_extension,
+                     diagonal_solution, coordinate_criterion, tau_transforms, module_extension,
                      comodule_extension, dimodule_solution, search_solutions,
                      operator_to_coords, coords_to_operator)
 

@@ -11,14 +11,14 @@ columns as a step.  A BraidingContext decides its axioms once, at the
 first require, and every braiding makes that one call.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .linalg import Matrix, DimensionMismatch
-from .homstruct import tensor_hopf, validate_quasitriangular, validate_coquasitriangular
-from .repmod import YetterDrinfeldModule, yd_prebraiding
-from .longdimod import (HomLongDimodule, MismatchedBase, associator_legs, base_parts,
-                        counit_action, dimodule_morphism_report, tensor_dimodule,
-                        unit_coaction)
+from .linalg import Matrix
+from .homstruct import (require_shape, tensor_hopf, validate_quasitriangular,
+                        validate_coquasitriangular)
+from .repmod import Carrier, MismatchedBase, yd_prebraiding
+from .longdimod import (associator_legs, base_parts, counit_action, dimodule_morphism_report,
+                        tensor_dimodule, unit_coaction)
 from .report import AxiomReport, Identity, compose
 
 
@@ -32,8 +32,8 @@ class NotAMorphism(Exception):
 
 @dataclass(frozen=True)
 class DimoduleMorphism:
-    source: HomLongDimodule
-    target: HomLongDimodule
+    source: Carrier
+    target: Carrier
     matrix: Matrix
 
 
@@ -45,7 +45,8 @@ class BraidOperator:
 
 class BraidingContext:
     """A quasitriangular Hopf structure on H paired with a coquasitriangular
-    form on B.  Its axioms are decided once, at the first require (or the
+    form on B.  The shapes of R and the form are checked where the context
+    is built; its axioms are decided once, at the first require (or the
     first read of reports, valid or a flag), and every braiding makes that
     one call before it reads R or the form."""
 
@@ -54,6 +55,8 @@ class BraidingContext:
             raise InvalidContext("context needs Hopf structures on both sides")
         if h.antipode.det() == 0 or b.antipode.det() == 0:
             raise InvalidContext("context needs bijective antipodes on both sides")
+        require_shape(r, (h.dim, h.dim), "R")
+        require_shape(form, (b.dim, b.dim), "form")
         self.H = h
         self.R = r
         self.B = b
@@ -64,11 +67,8 @@ class BraidingContext:
     def reports(self):
         """R's report, then the form's, decided together on first use."""
         if self._reports is None:
-            try:
-                self._reports = (validate_quasitriangular(self.H, self.R),
-                                 validate_coquasitriangular(self.B, self.form))
-            except DimensionMismatch as exc:
-                raise InvalidContext(str(exc))
+            self._reports = (validate_quasitriangular(self.H, self.R),
+                             validate_coquasitriangular(self.B, self.form))
         return self._reports
 
     @property
@@ -213,7 +213,8 @@ def check_qybe(ctx, u, v, w):
 
 
 def hb_yd_structure(ctx, m):
-    """Yetter-Drinfeld structure over H (x) B induced on a dimodule:
+    """Yetter-Drinfeld structure over the Hom-Hopf algebra H (x) B induced
+    on a dimodule:
     (h (x) x) . m = <x|m_-1> a^-3(h) . mu^-1(m_0) and
     rho(m) = R2 (x) b^-3(m_-1) (x) R1 . mu^-1(m_0)."""
     ctx.require(m)
@@ -223,8 +224,8 @@ def hb_yd_structure(ctx, m):
                    (m.action, "h m -> m")], "m").product(2)
     co = compose(dict(m=m.dim), [(ctx.R, "-> r s"), (m.coaction, "m -> p m"), bi, bi, bi, mui,
                                  (m.action, "r m -> m")], "s p m").coproduct(ctx.H.dim * ctx.B.dim)
-    return YetterDrinfeldModule(replace(tensor_hopf(ctx.H, ctx.B), antipode=None), m.dim, act,
-                                co, m.mu, m.basis)
+    hb = tensor_hopf(ctx.H, ctx.B)
+    return Carrier(hb, hb, m.dim, act, co, m.mu, m.basis, kind="yd-module")
 
 
 def check_braiding_compatibility(ctx, m, n):
@@ -238,16 +239,16 @@ def check_braiding_compatibility(ctx, m, n):
 
 def module_as_dimodule(h, m, b):
     """A module becomes a dimodule under the unit coaction rho(x) = 1_B (x) nu(x)."""
-    if m.over != h.algebra:
+    if m.H != h.algebra:
         raise MismatchedBase("module lives over another algebra than H")
-    return HomLongDimodule(h, b, m.dim, m.action, unit_coaction(b, m.nu), m.nu, m.basis)
+    return Carrier(h, b, m.dim, m.action, unit_coaction(b, m.mu), m.mu, m.basis)
 
 
 def comodule_as_dimodule(b, m, h):
     """A comodule becomes a dimodule under the counit action h.x = eps(h) mu(x)."""
-    if m.over != b.coalgebra:
+    if m.B != b.coalgebra:
         raise MismatchedBase("comodule lives over another coalgebra than B")
-    return HomLongDimodule(h, b, m.dim, counit_action(h, m.mu), m.coaction, m.mu, m.basis)
+    return Carrier(h, b, m.dim, counit_action(h, m.mu), m.coaction, m.mu, m.basis)
 
 
 def module_family_braiding(ctx, m, n):

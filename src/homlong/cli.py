@@ -22,15 +22,13 @@ from .io import FileFormatError
 from .homstruct import (HomStructure, NotAutomorphism, tensor_basis,
                         validate_hom_algebra, validate_hom_coalgebra, validate_all,
                         validate_quasitriangular, validate_coquasitriangular, yau_twist)
-from .repmod import (HomModule, HomComodule, YetterDrinfeldModule,
-                     validate_hom_module, validate_hom_comodule, check_yd)
-from .longdimod import (HomLongDimodule, MismatchedBase, AntipodeNotInvertible,
-                        validate_long_dimodule, tensor_dimodule, left_dual,
-                        right_dual, check_snake, check_coherence, to_smash_module,
+from .repmod import Carrier, MismatchedBase, validate_hom_module, validate_yd_module
+from .longdimod import (AntipodeNotInvertible, validate_long_dimodule, tensor_dimodule,
+                        left_dual, right_dual, check_snake, check_coherence, to_smash_module,
                         from_smash_module)
 from .longeq import (ZeroDiagonal, SearchSpaceTooLarge, check_long_equation,
-                     validate_halpha_dimodule, dimodule_solution, module_extension,
-                     comodule_extension, search_solutions)
+                     dimodule_solution, module_extension, comodule_extension,
+                     search_solutions)
 from .braidcat import (InvalidContext, NotAMorphism, long_braiding,
                        check_braid_morphism, check_hexagons, check_qybe,
                        check_symmetry)
@@ -107,13 +105,6 @@ def _load_phi(path, files):
     return hio.load_matrix(raw["matrix"] if isinstance(raw, dict) else raw, path)
 
 
-def _check_yd_module(report, yd):
-    """The module and comodule axioms of yd and its compatibility."""
-    report.extend(validate_hom_module(yd.module_part()), "module:")
-    report.extend(validate_hom_comodule(yd.comodule_part()), "comodule:")
-    report.extend(check_yd(yd.over, yd))
-
-
 def _check_operator(report, op):
     report.add("mu-invertible", op.structure_map.det() != 0)
     report.extend(check_long_equation(op))
@@ -133,20 +124,12 @@ def cmd_validate(args, report, files):
         report.extend(validate_hom_coalgebra(s))
     elif isinstance(s, HomStructure):
         report.extend(validate_all(s))
-        if "R" in raw:
-            report.extend(validate_quasitriangular(
-                s, hio.load_matrix(raw["R"], args.file + ".R")), "R:")
-        if "form" in raw:
-            report.extend(validate_coquasitriangular(
-                s, hio.load_matrix(raw["form"], args.file + ".form")), "form:")
-    elif isinstance(s, HomModule):
-        report.extend(validate_hom_module(s))
-    elif isinstance(s, HomComodule):
-        report.extend(validate_hom_comodule(s))
-    elif isinstance(s, YetterDrinfeldModule):
-        _check_yd_module(report, s)
-    elif isinstance(s, HomLongDimodule):
-        report.extend(validate_long_dimodule(s))
+        for key, check in (("R", validate_quasitriangular), ("form", validate_coquasitriangular)):
+            if key in raw:
+                report.extend(hio.in_file(args.file, check, s, hio.load_matrix(
+                    raw[key], "%s.%s" % (args.file, key))), key + ":")
+    elif isinstance(s, Carrier):
+        report.extend(hio._CARRIERS[s.kind].validate(s))
     else:
         _check_operator(report, s)
     return report
@@ -208,7 +191,7 @@ def _build_dual(report, d, side):
 def _extension(base, mod, variant):
     """The extension of base by the -M file's module or comodule, refused
     before it is built when --variant names the other kind."""
-    kind = "module" if isinstance(mod, HomModule) else "comodule"
+    kind = mod.kind[4:]
     if variant not in (None, kind):
         raise UsageError("build extension --variant %s needs a hom-%s -M, not a hom-%s file"
                          % (variant, variant, kind))
@@ -232,7 +215,8 @@ SUBJECTS = {
     "check symmetry": Subject(_check_symmetry, (
         ("--ctx", hio.load_context), ("-M", _DIMODULE), ("-N", _DIMODULE)), ("--diagnose",)),
     "check longeq": Subject(_check_operator, (("-R", _structure("operator")),)),
-    "check yd": Subject(_check_yd_module, (("-M", _structure("yd-module")),)),
+    "check yd": Subject(lambda report, m: report.extend(validate_yd_module(m)),
+                        (("-M", _structure("yd-module")),)),
     "check snake": Subject(_check_snake, (("-D", _DIMODULE),), ("--side",)),
     "check roundtrip": Subject(_check_roundtrip, (("-D", _DIMODULE),)),
     "check coherence": Subject(lambda report, *s: report.extend(check_coherence(*s)), (
@@ -246,7 +230,7 @@ SUBJECTS = {
                            (("--base", _BIALGEBRA), ("--phi", _load_phi))),
     "build dimodule-solution": Subject(_emit(dimodule_solution, check_long_equation),
                                        (("-D", _structure("halpha-dimodule")),)),
-    "build extension": Subject(_emit(_extension, validate_halpha_dimodule), (
+    "build extension": Subject(_emit(_extension, validate_long_dimodule), (
         ("--base", _BIALGEBRA), ("-M", _structure("hom-module", "hom-comodule"))), ("--variant",)),
     "build smash": Subject(_emit(to_smash_module, validate_hom_module),
                            (("-D", _DIMODULE),)),
@@ -295,7 +279,7 @@ def cmd_search(args, report, files):
     mu = hio.load_matrix(raw["mu"] if isinstance(raw, dict) and "mu" in raw
                          else raw, args.mu)
     values = [hio.load_scalar(s, "--set") for s in args.set.split(",") if s.strip() != ""]
-    sols = search_solutions(mu, values, args.shape)
+    sols = hio.in_file(args.mu, search_solutions, mu, values, args.shape)
     report.add("exhaustive-search", True).set_flag("solutions", len(sols))
     if args.out:
         hio.dump_json({

@@ -11,9 +11,8 @@ from fractions import Fraction
 
 from .linalg import Matrix, Tensor3, per_leg_matrix
 from .homstruct import HomStructure, tensor_hopf, yau_twist
-from .repmod import HomModule, HomComodule
-from .longdimod import (HomLongDimodule, canonical_dimodule, counit_action,
-                        trivial_dimodule, unit_dimodule)
+from .repmod import Carrier
+from .longdimod import canonical_dimodule, counit_action, trivial_dimodule, unit_dimodule
 
 
 def group_hopf(m, names=None):
@@ -159,7 +158,7 @@ def sign_module(h=None, scale=1):
         h = kz2()
     c = Fraction(scale)
     action = Tensor3([[[c]], [[-c]]])
-    return HomModule(h.algebra, 1, action, Matrix([[c]]), ("v",))
+    return Carrier(h.algebra, None, 1, action, None, Matrix([[c]]), ("v",))
 
 
 def sign_comodule(b=None, scale=1):
@@ -168,24 +167,24 @@ def sign_comodule(b=None, scale=1):
         b = kz2()
     c = Fraction(scale)
     coaction = Tensor3([[[0], [c]]])
-    return HomComodule(b.coalgebra, 1, coaction, Matrix([[c]]), ("v",))
+    return Carrier(None, b.coalgebra, 1, None, coaction, Matrix([[c]]), ("v",))
 
 
 def regular_module(h):
     """The algebra acting on itself by multiplication."""
-    return HomModule(h.algebra, h.dim, h.mult, h.gamma, h.basis)
+    return Carrier(h.algebra, None, h.dim, h.mult, None, h.gamma, h.basis)
 
 
 def regular_comodule(b):
     """The coalgebra coacting on itself by comultiplication."""
-    return HomComodule(b.coalgebra, b.dim, b.comult, b.gamma, b.basis)
+    return Carrier(None, b.coalgebra, b.dim, None, b.comult, b.gamma, b.basis)
 
 
 def trivial_module(h, mu=None):
     """h . m = eps(h) mu(m) on any carrier with invertible mu."""
     if mu is None:
         mu = Matrix.identity(1)
-    return HomModule(h.algebra, mu.rows, counit_action(h, mu), mu)
+    return Carrier(h.algebra, None, mu.rows, counit_action(h, mu), None, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def sign_dimodule(h=None, b=None, scale=1):
     c = Fraction(scale)
     action = Tensor3([[[c]], [[-c]]])
     coaction = Tensor3([[[0], [c]]])
-    return HomLongDimodule(h, b, 1, action, coaction, Matrix([[c]]), ("v",))
+    return Carrier(h, b, 1, action, coaction, Matrix([[c]]), ("v",))
 
 
 def standard_dimodules(h=None, b=None):

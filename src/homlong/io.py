@@ -4,22 +4,25 @@ All scalars are integers or "p/q" strings in canonical form (q > 0).  Files
 carry a "kind" discriminator; fields holding another structure (an algebra
 under a module, the pair under a dimodule) may be inline objects or paths
 relative to the referencing file.  The five carrier kinds, modules to
-dimodules, are read and written from one table, _CARRIERS.  A tensor is
-read once, into the int columns of its product-like map; its other reading
-is those columns with their legs moved (linalg.move_legs).  A Files object
+dimodules, are each a repmod.Carrier, read, written and validated from one
+table, _CARRIERS, which keeps each kind's file keys.  A tensor is read
+once, into the int columns of its product-like map; its other reading is
+those columns with their legs moved (linalg.move_legs).  A Files object
 lets one command read each file, and build each structure in it, once;
-_built builds each, so a shape refusal names the file it came from.
+in_file builds each, so a shape refusal names the file it came from.
 json_text, one json.dumps call, is the one JSON writer.
 """
 
+import collections
 import json
 import os
 
 from .linalg import Matrix, Tensor3, DimensionMismatch, LinalgError, scalar
 from .homstruct import HomStructure
-from .repmod import HomModule, HomComodule, YetterDrinfeldModule
-from .longdimod import HomLongDimodule
-from .longeq import HAlphaLongDimodule, OperatorOnTensorSquare
+from .repmod import (Carrier, validate_hom_module, validate_hom_comodule,
+                     validate_yd_module)
+from .longdimod import validate_long_dimodule
+from .longeq import OperatorOnTensorSquare
 
 
 class FileFormatError(Exception):
@@ -34,9 +37,10 @@ def _ctx(where, what):
     return "%s (%s)" % (what, where)
 
 
-def _built(where, make, *args, **kwargs):
-    """make(*args, **kwargs), a structure a file holds; a LinalgError (a
-    map of the wrong shape) is refused as the FileFormatError naming where."""
+def in_file(where, make, *args, **kwargs):
+    """make(*args, **kwargs), a structure a file holds or a check of one; a
+    LinalgError (a map of the wrong shape) is refused as the
+    FileFormatError naming where."""
     try:
         return make(*args, **kwargs)
     except LinalgError as exc:
@@ -209,7 +213,7 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
         if "antipode" not in obj:
             raise FileFormatError(_ctx(where, "hom-hopf needs 'antipode'"))
         parts["antipode"] = load_matrix(obj["antipode"], where + ".antipode")
-    return _built(where, HomStructure, dim, gamma, basis=basis, **parts)
+    return in_file(where, HomStructure, dim, gamma, basis=basis, **parts)
 
 
 def algebra_to_json(h):
@@ -242,22 +246,27 @@ def _load_algebra_field(obj, key, base_dir, where, files, kinds=None):
 # ---------------------------------------------------------------------------
 # modules, dimodules, contexts, operators
 
-_DIMODULE_MAPS = (("action", load_tensor3), ("coaction", load_tensor3), ("mu", load_matrix))
-
-# kind -> (class, algebra fields as (key, part), maps in file order with
-# their readers); each field holds the attribute of its name, and part None
-# stands for the whole structure, of a bialgebra kind.  halpha-dimodule
-# precedes long-dimodule: the writer takes the first class s is an instance of.
+# A carrier kind's file keys and its validator: the algebras as (key, the
+# Carrier fields it holds, part), part None standing for the whole
+# structure, of a bialgebra kind; the maps' keys in file order, each the
+# Carrier field of its name but the structure map's, which is mu.
+_Kind = collections.namedtuple("_Kind", "algebras maps validate")
 _CARRIERS = {
-    "hom-module": (HomModule, (("over", "algebra"),),
-                   (("action", load_tensor3), ("nu", load_matrix))),
-    "hom-comodule": (HomComodule, (("over", "coalgebra"),),
-                     (("coaction", load_tensor3), ("mu", load_matrix))),
-    "yd-module": (YetterDrinfeldModule, (("over", None),), (("action", load_tensor3),
-                  ("coaction", load_tensor3), ("structure_map", load_matrix))),
-    "halpha-dimodule": (HAlphaLongDimodule, (("H", None),), _DIMODULE_MAPS),
-    "long-dimodule": (HomLongDimodule, (("H", None), ("B", None)), _DIMODULE_MAPS),
+    "hom-module": _Kind((("over", "H", "algebra"),), ("action", "nu"), validate_hom_module),
+    "hom-comodule": _Kind((("over", "B", "coalgebra"),), ("coaction", "mu"),
+                          validate_hom_comodule),
+    "yd-module": _Kind((("over", "H B", None),), ("action", "coaction", "structure_map"),
+                       validate_yd_module),
+    "halpha-dimodule": _Kind((("H", "H B", None),), ("action", "coaction", "mu"),
+                             validate_long_dimodule),
+    "long-dimodule": _Kind((("H", "H", None), ("B", "B", None)), ("action", "coaction", "mu"),
+                           validate_long_dimodule),
 }
+
+
+def _field(key):
+    """The Carrier field of a map's file key."""
+    return key if key in ("action", "coaction") else "mu"
 
 
 def _carrier_algebra(obj, kind, key, part, base_dir, where, files):
@@ -281,17 +290,21 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
     if kind in ("hom-algebra", "hom-coalgebra", "hom-bialgebra", "hom-hopf"):
         return files.algebra(obj, base_dir, where)
     if isinstance(kind, str) and kind in _CARRIERS:
-        make, algebras, maps = _CARRIERS[kind]
-        args = [_carrier_algebra(obj, kind, key, part, base_dir, where, files)
-                for key, part in algebras]
+        fields = dict(H=None, B=None, action=None, coaction=None)
+        for key, names, part in _CARRIERS[kind].algebras:
+            alg = _carrier_algebra(obj, kind, key, part, base_dir, where, files)
+            fields.update(dict.fromkeys(names.split(), alg))
         dim = _int_field(obj, "dim", where)
-        args += [dim] + [load(obj[key], where + "." + key) for key, load in maps]
-        return _built(where, make, *args, load_basis(obj, dim, where))
+        for key in _CARRIERS[kind].maps:
+            load = load_matrix if _field(key) == "mu" else load_tensor3
+            fields[_field(key)] = load(obj[key], where + "." + key)
+        return in_file(where, Carrier, dim=dim, basis=load_basis(obj, dim, where), kind=kind,
+                       **fields)
     if kind == "operator":
         n = _int_field(obj, "n", where)
-        return _built(where, OperatorOnTensorSquare, n,
-                      load_matrix(obj["matrix"], where + ".matrix"),
-                      load_matrix(obj["mu"], where + ".mu"))
+        return in_file(where, OperatorOnTensorSquare, n,
+                       load_matrix(obj["matrix"], where + ".matrix"),
+                       load_matrix(obj["mu"], where + ".mu"))
     raise FileFormatError(_ctx(where, "unknown kind %r" % (kind,)))
 
 
@@ -331,19 +344,20 @@ def load_context(path, files=None):
     form_field = obj.get("form", b_raw.get("form"))
     if form_field is None:
         raise FileFormatError(_ctx(where, "no 'form' in context or in the B file"))
-    return BraidingContext(h, load_matrix(r_field, where + ".R"),
-                           b, load_matrix(form_field, where + ".form"))
+    return in_file(where, BraidingContext, h, load_matrix(r_field, where + ".R"),
+                   b, load_matrix(form_field, where + ".form"))
 
 
 def structure_to_json(s):
     if isinstance(s, HomStructure):
         return algebra_to_json(s)
-    for kind, (cls, algebras, maps) in _CARRIERS.items():
-        if isinstance(s, cls):
-            out = {"kind": kind, "dim": s.dim, "basis": list(s.basis)}
-            out.update((key, algebra_to_json(getattr(s, key))) for key, _ in algebras)
-            out.update((key, getattr(s, key).to_json()) for key, _ in maps)
-            return out
+    if isinstance(s, Carrier):
+        spec = _CARRIERS[s.kind]
+        out = {"kind": s.kind, "dim": s.dim, "basis": list(s.basis)}
+        out.update((key, algebra_to_json(getattr(s, names.split()[0])))
+                   for key, names, _ in spec.algebras)
+        out.update((key, getattr(s, _field(key)).to_json()) for key in spec.maps)
+        return out
     if isinstance(s, OperatorOnTensorSquare):
         return {"kind": "operator", "n": s.carrier_dim,
                 "mu": matrix_json(s.structure_map), "matrix": matrix_json(s.matrix)}

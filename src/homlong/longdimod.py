@@ -1,7 +1,7 @@
 """Hom-Long dimodules over a pair of Hom-bialgebras.
 
-A dimodule is an action over H and a coaction over B on one carrier with a
-single invertible structure map, compatible via
+A dimodule is a repmod.Carrier with both parts, an action over H and a
+coaction over B with a single invertible structure map, compatible via
 rho(h.m) = b(m_-1) (x) a(h).m_0.  This module provides validation, the
 canonical carrier H (x) B, tensor products, the monoidal constraint maps with
 their coherence report, left/right duals with evaluation and coevaluation,
@@ -10,16 +10,11 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 
 from dataclasses import dataclass, replace
 
-from .linalg import Matrix, Tensor3, DimensionMismatch, move_legs, pair_columns, per_leg_matrix
-from .homstruct import (HomStructure, dual_hopf, opposite_algebra, require_shape,
-                        tensor_algebra, tensor_basis)
-from .repmod import (HomModule, HomComodule, check_carrier, validate_hom_module,
-                     validate_hom_comodule)
+from .linalg import Matrix, Tensor3, move_legs, pair_columns, per_leg_matrix
+from .homstruct import (dual_hopf, opposite_algebra, require_shape, tensor_algebra,
+                        tensor_basis)
+from .repmod import Carrier, MismatchedBase, validate_hom_module, validate_hom_comodule
 from .report import AxiomReport, Identity, compose
-
-
-class MismatchedBase(Exception):
-    """Dimodules over different algebra pairs cannot be combined."""
 
 
 class AntipodeNotInvertible(Exception):
@@ -27,33 +22,8 @@ class AntipodeNotInvertible(Exception):
 
 
 @dataclass(frozen=True)
-class HomLongDimodule:
-    H: HomStructure
-    B: HomStructure
-    dim: int
-    action: Tensor3        # over H: action[h][i][j]
-    coaction: Tensor3      # over B: coaction[i][a][j]
-    mu: Matrix             # one structure map shared by both parts
-    basis: tuple = None
-
-    def __post_init__(self):
-        for side, s in (("H", self.H), ("B", self.B)):
-            if s.mult is None or s.comult is None:
-                raise DimensionMismatch("%s needs mult and comult, not a %s" % (side, s.kind))
-        check_carrier(self, self.mu, self.H, self.B)
-
-    def module_part(self):
-        return HomModule(self.H.algebra, self.dim, self.action,
-                         self.mu, self.basis)
-
-    def comodule_part(self):
-        return HomComodule(self.B.coalgebra, self.dim, self.coaction,
-                           self.mu, self.basis)
-
-
-@dataclass(frozen=True)
 class DualityData:
-    dual: HomLongDimodule
+    dual: Carrier
     ev: Matrix             # pairing to the ground field, a 1 x d^2 row
     coev: Matrix           # image of 1, a d^2 x 1 column
     side: str              # "left" or "right"
@@ -64,8 +34,8 @@ def validate_long_dimodule(d):
     rho(h.m) = b(m_-1) (x) a(h).m_0."""
     h, b = d.H, d.B
     rep = AxiomReport()
-    rep.extend(validate_hom_module(d.module_part()), "module:")
-    rep.extend(validate_hom_comodule(d.comodule_part()), "comodule:")
+    rep.extend(validate_hom_module(d), "module:")
+    rep.extend(validate_hom_comodule(d), "comodule:")
     return rep.record(Identity("compat-2.1", dict(h=h.basis, m=d.basis),
                                [(d.action, "h m -> m"), (d.coaction, "m -> b m")],
                                [(d.coaction, "m -> b m"), (b.gamma, "b"), (h.gamma, "h"),
@@ -76,7 +46,7 @@ def canonical_dimodule(h, b):
     """The carrier H (x) B with h.(g (x) x) = hg (x) b(x) and
     rho(g (x) x) = x1 (x) (a(g) (x) x2): h_tensor_parts with B's coproduct
     as the coaction."""
-    return HomLongDimodule(h, b, *h_tensor_parts(h, b.comult, b.gamma, b.basis))
+    return Carrier(h, b, *h_tensor_parts(h, b.comult, b.gamma, b.basis))
 
 
 def h_tensor_parts(h, coaction, mu, names):
@@ -109,8 +79,8 @@ def tensor_dimodule(m, n):
                                                     (n.action, "g y -> y")], "x y")
     co = compose(dict(x=m.dim, y=n.dim), [(m.coaction, "x -> p x"), (n.coaction, "y -> q y"),
                                           (b.mult, "p q -> p"), bi, bi], "p x y")
-    return HomLongDimodule(m.H, m.B, m.dim * n.dim, act.product(), co.coproduct(b.dim),
-                           per_leg_matrix(m.mu, n.mu), tensor_basis(m.basis, n.basis))
+    return Carrier(m.H, m.B, m.dim * n.dim, act.product(), co.coproduct(b.dim),
+                   per_leg_matrix(m.mu, n.mu), tensor_basis(m.basis, n.basis))
 
 
 def unit_dimodule(h, b):
@@ -123,7 +93,7 @@ def trivial_dimodule(h, b, mu=None):
     and the unit coaction rho(m) = 1_B (x) mu(m)."""
     if mu is None:
         mu = Matrix.identity(1)
-    return HomLongDimodule(h, b, mu.rows, counit_action(h, mu), unit_coaction(b, mu), mu)
+    return Carrier(h, b, mu.rows, counit_action(h, mu), unit_coaction(b, mu), mu)
 
 
 def counit_action(h, mu):
@@ -271,8 +241,7 @@ def _dual(m, h_twist, b_twist, side):
                                    (h.dim, d, d))
     co = Tensor3.from_int_columns(move_legs(co[0], (d,), (b.dim, d), (2, 1), (0,)), co[1],
                                   (d, b.dim, d))
-    dual = HomLongDimodule(h, b, d, act, co, m.mu.inv().transpose(),
-                           tuple(x + "*" for x in m.basis))
+    dual = Carrier(h, b, d, act, co, m.mu.inv().transpose(), tuple(x + "*" for x in m.basis))
     # dual-basis pairing and copairing; the same sum_i e_i (x) e_i serves
     # both sides (left: ev on M* (x) M, coev in M (x) M*; right: swapped roles).
     ev = Matrix.from_int_columns(*pair_columns(Matrix.identity(d)), 1)
@@ -321,16 +290,18 @@ def to_smash_module(m):
     act = compose(dict(p=b.dim, h=h.dim, x=d),
                   [(m.coaction, "x -> q x"), (Matrix.identity(b.dim), "p q ->"),
                    (m.mu.inv(), "x"), (m.action, "h x -> x")], "x").product(2)
-    return HomModule(smash_product_algebra(b, h), d, act, m.mu, m.basis)
+    return Carrier(smash_product_algebra(b, h), None, d, act, None, m.mu, m.basis)
 
 
 def from_smash_module(n, h, b):
     """Recover the dimodule: h.m = (eps_B (x) h) . m and
-    m_-1 (x) m_0 = sum_i b_i (x) (f^i (x) 1_H) . m."""
+    m_-1 (x) m_0 = sum_i b_i (x) (f^i (x) 1_H) . m.  Raises MismatchedBase
+    unless n is a module over smash_product_algebra(b, h)."""
+    if n.H != smash_product_algebra(b, h):
+        raise MismatchedBase("module lives over another algebra than B*op (x) H")
     nh, nb, d = h.dim, b.dim, n.dim
-    require_shape(n.action, (nh * nb, d, d), "action")
     act = compose(dict(h=nh, x=d), [(b.counit, "-> f"), (n.action, "f h x -> x")], "x").product()
     # the element sum_i b_i (x) f^i, then 1_H, acting as (f^i (x) 1_H) on m
     co = compose(dict(x=d), [(Matrix.identity(nb), "-> c f"), (h.unit, "-> h"),
                              (n.action, "f h x -> x")], "c x").coproduct(nb)
-    return HomLongDimodule(h, b, d, act, co, n.nu, n.basis)
+    return Carrier(h, b, d, act, co, n.mu, n.basis)

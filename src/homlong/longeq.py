@@ -3,9 +3,10 @@
 An operator R on M (x) M together with an invertible structure map mu is a
 solution when (R (x) mu)(mu (x) R) = (mu (x) R)(R (x) mu).  This module
 provides the checker, the diagonal solution family, the coordinate criterion
-with its operator-level oracle, the flip-transform equivalences, the single-
-algebra Long dimodules with their induced solutions, the two extension
-constructions on H (x) M, and an exact search over a coefficient grid that
+with its operator-level oracle, the flip-transform equivalences, the
+solutions induced by single-algebra Long dimodules, the two extension
+constructions on H (x) M (each a repmod.Carrier of the halpha-dimodule
+kind), and an exact search over a coefficient grid that
 prunes on the equation's quadratic constraints, read off the checker's
 kernel.
 
@@ -41,7 +42,8 @@ from fractions import Fraction
 from .linalg import (Matrix, DimensionMismatch, SingularMatrix, int_columns, move_legs,
                      per_leg_matrix, scalar, sparse_columns, ZERO)
 from .homstruct import require_shape, tensor_basis
-from .longdimod import HomLongDimodule, h_tensor_parts, validate_long_dimodule
+from .longdimod import h_tensor_parts, validate_long_dimodule
+from .repmod import Carrier
 from .report import AxiomReport, Identity, compose
 
 
@@ -401,19 +403,8 @@ def tau_transforms(op):
 # ---------------------------------------------------------------------------
 # single-algebra Long dimodules
 
-class HAlphaLongDimodule(HomLongDimodule):
-    """A Hom-Long dimodule over (H, H): module and comodule over one
-    Hom-bialgebra with rho(h.m) = a(m_-1) (x) a(h).m_0.  It is written as
-    the halpha-dimodule kind, with no B field; as a dataclass it equals only
-    an HAlphaLongDimodule, and dataclasses.replace, which passes B, refuses
-    it with a TypeError."""
-
-    def __init__(self, H, dim, action, coaction, mu, basis=None):
-        super().__init__(H, H, dim, action, coaction, mu, basis)
-
-
 def validate_halpha_dimodule(d):
-    """Module axioms, comodule axioms and the compatibility, with B := H."""
+    """validate_long_dimodule(d), as bench/workloads.py calls it."""
     return validate_long_dimodule(d)
 
 
@@ -427,15 +418,15 @@ def module_extension(h, m):
     nh, dm = h.dim, m.dim
     act = compose(dict(h=nh, g=nh, x=dm), [(h.gamma, "g"), (m.action, "h x -> x")],
                   "g x").product()
-    co = compose(dict(g=nh, x=dm), [(h.comult, "g -> c g"), (m.nu, "x")], "c g x").coproduct(nh)
-    return HAlphaLongDimodule(h, nh * dm, act, co, per_leg_matrix(h.gamma, m.nu),
-                              tensor_basis(h.basis, m.basis))
+    co = compose(dict(g=nh, x=dm), [(h.comult, "g -> c g"), (m.mu, "x")], "c g x").coproduct(nh)
+    return Carrier(h, h, nh * dm, act, co, per_leg_matrix(h.gamma, m.mu),
+                   tensor_basis(h.basis, m.basis), kind="halpha-dimodule")
 
 
 def comodule_extension(h, m):
     """H (x) M with h.(g (x) x) = hg (x) mu(x) and
     rho(g (x) x) = x_-1 (x) (a(g) (x) x_0)."""
-    return HAlphaLongDimodule(h, *h_tensor_parts(h, m.coaction, m.mu, m.basis))
+    return Carrier(h, h, *h_tensor_parts(h, m.coaction, m.mu, m.basis), kind="halpha-dimodule")
 
 
 def dimodule_solution(d):

@@ -129,12 +129,11 @@ def test_qybe(ctx, dimodules):
 
 
 def test_embedding_validations(ctx, roster):
-    t = tensor_hopf(ctx.H, ctx.B)
     for nm, m in roster.items():
         yd = hb_yd_structure(ctx, m)
-        assert validate_hom_module(yd.module_part()).ok, nm
-        assert validate_hom_comodule(yd.comodule_part()).ok, nm
-        assert check_yd(t, yd).ok, nm
+        assert validate_hom_module(yd).ok, nm
+        assert validate_hom_comodule(yd).ok, nm
+        assert check_yd(yd).ok, nm
 
 
 def test_prebraiding_matches_braiding(ctx, roster):
@@ -211,9 +210,10 @@ def test_twisted_embedding_validations(kz4t, kz2):
     tr = trivial_dimodule(kz4t, kz2, Matrix.diagonal([1, 2]))
     for m in (can8, tr):
         yd = hb_yd_structure(ctx2, m)
-        assert validate_hom_module(yd.module_part()).ok
-        assert validate_hom_comodule(yd.comodule_part()).ok
-        rep = check_yd(t, yd)
+        assert yd.H == yd.B == t and yd.kind == "yd-module"
+        assert validate_hom_module(yd).ok
+        assert validate_hom_comodule(yd).ok
+        rep = check_yd(yd)
         assert rep.ok and rep.flags["hyd-consistent"]
 
 
@@ -304,9 +304,10 @@ def test_sweedler_scaled_context_full_sweep(kz2):
     t = tensor_hopf(ctx.H, ctx.B)
     for m in (can, tr):
         yd = hb_yd_structure(ctx, m)
-        assert validate_hom_module(yd.module_part()).ok
-        assert validate_hom_comodule(yd.comodule_part()).ok
-        rep = check_yd(t, yd)
+        assert yd.H == yd.B == t and yd.kind == "yd-module"
+        assert validate_hom_module(yd).ok
+        assert validate_hom_comodule(yd).ok
+        rep = check_yd(yd)
         assert rep.ok and rep.flags["hyd-consistent"]
 
 

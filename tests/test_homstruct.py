@@ -5,8 +5,7 @@ import pytest
 
 from homlong import fixtures as fx
 from homlong.linalg import DimensionMismatch, Matrix, Tensor3
-from homlong.longdimod import (base_parts, dimodule_morphism_report, from_smash_module,
-                               to_smash_module)
+from homlong.longdimod import base_parts, dimodule_morphism_report
 from homlong.longeq import (OperatorOnTensorSquare, coordinate_criterion, coords_to_operator,
                             diagonal_solution, search_solutions)
 from homlong.homstruct import (NotAutomorphism,
@@ -150,9 +149,6 @@ SHAPE_REFUSALS = {
     "morphism-kind": (lambda kz2: dimodule_morphism_report(
         fx.sign_dimodule(), fx.sign_dimodule(), Tensor3.zeros(1, 1, 1)),
         "morphism is 1x1x1, expected 1x1"),
-    "smash-module": (lambda kz2: from_smash_module(to_smash_module(fx.sign_dimodule()), kz2,
-                                                   fx.kz4_twisted()),
-                     "action is 4x1x1, expected 8x1x1"),
     "operator": (lambda kz2: OperatorOnTensorSquare(2, Matrix.identity(3), Matrix.identity(2)),
                  "operator matrix is 3x3, expected 4x4"),
     "operator-kind": (lambda kz2: OperatorOnTensorSquare(2, Tensor3.zeros(2, 2, 4),

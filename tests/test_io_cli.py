@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,14 +19,12 @@ from homlong.braidcat import check_hexagons, check_qybe
 from homlong.homstruct import dual_hopf, tensor_hopf, validate_all
 from homlong.io import FileFormatError
 from homlong.linalg import ONE, ZERO, Matrix, scalar
-from homlong.longdimod import canonical_dimodule, check_coherence
-from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare, check_long_equation,
-                            comodule_extension, coordinate_criterion, dimodule_solution,
-                            module_extension, operator_to_coords, search_solutions,
-                            tau_transforms, validate_halpha_dimodule)
+from homlong.longdimod import canonical_dimodule, check_coherence, validate_long_dimodule
+from homlong.longeq import (OperatorOnTensorSquare, check_long_equation, comodule_extension,
+                            coordinate_criterion, dimodule_solution, module_extension,
+                            operator_to_coords, search_solutions, tau_transforms)
 from homlong.report import AxiomReport, Check
-from homlong.repmod import YetterDrinfeldModule
-from test_oracles import HOPF_FIXTURES, dense_entries, flip_matrix, json_scalar
+from test_oracles import HOPF_FIXTURES, dense_entries, flip_matrix, json_scalar, yd_module
 
 
 @pytest.fixture()
@@ -47,8 +46,7 @@ def files(tmp_path):
                        tmp_path / "flipop.json")
     hio.dump_json({"mu": hio.matrix_json(Matrix.identity(2))}, tmp_path / "id2.json")
     sd = fx.sign_dimodule()
-    hio.save_structure(HAlphaLongDimodule(kz2, 1, sd.action, sd.coaction, sd.mu,
-                                          sd.basis), tmp_path / "halpha.json")
+    hio.save_structure(replace(sd, kind="halpha-dimodule"), tmp_path / "halpha.json")
     bad = dict(obj)
     bad["gamma"] = [[1, 0], [0, 0]]
     bad.pop("R")
@@ -209,6 +207,38 @@ def test_a_misshaped_map_names_its_file(files, capsys, source, name, key, value,
     assert main(["--format", "json", "validate", path]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "%s (%s)" % (message, path) and report["exit_code"] == 2
+
+
+# a command whose input file holds a map of the wrong shape for the
+# structure beside it: the file, its content and the refusal
+MISSHAPED_INPUTS = {
+    "validate-R": ("validate {f}", "bad_r.json", dict(R=[[1, 0, 0], [0, 1, 0]]),
+                   "R is 2x3, expected 2x2"),
+    "validate-form": ("validate {f}", "bad_form.json", dict(form=[[1, 0], [0, 1], [0, 0]]),
+                      "form is 3x2, expected 2x2"),
+    "check-ybe-R": ("check ybe --ctx {f} -U sign.json -V sign.json -W sign.json",
+                    "bad_ctx.json", {"kind": "context", "H": "kz2.json", "B": "kz2.json",
+                                     "R": [[1, 0, 0], [0, 1, 0]]},
+                    "R is 2x3, expected 2x2"),
+    "search-mu": ("search --mu {f} --set 0,1", "bad_mu.json", {"mu": [[1, 0, 0], [0, 1, 0]]},
+                  "structure map is 2x3, expected 2x2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPED_INPUTS))
+def test_a_misshaped_map_beside_a_structure_names_its_file(files, monkeypatch, capsys, case):
+    # an algebra file's R or form, a context's R and a search's mu are
+    # refused as a carrier's maps are: the file named, exit 2
+    command, name, fields, message = MISSHAPED_INPUTS[case]
+    monkeypatch.chdir(files)
+    obj = json.loads((files / "kz2.json").read_text()) if case.startswith("validate") else {}
+    hio.dump_json(dict(obj, **fields), files / name)
+    argv = command.format(f=name).split()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s (%s)\n" % (message, name)
+    assert main(["--format", "json"] + argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "%s (%s)" % (message, name) and report["exit_code"] == 2
 
 
 def test_scalar_strings_round_trip(tmp_path):
@@ -599,9 +629,8 @@ def test_symmetry_diagnose_non_triangular(tmp_path, capsys):
 def test_validate_and_check_yd(files, tmp_path, capsys):
     kz2 = fx.kz2()
     from homlong.linalg import Tensor3
-    from homlong.repmod import YetterDrinfeldModule
-    yd = YetterDrinfeldModule(kz2, 1, Tensor3([[[1]], [[-1]]]),
-                              Tensor3([[[0], [1]]]), Matrix.identity(1), ("v",))
+    yd = yd_module(kz2, 1, Tensor3([[[1]], [[-1]]]), Tensor3([[[0], [1]]]),
+                   Matrix.identity(1), ("v",))
     hio.save_structure(yd, tmp_path / "yd.json")
     assert main(["validate", str(tmp_path / "yd.json")]) == 0
     out = capsys.readouterr().out
@@ -617,8 +646,7 @@ def test_validate_halpha_and_module_files(files, tmp_path):
     hio.save_structure(fx.sign_comodule(), tmp_path / "comod.json")
     assert main(["validate", str(tmp_path / "comod.json")]) == 0
     sd = fx.sign_dimodule()
-    hio.save_structure(HAlphaLongDimodule(kz2, 1, sd.action, sd.coaction,
-                                          sd.mu, sd.basis), tmp_path / "ha.json")
+    hio.save_structure(replace(sd, kind="halpha-dimodule"), tmp_path / "ha.json")
     assert main(["validate", str(tmp_path / "ha.json")]) == 0
     assert main(["validate", p(files, "sign.json")]) == 0
     assert main(["validate", p(files, "flipop.json")]) == 1
@@ -791,7 +819,7 @@ def _takes(name):
 def test_each_subject_takes_only_its_options(files, monkeypatch, capsys, name):
     monkeypatch.chdir(files)
     hio.save_structure(fx.sign_module(), files / "signmod.json")
-    hio.save_structure(YetterDrinfeldModule(
+    hio.save_structure(yd_module(
         fx.kz2(), 1, linalg.Tensor3([[[1]], [[-1]]]), linalg.Tensor3([[[0], [1]]]),
         Matrix.identity(1), ("v",)), files / "yd.json")
     assert main(["build", "dimodule-solution", "-D", "halpha.json", "-o", "rsol.json"]) == 0
@@ -1043,7 +1071,7 @@ def test_no_cli_path_builds_a_dense_view(tmp_path, monkeypatch, capsys, ctx, dim
     assert check_hexagons(ctx, canonical, sign, canonical).ok
     assert check_coherence(sign, canonical, canonical).ok
     for extension in (module_extension(h, module), comodule_extension(h, comodule)):
-        assert validate_halpha_dimodule(extension).ok
+        assert validate_long_dimodule(extension).ok
         assert check_long_equation(dimodule_solution(extension)).ok
     solutions = search_solutions(mu, [0, 1], "full")
     assert solutions
@@ -1152,9 +1180,9 @@ def _basis_carriers():
     """One structure of every kind whose file carries a basis."""
     kz2, sd = fx.kz2(), fx.sign_dimodule()
     return [kz2, kz2.algebra, kz2.coalgebra, fx.sign_module(), fx.sign_comodule(),
-            YetterDrinfeldModule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis),
+            yd_module(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis),
             canonical_dimodule(kz2, kz2),
-            HAlphaLongDimodule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)]
+            replace(sd, kind="halpha-dimodule")]
 
 
 @pytest.mark.parametrize("bad", ["short", "long", "ints", "not-a-list"])
@@ -1608,9 +1636,9 @@ def _fuzz_bases():
         "hom-module": hio.structure_to_json(fx.sign_module(kz2)),
         "hom-comodule": hio.structure_to_json(fx.sign_comodule(kz2)),
         "yd-module": hio.structure_to_json(
-            YetterDrinfeldModule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)),
+            yd_module(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)),
         "halpha-dimodule": hio.structure_to_json(
-            HAlphaLongDimodule(kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)),
+            replace(sd, kind="halpha-dimodule")),
         "long-dimodule": hio.structure_to_json(
             fx.trivial_dimodule(kz2, kz2, Matrix.diagonal([1, 3]))),
     }

@@ -7,15 +7,14 @@ from homlong import fixtures as fx, longdimod
 from homlong.linalg import DimensionMismatch, Matrix, Tensor3, per_leg_matrix
 from homlong.homstruct import dual_hopf, validate_hom_algebra
 from homlong.repmod import validate_hom_module
-from homlong.longdimod import (AntipodeNotInvertible, HomLongDimodule,
-                               MismatchedBase, associator_legs, canonical_dimodule,
+from homlong.longdimod import (AntipodeNotInvertible, MismatchedBase, associator_legs,
+                               canonical_dimodule,
                                check_coherence, check_snake, dimodule_morphism_report,
                                from_smash_module, left_dual, right_dual,
                                smash_product_algebra, tensor_dimodule,
                                to_smash_module, trivial_dimodule, unit_dimodule,
                                validate_long_dimodule)
-from homlong.longeq import HAlphaLongDimodule
-from homlong.repmod import HomComodule, HomModule, YetterDrinfeldModule
+from homlong.repmod import Carrier
 from homlong.report import compose
 from test_oracles import coproduct_map, kron, mul, product_map, scaled
 
@@ -48,8 +47,7 @@ def test_trivial_dimodule_any_module(kz2, kz4t):
 def test_compat_failure_witness(kz2):
     # regular action with regular coaction: parts valid, compatibility fails
     # at (g, 1) since rho(g.1) = g (x) g but beta(1_-1) (x) g.1_0 = 1 (x) g
-    d = HomLongDimodule(kz2, kz2, 2, kz2.mult, kz2.comult,
-                        Matrix.identity(2), kz2.basis)
+    d = Carrier(kz2, kz2, 2, kz2.mult, kz2.comult, Matrix.identity(2), kz2.basis)
     rep = validate_long_dimodule(d)
     assert rep.passed("module:HM2-unit")
     assert rep.passed("comodule:HCM2")
@@ -120,8 +118,7 @@ def test_coherence_refuses_x_over_another_pair(kz2, dimodules):
 
 
 def test_tensor_propagates_defect(kz2, dimodules):
-    bad = HomLongDimodule(kz2, kz2, 2, kz2.mult, kz2.comult,
-                          Matrix.identity(2), kz2.basis)
+    bad = Carrier(kz2, kz2, 2, kz2.mult, kz2.comult, Matrix.identity(2), kz2.basis)
     assert not validate_long_dimodule(bad).ok
     t = tensor_dimodule(dimodules["trivial"], bad)
     assert not validate_long_dimodule(t).ok
@@ -198,10 +195,9 @@ def test_tensor_coaction_power_is_the_right_one():
                      permute_output_legs(kron(coproduct_map(m.coaction),
                                               coproduct_map(n.coaction)),
                                          [nb, m.dim, nb, n.dim], [0, 2, 1, 3]))
-        return HomLongDimodule(m.H, m.B, d, base.action,
-                               Tensor3.from_function(d, nb, d,
-                                                     lambda i, j, l: co_mat[j * d + l, i]),
-                               base.mu, base.basis)
+        return Carrier(m.H, m.B, d, base.action,
+                       Tensor3.from_function(d, nb, d, lambda i, j, l: co_mat[j * d + l, i]),
+                       base.mu, base.basis)
 
     u = canonical_dimodule(kz2, swt)
     v = trivial_dimodule(kz2, swt, Matrix.diagonal([1, 2]))
@@ -331,7 +327,7 @@ def test_round_trip_both_ways(kz2, kz4t, dimodules):
         assert back.coaction == d.coaction, name
         assert back.mu == d.mu, name
         again = to_smash_module(back)
-        assert again.action == n.action and again.nu == n.nu, name
+        assert again.action == n.action and again.mu == n.mu, name
 
 
 def test_round_trip_preserves_morphisms(kz2, dimodules):
@@ -342,14 +338,29 @@ def test_round_trip_preserves_morphisms(kz2, dimodules):
     n = to_smash_module(sign)
     # same matrix is a module morphism on the smash side
     lhs = mul(f, product_map(n.action))
-    rhs = mul(product_map(n.action), kron(Matrix.identity(n.over.dim), f))
+    rhs = mul(product_map(n.action), kron(Matrix.identity(n.H.dim), f))
     assert lhs == rhs
+
+
+def test_from_smash_module_refuses_a_module_over_another_algebra(kz2, kz4t):
+    # only a module over B*op (x) H is read back as a dimodule over (H, B):
+    # a module of the right dimension over another algebra, the smash
+    # action over kz4 among them, or a comodule, is refused
+    smash = to_smash_module(canonical_dimodule(kz2, kz2))
+    assert from_smash_module(smash, kz2, kz2) == canonical_dimodule(kz2, kz2)
+    for n, h, b in ((to_smash_module(fx.sign_dimodule()), kz2, kz4t),
+                    (fx.regular_module(fx.kz4()), kz2, kz2),
+                    (replace(smash, H=fx.kz4().algebra), kz2, kz2),
+                    (fx.sign_comodule(), kz2, kz2)):
+        with pytest.raises(MismatchedBase,
+                           match=r"^module lives over another algebra than B\*op \(x\) H$"):
+            from_smash_module(n, h, b)
 
 
 def test_zero_dimensional_dimodule_validates_and_snakes(kz2):
     # coev of the zero carrier is a 0 x 1 matrix: one column, no entries
-    z = HomLongDimodule(kz2, kz2, 0, Tensor3.zeros(2, 0, 0), Tensor3.zeros(0, 2, 0),
-                        Matrix([], rows=0, cols=0))
+    z = Carrier(kz2, kz2, 0, Tensor3.zeros(2, 0, 0), Tensor3.zeros(0, 2, 0),
+                Matrix([], rows=0, cols=0))
     assert validate_long_dimodule(z).ok
     for dual in (left_dual(z), right_dual(z)):
         assert check_snake(z, dual).ok
@@ -364,17 +375,27 @@ def test_dimodule_refuses_a_base_without_both_parts(kz2, side, part):
     bases = dict(H=kz2, B=kz2)
     bases[side] = getattr(kz2, part)
     with pytest.raises(DimensionMismatch, match="%s needs mult and comult" % side):
-        HomLongDimodule(bases["H"], bases["B"], 1, sd.action, sd.coaction, sd.mu, sd.basis)
+        Carrier(bases["H"], bases["B"], 1, sd.action, sd.coaction, sd.mu, sd.basis)
+
+
+def _carrier(kind, fields):
+    """The maker of a carrier of kind over h from its dim and the maps
+    fields names, and fields."""
+    def make(h, dim, *maps):
+        parts = dict(zip(fields, maps))
+        return Carrier(h if "action" in parts else None, h if "coaction" in parts else None,
+                       dim, parts.get("action"), parts.get("coaction"), parts["mu"], kind=kind)
+    return make, fields
 
 
 # each kind of carrier with the maps it is built from
 BOTH_PARTS = ("action", "coaction", "mu")
 CARRIERS = {
-    "long-dimodule": (lambda h, *parts: HomLongDimodule(h, h, *parts), BOTH_PARTS),
-    "yd-module": (YetterDrinfeldModule, BOTH_PARTS),
-    "halpha-dimodule": (HAlphaLongDimodule, BOTH_PARTS),
-    "hom-module": (HomModule, ("action", "mu")),
-    "hom-comodule": (HomComodule, ("coaction", "mu")),
+    "long-dimodule": _carrier("long-dimodule", BOTH_PARTS),
+    "yd-module": _carrier("yd-module", BOTH_PARTS),
+    "halpha-dimodule": _carrier("halpha-dimodule", BOTH_PARTS),
+    "hom-module": _carrier("hom-module", ("action", "mu")),
+    "hom-comodule": _carrier("hom-comodule", ("coaction", "mu")),
 }
 
 # case -> (field, misfit map, refusal); a "-kind" case gives a Matrix for a

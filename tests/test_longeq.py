@@ -15,15 +15,14 @@ from homlong import fixtures as fx
 from homlong import linalg, longeq
 from homlong.linalg import (Matrix, Tensor3, Composite, DimensionMismatch, SingularMatrix,
                             sparse_columns)
-from homlong.longdimod import HomLongDimodule, canonical_dimodule, validate_long_dimodule
-from homlong.longeq import (HAlphaLongDimodule, OperatorOnTensorSquare,
-                            SearchSpaceTooLarge, ZeroDiagonal,
+from homlong.longdimod import canonical_dimodule, validate_long_dimodule
+from homlong.longeq import (OperatorOnTensorSquare, SearchSpaceTooLarge, ZeroDiagonal,
                             check_invertible_iff, check_long_equation,
                             comodule_extension, coordinate_criterion,
                             coords_to_operator, diagonal_solution,
                             dimodule_solution, module_extension,
-                            operator_to_coords, search_solutions, tau_transforms,
-                            validate_halpha_dimodule)
+                            operator_to_coords, search_solutions, tau_transforms)
+from homlong.repmod import Carrier, MismatchedBase
 from homlong.report import compose
 from test_oracles import (composite, dense_columns, first_difference, flip_matrix, kron, leg12,
                           leg23, leg_flip, longeq_first_failing_column, mul)
@@ -34,7 +33,7 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 
 def halpha_sign(kz2):
     d = fx.sign_dimodule()
-    return HAlphaLongDimodule(kz2, 1, d.action, d.coaction, d.mu, d.basis)
+    return Carrier(kz2, kz2, 1, d.action, d.coaction, d.mu, d.basis, "halpha-dimodule")
 
 
 def test_scalar_operator_passes():
@@ -472,7 +471,7 @@ def test_criterion_reads_equal_coordinates_alike(rows, mu):
 
 def test_halpha_sign(kz2):
     d = halpha_sign(kz2)
-    assert validate_halpha_dimodule(d).ok
+    assert validate_long_dimodule(d).ok
     sol = dimodule_solution(d)
     assert sol.matrix == Matrix([[-1]])
     assert check_long_equation(sol).ok
@@ -481,8 +480,8 @@ def test_halpha_sign(kz2):
 def test_halpha_trivial(kz2):
     from homlong.longdimod import trivial_dimodule
     t = trivial_dimodule(kz2, kz2, Matrix.diagonal([1, 2]))
-    d = HAlphaLongDimodule(kz2, t.dim, t.action, t.coaction, t.mu, t.basis)
-    assert validate_halpha_dimodule(d).ok
+    d = replace(t, kind="halpha-dimodule")
+    assert validate_long_dimodule(d).ok
     sol = dimodule_solution(d)
     # unit coaction: R(m (x) n) = 1.m (x) mu(n)-ish, here mu (x) mu
     assert sol.matrix == kron(t.mu, t.mu)
@@ -492,21 +491,23 @@ def test_halpha_trivial(kz2):
 def test_halpha_dimodule_is_a_long_dimodule_over_h_h(kz2):
     sd = fx.sign_dimodule()
     d = halpha_sign(kz2)
-    assert isinstance(d, HomLongDimodule) and d.B is d.H is kz2
+    assert d.B is d.H is kz2 and d.kind == "halpha-dimodule"
     assert d == halpha_sign(kz2) and hash(d) == hash(halpha_sign(kz2))
-    # the type is kept, so it never equals the same data as a HomLongDimodule
-    same = HomLongDimodule(kz2, kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)
+    # the kind is kept, so it never equals the same data as a long-dimodule
+    same = Carrier(kz2, kz2, 1, sd.action, sd.coaction, sd.mu, sd.basis)
+    assert same.kind == "long-dimodule"
     assert d != same and same != d
-    assert validate_halpha_dimodule(d) == validate_long_dimodule(same)
-    # replace passes every field, B among them, which the constructor refuses
-    with pytest.raises(TypeError, match="'B'"):
-        replace(d, mu=Matrix([[2]]))
+    assert validate_long_dimodule(d) == validate_long_dimodule(same)
+    # replace keeps the kind, and so refuses a second structure
+    assert replace(d, mu=Matrix([[2]])).kind == "halpha-dimodule"
+    with pytest.raises(MismatchedBase, match="^a halpha-dimodule lives over one structure"):
+        replace(d, B=replace(kz2, basis=("e", "f")))
 
 
 def test_halpha_bad_coaction(kz2):
-    d = HAlphaLongDimodule(kz2, 1, Tensor3([[[1]], [[-1]]]),
-                           Tensor3([[[1], [1]]]), Matrix.identity(1))
-    assert not validate_halpha_dimodule(d).ok
+    d = Carrier(kz2, kz2, 1, Tensor3([[[1]], [[-1]]]), Tensor3([[[1], [1]]]),
+                Matrix.identity(1), kind="halpha-dimodule")
+    assert not validate_long_dimodule(d).ok
 
 
 def test_extensions_validate_and_solve(kz2, kz4t):
@@ -517,7 +518,7 @@ def test_extensions_validate_and_solve(kz2, kz4t):
         comodule_extension(kz4t, fx.regular_comodule(kz4t)),
     ]
     for d in cases:
-        assert validate_halpha_dimodule(d).ok
+        assert validate_long_dimodule(d).ok
         assert check_long_equation(dimodule_solution(d)).ok
 
 
@@ -525,16 +526,16 @@ def test_extension_small_cases():
     k1 = fx.field_hopf()
     m = fx.regular_module(k1)
     e = module_extension(k1, m)
-    assert e.dim == 1 and validate_halpha_dimodule(e).ok
+    assert e.dim == 1 and validate_long_dimodule(e).ok
     c = fx.regular_comodule(k1)
     e2 = comodule_extension(k1, c)
-    assert e2.dim == 1 and validate_halpha_dimodule(e2).ok
+    assert e2.dim == 1 and validate_long_dimodule(e2).ok
 
 
 def test_canonical_as_halpha_solution(kz2):
     cd = canonical_dimodule(kz2, kz2)
-    d = HAlphaLongDimodule(kz2, cd.dim, cd.action, cd.coaction, cd.mu, cd.basis)
-    assert validate_halpha_dimodule(d).ok
+    d = replace(cd, kind="halpha-dimodule")
+    assert validate_long_dimodule(d).ok
     assert check_long_equation(dimodule_solution(d)).ok
 
 

@@ -1,5 +1,5 @@
 """The names `import homlong` exports, pinned so that an export added or
-dropped shows up in review: 79 names and the seven submodules the package
+dropped shows up in review: 75 names and the seven submodules the package
 imports.  The public names of homlong.linalg and of its Matrix and Tensor3
 are pinned the same way, so that a view or entry point added back shows up
 too, and so are those of homlong.report and its Identity, so that a report
@@ -9,7 +9,9 @@ may name Composite, layout or first_key, so no other module places leg
 steps by hand, and only io.json_text writes indented JSON, so no second
 writer decides the format of a report or a written file.  Beside linalg,
 no module compares a map's rows, cols or dims to raise DimensionMismatch:
-homstruct.require_shape is the one shape refusal of a map."""
+homstruct.require_shape is the one shape refusal of a map, and repmod.Carrier
+is the one class of modules, comodules, Yetter-Drinfeld modules and
+dimodules."""
 
 import ast
 import json
@@ -24,12 +26,11 @@ from homlong import linalg, report
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_NAMES = [
-    "AntipodeNotInvertible", "AxiomReport", "BraidOperator", "BraidingContext", "Check",
-    "DimensionMismatch", "DimoduleMorphism", "DualityData", "HAlphaLongDimodule",
-    "HomComodule", "HomLongDimodule", "HomModule", "HomStructure", "InvalidContext",
-    "Matrix", "MismatchedBase", "NotAMorphism", "NotAutomorphism",
+    "AntipodeNotInvertible", "AxiomReport", "BraidOperator", "BraidingContext", "Carrier",
+    "Check", "DimensionMismatch", "DimoduleMorphism", "DualityData", "HomStructure",
+    "InvalidContext", "Matrix", "MismatchedBase", "NotAMorphism", "NotAutomorphism",
     "OperatorOnTensorSquare", "SearchSpaceTooLarge", "SingularMatrix", "Tensor3",
-    "YetterDrinfeldModule", "ZeroDiagonal", "canonical_dimodule",
+    "ZeroDiagonal", "canonical_dimodule",
     "check_braid_morphism", "check_braiding_compatibility", "check_coherence",
     "check_hexagons", "check_invertible_iff", "check_long_equation", "check_naturality",
     "check_qybe", "check_snake", "check_symmetry", "check_yd", "comodule_as_dimodule",
@@ -41,10 +42,10 @@ PUBLIC_NAMES = [
     "opposite_algebra", "right_dual", "scalar", "search_solutions",
     "smash_product_algebra", "solve_exact", "tau_transforms", "tensor_dimodule",
     "tensor_hopf", "to_smash_module", "trivial_dimodule", "unit_dimodule",
-    "validate_all", "validate_coquasitriangular", "validate_halpha_dimodule",
-    "validate_hom_algebra", "validate_hom_bialgebra", "validate_hom_coalgebra",
-    "validate_hom_comodule", "validate_hom_hopf", "validate_hom_module",
-    "validate_long_dimodule", "validate_quasitriangular", "yau_twist", "yd_prebraiding",
+    "validate_all", "validate_coquasitriangular", "validate_hom_algebra",
+    "validate_hom_bialgebra", "validate_hom_coalgebra", "validate_hom_comodule",
+    "validate_hom_hopf", "validate_hom_module", "validate_long_dimodule",
+    "validate_quasitriangular", "validate_yd_module", "yau_twist", "yd_prebraiding",
 ]
 
 SUBMODULES = ["braidcat", "homstruct", "linalg", "longdimod", "longeq", "repmod", "report"]
@@ -67,7 +68,7 @@ def test_public_names_are_pinned():
     names, modules = json.loads(out)
     assert names == PUBLIC_NAMES
     assert modules == SUBMODULES
-    assert len(names) + len(modules) == 86
+    assert len(names) + len(modules) == 82
 
 
 LINALG_NAMES = [
@@ -198,3 +199,36 @@ BRAIDING_CONTEXT_ATTRIBUTES = ["B", "H", "R", "cotriangular", "form", "reports",
 
 def test_braiding_context_names_are_pinned(ctx):
     assert _public(dir(ctx)) == BRAIDING_CONTEXT_ATTRIBUTES
+
+
+# the maps only a carrier holds
+CARRIER_FIELDS = {"action", "coaction"}
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _carrier_classes(paths):
+    """(module, class) for each class in the files at paths that holds an
+    action or a coaction: a field or a self attribute of that name, or a
+    base class, in any of the files, that holds one."""
+    classes = [(path.stem, c) for path in paths for c in ast.walk(ast.parse(path.read_text()))
+               if isinstance(c, ast.ClassDef)]
+    held = {(stem, c.name) for stem, c in classes for node in ast.walk(c)
+            if isinstance(node, (ast.AnnAssign, ast.Assign))
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if _name(target) in CARRIER_FIELDS}
+    while True:
+        names = {name for _, name in held}
+        heirs = {(stem, c.name) for stem, c in classes if any(_name(b) in names for b in c.bases)}
+        if heirs <= held:
+            return held
+        held |= heirs
+
+
+def test_carrier_is_the_one_carrier_class():
+    # modules, comodules, Yetter-Drinfeld modules and dimodules are each a
+    # repmod.Carrier: no second class, and no subclass, holds an action or
+    # a coaction
+    assert _carrier_classes((SRC / "homlong").glob("*.py")) == {("repmod", "Carrier")}
