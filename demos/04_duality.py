@@ -7,6 +7,7 @@ equal the identity matrix on the nose.
 """
 
 from homlong import fixtures as fx
+from homlong import io as hio
 from homlong.longdimod import (check_snake, left_dual, right_dual,
                                validate_long_dimodule)
 
@@ -15,8 +16,10 @@ sign = dims["sign"]
 
 ld = left_dual(sign)
 print("== left dual of the sign line ==")
-print("dual action tensor:", ld.dual.action.to_json())
-print("dual coaction tensor:", ld.dual.coaction.to_json())
+# the three-leg maps nested T[i][j][k], as a definition file holds them
+dual_json = hio.structure_to_json(ld.dual)
+print("dual action tensor:", dual_json["action"])
+print("dual coaction tensor:", dual_json["coaction"])
 print("dual is a valid dimodule?", validate_long_dimodule(ld.dual).ok)
 print("snake identities:")
 print(check_snake(sign, ld))

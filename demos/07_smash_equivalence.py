@@ -39,4 +39,4 @@ for name, d in roster.items():
 # the sign line: (delta_g (x) 1) . v = delta_g(g) v = v
 sign = fx.standard_dimodules()["sign"]
 n = to_smash_module(sign)
-print("\nsign line smash action of (g*, 1):", n.action[2, 0, 0])
+print("\nsign line smash action of (g*, 1):", n.action[0, 2])

@@ -100,17 +100,14 @@ def long_braiding(ctx, m, n):
     return BraidOperator((m, n), Matrix.from_int_columns(*c, n.dim * m.dim))
 
 
-def _mu2_inverse(*factors):
-    """mu^-2 of the tensor product of factors as int columns: each factor's
-    own mu^-1 twice on its leg, so no inverse spans two carriers."""
-    legs = {"x%d" % k: t.dim for k, t in enumerate(factors)}
-    steps = [(t.mu.inv(), leg) for leg, t in zip(legs, factors)] * 2
-    return compose(legs, steps, " ".join(legs)).columns()
+def _mu2_inverse(t):
+    """mu^-2 of the object t as int columns."""
+    return compose(dict(x=t.dim), [(t.mu.inv(), "x")] * 2, "x").columns()
 
 
-def _braiding(ctx, m, n, mu2i, nu2i):
-    """The Composite of long_braiding, given mu^-2 and nu^-2 as int
-    columns."""
+def _braiding(ctx, m, mu2i, n, nu2i):
+    """The Composite of long_braiding, given mu^-2 of m and nu^-2 of n as
+    int columns."""
     return compose(dict(x=m.dim, y=n.dim), _paired(ctx, m, n) + [(mu2i, "x"), (nu2i, "y")]
                    + _acted(ctx, m, n), "y x")
 
@@ -149,17 +146,29 @@ def check_braid_morphism(c):
 
 
 def _braidings(ctx, *pairs):
-    """long_braiding of each pair, as int columns.  Each object is checked,
-    and its mu^-2 built, once; a pair of the same two objects as an earlier
-    one shares its columns."""
-    objects = {id(t): t for pair in pairs for t in pair}
+    """long_braiding of each pair, as int columns; a side is an object or
+    a tuple of objects, their tensor product, whose mu^-2 is its factors'
+    own, one leg each.  Each object is checked, and its mu^-2 built, once;
+    a pair of the same two sides as an earlier one shares its columns."""
+    pairs = [tuple(s if type(s) is tuple else (s,) for s in pair) for pair in pairs]
+    objects = {id(t): t for pair in pairs for side in pair for t in side}
     ctx.require(*objects.values())
     mu2i = {key: _mu2_inverse(t) for key, t in objects.items()}
     built = {}
     for m, n in pairs:
-        if (id(m), id(n)) not in built:
-            built[id(m), id(n)] = _braiding(ctx, m, n, mu2i[id(m)], mu2i[id(n)]).columns()
-    return [built[id(m), id(n)] for m, n in pairs]
+        key = tuple(map(id, m)), tuple(map(id, n))
+        if key not in built:
+            built[key] = _braiding(ctx, *_tensor(m, mu2i), *_tensor(n, mu2i)).columns()
+    return [built[tuple(map(id, m)), tuple(map(id, n))] for m, n in pairs]
+
+
+def _tensor(factors, mu2i):
+    """The tensor product of factors and its mu^-2, from each factor's."""
+    if len(factors) == 1:
+        return factors[0], mu2i[id(factors[0])]
+    legs = {"x%d" % k: t.dim for k, t in enumerate(factors)}
+    return tensor_dimodule(*factors), compose(
+        legs, [(mu2i[id(t)], leg) for leg, t in zip(legs, factors)], " ".join(legs)).columns()
 
 
 def check_naturality(ctx, f, g):
@@ -179,11 +188,8 @@ def check_hexagons(ctx, u, v, w):
     """Both hexagon identities with the explicit associators, column by
     column on the legs (u, v, w); mu^-2 of the tensor product in
     C_{U,V (x) W} and C_{U (x) V,W} is its factors' own, one leg each."""
-    c_uv, c_uw, c_vw = _braidings(ctx, (u, v), (u, w), (v, w))
-    c_u_vw = _braiding(ctx, u, tensor_dimodule(v, w), _mu2_inverse(u),
-                       _mu2_inverse(v, w)).columns()
-    c_uv_w = _braiding(ctx, tensor_dimodule(u, v), w, _mu2_inverse(u, v),
-                       _mu2_inverse(w)).columns()
+    c_uv, c_uw, c_vw, c_u_vw, c_uv_w = _braidings(ctx, (u, v), (u, w), (v, w), (u, (v, w)),
+                                                  ((u, v), w))
     a, names = associator_legs, dict(x=u.basis, y=v.basis, z=w.basis)
     return AxiomReport().record(
         # associator(v, w, u) C_{U,V(x)W} associator(u, v, w) against
@@ -221,7 +227,7 @@ def hb_yd_structure(ctx, m):
     ai, bi, mui = (ctx.H.gamma.inv(), "h"), (ctx.B.gamma.inv(), "p"), (m.mu.inv(), "m")
     act = compose(dict(h=ctx.H.dim, x=ctx.B.dim, m=m.dim),
                   [(m.coaction, "m -> p m"), (ctx.form, "x p ->"), ai, ai, ai, mui,
-                   (m.action, "h m -> m")], "m").product(2)
+                   (m.action, "h m -> m")], "m").matrix()
     co = compose(dict(m=m.dim), [(ctx.R, "-> r s"), (m.coaction, "m -> p m"), bi, bi, bi, mui,
                                  (m.action, "r m -> m")], "s p m").coproduct(ctx.H.dim * ctx.B.dim)
     hb = tensor_hopf(ctx.H, ctx.B)

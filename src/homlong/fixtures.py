@@ -9,7 +9,7 @@ the little zoo of dimodules used throughout.
 from dataclasses import replace
 from fractions import Fraction
 
-from .linalg import Matrix, Tensor3, per_leg_matrix
+from .linalg import Matrix, per_leg_matrix
 from .homstruct import HomStructure, tensor_hopf, yau_twist
 from .repmod import Carrier
 from .longdimod import canonical_dimodule, counit_action, trivial_dimodule, unit_dimodule
@@ -17,8 +17,10 @@ from .longdimod import canonical_dimodule, counit_action, trivial_dimodule, unit
 
 def group_hopf(m, names=None):
     """Group algebra of the cyclic group of order m, identity twist."""
-    mult = Tensor3.from_function(m, m, m, lambda i, j, k: 1 if k == (i + j) % m else 0)
-    comult = Tensor3.from_function(m, m, m, lambda i, j, k: 1 if j == i == k else 0)
+    mult = Matrix.from_tensor([[[int(k == (i + j) % m) for k in range(m)] for j in range(m)]
+                               for i in range(m)])
+    comult = Matrix.from_tensor([[[int(j == i == k) for k in range(m)] for j in range(m)]
+                                 for i in range(m)])
     unit = Matrix([[1]] + [[0]] * (m - 1))
     counit = Matrix([[1]] * m)
     s = Matrix.from_function(m, m, lambda i, j: 1 if i == (-j) % m else 0)
@@ -85,14 +87,16 @@ def sweedler_hopf():
         (2, 0): {2: 1}, (2, 1): {3: -1}, (2, 2): {}, (2, 3): {},
         (3, 0): {3: 1}, (3, 1): {2: -1}, (3, 2): {}, (3, 3): {},
     }
-    mult = Tensor3.from_function(n, n, n, lambda i, j, k: table[(i, j)].get(k, 0))
+    mult = Matrix.from_tensor([[[table[i, j].get(k, 0) for k in range(n)] for j in range(n)]
+                               for i in range(n)])
     cop = {
         0: {(0, 0): 1},
         1: {(1, 1): 1},
         2: {(2, 0): 1, (1, 2): 1},
         3: {(3, 1): 1, (0, 3): 1},
     }
-    comult = Tensor3.from_function(n, n, n, lambda i, j, k: cop[i].get((j, k), 0))
+    comult = Matrix.from_tensor([[[cop[i].get((j, k), 0) for k in range(n)] for j in range(n)]
+                                 for i in range(n)])
     unit = Matrix([[1], [0], [0], [0]])
     counit = Matrix([[1], [1], [0], [0]])
     s = Matrix.from_function(n, n, lambda i, j: {(0, 0): 1, (1, 1): 1,
@@ -157,7 +161,7 @@ def sign_module(h=None, scale=1):
     if h is None:
         h = kz2()
     c = Fraction(scale)
-    action = Tensor3([[[c]], [[-c]]])
+    action = Matrix.from_tensor([[[c]], [[-c]]])
     return Carrier(h.algebra, None, 1, action, None, Matrix([[c]]), ("v",))
 
 
@@ -166,7 +170,7 @@ def sign_comodule(b=None, scale=1):
     if b is None:
         b = kz2()
     c = Fraction(scale)
-    coaction = Tensor3([[[0], [c]]])
+    coaction = Matrix.from_tensor([[[0], [c]]])
     return Carrier(None, b.coalgebra, 1, None, coaction, Matrix([[c]]), ("v",))
 
 
@@ -197,8 +201,8 @@ def sign_dimodule(h=None, b=None, scale=1):
     if b is None:
         b = kz2()
     c = Fraction(scale)
-    action = Tensor3([[[c]], [[-c]]])
-    coaction = Tensor3([[[0], [c]]])
+    action = Matrix.from_tensor([[[c]], [[-c]]])
+    coaction = Matrix.from_tensor([[[0], [c]]])
     return Carrier(h, b, 1, action, coaction, Matrix([[c]]), ("v",))
 
 

@@ -19,7 +19,7 @@ map of the wrong shape or kind is refused where it enters, in the one text
 
 from dataclasses import dataclass, replace
 
-from .linalg import Matrix, Tensor3, DimensionMismatch, move_legs, per_leg_matrix, solve_exact
+from .linalg import Matrix, DimensionMismatch, move_legs, per_leg_matrix, solve_exact
 from .report import AxiomReport, Check, Identity, compose
 
 
@@ -37,10 +37,9 @@ def fit_basis(s, prefix="e"):
 
 
 def require_shape(m, shape, name):
-    """Refuse the map m, named name, unless it reads as shape: a Tensor3 by
-    its dims, any other Matrix by (rows, cols), so that a map of the wrong
-    kind is refused too."""
-    got = m.dims if isinstance(m, Tensor3) else (m.rows, m.cols)
+    """Refuse the Matrix m, named name, unless it is rows x cols for shape
+    (rows, cols); a three-leg map is the Matrix of its product-like map."""
+    got = m.rows, m.cols
     if got != shape:
         raise DimensionMismatch("%s is %s, expected %s"
                                 % (name, "x".join(map(str, got)), "x".join(map(str, shape))))
@@ -53,9 +52,9 @@ class HomStructure:
     coproduct alike.  Its kind follows from which parts are set."""
     dim: int
     gamma: Matrix              # the structure map
-    mult: Tensor3 = None       # mult[i][j][k] = coeff of e_k in e_i e_j
+    mult: Matrix = None        # n x n^2: [k, i * n + j] = coeff of e_k in e_i e_j
     unit: Matrix = None        # n x 1: coordinates of the unit element
-    comult: Tensor3 = None     # comult[i][j][k] = coeff of e_j (x) e_k in Delta(e_i)
+    comult: Matrix = None      # n x n^2: [k, i * n + j] = coeff of e_j (x) e_k in Delta(e_i)
     counit: Matrix = None      # n x 1: the counit's values on the basis
     antipode: Matrix = None
     basis: tuple = None
@@ -68,7 +67,7 @@ class HomStructure:
             raise DimensionMismatch("a structure needs gamma, and mult or comult")
         if self.antipode is not None and not (has_alg and has_coalg):
             raise DimensionMismatch("an antipode needs both mult and comult")
-        for name, shape in (("mult", (n, n, n)), ("comult", (n, n, n)), ("unit", (n, 1)),
+        for name, shape in (("mult", (n, n * n)), ("comult", (n, n * n)), ("unit", (n, 1)),
                             ("counit", (n, 1)), ("gamma", (n, n)), ("antipode", (n, n))):
             if getattr(self, name) is not None:
                 require_shape(getattr(self, name), shape, name)
@@ -194,7 +193,7 @@ def yau_twist(h, phi):
             Identity("phi does not fix the unit", (), [(u, "-> a"), (phi, "a")], [(u, "-> a")])):
         if not identity.decide().passed:
             raise NotAutomorphism(identity.axiom)
-    return replace(h, gamma=phi, mult=compose(legs, phi_mult, "a").product(),
+    return replace(h, gamma=phi, mult=compose(legs, phi_mult, "a").matrix(),
                    comult=compose(dict(a=n), comult_phi, "a b").coproduct(n))
 
 
@@ -214,10 +213,10 @@ def dual_hopf(b):
     # mult's (x, y | z) moved to (z, x | y)
     s = b.antipode
     return HomStructure(n, bi.transpose(),
-                        Tensor3.from_int_columns(move_legs(mult, (n,), (n, n), (1, 2), (0,)),
-                                                 ms, (n, n, n)), b.counit,
-                        Tensor3.from_int_columns(move_legs(comult, (n, n), (n,), (2, 0), (1,)),
-                                                 cs, (n, n, n)), b.unit,
+                        Matrix.from_int_columns(move_legs(mult, (n,), (n, n), (1, 2), (0,)),
+                                                ms, n), b.counit,
+                        Matrix.from_int_columns(move_legs(comult, (n, n), (n,), (2, 0), (1,)),
+                                                cs, n), b.unit,
                         None if s is None else s.transpose(),
                         tuple(x + "*" for x in b.basis))
 
@@ -226,7 +225,7 @@ def tensor_algebra(a, c):
     """Componentwise tensor product Hom-algebra of the algebra parts of a and
     c on the lexicographic basis: (x (x) y)(x' (x) y') = xx' (x) yy'."""
     mult = compose(dict(x=a.dim, y=c.dim, z=a.dim, w=c.dim),
-                   [(a.mult, "x z -> x"), (c.mult, "y w -> y")], "x y").product(2)
+                   [(a.mult, "x z -> x"), (c.mult, "y w -> y")], "x y").matrix()
     return HomStructure(a.dim * c.dim, per_leg_matrix(a.gamma, c.gamma), mult,
                         per_leg_matrix(a.unit, c.unit), basis=tensor_basis(a.basis, c.basis))
 
@@ -248,7 +247,7 @@ def tensor_hopf(h, b):
 
 def opposite_algebra(a):
     """The algebra part of a with the multiplication reversed."""
-    mult_op = compose(dict(x=a.dim, y=a.dim), [(a.mult, "y x -> x")], "x").product()
+    mult_op = compose(dict(x=a.dim, y=a.dim), [(a.mult, "y x -> x")], "x").matrix()
     return HomStructure(a.dim, a.gamma, mult_op, a.unit, basis=a.basis)
 
 

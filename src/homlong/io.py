@@ -5,11 +5,11 @@ carry a "kind" discriminator; fields holding another structure (an algebra
 under a module, the pair under a dimodule) may be inline objects or paths
 relative to the referencing file.  The five carrier kinds, modules to
 dimodules, are each a repmod.Carrier, read, written and validated from one
-table, _CARRIERS, which keeps each kind's file keys.  A tensor is read
-once, into the int columns of its product-like map; its other reading is
-those columns with their legs moved (linalg.move_legs).  A Files object
-lets one command read each file, and build each structure in it, once;
-in_file builds each, so a shape refusal names the file it came from.
+table, _CARRIERS, which keeps each kind's file keys.  A three-leg map is
+written nested, T[i][j][k], as its structure fixes (_nesting), and read
+once against that nesting into the int columns of its product-like Matrix.
+A Files object lets one command read each file, and build each structure
+in it, once; in_file builds each, so a shape refusal names the file.
 json_text, one json.dumps call, is the one JSON writer.
 """
 
@@ -17,7 +17,7 @@ import collections
 import json
 import os
 
-from .linalg import Matrix, Tensor3, DimensionMismatch, LinalgError, scalar
+from .linalg import Matrix, DimensionMismatch, LinalgError, scalar
 from .homstruct import HomStructure
 from .repmod import (Carrier, validate_hom_module, validate_hom_comodule,
                      validate_yd_module)
@@ -75,26 +75,35 @@ def load_vector(entries, where="vector"):
         raise FileFormatError(_ctx(where, str(exc)))
 
 
-def load_tensor3(data, where="tensor"):
-    """The Tensor3 in data, its entries read straight into its int columns,
-    the product-like ones; a comult or coaction gets its coproduct-like
-    reading by one leg move when a check first asks for it."""
+def load_tensor(obj, key, where, dims):
+    """The three-leg map nested in obj[key] as T[i][j][k], which must nest as
+    dims: the Matrix of its product-like map, its entries read straight into
+    its int columns (linalg.Matrix.from_tensor).  Ragged or otherwise nested
+    data and a bad entry are refused naming the field."""
+    data, where = obj[key], "%s.%s" % (where, key)
     if not isinstance(data, list):
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
     try:
-        return Tensor3(data)
-    except DimensionMismatch as exc:     # every entry read, the nesting ragged
+        return Matrix.from_tensor(data, dims, key)
+    except DimensionMismatch as exc:     # every entry read, the nesting wrong
         raise FileFormatError(_ctx(where, str(exc)))
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     # a rejected entry or a bad nesting: read again, naming each entry
     try:
-        return Tensor3([[[load_scalar(x, "%s[%d][%d][%d]" % (where, i, j, k))
-                          for k, x in enumerate(row)]
-                         for j, row in enumerate(plane)]
-                        for i, plane in enumerate(data)])
+        return Matrix.from_tensor([[[load_scalar(x, "%s[%d][%d][%d]" % (where, i, j, k))
+                                     for k, x in enumerate(row)]
+                                    for j, row in enumerate(plane)]
+                                   for i, plane in enumerate(data)], dims, key)
     except TypeError:
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
+
+
+def tensor_json(m, dims):
+    """The product-like Matrix m of a three-leg map as the nested lists
+    T[i][j][k] for its dims, the entries as to_json writes them."""
+    cols, d1 = m.transpose().to_json(), dims[1]
+    return [cols[i * d1:(i + 1) * d1] for i in range(dims[0])]
 
 
 def load_basis(obj, dim, where):
@@ -202,12 +211,12 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
     if kind != "hom-coalgebra":
         if "mult" not in obj or "unit" not in obj:
             raise FileFormatError(_ctx(where, "algebra needs 'mult' and 'unit'"))
-        parts.update(mult=load_tensor3(obj["mult"], where + ".mult"),
+        parts.update(mult=load_tensor(obj, "mult", where, (dim, dim, dim)),
                      unit=load_vector(obj["unit"], where + ".unit"))
     if kind != "hom-algebra":
         if "comult" not in obj or "counit" not in obj:
             raise FileFormatError(_ctx(where, "coalgebra needs 'comult' and 'counit'"))
-        parts.update(comult=load_tensor3(obj["comult"], where + ".comult"),
+        parts.update(comult=load_tensor(obj, "comult", where, (dim, dim, dim)),
                      counit=load_vector(obj["counit"], where + ".counit"))
     if kind == "hom-hopf":
         if "antipode" not in obj:
@@ -220,7 +229,9 @@ def algebra_to_json(h):
     out = {"kind": h.kind, "dim": h.dim, "basis": list(h.basis)}
     for key in ("mult", "unit", "comult", "counit", "gamma", "antipode"):
         value = getattr(h, key)
-        if value is not None:
+        if key in ("mult", "comult") and value is not None:
+            out[key] = tensor_json(value, (h.dim, h.dim))
+        elif value is not None:
             rows = value.to_json()
             # the unit and counit, one-column matrices, as load_vector reads them
             out[key] = [x for x, in rows] if key in ("unit", "counit") else rows
@@ -269,6 +280,13 @@ def _field(key):
     return key if key in ("action", "coaction") else "mu"
 
 
+def _nesting(key, dim, h, b):
+    """How a file nests the action or coaction of a carrier of dim over h
+    and b: action[h][i][j] is the coefficient of m_j in e_h . m_i and
+    coaction[i][a][j] that of b_a (x) m_j in rho(m_i)."""
+    return (h.dim, dim, dim) if key == "action" else (dim, b.dim, dim)
+
+
 def _carrier_algebra(obj, kind, key, part, base_dir, where, files):
     """What a carrier of this kind is built over, from obj[key] (see _CARRIERS)."""
     if part is None:
@@ -296,8 +314,9 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
             fields.update(dict.fromkeys(names.split(), alg))
         dim = _int_field(obj, "dim", where)
         for key in _CARRIERS[kind].maps:
-            load = load_matrix if _field(key) == "mu" else load_tensor3
-            fields[_field(key)] = load(obj[key], where + "." + key)
+            fields[_field(key)] = (
+                load_matrix(obj[key], where + "." + key) if _field(key) == "mu" else
+                load_tensor(obj, key, where, _nesting(key, dim, fields["H"], fields["B"])))
         return in_file(where, Carrier, dim=dim, basis=load_basis(obj, dim, where), kind=kind,
                        **fields)
     if kind == "operator":
@@ -356,7 +375,9 @@ def structure_to_json(s):
         out = {"kind": s.kind, "dim": s.dim, "basis": list(s.basis)}
         out.update((key, algebra_to_json(getattr(s, names.split()[0])))
                    for key, names, _ in spec.algebras)
-        out.update((key, getattr(s, _field(key)).to_json()) for key in spec.maps)
+        out.update((key, s.mu.to_json() if _field(key) == "mu" else
+                    tensor_json(getattr(s, key), _nesting(key, s.dim, s.H, s.B)))
+                   for key in spec.maps)
         return out
     if isinstance(s, OperatorOnTensorSquare):
         return {"kind": "operator", "n": s.carrier_dim,

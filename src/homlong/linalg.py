@@ -3,9 +3,9 @@
 Everything is exact, ints and Fractions; there is no floating point
 anywhere.  Linear maps are column-convention: M[i][j] is the coefficient of
 the i-th output basis vector in the image of the j-th input basis vector.
-Matrix and Tensor3 have no arithmetic: maps compose only as steps on
-tensor legs (below).  Tensor-product bases are ordered lexicographically,
-first factor major: (i, j) -> i * dim_second + j.
+Matrix, the one class of maps, has no arithmetic: maps compose only as
+steps on tensor legs (below).  Tensor-product bases are ordered
+lexicographically, first factor major: (i, j) -> i * dim_second + j.
 
 A Matrix is stored as its int-scaled sparse columns (cols, scale), in the
 unique form int_columns gives: entries sorted by row within each column,
@@ -13,20 +13,20 @@ the scale the lcm of the reduced denominators, no zero stored.  Equality
 and hashing read that form and the type, and it is all a Matrix keeps:
 entries (m[i, j] by bisection), to_lists, to_json and __repr__ are read
 off it.  int_columns is the one reader of scalars, for Matrix(rows),
-Tensor3(data) and the io loaders.  A unit, a counit or a solution is an
-n x 1 Matrix, and a Tensor3 (a multiplication, action, comultiplication
-or coaction) the Matrix of its product-like map (i, j) -> sum_k T[i][j][k]
-e_k with its leg dims; coproduct_columns gives its other reading, and it
-refuses to be read as one matrix (transpose, is_identity, det, inv).  det,
-inv and solve_exact share one fraction-free elimination on sparse int
-rows, which pays only for the nonzeros.
+Matrix.from_tensor(data) and the io loaders.  A unit, a counit or a
+solution is an n x 1 Matrix, and a three-leg map (a multiplication,
+action, comultiplication or coaction) the Matrix of its product-like map
+(i, j) -> sum_k T[i][j][k] e_k; its split into legs is read where it is
+used, and coproduct_columns gives its other reading for a first leg of a
+given dim.  det, inv and solve_exact share one fraction-free elimination
+on sparse int rows, which pays only for the nonzeros.
 
 A step applies a small map, as int-scaled columns (sparse_columns,
 coproduct_columns, insert_columns, pair_columns), to consecutive legs of a
 sparse vector; report.Identity and report.compose write steps on named
 legs and compile them to these, placing every permutation of legs.  A map
 with legs moved between its inputs and outputs (a transpose, the other
-reading of a Tensor3, an element's flat coordinates, a permutation of
+reading of a three-leg map, an element's flat coordinates, a permutation of
 legs) comes from one function, move_legs.  layout checks a composite's
 steps against its legs and lays each out once: its map, then its span,
 block and image.  A Composite takes that plan and is run on batches of
@@ -39,23 +39,24 @@ composes to the identity; a smaller composite runs its plan as one batch.
 report lays out an identity side once per shape of its maps and builds
 its Composite per decision, with no second layout.  first_key compares two
 Composites BATCH_COLUMNS columns at a time from column 0 up to the first
-that differs; columns(), matrix(), product() and coproduct() read one.
+that differs; columns(), matrix() and coproduct() read one.
 Every constructed structure map is such a composite, never an index sum
 or a Kronecker product.
 
-Matrix and Tensor3 are immutable, so each keeps what is derived from it
-once computed: a Matrix its determinant, its inverse and its flat
-readings as an element (insert_columns) and as a covector (pair_columns),
-so an identity that inserts R or pairs a form moves its legs once per
-Matrix, not once per decision; a Tensor3 also keeps its coproduct-like
-reading.  The stored and cached columns are shared by every caller and
-are never changed.
+A Matrix is immutable, so it keeps what is derived from it once computed:
+its determinant, its inverse, its flat readings as an element
+(insert_columns) and as a covector (pair_columns), and its coproduct-like
+reading for the last first-leg dim asked (coproduct_columns), so an
+identity that inserts R, pairs a form or reads a coaction moves its legs
+once per Matrix, not once per decision.  The stored and cached columns are
+shared by every caller and are never changed.
 """
 
 import bisect
 import functools
 import math
 import re
+import types
 from fractions import Fraction
 
 
@@ -110,10 +111,12 @@ class Matrix:
     so hashing reads it, and equality it and the type.  It is the one form
     kept: entries are read off it when asked for.
 
-    A Matrix is immutable, so it also keeps its determinant, its inverse and
-    its flat readings as an element and as a covector once computed."""
+    A Matrix is immutable, so it also keeps its determinant, its inverse,
+    its flat readings as an element and as a covector, and its
+    coproduct-like reading once computed."""
 
-    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse", "_element", "_covector")
+    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse", "_element", "_covector",
+                 "_coproduct")
 
     def __init__(self, rows_data, rows=None, cols=None):
         data = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows_data]
@@ -125,7 +128,7 @@ class Matrix:
             int_columns(data)       # an unreadable entry is named before the shape
             raise DimensionMismatch("ragged or mis-shaped matrix data")
         self.rows, self.cols = rows, cols
-        self._det = self._inverse = self._element = self._covector = None
+        self._det = self._inverse = self._element = self._covector = self._coproduct = None
         self._sparse = int_columns(zip(*data) if rows else [()] * cols)
 
     @classmethod
@@ -133,7 +136,7 @@ class Matrix:
         """An instance of cls over columns in the form int_columns gives."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._sparse = rows, cols, sparse
-        m._det = m._inverse = m._element = m._covector = None
+        m._det = m._inverse = m._element = m._covector = m._coproduct = None
         return m
 
     @classmethod
@@ -163,6 +166,27 @@ class Matrix:
     def from_function(rows, cols, f):
         return Matrix([[f(i, j) for j in range(cols)] for i in range(rows)],
                       rows=rows, cols=cols)
+
+    @staticmethod
+    def from_tensor(data, dims=None, name="tensor"):
+        """The Matrix of the product-like map (i, j) -> sum_k T[i][j][k] e_k
+        of nested data T[i][j][k]: d0 * d1 columns, (i, j) at i * d1 + j,
+        and d2 rows.  The dims (d0, d1, d2) are read from the list lengths
+        unless given, so a map with a 0-dimensional first or second leg
+        reads back only when they are; data nested otherwise than given
+        dims are refused as the map name."""
+        data = [[r if isinstance(r, (list, tuple)) else tuple(r) for r in plane]
+                for plane in data]
+        rows = [r for plane in data for r in plane]
+        got = (len(data), len(data[0]) if data else 0, len(rows[0]) if rows else 0)
+        d0, d1, d2 = want = got if dims is None else tuple(dims)
+        if len(data) != d0 or any(len(p) != d1 for p in data) or any(len(r) != d2 for r in rows):
+            int_columns(rows)       # an unreadable entry is named before the nesting
+            if any(len(p) != got[1] for p in data) or any(len(r) != got[2] for r in rows):
+                raise DimensionMismatch("ragged tensor data")
+            raise DimensionMismatch("%s is %s, expected %s"
+                                    % (name, "x".join(map(str, got)), "x".join(map(str, want))))
+        return Matrix._of(d2, d0 * d1, int_columns(rows))
 
     def __getitem__(self, ij):
         """m[i, j]; on a one-column matrix (a unit, a counit) also m[i]."""
@@ -405,9 +429,9 @@ def _sign(perm):
 
 
 def sparse_columns(m):
-    """The columns of the Matrix m as int_columns gives them (of a Tensor3,
-    the product-like columns (i, j) -> sum_k t[i][j][k] e_k): its stored
-    form, shared, so the lists are not to be changed."""
+    """The columns of the Matrix m as int_columns gives them (of a three-leg
+    map, the product-like columns (i, j) -> sum_k T[i][j][k] e_k): its
+    stored form, shared, so the lists are not to be changed."""
     return m._sparse
 
 
@@ -462,15 +486,17 @@ def _move_tables(dims_in, dims_out, ins, outs):
             *tables(range(n_in, len(dims))))
 
 
-def coproduct_columns(t):
-    """The columns i -> sum_jk t[i][j][k] e_j (x) e_k of a coproduct-like
-    Tensor3 (a comultiplication or a coaction), as int_columns gives them:
-    its columns with legs moved once, then kept and shared like
-    sparse_columns."""
-    if t._coproduct is None:
-        cols, scale = t._sparse
-        t._coproduct = move_legs(cols, (t.d0, t.d1), (t.rows,), (0,), (1, 2)), scale
-    return t._coproduct
+def coproduct_columns(m, d):
+    """The columns i -> sum_jk T[i][j][k] e_j (x) e_k of the product-like
+    Matrix m of T (a comultiplication or a coaction), read with a first leg
+    of dim d, as int_columns gives them: its columns with legs moved once,
+    then kept for that d and shared like sparse_columns.  On a leg of dim 0
+    it has no column."""
+    if m._coproduct is None or m._coproduct[0] != d:
+        cols, scale = m._sparse
+        moved = move_legs(cols, (d, m.cols // d), (m.rows,), (0,), (1, 2)) if d else []
+        m._coproduct = d, (moved, scale)
+    return m._coproduct[1]
 
 
 def insert_columns(element):
@@ -697,27 +723,21 @@ class Composite:
         return cols, self._scale
 
     def matrix(self):
+        """The Matrix of the composite; of a multiplication or an action, its
+        product-like map."""
         return Matrix.from_int_columns(*self.columns(), math.prod(self.out_dims))
 
-    def product(self, first=1):
-        """The product-like Tensor3 (a multiplication or an action) whose
-        first input is the first `first` legs and second the others."""
-        return Tensor3.from_int_columns(*self.columns(), (
-            math.prod(self.dims[:first]), math.prod(self.dims[first:]),
-            math.prod(self.out_dims)))
-
     def coproduct(self, first_out):
-        """The coproduct-like Tensor3 (a comultiplication or a coaction)
-        whose first output has dim first_out: the columns with legs moved
-        once, to its product-like columns."""
+        """The product-like Matrix of a comultiplication or a coaction whose
+        first output has dim first_out: the columns with legs moved once."""
         rows = math.prod(self.out_dims)
         dims = (self._d_in, first_out, rows // first_out)
         if rows % first_out:
             raise DimensionMismatch("matrix has %d rows, expected %d"
                                     % (rows, first_out * dims[2]))
         cols, scale = self.columns()
-        return Tensor3.from_int_columns(move_legs(cols, dims[:1], dims[1:], (0, 1), (2,)),
-                                        scale, dims)
+        return Matrix.from_int_columns(move_legs(cols, dims[:1], dims[1:], (0, 1), (2,)),
+                                       scale, dims[2])
 
 
 def first_key(left, right):
@@ -801,93 +821,8 @@ def solve_exact(a, b):
     return Matrix([[v] for v in x], cols=1)
 
 
-class Tensor3(Matrix):
-    """Structure-constant tensor T[i][j][k] with three named legs: the
-    Matrix of its product-like map (i, j) -> sum_k T[i][j][k] e_k (a mult,
-    an action), d0 * d1 columns and d2 = rows, stored, compared and hashed
-    as any Matrix is, with the leg dims on top.  Equality also compares d0,
-    and a Tensor3 equals only a Tensor3.  coproduct_columns gives its
-    coproduct-like reading i -> sum_jk T[i][j][k] e_j (x) e_k (a comult, a
-    coaction) from the same ints.  The Matrix methods that would read it as
-    one map (transpose, is_identity, det, inv) raise TypeError.  to_lists
-    and to_json give T[i][j][k] as nested lists; Tensor3(data) reads the
-    dims back from the list lengths, so a map with a 0-dimensional first or
-    second leg reads back only when its shape is given:
-    Tensor3(t.to_lists(), dims=t.dims) == t."""
-
-    __slots__ = ("d0", "d1", "_coproduct")
-
-    def __init__(self, data, dims=None):
-        data = [[r if isinstance(r, (list, tuple)) else tuple(r) for r in plane]
-                for plane in data]
-        if dims is not None:
-            d0, d1, d2 = dims
-        else:
-            d0 = len(data)
-            d1 = len(data[0]) if d0 else 0
-            d2 = len(data[0][0]) if d0 and d1 else 0
-        if len(data) != d0 or any(len(p) != d1 for p in data) or any(
-                len(r) != d2 for p in data for r in p):
-            int_columns(r for p in data for r in p)     # entries are named first
-            raise DimensionMismatch("ragged tensor data")
-        self.rows, self.cols, self.d0, self.d1 = d2, d0 * d1, d0, d1
-        self._sparse = int_columns(r for p in data for r in p)
-        self._det = self._inverse = self._element = self._covector = self._coproduct = None
-
-    @classmethod
-    def from_int_columns(cls, cols, scale, dims):
-        """The Tensor3 of dims (d0, d1, d2) whose product-like columns are
-        cols / scale, d0 * d1 lists of (row, int) pairs with rows below d2,
-        taken over as Matrix.from_int_columns takes them."""
-        d0, d1, d2 = dims
-        if len(cols) != d0 * d1:
-            raise DimensionMismatch("matrix has %d columns, expected %d" % (len(cols), d0 * d1))
-        t = cls._of(d2, d0 * d1, _canonical(cols, scale))
-        t.d0, t.d1, t._coproduct = d0, d1, None
-        return t
-
-    @property
-    def d2(self):
-        return self.rows
-
-    @property
-    def dims(self):
-        return (self.d0, self.d1, self.rows)
-
-    @staticmethod
-    def zeros(d0, d1, d2):
-        return Tensor3.from_int_columns([[] for _ in range(d0 * d1)], 1, (d0, d1, d2))
-
-    @staticmethod
-    def from_function(d0, d1, d2, f):
-        return Tensor3([[[f(i, j, k) for k in range(d2)] for j in range(d1)]
-                        for i in range(d0)], dims=(d0, d1, d2))
-
-    def _not_a_matrix(self):
-        raise TypeError("a Tensor3 has three legs: read it by sparse_columns or coproduct_columns")
-
-    transpose = is_identity = det = inv = _not_a_matrix
-
-    def __getitem__(self, ijk):
-        i, j, k = ijk
-        return self._entry(range(self.rows)[k],
-                           range(self.d0)[i] * self.d1 + range(self.d1)[j])
-
-    def __eq__(self, other):
-        return Matrix.__eq__(self, other) and self.d0 == other.d0
-
-    __hash__ = Matrix.__hash__
-
-    def _dense(self, zero, read):
-        """T[i][j][k] as Matrix._dense reads the entries."""
-        d1, d2 = self.d1, self.rows
-        out = [[[zero] * d2 for _ in range(d1)] for _ in range(self.d0)]
-        cols, scale = self._sparse
-        for c, col in enumerate(cols):
-            row = out[c // d1][c % d1]
-            for k, x in col:
-                row[k] = read(x, scale)
-        return out
-
-    def __repr__(self):
-        return "Tensor3(%dx%dx%d)" % self.dims
+# bench/workloads.py builds its trivial comodules by Tensor3.from_function,
+# the product-like Matrix of f(i, j, k) = T[i][j][k]; only that name is kept,
+# for it alone, and it is no class of maps
+Tensor3 = types.SimpleNamespace(from_function=lambda d0, d1, d2, f: Matrix.from_tensor(
+    [[[f(i, j, k) for k in range(d2)] for j in range(d1)] for i in range(d0)], (d0, d1, d2)))

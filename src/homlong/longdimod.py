@@ -10,7 +10,7 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 
 from dataclasses import dataclass, replace
 
-from .linalg import Matrix, Tensor3, move_legs, pair_columns, per_leg_matrix
+from .linalg import Matrix, move_legs, pair_columns, per_leg_matrix
 from .homstruct import (dual_hopf, opposite_algebra, require_shape, tensor_algebra,
                         tensor_basis)
 from .repmod import Carrier, MismatchedBase, validate_hom_module, validate_hom_comodule
@@ -46,16 +46,16 @@ def canonical_dimodule(h, b):
     """The carrier H (x) B with h.(g (x) x) = hg (x) b(x) and
     rho(g (x) x) = x1 (x) (a(g) (x) x2): h_tensor_parts with B's coproduct
     as the coaction."""
-    return Carrier(h, b, *h_tensor_parts(h, b.comult, b.gamma, b.basis))
+    return Carrier(h, b, *h_tensor_parts(h, b, b.comult, b.gamma, b.basis))
 
 
-def h_tensor_parts(h, coaction, mu, names):
-    """H (x) M for a coaction on M with structure map mu, M's basis being
-    named names: h.(g (x) x) = hg (x) mu(x) and
+def h_tensor_parts(h, c, coaction, mu, names):
+    """H (x) M for a coaction of c on M with structure map mu, M's basis
+    being named names: h.(g (x) x) = hg (x) mu(x) and
     rho(g (x) x) = x_-1 (x) (a(g) (x) x_0), as (dim, action, coaction,
     structure map a (x) mu, basis names)."""
-    nh, dm, nc = h.dim, mu.rows, coaction.d1
-    act = compose(dict(h=nh, g=nh, x=dm), [(h.mult, "h g -> g"), (mu, "x")], "g x").product()
+    nh, dm, nc = h.dim, mu.rows, c.dim
+    act = compose(dict(h=nh, g=nh, x=dm), [(h.mult, "h g -> g"), (mu, "x")], "g x").matrix()
     co = compose(dict(g=nh, x=dm), [(h.gamma, "g"), (coaction, "x -> c x")], "c g x").coproduct(nc)
     return nh * dm, act, co, per_leg_matrix(h.gamma, mu), tensor_basis(h.basis, names)
 
@@ -79,7 +79,7 @@ def tensor_dimodule(m, n):
                                                     (n.action, "g y -> y")], "x y")
     co = compose(dict(x=m.dim, y=n.dim), [(m.coaction, "x -> p x"), (n.coaction, "y -> q y"),
                                           (b.mult, "p q -> p"), bi, bi], "p x y")
-    return Carrier(m.H, m.B, m.dim * n.dim, act.product(), co.coproduct(b.dim),
+    return Carrier(m.H, m.B, m.dim * n.dim, act.matrix(), co.coproduct(b.dim),
                    per_leg_matrix(m.mu, n.mu), tensor_basis(m.basis, n.basis))
 
 
@@ -98,7 +98,7 @@ def trivial_dimodule(h, b, mu=None):
 
 def counit_action(h, mu):
     """The action h.m = eps(h) mu(m) of H on the carrier of mu."""
-    return compose(dict(h=h.dim, x=mu.rows), [(h.counit, "h ->"), (mu, "x")], "x").product()
+    return compose(dict(h=h.dim, x=mu.rows), [(h.counit, "h ->"), (mu, "x")], "x").matrix()
 
 
 def unit_coaction(b, mu):
@@ -237,10 +237,8 @@ def _dual(m, h_twist, b_twist, side):
                  + [mui, mui], "b x").columns()
     # the dual action's legs (h, f^j | f^x) are act's (h, x | j), and the
     # dual coaction's (f^j, b | f^x) are co's (x | b, j)
-    act = Tensor3.from_int_columns(move_legs(act[0], (h.dim, d), (d,), (0, 2), (1,)), act[1],
-                                   (h.dim, d, d))
-    co = Tensor3.from_int_columns(move_legs(co[0], (d,), (b.dim, d), (2, 1), (0,)), co[1],
-                                  (d, b.dim, d))
+    act = Matrix.from_int_columns(move_legs(act[0], (h.dim, d), (d,), (0, 2), (1,)), act[1], d)
+    co = Matrix.from_int_columns(move_legs(co[0], (d,), (b.dim, d), (2, 1), (0,)), co[1], d)
     dual = Carrier(h, b, d, act, co, m.mu.inv().transpose(), tuple(x + "*" for x in m.basis))
     # dual-basis pairing and copairing; the same sum_i e_i (x) e_i serves
     # both sides (left: ev on M* (x) M, coev in M (x) M*; right: swapped roles).
@@ -289,7 +287,7 @@ def to_smash_module(m):
     h, b, d = m.H, m.B, m.dim
     act = compose(dict(p=b.dim, h=h.dim, x=d),
                   [(m.coaction, "x -> q x"), (Matrix.identity(b.dim), "p q ->"),
-                   (m.mu.inv(), "x"), (m.action, "h x -> x")], "x").product(2)
+                   (m.mu.inv(), "x"), (m.action, "h x -> x")], "x").matrix()
     return Carrier(smash_product_algebra(b, h), None, d, act, None, m.mu, m.basis)
 
 
@@ -300,7 +298,7 @@ def from_smash_module(n, h, b):
     if n.H != smash_product_algebra(b, h):
         raise MismatchedBase("module lives over another algebra than B*op (x) H")
     nh, nb, d = h.dim, b.dim, n.dim
-    act = compose(dict(h=nh, x=d), [(b.counit, "-> f"), (n.action, "f h x -> x")], "x").product()
+    act = compose(dict(h=nh, x=d), [(b.counit, "-> f"), (n.action, "f h x -> x")], "x").matrix()
     # the element sum_i b_i (x) f^i, then 1_H, acting as (f^i (x) 1_H) on m
     co = compose(dict(x=d), [(Matrix.identity(nb), "-> c f"), (h.unit, "-> h"),
                              (n.action, "f h x -> x")], "c x").coproduct(nb)

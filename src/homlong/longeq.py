@@ -417,7 +417,7 @@ def module_extension(h, m):
     """
     nh, dm = h.dim, m.dim
     act = compose(dict(h=nh, g=nh, x=dm), [(h.gamma, "g"), (m.action, "h x -> x")],
-                  "g x").product()
+                  "g x").matrix()
     co = compose(dict(g=nh, x=dm), [(h.comult, "g -> c g"), (m.mu, "x")], "c g x").coproduct(nh)
     return Carrier(h, h, nh * dm, act, co, per_leg_matrix(h.gamma, m.mu),
                    tensor_basis(h.basis, m.basis), kind="halpha-dimodule")
@@ -426,7 +426,7 @@ def module_extension(h, m):
 def comodule_extension(h, m):
     """H (x) M with h.(g (x) x) = hg (x) mu(x) and
     rho(g (x) x) = x_-1 (x) (a(g) (x) x_0)."""
-    return Carrier(h, h, *h_tensor_parts(h, m.coaction, m.mu, m.basis), kind="halpha-dimodule")
+    return Carrier(h, h, *h_tensor_parts(h, m.B, m.coaction, m.mu, m.basis), kind="halpha-dimodule")
 
 
 def dimodule_solution(d):

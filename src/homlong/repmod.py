@@ -10,8 +10,9 @@ satisfy (HYD), and an halpha-dimodule, a Long dimodule over (H, H).  A
 carrier is checked once, where it is built, so the validators take only
 the carrier and check its axioms over its own H and B.
 
-Carriers are described by structure constants: action[h][i][j] is the
-coefficient of m_j in e_h . m_i, coaction[i][a][j] the coefficient of
+Carriers are described by structure constants, each three-leg map the
+Matrix of its product-like map: action[j, h * dim + i] is the coefficient
+of m_j in e_h . m_i, coaction[j, i * B.dim + a] the coefficient of
 b_a (x) m_j in rho(m_i).  The compatibility condition and its Hopf-case
 reformulation are both checked; the reformulation is a cross-check only.
 Every axiom is a report.Identity on named legs.
@@ -19,7 +20,7 @@ Every axiom is a report.Identity on named legs.
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, Tensor3, DimensionMismatch
+from .linalg import Matrix, DimensionMismatch
 from .homstruct import HomStructure, fit_basis, require_shape
 from .report import AxiomReport, Check, Identity, compose
 
@@ -48,8 +49,8 @@ class Carrier:
     H: HomStructure
     B: HomStructure
     dim: int
-    action: Tensor3        # action[h][i][j] = coeff of m_j in e_h . m_i
-    coaction: Tensor3      # coaction[i][a][j] = coeff of b_a (x) m_j in rho(m_i)
+    action: Matrix         # dim x H.dim dim: [j, h * dim + i] = coeff of m_j in e_h . m_i
+    coaction: Matrix       # dim x dim B.dim: [j, i * B.dim + a] = coeff of b_a (x) m_j in rho(m_i)
     mu: Matrix
     basis: tuple = None
     kind: str = None
@@ -66,7 +67,7 @@ class Carrier:
             if getattr(s, part) is None or both and (s.mult is None or s.comult is None):
                 raise DimensionMismatch("%s needs %s, not a %s"
                                         % (side, "mult and comult" if both else part, s.kind))
-            require_shape(m, (s.dim, n, n) if name == "action" else (n, s.dim, n), name)
+            require_shape(m, (n, s.dim * n), name)
         require_shape(self.mu, (n, n), "structure map")
         fit_basis(self, "m")
         if self.H is None and self.B is None:

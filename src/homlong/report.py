@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .linalg import (Composite, DimensionMismatch, Matrix, Tensor3, _is_identity,
+from .linalg import (Composite, DimensionMismatch, Matrix, _is_identity,
                      coproduct_columns, first_key, insert_columns, layout, move_legs,
                      pair_columns, sparse_columns, unflat_index)
 
@@ -108,13 +108,15 @@ class Identity(NamedTuple):
     decided column by column.
 
     A side is a list of steps (map, text); "a b -> x" reads the legs a and
-    b, in that order, and leaves the leg x, and "a" is "a -> a".  A Tensor3
-    reads as its product ("a b -> x") or its coproduct ("x -> a b"); a
-    Matrix with no input legs is an element inserted and one with no output
-    legs a covector paired away, by the flat coordinates i * cols + j (a
-    unit, R, a counit, a form), and otherwise the map from its columns to
-    its rows; int columns (cols, scale) from Composite.columns land on legs
-    whose names give their dims.
+    b, in that order, and leaves the leg x, and "a" is "a -> a".  A Matrix
+    with no input legs is an element inserted and one with no output legs a
+    covector paired away, by the flat coordinates i * cols + j (a unit, R, a
+    counit, a form), and otherwise the map from its columns to its rows,
+    split by the legs' dims; a step from one leg of dim d onto two legs not
+    all named yet ("x -> a b") reads the Matrix of d * e columns of a
+    product-like map (a comultiplication, a coaction) as its coproduct, onto
+    dims (e, rows).  Int columns (cols, scale) from Composite.columns land
+    on legs whose names give their dims.
 
     names_in maps each input leg to its basis names (range(n) names each
     basis vector by its index); a failure's witness names the first
@@ -187,10 +189,10 @@ def _named(digits, names):
 
 
 def _shapes(side):
-    """A side's texts with its maps' shapes: a Tensor3's dims, a Matrix's
-    (rows, cols), int columns' column count."""
-    return tuple([(text, (m.d0, m.d1, m.rows) if type(m) is Tensor3 else
-                   (m.rows, m.cols) if isinstance(m, Matrix) else len(m[0])) for m, text in side])
+    """A side's texts with its maps' shapes: a Matrix's (rows, cols), int
+    columns' column count."""
+    return tuple([(text, (m.rows, m.cols) if isinstance(m, Matrix) else len(m[0]))
+                  for m, text in side])
 
 
 def _plan(compiled, side, dims):
@@ -217,11 +219,14 @@ def _compiled(symbols, dims, side, target):
     once per text) read for one shape: (steps, the legs it leaves, their
     dims).  A step is (map index, reader, whether a map keeps its block's
     dims), then its span from linalg.layout, in one tuple; a permutation
-    has index None and its columns for reader."""
+    has index None and its columns for reader.  A block with a leg of dim 0
+    has no column for its map to run on, so the map is not checked
+    against it."""
     moves, ends = _arranged(symbols, tuple([text for text, _ in side]), target)
     table, d, steps, counted = dict(zip(symbols, dims)), dims, [], []
     for k, p, stop, legs, ins, outs in moves:
         block = d[p:stop]
+        zero = 0 in block
         if k is None:
             read, want, out = _permutation(block, outs), block, tuple([block[i] for i in outs])
         else:
@@ -229,12 +234,12 @@ def _compiled(symbols, dims, side, target):
             read, want, out = _reading(shape, ins, outs, table)
             if not ins:
                 out += (1,)     # the unit leg, which an element reads
-            elif want is not None and block != want:
+            elif want is not None and block != want and not zero:
                 raise DimensionMismatch("map on legs of dims %r, given %r -> %r of dims %r"
                                         % (want, ins, outs, block))
             table.update(zip(outs, out))
         steps.append((k, read, k is not None and block == out))
-        counted.append((shape if want is None else math.prod(want), legs, out))
+        counted.append((0 if zero else shape if want is None else math.prod(want), legs, out))
         d = d[:p] + out + d[stop:]
     plan, out_dims, _ = layout(dims, counted)
     return tuple([step + planned[1:] for step, planned in zip(steps, plan)]), ends, out_dims
@@ -276,28 +281,30 @@ def _reading(shape, ins, outs, dims):
         if any(s not in dims for s in outs):
             raise DimensionMismatch("int columns onto new legs %r" % (outs,))
         return tuple, None, tuple(dims[s] for s in outs)     # a tuple read as it is
-    if len(shape) == 3:     # a Tensor3, else read as the Matrix of its product
-        if (len(ins), len(outs)) == (1, 2):
-            return coproduct_columns, shape[:1], shape[1:]
-        if len(ins) == 2:
-            return sparse_columns, shape[:2], _split(shape[2], outs, dims)
-        shape = shape[2], shape[0] * shape[1]
     rows, cols = shape
     if not ins:
         return insert_columns, (), _split(rows * cols, outs, dims, shape)
     if not outs:
         return pair_columns, _split(rows * cols, ins, dims, shape), ()
+    if len(ins) == 1 and len(outs) == 2 and not all(s in dims for s in outs):
+        # a coproduct: d * e product-like columns, e read as 0 for d = 0
+        d = dims[ins[0]]
+        if d and cols % d:
+            raise DimensionMismatch("%d columns on a leg of dim %d, given %r -> %r"
+                                    % (cols, d, ins, outs))
+        return lambda m: coproduct_columns(m, d), (d,), (cols // d if d else 0, rows)
     return sparse_columns, _split(cols, ins, dims), _split(rows, outs, dims)
 
 
 def _split(total, legs, dims, square=None):
     """The dims of legs sharing total basis vectors: total on one leg, else
-    their dims, else an element's (rows, cols) on two."""
+    their dims, else an element's (rows, cols) on two.  Legs with no basis
+    vector take any map: a leg of dim 0 has no column to run on."""
     if len(legs) == 1:
         return (total,)
     got = (tuple(dims[s] for s in legs) if all(s in dims for s in legs)
            else square if square and len(legs) == 2 else None)
-    if got is None or math.prod(got) != total:
+    if got is None or math.prod(got) not in (total, 0):
         raise DimensionMismatch("%d basis vectors on legs %r" % (total, legs))
     return got
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from homlong import fixtures as fx
-from homlong.linalg import Matrix, Tensor3
+from homlong.linalg import Matrix
 from homlong.homstruct import (validate_all,
                                validate_coquasitriangular, validate_hom_algebra,
                                validate_hom_bialgebra, validate_hom_coalgebra,
@@ -32,7 +32,7 @@ from homlong.longeq import (check_long_equation,
                             diagonal_solution, dimodule_solution,
                             module_extension, operator_to_coords,
                             search_solutions, tau_transforms)
-from test_oracles import grid_search_oracle, kron, mul
+from test_oracles import grid_search_oracle, kron, mul, tensor
 
 RESULTS = []
 
@@ -68,7 +68,7 @@ def test_criterion_1_axiom_tower():
     rep = validate_hom_coalgebra(mut_coa)
     ok = ok and not rep.passed("HC2-counit") and rep.check("HC2-counit").witness[1] == "g"
 
-    mult = Tensor3.from_function(2, 2, 2,
+    mult = tensor(2, 2, 2,
                                  lambda i, j, k: (2 if (i, j) == (1, 1) else 1)
                                  if k == (i + j) % 2 else 0)
     mut_bi = replace(kz2, mult=mult, antipode=None)

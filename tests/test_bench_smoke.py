@@ -4,6 +4,10 @@ bench/workloads.py calls library names directly (Tensor3.from_function,
 one-index reads of a one-column Matrix such as h.unit[a], Matrix indexing,
 to_lists, long_braiding_inverse, trivial_module), so one short run of each
 workload fails here, with its error output, when one of them stops working.
+Three of them are kept in the library for bench/ alone, none exported by
+homlong: linalg.Tensor3, a namespace whose from_function gives the
+product-like Matrix of a coaction (no class of maps), repmod.HomComodule
+and longeq.validate_halpha_dimodule.
 """
 
 import json

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from homlong import fixtures as fx, linalg
+from homlong import braidcat, fixtures as fx, linalg
 from homlong.linalg import Matrix
 from homlong.homstruct import tensor_hopf
 from homlong.repmod import check_yd, validate_hom_comodule, validate_hom_module
@@ -108,6 +108,17 @@ def test_hexagons(ctx, dimodules):
             for nw in names:
                 rep = check_hexagons(ctx, dimodules[nu], dimodules[nv], dimodules[nw])
                 assert rep.ok, (nu, nv, nw)
+
+
+def test_hexagons_build_each_factors_mu2_inverse_once(ctx, dimodules, monkeypatch):
+    # C_{U,V (x) W} and C_{U (x) V,W} take mu^-2 of their tensor factors
+    # from the three that C_{U,V}, C_{U,W} and C_{V,W} built: three builds,
+    # not five (test_oracles checks the verdicts against dense hexagons)
+    u, v, w = dimodules["sign"], dimodules["canonical"], dimodules["trivial"]
+    built, mu2_inverse = [], braidcat._mu2_inverse
+    monkeypatch.setattr(braidcat, "_mu2_inverse", lambda t: built.append(t) or mu2_inverse(t))
+    assert check_hexagons(ctx, u, v, w).ok
+    assert built == [u, v, w]
 
 
 def test_hexagon_fails_with_corrupted_r(kz2, dimodules):

@@ -10,17 +10,17 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx, io as hio, linalg
-from homlong.linalg import (Matrix, Tensor3, DimensionMismatch,
+from homlong.linalg import (Matrix, DimensionMismatch,
                             SingularMatrix, coproduct_columns, first_key, int_columns,
                             unflat_index, insert_columns, pair_columns, scalar, solve_exact,
                             sparse_columns)
 from test_oracles import (HOPF_FIXTURES, apply3, column_of, columns_by_column, composite,
-                          coproduct_map, dense_columns, elimination_squares, elimination_systems,
-                          first_difference, first_difference_by_column,
-                          flat_index, flip_matrix, fraction_int_columns, inverse_map, kron,
-                          kron_all, leg_flip, perm_matrix, mul, permute_input_legs,
-                          permute_output_legs,
-                          product_map, row_matrix, same_columns)
+                          coproduct_map, dense_columns, dense_entries, dense_nested,
+                          elimination_squares, elimination_systems, first_difference,
+                          first_difference_by_column, flat_index, flip_matrix,
+                          fraction_int_columns, inverse_map, json_scalar, kron, kron_all,
+                          leg_flip, load_tensor_field, perm_matrix, mul, permute_input_legs,
+                          permute_output_legs, row_matrix, same_columns, tensor)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -208,27 +208,30 @@ def test_one_index_reads_only_a_one_column_matrix(m):
 
 
 def small_tensors():
-    """A Tensor3 of dims 1-3 with small entries, one in three a Fraction."""
+    """Nested data T[i][j][k] of dims 1-3 with small entries, one in three
+    a Fraction."""
     entry = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
-    return st.tuples(*[st.integers(1, 3)] * 3).flatmap(lambda dims: st.builds(
-        Tensor3, st.lists(st.lists(st.lists(entry, min_size=dims[2], max_size=dims[2]),
-                                   min_size=dims[1], max_size=dims[1]),
-                          min_size=dims[0], max_size=dims[0])))
+    return st.tuples(*[st.integers(1, 3)] * 3).flatmap(lambda dims: st.lists(
+        st.lists(st.lists(entry, min_size=dims[2], max_size=dims[2]),
+                 min_size=dims[1], max_size=dims[1]), min_size=dims[0], max_size=dims[0]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_tensors())
-def test_to_lists_reads_back_the_same_tensor(t):
-    # a Tensor3 gives its nested T[i][j][k] as lists of Fractions, 0 and 1
-    # the shared ZERO and ONE, and so does the Matrix of its product-like map
-    d0, d1, d2 = t.dims
-    nested = t.to_lists()
-    assert nested == [[[t[i, j, k] for k in range(d2)] for j in range(d1)] for i in range(d0)]
-    assert all(type(row) is list for plane in nested for row in plane)
-    assert Tensor3(nested) == t
-    m = Matrix.from_int_columns(*copy.deepcopy(sparse_columns(t)), d2)
-    assert Matrix(m.to_lists()) == m
-    for x in [x for plane in nested for row in plane for x in row] + sum(m.to_lists(), []):
+def test_from_tensor_reads_the_product_like_map(data):
+    # nested T[i][j][k] reads as the Matrix of (i, j) -> sum_k T[i][j][k] e_k,
+    # whose rows to_lists gives as Fractions, 0 and 1 the shared ZERO and
+    # ONE; written back nested, it gives T again
+    d0, d1, d2 = len(data), len(data[0]), len(data[0][0])
+    t = Matrix.from_tensor(data)
+    assert (t.rows, t.cols) == (d2, d0 * d1)
+    rows = t.to_lists()
+    assert rows == [[scalar(data[c // d1][c % d1][k]) for c in range(d0 * d1)]
+                    for k in range(d2)]
+    assert Matrix.from_tensor(data, (d0, d1, d2)) == t == Matrix(rows)
+    assert hio.tensor_json(t, (d0, d1)) == [[[json_scalar(scalar(x)) for x in row]
+                                             for row in plane] for plane in data]
+    for x in sum(rows, []):
         assert type(x) is Fraction and (x is linalg.ZERO) == (x == 0)
         assert (x is linalg.ONE) == (x == 1)
 
@@ -243,29 +246,36 @@ def test_a_matrix_with_an_empty_side_reads_back_given_its_shape(m):
 @pytest.mark.parametrize("dims", [(2, 0, 3), (0, 2, 3)])
 def test_a_tensor_with_a_zero_dimensional_leg_reads_back_given_its_dims(dims):
     # the dims read off the lists end at the first empty list
-    t = Tensor3.zeros(*dims)
-    assert Tensor3(t.to_lists(), dims=dims) == t
-    assert Tensor3(t.to_lists()).dims != dims
+    t = Matrix.zeros(dims[2], dims[0] * dims[1])
+    nested = hio.tensor_json(t, dims)
+    assert Matrix.from_tensor(nested, dims=dims) == t
+    assert Matrix.from_tensor(nested) != t
+
+
+@pytest.mark.parametrize("data, dims, message", [
+    ([[[1], [2]]], (2, 1, 1), "tensor is 1x2x1, expected 2x1x1"),
+    ([[[1, 2]], [[3, 4]]], (2, 1, 1), "tensor is 2x1x2, expected 2x1x1"),
+    ([[[1], [2]], [[3]]], None, "ragged tensor data"),
+    ([[[1], [2]], [[3], [4, 5]]], (2, 2, 1), "ragged tensor data"),
+])
+def test_from_tensor_refuses_data_nested_otherwise(data, dims, message):
+    # given dims, the same entries nested otherwise are refused, in the one
+    # text of a misshaped map, even where rows x cols would agree
+    with pytest.raises(DimensionMismatch, match="^%s$" % message):
+        Matrix.from_tensor(data, dims)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_tensors())
-def test_every_index_reads_the_entry_of_to_lists(t):
-    # m[i, j], t[i, j, k] and a column's v[i], for every index in range,
-    # negative ones included; any other index raises IndexError
-    d0, d1, d2 = t.dims
-    nested = t.to_lists()
-    for i, j, k in itertools.product(*(range(-d, d) for d in t.dims)):
-        assert t[i, j, k] == nested[i][j][k]
-    m = Matrix.from_int_columns(*copy.deepcopy(sparse_columns(t)), d2)
+def test_every_index_reads_the_entry_of_to_lists(data):
+    # m[i, j] and a column's v[i], for every index in range, negative ones
+    # included; any other index raises IndexError
+    m = Matrix.from_tensor(data)
     rows = m.to_lists()
     for i, j in itertools.product(range(-m.rows, m.rows), range(-m.cols, m.cols)):
         assert m[i, j] == rows[i][j]
     v = Matrix([row[:1] for row in rows])
     assert [v[i] for i in range(-v.rows, v.rows)] == [row[0] for row in rows] * 2
-    for bad in ((d0, 0, 0), (0, d1, 0), (0, 0, d2), (-d0 - 1, 0, 0), (0, 0, -d2 - 1)):
-        with pytest.raises(IndexError):
-            t[bad]
     for bad in ((m.rows, 0), (0, m.cols), (-m.rows - 1, 0), (0, -m.cols - 1)):
         with pytest.raises(IndexError):
             m[bad]
@@ -275,11 +285,10 @@ def test_every_index_reads_the_entry_of_to_lists(t):
 
 
 def test_tensor3_flatten_round_trip():
-    t = Tensor3.from_function(2, 3, 2, lambda i, j, k: i + 10 * j + 100 * k)
-    m = product_map(t)
-    assert (m.rows, m.cols) == (2, 6)
-    assert Tensor3.from_int_columns(*_copied(m), (2, 3, 2)) == t
-    m2 = coproduct_map(t)
+    t = tensor(2, 3, 2, lambda i, j, k: i + 10 * j + 100 * k)
+    assert (t.rows, t.cols) == (2, 6)
+    assert Matrix.from_int_columns(*_copied(t), 2) == t
+    m2 = coproduct_map(t, 2)
     assert (m2.rows, m2.cols) == (6, 2)
     assert composite([(sparse_columns(m2), (0,), (3, 2))], (2,)).coproduct(3) == t
 
@@ -292,15 +301,14 @@ def _copied(m):
 
 
 def test_apply3():
-    t = Tensor3.from_function(2, 2, 2, lambda i, j, k: i + j + k)
-    assert apply3(t, 0, Matrix.identity(2)) == t
-    z = Tensor3.zeros(2, 2, 2)
-    assert apply3(z, 1, Matrix([[1, 2], [3, 4]])) == z
-    doubled = apply3(t, 2, Matrix.diagonal([2, 2]))
-    assert all(doubled[i, j, k] == 2 * t[i, j, k]
-               for i in range(2) for j in range(2) for k in range(2))
+    t = tensor(2, 2, 2, lambda i, j, k: i + j + k)
+    assert apply3(t, 2, 0, Matrix.identity(2)) == t
+    z = Matrix.zeros(2, 4)
+    assert apply3(z, 2, 1, Matrix([[1, 2], [3, 4]])) == z
+    doubled = apply3(t, 2, 2, Matrix.diagonal([2, 2]))
+    assert dense_entries(doubled) == [[2 * x for x in row] for row in dense_entries(t)]
     with pytest.raises(DimensionMismatch):
-        apply3(t, 1, Matrix([[1, 2, 3]]))
+        apply3(t, 2, 1, Matrix([[1, 2, 3]]))
 
 
 def test_zero_dim_edge_cases():
@@ -308,8 +316,8 @@ def test_zero_dim_edge_cases():
     assert kron(e, Matrix.identity(2)) == Matrix([], rows=0, cols=0)
     v = hio.load_vector([])
     assert (v.rows, v.cols) == (0, 1) and v.to_json() == [] and sparse_columns(v) == ([[]], 1)
-    t = Tensor3.zeros(2, 0, 0)
-    assert sparse_columns(t) == ([], 1) and t.to_json() == [[], []]
+    t = Matrix.from_tensor([[], []], (2, 0, 0))
+    assert sparse_columns(t) == ([], 1) and hio.tensor_json(t, (2, 0)) == [[], []]
 
 
 def test_shape_errors():
@@ -605,26 +613,26 @@ def _fresh_coproduct_columns(data):
 @settings(max_examples=60, deadline=None)
 @given(tensor_data)
 def test_every_tensor3_construction_gives_one_stored_form(data):
-    # each way of making a Tensor3 gives the Matrix of its product-like map:
-    # equal, equally hashed and written, with the same data view and a
+    # each way of making a three-leg map gives the Matrix of its
+    # product-like map: equal, equally hashed and written, with a
     # coproduct-like reading equal to a fresh conversion
     d0, d1, d2 = len(data), len(data[0]), len(data[0][0])
-    ref = Tensor3(data)
+    ref = Matrix.from_tensor(data)
     prod = Matrix.from_function(d2, d0 * d1, lambda k, c: data[c // d1][c % d1][k])
     cop = Matrix.from_function(d1 * d2, d0, lambda r, i: data[i][r // d2][r % d2])
-    made = [Tensor3(data), Tensor3.from_function(d0, d1, d2, lambda i, j, k: data[i][j][k]),
-            Tensor3.from_int_columns(*_copied(prod), (d0, d1, d2)),
-            Tensor3.from_int_columns(*int_columns(r for plane in data for r in plane),
-                                     (d0, d1, d2)),
-            composite([(sparse_columns(prod), (0, 1), (d2,))], (d0, d1)).product(),
+    made = [Matrix.from_tensor(data), tensor(d0, d1, d2, lambda i, j, k: data[i][j][k]),
+            linalg.Tensor3.from_function(d0, d1, d2, lambda i, j, k: data[i][j][k]),
+            Matrix.from_int_columns(*_copied(prod), d2),
+            Matrix.from_int_columns(*int_columns(r for plane in data for r in plane), d2),
+            composite([(sparse_columns(prod), (0, 1), (d2,))], (d0, d1)).matrix(),
             composite([(sparse_columns(cop), (0,), (d1, d2))], (d0,)).coproduct(d1),
-            hio.load_tensor3(ref.to_json())]
+            load_tensor_field(hio.tensor_json(ref, (d0, d1)))]
     for t in made:
         assert t == ref and ref == t and hash(t) == hash(ref)
-        assert t.dims == (d0, d1, d2) and (t.rows, t.cols) == (d2, d0 * d1)
+        assert (t.rows, t.cols) == (d2, d0 * d1)
         assert t.to_json() == ref.to_json()
-        assert t.to_lists() == ref.to_lists() == [[list(row) for row in plane] for plane in data]
-        assert coproduct_columns(t) == _fresh_coproduct_columns(data)
+        assert dense_nested(t, d0, d1) == [[list(row) for row in plane] for plane in data]
+        assert coproduct_columns(t, d0) == _fresh_coproduct_columns(data)
 
 
 def test_loaded_mult_and_comult_fields_equal_the_built_tensors():
@@ -633,58 +641,66 @@ def test_loaded_mult_and_comult_fields_equal_the_built_tensors():
     for h in (fx.kz2(), fx.kz4_twisted(), fx.sweedler_scaled_twisted(2)):
         obj = hio.algebra_to_json(h)
         for field in ("mult", "comult"):
-            t, built = hio.load_tensor3(obj[field], field), getattr(h, field)
+            t, built = load_tensor_field(obj[field]), getattr(h, field)
             assert t == built and hash(t) == hash(built)
-            assert t.to_json() == built.to_json() == obj[field]
+            assert hio.tensor_json(t, (h.dim, h.dim)) == obj[field]
             assert t.to_lists() == built.to_lists()
             assert t._coproduct is None
-            assert coproduct_columns(t) == _fresh_coproduct_columns(t.to_lists()) \
-                == coproduct_columns(built)
+            nested = dense_nested(t, h.dim, h.dim)
+            assert coproduct_columns(t, h.dim) == _fresh_coproduct_columns(nested) \
+                == coproduct_columns(built, h.dim)
 
 
 @pytest.mark.parametrize("build", HOPF_FIXTURES, ids=lambda f: f.__name__)
 def test_fixture_tensors_built_from_int_columns_equal_the_built_ones(build):
     # every fixture's mult and comult, built from nested data and from int
-    # columns with the leg dims: its product-like columns converted entry
-    # by entry, and the product-like and coproduct-like maps as composites
-    for t in (build().mult, build().comult):
-        d0, d1, d2 = t.dims
-        data = [[[t[i, j, k] for k in range(d2)] for j in range(d1)] for i in range(d0)]
-        made = [Tensor3(data),
-                Tensor3.from_int_columns(*fraction_int_columns(
-                    row for plane in data for row in plane), t.dims),
-                composite([(sparse_columns(product_map(t)), (0, 1), (d2,))], (d0, d1)).product(),
-                composite([(sparse_columns(coproduct_map(t)), (0,), (d1, d2))],
-                          (d0,)).coproduct(d1)]
+    # columns: its product-like columns converted entry by entry, and the
+    # product-like and coproduct-like maps as composites
+    h = build()
+    n = h.dim
+    for t in (h.mult, h.comult):
+        data = dense_nested(t, n, n)
+        made = [Matrix.from_tensor(data),
+                Matrix.from_int_columns(*fraction_int_columns(
+                    row for plane in data for row in plane), n),
+                composite([(sparse_columns(t), (0, 1), (n,))], (n, n)).matrix(),
+                composite([(sparse_columns(coproduct_map(t, n)), (0,), (n, n))],
+                          (n,)).coproduct(n)]
         for m in made:
             assert m == t and hash(m) == hash(t) and m.to_json() == t.to_json()
-            assert coproduct_columns(m) == coproduct_columns(t)
+            assert coproduct_columns(m, n) == coproduct_columns(t, n)
 
 
-def test_tensor3_from_int_columns_checks_the_column_count():
-    with pytest.raises(DimensionMismatch, match="matrix has 3 columns, expected 4"):
-        Tensor3.from_int_columns([[]] * 3, 1, (2, 2, 1))
-
-
-def test_tensor3_equality_reads_the_leg_dims_and_the_type():
-    assert Tensor3.zeros(2, 3, 1) != Tensor3.zeros(3, 2, 1)
-    assert Tensor3.zeros(2, 3, 1) == Tensor3.zeros(2, 3, 1)
-    t = Tensor3([[[1, "1/2"], [0, 3]], [[0, 0], [-1, 0]]])
+def test_three_leg_maps_compare_as_their_product_like_matrix():
+    # a three-leg map is the Matrix of its product-like map, its split read
+    # where it is used: nestings with the same rows and columns are one map
+    assert Matrix.from_tensor([[[0]] * 3] * 2) == Matrix.from_tensor([[[0]] * 2] * 3)
+    t = Matrix.from_tensor([[[1, "1/2"], [0, 3]], [[0, 0], [-1, 0]]])
     cols, scale = sparse_columns(t)
     m = Matrix.from_int_columns([list(c) for c in cols], scale, t.rows)
-    assert sparse_columns(m) == sparse_columns(t) and (m.rows, m.cols) == (t.rows, t.cols)
-    assert t != m and m != t
+    assert m == t and hash(m) == hash(t) and m.to_json() == t.to_json()
+
+
+def test_the_coproduct_reading_is_kept_for_the_dim_it_was_read_with():
+    # kept like the element and covector readings, and read afresh when a
+    # step reads the map with another first-leg dim
+    t = tensor(2, 3, 1, lambda i, j, k: i + 10 * j)
+    first = coproduct_columns(t, 2)
+    assert coproduct_columns(t, 2) is first and t._coproduct == (2, first)
+    other = coproduct_columns(t, 3)
+    assert other == _fresh_coproduct_columns(dense_nested(t, 3, 2)) != first
+    assert t._coproduct == (3, other)
 
 
 def test_converted_and_inverted_maps_are_kept():
     m = Matrix([[1, 2], [3, Fraction(1, 2)]])
     assert m.inv() is m.inv()
     assert sparse_columns(m) is sparse_columns(m)
-    t = Tensor3([[[1, 0], [0, 2]], [[0, 3], [Fraction(1, 3), 0]]])
+    t = Matrix.from_tensor([[[1, 0], [0, 2]], [[0, 3], [Fraction(1, 3), 0]]])
     assert sparse_columns(t) is sparse_columns(t)
-    assert coproduct_columns(t) is coproduct_columns(t)
+    assert coproduct_columns(t, 2) is coproduct_columns(t, 2)
     # a filled cache leaves equality and hashing to the data
-    fresh_m, fresh_t = Matrix([[1, 2], [3, Fraction(1, 2)]]), Tensor3(t.to_lists())
+    fresh_m, fresh_t = Matrix([[1, 2], [3, Fraction(1, 2)]]), Matrix(t.to_lists())
     assert m == fresh_m and hash(m) == hash(fresh_m)
     assert t == fresh_t and hash(t) == hash(fresh_t)
     assert m.inv() == fresh_m.inv()
@@ -796,9 +812,8 @@ def test_solve_exact_matches_sympy(system):
 
 
 @pytest.mark.parametrize("method", ["transpose", "is_identity", "det", "inv"])
-def test_tensor3_refuses_to_be_read_as_one_matrix(method):
-    # d0 * d1 = d2, so its product-like matrix is square and would invert
-    t = Tensor3.from_function(2, 2, 4, lambda i, j, k: int(k == 2 * i + j) + i)
-    with pytest.raises(TypeError, match="three legs"):
-        getattr(t, method)()
-    assert getattr(Matrix.from_int_columns(*sparse_columns(t), 4), method)() is not None
+def test_a_three_leg_map_reads_as_one_matrix(method):
+    # d0 * d1 = d2, so its product-like matrix is square and inverts: it is
+    # that Matrix, read as any other
+    t = tensor(2, 2, 4, lambda i, j, k: int(k == 2 * i + j) + i)
+    assert getattr(t, method)() == getattr(Matrix.from_int_columns(*_copied(t), 4), method)()

