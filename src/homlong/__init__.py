@@ -28,8 +28,8 @@ from .braidcat import (BraidingContext, BraidOperator, DimoduleMorphism,
                        module_as_dimodule, comodule_as_dimodule,
                        module_family_braiding, comodule_family_braiding,
                        check_symmetry)
-from .longeq import (OperatorOnTensorSquare, ZeroDiagonal,
-                     SearchSpaceTooLarge, check_long_equation, check_invertible_iff,
+from .longeq import (OperatorOnTensorSquare, SearchSpaceTooLarge,
+                     check_long_equation, check_invertible_iff,
                      diagonal_solution, coordinate_criterion, tau_transforms, module_extension,
                      comodule_extension, dimodule_solution, search_solutions,
                      operator_to_coords, coords_to_operator)

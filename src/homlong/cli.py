@@ -26,7 +26,7 @@ from .repmod import Carrier, MismatchedBase, validate_hom_module, validate_yd_mo
 from .longdimod import (AntipodeNotInvertible, validate_long_dimodule, tensor_dimodule,
                         left_dual, right_dual, check_snake, check_coherence, to_smash_module,
                         from_smash_module)
-from .longeq import (ZeroDiagonal, SearchSpaceTooLarge, check_long_equation,
+from .longeq import (SearchSpaceTooLarge, check_long_equation,
                      dimodule_solution, module_extension, comodule_extension,
                      search_solutions)
 from .braidcat import (InvalidContext, NotAMorphism, long_braiding,
@@ -95,6 +95,12 @@ def _structure(*kinds):
                 "an" if kinds[0][0] in "aeiou" else "a", " or ".join(kinds)), path)
         return hio.load_structure(path, files)
     return load
+
+
+def _load_solution(path, files):
+    """The operator that the H-alpha dimodule in a -D file induces, built as
+    the file is read, so that a singular mu is refused naming the file."""
+    return hio.in_file(path, dimodule_solution, _structure("halpha-dimodule")(path, files))
 
 
 def _load_phi(path, files):
@@ -228,8 +234,8 @@ SUBJECTS = {
                             (("-M", _DIMODULE), ("-N", _DIMODULE))),
     "build twist": Subject(_emit(yau_twist, validate_all),
                            (("--base", _BIALGEBRA), ("--phi", _load_phi))),
-    "build dimodule-solution": Subject(_emit(dimodule_solution, check_long_equation),
-                                       (("-D", _structure("halpha-dimodule")),)),
+    "build dimodule-solution": Subject(_emit(lambda op: op, check_long_equation),
+                                       (("-D", _load_solution),)),
     "build extension": Subject(_emit(_extension, validate_long_dimodule), (
         ("--base", _BIALGEBRA), ("-M", _structure("hom-module", "hom-comodule"))), ("--variant",)),
     "build smash": Subject(_emit(to_smash_module, validate_hom_module),
@@ -405,7 +411,7 @@ def main(argv=None):
         return 2
     except (FileFormatError, DimensionMismatch, SingularMatrix, MismatchedBase,
             AntipodeNotInvertible, InvalidContext, NotAMorphism, NotAutomorphism,
-            UsageError, ZeroDiagonal, SearchSpaceTooLarge, KeyError, ValueError,
+            UsageError, SearchSpaceTooLarge, KeyError, ValueError,
             ArithmeticError, OSError) as exc:
         return _print_error(args.format, name, inputs, exc)
     print(report.render(args.format, args.verbose))

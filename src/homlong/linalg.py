@@ -17,25 +17,26 @@ Matrix.from_tensor(data) and the io loaders.  A unit, a counit or a
 solution is an n x 1 Matrix, and a three-leg map (a multiplication,
 action, comultiplication or coaction) the Matrix of its product-like map
 (i, j) -> sum_k T[i][j][k] e_k; its split into legs is read where it is
-used, and coproduct_columns gives its other reading for a first leg of a
-given dim.  det, inv and solve_exact share one fraction-free elimination
-on sparse int rows, which pays only for the nonzeros.
+used.  det, inv and solve_exact share one fraction-free elimination on
+sparse int rows, which pays only for the nonzeros.
 
-A step applies a small map, as int-scaled columns (sparse_columns,
-coproduct_columns, insert_columns, pair_columns), to consecutive legs of a
-sparse vector; report.Identity and report.compose write steps on named
-legs and compile them to these, placing every permutation of legs.  A map
-with legs moved between its inputs and outputs (a transpose, the other
-reading of a three-leg map, an element's flat coordinates, a permutation of
-legs) comes from one function, move_legs.  layout checks a composite's
-steps against its legs and lays each out once: its map, then its span,
-block and image.  A Composite takes that plan and is run on batches of
-basis columns: the column index is one more leading leg, so a single pass
-per step serves a batch.  On a composite of at least FOLD_MIN_COLUMNS
-columns, a step that keeps its leg count and has one entry per column on
-distinct rows (mu, alpha, a permutation of legs) is carried into the next
-step on its legs and makes no pass of its own, and dropped where it
-composes to the identity; a smaller composite runs its plan as one batch.
+A step applies a small map, as int-scaled columns, to consecutive legs of
+a sparse vector: a Matrix's own (sparse_columns), or its columns with legs
+moved (moved_columns: an element's flat coordinates inserted, a covector's
+paired away, the coproduct reading of a product-like map).
+report.Identity and report.compose write steps on named legs and compile
+them to these, placing every permutation of legs.  A map with legs moved
+between its inputs and outputs (a transpose, a reading of moved_columns, a
+permutation of legs) comes from one function, move_legs.  layout checks
+a composite's steps against its legs and lays each out once: its map,
+then its span, block and image.  A Composite takes that plan and is run
+on batches of basis columns: the column index is one more leading leg, so
+a single pass per step serves a batch.  On a composite of at least
+FOLD_MIN_COLUMNS columns, a step that keeps its leg count and has one
+entry per column on distinct rows (mu, alpha, a permutation of legs) is
+carried into the next step on its legs and makes no pass of its own, and
+dropped where it composes to the identity; a smaller composite runs its
+plan as one batch.
 report lays out an identity side once per shape of its maps and builds
 its Composite per decision, with no second layout.  first_key compares two
 Composites BATCH_COLUMNS columns at a time from column 0 up to the first
@@ -44,12 +45,11 @@ Every constructed structure map is such a composite, never an index sum
 or a Kronecker product.
 
 A Matrix is immutable, so it keeps what is derived from it once computed:
-its determinant, its inverse, its flat readings as an element
-(insert_columns) and as a covector (pair_columns), and its coproduct-like
-reading for the last first-leg dim asked (coproduct_columns), so an
-identity that inserts R, pairs a form or reads a coaction moves its legs
-once per Matrix, not once per decision.  The stored and cached columns are
-shared by every caller and are never changed.
+its determinant, its inverse, and its columns with legs moved by the last
+move it was read with (moved_columns), so an identity that inserts R, pairs
+a form or reads a coaction moves its legs once per Matrix, not once per
+decision.  The stored and kept columns are shared by every caller and are
+never changed.
 """
 
 import bisect
@@ -111,12 +111,11 @@ class Matrix:
     so hashing reads it, and equality it and the type.  It is the one form
     kept: entries are read off it when asked for.
 
-    A Matrix is immutable, so it also keeps its determinant, its inverse,
-    its flat readings as an element and as a covector, and its
-    coproduct-like reading once computed."""
+    A Matrix is immutable, so it also keeps its determinant, its inverse
+    and its columns with legs moved by the last move asked (moved_columns)
+    once computed."""
 
-    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse", "_element", "_covector",
-                 "_coproduct")
+    __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse", "_moved")
 
     def __init__(self, rows_data, rows=None, cols=None):
         data = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows_data]
@@ -128,7 +127,7 @@ class Matrix:
             int_columns(data)       # an unreadable entry is named before the shape
             raise DimensionMismatch("ragged or mis-shaped matrix data")
         self.rows, self.cols = rows, cols
-        self._det = self._inverse = self._element = self._covector = self._coproduct = None
+        self._det = self._inverse = self._moved = None
         self._sparse = int_columns(zip(*data) if rows else [()] * cols)
 
     @classmethod
@@ -136,7 +135,7 @@ class Matrix:
         """An instance of cls over columns in the form int_columns gives."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._sparse = rows, cols, sparse
-        m._det = m._inverse = m._element = m._covector = m._coproduct = None
+        m._det = m._inverse = m._moved = None
         return m
 
     @classmethod
@@ -189,11 +188,12 @@ class Matrix:
         return Matrix._of(d2, d0 * d1, int_columns(rows))
 
     def __getitem__(self, ij):
-        """m[i, j]; on a one-column matrix (a unit, a counit) also m[i]."""
-        if isinstance(ij, int):
-            if self.cols != 1:
-                raise TypeError("a %dx%d matrix takes an index pair" % (self.rows, self.cols))
+        """m[i, j]; on a one-column matrix (a unit, a counit) also m[i].
+        Any other index is refused."""
+        if isinstance(ij, int) and self.cols == 1:
             ij = ij, 0
+        elif type(ij) is not tuple or len(ij) != 2:
+            raise TypeError("a %dx%d matrix takes an index pair" % (self.rows, self.cols))
         i, j = ij
         return self._entry(range(self.rows)[i], range(self.cols)[j])
 
@@ -486,39 +486,17 @@ def _move_tables(dims_in, dims_out, ins, outs):
             *tables(range(n_in, len(dims))))
 
 
-def coproduct_columns(m, d):
-    """The columns i -> sum_jk T[i][j][k] e_j (x) e_k of the product-like
-    Matrix m of T (a comultiplication or a coaction), read with a first leg
-    of dim d, as int_columns gives them: its columns with legs moved once,
-    then kept for that d and shared like sparse_columns.  On a leg of dim 0
-    it has no column."""
-    if m._coproduct is None or m._coproduct[0] != d:
-        cols, scale = m._sparse
-        moved = move_legs(cols, (d, m.cols // d), (m.rows,), (0,), (1, 2)) if d else []
-        m._coproduct = d, (moved, scale)
-    return m._coproduct[1]
-
-
-def insert_columns(element):
-    """x -> element (x) x on a leg of dim 1, for an element (a unit, R) given
-    by its flat coordinates in a Matrix: entry [i][j] at i * cols + j; as a
-    step its out_dims are the element's legs, then 1.  The reading is kept
+def moved_columns(m, move):
+    """The columns of the Matrix m with its legs moved by move = (dims_in,
+    dims_out, ins, outs), as move_legs reads it, over m's scale: an
+    element's flat coordinates on new legs, a covector's paired away, the
+    coproduct of a product-like map.  They are kept for the last move asked
     and shared like sparse_columns."""
-    if element._element is None:
-        cols, scale = element._sparse
-        element._element = move_legs(cols, (element.cols,), (element.rows,), (), (1, 0)), scale
-    return element._element
-
-
-def pair_columns(covector):
-    """The pairing with a covector (a counit, a form) given by its flat
-    coordinates in a Matrix, as insert_columns reads an element; as a step
-    its out_dims are ().  The reading is kept and shared like
-    sparse_columns."""
-    if covector._covector is None:
-        cols, scale = covector._sparse
-        covector._covector = move_legs(cols, (covector.cols,), (covector.rows,), (1, 0), ()), scale
-    return covector._covector
+    kept = m._moved
+    if kept is None or kept[0] != move:
+        cols, scale = m._sparse
+        kept = m._moved = move, (move_legs(cols, *move), scale)
+    return kept[1]
 
 
 # the most basis columns a composite runs in one batch, which bounds the

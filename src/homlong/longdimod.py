@@ -10,7 +10,7 @@ and the equivalence with modules over the smash-type algebra B*op (x) H.
 
 from dataclasses import dataclass, replace
 
-from .linalg import Matrix, move_legs, pair_columns, per_leg_matrix
+from .linalg import Matrix, move_legs, per_leg_matrix, sparse_columns
 from .homstruct import (dual_hopf, opposite_algebra, require_shape, tensor_algebra,
                         tensor_basis)
 from .repmod import Carrier, MismatchedBase, validate_hom_module, validate_hom_comodule
@@ -242,7 +242,8 @@ def _dual(m, h_twist, b_twist, side):
     dual = Carrier(h, b, d, act, co, m.mu.inv().transpose(), tuple(x + "*" for x in m.basis))
     # dual-basis pairing and copairing; the same sum_i e_i (x) e_i serves
     # both sides (left: ev on M* (x) M, coev in M (x) M*; right: swapped roles).
-    ev = Matrix.from_int_columns(*pair_columns(Matrix.identity(d)), 1)
+    ident = sparse_columns(Matrix.identity(d))
+    ev = Matrix.from_int_columns(move_legs(ident[0], (d,), (d,), (1, 0), ()), ident[1], 1)
     return DualityData(dual, ev, ev.transpose(), side)
 
 
@@ -270,8 +271,9 @@ def check_snake(m, duality):
 def _square(v, d):
     """The d x d Matrix with the flat coordinates of v, a d^2 x 1 coev or a
     1 x d^2 ev, so that its two legs read as d and d."""
-    cols, scale = pair_columns(v)
-    return Matrix.from_int_columns(move_legs(cols, (d, d), (), (1,), (0,)), scale, d)
+    cols, scale = sparse_columns(v)
+    cols = move_legs(move_legs(cols, (v.cols,), (v.rows,), (1, 0), ()), (d, d), (), (1,), (0,))
+    return Matrix.from_int_columns(cols, scale, d)
 
 
 # ---------------------------------------------------------------------------

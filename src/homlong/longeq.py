@@ -40,15 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (Matrix, DimensionMismatch, SingularMatrix, int_columns, move_legs,
-                     per_leg_matrix, scalar, sparse_columns, ZERO)
+                     per_leg_matrix, sparse_columns, ZERO)
 from .homstruct import require_shape, tensor_basis
 from .longdimod import h_tensor_parts, validate_long_dimodule
 from .repmod import Carrier
 from .report import AxiomReport, Identity, compose
-
-
-class ZeroDiagonal(Exception):
-    """A diagonal structure map needs nonzero diagonal entries."""
 
 
 class SearchSpaceTooLarge(Exception):
@@ -70,7 +66,7 @@ class OperatorOnTensorSquare:
     not a field: equality, hashing, repr and dataclasses.replace (which
     gives an undecided operator) read the fields alone, and a copy or a
     pickle carries a decided verdict.  Keeping it is idempotent: the
-    verdict is a function of the fields."""
+    verdict is a function of the fields.  A singular mu is refused."""
 
     carrier_dim: int
     matrix: Matrix         # endomorphism of M (x) M, lexicographic basis
@@ -79,7 +75,7 @@ class OperatorOnTensorSquare:
     def __post_init__(self):
         n = self.carrier_dim
         require_shape(self.matrix, (n * n, n * n), "operator matrix")
-        require_shape(self.structure_map, (n, n), "structure map")
+        _structure_map(self.structure_map, n)
 
     def first_failing_triple(self):
         """The first basis triple (u, v, w) on which (R (x) mu)(mu (x) R) and
@@ -93,6 +89,15 @@ class OperatorOnTensorSquare:
             witness = kept["_witness"] = _first_failing_column(
                 r, r, sparse_columns(self.structure_map)[0], self.carrier_dim)
         return witness
+
+
+def _structure_map(mu, n):
+    """mu, refused unless it is an invertible n x n structure map; the
+    Matrix keeps its determinant and its inverse."""
+    require_shape(mu, (n, n), "structure map")
+    if mu.det() == 0:
+        raise SingularMatrix("structure map is singular")
+    return mu
 
 
 def check_long_equation(op):
@@ -231,14 +236,13 @@ def check_invertible_iff(op):
 
 def diagonal_solution(a, b):
     """R(m_i (x) m_j) = b_ij m_i (x) m_j over mu = diag(a); always a solution,
-    and a classical Long solution when every a_i = 1 (mu is the identity)."""
-    entries = [scalar(x) for x in a]
-    if any(x == 0 for x in entries):
-        raise ZeroDiagonal("structure map entries must be nonzero")
-    n = len(entries)
+    and a classical Long solution when every a_i = 1 (mu is the identity).
+    A zero a_i makes mu singular, which the operator refuses."""
+    mu = Matrix.diagonal(a)
+    n = mu.rows
     require_shape(b, (n, n), "coefficient matrix")
     r = Matrix.diagonal([b[i, j] for i in range(n) for j in range(n)])
-    return OperatorOnTensorSquare(n, r, Matrix.diagonal(entries))
+    return OperatorOnTensorSquare(n, r, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +251,8 @@ def diagonal_solution(a, b):
 def coords_to_operator(x, z):
     """The operator m_k (x) m_l -> sum x[k][l][i][j] m_i (x) mu^-1(m_j)."""
     n = z.rows
-    r = _coords_operator(_coords_columns(x, n), _structure_inverse(z))
+    r = _coords_operator(_coords_columns(x, n), _structure_map(z, n).inv())
     return OperatorOnTensorSquare(n, r.matrix(), z)
-
-
-def _structure_inverse(z):
-    """mu^-1, kept by the Matrix; a mu that is not square or is singular is
-    refused as a structure map."""
-    require_shape(z, (z.rows, z.rows), "structure map")
-    try:
-        return z.inv()
-    except SingularMatrix:
-        raise SingularMatrix("structure map is singular") from None
 
 
 def _coords_columns(x, n):
@@ -312,7 +306,7 @@ def coordinate_criterion(x, y, z):
     are linear in x, y and z, so each works on their int-scaled columns
     (_coords_columns), and y equals x exactly when those do."""
     n = z.rows
-    zi = _structure_inverse(z)
+    zi = _structure_map(z, n).inv()
     xs = _coords_columns(x, n)
     ys = xs if y is x else _coords_columns(y, n)
     self_case = ys == xs
@@ -462,11 +456,9 @@ def search_solutions(mu, coefficient_set, shape):
     visited.  A 0x0 structure map is refused with DimensionMismatch.
     """
     n = mu.rows
-    require_shape(mu, (n, n), "structure map")
+    _structure_map(mu, n)
     if n == 0:
         raise DimensionMismatch("structure map is 0x0; the search needs a carrier")
-    if mu.det() == 0:
-        raise SingularMatrix("structure map is singular")
     # the search runs on the grid's values times their common denominator,
     # as ints, each once in the given order: each side is linear in each
     # operator, so scaling R keeps every verdict, and each solution is the

@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .linalg import (Composite, DimensionMismatch, Matrix, _is_identity,
-                     coproduct_columns, first_key, insert_columns, layout, move_legs,
-                     pair_columns, sparse_columns, unflat_index)
+from .linalg import (Composite, DimensionMismatch, Matrix, _is_identity, first_key, layout,
+                     move_legs, moved_columns, sparse_columns, unflat_index)
 
 
 class Check(NamedTuple):
@@ -198,13 +197,17 @@ def _shapes(side):
 def _plan(compiled, side, dims):
     """The Composite of a compiled side on the maps of side, from the legs
     dims: each step's map, then its span, as linalg.layout laid it out.  A
-    map that is the identity on its block's dims (kz2's alpha, mu = id,
-    mu^-2 of an involutive mu) leaves the plan with its scale, so it makes
-    no pass."""
+    Matrix is read by its step's leg move (moved_columns), or as it is
+    (sparse_columns) when the step has none; int columns are read as they
+    are.  A map that is the identity on its block's dims (kz2's alpha,
+    mu = id, mu^-2 of an involutive mu) leaves the plan with its scale, so
+    it makes no pass."""
     plan, scale = [], 1
     for step in compiled[0]:
-        k, read = step[0], step[1]
-        m = read if k is None else read(side[k][0])
+        k, move = step[0], step[1]
+        m = move if k is None else side[k][0]
+        if isinstance(m, Matrix):
+            m = sparse_columns(m) if move is None else moved_columns(m, move)
         if step[2] and _is_identity(m):
             continue
         plan.append((m,) + step[3:])
@@ -217,28 +220,28 @@ def _compiled(symbols, dims, side, target):
     """A side (texts and map shapes) on the legs symbols of dims dims, the
     last the unit leg, ending on target when given, as its moves (_arranged,
     once per text) read for one shape: (steps, the legs it leaves, their
-    dims).  A step is (map index, reader, whether a map keeps its block's
+    dims).  A step is (map index, leg move, whether a map keeps its block's
     dims), then its span from linalg.layout, in one tuple; a permutation
-    has index None and its columns for reader.  A block with a leg of dim 0
+    has index None and its columns for move.  A block with a leg of dim 0
     has no column for its map to run on, so the map is not checked
-    against it."""
+    against it, and the step reads no map: index None, empty columns."""
     moves, ends = _arranged(symbols, tuple([text for text, _ in side]), target)
     table, d, steps, counted = dict(zip(symbols, dims)), dims, [], []
     for k, p, stop, legs, ins, outs in moves:
         block = d[p:stop]
         zero = 0 in block
         if k is None:
-            read, want, out = _permutation(block, outs), block, tuple([block[i] for i in outs])
+            move, want, out = _permutation(block, outs), block, tuple([block[i] for i in outs])
         else:
             shape = side[k][1]
-            read, want, out = _reading(shape, ins, outs, table)
+            move, want, out = _reading(shape, ins, outs, table)
             if not ins:
                 out += (1,)     # the unit leg, which an element reads
             elif want is not None and block != want and not zero:
                 raise DimensionMismatch("map on legs of dims %r, given %r -> %r of dims %r"
                                         % (want, ins, outs, block))
             table.update(zip(outs, out))
-        steps.append((k, read, k is not None and block == out))
+        steps.append((None, ([], 1), False) if zero else (k, move, k is not None and block == out))
         counted.append((0 if zero else shape if want is None else math.prod(want), legs, out))
         d = d[:p] + out + d[stop:]
     plan, out_dims, _ = layout(dims, counted)
@@ -275,25 +278,28 @@ def _arranged(symbols, texts, target):
 
 
 def _reading(shape, ins, outs, dims):
-    """How a step reads its map: (reader, its input dims or None, its
-    output dims)."""
+    """How a step reads its map: (its leg move for moved_columns, None to
+    read it as it is; its input dims or None; its output dims)."""
     if type(shape) is int:
         if any(s not in dims for s in outs):
             raise DimensionMismatch("int columns onto new legs %r" % (outs,))
-        return tuple, None, tuple(dims[s] for s in outs)     # a tuple read as it is
+        return None, None, tuple(dims[s] for s in outs)
     rows, cols = shape
-    if not ins:
-        return insert_columns, (), _split(rows * cols, outs, dims, shape)
-    if not outs:
-        return pair_columns, _split(rows * cols, ins, dims, shape), ()
+    if not ins:     # an element's flat coordinates i * cols + j, inserted
+        return ((cols,), (rows,), (), (1, 0)), (), _split(rows * cols, outs, dims, shape)
+    if not outs:    # a covector's, paired away
+        return ((cols,), (rows,), (1, 0), ()), _split(rows * cols, ins, dims, shape), ()
     if len(ins) == 1 and len(outs) == 2 and not all(s in dims for s in outs):
-        # a coproduct: d * e product-like columns, e read as 0 for d = 0
+        # a coproduct: d * e product-like columns, e read as 0 for d = 0,
+        # whose block has no column to read
         d = dims[ins[0]]
-        if d and cols % d:
+        if not d:
+            return None, (0,), (0, rows)
+        if cols % d:
             raise DimensionMismatch("%d columns on a leg of dim %d, given %r -> %r"
                                     % (cols, d, ins, outs))
-        return lambda m: coproduct_columns(m, d), (d,), (cols // d if d else 0, rows)
-    return sparse_columns, _split(cols, ins, dims), _split(rows, outs, dims)
+        return ((d, cols // d), (rows,), (0,), (1, 2)), (d,), (cols // d, rows)
+    return None, _split(cols, ins, dims), _split(rows, outs, dims)
 
 
 def _split(total, legs, dims, square=None):

@@ -977,12 +977,21 @@ def test_an_exponent_is_refused_at_once_in_a_set_and_in_a_file(files, capsys):
 
 
 def test_singular_mu_fails_operator_checks(tmp_path, capsys):
-    path = str(tmp_path / "singular.json")
+    # an operator refuses a singular mu where it is built, so its file, or
+    # the H-alpha dimodule file that induces it, is refused where it loads,
+    # named in the error
+    path, dimodule = str(tmp_path / "singular.json"), str(tmp_path / "singular_halpha.json")
     hio.dump_json({"kind": "operator", "n": 1, "matrix": [[1]], "mu": [[0]]}, path)
-    for argv in (["validate", path], ["check", "longeq", "-R", path]):
-        assert main(["--format", "json"] + argv) == 1
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert checks == [["mu-invertible", "fail", None], ["hom-long-eq", "pass", None]]
+    sd = fx.sign_dimodule()
+    hio.save_structure(replace(sd, kind="halpha-dimodule", mu=Matrix.zeros(sd.dim, sd.dim)),
+                       dimodule)
+    for path, argv in ((path, ["validate", path]), (path, ["check", "longeq", "-R", path]),
+                       (dimodule, ["build", "dimodule-solution", "-D", dimodule])):
+        assert main(["--format", "json"] + argv) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == (
+            "structure map is singular (%s)" % path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: structure map is singular (%s)\n" % path
 
 
 def test_demo_files_validate_reports_match_snapshot(monkeypatch, capsys):

@@ -11,16 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from homlong import fixtures as fx, io as hio, linalg
 from homlong.linalg import (Matrix, DimensionMismatch,
-                            SingularMatrix, coproduct_columns, first_key, int_columns,
-                            unflat_index, insert_columns, pair_columns, scalar, solve_exact,
-                            sparse_columns)
+                            SingularMatrix, first_key, int_columns, move_legs, moved_columns,
+                            unflat_index, scalar, solve_exact, sparse_columns)
 from test_oracles import (HOPF_FIXTURES, apply3, column_of, columns_by_column, composite,
-                          coproduct_map, dense_columns, dense_entries, dense_nested,
-                          elimination_squares, elimination_systems, first_difference,
-                          first_difference_by_column, flat_index, flip_matrix,
-                          fraction_int_columns, inverse_map, json_scalar, kron, kron_all,
-                          leg_flip, load_tensor_field, perm_matrix, mul, permute_input_legs,
-                          permute_output_legs, row_matrix, same_columns, tensor)
+                          coproduct_map, coproduct_move, covector_move, dense_columns,
+                          dense_entries, dense_nested, element_move, elimination_squares,
+                          elimination_systems, first_difference, first_difference_by_column,
+                          flat_index, flip_matrix, fraction_int_columns, inverse_map,
+                          json_scalar, kron, kron_all, leg_flip, load_tensor_field,
+                          perm_matrix, mul, permute_input_legs, permute_output_legs,
+                          row_matrix, same_columns, tensor)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -195,14 +195,17 @@ def test_every_way_to_make_an_element_gives_one_column_matrix():
         assert v.to_json() == [["1/2"], [0], [-3], ["2/3"]]
         assert [v[i] for i in range(4)] == [Fraction(1, 2), 0, -3, Fraction(2, 3)]
         assert v[-1] == Fraction(2, 3) and v[3] == v[3, 0]
-        assert insert_columns(v) == ([col], 6)
-        assert pair_columns(v) == ([[(0, 3)], [], [(0, -18)], [(0, 4)]], 6)
+        assert moved_columns(v, element_move(v)) == ([col], 6)
+        assert moved_columns(v, covector_move(v)) == ([[(0, 3)], [], [(0, -18)], [(0, 4)]], 6)
 
 
-@pytest.mark.parametrize("m", [Matrix.identity(2), Matrix([[1, 2]]), Matrix.zeros(3, 0)])
-def test_one_index_reads_only_a_one_column_matrix(m):
+@pytest.mark.parametrize("m, index", [
+    (Matrix.identity(2), 0), (Matrix([[1, 2]]), 0), (Matrix.zeros(3, 0), 0),
+    (Matrix([[1, 2], [3, 4]]), (0, 1, 1))], ids=["m0", "m1", "m2", "m3"])
+def test_one_index_reads_only_a_one_column_matrix(m, index):
+    # and three indices, a three-leg map's old spelling, read no matrix
     with pytest.raises(TypeError, match="a %dx%d matrix takes an index pair" % (m.rows, m.cols)):
-        m[0]
+        m[index]
     with pytest.raises(IndexError):
         Matrix([[1], [2]])[2]
 
@@ -590,10 +593,11 @@ def test_a_composite_built_once_answers_every_reading_alike(dims, steps, other):
 def test_insert_and_pair_columns_match_kron():
     # u lands on a last leg of dim 1, then moves before x
     u = column_of([1, Fraction(1, 2), 0])
-    assert (composite([(insert_columns(u), (1,), (3, 1)), (leg_flip(2, 3), (0, 1), (3, 2))],
-                      (2, 1)).matrix() == kron(u, Matrix.identity(2)))
+    assert (composite([(moved_columns(u, element_move(u)), (1,), (3, 1)),
+                       (leg_flip(2, 3), (0, 1), (3, 2))], (2, 1)).matrix()
+            == kron(u, Matrix.identity(2)))
     f = column_of([2, 0, Fraction(-1, 3)])
-    assert (composite([(pair_columns(f), (1,), ())], (2, 3)).matrix()
+    assert (composite([(moved_columns(f, covector_move(f)), (1,), ())], (2, 3)).matrix()
             == kron(Matrix.identity(2), row_matrix(f)))
 
 
@@ -632,7 +636,7 @@ def test_every_tensor3_construction_gives_one_stored_form(data):
         assert (t.rows, t.cols) == (d2, d0 * d1)
         assert t.to_json() == ref.to_json()
         assert dense_nested(t, d0, d1) == [[list(row) for row in plane] for plane in data]
-        assert coproduct_columns(t, d0) == _fresh_coproduct_columns(data)
+        assert moved_columns(t, coproduct_move(t, d0)) == _fresh_coproduct_columns(data)
 
 
 def test_loaded_mult_and_comult_fields_equal_the_built_tensors():
@@ -645,10 +649,11 @@ def test_loaded_mult_and_comult_fields_equal_the_built_tensors():
             assert t == built and hash(t) == hash(built)
             assert hio.tensor_json(t, (h.dim, h.dim)) == obj[field]
             assert t.to_lists() == built.to_lists()
-            assert t._coproduct is None
+            assert t._moved is None
             nested = dense_nested(t, h.dim, h.dim)
-            assert coproduct_columns(t, h.dim) == _fresh_coproduct_columns(nested) \
-                == coproduct_columns(built, h.dim)
+            move = coproduct_move(t, h.dim)
+            assert moved_columns(t, move) == _fresh_coproduct_columns(nested) \
+                == moved_columns(built, move)
 
 
 @pytest.mark.parametrize("build", HOPF_FIXTURES, ids=lambda f: f.__name__)
@@ -668,7 +673,7 @@ def test_fixture_tensors_built_from_int_columns_equal_the_built_ones(build):
                           (n,)).coproduct(n)]
         for m in made:
             assert m == t and hash(m) == hash(t) and m.to_json() == t.to_json()
-            assert coproduct_columns(m, n) == coproduct_columns(t, n)
+            assert moved_columns(m, coproduct_move(m, n)) == moved_columns(t, coproduct_move(t, n))
 
 
 def test_three_leg_maps_compare_as_their_product_like_matrix():
@@ -682,14 +687,21 @@ def test_three_leg_maps_compare_as_their_product_like_matrix():
 
 
 def test_the_coproduct_reading_is_kept_for_the_dim_it_was_read_with():
-    # kept like the element and covector readings, and read afresh when a
-    # step reads the map with another first-leg dim
-    t = tensor(2, 3, 1, lambda i, j, k: i + 10 * j)
-    first = coproduct_columns(t, 2)
-    assert coproduct_columns(t, 2) is first and t._coproduct == (2, first)
-    other = coproduct_columns(t, 3)
-    assert other == _fresh_coproduct_columns(dense_nested(t, 3, 2)) != first
-    assert t._coproduct == (3, other)
+    # the same move again, or an equal one, returns the kept columns;
+    # another move (another first-leg dim, a flat reading) replaces them
+    # with exactly what move_legs gives, over the Matrix's scale
+    t = tensor(2, 3, 1, lambda i, j, k: Fraction(i + 10 * j, 2))
+    move = coproduct_move(t, 2)
+    first = moved_columns(t, move)
+    assert moved_columns(t, move) is first and moved_columns(t, tuple(list(move))) is first
+    assert t._moved == (move, first)
+    cols, scale = sparse_columns(t)
+    for other in (coproduct_move(t, 3), element_move(t), covector_move(t), move):
+        read = moved_columns(t, other)
+        assert read == (move_legs(cols, *other), scale) and t._moved == (other, read)
+    assert read is not first and read == first
+    assert moved_columns(t, coproduct_move(t, 3)) == _fresh_coproduct_columns(
+        dense_nested(t, 3, 2))
 
 
 def test_converted_and_inverted_maps_are_kept():
@@ -698,7 +710,7 @@ def test_converted_and_inverted_maps_are_kept():
     assert sparse_columns(m) is sparse_columns(m)
     t = Matrix.from_tensor([[[1, 0], [0, 2]], [[0, 3], [Fraction(1, 3), 0]]])
     assert sparse_columns(t) is sparse_columns(t)
-    assert coproduct_columns(t, 2) is coproduct_columns(t, 2)
+    assert moved_columns(t, coproduct_move(t, 2)) is moved_columns(t, coproduct_move(t, 2))
     # a filled cache leaves equality and hashing to the data
     fresh_m, fresh_t = Matrix([[1, 2], [3, Fraction(1, 2)]]), Matrix(t.to_lists())
     assert m == fresh_m and hash(m) == hash(fresh_m)

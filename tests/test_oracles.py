@@ -45,9 +45,8 @@ from homlong.homstruct import (HomStructure, NotAutomorphism,
                                validate_hom_coalgebra, validate_hom_hopf,
                                validate_quasitriangular, yau_twist)
 from homlong.linalg import (Matrix, Composite, ZERO, ONE, DimensionMismatch,
-                            SingularMatrix, coproduct_columns, first_key, insert_columns, layout,
-                            move_legs, pair_columns, scalar, solve_exact, sparse_columns,
-                            unflat_index)
+                            SingularMatrix, first_key, layout, move_legs, moved_columns, scalar,
+                            solve_exact, sparse_columns, unflat_index)
 from homlong.longdimod import (DualityData, canonical_dimodule,
                                check_coherence, check_snake, dimodule_morphism_report,
                                from_smash_module, left_dual, right_dual,
@@ -1089,8 +1088,13 @@ def _change_a_value(draw, rows, entry):
     rows[r][c] = draw(entry.filter(lambda x: x != rows[r][c]))
 
 
+# every column of mu and A on row 0: mu is singular
+_ROW_0 = [[1] * 16] + [[0] * 16] * 15
+
+
 @settings(max_examples=80, deadline=None)
 @given(single_term_cases())
+@example((4, [[1] * 4] + [[0] * 4] * 3, _ROW_0, _ROW_0))
 def test_single_term_kernel_matches_oracle(case):
     # the kernel decides these without _first_difference, and its witness is
     # the dense oracle's and _first_difference's over the full ranges, for
@@ -1107,7 +1111,11 @@ def test_single_term_kernel_matches_oracle(case):
     rng = range(n)
     found = longeq._first_difference(a_cols, b_cols, mu_cols, mu_cols, n, rng, rng, rng)
     assert witness == (None if found is None else found[0])
-    if b is a:
+    if b is a and sympy.Matrix(mu).det() == 0:
+        # an operator refuses a singular mu where it is built
+        with pytest.raises(SingularMatrix, match="structure map is singular"):
+            OperatorOnTensorSquare(n, Matrix(a), Matrix(mu))
+    elif b is a:
         rep = check_long_equation(OperatorOnTensorSquare(n, Matrix(a), Matrix(mu)))
         assert rep.check("hom-long-eq").witness == witness
 
@@ -2834,6 +2842,25 @@ def dual_elementwise(m, side):
     return DualityData(dual, ev, coev, side)
 
 
+def element_move(m):
+    """The leg move reading the Matrix m by its flat coordinates i * cols + j
+    as an element inserted on new legs, as a step with no input leg reads
+    it."""
+    return (m.cols,), (m.rows,), (), (1, 0)
+
+
+def covector_move(m):
+    """The leg move reading the Matrix m by its flat coordinates as a
+    covector paired away, as a step with no output leg reads it."""
+    return (m.cols,), (m.rows,), (1, 0), ()
+
+
+def coproduct_move(m, d):
+    """The leg move reading the product-like Matrix m of a three-leg map with
+    a first leg of dim d as its coproduct, as "x -> a b" reads it."""
+    return (d, m.cols // d), (m.rows,), (0,), (1, 2)
+
+
 def dual_by_copairing(m, side):
     """The left or right dual as a composite per map on M: the copairing
     sum_i e_i (x) e_i inserted beside the input basis vector f, the map
@@ -2849,23 +2876,27 @@ def dual_by_copairing(m, side):
     mui = sparse_columns(m.mu.inv())
     # the copairing is inserted on a last leg of dim 1, then f moves past it:
     # (h, f) -> (h, x, x', f) -> (h_twist(h) . mu^-2(x), x', f) -> f(h_twist(h) . mu^-2(x)) x'
-    act = composite([(insert_columns(delta), (2,), (d, d, 1)),
+    act = composite([(moved_columns(delta, element_move(delta)), (2,), (d, d, 1)),
                      (leg_flip(d, d * d), (1, 2, 3), (d, d, d))]
                     + [(sparse_columns(t), (0,), None) for t in h_twist]
                     + [(mui, (1,), None), (mui, (1,), None),
                        (sparse_columns(m.action), (0, 1), (d,)),
                        (leg_flip(d, d), (1, 2), None),
-                       (pair_columns(delta), (0, 1), ())], (h.dim, d, 1)).matrix()
-    # f -> (x, x', f) -> (b_twist(x_-1), mu^-2(x_0), x', f) -> b_twist(x_-1) f(mu^-2(x_0)) x'
-    co = composite([(insert_columns(delta), (1,), (d, d, 1)),
+                       (moved_columns(delta, covector_move(delta)), (0, 1), ())],
+                    (h.dim, d, 1)).matrix()
+    # f -> (x, x', f) -> (b_twist(x_-1), mu^-2(x_0), x', f) -> b_twist(x_-1) f(mu^-2(x_0)) x';
+    # on a leg of dim 0 the coaction has no column to read
+    coaction = moved_columns(m.coaction, coproduct_move(m.coaction, d)) if d else ([], 1)
+    co = composite([(moved_columns(delta, element_move(delta)), (1,), (d, d, 1)),
                     (leg_flip(d, d * d), (0, 1, 2), (d, d, d)),
-                    (coproduct_columns(m.coaction, d), (0,), (nb, d))]
+                    (coaction, (0,), (nb, d))]
                    + [(sparse_columns(t), (0,), None) for t in b_twist]
                    + [(mui, (1,), None), (mui, (1,), None),
                       (leg_flip(d, d), (2, 3), None),
-                      (pair_columns(delta), (1, 2), ())], (d, 1)).coproduct(nb)
+                      (moved_columns(delta, covector_move(delta)), (1, 2), ())],
+                   (d, 1)).coproduct(nb)
     dual = Carrier(h, b, d, act, co, m.mu.inv().transpose(), tuple(x + "*" for x in m.basis))
-    ev = Matrix.from_int_columns(*pair_columns(delta), 1)
+    ev = Matrix.from_int_columns(*moved_columns(delta, covector_move(delta)), 1)
     return DualityData(dual, ev, ev.transpose(), side)
 
 
@@ -3089,7 +3120,8 @@ def test_dual_hopf_of_every_fixture_matches_index_sums(build):
     b = build()
     d = dual_hopf(b)
     assert d == dual_hopf_elementwise(b)
-    assert coproduct_columns(d.comult, d.dim) == _fresh_coproduct_columns(d.comult, d.dim)
+    assert (moved_columns(d.comult, coproduct_move(d.comult, d.dim))
+            == _fresh_coproduct_columns(d.comult, d.dim))
 
 
 def test_duals_match_the_copairing_construction(kz2, kz4t):
@@ -3482,9 +3514,12 @@ def test_cached_columns_are_never_changed_by_their_users():
         if isinstance(obj, Matrix) and obj._sparse is not None:
             assert obj._sparse == linalg.int_columns(dense_columns(obj))
             seen += 1
-            if obj._coproduct is not None:
-                d0, kept = obj._coproduct
-                assert kept == _fresh_coproduct_columns(obj, d0)
+            if obj._moved is not None:
+                move, kept = obj._moved
+                cols, scale = linalg.int_columns(dense_columns(obj))
+                assert kept == (move_legs(cols, *move), scale)
+                if move[2:] == ((0,), (1, 2)):
+                    assert kept == _fresh_coproduct_columns(obj, move[0][0])
                 seen += 1
     assert op.matrix._sparse is not None and seen > 50
 
@@ -3695,10 +3730,11 @@ def test_loader_matches_the_fraction_coercing_oracle(case):
         # the loader stores the product-like columns alone; a comult or
         # coaction gets its coproduct-like reading when it is first asked
         # for, equal to a fresh conversion
-        assert new._coproduct is None
+        assert new._moved is None
         d0, d1 = len(field), len(field[0])
         if coproduct:
-            assert linalg.coproduct_columns(new, d0) == _fresh_coproduct_columns(old, d0)
+            assert (moved_columns(new, coproduct_move(new, d0))
+                    == _fresh_coproduct_columns(old, d0))
         # and it writes back the nesting it read
         assert hio.tensor_json(new, (d0, d1)) == [
             _json_entries(x) for x in dense_nested(old, d0, d1)]
@@ -3733,6 +3769,10 @@ def test_a_step_onto_new_legs_reads_the_coproduct(d0, d1, d2, seed):
     dense = Matrix([[t[i][r // d2][r % d2] for i in range(d0)] for r in range(d1 * d2)],
                    d1 * d2, d0)
     assert compose(dict(x=d0), [(m, "x -> a b")], "a b").matrix() == dense
+    # the step keeps its reading in the Matrix: the coproduct move and the
+    # columns move_legs gives for it
+    move = coproduct_move(m, d0)
+    assert m._moved == (move, (move_legs(sparse_columns(m)[0], *move), sparse_columns(m)[1]))
     # each coordinate of the image, paired off by a basis covector, as an
     # identity decided column by column
     for r in range(d1 * d2):
@@ -3782,11 +3822,11 @@ def test_demo_files_load_unchanged():
     # coaction is made only when asked for, equal to a fresh conversion
     d = hio.load_structure(os.path.join(DEMO_FILES, "canonical.json"))
     for t in (d.action, d.H.mult, d.B.mult, d.coaction, d.H.comult, d.B.comult):
-        assert t._coproduct is None
+        assert t._moved is None
         assert sparse_columns(t) == linalg.int_columns(dense_columns(t))
     for t, d0 in ((d.coaction, d.dim), (d.H.comult, d.H.dim), (d.B.comult, d.B.dim)):
-        assert linalg.coproduct_columns(t, d0) == _fresh_coproduct_columns(t, d0)
-        assert t._coproduct is not None
+        assert moved_columns(t, coproduct_move(t, d0)) == _fresh_coproduct_columns(t, d0)
+        assert t._moved is not None
 
 
 def test_cli_checks_on_demo_files_read_no_dense_view(monkeypatch, capsys):

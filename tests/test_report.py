@@ -110,16 +110,16 @@ def test_compile_caches_stay_below_their_bounds():
 
 def test_a_matrix_is_read_by_its_flat_coordinates_once(monkeypatch):
     # the context validators insert R and the unit and pair the counit and
-    # the form in many identities; each Matrix's flat reading moves its
-    # legs once, the first time it is read, and is kept, so validating the
-    # same context again moves none
-    readers = {linalg.insert_columns.__code__, linalg.pair_columns.__code__}
+    # the form in many identities; each Matrix's reading on moved legs
+    # (moved_columns) moves its legs once, the first time it is read, and is
+    # kept, so validating the same context again moves none; each Matrix
+    # read is held, so no id is reused
     reads, real = [], linalg.move_legs
 
     def move_legs(*args):
         frame = sys._getframe(1)
-        if frame.f_code in readers:
-            reads.append((frame.f_code.co_name, id(frame.f_locals[frame.f_code.co_varnames[0]])))
+        if frame.f_code is linalg.moved_columns.__code__:
+            reads.append((frame.f_locals["m"], frame.f_locals["move"][2:]))
         return real(*args)
 
     monkeypatch.setattr(linalg, "move_legs", move_legs)
@@ -129,10 +129,14 @@ def test_a_matrix_is_read_by_its_flat_coordinates_once(monkeypatch):
     for h, r, form in contexts:
         assert validate_quasitriangular(h, r).ok
         validate_coquasitriangular(h, form)
-    expected = {(reader, id(m)) for h, r, form in contexts
-                for reader, m in (("insert_columns", r), ("insert_columns", h.unit),
-                                  ("pair_columns", h.counit), ("pair_columns", form))}
-    assert sorted(reads) == sorted(expected)
+    element, covector = ((), (1, 0)), ((1, 0), ())
+    expected = {(id(m), legs) for h, r, form in contexts
+                for m, legs in ((r, element), (h.unit, element),
+                                (h.counit, covector), (form, covector))}
+    # the coproduct reads of the products share moved_columns; every
+    # element and covector read is one of the four expected
+    assert sorted((id(m), legs) for m, legs in reads
+                  if legs in (element, covector)) == sorted(expected)
     reads.clear()
     for h, r, form in contexts:
         validate_quasitriangular(h, r), validate_coquasitriangular(h, form)
