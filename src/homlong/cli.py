@@ -111,11 +111,6 @@ def _load_phi(path, files):
     return hio.load_matrix(raw["matrix"] if isinstance(raw, dict) else raw, path)
 
 
-def _check_operator(report, op):
-    report.add("mu-invertible", op.structure_map.det() != 0)
-    report.extend(check_long_equation(op))
-
-
 def cmd_validate(args, report, files):
     raw = files.read(args.file)
     s = hio.load_structure(args.file, files)
@@ -137,7 +132,7 @@ def cmd_validate(args, report, files):
     elif isinstance(s, Carrier):
         report.extend(hio._CARRIERS[s.kind].validate(s))
     else:
-        _check_operator(report, s)
+        report.extend(check_long_equation(s))
     return report
 
 
@@ -220,7 +215,8 @@ SUBJECTS = {
         ("--ctx", hio.load_context), ("-U", _DIMODULE), ("-V", _DIMODULE), ("-W", _DIMODULE))),
     "check symmetry": Subject(_check_symmetry, (
         ("--ctx", hio.load_context), ("-M", _DIMODULE), ("-N", _DIMODULE)), ("--diagnose",)),
-    "check longeq": Subject(_check_operator, (("-R", _structure("operator")),)),
+    "check longeq": Subject(lambda report, op: report.extend(check_long_equation(op)),
+                            (("-R", _structure("operator")),)),
     "check yd": Subject(lambda report, m: report.extend(validate_yd_module(m)),
                         (("-M", _structure("yd-module")),)),
     "check snake": Subject(_check_snake, (("-D", _DIMODULE),), ("--side",)),

@@ -75,12 +75,20 @@ def load_vector(entries, where="vector"):
         raise FileFormatError(_ctx(where, str(exc)))
 
 
+def _required(obj, key, where):
+    """obj[key], refused naming key and where when obj, the object at
+    where, lacks it."""
+    if key not in obj:
+        raise FileFormatError(_ctx(where, "missing '%s'" % key))
+    return obj[key]
+
+
 def load_tensor(obj, key, where, dims):
     """The three-leg map nested in obj[key] as T[i][j][k], which must nest as
     dims: the Matrix of its product-like map, its entries read straight into
     its int columns (linalg.Matrix.from_tensor).  Ragged or otherwise nested
     data and a bad entry are refused naming the field."""
-    data, where = obj[key], "%s.%s" % (where, key)
+    data, where = _required(obj, key, where), "%s.%s" % (where, key)
     if not isinstance(data, list):
         raise FileFormatError(_ctx(where, "expected a triply nested list"))
     try:
@@ -244,10 +252,8 @@ _BIALGEBRA_KINDS = ("hom-bialgebra", "hom-hopf")
 def _load_algebra_field(obj, key, base_dir, where, files, kinds=None):
     """The algebra in obj[key] and its JSON; with kinds given, its kind
     must be one of them."""
-    if key not in obj:
-        raise FileFormatError(_ctx(where, "missing '%s'" % key))
-    field = obj[key]
-    sub, sub_dir, sub_where = _resolve(field, base_dir, where + "." + key, files)
+    sub, sub_dir, sub_where = _resolve(_required(obj, key, where), base_dir,
+                                       where + "." + key, files)
     alg = files.algebra(sub, sub_dir, sub_where)
     if kinds and alg.kind not in kinds:
         raise FileFormatError(_ctx(sub_where, "expected a %s structure" % " or ".join(kinds)))
@@ -315,15 +321,16 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
         dim = _int_field(obj, "dim", where)
         for key in _CARRIERS[kind].maps:
             fields[_field(key)] = (
-                load_matrix(obj[key], where + "." + key) if _field(key) == "mu" else
+                load_matrix(_required(obj, key, where), where + "." + key)
+                if _field(key) == "mu" else
                 load_tensor(obj, key, where, _nesting(key, dim, fields["H"], fields["B"])))
         return in_file(where, Carrier, dim=dim, basis=load_basis(obj, dim, where), kind=kind,
                        **fields)
     if kind == "operator":
         n = _int_field(obj, "n", where)
         return in_file(where, OperatorOnTensorSquare, n,
-                       load_matrix(obj["matrix"], where + ".matrix"),
-                       load_matrix(obj["mu"], where + ".mu"))
+                       load_matrix(_required(obj, "matrix", where), where + ".matrix"),
+                       load_matrix(_required(obj, "mu", where), where + ".mu"))
     raise FileFormatError(_ctx(where, "unknown kind %r" % (kind,)))
 
 

@@ -29,14 +29,9 @@ them to these, placing every permutation of legs.  A map with legs moved
 between its inputs and outputs (a transpose, a reading of moved_columns, a
 permutation of legs) comes from one function, move_legs.  layout checks
 a composite's steps against its legs and lays each out once: its map,
-then its span, block and image.  A Composite takes that plan and is run
-on batches of basis columns: the column index is one more leading leg, so
-a single pass per step serves a batch.  On a composite of at least
-FOLD_MIN_COLUMNS columns, a step that keeps its leg count and has one
-entry per column on distinct rows (mu, alpha, a permutation of legs) is
-carried into the next step on its legs and makes no pass of its own, and
-dropped where it composes to the identity; a smaller composite runs its
-plan as one batch.
+then its span, block and image.  A Composite runs that plan as given, on
+batches of basis columns: the column index is one more leading leg, so a
+single pass per step serves a batch.
 report lays out an identity side once per shape of its maps and builds
 its Composite per decision, with no second layout.  first_key compares two
 Composites BATCH_COLUMNS columns at a time from column 0 up to the first
@@ -503,14 +498,6 @@ def moved_columns(m, move):
 # sparse vectors a step holds
 BATCH_COLUMNS = 256
 
-# the fewest input columns of a composite whose one-entry-per-column steps
-# _folded folds away: a fold is a pass over the next step's columns at plan
-# time, which the 4-27-column composites of the Hom-Long search do not win
-# back; folded at every size, the search-grid benchmark ran 0.9x as many ops
-# per reference time, its tail op 1.2x as costly (seven 8 s pairs, 2 vCPUs).
-# Below it a plan is the steps' columns on their layout, one pass each
-FOLD_MIN_COLUMNS = 64
-
 
 def layout(dims, steps):
     """Check the steps of a composite on the legs dims and lay them out once:
@@ -518,9 +505,8 @@ def layout(dims, steps):
     Composite takes it.  A step is (map, legs, out dims), the map (cols,
     scale) as sparse_columns gives it, or its column count, and out dims
     None keeping the legs' dims; a laid-out step is the map, or count, then
-    its span (blk_in * suf, suf, blk_out * suf, first leg, in dims, out
-    dims), for its block (the legs from first on, of dims in dims), the
-    legs after it and its image."""
+    its span (blk_in * suf, suf, blk_out * suf), for its block (the legs it
+    reads), the legs after it and its image."""
     plan, d, scale = [], tuple(dims), 1
     for m, legs, out in steps:
         if type(m) is int:
@@ -534,76 +520,9 @@ def layout(dims, steps):
             raise DimensionMismatch("map with %d columns on legs %r of %r" % (n, legs, d))
         out = ins if out is None else tuple(out)
         suf = math.prod(d[stop:])
-        plan.append((m, blk_in * suf, suf, math.prod(out) * suf, first, ins, out))
+        plan.append((m, blk_in * suf, suf, math.prod(out) * suf))
         d = d[:first] + out + d[stop:]
     return plan, d, scale
-
-
-def _folded(planned, dims):
-    """A plan (plan, out_dims, scale) on the legs dims, as layout gives it,
-    with its steps that keep their leg count and have at most one entry per
-    column, on distinct rows (mu, mu^-1, alpha, the associators' legs,
-    permutations of legs), left out unless a leg is 0-dimensional: _fold
-    carries each one forward into the next step on its legs, so _run makes
-    no pass of its own for it.  The composite's value is the same; scale is
-    the product of the scales of the planned steps, which is the product of
-    all the steps' scales unless a carried map cancelled to the identity
-    (mu then mu^-1) and was dropped with its scales.  The folded steps are
-    laid out again by layout, which checks each one on the legs left from
-    dims by the steps before it."""
-    # every leg a step meets is an input leg or lands from a step, so none
-    # is 0-dimensional when neither is
-    if any(0 in s[6] for s in planned[0]):
-        return planned
-    return layout(dims, [(m, tuple(range(first, first + len(ins))), out)
-                         for m, _, _, _, first, ins, out in _fold(planned[0])])
-
-
-def _fold(steps):
-    """Laid-out steps with the same composite, each one-entry-per-column
-    step carried forward: past steps on other legs (its first leg shifted
-    when they change the leg count), into the next step whose block holds
-    its legs, and dropped when what it composed to is the identity; it is
-    put back as a step of its own before a step that holds part of its
-    legs, and at the end.  Carried steps lie on disjoint legs and commute
-    with the steps they pass, and a map with one entry per column on
-    distinct rows never cancels, so every column's image is the same, its
-    entries in the same order, up to the scales of a dropped identity.  A
-    step moved or folded into keeps its span as laid out, which _folded
-    lays out again."""
-    out, carried = [], []
-    for step in steps:
-        first, ins, outs = step[4:]
-        stop = first + len(ins)
-        foldable = len(outs) == len(ins) and _one_entry_per_column(step[0][0])
-        held, folded = [], False
-        for c in carried:
-            c_first, c_stop = c[4], c[4] + len(c[5])
-            if first <= c_first and c_stop <= stop:
-                step, folded = _fold_into(c, step), True
-            elif c_stop <= first:
-                held.append(c)
-            elif stop <= c_first:
-                held.append(c[:4] + (c_first + len(outs) - len(ins),) + c[5:])
-            else:
-                out.append(c)
-        carried = held
-        if not foldable:
-            out.append(step)
-        elif not (folded and step[5] == step[6] and _is_identity(step[0])):
-            carried.append(step)
-    return out + carried
-
-
-def _one_entry_per_column(cols):
-    """Whether every column holds at most one entry, no two on one row."""
-    rows = set()
-    for c in cols:
-        if len(c) > 1:
-            return False
-        if c:
-            rows.add(c[0][0])
-    return len(rows) == sum(map(bool, cols))
 
 
 def _is_identity(m):
@@ -616,28 +535,6 @@ def _is_identity(m):
     return True
 
 
-def _fold_into(carried, step):
-    """The step `step` after the one-entry-per-column step `carried`, whose
-    legs lie in its block, as one step: its columns re-indexed and scaled by
-    carried's entries, the carried legs taking carried's input dims."""
-    (c_cols, c_scale), _, _, _, c_first, c_ins, c_outs = carried
-    (cols, scale), _, _, _, first, ins, outs = step
-    k = c_first - first
-    suf = math.prod(ins[k + len(c_ins):])
-    span = math.prod(c_outs) * suf
-    folded, empty = [], [[]] * suf
-    for p in range(0, math.prod(ins[:k]) * span, span):
-        for c in c_cols:
-            if not c:
-                folded += empty
-                continue
-            (r, x), = c
-            block = cols[p + r * suf:p + (r + 1) * suf]
-            folded += block if x == 1 else [[(i, x * y) for i, y in col] for col in block]
-    return (((folded, c_scale * scale),) + step[1:4]
-            + (first, ins[:k] + c_ins + ins[k + len(c_ins):], outs))
-
-
 def _run(plan, vec):
     """The image of a sparse vector under a planned composite, with no zero
     value after any step: a step's output is kept as it is and rebuilt
@@ -645,7 +542,7 @@ def _run(plan, vec):
     flat index is split into (p, k, s), its legs before the step's block,
     its block column and its legs after it, by // and -; a step on the last
     legs (suf 1) has no legs after it, so its loop splits off p alone."""
-    for (cols, _), span, suf, span_out, _, _, _ in plan:
+    for (cols, _), span, suf, span_out in plan:
         out = {}
         get = out.get
         if suf == 1:
@@ -670,28 +567,24 @@ def _run(plan, vec):
 
 class Composite:
     """A composite of steps on the tensor legs dims, built from the plan
-    (plan, out_dims, scale) that layout gives, which has checked the steps;
-    on at least FOLD_MIN_COLUMNS input columns the plan is folded
-    (_folded) once, here.  Each reading runs the plan afresh by _batches,
-    with no Fraction on the way, changing no step's columns, and first_key
-    compares two composites the same way."""
+    (plan, out_dims, scale) that layout gives, which has checked the steps.
+    Each reading runs the plan afresh by _batches, with no Fraction on the
+    way, changing no step's columns, and first_key compares two composites
+    the same way."""
 
     __slots__ = ("dims", "out_dims", "_d_in", "_plan", "_scale")
 
     def __init__(self, planned, dims):
         self.dims = tuple(dims)
         self._d_in = math.prod(self.dims)
-        if self._d_in >= FOLD_MIN_COLUMNS:
-            planned = _folded(planned, self.dims)
         self._plan, self.out_dims, self._scale = planned
 
     def columns(self):
         """The composite as (cols, scale), a step for a further composite:
         each column's entries in the order of its run, none of them zero,
-        and the scale the unreduced product of the steps' scales, less
-        those of a one-entry-per-column map the plan dropped as cancelling
-        to the identity (mu then mu^-1); Matrix.from_int_columns sorts and
-        reduces them to the canonical form int_columns gives."""
+        and the scale the unreduced product of the steps' scales;
+        Matrix.from_int_columns sorts and reduces them to the canonical form
+        int_columns gives."""
         rows = math.prod(self.out_dims)
         cols = [[] for _ in range(self._d_in)]
         for batch in _batches(self._plan, self._d_in, 1):
@@ -743,8 +636,7 @@ def _batch(plan, d_in, x, start, stop):
     image (an empty plan's, the identity's) is written straight from its
     columns, with no sums and no zero filter, since distinct basis columns
     land on distinct keys; _run takes the rest of the plan from there."""
-    (cols, _), span, suf, span_out, _, _, _ = plan[0] if plan else (
-        ([[(0, 1)]], 1), d_in, d_in, d_in, 0, (1,), (1,))
+    (cols, _), span, suf, span_out = plan[0] if plan else (([[(0, 1)]], 1), d_in, d_in, d_in)
     vec, step = {}, d_in + 1
     for idx in range(start * step, stop * step, step):
         p = idx // span

@@ -1,8 +1,6 @@
-import math
-
 import pytest
 
-from homlong import braidcat, fixtures as fx, linalg
+from homlong import braidcat, fixtures as fx
 from homlong.linalg import Matrix
 from homlong.homstruct import tensor_hopf
 from homlong.repmod import check_yd, validate_hom_comodule, validate_hom_module
@@ -320,29 +318,6 @@ def test_sweedler_scaled_context_full_sweep(kz2):
         assert validate_hom_comodule(yd).ok
         rep = check_yd(yd)
         assert rep.ok and rep.flags["hyd-consistent"]
-
-
-def test_qybe_on_the_sweedler_scaled_canonical_cube_folds_its_associators(kz2, monkeypatch):
-    # each side of the QYBE is nine steps: three braidings and the
-    # associators' mu^-1 and omega legs, each with one entry per column.
-    # Each side's Composite folds those into the braidings from the side's
-    # compiled layout (_folded), cancels mu against mu^-1 across consecutive
-    # associators and puts the rest back at the end, so at most four steps
-    # a side run on the 512 columns
-    swt = fx.sweedler_scaled_twisted(2)
-    ctx = BraidingContext(swt, fx.sweedler_rmatrix(), kz2, fx.kz2_form())
-    can = canonical_dimodule(swt, kz2)
-    plans, real = [], linalg._folded
-
-    def folded(planned, dims):
-        out = real(planned, dims)
-        plans.append((math.prod(dims), len(planned[0]), len(out[0])))
-        return out
-    monkeypatch.setattr(linalg, "_folded", folded)
-    assert check_qybe(ctx, can, can, can).ok
-    sides = [(steps, planned) for d, steps, planned in plans if d == 512]
-    assert [steps for steps, _ in sides] == [9, 9]
-    assert all(planned <= 4 for _, planned in sides)
 
 
 def test_sweedler_scaled_as_b_side():

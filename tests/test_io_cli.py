@@ -111,56 +111,63 @@ def test_units_and_counits_are_flat_lists_read_by_one_index(tmp_path, build):
         assert hio.load_structure(str(path)) == s
 
 
-# What the reader says of a carrier file with the fields given as None
-# removed, or with an algebra field replaced by that part of kz2, taken from
-# the commit before the carrier kinds were read from one table; a file with
-# two bad fields names the one read first.
+# What the reader says of a carrier or operator file with the fields given
+# as None removed, or with an algebra field replaced by that part of kz2,
+# taken from the commit before the carrier kinds were read from one table,
+# but a missing map, named as a missing algebra is; a file with two bad
+# fields names the one read first.
 READER_ERRORS = {
     "hom-module": [
         ({"over": None}, "missing 'over' ({})"),
-        ({"action": None}, "{}: 'action'"),
-        ({"nu": None}, "{}: 'nu'"),
+        ({"action": None}, "missing 'action' ({})"),
+        ({"nu": None}, "missing 'nu' ({})"),
         ({"action": None, "over": None}, "missing 'over' ({})"),
         ({"nu": None, "dim": None}, "missing or invalid 'dim': expected an integer ({})"),
         ({"over": "coalgebra"}, "module 'over' must carry an algebra ({})"),
     ],
     "hom-comodule": [
         ({"over": None}, "missing 'over' ({})"),
-        ({"coaction": None}, "{}: 'coaction'"),
-        ({"mu": None}, "{}: 'mu'"),
+        ({"coaction": None}, "missing 'coaction' ({})"),
+        ({"mu": None}, "missing 'mu' ({})"),
         ({"over": "algebra"}, "comodule 'over' must carry a coalgebra ({})"),
     ],
     "yd-module": [
         ({"over": None}, "missing 'over' ({})"),
-        ({"action": None}, "{}: 'action'"),
-        ({"coaction": None}, "{}: 'coaction'"),
-        ({"structure_map": None}, "{}: 'structure_map'"),
+        ({"action": None}, "missing 'action' ({})"),
+        ({"coaction": None}, "missing 'coaction' ({})"),
+        ({"structure_map": None}, "missing 'structure_map' ({})"),
         ({"over": "algebra"}, "expected a hom-bialgebra or hom-hopf structure ({}.over)"),
     ],
     "long-dimodule": [
         ({"H": None}, "missing 'H' ({})"),
         ({"B": None}, "missing 'B' ({})"),
-        ({"action": None}, "{}: 'action'"),
-        ({"coaction": None}, "{}: 'coaction'"),
-        ({"mu": None}, "{}: 'mu'"),
+        ({"action": None}, "missing 'action' ({})"),
+        ({"coaction": None}, "missing 'coaction' ({})"),
+        ({"mu": None}, "missing 'mu' ({})"),
         ({"action": None, "B": None}, "missing 'B' ({})"),
         ({"B": "coalgebra"}, "expected a hom-bialgebra or hom-hopf structure ({}.B)"),
     ],
     "halpha-dimodule": [
         ({"H": None}, "missing 'H' ({})"),
-        ({"action": None}, "{}: 'action'"),
-        ({"coaction": None}, "{}: 'coaction'"),
-        ({"mu": None}, "{}: 'mu'"),
+        ({"action": None}, "missing 'action' ({})"),
+        ({"coaction": None}, "missing 'coaction' ({})"),
+        ({"mu": None}, "missing 'mu' ({})"),
         ({"mu": None, "dim": None}, "missing or invalid 'dim': expected an integer ({})"),
         ({"H": "algebra"}, "expected a hom-bialgebra or hom-hopf structure ({}.H)"),
+    ],
+    "operator": [
+        ({"matrix": None}, "missing 'matrix' ({})"),
+        ({"mu": None}, "missing 'mu' ({})"),
+        ({"mu": None, "n": None}, "missing or invalid 'n': expected an integer ({})"),
     ],
 }
 
 
-@pytest.mark.parametrize("kind", list(hio._CARRIERS))
+@pytest.mark.parametrize("kind", list(READER_ERRORS))
 def test_carrier_reader_errors_are_pinned(tmp_path, kind):
-    assert set(READER_ERRORS) == set(hio._CARRIERS)
-    obj = hio.structure_to_json(_carriers()[kind])
+    assert set(READER_ERRORS) == set(hio._CARRIERS) | {"operator"}
+    obj = hio.structure_to_json(dict(_carriers(), operator=OperatorOnTensorSquare(
+        2, flip_matrix(2, 2), Matrix.diagonal([1, 2])))[kind])
     assert obj["kind"] == kind
     path = str(tmp_path / "bad.json")
     for edit, expected in READER_ERRORS[kind]:

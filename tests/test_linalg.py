@@ -474,10 +474,9 @@ def test_composites_are_checked_before_any_column_runs(bad):
         composite([good, bad], dims).matrix()
 
 
-# a composite on legs of FOLD (64 columns) is folded when built; P and its
-# inverse, Q and the flip have one entry per column on distinct rows, G and
-# H two entries per column
-FOLD = (4, 4, 4)
+# chains on legs of CUBE (64 columns): P and its inverse, Q and the flip
+# have one entry per column on distinct rows, G and H two entries per column
+CUBE = (4, 4, 4)
 P = [[(1, 2)], [(2, -1)], [(3, 3)], [(0, 1)]], 3
 Q = [[(3, 1)], [], [(0, -2)], [(1, 1)]], 2
 FLIP = leg_flip(4, 4)
@@ -488,64 +487,58 @@ def _two_entries(rows, cols, scale=1):
 
 
 G, H = _two_entries(4, 16, 2), _two_entries(4, 4)
-FOLD_BRANCHES = {
-    # P on leg 1 goes into the columns of G, whose block holds leg 1
-    "fold-into-next": ([(P, (1,), None), (G, (0, 1), (4,)), (H, (0,), None)], 2),
-    # Q after P on leg 2 is one step, put back at the end
-    "compose": ([(P, (2,), None), (Q, (2,), None), (G, (0, 1), (4,))], 2),
-    # P then its inverse on leg 0 is the identity, dropped with its scales
-    "cancel": ([(P, (0,), None), (H, (1,), None), (inverse_map(*P), (0,), None)], 1),
-    # P on leg 2 passes G, which makes legs 0 and 1 one leg, and goes into H
-    # on leg 1; or passes G landing in three legs and is put back at the end
-    "commute with a leg shift": ([(P, (2,), None), (G, (0, 1), (4,)), (H, (1,), None)], 2),
-    "commute to the end": ([(P, (2,), None), (G, (0, 1), (2, 2, 2))], 2),
-    # a flip is put back before a step, or a flip, on part of its legs
-    "flush on partial overlap": ([(FLIP, (0, 1), None), (G, (1, 2), (4,))], 2),
-    "flush before a carried step": ([(FLIP, (1, 2), None), (FLIP, (0, 1), None)], 2),
-    # a carried step that meets no further step
-    "flush at the end": ([(G, (1, 2), (4,)), (Q, (0,), None)], 2),
+ONE_ENTRY_CHAINS = {
+    # P on leg 1, then G, whose block holds leg 1
+    "P inside the next block": [(P, (1,), None), (G, (0, 1), (4,)), (H, (0,), None)],
+    "P then Q on one leg": [(P, (2,), None), (Q, (2,), None), (G, (0, 1), (4,))],
+    # P then its inverse on leg 0 is the identity, with a step between
+    "P then its inverse": [(P, (0,), None), (H, (1,), None), (inverse_map(*P), (0,), None)],
+    # P on leg 2 past G, which makes legs 0 and 1 one leg, then H on leg 1;
+    # or past G landing in three legs
+    "P past a step that merges legs": [(P, (2,), None), (G, (0, 1), (4,)), (H, (1,), None)],
+    "P past a step that splits legs": [(P, (2,), None), (G, (0, 1), (2, 2, 2))],
+    # a flip, then a step or a flip on part of its legs
+    "a flip, then a step on part of its legs": [(FLIP, (0, 1), None), (G, (1, 2), (4,))],
+    "two flips on overlapping legs": [(FLIP, (1, 2), None), (FLIP, (0, 1), None)],
+    "Q last, on legs no step reads": [(G, (1, 2), (4,)), (Q, (0,), None)],
     # one entry per column but two on row 0: e_0 + e_1 + e_2 goes to e_1,
-    # its e_0 and e_2 cancelling, so the next step meets e_1 alone; folded,
-    # that step would meet e_0, e_1, e_2 and list its rows in another order
-    "not carried: two columns on one row": (
-        [(([[(0, 1), (1, 1), (2, 1)], [(1, 1)], [(2, 1)], [(3, 1)]], 1), (0,), None),
-         (([[(0, 1)], [(1, 1)], [(0, -1)], [(3, 1)]], 1), (0,), None),
-         (([[(1, 1)], [(0, 1), (1, 1)], [(2, 1)], [(3, 1)]], 1), (0,), None)], 3),
+    # its e_0 and e_2 cancelling, so the next step meets e_1 alone
+    "two columns on one row": [
+        (([[(0, 1), (1, 1), (2, 1)], [(1, 1)], [(2, 1)], [(3, 1)]], 1), (0,), None),
+        (([[(0, 1)], [(1, 1)], [(0, -1)], [(3, 1)]], 1), (0,), None),
+        (([[(1, 1)], [(0, 1), (1, 1)], [(2, 1)], [(3, 1)]], 1), (0,), None)],
 }
 
 
-@pytest.mark.parametrize("branch", sorted(FOLD_BRANCHES))
-def test_each_fold_branch_matches_one_step_at_a_time(branch):
-    steps, planned = FOLD_BRANCHES[branch]
-    assert math.prod(FOLD) >= linalg.FOLD_MIN_COLUMNS
-    folded = composite(steps, FOLD)
-    assert len(folded._plan) == planned
-    got, expected = folded.columns(), columns_by_column(steps, FOLD)
+@pytest.mark.parametrize("chain", sorted(ONE_ENTRY_CHAINS))
+def test_each_one_entry_chain_matches_one_step_at_a_time(chain):
+    steps = ONE_ENTRY_CHAINS[chain]
+    built = composite(steps, CUBE)
+    got, expected = built.columns(), columns_by_column(steps, CUBE)
     assert same_columns(got, expected)
-    if branch == "cancel":
-        assert folded._scale == got[1] == H[1]
+    assert got[1] == math.prod(m[1] for m, _, _ in steps)
     # the composite itself as one step, and that step with one entry changed
-    whole = ((expected[0], expected[1]), (0, 1, 2), folded.out_dims)
-    assert first_difference(steps, [whole], FOLD) is None
+    whole = ((expected[0], expected[1]), (0, 1, 2), built.out_dims)
+    assert first_difference(steps, [whole], CUBE) is None
     col = next(j for j, c in enumerate(expected[0]) if c)
     bumped = expected[0][:col] + [[(r, x + 1) for r, x in expected[0][col]]] + expected[0][col + 1:]
-    rhs = [((bumped, expected[1]), (0, 1, 2), folded.out_dims)]
-    assert first_difference(steps, rhs, FOLD) == unflat_index(col, FOLD)
-    assert first_difference_by_column(steps, rhs, FOLD) == unflat_index(col, FOLD)
+    rhs = [((bumped, expected[1]), (0, 1, 2), built.out_dims)]
+    assert first_difference(steps, rhs, CUBE) == unflat_index(col, CUBE)
+    assert first_difference_by_column(steps, rhs, CUBE) == unflat_index(col, CUBE)
 
 
 @pytest.mark.parametrize("steps, message", [
-    # 3 columns on a leg of dim 4, after two steps that would be folded
+    # 3 columns on a leg of dim 4, after two steps of one entry per column
     ([(FLIP, (0, 1), None), (P, (2,), None), (([[(0, 1)]] * 3, 1), (1,), None)],
      "map with 3 columns on legs (1,) of (4, 4, 4)"),
-    # the dims named are those the steps as given leave, P still carried
+    # the dims named are those the steps as given leave
     ([(P, (2,), None), (G, (0, 1), (4,)), (P, (0, 1), None)],
      "map with 4 columns on legs (0, 1) of (4, 4)"),
     ([(P, (0,), None), (P, (3,), None)], "map with 4 columns on legs (3,) of (4, 4, 4)"),
 ])
-def test_a_malformed_step_of_a_folded_composite_names_the_steps_as_given(steps, message):
+def test_a_malformed_step_of_a_composite_names_the_steps_as_given(steps, message):
     with pytest.raises(DimensionMismatch) as raised:
-        first_difference(steps, [], FOLD)
+        first_difference(steps, [], CUBE)
     assert str(raised.value) == message
 
 
@@ -553,16 +546,16 @@ def test_a_malformed_step_of_a_folded_composite_names_the_steps_as_given(steps, 
     # every column empty, so both steps have one entry per column at most,
     # on a leg that is 0-dimensional between them
     [(([[]] * 4, 1), (0,), (0,)), (([], 1), (0,), (4,))],
-    # a 0-dimensional leg after the legs of a carried flip, inside the
-    # block of the step it would go into
+    # a 0-dimensional leg after the legs of a flip, inside the block of the
+    # next step
     [(FLIP, (0, 1), None), (([[]] * 4, 1), (2,), (0,)), (([], 1), (0, 1, 2), (4, 4, 0))],
 ])
-def test_a_composite_through_a_zero_dimensional_leg_is_not_folded(steps):
+def test_a_composite_through_a_zero_dimensional_leg_is_zero(steps):
     # a 64-column composite whose steps pass through a 0-dimensional leg
     # maps every column to 0, as the steps run one at a time do
-    got = composite(steps, FOLD).columns()
-    assert got == columns_by_column(steps, FOLD) == ([[]] * 64, 1)
-    assert first_difference(steps, steps, FOLD) is None
+    got = composite(steps, CUBE).columns()
+    assert got == columns_by_column(steps, CUBE) == ([[]] * 64, 1)
+    assert first_difference(steps, steps, CUBE) is None
 
 
 def _column_lists(steps):
@@ -572,14 +565,14 @@ def _column_lists(steps):
 
 @pytest.mark.parametrize("dims, steps, other", [
     ((2, 2), CANCELLING, [(([[], [(0, 1)]] + CANCELLED_COLUMNS[2:], 1), (0, 1), (2,))]),
-    (FOLD, FOLD_BRANCHES["cancel"][0], FOLD_BRANCHES["flush before a carried step"][0]),
-    (FOLD, FOLD_BRANCHES["fold-into-next"][0], FOLD_BRANCHES["commute with a leg shift"][0]),
-], ids=["unfolded", "folded, cancelling", "folded"])
+    (CUBE, ONE_ENTRY_CHAINS["P then its inverse"], ONE_ENTRY_CHAINS["two flips on overlapping legs"]),
+    (CUBE, ONE_ENTRY_CHAINS["P inside the next block"],
+     ONE_ENTRY_CHAINS["P past a step that merges legs"]),
+], ids=["cancelling", "inverse pair", "cube"])
 def test_a_composite_built_once_answers_every_reading_alike(dims, steps, other):
     # checked and planned once, a Composite runs its plan afresh on every
-    # call: the same columns and matrix each time, unfolded and folded, as
-    # first_key gives the same witness; every step's column lists stay as
-    # they were given
+    # call: the same columns and matrix each time, as first_key gives the
+    # same witness; every step's column lists stay as they were given
     before = _column_lists(steps + other)
     built = composite(steps, dims)
     answers = [(built.columns(), built.matrix(), first_difference(steps, other, dims))

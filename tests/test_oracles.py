@@ -9,8 +9,8 @@ dimodule axioms, the Hom-algebra tower, R-elements, forms and the twist the
 same way; the dense oracles build the same maps from Kronecker products and
 leg permutations and compose the identities as whole matrices, associators
 and their inverses included, with their own column-by-column product mul,
-which runs nothing of the library's composite engine.  The batched, folded
-runs themselves are checked against one run per basis column and per step,
+which runs nothing of the library's composite engine.  The batched runs
+themselves are checked against one run per basis column and per step,
 and the search's constraints against their derivation from every pair of
 unit operators.
 """
@@ -3253,9 +3253,9 @@ def test_kron_matches_sympy(data):
 def run_by_steps(steps, dims, vec):
     """A sparse vector through a composite one step at a time, each entry's
     index split into its basis tuple and put back together with
-    flat_index, so nothing of the library's planner or runner runs and no
-    step is folded into another; zero values are dropped after each step
-    and the steps' scales are left out."""
+    flat_index, so nothing of the library's planner or runner runs; zero
+    values are dropped after each step and the steps' scales are left
+    out."""
     d = tuple(dims)
     for (cols, _), legs, out in steps:
         first, stop = legs[0], legs[-1] + 1
@@ -3348,9 +3348,9 @@ def inverse_map(cols, scale):
 @st.composite
 def one_entry_steps(draw, first, ins):
     """Steps with at most one entry per column, on distinct rows, on the
-    legs first, first + 1, ... of dims ins, which a Composite carries
-    forward: a flip of two legs or a scaled permutation, with some columns
-    left empty, or either followed by its inverse."""
+    legs first, first + 1, ... of dims ins: a flip of two legs or a scaled
+    permutation, with some columns left empty, or either followed by its
+    inverse."""
     legs = tuple(range(first, first + len(ins)))
     if len(ins) == 2 and draw(st.booleans()):
         step = (leg_flip(*ins), legs, ins[::-1])
@@ -3374,12 +3374,11 @@ def one_entry_steps(draw, first, ins):
 def composites(draw, leg_dims=st.integers(1, 3), one_entry=False):
     """Legs dims and a composite of up to four random steps on them, each on
     consecutive legs and landing in up to two legs.  With one_entry, the
-    legs' dims multiply to at least linalg.FOLD_MIN_COLUMNS, so Composite folds,
-    and up to six steps on one or two legs are drawn, about half of them by
-    one_entry_steps."""
+    legs' dims multiply to at least 64, and up to six steps on one or two
+    legs are drawn, about half of them by one_entry_steps."""
     if one_entry:
         dims = tuple(draw(st.lists(st.integers(2, 4), min_size=3, max_size=4).filter(
-            lambda d: math.prod(d) >= linalg.FOLD_MIN_COLUMNS)))
+            lambda d: math.prod(d) >= 64)))
     else:
         dims = tuple(draw(st.lists(leg_dims, min_size=1, max_size=4)))
     steps, d = [], dims
@@ -3458,10 +3457,10 @@ def test_batched_composites_match_one_column_at_a_time(case, batch, data):
 
 @settings(max_examples=100, deadline=None)
 @given(composites(one_entry=True), st.data())
-def test_folded_composites_match_one_step_at_a_time(case, data):
-    # composites large enough that Composite folds their one-entry-per-column
-    # steps: the witness, and every column's entries in order, as the steps
-    # run one at a time
+def test_large_one_entry_composites_match_one_step_at_a_time(case, data):
+    # composites of at least 64 columns, about half their steps of one entry
+    # per column: the witness, and every column's entries in order, as the
+    # steps run one at a time
     dims, lhs = case
     rhs = _one_entry_changed(data.draw, lhs)
     for other in (lhs, rhs):
@@ -4060,8 +4059,8 @@ def test_identity_compiler_matches_index_sums(drawn):
 
 # ---------------------------------------------------------------------------
 # a decision's shortcuts against index sums: identity maps leave the plan,
-# elements and covectors are read through their kept flat readings, and
-# sides of FOLD_MIN_COLUMNS or more columns are folded from their layout
+# and elements and covectors are read through their kept flat readings, on
+# sides of under 64 and of 64 or more columns
 
 SHORTCUT_KINDS = ("identity", "scaled", "moved", "diagonal", "map", "bubble", "embed")
 

@@ -74,7 +74,7 @@ def test_public_names_are_pinned():
 
 
 LINALG_NAMES = [
-    "BATCH_COLUMNS", "Composite", "DimensionMismatch", "FOLD_MIN_COLUMNS", "Fraction",
+    "BATCH_COLUMNS", "Composite", "DimensionMismatch", "Fraction",
     "LinalgError", "Matrix", "ONE", "SingularMatrix", "ZERO",
     "first_key", "int_columns", "layout", "move_legs", "moved_columns", "per_leg_matrix",
     "scalar", "solve_exact", "sparse_columns", "unflat_index",
@@ -110,7 +110,7 @@ def test_linalg_names_are_pinned():
     assert linalg.Matrix.__slots__ == MATRIX_SLOTS
     assert _public(dir(linalg.Composite)) == COMPOSITE_ATTRIBUTES
     assert _public(vars(linalg.Tensor3)) == ["from_function"]
-    assert len(LINALG_NAMES) == 20
+    assert len(LINALG_NAMES) == 19
 
 
 def test_only_report_reads_moved_columns():
