@@ -19,14 +19,13 @@ from .linalg import DimensionMismatch, SingularMatrix
 from .report import AxiomReport, Check
 from . import io as hio
 from .io import FileFormatError
-from .homstruct import (HomStructure, NotAutomorphism, tensor_basis,
-                        validate_hom_algebra, validate_hom_coalgebra, validate_all,
+from .homstruct import (HomStructure, NotAutomorphism, tensor_basis, validate_all,
                         validate_quasitriangular, validate_coquasitriangular, yau_twist)
-from .repmod import Carrier, MismatchedBase, validate_hom_module, validate_yd_module
+from .repmod import MismatchedBase, validate_hom_module, validate_yd_module
 from .longdimod import (AntipodeNotInvertible, validate_long_dimodule, tensor_dimodule,
                         left_dual, right_dual, check_snake, check_coherence, to_smash_module,
                         from_smash_module)
-from .longeq import (SearchSpaceTooLarge, check_long_equation,
+from .longeq import (OperatorOnTensorSquare, SearchSpaceTooLarge, check_long_equation,
                      dimodule_solution, module_extension, comodule_extension,
                      search_solutions)
 from .braidcat import (InvalidContext, NotAMorphism, long_braiding,
@@ -103,14 +102,6 @@ def _load_solution(path, files):
     return hio.in_file(path, dimodule_solution, _structure("halpha-dimodule")(path, files))
 
 
-def _load_phi(path, files):
-    """The map in a --phi file: a matrix, or an object holding one as 'matrix'."""
-    raw = files.read(path)
-    if isinstance(raw, dict) and "matrix" not in raw:
-        raise FileFormatError("missing 'matrix'", path)
-    return hio.load_matrix(raw["matrix"] if isinstance(raw, dict) else raw, path)
-
-
 def cmd_validate(args, report, files):
     raw = files.read(args.file)
     s = hio.load_structure(args.file, files)
@@ -119,20 +110,14 @@ def cmd_validate(args, report, files):
         if not isinstance(s, HomStructure) or getattr(s, part) is None:
             raise FileFormatError("no %s part to validate" % args.kind, args.file)
         s = s.algebra if args.kind == "hom-algebra" else s.coalgebra
-    if isinstance(s, HomStructure) and s.kind == "hom-algebra":
-        report.extend(validate_hom_algebra(s))
-    elif isinstance(s, HomStructure) and s.kind == "hom-coalgebra":
-        report.extend(validate_hom_coalgebra(s))
-    elif isinstance(s, HomStructure):
-        report.extend(validate_all(s))
-        for key, check in (("R", validate_quasitriangular), ("form", validate_coquasitriangular)):
-            if key in raw:
-                report.extend(hio.in_file(args.file, check, s, hio.load_matrix(
-                    raw[key], "%s.%s" % (args.file, key))), key + ":")
-    elif isinstance(s, Carrier):
-        report.extend(hio._CARRIERS[s.kind].validate(s))
-    else:
-        report.extend(check_long_equation(s))
+    if isinstance(s, OperatorOnTensorSquare):
+        return report.extend(check_long_equation(s))
+    report.extend(hio._KINDS[s.kind].validate(s))
+    # a bialgebra file's R and form, beside the structure
+    for key, check in (("R", validate_quasitriangular), ("form", validate_coquasitriangular)):
+        if key in raw and s.kind in hio._BIALGEBRA_KINDS:
+            report.extend(hio.in_file(args.file, check, s, hio.load_matrix(
+                raw[key], "%s.%s" % (args.file, key))), key + ":")
     return report
 
 
@@ -228,8 +213,9 @@ SUBJECTS = {
     "build dual": Subject(_build_dual, (("-D", _DIMODULE),), ("--side",)),
     "build tensor": Subject(_emit(tensor_dimodule, validate_long_dimodule),
                             (("-M", _DIMODULE), ("-N", _DIMODULE))),
-    "build twist": Subject(_emit(yau_twist, validate_all),
-                           (("--base", _BIALGEBRA), ("--phi", _load_phi))),
+    "build twist": Subject(_emit(yau_twist, validate_all), (
+        ("--base", _BIALGEBRA),
+        ("--phi", lambda path, files: hio.load_map_file(path, "matrix", files)))),
     "build dimodule-solution": Subject(_emit(lambda op: op, check_long_equation),
                                        (("-D", _load_solution),)),
     "build extension": Subject(_emit(_extension, validate_long_dimodule), (
@@ -278,8 +264,7 @@ def cmd_search(args, report, files):
     raw = files.read(args.mu)
     if isinstance(raw, dict) and raw.get("kind", "operator") != "operator":
         raise FileFormatError("expected an operator file, not a %s file" % raw["kind"], args.mu)
-    mu = hio.load_matrix(raw["mu"] if isinstance(raw, dict) and "mu" in raw
-                         else raw, args.mu)
+    mu = hio.load_map_file(args.mu, "mu", files)
     values = [hio.load_scalar(s, "--set") for s in args.set.split(",") if s.strip() != ""]
     sols = hio.in_file(args.mu, search_solutions, mu, values, args.shape)
     report.add("exhaustive-search", True).set_flag("solutions", len(sols))

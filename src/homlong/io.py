@@ -3,22 +3,27 @@
 All scalars are integers or "p/q" strings in canonical form (q > 0).  Files
 carry a "kind" discriminator; fields holding another structure (an algebra
 under a module, the pair under a dimodule) may be inline objects or paths
-relative to the referencing file.  The five carrier kinds, modules to
-dimodules, are each a repmod.Carrier, read, written and validated from one
-table, _CARRIERS, which keeps each kind's file keys.  A three-leg map is
-written nested, T[i][j][k], as its structure fixes (_nesting), and read
-once against that nesting into the int columns of its product-like Matrix.
-A Files object lets one command read each file, and build each structure
-in it, once; in_file builds each, so a shape refusal names the file.
-json_text, one json.dumps call, is the one JSON writer.
+relative to the referencing file.  The four algebra kinds and the five
+carrier kinds, modules to dimodules, are read, written and validated from
+one table, _KINDS, which keeps each kind's algebras, map keys and
+validator; an operator's two maps are read by hand.  Every map of every
+file, a context's R and form and the maps the CLI reads and writes among
+them, is read by load_matrix and written by matrix_json, nested as its key
+fixes (_nesting): a product, coproduct, action or coaction as T[i][j][k],
+read once into the int columns of its product-like Matrix; a unit or
+counit as a flat list; any other map as rows.  A rejected entry is named
+by its index.  A Files object lets one command read each file, and build
+each structure in it, once; in_file builds each, so a shape refusal names
+the file.  json_text, one json.dumps call, is the one JSON writer.
 """
 
 import collections
 import json
 import os
 
-from .linalg import Matrix, DimensionMismatch, LinalgError, scalar
-from .homstruct import HomStructure
+from .linalg import Matrix, DimensionMismatch, LinalgError, int_columns, scalar
+from .homstruct import (HomStructure, validate_hom_algebra, validate_hom_coalgebra,
+                        validate_all)
 from .repmod import (Carrier, validate_hom_module, validate_hom_comodule,
                      validate_yd_module)
 from .longdimod import validate_long_dimodule
@@ -54,25 +59,64 @@ def load_scalar(v, where="scalar"):
         raise FileFormatError(_ctx(where, str(exc)))
 
 
-def load_matrix(rows, where="matrix"):
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise FileFormatError(_ctx(where, "expected a list of rows"))
-    # Matrix reads the entries straight into its int columns, each with
-    # scalar as load_scalar does
-    try:
-        return Matrix(rows)
-    except Exception as exc:
-        raise FileFormatError(_ctx(where, str(exc)))
+# How a refusal words a map that is no list, by the number of its legs
+_NESTED = {1: "expected a list", 2: "expected a list of rows", 3: "expected a triply nested list"}
 
 
-def load_vector(entries, where="vector"):
-    """The flat list entries (a unit, a counit) as a one-column Matrix."""
-    if not isinstance(entries, list):
-        raise FileFormatError(_ctx(where, "expected a list"))
+def load_matrix(value, where="matrix", nesting=2):
+    """The map in value, nested as nesting says (_nesting): 2, a list of
+    rows; 1, a flat list (a unit, a counit), read as one column; dims
+    (d0, d1, d2), the lists T[i][j][k] of a three-leg map, read as the
+    Matrix of its product-like map (Matrix.from_tensor), which must nest as
+    dims.  The entries are read once, straight into the Matrix's int
+    columns.  A refusal names where, and only a refusal walks value again,
+    to name the first rejected entry, or the first item that is no list
+    where a list belongs, by its index."""
     try:
-        return Matrix([[x] for x in entries], cols=1)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        if not isinstance(value, list):
+            pass
+        elif nesting == 2:
+            if all(isinstance(r, list) for r in value):
+                return Matrix(value)
+        elif nesting == 1:          # one column, read as int_columns reads every map
+            return Matrix.from_int_columns(*int_columns([value]), len(value))
+        else:                       # a refused nesting names the map by its key
+            return Matrix.from_tensor(value, nesting, where.rpartition(".")[2])
+    except DimensionMismatch as exc:     # every entry read, the shape wrong
         raise FileFormatError(_ctx(where, str(exc)))
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    legs = nesting if isinstance(nesting, int) else len(nesting)
+    if isinstance(value, list):
+        _refuse_first(value, legs, where)
+    raise FileFormatError(_ctx(where, _NESTED[legs]))
+
+
+def _refuse_first(value, legs, where):
+    """Refuse the first item of the lists value, nested legs deep, that is
+    no list where a list belongs or no scalar where an entry does, named by
+    its index."""
+    for i, x in enumerate(value):
+        at = "%s[%d]" % (where, i)
+        if legs == 1:
+            load_scalar(x, at)
+        elif not isinstance(x, list):
+            raise FileFormatError(_ctx(at, "expected a list"))
+        else:
+            _refuse_first(x, legs - 1, at)
+
+
+def matrix_json(m, nesting=2):
+    """The map m as load_matrix reads it with nesting: its rows, the one
+    column of a unit or counit as a flat list, or a three-leg map as the
+    lists T[i][j][k]; every entry an int or a "p/q" string."""
+    if nesting == 2:
+        return m.to_json()
+    if nesting == 1:
+        return [x for x, in m.to_json()]
+    # the columns of the product-like map, T[i][j] at i * d1 + j
+    cols, d1 = [list(c) for c in zip(*m.to_json())] or [[] for _ in range(m.cols)], nesting[1]
+    return [cols[i * d1:(i + 1) * d1] for i in range(nesting[0])]
 
 
 def _required(obj, key, where):
@@ -83,35 +127,13 @@ def _required(obj, key, where):
     return obj[key]
 
 
-def load_tensor(obj, key, where, dims):
-    """The three-leg map nested in obj[key] as T[i][j][k], which must nest as
-    dims: the Matrix of its product-like map, its entries read straight into
-    its int columns (linalg.Matrix.from_tensor).  Ragged or otherwise nested
-    data and a bad entry are refused naming the field."""
-    data, where = _required(obj, key, where), "%s.%s" % (where, key)
-    if not isinstance(data, list):
-        raise FileFormatError(_ctx(where, "expected a triply nested list"))
-    try:
-        return Matrix.from_tensor(data, dims, key)
-    except DimensionMismatch as exc:     # every entry read, the nesting wrong
-        raise FileFormatError(_ctx(where, str(exc)))
-    except (TypeError, ValueError, ZeroDivisionError):
-        pass
-    # a rejected entry or a bad nesting: read again, naming each entry
-    try:
-        return Matrix.from_tensor([[[load_scalar(x, "%s[%d][%d][%d]" % (where, i, j, k))
-                                     for k, x in enumerate(row)]
-                                    for j, row in enumerate(plane)]
-                                   for i, plane in enumerate(data)], dims, key)
-    except TypeError:
-        raise FileFormatError(_ctx(where, "expected a triply nested list"))
-
-
-def tensor_json(m, dims):
-    """The product-like Matrix m of a three-leg map as the nested lists
-    T[i][j][k] for its dims, the entries as to_json writes them."""
-    cols, d1 = m.transpose().to_json(), dims[1]
-    return [cols[i * d1:(i + 1) * d1] for i in range(dims[0])]
+def load_map_file(path, key, files):
+    """The map in the file at path, read through files (a Files): the
+    file's own rows, or those of the object in it under key."""
+    raw = files.read(path)
+    if isinstance(raw, dict):
+        return load_matrix(_required(raw, key, path), "%s.%s" % (path, key))
+    return load_matrix(raw, path)
 
 
 def load_basis(obj, dim, where):
@@ -124,10 +146,6 @@ def load_basis(obj, dim, where):
             and all(isinstance(x, str) for x in names)):
         raise FileFormatError(_ctx(where + ".basis", "expected a list of %d names" % dim))
     return tuple(names)
-
-
-def matrix_json(m):
-    return m.to_json()
 
 
 def _read(path):
@@ -201,74 +219,20 @@ def _int_field(obj, key, where):
 
 
 # ---------------------------------------------------------------------------
-# algebras
+# algebras, modules, dimodules, contexts, operators
 
-_ALGEBRA_FIELDS = ("kind", "dim", "basis", "mult", "unit", "comult", "counit", "gamma",
-                   "antipode")
-
-
-def algebra_from_json(obj, base_dir=None, where="<inline>"):
-    kind = obj.get("kind")
-    if kind not in ("hom-algebra", "hom-coalgebra", "hom-bialgebra", "hom-hopf"):
-        raise FileFormatError(_ctx(where, "unknown algebra kind %r" % (kind,)))
-    dim = _int_field(obj, "dim", where)
-    basis = load_basis(obj, dim, where)
-    gamma = load_matrix(obj["gamma"], where + ".gamma") if "gamma" in obj \
-        else Matrix.identity(dim)
-    parts = {}
-    if kind != "hom-coalgebra":
-        if "mult" not in obj or "unit" not in obj:
-            raise FileFormatError(_ctx(where, "algebra needs 'mult' and 'unit'"))
-        parts.update(mult=load_tensor(obj, "mult", where, (dim, dim, dim)),
-                     unit=load_vector(obj["unit"], where + ".unit"))
-    if kind != "hom-algebra":
-        if "comult" not in obj or "counit" not in obj:
-            raise FileFormatError(_ctx(where, "coalgebra needs 'comult' and 'counit'"))
-        parts.update(comult=load_tensor(obj, "comult", where, (dim, dim, dim)),
-                     counit=load_vector(obj["counit"], where + ".counit"))
-    if kind == "hom-hopf":
-        if "antipode" not in obj:
-            raise FileFormatError(_ctx(where, "hom-hopf needs 'antipode'"))
-        parts["antipode"] = load_matrix(obj["antipode"], where + ".antipode")
-    return in_file(where, HomStructure, dim, gamma, basis=basis, **parts)
-
-
-def algebra_to_json(h):
-    out = {"kind": h.kind, "dim": h.dim, "basis": list(h.basis)}
-    for key in ("mult", "unit", "comult", "counit", "gamma", "antipode"):
-        value = getattr(h, key)
-        if key in ("mult", "comult") and value is not None:
-            out[key] = tensor_json(value, (h.dim, h.dim))
-        elif value is not None:
-            rows = value.to_json()
-            # the unit and counit, one-column matrices, as load_vector reads them
-            out[key] = [x for x, in rows] if key in ("unit", "counit") else rows
-    return out
-
-
-_BIALGEBRA_KINDS = ("hom-bialgebra", "hom-hopf")
-
-
-def _load_algebra_field(obj, key, base_dir, where, files, kinds=None):
-    """The algebra in obj[key] and its JSON; with kinds given, its kind
-    must be one of them."""
-    sub, sub_dir, sub_where = _resolve(_required(obj, key, where), base_dir,
-                                       where + "." + key, files)
-    alg = files.algebra(sub, sub_dir, sub_where)
-    if kinds and alg.kind not in kinds:
-        raise FileFormatError(_ctx(sub_where, "expected a %s structure" % " or ".join(kinds)))
-    return alg, sub
-
-
-# ---------------------------------------------------------------------------
-# modules, dimodules, contexts, operators
-
-# A carrier kind's file keys and its validator: the algebras as (key, the
-# Carrier fields it holds, part), part None standing for the whole
-# structure, of a bialgebra kind; the maps' keys in file order, each the
-# Carrier field of its name but the structure map's, which is mu.
+# A kind's file keys and its validator: the algebras it is built over, as
+# (key, the Carrier fields it holds, part), part None standing for the whole
+# structure, of a bialgebra kind; none for an algebra kind; the maps' keys in
+# file order, each the field of its name but a carrier's structure map's,
+# which is mu (_FIELD).
 _Kind = collections.namedtuple("_Kind", "algebras maps validate")
-_CARRIERS = {
+_KINDS = {
+    "hom-algebra": _Kind((), ("gamma", "mult", "unit"), validate_hom_algebra),
+    "hom-coalgebra": _Kind((), ("gamma", "comult", "counit"), validate_hom_coalgebra),
+    "hom-bialgebra": _Kind((), ("gamma", "mult", "unit", "comult", "counit"), validate_all),
+    "hom-hopf": _Kind((), ("gamma", "mult", "unit", "comult", "counit", "antipode"),
+                      validate_all),
     "hom-module": _Kind((("over", "H", "algebra"),), ("action", "nu"), validate_hom_module),
     "hom-comodule": _Kind((("over", "B", "coalgebra"),), ("coaction", "mu"),
                           validate_hom_comodule),
@@ -279,25 +243,70 @@ _CARRIERS = {
     "long-dimodule": _Kind((("H", "H", None), ("B", "B", None)), ("action", "coaction", "mu"),
                            validate_long_dimodule),
 }
+_ALGEBRA_KINDS = tuple(kind for kind, spec in _KINDS.items() if not spec.algebras)
+_BIALGEBRA_KINDS = ("hom-bialgebra", "hom-hopf")
+# an algebra's own fields; an algebra file's R and form are beside them
+_ALGEBRA_FIELDS = ("kind", "dim", "basis") + _KINDS["hom-hopf"].maps
 
 
-def _field(key):
-    """The Carrier field of a map's file key."""
-    return key if key in ("action", "coaction") else "mu"
+# the field of a structure that holds the map of a file key, when it is
+# not the key itself
+_FIELD = {"nu": "mu", "structure_map": "mu"}
 
 
-def _nesting(key, dim, h, b):
-    """How a file nests the action or coaction of a carrier of dim over h
-    and b: action[h][i][j] is the coefficient of m_j in e_h . m_i and
-    coaction[i][a][j] that of b_a (x) m_j in rho(m_i)."""
-    return (h.dim, dim, dim) if key == "action" else (dim, b.dim, dim)
+def _nesting(key, dim, h=None, b=None):
+    """How a file nests the map under key of a structure of dim over h and
+    b: a product or coproduct as T[i][j][k] = the coefficient of e_k in
+    e_i e_j, or of e_j (x) e_k in Delta(e_i); action[h][i][j] the
+    coefficient of m_j in e_h . m_i and coaction[i][a][j] that of
+    b_a (x) m_j in rho(m_i); a unit or counit as a flat list; any other map
+    as rows."""
+    if key in ("mult", "comult"):
+        return (dim, dim, dim)
+    if key == "action":
+        return (h.dim, dim, dim)
+    if key == "coaction":
+        return (dim, b.dim, dim)
+    return 1 if key in ("unit", "counit") else 2
+
+
+def _load_maps(maps, obj, keys, dim, where, h=None, b=None):
+    """maps, with the maps under keys in obj, of a structure of dim over h
+    and b, added by field, each read with its key's nesting; a gamma left
+    out is the identity, and any other map is required."""
+    for key in keys:
+        maps[_FIELD.get(key, key)] = (
+            load_matrix(obj[key], where + "." + key, _nesting(key, dim, h, b)) if key in obj
+            else Matrix.identity(dim) if key == "gamma" else _required(obj, key, where))
+    return maps
+
+
+def algebra_from_json(obj, base_dir=None, where="<inline>"):
+    kind = obj.get("kind")
+    if kind not in _ALGEBRA_KINDS:
+        raise FileFormatError(_ctx(where, "unknown algebra kind %r" % (kind,)))
+    dim = _int_field(obj, "dim", where)
+    basis = load_basis(obj, dim, where)
+    return in_file(where, HomStructure, dim, basis=basis,
+                   **_load_maps({}, obj, _KINDS[kind].maps, dim, where))
+
+
+def _load_algebra_field(obj, key, base_dir, where, files, kinds=None):
+    """The algebra in obj[key], its JSON and where that is; with kinds
+    given, its kind must be one of them."""
+    sub, sub_dir, sub_where = _resolve(_required(obj, key, where), base_dir,
+                                       where + "." + key, files)
+    alg = files.algebra(sub, sub_dir, sub_where)
+    if kinds and alg.kind not in kinds:
+        raise FileFormatError(_ctx(sub_where, "expected a %s structure" % " or ".join(kinds)))
+    return alg, sub, sub_where
 
 
 def _carrier_algebra(obj, kind, key, part, base_dir, where, files):
-    """What a carrier of this kind is built over, from obj[key] (see _CARRIERS)."""
+    """What a carrier of this kind is built over, from obj[key] (see _KINDS)."""
     if part is None:
         return _load_algebra_field(obj, key, base_dir, where, files, _BIALGEBRA_KINDS)[0]
-    alg, _ = _load_algebra_field(obj, key, base_dir, where, files)
+    alg = _load_algebra_field(obj, key, base_dir, where, files)[0]
     needs, words = ("mult", "an algebra") if part == "algebra" else ("comult", "a coalgebra")
     if getattr(alg, needs) is None:
         raise FileFormatError(_ctx(where, "%s '%s' must carry %s" % (kind[4:], key, words)))
@@ -311,19 +320,15 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
     if not isinstance(obj, dict):
         raise FileFormatError(_ctx(where, "expected a JSON object"))
     kind = obj.get("kind")
-    if kind in ("hom-algebra", "hom-coalgebra", "hom-bialgebra", "hom-hopf"):
+    if kind in _ALGEBRA_KINDS:
         return files.algebra(obj, base_dir, where)
-    if isinstance(kind, str) and kind in _CARRIERS:
+    if isinstance(kind, str) and kind in _KINDS:
         fields = dict(H=None, B=None, action=None, coaction=None)
-        for key, names, part in _CARRIERS[kind].algebras:
+        for key, names, part in _KINDS[kind].algebras:
             alg = _carrier_algebra(obj, kind, key, part, base_dir, where, files)
             fields.update(dict.fromkeys(names.split(), alg))
         dim = _int_field(obj, "dim", where)
-        for key in _CARRIERS[kind].maps:
-            fields[_field(key)] = (
-                load_matrix(_required(obj, key, where), where + "." + key)
-                if _field(key) == "mu" else
-                load_tensor(obj, key, where, _nesting(key, dim, fields["H"], fields["B"])))
+        _load_maps(fields, obj, _KINDS[kind].maps, dim, where, fields["H"], fields["B"])
         return in_file(where, Carrier, dim=dim, basis=load_basis(obj, dim, where), kind=kind,
                        **fields)
     if kind == "operator":
@@ -352,44 +357,46 @@ def load_structure(path, files=None):
 
 def load_context(path, files=None):
     """Context file: H, B (paths or inline), R and form (inline matrices or
-    taken from the referenced algebra files).  Each file is read, and each
-    algebra file built, through files (a Files) when given."""
+    taken from the referenced algebra files, and then named there).  Each
+    file is read, and each algebra file built, through files (a Files) when
+    given."""
     from .braidcat import BraidingContext
     files = files or Files()
     obj = files.read(path)
     if not isinstance(obj, dict):
         raise FileFormatError("expected a JSON object", path)
-    where = path
-    h, h_raw = _load_algebra_field(obj, "H", os.path.dirname(path), where, files,
-                                   ("hom-hopf",))
-    b, b_raw = _load_algebra_field(obj, "B", os.path.dirname(path), where, files,
-                                   ("hom-hopf",))
-    r_field = obj.get("R", h_raw.get("R"))
-    if r_field is None:
-        raise FileFormatError(_ctx(where, "no 'R' in context or in the H file"))
-    form_field = obj.get("form", b_raw.get("form"))
-    if form_field is None:
-        raise FileFormatError(_ctx(where, "no 'form' in context or in the B file"))
-    return in_file(where, BraidingContext, h, load_matrix(r_field, where + ".R"),
-                   b, load_matrix(form_field, where + ".form"))
+    algebras = {side: _load_algebra_field(obj, side, os.path.dirname(path), path, files,
+                                          ("hom-hopf",)) for side in "HB"}
+    maps = []
+    for key, side in (("R", "H"), ("form", "B")):
+        alg, raw, where = algebras[side]
+        if key in obj:
+            raw, where = obj, path
+        if raw.get(key) is None:
+            raise FileFormatError(_ctx(path, "no '%s' in context or in the %s file"
+                                       % (key, side)))
+        maps += [alg, load_matrix(raw[key], "%s.%s" % (where, key))]
+    return in_file(path, BraidingContext, *maps)
 
 
 def structure_to_json(s):
-    if isinstance(s, HomStructure):
-        return algebra_to_json(s)
-    if isinstance(s, Carrier):
-        spec = _CARRIERS[s.kind]
-        out = {"kind": s.kind, "dim": s.dim, "basis": list(s.basis)}
-        out.update((key, algebra_to_json(getattr(s, names.split()[0])))
-                   for key, names, _ in spec.algebras)
-        out.update((key, s.mu.to_json() if _field(key) == "mu" else
-                    tensor_json(getattr(s, key), _nesting(key, s.dim, s.H, s.B)))
-                   for key in spec.maps)
-        return out
+    """The JSON of an algebra, a carrier or an operator, as
+    structure_from_json reads it back."""
     if isinstance(s, OperatorOnTensorSquare):
         return {"kind": "operator", "n": s.carrier_dim,
                 "mu": matrix_json(s.structure_map), "matrix": matrix_json(s.matrix)}
-    raise TypeError("cannot serialize %r" % (type(s),))
+    if not isinstance(s, (HomStructure, Carrier)):
+        raise TypeError("cannot serialize %r" % (type(s),))
+    spec, h, b = _KINDS[s.kind], getattr(s, "H", None), getattr(s, "B", None)
+    out = {"kind": s.kind, "dim": s.dim, "basis": list(s.basis)}
+    out.update((key, structure_to_json(getattr(s, names.split()[0])))
+               for key, names, _ in spec.algebras)
+    out.update((key, matrix_json(getattr(s, _FIELD.get(key, key)), _nesting(key, s.dim, h, b)))
+               for key in spec.maps)
+    return out
+
+
+algebra_to_json = structure_to_json
 
 
 def save_structure(s, path):

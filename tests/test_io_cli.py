@@ -111,12 +111,35 @@ def test_units_and_counits_are_flat_lists_read_by_one_index(tmp_path, build):
         assert hio.load_structure(str(path)) == s
 
 
-# What the reader says of a carrier or operator file with the fields given
-# as None removed, or with an algebra field replaced by that part of kz2,
-# taken from the commit before the carrier kinds were read from one table,
-# but a missing map, named as a missing algebra is; a file with two bad
-# fields names the one read first.
+# What the reader says of a file of each kind with the fields given as None
+# removed, or with an algebra field replaced by that part of kz2: a missing
+# map or algebra field as missing '<key>' (<file>), but an algebra file's
+# gamma, whose absence stands for the identity; a file with two bad fields
+# names the one read first.
 READER_ERRORS = {
+    "hom-algebra": [
+        ({"mult": None}, "missing 'mult' ({})"),
+        ({"unit": None}, "missing 'unit' ({})"),
+        ({"mult": None, "unit": None}, "missing 'mult' ({})"),
+    ],
+    "hom-coalgebra": [
+        ({"comult": None}, "missing 'comult' ({})"),
+        ({"counit": None}, "missing 'counit' ({})"),
+    ],
+    "hom-bialgebra": [
+        ({"mult": None}, "missing 'mult' ({})"),
+        ({"unit": None}, "missing 'unit' ({})"),
+        ({"comult": None}, "missing 'comult' ({})"),
+        ({"counit": None}, "missing 'counit' ({})"),
+    ],
+    "hom-hopf": [
+        ({"mult": None}, "missing 'mult' ({})"),
+        ({"unit": None}, "missing 'unit' ({})"),
+        ({"comult": None}, "missing 'comult' ({})"),
+        ({"counit": None}, "missing 'counit' ({})"),
+        ({"antipode": None}, "missing 'antipode' ({})"),
+        ({"antipode": None, "dim": None}, "missing or invalid 'dim': expected an integer ({})"),
+    ],
     "hom-module": [
         ({"over": None}, "missing 'over' ({})"),
         ({"action": None}, "missing 'action' ({})"),
@@ -165,19 +188,27 @@ READER_ERRORS = {
 
 @pytest.mark.parametrize("kind", list(READER_ERRORS))
 def test_carrier_reader_errors_are_pinned(tmp_path, kind):
-    assert set(READER_ERRORS) == set(hio._CARRIERS) | {"operator"}
-    obj = hio.structure_to_json(dict(_carriers(), operator=OperatorOnTensorSquare(
-        2, flip_matrix(2, 2), Matrix.diagonal([1, 2])))[kind])
+    assert set(READER_ERRORS) == set(hio._KINDS) | {"operator"}
+    kz2 = fx.kz2()
+    s = dict(_carriers(), operator=OperatorOnTensorSquare(
+        2, flip_matrix(2, 2), Matrix.diagonal([1, 2])), **{
+            "hom-algebra": kz2.algebra, "hom-coalgebra": kz2.coalgebra,
+            "hom-bialgebra": replace(kz2, antipode=None), "hom-hopf": kz2})[kind]
+    obj = hio.structure_to_json(s)
     assert obj["kind"] == kind
     path = str(tmp_path / "bad.json")
     for edit, expected in READER_ERRORS[kind]:
         bad = {k: v for k, v in obj.items() if k not in edit}
-        bad.update((k, hio.algebra_to_json(getattr(fx.kz2(), part)))
+        bad.update((k, hio.algebra_to_json(getattr(kz2, part)))
                    for k, part in edit.items() if part)
         hio.dump_json(bad, path)
         with pytest.raises(FileFormatError) as exc:
             hio.load_structure(path)
         assert str(exc.value) == expected.format(path)
+    if "gamma" in obj:
+        # an algebra file without gamma is read with the identity
+        hio.dump_json({k: v for k, v in obj.items() if k != "gamma"}, path)
+        assert hio.load_structure(path) == replace(s, gamma=Matrix.identity(s.dim))
 
 
 @pytest.mark.parametrize("key, ragged", [("action", [[[1]], [[1, 2]]]),
@@ -292,12 +323,12 @@ def test_scalar_returns_the_shared_zero_and_one():
 @pytest.mark.parametrize("bad", ["1/0", True, "x"])
 @pytest.mark.parametrize("keys, location", [
     (("action", 1, 0, 1), ".action[1][0][1]"),
-    (("mu", 1, 0), ".mu"),
-    (("H", "unit", 1), ".H.unit"),
+    (("mu", 1, 0), ".mu[1][0]"),
+    (("H", "unit", 1), ".H.unit[1]"),
 ])
 def test_rejected_entry_is_named(tmp_path, kz2, bad, keys, location):
-    # the message is the scalar's own error and where the entry sits: the
-    # tensor index for an action, the field for a matrix or a vector
+    # the message is the scalar's own error and where the entry sits: its
+    # index at every nesting, a three-leg map's, a matrix's or a vector's
     obj = hio.structure_to_json(canonical_dimodule(kz2, kz2))
     field = obj
     for key in keys[:-1]:
@@ -315,6 +346,31 @@ def test_rejected_entry_is_named(tmp_path, kz2, bad, keys, location):
 def test_context_inline_and_r_from_file(files):
     ctx = hio.load_context(p(files, "ctx.json"))
     assert ctx.valid and ctx.triangular and ctx.cotriangular
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("key, side", [("R", "H"), ("form", "B")])
+def test_a_context_map_from_an_algebra_file_is_named_there(files, monkeypatch, capsys,
+                                                          fmt, key, side):
+    # a context that leaves R or form out reads it from its H or B file, so
+    # a rejected entry there is named in that file, not in the context
+    obj = json.loads((files / "kz2.json").read_text())
+    obj[key][0][1] = "x"
+    hio.dump_json(obj, files / "kz2bad.json")
+    hio.dump_json(dict({"kind": "context", "H": "kz2.json", "B": "kz2.json"},
+                       **{side: "kz2bad.json"}), files / "ctxbad.json")
+    monkeypatch.chdir(files)
+    argv = ["check", "ybe", "--ctx", "ctxbad.json", "-U", "sign.json", "-V", "sign.json",
+            "-W", "sign.json"]
+    # the algebra file is named by its path from the context's directory
+    message = "'x' is not an int or a p/q string (./kz2bad.json.%s[0][1])" % key
+    assert main((["--format", "json"] if fmt == "json" else []) + argv) == 2
+    captured = capsys.readouterr()
+    if fmt == "json":
+        report = json.loads(captured.out)
+        assert report["exit_code"] == 2 and report["error"] == message
+    else:
+        assert captured.out == "" and captured.err == "error: %s\n" % message
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +769,7 @@ def test_validate_kind_on_the_part_a_file_has(files, capsys):
     (["build", "extension", "--base", "kz4.json", "-M", "sign.json"],
      "sign.json: expected a hom-module or hom-comodule file"),
     (["build", "twist", "--base", "kz4.json", "--phi", "kz4.json"],
-     "kz4.json: missing 'matrix'"),
+     "missing 'matrix' (kz4.json)"),
     (["check", "snake", "-D", "mod.json"],
      "mod.json: expected a long-dimodule or halpha-dimodule file"),
     (["build", "dimodule-solution", "-D", "sign.json"],
@@ -726,6 +782,8 @@ def test_validate_kind_on_the_part_a_file_has(files, capsys):
     (["check", "longeq", "-R", "list.json"], "expected a JSON object (list.json)"),
     (["search", "--mu", "sign.json", "--set", "0,1"],
      "sign.json: expected an operator file, not a long-dimodule file"),
+    # an operator file is read for its mu, which it must hold
+    (["search", "--mu", "nomu.json", "--set", "0,1"], "missing 'mu' (nomu.json)"),
 ])
 def test_inputs_of_the_wrong_kind_exit_2_naming_the_kind(files, monkeypatch, capsys,
                                                          argv, message, fmt):
@@ -733,6 +791,8 @@ def test_inputs_of_the_wrong_kind_exit_2_naming_the_kind(files, monkeypatch, cap
     hio.save_structure(fx.sign_module(), files / "mod.json")
     hio.dump_json({"kind": "long-dimodule", "dim": 2}, files / "hollow.json")
     hio.dump_json([1, 2], files / "list.json")
+    hio.dump_json({"kind": "operator", "n": 2, "matrix": hio.matrix_json(flip_matrix(2, 2))},
+                  files / "nomu.json")
     monkeypatch.chdir(files)
     assert main((["--format", "json"] if fmt == "json" else []) + argv) == 2
     captured = capsys.readouterr()

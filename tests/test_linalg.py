@@ -186,7 +186,7 @@ def test_every_way_to_make_an_element_gives_one_column_matrix():
     made = [
         Matrix([[Fraction(1, 2)], [0], [-3], ["2/3"]]),
         Matrix.from_int_columns([[(3, 8), (0, 6), (2, -36)]], 12, 4),
-        hio.load_vector(["1/2", 0, -3, "2/3"]),
+        hio.load_matrix(["1/2", 0, -3, "2/3"], nesting=1),
         solve_exact(Matrix.diagonal([2, 2, 2, 2]), column_of([1, 0, -6, Fraction(4, 3)])),
     ]
     for v in made:
@@ -232,8 +232,8 @@ def test_from_tensor_reads_the_product_like_map(data):
     assert rows == [[scalar(data[c // d1][c % d1][k]) for c in range(d0 * d1)]
                     for k in range(d2)]
     assert Matrix.from_tensor(data, (d0, d1, d2)) == t == Matrix(rows)
-    assert hio.tensor_json(t, (d0, d1)) == [[[json_scalar(scalar(x)) for x in row]
-                                             for row in plane] for plane in data]
+    assert hio.matrix_json(t, (d0, d1, d2)) == [[[json_scalar(scalar(x)) for x in row]
+                                                 for row in plane] for plane in data]
     for x in sum(rows, []):
         assert type(x) is Fraction and (x is linalg.ZERO) == (x == 0)
         assert (x is linalg.ONE) == (x == 1)
@@ -250,7 +250,7 @@ def test_a_matrix_with_an_empty_side_reads_back_given_its_shape(m):
 def test_a_tensor_with_a_zero_dimensional_leg_reads_back_given_its_dims(dims):
     # the dims read off the lists end at the first empty list
     t = Matrix.zeros(dims[2], dims[0] * dims[1])
-    nested = hio.tensor_json(t, dims)
+    nested = hio.matrix_json(t, dims)
     assert Matrix.from_tensor(nested, dims=dims) == t
     assert Matrix.from_tensor(nested) != t
 
@@ -317,10 +317,10 @@ def test_apply3():
 def test_zero_dim_edge_cases():
     e = Matrix([], rows=0, cols=0)
     assert kron(e, Matrix.identity(2)) == Matrix([], rows=0, cols=0)
-    v = hio.load_vector([])
+    v = hio.load_matrix([], nesting=1)
     assert (v.rows, v.cols) == (0, 1) and v.to_json() == [] and sparse_columns(v) == ([[]], 1)
     t = Matrix.from_tensor([[], []], (2, 0, 0))
-    assert sparse_columns(t) == ([], 1) and hio.tensor_json(t, (2, 0)) == [[], []]
+    assert sparse_columns(t) == ([], 1) and hio.matrix_json(t, (2, 0, 0)) == [[], []]
 
 
 def test_shape_errors():
@@ -623,7 +623,7 @@ def test_every_tensor3_construction_gives_one_stored_form(data):
             Matrix.from_int_columns(*int_columns(r for plane in data for r in plane), d2),
             composite([(sparse_columns(prod), (0, 1), (d2,))], (d0, d1)).matrix(),
             composite([(sparse_columns(cop), (0,), (d1, d2))], (d0,)).coproduct(d1),
-            load_tensor_field(hio.tensor_json(ref, (d0, d1)))]
+            load_tensor_field(hio.matrix_json(ref, (d0, d1, d2)))]
     for t in made:
         assert t == ref and ref == t and hash(t) == hash(ref)
         assert (t.rows, t.cols) == (d2, d0 * d1)
@@ -640,7 +640,7 @@ def test_loaded_mult_and_comult_fields_equal_the_built_tensors():
         for field in ("mult", "comult"):
             t, built = load_tensor_field(obj[field]), getattr(h, field)
             assert t == built and hash(t) == hash(built)
-            assert hio.tensor_json(t, (h.dim, h.dim)) == obj[field]
+            assert hio.matrix_json(t, (h.dim,) * 3) == obj[field]
             assert t.to_lists() == built.to_lists()
             assert t._moved is None
             nested = dense_nested(t, h.dim, h.dim)

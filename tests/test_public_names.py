@@ -10,7 +10,9 @@ helper beside Identity shows up, and those of a BraidingContext, whose one
 require checks every braiding's hypotheses.  Beside linalg, only report
 may name Composite, layout or first_key, so no other module places leg
 steps by hand, and only io.json_text writes indented JSON, so no second
-writer decides the format of a report or a written file.  Beside linalg,
+writer decides the format of a report or a written file; in io and cli,
+only io.load_matrix reads a map's entries into a Matrix and only
+io.matrix_json writes them out.  Beside linalg,
 no module compares a map's rows, cols or dims to raise DimensionMismatch:
 homstruct.require_shape is the one shape refusal of a map, and repmod.Carrier
 is the one class of modules, comodules, Yetter-Drinfeld modules and
@@ -165,6 +167,46 @@ def test_only_json_text_writes_indented_json():
     # no file
     writers = set().union(*map(_indented_json_writers, (SRC / "homlong").glob("*.py")))
     assert writers == {("io", "json_text")}
+
+
+# what reads the entries of a map into a Matrix, and what writes them out
+MATRIX_READERS = {"Matrix", "from_tensor", "from_function", "from_int_columns", "diagonal",
+                  "int_columns"}
+MATRIX_WRITERS = {"to_json", "to_lists"}
+
+
+def _map_codec_calls(path):
+    """(module, function, name) for each call in the file at path of one of
+    MATRIX_READERS, or of MATRIX_WRITERS on anything but self; function is
+    the innermost def around the call, None at module level."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in MATRIX_READERS or (
+                    name in MATRIX_WRITERS and getattr(node.func.value, "id", None) != "self"):
+                found.add((path.stem, function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_load_matrix_reads_and_only_matrix_json_writes_a_map_of_a_file():
+    # every map a file holds (an algebra's, a carrier's, an operator's, a
+    # context's R and form, --phi and search --mu) is read by io.load_matrix,
+    # and every map written (build outputs, solution lists, braid and dual
+    # files) by io.matrix_json, so a map's format in a file is decided in
+    # one place
+    calls = set().union(*(_map_codec_calls(SRC / "homlong" / name)
+                          for name in ("io.py", "cli.py")))
+    assert calls == {("io", "load_matrix", name) for name in (
+        "Matrix", "from_tensor", "from_int_columns", "int_columns")} | {
+        ("io", "matrix_json", "to_json")}
 
 
 # what a map's shape is read from
