@@ -174,14 +174,9 @@ def _build_dual(report, d, side):
                 coev=hio.matrix_json(duality.coev), side=duality.side)
 
 
-def _extension(base, mod, variant):
-    """The extension of base by the -M file's module or comodule, refused
-    before it is built when --variant names the other kind."""
-    kind = mod.kind[4:]
-    if variant not in (None, kind):
-        raise UsageError("build extension --variant %s needs a hom-%s -M, not a hom-%s file"
-                         % (variant, variant, kind))
-    return (module_extension if kind == "module" else comodule_extension)(base, mod)
+def _extension(base, mod):
+    """The extension of base by the -M file's module or comodule."""
+    return (module_extension if mod.kind == "hom-module" else comodule_extension)(base, mod)
 
 
 # A SUBJECTS entry: run(report, *values) gets the value of each file option,
@@ -219,7 +214,7 @@ SUBJECTS = {
     "build dimodule-solution": Subject(_emit(lambda op: op, check_long_equation),
                                        (("-D", _load_solution),)),
     "build extension": Subject(_emit(_extension, validate_long_dimodule), (
-        ("--base", _BIALGEBRA), ("-M", _structure("hom-module", "hom-comodule"))), ("--variant",)),
+        ("--base", _BIALGEBRA), ("-M", _structure("hom-module", "hom-comodule")))),
     "build smash": Subject(_emit(to_smash_module, validate_hom_module),
                            (("-D", _DIMODULE),)),
 }
@@ -320,7 +315,6 @@ def _print_error(fmt, command, inputs, exc):
 
 # How the parser declares each option after the subject that names no input file.
 _VALUE_OPTIONS = {"--side": {"choices": ("left", "right")},
-                  "--variant": {"choices": ("module", "comodule")},
                   "--diagnose": {"action": "store_true", "default": None},
                   "-o": {"metavar": "OUT"}}
 

@@ -22,8 +22,8 @@ import json
 import os
 
 from .linalg import Matrix, DimensionMismatch, LinalgError, int_columns, scalar
-from .homstruct import (HomStructure, validate_hom_algebra, validate_hom_coalgebra,
-                        validate_all)
+from .homstruct import (HomStructure, require_shape, validate_hom_algebra,
+                        validate_hom_coalgebra, validate_all)
 from .repmod import (Carrier, validate_hom_module, validate_hom_comodule,
                      validate_yd_module)
 from .longdimod import validate_long_dimodule
@@ -161,38 +161,23 @@ def _read(path):
 
 class Files:
     """What one command reads: each file is read, and each structure in it
-    built, at most once for as long as this object lives, and equal algebra
-    definitions, inline or in a file, build one algebra.  A path is keyed
+    built, at most once for as long as this object lives.  A path is keyed
     by its absolute form.  cli.main makes one per call; a loader given none
     makes its own for that call alone."""
 
     def __init__(self):
         self._made = {}
 
-    def _once(self, key, make):
+    def once(self, what, path, make):
+        """make(), the first time what is asked of path."""
+        key = (what, os.path.abspath(path))
         if key not in self._made:
             self._made[key] = make()
         return self._made[key]
 
-    def once(self, what, path, make):
-        """make(), the first time what is asked of path."""
-        return self._once((what, os.path.abspath(path)), make)
-
     def read(self, path):
         """The JSON in the file at path."""
         return self.once("json", path, lambda: _read(path))
-
-    def algebra(self, obj, base_dir, where):
-        """algebra_from_json(obj, base_dir, where), built once for all
-        definitions with the same canonical JSON of the algebra's own
-        fields (an algebra file's R and form are not among them).  A
-        definition that is not plain JSON is built afresh."""
-        try:
-            key = json.dumps({k: obj[k] for k in _ALGEBRA_FIELDS if k in obj},
-                             sort_keys=True)
-        except TypeError:
-            return algebra_from_json(obj, base_dir, where)
-        return self._once(("algebra", key), lambda: algebra_from_json(obj, base_dir, where))
 
 
 def _resolve(obj, base_dir, where, files):
@@ -245,8 +230,6 @@ _KINDS = {
 }
 _ALGEBRA_KINDS = tuple(kind for kind, spec in _KINDS.items() if not spec.algebras)
 _BIALGEBRA_KINDS = ("hom-bialgebra", "hom-hopf")
-# an algebra's own fields; an algebra file's R and form are beside them
-_ALGEBRA_FIELDS = ("kind", "dim", "basis") + _KINDS["hom-hopf"].maps
 
 
 # the field of a structure that holds the map of a file key, when it is
@@ -293,10 +276,14 @@ def algebra_from_json(obj, base_dir=None, where="<inline>"):
 
 def _load_algebra_field(obj, key, base_dir, where, files, kinds=None):
     """The algebra in obj[key], its JSON and where that is; with kinds
-    given, its kind must be one of them."""
-    sub, sub_dir, sub_where = _resolve(_required(obj, key, where), base_dir,
-                                       where + "." + key, files)
-    alg = files.algebra(sub, sub_dir, sub_where)
+    given, its kind must be one of them.  An algebra in a file is built once
+    per path through files, an inline one where it is read."""
+    value = _required(obj, key, where)
+    sub, sub_dir, sub_where = _resolve(value, base_dir, where + "." + key, files)
+    if isinstance(value, str):
+        alg = files.once("algebra", sub_where, lambda: algebra_from_json(sub, sub_dir, sub_where))
+    else:
+        alg = algebra_from_json(sub, sub_dir, sub_where)
     if kinds and alg.kind not in kinds:
         raise FileFormatError(_ctx(sub_where, "expected a %s structure" % " or ".join(kinds)))
     return alg, sub, sub_where
@@ -321,7 +308,7 @@ def structure_from_json(obj, base_dir=None, where="<inline>", files=None):
         raise FileFormatError(_ctx(where, "expected a JSON object"))
     kind = obj.get("kind")
     if kind in _ALGEBRA_KINDS:
-        return files.algebra(obj, base_dir, where)
+        return algebra_from_json(obj, base_dir, where)
     if isinstance(kind, str) and kind in _KINDS:
         fields = dict(H=None, B=None, action=None, coaction=None)
         for key, names, part in _KINDS[kind].algebras:
@@ -357,9 +344,9 @@ def load_structure(path, files=None):
 
 def load_context(path, files=None):
     """Context file: H, B (paths or inline), R and form (inline matrices or
-    taken from the referenced algebra files, and then named there).  Each
-    file is read, and each algebra file built, through files (a Files) when
-    given."""
+    taken from the referenced algebra files, and then named there, their
+    shape refusals too).  Each file is read, and each algebra file built,
+    through files (a Files) when given."""
     from .braidcat import BraidingContext
     files = files or Files()
     obj = files.read(path)
@@ -375,7 +362,9 @@ def load_context(path, files=None):
         if raw.get(key) is None:
             raise FileFormatError(_ctx(path, "no '%s' in context or in the %s file"
                                        % (key, side)))
-        maps += [alg, load_matrix(raw[key], "%s.%s" % (where, key))]
+        m = load_matrix(raw[key], "%s.%s" % (where, key))
+        in_file(where, require_shape, m, (alg.dim, alg.dim), key)
+        maps += [alg, m]
     return in_file(path, BraidingContext, *maps)
 
 

@@ -113,7 +113,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_sparse", "_det", "_inverse", "_moved")
 
     def __init__(self, rows_data, rows=None, cols=None):
-        data = [r if isinstance(r, (list, tuple)) else tuple(r) for r in rows_data]
+        data = _items(rows_data)
         if rows is None:
             rows = len(data)
         if cols is None:
@@ -169,8 +169,7 @@ class Matrix:
         unless given, so a map with a 0-dimensional first or second leg
         reads back only when they are; data nested otherwise than given
         dims are refused as the map name."""
-        data = [[r if isinstance(r, (list, tuple)) else tuple(r) for r in plane]
-                for plane in data]
+        data = [_items(plane) for plane in _items(data)]
         rows = [r for plane in data for r in plane]
         got = (len(data), len(data[0]) if data else 0, len(rows[0]) if rows else 0)
         d0, d1, d2 = want = got if dims is None else tuple(dims)
@@ -283,6 +282,20 @@ class Matrix:
         if self.rows * self.cols > 64:
             return "Matrix(%dx%d)" % (self.rows, self.cols)
         return "Matrix(%s)" % "; ".join(" ".join(map(str, row)) for row in self.to_json())
+
+
+def _items(xs):
+    """The items of xs, rows or planes, each as a list or tuple: any other
+    iterable is read into a tuple, and a string is refused with TypeError,
+    not read as its characters."""
+    out = []
+    for x in xs:
+        if not isinstance(x, (list, tuple)):
+            if isinstance(x, str):
+                raise TypeError("expected a list, not the string %r" % x)
+            x = tuple(x)
+        out.append(x)
+    return out
 
 
 def int_columns(columns):

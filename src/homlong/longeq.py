@@ -26,12 +26,6 @@ the index identity, _first_failing_column for the operator identity.  The
 flip transforms move legs by move_legs; every other map is written on named
 legs, as a report.Identity (the U- and T-equations, on R itself) or
 report.compose.
-
-Each operator is decided once.  An OperatorOnTensorSquare keeps its first
-failing triple (first_failing_triple), as a Matrix keeps its inverse:
-check_long_equation, check_invertible_iff and tau_transforms' base check
-read it, search_solutions returns the solutions whose first_failing_triple
-is None, and tau_transforms returns W decided by its W-check.
 """
 
 import itertools
@@ -53,20 +47,10 @@ class SearchSpaceTooLarge(Exception):
         self.cardinality = cardinality
 
 
-# what first_failing_triple reads before the verdict is decided; never kept
-_UNDECIDED = object()
-
-
 @dataclass(frozen=True)
 class OperatorOnTensorSquare:
-    """An operator R on M (x) M with the structure map mu of M.
-
-    Immutable, so like a Matrix with its inverse it keeps the Hom-Long
-    equation's verdict once decided (first_failing_triple).  The verdict is
-    not a field: equality, hashing, repr and dataclasses.replace (which
-    gives an undecided operator) read the fields alone, and a copy or a
-    pickle carries a decided verdict.  Keeping it is idempotent: the
-    verdict is a function of the fields.  A singular mu is refused."""
+    """An operator R on M (x) M with the structure map mu of M.  A
+    singular mu is refused."""
 
     carrier_dim: int
     matrix: Matrix         # endomorphism of M (x) M, lexicographic basis
@@ -79,16 +63,10 @@ class OperatorOnTensorSquare:
 
     def first_failing_triple(self):
         """The first basis triple (u, v, w) on which (R (x) mu)(mu (x) R) and
-        (mu (x) R)(R (x) mu) differ, None when R solves the equation;
-        decided by _first_failing_column once, then kept in the instance
-        dict, outside the frozen fields."""
-        kept = self.__dict__
-        witness = kept.get("_witness", _UNDECIDED)
-        if witness is _UNDECIDED:
-            r = sparse_columns(self.matrix)[0]
-            witness = kept["_witness"] = _first_failing_column(
-                r, r, sparse_columns(self.structure_map)[0], self.carrier_dim)
-        return witness
+        (mu (x) R)(R (x) mu) differ, None when R solves the equation."""
+        r = sparse_columns(self.matrix)[0]
+        return _first_failing_column(r, r, sparse_columns(self.structure_map)[0],
+                                     self.carrier_dim)
 
 
 def _structure_map(mu, n):
@@ -101,8 +79,7 @@ def _structure_map(mu, n):
 
 
 def check_long_equation(op):
-    """(R x mu)(mu x R) = (mu x R)(R x mu), with a witness basis triple;
-    an operator decided before is not decided again."""
+    """(R x mu)(mu x R) = (mu x R)(R x mu), with a witness basis triple."""
     witness = op.first_failing_triple()
     return AxiomReport().add("hom-long-eq", witness is None, witness)
 
@@ -351,10 +328,8 @@ def tau_transforms(op):
     equation itself (conjugation by the order-reversing permutation), which
     is the W-equation checked here.
 
-    The base check reads R's kept verdict, or decides it and keeps it
-    (OperatorOnTensorSquare.first_failing_triple); the returned W keeps
-    the verdict of the W-check.  Each failing check names the first basis
-    triple (u, v, w) on which its equation fails.
+    Each failing check names the first basis triple (u, v, w) on which its
+    equation fails.
     """
     n = op.carrier_dim
     mu = op.structure_map
@@ -445,9 +420,7 @@ def search_solutions(mu, coefficient_set, shape):
     unknowns, any n); shape "full" searches all n^2 x n^2 matrices (n^4
     unknowns, refused for n > 2).  The search assigns one entry at a time
     and tests each quadratic constraint of the equation as soon as its last
-    entry is set; every solution is checked again by the column kernel,
-    and is returned holding that verdict, so checking it again
-    (check_long_equation, tau_transforms) does not run the kernel.  A
+    entry is set; every solution is checked again by the column kernel.  A
     grid of at most SEARCH_CAP candidates is searched to the end.  A larger
     one is refused with SearchSpaceTooLarge once the work passes SEARCH_CAP:
     n^3 kernel evaluations per pair of unknowns for the derivation of the

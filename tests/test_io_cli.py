@@ -239,6 +239,9 @@ def test_a_ragged_tensor_names_its_file_and_field(tmp_path, capsys, key, ragged)
      "mult is 1x4x2, expected 2x2x2 ({}.mult)"),
     ("flipop.json", "bad_op.json", "mu", [[1, 0, 0], [0, 2, 0]],
      "structure map is 2x3, expected 2x2 ({})"),
+    # a row given as a string is no list, not its characters [1, 0]
+    ("kz2.json", "string_row.json", "mult", [["10", [0, 1]], [[0, 1], [1, 0]]],
+     "expected a list ({}.mult[0][0])"),
 ])
 def test_a_misshaped_map_names_its_file(files, capsys, source, name, key, value, message):
     # a carrier or an operator is refused as an algebra is: the file named,
@@ -350,12 +353,17 @@ def test_context_inline_and_r_from_file(files):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("key, side", [("R", "H"), ("form", "B")])
+@pytest.mark.parametrize("value, message", [
+    ([[1, "x"], [0, 1]], "'x' is not an int or a p/q string (./kz2bad.json.{}[0][1])"),
+    ([[1, 0, 0]], "{} is 1x3, expected 2x2 (./kz2bad.json)"),
+], ids=["entry", "shape"])
 def test_a_context_map_from_an_algebra_file_is_named_there(files, monkeypatch, capsys,
-                                                          fmt, key, side):
+                                                          fmt, key, side, value, message):
     # a context that leaves R or form out reads it from its H or B file, so
-    # a rejected entry there is named in that file, not in the context
+    # a rejected entry there, or a map of the wrong shape, is named in that
+    # file, not in the context
     obj = json.loads((files / "kz2.json").read_text())
-    obj[key][0][1] = "x"
+    obj[key] = value
     hio.dump_json(obj, files / "kz2bad.json")
     hio.dump_json(dict({"kind": "context", "H": "kz2.json", "B": "kz2.json"},
                        **{side: "kz2bad.json"}), files / "ctxbad.json")
@@ -363,7 +371,7 @@ def test_a_context_map_from_an_algebra_file_is_named_there(files, monkeypatch, c
     argv = ["check", "ybe", "--ctx", "ctxbad.json", "-U", "sign.json", "-V", "sign.json",
             "-W", "sign.json"]
     # the algebra file is named by its path from the context's directory
-    message = "'x' is not an int or a p/q string (./kz2bad.json.%s[0][1])" % key
+    message = message.format(key)
     assert main((["--format", "json"] if fmt == "json" else []) + argv) == 2
     captured = capsys.readouterr()
     if fmt == "json":
@@ -589,32 +597,6 @@ def test_build_extension(files, tmp_path):
                  "-M", str(tmp_path / "signmod.json"),
                  "-o", str(tmp_path / "ext.json")]) == 0
     assert main(["validate", str(tmp_path / "ext.json")]) == 0
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("path, variant, kind", [("signmod.json", "comodule", "module"),
-                                                 ("signcomod.json", "module", "comodule")])
-def test_extension_variant_of_the_other_kind_exits_2(files, monkeypatch, capsys,
-                                                      path, variant, kind, fmt):
-    # --variant names the kind of -M it builds from; the other kind is refused
-    # by name before anything is built, where it used to end in a traceback
-    monkeypatch.chdir(files)
-    hio.save_structure(fx.sign_module(), files / "signmod.json")
-    hio.save_structure(fx.sign_comodule(), files / "signcomod.json")
-    argv = ["build", "extension", "--base", "kz2.json", "-M", path, "--variant", variant,
-            "-o", "ext.json"]
-    message = "build extension --variant %s needs a hom-%s -M, not a hom-%s file" % (
-        variant, variant, kind)
-    assert main((["--format", "json"] if fmt == "json" else []) + argv) == 2
-    captured = capsys.readouterr()
-    if fmt == "json":
-        assert json.loads(captured.out) == {"command": "build extension",
-                                            "inputs": [path, "kz2.json"],
-                                            "error": message, "exit_code": 2}
-    else:
-        assert captured.out == "" and captured.err == "error: %s\n" % message
-    assert not (files / "ext.json").exists()
-    assert main(argv[:-4] + ["--variant", kind]) == 0
 
 
 def test_search_command(files, capsys):
@@ -861,7 +843,7 @@ def test_missing_options_exit_2(files, monkeypatch, capsys, argv, missing):
 # order a report lists input files.
 COMMAND_OPTIONS = {
     "check": ["--ctx", "-U", "-V", "-W", "-X", "-M", "-N", "-R", "-D", "--side", "--diagnose"],
-    "build": ["--ctx", "-M", "-N", "-D", "--base", "--phi", "--variant", "--side", "-o"],
+    "build": ["--ctx", "-M", "-N", "-D", "--base", "--phi", "--side", "-o"],
 }
 # A command line each subject runs on, giving every option it takes.
 SUBJECT_RUNS = {
@@ -878,10 +860,10 @@ SUBJECT_RUNS = {
     "build tensor": "-M sign.json -N canonical.json -o out.json",
     "build twist": "--base kz4.json --phi phi.json -o out.json",
     "build dimodule-solution": "-D halpha.json -o out.json",
-    "build extension": "--base kz2.json -M signmod.json --variant module -o out.json",
+    "build extension": "--base kz2.json -M signmod.json -o out.json",
     "build smash": "-D sign.json -o out.json",
 }
-VALUES = {"--side": ["left"], "--variant": ["module"], "--diagnose": [], "-o": ["out.json"]}
+VALUES = {"--side": ["left"], "--diagnose": [], "-o": ["out.json"]}
 
 
 def _takes(name):
@@ -942,7 +924,7 @@ def test_readme_synopsis_lists_each_subjects_options():
         assert bracketed == list(s.optional), line
         seen.add(name)
     assert seen == set(SUBJECTS)
-    assert sum(len(_takes(name)) for name in SUBJECTS) == 42
+    assert sum(len(_takes(name)) for name in SUBJECTS) == 41
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1462,56 +1444,27 @@ def test_library_loads_read_and_build_afresh_on_each_call(monkeypatch):
     assert hio.load_structure(path) is not hio.load_structure(path)
 
 
-ALGEBRA_FIELDS = ("kind", "dim", "basis", "mult", "unit", "comult", "counit", "gamma",
-                  "antipode")
-
-
-def _algebra_key(obj):
-    return json.dumps({k: obj[k] for k in ALGEBRA_FIELDS if k in obj}, sort_keys=True)
-
-
-def test_one_call_builds_each_distinct_algebra_once(files, monkeypatch, capsys):
-    # the context names kz2.json (with R and form) for H and B; every
-    # dimodule file carries its H and B inline
+def test_one_call_builds_each_algebra_file_once(files, monkeypatch, capsys):
+    # the context names kz2.json (with R and form) for H and B, built once
+    # for that path; every dimodule file carries its H and B inline, built
+    # where each file is read, once a path
     monkeypatch.chdir(files)
     names = ("canonical", "trivial", "canonical")
     argv = ["--format", "json", "check", "hexagon", "--ctx", "ctx.json"]
     for option, name in zip(("-U", "-V", "-W"), names):
         argv += [option, name + ".json"]
-    definitions = [json.loads(pathlib.Path("kz2.json").read_text())]
-    for name in names:
-        obj = json.loads(pathlib.Path(name + ".json").read_text())
-        definitions += [obj["H"], obj["B"]]
     built, build = [], hio.algebra_from_json
     monkeypatch.setattr(hio, "algebra_from_json",
-                        lambda obj, *rest: built.append(_algebra_key(obj)) or build(obj, *rest))
-    seen, check_hexagons = [], cli.check_hexagons
-    monkeypatch.setattr(cli, "check_hexagons",
-                        lambda *args: seen.append(args) or check_hexagons(*args))
+                        lambda obj, *rest: built.append(obj) or build(obj, *rest))
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert sorted(built) == sorted({_algebra_key(obj) for obj in definitions})
-    [(ctx, u, v, w)] = seen
-    assert ctx.H is ctx.B is u.H is u.B is v.H is v.B     # all kz2
-    # library loads, each building its algebras afresh (once per load, as
-    # H and B are equal), give the same bytes
-    built.clear()
+    assert len(built) == 1 + 2 * len(set(names))
+    # library loads give the same bytes
     ctx = hio.load_context("ctx.json")
     dimodules = [hio.load_structure(name + ".json") for name in names]
-    assert ctx.H is not dimodules[0].H is not dimodules[2].H
-    assert len(built) == 1 + len(names)
     rep = braidcat.check_hexagons(ctx, *dimodules)
     expected = cli.RunReport(*(json.loads(out)[k] for k in ("command", "inputs"))).extend(rep)
     assert out == expected.render("json") + "\n"
-
-
-def test_algebra_definitions_that_are_not_plain_json_are_built_afresh():
-    obj = hio.algebra_to_json(fx.kz2())
-    obj["gamma"] = [[ONE, ZERO], [ZERO, ONE]]
-    files = hio.Files()
-    assert files.algebra(obj, None, "<inline>") is not files.algebra(obj, None, "<inline>")
-    plain = hio.algebra_to_json(fx.kz2())
-    assert files.algebra(plain, None, "<inline>") is files.algebra(dict(plain), None, "x")
 
 
 def test_a_file_rewritten_between_calls_is_read_afresh(tmp_path, capsys):

@@ -268,6 +268,22 @@ def test_from_tensor_refuses_data_nested_otherwise(data, dims, message):
         Matrix.from_tensor(data, dims)
 
 
+@pytest.mark.parametrize("make, data", [
+    (Matrix, ["10", "01"]),
+    (Matrix, [[1, 0], "01"]),
+    (Matrix, "10"),
+    (Matrix.from_tensor, [["10", "01"], ["01", "10"]]),
+    (Matrix.from_tensor, ["ab", [[1], [0]]]),
+])
+def test_a_row_or_plane_given_as_a_string_is_refused(make, data):
+    # a string is not read as its characters: ["10", "01"] is not the
+    # identity, nor the nested strings kz2's product; any other iterable of
+    # entries is read
+    with pytest.raises(TypeError, match="^expected a list, not the string "):
+        make(data)
+    assert Matrix(map(tuple, [[1, 0], [0, 1]])) == Matrix.identity(2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_tensors())
 def test_every_index_reads_the_entry_of_to_lists(data):

@@ -2,7 +2,6 @@ import copy
 import itertools
 import json
 import pathlib
-import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -284,14 +283,13 @@ def test_relabelled_legs_match_leg_step_composites(data):
 
 def test_flip_transforms_and_criterion_cost():
     # tau_transforms runs no Composite: its equations are Identities on R,
-    # which read R's columns with no leg moved, and R and W are each
-    # decided once; the only legs it moves are those of the matrices U, T
-    # and W, one move each; coordinate_criterion reads each coordinate
+    # which read R's columns with no leg moved, and it decides R and W, one
+    # kernel run each; the only legs it moves are those of the matrices U,
+    # T and W, one move each; coordinate_criterion reads each coordinate
     # tensor once, and y not at all when it is x, runs R's columns once a
     # call and moves no legs: both its identities are kernel runs
     mu = Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]])
     op = search_solutions(mu, [0, 1], "diagonal")[-1]
-    undecided = OperatorOnTensorSquare(op.carrier_dim, op.matrix, mu)
     runs = mock.Mock(side_effect=Composite.columns)
     kernel = mock.Mock(side_effect=longeq._first_failing_column)
     moves = mock.Mock(side_effect=linalg.move_legs)
@@ -299,11 +297,12 @@ def test_flip_transforms_and_criterion_cost():
             mock.patch.object(longeq, "_first_failing_column", kernel), \
             mock.patch.object(longeq, "move_legs", moves), \
             mock.patch.object(linalg, "move_legs", moves):
-        transforms, rep = tau_transforms(undecided)
+        transforms, rep = tau_transforms(op)
         assert rep.ok and kernel.call_count == 2 and moves.call_count == 3
-        assert transforms["W"].first_failing_triple() is None
-        assert undecided.first_failing_triple() is None
-    assert runs.call_count == 0 and kernel.call_count == 2
+        # each later check of R or W is its own kernel run
+        assert transforms["W"].first_failing_triple() is None and kernel.call_count == 3
+        assert check_long_equation(op).ok and kernel.call_count == 4
+    assert runs.call_count == 0
     x = operator_to_coords(op)
     reads = mock.Mock(side_effect=longeq.int_columns)
     moves.reset_mock()
@@ -331,65 +330,13 @@ def _kernel_runs(f, *args):
     return out, runs.call_count
 
 
-# a cyclic permutation of four basis vectors: a monomial mu, whose grid
-# solutions have one entry per column, so the single-term kernel decides them
-CYCLE4 = Matrix([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-
-
-@pytest.mark.parametrize("mu, values, shape, count", [
-    (Matrix([[1, 1], [0, 1]]), (0, 1), "full", 19),
-    (Matrix([[1, 1, 0], [0, 1, -2], [0, 0, 1]]), (0, 1), "diagonal", 14),
-    (CYCLE4, (1, -1), "diagonal", 8),
-])
-def test_search_results_come_back_decided(mu, values, shape, count):
-    # the search's re-check decides each solution; check_long_equation and
-    # the base check of tau_transforms read that verdict, and only W, a new
-    # operator, is decided there, and comes back decided
-    single = mock.Mock(side_effect=longeq._first_single_term_difference)
-    with mock.patch.object(longeq, "_first_single_term_difference", single):
-        sols, runs = _kernel_runs(search_solutions, mu, list(values), shape)
-    assert len(sols) == count and runs >= count
-    assert (single.call_count >= count) == (mu.rows >= 4)
-    for s in sols:
-        rep, runs = _kernel_runs(check_long_equation, s)
-        assert rep.ok and runs == 0
-        (transforms, rep), runs = _kernel_runs(tau_transforms, s)
-        assert rep.ok and rep.flags["all-agree"] and runs == 1
-        w = transforms["W"]
-        assert _kernel_runs(check_long_equation, w) == (check_long_equation(replace(w)), 0)
-
-
 def test_check_invertible_iff_decides_r_once():
+    # each call decides R and R^-1 once, from the operator's fields
     op = OperatorOnTensorSquare(2, flip_matrix(2, 2), Matrix.diagonal([1, 2]))
     fresh, runs = _kernel_runs(check_invertible_iff, op)
-    assert runs == 2        # R and R^-1
-    assert _kernel_runs(check_invertible_iff, op) == (fresh, 1)
-    assert _kernel_runs(check_long_equation, op)[1] == 0
-    other = replace(op)
-    check_long_equation(other)
-    assert _kernel_runs(check_invertible_iff, other) == (fresh, 1)
-
-
-@pytest.mark.parametrize("rows, mu", [
-    ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], [[1, 0], [0, 1]]),
-    ([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], [[1, 0], [0, 2]]),
-    ([["1/2", 0, 0, 0], [0, 3, 0, 0], [0, 0, -1, 0], [0, 0, 0, 2]], [[1, 0], [0, "2/3"]]),
-])
-def test_a_kept_verdict_is_not_a_field(rows, mu):
-    # a decided operator equals, hashes and prints as an undecided equal one;
-    # replace gives an undecided operator, and a copy or a pickle keeps the
-    # verdict
-    decided, undecided = (OperatorOnTensorSquare(2, Matrix(rows), Matrix(mu)) for _ in range(2))
-    rep = check_long_equation(decided)
-    assert decided == undecided and hash(decided) == hash(undecided)
-    assert repr(decided) == repr(undecided)
-    assert {decided: 1}[undecided] == 1
-    assert _kernel_runs(check_long_equation, replace(decided)) == (rep, 1)
-    for kept in (copy.copy(decided), copy.deepcopy(decided),
-                 pickle.loads(pickle.dumps(decided))):
-        assert kept == decided
-        assert _kernel_runs(check_long_equation, kept) == (rep, 0)
-    assert _kernel_runs(check_long_equation, pickle.loads(pickle.dumps(undecided))) == (rep, 1)
+    assert runs == 2
+    assert _kernel_runs(check_invertible_iff, op) == (fresh, 2)
+    assert _kernel_runs(check_long_equation, op)[1] == 1
 
 
 @pytest.mark.parametrize("entries", [

@@ -12,7 +12,9 @@ may name Composite, layout or first_key, so no other module places leg
 steps by hand, and only io.json_text writes indented JSON, so no second
 writer decides the format of a report or a written file; in io and cli,
 only io.load_matrix reads a map's entries into a Matrix and only
-io.matrix_json writes them out.  Beside linalg,
+io.matrix_json writes them out, and io.Files, which keys what one command
+reads and builds by path, has only once and read; no module keeps a result
+in an instance __dict__.  Beside linalg,
 no module compares a map's rows, cols or dims to raise DimensionMismatch:
 homstruct.require_shape is the one shape refusal of a map, and repmod.Carrier
 is the one class of modules, comodules, Yetter-Drinfeld modules and
@@ -26,7 +28,7 @@ import subprocess
 import sys
 import types
 
-from homlong import linalg, report
+from homlong import io as hio, linalg, report
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -163,8 +165,7 @@ def _indented_json_writers(path):
 
 def test_only_json_text_writes_indented_json():
     # every report and written file is json_text's text, so its format is
-    # decided in one place; the un-indented key in io.Files.algebra writes
-    # no file
+    # decided in one place
     writers = set().union(*map(_indented_json_writers, (SRC / "homlong").glob("*.py")))
     assert writers == {("io", "json_text")}
 
@@ -207,6 +208,17 @@ def test_only_load_matrix_reads_and_only_matrix_json_writes_a_map_of_a_file():
     assert calls == {("io", "load_matrix", name) for name in (
         "Matrix", "from_tensor", "from_int_columns", "int_columns")} | {
         ("io", "matrix_json", "to_json")}
+
+
+def test_files_keys_by_path_and_no_module_keeps_results_in_an_instance_dict():
+    # what one command reads and builds is keyed by path alone, and no
+    # object keeps a result beside its fields: an operator's verdict is
+    # decided from its fields at each check
+    assert _public(vars(hio.Files)) == ["once", "read"]
+    readers = {(path.stem, node.lineno) for path in (SRC / "homlong").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "__dict__"}
+    assert readers == set()
 
 
 # what a map's shape is read from
