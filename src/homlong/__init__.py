@@ -25,9 +25,7 @@ from .braidcat import (BraidingContext, BraidOperator, DimoduleMorphism,
                        long_braiding_inverse, check_braid_morphism,
                        check_naturality, check_hexagons, check_qybe,
                        hb_yd_structure, check_braiding_compatibility,
-                       module_as_dimodule, comodule_as_dimodule,
-                       module_family_braiding, comodule_family_braiding,
-                       check_symmetry)
+                       module_as_dimodule, comodule_as_dimodule, check_symmetry)
 from .longeq import (OperatorOnTensorSquare, SearchSpaceTooLarge,
                      check_long_equation, check_invertible_iff,
                      diagonal_solution, coordinate_criterion, tau_transforms, module_extension,

@@ -257,22 +257,6 @@ def comodule_as_dimodule(b, m, h):
     return Carrier(h, b, m.dim, counit_action(h, m.mu), m.coaction, m.mu, m.basis)
 
 
-def module_family_braiding(ctx, m, n):
-    """Restricted braiding on unit-coaction dimodules:
-    m (x) n -> R2 . nu^-1(n) (x) R1 . mu^-1(m)."""
-    ctx.require(m, n)
-    return compose(dict(x=m.dim, y=n.dim), [(m.mu.inv(), "x"), (n.mu.inv(), "y")]
-                   + _acted(ctx, m, n), "y x").matrix()
-
-
-def comodule_family_braiding(ctx, m, n):
-    """Restricted braiding on counit-action dimodules:
-    m (x) n -> <m_-1|n_-1> nu^-1(n_0) (x) mu^-1(m_0)."""
-    ctx.require(m, n)
-    return compose(dict(x=m.dim, y=n.dim), _paired(ctx, m, n)
-                   + [(m.mu.inv(), "x"), (n.mu.inv(), "y")], "y x").matrix()
-
-
 def check_symmetry(ctx, m, n, diagnose=False):
     """C_{N,M} o C_{M,N} = id, available when the context is triangular and
     cotriangular; diagnose mode computes the composite regardless but flags

@@ -23,7 +23,7 @@ def group_hopf(m, names=None):
                                  for i in range(m)])
     unit = Matrix([[1]] + [[0]] * (m - 1))
     counit = Matrix([[1]] * m)
-    s = Matrix.from_function(m, m, lambda i, j: 1 if i == (-j) % m else 0)
+    s = Matrix([[int(i == (-j) % m) for j in range(m)] for i in range(m)])
     if names is None:
         names = tuple("1" if i == 0 else ("g" if i == 1 else "g%d" % i)
                       for i in range(m))
@@ -45,7 +45,7 @@ def kz4():
 
 def kz4_twist_map():
     """The order-2 automorphism g -> g^3 of the order-4 group algebra."""
-    return Matrix.from_function(4, 4, lambda i, j: 1 if i == (3 * j) % 4 else 0)
+    return Matrix([[int(i == (3 * j) % 4) for j in range(4)] for i in range(4)])
 
 
 def kz4_twisted():
@@ -54,7 +54,7 @@ def kz4_twisted():
 
 def kz5_twist_map():
     """g -> g^2 on the order-5 group algebra; an automorphism of order 4."""
-    return Matrix.from_function(5, 5, lambda i, j: 1 if i == (2 * j) % 5 else 0)
+    return Matrix([[int(i == (2 * j) % 5) for j in range(5)] for i in range(5)])
 
 
 def kz5_twisted():
@@ -99,8 +99,7 @@ def sweedler_hopf():
                                  for i in range(n)])
     unit = Matrix([[1], [0], [0], [0]])
     counit = Matrix([[1], [1], [0], [0]])
-    s = Matrix.from_function(n, n, lambda i, j: {(0, 0): 1, (1, 1): 1,
-                                                 (3, 2): -1, (2, 3): 1}.get((i, j), 0))
+    s = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
     names = ("1", "g", "x", "gx")
     return HomStructure(n, Matrix.identity(n), mult, unit, comult, counit, s, names)
 

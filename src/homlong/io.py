@@ -149,14 +149,20 @@ def load_basis(obj, dim, where):
 
 
 def _read(path):
+    """The JSON value in the UTF-8 file at path; a file that cannot be read
+    or decoded is refused as the FileFormatError naming path once."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise FileFormatError("no such file", path)
     except json.JSONDecodeError as exc:
         raise FileFormatError("invalid JSON at line %d column %d"
                               % (exc.lineno, exc.colno), path)
+    except OSError as exc:
+        raise FileFormatError(exc.strerror or str(exc), path)
+    except ValueError as exc:
+        raise FileFormatError(str(exc), path)
 
 
 class Files:
@@ -394,7 +400,7 @@ def save_structure(s, path):
 
 def dump_json(obj, path):
     text = json_text(obj)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")
 

@@ -147,19 +147,10 @@ class Matrix:
         return Matrix._of(n, n, ([[(j, 1)] for j in range(n)], 1))
 
     @staticmethod
-    def zeros(r, c):
-        return Matrix._of(r, c, ([[] for _ in range(c)], 1))
-
-    @staticmethod
     def diagonal(entries):
         cols, scale = int_columns([x] for x in entries)
         n = len(cols)
         return Matrix._of(n, n, ([[(j, x) for _, x in c] for j, c in enumerate(cols)], scale))
-
-    @staticmethod
-    def from_function(rows, cols, f):
-        return Matrix([[f(i, j) for j in range(cols)] for i in range(rows)],
-                      rows=rows, cols=cols)
 
     @staticmethod
     def from_tensor(data, dims=None, name="tensor"):

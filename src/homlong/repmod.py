@@ -154,7 +154,10 @@ def check_yd(m):
 
 def yd_prebraiding(m, n):
     """Matrix of the pre-braiding M (x) N -> N (x) M,
-    m (x) n -> b^2(m-1) . nu^-1(n) (x) mu^-1(m0)."""
+    m (x) n -> b^2(m-1) . nu^-1(n) (x) mu^-1(m0), for carriers over one
+    structure: the twist b of H acts on a coaction leg over B."""
+    if any(t.H is not t.B and t.H != t.B for t in (m, n)):
+        raise MismatchedBase("pre-braiding of a carrier whose B is not its H")
     if m.H != n.H:
         raise MismatchedBase("pre-braiding of modules over different bialgebras")
     be = (m.H.gamma, "p")

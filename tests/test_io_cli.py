@@ -24,7 +24,8 @@ from homlong.longeq import (OperatorOnTensorSquare, check_long_equation, comodul
                             coordinate_criterion, dimodule_solution, module_extension,
                             operator_to_coords, search_solutions, tau_transforms)
 from homlong.report import AxiomReport, Check
-from test_oracles import HOPF_FIXTURES, dense_entries, flip_matrix, json_scalar, yd_module
+from test_oracles import (HOPF_FIXTURES, dense_entries, flip_matrix, json_scalar, yd_module,
+                          zeros)
 
 
 @pytest.fixture()
@@ -968,12 +969,12 @@ def test_help_exits_0(capsys):
         assert "usage: homlong" in capsys.readouterr().out
 
 
-def _run_alone(argv, cwd):
+def _run_alone(argv, cwd, flags=()):
     """(stdout, stderr, exit code) of homlong run on argv in a fresh
-    interpreter."""
+    interpreter started with the given interpreter flags."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, *flags, "-c",
          "import sys; from homlong.cli import main; sys.exit(main(sys.argv[1:]))"] + argv,
         cwd=cwd, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True)
     return proc.stdout, proc.stderr, proc.returncode
@@ -1005,6 +1006,50 @@ def test_parser_kept_across_calls_gives_each_call_its_own_output(files, monkeypa
     assert codes == [2, 2, 0, 0, 0]
 
 
+def test_files_are_read_and_written_as_utf8_whatever_the_locale(files):
+    # an open that takes the locale's encoding warns under these flags, and
+    # the warning is an error: reading and writing run cleanly
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    for argv in (["validate", "kz2.json"],
+                 ["build", "tensor", "-M", "sign.json", "-N", "canonical.json", "-o", "t.json"]):
+        out, err, code = _run_alone(argv, files, flags)
+        assert (err, code) == ("", 0), argv
+    assert hio.load_structure(p(files, "t.json")).basis[0] == "v⊗1⊗1"
+
+
+def _digits_over_the_limit(path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter reads integers of any length")
+    path.write_text('{"kind": "operator", "n": 1, "matrix": [[%s]], "mu": [[1]]}'
+                    % ("1" * (limit + 1)))
+
+
+# case -> (make an unreadable file at a path, the start of the reason)
+UNREADABLE = {
+    "directory": (lambda path: path.mkdir(), "Is a directory"),
+    "undecodable": (lambda path: path.write_bytes(b"\xff{}"),
+                    "'utf-8' codec can't decode byte 0xff in position 0"),
+    "long-integer": (_digits_over_the_limit, "Exceeds the limit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_an_unreadable_file_is_refused_naming_it_once(tmp_path, capsys, case):
+    make, reason = UNREADABLE[case]
+    path = tmp_path / "in.json"
+    make(path)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: %s" % (path, reason)) and err.count(str(path)) == 1
+    assert main(["--format", "json", "validate", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error.startswith("%s: %s" % (path, reason)) and error.count(str(path)) == 1
+    with pytest.raises(FileFormatError) as exc:
+        hio.load_structure(str(path))
+    assert exc.value.path == str(path)
+
+
 def test_search_set_zero_denominator(files, capsys):
     assert main(["search", "--mu", p(files, "id2.json"), "--set", "0,1/0"]) == 2
     assert "--set" in capsys.readouterr().err
@@ -1032,7 +1077,7 @@ def test_singular_mu_fails_operator_checks(tmp_path, capsys):
     path, dimodule = str(tmp_path / "singular.json"), str(tmp_path / "singular_halpha.json")
     hio.dump_json({"kind": "operator", "n": 1, "matrix": [[1]], "mu": [[0]]}, path)
     sd = fx.sign_dimodule()
-    hio.save_structure(replace(sd, kind="halpha-dimodule", mu=Matrix.zeros(sd.dim, sd.dim)),
+    hio.save_structure(replace(sd, kind="halpha-dimodule", mu=zeros(sd.dim, sd.dim)),
                        dimodule)
     for path, argv in ((path, ["validate", path]), (path, ["check", "longeq", "-R", path]),
                        (dimodule, ["build", "dimodule-solution", "-D", dimodule])):

@@ -19,7 +19,7 @@ from homlong.braidcat import (check_braiding_compatibility, check_hexagons, chec
 from homlong.longeq import check_long_equation, comodule_extension, dimodule_solution
 from homlong.repmod import Carrier
 from homlong.report import compose
-from test_oracles import coproduct_map, kron, mul, scaled, tensor
+from test_oracles import coproduct_map, kron, mul, scaled, tensor, zeros
 
 
 def associator(u, v, w):
@@ -362,7 +362,7 @@ def test_from_smash_module_refuses_a_module_over_another_algebra(kz2, kz4t):
 
 def test_zero_dimensional_dimodule_validates_and_snakes(kz2):
     # coev of the zero carrier is a 0 x 1 matrix: one column, no entries
-    z = Carrier(kz2, kz2, 0, Matrix.zeros(0, 0), Matrix.zeros(0, 0),
+    z = Carrier(kz2, kz2, 0, zeros(0, 0), zeros(0, 0),
                 Matrix([], rows=0, cols=0))
     assert validate_long_dimodule(z).ok
     for dual in (left_dual(z), right_dual(z)):
@@ -373,10 +373,10 @@ def test_zero_dimensional_carriers_combine_with_the_others(kz2, ctx):
     # its coaction is a 0 x 0 Matrix, read on a leg of dim 0 with no
     # column: a step on it is not checked, so every construction and check
     # on a 0-dimensional carrier gives the 0-dimensional result
-    z, sign = trivial_dimodule(kz2, kz2, Matrix.zeros(0, 0)), fx.sign_dimodule()
+    z, sign = trivial_dimodule(kz2, kz2, zeros(0, 0)), fx.sign_dimodule()
     for m, n in ((z, z), (z, sign), (sign, z)):
         assert tensor_dimodule(m, n).dim == 0
-        assert long_braiding(ctx, m, n).matrix == Matrix.zeros(0, 0)
+        assert long_braiding(ctx, m, n).matrix == zeros(0, 0)
         assert check_hexagons(ctx, m, n, sign).ok and check_qybe(ctx, n, m, n).ok
         assert check_symmetry(ctx, m, n).ok and check_braiding_compatibility(ctx, m, n).ok
     n = to_smash_module(z)
@@ -423,8 +423,8 @@ CARRIERS = {
 # for a three-leg one or a three-leg map for a two-leg one, each refused by
 # its rows x cols, a three-leg map's being those of its product-like map
 MISFITS = {
-    "action": ("action", Matrix.zeros(2, 2), "action is 2x2, expected 1x2"),
-    "coaction": ("coaction", Matrix.zeros(1, 4), "coaction is 1x4, expected 1x2"),
+    "action": ("action", zeros(2, 2), "action is 2x2, expected 1x2"),
+    "coaction": ("coaction", zeros(1, 4), "coaction is 1x4, expected 1x2"),
     "mu": ("mu", Matrix.identity(2), "structure map is 2x2, expected 1x1"),
     "action-kind": ("action", Matrix.identity(1), "action is 1x1, expected 1x2"),
     "coaction-kind": ("coaction", Matrix.identity(1), "coaction is 1x1, expected 1x2"),

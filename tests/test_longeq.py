@@ -24,7 +24,7 @@ from homlong.longeq import (OperatorOnTensorSquare, SearchSpaceTooLarge,
 from homlong.repmod import Carrier, MismatchedBase
 from homlong.report import compose
 from test_oracles import (composite, dense_columns, first_difference, flip_matrix, kron, leg12,
-                          leg23, leg_flip, longeq_first_failing_column, mul)
+                          leg23, leg_flip, longeq_first_failing_column, mul, zeros)
 
 nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(lambda x: x != 0)
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -519,14 +519,14 @@ def test_search_caps():
     with pytest.raises(SearchSpaceTooLarge):
         search_solutions(Matrix.identity(4), [0, 1, 2], "diagonal")
     with pytest.raises(SingularMatrix):
-        search_solutions(Matrix.zeros(2, 2), [0, 1], "diagonal")
+        search_solutions(zeros(2, 2), [0, 1], "diagonal")
 
 
 def test_search_full_small_grid():
     # {0,1} over mu = I2: results agree with the one-by-one checker
     sols = search_solutions(Matrix.identity(2), [0], "full")
     assert len(sols) == 1          # the zero operator solves trivially
-    assert sols[0].matrix == Matrix.zeros(sols[0].matrix.rows, sols[0].matrix.cols)
+    assert sols[0].matrix == zeros(sols[0].matrix.rows, sols[0].matrix.cols)
 
 
 @pytest.mark.parametrize("mu, count", [([[1, 0], [0, 1]], 665), ([[1, 0], [0, 2]], 109),

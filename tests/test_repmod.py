@@ -10,7 +10,7 @@ from homlong.braidcat import hb_yd_structure
 from homlong.linalg import Matrix, DimensionMismatch
 from homlong.repmod import (Carrier, MismatchedBase, check_yd, validate_hom_comodule,
                             validate_hom_module, yd_prebraiding)
-from test_oracles import dense_part, flip_matrix, tensor, yd_module
+from test_oracles import dense_part, flip_matrix, tensor, yd_module, zeros
 
 
 def sign_yd(kz2):
@@ -154,7 +154,7 @@ def test_prebraiding_sign(kz2):
 
 def test_prebraiding_zero_dim(kz2):
     yd = sign_yd(kz2)
-    empty = yd_module(kz2, 0, Matrix.zeros(0, 0), Matrix.zeros(0, 0),
+    empty = yd_module(kz2, 0, zeros(0, 0), zeros(0, 0),
                       Matrix([], rows=0, cols=0))
     c = yd_prebraiding(yd, empty)
     assert (c.rows, c.cols) == (0, 0)
@@ -168,6 +168,24 @@ def test_prebraiding_refuses_modules_over_different_bialgebras(kz2):
     with pytest.raises(MismatchedBase, match="^pre-braiding of modules over different "
                                              "bialgebras$"):
         yd_prebraiding(sign_yd(kz2), n)
+
+
+def test_prebraiding_refuses_a_carrier_whose_b_is_not_its_h(kz2, kz4t):
+    # kz4t and Klein have the same dimension, so only the structures tell
+    # this carrier apart from one over a single structure; it is no
+    # yd-module, and its pre-braiding would act by H's twist on a leg over B;
+    # a module has no B at all
+    m = longdimod.canonical_dimodule(kz4t, fx.klein_hopf())
+    assert not check_yd(m).ok
+    for pair in ((m, m), (sign_yd(kz2), m), (m, sign_yd(kz2)),
+                 (sign_yd(kz2), fx.sign_module())):
+        with pytest.raises(MismatchedBase,
+                           match="^pre-braiding of a carrier whose B is not its H$"):
+            yd_prebraiding(*pair)
+    # a long dimodule over two equal structures is over one
+    sign = fx.sign_dimodule()
+    assert sign.H is not sign.B
+    assert yd_prebraiding(sign, sign) == yd_prebraiding(sign_yd(kz2), sign_yd(kz2))
 
 
 def test_check_yd_decides_over_the_carriers_own_structure(ctx, kz2):
